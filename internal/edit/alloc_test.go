@@ -1,6 +1,9 @@
 package edit
 
-import "testing"
+import (
+	"strings"
+	"testing"
+)
 
 // Allocation regression guards for the paper's §3.4 claim ("simple data
 // types", flat reusable buffers): after warm-up, the scratch kernels must
@@ -49,5 +52,23 @@ func TestMyers64ZeroAlloc(t *testing.T) {
 		myers64(a, b)
 	}); n != 0 {
 		t.Errorf("myers64 allocates %.1f per call, want 0", n)
+	}
+}
+
+// The compiled kernels sit inside every scan's candidate loop: on a read-sized
+// pattern neither the band kernel (k <= 31) nor the blocked kernel with a
+// warmed scratch (k = 32) may allocate.
+func TestCompiledKernelsZeroAlloc(t *testing.T) {
+	read := strings.Repeat("ACGTTGCA", 13)[:100]
+	cand := []byte(read[:50] + "T" + read[50:99])
+	p := CompileMyers(read)
+	var scratch MyersScratch
+	for _, k := range []int{0, 8, 31, 32} {
+		p.BoundedDistanceBytes(cand, k, &scratch) // warm up the scratch
+		if n := testing.AllocsPerRun(200, func() {
+			p.BoundedDistanceBytes(cand, k, &scratch)
+		}); n != 0 {
+			t.Errorf("BoundedDistanceBytes at k=%d allocates %.1f per call, want 0", k, n)
+		}
 	}
 }

@@ -7,10 +7,12 @@ package edit
 // sequential scan can be pushed, which strengthens the paper's hypothesis 2
 // on short strings.
 
-// MyersDistance computes the exact edit distance between a and b.
-// It dispatches to the single-word kernel when the shorter string fits in 64
-// symbols (always true for the city-name dataset, max length 64) and to the
-// blocked multi-word kernel otherwise (DNA reads, length ~100).
+// MyersDistance computes the exact edit distance between a and b, rebuilding
+// the match table for every pair: the per-pair baseline of the ablation. It
+// dispatches to the single-word kernel when the shorter string fits in 64
+// symbols and to the blocked multi-word kernel otherwise. Scans do not call
+// it; they compile the query once (CompileMyers, myersquery.go) and run the
+// bounded band or blocked kernel over every candidate.
 func MyersDistance(a, b string) int {
 	if len(a) > len(b) {
 		a, b = b, a

@@ -1,61 +1,70 @@
 package edit
 
-// Query-compiled Myers kernel: the peq match table is built once per query
-// and then streamed over every candidate, instead of being rebuilt for every
-// pair as MyersDistance does. This is the amortization that makes the
-// bit-parallel kernel viable on the serving path — on the city-name workload
-// the table build costs as much as scanning a whole candidate.
+// Query-compiled Myers kernel: the match table is built once per query and
+// then streamed over every candidate, instead of being rebuilt for every pair
+// as MyersDistance does. This is the amortization that makes the bit-parallel
+// kernel viable on the serving path — on the city-name workload the table
+// build costs as much as scanning a whole candidate.
 //
-// The bounded variants add the scan's early abandon: after column j the score
-// can still decrease by at most one per remaining text symbol, so a candidate
-// is dropped as soon as score - (n-1-j) > k.
+// Two bounded kernels read that one table. For k <= maxBandK the diagonal-band
+// kernel (myersband.go) slides a single 64-bit window down the DP matrix and
+// drops a candidate the first column its target diagonal exceeds k. Larger
+// thresholds keep the blocked column kernel below, whose abandon watches the
+// bottom row: after column j the score can still decrease by at most one per
+// remaining text symbol, so a candidate is dropped once score - (n-1-j) > k.
 //
 // The kernels are generic over ~string | ~[]byte so the arena scan
 // (internal/scan) can stream packed byte ranges through them with no
 // per-candidate string conversion.
 
 // MyersPattern is a query compiled for repeated bit-parallel distance
-// computations against many candidate strings. The compiled tables are
+// computations against many candidate strings. The compiled table is
 // read-only after CompileMyers, so one pattern may be shared by any number of
-// goroutines; only the blocked (>64 symbol) kernel needs a per-goroutine
+// goroutines; only the blocked kernel (k > maxBandK) needs a per-goroutine
 // MyersScratch.
 type MyersPattern struct {
 	text string
 	m    int
-	// Single-word form (m <= 64).
-	peq  [256]uint64
+	// class maps a text byte to its row of bits. Bytes that do not occur in
+	// the pattern share row 0, which stays all zero, so the table is sized by
+	// the pattern's alphabet and not by 256.
+	class [256]uint16
+	// bits holds one row of stride = words+2 words per class: bit 64+i of a
+	// row is set iff pattern[i] belongs to the class. The zero word on each
+	// side lets the band kernel cut a 64-bit window that hangs over either
+	// end of the pattern with no edge case; the blocked kernel reads words
+	// 1..words.
+	bits   []uint64
+	stride int
+	// last is the bit of the pattern's final symbol within its word.
 	last uint64
-	// Blocked form (m > 64): one table and one last-block mask per word.
-	w     int
-	bpeq  [][256]uint64
-	blast uint64
 }
 
 // MyersScratch holds the per-goroutine vertical-delta words the blocked
-// kernel needs. The zero value is ready to use; patterns of <= 64 symbols
-// never touch it.
+// kernel needs. The zero value is ready to use; the band kernel never touches
+// it.
 type MyersScratch struct {
 	pv, mv []uint64
 }
 
-// CompileMyers builds the match tables for pattern once. The returned
+// CompileMyers builds the match table for pattern once. The returned
 // pattern is immutable and safe for concurrent use.
 func CompileMyers(pattern string) *MyersPattern {
 	p := &MyersPattern{text: pattern, m: len(pattern)}
-	switch {
-	case p.m == 0:
-		// No table: distance to any candidate is the candidate's length.
-	case p.m <= 64:
-		peqTable(pattern, &p.peq)
-		p.last = uint64(1) << uint(p.m-1)
-	default:
-		p.w = (p.m + 63) / 64
-		p.bpeq = make([][256]uint64, p.w)
-		for i := 0; i < p.m; i++ {
-			p.bpeq[i/64][pattern[i]] |= 1 << uint(i%64)
+	p.stride = (p.m+63)/64 + 2
+	rows := 1
+	for i := 0; i < p.m; i++ {
+		if c := pattern[i]; p.class[c] == 0 {
+			p.class[c] = uint16(rows)
+			rows++
 		}
-		lastBits := uint(p.m - (p.w-1)*64)
-		p.blast = uint64(1) << (lastBits - 1)
+	}
+	p.bits = make([]uint64, rows*p.stride)
+	for i := 0; i < p.m; i++ {
+		p.bits[int(p.class[pattern[i]])*p.stride+1+i>>6] |= 1 << uint(i&63)
+	}
+	if p.m > 0 {
+		p.last = 1 << uint((p.m-1)&63)
 	}
 	return p
 }
@@ -76,10 +85,9 @@ func (p *MyersPattern) Distance(b string, s *MyersScratch) int {
 
 // BoundedDistance reports the edit distance between the pattern and b when it
 // is <= k, abandoning the candidate as early as possible: the length filter
-// rejects before any column, and the scan stops at column j once even a
-// decrease of one per remaining symbol cannot bring the score back within k.
-// Safe for concurrent use when the pattern fits one word (<= 64 symbols);
-// longer patterns need a per-goroutine scratch (nil allocates).
+// rejects before any column, and the kernel stops at the first column that
+// proves the distance exceeds k. Safe for concurrent use when k <= 31; larger
+// thresholds need a per-goroutine scratch (nil allocates).
 func (p *MyersPattern) BoundedDistance(b string, k int, s *MyersScratch) (int, bool) {
 	return boundedMyers(p, b, k, s)
 }
@@ -108,55 +116,22 @@ func boundedMyers[T ~string | ~[]byte](p *MyersPattern, b T, k int, s *MyersScra
 		return len(b), true // len(b) = d <= k
 	case len(b) == 0:
 		return p.m, true
-	case p.m <= 64:
-		return bounded64(p, b, k)
+	case k <= maxBandK:
+		return boundedBand(p, b, k)
 	default:
 		return boundedBlock(p, b, k, s)
 	}
 }
 
-// bounded64 is the single-word kernel with the early abandon. Preconditions:
-// 1 <= m <= 64, len(b) >= 1.
-func bounded64[T ~string | ~[]byte](p *MyersPattern, b T, k int) (int, bool) {
-	pv := ^uint64(0)
-	mv := uint64(0)
-	score := p.m
-	last := p.last
-	n := len(b)
-	for i := 0; i < n; i++ {
-		eq := p.peq[b[i]]
-		xv := eq | mv
-		xh := (((eq & pv) + pv) ^ pv) | eq
-		ph := mv | ^(xh | pv)
-		mh := pv & xh
-		if ph&last != 0 {
-			score++
-		}
-		if mh&last != 0 {
-			score--
-		}
-		ph = ph<<1 | 1
-		mh <<= 1
-		pv = mh | ^(xv | ph)
-		mv = ph & xv
-		// Each remaining column can lower the score by at most one.
-		if score-(n-1-i) > k {
-			return 0, false
-		}
-	}
-	if score > k {
-		return 0, false
-	}
-	return score, true
-}
-
-// boundedBlock is the blocked kernel with the early abandon, for patterns
-// longer than 64 symbols. Preconditions: m > 64, len(b) >= 1.
+// boundedBlock is the blocked column kernel with the bottom-row early abandon:
+// one vertical-delta word pair per 64 pattern symbols, horizontal deltas
+// carried between blocks. It serves the thresholds the band window cannot
+// hold. Preconditions: m >= 1, len(b) >= 1.
 func boundedBlock[T ~string | ~[]byte](p *MyersPattern, b T, k int, s *MyersScratch) (int, bool) {
 	if s == nil {
 		s = &MyersScratch{}
 	}
-	w := p.w
+	w := p.stride - 2
 	if cap(s.pv) < w {
 		s.pv = make([]uint64, w)
 		s.mv = make([]uint64, w)
@@ -170,10 +145,9 @@ func boundedBlock[T ~string | ~[]byte](p *MyersPattern, b T, k int, s *MyersScra
 	score := p.m
 	n := len(b)
 	for i := 0; i < n; i++ {
-		c := b[i]
+		at := int(p.class[b[i]])*p.stride + 1
 		hin := 1
-		for bl := 0; bl < w; bl++ {
-			eq := p.bpeq[bl][c]
+		for bl, eq := range p.bits[at : at+w] {
 			pvb, mvb := pv[bl], mv[bl]
 			xv := eq | mvb
 			if hin < 0 {
@@ -184,7 +158,7 @@ func boundedBlock[T ~string | ~[]byte](p *MyersPattern, b T, k int, s *MyersScra
 			mh := pvb & xh
 			hiBit := uint64(1) << 63
 			if bl == w-1 {
-				hiBit = p.blast
+				hiBit = p.last
 				if ph&hiBit != 0 {
 					score++
 				} else if mh&hiBit != 0 {

@@ -132,3 +132,54 @@ func BenchmarkPerPairVsCompiled(b *testing.B) {
 		}
 	})
 }
+
+// BenchmarkBoundedKernels times both bounded kernels behind
+// BoundedDistanceBytes over candidates no more related to the query than
+// two reads of one genome are: 100-letter reads at k = 0, 8, 31 (band) and
+// k = 32 (blocked), and 10-letter names at k = 2. The threshold alone picks
+// the kernel.
+func BenchmarkBoundedKernels(b *testing.B) {
+	r := rand.New(rand.NewSource(14))
+	random := func(n, length int, alphabet string) [][]byte {
+		buf := make([]byte, n*length)
+		out := make([][]byte, n)
+		for i := range buf {
+			buf[i] = alphabet[r.Intn(len(alphabet))]
+		}
+		for i := range out {
+			out[i] = buf[i*length : (i+1)*length]
+		}
+		return out
+	}
+	reads := random(1024, 100, "ACGT")
+	names := random(1024, 10, "abcdefghijklmnopqrstuvwxyz")
+	for _, c := range []struct {
+		name  string
+		cands [][]byte
+		k     int
+	}{
+		{"reads100/k0-band", reads, 0},
+		{"reads100/k8-band", reads, 8},
+		{"reads100/k31-band", reads, 31},
+		{"reads100/k32-blocked", reads, 32},
+		{"names10/k2-band", names, 2},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			p := CompileMyers(string(c.cands[0]))
+			var scratch MyersScratch
+			matches := 0
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				for _, s := range c.cands {
+					if _, ok := p.BoundedDistanceBytes(s, c.k, &scratch); ok {
+						matches++
+					}
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(c.cands)), "ns/cmp")
+			if matches < b.N {
+				b.Fatalf("the query itself must match: %d matches in %d rounds", matches, b.N)
+			}
+		})
+	}
+}

@@ -99,6 +99,13 @@ func (st *Store) scanDeltaLocked(p *edit.MyersPattern, k int, cancel <-chan stru
 			}
 		}
 		pairs++
+		if k == 0 {
+			// Distance 0 is string equality; no kernel to enter.
+			if st.dict[e.id] == p.Text() {
+				ms = append(ms, core.Match{ID: e.id})
+			}
+			continue
+		}
 		if dist, ok := p.BoundedDistance(st.dict[e.id], k, &scratch); ok {
 			ms = append(ms, core.Match{ID: e.id, Dist: dist})
 		}

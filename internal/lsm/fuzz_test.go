@@ -22,6 +22,7 @@ func FuzzLiveIdentical(f *testing.F) {
 	f.Add([]byte(dna), []byte{0, 0, 1, 1, 3, 0, 4, 2, 2, 12, 5, 7}, uint8(1), false)
 	f.Add([]byte(cities), []byte{0, 1, 0, 2, 3, 5, 0, 6, 4, 1, 2, 8}, uint8(3), true)
 	f.Add([]byte(cities+"\n"+dna), []byte{0, 3, 1, 6, 2, 9, 3, 0, 4, 1, 5, 2, 0, 7, 2, 4}, uint8(2), true)
+	f.Add([]byte(cities), []byte{0, 1, 2, 3, 10, 4, 0, 9, 1, 2, 5, 0}, uint8(0), false) // k = 0: the delta's equality path
 
 	f.Fuzz(func(t *testing.T, blob []byte, script []byte, kb uint8, persist bool) {
 		universe := strings.Split(string(blob), "\n")

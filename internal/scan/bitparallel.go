@@ -3,6 +3,7 @@
 package scan
 
 import (
+	"bytes"
 	"context"
 
 	"simsearch/internal/edit"
@@ -89,6 +90,10 @@ func scanArenaSlots(a *arena, comps CompCounter, p *edit.MyersPattern, k int, lo
 		defer func() { comps.Add(pairs) }()
 	}
 	var scratch edit.MyersScratch
+	var exact []byte // the query's bytes when k = 0: distance 0 is byte equality, no kernel to enter
+	if k == 0 {
+		exact = []byte(p.Text())
+	}
 	for s := lo; s < hi; s++ {
 		if cancel != nil && pairs%ctxStride == ctxStride-1 {
 			select {
@@ -98,7 +103,14 @@ func scanArenaSlots(a *arena, comps CompCounter, p *edit.MyersPattern, k int, lo
 			}
 		}
 		pairs++
-		if d, ok := p.BoundedDistanceBytes(a.buf[a.offs[s]:a.offs[s+1]], k, &scratch); ok {
+		cand := a.buf[a.offs[s]:a.offs[s+1]]
+		if k == 0 {
+			if bytes.Equal(cand, exact) {
+				ms = append(ms, Match{ID: a.ids[s]})
+			}
+			continue
+		}
+		if d, ok := p.BoundedDistanceBytes(cand, k, &scratch); ok {
 			ms = append(ms, Match{ID: a.ids[s], Dist: d})
 		}
 	}

@@ -36,8 +36,11 @@ go test -race ./internal/pool ./internal/exec ./internal/cache ./internal/httpap
 echo "== bench smoke =="
 # One iteration of every benchmark, so bench code cannot silently rot; the
 # cascade check fails if an enabled filter stage stops pruning on a tiny
-# DNA dataset or diverges from the DP oracle.
+# DNA dataset or diverges from the DP oracle. The bounded-kernel benchmark
+# runs again with its output shown: ns/cmp at k = 31 (band kernel) against
+# k = 32 (blocked kernel) is the step between the two compiled kernels.
 go test -run='^$' -bench=. -benchtime=1x ./... > /dev/null
+go test -run='^$' -bench='^BenchmarkBoundedKernels$' -benchtime=200x ./internal/edit
 go run ./cmd/paperbench -cascadecheck
 
 echo "== fuzz smoke =="
