@@ -77,13 +77,16 @@ bench:
 
 # One iteration of every benchmark; part of CI so bench code cannot rot.
 # The cascade smoke additionally fails if any enabled filter stage stops
-# pruning (or diverges from the DP oracle) on a tiny DNA dataset. The
-# bounded-kernel benchmark is run again with its output shown: ns/cmp at
+# pruning (or diverges from the DP oracle) on a tiny dataset of each
+# alphabet. The bounded-kernel benchmark is run again with its output shown: ns/cmp at
 # k = 31 (band kernel) against k = 32 (blocked kernel) is the step between the
 # two compiled kernels, and the run fails if either loses the query itself.
+# Beside it, the byte cascade over 100,000 cities: ns per slot of the length
+# window and kernel calls per query at k = 0..3.
 bench-smoke:
 	$(GO) test -run='^$$' -bench=. -benchtime=1x ./... > /dev/null
 	$(GO) test -run='^$$' -bench='^BenchmarkBoundedKernels$$' -benchtime=200x ./internal/edit
+	$(GO) test -run='^$$' -bench='^BenchmarkCascadeBytes$$' -benchtime=300x ./internal/cascade
 	$(GO) run ./cmd/paperbench -cascadecheck
 
 clean:

@@ -13,7 +13,7 @@ import (
 // scan — on every engine path: direct, sharded, and cached. The seeds
 // deliberately include strings shorter than the cascade's q-gram length,
 // duplicates, k=0, and non-ASCII bytes (which force the byte backend and
-// exercise the frequency filter's rare-symbol bucket).
+// land in signature buckets shared with ASCII letters).
 func FuzzCascadeIdentical(f *testing.F) {
 	cities := simsearch.GenerateCities(12, 7)
 	reads := simsearch.GenerateDNAReads(6, 7)
@@ -24,6 +24,13 @@ func FuzzCascadeIdentical(f *testing.F) {
 	f.Add("dup\ndup\ndup", "dup", 0) // k=0 exact lookup
 	f.Add("", "anything", 3)
 	f.Add("café\nnaïve", "cafe", 2)
+	// The byte backend's signature: non-UTF-8 bytes, bytes that share a
+	// bucket under & 31 ('a', 'A', '!', 0x81), k = 0 on both sides of a
+	// match, and a query longer than every stored string.
+	f.Add("\xff\xfe\x80\naA!\x81\na\xe1\xc1", "\xff\xfe\x81", 1)
+	f.Add("aA!\x81\nAa!\x81\naa!!", "aA!\x81", 0)
+	f.Add("Aachen\naachen\nAAchen", "aachen", 0)
+	f.Add("ab\nabc\n\xc3\xbc", "abcdefghijklmnopqrstuvwxyz", 3)
 
 	f.Fuzz(func(t *testing.T, blob, q string, k int) {
 		if len(blob) > 2048 || len(q) > 160 {

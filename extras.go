@@ -50,8 +50,9 @@ func Clusters(data []string, k int, workers int) [][]int32 {
 // the cost-model adaptive router (see NewRouter) rather than a build-time
 // choice. The old static planner's rules (internal/core.Auto: scan below the
 // build-amortization size, scan for permissive thresholds, modern trie
-// otherwise) survive as the router's cold-start prior, so before any
-// feedback the router behaves exactly like the old NewAuto; after that it
+// otherwise) survive as the router's cold-start prior; the one rule added
+// to them sends k = 1..3 on an amortized corpus to the filter cascade where
+// the old planner chose the trie. After the first feedback the router
 // refines the choice per query from measured latencies. expectedK is no
 // longer needed to bind the engine up front — each query carries its own K —
 // but remains in the signature for compatibility and is ignored.

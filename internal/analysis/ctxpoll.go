@@ -15,9 +15,12 @@ import (
 //
 //   - selects on the cancel channel / ctx.Done(),
 //   - checks ctx.Err(),
-//   - delegates by passing the context or cancel channel to a callee, or
+//   - delegates by passing the context or cancel channel to a callee,
 //   - calls a local closure that does one of the above (the scan package's
-//     strided check() helper).
+//     strided check() helper), or
+//   - ranges over one block x[lo:hi] of a slice while the loop directly
+//     around it polls once per block (the cascade's signature sweep: the
+//     poll is hoisted out of a loop that is a few instructions per element).
 //
 // Dataset-scale loops with no cancellation signal in scope (plain Search
 // paths) are out of scope: those engines are cancelled by abandonment at the
@@ -66,17 +69,51 @@ func checkFuncCtxPoll(pass *Pass, fd *ast.FuncDecl) {
 		return
 	}
 	closures := collectLocalClosures(pass, body)
+	var stack []ast.Node // ancestors of the node being visited, itself last
 	ast.Inspect(body, func(n ast.Node) bool {
+		if n == nil {
+			stack = stack[:len(stack)-1]
+			return true
+		}
+		stack = append(stack, n)
 		lb := loopBody(n)
 		if lb == nil {
 			return true
 		}
-		if loopDoesComparisonWork(pass, lb) && !loopPollsCancellation(pass, lb, signals, closures) {
+		if loopDoesComparisonWork(pass, lb) && !loopPollsCancellation(pass, lb, signals, closures) &&
+			!isBlockOfPolledLoop(pass, stack, signals, closures) {
 			pass.Reportf(n.Pos(),
 				"comparison loop never polls cancellation although a ctx/cancel signal is in scope: select on Done()/check Err() every bounded stride (see scan.ctxStride), or pass the signal to the callee")
 		}
 		return true
 	})
+}
+
+// isBlockOfPolledLoop recognizes the block-strided sweep: the loop on top of
+// stack ranges over a two-bound slice expression x[lo:hi] — one block of the
+// data, not all of it — and the loop directly around it polls in its own
+// statements, so every block starts with a poll.
+func isBlockOfPolledLoop(pass *Pass, stack []ast.Node, signals map[types.Object]bool, closures map[types.Object]*ast.FuncLit) bool {
+	rng, ok := stack[len(stack)-1].(*ast.RangeStmt)
+	if !ok {
+		return false
+	}
+	if block, ok := ast.Unparen(rng.X).(*ast.SliceExpr); !ok || block.Low == nil || block.High == nil {
+		return false
+	}
+	for i := len(stack) - 2; i >= 0; i-- {
+		outer := loopBody(stack[i])
+		if outer == nil {
+			continue
+		}
+		for _, st := range outer.List {
+			if loopBody(st) == nil && pollsIn(pass, st, signals, closures, true) {
+				return true
+			}
+		}
+		return false
+	}
+	return false
 }
 
 // collectCancelSignals gathers every object in the function with a

@@ -6,9 +6,9 @@ import (
 )
 
 // HotAlloc machine-checks the paper's §3.3–3.4 discipline on the kernel
-// packages: the innermost loops of internal/edit, internal/scan, and
-// internal/trie — the code that runs once per compared pair or per trie
-// edge — must not copy strings through string([]byte)/[]byte(string)
+// packages: the innermost loops of internal/edit, internal/scan,
+// internal/trie and internal/cascade — the code that runs once per compared
+// pair, per trie edge or per filtered candidate — must not copy strings through string([]byte)/[]byte(string)
 // conversions and must not allocate closures. In loops that invoke a
 // comparison kernel (a call into internal/edit), fmt calls and the
 // allocation builtins make/new are additionally flagged — "allocate a
@@ -19,12 +19,12 @@ import (
 // from the latter checks because they never call into internal/edit.
 var HotAlloc = &Analyzer{
 	Name: "hotalloc",
-	Doc:  "no string<->[]byte conversions, closures, fmt calls, or per-element make/new — direct or one call deep — in the innermost kernel loops of internal/edit, internal/scan, internal/trie",
+	Doc:  "no string<->[]byte conversions, closures, fmt calls, or per-element make/new — direct or one call deep — in the innermost kernel loops of internal/edit, internal/scan, internal/trie, internal/cascade",
 	Run:  runHotAlloc,
 }
 
 func runHotAlloc(pass *Pass) {
-	if !pathHasSuffix(pass.Path, "internal/edit", "internal/scan", "internal/trie") {
+	if !pathHasSuffix(pass.Path, "internal/edit", "internal/scan", "internal/trie", "internal/cascade") {
 		return
 	}
 	for _, f := range pass.Files {

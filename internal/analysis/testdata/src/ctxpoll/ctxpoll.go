@@ -112,6 +112,53 @@ func searchClosure(ctx context.Context, data []string, dist kernel) int {
 	return n
 }
 
+// searchBlocked is the block-strided sweep: the outer loop polls once per
+// block and the inner loop ranges over that block alone.
+func searchBlocked(ctx context.Context, data []string, dist kernel) int {
+	n := 0
+	for blk := 0; blk < len(data); blk += 1024 {
+		if ctx.Err() != nil {
+			return n
+		}
+		for _, s := range data[blk:min(blk+1024, len(data))] {
+			if _, ok := dist("query", s, 1); ok {
+				n++
+			}
+		}
+	}
+	return n
+}
+
+// searchBlockedWholeSlice polls in the outer loop, but its inner loop ranges
+// over all of data, not over one block: the poll bounds nothing.
+func searchBlockedWholeSlice(ctx context.Context, data []string, dist kernel) int {
+	n := 0
+	for blk := 0; blk < len(data); blk += 1024 {
+		if ctx.Err() != nil {
+			return n
+		}
+		for _, s := range data { // want "never polls cancellation"
+			if _, ok := dist("query", s, 1); ok {
+				n++
+			}
+		}
+	}
+	return n
+}
+
+// searchBlockedNoPoll has the block shape without the poll.
+func searchBlockedNoPoll(ctx context.Context, data []string, dist kernel) int {
+	n := 0
+	for blk := 0; blk < len(data); blk += 1024 { // want "never polls cancellation"
+		for _, s := range data[blk:min(blk+1024, len(data))] { // want "never polls cancellation"
+			if _, ok := dist("query", s, 1); ok {
+				n++
+			}
+		}
+	}
+	return n
+}
+
 // searchPlain has no cancellation signal in scope: the plain Search path is
 // cancelled by abandonment at the core layer, so it is out of scope.
 func searchPlain(data []string, dist kernel) int {

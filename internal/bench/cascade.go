@@ -181,12 +181,19 @@ func CascadeCheck() error {
 			return fmt.Errorf("cascade check %s: length bucket admitted no candidates", tc.name)
 		}
 		if st.FreqSurvivors >= st.Candidates {
-			return fmt.Errorf("cascade check %s: frequency stage pruned nothing (%d of %d candidates survived)",
+			return fmt.Errorf("cascade check %s: frequency/signature stage pruned nothing (%d of %d candidates survived)",
 				tc.name, st.FreqSurvivors, st.Candidates)
 		}
-		if st.QGramSurvivors >= st.FreqSurvivors {
+		// The q-gram stage exists on the packed backend only; on the byte
+		// backend the signature is the one filter (counted as the frequency
+		// stage above) and every survivor of it is verified.
+		if tc.wantPacked && st.QGramSurvivors >= st.FreqSurvivors {
 			return fmt.Errorf("cascade check %s: q-gram stage pruned nothing (%d of %d frequency survivors survived)",
 				tc.name, st.QGramSurvivors, st.FreqSurvivors)
+		}
+		if !tc.wantPacked && st.QGramSurvivors != st.FreqSurvivors {
+			return fmt.Errorf("cascade check %s: %d signature survivors but %d verify calls",
+				tc.name, st.FreqSurvivors, st.QGramSurvivors)
 		}
 	}
 	return nil

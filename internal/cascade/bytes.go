@@ -1,190 +1,120 @@
-// The byte backend: for datasets that are not pure DNA the cascade runs over
-// the scan package's length-bucketed byte arena, with vowel frequency
-// vectors (the paper's §6 suggestion for the city names) precomputed per
-// slot and a 2-gram count stage over raw bytes.
+// The byte backend: for datasets that are not pure DNA the cascade is
+//
+//	length bucket -> one signature word -> band kernel
+//
+// over a scan.Arena it does not own: the arena's slots give the length
+// window and the packed bytes, this file adds one precomputed uint64 per
+// slot. The sweep reads only that slab; the bytes of a candidate are touched
+// when its signature survives.
 package cascade
 
 import (
+	"bytes"
 	"context"
-	"sync"
+	"math/bits"
 
 	"simsearch/internal/edit"
-	"simsearch/internal/filter"
 	"simsearch/internal/scan"
 )
 
-// byteQ is the gram size of the byte q-gram stage. Two bytes index a
-// 65536-entry table; the tables are pooled across queries (see gramTables)
-// because zeroing half a megabyte per query would dominate short queries.
-const byteQ = 2
-
-// byteGramSpace is the number of distinct byte 2-grams.
-const byteGramSpace = 1 << 16
-
-// byteArena is the byte-backend candidate layout: the shared scan arena plus
-// a slot-major slab of precomputed frequency vectors.
+// byteArena is the byte-backend candidate layout: a scan arena, possibly
+// shared with a scan engine over the same data, plus its signature slab.
 type byteArena struct {
 	ar   *scan.Arena
-	f    *filter.Frequency
-	nsym int
-	freq []int32
+	sigs []uint64 // sigs[s] = signature of slot s
 }
 
-// buildByteArena packs data into a scan arena and precomputes every slot's
-// vowel frequency vector into one flat slab.
-func buildByteArena(data []string) *byteArena {
-	ba := &byteArena{ar: scan.NewArena(data), f: filter.VowelFrequency()}
-	ba.nsym = ba.f.NumSymbols()
-	ba.freq = make([]int32, ba.nsym*ba.ar.Len())
-	for s := int32(0); s < int32(ba.ar.Len()); s++ {
-		row := ba.freq[int(s)*ba.nsym : (int(s)+1)*ba.nsym]
-		xb := ba.ar.SlotBytes(s)
-		for _, b := range xb {
-			if idx := ba.f.Index(b); idx >= 0 {
-				row[idx]++
-			}
-		}
+// signature folds a string into one word of counted occurrences: the byte
+// value picks one of 32 buckets (b & 31), bit i says bucket i occurs at
+// least once, bit 32+i at least twice.
+//
+// The filter built on it (sigReject) is sound. One edit operation lowers at
+// most one bucket's count by one and raises at most one by one, and a count
+// moving by one flips at most one of that bucket's two unary bits, so strings
+// within distance k differ in at most k bits on each side:
+// popcount(a &^ b) <= k and popcount(b &^ a) <= k. Folding 256 byte values
+// into 32 buckets and saturating the count at 2 only merge or drop bits; they
+// can hide a difference, never invent one.
+func signature[T string | []byte](s T) uint64 {
+	var sig uint64
+	for i := 0; i < len(s); i++ {
+		once := uint64(1) << (s[i] & 31)
+		sig |= once | (sig&once)<<32
+	}
+	return sig
+}
+
+// sigReject reports whether two signatures differ in more than slack bits on
+// either side, which no pair of strings within slack edits can.
+func sigReject(a, b uint64, slack int) bool {
+	return bits.OnesCount64(a&^b) > slack || bits.OnesCount64(b&^a) > slack
+}
+
+// buildByteArena computes every slot's signature over ar.
+func buildByteArena(ar *scan.Arena) *byteArena {
+	ba := &byteArena{ar: ar, sigs: make([]uint64, ar.Len())}
+	for s := range ba.sigs {
+		ba.sigs[s] = signature(ar.SlotBytes(int32(s)))
 	}
 	return ba
 }
 
-// freqRow returns slot s's precomputed frequency vector.
-func (ba *byteArena) freqRow(s int32) []int32 {
-	return ba.freq[int(s)*ba.nsym : (int(s)+1)*ba.nsym]
-}
-
-// byteGramTable holds the query's 2-gram profile and the per-candidate
-// consumption counters. Both arrays are kept all-zero between uses via
-// touched-list restore, so a pooled table never needs re-zeroing.
-type byteGramTable struct {
-	profile  [byteGramSpace]int32
-	used     [byteGramSpace]int32
-	touchedQ []uint16 // grams set during profile build, restored on release
-	touched  []uint16 // grams consumed per candidate, restored per candidate
-}
-
-// gramTables recycles the half-megabyte tables across queries and
-// goroutines.
-var gramTables = sync.Pool{New: func() any { return new(byteGramTable) }}
-
-// bytePlan is the per-query compiled state of the byte cascade.
-type bytePlan struct {
-	p       *edit.MyersPattern
-	vq      []int32
-	tab     *byteGramTable
-	qGrams  int
-	scratch edit.MyersScratch
-}
-
-// newBytePlan compiles q once: Myers pattern, frequency vector, 2-gram
-// profile. The caller must release() the plan to return the gram table to
-// the pool with its invariants restored.
-func newBytePlan(ba *byteArena, q string) *bytePlan {
-	pl := &bytePlan{p: edit.CompileMyers(q), vq: make([]int32, ba.nsym)}
-	for i := 0; i < len(q); i++ {
-		if idx := ba.f.Index(q[i]); idx >= 0 {
-			pl.vq[idx]++
-		}
-	}
-	pl.tab = gramTables.Get().(*byteGramTable)
-	if len(q) >= byteQ {
-		pl.qGrams = len(q) - byteQ + 1
-		for i := byteQ - 1; i < len(q); i++ {
-			g := uint16(q[i-1])<<8 | uint16(q[i])
-			pl.tab.profile[g]++
-			pl.tab.touchedQ = append(pl.tab.touchedQ, g)
-		}
-	}
-	return pl
-}
-
-// release restores the gram table to all-zero and returns it to the pool.
-func (pl *bytePlan) release() {
-	for _, g := range pl.tab.touchedQ {
-		pl.tab.profile[g] = 0
-	}
-	pl.tab.touchedQ = pl.tab.touchedQ[:0]
-	gramTables.Put(pl.tab)
-	pl.tab = nil
-}
-
-// gramKeep reports whether the candidate shares at least bound 2-grams with
-// the query, with the same consume/restore and two-sided early exit as the
-// packed stage.
-func (pl *bytePlan) gramKeep(xb []byte, bound int) bool {
-	cand := len(xb) - byteQ + 1
-	if bound > pl.qGrams || bound > cand {
-		return false
-	}
-	shared := 0
-	remaining := cand
-	keep := false
-	tab := pl.tab
-	touched := tab.touched[:0]
-	for i := byteQ - 1; i < len(xb); i++ {
-		g := uint16(xb[i-1])<<8 | uint16(xb[i])
-		remaining--
-		if tab.used[g] < tab.profile[g] {
-			shared++
-		}
-		tab.used[g]++
-		touched = append(touched, g)
-		if shared >= bound {
-			keep = true
-			break
-		}
-		if shared+remaining < bound {
-			break
-		}
-	}
-	for _, g := range touched {
-		tab.used[g] = 0
-	}
-	tab.touched = touched[:0]
-	return keep
-}
-
-// searchBytes runs the cascade over the byte arena; see searchPacked for the
-// sweep structure.
+// searchBytes runs the cascade over the byte arena. The length window is a
+// slot range; the sweep walks its signatures in blocks of ctxStride, polling
+// ctx once per block, and only a survivor's bytes are looked up and handed
+// to the kernel (byte equality at k = 0). Stage counters are flushed on
+// every exit path.
 func (e *Engine) searchBytes(ctx context.Context, q string, k int) ([]Match, error) {
 	ba := e.bytes
 	lo, hi := ba.ar.SlotRange(len(q)-k, len(q)+k)
-	var visited, freqKept, gramKept uint64
+	var visited, kept uint64
 	defer func() {
 		e.candidates.Add(visited)
-		e.freqSurvivors.Add(freqKept)
-		e.qgramSurvivors.Add(gramKept)
+		e.freqSurvivors.Add(kept)
+		e.qgramSurvivors.Add(kept)
 		if e.comps != nil {
-			e.comps.Add(gramKept)
+			e.comps.Add(kept)
 		}
 	}()
 	if lo == hi {
 		return nil, nil
 	}
-	pl := newBytePlan(ba, q)
-	defer pl.release()
-	k32 := int32(k)
+	sq := signature(q)
+	slack := k // signature bits that may differ on either side
+	if e.noFreq {
+		slack = 64
+	}
+	var p *edit.MyersPattern
+	var scratch *edit.MyersScratch
+	var exact []byte // the query's bytes when k = 0: distance 0 is byte equality, no kernel to enter
+	if k == 0 {
+		exact = []byte(q)
+	} else {
+		p, scratch = edit.CompileMyers(q), new(edit.MyersScratch)
+	}
 	ms := make([]Match, 0, 16)
-	for s := lo; s < hi; s++ {
-		if visited%ctxStride == ctxStride-1 {
-			if err := ctx.Err(); err != nil {
-				return nil, err
-			}
+	for blk := lo; blk < hi; blk += ctxStride {
+		if err := ctx.Err(); err != nil {
+			return nil, err
 		}
-		visited++
-		if !e.noFreq && freqBound(pl.vq, ba.freqRow(s)) > k32 {
-			continue
-		}
-		freqKept++
-		xb := ba.ar.SlotBytes(s)
-		if !e.noQGram {
-			if b := filter.QGramCountBound(len(q), len(xb), byteQ, k); b > 0 && !pl.gramKeep(xb, b) {
+		end := min(blk+ctxStride, hi)
+		visited += uint64(end - blk)
+		for i, sx := range ba.sigs[blk:end] {
+			if sigReject(sq, sx, slack) {
 				continue
 			}
-		}
-		gramKept++
-		if d, ok := pl.p.BoundedDistanceBytes(xb, k, &pl.scratch); ok {
-			ms = append(ms, Match{ID: ba.ar.SlotID(s), Dist: d})
+			kept++
+			s := blk + int32(i)
+			xb := ba.ar.SlotBytes(s)
+			if k == 0 {
+				if bytes.Equal(xb, exact) {
+					ms = append(ms, Match{ID: ba.ar.SlotID(s)})
+				}
+				continue
+			}
+			if d, ok := p.BoundedDistanceBytes(xb, k, scratch); ok {
+				ms = append(ms, Match{ID: ba.ar.SlotID(s), Dist: d})
+			}
 		}
 	}
 	e.matches.Add(uint64(len(ms)))

@@ -1,27 +1,24 @@
 // Package cascade implements the paper's §6 future-work list as one serving
-// engine: a filter cascade that funnels every query through
+// engine: a filter cascade in which every stage is cheaper per candidate
+// than the next and only survivors pay for the edit-distance kernel. It has
+// two backends, chosen by the data:
 //
-//	length bucket -> frequency-vector filter -> q-gram count filter -> verify
+//	packed (all-DNA): length bucket -> frequency vector -> q-gram count -> verify
+//	bytes (the rest): length bucket -> signature word -> verify
 //
-// where verify is the bounded Myers kernel. All query-side state — the
-// frequency vector, the q-gram profile, and the compiled pattern — is built
-// once per query; every per-candidate step is O(1) or O(len(candidate)) with
-// zero allocations. Candidate-side state (per-slot frequency vectors, the
-// length-bucketed layout) is precomputed at build time, PETER-style
-// (Rheinländer et al., cited in PAPER §6).
+// The packed backend stores a 3-bit arena (internal/bitpack) with a
+// five-entry frequency vector per slot; a surviving comparison touches ~3/8
+// the memory of a byte scan. Non-DNA queries against it stay exact via
+// bitpack.PackLossy (the reserved code 0 mismatches every stored symbol,
+// just as the unknown byte would). The byte backend keeps one precomputed
+// uint64 per slot of a scan.Arena it can share with a scan engine over the
+// same data (NewOver), so it costs 8 bytes per string; see bytes.go for the
+// signature and DESIGN §13 for what it replaced and why.
 //
-// Stage order is by cost per candidate, cheapest first: the length bucket is
-// a free O(1) slot-range lookup, the frequency bound reads a precomputed
-// five-or-ten-entry vector, the q-gram count streams the candidate once, and
-// only the survivors pay for the edit-distance kernel. See DESIGN §13 for
-// why this ordering (rather than the filters' historical order) maximizes
-// pruned work per instruction.
-//
-// For all-DNA datasets the engine stores a 3-bit packed arena
-// (internal/bitpack) instead of raw bytes: each surviving comparison then
-// touches ~3/8 the memory of a byte scan. Non-DNA queries against the packed
-// arena stay exact via bitpack.PackLossy (the reserved code 0 mismatches
-// every stored symbol, just as the unknown byte would).
+// All query-side state — frequency vector or signature, q-gram profile,
+// compiled pattern — is built once per query; every per-candidate step
+// allocates nothing. Candidate-side state is precomputed at build time,
+// PETER-style (Rheinländer et al., cited in PAPER §6).
 //
 // Every filter is sound — it never rejects a string within distance k — so
 // the cascade returns exactly the matches a full scan would; the
@@ -62,10 +59,11 @@ type Engine struct {
 
 	// Per-stage survivor counters, cumulative across queries. A disabled
 	// stage passes everything through, so its survivor count equals its
-	// input count and its prune rate reads as zero.
+	// input count and its prune rate reads as zero. The byte backend has one
+	// filter stage, so there the two middle counters are equal.
 	queries        atomic.Uint64
 	candidates     atomic.Uint64 // length-bucket survivors (slots visited)
-	freqSurvivors  atomic.Uint64
+	freqSurvivors  atomic.Uint64 // frequency-vector / signature survivors
 	qgramSurvivors atomic.Uint64 // == verify-kernel invocations
 	matches        atomic.Uint64
 }
@@ -73,10 +71,12 @@ type Engine struct {
 // Option configures an Engine.
 type Option func(*Engine)
 
-// WithoutFrequency disables the frequency-vector stage (ablation mode).
+// WithoutFrequency disables the frequency-vector stage of the packed backend
+// and the signature stage of the byte backend (ablation mode).
 func WithoutFrequency() Option { return func(e *Engine) { e.noFreq = true } }
 
-// WithoutQGram disables the q-gram count stage (ablation mode).
+// WithoutQGram disables the q-gram count stage (ablation mode). Only the
+// packed backend has one; on the byte backend it changes the name alone.
 func WithoutQGram() Option { return func(e *Engine) { e.noQGram = true } }
 
 // WithComparisonCounter adds a counter receiving the number of verify-kernel
@@ -84,27 +84,35 @@ func WithoutQGram() Option { return func(e *Engine) { e.noQGram = true } }
 func WithComparisonCounter(c CompCounter) Option { return func(e *Engine) { e.comps = c } }
 
 // New builds a cascade engine over data. When every string is valid DNA
-// (A, C, G, N, T) the candidate side is stored 3-bit packed; otherwise a
-// byte arena with vowel frequency vectors is used. Both layouts are
+// (A, C, G, N, T) the candidate side is stored 3-bit packed; otherwise the
+// data is packed into a fresh byte arena (see NewOver). Both layouts are
 // length-bucketed with IDs ascending inside each bucket.
 func New(data []string, opts ...Option) *Engine {
-	e := &Engine{n: len(data)}
-	for _, o := range opts {
-		o(e)
-	}
-	allDNA := true
 	for _, s := range data {
 		if !bitpack.Valid(s) {
-			allDNA = false
-			break
+			return NewOver(scan.NewArena(data), opts...)
 		}
 	}
-	if allDNA {
-		e.packed = buildPackedArena(data)
-		e.name = "cascade/packed"
-	} else {
-		e.bytes = buildByteArena(data)
-		e.name = "cascade/bytes"
+	e := newEngine(len(data), "cascade/packed", opts)
+	e.packed = buildPackedArena(data)
+	return e
+}
+
+// NewOver builds the byte backend over an arena the caller already holds —
+// the router passes its scan arm's — instead of packing the corpus a second
+// time: the engine then adds only its 8-byte signature per string. Match IDs
+// are the arena's.
+func NewOver(ar *scan.Arena, opts ...Option) *Engine {
+	e := newEngine(ar.Len(), "cascade/bytes", opts)
+	e.bytes = buildByteArena(ar)
+	return e
+}
+
+// newEngine applies opts and derives the engine's name from the backend's.
+func newEngine(n int, name string, opts []Option) *Engine {
+	e := &Engine{n: n, name: name}
+	for _, o := range opts {
+		o(e)
 	}
 	// Ablation variants answer differently-filtered workloads identically but
 	// must never share a cache key with the full cascade.
@@ -147,9 +155,9 @@ func (e *Engine) SearchContext(ctx context.Context, q string, k int) ([]Match, e
 	return e.searchBytes(ctx, q, k)
 }
 
-// freqBound returns the frequency-vector lower bound on the edit distance:
-// the larger one-sided L1 surplus between the query's vector and a
-// precomputed candidate row (filter.Frequency.Bound over int32 rows).
+// freqBound returns the packed backend's frequency-vector lower bound on the
+// edit distance: the larger one-sided L1 surplus between the query's vector
+// and a precomputed candidate row (filter.Frequency.Bound over int32 rows).
 func freqBound(vq, vx []int32) int32 {
 	var over, under int32
 	for i, a := range vq {
@@ -171,12 +179,12 @@ func freqBound(vq, vx []int32) int32 {
 type Stats struct {
 	Strings    int
 	Packed     bool // 3-bit DNA arena active
-	ArenaBytes int  // packed payload footprint
+	ArenaBytes int  // packed payload footprint (bytes: the possibly shared scan arena's)
 	Buckets    int  // non-empty length buckets
 
 	Queries        uint64
 	Candidates     uint64 // survivors of the length bucket (slots visited)
-	FreqSurvivors  uint64 // survivors of the frequency-vector stage
+	FreqSurvivors  uint64 // survivors of the frequency-vector (bytes: signature) stage
 	QGramSurvivors uint64 // survivors of the q-gram stage = verify calls
 	Matches        uint64
 }

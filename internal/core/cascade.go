@@ -5,11 +5,14 @@ import (
 
 	"simsearch/internal/cascade"
 	"simsearch/internal/metrics"
+	"simsearch/internal/scan"
 )
 
 // Cascade wraps the filter-cascade engine (paper §6 future work assembled
-// into one serving path: length bucket, frequency vectors, q-gram counts,
-// bounded Myers verify, over a 3-bit packed arena for DNA datasets).
+// into one serving path): length bucket, frequency vectors, q-gram counts
+// and a banded verify over a 3-bit packed arena for DNA datasets; length
+// bucket, one signature word per string and the band kernel over a byte
+// arena for everything else.
 type Cascade struct {
 	eng *cascade.Engine
 }
@@ -18,6 +21,12 @@ type Cascade struct {
 // variants (cascade.WithoutFrequency, cascade.WithoutQGram) and counters.
 func NewCascade(data []string, opts ...cascade.Option) *Cascade {
 	return &Cascade{eng: cascade.New(data, opts...)}
+}
+
+// NewCascadeOver builds the cascade's byte backend over an arena another
+// engine already holds (see cascade.NewOver); match IDs are the arena's.
+func NewCascadeOver(ar *scan.Arena, opts ...cascade.Option) *Cascade {
+	return &Cascade{eng: cascade.NewOver(ar, opts...)}
 }
 
 // Search implements Searcher.

@@ -6,7 +6,11 @@
 // length, threshold k, and alphabet. core.Auto froze that finding into a
 // build-time heuristic — one engine for the whole dataset, chosen before the
 // first query arrives. The router keeps the same rules as a cold-start prior
-// but refines them online: every query is bucketed into a regime over
+// but refines them online. Its arms are the bit-parallel scan, the pruned
+// trie, the BK-tree and the filter cascade, on every corpus: the cascade is
+// 3-bit packed over pure DNA and otherwise a signature slab over the scan
+// arm's own arena (8 bytes per string, not a second copy of the corpus).
+// Routing: every query is bucketed into a regime over
 // (query-length bucket, k bucket, length-window selectivity bucket), routed
 // to the engine with the lowest predicted cost for that regime, and the
 // measured latency is fed back into a per-(engine, regime) EWMA plus a
@@ -219,15 +223,14 @@ type Engine struct {
 	avgLen   float64
 	maxLen   int
 	lenPref  []int32 // lenPref[l] = #strings with length < l (prefix counts)
-	packable bool    // all strings 3-bit DNA-packable => cascade eligible
+	packable bool    // all strings 3-bit DNA-packable: the cascade arm packs its own arena
 
 	exploreEvery atomic.Uint64 // explore period; 0 disables the arm
 	frozen       atomic.Bool   // pinned model: route, but learn nothing
 
-	eligible [numEngines]bool
-	once     [numEngines]sync.Once
-	engines  [numEngines]core.Searcher
-	built    [numEngines]atomic.Bool
+	once    [numEngines]sync.Once
+	engines [numEngines]core.Searcher
+	built   [numEngines]atomic.Bool
 
 	counter     atomic.Uint64 // routed queries; drives the explore schedule
 	routes      [numEngines]atomic.Uint64
@@ -268,9 +271,9 @@ type burstProbe struct {
 
 // New builds a router over data. Construction makes one cheap metadata pass
 // (length histogram for the O(1) selectivity estimate, DNA-packability for
-// cascade eligibility); the engines themselves are built lazily on first
-// route, so a router over a corpus that only ever sees scan-regime queries
-// never pays for a trie or BK-tree build.
+// the cascade arm's backend); the engines themselves are built lazily on
+// first route, so a router over a corpus that only ever sees scan-regime
+// queries never pays for a trie or BK-tree build.
 func New(data []string, opts ...Option) *Engine {
 	e := &Engine{data: data, n: len(data)}
 	e.exploreEvery.Store(defaultExploreEvery)
@@ -301,10 +304,6 @@ func New(data []string, opts ...Option) *Engine {
 		counts[l] += counts[l-1]
 	}
 	e.lenPref = counts // lenPref[l] = #strings with length < l
-	e.eligible[engBitParallel] = true
-	e.eligible[engTrie] = true
-	e.eligible[engBKTree] = true
-	e.eligible[engCascade] = packable
 	return e
 }
 
@@ -350,8 +349,9 @@ func (e *Engine) predicted(id engineID, r int, q core.Query) float64 {
 // per-query overhead plus linear work over the length-window candidates).
 // The multipliers encode the old planner's decisions — tiny datasets and
 // permissive thresholds prefer the scan, amortized datasets prefer the
-// modern trie — plus PR 7's measurement that the cascade dominates on
-// packed small-k corpora (Table XVI: 13-21x over the bit-parallel rung).
+// modern trie — plus the measured cascade wins at small k: Table XVI on
+// packed reads (13-21x over the bit-parallel rung) and EXPERIMENTS.md
+// "Figure 6 revisited" on city names (9-11x at k = 1..3).
 // Absolute values only matter relative to each other; feedback replaces
 // them after the first real sample per cell.
 func (e *Engine) prior(id engineID, q core.Query) float64 {
@@ -387,8 +387,8 @@ func (e *Engine) prior(id engineID, q core.Query) float64 {
 		// explore arm has to discover.
 		return 3 * scanNs
 	case engCascade:
-		// PR 7's measured win (Table XVI) is k = 1..3: the q-gram bounds go
-		// slack at large k, and at k = 0 the trie's exact navigation is
+		// The measured wins are k = 1..3 on both backends: the filter bounds
+		// go slack at large k, and at k = 0 the trie's exact navigation is
 		// faster than any filter chain.
 		if q.K >= 1 && q.K <= 3 && e.n >= buildAmortization && float64(q.K) <= 0.5*e.avgLen {
 			return scanNs / 4
@@ -398,13 +398,10 @@ func (e *Engine) prior(id engineID, q core.Query) float64 {
 	return scanNs
 }
 
-// preferred returns the eligible engine with the lowest predicted cost.
+// preferred returns the engine with the lowest predicted cost.
 func (e *Engine) preferred(r int, q core.Query) engineID {
 	best, bestCost := engBitParallel, math.Inf(1)
 	for id := engineID(0); id < numEngines; id++ {
-		if !e.eligible[id] {
-			continue
-		}
 		if c := e.predicted(id, r, q); c < bestCost {
 			best, bestCost = id, c
 		}
@@ -439,7 +436,7 @@ func (e *Engine) route(q core.Query) decision {
 	}
 	if b := e.burst.Load(); b != nil && every > 1 {
 		switch {
-		case n > b.expires || b.id == pref || !e.eligible[b.id]:
+		case n > b.expires || b.id == pref:
 			// Expired, or the burst arm has become (or was demoted from
 			// being comparable to) the preferred engine — the burst did its
 			// job or lost its point either way.
@@ -494,19 +491,17 @@ func (e *Engine) route(q core.Query) decision {
 	return d
 }
 
-// Prime builds every eligible engine now instead of on first route. Serving
+// Prime builds every engine now instead of on first route. Serving
 // operators call it before taking traffic so no query pays a build; the
 // benchmark calls it so builds stay excluded from timing, matching how the
 // fixed rungs are built before measurement.
 func (e *Engine) Prime() {
 	for id := engineID(0); id < numEngines; id++ {
-		if e.eligible[id] {
-			e.engine(id)
-		}
+		e.engine(id)
 	}
 }
 
-// explorePick selects the explore arm's target: the eligible non-preferred
+// explorePick selects the explore arm's target: the non-preferred
 // engine with the fewest samples in this regime (sample counts rotate the
 // choice naturally), ties broken by the lower predicted cost so the most
 // promising unsampled arm is probed before expensive long shots. Engines
@@ -519,7 +514,7 @@ func (e *Engine) explorePick(r int, q core.Query, pref engineID, tick uint64) (e
 	bestSamples := uint64(math.MaxUint64)
 	bestCost := 0.0
 	for id := engineID(0); id < numEngines; id++ {
-		if !e.eligible[id] || id == pref {
+		if id == pref {
 			continue
 		}
 		cell := int(id)*numRegimes + r
@@ -552,7 +547,14 @@ func (e *Engine) engine(id engineID) core.Searcher {
 		case engBKTree:
 			e.engines[id] = core.NewBKTree(e.data)
 		case engCascade:
-			e.engines[id] = core.NewCascade(e.data)
+			if e.packable {
+				e.engines[id] = core.NewCascade(e.data)
+			} else {
+				// Not 3-bit packable: index the scan arm's arena instead of
+				// packing the corpus again.
+				seq := e.engine(engBitParallel).(*core.Sequential)
+				e.engines[id] = core.NewCascadeOver(seq.ScanEngine().Arena())
+			}
 		}
 		e.built[id].Store(true)
 	})
@@ -695,13 +697,6 @@ func (e *Engine) Preferred(q core.Query) string {
 	return engineNames[e.preferred(e.regime(q), q)]
 }
 
-// Eligible lists the engines this router can route to.
-func (e *Engine) Eligible() []string {
-	out := make([]string, 0, numEngines)
-	for id := engineID(0); id < numEngines; id++ {
-		if e.eligible[id] {
-			out = append(out, engineNames[id])
-		}
-	}
-	return out
-}
+// Eligible lists the engines this router can route to: all four, on every
+// corpus.
+func (e *Engine) Eligible() []string { return append([]string(nil), engineNames[:]...) }

@@ -3,6 +3,7 @@ package router
 import (
 	"context"
 	"math"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -50,41 +51,84 @@ func TestSelectivityWindow(t *testing.T) {
 	}
 }
 
-// TestColdStartPrior pins the prior to core.Auto's decisions plus PR 7's
-// cascade rule: before any feedback the router must prefer exactly what the
-// old static planner chose.
+// TestColdStartPrior pins the prior to core.Auto's decisions plus the
+// cascade rule (k = 1..3 on an amortized corpus, whichever backend the data
+// selects): before any feedback the router must prefer exactly this.
 func TestColdStartPrior(t *testing.T) {
 	small := dataset.Cities(100, 1)
 	if got := New(small).Preferred(core.Query{Text: "berlin", K: 2}); got != "bitparallel" {
 		t.Errorf("small dataset prior = %s, want bitparallel (core.Auto's sub-amortization rule)", got)
 	}
 
-	big := dataset.Cities(core.BuildAmortization, 1)
-	e := New(big)
-	if got := e.Preferred(core.Query{Text: "berlin", K: 2}); got != "trie" {
-		t.Errorf("amortized dataset prior = %s, want trie (core.Auto's index rule)", got)
-	}
-	if got := e.Preferred(core.Query{Text: "berlin", K: 30}); got != "bitparallel" {
-		t.Errorf("permissive-k prior = %s, want bitparallel (core.Auto's pruning-defeat rule)", got)
-	}
-
-	// Pure-DNA corpora add the cascade: preferred at the small thresholds PR
-	// 7 measured it dominating (k = 2, 3), while k <= 1 stays on the trie
-	// and permissive k falls back to the scan.
-	reads := dataset.DNAReads(core.BuildAmortization, 2)
-	d := New(reads)
-	if !d.eligible[engCascade] {
-		t.Fatal("DNA corpus did not make the cascade eligible")
-	}
-	q := reads[0]
-	for k, want := range map[int]string{0: "trie", 1: "trie", 2: "cascade", 3: "cascade", 200: "bitparallel"} {
-		if got := d.Preferred(core.Query{Text: q, K: k}); got != want {
-			t.Errorf("DNA prior at k=%d = %s, want %s", k, got, want)
+	// k <= 1 stays on the trie (core.Auto's index rule), k = 2, 3 go to the
+	// cascade, and permissive k falls back to the scan (core.Auto's
+	// pruning-defeat rule) — on city names and on reads alike.
+	want := map[int]string{0: "trie", 1: "trie", 2: "cascade", 3: "cascade", 200: "bitparallel"}
+	for name, data := range map[string][]string{
+		"city": dataset.Cities(core.BuildAmortization, 1),
+		"DNA":  dataset.DNAReads(core.BuildAmortization, 2),
+	} {
+		e := New(data)
+		for k, w := range want {
+			if got := e.Preferred(core.Query{Text: data[0], K: k}); got != w {
+				t.Errorf("%s prior at k=%d = %s, want %s", name, k, got, w)
+			}
 		}
 	}
-	if city := New(dataset.Cities(100, 1)); city.eligible[engCascade] {
-		t.Error("city corpus made the cascade eligible; want DNA-packable only")
+}
+
+// TestCascadeArmBackends pins which cascade each corpus gets: packed over
+// pure DNA, the byte backend over the scan arm's own arena otherwise.
+func TestCascadeArmBackends(t *testing.T) {
+	d := New(dataset.DNAReads(200, 2))
+	if got := d.engine(engCascade).Name(); got != "cascade/packed" {
+		t.Errorf("DNA corpus cascade arm = %s, want cascade/packed", got)
 	}
+	c := New(dataset.Cities(200, 1))
+	if got := c.engine(engCascade).Name(); got != "cascade/bytes" {
+		t.Errorf("city corpus cascade arm = %s, want cascade/bytes", got)
+	}
+	if !c.built[engBitParallel].Load() {
+		t.Error("byte cascade arm built without the scan arm whose arena it indexes")
+	}
+}
+
+// heapInUse returns the live heap after a full collection.
+func heapInUse() uint64 {
+	runtime.GC()
+	runtime.GC()
+	var m runtime.MemStats
+	runtime.ReadMemStats(&m)
+	return m.HeapAlloc
+}
+
+// TestCityCascadeArmSharesArena: over city names the router's cascade arm
+// answers byte-for-byte like a standalone cascade, and building it grows the
+// heap by its signature slab alone (8 bytes per string) because the arena is
+// the scan arm's, not a copy.
+func TestCityCascadeArmSharesArena(t *testing.T) {
+	const n = 50000
+	data := dataset.Cities(n, 18)
+	e := New(data, WithExploreEvery(1))
+	e.engine(engBitParallel)
+	before := heapInUse()
+	arm := e.engine(engCascade)
+	grown := int64(heapInUse()) - int64(before)
+	if perString := float64(grown) / n; perString >= 10 {
+		t.Errorf("building the cascade arm grew the heap by %.1f B/string (%d B), want < 10: the arena must be shared", perString, grown)
+	}
+	own := core.NewCascade(data)
+	for i, text := range dataset.Queries(data, 80, 3, 19) {
+		q := core.Query{Text: text, K: i % 4}
+		want := own.Search(q)
+		if got := arm.Search(q); !core.Equal(got, want) {
+			t.Fatalf("cascade arm Search(%+v) = %v, standalone cascade %v", q, got, want)
+		}
+		if got := e.Search(q); !core.Equal(got, want) { // whichever arm the forced explore lands on
+			t.Fatalf("router Search(%+v) = %v, standalone cascade %v", q, got, want)
+		}
+	}
+	runtime.KeepAlive(arm)
 }
 
 // TestRoutingIdenticalAcrossArms proves routing is a pure speed decision:
@@ -134,13 +178,14 @@ func TestFeedbackFlipsPreferred(t *testing.T) {
 	e := New(data)
 	q := core.Query{Text: "berlin", K: 2}
 	r := e.regime(q)
-	if got := e.preferred(r, q); got != engTrie {
-		t.Fatalf("cold preference = %v, want trie", engineNames[got])
+	if got := e.preferred(r, q); got != engCascade {
+		t.Fatalf("cold preference = %v, want cascade", engineNames[got])
 	}
-	// Feedback says the trie and the scan are slow here, the BK-tree fast.
-	// (The scan needs a sample too: an unsampled engine keeps its optimistic
-	// prior, and discovering such engines is exactly what the explore arm is
-	// for.)
+	// Feedback says the cascade, the trie and the scan are slow here, the
+	// BK-tree fast. (Every arm needs a sample: an unsampled engine keeps its
+	// optimistic prior, and discovering such engines is exactly what the
+	// explore arm is for.)
+	e.observe(decision{id: engCascade, regime: r}, 800*time.Microsecond)
 	e.observe(decision{id: engTrie, regime: r}, 900*time.Microsecond)
 	e.observe(decision{id: engBitParallel, regime: r}, 700*time.Microsecond)
 	e.observe(decision{id: engBKTree, regime: r}, 30*time.Microsecond)
@@ -243,7 +288,7 @@ func TestSetExploreEveryAndFrozen(t *testing.T) {
 
 // TestLazyBuildAndPrime proves engines build on first route only: a workload
 // that never leaves the preferred arm builds one engine, and Prime builds
-// all eligible ones.
+// the rest.
 func TestLazyBuildAndPrime(t *testing.T) {
 	data := dataset.Cities(core.BuildAmortization, 2)
 	e := New(data, WithExploreEvery(0))
@@ -268,7 +313,7 @@ func TestLazyBuildAndPrime(t *testing.T) {
 	}
 	e.Prime()
 	for id := engineID(0); id < numEngines; id++ {
-		if e.eligible[id] && !e.built[id].Load() {
+		if !e.built[id].Load() {
 			t.Errorf("Prime left %s unbuilt", engineNames[id])
 		}
 	}

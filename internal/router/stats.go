@@ -57,9 +57,6 @@ func (e *Engine) Stats() Stats {
 		st.ExploreRatio = float64(st.Explores) / float64(st.Queries)
 	}
 	for id := engineID(0); id < numEngines; id++ {
-		if !e.eligible[id] {
-			continue
-		}
 		st.Engines = append(st.Engines, EngineStat{
 			Name:   engineNames[id],
 			Routes: e.routes[id].Load(),
@@ -198,15 +195,6 @@ func (e *Engine) RegisterMetrics(reg *metrics.Registry) {
 func RegisterMetrics(reg *metrics.Registry, routers ...*Engine) {
 	for id := engineID(0); id < numEngines; id++ {
 		id := id
-		any := false
-		for _, e := range routers {
-			if e.eligible[id] {
-				any = true
-			}
-		}
-		if !any {
-			continue
-		}
 		reg.CounterFunc("simsearch_router_routes_total",
 			"Queries routed per candidate engine.",
 			func() float64 {

@@ -10,30 +10,36 @@ package scan
 import (
 	"fmt"
 	"math"
+
+	"simsearch/internal/edit"
 )
 
-// arena is the packed, length-bucketed dataset layout.
+// Arena is the packed, length-bucketed dataset layout: immutable once built,
+// shared by the frozen BitParallel rung, the live store's segments
+// (internal/lsm) and the cascade's byte backend (internal/cascade). Match IDs
+// are indices into the NewArena input.
 //
-// Slot s holds the bytes buf[offs[s]:offs[s+1]] of the dataset string whose
-// original index is ids[s]. Slots are ordered by (length, ID): a counting
-// sort by length over the ID-ordered input places equal-length strings in
-// ascending ID order, so every length bucket emits ID-sorted matches by
-// construction.
-type arena struct {
-	buf  []byte
-	offs []int32 // len(ids)+1 boundaries into buf
-	ids  []int32 // slot -> original dataset ID
+// Slots are ordered by (length, ID): a counting sort by length over the
+// ID-ordered input places equal-length strings in ascending ID order, so
+// every length bucket emits ID-sorted matches by construction. Inside a
+// bucket every slot has the same stride, so no per-slot offset is stored:
+// slot s of length l holds buf[lenOff[l]+(s-lenStart[l])*l:][:l].
+type Arena struct {
+	buf []byte
+	ids []int32 // slot -> original dataset ID
 	// lenStart[l] is the first slot whose string is at least l bytes long;
 	// lenStart[maxLen+1] == len(ids). The bucket of length l spans
 	// [lenStart[l], lenStart[l+1]).
 	lenStart []int32
+	lenOff   []int32 // lenOff[l] is the offset in buf of bucket l's first byte
 	maxLen   int
 }
 
-// buildArena packs data. Offsets are int32 (half the footprint of int64 on
-// the hot path); datasets beyond 2 GiB of string bytes are out of scope for
-// the in-memory engine and rejected loudly rather than corrupted silently.
-func buildArena(data []string) *arena {
+// NewArena packs data; the strings are copied, so the caller may discard the
+// slice afterwards. Offsets are int32 (half the footprint of int64 on the hot
+// path); datasets beyond 2 GiB of string bytes are out of scope for the
+// in-memory engine and rejected loudly rather than corrupted silently.
+func NewArena(data []string) *Arena {
 	total := 0
 	maxLen := 0
 	for _, s := range data {
@@ -45,11 +51,11 @@ func buildArena(data []string) *arena {
 	if total > math.MaxInt32 {
 		panic(fmt.Sprintf("scan: arena layout supports at most %d string bytes, got %d", math.MaxInt32, total))
 	}
-	a := &arena{
-		buf:      make([]byte, 0, total),
-		offs:     make([]int32, 1, len(data)+1),
-		ids:      make([]int32, 0, len(data)),
+	a := &Arena{
+		buf:      make([]byte, total),
+		ids:      make([]int32, len(data)),
 		lenStart: make([]int32, maxLen+2),
+		lenOff:   make([]int32, maxLen+1),
 		maxLen:   maxLen,
 	}
 	// Counting sort by length: histogram, prefix sums, then a stable
@@ -58,60 +64,79 @@ func buildArena(data []string) *arena {
 	for _, s := range data {
 		counts[len(s)]++
 	}
-	var slot int32
+	var slot, off int32
 	for l := 0; l <= maxLen; l++ {
-		a.lenStart[l] = slot
+		a.lenStart[l], a.lenOff[l] = slot, off
 		slot += counts[l]
+		off += counts[l] * int32(l)
 	}
 	a.lenStart[maxLen+1] = slot
 	next := make([]int32, maxLen+1)
 	copy(next, a.lenStart[:maxLen+1])
-	a.ids = a.ids[:len(data)]
-	byteStart := make([]int32, maxLen+1)
-	var off int32
-	for l := 0; l <= maxLen; l++ {
-		byteStart[l] = off
-		off += counts[l] * int32(l)
-	}
-	a.buf = a.buf[:total]
-	a.offs = a.offs[:len(data)+1]
 	for i, s := range data {
 		sl := next[len(s)]
 		next[len(s)]++
 		a.ids[sl] = int32(i)
-		bo := byteStart[len(s)]
-		byteStart[len(s)] += int32(len(s))
-		copy(a.buf[bo:], s)
-		a.offs[sl] = bo
+		copy(a.buf[a.lenOff[len(s)]+(sl-a.lenStart[len(s)])*int32(len(s)):], s)
 	}
-	a.offs[len(data)] = int32(total)
-	// offs currently holds each slot's start; slot s ends where the next
-	// slot of the same bucket starts. Because buckets are laid out in order
-	// and slots within a bucket are placed consecutively, offs is already
-	// ascending and offs[s]+len == offs[s+1] holds for every slot.
 	return a
 }
 
-// slotRange returns the arena slots holding strings with length in [lo, hi]
-// (clamped to the dataset's length range).
-func (a *arena) slotRange(lo, hi int) (int32, int32) {
-	if lo < 0 {
-		lo = 0
+// Len returns the number of packed strings.
+func (a *Arena) Len() int { return len(a.ids) }
+
+// Bytes returns the packed buffer size.
+func (a *Arena) Bytes() int { return len(a.buf) }
+
+// MaxLen returns the length of the longest packed string.
+func (a *Arena) MaxLen() int { return a.maxLen }
+
+// SlotRange returns the half-open slot window [lo, hi) holding strings with
+// length in [minLen, maxLen], clamped to the dataset's length range: the
+// paper's length filter as an O(1) bucket lookup.
+func (a *Arena) SlotRange(minLen, maxLen int) (int32, int32) {
+	if minLen < 0 {
+		minLen = 0
 	}
-	if hi > a.maxLen {
-		hi = a.maxLen
+	if maxLen > a.maxLen {
+		maxLen = a.maxLen
 	}
-	if lo > hi {
+	if minLen > maxLen {
 		return 0, 0
 	}
-	return a.lenStart[lo], a.lenStart[hi+1]
+	return a.lenStart[minLen], a.lenStart[maxLen+1]
 }
 
-// bytes returns the packed buffer size (for /stats).
-func (a *arena) bytes() int { return len(a.buf) }
+// slotLen returns the string length of slot s: the bucket l with
+// lenStart[l] <= s < lenStart[l+1], by binary search.
+func (a *Arena) slotLen(s int32) int {
+	lo, hi := 0, a.maxLen
+	for lo < hi {
+		mid := (lo + hi) / 2
+		if a.lenStart[mid+1] > s {
+			hi = mid
+		} else {
+			lo = mid + 1
+		}
+	}
+	return lo
+}
 
-// buckets returns the number of distinct, non-empty length buckets.
-func (a *arena) buckets() int {
+// SlotBytes returns the packed bytes of slot s without copying. The result
+// aliases the arena buffer and must not be mutated. It costs a binary search
+// over the length buckets, so sweeps that visit every slot walk the buckets
+// instead (scanArenaSlots) and only filter survivors come through here.
+func (a *Arena) SlotBytes(s int32) []byte {
+	l := a.slotLen(s)
+	off := int(a.lenOff[l]) + int(s-a.lenStart[l])*l
+	return a.buf[off : off+l]
+}
+
+// SlotID returns the original dataset index of slot s.
+func (a *Arena) SlotID(s int32) int32 { return a.ids[s] }
+
+// Buckets returns the number of distinct, non-empty length buckets.
+func (a *Arena) Buckets() int {
 	n := 0
 	for l := 0; l <= a.maxLen; l++ {
 		if a.lenStart[l+1] > a.lenStart[l] {
@@ -120,6 +145,29 @@ func (a *arena) buckets() int {
 	}
 	return n
 }
+
+// Search streams the length-window slots through the compiled pattern and
+// returns ID-sorted matches. It polls cancel every ctxStride comparisons and
+// reports ok=false when cancelled mid-scan. The scan loop is the frozen
+// BitParallel rung's (scanArenaSlots), so a segment scan and a frozen scan
+// visit candidates identically, which the differential tests over the live
+// store rely on.
+func (a *Arena) Search(p *edit.MyersPattern, k int, cancel <-chan struct{}) ([]Match, bool) {
+	lo, hi := a.SlotRange(p.Len()-k, p.Len()+k)
+	if lo == hi {
+		return nil, true
+	}
+	ms, ok := scanArenaSlots(a, nil, p, k, lo, hi, cancel)
+	if !ok {
+		return nil, false
+	}
+	return mergeRuns(ms), true
+}
+
+// MergeRuns is mergeRuns for engines outside this package that sweep bucket
+// windows in slot order (the cascade) and need global ID order restored
+// without a full sort. It consumes the input slice.
+func MergeRuns(ms []Match) []Match { return mergeRuns(ms) }
 
 // mergeRuns sorts a match slice that is a concatenation of ID-ascending runs
 // (one per length bucket, possibly split by chunk boundaries) by merging the

@@ -30,7 +30,7 @@ func (e *Engine) searchBitParallel(ctx context.Context, q Query) ([]Match, error
 		cancel = ctx.Done()
 	}
 	p := edit.CompileMyers(q.Text)
-	lo, hi := e.arena.slotRange(len(q.Text)-q.K, len(q.Text)+q.K)
+	lo, hi := e.arena.SlotRange(len(q.Text)-q.K, len(q.Text)+q.K)
 	n := int(hi - lo)
 	if n == 0 {
 		return nil, nil
@@ -81,9 +81,9 @@ func (e *Engine) scanSlots(p *edit.MyersPattern, k int, lo, hi int32, cancel <-c
 // polling cancel every ctxStride comparisons. It reports ok=false when
 // cancelled mid-scan. Each call owns its scratch, so concurrent chunk scans
 // never share kernel state; the comparison count is flushed once per call.
-// Shared by the frozen BitParallel rung and the exported Arena (segment scans
-// in internal/lsm), so both visit candidates identically.
-func scanArenaSlots(a *arena, comps CompCounter, p *edit.MyersPattern, k int, lo, hi int32, cancel <-chan struct{}) ([]Match, bool) {
+// Shared by the frozen BitParallel rung and Arena.Search (segment scans in
+// internal/lsm), so both visit candidates identically.
+func scanArenaSlots(a *Arena, comps CompCounter, p *edit.MyersPattern, k int, lo, hi int32, cancel <-chan struct{}) ([]Match, bool) {
 	var ms []Match
 	var pairs uint64
 	if comps != nil {
@@ -94,24 +94,31 @@ func scanArenaSlots(a *arena, comps CompCounter, p *edit.MyersPattern, k int, lo
 	if k == 0 {
 		exact = []byte(p.Text())
 	}
-	for s := lo; s < hi; s++ {
-		if cancel != nil && pairs%ctxStride == ctxStride-1 {
-			select {
-			case <-cancel:
-				return ms, false
-			default:
+	// Bucket by bucket: inside one every slot has the same stride, so the
+	// candidate's bytes are found by addition, with no per-slot offset load.
+	for s, l := lo, a.slotLen(lo); s < hi; l++ {
+		end := min(a.lenStart[l+1], hi)
+		off := int(a.lenOff[l]) + int(s-a.lenStart[l])*l
+		for ; s < end; s++ {
+			if cancel != nil && pairs%ctxStride == ctxStride-1 {
+				select {
+				case <-cancel:
+					return ms, false
+				default:
+				}
 			}
-		}
-		pairs++
-		cand := a.buf[a.offs[s]:a.offs[s+1]]
-		if k == 0 {
-			if bytes.Equal(cand, exact) {
-				ms = append(ms, Match{ID: a.ids[s]})
+			pairs++
+			cand := a.buf[off : off+l]
+			off += l
+			if k == 0 {
+				if bytes.Equal(cand, exact) {
+					ms = append(ms, Match{ID: a.ids[s]})
+				}
+				continue
 			}
-			continue
-		}
-		if d, ok := p.BoundedDistanceBytes(cand, k, &scratch); ok {
-			ms = append(ms, Match{ID: a.ids[s], Dist: d})
+			if d, ok := p.BoundedDistanceBytes(cand, k, &scratch); ok {
+				ms = append(ms, Match{ID: a.ids[s], Dist: d})
+			}
 		}
 	}
 	return ms, true
@@ -132,11 +139,16 @@ func (e *Engine) ArenaStats() (ArenaStats, bool) {
 		return ArenaStats{}, false
 	}
 	return ArenaStats{
-		Strings: len(e.arena.ids),
-		Bytes:   e.arena.bytes(),
-		Buckets: e.arena.buckets(),
+		Strings: e.arena.Len(),
+		Bytes:   e.arena.Bytes(),
+		Buckets: e.arena.Buckets(),
 	}, true
 }
+
+// Arena returns the BitParallel rung's packed layout (nil on every other
+// rung) so another engine over the same data — the router's cascade arm —
+// can index it instead of packing the corpus a second time.
+func (e *Engine) Arena() *Arena { return e.arena }
 
 // Workers returns the configured pool size (0 means unset).
 func (e *Engine) Workers() int { return e.workers }

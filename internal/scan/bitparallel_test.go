@@ -9,6 +9,8 @@ import (
 	"sync"
 	"testing"
 	"testing/quick"
+
+	"simsearch/internal/edit"
 )
 
 func TestBitParallelMatchesReference(t *testing.T) {
@@ -190,27 +192,28 @@ func TestBitParallelCancellation(t *testing.T) {
 
 func TestArenaLayout(t *testing.T) {
 	data := []string{"bbb", "a", "cc", "", "dd", "eee", "f"}
-	a := buildArena(data)
-	if len(a.ids) != len(data) || int(a.offs[len(data)]) != len(a.buf) {
-		t.Fatalf("arena shape: %d ids, offs end %d, buf %d", len(a.ids), a.offs[len(data)], len(a.buf))
+	a := NewArena(data)
+	if a.Len() != len(data) || a.Bytes() != 12 || a.MaxLen() != 3 {
+		t.Fatalf("arena shape: %d slots, %d bytes, max length %d", a.Len(), a.Bytes(), a.MaxLen())
 	}
-	// Slots must be (length, ID)-ordered and hold the right bytes.
-	for s := 0; s < len(a.ids); s++ {
-		str := string(a.buf[a.offs[s]:a.offs[s+1]])
-		if str != data[a.ids[s]] {
-			t.Errorf("slot %d holds %q, want %q", s, str, data[a.ids[s]])
+	// Slots must be (length, ID)-ordered and hold the right bytes, with no
+	// per-slot offset stored: a slot's bytes come from its bucket's stride.
+	for s := int32(0); s < int32(a.Len()); s++ {
+		str := string(a.SlotBytes(s))
+		if str != data[a.SlotID(s)] {
+			t.Errorf("slot %d holds %q, want %q", s, str, data[a.SlotID(s)])
 		}
 		if s > 0 {
-			prev, cur := data[a.ids[s-1]], str
-			if len(prev) > len(cur) || (len(prev) == len(cur) && a.ids[s-1] >= a.ids[s]) {
+			prev, cur := data[a.SlotID(s-1)], str
+			if len(prev) > len(cur) || (len(prev) == len(cur) && a.SlotID(s-1) >= a.SlotID(s)) {
 				t.Errorf("slot %d breaks (length, ID) order", s)
 			}
 		}
 	}
-	// slotRange must select exactly the strings in the length window.
+	// SlotRange must select exactly the strings in the length window.
 	for lo := -1; lo <= 4; lo++ {
 		for hi := lo; hi <= 5; hi++ {
-			s, e := a.slotRange(lo, hi)
+			s, e := a.SlotRange(lo, hi)
 			count := 0
 			for _, str := range data {
 				if len(str) >= lo && len(str) <= hi {
@@ -218,13 +221,39 @@ func TestArenaLayout(t *testing.T) {
 				}
 			}
 			if int(e-s) != count {
-				t.Errorf("slotRange(%d,%d) selects %d slots, want %d", lo, hi, e-s, count)
+				t.Errorf("SlotRange(%d,%d) selects %d slots, want %d", lo, hi, e-s, count)
 			}
 		}
 	}
 	// Lengths present: 0 (""), 1 (a, f), 2 (cc, dd), 3 (bbb, eee).
-	if a.buckets() != 4 {
-		t.Errorf("buckets = %d, want 4", a.buckets())
+	if a.Buckets() != 4 {
+		t.Errorf("buckets = %d, want 4", a.Buckets())
+	}
+}
+
+// TestArenaSlotBytesGaps covers the binary search over buckets when lengths
+// are missing in between, and a chunked scan that starts mid-bucket.
+func TestArenaSlotBytesGaps(t *testing.T) {
+	data := []string{"aaaaaaa", "", "bb", "ccccccc", "", "dd", "eeeeeeeeeeee", "ff"}
+	a := NewArena(data)
+	for s := int32(0); s < int32(a.Len()); s++ {
+		if got, want := string(a.SlotBytes(s)), data[a.SlotID(s)]; got != want {
+			t.Errorf("slot %d holds %q, want %q", s, got, want)
+		}
+	}
+	p := edit.CompileMyers("bb")
+	for lo := int32(0); lo < int32(a.Len()); lo++ {
+		for hi := lo + 1; hi <= int32(a.Len()); hi++ {
+			ms, _ := scanArenaSlots(a, nil, p, 12, lo, hi, nil)
+			if len(ms) != int(hi-lo) {
+				t.Fatalf("slots [%d,%d): %d matches at a threshold that admits all", lo, hi, len(ms))
+			}
+			for i, m := range ms {
+				if want := edit.Distance("bb", data[a.SlotID(lo+int32(i))]); m.ID != a.SlotID(lo+int32(i)) || m.Dist != want {
+					t.Fatalf("slots [%d,%d): match %d = %+v, want id %d dist %d", lo, hi, i, m, a.SlotID(lo+int32(i)), want)
+				}
+			}
+		}
 	}
 }
 

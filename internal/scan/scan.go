@@ -113,7 +113,7 @@ type Engine struct {
 	lenPref []int32 // lenPref[l] = first index in byLen with length >= l
 
 	// Packed dataset layout for the BitParallel rung.
-	arena *arena
+	arena *Arena
 }
 
 // CompCounter receives per-query comparison counts. metrics.Counter
@@ -176,7 +176,7 @@ func New(data []string, opts ...Option) *Engine {
 		o(e)
 	}
 	if e.strategy == BitParallel {
-		e.arena = buildArena(e.data)
+		e.arena = NewArena(e.data)
 	}
 	if e.sorted {
 		e.buildLengthIndex()

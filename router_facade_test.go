@@ -20,12 +20,12 @@ func TestNewRouterFacade(t *testing.T) {
 	}
 }
 
-// TestNewAutoColdStartPrior pins the compatibility promise in NewAuto's doc
-// comment: before any latency feedback, the router's cold-start prior must
-// reproduce the old static planner's choices (internal/core.Auto) — scan
-// below the build-amortization size, the modern trie for large selective
-// workloads, and scan again when the threshold is permissive relative to
-// string length.
+// TestNewAutoColdStartPrior pins the promise in NewAuto's doc comment:
+// before any latency feedback, the router's cold-start prior reproduces the
+// old static planner's choices (internal/core.Auto) — scan below the
+// build-amortization size, the modern trie for large selective workloads,
+// scan again when the threshold is permissive relative to string length —
+// plus the cascade rule at k = 1..3, which holds on city names too.
 func TestNewAutoColdStartPrior(t *testing.T) {
 	big := simsearch.GenerateCities(5000, 11)
 	cases := []struct {
@@ -35,7 +35,8 @@ func TestNewAutoColdStartPrior(t *testing.T) {
 		want string
 	}{
 		{"small corpus -> scan", cities, simsearch.Query{Text: "berlin", K: 2}, "bitparallel"},
-		{"big selective -> trie", big, simsearch.Query{Text: big[0], K: 2}, "trie"},
+		{"big selective -> trie", big, simsearch.Query{Text: big[0], K: 1}, "trie"},
+		{"big small-k -> cascade", big, simsearch.Query{Text: big[0], K: 2}, "cascade"},
 		{"permissive k -> scan", big, simsearch.Query{Text: "x", K: 30}, "bitparallel"},
 	}
 	for _, tc := range cases {

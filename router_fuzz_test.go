@@ -15,17 +15,25 @@ import (
 // byte-identical to the DP scan. The direct router runs with the explore arm
 // forced on every query (WithExploreEvery(1)) and each query is repeated, so
 // the feedback loop accumulates samples and the arm cycles through every
-// candidate engine, including the cascade on pure-DNA datasets.
+// candidate engine, including the cascade (packed on pure-DNA datasets, the
+// byte backend over the scan arm's arena otherwise).
 func FuzzRouterIdentical(f *testing.F) {
 	cities := simsearch.GenerateCities(12, 7)
 	reads := simsearch.GenerateDNAReads(6, 7)
 	f.Add(strings.Join(cities, "\n"), cities[0], 2)
-	f.Add(strings.Join(reads, "\n"), reads[0], 3) // pure DNA: cascade eligible
+	f.Add(strings.Join(reads, "\n"), reads[0], 3) // pure DNA: packed cascade arm
 	f.Add("A\nAC\nACG\nACGT", "ACX", 1)
 	f.Add("dup\ndup\ndup", "dup", 0) // k=0 exact lookup
 	f.Add("", "anything", 3)
 	f.Add("café\nnaïve", "cafe", 2)
 	f.Add(strings.Join(cities, "\n"), "", 16) // empty query, permissive k
+	// The byte backend's signature: non-UTF-8 bytes, bytes that share a
+	// bucket under & 31 ('a', 'A', '!', 0x81), k = 0 on both sides of a
+	// match, and a query longer than every stored string.
+	f.Add("\xff\xfe\x80\naA!\x81\na\xe1\xc1", "\xff\xfe\x81", 1)
+	f.Add("aA!\x81\nAa!\x81\naa!!", "aA!\x81", 0)
+	f.Add("Aachen\naachen\nAAchen", "aachen", 0)
+	f.Add("ab\nabc\n\xc3\xbc", "abcdefghijklmnopqrstuvwxyz", 3)
 
 	f.Fuzz(func(t *testing.T, blob, q string, k int) {
 		if len(blob) > 2048 || len(q) > 160 {

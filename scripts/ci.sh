@@ -36,11 +36,14 @@ go test -race ./internal/pool ./internal/exec ./internal/cache ./internal/httpap
 echo "== bench smoke =="
 # One iteration of every benchmark, so bench code cannot silently rot; the
 # cascade check fails if an enabled filter stage stops pruning on a tiny
-# DNA dataset or diverges from the DP oracle. The bounded-kernel benchmark
+# dataset of either alphabet or diverges from the DP oracle. The bounded-kernel benchmark
 # runs again with its output shown: ns/cmp at k = 31 (band kernel) against
 # k = 32 (blocked kernel) is the step between the two compiled kernels.
+# Beside it, the byte cascade over 100,000 cities: ns per slot of the length
+# window and kernel calls per query at k = 0..3.
 go test -run='^$' -bench=. -benchtime=1x ./... > /dev/null
 go test -run='^$' -bench='^BenchmarkBoundedKernels$' -benchtime=200x ./internal/edit
+go test -run='^$' -bench='^BenchmarkCascadeBytes$' -benchtime=300x ./internal/cascade
 go run ./cmd/paperbench -cascadecheck
 
 echo "== fuzz smoke =="

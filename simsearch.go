@@ -77,14 +77,16 @@ const (
 	// parallelize across queries). Results are identical to Scan.
 	BitParallel
 	// Cascade is the paper's §6 future-work list assembled into one engine:
-	// a filter cascade (length bucket → frequency vectors → q-gram counts →
-	// bounded Myers verify) with all query-side state compiled once per
-	// query, over a 3-bit packed arena when the dataset is pure DNA.
-	// Results are identical to Scan; only the pruning differs.
+	// a filter cascade with all query-side state compiled once per query.
+	// Pure-DNA datasets get length bucket → frequency vectors → q-gram
+	// counts → bounded verify over a 3-bit packed arena; every other
+	// dataset gets length bucket → one precomputed signature word per
+	// string → bounded Myers verify over a byte arena. Results are identical
+	// to Scan; only the pruning differs.
 	Cascade
 	// Router is the cost-model adaptive router: it holds the bit-parallel
-	// scan, the modern trie, the BK-tree, and (on pure-DNA datasets) the
-	// cascade behind one facade and picks an engine per query from a cost
+	// scan, the modern trie, the BK-tree and the cascade (on non-DNA data
+	// built over the scan's own arena) behind one facade and picks an engine per query from a cost
 	// model over (query length, k, length-window selectivity) that re-fits
 	// online from measured latencies. Results are identical to Scan; only
 	// the engine taken — and therefore speed — differs per query.
@@ -230,15 +232,17 @@ func NewBitParallel(data []string, workers int) Searcher {
 // (frequency-vector filtering, q-gram counting, length bucketing, 3-bit DNA
 // packing) assembled into one serving path. On pure-DNA datasets the
 // candidate side is stored 3-bit packed, so each comparison that survives
-// the filters touches ~3/8 the memory of a byte scan. Results are identical
-// to NewScan on every dataset and query.
+// the filters touches ~3/8 the memory of a byte scan; on every other dataset
+// one precomputed 64-bit occurrence signature per string decides which
+// candidates of the length window reach the kernel. Results are identical to
+// NewScan on every dataset and query.
 func NewCascade(data []string) Searcher {
 	return New(data, Options{Algorithm: Cascade})
 }
 
 // NewRouter returns the cost-model adaptive router over data: every query
 // is routed to whichever candidate engine (bit-parallel scan, modern trie,
-// BK-tree, cascade on pure-DNA datasets) the cost model predicts fastest for
+// BK-tree, cascade) the cost model predicts fastest for
 // its regime, with measured latencies fed back online and a small bounded
 // explore arm keeping the estimates fresh as the workload drifts. Candidate
 // engines are built lazily on first route. Results are byte-identical to
