@@ -14,9 +14,9 @@ RACE_PKGS = ./internal/pool ./internal/exec ./internal/cache ./internal/httpapi 
 
 FUZZ_SMOKE_TIME ?= 5s
 
-.PHONY: check build fmt vet lint test race fuzz fuzz-smoke bench bench-smoke clean
+.PHONY: check build fmt vet lint test race fuzz fuzz-smoke bench bench-smoke benchmark-smoke clean
 
-check: fmt vet lint test race bench-smoke fuzz-smoke ## everything CI runs
+check: fmt vet lint test race bench-smoke benchmark-smoke fuzz-smoke ## everything CI runs
 
 build:
 	$(GO) build ./...
@@ -81,13 +81,20 @@ bench:
 # alphabet. The bounded-kernel benchmark is run again with its output shown: ns/cmp at
 # k = 31 (band kernel) against k = 32 (blocked kernel) is the step between the
 # two compiled kernels, and the run fails if either loses the query itself.
-# Beside it, the byte cascade over 100,000 cities: ns per slot of the length
-# window and kernel calls per query at k = 0..3.
+# Beside it, the cascade over 100,000 cities (k = 0..3) and 10,000 reads
+# (k = 0, 4, 8): ns per slot of the length window and kernel calls per query.
 bench-smoke:
 	$(GO) test -run='^$$' -bench=. -benchtime=1x ./... > /dev/null
 	$(GO) test -run='^$$' -bench='^BenchmarkBoundedKernels$$' -benchtime=200x ./internal/edit
 	$(GO) test -run='^$$' -bench='^BenchmarkCascadeBytes$$' -benchtime=300x ./internal/cascade
 	$(GO) run ./cmd/paperbench -cascadecheck
+
+# The fixed benchmark (benchmark/, a Go module of its own that `go test ./...`
+# at the root does not descend into): its tests, then every workload once at
+# corpus x0.02, which fails on any operation the DP oracle rejects.
+benchmark-smoke:
+	cd benchmark && $(GO) test ./...
+	bash benchmark/run.sh -smoke
 
 clean:
 	$(GO) clean ./...

@@ -11,15 +11,15 @@ import (
 // datasets over both of the paper's alphabets, the filter cascade must
 // return byte-identical results to the DP scan — and to the bit-parallel
 // scan — on every engine path: direct, sharded, and cached. The seeds
-// deliberately include strings shorter than the cascade's q-gram length,
-// duplicates, k=0, and non-ASCII bytes (which force the byte backend and
-// land in signature buckets shared with ASCII letters).
+// deliberately include very short strings, duplicates, k=0, and non-ASCII
+// bytes (which select the occurrence-bit word and land in signature buckets
+// shared with ASCII letters).
 func FuzzCascadeIdentical(f *testing.F) {
 	cities := simsearch.GenerateCities(12, 7)
 	reads := simsearch.GenerateDNAReads(6, 7)
 	f.Add(strings.Join(cities, "\n"), cities[0], 2)
-	f.Add(strings.Join(reads, "\n"), reads[0], 8) // packed backend, >64-byte strings
-	f.Add("A\nAC\nACG\nACGT", "ACX", 1)           // shorter than q, mixed validity
+	f.Add(strings.Join(reads, "\n"), reads[0], 8) // count words, >64-byte strings
+	f.Add("A\nAC\nACG\nACGT", "ACX", 1)           // a query byte no field counts
 	f.Add("a\nab\nabc\nabcd", "abx", 1)
 	f.Add("dup\ndup\ndup", "dup", 0) // k=0 exact lookup
 	f.Add("", "anything", 3)
@@ -31,6 +31,13 @@ func FuzzCascadeIdentical(f *testing.F) {
 	f.Add("aA!\x81\nAa!\x81\naa!!", "aA!\x81", 0)
 	f.Add("Aachen\naachen\nAAchen", "aachen", 0)
 	f.Add("ab\nabc\n\xc3\xbc", "abcdefghijklmnopqrstuvwxyz", 3)
+	// The count word: reads with N, an anagram pair at k = 0 (equal words,
+	// different bytes), a non-DNA query on a DNA corpus, and length
+	// differences of exactly k on both sides.
+	f.Add("ACGTNNACGT\nACGTNACGT\nNNNN\nACGTACGT", "ACGTNNACGA", 2)
+	f.Add("ACGT\nTGCA\nGATC\nACGT", "TGCA", 0)
+	f.Add(strings.Join(reads, "\n"), "caf\xc3\xa9 \x80\xff"+reads[1][10:], 16)
+	f.Add("ACGTACGT\nACGTA\nACGTACGTACG\nACG", "ACGTACGT", 3)
 
 	f.Fuzz(func(t *testing.T, blob, q string, k int) {
 		if len(blob) > 2048 || len(q) > 160 {

@@ -12,7 +12,7 @@
 //	paperbench -cache          # + Zipf-skewed replay through the result cache
 //	paperbench -bitparallel    # + the bit-parallel scan ablation (Table XV)
 //	paperbench -cascade        # + the filter-cascade ablation (Table XVI)
-//	paperbench -cascadecheck   # CI gate: cascade correctness + per-stage pruning on tiny datasets
+//	paperbench -cascadecheck   # CI gate: cascade correctness + signature-stage pruning on tiny datasets
 //	paperbench -distrib        # distributed serving sweep: local shard fleet, hedging on/off, slow-shard fault
 //	paperbench -router         # adaptive-router experiment (Table XVII): router vs fixed engines, mixed corpus
 //	paperbench -json OUT.json  # + machine-readable records (implies -bitparallel unless -cascade/-distrib/-router)
@@ -47,8 +47,8 @@ func main() {
 		shards   = flag.Bool("shards", false, "also run the sharded-executor sweep (Table XIV), the serving-path analogue of the paper's worker sweep")
 		workers  = flag.Int("workers", 0, "pool workers for the shard sweep (default GOMAXPROCS)")
 		bitp     = flag.Bool("bitparallel", false, "also run the bit-parallel scan ablation (Table XV: paper kernel vs banded vs query-compiled bit-parallel, serial and intra-query parallel)")
-		casc     = flag.Bool("cascade", false, "also run the filter-cascade ablation (Table XVI: cascade vs bit-parallel scan at k=1..3, each filter stage toggled off)")
-		cascChk  = flag.Bool("cascadecheck", false, "run only the cascade CI gate: tiny-dataset correctness vs the DP oracle plus per-stage prune checks")
+		casc     = flag.Bool("cascade", false, "also run the filter-cascade ablation (Table XVI: cascade vs bit-parallel scan at k=1..3, with and without its signature word)")
+		cascChk  = flag.Bool("cascadecheck", false, "run only the cascade CI gate: tiny-dataset correctness vs the DP oracle plus the prune check on each signature kind")
 		jsonPath = flag.String("json", "", "write machine-readable measurements (engine, dataset, k, ns/query, comparisons) to this file; implies -bitparallel unless -cascade is given")
 		cacheRun = flag.Bool("cache", false, "also replay a Zipf-skewed query stream through the result cache (hit rate vs speedup)")
 		cacheN   = flag.Int("cachequeries", 2000, "stream length for the -cache replay")
@@ -68,7 +68,7 @@ func main() {
 			fmt.Fprintf(os.Stderr, "paperbench: %v\n", err)
 			os.Exit(1)
 		}
-		fmt.Println("cascade check ok: results identical to the DP scan and every filter stage pruned, on both alphabets")
+		fmt.Println("cascade check ok: results identical to the DP scan and the signature stage pruned, on both alphabets")
 		return
 	}
 

@@ -51,7 +51,7 @@ func Clusters(data []string, k int, workers int) [][]int32 {
 // choice. The old static planner's rules (internal/core.Auto: scan below the
 // build-amortization size, scan for permissive thresholds, modern trie
 // otherwise) survive as the router's cold-start prior; the one rule added
-// to them sends k = 1..3 on an amortized corpus to the filter cascade where
+// to them sends k = 2..8 on an amortized corpus to the filter cascade where
 // the old planner chose the trie. After the first feedback the router
 // refines the choice per query from measured latencies. expectedK is no
 // longer needed to bind the engine up front — each query carries its own K —

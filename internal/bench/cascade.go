@@ -31,7 +31,7 @@ func cascadeWorkload(w Workload) Workload {
 }
 
 // cascadeRung is one row of the cascade ablation: the best prior scan rung
-// as the baseline, the full cascade, and each filter stage toggled off.
+// as the baseline, the full cascade, and the cascade without its filter word.
 type cascadeRung struct {
 	slug  string
 	label string
@@ -57,16 +57,14 @@ func cascadeRungs() []cascadeRung {
 	}
 	return []cascadeRung{
 		{"bit-parallel", "1) bit-parallel scan (best prior rung)", scanRung},
-		{"cascade", "2) cascade (length+freq+qgram+verify)", cascadeRungWith()},
-		{"cascade-nofreq", "3) cascade without frequency stage", cascadeRungWith(cascade.WithoutFrequency())},
-		{"cascade-noqgram", "4) cascade without q-gram stage", cascadeRungWith(cascade.WithoutQGram())},
-		{"cascade-verify-only", "5) length bucket + verify only", cascadeRungWith(cascade.WithoutFrequency(), cascade.WithoutQGram())},
+		{"cascade", "2) cascade (length+signature+verify)", cascadeRungWith()},
+		{"cascade-nofreq", "3) cascade without the signature word", cascadeRungWith(cascade.WithoutFrequency())},
 	}
 }
 
 // TableXVI is the filter-cascade ablation: the §6 future-work cascade
-// against the best prior scan rung, plus each filter stage toggled off, at
-// the small thresholds where an index traditionally wins.
+// against the best prior scan rung, plus the cascade with its signature word
+// switched off, at the small thresholds where an index traditionally wins.
 func TableXVI(w Workload) *Table {
 	cw := cascadeWorkload(w)
 	t := NewTable(fmt.Sprintf("Table XVI. Filter cascade on the %s data set (k = 1..3)", w.Name), cw.Counts)
@@ -123,10 +121,9 @@ func CascadeRecords(w Workload) []Record {
 			if cc != nil {
 				after := cc.CascadeEngine().Stats()
 				rec.Stages = &StageCounts{
-					Candidates:     after.Candidates - before.Candidates,
-					FreqSurvivors:  after.FreqSurvivors - before.FreqSurvivors,
-					QGramSurvivors: after.QGramSurvivors - before.QGramSurvivors,
-					Matches:        after.Matches - before.Matches,
+					Candidates: after.Candidates - before.Candidates,
+					Survivors:  after.Survivors - before.Survivors,
+					Matches:    after.Matches - before.Matches,
 				}
 			}
 			if ri == 0 {
@@ -140,24 +137,23 @@ func CascadeRecords(w Workload) []Record {
 	return recs
 }
 
-// CascadeCheck is the CI smoke gate: on a tiny dataset of each alphabet it
-// verifies the full cascade (a) returns exactly the DP scan's results and
-// (b) actually prunes at every enabled filter stage. A filter regression
+// CascadeCheck is the CI smoke gate: on a tiny dataset of each alphabet —
+// one per kind of signature word — it verifies the full cascade (a) returns
+// exactly the DP scan's results and (b) actually prunes. A filter regression
 // that silently stops pruning — the cascade would stay correct but degrade
 // to verify-only speed — fails here instead of rotting unnoticed.
 func CascadeCheck() error {
 	for _, tc := range []struct {
-		name       string
-		data       []string
-		maxEdits   int
-		wantPacked bool
+		name string
+		data []string
 	}{
-		{"dna", dataset.DNAReads(1500, 20130323), 3, true},
-		{"city", dataset.Cities(1500, 20130322), 3, false},
+		{"dna", dataset.DNAReads(1500, 20130323)},
+		{"city", dataset.Cities(1500, 20130322)},
 	} {
-		qs := dataset.Queries(tc.data, 30, tc.maxEdits, 20130324)
+		qs := dataset.Queries(tc.data, 30, 3, 20130324)
 		oracle := core.NewSequential(tc.data)
-		eng := core.NewCascade(tc.data)
+		var comps metrics.Counter
+		eng := core.NewCascade(tc.data, cascade.WithComparisonCounter(&comps))
 		for i, text := range qs {
 			q := core.Query{Text: text, K: CascadeKs[i%len(CascadeKs)]}
 			want := oracle.Search(q)
@@ -174,26 +170,16 @@ func CascadeCheck() error {
 			}
 		}
 		st := eng.CascadeEngine().Stats()
-		if st.Packed != tc.wantPacked {
-			return fmt.Errorf("cascade check %s: packed=%v, want %v", tc.name, st.Packed, tc.wantPacked)
-		}
 		if st.Candidates == 0 {
 			return fmt.Errorf("cascade check %s: length bucket admitted no candidates", tc.name)
 		}
-		if st.FreqSurvivors >= st.Candidates {
-			return fmt.Errorf("cascade check %s: frequency/signature stage pruned nothing (%d of %d candidates survived)",
-				tc.name, st.FreqSurvivors, st.Candidates)
+		if st.Survivors >= st.Candidates {
+			return fmt.Errorf("cascade check %s: signature stage pruned nothing (%d of %d candidates survived)",
+				tc.name, st.Survivors, st.Candidates)
 		}
-		// The q-gram stage exists on the packed backend only; on the byte
-		// backend the signature is the one filter (counted as the frequency
-		// stage above) and every survivor of it is verified.
-		if tc.wantPacked && st.QGramSurvivors >= st.FreqSurvivors {
-			return fmt.Errorf("cascade check %s: q-gram stage pruned nothing (%d of %d frequency survivors survived)",
-				tc.name, st.QGramSurvivors, st.FreqSurvivors)
-		}
-		if !tc.wantPacked && st.QGramSurvivors != st.FreqSurvivors {
+		if verified := comps.Value(); verified != st.Survivors {
 			return fmt.Errorf("cascade check %s: %d signature survivors but %d verify calls",
-				tc.name, st.FreqSurvivors, st.QGramSurvivors)
+				tc.name, st.Survivors, verified)
 		}
 	}
 	return nil

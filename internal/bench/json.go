@@ -44,13 +44,12 @@ type Record struct {
 }
 
 // StageCounts is the cascade survivor funnel: candidates that passed the
-// length bucket, then the frequency-vector stage, then the q-gram count
-// stage (equal to verify-kernel invocations), then final matches.
+// length bucket, then the signature stage (equal to verify-kernel
+// invocations), then final matches.
 type StageCounts struct {
-	Candidates     uint64 `json:"length_survivors"`
-	FreqSurvivors  uint64 `json:"frequency_survivors"`
-	QGramSurvivors uint64 `json:"qgram_survivors"`
-	Matches        uint64 `json:"matches"`
+	Candidates uint64 `json:"length_survivors"`
+	Survivors  uint64 `json:"signature_survivors"`
+	Matches    uint64 `json:"matches"`
 }
 
 // Report is the top-level BENCH_*.json payload. GOMAXPROCS is recorded

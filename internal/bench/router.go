@@ -22,7 +22,7 @@ var RouterKs = []int{0, 1, 2, 3}
 // routerShards is the partition count of the router experiment. Two shards
 // over the equal-halves corpus put the city/DNA boundary exactly on the
 // shard edge, so each per-shard router sees a homogeneous slice — the DNA
-// shard is 3-bit packable and gains the cascade, the city shard does not.
+// shard's cascade arm holds count words, the city shard's occurrence bits.
 const routerShards = 2
 
 // routerWarmupPasses is how many untimed passes over the query stream each

@@ -54,64 +54,6 @@ func MustPack(s string) Seq {
 	return seq
 }
 
-// PackLossy encodes s mapping every non-DNA byte to the reserved code 0.
-// Because code 0 never equals a valid symbol code (1..5), the edit distance
-// between a lossily-packed query and any all-valid packed sequence is exactly
-// the byte-level edit distance: invalid query positions mismatch every
-// candidate symbol, just as the unknown byte would, and query positions are
-// never compared against each other in the dynamic program. This lets a
-// packed corpus answer arbitrary queries exactly without falling back to an
-// unpacked scan.
-func PackLossy(s string) Seq {
-	seq := Seq{n: len(s), words: make([]uint64, packedWords(len(s)))}
-	for i := 0; i < len(s); i++ {
-		seq.words[i/symbolsPerWord] |= uint64(encodeTable[s[i]]) << uint(3*(i%symbolsPerWord))
-	}
-	return seq
-}
-
-// Valid reports whether s consists solely of A, C, G, N, T, i.e. whether
-// Pack would succeed.
-func Valid(s string) bool {
-	for i := 0; i < len(s); i++ {
-		if encodeTable[s[i]] == 0 {
-			return false
-		}
-	}
-	return true
-}
-
-// Code returns the 3-bit code of b, or 0 when b is not a DNA symbol.
-func Code(b byte) byte { return encodeTable[b] }
-
-// PackedWords returns how many 64-bit words a packed sequence of n symbols
-// occupies. Arena builders use it to lay sequences out contiguously.
-func PackedWords(n int) int { return packedWords(n) }
-
-func packedWords(n int) int { return (n + symbolsPerWord - 1) / symbolsPerWord }
-
-// PackInto packs s into dst, which must hold PackedWords(len(s)) zeroed
-// words, mapping invalid bytes to code 0 like PackLossy. It reports whether
-// every byte was a valid DNA symbol. Arena builders use it to fill one
-// contiguous word slab instead of allocating per sequence.
-func PackInto(dst []uint64, s string) bool {
-	valid := true
-	for i := 0; i < len(s); i++ {
-		code := encodeTable[s[i]]
-		if code == 0 {
-			valid = false
-		}
-		dst[i/symbolsPerWord] |= uint64(code) << uint(3*(i%symbolsPerWord))
-	}
-	return valid
-}
-
-// View returns a Seq of n symbols backed by the given packed words without
-// copying. The words must have been produced by PackInto (or Pack) and any
-// bits beyond symbol n-1 must be zero, which word-aligned arena slots
-// guarantee.
-func View(words []uint64, n int) Seq { return Seq{words: words, n: n} }
-
 // Len returns the number of symbols.
 func (s Seq) Len() int { return s.n }
 

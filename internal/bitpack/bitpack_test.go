@@ -158,67 +158,6 @@ func TestCorpus(t *testing.T) {
 	}
 }
 
-func TestPackLossyAndValid(t *testing.T) {
-	if !Valid("ACGNT") || Valid("ACGX") || Valid("acgt") {
-		t.Error("Valid misclassifies")
-	}
-	// A lossy query with invalid bytes must yield exact byte-level distances
-	// against all-valid sequences: code 0 mismatches every candidate symbol.
-	fn := func(seed int64) bool {
-		r := rand.New(rand.NewSource(seed))
-		q := randomString(r, "ACGNTxyz@", 40)
-		x := randomDNA(r, 40)
-		if Distance(PackLossy(q), MustPack(x)) != edit.Distance(q, x) {
-			return false
-		}
-		k := r.Intn(6)
-		wd, wok := edit.BoundedDistance(q, x, k)
-		gd, gok := BoundedDistanceScratch(PackLossy(q), MustPack(x), k, &Scratch{})
-		return wok == gok && (!wok || wd == gd)
-	}
-	if err := quick.Check(fn, &quick.Config{MaxCount: 300}); err != nil {
-		t.Error(err)
-	}
-}
-
-func randomString(r *rand.Rand, alpha string, maxLen int) string {
-	n := r.Intn(maxLen + 1)
-	var sb strings.Builder
-	for i := 0; i < n; i++ {
-		sb.WriteByte(alpha[r.Intn(len(alpha))])
-	}
-	return sb.String()
-}
-
-func TestPackIntoViewMatchesPack(t *testing.T) {
-	fn := func(seed int64) bool {
-		r := rand.New(rand.NewSource(seed))
-		s := randomDNA(r, 80)
-		words := make([]uint64, PackedWords(len(s)))
-		if !PackInto(words, s) {
-			t.Errorf("PackInto rejected valid DNA %q", s)
-			return false
-		}
-		v := View(words, len(s))
-		if v.String() != s {
-			t.Errorf("View round trip %q -> %q", s, v.String())
-			return false
-		}
-		other := randomDNA(r, 80)
-		return Distance(v, MustPack(other)) == edit.Distance(s, other)
-	}
-	if err := quick.Check(fn, &quick.Config{MaxCount: 200}); err != nil {
-		t.Error(err)
-	}
-	words := make([]uint64, PackedWords(4))
-	if PackInto(words, "ACGX") {
-		t.Error("PackInto reported valid on invalid input")
-	}
-	if View(words, 4).At(3) != 0 {
-		t.Error("invalid byte must pack to code 0")
-	}
-}
-
 func TestScratchReuseMatchesFresh(t *testing.T) {
 	// One scratch across many pairs must give the same answers as fresh rows:
 	// stale row contents beyond the band must never leak into results.

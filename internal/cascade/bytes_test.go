@@ -2,6 +2,7 @@ package cascade
 
 import (
 	"fmt"
+	"math/bits"
 	"math/rand"
 	"strings"
 	"testing"
@@ -55,14 +56,14 @@ func TestSignatureNeverRejectsWithinK(t *testing.T) {
 	}
 }
 
-// TestSignatureExhaustiveSmallAlphabet checks every pair of strings up to
-// length 5 over {a, A, b} — 'a' and 'A' share bucket 1, so the fold and the
-// saturating count are both exercised — at the pair's exact distance, the
-// tightest threshold that must still admit it.
-func TestSignatureExhaustiveSmallAlphabet(t *testing.T) {
+// exhaustive checks every pair of strings up to length 5 over a three-letter
+// alphabet at the pair's exact distance, the tightest threshold that must
+// still admit it; that at k = 0 the filter is word inequality, which the
+// k = 0 sweep relies on; and that the filter rejects something.
+func exhaustive(t *testing.T, alphabet string, word func(string) uint64, reject func(a, b uint64, k int) bool) {
 	all := []string{""}
 	for lo := 0; len(all[lo]) < 5; lo++ {
-		for _, c := range "aAb" {
+		for _, c := range alphabet {
 			all = append(all, all[lo]+string(c))
 		}
 	}
@@ -71,113 +72,210 @@ func TestSignatureExhaustiveSmallAlphabet(t *testing.T) {
 	}
 	rejected := 0
 	for _, a := range all {
-		sa := signature(a)
+		wa := word(a)
 		for _, b := range all {
-			sb, d := signature(b), edit.Distance(a, b)
-			if sigReject(sa, sb, d) {
-				t.Fatalf("%q, %q at distance %d are rejected at k=%d (%#x, %#x)", a, b, d, d, sa, sb)
+			wb, d := word(b), edit.Distance(a, b)
+			if reject(wa, wb, d) {
+				t.Fatalf("%q, %q at distance %d are rejected at k=%d (%#x, %#x)", a, b, d, d, wa, wb)
 			}
-			if d > 0 && sigReject(sa, sb, d-1) {
+			if reject(wa, wb, 0) != (wa != wb) {
+				t.Fatalf("%q, %q: rejection at k=0 must be word inequality (%#x, %#x)", a, b, wa, wb)
+			}
+			if d > 0 && reject(wa, wb, d-1) {
 				rejected++
 			}
 		}
 	}
 	if rejected == 0 {
-		t.Error("the signature rejected no pair one threshold below its distance: the filter is vacuous")
+		t.Error("the word rejected no pair one threshold below its distance: the filter is vacuous")
 	}
 }
 
-// TestNewOverSharesArena: the byte backend built over a caller's arena
-// answers like one that packed its own, with the caller's IDs.
+// TestSignatureExhaustiveSmallAlphabet: {a, A, b} — 'a' and 'A' share bucket
+// 1, so the fold and the saturating count are both exercised.
+func TestSignatureExhaustiveSmallAlphabet(t *testing.T) {
+	exhaustive(t, "aAb", signature[string], sigReject)
+}
+
+// TestCountWordExhaustiveSmallAlphabet: {A, C, N}, three of the five fields.
+func TestCountWordExhaustiveSmallAlphabet(t *testing.T) {
+	exhaustive(t, "ACN", countWord[string], countReject)
+}
+
+// TestCountWordNeverRejectsWithinK is the same property for the count word:
+// a stored all-DNA string and a query at most k edits away — the edits draw
+// on editAlphabet, so the query may hold bytes no field counts — are never
+// rejected at threshold k, whichever operand is which. One base is long
+// enough to saturate a field.
+func TestCountWordNeverRejectsWithinK(t *testing.T) {
+	r := rand.New(rand.NewSource(20))
+	bases := append(dataset.DNAReads(200, 20), "", "N", "ACGTN",
+		strings.Repeat("A", fieldMax+40)+"CGT", strings.Repeat("AC", fieldMax))
+	for round := 0; round < 20; round++ {
+		for _, x := range bases {
+			k := r.Intn(17)
+			q := mutate(r, x, r.Intn(k+1))
+			wx, wq := countWord(x), countWord([]byte(q))
+			if countReject(wq, wx, k) || countReject(wx, wq, k) {
+				t.Fatalf("%q and %q are within %d edits (distance %d) but their count words %#x, %#x are rejected",
+					x, q, k, edit.Distance(x, q), wx, wq)
+			}
+		}
+	}
+	if w := countWord(strings.Repeat("A", fieldMax+40)); w != fieldMax {
+		t.Errorf("count word of %d As = %#x, want the A field saturated at %#x", fieldMax+40, w, fieldMax)
+	}
+}
+
+// TestKindSelection: the word holds symbol counts exactly when every byte of
+// the arena is a DNA symbol; one stray byte anywhere selects occurrence bits.
+func TestKindSelection(t *testing.T) {
+	reads := dataset.DNAReads(50, 3)
+	stray := func(at int, b byte) []string {
+		out := append([]string(nil), reads...)
+		out[at] = out[at][:7] + string(b) + out[at][7:]
+		return out
+	}
+	for _, tc := range []struct {
+		name string
+		data []string
+		want string
+	}{
+		{"all-DNA", []string{"ACGT", "TTNN", ""}, "cascade/dna"},
+		{"reads", reads, "cascade/dna"},
+		{"empty corpus", nil, "cascade/dna"},
+		{"mixed", []string{"ACGT", "Berlin"}, "cascade/bytes"},
+		{"stray byte in the first read", stray(0, 'a'), "cascade/bytes"},
+		{"stray byte in the last read", stray(len(reads)-1, 0xc3), "cascade/bytes"},
+		{"lower-case read", []string{"ACGT", "acgt"}, "cascade/bytes"},
+	} {
+		e := New(tc.data)
+		if e.Name() != tc.want || e.counts != (tc.want == "cascade/dna") {
+			t.Errorf("%s: %s (counts=%v), want %s", tc.name, e.Name(), e.counts, tc.want)
+		}
+	}
+	if got := New(nil, WithoutFrequency()).Name(); got != "cascade/dna-nofreq" {
+		t.Errorf("ablation name = %q", got)
+	}
+	if got := New([]string{"x"}, WithoutFrequency()).Name(); got != "cascade/bytes-nofreq" {
+		t.Errorf("ablation name = %q", got)
+	}
+}
+
+// TestNewOverSharesArena: the engine built over a caller's arena answers
+// like one that packed its own, with the caller's IDs, on either kind of word.
 func TestNewOverSharesArena(t *testing.T) {
-	data := append(dataset.Cities(2000, 5), "", "\xff\xfe", strings.Repeat("x", 70))
-	ar := scan.NewArena(data)
-	over, own := NewOver(ar), New(data)
-	if over.Name() != "cascade/bytes" || own.Name() != "cascade/bytes" || over.Len() != len(data) {
-		t.Fatalf("names %q, %q, len %d", over.Name(), own.Name(), over.Len())
-	}
-	if over.bytes.ar != ar {
-		t.Fatal("NewOver copied the arena")
-	}
-	for i, q := range dataset.Queries(data, 60, 3, 6) {
-		k := i % 4
-		want := oracle(data, q, k)
-		if got := over.Search(q, k); !equal(got, want) {
-			t.Fatalf("NewOver.Search(%q,%d) = %v, want %v", q, k, got, want)
+	for name, data := range map[string][]string{
+		"cascade/bytes": append(dataset.Cities(2000, 5), "", "\xff\xfe", strings.Repeat("x", 70)),
+		"cascade/dna":   append(dataset.DNAReads(1000, 5), "", "N", strings.Repeat("ACGT", 40)),
+	} {
+		ar := scan.NewArena(data)
+		over, own := NewOver(ar), New(data)
+		if over.Name() != name || own.Name() != name || over.Len() != len(data) {
+			t.Fatalf("names %q, %q, want %q; len %d", over.Name(), own.Name(), name, over.Len())
 		}
-		if got := own.Search(q, k); !equal(got, want) {
-			t.Fatalf("New.Search(%q,%d) = %v, want %v", q, k, got, want)
+		if over.ar != ar {
+			t.Fatalf("%s: NewOver copied the arena", name)
+		}
+		for i, q := range dataset.Queries(data, 60, 3, 6) {
+			k := i % 4
+			want := oracle(data, q, k)
+			if got := over.Search(q, k); !equal(got, want) {
+				t.Fatalf("%s: NewOver.Search(%q,%d) = %v, want %v", name, q, k, got, want)
+			}
+			if got := own.Search(q, k); !equal(got, want) {
+				t.Fatalf("%s: New.Search(%q,%d) = %v, want %v", name, q, k, got, want)
+			}
 		}
 	}
 }
 
-// TestByteStatsFunnel pins the byte backend's counters: one filter stage, so
-// signature survivors and verify calls are the same number, and it prunes.
+// TestByteStatsFunnel pins the counters on both kinds of word: the signature
+// stage prunes, and without it every candidate of the same length windows
+// passes through to the same matches.
 func TestByteStatsFunnel(t *testing.T) {
-	data := dataset.Cities(3000, 7)
-	e, bare := New(data), New(data, WithoutFrequency())
-	for i, q := range dataset.Queries(data, 40, 3, 8) {
-		e.Search(q, i%4)
-		bare.Search(q, i%4)
-	}
-	st, bs := e.Stats(), bare.Stats()
-	if st.Packed || st.Candidates == 0 || st.FreqSurvivors >= st.Candidates ||
-		st.QGramSurvivors != st.FreqSurvivors || st.Matches > st.QGramSurvivors || st.Matches != bs.Matches {
-		t.Errorf("byte funnel: %+v", st)
-	}
-	if bs.FreqSurvivors != bs.Candidates || bs.Candidates != st.Candidates {
-		t.Errorf("WithoutFrequency must pass every candidate through: %+v", bs)
+	for name, data := range map[string][]string{
+		"city": dataset.Cities(3000, 7), "reads": dataset.DNAReads(1500, 7),
+	} {
+		e, bare := New(data), New(data, WithoutFrequency())
+		for i, q := range dataset.Queries(data, 40, 3, 8) {
+			e.Search(q, i%4)
+			bare.Search(q, i%4)
+		}
+		st, bs := e.Stats(), bare.Stats()
+		if st.Candidates == 0 || st.Survivors >= st.Candidates ||
+			st.Matches > st.Survivors || st.Matches != bs.Matches {
+			t.Errorf("%s funnel: %+v", name, st)
+		}
+		if bs.Survivors != bs.Candidates || bs.Candidates != st.Candidates {
+			t.Errorf("%s: WithoutFrequency must pass every candidate through: %+v", name, bs)
+		}
 	}
 }
 
-// TestByteQueryAllocations: a byte-cascade query allocates its result slice
-// and, at k > 0, its compiled pattern with the kernel's scratch header;
-// nothing per candidate.
+// TestByteQueryAllocations: a cascade query allocates its result slice and,
+// at k > 0, its compiled pattern with the kernel's scratch header; nothing
+// per candidate, on either kind of word.
 func TestByteQueryAllocations(t *testing.T) {
-	data := dataset.Cities(5000, 9)
-	e := New(data)
-	hit := data[0]
-	miss := strings.Repeat("\x7f", len(hit)) // a full length window, no survivor
-	for k := 0; k <= 3; k++ {
-		if len(e.Search(hit, k)) == 0 || len(e.Search(miss, k)) != 0 {
-			t.Fatalf("k=%d: %q must match itself and %q nothing", k, hit, miss)
-		}
-		for _, q := range []string{hit, miss} {
-			want := 1.0
-			if k > 0 {
-				want += 1 + testing.AllocsPerRun(100, func() { edit.CompileMyers(q) })
+	for name, data := range map[string][]string{
+		"city": dataset.Cities(5000, 9), "reads": dataset.DNAReads(2000, 9),
+	} {
+		e := New(data)
+		hit := data[0]
+		miss := strings.Repeat("\x7f", len(hit)) // a full length window, no survivor
+		for k := 0; k <= 3; k++ {
+			if len(e.Search(hit, k)) == 0 || len(e.Search(miss, k)) != 0 {
+				t.Fatalf("%s k=%d: %q must match itself and %q nothing", name, k, hit, miss)
 			}
-			if q == hit {
-				want += 2 // matches in several length buckets are merged through two buffers
-			}
-			if got := testing.AllocsPerRun(100, func() { e.Search(q, k) }); got > want {
-				t.Errorf("Search(%q,%d): %.0f allocations, want at most %.0f", q, k, got, want)
+			for _, q := range []string{hit, miss} {
+				want := 1.0
+				if k > 0 {
+					want += 1 + testing.AllocsPerRun(100, func() { edit.CompileMyers(q) })
+				}
+				if m := len(e.Search(q, k)); m > 1 {
+					// Matches in several length buckets, at most one bucket per
+					// match, are merged through one buffer and an index slice
+					// per level of the merge.
+					want += 1 + float64(bits.Len(uint(m-1)))
+				}
+				if got := testing.AllocsPerRun(100, func() { e.Search(q, k) }); got > want {
+					t.Errorf("%s: Search(%q,%d): %.0f allocations, want at most %.0f", name, q, k, got, want)
+				}
 			}
 		}
 	}
 }
 
 // BenchmarkCascadeBytes sweeps 100,000 generated cities at k = 0..3 and
-// reports what the signature stage costs per slot of the length window and
-// how many candidates per query it leaves for the kernel.
+// 10,000 generated reads at k = 0, 4, 8 and reports what the signature stage
+// costs per slot of the length window and how many candidates per query it
+// leaves for the kernel.
 func BenchmarkCascadeBytes(b *testing.B) {
-	data := dataset.Cities(100000, 20130322)
-	e := New(data)
-	for k := 0; k <= 3; k++ {
-		qs := dataset.Queries(data, 300, k, 20130322+int64(k))
-		b.Run(fmt.Sprintf("k%d", k), func(b *testing.B) {
-			before := e.Stats()
-			matches := 0
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				matches += len(e.Search(qs[i%len(qs)], k))
-			}
-			st := e.Stats()
-			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(st.Candidates-before.Candidates), "ns/slot")
-			b.ReportMetric(float64(st.QGramSurvivors-before.QGramSurvivors)/float64(b.N), "survivors/query")
-			if matches < b.N {
-				b.Fatalf("the query itself must match: %d matches in %d queries", matches, b.N)
-			}
-		})
+	for _, c := range []struct {
+		name string
+		data []string
+		ks   []int
+	}{
+		{"city", dataset.Cities(100000, 20130322), []int{0, 1, 2, 3}},
+		{"reads", dataset.DNAReads(10000, 20130322), []int{0, 4, 8}},
+	} {
+		e := New(c.data)
+		for _, k := range c.ks {
+			qs := dataset.Queries(c.data, 300, k, 20130322+int64(k))
+			b.Run(fmt.Sprintf("%s/k%d", c.name, k), func(b *testing.B) {
+				before := e.Stats()
+				matches := 0
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					matches += len(e.Search(qs[i%len(qs)], k))
+				}
+				st := e.Stats()
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(st.Candidates-before.Candidates), "ns/slot")
+				b.ReportMetric(float64(st.Survivors-before.Survivors)/float64(b.N), "survivors/query")
+				if matches < b.N {
+					b.Fatalf("the query itself must match: %d matches in %d queries", matches, b.N)
+				}
+			})
+		}
 	}
 }

@@ -1,27 +1,26 @@
 // Package cascade implements the paper's §6 future-work list as one serving
 // engine: a filter cascade in which every stage is cheaper per candidate
 // than the next and only survivors pay for the edit-distance kernel. It has
-// two backends, chosen by the data:
+// one layout on every corpus,
 //
-//	packed (all-DNA): length bucket -> frequency vector -> q-gram count -> verify
-//	bytes (the rest): length bucket -> signature word -> verify
+//	length bucket -> one signature word -> band kernel
 //
-// The packed backend stores a 3-bit arena (internal/bitpack) with a
-// five-entry frequency vector per slot; a surviving comparison touches ~3/8
-// the memory of a byte scan. Non-DNA queries against it stay exact via
-// bitpack.PackLossy (the reserved code 0 mismatches every stored symbol,
-// just as the unknown byte would). The byte backend keeps one precomputed
-// uint64 per slot of a scan.Arena it can share with a scan engine over the
-// same data (NewOver), so it costs 8 bytes per string; see bytes.go for the
-// signature and DESIGN §13 for what it replaced and why.
+// over a scan.Arena it can share with a scan engine over the same data
+// (NewOver), so the engine itself costs 8 bytes per string: the arena's
+// slots give the length window and the bytes, the engine adds one
+// precomputed uint64 per slot. What the word holds is chosen once, at build
+// time, from the arena's bytes: when every one of them is A, C, G, N or T it
+// packs the five symbol counts (the frequency-vector filter of PETER,
+// Rheinländer et al., cited in PAPER §6, read from 8 bytes), otherwise
+// counted occurrence bits of the byte values folded into 32 buckets. See
+// bytes.go for both words and DESIGN §13 for the 3-bit packed arena, q-gram
+// stage and banded verify this layout replaced, and why.
 //
-// All query-side state — frequency vector or signature, q-gram profile,
-// compiled pattern — is built once per query; every per-candidate step
-// allocates nothing. Candidate-side state is precomputed at build time,
-// PETER-style (Rheinländer et al., cited in PAPER §6).
+// All query-side state — the query's word and its compiled pattern — is
+// built once per query; every per-candidate step allocates nothing.
 //
-// Every filter is sound — it never rejects a string within distance k — so
-// the cascade returns exactly the matches a full scan would; the
+// Both words are sound filters — they never reject a string within distance
+// k — so the cascade returns exactly the matches a full scan would; the
 // differential fuzz targets and the ablation identity test enforce this.
 package cascade
 
@@ -29,7 +28,6 @@ import (
 	"context"
 	"sync/atomic"
 
-	"simsearch/internal/bitpack"
 	"simsearch/internal/scan"
 )
 
@@ -45,94 +43,77 @@ type CompCounter = scan.CompCounter
 const ctxStride = 1024
 
 // Engine is the cascade searcher over a frozen dataset. It is safe for
-// concurrent Search/SearchContext calls: all per-query state lives in a
-// query plan, and the stage counters are atomic.
+// concurrent Search/SearchContext calls: all per-query state lives on the
+// query's stack, and the stage counters are atomic.
 type Engine struct {
-	n      int
-	packed *packedArena // 3-bit DNA layout, nil when the data is not all-DNA
-	bytes  *byteArena   // byte layout, nil when packed is active
+	ar     *scan.Arena // possibly shared with a scan engine over the same data
+	sigs   []uint64    // sigs[s] = signature word of slot s
+	counts bool        // the words are symbol counts (all-DNA arena), not occurrence bits
 	name   string
 
-	noFreq  bool
-	noQGram bool
-	comps   CompCounter
+	noFreq bool
+	comps  CompCounter
 
-	// Per-stage survivor counters, cumulative across queries. A disabled
-	// stage passes everything through, so its survivor count equals its
-	// input count and its prune rate reads as zero. The byte backend has one
-	// filter stage, so there the two middle counters are equal.
-	queries        atomic.Uint64
-	candidates     atomic.Uint64 // length-bucket survivors (slots visited)
-	freqSurvivors  atomic.Uint64 // frequency-vector / signature survivors
-	qgramSurvivors atomic.Uint64 // == verify-kernel invocations
-	matches        atomic.Uint64
+	// Per-stage survivor counters, cumulative across queries. With the
+	// signature stage disabled every candidate passes it, so its survivor
+	// count equals its input count and its prune rate reads as zero.
+	queries    atomic.Uint64
+	candidates atomic.Uint64 // length-bucket survivors (slots visited)
+	survivors  atomic.Uint64 // signature survivors == verify-kernel invocations
+	matches    atomic.Uint64
 }
 
 // Option configures an Engine.
 type Option func(*Engine)
 
-// WithoutFrequency disables the frequency-vector stage of the packed backend
-// and the signature stage of the byte backend (ablation mode).
+// WithoutFrequency disables the signature stage (ablation mode): every slot
+// of the length window goes to the kernel.
 func WithoutFrequency() Option { return func(e *Engine) { e.noFreq = true } }
-
-// WithoutQGram disables the q-gram count stage (ablation mode). Only the
-// packed backend has one; on the byte backend it changes the name alone.
-func WithoutQGram() Option { return func(e *Engine) { e.noQGram = true } }
 
 // WithComparisonCounter adds a counter receiving the number of verify-kernel
 // invocations (the comparisons the cascade could not prune).
 func WithComparisonCounter(c CompCounter) Option { return func(e *Engine) { e.comps = c } }
 
-// New builds a cascade engine over data. When every string is valid DNA
-// (A, C, G, N, T) the candidate side is stored 3-bit packed; otherwise the
-// data is packed into a fresh byte arena (see NewOver). Both layouts are
-// length-bucketed with IDs ascending inside each bucket.
+// New builds a cascade engine over data, packed into a fresh arena (see
+// NewOver): length-bucketed, IDs ascending inside each bucket.
 func New(data []string, opts ...Option) *Engine {
-	for _, s := range data {
-		if !bitpack.Valid(s) {
-			return NewOver(scan.NewArena(data), opts...)
-		}
-	}
-	e := newEngine(len(data), "cascade/packed", opts)
-	e.packed = buildPackedArena(data)
-	return e
+	return NewOver(scan.NewArena(data), opts...)
 }
 
-// NewOver builds the byte backend over an arena the caller already holds —
-// the router passes its scan arm's — instead of packing the corpus a second
+// NewOver builds the engine over an arena the caller already holds — the
+// router passes its scan arm's — instead of packing the corpus a second
 // time: the engine then adds only its 8-byte signature per string. Match IDs
 // are the arena's.
 func NewOver(ar *scan.Arena, opts ...Option) *Engine {
-	e := newEngine(ar.Len(), "cascade/bytes", opts)
-	e.bytes = buildByteArena(ar)
-	return e
-}
-
-// newEngine applies opts and derives the engine's name from the backend's.
-func newEngine(n int, name string, opts []Option) *Engine {
-	e := &Engine{n: n, name: name}
+	e := &Engine{ar: ar, counts: allDNA(ar), name: "cascade/bytes"}
+	if e.counts {
+		e.name = "cascade/dna"
+	}
 	for _, o := range opts {
 		o(e)
 	}
-	// Ablation variants answer differently-filtered workloads identically but
-	// must never share a cache key with the full cascade.
+	// The ablation answers identically but must never share a cache key with
+	// the full cascade.
 	if e.noFreq {
 		e.name += "-nofreq"
 	}
-	if e.noQGram {
-		e.name += "-noqgram"
+	e.sigs = make([]uint64, ar.Len())
+	for s := range e.sigs {
+		if xb := ar.SlotBytes(int32(s)); e.counts {
+			e.sigs[s] = countWord(xb)
+		} else {
+			e.sigs[s] = signature(xb)
+		}
 	}
 	return e
 }
 
 // Len returns the dataset size.
-func (e *Engine) Len() int { return e.n }
+func (e *Engine) Len() int { return e.ar.Len() }
 
-// Name identifies the engine and its active backend, e.g. "cascade/packed".
+// Name identifies the engine and its signature kind: "cascade/dna" (symbol
+// counts) or "cascade/bytes" (occurrence bits), plus any ablation suffix.
 func (e *Engine) Name() string { return e.name }
-
-// Packed reports whether the 3-bit DNA arena is active.
-func (e *Engine) Packed() bool { return e.packed != nil }
 
 // Search returns every dataset string within edit distance k of q, in ID
 // order.
@@ -149,63 +130,31 @@ func (e *Engine) SearchContext(ctx context.Context, q string, k int) ([]Match, e
 		return nil, nil
 	}
 	e.queries.Add(1)
-	if e.packed != nil {
-		return e.searchPacked(ctx, q, k)
-	}
 	return e.searchBytes(ctx, q, k)
-}
-
-// freqBound returns the packed backend's frequency-vector lower bound on the
-// edit distance: the larger one-sided L1 surplus between the query's vector
-// and a precomputed candidate row (filter.Frequency.Bound over int32 rows).
-func freqBound(vq, vx []int32) int32 {
-	var over, under int32
-	for i, a := range vq {
-		d := a - vx[i]
-		if d > 0 {
-			over += d
-		} else {
-			under -= d
-		}
-	}
-	if over > under {
-		return over
-	}
-	return under
 }
 
 // Stats is a point-in-time snapshot of the engine's layout and cumulative
 // per-stage survivor counters.
 type Stats struct {
 	Strings    int
-	Packed     bool // 3-bit DNA arena active
-	ArenaBytes int  // packed payload footprint (bytes: the possibly shared scan arena's)
-	Buckets    int  // non-empty length buckets
+	ArenaBytes int // the possibly shared scan arena's payload
+	Buckets    int // non-empty length buckets
 
-	Queries        uint64
-	Candidates     uint64 // survivors of the length bucket (slots visited)
-	FreqSurvivors  uint64 // survivors of the frequency-vector (bytes: signature) stage
-	QGramSurvivors uint64 // survivors of the q-gram stage = verify calls
-	Matches        uint64
+	Queries    uint64
+	Candidates uint64 // survivors of the length bucket (slots visited)
+	Survivors  uint64 // survivors of the signature stage = verify calls
+	Matches    uint64
 }
 
 // Stats returns the current snapshot.
 func (e *Engine) Stats() Stats {
-	st := Stats{
-		Strings:        e.n,
-		Packed:         e.packed != nil,
-		Queries:        e.queries.Load(),
-		Candidates:     e.candidates.Load(),
-		FreqSurvivors:  e.freqSurvivors.Load(),
-		QGramSurvivors: e.qgramSurvivors.Load(),
-		Matches:        e.matches.Load(),
+	return Stats{
+		Strings:    e.ar.Len(),
+		ArenaBytes: e.ar.Bytes(),
+		Buckets:    e.ar.Buckets(),
+		Queries:    e.queries.Load(),
+		Candidates: e.candidates.Load(),
+		Survivors:  e.survivors.Load(),
+		Matches:    e.matches.Load(),
 	}
-	if e.packed != nil {
-		st.ArenaBytes = len(e.packed.words) * 8
-		st.Buckets = e.packed.buckets()
-	} else {
-		st.ArenaBytes = e.bytes.ar.Bytes()
-		st.Buckets = e.bytes.ar.Buckets()
-	}
-	return st
 }

@@ -43,18 +43,6 @@ func randomString(r *rand.Rand, alpha string, maxLen int) string {
 	return sb.String()
 }
 
-func TestBackendSelection(t *testing.T) {
-	if e := New([]string{"ACGT", "TTNN"}); !e.Packed() || e.Name() != "cascade/packed" {
-		t.Errorf("all-DNA data must select the packed backend, got %s", e.Name())
-	}
-	if e := New([]string{"ACGT", "Berlin"}); e.Packed() || e.Name() != "cascade/bytes" {
-		t.Errorf("mixed data must select the byte backend, got %s", e.Name())
-	}
-	if got := New(nil, WithoutFrequency(), WithoutQGram()).Name(); got != "cascade/packed-nofreq-noqgram" {
-		t.Errorf("ablation name = %q", got)
-	}
-}
-
 func TestSearchMatchesOracle(t *testing.T) {
 	alphabets := []string{"ACGNT", "abcdefgh Z-"}
 	fn := func(seed int64) bool {
@@ -66,8 +54,8 @@ func TestSearchMatchesOracle(t *testing.T) {
 		}
 		e := New(data)
 		for i := 0; i < 6; i++ {
-			// Queries from either alphabet: a byte query against the packed
-			// backend exercises the lossy-pack exactness path.
+			// Queries from either alphabet: a byte query against count words
+			// holds bytes no field counts.
 			q := randomString(r, alphabets[r.Intn(len(alphabets))], 24)
 			k := r.Intn(8)
 			got := e.Search(q, k)
@@ -84,17 +72,11 @@ func TestSearchMatchesOracle(t *testing.T) {
 	}
 }
 
-// Soundness: no filter stage may reject a true match. Running every ablation
-// combination over the same workload and demanding identical results means a
-// stage can only ever remove non-matches: verify-only (both filters off) is
-// exhaustive ground truth, and each enabled stage must preserve it.
+// Soundness: the signature stage may not reject a true match. Verify-only
+// (the stage off) is exhaustive ground truth over the same length windows,
+// and the full cascade must return exactly that, on both kinds of word.
 func TestStagesNeverRejectTrueMatch(t *testing.T) {
-	combos := [][]Option{
-		nil,
-		{WithoutFrequency()},
-		{WithoutQGram()},
-		{WithoutFrequency(), WithoutQGram()},
-	}
+	combos := [][]Option{nil, {WithoutFrequency()}}
 	alphabets := []string{"ACGNT", "city name alphabet"}
 	fn := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
@@ -110,7 +92,7 @@ func TestStagesNeverRejectTrueMatch(t *testing.T) {
 		for i := 0; i < 4; i++ {
 			q := randomString(r, alpha, 20)
 			k := r.Intn(6)
-			want := engines[len(engines)-1].Search(q, k) // verify-only: no filter stages
+			want := engines[len(engines)-1].Search(q, k) // verify-only: no signature stage
 			for _, e := range engines[:len(engines)-1] {
 				if got := e.Search(q, k); !equal(got, want) {
 					t.Errorf("seed %d: %s diverges from verify-only on (%q,%d): got %v, want %v",
@@ -127,18 +109,21 @@ func TestStagesNeverRejectTrueMatch(t *testing.T) {
 }
 
 func TestShortStringsAndZeroK(t *testing.T) {
-	// Strings shorter than both gram sizes, empty strings, k=0 exact lookup.
-	data := []string{"", "A", "AC", "ACG", "ACGT", "x", "xy"}
-	e := New(data)
-	for _, q := range []string{"", "A", "AC", "B", "xy", "ACGT"} {
-		for k := 0; k < 4; k++ {
-			if got, want := e.Search(q, k), oracle(data, q, k); !equal(got, want) {
-				t.Errorf("Search(%q,%d) = %v, want %v", q, k, got, want)
+	// Very short and empty strings, k=0 exact lookup — among anagrams too,
+	// whose words are equal — on both kinds of word.
+	dna := []string{"", "A", "AC", "CA", "ACG", "GCA", "ACGT"}
+	for _, data := range [][]string{dna, append([]string{"x", "xy", "yx"}, dna...)} {
+		e := New(data)
+		for _, q := range []string{"", "A", "AC", "CA", "B", "xy", "ACGT", "TGCA"} {
+			for k := 0; k < 4; k++ {
+				if got, want := e.Search(q, k), oracle(data, q, k); !equal(got, want) {
+					t.Errorf("%s: Search(%q,%d) = %v, want %v", e.Name(), q, k, got, want)
+				}
 			}
 		}
-	}
-	if ms := e.Search("ACG", -1); ms != nil {
-		t.Errorf("negative k must return nil, got %v", ms)
+		if ms := e.Search("ACG", -1); ms != nil {
+			t.Errorf("negative k must return nil, got %v", ms)
+		}
 	}
 }
 
@@ -174,13 +159,12 @@ func TestStatsSurvivorFunnel(t *testing.T) {
 	if st.Queries != 20 {
 		t.Errorf("Queries = %d", st.Queries)
 	}
-	if !st.Packed || st.ArenaBytes <= 0 || st.Buckets <= 0 || st.Strings != len(data) {
+	if st.ArenaBytes <= 0 || st.Buckets <= 0 || st.Strings != len(data) {
 		t.Errorf("layout stats wrong: %+v", st)
 	}
 	// The funnel may only narrow: every stage's survivors are a subset of the
 	// previous stage's.
-	if st.Candidates < st.FreqSurvivors || st.FreqSurvivors < st.QGramSurvivors ||
-		st.QGramSurvivors < st.Matches {
+	if st.Candidates < st.Survivors || st.Survivors < st.Matches {
 		t.Errorf("survivor funnel widened: %+v", st)
 	}
 	if st.Candidates == 0 {
@@ -204,8 +188,8 @@ func TestComparisonCounterCountsVerifyCalls(t *testing.T) {
 	mu.Lock()
 	got := total
 	mu.Unlock()
-	if got != e.Stats().QGramSurvivors {
-		t.Errorf("comparison counter = %d, want verify calls %d", got, e.Stats().QGramSurvivors)
+	if got != e.Stats().Survivors {
+		t.Errorf("comparison counter = %d, want verify calls %d", got, e.Stats().Survivors)
 	}
 }
 

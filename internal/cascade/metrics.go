@@ -18,16 +18,10 @@ func (e *Engine) RegisterMetrics(reg *metrics.Registry) {
 			"candidates surviving each cascade stage, cumulative across queries",
 			func() float64 { return float64(c.Load()) }, metrics.L("stage", name))
 	}
+	// The one signature stage feeds both filter labels: dashboards and the
+	// fixed benchmark read them by name, and their ratio reads 1.
 	stage("length", &e.candidates)
-	stage("frequency", &e.freqSurvivors)
-	stage("qgram", &e.qgramSurvivors)
+	stage("frequency", &e.survivors)
+	stage("qgram", &e.survivors)
 	stage("verify", &e.matches)
-	reg.GaugeFunc("simsearch_cascade_packed",
-		"1 when the 3-bit packed DNA arena is active, 0 for the byte arena",
-		func() float64 {
-			if e.packed != nil {
-				return 1
-			}
-			return 0
-		})
 }

@@ -9,22 +9,21 @@ import (
 )
 
 // Cascade wraps the filter-cascade engine (paper §6 future work assembled
-// into one serving path): length bucket, frequency vectors, q-gram counts
-// and a banded verify over a 3-bit packed arena for DNA datasets; length
-// bucket, one signature word per string and the band kernel over a byte
-// arena for everything else.
+// into one serving path): length bucket, one signature word per string and
+// the band kernel over a byte arena — the word holds the five symbol counts
+// on DNA datasets and occurrence bits on everything else.
 type Cascade struct {
 	eng *cascade.Engine
 }
 
-// NewCascade builds a cascade searcher over data. Options select ablation
-// variants (cascade.WithoutFrequency, cascade.WithoutQGram) and counters.
+// NewCascade builds a cascade searcher over data. Options select the
+// ablation variant (cascade.WithoutFrequency) and counters.
 func NewCascade(data []string, opts ...cascade.Option) *Cascade {
 	return &Cascade{eng: cascade.New(data, opts...)}
 }
 
-// NewCascadeOver builds the cascade's byte backend over an arena another
-// engine already holds (see cascade.NewOver); match IDs are the arena's.
+// NewCascadeOver builds the cascade over an arena another engine already
+// holds (see cascade.NewOver); match IDs are the arena's.
 func NewCascadeOver(ar *scan.Arena, opts ...cascade.Option) *Cascade {
 	return &Cascade{eng: cascade.NewOver(ar, opts...)}
 }
@@ -44,8 +43,8 @@ func (c *Cascade) SearchContext(ctx context.Context, q Query) ([]Match, error) {
 	return convertScan(ms), nil
 }
 
-// Name implements Searcher; it carries the active backend
-// ("cascade/packed" or "cascade/bytes") and any ablation suffixes.
+// Name implements Searcher; it carries the signature kind ("cascade/dna" or
+// "cascade/bytes") and any ablation suffix.
 func (c *Cascade) Name() string { return c.eng.Name() }
 
 // Len implements Searcher.

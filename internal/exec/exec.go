@@ -60,9 +60,9 @@ func BitParallelFactory() Factory {
 	}
 }
 
-// CascadeFactory builds filter-cascade shards (length bucket, frequency
-// vectors, q-gram counts, bounded Myers verify; 3-bit packed arena when the
-// shard is pure DNA). Shard engines stay serial like BitParallelFactory's —
+// CascadeFactory builds filter-cascade shards (length bucket, one signature
+// word per string, bounded Myers verify; the word holds symbol counts when
+// the shard is pure DNA). Shard engines stay serial like BitParallelFactory's —
 // the executor's shard fan-out already supplies the parallelism. Options
 // select ablation variants.
 func CascadeFactory(opts ...cascade.Option) Factory {

@@ -696,21 +696,19 @@ type ScanStatsJSON struct {
 }
 
 // CascadeStatsJSON is the filter-cascade section of the /stats payload: the
-// active backend layout plus the cumulative per-stage survivor funnel, which
-// makes the cascade's pruning observable (a stage whose survivors equal its
-// input has stopped pruning).
+// arena layout plus the cumulative per-stage survivor funnel, which makes
+// the cascade's pruning observable (a stage whose survivors equal its input
+// has stopped pruning). The signature kind is in the engine's name.
 type CascadeStatsJSON struct {
-	Packed     bool   `json:"packed"` // 3-bit DNA arena active
 	ArenaBytes int    `json:"arena_bytes"`
 	Buckets    int    `json:"buckets"`
 	Queries    uint64 `json:"queries"`
 	// The survivor funnel, in stage order; each stage's input is the
-	// previous stage's survivors. QGramSurvivors equals the verify-kernel
+	// previous stage's survivors. Survivors equals the verify-kernel
 	// invocations.
-	Candidates     uint64 `json:"candidates"`
-	FreqSurvivors  uint64 `json:"freq_survivors"`
-	QGramSurvivors uint64 `json:"qgram_survivors"`
-	Matches        uint64 `json:"matches"`
+	Candidates uint64 `json:"candidates"`
+	Survivors  uint64 `json:"survivors"`
+	Matches    uint64 `json:"matches"`
 }
 
 // RouterEngineJSON is one candidate engine's routing tally in the router
@@ -785,10 +783,9 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	if cc, ok := engineAs[*core.Cascade](s.eng); ok {
 		st := cc.CascadeEngine().Stats()
 		resp.Cascade = &CascadeStatsJSON{
-			Packed: st.Packed, ArenaBytes: st.ArenaBytes, Buckets: st.Buckets,
+			ArenaBytes: st.ArenaBytes, Buckets: st.Buckets,
 			Queries: st.Queries, Candidates: st.Candidates,
-			FreqSurvivors: st.FreqSurvivors, QGramSurvivors: st.QGramSurvivors,
-			Matches: st.Matches,
+			Survivors: st.Survivors, Matches: st.Matches,
 		}
 	}
 	if rs := collectRouters(s.eng); len(rs) > 0 {

@@ -171,11 +171,10 @@ func TestStatsCascadeSection(t *testing.T) {
 		t.Fatal("stats payload missing cascade section")
 	}
 	cs := resp.Cascade
-	if !cs.Packed || cs.Queries != 1 || cs.ArenaBytes <= 0 || cs.Buckets <= 0 {
-		t.Errorf("cascade stats = %+v", cs)
+	if resp.Engine != "cascade/dna" || cs.Queries != 1 || cs.ArenaBytes <= 0 || cs.Buckets <= 0 {
+		t.Errorf("engine %q, cascade stats = %+v", resp.Engine, cs)
 	}
-	if cs.Candidates < cs.FreqSurvivors || cs.FreqSurvivors < cs.QGramSurvivors ||
-		cs.QGramSurvivors < cs.Matches || cs.Matches != 2 {
+	if cs.Candidates < cs.Survivors || cs.Survivors < cs.Matches || cs.Matches != 2 {
 		t.Errorf("cascade survivor funnel = %+v", cs)
 	}
 
@@ -192,9 +191,10 @@ func TestStatsCascadeSection(t *testing.T) {
 	body := sb.String()
 	for _, want := range []string{
 		"simsearch_cascade_queries_total",
+		`simsearch_cascade_stage_survivors_total{stage="length"}`,
 		`simsearch_cascade_stage_survivors_total{stage="frequency"}`,
 		`simsearch_cascade_stage_survivors_total{stage="qgram"}`,
-		"simsearch_cascade_packed 1",
+		`simsearch_cascade_stage_survivors_total{stage="verify"}`,
 	} {
 		if !strings.Contains(body, want) {
 			t.Errorf("metrics output missing %q", want)

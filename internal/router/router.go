@@ -8,8 +8,8 @@
 // first query arrives. The router keeps the same rules as a cold-start prior
 // but refines them online. Its arms are the bit-parallel scan, the pruned
 // trie, the BK-tree and the filter cascade, on every corpus: the cascade is
-// 3-bit packed over pure DNA and otherwise a signature slab over the scan
-// arm's own arena (8 bytes per string, not a second copy of the corpus).
+// a signature slab over the scan arm's own arena (8 bytes per string, not a
+// second copy of the corpus).
 // Routing: every query is bucketed into a regime over
 // (query-length bucket, k bucket, length-window selectivity bucket), routed
 // to the engine with the lowest predicted cost for that regime, and the
@@ -33,7 +33,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"simsearch/internal/bitpack"
 	"simsearch/internal/core"
 	"simsearch/internal/scan"
 	"simsearch/internal/trie"
@@ -220,10 +219,9 @@ type Engine struct {
 	data []string
 	n    int
 
-	avgLen   float64
-	maxLen   int
-	lenPref  []int32 // lenPref[l] = #strings with length < l (prefix counts)
-	packable bool    // all strings 3-bit DNA-packable: the cascade arm packs its own arena
+	avgLen  float64
+	maxLen  int
+	lenPref []int32 // lenPref[l] = #strings with length < l (prefix counts)
 
 	exploreEvery atomic.Uint64 // explore period; 0 disables the arm
 	frozen       atomic.Bool   // pinned model: route, but learn nothing
@@ -270,8 +268,8 @@ type burstProbe struct {
 }
 
 // New builds a router over data. Construction makes one cheap metadata pass
-// (length histogram for the O(1) selectivity estimate, DNA-packability for
-// the cascade arm's backend); the engines themselves are built lazily on
+// (length histogram for the O(1) selectivity estimate); the engines
+// themselves are built lazily on
 // first route, so a router over a corpus that only ever sees scan-regime
 // queries never pays for a trie or BK-tree build.
 func New(data []string, opts ...Option) *Engine {
@@ -281,21 +279,16 @@ func New(data []string, opts ...Option) *Engine {
 		o(e)
 	}
 	maxLen, total := 0, 0
-	packable := true
 	for _, s := range data {
 		if len(s) > maxLen {
 			maxLen = len(s)
 		}
 		total += len(s)
-		if packable && !bitpack.Valid(s) {
-			packable = false
-		}
 	}
 	e.maxLen = maxLen
 	if e.n > 0 {
 		e.avgLen = float64(total) / float64(e.n)
 	}
-	e.packable = packable
 	counts := make([]int32, maxLen+2)
 	for _, s := range data {
 		counts[len(s)+1]++
@@ -349,9 +342,9 @@ func (e *Engine) predicted(id engineID, r int, q core.Query) float64 {
 // per-query overhead plus linear work over the length-window candidates).
 // The multipliers encode the old planner's decisions — tiny datasets and
 // permissive thresholds prefer the scan, amortized datasets prefer the
-// modern trie — plus the measured cascade wins at small k: Table XVI on
-// packed reads (13-21x over the bit-parallel rung) and EXPERIMENTS.md
-// "Figure 6 revisited" on city names (9-11x at k = 1..3).
+// modern trie — plus the measured cascade wins over the bit-parallel rung
+// (EXPERIMENTS.md "Figure 7 revisited (2)"): 10-15x at k = 1..3 and 3-10x at
+// k = 4..6 on city names and on reads alike, 1.7x at k = 8.
 // Absolute values only matter relative to each other; feedback replaces
 // them after the first real sample per cell.
 func (e *Engine) prior(id engineID, q core.Query) float64 {
@@ -387,10 +380,11 @@ func (e *Engine) prior(id engineID, q core.Query) float64 {
 		// explore arm has to discover.
 		return 3 * scanNs
 	case engCascade:
-		// The measured wins are k = 1..3 on both backends: the filter bounds
-		// go slack at large k, and at k = 0 the trie's exact navigation is
-		// faster than any filter chain.
-		if q.K >= 1 && q.K <= 3 && e.n >= buildAmortization && float64(q.K) <= 0.5*e.avgLen {
+		// The signature word beats the scan through k = 8 on both kinds of
+		// corpus and is slack by k = 12 (0.9x on city names), so the window
+		// ends with the k = 4..8 bucket. At k <= 1 the trie's lower prior
+		// still takes the cold start; feedback decides from there.
+		if q.K <= 8 && e.n >= buildAmortization && float64(q.K) <= 0.5*e.avgLen {
 			return scanNs / 4
 		}
 		return scanNs
@@ -547,14 +541,9 @@ func (e *Engine) engine(id engineID) core.Searcher {
 		case engBKTree:
 			e.engines[id] = core.NewBKTree(e.data)
 		case engCascade:
-			if e.packable {
-				e.engines[id] = core.NewCascade(e.data)
-			} else {
-				// Not 3-bit packable: index the scan arm's arena instead of
-				// packing the corpus again.
-				seq := e.engine(engBitParallel).(*core.Sequential)
-				e.engines[id] = core.NewCascadeOver(seq.ScanEngine().Arena())
-			}
+			// Index the scan arm's arena instead of packing the corpus again.
+			seq := e.engine(engBitParallel).(*core.Sequential)
+			e.engines[id] = core.NewCascadeOver(seq.ScanEngine().Arena())
 		}
 		e.built[id].Store(true)
 	})

@@ -52,44 +52,51 @@ func TestSelectivityWindow(t *testing.T) {
 }
 
 // TestColdStartPrior pins the prior to core.Auto's decisions plus the
-// cascade rule (k = 1..3 on an amortized corpus, whichever backend the data
-// selects): before any feedback the router must prefer exactly this.
+// cascade rule (k <= 8 on an amortized corpus, whichever signature the data
+// selects, unless k is permissive for the corpus): before any feedback the
+// router must prefer exactly this.
 func TestColdStartPrior(t *testing.T) {
 	small := dataset.Cities(100, 1)
 	if got := New(small).Preferred(core.Query{Text: "berlin", K: 2}); got != "bitparallel" {
 		t.Errorf("small dataset prior = %s, want bitparallel (core.Auto's sub-amortization rule)", got)
 	}
 
-	// k <= 1 stays on the trie (core.Auto's index rule), k = 2, 3 go to the
-	// cascade, and permissive k falls back to the scan (core.Auto's
-	// pruning-defeat rule) — on city names and on reads alike.
-	want := map[int]string{0: "trie", 1: "trie", 2: "cascade", 3: "cascade", 200: "bitparallel"}
-	for name, data := range map[string][]string{
-		"city": dataset.Cities(core.BuildAmortization, 1),
-		"DNA":  dataset.DNAReads(core.BuildAmortization, 2),
+	// k <= 1 stays on the trie (core.Auto's index rule), k = 2..8 go to the
+	// cascade where k is at most half the average length — city names are
+	// about 11 bytes, so there the window ends at k = 5 — and permissive k
+	// falls back to the scan (core.Auto's pruning-defeat rule).
+	for name, c := range map[string]struct {
+		data []string
+		want map[int]string
+	}{
+		"city": {dataset.Cities(core.BuildAmortization, 1),
+			map[int]string{0: "trie", 1: "trie", 2: "cascade", 3: "cascade", 4: "cascade", 5: "cascade", 8: "bitparallel", 200: "bitparallel"}},
+		"DNA": {dataset.DNAReads(core.BuildAmortization, 2),
+			map[int]string{0: "trie", 1: "trie", 2: "cascade", 3: "cascade", 4: "cascade", 8: "cascade", 9: "trie", 200: "bitparallel"}},
 	} {
-		e := New(data)
-		for k, w := range want {
-			if got := e.Preferred(core.Query{Text: data[0], K: k}); got != w {
+		e := New(c.data)
+		for k, w := range c.want {
+			if got := e.Preferred(core.Query{Text: c.data[0], K: k}); got != w {
 				t.Errorf("%s prior at k=%d = %s, want %s", name, k, got, w)
 			}
 		}
 	}
 }
 
-// TestCascadeArmBackends pins which cascade each corpus gets: packed over
-// pure DNA, the byte backend over the scan arm's own arena otherwise.
+// TestCascadeArmBackends pins the cascade arm of each corpus: one layout over
+// the scan arm's own arena, the signature kind chosen by the data.
 func TestCascadeArmBackends(t *testing.T) {
-	d := New(dataset.DNAReads(200, 2))
-	if got := d.engine(engCascade).Name(); got != "cascade/packed" {
-		t.Errorf("DNA corpus cascade arm = %s, want cascade/packed", got)
-	}
-	c := New(dataset.Cities(200, 1))
-	if got := c.engine(engCascade).Name(); got != "cascade/bytes" {
-		t.Errorf("city corpus cascade arm = %s, want cascade/bytes", got)
-	}
-	if !c.built[engBitParallel].Load() {
-		t.Error("byte cascade arm built without the scan arm whose arena it indexes")
+	for want, data := range map[string][]string{
+		"cascade/dna":   dataset.DNAReads(200, 2),
+		"cascade/bytes": dataset.Cities(200, 1),
+	} {
+		e := New(data)
+		if got := e.engine(engCascade).Name(); got != want {
+			t.Errorf("cascade arm = %s, want %s", got, want)
+		}
+		if !e.built[engBitParallel].Load() {
+			t.Errorf("%s arm built without the scan arm whose arena it indexes", want)
+		}
 	}
 }
 
@@ -102,19 +109,16 @@ func heapInUse() uint64 {
 	return m.HeapAlloc
 }
 
-// TestCityCascadeArmSharesArena: over city names the router's cascade arm
-// answers byte-for-byte like a standalone cascade, and building it grows the
-// heap by its signature slab alone (8 bytes per string) because the arena is
-// the scan arm's, not a copy.
-func TestCityCascadeArmSharesArena(t *testing.T) {
-	const n = 50000
-	data := dataset.Cities(n, 18)
+// cascadeArmSharesArena: the router's cascade arm answers byte-for-byte like
+// a standalone cascade, and building it grows the heap by its signature slab
+// alone (8 bytes per string) because the arena is the scan arm's, not a copy.
+func cascadeArmSharesArena(t *testing.T, data []string) {
 	e := New(data, WithExploreEvery(1))
 	e.engine(engBitParallel)
 	before := heapInUse()
 	arm := e.engine(engCascade)
 	grown := int64(heapInUse()) - int64(before)
-	if perString := float64(grown) / n; perString >= 10 {
+	if perString := float64(grown) / float64(len(data)); perString >= 10 {
 		t.Errorf("building the cascade arm grew the heap by %.1f B/string (%d B), want < 10: the arena must be shared", perString, grown)
 	}
 	own := core.NewCascade(data)
@@ -129,6 +133,14 @@ func TestCityCascadeArmSharesArena(t *testing.T) {
 		}
 	}
 	runtime.KeepAlive(arm)
+}
+
+func TestCityCascadeArmSharesArena(t *testing.T) {
+	cascadeArmSharesArena(t, dataset.Cities(50000, 18))
+}
+
+func TestDNACascadeArmSharesArena(t *testing.T) {
+	cascadeArmSharesArena(t, dataset.DNAReads(10000, 18))
 }
 
 // TestRoutingIdenticalAcrossArms proves routing is a pure speed decision:

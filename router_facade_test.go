@@ -25,9 +25,10 @@ func TestNewRouterFacade(t *testing.T) {
 // old static planner's choices (internal/core.Auto) — scan below the
 // build-amortization size, the modern trie for large selective workloads,
 // scan again when the threshold is permissive relative to string length —
-// plus the cascade rule at k = 1..3, which holds on city names too.
+// plus the cascade rule through k = 8, which holds on city names and reads.
 func TestNewAutoColdStartPrior(t *testing.T) {
 	big := simsearch.GenerateCities(5000, 11)
+	reads := simsearch.GenerateDNAReads(5000, 11)
 	cases := []struct {
 		name string
 		data []string
@@ -37,6 +38,7 @@ func TestNewAutoColdStartPrior(t *testing.T) {
 		{"small corpus -> scan", cities, simsearch.Query{Text: "berlin", K: 2}, "bitparallel"},
 		{"big selective -> trie", big, simsearch.Query{Text: big[0], K: 1}, "trie"},
 		{"big small-k -> cascade", big, simsearch.Query{Text: big[0], K: 2}, "cascade"},
+		{"reads mid-k -> cascade", reads, simsearch.Query{Text: reads[0], K: 8}, "cascade"},
 		{"permissive k -> scan", big, simsearch.Query{Text: "x", K: 30}, "bitparallel"},
 	}
 	for _, tc := range cases {

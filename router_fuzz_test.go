@@ -15,13 +15,13 @@ import (
 // byte-identical to the DP scan. The direct router runs with the explore arm
 // forced on every query (WithExploreEvery(1)) and each query is repeated, so
 // the feedback loop accumulates samples and the arm cycles through every
-// candidate engine, including the cascade (packed on pure-DNA datasets, the
-// byte backend over the scan arm's arena otherwise).
+// candidate engine, including the cascade (over the scan arm's arena: count
+// words on pure-DNA datasets, occurrence bits otherwise).
 func FuzzRouterIdentical(f *testing.F) {
 	cities := simsearch.GenerateCities(12, 7)
 	reads := simsearch.GenerateDNAReads(6, 7)
 	f.Add(strings.Join(cities, "\n"), cities[0], 2)
-	f.Add(strings.Join(reads, "\n"), reads[0], 3) // pure DNA: packed cascade arm
+	f.Add(strings.Join(reads, "\n"), reads[0], 3) // pure DNA: count-word cascade arm
 	f.Add("A\nAC\nACG\nACGT", "ACX", 1)
 	f.Add("dup\ndup\ndup", "dup", 0) // k=0 exact lookup
 	f.Add("", "anything", 3)
@@ -34,6 +34,13 @@ func FuzzRouterIdentical(f *testing.F) {
 	f.Add("aA!\x81\nAa!\x81\naa!!", "aA!\x81", 0)
 	f.Add("Aachen\naachen\nAAchen", "aachen", 0)
 	f.Add("ab\nabc\n\xc3\xbc", "abcdefghijklmnopqrstuvwxyz", 3)
+	// The count word: reads with N, an anagram pair at k = 0 (equal words,
+	// different bytes), a non-DNA query on a DNA corpus, and length
+	// differences of exactly k on both sides.
+	f.Add("ACGTNNACGT\nACGTNACGT\nNNNN\nACGTACGT", "ACGTNNACGA", 2)
+	f.Add("ACGT\nTGCA\nGATC\nACGT", "TGCA", 0)
+	f.Add(strings.Join(reads, "\n"), "caf\xc3\xa9 \x80\xff"+reads[1][10:], 16)
+	f.Add("ACGTACGT\nACGTA\nACGTACGTACG\nACG", "ACGTACGT", 3)
 
 	f.Fuzz(func(t *testing.T, blob, q string, k int) {
 		if len(blob) > 2048 || len(q) > 160 {

@@ -39,12 +39,19 @@ echo "== bench smoke =="
 # dataset of either alphabet or diverges from the DP oracle. The bounded-kernel benchmark
 # runs again with its output shown: ns/cmp at k = 31 (band kernel) against
 # k = 32 (blocked kernel) is the step between the two compiled kernels.
-# Beside it, the byte cascade over 100,000 cities: ns per slot of the length
-# window and kernel calls per query at k = 0..3.
+# Beside it, the cascade over 100,000 cities (k = 0..3) and 10,000 reads
+# (k = 0, 4, 8): ns per slot of the length window and kernel calls per query.
 go test -run='^$' -bench=. -benchtime=1x ./... > /dev/null
 go test -run='^$' -bench='^BenchmarkBoundedKernels$' -benchtime=200x ./internal/edit
 go test -run='^$' -bench='^BenchmarkCascadeBytes$' -benchtime=300x ./internal/cascade
 go run ./cmd/paperbench -cascadecheck
+
+echo "== benchmark smoke =="
+# The fixed benchmark is a Go module of its own, so `go test ./...` above
+# does not reach it: its tests, then every workload once at corpus x0.02,
+# which fails on any operation the DP oracle rejects.
+(cd benchmark && go test ./...)
+bash benchmark/run.sh -smoke
 
 echo "== fuzz smoke =="
 go test -run=NONE -fuzz='^FuzzEnginesAgree$' -fuzztime=5s .

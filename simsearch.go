@@ -77,17 +77,17 @@ const (
 	// parallelize across queries). Results are identical to Scan.
 	BitParallel
 	// Cascade is the paper's §6 future-work list assembled into one engine:
-	// a filter cascade with all query-side state compiled once per query.
-	// Pure-DNA datasets get length bucket → frequency vectors → q-gram
-	// counts → bounded verify over a 3-bit packed arena; every other
-	// dataset gets length bucket → one precomputed signature word per
-	// string → bounded Myers verify over a byte arena. Results are identical
-	// to Scan; only the pruning differs.
+	// a filter cascade with all query-side state compiled once per query:
+	// length bucket → one precomputed signature word per string → bounded
+	// Myers verify over a byte arena. On pure-DNA datasets the word holds
+	// the five symbol counts (the frequency-vector filter), on every other
+	// dataset occurrence bits of the byte values. Results are identical to
+	// Scan; only the pruning differs.
 	Cascade
 	// Router is the cost-model adaptive router: it holds the bit-parallel
-	// scan, the modern trie, the BK-tree and the cascade (on non-DNA data
-	// built over the scan's own arena) behind one facade and picks an engine per query from a cost
-	// model over (query length, k, length-window selectivity) that re-fits
+	// scan, the modern trie, the BK-tree and the cascade (built over the
+	// scan's own arena) behind one facade and picks an engine per query from
+	// a cost model over (query length, k, length-window selectivity) that re-fits
 	// online from measured latencies. Results are identical to Scan; only
 	// the engine taken — and therefore speed — differs per query.
 	Router
@@ -229,13 +229,11 @@ func NewBitParallel(data []string, workers int) Searcher {
 }
 
 // NewCascade returns the filter-cascade engine: the paper's §6 future work
-// (frequency-vector filtering, q-gram counting, length bucketing, 3-bit DNA
-// packing) assembled into one serving path. On pure-DNA datasets the
-// candidate side is stored 3-bit packed, so each comparison that survives
-// the filters touches ~3/8 the memory of a byte scan; on every other dataset
-// one precomputed 64-bit occurrence signature per string decides which
-// candidates of the length window reach the kernel. Results are identical to
-// NewScan on every dataset and query.
+// (length bucketing, frequency-vector filtering) assembled into one serving
+// path. One precomputed 64-bit word per string decides which candidates of
+// the length window reach the kernel: the five symbol counts on pure-DNA
+// datasets, an occurrence signature of the byte values on every other.
+// Results are identical to NewScan on every dataset and query.
 func NewCascade(data []string) Searcher {
 	return New(data, Options{Algorithm: Cascade})
 }
