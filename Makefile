@@ -82,11 +82,15 @@ bench:
 # k = 31 (band kernel) against k = 32 (blocked kernel) is the step between the
 # two compiled kernels, and the run fails if either loses the query itself.
 # Beside it, the cascade over 100,000 cities (k = 0..3) and 10,000 reads
-# (k = 0, 4, 8): ns per slot of the length window and kernel calls per query.
+# (k = 0, 4, 8): ns per slot of the length window and kernel calls per query;
+# and the live store (seed segment + three flushed segments + 500-entry
+# delta, cities and reads): ns and allocations per query, strings a query's
+# signature word leaves for the kernel, and ns per insert.
 bench-smoke:
 	$(GO) test -run='^$$' -bench=. -benchtime=1x ./... > /dev/null
 	$(GO) test -run='^$$' -bench='^BenchmarkBoundedKernels$$' -benchtime=200x ./internal/edit
 	$(GO) test -run='^$$' -bench='^BenchmarkCascadeBytes$$' -benchtime=300x ./internal/cascade
+	$(GO) test -run='^$$' -bench='^BenchmarkLive(Search|Insert)$$' -benchtime=2000x ./internal/lsm
 	$(GO) run ./cmd/paperbench -cascadecheck
 
 # The fixed benchmark (benchmark/, a Go module of its own that `go test ./...`

@@ -209,6 +209,19 @@ func calleeIsPkgFunc(info *types.Info, call *ast.CallExpr, suffixes ...string) b
 	return pathHasSuffix(fn.Pkg().Path(), suffixes...)
 }
 
+// isKernelCall reports whether call enters a distance kernel: a function of
+// internal/edit, or a method of internal/scan's Probe — the compiled query
+// an engine outside internal/scan holds candidates against (the live store's
+// delta scan) without touching internal/edit itself.
+func isKernelCall(info *types.Info, call *ast.CallExpr) bool {
+	fn, ok := calleeObject(info, call).(*types.Func)
+	if !ok || fn.Pkg() == nil {
+		return false
+	}
+	return pathHasSuffix(fn.Pkg().Path(), "internal/edit") ||
+		pathHasSuffix(fn.Pkg().Path(), "internal/scan") && recvTypeName(fn) == "Probe"
+}
+
 // isContextType reports whether t is context.Context.
 func isContextType(t types.Type) bool {
 	named, ok := t.(*types.Named)

@@ -104,6 +104,12 @@ func TestHotAllocFixture(t *testing.T) {
 	runFixture(t, "hotalloc", "simsearch/internal/edit", []*Analyzer{HotAlloc})
 }
 
+// TestHotAllocLSMFixture: under internal/lsm only loops that call a kernel —
+// here a scan.Probe method — are checked.
+func TestHotAllocLSMFixture(t *testing.T) {
+	runFixture(t, "hotalloclsm", "simsearch/internal/lsm", []*Analyzer{HotAlloc})
+}
+
 func TestNoSleepTestFixture(t *testing.T) {
 	runFixture(t, "nosleeptest", "simsearch/fixture/nosleeptest", []*Analyzer{NoSleepTest})
 }

@@ -19,8 +19,9 @@ import (
 //   - calls a local closure that does one of the above (the scan package's
 //     strided check() helper), or
 //   - ranges over one block x[lo:hi] of a slice while the loop directly
-//     around it polls once per block (the cascade's signature sweep: the
-//     poll is hoisted out of a loop that is a few instructions per element).
+//     around it polls once per block (the signature-word sweep in
+//     internal/scan: the poll is hoisted out of a loop that is a few
+//     instructions per element).
 //
 // Dataset-scale loops with no cancellation signal in scope (plain Search
 // paths) are out of scope: those engines are cancelled by abandonment at the
@@ -181,9 +182,9 @@ func collectLocalClosures(pass *Pass, body *ast.BlockStmt) map[types.Object]*ast
 }
 
 // loopDoesComparisonWork reports whether the loop body invokes per-element
-// engine work: a call into internal/edit or internal/bitpack (a distance
-// kernel), a dynamic kernel call through a func-typed variable, or an engine
-// Search-family method.
+// engine work: a call into internal/edit, a scan.Probe method or
+// internal/bitpack (a distance kernel), a dynamic kernel call through a
+// func-typed variable, or an engine Search-family method.
 func loopDoesComparisonWork(pass *Pass, body *ast.BlockStmt) bool {
 	found := false
 	ast.Inspect(body, func(n ast.Node) bool {
@@ -194,8 +195,7 @@ func loopDoesComparisonWork(pass *Pass, body *ast.BlockStmt) bool {
 		if !ok {
 			return true
 		}
-		if calleeIsPkgFunc(pass.Info, call, "internal/edit") ||
-			calleeIsPkgFunc(pass.Info, call, "internal/bitpack") {
+		if isKernelCall(pass.Info, call) || calleeIsPkgFunc(pass.Info, call, "internal/bitpack") {
 			found = true
 			return false
 		}

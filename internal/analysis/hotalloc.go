@@ -6,25 +6,28 @@ import (
 )
 
 // HotAlloc machine-checks the paper's §3.3–3.4 discipline on the kernel
-// packages: the innermost loops of internal/edit, internal/scan,
-// internal/trie and internal/cascade — the code that runs once per compared
-// pair, per trie edge or per filtered candidate — must not copy strings through string([]byte)/[]byte(string)
+// packages: the innermost loops of internal/edit, internal/scan (the word
+// sweep included), internal/trie, internal/cascade and internal/lsm (the
+// delta scan) — the code that runs once per compared pair, per trie edge or
+// per filtered candidate — must not copy strings through string([]byte)/[]byte(string)
 // conversions and must not allocate closures. In loops that invoke a
-// comparison kernel (a call into internal/edit), fmt calls and the
+// comparison kernel (a call into internal/edit or a scan.Probe method), fmt calls and the
 // allocation builtins make/new are additionally flagged — "allocate a
 // scratch buffer per element" is the classic regression — and, since the
 // call-graph upgrade, so are calls to module-internal functions whose own
 // body allocates at a guard-free position: hiding the make one call deep no
 // longer gets past the gate. Construction and serialization loops are exempt
-// from the latter checks because they never call into internal/edit.
+// from the latter checks because they never call a kernel; in internal/lsm,
+// whose other innermost loops read and write segment files and the log,
+// only kernel loops are checked at all.
 var HotAlloc = &Analyzer{
 	Name: "hotalloc",
-	Doc:  "no string<->[]byte conversions, closures, fmt calls, or per-element make/new — direct or one call deep — in the innermost kernel loops of internal/edit, internal/scan, internal/trie, internal/cascade",
+	Doc:  "no string<->[]byte conversions, closures, fmt calls, or per-element make/new — direct or one call deep — in the innermost kernel loops of internal/edit, internal/scan, internal/trie, internal/cascade, internal/lsm",
 	Run:  runHotAlloc,
 }
 
 func runHotAlloc(pass *Pass) {
-	if !pathHasSuffix(pass.Path, "internal/edit", "internal/scan", "internal/trie", "internal/cascade") {
+	if !pathHasSuffix(pass.Path, "internal/edit", "internal/scan", "internal/trie", "internal/cascade", "internal/lsm") {
 		return
 	}
 	for _, f := range pass.Files {
@@ -36,7 +39,7 @@ func runHotAlloc(pass *Pass) {
 			if body == nil || !isInnermost(body) {
 				return true
 			}
-			checkHotLoop(pass, body)
+			checkHotLoop(pass, body, pathHasSuffix(pass.Path, "internal/lsm"))
 			return true
 		})
 	}
@@ -69,19 +72,22 @@ func isInnermost(body *ast.BlockStmt) bool {
 	return !inner
 }
 
-// checkHotLoop reports the §3 violations inside one innermost loop body.
-func checkHotLoop(pass *Pass, body *ast.BlockStmt) {
+// checkHotLoop reports the §3 violations inside one innermost loop body;
+// with kernelOnly, only when the loop calls a kernel.
+func checkHotLoop(pass *Pass, body *ast.BlockStmt, kernelOnly bool) {
 	// Allocation builtins are only a finding in loops that do per-element
-	// kernel work (a call into internal/edit).
+	// kernel work.
 	kernelLoop := false
 	ast.Inspect(body, func(n ast.Node) bool {
-		if call, ok := n.(*ast.CallExpr); ok &&
-			calleeIsPkgFunc(pass.Info, call, "internal/edit") {
+		if call, ok := n.(*ast.CallExpr); ok && isKernelCall(pass.Info, call) {
 			kernelLoop = true
 			return false
 		}
 		return true
 	})
+	if kernelOnly && !kernelLoop {
+		return
+	}
 
 	ast.Inspect(body, func(n ast.Node) bool {
 		switch e := n.(type) {

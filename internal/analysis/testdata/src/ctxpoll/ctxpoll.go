@@ -196,3 +196,35 @@ func searchIgnored(ctx context.Context, data []string, dist kernel) int {
 	}
 	return n
 }
+
+// Probe stands in for scan.Probe, the compiled query engines outside this
+// package hold candidates against: a call to one of its methods is
+// comparison work, like a call into internal/edit.
+type Probe struct{ k int }
+
+func (pr *Probe) Within(s string) (int, bool) { return len(s), len(s) <= pr.k }
+
+// probeNoPoll is the live store's delta scan with its poll forgotten.
+func probeNoPoll(ctx context.Context, pr *Probe, data []string) int {
+	n := 0
+	for _, s := range data { // want "never polls cancellation"
+		if _, ok := pr.Within(s); ok {
+			n++
+		}
+	}
+	return n
+}
+
+// probeStrided is the delta scan as written: ctx.Err() every 1024 entries.
+func probeStrided(ctx context.Context, pr *Probe, data []string) int {
+	n := 0
+	for i, s := range data {
+		if i%1024 == 1023 && ctx.Err() != nil {
+			return n
+		}
+		if _, ok := pr.Within(s); ok {
+			n++
+		}
+	}
+	return n
+}

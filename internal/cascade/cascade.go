@@ -12,9 +12,12 @@
 // time, from the arena's bytes: when every one of them is A, C, G, N or T it
 // packs the five symbol counts (the frequency-vector filter of PETER,
 // Rheinländer et al., cited in PAPER §6, read from 8 bytes), otherwise
-// counted occurrence bits of the byte values folded into 32 buckets. See
-// bytes.go for both words and DESIGN §13 for the 3-bit packed arena, q-gram
-// stage and banded verify this layout replaced, and why.
+// counted occurrence bits of the byte values folded into 32 buckets. The
+// words and the sweep over them are scan.Words (internal/scan/words.go),
+// which the live store's segments run too; this package adds the stage
+// counters, the ablation switch and the engine surface. See DESIGN §13 for
+// the 3-bit packed arena, q-gram stage and banded verify this layout
+// replaced, and why.
 //
 // All query-side state — the query's word and its compiled pattern — is
 // built once per query; every per-candidate step allocates nothing.
@@ -26,6 +29,7 @@ package cascade
 
 import (
 	"context"
+	"math"
 	"sync/atomic"
 
 	"simsearch/internal/scan"
@@ -38,18 +42,12 @@ type Match = scan.Match
 // CompCounter counts comparisons, compatible with scan.CompCounter.
 type CompCounter = scan.CompCounter
 
-// ctxStride is how many candidate slots may be visited between context
-// polls, mirroring internal/scan's cancellation stride.
-const ctxStride = 1024
-
 // Engine is the cascade searcher over a frozen dataset. It is safe for
 // concurrent Search/SearchContext calls: all per-query state lives on the
 // query's stack, and the stage counters are atomic.
 type Engine struct {
-	ar     *scan.Arena // possibly shared with a scan engine over the same data
-	sigs   []uint64    // sigs[s] = signature word of slot s
-	counts bool        // the words are symbol counts (all-DNA arena), not occurrence bits
-	name   string
+	words *scan.Words // over an arena possibly shared with a scan engine over the same data
+	name  string
 
 	noFreq bool
 	comps  CompCounter
@@ -85,8 +83,8 @@ func New(data []string, opts ...Option) *Engine {
 // time: the engine then adds only its 8-byte signature per string. Match IDs
 // are the arena's.
 func NewOver(ar *scan.Arena, opts ...Option) *Engine {
-	e := &Engine{ar: ar, counts: allDNA(ar), name: "cascade/bytes"}
-	if e.counts {
+	e := &Engine{words: scan.NewWords(ar), name: "cascade/bytes"}
+	if e.words.Counts() {
 		e.name = "cascade/dna"
 	}
 	for _, o := range opts {
@@ -97,19 +95,11 @@ func NewOver(ar *scan.Arena, opts ...Option) *Engine {
 	if e.noFreq {
 		e.name += "-nofreq"
 	}
-	e.sigs = make([]uint64, ar.Len())
-	for s := range e.sigs {
-		if xb := ar.SlotBytes(int32(s)); e.counts {
-			e.sigs[s] = countWord(xb)
-		} else {
-			e.sigs[s] = signature(xb)
-		}
-	}
 	return e
 }
 
 // Len returns the dataset size.
-func (e *Engine) Len() int { return e.ar.Len() }
+func (e *Engine) Len() int { return e.words.Arena().Len() }
 
 // Name identifies the engine and its signature kind: "cascade/dna" (symbol
 // counts) or "cascade/bytes" (occurrence bits), plus any ablation suffix.
@@ -123,14 +113,29 @@ func (e *Engine) Search(q string, k int) []Match {
 }
 
 // SearchContext is Search honoring cancellation: the slot sweep polls ctx
-// every ctxStride candidates and returns ctx.Err() with partial results
-// dropped.
+// once per block of candidates and returns ctx.Err() with partial results
+// dropped. Stage counters are flushed on every exit path.
 func (e *Engine) SearchContext(ctx context.Context, q string, k int) ([]Match, error) {
 	if k < 0 {
 		return nil, nil
 	}
 	e.queries.Add(1)
-	return e.searchBytes(ctx, q, k)
+	slack := k // what the two words may differ by on either side
+	if e.noFreq {
+		slack = math.MaxInt
+	}
+	pr := scan.NewProbe(q, k)
+	ms, err := e.words.Sweep(ctx, &pr, slack, make([]Match, 0, 16))
+	e.candidates.Add(pr.Visited)
+	e.survivors.Add(pr.Kept)
+	if e.comps != nil {
+		e.comps.Add(pr.Kept)
+	}
+	if err != nil {
+		return nil, err
+	}
+	e.matches.Add(uint64(len(ms)))
+	return scan.MergeRuns(ms), nil
 }
 
 // Stats is a point-in-time snapshot of the engine's layout and cumulative
@@ -148,10 +153,11 @@ type Stats struct {
 
 // Stats returns the current snapshot.
 func (e *Engine) Stats() Stats {
+	ar := e.words.Arena()
 	return Stats{
-		Strings:    e.ar.Len(),
-		ArenaBytes: e.ar.Bytes(),
-		Buckets:    e.ar.Buckets(),
+		Strings:    ar.Len(),
+		ArenaBytes: ar.Bytes(),
+		Buckets:    ar.Buckets(),
 		Queries:    e.queries.Load(),
 		Candidates: e.candidates.Load(),
 		Survivors:  e.survivors.Load(),

@@ -15,6 +15,7 @@ import (
 	"path/filepath"
 	"runtime"
 	"strconv"
+	"sync"
 	"sync/atomic"
 
 	"simsearch/internal/core"
@@ -218,16 +219,22 @@ func (x *LiveSharded) SearchContext(ctx context.Context, q core.Query) ([]core.M
 	}
 	per := make([][]core.Match, p)
 	errs := make([]error, p)
+	search := func(i int) { per[i], errs[i] = x.stores[i].SearchContext(ctx, q) }
 	if ctx == nil || ctx.Done() == nil {
-		x.runner.Run(p, func(i int) {
-			per[i], errs[i] = x.stores[i].SearchContext(ctx, q)
-		})
-	} else {
-		if err := pool.RunContext(ctx, x.runner, p, func(i int) {
-			per[i], errs[i] = x.stores[i].SearchContext(ctx, q)
-		}); err != nil {
-			return nil, err
-		}
+		// Nothing can cancel the wait, so the caller does a share of the
+		// work instead of parking: a store's query is a few microseconds,
+		// less than waking a goroutine to run it. (RunContext's drainer is
+		// already the extra goroutine on the other path.)
+		var wg sync.WaitGroup
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			x.runner.Run(p-1, func(i int) { search(i + 1) })
+		}()
+		search(0)
+		wg.Wait()
+	} else if err := pool.RunContext(ctx, x.runner, p, search); err != nil {
+		return nil, err
 	}
 	for _, e := range errs {
 		if e != nil {

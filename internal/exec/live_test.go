@@ -3,9 +3,13 @@ package exec
 import (
 	"context"
 	"fmt"
+	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"simsearch/internal/core"
+	"simsearch/internal/pool"
 )
 
 func liveSeed(n int) []string {
@@ -138,6 +142,66 @@ func TestLiveMatchesFrozenSharded(t *testing.T) {
 		if got, want := live.Search(q), frozen.Search(q); !core.Equal(got, want) {
 			t.Fatalf("query %+v: live %v vs frozen %v", q, got, want)
 		}
+	}
+}
+
+// countingRunner is pool.Fixed that adds up the task counts it is handed.
+type countingRunner struct {
+	pool.Fixed
+	tasks atomic.Int64
+}
+
+func (r *countingRunner) Run(n int, task func(i int)) {
+	r.tasks.Add(int64(n))
+	r.Fixed.Run(n, task)
+}
+
+// TestLiveCallerSearchesOneStore: a search nothing can cancel hands the
+// runner P-1 stores and takes the last itself; one with a deadline hands it
+// all P; both answer alike — from several callers at once, for -race.
+func TestLiveCallerSearchesOneStore(t *testing.T) {
+	seed := liveSeed(300)
+	runner := &countingRunner{Fixed: pool.Fixed{Workers: 2}}
+	live, err := NewLive(LiveOptions{Shards: 3, Seed: seed, FlushLimit: 16, Runner: runner})
+	if err != nil {
+		t.Fatalf("NewLive: %v", err)
+	}
+	defer live.Close()
+	for i := 0; i < 40; i++ {
+		live.Insert(fmt.Sprintf("delta-%04d", i))
+	}
+	frozen := New(seed, Options{Shards: 1})
+	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+	defer cancel()
+
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := g; i < 300; i += 13 {
+				q := core.Query{Text: seed[i], K: 1}
+				want := frozen.Search(q) // the inserts are far from every seed
+				timed, err := live.SearchContext(ctx, q)
+				if got := live.Search(q); err != nil || !core.Equal(got, want) || !core.Equal(timed, want) {
+					t.Errorf("query %+v: no deadline %v, deadline %v (err %v), want %v", q, got, timed, err, want)
+					return
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+
+	runner.tasks.Store(0)
+	live.Search(core.Query{Text: seed[0], K: 1})
+	if n := runner.tasks.Swap(0); n != 2 {
+		t.Errorf("no deadline: the runner was handed %d of 3 stores, want 2", n)
+	}
+	if _, err := live.SearchContext(ctx, core.Query{Text: seed[0], K: 1}); err != nil {
+		t.Fatal(err)
+	}
+	if n := runner.tasks.Load(); n != 3 {
+		t.Errorf("deadline: the runner was handed %d of 3 stores, want 3", n)
 	}
 }
 

@@ -1,10 +1,11 @@
 package lsm
 
 import (
+	"context"
+	"slices"
 	"sort"
 
-	"simsearch/internal/core"
-	"simsearch/internal/edit"
+	"simsearch/internal/scan"
 )
 
 // delta is the small mutable front of the store: the set of (id, op) pairs
@@ -16,15 +17,23 @@ type delta struct {
 	// ops maps id -> live. A true entry is an insert not yet flushed; a
 	// false entry is a tombstone not yet flushed. Presence alone means the
 	// delta owns the newest version of that id and shadows every segment.
-	ops   map[int32]bool
+	ops map[int32]bool
+	// owned lists the keys of ops in arrival order. An id only ever joins a
+	// delta (a delete of an owned id keeps it owned), so the slice is
+	// append-only and a header read under the store's read lock stays a
+	// consistent snapshot of ownership after the lock is gone: later
+	// appends land past its length or in a new backing array.
+	owned []int32
 	byLen []deltaEntry // live entries, sorted by (n, id)
 }
 
-// deltaEntry is one live delta string, identified by id with its byte length
-// cached for the length filter (the bytes themselves live in the dictionary).
+// deltaEntry is one live delta string, identified by id, with what rejects it
+// unread: its byte length for the length filter and its signature word (see
+// scan.WordOf). The bytes themselves live in the dictionary.
 type deltaEntry struct {
-	id int32
-	n  int32
+	id, n  int32
+	word   uint64
+	counts bool // the word holds symbol counts, not occurrence bits
 }
 
 func newDelta() *delta {
@@ -44,73 +53,88 @@ func (d *delta) find(n, id int32) int {
 	})
 }
 
-// setLive records id (a string of n bytes) as inserted. The caller guarantees
-// id is not currently live in the delta.
-func (d *delta) setLive(id, n int32) {
-	d.ops[id] = true
-	i := d.find(n, id)
-	d.byLen = append(d.byLen, deltaEntry{})
-	copy(d.byLen[i+1:], d.byLen[i:])
-	d.byLen[i] = deltaEntry{id: id, n: n}
+// set records id's newest version, noting the id as owned the first time.
+func (d *delta) set(id int32, live bool) {
+	if _, ok := d.ops[id]; !ok {
+		d.owned = append(d.owned, id)
+	}
+	d.ops[id] = live
+}
+
+// setLive records e as inserted. The caller guarantees e.id is not currently
+// live in the delta.
+func (d *delta) setLive(e deltaEntry) {
+	d.set(e.id, true)
+	d.byLen = slices.Insert(d.byLen, d.find(e.n, e.id), e)
 }
 
 // setDead records id (a string of n bytes) as deleted. If the delta held the
 // live insert, the byLen view entry is removed.
 func (d *delta) setDead(id, n int32) {
-	if live, ok := d.ops[id]; ok && live {
+	if d.ops[id] {
 		i := d.find(n, id)
 		d.byLen = append(d.byLen[:i], d.byLen[i+1:]...)
 	}
-	d.ops[id] = false
+	d.set(id, false)
 }
 
-// deltaStride is how many delta strings are compared between two cancellation
-// polls. The delta is bounded by the flush limit, so this mirrors the arena's
+// ownedSet answers whether a snapshot's delta owned an id. A query asks it
+// once per segment match — a handful — so it scans the captured list; only a
+// query that has asked ownedSetAfter times pays for a set, which bounds
+// thousands of matches against a full delta at one map build.
+type ownedSet struct {
+	ids    []int32
+	probes int
+	set    map[int32]struct{}
+}
+
+const ownedSetAfter = 64
+
+func (o *ownedSet) has(id int32) bool {
+	if o.set == nil {
+		if o.probes++; o.probes <= ownedSetAfter {
+			return slices.Contains(o.ids, id)
+		}
+		o.set = make(map[int32]struct{}, len(o.ids))
+		for _, id := range o.ids {
+			o.set[id] = struct{}{}
+		}
+	}
+	_, ok := o.set[id]
+	return ok
+}
+
+// deltaStride is how many delta entries lie between two cancellation polls.
+// The delta is bounded by the flush limit, so this mirrors the arena's
 // ctxStride more for symmetry than for latency.
 const deltaStride = 1024
 
-// scanDeltaLocked streams the delta's length-window entries through the
-// compiled pattern. Must be called with st.mu held (read or write): it reads
-// the delta view and the dictionary. Returns ID-sorted matches; ok=false when
-// cancelled.
-func (st *Store) scanDeltaLocked(p *edit.MyersPattern, k int, cancel <-chan struct{}) ([]core.Match, bool) {
+// scanDeltaLocked holds the delta's length-window entries against the probe:
+// an entry's word rejects it before its string is looked up. Must be called
+// with st.mu held (read or write): it reads the delta view and the
+// dictionary. Returns ID-sorted matches, or ctx's error once it is cancelled.
+func (st *Store) scanDeltaLocked(ctx context.Context, pr *scan.Probe) ([]scan.Match, error) {
 	d := st.delta
-	if len(d.byLen) == 0 {
-		return nil, true
-	}
-	lo := int32(p.Len() - k)
-	if lo < 0 {
-		lo = 0
-	}
-	hi := int32(p.Len() + k)
-	var ms []core.Match
-	var pairs uint64
-	var scratch edit.MyersScratch
-	for i := d.find(lo, 0); i < len(d.byLen); i++ {
+	lo, hi := pr.Lengths()
+	var ms []scan.Match
+	for i := d.find(int32(lo), 0); i < len(d.byLen); i++ {
 		e := d.byLen[i]
-		if e.n > hi {
+		if int(e.n) > hi {
 			break
 		}
-		if cancel != nil && pairs%deltaStride == deltaStride-1 {
-			select {
-			case <-cancel:
-				return nil, false
-			default:
+		if i%deltaStride == deltaStride-1 {
+			if err := ctx.Err(); err != nil {
+				return nil, err
 			}
 		}
-		pairs++
-		if k == 0 {
-			// Distance 0 is string equality; no kernel to enter.
-			if st.dict[e.id] == p.Text() {
-				ms = append(ms, core.Match{ID: e.id})
-			}
+		if pr.Rejects(e.word, e.counts) {
 			continue
 		}
-		if dist, ok := p.BoundedDistance(st.dict[e.id], k, &scratch); ok {
-			ms = append(ms, core.Match{ID: e.id, Dist: dist})
+		if dist, ok := pr.Within(st.dict[e.id]); ok {
+			ms = append(ms, scan.Match{ID: e.id, Dist: dist})
 		}
 	}
 	// byLen order is (length, id): the matches are a concatenation of
 	// ID-ascending runs, one per length bucket.
-	return mergeRuns(ms), true
+	return scan.MergeRuns(ms), nil
 }

@@ -23,6 +23,17 @@ func FuzzLiveIdentical(f *testing.F) {
 	f.Add([]byte(cities), []byte{0, 1, 0, 2, 3, 5, 0, 6, 4, 1, 2, 8}, uint8(3), true)
 	f.Add([]byte(cities+"\n"+dna), []byte{0, 3, 1, 6, 2, 9, 3, 0, 4, 1, 5, 2, 0, 7, 2, 4}, uint8(2), true)
 	f.Add([]byte(cities), []byte{0, 1, 2, 3, 10, 4, 0, 9, 1, 2, 5, 0}, uint8(0), false) // k = 0: the delta's equality path
+	// The signature words. Anagrams (equal words, different bytes) split
+	// across segment and delta at k = 0.
+	f.Add([]byte("listen\nsilent\nenlist\ntinsel"), []byte{0, 0, 0, 2, 3, 0, 0, 1, 0, 3, 2, 0, 2, 1, 2, 3, 5, 1}, uint8(0), false)
+	// An all-ACGNT flush segment in front of a city segment — symbol counts
+	// before occurrence bits in one store — and queries with bytes >= 0x80.
+	f.Add([]byte("M\xc3\xbcnchen\nBremen\nACGTNACG\nACGTTACG\nTTNN\nM\xfcnchen"), []byte{0, 0, 0, 1, 3, 0, 0, 2, 0, 3, 0, 4, 3, 0, 2, 5, 2, 0, 5, 2, 2, 3, 4, 0, 2, 5, 2, 2}, uint8(2), true)
+	// Deleted after its flush: the tombstone sits in a newer segment than
+	// the word that survives the filter.
+	f.Add([]byte("Bremen\nBern\nBerlin\nBremer"), []byte{0, 0, 0, 1, 3, 0, 0, 2, 3, 0, 1, 0, 0, 3, 3, 0, 2, 0, 1, 1, 2, 1, 5, 0, 4, 0, 2, 0}, uint8(1), false)
+	// The edge of the length window: |len(q) - len(x)| = k in delta and segment.
+	f.Add([]byte("abc\nabcdef\nabcd\nabcde\na\n"), []byte{0, 0, 0, 1, 3, 0, 0, 2, 0, 3, 0, 4, 0, 5, 2, 0, 2, 1, 2, 2, 2, 4, 2, 5}, uint8(3), false)
 
 	f.Fuzz(func(t *testing.T, blob []byte, script []byte, kb uint8, persist bool) {
 		universe := strings.Split(string(blob), "\n")

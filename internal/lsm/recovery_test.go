@@ -83,7 +83,12 @@ func TestCrashMidCompactionRecovers(t *testing.T) {
 			defer re.Close()
 			m := twinModel(universe)
 			checkDict(t, re, m)
-			checkAll(t, re, m, universe[:40], 2)
+			// k = 0 and 1 are where a signature word rejects the most: a
+			// checkpoint whose words did not follow its strings into their
+			// new slots loses matches here first.
+			for k := 0; k <= 2; k++ {
+				checkAll(t, re, m, universe[:40], k)
+			}
 		})
 	}
 }

@@ -1,10 +1,9 @@
 package lsm
 
 import (
+	"slices"
 	"sort"
 
-	"simsearch/internal/core"
-	"simsearch/internal/edit"
 	"simsearch/internal/scan"
 )
 
@@ -18,9 +17,9 @@ type record struct {
 }
 
 // segment is an immutable generation of the store: the newest-wins state of
-// every id it covers, with the live strings packed into a scan arena. All
-// fields are read-only after newSegment returns, so searches and the
-// compactor share segments without locks.
+// every id it covers, with the live strings packed into a scan arena under
+// one signature word each. All fields are read-only after newSegment
+// returns, so searches and the compactor share segments without locks.
 type segment struct {
 	gen    uint64 // file-naming generation (unique, monotonic)
 	maxSeq uint64 // newest WAL sequence folded into this segment
@@ -32,18 +31,17 @@ type segment struct {
 	// and serialization never need the store's dictionary.
 	dead     []int32
 	deadStrs []string
-	// state holds every id the segment covers: presence means "this
-	// segment knows id", the value is its liveness. Newer segments shadow
-	// older ones through this map.
-	state map[int32]bool
-	arena *scan.Arena
+	// words holds the arena of strs and one signature word per slot, the
+	// kind chosen from this segment's own bytes. Derived data: segment
+	// files and the WAL hold records only, and every newSegment — flush,
+	// compaction, recovery — computes the words again.
+	words *scan.Words
 }
 
 // newSegment builds a segment from records sorted by ascending id.
 func newSegment(gen, maxSeq uint64, recs []record) *segment {
-	seg := &segment{gen: gen, maxSeq: maxSeq, state: make(map[int32]bool, len(recs))}
+	seg := &segment{gen: gen, maxSeq: maxSeq}
 	for _, r := range recs {
-		seg.state[r.id] = r.live
 		if r.live {
 			seg.ids = append(seg.ids, r.id)
 			seg.strs = append(seg.strs, r.s)
@@ -52,26 +50,19 @@ func newSegment(gen, maxSeq uint64, recs []record) *segment {
 			seg.deadStrs = append(seg.deadStrs, r.s)
 		}
 	}
-	seg.arena = scan.NewArena(seg.strs)
+	seg.words = scan.NewWords(scan.NewArena(seg.strs))
 	return seg
 }
 
-// search runs the compiled pattern over the segment's live strings and remaps
-// slot-local match IDs to global ids. Output stays ID-ascending because ids
-// is ascending. ok=false when cancelled.
-func (seg *segment) search(p *edit.MyersPattern, k int, cancel <-chan struct{}) ([]core.Match, bool) {
-	ms, ok := seg.arena.Search(p, k, cancel)
-	if !ok {
-		return nil, false
+// covers reports whether the segment holds a version of id — so that it
+// shadows every older segment — and whether that version is live. Both id
+// lists are ascending.
+func (seg *segment) covers(id int32) (live, ok bool) {
+	if _, ok := slices.BinarySearch(seg.ids, id); ok {
+		return true, true
 	}
-	if len(ms) == 0 {
-		return nil, true
-	}
-	out := make([]core.Match, len(ms))
-	for i, m := range ms {
-		out[i] = core.Match{ID: seg.ids[m.ID], Dist: m.Dist}
-	}
-	return out, true
+	_, ok = slices.BinarySearch(seg.dead, id)
+	return false, ok
 }
 
 // records returns every record the segment covers (live and dead), ascending
@@ -116,62 +107,4 @@ func mergeSegments(inputs []*segment, gen uint64) *segment {
 	}
 	sort.Slice(recs, func(a, b int) bool { return recs[a].id < recs[b].id })
 	return newSegment(gen, inputs[0].maxSeq, recs)
-}
-
-// mergeRuns sorts a match slice that is a concatenation of ID-ascending runs
-// by merging runs bottom-up (the scan-package algorithm, restated over
-// core.Match). Run boundaries are exactly the ID descents.
-func mergeRuns(ms []core.Match) []core.Match {
-	if len(ms) < 2 {
-		return ms
-	}
-	starts := []int{0}
-	for i := 1; i < len(ms); i++ {
-		if ms[i].ID <= ms[i-1].ID {
-			starts = append(starts, i)
-		}
-	}
-	if len(starts) == 1 {
-		return ms
-	}
-	buf := make([]core.Match, len(ms))
-	src, dst := ms, buf
-	for len(starts) > 1 {
-		ns := make([]int, 0, (len(starts)+1)/2)
-		for i := 0; i < len(starts); i += 2 {
-			lo := starts[i]
-			if i+1 == len(starts) {
-				copy(dst[lo:], src[lo:])
-				ns = append(ns, lo)
-				continue
-			}
-			mid := starts[i+1]
-			hi := len(src)
-			if i+2 < len(starts) {
-				hi = starts[i+2]
-			}
-			mergeInto(dst[lo:hi], src[lo:mid], src[mid:hi])
-			ns = append(ns, lo)
-		}
-		starts = ns
-		src, dst = dst, src
-	}
-	return src
-}
-
-// mergeInto merges two ID-ascending runs into out (len(out) == len(a)+len(b)).
-func mergeInto(out, a, b []core.Match) {
-	i, j, o := 0, 0, 0
-	for i < len(a) && j < len(b) {
-		if a[i].ID < b[j].ID {
-			out[o] = a[i]
-			i++
-		} else {
-			out[o] = b[j]
-			j++
-		}
-		o++
-	}
-	copy(out[o:], a[i:])
-	copy(out[o+len(a)-i:], b[j:])
 }

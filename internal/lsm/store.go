@@ -22,7 +22,7 @@ import (
 	"sync/atomic"
 
 	"simsearch/internal/core"
-	"simsearch/internal/edit"
+	"simsearch/internal/scan"
 )
 
 // ErrClosed reports an operation on a closed store.
@@ -335,6 +335,7 @@ func (st *Store) Close() error {
 // whether the store changed (false when s was already live). A string seen
 // before — even one currently deleted — keeps its original id.
 func (st *Store) Insert(s string) (int32, bool, error) {
+	word, counts := scan.WordOf(s) // arithmetic over s alone: done before the lock, not under it
 	st.mu.Lock()
 	defer st.mu.Unlock()
 	if st.closed {
@@ -357,7 +358,7 @@ func (st *Store) Insert(s string) (int32, bool, error) {
 			return 0, false, err
 		}
 	}
-	st.delta.setLive(id, int32(len(s)))
+	st.delta.setLive(deltaEntry{id: id, n: int32(len(s)), word: word, counts: counts})
 	st.live++
 	st.version.Add(1)
 	if st.delta.size() >= st.flushLimit {
@@ -408,7 +409,7 @@ func (st *Store) isLiveLocked(id int32) bool {
 		return live
 	}
 	for _, seg := range st.segs {
-		if live, ok := seg.state[id]; ok {
+		if live, ok := seg.covers(id); ok {
 			return live
 		}
 	}
@@ -545,71 +546,69 @@ func (st *Store) Search(q core.Query) []core.Match {
 }
 
 // SearchContext answers q over the live dictionary: the delta and every
-// segment are scanned with one compiled pattern, suppression resolves each
-// id newest-wins, and the ID-sorted runs are merged. Results are identical
-// to a frozen scan over the current live strings (with the dictionary's
-// ids). Honors ctx cancellation between strides.
+// segment's signature words are held against one probe, survivors go through
+// its compiled pattern, suppression resolves each id newest-wins, and the
+// ID-sorted runs are merged. Results are identical to a frozen scan over the
+// current live strings (with the dictionary's ids). Honors ctx cancellation
+// between strides.
 func (st *Store) SearchContext(ctx context.Context, q core.Query) ([]core.Match, error) {
 	if q.K < 0 {
 		return nil, nil
 	}
-	var cancel <-chan struct{}
-	if ctx != nil {
-		if err := ctx.Err(); err != nil {
+	if ctx == nil {
+		ctx = context.Background()
+	}
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
+	pr := scan.NewProbe(q.Text, q.K)
+	segs, owned, all, err := st.snapshotScan(ctx, &pr)
+	if err != nil {
+		return nil, err
+	}
+	var ms []scan.Match // one segment's matches, reused by the next
+	for i, seg := range segs {
+		if ms, err = seg.words.Sweep(ctx, &pr, q.K, ms[:0]); err != nil {
 			return nil, err
 		}
-		cancel = ctx.Done()
-	}
-	p := edit.CompileMyers(q.Text)
-
-	segs, shadow, out, ok := st.snapshotScan(p, q.K, cancel)
-	if !ok {
-		return nil, ctx.Err()
-	}
-
-	for i, seg := range segs {
-		ms, ok := seg.search(p, q.K, cancel)
-		if !ok {
-			return nil, ctx.Err()
-		}
 		for _, m := range ms {
-			if _, owned := shadow[m.ID]; owned {
-				continue
+			// A match's slot-local ID indexes the segment's ascending ids,
+			// so each bucket's run stays ID-ascending under the remap.
+			m.ID = seg.ids[m.ID]
+			if !owned.has(m.ID) && !shadowedByNewer(segs[:i], m.ID) {
+				all = append(all, m)
 			}
-			if shadowedByNewer(segs[:i], m.ID) {
-				continue
-			}
-			out = append(out, m)
 		}
 	}
-	return mergeRuns(out), nil
+	if len(all) == 0 {
+		return nil, nil
+	}
+	out := make([]core.Match, len(all))
+	for i, m := range scan.MergeRuns(all) {
+		out[i] = core.Match(m)
+	}
+	return out, nil
 }
 
 // snapshotScan captures, under one read lock, everything SearchContext needs
-// atomically: the segment list, the shadow set of every delta-owned id, and
-// the delta scan itself. (A flush moving entries from delta to a new segment
-// between those reads would otherwise drop or double-count ids.) The lock is
-// defer-released so a panicking comparison kernel cannot leak st.mu and
-// wedge every writer behind a dead reader.
-func (st *Store) snapshotScan(p *edit.MyersPattern, k int, cancel <-chan struct{}) (segs []*segment, shadow map[int32]struct{}, out []core.Match, ok bool) {
+// atomically: the segment list, the ids the delta owns, and the delta scan
+// itself. (A flush moving entries from delta to a new segment between those
+// reads would otherwise drop or double-count ids.) The owned ids are the
+// delta's own append-only list, not a copy. The lock is defer-released so a
+// panicking comparison kernel cannot leak st.mu and wedge every writer
+// behind a dead reader.
+func (st *Store) snapshotScan(ctx context.Context, pr *scan.Probe) (segs []*segment, owned ownedSet, out []scan.Match, err error) {
 	st.mu.RLock()
 	defer st.mu.RUnlock()
-	segs = st.segs
-	if n := len(st.delta.ops); n > 0 {
-		shadow = make(map[int32]struct{}, n)
-		for id := range st.delta.ops {
-			shadow[id] = struct{}{}
-		}
-	}
-	out, ok = st.scanDeltaLocked(p, k, cancel)
-	return segs, shadow, out, ok
+	out, err = st.scanDeltaLocked(ctx, pr)
+	return st.segs, ownedSet{ids: st.delta.owned}, out, err
 }
 
 // shadowedByNewer reports whether any newer segment covers id (live or
 // tombstoned) and therefore owns its newest version.
 func shadowedByNewer(newer []*segment, id int32) bool {
 	for _, seg := range newer {
-		if _, ok := seg.state[id]; ok {
+		if _, ok := seg.covers(id); ok {
 			return true
 		}
 	}
@@ -692,7 +691,7 @@ func (st *Store) Stats() Stats {
 	}
 	for _, seg := range st.segs {
 		s.SegmentStrings += len(seg.ids)
-		s.ArenaBytes += seg.arena.Bytes()
+		s.ArenaBytes += seg.words.Arena().Bytes()
 	}
 	return s
 }

@@ -99,7 +99,9 @@ func TestFlushAndCompactPreserveResults(t *testing.T) {
 		}
 	}
 	checkDict(t, st, m)
-	checkAll(t, st, m, universe, 2)
+	for k := 0; k <= 2; k++ {
+		checkAll(t, st, m, universe, k)
+	}
 	if err := st.Flush(); err != nil {
 		t.Fatalf("final Flush: %v", err)
 	}
@@ -111,7 +113,9 @@ func TestFlushAndCompactPreserveResults(t *testing.T) {
 		t.Fatalf("after full compaction: %d segments, want 1", stats.Segments)
 	}
 	checkDict(t, st, m)
-	checkAll(t, st, m, universe, 2)
+	for k := 0; k <= 2; k++ {
+		checkAll(t, st, m, universe, k)
+	}
 }
 
 func TestTombstonesSurviveCompaction(t *testing.T) {

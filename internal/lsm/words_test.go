@@ -1,0 +1,250 @@
+package lsm
+
+// The signature words on the live path: a word is a sound filter and derived
+// data, so no placement of strings across delta and segments, no rebuild of a
+// segment and no snapshot taken mid-write may change an answer.
+
+import (
+	"fmt"
+	"math/rand"
+	"slices"
+	"testing"
+
+	"simsearch/internal/core"
+	"simsearch/internal/dataset"
+	"simsearch/internal/scan"
+)
+
+// apply runs a compact op script against store and model alike: "+s" inserts,
+// "-s" deletes, "F" flushes, "C" compacts.
+func apply(t *testing.T, st *Store, m *model, ops ...string) {
+	t.Helper()
+	for _, op := range ops {
+		var err error
+		switch op[0] {
+		case '+':
+			_, _, err = st.Insert(op[1:])
+			m.insert(op[1:])
+		case '-':
+			_, err = st.Delete(op[1:])
+			m.delete(op[1:])
+		case 'F':
+			err = st.Flush()
+		case 'C':
+			err = st.Compact()
+		}
+		if err != nil {
+			t.Fatalf("op %q: %v", op, err)
+		}
+	}
+}
+
+// TestWordPlacements holds the four placements a word could get wrong against
+// the oracle at every k up to 3, before and after a compaction.
+func TestWordPlacements(t *testing.T) {
+	reads := []string{"ACGTNACG", "ACGTTACG", "TTTTNNNN", "ACG"}
+	cities := []string{"M\xc3\xbcnchen", "Munchen", "Bremen", "Bern", "ACGTNACX"}
+	for _, tc := range []struct {
+		name    string
+		ops     []string
+		queries []string
+		check   func(t *testing.T, st *Store)
+	}{
+		{
+			// Equal words, different bytes: at k = 0 the word compare lets
+			// both through and only the bytes tell them apart.
+			name:    "anagrams across delta and segment",
+			ops:     []string{"+listen", "+enlist", "F", "+silent", "+tinsel"},
+			queries: []string{"listen", "silent", "tinsel", "inlets"},
+			check: func(t *testing.T, st *Store) {
+				a, _ := scan.WordOf("listen")
+				if b, _ := scan.WordOf("silent"); a != b {
+					t.Fatalf("anagrams must share a word: %#x vs %#x", a, b)
+				}
+			},
+		},
+		{
+			// Two kinds in one store: the flush segment in front is all
+			// ACGNT and holds symbol counts, the one behind it occurrence
+			// bits. Queries hold bytes >= 0x80, which no count field counts.
+			name:    "count-word segment in front of an occurrence-bit segment",
+			ops:     append(append(plus(cities), "F"), append(plus(reads), "F")...),
+			queries: append(append([]string{"M\xfcnchen", "\xc3\xbc", "ACGTNAC\xc3"}, reads...), cities...),
+			check: func(t *testing.T, st *Store) {
+				if len(st.segs) != 2 || !st.segs[0].words.Counts() || st.segs[1].words.Counts() {
+					t.Fatalf("want a count-word segment in front of an occurrence-bit one")
+				}
+			},
+		},
+		{
+			// The tombstone lives in a newer segment than the string: the
+			// old segment's word survives the filter and its bytes match,
+			// and only shadowing drops it.
+			name:    "tombstone in a newer segment",
+			ops:     []string{"+Bremen", "+Bern", "F", "+Berlin", "F", "-Bremen", "+Bremer", "F", "-Bern"},
+			queries: []string{"Bremen", "Bern", "Bremer", "Berlin"},
+		},
+		{
+			// The edge of the length window, in the delta and in a segment.
+			name:    "length difference equal to k",
+			ops:     []string{"+abc", "+abcdef", "F", "+abcd", "+abcde", "+a", "+"},
+			queries: []string{"abc", "abcd", "abcdef", "ab", ""},
+		},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			st := mustOpen(t, Options{FlushLimit: 1 << 20, MaxSegments: 100})
+			m := newModel(nil)
+			apply(t, st, m, tc.ops...)
+			if tc.check != nil {
+				tc.check(t, st)
+			}
+			for pass := 0; pass < 2; pass++ {
+				for k := 0; k <= 3; k++ {
+					checkAll(t, st, m, tc.queries, k)
+				}
+				apply(t, st, m, "F", "C")
+			}
+		})
+	}
+}
+
+// plus turns strings into insert ops.
+func plus(strs []string) []string {
+	ops := make([]string, len(strs))
+	for i, s := range strs {
+		ops[i] = "+" + s
+	}
+	return ops
+}
+
+// TestCoversAgainstMap: the two binary searches answer exactly what the
+// per-segment map they replaced did, over random records.
+func TestCoversAgainstMap(t *testing.T) {
+	rng := rand.New(rand.NewSource(22))
+	for round := 0; round < 50; round++ {
+		state := map[int32]bool{}
+		var recs []record
+		for id := int32(0); id < 200; id++ {
+			if rng.Intn(3) > 0 {
+				live := rng.Intn(2) == 0
+				state[id] = live
+				recs = append(recs, record{id: id, s: fmt.Sprint("s", id), live: live})
+			}
+		}
+		seg := newSegment(1, 0, recs)
+		for id := int32(-2); id < 203; id++ {
+			wantLive, wantOK := state[id]
+			if live, ok := seg.covers(id); live != wantLive || ok != wantOK {
+				t.Fatalf("covers(%d) = %v, %v; the map says %v, %v", id, live, ok, wantLive, wantOK)
+			}
+		}
+	}
+}
+
+// manyMatches builds a store whose one segment holds every three-letter
+// string over 14 letters — 2,744 strings, all within 3 edits of any
+// three-letter query — behind a full 1,024-entry delta that tombstones 512 of
+// them and adds 512 four-letter strings.
+func manyMatches(t *testing.T) (*Store, *model) {
+	const letters = "abcdefghijklmn"
+	var ops []string
+	for _, a := range letters {
+		for _, b := range letters {
+			for _, c := range letters {
+				ops = append(ops, "+"+string([]rune{a, b, c}))
+			}
+		}
+	}
+	ops = append(ops, "F")
+	for i := 1; i <= 512; i++ {
+		ops = append(ops, "-"+ops[5*i][1:], "+"+ops[5*i][1:]+"x")
+	}
+	st := mustOpen(t, Options{FlushLimit: 1 << 20, MaxSegments: 100})
+	m := newModel(nil)
+	apply(t, st, m, ops...)
+	if n := len(st.delta.owned); n != 1024 || len(st.segs) != 1 {
+		t.Fatalf("delta owns %d ids over %d segments, want 1024 over 1", n, len(st.segs))
+	}
+	return st, m
+}
+
+// TestOwnedSetLazyBranch: a query with more than 2,000 segment matches
+// against a full delta goes past ownedSetAfter linear probes, builds the set
+// once and still returns the oracle's answer.
+func TestOwnedSetLazyBranch(t *testing.T) {
+	st, m := manyMatches(t)
+	q := core.Query{Text: "abc", K: 3}
+	if n := len(m.expect(q)); n <= 2000 {
+		t.Fatalf("the query has %d matches, want more than 2000", n)
+	}
+	checkSearch(t, st, m, q)
+
+	o := ownedSet{ids: st.delta.owned}
+	for id := int32(0); id < 4000; id++ {
+		if _, want := st.delta.ops[id]; o.has(id) != want {
+			t.Fatalf("probe %d: has(%d) = %v, want %v", o.probes, id, !want, want)
+		}
+		if (o.set != nil) != (id >= ownedSetAfter) {
+			t.Fatalf("after %d probes the set is built=%v", id+1, o.set != nil)
+		}
+	}
+}
+
+// TestSearchAllocatesNoMap pins what a query allocates in front of a
+// 512-entry delta: the probe's pattern (two) and scratch, the buffer the
+// segment sweeps share, the surviving matches, the output — nothing that
+// grows with the delta (a set of its ids alone is four more).
+func TestSearchAllocatesNoMap(t *testing.T) {
+	universe := take(t, dedupe(dataset.Cities(1500, 22)), 1112)
+	st := mustOpen(t, Options{FlushLimit: 1 << 20, MaxSegments: 100})
+	m := newModel(nil)
+	apply(t, st, m, append(plus(universe[:600]), "F")...)
+	apply(t, st, m, plus(universe[600:1112])...)
+	if n := len(st.delta.owned); n != 512 {
+		t.Fatalf("delta owns %d ids, want 512", n)
+	}
+	for _, q := range []core.Query{{Text: universe[3], K: 1}, {Text: universe[700], K: 2}, {Text: universe[5], K: 0}} {
+		checkSearch(t, st, m, q)
+		if got := testing.AllocsPerRun(100, func() { st.Search(q) }); got > 6 {
+			t.Errorf("Search(%+v) in front of a 512-entry delta: %.0f allocations, want at most 6", q, got)
+		}
+	}
+}
+
+// TestOwnedSnapshotSurvivesWrites is for -race: readers take the delta's
+// owned list the way snapshotScan does — a slice header under the read lock —
+// and keep reading that prefix while a writer appends past it, outgrows its
+// backing array and flushes the delta it belonged to.
+func TestOwnedSnapshotSurvivesWrites(t *testing.T) {
+	universe := dedupe(dataset.Cities(1500, 23))
+	st := mustOpen(t, Options{FlushLimit: 64, MaxSegments: 100})
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for _, s := range universe {
+			if _, _, err := st.Insert(s); err != nil {
+				t.Errorf("Insert: %v", err)
+				return
+			}
+		}
+	}()
+	for r := 0; ; r++ {
+		st.mu.RLock()
+		owned := st.delta.owned
+		want := slices.Clone(owned)
+		st.mu.RUnlock()
+		q := core.Query{Text: universe[r%len(universe)], K: 1}
+		checkInvariants(t, st, q, st.Search(q))
+		if !slices.Equal(owned, want) {
+			t.Fatalf("a captured owned prefix changed under a writer: %v, was %v", owned, want)
+		}
+		select {
+		case <-done:
+			if st.Stats().Flushes == 0 {
+				t.Fatal("the writer never flushed")
+			}
+			return
+		default:
+		}
+	}
+}

@@ -1,4 +1,5 @@
-// Arena data layout and run merge for the BitParallel rung.
+// Arena data layout and run merge: what the BitParallel rung sweeps bare and
+// what the signature words of words.go are computed over.
 //
 // All dataset strings are packed into one contiguous byte buffer, bucketed by
 // length with original IDs preserved inside each bucket. The paper's length
@@ -10,14 +11,13 @@ package scan
 import (
 	"fmt"
 	"math"
-
-	"simsearch/internal/edit"
 )
 
-// Arena is the packed, length-bucketed dataset layout: immutable once built,
-// shared by the frozen BitParallel rung, the live store's segments
-// (internal/lsm) and the cascade's byte backend (internal/cascade). Match IDs
-// are indices into the NewArena input.
+// Arena is the packed, length-bucketed dataset layout: immutable once built.
+// The frozen BitParallel rung sweeps it bare (scanArenaSlots); the cascade
+// (internal/cascade) and the live store's segments (internal/lsm) sweep it
+// through one signature word per slot (Words). Match IDs are indices into
+// the NewArena input.
 //
 // Slots are ordered by (length, ID): a counting sort by length over the
 // ID-ordered input places equal-length strings in ascending ID order, so
@@ -124,8 +124,9 @@ func (a *Arena) slotLen(s int32) int {
 
 // SlotBytes returns the packed bytes of slot s without copying. The result
 // aliases the arena buffer and must not be mutated. It costs a binary search
-// over the length buckets, so sweeps that visit every slot walk the buckets
-// instead (scanArenaSlots) and only filter survivors come through here.
+// over the length buckets, so the sweep that visits every slot walks the
+// buckets instead (scanArenaSlots) and only the survivors of a word sweep
+// come through here.
 func (a *Arena) SlotBytes(s int32) []byte {
 	l := a.slotLen(s)
 	off := int(a.lenOff[l]) + int(s-a.lenStart[l])*l
@@ -146,27 +147,9 @@ func (a *Arena) Buckets() int {
 	return n
 }
 
-// Search streams the length-window slots through the compiled pattern and
-// returns ID-sorted matches. It polls cancel every ctxStride comparisons and
-// reports ok=false when cancelled mid-scan. The scan loop is the frozen
-// BitParallel rung's (scanArenaSlots), so a segment scan and a frozen scan
-// visit candidates identically, which the differential tests over the live
-// store rely on.
-func (a *Arena) Search(p *edit.MyersPattern, k int, cancel <-chan struct{}) ([]Match, bool) {
-	lo, hi := a.SlotRange(p.Len()-k, p.Len()+k)
-	if lo == hi {
-		return nil, true
-	}
-	ms, ok := scanArenaSlots(a, nil, p, k, lo, hi, cancel)
-	if !ok {
-		return nil, false
-	}
-	return mergeRuns(ms), true
-}
-
-// MergeRuns is mergeRuns for engines outside this package that sweep bucket
-// windows in slot order (the cascade) and need global ID order restored
-// without a full sort. It consumes the input slice.
+// MergeRuns is mergeRuns for engines outside this package: Words.Sweep
+// returns matches in slot order, and the cascade restores global ID order
+// with it, without a full sort. It consumes the input slice.
 func MergeRuns(ms []Match) []Match { return mergeRuns(ms) }
 
 // mergeRuns sorts a match slice that is a concatenation of ID-ascending runs

@@ -81,8 +81,9 @@ func (e *Engine) scanSlots(p *edit.MyersPattern, k int, lo, hi int32, cancel <-c
 // polling cancel every ctxStride comparisons. It reports ok=false when
 // cancelled mid-scan. Each call owns its scratch, so concurrent chunk scans
 // never share kernel state; the comparison count is flushed once per call.
-// Shared by the frozen BitParallel rung and Arena.Search (segment scans in
-// internal/lsm), so both visit candidates identically.
+// This is the bare sweep, the BitParallel rung's alone: it builds no
+// signature words and reads none (see words.go for the sweep that does, and
+// DESIGN §12 for why this rung keeps going without).
 func scanArenaSlots(a *Arena, comps CompCounter, p *edit.MyersPattern, k int, lo, hi int32, cancel <-chan struct{}) ([]Match, bool) {
 	var ms []Match
 	var pairs uint64

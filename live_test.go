@@ -8,12 +8,25 @@ import (
 // TestLiveFacadeMatchesFrozen: after a mutation sequence, the live engine
 // answers every query with the same (string, distance) multiset as a frozen
 // engine built over the surviving strings — through the public facade, with
-// the cache in front, across flush and compaction. Ids differ by design
+// the cache in front, with the writes still in the delta and again after
+// flush and compaction, on city names (occurrence-bit words) and on reads
+// (count words) at thresholds from exact match up. Ids differ by design
 // (the live dictionary keeps its permanent bindings), so the comparison
 // resolves matches to strings.
 func TestLiveFacadeMatchesFrozen(t *testing.T) {
-	seed := GenerateCities(300, 1)
-	extra := GenerateCities(40, 2)
+	for _, c := range []struct {
+		name string
+		gen  func(n int, seed int64) []string
+		ks   []int
+	}{
+		{"cities", GenerateCities, []int{0, 1, 2}},
+		{"reads", GenerateDNAReads, []int{0, 2, 4}},
+	} {
+		t.Run(c.name, func(t *testing.T) { liveMatchesFrozen(t, c.gen(300, 1), c.gen(40, 2), c.ks) })
+	}
+}
+
+func liveMatchesFrozen(t *testing.T, seed, extra []string, ks []int) {
 	lv := NewLive(seed, 4, Options{CacheSize: 64})
 	defer lv.Close()
 
@@ -42,12 +55,6 @@ func TestLiveFacadeMatchesFrozen(t *testing.T) {
 		}
 		alive[seed[i]] = false
 	}
-	if err := lv.Flush(); err != nil {
-		t.Fatalf("Flush: %v", err)
-	}
-	if err := lv.Compact(); err != nil {
-		t.Fatalf("Compact: %v", err)
-	}
 
 	var survivors []string
 	for _, s := range order {
@@ -60,12 +67,12 @@ func TestLiveFacadeMatchesFrozen(t *testing.T) {
 	}
 	frozen := New(survivors, Options{})
 
-	for _, q := range append(seed[:30:30], extra[:10:10]...) {
-		query := Query{Text: q, K: 2}
+	check := func(stage string, query Query) {
+		q := query.Text
 		got := lv.Search(query)
 		want := frozen.Search(query)
 		if len(got) != len(want) {
-			t.Fatalf("query %q: live %d matches, frozen %d", q, len(got), len(want))
+			t.Fatalf("%s, query %q k=%d: live %d matches, frozen %d", stage, q, query.K, len(got), len(want))
 		}
 		// Both sides sort by id; live ids interleave shards, so compare the
 		// (string, dist) pairs as sets.
@@ -77,21 +84,33 @@ func TestLiveFacadeMatchesFrozen(t *testing.T) {
 		for _, m := range got {
 			s, ok := lv.StringAt(m.ID)
 			if !ok {
-				t.Fatalf("query %q: unresolvable id %d", q, m.ID)
+				t.Fatalf("%s, query %q: unresolvable id %d", stage, q, m.ID)
 			}
 			gotSet[pair{s, m.Dist}]++
 		}
 		for _, m := range want {
 			p := pair{survivors[m.ID], m.Dist}
 			if gotSet[p] == 0 {
-				t.Fatalf("query %q: frozen match %+v missing from live answer", q, p)
+				t.Fatalf("%s, query %q: frozen match %+v missing from live answer", stage, q, p)
 			}
 			gotSet[p]--
 		}
 		// Second call exercises the cache hit path; must be identical.
 		again := lv.Search(query)
 		if len(again) != len(got) {
-			t.Fatalf("query %q: cached answer diverged", q)
+			t.Fatalf("%s, query %q: cached answer diverged", stage, q)
+		}
+	}
+	queries := append(append(seed[:30:30], extra[:10:10]...), GenerateQueries(survivors, 20, 2, 3)...)
+	for _, stage := range []string{"delta in front", "compacted"} {
+		for i, q := range queries {
+			check(stage, Query{Text: q, K: ks[i%len(ks)]})
+		}
+		if err := lv.Flush(); err != nil {
+			t.Fatalf("Flush: %v", err)
+		}
+		if err := lv.Compact(); err != nil {
+			t.Fatalf("Compact: %v", err)
 		}
 	}
 }

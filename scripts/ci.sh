@@ -40,10 +40,14 @@ echo "== bench smoke =="
 # runs again with its output shown: ns/cmp at k = 31 (band kernel) against
 # k = 32 (blocked kernel) is the step between the two compiled kernels.
 # Beside it, the cascade over 100,000 cities (k = 0..3) and 10,000 reads
-# (k = 0, 4, 8): ns per slot of the length window and kernel calls per query.
+# (k = 0, 4, 8): ns per slot of the length window and kernel calls per query;
+# and the live store (seed segment + three flushed segments + 500-entry
+# delta, cities and reads): ns and allocations per query, strings a query's
+# signature word leaves for the kernel, and ns per insert.
 go test -run='^$' -bench=. -benchtime=1x ./... > /dev/null
 go test -run='^$' -bench='^BenchmarkBoundedKernels$' -benchtime=200x ./internal/edit
 go test -run='^$' -bench='^BenchmarkCascadeBytes$' -benchtime=300x ./internal/cascade
+go test -run='^$' -bench='^BenchmarkLive(Search|Insert)$' -benchtime=2000x ./internal/lsm
 go run ./cmd/paperbench -cascadecheck
 
 echo "== benchmark smoke =="
