@@ -82,7 +82,8 @@ bench:
 # k = 31 (band kernel) against k = 32 (blocked kernel) is the step between the
 # two compiled kernels, and the run fails if either loses the query itself.
 # Beside it, the cascade over 100,000 cities (k = 0..3) and 10,000 reads
-# (k = 0, 4, 8): ns per slot of the length window and kernel calls per query;
+# (k = 0, 4, 8): ns per slot of the length window, slots past the first word
+# and kernel calls per query (they differ on reads: the gram word sits between);
 # and the live store (seed segment + three flushed segments + 500-entry
 # delta, cities and reads): ns and allocations per query, strings a query's
 # signature word leaves for the kernel, and ns per insert.

@@ -122,6 +122,7 @@ func CascadeRecords(w Workload) []Record {
 				after := cc.CascadeEngine().Stats()
 				rec.Stages = &StageCounts{
 					Candidates: after.Candidates - before.Candidates,
+					Passed:     after.Passed - before.Passed,
 					Survivors:  after.Survivors - before.Survivors,
 					Matches:    after.Matches - before.Matches,
 				}
@@ -176,6 +177,11 @@ func CascadeCheck() error {
 		if st.Survivors >= st.Candidates {
 			return fmt.Errorf("cascade check %s: signature stage pruned nothing (%d of %d candidates survived)",
 				tc.name, st.Survivors, st.Candidates)
+		}
+		// Reads have a second word behind the first; city names do not.
+		if second := tc.name == "dna"; second != (st.Survivors < st.Passed) {
+			return fmt.Errorf("cascade check %s: %d of the first word's %d survivors left the signature stage (second word: %v)",
+				tc.name, st.Survivors, st.Passed, second)
 		}
 		if verified := comps.Value(); verified != st.Survivors {
 			return fmt.Errorf("cascade check %s: %d signature survivors but %d verify calls",

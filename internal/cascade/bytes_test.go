@@ -75,8 +75,10 @@ func TestNewOverSharesArena(t *testing.T) {
 }
 
 // TestByteStatsFunnel pins the counters on both kinds of word: the signature
-// stage prunes, and without it every candidate of the same length windows
-// passes through to the same matches.
+// stage prunes — on reads in two steps, the second word taking away from what
+// the first let through; on city names there is one word and the two counts
+// agree — and without it every candidate of the same length windows passes
+// through to the same matches.
 func TestByteStatsFunnel(t *testing.T) {
 	for name, data := range map[string][]string{
 		"city": dataset.Cities(3000, 7), "reads": dataset.DNAReads(1500, 7),
@@ -87,11 +89,14 @@ func TestByteStatsFunnel(t *testing.T) {
 			bare.Search(q, i%4)
 		}
 		st, bs := e.Stats(), bare.Stats()
-		if st.Candidates == 0 || st.Survivors >= st.Candidates ||
+		if st.Candidates == 0 || st.Passed >= st.Candidates || st.Survivors > st.Passed ||
 			st.Matches > st.Survivors || st.Matches != bs.Matches {
 			t.Errorf("%s funnel: %+v", name, st)
 		}
-		if bs.Survivors != bs.Candidates || bs.Candidates != st.Candidates {
+		if second := name == "reads"; second != (st.Survivors < st.Passed) {
+			t.Errorf("%s: second word pruned = %v, want %v: %+v", name, !second, second, st)
+		}
+		if bs.Survivors != bs.Candidates || bs.Passed != bs.Candidates || bs.Candidates != st.Candidates {
 			t.Errorf("%s: WithoutFrequency must pass every candidate through: %+v", name, bs)
 		}
 	}
@@ -132,8 +137,8 @@ func TestByteQueryAllocations(t *testing.T) {
 
 // BenchmarkCascadeBytes sweeps 100,000 generated cities at k = 0..3 and
 // 10,000 generated reads at k = 0, 4, 8 and reports what the signature stage
-// costs per slot of the length window and how many candidates per query it
-// leaves for the kernel.
+// costs per slot of the length window, how many candidates per query its
+// first word lets through and how many it leaves for the kernel.
 func BenchmarkCascadeBytes(b *testing.B) {
 	for _, c := range []struct {
 		name string
@@ -155,6 +160,7 @@ func BenchmarkCascadeBytes(b *testing.B) {
 				}
 				st := e.Stats()
 				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(st.Candidates-before.Candidates), "ns/slot")
+				b.ReportMetric(float64(st.Passed-before.Passed)/float64(b.N), "first_stage/query")
 				b.ReportMetric(float64(st.Survivors-before.Survivors)/float64(b.N), "survivors/query")
 				if matches < b.N {
 					b.Fatalf("the query itself must match: %d matches in %d queries", matches, b.N)

@@ -3,7 +3,7 @@
 // than the next and only survivors pay for the edit-distance kernel. It has
 // one layout on every corpus,
 //
-//	length bucket -> one signature word -> band kernel
+//	length bucket -> one signature word (-> a second, on reads) -> band kernel
 //
 // over a scan.Arena it can share with a scan engine over the same data
 // (NewOver), so the engine itself costs 8 bytes per string: the arena's
@@ -12,8 +12,10 @@
 // time, from the arena's bytes: when every one of them is A, C, G, N or T it
 // packs the five symbol counts (the frequency-vector filter of PETER,
 // Rheinländer et al., cited in PAPER §6, read from 8 bytes), otherwise
-// counted occurrence bits of the byte values folded into 32 buckets. The
-// words and the sweep over them are scan.Words (internal/scan/words.go),
+// counted occurrence bits of the byte values folded into 32 buckets. An
+// all-DNA arena gets a second word per slot, sixteen dinucleotide counts,
+// read only for the slots the first word lets through (8 more bytes per
+// string). The words and the sweep over them are scan.Words (internal/scan/words.go),
 // which the live store's segments run too; this package adds the stage
 // counters, the ablation switch and the engine surface. See DESIGN §13 for
 // the 3-bit packed arena, q-gram stage and banded verify this layout
@@ -22,7 +24,7 @@
 // All query-side state — the query's word and its compiled pattern — is
 // built once per query; every per-candidate step allocates nothing.
 //
-// Both words are sound filters — they never reject a string within distance
+// All the words are sound filters — they never reject a string within distance
 // k — so the cascade returns exactly the matches a full scan would; the
 // differential fuzz targets and the ablation identity test enforce this.
 package cascade
@@ -53,19 +55,20 @@ type Engine struct {
 	comps  CompCounter
 
 	// Per-stage survivor counters, cumulative across queries. With the
-	// signature stage disabled every candidate passes it, so its survivor
-	// count equals its input count and its prune rate reads as zero.
+	// signature stage disabled every candidate passes both words, so each
+	// survivor count equals its input count and the prune rates read as zero.
 	queries    atomic.Uint64
 	candidates atomic.Uint64 // length-bucket survivors (slots visited)
-	survivors  atomic.Uint64 // signature survivors == verify-kernel invocations
+	passed     atomic.Uint64 // survivors of the first word
+	survivors  atomic.Uint64 // survivors of every word == verify-kernel invocations
 	matches    atomic.Uint64
 }
 
 // Option configures an Engine.
 type Option func(*Engine)
 
-// WithoutFrequency disables the signature stage (ablation mode): every slot
-// of the length window goes to the kernel.
+// WithoutFrequency disables the signature stage, both words of it (ablation
+// mode): every slot of the length window goes to the kernel.
 func WithoutFrequency() Option { return func(e *Engine) { e.noFreq = true } }
 
 // WithComparisonCounter adds a counter receiving the number of verify-kernel
@@ -80,8 +83,8 @@ func New(data []string, opts ...Option) *Engine {
 
 // NewOver builds the engine over an arena the caller already holds — the
 // router passes its scan arm's — instead of packing the corpus a second
-// time: the engine then adds only its 8-byte signature per string. Match IDs
-// are the arena's.
+// time: the engine then adds only its signature words, 8 bytes per string or
+// 16 over reads. Match IDs are the arena's.
 func NewOver(ar *scan.Arena, opts ...Option) *Engine {
 	e := &Engine{words: scan.NewWords(ar), name: "cascade/bytes"}
 	if e.words.Counts() {
@@ -127,6 +130,7 @@ func (e *Engine) SearchContext(ctx context.Context, q string, k int) ([]Match, e
 	pr := scan.NewProbe(q, k)
 	ms, err := e.words.Sweep(ctx, &pr, slack, make([]Match, 0, 16))
 	e.candidates.Add(pr.Visited)
+	e.passed.Add(pr.Passed)
 	e.survivors.Add(pr.Kept)
 	if e.comps != nil {
 		e.comps.Add(pr.Kept)
@@ -147,6 +151,7 @@ type Stats struct {
 
 	Queries    uint64
 	Candidates uint64 // survivors of the length bucket (slots visited)
+	Passed     uint64 // survivors of the first word; the second, where there is one, takes Survivors below it
 	Survivors  uint64 // survivors of the signature stage = verify calls
 	Matches    uint64
 }
@@ -160,6 +165,7 @@ func (e *Engine) Stats() Stats {
 		Buckets:    ar.Buckets(),
 		Queries:    e.queries.Load(),
 		Candidates: e.candidates.Load(),
+		Passed:     e.passed.Load(),
 		Survivors:  e.survivors.Load(),
 		Matches:    e.matches.Load(),
 	}

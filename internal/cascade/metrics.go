@@ -18,10 +18,10 @@ func (e *Engine) RegisterMetrics(reg *metrics.Registry) {
 			"candidates surviving each cascade stage, cumulative across queries",
 			func() float64 { return float64(c.Load()) }, metrics.L("stage", name))
 	}
-	// The one signature stage feeds both filter labels: dashboards and the
-	// fixed benchmark read them by name, and their ratio reads 1.
+	// "frequency" is the first word on either kind of corpus; "qgram" is the
+	// dinucleotide word behind it on reads and reads the same elsewhere.
 	stage("length", &e.candidates)
-	stage("frequency", &e.survivors)
+	stage("frequency", &e.passed)
 	stage("qgram", &e.survivors)
 	stage("verify", &e.matches)
 }

@@ -704,9 +704,11 @@ type CascadeStatsJSON struct {
 	Buckets    int    `json:"buckets"`
 	Queries    uint64 `json:"queries"`
 	// The survivor funnel, in stage order; each stage's input is the
-	// previous stage's survivors. Survivors equals the verify-kernel
-	// invocations.
+	// previous stage's survivors. Passed counts the first signature word's
+	// survivors; Survivors, those of the second word too where the corpus
+	// has one, equals the verify-kernel invocations.
 	Candidates uint64 `json:"candidates"`
+	Passed     uint64 `json:"passed"`
 	Survivors  uint64 `json:"survivors"`
 	Matches    uint64 `json:"matches"`
 }
@@ -784,7 +786,7 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		st := cc.CascadeEngine().Stats()
 		resp.Cascade = &CascadeStatsJSON{
 			ArenaBytes: st.ArenaBytes, Buckets: st.Buckets,
-			Queries: st.Queries, Candidates: st.Candidates,
+			Queries: st.Queries, Candidates: st.Candidates, Passed: st.Passed,
 			Survivors: st.Survivors, Matches: st.Matches,
 		}
 	}

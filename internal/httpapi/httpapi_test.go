@@ -153,7 +153,9 @@ func TestStatsEndpoint(t *testing.T) {
 }
 
 func TestStatsCascadeSection(t *testing.T) {
-	dna := []string{"ACGT", "ACGA", "TTTT", "ACGTACGT", "GGGG"}
+	// Five strings in the length window of ACGT at k = 1; TTTT and GGGG fall
+	// to the symbol counts, the anagram TGCA only to the dinucleotide counts.
+	dna := []string{"ACGT", "ACGA", "TTTT", "ACGTACGT", "GGGG", "TGCA"}
 	eng := core.NewCascade(dna)
 	srv := New(eng, dna)
 	ts := httptest.NewServer(srv)
@@ -174,8 +176,8 @@ func TestStatsCascadeSection(t *testing.T) {
 	if resp.Engine != "cascade/dna" || cs.Queries != 1 || cs.ArenaBytes <= 0 || cs.Buckets <= 0 {
 		t.Errorf("engine %q, cascade stats = %+v", resp.Engine, cs)
 	}
-	if cs.Candidates < cs.Survivors || cs.Survivors < cs.Matches || cs.Matches != 2 {
-		t.Errorf("cascade survivor funnel = %+v", cs)
+	if cs.Candidates != 5 || cs.Passed != 3 || cs.Survivors != 2 || cs.Matches != 2 {
+		t.Errorf("cascade survivor funnel = %+v, want 5 > 3 > 2 = 2", cs)
 	}
 
 	// The per-stage survivors must also be scrapeable on /metrics.
@@ -191,10 +193,10 @@ func TestStatsCascadeSection(t *testing.T) {
 	body := sb.String()
 	for _, want := range []string{
 		"simsearch_cascade_queries_total",
-		`simsearch_cascade_stage_survivors_total{stage="length"}`,
-		`simsearch_cascade_stage_survivors_total{stage="frequency"}`,
-		`simsearch_cascade_stage_survivors_total{stage="qgram"}`,
-		`simsearch_cascade_stage_survivors_total{stage="verify"}`,
+		`simsearch_cascade_stage_survivors_total{stage="length"} 5`,
+		`simsearch_cascade_stage_survivors_total{stage="frequency"} 3`,
+		`simsearch_cascade_stage_survivors_total{stage="qgram"} 2`,
+		`simsearch_cascade_stage_survivors_total{stage="verify"} 2`,
 	} {
 		if !strings.Contains(body, want) {
 			t.Errorf("metrics output missing %q", want)

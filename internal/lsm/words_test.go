@@ -5,6 +5,7 @@ package lsm
 // segment and no snapshot taken mid-write may change an answer.
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"slices"
@@ -246,5 +247,64 @@ func TestOwnedSnapshotSurvivesWrites(t *testing.T) {
 			return
 		default:
 		}
+	}
+}
+
+// TestGramSlabFollowsSegmentBytes: the second word is derived data like the
+// first. An all-ACGNT segment has it after a flush, after a compaction and
+// after a reopen — told by a sweep in which the count word passes an anagram
+// and the gram word drops it unread — and a segment with one other byte in
+// it has occurrence bits and no second word, so whatever passes is read.
+func TestGramSlabFollowsSegmentBytes(t *testing.T) {
+	// Two of each letter in both, and no dinucleotide of the second more
+	// than once in the first: four pair occurrences in surplus, past 2k at
+	// k = 1.
+	const stored, query = "AACCGGTT", "ACGTACGT"
+	for _, tc := range []struct {
+		name   string
+		extra  [2]string // one beside the pair in its segment, one in a later flush
+		second bool
+	}{
+		{"all-DNA", [2]string{"TTTTNNNN", "GATTACA"}, true},
+		{"mixed", [2]string{"Bern", "GATTACA"}, false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			st, err := Open(Options{Dir: dir, FlushLimit: 1 << 20, MaxSegments: 100})
+			if err != nil {
+				t.Fatalf("Open: %v", err)
+			}
+			defer func() { st.Close() }()
+			m := newModel(nil)
+			check := func(stage string, segments int) {
+				t.Helper()
+				if len(st.segs) != segments {
+					t.Fatalf("%s: %d segments, want %d", stage, len(st.segs), segments)
+				}
+				seg := st.segs[len(st.segs)-1] // the oldest: it holds the pair at every stage
+				pr := scan.NewProbe(query, 1)
+				ms, err := seg.words.Sweep(context.Background(), &pr, 1, nil)
+				if err != nil || len(ms) != 1 || seg.words.Counts() != tc.second {
+					t.Fatalf("%s: sweep = %v, %v over count words = %v", stage, ms, err, seg.words.Counts())
+				}
+				if want := map[bool]uint64{true: 1, false: 2}[tc.second]; pr.Passed != 2 || pr.Kept != want {
+					t.Errorf("%s: %d slots passed the first word and %d were read, want 2 and %d", stage, pr.Passed, pr.Kept, want)
+				}
+				checkAll(t, st, m, []string{stored, query, tc.extra[0], tc.extra[1]}, 1)
+			}
+			apply(t, st, m, "+"+stored, "+"+query, "+"+tc.extra[0], "F")
+			check("flush", 1)
+			apply(t, st, m, "+"+tc.extra[1], "F")
+			check("second flush", 2)
+			apply(t, st, m, "C")
+			check("compaction", 1)
+			if err := st.Close(); err != nil {
+				t.Fatalf("Close: %v", err)
+			}
+			if st, err = Open(Options{Dir: dir}); err != nil {
+				t.Fatalf("reopen: %v", err)
+			}
+			check("reopen", 1)
+		})
 	}
 }

@@ -7,9 +7,11 @@
 // build-time heuristic — one engine for the whole dataset, chosen before the
 // first query arrives. The router keeps the same rules as a cold-start prior
 // but refines them online. Its arms are the bit-parallel scan, the pruned
-// trie, the BK-tree and the filter cascade, on every corpus: the cascade is
-// a signature slab over the scan arm's own arena (8 bytes per string, not a
-// second copy of the corpus).
+// trie and the filter cascade, on every corpus: the cascade is a signature
+// slab over the scan arm's own arena (8 or 16 bytes per string, not a second
+// copy of the corpus). The BK-tree was an arm until it had won no cell of
+// Table XVII or of either benchmark corpus while costing most of the set-up;
+// it stays in the tree as a fixed baseline (core.NewBKTree).
 // Routing: every query is bucketed into a regime over
 // (query-length bucket, k bucket, length-window selectivity bucket), routed
 // to the engine with the lowest predicted cost for that regime, and the
@@ -46,12 +48,11 @@ type engineID int
 const (
 	engBitParallel engineID = iota
 	engTrie
-	engBKTree
 	engCascade
 	numEngines
 )
 
-var engineNames = [numEngines]string{"bitparallel", "trie", "bktree", "cascade"}
+var engineNames = [numEngines]string{"bitparallel", "trie", "cascade"}
 
 // Regime buckets. A regime is the cross product of a query-length bucket, a
 // k bucket, and a selectivity bucket (fraction of the corpus inside the
@@ -133,7 +134,7 @@ const (
 	// regime and its EWMA sits above exploreBackoffRatio x the preferred
 	// engine's prediction, ordinary explore slots skip it; only every
 	// deepExploreEvery-th explore slot revisits it. This bounds the arm's
-	// cost: a hopeless engine (BK-tree on long DNA reads) costs one probe per
+	// cost: a hopeless engine (the trie on long DNA reads) costs one probe per
 	// exploreEvery*deepExploreEvery queries instead of a steady share.
 	exploreBackoffRatio   = 4
 	exploreBackoffSamples = 1
@@ -271,7 +272,7 @@ type burstProbe struct {
 // (length histogram for the O(1) selectivity estimate); the engines
 // themselves are built lazily on
 // first route, so a router over a corpus that only ever sees scan-regime
-// queries never pays for a trie or BK-tree build.
+// queries never pays for a trie build.
 func New(data []string, opts ...Option) *Engine {
 	e := &Engine{data: data, n: len(data)}
 	e.exploreEvery.Store(defaultExploreEvery)
@@ -375,10 +376,6 @@ func (e *Engine) prior(id engineID, q core.Query) float64 {
 		default:
 			return scanNs / 2
 		}
-	case engBKTree:
-		// Never preferred cold: the metric tree only wins in regimes the
-		// explore arm has to discover.
-		return 3 * scanNs
 	case engCascade:
 		// The signature word beats the scan through k = 8 on both kinds of
 		// corpus and is slack by k = 12 (0.9x on city names), so the window
@@ -538,8 +535,6 @@ func (e *Engine) engine(id engineID) core.Searcher {
 			e.engines[id] = core.NewSequential(e.data, scan.WithStrategy(scan.BitParallel))
 		case engTrie:
 			e.engines[id] = core.NewTrie(e.data, true, trie.WithModernPruning())
-		case engBKTree:
-			e.engines[id] = core.NewBKTree(e.data)
 		case engCascade:
 			// Index the scan arm's arena instead of packing the corpus again.
 			seq := e.engine(engBitParallel).(*core.Sequential)
@@ -686,6 +681,6 @@ func (e *Engine) Preferred(q core.Query) string {
 	return engineNames[e.preferred(e.regime(q), q)]
 }
 
-// Eligible lists the engines this router can route to: all four, on every
+// Eligible lists the engines this router can route to: all three, on every
 // corpus.
 func (e *Engine) Eligible() []string { return append([]string(nil), engineNames[:]...) }

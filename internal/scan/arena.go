@@ -124,13 +124,25 @@ func (a *Arena) slotLen(s int32) int {
 
 // SlotBytes returns the packed bytes of slot s without copying. The result
 // aliases the arena buffer and must not be mutated. It costs a binary search
-// over the length buckets, so the sweep that visits every slot walks the
-// buckets instead (scanArenaSlots) and only the survivors of a word sweep
-// come through here.
+// over the length buckets, so the sweeps do not come through here: the bare
+// one walks the buckets (scanArenaSlots) and the word sweep carries the
+// bucket from survivor to survivor (slotBytesFrom).
 func (a *Arena) SlotBytes(s int32) []byte {
-	l := a.slotLen(s)
+	xb, _ := a.slotBytesFrom(s, a.slotLen(s))
+	return xb
+}
+
+// slotBytesFrom is SlotBytes for a caller that asks for slots in ascending
+// order, as the word sweep does: l is the length bucket of the slot it asked
+// for last (any bucket not past s's will do), advanced here to s's own and
+// returned with the bytes, so the buckets are walked once per sweep instead
+// of searched once per slot.
+func (a *Arena) slotBytesFrom(s int32, l int) ([]byte, int) {
+	for s >= a.lenStart[l+1] {
+		l++
+	}
 	off := int(a.lenOff[l]) + int(s-a.lenStart[l])*l
-	return a.buf[off : off+l]
+	return a.buf[off : off+l], l
 }
 
 // SlotID returns the original dataset index of slot s.

@@ -1,7 +1,10 @@
 package scan
 
 import (
+	"context"
+	"math"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 
@@ -121,5 +124,254 @@ func TestCountWordNeverRejectsWithinK(t *testing.T) {
 	}
 	if w := countWord(strings.Repeat("A", fieldMax+40)); w != fieldMax {
 		t.Errorf("count word of %d As = %#x, want the A field saturated at %#x", fieldMax+40, w, fieldMax)
+	}
+}
+
+// gramReject is the gram stage's decision as the sweep takes it: drop the
+// slot when either side has more than 2k pair occurrences in surplus.
+func gramReject(a, b uint64, k int) bool {
+	return keep(gramSurplus(a, b), gramSurplus(b, a), 2*k) == 0
+}
+
+// TestGramWordLayout pins the encoding: field 4*first + second over ACGT,
+// saturation at 15, and nothing counted for a pair that touches N or a byte
+// outside the alphabet.
+func TestGramWordLayout(t *testing.T) {
+	for _, tc := range []struct {
+		s    string
+		want uint64
+	}{
+		{"", 0}, {"A", 0}, {"N", 0}, {"ANA", 0}, {"AxA", 0}, {"a\xffc", 0},
+		{"AA", 1},
+		{"AC", 1 << 4},
+		{"TT", 1 << 60},
+		{"ACGT", 1<<4 | 1<<(4*6) | 1<<(4*11)},
+		{"ACNGT", 1<<4 | 1<<(4*11)},
+		{strings.Repeat("A", 16), 15},
+		{strings.Repeat("A", 300), 15},
+		{strings.Repeat("AC", 40), 15<<4 | 15<<(4*4)},
+		{strings.Repeat(deBruijn, 16), 1<<64 - 1},
+	} {
+		if got := gramWord(tc.s); got != tc.want {
+			t.Errorf("gramWord(%.20q) = %#x, want %#x", tc.s, got, tc.want)
+		}
+		if got := gramWord([]byte(tc.s)); got != tc.want {
+			t.Errorf("gramWord([]byte(%.20q)) = %#x, want %#x", tc.s, got, tc.want)
+		}
+	}
+}
+
+// deBruijn holds every ordered pair over ACGT exactly once when read as a
+// cycle: sixteen repeats saturate all sixteen fields.
+const deBruijn = "AACAGATCCGCTGGTT"
+
+// TestGramSurplusAgainstScalar holds the two-halves SWAR sum against a loop
+// over the sixteen fields, on random words and on the extremes.
+func TestGramSurplusAgainstScalar(t *testing.T) {
+	scalar := func(a, b uint64) (n int) {
+		for f := 0; f < gramFields; f++ {
+			x, y := int(a>>(gramBits*f)&gramMax), int(b>>(gramBits*f)&gramMax)
+			n += max(x-y, 0)
+		}
+		return n
+	}
+	r := rand.New(rand.NewSource(23))
+	words := []uint64{0, 1<<64 - 1, gramLanes, gramLanes << gramBits, 1, 1 << 63}
+	for len(words) < 400 {
+		words = append(words, r.Uint64(), r.Uint64()&r.Uint64(), r.Uint64()|r.Uint64())
+	}
+	for _, a := range words {
+		for _, b := range words {
+			if got, want := gramSurplus(a, b), scalar(a, b); got != want {
+				t.Fatalf("gramSurplus(%#x, %#x) = %d, want %d", a, b, got, want)
+			}
+		}
+	}
+	if got := gramSurplus(1<<64-1, 0); got != gramCeiling {
+		t.Errorf("sixteen saturated fields over none show %d, want gramCeiling = %d", got, gramCeiling)
+	}
+	for _, tc := range []struct{ ab, ba, bound, want int }{
+		{0, 0, 0, 1}, {1, 0, 0, 0}, {0, 1, 0, 0}, {16, 16, 16, 1}, {17, 0, 16, 0}, {0, 17, 16, 0},
+		{gramCeiling, gramCeiling, gramCeiling, 1}, {fieldMax, fieldMax, math.MaxInt, 1},
+	} {
+		if got := keep(tc.ab, tc.ba, tc.bound); got != tc.want {
+			t.Errorf("keep(%d, %d, %d) = %d, want %d", tc.ab, tc.ba, tc.bound, got, tc.want)
+		}
+	}
+}
+
+// TestGramWordExhaustiveSmallAlphabet: {A, C, N} — four of the sixteen pairs
+// counted, five touching N and left out.
+func TestGramWordExhaustiveSmallAlphabet(t *testing.T) {
+	exhaustive(t, "ACN", gramWord[string], gramReject)
+}
+
+// TestGramStageNeverRejectsWithinK is the soundness property of the second
+// word: a stored all-DNA string and a query at most k edits away are never
+// told apart by their gram words at bound 2k, whichever operand is which,
+// and a one-slot arena swept for that query returns the string — for k up to
+// the last threshold at which the stage runs and the first at which it no
+// longer does. The bases are the shapes the bound's argument leans on:
+// homopolymer runs that saturate AA, reads with N, lengths 0 and 1, strings
+// past 240 letters with every field saturated; the edits draw on
+// editAlphabet, so the query may hold bytes no field counts.
+func TestGramStageNeverRejectsWithinK(t *testing.T) {
+	r := rand.New(rand.NewSource(23))
+	bases := append(dataset.DNAReads(60, 23), "", "A", "N", "AA", "ACGTN",
+		strings.Repeat("A", 15), strings.Repeat("A", 16), strings.Repeat("A", 40)+"C"+strings.Repeat("A", 40),
+		strings.Repeat("ANNA", 20), strings.Repeat("N", 50),
+		strings.Repeat(deBruijn, 15), strings.Repeat(deBruijn, 16), strings.Repeat(deBruijn, 20)+"NNAC")
+	ks := []int{0, 1, 2, 4, 8, 16, 31, 32, gramCeiling/2 - 1, gramCeiling / 2}
+	for round := 0; round < 6; round++ {
+		for _, x := range bases {
+			for _, k := range ks {
+				q := homopolymerEdit(x, k)
+				if round%2 == 0 {
+					q = mutate(r, x, r.Intn(k+1))
+				}
+				gx, gq := gramWord(x), gramWord([]byte(q))
+				if gramReject(gq, gx, k) || gramReject(gx, gq, k) {
+					t.Fatalf("%.40q and %.40q are within %d edits (distance %d) but their gram words %#x, %#x are rejected",
+						x, q, k, edit.Distance(x, q), gx, gq)
+				}
+				w := NewWords(NewArena([]string{x}))
+				if w.grams == nil {
+					t.Fatalf("%.40q: an all-DNA arena must have its gram slab", x)
+				}
+				pr := NewProbe(q, k)
+				ms, err := w.Sweep(context.Background(), &pr, k, nil)
+				if want := edit.Distance(x, q); err != nil || len(ms) != 1 || ms[0].Dist != want {
+					t.Fatalf("sweep of %.40q for %.40q at k=%d = %v, %v; want distance %d", x, q, k, ms, err, want)
+				}
+			}
+		}
+	}
+}
+
+// homopolymerEdit overwrites the first min(k, len(s)) letters of s with T:
+// exactly that many substitutions at most, and the edit that moves the most
+// pair occurrences into one field.
+func homopolymerEdit(s string, k int) string {
+	n := min(k, len(s))
+	return strings.Repeat("T", n) + s[n:]
+}
+
+// TestGramStageCutOff pins where the stage stops running. Every pair
+// saturated on one side and absent on the other is the most two gram words
+// can differ by, gramCeiling; at k = gramCeiling/2 - 1 that is still past
+// the bound and the slot is dropped unread, at k = gramCeiling/2 no pair of
+// words can be and the stage is skipped — as it is at the ablation's slack.
+// The query's x bytes are counted by neither word, so the count word passes.
+func TestGramStageCutOff(t *testing.T) {
+	w := NewWords(NewArena([]string{strings.Repeat(deBruijn, 16)}))
+	q := strings.Repeat("AxCxGxTx", 40)
+	for _, tc := range []struct {
+		k, slack int
+		kept     uint64
+	}{
+		{gramCeiling/2 - 1, gramCeiling/2 - 1, 0},
+		{gramCeiling / 2, gramCeiling / 2, 1},
+		{100, 100, 0},
+		{100, math.MaxInt, 1},
+	} {
+		pr := NewProbe(q, tc.k)
+		ms, err := w.Sweep(context.Background(), &pr, tc.slack, nil)
+		if err != nil || len(ms) != 0 {
+			t.Fatalf("k=%d: %v, %v; the pair is farther apart than any k here", tc.k, ms, err)
+		}
+		if pr.Visited != 1 || pr.Passed != 1 || pr.Kept != tc.kept {
+			t.Errorf("k=%d slack=%d: visited %d, passed %d, kept %d; want 1, 1, %d",
+				tc.k, tc.slack, pr.Visited, pr.Passed, pr.Kept, tc.kept)
+		}
+	}
+}
+
+// TestGramStageStrength pins what the second word is for: on generated
+// reads at k = 8 it lets through well under half of what the count word
+// does. Generated reads and both words are deterministic, so the counts
+// repeat exactly.
+func TestGramStageStrength(t *testing.T) {
+	for _, seed := range []int64{7, 20130322} {
+		data := dataset.DNAReads(2000, seed)
+		w := NewWords(NewArena(data))
+		var visited, passed, kept uint64
+		for _, q := range dataset.Queries(data, 100, 8, seed+8) {
+			pr := NewProbe(q, 8)
+			if _, err := w.Sweep(context.Background(), &pr, 8, nil); err != nil {
+				t.Fatal(err)
+			}
+			visited, passed, kept = visited+pr.Visited, passed+pr.Passed, kept+pr.Kept
+		}
+		t.Logf("seed %d: %d slots, %d past the count word, %d past the gram word (%.3f)",
+			seed, visited, passed, kept, float64(kept)/float64(passed))
+		if passed == 0 || float64(kept) > 0.45*float64(passed) {
+			t.Errorf("seed %d: the gram word kept %d of the count word's %d survivors, want at most 45%%", seed, kept, passed)
+		}
+	}
+}
+
+// TestSweepCarriesLengthBucket: the bucket carried along the survivor loop
+// lands on the same bytes as the arena's own lookup, across empty buckets,
+// block boundaries and windows clamped at either end.
+func TestSweepCarriesLengthBucket(t *testing.T) {
+	var data []string
+	for i := 0; i < 3*ctxStride; i++ { // three lengths only, so the windows skip empty buckets
+		data = append(data, strings.Repeat("ab", 1+i%3*4)+string(rune('a'+i%7)))
+	}
+	data = append(data, "", strings.Repeat("z", 90))
+	w := NewWords(NewArena(data))
+	for _, q := range []string{"", "abc", data[0], data[1], data[2], strings.Repeat("ab", 6), strings.Repeat("z", 88), strings.Repeat("q", 200)} {
+		for _, k := range []int{0, 1, 3, 9, 40} {
+			pr := NewProbe(q, k)
+			got, err := w.Sweep(context.Background(), &pr, k, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var want []Match
+			for s := int32(0); s < int32(w.ar.Len()); s++ {
+				if d := edit.Distance(q, string(w.ar.SlotBytes(s))); d <= k {
+					want = append(want, Match{ID: w.ar.SlotID(s), Dist: d})
+				}
+			}
+			if !slices.Equal(got, want) {
+				t.Fatalf("Sweep(%q, %d) returned %d matches, slot-order oracle %d", q, k, len(got), len(want))
+			}
+		}
+	}
+}
+
+// TestFirstWordLoopsAgree: the two count-word loops — the branch on the
+// reject and the branch-free store Sweep switches to in dense blocks — pick
+// the same survivors, from the sparsest block to one in which every slot
+// passes, and the switch happens: sweeps of generated reads at k = 8 pass
+// more than an eighth of their windows.
+func TestFirstWordLoopsAgree(t *testing.T) {
+	data := dataset.DNAReads(3000, 24)
+	w := NewWords(NewArena(data))
+	var sparse, dense [ctxStride]int32
+	var visited, passed uint64
+	for _, q := range dataset.Queries(data, 20, 8, 24) {
+		pr := NewProbe(q, 8)
+		lo, hi := w.ar.SlotRange(pr.Lengths())
+		for _, slack := range []int{1, 4, 8, 16, 100, math.MaxInt} {
+			for blk := lo; blk < hi; blk += ctxStride {
+				end := min(blk+ctxStride, hi)
+				n := w.firstWord(blk, end, pr.cnt, slack, false, &sparse)
+				m := w.firstWord(blk, end, pr.cnt, slack, true, &dense)
+				if n != m || !slices.Equal(sparse[:n], dense[:m]) {
+					t.Fatalf("slack %d block %d: %d survivors with the branch, %d without", slack, blk, n, m)
+				}
+				if slack == math.MaxInt && n != int(end-blk) {
+					t.Fatalf("block %d: %d of %d slots pass at the ablation's slack", blk, n, end-blk)
+				}
+			}
+		}
+		if _, err := w.Sweep(context.Background(), &pr, 8, nil); err != nil {
+			t.Fatal(err)
+		}
+		visited, passed = visited+pr.Visited, passed+pr.Passed
+	}
+	if passed*8 <= visited {
+		t.Fatalf("%d of %d slots passed at k = 8: too sparse for a sweep to reach the dense loop", passed, visited)
 	}
 }

@@ -16,7 +16,7 @@ import (
 // forced on every query (WithExploreEvery(1)) and each query is repeated, so
 // the feedback loop accumulates samples and the arm cycles through every
 // candidate engine, including the cascade (over the scan arm's arena: count
-// words on pure-DNA datasets, occurrence bits otherwise).
+// and gram words on pure-DNA datasets, occurrence bits otherwise).
 func FuzzRouterIdentical(f *testing.F) {
 	cities := simsearch.GenerateCities(12, 7)
 	reads := simsearch.GenerateDNAReads(6, 7)
@@ -41,9 +41,20 @@ func FuzzRouterIdentical(f *testing.F) {
 	f.Add("ACGT\nTGCA\nGATC\nACGT", "TGCA", 0)
 	f.Add(strings.Join(reads, "\n"), "caf\xc3\xa9 \x80\xff"+reads[1][10:], 16)
 	f.Add("ACGTACGT\nACGTA\nACGTACGTACG\nACG", "ACGTACGT", 3)
+	// The gram word behind it: a homopolymer run that saturates AA on both
+	// sides, an anagram only the pair counts tell apart, N and uncounted
+	// query bytes between every pair, strings of length 0 and 1, and reads
+	// past 240 letters with all sixteen fields saturated.
+	run, cycle := strings.Repeat("A", 24), strings.Repeat("AACAGATCCGCTGGTT", 16)
+	f.Add(run+"CGT\n"+run[:20]+"CGTAAAA\nCGT"+run, "TTTT"+run[:20]+"CGT", 4)
+	f.Add("AACCGGTT\nACGTACGT\nTTGGCCAA", "ACGTACGT", 1)
+	f.Add("ANCNGNTN\nACGT\nNNNN\nACNGT", "AxCxGxTx", 4)
+	f.Add("\nA\nC\nAC\nN", "", 1)
+	f.Add("\nA\nC\nAC\nN", "A", 1)
+	f.Add(cycle+"\n"+cycle[:250]+"\n"+cycle[3:]+"NNN", cycle[:100]+"TTTT"+cycle[104:], 8)
 
 	f.Fuzz(func(t *testing.T, blob, q string, k int) {
-		if len(blob) > 2048 || len(q) > 160 {
+		if len(blob) > 2048 || len(q) > 320 {
 			t.Skip("cap work per input")
 		}
 		data := strings.Split(blob, "\n")

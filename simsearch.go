@@ -85,8 +85,8 @@ const (
 	// Scan; only the pruning differs.
 	Cascade
 	// Router is the cost-model adaptive router: it holds the bit-parallel
-	// scan, the modern trie, the BK-tree and the cascade (built over the
-	// scan's own arena) behind one facade and picks an engine per query from
+	// scan, the modern trie and the cascade (built over the scan's own
+	// arena) behind one facade and picks an engine per query from
 	// a cost model over (query length, k, length-window selectivity) that re-fits
 	// online from measured latencies. Results are identical to Scan; only
 	// the engine taken — and therefore speed — differs per query.
@@ -240,8 +240,7 @@ func NewCascade(data []string) Searcher {
 
 // NewRouter returns the cost-model adaptive router over data: every query
 // is routed to whichever candidate engine (bit-parallel scan, modern trie,
-// BK-tree, cascade) the cost model predicts fastest for
-// its regime, with measured latencies fed back online and a small bounded
+// cascade) the cost model predicts fastest for its regime, with measured latencies fed back online and a small bounded
 // explore arm keeping the estimates fresh as the workload drifts. Candidate
 // engines are built lazily on first route. Results are byte-identical to
 // NewScan for every dataset and query.
