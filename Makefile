@@ -8,9 +8,12 @@ GO ?= go
 # the cascade (shared engine state under concurrent queries), the
 # scatter-gather coordinator (hedged RPCs, breakers, admission control), and
 # the adaptive router (lock-free cost-model updates under concurrent search),
-# and the analysis framework (its fixture loader shares a package cache that
-# the dual test units exercise).
-RACE_PKGS = ./internal/pool ./internal/exec ./internal/cache ./internal/httpapi ./internal/scan ./internal/metrics ./internal/bench ./internal/trie ./internal/lsm ./internal/cascade ./internal/distrib ./internal/router ./internal/analysis
+# the analysis framework (its fixture loader shares a package cache that
+# the dual test units exercise), the engine facade (interruptible search runs
+# an engine on a goroutine of its own) and the parallel join.
+# TestCILists (ci_test.go) fails when a package whose own code starts
+# goroutines is missing here, or a fuzz target from fuzz-smoke below.
+RACE_PKGS = ./internal/pool ./internal/exec ./internal/cache ./internal/httpapi ./internal/scan ./internal/metrics ./internal/bench ./internal/trie ./internal/lsm ./internal/cascade ./internal/distrib ./internal/router ./internal/analysis ./internal/core ./internal/join
 
 FUZZ_SMOKE_TIME ?= 5s
 
@@ -82,8 +85,9 @@ bench:
 # k = 31 (band kernel) against k = 32 (blocked kernel) is the step between the
 # two compiled kernels, and the run fails if either loses the query itself.
 # Beside it, the cascade over 100,000 cities (k = 0..3) and 10,000 reads
-# (k = 0, 4, 8): ns per slot of the length window, slots past the first word
-# and kernel calls per query (they differ on reads: the gram word sits between);
+# (k = 0, 4, 8): ns per slot of the length window, block summaries tested,
+# words read in the blocks they kept, slots past the first word and kernel
+# calls per query (the last two differ on reads: the gram word sits between);
 # and the live store (seed segment + three flushed segments + 500-entry
 # delta, cities and reads): ns and allocations per query, strings a query's
 # signature word leaves for the kernel, and ns per insert.

@@ -49,14 +49,30 @@ func FuzzCascadeIdentical(f *testing.F) {
 	f.Add("\nA\nC\nAC\nN", "", 1)
 	f.Add("\nA\nC\nAC\nN", "A", 1)
 	f.Add(cycle+"\n"+cycle[:250]+"\n"+cycle[3:]+"NNN", cycle[:100]+"TTTT"+cycle[104:], 8)
+	// The order inside a length bucket and the block summaries over it:
+	// anagram-heavy buckets (one word, many strings: every block's summary is
+	// that word and only the kernel tells them apart) beside near anagrams,
+	// in both kinds of word; one bucket of more than 1,024 equal words, so a
+	// whole group of blocks shares one summary and its mask is all ones or
+	// zero; buckets of sixteen and seventeen strings, a block and a block
+	// and one.
+	f.Add("abcd\nabdc\nacbd\nacdb\nadbc\nadcb\nbacd\nbadc\nbcad\nbcda\nbdac\nbdca\ncabd\ncadb\ncbad\ncbda\ncdab\ncdba\ndabc\ndacb\nabce\nabcc\nabc\nabcde", "dcba", 2)
+	f.Add("ACGT\nACTG\nAGCT\nAGTC\nATCG\nATGC\nCAGT\nCATG\nCGAT\nCGTA\nCTAG\nCTGA\nGACT\nGATC\nGCAT\nGCTA\nGTAC\nGTCA\nTACG\nTAGC\nACGA\nACGN\nACG\nACGTA", "TGCA", 1)
+	f.Add(strings.Repeat("a\nA\n", 520), "a", 0)
+	f.Add(strings.Repeat("a\nA\n", 520)+"b\nab", "A", 1)
+	f.Add(strings.Repeat("A\n", 1040)+"C\nAC", "A", 0)
+	f.Add(strings.Repeat("A\n", 1040)+"C\nAC", "C", 1)
+	f.Add("aa\nab\nac\nad\nae\naf\nag\nah\nai\naj\nak\nal\nam\nan\nao\nap\nbaa\nbab\nbac\nbad\nbae\nbaf\nbag\nbah\nbai\nbaj\nbak\nbal\nbam\nban\nbao\nbap\nbaq", "ba", 1)
 
 	f.Fuzz(func(t *testing.T, blob, q string, k int) {
-		if len(blob) > 2048 || len(q) > 320 {
+		if len(blob) > 2304 || len(q) > 320 {
 			t.Skip("cap work per input")
 		}
+		// Enough strings for one-letter ones to fill more than a group of
+		// blocks; the cap on the blob bounds the work either way.
 		data := strings.Split(blob, "\n")
-		if len(data) > 64 {
-			data = data[:64]
+		if len(data) > 1100 {
+			data = data[:1100]
 		}
 		if k < 0 {
 			k = -k

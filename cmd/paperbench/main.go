@@ -12,7 +12,7 @@
 //	paperbench -cache          # + Zipf-skewed replay through the result cache
 //	paperbench -bitparallel    # + the bit-parallel scan ablation (Table XV)
 //	paperbench -cascade        # + the filter-cascade ablation (Table XVI)
-//	paperbench -cascadecheck   # CI gate: cascade correctness + signature-stage pruning on tiny datasets
+//	paperbench -cascadecheck   # CI gate: cascade correctness + block-summary and signature-stage pruning on small datasets
 //	paperbench -distrib        # distributed serving sweep: local shard fleet, hedging on/off, slow-shard fault
 //	paperbench -router         # adaptive-router experiment (Table XVII): router vs fixed engines, mixed corpus
 //	paperbench -json OUT.json  # + machine-readable records (implies -bitparallel unless -cascade/-distrib/-router)
@@ -68,7 +68,7 @@ func main() {
 			fmt.Fprintf(os.Stderr, "paperbench: %v\n", err)
 			os.Exit(1)
 		}
-		fmt.Println("cascade check ok: results identical to the DP scan and the signature stage pruned, on both alphabets")
+		fmt.Println("cascade check ok: results identical to the DP scan, the block summaries and the signature stage pruned, on both alphabets")
 		return
 	}
 

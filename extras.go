@@ -48,12 +48,13 @@ func Clusters(data []string, k int, workers int) [][]int32 {
 
 // NewAuto returns an engine that picks automatically — since PR 9 this is
 // the cost-model adaptive router (see NewRouter) rather than a build-time
-// choice. The old static planner's rules (internal/core.Auto: scan below the
-// build-amortization size, scan for permissive thresholds, modern trie
-// otherwise) survive as the router's cold-start prior; the one rule added
-// to them sends k = 2..8 on an amortized corpus to the filter cascade where
-// the old planner chose the trie. After the first feedback the router
-// refines the choice per query from measured latencies. expectedK is no
+// choice. Two of the old static planner's rules (internal/core.Auto: scan
+// below the build-amortization size, scan for permissive thresholds) survive
+// as the router's cold-start prior; where the old planner chose the modern
+// trie, the prior sends k <= 8 on an amortized corpus to the filter cascade
+// and only what lies past it to the trie. After the first feedback the
+// router refines the choice per query from measured latencies — which is
+// how a regime reaches the trie where the trie is faster. expectedK is no
 // longer needed to bind the engine up front — each query carries its own K —
 // but remains in the signature for compatibility and is ignored.
 func NewAuto(data []string, expectedK int) Searcher {

@@ -228,3 +228,94 @@ func probeStrided(ctx context.Context, pr *Probe, data []string) int {
 	}
 	return n
 }
+
+// searchMaskedGroups is the word sweep over block summaries: the outer loop
+// walks groups of sixty-four blocks and polls once per group; a branch-free
+// loop folds the group's summary tests into a mask (no comparison work, no
+// poll needed), a group whose mask is zero is skipped after its poll, and
+// the survivors of the kept blocks are compared out of one block-sized
+// slice of a scratch array.
+func searchMaskedGroups(ctx context.Context, sums []uint64, data []string, q uint64, dist kernel) int {
+	n := 0
+	var surv [1024]int
+	for g := 0; g < len(sums); g += 64 {
+		if ctx.Err() != nil {
+			return n
+		}
+		var mask uint64
+		for j, s := range sums[g:min(g+64, len(sums))] {
+			mask |= (s & q >> 63) << j
+		}
+		if mask == 0 {
+			continue
+		}
+		m := 0
+		for j := 0; mask != 0; j, mask = j+1, mask>>1 {
+			surv[m] = (g + j) * 16
+			m += int(mask & 1)
+		}
+		for _, i := range surv[0:m] {
+			if _, ok := dist("query", data[i%len(data)], 1); ok {
+				n++
+			}
+		}
+	}
+	return n
+}
+
+// searchMaskedGroupsNoPoll has the masked-group shape and never polls: a
+// mask that skips most groups does not bound how long the rest takes.
+func searchMaskedGroupsNoPoll(ctx context.Context, sums []uint64, data []string, q uint64, dist kernel) int {
+	n := 0
+	var surv [1024]int
+	for g := 0; g < len(sums); g += 64 { // want "never polls cancellation"
+		var mask uint64
+		for j, s := range sums[g:min(g+64, len(sums))] {
+			mask |= (s & q >> 63) << j
+		}
+		if mask == 0 {
+			continue
+		}
+		m := 0
+		for j := 0; mask != 0; j, mask = j+1, mask>>1 {
+			surv[m] = (g + j) * 16
+			m += int(mask & 1)
+		}
+		for _, i := range surv[0:m] { // want "never polls cancellation"
+			if _, ok := dist("query", data[i%len(data)], 1); ok {
+				n++
+			}
+		}
+	}
+	return n
+}
+
+// searchMaskedGroupsPollAfterSkip polls only on the groups it enters — after
+// the `continue` — which is still once per group that does any comparing.
+func searchMaskedGroupsPollAfterSkip(ctx context.Context, sums []uint64, data []string, q uint64, dist kernel) int {
+	n := 0
+	var surv [1024]int
+	for g := 0; g < len(sums); g += 64 {
+		var mask uint64
+		for j, s := range sums[g:min(g+64, len(sums))] {
+			mask |= (s & q >> 63) << j
+		}
+		if mask == 0 {
+			continue
+		}
+		if ctx.Err() != nil {
+			return n
+		}
+		m := 0
+		for j := 0; mask != 0; j, mask = j+1, mask>>1 {
+			surv[m] = (g + j) * 16
+			m += int(mask & 1)
+		}
+		for _, i := range surv[0:m] {
+			if _, ok := dist("query", data[i%len(data)], 1); ok {
+				n++
+			}
+		}
+	}
+	return n
+}

@@ -135,3 +135,94 @@ func suppressedConversion(words []string) int {
 	}
 	return n
 }
+
+// slotKey is what a kernel package's build code sorts a length bucket by.
+type slotKey struct {
+	key uint64
+	id  int32
+}
+
+// cmpSlotKey is a top-level comparison function: passing it allocates
+// nothing, wherever the call sits.
+func cmpSlotKey(a, b slotKey) int {
+	if a.key != b.key {
+		if a.key < b.key {
+			return -1
+		}
+		return 1
+	}
+	return int(a.id - b.id)
+}
+
+// sortFunc stands in for slices.SortFunc.
+func sortFunc(s []slotKey, cmp func(a, b slotKey) int) {
+	for i := 1; i < len(s); i++ {
+		if cmp(s[i-1], s[i]) > 0 {
+			s[i-1], s[i] = s[i], s[i-1]
+		}
+	}
+}
+
+// sortBucketsClosure orders every length bucket with a comparator written in
+// place: the per-bucket loop is innermost, and the closure is allocated once
+// per bucket.
+func sortBucketsClosure(order []slotKey, lenStart []int) {
+	for l := 0; l+1 < len(lenStart); l++ {
+		sortFunc(order[lenStart[l]:lenStart[l+1]], func(a, b slotKey) int { // want "closure allocated inside an innermost kernel loop"
+			return int(a.key) - int(b.key)
+		})
+	}
+}
+
+// sortBucketsTopLevel is the same loop with the comparison function named:
+// build code in a kernel package sorts this way.
+func sortBucketsTopLevel(order []slotKey, lenStart []int) {
+	for l := 0; l+1 < len(lenStart); l++ {
+		sortFunc(order[lenStart[l]:lenStart[l+1]], cmpSlotKey)
+	}
+}
+
+// maskedGroups is the word sweep's shape: per group of sixty-four summary
+// blocks a branch-free loop folds the block tests into one mask, and the
+// survivors of the blocks it keeps go through the kernel out of a scratch
+// array that lives outside every loop. Nothing in it allocates.
+func maskedGroups(sums []uint64, rows [][]int, q uint64) int {
+	n := 0
+	var surv [64]int
+	for g := 0; g < len(sums); g += 64 {
+		var mask uint64
+		for j, s := range sums[g:min(g+64, len(sums))] {
+			mask |= (s & q >> 63) << j
+		}
+		if mask == 0 {
+			continue
+		}
+		m := 0
+		for j := 0; mask != 0; j, mask = j+1, mask>>1 {
+			surv[m] = g + j
+			m += int(mask & 1)
+		}
+		for _, i := range surv[0:m] {
+			n += step(rows[i%len(rows)], 'x')
+		}
+	}
+	return n
+}
+
+// maskedGroupsScratchPerGroup allocates the survivor scratch once per kept
+// block inside the loop that calls the kernel.
+func maskedGroupsScratchPerGroup(sums []uint64, rows [][]int, q uint64) int {
+	n := 0
+	for g := 0; g < len(sums); g += 64 {
+		var mask uint64
+		for j, s := range sums[g:min(g+64, len(sums))] {
+			mask |= (s & q >> 63) << j
+		}
+		for j := 0; mask != 0; j, mask = j+1, mask>>1 {
+			surv := make([]int, 1) // want "make inside an innermost kernel loop"
+			surv[0] = g + j
+			n += step(rows[surv[0]%len(rows)], 'x') * int(mask&1)
+		}
+	}
+	return n
+}

@@ -122,6 +122,7 @@ func CascadeRecords(w Workload) []Record {
 				after := cc.CascadeEngine().Stats()
 				rec.Stages = &StageCounts{
 					Candidates: after.Candidates - before.Candidates,
+					Swept:      after.Swept - before.Swept,
 					Passed:     after.Passed - before.Passed,
 					Survivors:  after.Survivors - before.Survivors,
 					Matches:    after.Matches - before.Matches,
@@ -140,10 +141,25 @@ func CascadeRecords(w Workload) []Record {
 
 // CascadeCheck is the CI smoke gate: on a tiny dataset of each alphabet —
 // one per kind of signature word — it verifies the full cascade (a) returns
-// exactly the DP scan's results and (b) actually prunes. A filter regression
-// that silently stops pruning — the cascade would stay correct but degrade
-// to verify-only speed — fails here instead of rotting unnoticed.
+// exactly the DP scan's results and (b) actually prunes, and that the
+// ablation, which switches the words off, loses no slot to the block
+// summaries either. A filter regression that silently stops pruning — the
+// cascade would stay correct but degrade to verify-only speed — fails here
+// instead of rotting unnoticed. The block summaries get a corpus of their
+// own: they pay by the order inside a length bucket, and a bucket of a
+// hundred names has little; on 20,000 city names at k = 1 they must leave
+// the sweep less than half of the window.
 func CascadeCheck() error {
+	cities := dataset.Cities(20000, 20130322)
+	eng := cascade.New(cities)
+	for _, q := range dataset.Queries(cities, 100, 1, 20130325) {
+		eng.Search(q, 1)
+	}
+	if st := eng.Stats(); st.Swept == 0 || 2*st.Swept >= st.Candidates {
+		return fmt.Errorf("cascade check blocks: the summaries let the sweep into %d of %d window slots at k=1, want fewer than half",
+			st.Swept, st.Candidates)
+	}
+
 	for _, tc := range []struct {
 		name string
 		data []string
@@ -155,10 +171,12 @@ func CascadeCheck() error {
 		oracle := core.NewSequential(tc.data)
 		var comps metrics.Counter
 		eng := core.NewCascade(tc.data, cascade.WithComparisonCounter(&comps))
+		bare := cascade.New(tc.data, cascade.WithoutFrequency())
 		for i, text := range qs {
 			q := core.Query{Text: text, K: CascadeKs[i%len(CascadeKs)]}
 			want := oracle.Search(q)
 			got := eng.Search(q)
+			bare.Search(q.Text, q.K)
 			if len(got) != len(want) {
 				return fmt.Errorf("cascade check %s: %d results, oracle %d (q=%q k=%d)",
 					tc.name, len(got), len(want), q.Text, q.K)
@@ -173,6 +191,14 @@ func CascadeCheck() error {
 		st := eng.CascadeEngine().Stats()
 		if st.Candidates == 0 {
 			return fmt.Errorf("cascade check %s: length bucket admitted no candidates", tc.name)
+		}
+		if st.Swept > st.Candidates || st.Passed > st.Swept {
+			return fmt.Errorf("cascade check %s: the funnel widens: %d window slots, %d swept, %d past the first word",
+				tc.name, st.Candidates, st.Swept, st.Passed)
+		}
+		if bs := bare.Stats(); bs.Candidates != st.Candidates || bs.Swept != bs.Candidates || bs.Survivors != bs.Candidates {
+			return fmt.Errorf("cascade check %s: without the signature stage %d of %d window slots were swept and %d verified, want all",
+				tc.name, bs.Swept, bs.Candidates, bs.Survivors)
 		}
 		if st.Survivors >= st.Candidates {
 			return fmt.Errorf("cascade check %s: signature stage pruned nothing (%d of %d candidates survived)",

@@ -44,10 +44,12 @@ type Record struct {
 }
 
 // StageCounts is the cascade survivor funnel: candidates that passed the
-// length bucket, then the first signature word, then the whole signature
-// stage (equal to verify-kernel invocations), then final matches.
+// length bucket, then those in blocks the summary words let the sweep into,
+// then the first signature word, then the whole signature stage (equal to
+// verify-kernel invocations), then final matches.
 type StageCounts struct {
 	Candidates uint64 `json:"length_survivors"`
+	Swept      uint64 `json:"block_survivors"`
 	Passed     uint64 `json:"first_word_survivors"`
 	Survivors  uint64 `json:"signature_survivors"`
 	Matches    uint64 `json:"matches"`

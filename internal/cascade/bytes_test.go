@@ -2,7 +2,6 @@ package cascade
 
 import (
 	"fmt"
-	"math/bits"
 	"strings"
 	"testing"
 
@@ -46,25 +45,27 @@ func TestKindSelection(t *testing.T) {
 	}
 }
 
-// TestNewOverSharesArena: the engine built over a caller's arena answers
-// like one that packed its own, with the caller's IDs, on either kind of word.
+// TestNewOverSharesArena: a scan engine built over the cascade's arena
+// (scan.NewOver — the router's bit-parallel arm) sweeps that very arena, in
+// the word order the cascade packed it in, and answers like the cascade and
+// like the oracle, with the data's IDs in ID order, on either kind of word.
 func TestNewOverSharesArena(t *testing.T) {
 	for name, data := range map[string][]string{
 		"cascade/bytes": append(dataset.Cities(2000, 5), "", "\xff\xfe", strings.Repeat("x", 70)),
 		"cascade/dna":   append(dataset.DNAReads(1000, 5), "", "N", strings.Repeat("ACGT", 40)),
 	} {
-		ar := scan.NewArena(data)
-		over, own := NewOver(ar), New(data)
-		if over.Name() != name || own.Name() != name || over.Len() != len(data) {
-			t.Fatalf("names %q, %q, want %q; len %d", over.Name(), own.Name(), name, over.Len())
+		own := New(data)
+		over := scan.NewOver(own.Arena(), data)
+		if own.Name() != name || over.Len() != len(data) || over.Strategy() != scan.BitParallel {
+			t.Fatalf("name %q, want %q; scan over it: len %d, rung %v", own.Name(), name, over.Len(), over.Strategy())
 		}
-		if over.words.Arena() != ar {
+		if over.Arena() != own.Arena() {
 			t.Fatalf("%s: NewOver copied the arena", name)
 		}
 		for i, q := range dataset.Queries(data, 60, 3, 6) {
 			k := i % 4
 			want := oracle(data, q, k)
-			if got := over.Search(q, k); !equal(got, want) {
+			if got := over.Search(scan.Query{Text: q, K: k}); !equal(got, want) {
 				t.Fatalf("%s: NewOver.Search(%q,%d) = %v, want %v", name, q, k, got, want)
 			}
 			if got := own.Search(q, k); !equal(got, want) {
@@ -74,31 +75,61 @@ func TestNewOverSharesArena(t *testing.T) {
 	}
 }
 
-// TestByteStatsFunnel pins the counters on both kinds of word: the signature
-// stage prunes — on reads in two steps, the second word taking away from what
-// the first let through; on city names there is one word and the two counts
-// agree — and without it every candidate of the same length windows passes
-// through to the same matches.
+// TestByteStatsFunnel pins the five counts on both kinds of word: the length
+// windows' slots (Candidates, which no filter behind the length bucket may
+// shrink: it is what every pass ratio is taken of), the slots in blocks the
+// summaries let the sweep into, the first word's survivors, the kernel calls,
+// the matches. The signature stage prunes — on reads in two steps, the second
+// word taking away from what the first let through; on city names there is
+// one word and the two counts agree — and without it every candidate of the
+// same length windows is swept and passes through to the same matches.
 func TestByteStatsFunnel(t *testing.T) {
 	for name, data := range map[string][]string{
 		"city": dataset.Cities(3000, 7), "reads": dataset.DNAReads(1500, 7),
 	} {
 		e, bare := New(data), New(data, WithoutFrequency())
+		var windows uint64 // the slots of the queries' length windows, counted from the data
 		for i, q := range dataset.Queries(data, 40, 3, 8) {
-			e.Search(q, i%4)
-			bare.Search(q, i%4)
+			k := i % 4
+			e.Search(q, k)
+			bare.Search(q, k)
+			for _, s := range data {
+				if len(s) >= len(q)-k && len(s) <= len(q)+k {
+					windows++
+				}
+			}
 		}
 		st, bs := e.Stats(), bare.Stats()
-		if st.Candidates == 0 || st.Passed >= st.Candidates || st.Survivors > st.Passed ||
+		if st.Candidates != windows {
+			t.Errorf("%s: %d candidates, but the length windows hold %d slots", name, st.Candidates, windows)
+		}
+		if st.Swept >= st.Candidates || st.Passed >= st.Swept || st.Survivors > st.Passed ||
 			st.Matches > st.Survivors || st.Matches != bs.Matches {
 			t.Errorf("%s funnel: %+v", name, st)
 		}
 		if second := name == "reads"; second != (st.Survivors < st.Passed) {
 			t.Errorf("%s: second word pruned = %v, want %v: %+v", name, !second, second, st)
 		}
-		if bs.Survivors != bs.Candidates || bs.Passed != bs.Candidates || bs.Candidates != st.Candidates {
+		if bs.Survivors != bs.Candidates || bs.Passed != bs.Candidates || bs.Swept != bs.Candidates || bs.Candidates != st.Candidates {
 			t.Errorf("%s: WithoutFrequency must pass every candidate through: %+v", name, bs)
 		}
+	}
+}
+
+// TestBlockSummaryStrength pins what the order inside a length bucket is
+// for: on 20,000 generated city names at k = 1 the summaries let the sweep
+// into at most a quarter of the window. Generated names, the order and the
+// summaries are deterministic, so the counts repeat exactly.
+func TestBlockSummaryStrength(t *testing.T) {
+	data := dataset.Cities(20000, 7)
+	e := New(data)
+	for _, q := range dataset.Queries(data, 200, 1, 8) {
+		e.Search(q, 1)
+	}
+	st := e.Stats()
+	t.Logf("%d window slots, %d swept (1/%.2f), %d past the word", st.Candidates, st.Swept, float64(st.Candidates)/float64(st.Swept), st.Passed)
+	if st.Swept == 0 || 4*st.Swept > st.Candidates {
+		t.Errorf("the summaries let the sweep into %d of %d window slots, want at most a quarter", st.Swept, st.Candidates)
 	}
 }
 
@@ -122,10 +153,10 @@ func TestByteQueryAllocations(t *testing.T) {
 					want += 1 + testing.AllocsPerRun(100, func() { edit.CompileMyers(q) })
 				}
 				if m := len(e.Search(q, k)); m > 1 {
-					// Matches in several length buckets, at most one bucket per
-					// match, are merged through one buffer and an index slice
-					// per level of the merge.
-					want += 1 + float64(bits.Len(uint(m-1)))
+					// Few matches, in word order inside a bucket, are sorted in
+					// place; long ID-ascending runs would be merged through
+					// one buffer and one slice of run starts.
+					want += 2
 				}
 				if got := testing.AllocsPerRun(100, func() { e.Search(q, k) }); got > want {
 					t.Errorf("%s: Search(%q,%d): %.0f allocations, want at most %.0f", name, q, k, got, want)
@@ -137,8 +168,10 @@ func TestByteQueryAllocations(t *testing.T) {
 
 // BenchmarkCascadeBytes sweeps 100,000 generated cities at k = 0..3 and
 // 10,000 generated reads at k = 0, 4, 8 and reports what the signature stage
-// costs per slot of the length window, how many candidates per query its
-// first word lets through and how many it leaves for the kernel.
+// costs per slot of the length window, how many block summaries a query is
+// held against (a sixteenth of the window), how many words it then reads
+// (the slots of the blocks it enters), how many candidates its first word
+// lets through and how many it leaves for the kernel.
 func BenchmarkCascadeBytes(b *testing.B) {
 	for _, c := range []struct {
 		name string
@@ -160,6 +193,8 @@ func BenchmarkCascadeBytes(b *testing.B) {
 				}
 				st := e.Stats()
 				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(st.Candidates-before.Candidates), "ns/slot")
+				b.ReportMetric(float64(st.Candidates-before.Candidates)/16/float64(b.N), "blocks/query")
+				b.ReportMetric(float64(st.Swept-before.Swept)/float64(b.N), "swept/query")
 				b.ReportMetric(float64(st.Passed-before.Passed)/float64(b.N), "first_stage/query")
 				b.ReportMetric(float64(st.Survivors-before.Survivors)/float64(b.N), "survivors/query")
 				if matches < b.N {

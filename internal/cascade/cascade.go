@@ -3,12 +3,14 @@
 // than the next and only survivors pay for the edit-distance kernel. It has
 // one layout on every corpus,
 //
-//	length bucket -> one signature word (-> a second, on reads) -> band kernel
+//	length bucket -> block summary -> one signature word (-> a second, on reads) -> band kernel
 //
-// over a scan.Arena it can share with a scan engine over the same data
-// (NewOver), so the engine itself costs 8 bytes per string: the arena's
-// slots give the length window and the bytes, the engine adds one
-// precomputed uint64 per slot. What the word holds is chosen once, at build
+// over a scan.Arena a scan engine over the same data can share (Arena), so
+// the engine itself costs 9 bytes per string: the arena's slots give the
+// length window and the bytes, the engine adds one precomputed uint64 per
+// slot and, per block of sixteen slots, two summary words that let a query
+// skip the block unread — which pays because the engine packs the arena
+// itself, every length bucket ordered by its words. What the word holds is chosen once, at build
 // time, from the arena's bytes: when every one of them is A, C, G, N or T it
 // packs the five symbol counts (the frequency-vector filter of PETER,
 // Rheinländer et al., cited in PAPER §6, read from 8 bytes), otherwise
@@ -48,7 +50,7 @@ type CompCounter = scan.CompCounter
 // concurrent Search/SearchContext calls: all per-query state lives on the
 // query's stack, and the stage counters are atomic.
 type Engine struct {
-	words *scan.Words // over an arena possibly shared with a scan engine over the same data
+	words *scan.Words // over an arena a scan engine over the same data may share
 	name  string
 
 	noFreq bool
@@ -58,7 +60,8 @@ type Engine struct {
 	// signature stage disabled every candidate passes both words, so each
 	// survivor count equals its input count and the prune rates read as zero.
 	queries    atomic.Uint64
-	candidates atomic.Uint64 // length-bucket survivors (slots visited)
+	candidates atomic.Uint64 // length-bucket survivors (slots of the windows)
+	swept      atomic.Uint64 // slots in blocks the summaries let the sweep into
 	passed     atomic.Uint64 // survivors of the first word
 	survivors  atomic.Uint64 // survivors of every word == verify-kernel invocations
 	matches    atomic.Uint64
@@ -75,18 +78,10 @@ func WithoutFrequency() Option { return func(e *Engine) { e.noFreq = true } }
 // invocations (the comparisons the cascade could not prune).
 func WithComparisonCounter(c CompCounter) Option { return func(e *Engine) { e.comps = c } }
 
-// New builds a cascade engine over data, packed into a fresh arena (see
-// NewOver): length-bucketed, IDs ascending inside each bucket.
+// New builds a cascade engine over data, packed into an arena of its own:
+// length-bucketed, each bucket ordered by its words (scan.NewWords).
 func New(data []string, opts ...Option) *Engine {
-	return NewOver(scan.NewArena(data), opts...)
-}
-
-// NewOver builds the engine over an arena the caller already holds — the
-// router passes its scan arm's — instead of packing the corpus a second
-// time: the engine then adds only its signature words, 8 bytes per string or
-// 16 over reads. Match IDs are the arena's.
-func NewOver(ar *scan.Arena, opts ...Option) *Engine {
-	e := &Engine{words: scan.NewWords(ar), name: "cascade/bytes"}
+	e := &Engine{words: scan.NewWords(data), name: "cascade/bytes"}
 	if e.words.Counts() {
 		e.name = "cascade/dna"
 	}
@@ -103,6 +98,11 @@ func NewOver(ar *scan.Arena, opts ...Option) *Engine {
 
 // Len returns the dataset size.
 func (e *Engine) Len() int { return e.words.Arena().Len() }
+
+// Arena returns the engine's arena, for a scan engine over the same data to
+// sweep bare (scan.NewOver) instead of packing the corpus a second time —
+// the router's bit-parallel arm does.
+func (e *Engine) Arena() *scan.Arena { return e.words.Arena() }
 
 // Name identifies the engine and its signature kind: "cascade/dna" (symbol
 // counts) or "cascade/bytes" (occurrence bits), plus any ablation suffix.
@@ -130,6 +130,7 @@ func (e *Engine) SearchContext(ctx context.Context, q string, k int) ([]Match, e
 	pr := scan.NewProbe(q, k)
 	ms, err := e.words.Sweep(ctx, &pr, slack, make([]Match, 0, 16))
 	e.candidates.Add(pr.Visited)
+	e.swept.Add(pr.Swept)
 	e.passed.Add(pr.Passed)
 	e.survivors.Add(pr.Kept)
 	if e.comps != nil {
@@ -150,7 +151,8 @@ type Stats struct {
 	Buckets    int // non-empty length buckets
 
 	Queries    uint64
-	Candidates uint64 // survivors of the length bucket (slots visited)
+	Candidates uint64 // survivors of the length bucket (slots of the windows)
+	Swept      uint64 // of those, the slots in blocks the summaries let the sweep into
 	Passed     uint64 // survivors of the first word; the second, where there is one, takes Survivors below it
 	Survivors  uint64 // survivors of the signature stage = verify calls
 	Matches    uint64
@@ -165,6 +167,7 @@ func (e *Engine) Stats() Stats {
 		Buckets:    ar.Buckets(),
 		Queries:    e.queries.Load(),
 		Candidates: e.candidates.Load(),
+		Swept:      e.swept.Load(),
 		Passed:     e.passed.Load(),
 		Survivors:  e.survivors.Load(),
 		Matches:    e.matches.Load(),

@@ -164,7 +164,7 @@ func TestStatsSurvivorFunnel(t *testing.T) {
 	}
 	// The funnel may only narrow: every stage's survivors are a subset of the
 	// previous stage's.
-	if st.Candidates < st.Passed || st.Passed < st.Survivors || st.Survivors < st.Matches {
+	if st.Candidates < st.Swept || st.Swept < st.Passed || st.Passed < st.Survivors || st.Survivors < st.Matches {
 		t.Errorf("survivor funnel widened: %+v", st)
 	}
 	if st.Candidates == 0 {

@@ -18,9 +18,11 @@ func (e *Engine) RegisterMetrics(reg *metrics.Registry) {
 			"candidates surviving each cascade stage, cumulative across queries",
 			func() float64 { return float64(c.Load()) }, metrics.L("stage", name))
 	}
+	// "block" is what the block summaries leave of the length window;
 	// "frequency" is the first word on either kind of corpus; "qgram" is the
 	// dinucleotide word behind it on reads and reads the same elsewhere.
 	stage("length", &e.candidates)
+	stage("block", &e.swept)
 	stage("frequency", &e.passed)
 	stage("qgram", &e.survivors)
 	stage("verify", &e.matches)

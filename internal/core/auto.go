@@ -12,8 +12,8 @@ import (
 var statsFn = dataset.Stats
 
 // BuildAmortization is the dataset size below which no index build pays for
-// itself: Auto (and the router's cold-start prior, which reuses the same
-// rules) keeps smaller datasets on the scan.
+// itself: Auto (and the router's cold-start prior, which keeps this rule)
+// keeps smaller datasets on the scan.
 const BuildAmortization = 4096
 
 // Auto picks an engine for the dataset and an expected threshold — the
@@ -33,9 +33,9 @@ const BuildAmortization = 4096
 // choice only affects speed.
 //
 // The public facade's NewAuto no longer calls this directly — it builds the
-// adaptive router (internal/router), which starts from these rules as its
-// cold-start prior and then re-fits per query. Auto remains the static
-// reference planner.
+// adaptive router (internal/router), whose cold-start prior keeps the two
+// scan rules, prefers the filter cascade to the trie through k = 8, and then
+// re-fits per query. Auto remains the static reference planner.
 func Auto(data []string, expectedK int) Searcher {
 	if expectedK <= 0 {
 		expectedK = 2

@@ -5,13 +5,13 @@ import (
 
 	"simsearch/internal/cascade"
 	"simsearch/internal/metrics"
-	"simsearch/internal/scan"
 )
 
 // Cascade wraps the filter-cascade engine (paper §6 future work assembled
-// into one serving path): length bucket, one signature word per string and
-// the band kernel over a byte arena — the word holds the five symbol counts
-// on DNA datasets and occurrence bits on everything else.
+// into one serving path): length bucket, block summaries, one signature word
+// per string and the band kernel over a byte arena ordered by those words —
+// the word holds the five symbol counts on DNA datasets and occurrence bits
+// on everything else.
 type Cascade struct {
 	eng *cascade.Engine
 }
@@ -20,12 +20,6 @@ type Cascade struct {
 // ablation variant (cascade.WithoutFrequency) and counters.
 func NewCascade(data []string, opts ...cascade.Option) *Cascade {
 	return &Cascade{eng: cascade.New(data, opts...)}
-}
-
-// NewCascadeOver builds the cascade over an arena another engine already
-// holds (see cascade.NewOver); match IDs are the arena's.
-func NewCascadeOver(ar *scan.Arena, opts ...cascade.Option) *Cascade {
-	return &Cascade{eng: cascade.NewOver(ar, opts...)}
 }
 
 // Search implements Searcher.

@@ -7,6 +7,7 @@ import (
 	"simsearch/internal/core"
 	"simsearch/internal/dataset"
 	"simsearch/internal/pool"
+	"simsearch/internal/router"
 	"simsearch/internal/scan"
 )
 
@@ -224,5 +225,45 @@ func TestShardedVerifies(t *testing.T) {
 		scan.WithSortByLength())})
 	if err := core.Verify(ex, core.Reference(data), queriesFor(data, 20, []int{0, 1, 2, 3}, 21)); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestShardOutputIsIDSorted: merge concatenates shard results and mergeByID
+// (like the coordinator's merge) folds them pairwise, and both take each
+// shard's list to be ID-ascending already. The engines over word-ordered
+// arenas — the cascade, and the router's scan arm over the cascade's arena —
+// emit matches in word order inside and restore ID order themselves
+// (scan.MergeRuns) before a shard returns; nothing downstream sorts.
+func TestShardOutputIsIDSorted(t *testing.T) {
+	var data []string
+	for i, s := range dataset.Cities(1500, 5) {
+		data = append(data, s)
+		if i%3 == 0 { // duplicates in one shard: equal words, ID tie-break
+			data = append(data, s, s)
+		}
+	}
+	qs := queriesFor(data, 40, []int{0, 1, 2, 3}, 43)
+	for name, f := range map[string]Factory{
+		"cascade": CascadeFactory(), "bitparallel": BitParallelFactory(),
+		"router": RouterFactory(router.WithExploreEvery(1)),
+	} {
+		ex := New(data, Options{Shards: 3, Factory: f})
+		pairs := 0                        // adjacent matches compared
+		for pass := 0; pass < 3; pass++ { // the router's forced explore arm cycles through its engines
+			for _, q := range qs {
+				for i, eng := range ex.ShardEngines() {
+					ms := eng.Search(q)
+					for j := 1; j < len(ms); j++ {
+						pairs++
+						if ms[j].ID <= ms[j-1].ID {
+							t.Fatalf("%s shard %d: Search(%+v) is not ID-ascending: %v", name, i, q, ms)
+						}
+					}
+				}
+			}
+		}
+		if pairs < 100 {
+			t.Fatalf("%s: only %d adjacent matches compared; the test checks nothing", name, pairs)
+		}
 	}
 }

@@ -43,8 +43,8 @@ func TestRouterFactoryByteIdentical(t *testing.T) {
 }
 
 // TestRouterFactoryPerShardEligibility: every shard's router holds the
-// cascade arm, whatever the corpus — packed over a pure-DNA shard, over the
-// shard's own scan arena otherwise.
+// cascade arm, whatever the corpus — count words over a pure-DNA shard,
+// occurrence bits otherwise, over an arena the shard's scan arm shares.
 func TestRouterFactoryPerShardEligibility(t *testing.T) {
 	check := func(data []string) {
 		t.Helper()

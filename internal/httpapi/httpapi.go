@@ -704,10 +704,13 @@ type CascadeStatsJSON struct {
 	Buckets    int    `json:"buckets"`
 	Queries    uint64 `json:"queries"`
 	// The survivor funnel, in stage order; each stage's input is the
-	// previous stage's survivors. Passed counts the first signature word's
-	// survivors; Survivors, those of the second word too where the corpus
-	// has one, equals the verify-kernel invocations.
+	// previous stage's survivors. Candidates counts the slots of the length
+	// windows; Swept, those in blocks whose summary words let the sweep in;
+	// Passed, the first signature word's survivors; Survivors, those of the
+	// second word too where the corpus has one, equals the verify-kernel
+	// invocations.
 	Candidates uint64 `json:"candidates"`
+	Swept      uint64 `json:"swept"`
 	Passed     uint64 `json:"passed"`
 	Survivors  uint64 `json:"survivors"`
 	Matches    uint64 `json:"matches"`
@@ -786,7 +789,7 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		st := cc.CascadeEngine().Stats()
 		resp.Cascade = &CascadeStatsJSON{
 			ArenaBytes: st.ArenaBytes, Buckets: st.Buckets,
-			Queries: st.Queries, Candidates: st.Candidates, Passed: st.Passed,
+			Queries: st.Queries, Candidates: st.Candidates, Swept: st.Swept, Passed: st.Passed,
 			Survivors: st.Survivors, Matches: st.Matches,
 		}
 	}

@@ -153,9 +153,15 @@ func TestStatsEndpoint(t *testing.T) {
 }
 
 func TestStatsCascadeSection(t *testing.T) {
-	// Five strings in the length window of ACGT at k = 1; TTTT and GGGG fall
-	// to the symbol counts, the anagram TGCA only to the dinucleotide counts.
+	// Thirty-two strings in the length window of ACGT at k = 1, in two blocks
+	// of sixteen once the bucket is ordered by its count words (T counts
+	// most): the second holds nothing but TTTT and falls to its summary
+	// unread; in the first, TTTT and GGGG fall to the symbol counts, the
+	// anagram TGCA only to the dinucleotide counts.
 	dna := []string{"ACGT", "ACGA", "TTTT", "ACGTACGT", "GGGG", "TGCA"}
+	for len(dna) < 6+27 {
+		dna = append(dna, "TTTT")
+	}
 	eng := core.NewCascade(dna)
 	srv := New(eng, dna)
 	ts := httptest.NewServer(srv)
@@ -176,8 +182,8 @@ func TestStatsCascadeSection(t *testing.T) {
 	if resp.Engine != "cascade/dna" || cs.Queries != 1 || cs.ArenaBytes <= 0 || cs.Buckets <= 0 {
 		t.Errorf("engine %q, cascade stats = %+v", resp.Engine, cs)
 	}
-	if cs.Candidates != 5 || cs.Passed != 3 || cs.Survivors != 2 || cs.Matches != 2 {
-		t.Errorf("cascade survivor funnel = %+v, want 5 > 3 > 2 = 2", cs)
+	if cs.Candidates != 32 || cs.Swept != 16 || cs.Passed != 3 || cs.Survivors != 2 || cs.Matches != 2 {
+		t.Errorf("cascade survivor funnel = %+v, want 32 > 16 > 3 > 2 = 2", cs)
 	}
 
 	// The per-stage survivors must also be scrapeable on /metrics.
@@ -193,7 +199,8 @@ func TestStatsCascadeSection(t *testing.T) {
 	body := sb.String()
 	for _, want := range []string{
 		"simsearch_cascade_queries_total",
-		`simsearch_cascade_stage_survivors_total{stage="length"} 5`,
+		`simsearch_cascade_stage_survivors_total{stage="length"} 32`,
+		`simsearch_cascade_stage_survivors_total{stage="block"} 16`,
 		`simsearch_cascade_stage_survivors_total{stage="frequency"} 3`,
 		`simsearch_cascade_stage_survivors_total{stage="qgram"} 2`,
 		`simsearch_cascade_stage_survivors_total{stage="verify"} 2`,

@@ -41,6 +41,26 @@ func FuzzLiveIdentical(f *testing.F) {
 	f.Add([]byte("AAAAAAAAAAAAAAAAAAAAAAAACGT\nAAAAAAAAAAAAAAAAAAAACGTAAAA\nAACCGGTT\nACGTACGT\nANCNGNTN\n\nA\nAC"),
 		[]byte{0, 0, 0, 1, 0, 2, 0, 3, 3, 0, 0, 4, 0, 5, 0, 6, 0, 7, 3, 0, 2, 3, 5, 3, 2, 0, 5, 1, 4, 0, 2, 3, 5, 2, 2, 5, 2, 6, 5, 7, 1, 2, 2, 3}, uint8(4), true)
 	f.Add([]byte("AACCGGTT\nACGTACGT\nTTGGCCAA\nACGTACGA"), []byte{0, 0, 0, 1, 0, 2, 3, 0, 0, 3, 2, 1, 5, 1, 4, 0, 2, 1, 2, 0}, uint8(1), true)
+	// The order inside a segment's length buckets and its block summaries,
+	// rebuilt on every flush, compaction and reopen. An anagram-heavy bucket
+	// (one word, many strings) with near anagrams beside it, flushed six at
+	// a time so the anagrams are spread over segments and merged back by the
+	// compactions the segment limit forces.
+	anagrams := "abcd\nabdc\nacbd\nacdb\nadbc\nadcb\nbacd\nbadc\nbcad\nbcda\nbdac\nbdca\ncabd\ncadb\ncbad\ncbda\ncdab\ncdba\nabce\nabcc\nabc\nabcde"
+	inserts := func(n int, tail ...byte) (script []byte) {
+		for i := 0; i < n; i++ {
+			script = append(script, 0, byte(i))
+		}
+		return append(script, tail...)
+	}
+	f.Add([]byte(anagrams), inserts(22, 2, 0, 2, 5, 5, 9, 1, 3, 2, 3, 4, 0, 2, 17, 5, 20, 2, 21), uint8(2), true)
+	f.Add([]byte(anagrams), inserts(22, 2, 4, 4, 0, 2, 4, 1, 4, 2, 4), uint8(0), false)
+	// All-ACGNT segments beside mixed ones, more than a flush of each: the
+	// reads' anagram bucket in count words, the names' in occurrence bits,
+	// and after compaction one segment of occurrence bits over both.
+	reads := "ACGT\nACTG\nAGCT\nAGTC\nATCG\nATGC\nCAGT\nCATG\nCGAT\nCGTA\nCTAG\nCTGA\nACGN\nACG"
+	f.Add([]byte(reads+"\n"+anagrams), inserts(36, 2, 0, 2, 14, 5, 3, 5, 20, 4, 0, 2, 7, 2, 30, 1, 0, 2, 0, 2, 1), uint8(1), true)
+	f.Add([]byte(reads), inserts(14, 2, 0, 5, 6, 2, 12, 4, 0, 2, 13, 5, 13), uint8(2), true)
 
 	f.Fuzz(func(t *testing.T, blob []byte, script []byte, kb uint8, persist bool) {
 		universe := strings.Split(string(blob), "\n")

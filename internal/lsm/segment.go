@@ -31,10 +31,11 @@ type segment struct {
 	// and serialization never need the store's dictionary.
 	dead     []int32
 	deadStrs []string
-	// words holds the arena of strs and one signature word per slot, the
-	// kind chosen from this segment's own bytes. Derived data: segment
-	// files and the WAL hold records only, and every newSegment — flush,
-	// compaction, recovery — computes the words again.
+	// words holds the arena of strs — every length bucket ordered by its
+	// words — one signature word per slot and the block summaries over
+	// them, the kind chosen from this segment's own bytes. Derived data:
+	// segment files and the WAL hold records only, and every newSegment —
+	// flush, compaction, recovery — packs and computes them again.
 	words *scan.Words
 }
 
@@ -50,7 +51,7 @@ func newSegment(gen, maxSeq uint64, recs []record) *segment {
 			seg.deadStrs = append(seg.deadStrs, r.s)
 		}
 	}
-	seg.words = scan.NewWords(scan.NewArena(seg.strs))
+	seg.words = scan.NewWords(seg.strs)
 	return seg
 }
 

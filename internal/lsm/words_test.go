@@ -308,3 +308,100 @@ func TestGramSlabFollowsSegmentBytes(t *testing.T) {
 		})
 	}
 }
+
+// TestWordOrderIsDerivedData: the order inside a segment's length buckets and
+// the block summaries over it are rebuilt, never persisted. After a flush, a
+// second flush, a compaction and a reopen every segment's arena is in word
+// order and its words and summaries match a recomputation from its bytes
+// (scan.Words.Verify), on a city store, a read store and one that holds a
+// segment of each — while searches run against the store from other
+// goroutines, which under -race is the check that a segment is complete
+// before a reader can reach it.
+func TestWordOrderIsDerivedData(t *testing.T) {
+	cities, reads := dedupe(dataset.Cities(900, 26)), dedupe(dnaUniverse(400, 14)) // short reads: the oracle is a full DP
+	for _, tc := range []struct {
+		name          string
+		first, second []string
+	}{
+		{"cities", cities[:500], cities[500:800]},
+		{"reads", reads[:250], reads[250:400]},
+		{"reads beside cities", reads[:250], cities[:300]},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			st, err := Open(Options{Dir: dir, FlushLimit: 1 << 20, MaxSegments: 100})
+			if err != nil {
+				t.Fatalf("Open: %v", err)
+			}
+			defer func() { st.Close() }()
+			m := newModel(nil)
+			queries := []string{tc.first[0], tc.first[7], tc.second[3], tc.first[1][1:] + "x"}
+
+			stop, done := make(chan struct{}), make(chan struct{})
+			searchers := func() {
+				for g := 0; g < 2; g++ {
+					go func(g int) {
+						defer func() { done <- struct{}{} }()
+						for i := g; ; i++ {
+							select {
+							case <-stop:
+								return
+							default:
+							}
+							q := core.Query{Text: queries[i%len(queries)], K: i % 3}
+							checkInvariants(t, st, q, st.Search(q))
+						}
+					}(g)
+				}
+			}
+			quiesce := func() {
+				close(stop)
+				<-done
+				<-done
+				stop = make(chan struct{})
+			}
+			check := func(stage string, segments int) {
+				t.Helper()
+				quiesce() // checkAll compares with the model, which the writer below owns
+				st.mu.RLock()
+				segs := st.segs
+				st.mu.RUnlock()
+				if len(segs) != segments {
+					t.Fatalf("%s: %d segments, want %d", stage, len(segs), segments)
+				}
+				for i, seg := range segs {
+					if err := seg.words.Verify(); err != nil {
+						t.Fatalf("%s, segment %d: %v", stage, i, err)
+					}
+					if seg.words.Arena().Len() != len(seg.ids) {
+						t.Fatalf("%s, segment %d: %d slots for %d live records", stage, i, seg.words.Arena().Len(), len(seg.ids))
+					}
+				}
+				for k := 0; k <= 2; k++ {
+					checkAll(t, st, m, queries, k)
+				}
+				searchers()
+			}
+			searchers()
+			apply(t, st, m, append(plus(tc.first), "F")...)
+			check("flush", 1)
+			apply(t, st, m, append(plus(tc.second), "-"+tc.first[7], "F")...)
+			check("second flush", 2)
+			if mixed := tc.name == "reads beside cities"; mixed != (st.segs[0].words.Counts() != st.segs[1].words.Counts()) {
+				t.Fatalf("segment kinds: %v, %v", st.segs[0].words.Counts(), st.segs[1].words.Counts())
+			}
+			apply(t, st, m, "C")
+			check("compaction", 1)
+			quiesce()
+			if err := st.Close(); err != nil {
+				t.Fatalf("Close: %v", err)
+			}
+			if st, err = Open(Options{Dir: dir}); err != nil {
+				t.Fatalf("reopen: %v", err)
+			}
+			searchers()
+			check("reopen", 1)
+			quiesce()
+		})
+	}
+}

@@ -5,11 +5,15 @@
 // The paper's core finding is that scan-vs-index dominance flips with string
 // length, threshold k, and alphabet. core.Auto froze that finding into a
 // build-time heuristic — one engine for the whole dataset, chosen before the
-// first query arrives. The router keeps the same rules as a cold-start prior
-// but refines them online. Its arms are the bit-parallel scan, the pruned
-// trie and the filter cascade, on every corpus: the cascade is a signature
-// slab over the scan arm's own arena (8 or 16 bytes per string, not a second
-// copy of the corpus). The BK-tree was an arm until it had won no cell of
+// first query arrives. The router's cold-start prior keeps core.Auto's two
+// scan rules (a corpus too small to amortize a build, a threshold too
+// permissive to prune) and departs from its third: where core.Auto chose the
+// trie, the prior chooses the filter cascade through k = 8 and the trie past
+// it, and the router refines either online. Its arms are the bit-parallel
+// scan, the pruned trie and the filter cascade, on every corpus: the cascade
+// packs the one arena, every length bucket ordered by its signature words,
+// and the scan arm sweeps that arena bare (9 or 17 bytes per string between
+// them beyond the corpus's own, not a second copy of it). The BK-tree was an arm until it had won no cell of
 // Table XVII or of either benchmark corpus while costing most of the set-up;
 // it stays in the tree as a fixed baseline (core.NewBKTree).
 // Routing: every query is bucketed into a regime over
@@ -36,7 +40,6 @@ import (
 	"time"
 
 	"simsearch/internal/core"
-	"simsearch/internal/scan"
 	"simsearch/internal/trie"
 )
 
@@ -338,14 +341,16 @@ func (e *Engine) predicted(id engineID, r int, q core.Query) float64 {
 	return e.prior(id, q)
 }
 
-// prior is the cold-start cost model: core.Auto's static rules turned into
-// comparable per-engine estimates, anchored on the scan's cost (a fixed
-// per-query overhead plus linear work over the length-window candidates).
-// The multipliers encode the old planner's decisions — tiny datasets and
-// permissive thresholds prefer the scan, amortized datasets prefer the
-// modern trie — plus the measured cascade wins over the bit-parallel rung
-// (EXPERIMENTS.md "Figure 7 revisited (2)"): 10-15x at k = 1..3 and 3-10x at
-// k = 4..6 on city names and on reads alike, 1.7x at k = 8.
+// prior is the cold-start cost model: per-engine estimates anchored on the
+// scan's cost (a fixed per-query overhead plus linear work over the
+// length-window candidates). The multipliers keep core.Auto's rules where no
+// filter applies — tiny datasets and permissive thresholds prefer the scan,
+// an amortized dataset past the cascade's window prefers the modern trie —
+// and inside the window (k <= 8, k at most half the average length) put the
+// cascade first at every k: the measured wins over the bit-parallel rung
+// are 10-15x at k = 1..3 and 3-10x at k = 4..6 on city names and on reads
+// alike, 1.7x at k = 8 (EXPERIMENTS.md "Figure 7 revisited (2)"), and over
+// the trie 2x or more from k = 0 up ("Figure 7 revisited (4)").
 // Absolute values only matter relative to each other; feedback replaces
 // them after the first real sample per cell.
 func (e *Engine) prior(id engineID, q core.Query) float64 {
@@ -379,10 +384,15 @@ func (e *Engine) prior(id engineID, q core.Query) float64 {
 	case engCascade:
 		// The signature word beats the scan through k = 8 on both kinds of
 		// corpus and is slack by k = 12 (0.9x on city names), so the window
-		// ends with the k = 4..8 bucket. At k <= 1 the trie's lower prior
-		// still takes the cold start; feedback decides from there.
+		// ends with the k = 4..8 bucket. Inside it the prior sits below the
+		// trie's at every k: over buckets ordered by their words the sweep
+		// skips most of a window at k <= 1 (1.5 and 7 us against the trie's
+		// 7 and 39 on 100,000 city names; 5 against 52 on reads at k = 0), so
+		// the cold start is the sweep, and feedback moves a regime to the
+		// trie where the trie measures faster instead of having to find its
+		// way off it.
 		if q.K <= 8 && e.n >= buildAmortization && float64(q.K) <= 0.5*e.avgLen {
-			return scanNs / 4
+			return scanNs / 32
 		}
 		return scanNs
 	}
@@ -530,15 +540,17 @@ func (e *Engine) engine(id engineID) core.Searcher {
 	e.once[id].Do(func() {
 		switch id {
 		case engBitParallel:
+			// Sweep the cascade arm's arena bare instead of packing the corpus
+			// again: the cascade packs, because the order inside a length
+			// bucket is its words' and an arena is never reordered once built.
 			// Serial on purpose: parallelism comes from the sharded executor
 			// or the caller's batch runner, same as the exec factories.
-			e.engines[id] = core.NewSequential(e.data, scan.WithStrategy(scan.BitParallel))
+			casc := e.engine(engCascade).(*core.Cascade)
+			e.engines[id] = core.NewSequentialOver(casc.CascadeEngine().Arena(), e.data)
 		case engTrie:
 			e.engines[id] = core.NewTrie(e.data, true, trie.WithModernPruning())
 		case engCascade:
-			// Index the scan arm's arena instead of packing the corpus again.
-			seq := e.engine(engBitParallel).(*core.Sequential)
-			e.engines[id] = core.NewCascadeOver(seq.ScanEngine().Arena())
+			e.engines[id] = core.NewCascade(e.data)
 		}
 		e.built[id].Store(true)
 	})
@@ -675,8 +687,9 @@ func (e *Engine) Len() int { return e.n }
 
 // Preferred returns the engine name the cost model would route q to right
 // now, without routing anything: no counter bump, no explore slot, no lazy
-// build. Before any feedback this is exactly the cold-start prior — the old
-// core.Auto decision (facade tests pin that equivalence).
+// build. Before any feedback this is exactly the cold-start prior (facade
+// tests pin it: core.Auto's scan rules, the cascade through k = 8, the trie
+// past it).
 func (e *Engine) Preferred(q core.Query) string {
 	return engineNames[e.preferred(e.regime(q), q)]
 }

@@ -51,28 +51,28 @@ func TestSelectivityWindow(t *testing.T) {
 	}
 }
 
-// TestColdStartPrior pins the prior to core.Auto's decisions plus the
-// cascade rule (k <= 8 on an amortized corpus, whichever signature the data
-// selects, unless k is permissive for the corpus): before any feedback the
-// router must prefer exactly this.
+// TestColdStartPrior pins the prior: core.Auto's two scan rules, and on an
+// amortized corpus the cascade from k = 0 through k = 8 (whichever signature
+// the data selects, unless k is permissive for the corpus) with the trie
+// past it: before any feedback the router must prefer exactly this.
 func TestColdStartPrior(t *testing.T) {
 	small := dataset.Cities(100, 1)
 	if got := New(small).Preferred(core.Query{Text: "berlin", K: 2}); got != "bitparallel" {
 		t.Errorf("small dataset prior = %s, want bitparallel (core.Auto's sub-amortization rule)", got)
 	}
 
-	// k <= 1 stays on the trie (core.Auto's index rule), k = 2..8 go to the
-	// cascade where k is at most half the average length — city names are
-	// about 11 bytes, so there the window ends at k = 5 — and permissive k
-	// falls back to the scan (core.Auto's pruning-defeat rule).
+	// k = 0..8 go to the cascade where k is at most half the average length
+	// — city names are about 11 bytes, so there the window ends at k = 5 —
+	// the trie takes what lies past the window (core.Auto's index rule) and
+	// permissive k falls back to the scan (core.Auto's pruning-defeat rule).
 	for name, c := range map[string]struct {
 		data []string
 		want map[int]string
 	}{
 		"city": {dataset.Cities(core.BuildAmortization, 1),
-			map[int]string{0: "trie", 1: "trie", 2: "cascade", 3: "cascade", 4: "cascade", 5: "cascade", 8: "bitparallel", 200: "bitparallel"}},
+			map[int]string{0: "cascade", 1: "cascade", 2: "cascade", 3: "cascade", 4: "cascade", 5: "cascade", 8: "bitparallel", 200: "bitparallel"}},
 		"DNA": {dataset.DNAReads(core.BuildAmortization, 2),
-			map[int]string{0: "trie", 1: "trie", 2: "cascade", 3: "cascade", 4: "cascade", 8: "cascade", 9: "trie", 200: "bitparallel"}},
+			map[int]string{0: "cascade", 1: "cascade", 2: "cascade", 3: "cascade", 4: "cascade", 8: "cascade", 9: "trie", 200: "bitparallel"}},
 	} {
 		e := New(c.data)
 		for k, w := range c.want {
@@ -83,8 +83,10 @@ func TestColdStartPrior(t *testing.T) {
 	}
 }
 
-// TestCascadeArmBackends pins the cascade arm of each corpus: one layout over
-// the scan arm's own arena, the signature kind chosen by the data.
+// TestCascadeArmBackends pins the cascade arm of each corpus — one layout,
+// the signature kind chosen by the data — and the build order: the cascade
+// packs the arena and needs no other arm; the scan arm sweeps the cascade's
+// arena and so builds the cascade first.
 func TestCascadeArmBackends(t *testing.T) {
 	for want, data := range map[string][]string{
 		"cascade/dna":   dataset.DNAReads(200, 2),
@@ -94,8 +96,16 @@ func TestCascadeArmBackends(t *testing.T) {
 		if got := e.engine(engCascade).Name(); got != want {
 			t.Errorf("cascade arm = %s, want %s", got, want)
 		}
-		if !e.built[engBitParallel].Load() {
-			t.Errorf("%s arm built without the scan arm whose arena it indexes", want)
+		if e.built[engBitParallel].Load() || e.built[engTrie].Load() {
+			t.Errorf("%s arm built another arm with it", want)
+		}
+		e = New(data)
+		scanArm := e.engine(engBitParallel).(*core.Sequential)
+		if !e.built[engCascade].Load() {
+			t.Fatalf("%s: scan arm built without the cascade arm whose arena it sweeps", want)
+		}
+		if scanArm.ScanEngine().Arena() != e.engine(engCascade).(*core.Cascade).CascadeEngine().Arena() {
+			t.Errorf("%s: the scan arm packed an arena of its own", want)
 		}
 	}
 }
@@ -110,17 +120,30 @@ func heapInUse() uint64 {
 }
 
 // cascadeArmSharesArena: the router's cascade arm answers byte-for-byte like
-// a standalone cascade, and building it grows the heap by its signature slab
-// alone (wordBytes per string: 8, or 16 for the two words of a read) because
-// the arena is the scan arm's, not a copy.
+// a standalone cascade; building it costs the arena and wordBytes per string
+// beside it (8, or 16 for the two words of a read, and one more for the block
+// summaries), with nothing kept of the sort that ordered it; and building
+// the scan arm after it grows the heap by no more than an engine header,
+// because the arena is the cascade arm's, not a copy.
 func cascadeArmSharesArena(t *testing.T, data []string, wordBytes float64) {
 	e := New(data, WithExploreEvery(1))
-	e.engine(engBitParallel)
+	var corpus int
+	for _, s := range data {
+		corpus += len(s)
+	}
 	before := heapInUse()
 	arm := e.engine(engCascade)
 	grown := int64(heapInUse()) - int64(before)
-	if perString := float64(grown) / float64(len(data)); perString >= wordBytes+2 {
-		t.Errorf("building the cascade arm grew the heap by %.1f B/string (%d B), want < %.0f: the arena must be shared", perString, grown, wordBytes+2)
+	// 4 B/string of slot IDs in the arena, and 2 of slack for the bucket tables.
+	if perString := float64(grown-int64(corpus)) / float64(len(data)); perString >= wordBytes+1+4+2 {
+		t.Errorf("building the cascade arm grew the heap by %.1f B/string beyond the corpus (%d B), want < %.0f: build scratch must not be kept",
+			perString, grown, wordBytes+1+4+2)
+	}
+	before = heapInUse()
+	scanArm := e.engine(engBitParallel)
+	grown = int64(heapInUse()) - int64(before)
+	if perString := float64(grown) / float64(len(data)); perString >= 1 {
+		t.Errorf("building the scan arm grew the heap by %.1f B/string (%d B), want < 1: the arena must be shared", perString, grown)
 	}
 	own := core.NewCascade(data)
 	for i, text := range dataset.Queries(data, 80, 3, 19) {
@@ -129,11 +152,15 @@ func cascadeArmSharesArena(t *testing.T, data []string, wordBytes float64) {
 		if got := arm.Search(q); !core.Equal(got, want) {
 			t.Fatalf("cascade arm Search(%+v) = %v, standalone cascade %v", q, got, want)
 		}
+		if got := scanArm.Search(q); !core.Equal(got, want) {
+			t.Fatalf("scan arm Search(%+v) = %v, standalone cascade %v", q, got, want)
+		}
 		if got := e.Search(q); !core.Equal(got, want) { // whichever arm the forced explore lands on
 			t.Fatalf("router Search(%+v) = %v, standalone cascade %v", q, got, want)
 		}
 	}
 	runtime.KeepAlive(arm)
+	runtime.KeepAlive(scanArm)
 }
 
 func TestCityCascadeArmSharesArena(t *testing.T) {
@@ -142,6 +169,45 @@ func TestCityCascadeArmSharesArena(t *testing.T) {
 
 func TestDNACascadeArmSharesArena(t *testing.T) {
 	cascadeArmSharesArena(t, dataset.DNAReads(10000, 18), 16)
+}
+
+// TestLazyArmsUnderConcurrentQueries: the first queries of a router arrive
+// together, from many goroutines, and build the arms between them — the scan
+// arm over the arena the cascade arm packs, whichever is asked for first.
+// Every answer is the oracle's; under -race this is the gate on an arena
+// being fixed before anyone else can see it.
+func TestLazyArmsUnderConcurrentQueries(t *testing.T) {
+	data := append(dataset.Cities(600, 5), dataset.DNAReads(40, 5)...)
+	oracle := core.Reference(data)
+	queries := []core.Query{
+		{Text: data[0], K: 0}, {Text: data[1], K: 1}, {Text: "berlin", K: 2}, {Text: data[610], K: 3}, {Text: "", K: 1},
+	}
+	want := make([][]core.Match, len(queries))
+	for i, q := range queries {
+		want[i] = oracle.Search(q)
+	}
+	for round := 0; round < 4; round++ {
+		e := New(data, WithExploreEvery(1)) // every query explores: all three arms are asked for at once
+		var wg sync.WaitGroup
+		for g := 0; g < 8; g++ {
+			wg.Add(1)
+			go func(g int) {
+				defer wg.Done()
+				for i := 0; i < 12; i++ {
+					j := (g + i) % len(queries)
+					if got := e.Search(queries[j]); !core.Equal(got, want[j]) {
+						t.Errorf("round %d: Search(%+v) = %v, want %v", round, queries[j], got, want[j])
+						return
+					}
+				}
+			}(g)
+		}
+		wg.Wait()
+		scanArm, casc := e.engine(engBitParallel).(*core.Sequential), e.engine(engCascade).(*core.Cascade)
+		if scanArm.ScanEngine().Arena() != casc.CascadeEngine().Arena() {
+			t.Fatalf("round %d: the arms ended up over two arenas", round)
+		}
+	}
 }
 
 // TestRoutingIdenticalAcrossArms proves routing is a pure speed decision:
@@ -185,27 +251,29 @@ func TestRoutingIdenticalAcrossArms(t *testing.T) {
 }
 
 // TestFeedbackFlipsPreferred proves the online re-fit: planting measured
-// floors that contradict the prior must flip the routed engine.
+// floors that contradict the prior must flip the routed engine — here off
+// the cascade, which the prior starts every k <= 8 regime on, to the trie,
+// the direction the prior leaves to feedback.
 func TestFeedbackFlipsPreferred(t *testing.T) {
 	data := dataset.Cities(core.BuildAmortization, 1)
 	e := New(data)
-	q := core.Query{Text: "berlin", K: 2}
+	q := core.Query{Text: "berlin", K: 1}
 	r := e.regime(q)
 	if got := e.preferred(r, q); got != engCascade {
 		t.Fatalf("cold preference = %v, want cascade", engineNames[got])
 	}
-	// Feedback says the cascade and the trie are slow here, the bare scan —
-	// the prior's most expensive arm — fast. (Every arm needs a sample: an
-	// unsampled engine keeps its optimistic prior, and discovering such
-	// engines is exactly what the explore arm is for.)
+	// Feedback says the cascade and the bare scan are slow here, the trie
+	// fast. (Every arm needs a sample: an unsampled engine keeps its
+	// optimistic prior, and discovering such engines is exactly what the
+	// explore arm is for.)
 	e.observe(decision{id: engCascade, regime: r}, 800*time.Microsecond)
-	e.observe(decision{id: engTrie, regime: r}, 900*time.Microsecond)
-	e.observe(decision{id: engBitParallel, regime: r}, 30*time.Microsecond)
-	if got := e.preferred(r, q); got != engBitParallel {
-		t.Fatalf("preference after feedback = %v, want bitparallel", engineNames[got])
+	e.observe(decision{id: engBitParallel, regime: r}, 900*time.Microsecond)
+	e.observe(decision{id: engTrie, regime: r}, 30*time.Microsecond)
+	if got := e.preferred(r, q); got != engTrie {
+		t.Fatalf("preference after feedback = %v, want trie", engineNames[got])
 	}
-	if got := e.Preferred(q); got != "bitparallel" {
-		t.Fatalf("Preferred(q) = %q, want bitparallel", got)
+	if got := e.Preferred(q); got != "trie" {
+		t.Fatalf("Preferred(q) = %q, want trie", got)
 	}
 }
 

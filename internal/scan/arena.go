@@ -9,21 +9,28 @@
 package scan
 
 import (
+	"cmp"
 	"fmt"
 	"math"
+	"slices"
 )
 
 // Arena is the packed, length-bucketed dataset layout: immutable once built.
 // The frozen BitParallel rung sweeps it bare (scanArenaSlots); the cascade
 // (internal/cascade) and the live store's segments (internal/lsm) sweep it
 // through one signature word per slot (Words). Match IDs are indices into
-// the NewArena input.
+// the input it was packed from.
 //
-// Slots are ordered by (length, ID): a counting sort by length over the
-// ID-ordered input places equal-length strings in ascending ID order, so
-// every length bucket emits ID-sorted matches by construction. Inside a
-// bucket every slot has the same stride, so no per-slot offset is stored:
-// slot s of length l holds buf[lenOff[l]+(s-lenStart[l])*l:][:l].
+// Slots are ordered by length first: a counting sort places every length
+// bucket in one slot range, and inside a bucket every slot has the same
+// stride, so no per-slot offset is stored: slot s of length l holds
+// buf[lenOff[l]+(s-lenStart[l])*l:][:l]. Inside a bucket the order is the
+// packer's, fixed when the arena is built and never changed after: NewArena
+// keeps ascending ID, so every bucket emits ID-sorted matches by
+// construction; NewWords orders a bucket by a key of the slot's word, so
+// that slots a query's word rules out sit together and are skipped a block
+// at a time. Every consumer reads a match's ID off ids and restores ID order
+// with mergeRuns, so the order inside a bucket decides speed alone.
 type Arena struct {
 	buf []byte
 	ids []int32 // slot -> original dataset ID
@@ -35,11 +42,13 @@ type Arena struct {
 	maxLen   int
 }
 
-// NewArena packs data; the strings are copied, so the caller may discard the
-// slice afterwards. Offsets are int32 (half the footprint of int64 on the hot
-// path); datasets beyond 2 GiB of string bytes are out of scope for the
-// in-memory engine and rejected loudly rather than corrupted silently.
-func NewArena(data []string) *Arena {
+// newLayout sizes an arena for data and lays out its length buckets
+// (histogram, prefix sums); no string is placed yet. The strings will be
+// copied, so the caller may discard the slice afterwards. Offsets are int32
+// (half the footprint of int64 on the hot path); datasets beyond 2 GiB of
+// string bytes are out of scope for the in-memory engine and rejected loudly
+// rather than corrupted silently.
+func newLayout(data []string) *Arena {
 	total := 0
 	maxLen := 0
 	for _, s := range data {
@@ -58,8 +67,6 @@ func NewArena(data []string) *Arena {
 		lenOff:   make([]int32, maxLen+1),
 		maxLen:   maxLen,
 	}
-	// Counting sort by length: histogram, prefix sums, then a stable
-	// ID-order placement pass.
 	counts := make([]int32, maxLen+1)
 	for _, s := range data {
 		counts[len(s)]++
@@ -71,13 +78,30 @@ func NewArena(data []string) *Arena {
 		off += counts[l] * int32(l)
 	}
 	a.lenStart[maxLen+1] = slot
-	next := make([]int32, maxLen+1)
-	copy(next, a.lenStart[:maxLen+1])
+	return a
+}
+
+// bucketCursors returns, per length, the next free slot of its bucket: the
+// state of a stable placement pass over the input in ID order.
+func (a *Arena) bucketCursors() []int32 {
+	return append([]int32(nil), a.lenStart[:a.maxLen+1]...)
+}
+
+// place copies string id into slot sl of its length bucket; build time only.
+func (a *Arena) place(sl, id int32, s string) {
+	a.ids[sl] = id
+	copy(a.buf[a.lenOff[len(s)]+(sl-a.lenStart[len(s)])*int32(len(s)):], s)
+}
+
+// NewArena packs data in (length, ID) order: the stable placement pass over
+// the ID-ordered input puts equal-length strings in ascending ID order. It
+// computes no words; the BitParallel rung sweeps it bare.
+func NewArena(data []string) *Arena {
+	a := newLayout(data)
+	next := a.bucketCursors()
 	for i, s := range data {
-		sl := next[len(s)]
+		a.place(next[len(s)], int32(i), s)
 		next[len(s)]++
-		a.ids[sl] = int32(i)
-		copy(a.buf[a.lenOff[len(s)]+(sl-a.lenStart[len(s)])*int32(len(s)):], s)
 	}
 	return a
 }
@@ -161,53 +185,72 @@ func (a *Arena) Buckets() int {
 
 // MergeRuns is mergeRuns for engines outside this package: Words.Sweep
 // returns matches in slot order, and the cascade restores global ID order
-// with it, without a full sort. It consumes the input slice.
+// with it. It consumes the input slice.
 func MergeRuns(ms []Match) []Match { return mergeRuns(ms) }
 
+// cmpMatchID orders matches by ID. IDs are unique within one result, so it
+// is a total order and the sort below needs no stability.
+func cmpMatchID(a, b Match) int { return cmp.Compare(a.ID, b.ID) }
+
 // mergeRuns sorts a match slice that is a concatenation of ID-ascending runs
-// (one per length bucket, possibly split by chunk boundaries) by merging the
-// runs bottom-up, O(n log r) for r runs. The input slice is consumed; the
-// returned slice is ID-sorted and may alias either the input or the merge
-// buffer.
+// by ID. Run boundaries are exactly the ID descents: IDs are unique and each
+// run is strictly ascending. What the runs look like depends on who packed
+// the arena. A bare (length, ID) arena yields one long run per length bucket
+// (possibly split by chunk boundaries), and those are merged bottom-up,
+// O(n log r) for r runs, through one buffer. A word-ordered arena yields
+// matches in word order inside a bucket — a run per match, all but, with
+// duplicates of one string the exception (equal words, ID tie-break) — and
+// there are few of them: where runs average under shortRun matches the slice
+// is sorted in place, which allocates nothing. The input slice is consumed;
+// the returned slice is ID-sorted and may alias either the input or the
+// merge buffer.
 func mergeRuns(ms []Match) []Match {
-	if len(ms) < 2 {
+	runs := 1
+	for i := 1; i < len(ms); i++ {
+		if ms[i].ID <= ms[i-1].ID {
+			runs++
+		}
+	}
+	if runs == 1 {
 		return ms
 	}
-	// Run boundaries are exactly the ID descents: IDs are unique and each
-	// run is strictly ascending.
-	starts := []int{0}
+	if runs*shortRun > len(ms) {
+		slices.SortFunc(ms, cmpMatchID)
+		return ms
+	}
+	starts := make([]int, 1, runs)
 	for i := 1; i < len(ms); i++ {
 		if ms[i].ID <= ms[i-1].ID {
 			starts = append(starts, i)
 		}
 	}
-	if len(starts) == 1 {
-		return ms
-	}
 	buf := make([]Match, len(ms))
 	src, dst := ms, buf
 	for len(starts) > 1 {
-		ns := make([]int, 0, (len(starts)+1)/2)
+		// The merged runs' starts overwrite the front of starts: entry i/2 is
+		// written after entries i and i+1 were read.
 		for i := 0; i < len(starts); i += 2 {
 			lo := starts[i]
 			if i+1 == len(starts) {
 				copy(dst[lo:], src[lo:])
-				ns = append(ns, lo)
-				continue
+			} else {
+				mid, hi := starts[i+1], len(src)
+				if i+2 < len(starts) {
+					hi = starts[i+2]
+				}
+				mergeInto(dst[lo:hi], src[lo:mid], src[mid:hi])
 			}
-			mid := starts[i+1]
-			hi := len(src)
-			if i+2 < len(starts) {
-				hi = starts[i+2]
-			}
-			mergeInto(dst[lo:hi], src[lo:mid], src[mid:hi])
-			ns = append(ns, lo)
+			starts[i/2] = lo
 		}
-		starts = ns
+		starts = starts[:(len(starts)+1)/2]
 		src, dst = dst, src
 	}
 	return src
 }
+
+// shortRun is the mean run length below which mergeRuns sorts in place
+// instead of merging.
+const shortRun = 8
 
 // mergeInto merges two ID-ascending runs into out (len(out) == len(a)+len(b)).
 func mergeInto(out, a, b []Match) {

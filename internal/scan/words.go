@@ -1,14 +1,20 @@
 // The signature words and the sweep over them: one precomputed uint64 per
 // arena slot — two on an all-DNA arena, the second read only for slots the
-// first lets through — read before any candidate byte is. The cascade engine
-// (internal/cascade) and the live store's segments (internal/lsm) both run
-// this sweep; the bare BitParallel rung builds no words and reads none.
+// first lets through — read before any candidate byte is, and in front of
+// them two summary words per block of sixteen slots, which a length bucket
+// ordered by its words turns into whole blocks skipped unread. The cascade
+// engine (internal/cascade) and the live store's segments (internal/lsm)
+// both run this sweep; the bare BitParallel rung builds no words and reads
+// none.
 package scan
 
 import (
 	"bytes"
+	"cmp"
 	"context"
+	"fmt"
 	"math/bits"
+	"slices"
 
 	"simsearch/internal/edit"
 )
@@ -209,13 +215,14 @@ func WordOf(s string) (word uint64, counts bool) {
 
 // Probe is one query prepared for the words: its compiled pattern and its
 // own word of every kind, computed once however many Words and loose words
-// the query is held against. It serves one goroutine. Visited, Passed and
-// Kept accumulate, over every Sweep, the slots of the length windows, those
-// whose first word survived, and those the sweep read the bytes of (= kernel
-// calls, or byte compares at k = 0); Passed and Kept differ only where a
-// Words has its second slab. A string outside an arena — an entry of the live
-// store's delta — has the one word of WordOf, which Rejects tests and none of
-// the three counts.
+// the query is held against. It serves one goroutine. Visited, Swept, Passed
+// and Kept accumulate, over every Sweep, the slots of the length windows,
+// those of them in blocks whose summary let the sweep in (the words actually
+// read), those whose first word survived, and those the sweep read the bytes
+// of (= kernel calls, or byte compares at k = 0); Passed and Kept differ only
+// where a Words has its second slab. A string outside an arena — an entry of
+// the live store's delta — has the one word of WordOf, which Rejects tests
+// and none of the four counts.
 type Probe struct {
 	text    string
 	k       int
@@ -225,7 +232,7 @@ type Probe struct {
 	cnt     uint64 // the query's symbol counts
 	gram    uint64 // the query's dinucleotide counts
 
-	Visited, Passed, Kept uint64
+	Visited, Swept, Passed, Kept uint64
 }
 
 // NewProbe compiles q for threshold k >= 0.
@@ -260,88 +267,332 @@ func (pr *Probe) Within(s string) (int, bool) {
 	return pr.p.BoundedDistance(s, pr.k, pr.scratch)
 }
 
-// Words is one signature word per slot of an arena. What the word holds is
-// chosen once, at build time, from the arena's bytes: symbol counts when
-// every one of them is A, C, G, N or T, occurrence bits otherwise. Reads are
-// near-uniform in composition, so an all-DNA arena gets a second word per
-// slot, the dinucleotide counts, which tells apart what the symbol counts
-// cannot. The words are derived data: whoever persists an arena rebuilds
-// them from it.
+// Words is one signature word per slot of an arena it packs itself. What the
+// word holds is chosen once, at build time, from the data's bytes: symbol
+// counts when every one of them is A, C, G, N or T, occurrence bits
+// otherwise. Reads are near-uniform in composition, so an all-DNA arena gets
+// a second word per slot, the dinucleotide counts, which tells apart what
+// the symbol counts cannot.
+//
+// The arena's length buckets are ordered by (key of the word, ID), so slots
+// with like words are neighbours, and every block of blockSlots slots —
+// aligned to the slot index, so a block may straddle two buckets — has two
+// summary words: the OR and the AND of its occurrence words, or the
+// per-field maximum and minimum of its count words. A query whose word is
+// more than its slack away from the summary is that far from every word in
+// the block (blockMask), and the sweep skips the block unread. Any order is
+// correct, because a summary is computed from exactly the slots of its
+// block; the key decides only how many blocks a query enters.
+//
+// Order, words and summaries are derived data: whoever persists the strings
+// rebuilds them with NewWords.
 type Words struct {
 	ar     *Arena
 	sigs   []uint64 // sigs[s] = word of slot s
 	grams  []uint64 // grams[s] = gram word of slot s; nil unless counts
+	sums   []uint64 // sums[2b], sums[2b+1] = the two summary words of block b
 	counts bool     // the words are symbol counts (all-DNA arena), not occurrence bits
 }
 
-// NewWords computes the words of an arena the caller may share with other
-// engines; it costs 8 bytes per string, 16 on an all-DNA arena.
-func NewWords(ar *Arena) *Words {
-	w := &Words{ar: ar, counts: allDNA(ar.buf), sigs: make([]uint64, ar.Len())}
-	if w.counts {
-		w.grams = make([]uint64, ar.Len())
+const (
+	// blockSlots is how many slots share a pair of summary words: one byte
+	// per string. Smaller blocks skip more and cost more to test; sixteen is
+	// where the sum over city names at k = 0..3 bottomed out (DESIGN §13).
+	blockSlots = 16
+	// groupBlocks is how many block tests the sweep folds into one mask
+	// between two cancellation polls: a ctxStride of slots, one bit a block.
+	groupBlocks = ctxStride / blockSlots
+)
+
+var _ [64 - groupBlocks]struct{} // a group's mask is one uint64
+
+// slotKey is one string on its way into a word-ordered arena.
+type slotKey struct {
+	key uint64 // what its length bucket is ordered by
+	id  int32
+}
+
+// cmpSlotKey orders a length bucket: by key, then by ID, so that strings
+// with one word — duplicates above all — stay an ID-ascending run.
+func cmpSlotKey(a, b slotKey) int {
+	if c := cmp.Compare(a.key, b.key); c != 0 {
+		return c
 	}
-	var xb []byte
-	l := 0 // slots come in bucket order here too
-	for s := range w.sigs {
-		if xb, l = ar.slotBytesFrom(int32(s), l); w.counts {
-			w.sigs[s], w.grams[s] = countWord(xb), gramWord(xb)
-		} else {
-			w.sigs[s] = signature(xb)
+	return cmp.Compare(a.id, b.id)
+}
+
+// balancedKeys turns the occurrence words in order into sort keys: the
+// word's bits gathered most-balanced-first, the bit nearest to being set in
+// half of the words on top. Sorting by such a key splits a bucket on its
+// most informative bit first, then each half on the next, so a block of
+// neighbours agrees on as many bits as sixteen strings can, and those are
+// the bits its OR and AND summaries keep apart from a query's. Bits that
+// are set in every word or in none tell nothing and are left out.
+func balancedKeys(order []slotKey) {
+	var ones [64]int
+	for _, o := range order {
+		for w := o.key; w != 0; w &= w - 1 {
+			ones[bits.TrailingZeros64(w)]++
 		}
+	}
+	var perm []wordBit
+	for b, c := range ones {
+		if c != 0 && c != len(order) {
+			perm = append(perm, wordBit{skew: max(2*c-len(order), len(order)-2*c), at: b})
+		}
+	}
+	slices.SortFunc(perm, cmpBitSkew)
+	// Gather through one table per byte of the word: tab[p][v] holds the key
+	// bits of the word bits set in byte p when it reads v, filled from the
+	// entry with v's lowest bit cleared, so a word costs eight lookups.
+	var tab [8][256]uint64
+	for j, b := range perm {
+		tab[b.at/8][1<<(b.at%8)] = 1 << (len(perm) - 1 - j)
+	}
+	for p := range tab {
+		for v := 1; v < 256; v++ {
+			tab[p][v] = tab[p][v&(v-1)] | tab[p][v&-v]
+		}
+	}
+	for i, o := range order {
+		var key uint64
+		for p := range tab {
+			key |= tab[p][byte(o.key>>(8*p))]
+		}
+		order[i].key = key
+	}
+}
+
+// wordBit is one bit position of the occurrence words of an arena and how far
+// from half of them it is set in.
+type wordBit struct{ skew, at int }
+
+// cmpBitSkew orders bit positions most balanced first, ties by position.
+func cmpBitSkew(a, b wordBit) int {
+	if c := cmp.Compare(a.skew, b.skew); c != 0 {
+		return c
+	}
+	return cmp.Compare(a.at, b.at)
+}
+
+// NewWords packs data into an arena of its own, every length bucket ordered
+// by (key of the string's word, ID) — the count word itself on all-DNA data,
+// the occurrence bits gathered most-balanced-first otherwise — and computes
+// the words and the block summaries over it. The order is fixed here, in the
+// arena's one placement pass, and the arena is immutable from then on like
+// any other: engines over the same data share it through Arena(). Beside the
+// arena it costs 8 bytes per string, 16 on all-DNA data, and one more for
+// the summaries.
+func NewWords(data []string) *Words {
+	w := &Words{counts: true}
+	for _, s := range data {
+		if !allDNA(s) {
+			w.counts = false
+			break
+		}
+	}
+	ar := newLayout(data)
+	words := make([]uint64, len(data))  // by ID
+	order := make([]slotKey, len(data)) // (length, ID) order first: the arena's own stable pass
+	next := ar.bucketCursors()
+	for i, s := range data {
+		if w.counts {
+			words[i] = countWord(s)
+		} else {
+			words[i] = signature(s)
+		}
+		order[next[len(s)]] = slotKey{key: words[i], id: int32(i)}
+		next[len(s)]++
+	}
+	if !w.counts {
+		balancedKeys(order)
+	}
+	for l := 0; l <= ar.maxLen; l++ {
+		slices.SortFunc(order[ar.lenStart[l]:ar.lenStart[l+1]], cmpSlotKey)
+	}
+	w.ar, w.sigs = ar, make([]uint64, len(data))
+	if w.counts {
+		w.grams = make([]uint64, len(data))
+	}
+	for sl, o := range order {
+		ar.place(int32(sl), o.id, data[o.id])
+		if w.sigs[sl] = words[o.id]; w.counts {
+			w.grams[sl] = gramWord(data[o.id])
+		}
+	}
+	w.sums = make([]uint64, 2*((len(data)+blockSlots-1)/blockSlots))
+	for b := 0; 2*b < len(w.sums); b++ {
+		w.sums[2*b], w.sums[2*b+1] = w.summarize(b)
 	}
 	return w
 }
 
-// Arena returns the arena the words were computed over.
+// summarize returns the two summary words of block b, from exactly its
+// slots: the bits set in any and the bits set in all of its occurrence
+// words, or the per-field maximum and minimum of its count words.
+func (w *Words) summarize(b int) (hi, lo uint64) {
+	blk := w.sigs[b*blockSlots : min((b+1)*blockSlots, len(w.sigs))]
+	hi, lo = blk[0], blk[0]
+	for _, x := range blk[1:] {
+		if !w.counts {
+			hi, lo = hi|x, lo&x
+			continue
+		}
+		for f := 0; f < dnaFields; f++ {
+			field := uint64(1<<fieldBits-1) << (fieldBits * f)
+			if x&field > hi&field {
+				hi = hi&^field | x&field
+			}
+			if x&field < lo&field {
+				lo = lo&^field | x&field
+			}
+		}
+	}
+	return hi, lo
+}
+
+// Verify recomputes everything NewWords derives and reports the first
+// difference: every slot's words from its bytes, every length bucket's order
+// from its words, every block's summary from its slots. It is for whoever
+// rebuilds words from persisted strings (the live store's tests run it on
+// every segment after a flush, a compaction and a reopen) and costs about
+// what NewWords does.
+func (w *Words) Verify() error {
+	ar := w.ar
+	order := make([]slotKey, ar.Len())
+	var xb []byte
+	l := 0
+	for s := range order {
+		xb, l = ar.slotBytesFrom(int32(s), l)
+		want := signature(xb)
+		if w.counts {
+			want = countWord(xb)
+			if g := gramWord(xb); w.grams[s] != g {
+				return fmt.Errorf("scan: slot %d (%q) has gram word %#x, its bytes give %#x", s, xb, w.grams[s], g)
+			}
+		}
+		if w.sigs[s] != want {
+			return fmt.Errorf("scan: slot %d (%q) has word %#x, its bytes give %#x", s, xb, w.sigs[s], want)
+		}
+		order[s] = slotKey{key: want, id: ar.ids[s]}
+	}
+	if !w.counts {
+		balancedKeys(order)
+	}
+	for l := 0; l <= ar.maxLen; l++ {
+		if b := order[ar.lenStart[l]:ar.lenStart[l+1]]; !slices.IsSortedFunc(b, cmpSlotKey) {
+			return fmt.Errorf("scan: the bucket of length %d is not in (key of the word, ID) order", l)
+		}
+	}
+	if want := 2 * ((len(order) + blockSlots - 1) / blockSlots); len(w.sums) != want {
+		return fmt.Errorf("scan: %d summary words over %d slots, want %d", len(w.sums), len(order), want)
+	}
+	for b := 0; 2*b < len(w.sums); b++ {
+		hi, lo := w.summarize(b)
+		if w.sums[2*b] != hi || w.sums[2*b+1] != lo {
+			return fmt.Errorf("scan: block %d has summary %#x, %#x, its slots give %#x, %#x", b, w.sums[2*b], w.sums[2*b+1], hi, lo)
+		}
+	}
+	return nil
+}
+
+// Arena returns the arena the words were computed over, for another engine
+// over the same data to sweep instead of packing the corpus a second time.
 func (w *Words) Arena() *Arena { return w.ar }
 
 // Counts reports the kind of the words: symbol counts (true) or occurrence
 // bits.
 func (w *Words) Counts() bool { return w.counts }
 
-// firstWord writes to surv the offsets into the block [blk, end) of the slots
-// whose word sq does not rule out and returns how many there are. Which loop
-// runs is decided once per block, not per slot: the occurrence-bit loop is a
+// blockMask tests the query's word sq against the summaries of the n blocks
+// from block g on and returns a mask with bit j set when block g+j may hold
+// a slot within slack of it. The test is the slot test held against the
+// block's extremes, and sound for the same reason: every occurrence word x
+// of the block has U ⊇ x ⊇ N for its OR U and AND N, so sq &^ x ⊇ sq &^ U
+// and x &^ sq ⊇ N &^ sq — if either side of the summary is past slack, that
+// side of every slot is; every count word has each field between the
+// block's minimum and maximum, so its surplus under sq is at least the
+// maximum's and its surplus over sq at least the minimum's. A summary also
+// covers the block's slots outside the query's length window, which can
+// only keep a block, never drop one. The loop is branch-free: sixty-four
+// tests fold into one word, and the sweep branches once on that.
+func (w *Words) blockMask(g int32, n int, sq uint64, slack int) uint64 {
+	var mask uint64
+	sums := w.sums[2*g : 2*(int(g)+n)]
+	if w.counts {
+		for j := 0; j < n; j++ {
+			hi, lo := sums[2*j], sums[2*j+1]
+			mask |= uint64(keep(surplus(sq, hi), surplus(lo, sq), slack)) << j
+		}
+		return mask
+	}
+	for j := 0; j < n; j++ {
+		hi, lo := sums[2*j], sums[2*j+1]
+		mask |= uint64(keep(bits.OnesCount64(sq&^hi), bits.OnesCount64(lo&^sq), slack)) << j
+	}
+	return mask
+}
+
+// maskedWords walks the runs of set bits of mask — the blocks of the group
+// at slot base that blockMask kept — clamped to the window [lo, hi), hands
+// each run's words to firstWord, and returns how many slots it left in surv
+// and how many words were read.
+func (w *Words) maskedWords(base, lo, hi int32, mask, sq uint64, slack int, dense bool, surv *[ctxStride]int32) (n, read int) {
+	for mask != 0 {
+		first := bits.TrailingZeros64(mask)
+		run := bits.TrailingZeros64(^(mask >> first)) // 64 when the mask is all ones
+		mask &^= (1<<run - 1) << first
+		from := max(base+int32(first)*blockSlots, lo)
+		to := min(base+int32(first+run)*blockSlots, hi)
+		read += int(to - from)
+		n = w.firstWord(w.sigs[from:to], from-base, sq, slack, dense, surv, n)
+	}
+	return n, read
+}
+
+// firstWord appends to surv[n:] the offsets, counted from off, of the words
+// of one run that sq does not rule out, and returns the new fill. Which loop
+// runs is decided once per group, not per slot: the occurrence-bit loop is a
 // nanosecond per slot and a branch in it shows. At slack 0 both words reject
 // exactly when they differ, so both kinds share that loop. Count words have
 // two: where few slots pass, a branch on the reject is predicted and skips
-// the second surplus; where many do — dense, which Sweep says of a block when
-// more than an eighth of the one before it passed — it is mispredicted as
-// often as not, and storing every offset and advancing by keep is cheaper.
+// the second surplus; where many do — dense, which Sweep says of a group when
+// more than an eighth of what it read in the one before passed — it is
+// mispredicted as often as not, and storing every offset and advancing by
+// keep is cheaper.
 //
-// The loops live in a function of their own so that what Sweep keeps live
-// around them — it grew when the gram words came — cannot cost them a
+// The loops live in a function of their own, with nothing but the run in
+// it, so that what the callers keep live around them cannot cost them a
 // register: inside Sweep the occurrence-bit loop reloaded a CPU feature flag
-// per slot and the live store's city reads slowed by a tenth.
+// per slot and the live store's city reads slowed by a tenth, and inside
+// the walk over a mask's runs every loop ran at half speed.
 //
 //go:noinline
-func (w *Words) firstWord(blk, end int32, sq uint64, slack int, dense bool, surv *[ctxStride]int32) int {
-	n := 0
+func (w *Words) firstWord(run []uint64, off int32, sq uint64, slack int, dense bool, surv *[ctxStride]int32, n int) int {
 	switch {
 	case slack == 0:
-		for i, sx := range w.sigs[blk:end] {
+		for i, sx := range run {
 			if sx == sq {
-				surv[n] = int32(i)
+				surv[n] = off + int32(i)
 				n++
 			}
 		}
 	case w.counts && dense:
-		for i, sx := range w.sigs[blk:end] {
-			surv[n] = int32(i)
+		for i, sx := range run {
+			surv[n] = off + int32(i)
 			n += keep(surplus(sq, sx), surplus(sx, sq), slack)
 		}
 	case w.counts:
-		for i, sx := range w.sigs[blk:end] {
+		for i, sx := range run {
 			if !countReject(sq, sx, slack) {
-				surv[n] = int32(i)
+				surv[n] = off + int32(i)
 				n++
 			}
 		}
 	default:
-		for i, sx := range w.sigs[blk:end] {
+		for i, sx := range run {
 			if !sigReject(sq, sx, slack) {
-				surv[n] = int32(i)
+				surv[n] = off + int32(i)
 				n++
 			}
 		}
@@ -349,13 +600,13 @@ func (w *Words) firstWord(blk, end int32, sq uint64, slack int, dense bool, surv
 	return n
 }
 
-// gramWords compacts surv[:n], the first word's survivors in the block at
-// blk, down to those whose gram word is within bound of gq on both sides,
-// and returns how many are left.
-func (w *Words) gramWords(blk int32, gq uint64, bound int, surv *[ctxStride]int32, n int) int {
+// gramWords compacts surv[:n], the first word's survivors in the group at
+// slot base, down to those whose gram word is within bound of gq on both
+// sides, and returns how many are left.
+func (w *Words) gramWords(base int32, gq uint64, bound int, surv *[ctxStride]int32, n int) int {
 	m := 0
 	for _, i := range surv[0:n] {
-		gx := w.grams[blk+i]
+		gx := w.grams[base+i]
 		surv[m] = i
 		m += keep(gramSurplus(gq, gx), gramSurplus(gx, gq), bound)
 	}
@@ -363,22 +614,25 @@ func (w *Words) gramWords(blk int32, gq uint64, bound int, surv *[ctxStride]int3
 }
 
 // Sweep appends to dst every slot within the probe's k of its query, as
-// matches carrying the arena's IDs in slot order: a concatenation of
-// ID-ascending runs, one per length bucket, for MergeRuns to fold. A caller
-// sweeping several arenas for one query reuses dst, so an arena without a
-// match costs no allocation. slack is how far the words may differ on either
-// side before a slot is dropped unread: the probe's k, or math.MaxInt to send
-// every slot to the kernel (the cascade's ablation).
+// matches carrying the arena's IDs in slot order: inside a length bucket that
+// is word order, so what comes out is a concatenation of short ID-ascending
+// runs for MergeRuns to put in order. A caller sweeping several arenas for
+// one query reuses dst, so an arena without a match costs no allocation.
+// slack is how far the words may differ on either side before a slot is
+// dropped unread: the probe's k, or math.MaxInt to send every slot to the
+// kernel (the cascade's ablation; no summary and no word rejects at it).
 //
-// The length window is a slot range; the sweep walks its words in blocks of
-// ctxStride, polling ctx once per block, collects the block's survivors
-// (firstWord) and only then looks up their bytes and hands them to the
-// kernel (byte equality at k = 0). Where there are gram words and their
-// bound of 2*slack can reject anything, a second pass compacts the block's
-// survivors through them before any byte is read (gramWords). Survivors
-// come in slot order, so the length bucket is carried along instead of
-// searched for per survivor. The probe's counters are flushed on every exit
-// path.
+// The length window is a slot range; the sweep walks it in groups of
+// groupBlocks blocks, polling ctx once per group. It first holds the query's
+// word against the group's block summaries (blockMask) and goes on to the
+// next group if none is kept; otherwise it reads the words of the kept
+// blocks (maskedWords, firstWord), collects the group's survivors and only
+// then looks up their bytes and hands them to the kernel (byte equality at
+// k = 0). Where there are gram words and their bound of 2*slack can reject
+// anything, a second pass compacts the group's survivors through them
+// before any byte is read (gramWords). Survivors come in slot order, so the
+// length bucket is carried along instead of searched for per survivor. The
+// probe's counters are flushed on every exit path.
 func (w *Words) Sweep(ctx context.Context, pr *Probe, slack int, dst []Match) ([]Match, error) {
 	k := pr.k
 	ar := w.ar
@@ -387,9 +641,10 @@ func (w *Words) Sweep(ctx context.Context, pr *Probe, slack int, dst []Match) ([
 	if lo == hi {
 		return dst, nil
 	}
-	var visited, passed, kept uint64
+	var visited, swept, passed, kept uint64
 	defer func() {
 		pr.Visited += visited
+		pr.Swept += swept
 		pr.Passed += passed
 		pr.Kept += kept
 	}()
@@ -403,23 +658,29 @@ func (w *Words) Sweep(ctx context.Context, pr *Probe, slack int, dst []Match) ([
 	if k == 0 {
 		exact = []byte(pr.text)
 	}
-	var surv [ctxStride]int32 // one block's survivors, as offsets into the block
-	dense := false            // more than an eighth of the last block passed the first word
-	for blk := lo; blk < hi; blk += ctxStride {
+	var surv [ctxStride]int32 // one group's survivors, as offsets from its first slot
+	dense := false            // more than an eighth of the last group's words passed
+	blocks := (hi + blockSlots - 1) / blockSlots
+	for g := lo / blockSlots; g < blocks; g += groupBlocks {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		end := min(blk+ctxStride, hi)
-		visited += uint64(end - blk)
-		n := w.firstWord(blk, end, sq, slack, dense, &surv)
+		base := g * blockSlots
+		visited += uint64(min(base+ctxStride, hi) - max(base, lo))
+		mask := w.blockMask(g, int(min(groupBlocks, blocks-g)), sq, slack)
+		if mask == 0 {
+			continue
+		}
+		n, read := w.maskedWords(base, lo, hi, mask, sq, slack, dense, &surv)
+		swept += uint64(read)
 		passed += uint64(n)
-		dense = n > int(end-blk)/8
+		dense = n > read/8
 		if grams {
-			n = w.gramWords(blk, pr.gram, 2*slack, &surv, n)
+			n = w.gramWords(base, pr.gram, 2*slack, &surv, n)
 		}
 		kept += uint64(n)
 		for _, i := range surv[0:n] {
-			s := blk + i
+			s := base + i
 			var xb []byte
 			xb, l = ar.slotBytesFrom(s, l)
 			if k == 0 {

@@ -234,7 +234,7 @@ func TestGramStageNeverRejectsWithinK(t *testing.T) {
 					t.Fatalf("%.40q and %.40q are within %d edits (distance %d) but their gram words %#x, %#x are rejected",
 						x, q, k, edit.Distance(x, q), gx, gq)
 				}
-				w := NewWords(NewArena([]string{x}))
+				w := NewWords([]string{x})
 				if w.grams == nil {
 					t.Fatalf("%.40q: an all-DNA arena must have its gram slab", x)
 				}
@@ -263,7 +263,7 @@ func homopolymerEdit(s string, k int) string {
 // words can be and the stage is skipped — as it is at the ablation's slack.
 // The query's x bytes are counted by neither word, so the count word passes.
 func TestGramStageCutOff(t *testing.T) {
-	w := NewWords(NewArena([]string{strings.Repeat(deBruijn, 16)}))
+	w := NewWords([]string{strings.Repeat(deBruijn, 16)})
 	q := strings.Repeat("AxCxGxTx", 40)
 	for _, tc := range []struct {
 		k, slack int
@@ -293,7 +293,7 @@ func TestGramStageCutOff(t *testing.T) {
 func TestGramStageStrength(t *testing.T) {
 	for _, seed := range []int64{7, 20130322} {
 		data := dataset.DNAReads(2000, seed)
-		w := NewWords(NewArena(data))
+		w := NewWords(data)
 		var visited, passed, kept uint64
 		for _, q := range dataset.Queries(data, 100, 8, seed+8) {
 			pr := NewProbe(q, 8)
@@ -319,7 +319,7 @@ func TestSweepCarriesLengthBucket(t *testing.T) {
 		data = append(data, strings.Repeat("ab", 1+i%3*4)+string(rune('a'+i%7)))
 	}
 	data = append(data, "", strings.Repeat("z", 90))
-	w := NewWords(NewArena(data))
+	w := NewWords(data)
 	for _, q := range []string{"", "abc", data[0], data[1], data[2], strings.Repeat("ab", 6), strings.Repeat("z", 88), strings.Repeat("q", 200)} {
 		for _, k := range []int{0, 1, 3, 9, 40} {
 			pr := NewProbe(q, k)
@@ -341,37 +341,64 @@ func TestSweepCarriesLengthBucket(t *testing.T) {
 }
 
 // TestFirstWordLoopsAgree: the two count-word loops — the branch on the
-// reject and the branch-free store Sweep switches to in dense blocks — pick
-// the same survivors, from the sparsest block to one in which every slot
-// passes, and the switch happens: sweeps of generated reads at k = 8 pass
-// more than an eighth of their windows.
+// reject and the branch-free store Sweep switches to in dense groups — pick
+// the same survivors under every mask: the one blockMask computes, all ones,
+// single blocks, alternating blocks (runs of one) and none, from the sparsest
+// group to one in which every slot passes; every survivor lies in a block the
+// mask holds and inside the window; and the switch happens: sweeps of
+// generated reads at k = 8 pass more than an eighth of the words they read.
 func TestFirstWordLoopsAgree(t *testing.T) {
 	data := dataset.DNAReads(3000, 24)
-	w := NewWords(NewArena(data))
+	w := NewWords(data)
 	var sparse, dense [ctxStride]int32
-	var visited, passed uint64
+	var swept, passed uint64
 	for _, q := range dataset.Queries(data, 20, 8, 24) {
 		pr := NewProbe(q, 8)
 		lo, hi := w.ar.SlotRange(pr.Lengths())
-		for _, slack := range []int{1, 4, 8, 16, 100, math.MaxInt} {
-			for blk := lo; blk < hi; blk += ctxStride {
-				end := min(blk+ctxStride, hi)
-				n := w.firstWord(blk, end, pr.cnt, slack, false, &sparse)
-				m := w.firstWord(blk, end, pr.cnt, slack, true, &dense)
-				if n != m || !slices.Equal(sparse[:n], dense[:m]) {
-					t.Fatalf("slack %d block %d: %d survivors with the branch, %d without", slack, blk, n, m)
+		blocks := (hi + blockSlots - 1) / blockSlots
+		for _, slack := range []int{0, 1, 4, 8, 16, 100, math.MaxInt} {
+			for g := lo / blockSlots; g < blocks; g += groupBlocks {
+				nb := int(min(groupBlocks, blocks-g))
+				all := uint64(1)<<nb - 1
+				own := w.blockMask(g, nb, pr.cnt, slack)
+				if slack == math.MaxInt && own != all {
+					t.Fatalf("group %d: the summaries rejected blocks at the ablation's slack: %#x of %#x", g, own, all)
 				}
-				if slack == math.MaxInt && n != int(end-blk) {
-					t.Fatalf("block %d: %d of %d slots pass at the ablation's slack", blk, n, end-blk)
+				for _, mask := range []uint64{own, all, 1, all &^ (all >> 1), 0x5555555555555555 & all, 0xaaaaaaaaaaaaaaaa & all, 0} {
+					base := g * blockSlots
+					n, read := w.maskedWords(base, lo, hi, mask, pr.cnt, slack, false, &sparse)
+					m, readDense := w.maskedWords(base, lo, hi, mask, pr.cnt, slack, true, &dense)
+					if n != m || read != readDense || !slices.Equal(sparse[:n], dense[:m]) {
+						t.Fatalf("slack %d group %d mask %#x: %d survivors of %d with the branch, %d of %d without",
+							slack, g, mask, n, read, m, readDense)
+					}
+					want := 0 // the slots of the mask's blocks inside the window
+					for j := 0; j < nb; j++ {
+						if mask>>j&1 == 1 {
+							want += int(min(base+int32(j+1)*blockSlots, hi) - max(base+int32(j)*blockSlots, lo))
+						}
+					}
+					if read != want {
+						t.Fatalf("slack %d group %d mask %#x: read %d slots, the mask holds %d", slack, g, mask, read, want)
+					}
+					for i, off := range sparse[:n] {
+						if s := base + off; mask>>(off/blockSlots)&1 == 0 || s < lo || s >= hi || (i > 0 && off <= sparse[i-1]) {
+							t.Fatalf("slack %d group %d mask %#x: survivor %d (slot %d) outside the mask or the window [%d, %d), or out of order",
+								slack, g, mask, off, s, lo, hi)
+						}
+					}
+					if slack == math.MaxInt && n != read {
+						t.Fatalf("group %d: %d of %d slots pass at the ablation's slack", g, n, read)
+					}
 				}
 			}
 		}
 		if _, err := w.Sweep(context.Background(), &pr, 8, nil); err != nil {
 			t.Fatal(err)
 		}
-		visited, passed = visited+pr.Visited, passed+pr.Passed
+		swept, passed = swept+pr.Swept, passed+pr.Passed
 	}
-	if passed*8 <= visited {
-		t.Fatalf("%d of %d slots passed at k = 8: too sparse for a sweep to reach the dense loop", passed, visited)
+	if passed*8 <= swept {
+		t.Fatalf("%d of %d words read passed at k = 8: too sparse for a sweep to reach the dense loop", passed, swept)
 	}
 }

@@ -21,11 +21,12 @@ func TestNewRouterFacade(t *testing.T) {
 }
 
 // TestNewAutoColdStartPrior pins the promise in NewAuto's doc comment:
-// before any latency feedback, the router's cold-start prior reproduces the
-// old static planner's choices (internal/core.Auto) — scan below the
-// build-amortization size, the modern trie for large selective workloads,
-// scan again when the threshold is permissive relative to string length —
-// plus the cascade rule through k = 8, which holds on city names and reads.
+// before any latency feedback, the router's cold-start prior keeps the old
+// static planner's scan rules (internal/core.Auto) — scan below the
+// build-amortization size, scan again when the threshold is permissive
+// relative to string length — and, where that planner chose the modern trie,
+// prefers the cascade from k = 0 through k = 8, on city names and reads, and
+// the trie past it.
 func TestNewAutoColdStartPrior(t *testing.T) {
 	big := simsearch.GenerateCities(5000, 11)
 	reads := simsearch.GenerateDNAReads(5000, 11)
@@ -36,9 +37,12 @@ func TestNewAutoColdStartPrior(t *testing.T) {
 		want string
 	}{
 		{"small corpus -> scan", cities, simsearch.Query{Text: "berlin", K: 2}, "bitparallel"},
-		{"big selective -> trie", big, simsearch.Query{Text: big[0], K: 1}, "trie"},
+		{"big exact -> cascade", big, simsearch.Query{Text: big[0], K: 0}, "cascade"},
+		{"big selective -> cascade", big, simsearch.Query{Text: big[0], K: 1}, "cascade"},
 		{"big small-k -> cascade", big, simsearch.Query{Text: big[0], K: 2}, "cascade"},
+		{"reads exact -> cascade", reads, simsearch.Query{Text: reads[0], K: 0}, "cascade"},
 		{"reads mid-k -> cascade", reads, simsearch.Query{Text: reads[0], K: 8}, "cascade"},
+		{"reads past the window -> trie", reads, simsearch.Query{Text: reads[0], K: 9}, "trie"},
 		{"permissive k -> scan", big, simsearch.Query{Text: "x", K: 30}, "bitparallel"},
 	}
 	for _, tc := range cases {
