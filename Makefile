@@ -6,14 +6,13 @@ GO ?= go
 # concurrent drivers, the trie (shared frontier rows under NearestK), the
 # LSM store (searches racing writes, flushes, and background compaction),
 # the cascade (shared engine state under concurrent queries), the
-# scatter-gather coordinator (hedged RPCs, breakers, admission control), and
-# the adaptive router (lock-free cost-model updates under concurrent search),
+# scatter-gather coordinator (hedged RPCs, breakers, admission control),
 # the analysis framework (its fixture loader shares a package cache that
 # the dual test units exercise), the engine facade (interruptible search runs
 # an engine on a goroutine of its own) and the parallel join.
 # TestCILists (ci_test.go) fails when a package whose own code starts
 # goroutines is missing here, or a fuzz target from fuzz-smoke below.
-RACE_PKGS = ./internal/pool ./internal/exec ./internal/cache ./internal/httpapi ./internal/scan ./internal/metrics ./internal/bench ./internal/trie ./internal/lsm ./internal/cascade ./internal/distrib ./internal/router ./internal/analysis ./internal/core ./internal/join
+RACE_PKGS = ./internal/pool ./internal/exec ./internal/cache ./internal/httpapi ./internal/scan ./internal/metrics ./internal/bench ./internal/trie ./internal/lsm ./internal/cascade ./internal/distrib ./internal/analysis ./internal/core ./internal/join
 
 FUZZ_SMOKE_TIME ?= 5s
 
@@ -56,7 +55,6 @@ fuzz-smoke:
 	$(GO) test -run=NONE -fuzz='^FuzzEnginesAgree$$' -fuzztime=$(FUZZ_SMOKE_TIME) .
 	$(GO) test -run=NONE -fuzz='^FuzzBitParallelIdentical$$' -fuzztime=$(FUZZ_SMOKE_TIME) .
 	$(GO) test -run=NONE -fuzz='^FuzzCascadeIdentical$$' -fuzztime=$(FUZZ_SMOKE_TIME) .
-	$(GO) test -run=NONE -fuzz='^FuzzRouterIdentical$$' -fuzztime=$(FUZZ_SMOKE_TIME) .
 	$(GO) test -run=NONE -fuzz='^FuzzDifferential$$' -fuzztime=$(FUZZ_SMOKE_TIME) ./internal/exec
 	$(GO) test -run=NONE -fuzz='^FuzzCachedIdentical$$' -fuzztime=$(FUZZ_SMOKE_TIME) ./internal/cache
 	$(GO) test -run=NONE -fuzz='^FuzzKernelsAgree$$' -fuzztime=$(FUZZ_SMOKE_TIME) ./internal/edit
@@ -68,15 +66,13 @@ fuzz-smoke:
 
 # Micro-benchmarks (go test -bench) plus the bit-parallel ablation
 # (BENCH_4.json), the cascade stage ablation over the DNA workload
-# (BENCH_7.json), the distributed serving sweep (BENCH_8.json), and the
-# adaptive-router mixed-workload comparison (BENCH_9.json) for cross-PR
-# perf tracking.
+# (BENCH_7.json) and the distributed serving sweep (BENCH_8.json) for
+# cross-PR perf tracking.
 bench:
 	$(GO) test -bench . -benchmem -run=NONE .
 	$(GO) run ./cmd/paperbench -workload city -bitparallel -json BENCH_4.json
 	$(GO) run ./cmd/paperbench -workload dna -cascade -json BENCH_7.json
 	$(GO) run ./cmd/paperbench -distrib -json BENCH_8.json
-	$(GO) run ./cmd/paperbench -router -json BENCH_9.json
 
 # One iteration of every benchmark; part of CI so bench code cannot rot.
 # The cascade smoke additionally fails if any enabled filter stage stops

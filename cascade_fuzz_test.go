@@ -18,12 +18,14 @@ func FuzzCascadeIdentical(f *testing.F) {
 	cities := simsearch.GenerateCities(12, 7)
 	reads := simsearch.GenerateDNAReads(6, 7)
 	f.Add(strings.Join(cities, "\n"), cities[0], 2)
+	f.Add(strings.Join(reads, "\n"), reads[0], 3)
 	f.Add(strings.Join(reads, "\n"), reads[0], 8) // count words, >64-byte strings
 	f.Add("A\nAC\nACG\nACGT", "ACX", 1)           // a query byte no field counts
 	f.Add("a\nab\nabc\nabcd", "abx", 1)
 	f.Add("dup\ndup\ndup", "dup", 0) // k=0 exact lookup
 	f.Add("", "anything", 3)
 	f.Add("café\nnaïve", "cafe", 2)
+	f.Add(strings.Join(cities, "\n"), "", 16) // empty query, permissive k
 	// The byte backend's signature: non-UTF-8 bytes, bytes that share a
 	// bucket under & 31 ('a', 'A', '!', 0x81), k = 0 on both sides of a
 	// match, and a query longer than every stored string.

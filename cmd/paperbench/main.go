@@ -14,8 +14,7 @@
 //	paperbench -cascade        # + the filter-cascade ablation (Table XVI)
 //	paperbench -cascadecheck   # CI gate: cascade correctness + block-summary and signature-stage pruning on small datasets
 //	paperbench -distrib        # distributed serving sweep: local shard fleet, hedging on/off, slow-shard fault
-//	paperbench -router         # adaptive-router experiment (Table XVII): router vs fixed engines, mixed corpus
-//	paperbench -json OUT.json  # + machine-readable records (implies -bitparallel unless -cascade/-distrib/-router)
+//	paperbench -json OUT.json  # + machine-readable records (implies -bitparallel unless -cascade/-distrib)
 //
 // Per §5.2, only the result-calculation time is reported; dataset generation
 // and index construction are excluded from every cell. Cells whose direct
@@ -55,7 +54,6 @@ func main() {
 		cacheSz  = flag.Int("cachesize", 512, "cache capacity for the -cache replay")
 		cacheS   = flag.Float64("cacheskew", 1.4, "Zipf exponent for the -cache replay (larger = more head-heavy)")
 		distribF = flag.Bool("distrib", false, "run only the distributed serving sweep: a local shard fleet behind the scatter-gather coordinator, hedging on/off, one-slow-shard fault injection")
-		routerF  = flag.Bool("router", false, "run only the adaptive-router experiment (Table XVII): router vs each fixed engine on a sharded mixed city+DNA corpus at k=0..3")
 		dRate    = flag.Float64("distribrate", 0, "offered open-loop load in qps for -distrib (default 300)")
 		dDur     = flag.Duration("distribdur", 0, "measured window per -distrib cell (default 2s)")
 	)
@@ -106,30 +104,6 @@ func main() {
 	cfg := bench.DefaultConfig()
 	if *scale > 0 {
 		cfg.Scale = *scale
-	}
-
-	if *routerF {
-		// Standalone like -distrib: the router experiment builds its own
-		// mixed corpus, so the paper workloads are never constructed.
-		fmt.Printf("adaptive-router sweep: scale=%.3g, mixed city+DNA corpus, k = 0..3\n", cfg.Scale)
-		start := time.Now()
-		run := bench.RouterSweep(cfg)
-		fmt.Printf("%d strings, %d queries, %d shards, swept in %v\n\n",
-			len(run.Workload.Data), len(run.Workload.Queries), run.Shards, time.Since(start))
-		run.TableXVII().Render(os.Stdout)
-		fmt.Println()
-		fmt.Print(run.Verdict())
-		if *jsonPath != "" {
-			report := bench.NewReport(cfg.Scale)
-			report.Strings = len(run.Workload.Data)
-			report.Add(run.Records()...)
-			if err := report.WriteFile(*jsonPath); err != nil {
-				fmt.Fprintf(os.Stderr, "paperbench: writing %s: %v\n", *jsonPath, err)
-				os.Exit(1)
-			}
-			fmt.Printf("wrote %d records to %s (GOMAXPROCS=%d)\n", len(report.Records), *jsonPath, report.GOMAXPROCS)
-		}
-		return
 	}
 
 	needCity := *workload == "" || *workload == "city"

@@ -57,7 +57,7 @@ func main() {
 		dataPath = flag.String("data", "", "dataset file, one string per line")
 		gen      = flag.String("gen", "", "generate a synthetic dataset instead: city or dna")
 		n        = flag.Int("n", 40000, "synthetic dataset size")
-		engine   = flag.String("engine", "trie", "engine: router, scan, bitparallel, cascade, trie, bktree, qgram, suffixarray, automaton, vptree")
+		engine   = flag.String("engine", "trie", "engine: scan, bitparallel, cascade, trie, bktree, qgram, suffixarray, automaton, vptree")
 		workers  = flag.Int("workers", 0, "scan engine workers (unsharded) or executor pool workers (sharded)")
 		shards   = flag.Int("shards", 0, "partition the dataset across this many shards (0 = single engine)")
 		addr     = flag.String("addr", ":8080", "listen address")
@@ -112,8 +112,6 @@ func main() {
 		opts.Algorithm = simsearch.Automaton
 	case "vptree":
 		opts.Algorithm = simsearch.VPTree
-	case "router":
-		opts.Algorithm = simsearch.Router
 	default:
 		log.Fatalf("unknown engine %q", *engine)
 	}

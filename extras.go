@@ -46,20 +46,23 @@ func Clusters(data []string, k int, workers int) [][]int32 {
 	return join.Clusters(data, k, join.Options{Algorithm: join.TrieJoin, Workers: workers})
 }
 
-// NewAuto returns an engine that picks automatically — since PR 9 this is
-// the cost-model adaptive router (see NewRouter) rather than a build-time
-// choice. Two of the old static planner's rules (internal/core.Auto: scan
-// below the build-amortization size, scan for permissive thresholds) survive
-// as the router's cold-start prior; where the old planner chose the modern
-// trie, the prior sends k <= 8 on an amortized corpus to the filter cascade
-// and only what lies past it to the trie. After the first feedback the
-// router refines the choice per query from measured latencies — which is
-// how a regime reaches the trie where the trie is faster. expectedK is no
-// longer needed to bind the engine up front — each query carries its own K —
-// but remains in the signature for compatibility and is ignored.
+// NewAuto returns the filtered sweep, the engine NewCascade builds. It used
+// to return a router that learned, per query regime, which of the scan, the
+// trie and the cascade to take; the cascade then won every regime the router
+// was measured on (EXPERIMENTS.md Table XVII), so the choice is made here,
+// once, and no trie is built beside it. expectedK is ignored — each query
+// carries its own K — and stays in the signature for compatibility.
+//
+// Of the cells sized before the router went (EXPERIMENTS.md, "The cells the
+// prior protected") two are lost to the bare scan (NewBitParallel), both
+// past the thresholds the paper asks on names: 100,000 city names at k = 12
+// (+14–31%) and at k = 16 (+50–75%: nearly every string matches, so the
+// words reject nothing and the matches leave in word order to be sorted).
+// A third, 10,000 reads at k = 16, was sized as a +13% loss and re-measured
+// as a tie. A workload that lives there should build NewBitParallel by name.
 func NewAuto(data []string, expectedK int) Searcher {
 	_ = expectedK
-	return NewRouter(data)
+	return NewCascade(data)
 }
 
 // Dynamic is a mutable, concurrency-safe similarity index: Add and Remove

@@ -7,8 +7,7 @@ import (
 
 // CtxPoll enforces the serving-path cancellation invariant introduced in
 // PR 1: inside internal/scan, internal/exec, internal/trie, internal/lsm,
-// internal/bitpack, internal/cascade, internal/distrib, and
-// internal/router, a function
+// internal/bitpack, internal/cascade, and internal/distrib, a function
 // that has a cancellation signal in scope (a context.Context or a
 // chan struct{} cancel channel) must actually poll it in every loop that
 // performs per-element comparison work. A compliant loop either
@@ -34,7 +33,7 @@ var CtxPoll = &Analyzer{
 
 func runCtxPoll(pass *Pass) {
 	if !pathHasSuffix(pass.Path, "internal/scan", "internal/exec", "internal/trie", "internal/lsm",
-		"internal/bitpack", "internal/cascade", "internal/distrib", "internal/router") {
+		"internal/bitpack", "internal/cascade", "internal/distrib") {
 		return
 	}
 	for _, f := range pass.Files {

@@ -21,10 +21,6 @@ type Record struct {
 	Workers     int     `json:"workers,omitempty"`
 	Speedup     float64 `json:"speedup_vs_baseline,omitempty"`
 
-	// ExploreRatio is the adaptive router's explore-arm share for this cell
-	// (only set by the -router sweep's router total record).
-	ExploreRatio float64 `json:"explore_ratio,omitempty"`
-
 	// Distributed-serving fields (only set by the -distrib sweep). Latency
 	// percentiles are measured open-loop from the scheduled arrival time, so
 	// queueing delay behind a slow shard is charged to the serving tier.

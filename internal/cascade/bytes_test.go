@@ -7,7 +7,6 @@ import (
 
 	"simsearch/internal/dataset"
 	"simsearch/internal/edit"
-	"simsearch/internal/scan"
 )
 
 // TestKindSelection: the word holds symbol counts exactly when every byte of
@@ -42,36 +41,6 @@ func TestKindSelection(t *testing.T) {
 	}
 	if got := New([]string{"x"}, WithoutFrequency()).Name(); got != "cascade/bytes-nofreq" {
 		t.Errorf("ablation name = %q", got)
-	}
-}
-
-// TestNewOverSharesArena: a scan engine built over the cascade's arena
-// (scan.NewOver — the router's bit-parallel arm) sweeps that very arena, in
-// the word order the cascade packed it in, and answers like the cascade and
-// like the oracle, with the data's IDs in ID order, on either kind of word.
-func TestNewOverSharesArena(t *testing.T) {
-	for name, data := range map[string][]string{
-		"cascade/bytes": append(dataset.Cities(2000, 5), "", "\xff\xfe", strings.Repeat("x", 70)),
-		"cascade/dna":   append(dataset.DNAReads(1000, 5), "", "N", strings.Repeat("ACGT", 40)),
-	} {
-		own := New(data)
-		over := scan.NewOver(own.Arena(), data)
-		if own.Name() != name || over.Len() != len(data) || over.Strategy() != scan.BitParallel {
-			t.Fatalf("name %q, want %q; scan over it: len %d, rung %v", own.Name(), name, over.Len(), over.Strategy())
-		}
-		if over.Arena() != own.Arena() {
-			t.Fatalf("%s: NewOver copied the arena", name)
-		}
-		for i, q := range dataset.Queries(data, 60, 3, 6) {
-			k := i % 4
-			want := oracle(data, q, k)
-			if got := over.Search(scan.Query{Text: q, K: k}); !equal(got, want) {
-				t.Fatalf("%s: NewOver.Search(%q,%d) = %v, want %v", name, q, k, got, want)
-			}
-			if got := own.Search(q, k); !equal(got, want) {
-				t.Fatalf("%s: New.Search(%q,%d) = %v, want %v", name, q, k, got, want)
-			}
-		}
 	}
 }
 

@@ -5,9 +5,9 @@
 //
 //	length bucket -> block summary -> one signature word (-> a second, on reads) -> band kernel
 //
-// over a scan.Arena a scan engine over the same data can share (Arena), so
-// the engine itself costs 9 bytes per string: the arena's slots give the
-// length window and the bytes, the engine adds one precomputed uint64 per
+// over a scan.Arena of its own; beside the corpus bytes the engine costs 9
+// bytes per string: the arena's slots give the length window and the
+// bytes, the engine adds one precomputed uint64 per
 // slot and, per block of sixteen slots, two summary words that let a query
 // skip the block unread — which pays because the engine packs the arena
 // itself, every length bucket ordered by its words. What the word holds is chosen once, at build
@@ -50,7 +50,7 @@ type CompCounter = scan.CompCounter
 // concurrent Search/SearchContext calls: all per-query state lives on the
 // query's stack, and the stage counters are atomic.
 type Engine struct {
-	words *scan.Words // over an arena a scan engine over the same data may share
+	words *scan.Words
 	name  string
 
 	noFreq bool
@@ -99,11 +99,6 @@ func New(data []string, opts ...Option) *Engine {
 // Len returns the dataset size.
 func (e *Engine) Len() int { return e.words.Arena().Len() }
 
-// Arena returns the engine's arena, for a scan engine over the same data to
-// sweep bare (scan.NewOver) instead of packing the corpus a second time —
-// the router's bit-parallel arm does.
-func (e *Engine) Arena() *scan.Arena { return e.words.Arena() }
-
 // Name identifies the engine and its signature kind: "cascade/dna" (symbol
 // counts) or "cascade/bytes" (occurrence bits), plus any ablation suffix.
 func (e *Engine) Name() string { return e.name }
@@ -147,7 +142,7 @@ func (e *Engine) SearchContext(ctx context.Context, q string, k int) ([]Match, e
 // per-stage survivor counters.
 type Stats struct {
 	Strings    int
-	ArenaBytes int // the possibly shared scan arena's payload
+	ArenaBytes int // the arena's payload
 	Buckets    int // non-empty length buckets
 
 	Queries    uint64

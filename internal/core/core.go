@@ -108,13 +108,6 @@ func NewSequential(data []string, opts ...scan.Option) *Sequential {
 	return &Sequential{eng: e, name: "scan/" + e.Strategy().String()}
 }
 
-// NewSequentialOver builds the bit-parallel scan over an arena another engine
-// already holds (see scan.NewOver); ar must have been packed from data.
-func NewSequentialOver(ar *scan.Arena, data []string) *Sequential {
-	e := scan.NewOver(ar, data)
-	return &Sequential{eng: e, name: "scan/" + e.Strategy().String()}
-}
-
 // Search implements Searcher.
 func (s *Sequential) Search(q Query) []Match {
 	return convertScan(s.eng.Search(scan.Query{Text: q.Text, K: q.K}))

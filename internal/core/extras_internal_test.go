@@ -4,67 +4,8 @@ import (
 	"bytes"
 	"testing"
 
-	"simsearch/internal/dataset"
 	"simsearch/internal/trie"
 )
-
-func TestAutoChoosesByRegime(t *testing.T) {
-	small := dataset.Cities(100, 1)
-	if eng := Auto(small, 2); eng.Len() != 100 {
-		t.Errorf("auto small Len = %d", eng.Len())
-	}
-	// Small datasets use a scan.
-	if _, ok := Auto(small, 2).(*Sequential); !ok {
-		t.Errorf("small dataset engine = %T, want *Sequential", Auto(small, 2))
-	}
-	big := dataset.Cities(5000, 2)
-	if _, ok := Auto(big, 2).(*Trie); !ok {
-		t.Errorf("large dataset engine = %T, want *Trie", Auto(big, 2))
-	}
-	// Permissive threshold relative to string length: scan.
-	if _, ok := Auto(big, 1000).(*Sequential); !ok {
-		t.Errorf("permissive-k engine = %T, want *Sequential", Auto(big, 1000))
-	}
-	// Default threshold path (expectedK <= 0).
-	if eng := Auto(big, 0); eng == nil {
-		t.Error("Auto with default k returned nil")
-	}
-	// Whatever Auto picks must be exact.
-	ref := Reference(big[:500])
-	eng := Auto(big[:500], 2)
-	if err := Verify(eng, ref, []Query{{Text: big[0], K: 2}, {Text: "xyz", K: 1}}); err != nil {
-		t.Errorf("auto engine inexact: %v", err)
-	}
-}
-
-// TestAutoSmallSkipsStats proves the small-dataset fast path decides on
-// len(data) alone: a full dataset.Stats corpus pass before the count check
-// was PR 9's satellite bug (the same shape as PR 8's /stats-per-scrape fix,
-// proven the same way — by making the expensive path impossible to take
-// silently).
-func TestAutoSmallSkipsStats(t *testing.T) {
-	orig := statsFn
-	defer func() { statsFn = orig }()
-	calls := 0
-	statsFn = func(data []string) dataset.Info {
-		calls++
-		return dataset.Stats(data)
-	}
-	small := dataset.Cities(BuildAmortization-1, 3)
-	if _, ok := Auto(small, 2).(*Sequential); !ok {
-		t.Fatalf("small dataset engine = %T, want *Sequential", Auto(small, 2))
-	}
-	if calls != 0 {
-		t.Errorf("Auto paid %d dataset.Stats passes for a sub-amortization dataset, want 0", calls)
-	}
-	big := dataset.Cities(BuildAmortization, 3)
-	if _, ok := Auto(big, 2).(*Trie); !ok {
-		t.Fatalf("large dataset engine = %T, want *Trie", Auto(big, 2))
-	}
-	if calls != 1 {
-		t.Errorf("Auto called dataset.Stats %d times for a large dataset, want 1", calls)
-	}
-}
 
 func TestTrieAccessorsAndPersistence(t *testing.T) {
 	tr := NewTrie(testData, true)

@@ -26,7 +26,6 @@ import (
 	"simsearch/internal/core"
 	"simsearch/internal/metrics"
 	"simsearch/internal/pool"
-	"simsearch/internal/router"
 	"simsearch/internal/scan"
 	"simsearch/internal/stats"
 	"simsearch/internal/trie"
@@ -82,18 +81,6 @@ func TrieFactory(compress bool, opts ...trie.Option) Factory {
 func BKTreeFactory() Factory {
 	return func(data []string) core.Searcher {
 		return core.NewBKTree(data)
-	}
-}
-
-// RouterFactory builds adaptive-router shards: each shard holds its own
-// cost-model router over its slice of the dataset, so per-shard eligibility
-// (a pure-DNA shard gains the cascade even when the whole corpus is mixed)
-// and per-shard feedback both fall out of the partitioning. Shard engines
-// stay serial like the other factories' — the executor's shard fan-out
-// supplies the parallelism. opts configures exploration.
-func RouterFactory(opts ...router.Option) Factory {
-	return func(data []string) core.Searcher {
-		return router.New(data, opts...)
 	}
 }
 
@@ -198,7 +185,7 @@ func (s *Sharded) ShardSizes() []int {
 
 // ShardEngines returns each shard's engine in shard order, for observability
 // surfaces that aggregate engine-specific state across the partition (the
-// httpapi /stats router section). Callers must not mutate engine state.
+// httpapi /stats cascade section). Callers must not mutate engine state.
 func (s *Sharded) ShardEngines() []core.Searcher {
 	out := make([]core.Searcher, len(s.shards))
 	for i, sh := range s.shards {

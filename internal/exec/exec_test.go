@@ -7,7 +7,6 @@ import (
 	"simsearch/internal/core"
 	"simsearch/internal/dataset"
 	"simsearch/internal/pool"
-	"simsearch/internal/router"
 	"simsearch/internal/scan"
 )
 
@@ -230,9 +229,8 @@ func TestShardedVerifies(t *testing.T) {
 
 // TestShardOutputIsIDSorted: merge concatenates shard results and mergeByID
 // (like the coordinator's merge) folds them pairwise, and both take each
-// shard's list to be ID-ascending already. The engines over word-ordered
-// arenas — the cascade, and the router's scan arm over the cascade's arena —
-// emit matches in word order inside and restore ID order themselves
+// shard's list to be ID-ascending already. The cascade's arena is word-ordered:
+// it emits matches in word order inside and restores ID order itself
 // (scan.MergeRuns) before a shard returns; nothing downstream sorts.
 func TestShardOutputIsIDSorted(t *testing.T) {
 	var data []string
@@ -242,22 +240,19 @@ func TestShardOutputIsIDSorted(t *testing.T) {
 			data = append(data, s, s)
 		}
 	}
-	qs := queriesFor(data, 40, []int{0, 1, 2, 3}, 43)
+	qs := queriesFor(data, 120, []int{0, 1, 2, 3}, 43)
 	for name, f := range map[string]Factory{
 		"cascade": CascadeFactory(), "bitparallel": BitParallelFactory(),
-		"router": RouterFactory(router.WithExploreEvery(1)),
 	} {
 		ex := New(data, Options{Shards: 3, Factory: f})
-		pairs := 0                        // adjacent matches compared
-		for pass := 0; pass < 3; pass++ { // the router's forced explore arm cycles through its engines
-			for _, q := range qs {
-				for i, eng := range ex.ShardEngines() {
-					ms := eng.Search(q)
-					for j := 1; j < len(ms); j++ {
-						pairs++
-						if ms[j].ID <= ms[j-1].ID {
-							t.Fatalf("%s shard %d: Search(%+v) is not ID-ascending: %v", name, i, q, ms)
-						}
+		pairs := 0 // adjacent matches compared
+		for _, q := range qs {
+			for i, eng := range ex.ShardEngines() {
+				ms := eng.Search(q)
+				for j := 1; j < len(ms); j++ {
+					pairs++
+					if ms[j].ID <= ms[j-1].ID {
+						t.Fatalf("%s shard %d: Search(%+v) is not ID-ascending: %v", name, i, q, ms)
 					}
 				}
 			}

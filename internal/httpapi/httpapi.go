@@ -57,7 +57,6 @@ import (
 	"simsearch/internal/dataset"
 	"simsearch/internal/exec"
 	"simsearch/internal/metrics"
-	"simsearch/internal/router"
 )
 
 // Server wires an engine and its dataset into an http.Handler.
@@ -153,39 +152,75 @@ func New(eng core.Searcher, data []string) *Server {
 		}
 		e = u.Unwrap()
 	}
-	// Routers inside the sharded executor sit a layer deeper than the
-	// decorator walk reaches; register their summed counters so the sharded
-	// router path exports simsearch_router_* like the direct path does.
-	if rs := shardRouters(eng); len(rs) > 0 {
-		router.RegisterMetrics(s.reg, rs...)
+	// Shard engines sit a layer deeper than the decorator walk reaches;
+	// register the shard cascades' summed funnel so the sharded path exports
+	// simsearch_cascade_* like the direct path does.
+	if _, direct := engineAs[*core.Cascade](eng); !direct {
+		registerCascades(s.reg, cascades(eng))
 	}
 	return s
 }
 
-// shardRouters returns the router engines held by a sharded executor in the
-// decorator chain, if any (a directly served router registers its metrics
-// through the chain walk instead and is not returned here).
-func shardRouters(eng core.Searcher) []*router.Engine {
+// cascades returns every filter cascade in the serving chain: a directly
+// served (possibly cached) one, or those the sharded executor's shards hold.
+func cascades(eng core.Searcher) []*core.Cascade {
+	if c, ok := engineAs[*core.Cascade](eng); ok {
+		return []*core.Cascade{c}
+	}
 	ex, ok := engineAs[*exec.Sharded](eng)
 	if !ok {
 		return nil
 	}
-	var out []*router.Engine
+	var out []*core.Cascade
 	for _, se := range ex.ShardEngines() {
-		if r, ok := se.(*router.Engine); ok {
-			out = append(out, r)
+		if c, ok := se.(*core.Cascade); ok {
+			out = append(out, c)
 		}
 	}
 	return out
 }
 
-// collectRouters gathers every router in the serving chain: a directly
-// served (possibly cached) router, or one per shard under the executor.
-func collectRouters(eng core.Searcher) []*router.Engine {
-	if r, ok := engineAs[*router.Engine](eng); ok {
-		return []*router.Engine{r}
+// cascadeTotals sums the layouts and the funnels of cs.
+func cascadeTotals(cs []*core.Cascade) (sum CascadeStatsJSON) {
+	for _, c := range cs {
+		st := c.CascadeEngine().Stats()
+		sum.ArenaBytes += st.ArenaBytes
+		sum.Buckets += st.Buckets
+		sum.Queries += st.Queries
+		sum.Candidates += st.Candidates
+		sum.Swept += st.Swept
+		sum.Passed += st.Passed
+		sum.Survivors += st.Survivors
+		sum.Matches += st.Matches
 	}
-	return shardRouters(eng)
+	return sum
+}
+
+// registerCascades exports the summed counters of cs under the series names
+// and stage labels one cascade registers for itself (cascade.RegisterMetrics).
+func registerCascades(reg *metrics.Registry, cs []*core.Cascade) {
+	if len(cs) == 0 {
+		return
+	}
+	counter := func(name, help string, field func(CascadeStatsJSON) uint64, labels ...metrics.Label) {
+		reg.CounterFunc(name, help, func() float64 { return float64(field(cascadeTotals(cs))) }, labels...)
+	}
+	counter("simsearch_cascade_queries_total", "queries answered by the shard cascades, summed over shards",
+		func(st CascadeStatsJSON) uint64 { return st.Queries })
+	for _, stage := range []struct {
+		name  string
+		field func(CascadeStatsJSON) uint64
+	}{
+		{"length", func(st CascadeStatsJSON) uint64 { return st.Candidates }},
+		{"block", func(st CascadeStatsJSON) uint64 { return st.Swept }},
+		{"frequency", func(st CascadeStatsJSON) uint64 { return st.Passed }},
+		{"qgram", func(st CascadeStatsJSON) uint64 { return st.Survivors }},
+		{"verify", func(st CascadeStatsJSON) uint64 { return st.Matches }},
+	} {
+		counter("simsearch_cascade_stage_survivors_total",
+			"candidates surviving each cascade stage, cumulative across queries and shards",
+			stage.field, metrics.L("stage", stage.name))
+	}
 }
 
 // engineAs walks the engine decorator chain (via Unwrap) looking for a layer
@@ -698,7 +733,8 @@ type ScanStatsJSON struct {
 // CascadeStatsJSON is the filter-cascade section of the /stats payload: the
 // arena layout plus the cumulative per-stage survivor funnel, which makes
 // the cascade's pruning observable (a stage whose survivors equal its input
-// has stopped pruning). The signature kind is in the engine's name.
+// has stopped pruning). The signature kind is in the engine's name. Under the
+// sharded executor the section sums the shards' cascades.
 type CascadeStatsJSON struct {
 	ArenaBytes int    `json:"arena_bytes"`
 	Buckets    int    `json:"buckets"`
@@ -716,39 +752,6 @@ type CascadeStatsJSON struct {
 	Matches    uint64 `json:"matches"`
 }
 
-// RouterEngineJSON is one candidate engine's routing tally in the router
-// section.
-type RouterEngineJSON struct {
-	Name   string `json:"name"`
-	Routes uint64 `json:"routes"`
-	Built  bool   `json:"built"`
-}
-
-// RouterRegimeJSON is one regime cell of the router's cost model: which
-// engine the model currently prefers there and the per-engine feedback
-// behind that choice.
-type RouterRegimeJSON struct {
-	Regime    string             `json:"regime"`
-	Preferred string             `json:"preferred"`
-	Samples   map[string]uint64  `json:"samples"`
-	EwmaµS    map[string]float64 `json:"ewma_us"`
-	FloorµS   map[string]float64 `json:"floor_us"` // decayed minimum, the routing estimate
-}
-
-// RouterStatsJSON is the adaptive-router section of the /stats payload:
-// per-engine route counts, the explore arm's bounded cost, and the regime
-// table. On the sharded path the section aggregates every shard's router
-// (counters summed, regime EWMAs sample-weighted).
-type RouterStatsJSON struct {
-	Engines       []RouterEngineJSON `json:"engines"`
-	Queries       uint64             `json:"queries"`
-	Explores      uint64             `json:"explores"`
-	ExploreRatio  float64            `json:"explore_ratio"`
-	BusyµS        int64              `json:"busy_us"`
-	ExploreBusyµS int64              `json:"explore_busy_us"`
-	Regimes       []RouterRegimeJSON `json:"regimes,omitempty"`
-}
-
 // StatsResponse is the /stats payload.
 type StatsResponse struct {
 	Engine  string            `json:"engine"`
@@ -759,7 +762,6 @@ type StatsResponse struct {
 	MaxLen  int               `json:"max_len"`
 	Scan    *ScanStatsJSON    `json:"scan,omitempty"`
 	Cascade *CascadeStatsJSON `json:"cascade,omitempty"`
-	Router  *RouterStatsJSON  `json:"router,omitempty"`
 	Cache   *CacheStatsJSON   `json:"cache,omitempty"`
 	Live    *LiveStatsJSON    `json:"live,omitempty"`
 	Shards  []ShardStatsJSON  `json:"shards,omitempty"`
@@ -785,38 +787,9 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		}
 		resp.Scan = sj
 	}
-	if cc, ok := engineAs[*core.Cascade](s.eng); ok {
-		st := cc.CascadeEngine().Stats()
-		resp.Cascade = &CascadeStatsJSON{
-			ArenaBytes: st.ArenaBytes, Buckets: st.Buckets,
-			Queries: st.Queries, Candidates: st.Candidates, Swept: st.Swept, Passed: st.Passed,
-			Survivors: st.Survivors, Matches: st.Matches,
-		}
-	}
-	if rs := collectRouters(s.eng); len(rs) > 0 {
-		sts := make([]router.Stats, len(rs))
-		for i, r := range rs {
-			sts[i] = r.Stats()
-		}
-		st := router.Merge(sts...)
-		rj := &RouterStatsJSON{
-			Queries: st.Queries, Explores: st.Explores,
-			ExploreRatio:  st.ExploreRatio,
-			BusyµS:        st.Busy.Microseconds(),
-			ExploreBusyµS: st.ExploreBusy.Microseconds(),
-		}
-		for _, es := range st.Engines {
-			rj.Engines = append(rj.Engines, RouterEngineJSON{
-				Name: es.Name, Routes: es.Routes, Built: es.Built,
-			})
-		}
-		for _, reg := range st.Regimes {
-			rj.Regimes = append(rj.Regimes, RouterRegimeJSON{
-				Regime: reg.Regime, Preferred: reg.Preferred,
-				Samples: reg.Samples, EwmaµS: reg.EwmaUS, FloorµS: reg.FloorUS,
-			})
-		}
-		resp.Router = rj
+	if cs := cascades(s.eng); len(cs) > 0 {
+		st := cascadeTotals(cs)
+		resp.Cascade = &st
 	}
 	if c, ok := engineAs[*cache.Cache](s.eng); ok {
 		cs := c.Stats()

@@ -3,6 +3,7 @@ package httpapi
 import (
 	"context"
 	"encoding/json"
+	"fmt"
 	"net"
 	"net/http"
 	"net/http/httptest"
@@ -10,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"simsearch/internal/cache"
 	"simsearch/internal/core"
 	"simsearch/internal/exec"
 )
@@ -162,51 +164,62 @@ func TestStatsCascadeSection(t *testing.T) {
 	for len(dna) < 6+27 {
 		dna = append(dna, "TTTT")
 	}
-	eng := core.NewCascade(dna)
-	srv := New(eng, dna)
-	ts := httptest.NewServer(srv)
-	defer ts.Close()
-
-	var sr SearchResponse
-	getJSON(t, ts.URL+"/search?q=ACGT&k=1", &sr)
-	if len(sr.Matches) != 2 {
-		t.Fatalf("cascade search matches = %v", sr.Matches)
-	}
-
-	var resp StatsResponse
-	getJSON(t, ts.URL+"/stats", &resp)
-	if resp.Cascade == nil {
-		t.Fatal("stats payload missing cascade section")
-	}
-	cs := resp.Cascade
-	if resp.Engine != "cascade/dna" || cs.Queries != 1 || cs.ArenaBytes <= 0 || cs.Buckets <= 0 {
-		t.Errorf("engine %q, cascade stats = %+v", resp.Engine, cs)
-	}
-	if cs.Candidates != 32 || cs.Swept != 16 || cs.Passed != 3 || cs.Survivors != 2 || cs.Matches != 2 {
-		t.Errorf("cascade survivor funnel = %+v, want 32 > 16 > 3 > 2 = 2", cs)
-	}
-
-	// The per-stage survivors must also be scrapeable on /metrics.
-	mresp, err := http.Get(ts.URL + "/metrics")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer mresp.Body.Close()
-	var sb strings.Builder
-	if _, err := srv.Registry().WriteTo(&sb); err != nil {
-		t.Fatal(err)
-	}
-	body := sb.String()
-	for _, want := range []string{
-		"simsearch_cascade_queries_total",
-		`simsearch_cascade_stage_survivors_total{stage="length"} 32`,
-		`simsearch_cascade_stage_survivors_total{stage="block"} 16`,
-		`simsearch_cascade_stage_survivors_total{stage="frequency"} 3`,
-		`simsearch_cascade_stage_survivors_total{stage="qgram"} 2`,
-		`simsearch_cascade_stage_survivors_total{stage="verify"} 2`,
+	// Served directly and, as simserve -shards 2 -cache serves it, one
+	// cascade per shard under the executor and the cache: the section and
+	// the series are the same, summed over shards. The second shard holds
+	// seventeen TTTT, so its two blocks both fall unread, and the first
+	// shard's window is the fifteen other strings of the direct case.
+	for _, tc := range []struct {
+		name    string
+		eng     core.Searcher
+		engine  string
+		queries uint64
+		swept   uint64
+	}{
+		{"direct", core.NewCascade(dna), "cascade/dna", 1, 16},
+		{"two shards, cached", cache.New(exec.New(dna, exec.Options{Shards: 2, Factory: exec.CascadeFactory()}), cache.Options{}),
+			"sharded-2/cascade/dna", 2, 15},
 	} {
-		if !strings.Contains(body, want) {
-			t.Errorf("metrics output missing %q", want)
+		srv := New(tc.eng, dna)
+		ts := httptest.NewServer(srv)
+		defer ts.Close()
+
+		var sr SearchResponse
+		getJSON(t, ts.URL+"/search?q=ACGT&k=1", &sr)
+		if len(sr.Matches) != 2 {
+			t.Fatalf("%s: cascade search matches = %v", tc.name, sr.Matches)
+		}
+
+		var resp StatsResponse
+		getJSON(t, ts.URL+"/stats", &resp)
+		if resp.Cascade == nil {
+			t.Fatalf("%s: stats payload missing cascade section", tc.name)
+		}
+		cs := resp.Cascade
+		if !strings.HasSuffix(resp.Engine, tc.engine) || cs.Queries != tc.queries || cs.ArenaBytes != 4*32+8 || cs.Buckets < 2 {
+			t.Errorf("%s: engine %q, cascade stats = %+v", tc.name, resp.Engine, cs)
+		}
+		if cs.Candidates != 32 || cs.Swept != tc.swept || cs.Passed != 3 || cs.Survivors != 2 || cs.Matches != 2 {
+			t.Errorf("%s: cascade survivor funnel = %+v, want 32 > %d > 3 > 2 = 2", tc.name, cs, tc.swept)
+		}
+
+		// The per-stage survivors must also be scrapeable on /metrics.
+		var sb strings.Builder
+		if _, err := srv.Registry().WriteTo(&sb); err != nil {
+			t.Fatal(err)
+		}
+		body := sb.String()
+		for _, want := range []string{
+			fmt.Sprintf("simsearch_cascade_queries_total %d", tc.queries),
+			`simsearch_cascade_stage_survivors_total{stage="length"} 32`,
+			fmt.Sprintf(`simsearch_cascade_stage_survivors_total{stage="block"} %d`, tc.swept),
+			`simsearch_cascade_stage_survivors_total{stage="frequency"} 3`,
+			`simsearch_cascade_stage_survivors_total{stage="qgram"} 2`,
+			`simsearch_cascade_stage_survivors_total{stage="verify"} 2`,
+		} {
+			if !strings.Contains(body, want) {
+				t.Errorf("%s: metrics output missing %q", tc.name, want)
+			}
 		}
 	}
 }

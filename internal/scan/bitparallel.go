@@ -21,10 +21,9 @@ const bitParallelChunksPerWorker = 4
 
 // searchBitParallel answers one query on the BitParallel rung. The pattern is
 // compiled once, the arena's length-filtered slot range is selected in O(1),
-// and with Workers > 1 the range is chunked across a fixed pool. Every scan
-// emits matches in slot order — over the rung's own (length, ID) arena one
-// ID-ascending run per length bucket, over a shared word-ordered one (NewOver)
-// many short ones — and mergeRuns puts them in ID order.
+// and with Workers > 1 the range is chunked across a fixed pool. Results are
+// ID-ordered by construction: slots are ordered (length, ID), so every scan
+// emits a concatenation of ID-ascending runs that mergeRuns folds together.
 func (e *Engine) searchBitParallel(ctx context.Context, q Query) ([]Match, error) {
 	var cancel <-chan struct{}
 	if ctx != nil {
@@ -66,9 +65,9 @@ func (e *Engine) searchBitParallel(ctx context.Context, q Query) ([]Match, error
 	for _, ms := range per {
 		out = append(out, ms...)
 	}
-	// Chunks cover the slot range in order, so the concatenation is the
-	// serial scan's slot order (a bucket split by a chunk boundary does not
-	// even introduce a descent).
+	// Chunks cover the slot range in order, so the concatenation is still a
+	// concatenation of ID-ascending runs (a bucket split by a chunk boundary
+	// does not even introduce a descent).
 	return mergeRuns(out), nil
 }
 
@@ -146,10 +145,6 @@ func (e *Engine) ArenaStats() (ArenaStats, bool) {
 		Buckets: e.arena.Buckets(),
 	}, true
 }
-
-// Arena returns the BitParallel rung's packed layout (nil on every other
-// rung): its own, or the one it was handed (NewOver).
-func (e *Engine) Arena() *Arena { return e.arena }
 
 // Workers returns the configured pool size (0 means unset).
 func (e *Engine) Workers() int { return e.workers }

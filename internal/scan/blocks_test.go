@@ -270,9 +270,8 @@ func TestEqualWordsPastOneGroup(t *testing.T) {
 }
 
 // TestWordOrderIsThePackers: NewArena keeps (length, ID) and NewWords orders
-// a bucket by its words, over the same data; both answer alike through the
-// bare sweep, and the word-ordered arena differs from the flat one exactly
-// in the order inside buckets.
+// a bucket by its words, over the same data; the word-ordered arena differs
+// from the flat one exactly in the order inside buckets.
 func TestWordOrderIsThePackers(t *testing.T) {
 	data := dataset.Cities(2000, 26)
 	flat, w := NewArena(data), NewWords(data)
@@ -287,13 +286,6 @@ func TestWordOrderIsThePackers(t *testing.T) {
 	for s := int32(0); s < int32(ordered.Len()); s++ {
 		if got := string(ordered.SlotBytes(s)); got != data[ordered.SlotID(s)] {
 			t.Fatalf("slot %d holds %q under ID %d, which is %q", s, got, ordered.SlotID(s), data[ordered.SlotID(s)])
-		}
-	}
-	own, over := New(data, WithStrategy(BitParallel)), NewOver(ordered, data)
-	for i, q := range dataset.Queries(data, 60, 3, 27) {
-		query := Query{Text: q, K: i % 4}
-		if got, want := over.Search(query), own.Search(query); !slices.Equal(got, want) {
-			t.Fatalf("bare sweep of the word-ordered arena: Search(%+v) = %v, want %v", query, got, want)
 		}
 	}
 }

@@ -184,14 +184,6 @@ func New(data []string, opts ...Option) *Engine {
 	return e
 }
 
-// NewOver builds a BitParallel engine over an arena the caller already
-// holds — the router passes its cascade arm's — instead of packing data a
-// second time. ar must have been packed from data; the rung sweeps it bare,
-// in whatever order its buckets were packed, and merges the runs by ID.
-func NewOver(ar *Arena, data []string) *Engine {
-	return &Engine{data: data, strategy: BitParallel, arena: ar}
-}
-
 // buildLengthIndex orders IDs by (length, ID) with a counting sort: stable by
 // construction, so every equal-length segment of byLen is ID-ascending and a
 // length-window scan emits one sorted run per length — which is what lets

@@ -380,9 +380,8 @@ func cmpBitSkew(a, b wordBit) int {
 // the occurrence bits gathered most-balanced-first otherwise — and computes
 // the words and the block summaries over it. The order is fixed here, in the
 // arena's one placement pass, and the arena is immutable from then on like
-// any other: engines over the same data share it through Arena(). Beside the
-// arena it costs 8 bytes per string, 16 on all-DNA data, and one more for
-// the summaries.
+// any other. Beside the arena it costs 8 bytes per string, 16 on all-DNA
+// data, and one more for the summaries.
 func NewWords(data []string) *Words {
 	w := &Words{counts: true}
 	for _, s := range data {
@@ -496,8 +495,7 @@ func (w *Words) Verify() error {
 	return nil
 }
 
-// Arena returns the arena the words were computed over, for another engine
-// over the same data to sweep instead of packing the corpus a second time.
+// Arena returns the arena the words were computed over.
 func (w *Words) Arena() *Arena { return w.ar }
 
 // Counts reports the kind of the words: symbol counts (true) or occurrence

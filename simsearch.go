@@ -9,6 +9,15 @@
 //   - the compressed prefix-tree index (NewIndex), which wins on long
 //     small-alphabet strings such as genome reads.
 //
+// A third, the paper's §6 future work built out, is what this library serves
+// with:
+//
+//   - the filtered sweep (NewCascade, and NewAuto, which returns it): a scan
+//     over length buckets with one or two precomputed words per string
+//     deciding which candidates reach the bit-parallel kernel. It is ahead of
+//     both engines above at every threshold the paper asks on both corpora,
+//     so no serving path builds the index unless asked for it by name.
+//
 // Three baseline engines (BK-tree, q-gram index, suffix-array partitioning)
 // are available through New with an explicit Algorithm. All engines return
 // identical, exhaustive result sets — only their running time differs — and
@@ -33,7 +42,6 @@ import (
 	"simsearch/internal/exec"
 	"simsearch/internal/filter"
 	"simsearch/internal/pool"
-	"simsearch/internal/router"
 	"simsearch/internal/scan"
 	"simsearch/internal/trie"
 )
@@ -84,12 +92,11 @@ const (
 	// dataset occurrence bits of the byte values. Results are identical to
 	// Scan; only the pruning differs.
 	Cascade
-	// Router is the cost-model adaptive router: it holds the bit-parallel
-	// scan, the modern trie and the cascade (built over the scan's own
-	// arena) behind one facade and picks an engine per query from
-	// a cost model over (query length, k, length-window selectivity) that re-fits
-	// online from measured latencies. Results are identical to Scan; only
-	// the engine taken — and therefore speed — differs per query.
+	// Router selects the same engine as Cascade. It named an adaptive
+	// router over the scan, the trie and the cascade until the cascade won
+	// every cell the router was measured on (EXPERIMENTS.md Table XVII).
+	//
+	// Deprecated: use Cascade.
 	Router
 )
 
@@ -175,14 +182,10 @@ func newEngine(data []string, opts Options) Searcher {
 			sopts = append(sopts, scan.WithWorkers(opts.Workers))
 		}
 		return core.NewSequential(data, sopts...)
-	case Cascade:
+	case Cascade, Router:
 		// The cascade engine answers each query serially; parallelism comes
 		// from sharding (NewSharded) like the other serial engines.
 		return core.NewCascade(data)
-	case Router:
-		// The router's candidate engines answer serially; parallelism comes
-		// from sharding (NewSharded builds one router per shard).
-		return router.New(data)
 	default:
 		sopts := []scan.Option{scan.WithStrategy(scan.SimpleTypes)}
 		if opts.Workers > 1 {
@@ -238,12 +241,9 @@ func NewCascade(data []string) Searcher {
 	return New(data, Options{Algorithm: Cascade})
 }
 
-// NewRouter returns the cost-model adaptive router over data: every query
-// is routed to whichever candidate engine (bit-parallel scan, modern trie,
-// cascade) the cost model predicts fastest for its regime, with measured latencies fed back online and a small bounded
-// explore arm keeping the estimates fresh as the workload drifts. Candidate
-// engines are built lazily on first route. Results are byte-identical to
-// NewScan for every dataset and query.
+// NewRouter returns the same engine as NewCascade; see Router.
+//
+// Deprecated: use NewAuto or NewCascade.
 func NewRouter(data []string) Searcher {
 	return New(data, Options{Algorithm: Router})
 }
