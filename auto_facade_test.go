@@ -53,14 +53,3 @@ func TestNewRouterFacade(t *testing.T) {
 		}
 	}
 }
-
-func TestNewAutomatonFacade(t *testing.T) {
-	eng := simsearch.NewAutomaton(cities)
-	if eng.Name() == "" {
-		t.Fatal("empty name")
-	}
-	qs := []simsearch.Query{{Text: "berlin", K: 1}, {Text: "bonn", K: 0}}
-	if err := simsearch.Verify(eng, cities, qs); err != nil {
-		t.Fatal(err)
-	}
-}

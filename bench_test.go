@@ -13,14 +13,11 @@ import (
 	"testing"
 
 	"simsearch/internal/bench"
-	"simsearch/internal/bitpack"
 	"simsearch/internal/core"
 	"simsearch/internal/dataset"
 	"simsearch/internal/edit"
 	"simsearch/internal/filter"
 	"simsearch/internal/join"
-	"simsearch/internal/minhash"
-	"simsearch/internal/ngram"
 	"simsearch/internal/pool"
 	"simsearch/internal/scan"
 	"simsearch/internal/trie"
@@ -291,33 +288,6 @@ func BenchmarkAblationTrieCompression(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationBitpack compares plain vs 3-bit-packed DNA scanning
-// (§6 "Dictionary Compression").
-func BenchmarkAblationBitpack(b *testing.B) {
-	_, dna := workloads()
-	corpus, err := bitpack.NewCorpus(dna.Data)
-	if err != nil {
-		b.Fatal(err)
-	}
-	q := dna.Queries[1].Text
-	b.Run("plain", func(b *testing.B) {
-		var s edit.Scratch
-		for i := 0; i < b.N; i++ {
-			for _, x := range dna.Data {
-				s.BoundedDistance(q, x, 8)
-			}
-		}
-	})
-	b.Run("packed", func(b *testing.B) {
-		b.ReportMetric(corpus.CompressionRatio(), "compression")
-		for i := 0; i < b.N; i++ {
-			if _, err := corpus.Search(q, 8); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-}
-
 // BenchmarkAblationSorting measures the §6 "Sorting" idea: length-sorted
 // scanning vs plain scanning.
 func BenchmarkAblationSorting(b *testing.B) {
@@ -366,10 +336,7 @@ func BenchmarkBaselines(b *testing.B) {
 			core.NewSequential(wl.Data, scan.WithStrategy(scan.SimpleTypes), scan.WithBandedKernel()),
 			core.NewTrie(wl.Data, true, trie.WithModernPruning()),
 			core.NewTrie(wl.Data, true),
-			core.NewBKTree(wl.Data),
-			core.NewVPTree(wl.Data),
-			core.NewQGram(2, wl.Data),
-			core.NewSuffixArray(wl.Data),
+			core.NewCascade(wl.Data),
 		}
 		for _, eng := range engines {
 			b.Run(wl.Name+"/"+eng.Name(), func(b *testing.B) {
@@ -377,44 +344,6 @@ func BenchmarkBaselines(b *testing.B) {
 			})
 		}
 	}
-}
-
-// BenchmarkAblationAutomaton compares the lazy-DFA Levenshtein automaton
-// scan against the DP-kernel scans.
-func BenchmarkAblationAutomaton(b *testing.B) {
-	city, dna := workloads()
-	for _, wl := range []bench.Workload{city, dna} {
-		dp := core.NewSequential(wl.Data, scan.WithStrategy(scan.SimpleTypes), scan.WithBandedKernel())
-		aut := core.NewAutomatonScan(wl.Data)
-		b.Run(wl.Name+"/dp-banded", func(b *testing.B) {
-			benchBatch(b, dp, wl.Queries, nil)
-		})
-		b.Run(wl.Name+"/automaton", func(b *testing.B) {
-			benchBatch(b, aut, wl.Queries, nil)
-		})
-	}
-}
-
-// BenchmarkAblationPositionalQGram compares the positionless and positional
-// q-gram indexes.
-func BenchmarkAblationPositionalQGram(b *testing.B) {
-	city, _ := workloads()
-	plain := ngram.New(2, city.Data)
-	positional := ngram.NewPositional(2, city.Data)
-	b.Run("plain", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			for _, q := range city.Queries {
-				plain.Search(q.Text, q.K)
-			}
-		}
-	})
-	b.Run("positional", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			for _, q := range city.Queries {
-				positional.Search(q.Text, q.K)
-			}
-		}
-	})
 }
 
 // BenchmarkJoin races the three join algorithms on a city self-join.
@@ -481,34 +410,6 @@ func BenchmarkAblationExternalTrie(b *testing.B) {
 				if _, err := ext.Search(q.Text, q.K); err != nil {
 					b.Fatal(err)
 				}
-			}
-		}
-	})
-}
-
-// BenchmarkAblationMinHash measures the approximate LSH engine against the
-// exact scan, reporting measured recall alongside speed.
-func BenchmarkAblationMinHash(b *testing.B) {
-	city, _ := workloads()
-	idx := minhash.New(city.Data, minhash.Config{Q: 2, Bands: 32, Rows: 2})
-	queries := make([]string, len(city.Queries))
-	for i, q := range city.Queries {
-		queries[i] = q.Text
-	}
-	b.Run("lsh-verified", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			for _, q := range queries {
-				idx.Search(q, 1)
-			}
-		}
-		b.StopTimer()
-		b.ReportMetric(idx.Recall(queries, 1), "recall")
-	})
-	exact := core.NewSequential(city.Data, scan.WithStrategy(scan.SimpleTypes), scan.WithBandedKernel())
-	b.Run("exact-scan", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			for _, q := range queries {
-				exact.Search(core.Query{Text: q, K: 1})
 			}
 		}
 	})

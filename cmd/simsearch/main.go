@@ -5,7 +5,7 @@
 //
 //	simsearch -data cities.txt -engine trie -k 2 Berlni Hambrg
 //	simsearch -data cities.txt -engine scan -workers 8 -queries queries.txt -k 2
-//	simsearch -data reads.txt -engine qgram -gram 3 -k 8 ACGT...
+//	simsearch -data reads.fastq -engine trie -k 8 ACGT...
 package main
 
 import (
@@ -20,9 +20,8 @@ import (
 func main() {
 	var (
 		dataPath  = flag.String("data", "", "dataset file, one string per line (required)")
-		engine    = flag.String("engine", "trie", "engine: scan, trie, bktree, qgram, suffixarray")
+		engine    = flag.String("engine", "trie", "engine: scan, trie")
 		workers   = flag.Int("workers", 0, "scan engine: parallel workers (0 = serial)")
-		gram      = flag.Int("gram", 2, "qgram engine: gram size")
 		k         = flag.Int("k", 2, "edit-distance threshold")
 		queryFile = flag.String("queries", "", "query file, one query per line (else positional args)")
 		quiet     = flag.Bool("quiet", false, "suppress per-match output, print only counts and timing")
@@ -54,18 +53,12 @@ func main() {
 		fatal(fmt.Errorf("no queries: pass positional arguments or -queries FILE"))
 	}
 
-	opts := simsearch.Options{Workers: *workers, GramSize: *gram}
+	opts := simsearch.Options{Workers: *workers}
 	switch *engine {
 	case "scan":
 		opts.Algorithm = simsearch.Scan
 	case "trie":
 		opts.Algorithm = simsearch.Trie
-	case "bktree":
-		opts.Algorithm = simsearch.BKTree
-	case "qgram":
-		opts.Algorithm = simsearch.QGram
-	case "suffixarray":
-		opts.Algorithm = simsearch.SuffixArray
 	default:
 		fatal(fmt.Errorf("unknown engine %q", *engine))
 	}

@@ -77,13 +77,8 @@ func main() {
 		build(func() simsearch.Searcher {
 			return simsearch.New(data, simsearch.Options{Algorithm: simsearch.Trie, PaperFaithful: true})
 		}),
-		build(func() simsearch.Searcher { return simsearch.New(data, simsearch.Options{Algorithm: simsearch.BKTree}) }),
-		build(func() simsearch.Searcher {
-			return simsearch.New(data, simsearch.Options{Algorithm: simsearch.QGram, GramSize: 2})
-		}),
-		build(func() simsearch.Searcher {
-			return simsearch.New(data, simsearch.Options{Algorithm: simsearch.SuffixArray})
-		}),
+		build(func() simsearch.Searcher { return simsearch.NewBitParallel(data, 0) }),
+		build(func() simsearch.Searcher { return simsearch.NewCascade(data) }),
 	}
 
 	type result struct {

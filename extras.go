@@ -65,16 +65,6 @@ func NewAuto(data []string, expectedK int) Searcher {
 	return NewCascade(data)
 }
 
-// Dynamic is a mutable, concurrency-safe similarity index: Add and Remove
-// strings at any time; Search runs under a readers-writer lock.
-type Dynamic = core.Dynamic
-
-// NewDynamic returns an empty mutable index.
-func NewDynamic() *Dynamic { return core.NewDynamic() }
-
-// NewDynamicFrom seeds a mutable index with data (string i gets ID i).
-func NewDynamicFrom(data []string) *Dynamic { return core.NewDynamicFrom(data) }
-
 // --- Nearest-neighbour convenience ---------------------------------------------
 
 // TopK returns up to k of the closest dataset strings to text (ordered by

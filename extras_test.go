@@ -59,22 +59,6 @@ func TestNewAuto(t *testing.T) {
 	}
 }
 
-func TestDynamicFacade(t *testing.T) {
-	empty := simsearch.NewDynamic()
-	if empty.Len() != 0 {
-		t.Error("NewDynamic not empty")
-	}
-	d := simsearch.NewDynamicFrom([]string{"berlin"})
-	id := d.Add("bern")
-	ms := d.Search(simsearch.Query{Text: "bern", K: 0})
-	if len(ms) != 1 || ms[0].ID != id {
-		t.Errorf("got %v", ms)
-	}
-	if !d.Remove(id) || d.Len() != 1 {
-		t.Error("remove failed")
-	}
-}
-
 func TestTopKFacade(t *testing.T) {
 	eng := simsearch.NewIndex(cities)
 	ms := simsearch.TopK(eng, "berlni", 2, 3)

@@ -199,16 +199,6 @@ func calleeObject(info *types.Info, call *ast.CallExpr) types.Object {
 	return nil
 }
 
-// calleeIsPkgFunc reports whether the call statically invokes a function or
-// method declared in a package whose import path matches one of the suffixes.
-func calleeIsPkgFunc(info *types.Info, call *ast.CallExpr, suffixes ...string) bool {
-	fn, ok := calleeObject(info, call).(*types.Func)
-	if !ok || fn.Pkg() == nil {
-		return false
-	}
-	return pathHasSuffix(fn.Pkg().Path(), suffixes...)
-}
-
 // isKernelCall reports whether call enters a distance kernel: a function of
 // internal/edit, or a method of internal/scan's Probe — the compiled query
 // an engine outside internal/scan holds candidates against (the live store's

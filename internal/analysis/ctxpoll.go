@@ -7,7 +7,7 @@ import (
 
 // CtxPoll enforces the serving-path cancellation invariant introduced in
 // PR 1: inside internal/scan, internal/exec, internal/trie, internal/lsm,
-// internal/bitpack, internal/cascade, and internal/distrib, a function
+// internal/cascade, and internal/distrib, a function
 // that has a cancellation signal in scope (a context.Context or a
 // chan struct{} cancel channel) must actually poll it in every loop that
 // performs per-element comparison work. A compliant loop either
@@ -33,7 +33,7 @@ var CtxPoll = &Analyzer{
 
 func runCtxPoll(pass *Pass) {
 	if !pathHasSuffix(pass.Path, "internal/scan", "internal/exec", "internal/trie", "internal/lsm",
-		"internal/bitpack", "internal/cascade", "internal/distrib") {
+		"internal/cascade", "internal/distrib") {
 		return
 	}
 	for _, f := range pass.Files {
@@ -181,9 +181,9 @@ func collectLocalClosures(pass *Pass, body *ast.BlockStmt) map[types.Object]*ast
 }
 
 // loopDoesComparisonWork reports whether the loop body invokes per-element
-// engine work: a call into internal/edit, a scan.Probe method or
-// internal/bitpack (a distance kernel), a dynamic kernel call through a
-// func-typed variable, or an engine Search-family method.
+// engine work: a call into internal/edit or a scan.Probe method (a distance
+// kernel), a dynamic kernel call through a func-typed variable, or an engine
+// Search-family method.
 func loopDoesComparisonWork(pass *Pass, body *ast.BlockStmt) bool {
 	found := false
 	ast.Inspect(body, func(n ast.Node) bool {
@@ -194,7 +194,7 @@ func loopDoesComparisonWork(pass *Pass, body *ast.BlockStmt) bool {
 		if !ok {
 			return true
 		}
-		if isKernelCall(pass.Info, call) || calleeIsPkgFunc(pass.Info, call, "internal/bitpack") {
+		if isKernelCall(pass.Info, call) {
 			found = true
 			return false
 		}

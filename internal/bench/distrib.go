@@ -17,7 +17,7 @@ import (
 	"simsearch/internal/distrib"
 	"simsearch/internal/exec"
 	"simsearch/internal/httpapi"
-	"simsearch/internal/stats"
+	"simsearch/internal/metrics"
 )
 
 // DistribConfig sizes the scatter-gather serving benchmark: a local fleet of
@@ -70,7 +70,7 @@ type DistribCell struct {
 	Throughput float64 // completed OK responses per second of wall time
 	Sent       int
 	Errors     int
-	Lat        stats.Summary // per-request latency from scheduled arrival (includes queueing)
+	Lat        metrics.Summary // per-request latency from scheduled arrival (includes queueing)
 }
 
 // shardFleet is the benchmark's local serving stack: real HTTP servers on
@@ -257,7 +257,7 @@ func runDistribCell(cfg DistribConfig, bodies [][]byte, data []string, p int, he
 		Throughput: float64(ok) / elapsed.Seconds(),
 		Sent:       n,
 		Errors:     int(errs.Load()),
-		Lat:        stats.Summarize(lats),
+		Lat:        metrics.Summarize(lats),
 	}, nil
 }
 

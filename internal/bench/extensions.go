@@ -16,9 +16,9 @@ import (
 // Extension experiments beyond the paper's tables. They carry invented
 // numbers (X, XI) and are clearly labelled as additions: the join race
 // covers the competition's second problem the paper skipped, and the engine
-// matrix races every engine family — including the modern variants — on
-// both workloads, quantifying how implementation-dependent the paper's
-// conclusion is.
+// matrix races both of the paper's engines — including their modern
+// variants — and the filtered sweep on both workloads, quantifying how
+// implementation-dependent the paper's conclusion is.
 
 // TableX races the four join algorithms on a self-join of a subset of the
 // workload (join cost grows quadratically in the worst case, so the subset
@@ -61,10 +61,7 @@ func TableXII(w Workload) *Table {
 		{"scan (no index)", func() core.Searcher { return core.NewSequential(w.Data, scan.WithStrategy(scan.SimpleTypes)) }},
 		{"trie (paper)", func() core.Searcher { return core.NewTrie(w.Data, true) }},
 		{"trie (modern)", func() core.Searcher { return core.NewTrie(w.Data, true, trie.WithModernPruning()) }},
-		{"bk-tree", func() core.Searcher { return core.NewBKTree(w.Data) }},
-		{"vp-tree", func() core.Searcher { return core.NewVPTree(w.Data) }},
-		{"qgram-2", func() core.Searcher { return core.NewQGram(2, w.Data) }},
-		{"suffix array", func() core.Searcher { return core.NewSuffixArray(w.Data) }},
+		{"cascade (words)", func() core.Searcher { return core.NewCascade(w.Data) }},
 	}
 	var sink core.Searcher
 	for _, b := range builders {
@@ -90,8 +87,8 @@ func TableXII(w Workload) *Table {
 	return t
 }
 
-// TableXI races every engine family — paper-faithful and modern — on the
-// workload's full query batch.
+// TableXI races the paper's two engines, paper-faithful and modern, and the
+// filtered sweep the library serves with on the workload's full query batch.
 func TableXI(w Workload) *Table {
 	t := NewTable(fmt.Sprintf("Table XI (extension). Engine matrix on the %s workload", w.Name), w.Counts)
 	engines := []core.Searcher{
@@ -100,10 +97,7 @@ func TableXI(w Workload) *Table {
 		core.NewSequential(w.Data, scan.WithStrategy(scan.SimpleTypes), scan.WithBandedKernel(), scan.WithSortByLength()),
 		core.NewTrie(w.Data, true),
 		core.NewTrie(w.Data, true, trie.WithModernPruning()),
-		core.NewAutomatonScan(w.Data),
-		core.NewBKTree(w.Data),
-		core.NewQGram(2, w.Data),
-		core.NewSuffixArray(w.Data),
+		core.NewCascade(w.Data),
 	}
 	names := []string{
 		"scan (paper kernel)",
@@ -111,10 +105,7 @@ func TableXI(w Workload) *Table {
 		"scan (banded+sorted)",
 		"trie (paper pruning)",
 		"trie (modern pruning)",
-		"scan (automaton)",
-		"bk-tree",
-		"qgram-2",
-		"suffix array",
+		"cascade (words sweep)",
 	}
 	for i, eng := range engines {
 		eng := eng

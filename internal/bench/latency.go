@@ -8,21 +8,20 @@ import (
 	"simsearch/internal/core"
 	"simsearch/internal/metrics"
 	"simsearch/internal/scan"
-	"simsearch/internal/stats"
 )
 
 // MeasureLatencies answers every query serially, recording each query's
 // wall-clock latency, and returns the distribution summary. The paper only
 // reports batch totals; the distribution shows what they hide — on the mixed
 // DNA workload the k=16 queries dominate (p99 ≫ p50).
-func MeasureLatencies(s core.Searcher, qs []core.Query) stats.Summary {
+func MeasureLatencies(s core.Searcher, qs []core.Query) metrics.Summary {
 	samples := make([]time.Duration, len(qs))
 	for i, q := range qs {
 		start := time.Now()
 		s.Search(q)
 		samples[i] = time.Since(start)
 	}
-	return stats.Summarize(samples)
+	return metrics.Summarize(samples)
 }
 
 // LatencyReport measures per-query latency distributions for the best

@@ -1,9 +1,10 @@
 // Package bktree implements a Burkhard–Keller tree, the classic metric index
-// for edit-distance search. The paper does not evaluate one, but the
-// reproduction includes it as the "mature OSS library" baseline: edit
-// distance is a metric (the internal/edit property tests verify the axioms),
-// so the triangle inequality prunes subtrees whose distance-to-pivot window
-// cannot contain matches.
+// for edit-distance search: edit distance is a metric (the internal/edit
+// property tests verify the axioms), so the triangle inequality prunes
+// subtrees whose distance-to-pivot window cannot contain matches. No engine,
+// paper table or benchmark workload runs it any more — it lost to the words
+// sweep on every Table XI cell (EXPERIMENTS.md) — and the package stands
+// alone, checked against a scan by its own tests, until it is deleted.
 package bktree
 
 import (

@@ -12,7 +12,8 @@ import (
 // FuzzCachedIdentical is the cache's differential harness: for an arbitrary
 // dataset and query, a cached engine must return exactly the reference match
 // set on the cold miss, on the warm hit, and again after the entry has been
-// evicted — for every engine family, including the sharded executor. A
+// evicted — for every engine family, including the sharded executor (the
+// trie stands for the engines without ContextSearcher). A
 // capacity-one cache forces the eviction path on every round, and a caller
 // mutating its result between lookups proves the copy-on-read contract.
 //
@@ -46,7 +47,6 @@ func FuzzCachedIdentical(f *testing.F) {
 		engines := []core.Searcher{
 			exec.DefaultFactory(data),
 			core.NewTrie(data, true),
-			core.NewBKTree(data),
 			exec.New(data, exec.Options{Shards: 3}),
 		}
 		for _, eng := range engines {

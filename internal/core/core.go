@@ -10,13 +10,9 @@ import (
 	"io"
 	"sort"
 
-	"simsearch/internal/bktree"
-	"simsearch/internal/ngram"
 	"simsearch/internal/pool"
 	"simsearch/internal/scan"
-	"simsearch/internal/suffix"
 	"simsearch/internal/trie"
-	"simsearch/internal/vptree"
 )
 
 // Query is one string-similarity-search request: find every data string x
@@ -240,108 +236,6 @@ func ReadTrie(r io.Reader) (*Trie, error) {
 	}
 	return &Trie{tree: tree, name: name}, nil
 }
-
-// --- Baseline engines --------------------------------------------------------
-
-// BKTree wraps the metric-tree baseline.
-type BKTree struct{ tree *bktree.Tree }
-
-// NewBKTree builds a BK-tree searcher over data.
-func NewBKTree(data []string) *BKTree {
-	return &BKTree{tree: bktree.Build(data)}
-}
-
-// Search implements Searcher.
-func (b *BKTree) Search(q Query) []Match {
-	ms := b.tree.Search(q.Text, q.K)
-	out := make([]Match, len(ms))
-	for i, m := range ms {
-		out[i] = Match{ID: m.ID, Dist: m.Dist}
-	}
-	return sortMatches(out)
-}
-
-// Name implements Searcher.
-func (b *BKTree) Name() string { return "bktree" }
-
-// Len implements Searcher.
-func (b *BKTree) Len() int { return b.tree.Len() }
-
-// QGram wraps the q-gram inverted-index baseline.
-type QGram struct {
-	idx *ngram.Index
-}
-
-// NewQGram builds a q-gram searcher with gram size q.
-func NewQGram(q int, data []string) *QGram {
-	return &QGram{idx: ngram.New(q, data)}
-}
-
-// Search implements Searcher.
-func (g *QGram) Search(q Query) []Match {
-	ms := g.idx.Search(q.Text, q.K)
-	out := make([]Match, len(ms))
-	for i, m := range ms {
-		out[i] = Match{ID: m.ID, Dist: m.Dist}
-	}
-	return out
-}
-
-// Name implements Searcher.
-func (g *QGram) Name() string { return fmt.Sprintf("qgram-%d", g.idx.Q()) }
-
-// Len implements Searcher.
-func (g *QGram) Len() int { return g.idx.Len() }
-
-// SuffixArray wraps the Navarro-style suffix-array partitioning baseline.
-type SuffixArray struct{ idx *suffix.Index }
-
-// NewSuffixArray builds the suffix-array searcher.
-func NewSuffixArray(data []string) *SuffixArray {
-	return &SuffixArray{idx: suffix.New(data)}
-}
-
-// Search implements Searcher.
-func (s *SuffixArray) Search(q Query) []Match {
-	ms := s.idx.Search(q.Text, q.K)
-	out := make([]Match, len(ms))
-	for i, m := range ms {
-		out[i] = Match{ID: m.ID, Dist: m.Dist}
-	}
-	return out
-}
-
-// Name implements Searcher.
-func (s *SuffixArray) Name() string { return "suffixarray" }
-
-// Len implements Searcher.
-func (s *SuffixArray) Len() int { return s.idx.Len() }
-
-// --- VP-tree baseline ----------------------------------------------------------
-
-// VPTree wraps the vantage-point-tree baseline.
-type VPTree struct{ tree *vptree.Tree }
-
-// NewVPTree builds a vantage-point tree over data (deterministic layout).
-func NewVPTree(data []string) *VPTree {
-	return &VPTree{tree: vptree.Build(data, 1)}
-}
-
-// Search implements Searcher.
-func (v *VPTree) Search(q Query) []Match {
-	ms := v.tree.Search(q.Text, q.K)
-	out := make([]Match, len(ms))
-	for i, m := range ms {
-		out[i] = Match{ID: m.ID, Dist: m.Dist}
-	}
-	return out
-}
-
-// Name implements Searcher.
-func (v *VPTree) Name() string { return "vptree" }
-
-// Len implements Searcher.
-func (v *VPTree) Len() int { return v.tree.Len() }
 
 // --- Batch execution ----------------------------------------------------------
 

@@ -20,14 +20,10 @@ func allEngines(data []string) []Searcher {
 	}
 	out = append(out,
 		NewSequential(data, scan.WithSortByLength()),
-		NewAutomatonScan(data),
 		NewTrie(data, false),
 		NewTrie(data, true),
 		NewTrie(data, true, trie.WithFrequency(filter.VowelFrequency())),
-		NewBKTree(data),
-		NewVPTree(data),
-		NewQGram(2, data),
-		NewSuffixArray(data),
+		NewCascade(data),
 	)
 	return out
 }
@@ -65,8 +61,8 @@ func TestEngineNamesAndLens(t *testing.T) {
 	if NewTrie(testData, true).Name() != "trie/compressed" {
 		t.Error("compressed trie name wrong")
 	}
-	if NewQGram(3, testData).Name() != "qgram-3" {
-		t.Error("qgram name wrong")
+	if NewCascade(testData).Name() != "cascade/bytes" {
+		t.Error("cascade name wrong")
 	}
 }
 
@@ -171,9 +167,7 @@ func TestIntegrationDNAWorkload(t *testing.T) {
 	engines := []Searcher{
 		NewSequential(data, scan.WithStrategy(scan.SimpleTypes)),
 		NewTrie(data, true, trie.WithFrequency(filter.DNAFrequency())),
-		NewQGram(3, data),
-		NewSuffixArray(data),
-		NewBKTree(data),
+		NewCascade(data),
 	}
 	for _, eng := range engines {
 		if err := Verify(eng, ref, qs); err != nil {
@@ -203,9 +197,7 @@ func TestQuickAllEnginesAgree(t *testing.T) {
 		want := Reference(data).Search(q)
 		for _, eng := range []Searcher{
 			NewTrie(data, true),
-			NewBKTree(data),
-			NewQGram(2, data),
-			NewSuffixArray(data),
+			NewCascade(data),
 			NewSequential(data, scan.WithSortByLength()),
 		} {
 			if !Equal(eng.Search(q), want) {

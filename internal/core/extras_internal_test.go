@@ -58,7 +58,7 @@ func TestTopKGenericEngines(t *testing.T) {
 	// Exercise the iterative-deepening path (non-trie engine) including the
 	// geometric radius growth for distant neighbours.
 	data := []string{"aaaaaaaaaa", "aaaaaaaabb", "zzzzzzzzzz"}
-	eng := NewBKTree(data)
+	eng := NewCascade(data)
 	ms := TopK(eng, "aaaaaaaaaa", 2, 8)
 	if len(ms) != 2 || ms[0].ID != 0 || ms[0].Dist != 0 || ms[1].ID != 1 || ms[1].Dist != 2 {
 		t.Errorf("TopK = %v", ms)

@@ -111,7 +111,7 @@ func TestTopKContextMatchesTopK(t *testing.T) {
 	engines := []Searcher{
 		NewTrie(data, true),
 		NewSequential(data),
-		NewBKTree(data),
+		NewCascade(data),
 	}
 	queries := []string{"berlin", "bern", "mun", "zzz", ""}
 	for _, eng := range engines {

@@ -1,6 +1,6 @@
 // Package exec is the serving-path executor: it partitions a dataset into P
 // contiguous shards, builds one engine per shard (any core.Searcher — scan,
-// trie, BK-tree, …), and fans batches of queries across a pool.Runner so the
+// trie, cascade), and fans batches of queries across a pool.Runner so the
 // shard×query task grid saturates the machine. It extends the paper's
 // §3.5–3.6 parallelism ladder, which stops at "one fixed pool per query
 // batch", with the partition-then-merge layer a production service needs:
@@ -27,7 +27,6 @@ import (
 	"simsearch/internal/metrics"
 	"simsearch/internal/pool"
 	"simsearch/internal/scan"
-	"simsearch/internal/stats"
 	"simsearch/internal/trie"
 )
 
@@ -77,13 +76,6 @@ func TrieFactory(compress bool, opts ...trie.Option) Factory {
 	}
 }
 
-// BKTreeFactory builds BK-tree shards.
-func BKTreeFactory() Factory {
-	return func(data []string) core.Searcher {
-		return core.NewBKTree(data)
-	}
-}
-
 // Options configures New. The zero value gives one shard per CPU, the default
 // scan factory, and a fixed pool of GOMAXPROCS workers.
 type Options struct {
@@ -121,7 +113,7 @@ type Sharded struct {
 	shards       []shard
 	runner       pool.Runner
 	queryTimeout time.Duration
-	counters     []*stats.Counter
+	counters     []*metrics.ShardCounter
 	slow         *metrics.SlowLog
 	name         string
 }
@@ -152,14 +144,14 @@ func New(data []string, opts Options) *Sharded {
 		shards:       make([]shard, p),
 		runner:       runner,
 		queryTimeout: opts.QueryTimeout,
-		counters:     make([]*stats.Counter, p),
+		counters:     make([]*metrics.ShardCounter, p),
 		slow:         opts.SlowLog,
 	}
 	n := len(data)
 	for i := 0; i < p; i++ {
 		lo, hi := i*n/p, (i+1)*n/p
 		s.shards[i] = shard{eng: factory(data[lo:hi]), base: int32(lo)}
-		s.counters[i] = stats.NewCounter()
+		s.counters[i] = metrics.NewShardCounter()
 	}
 	s.name = fmt.Sprintf("sharded-%d/%s", p, s.shards[0].eng.Name())
 	return s
@@ -196,8 +188,8 @@ func (s *Sharded) ShardEngines() []core.Searcher {
 
 // CounterSnapshots returns a point-in-time copy of every shard's serving
 // counters (queries answered, matches produced, cumulative busy time).
-func (s *Sharded) CounterSnapshots() []stats.CounterSnapshot {
-	out := make([]stats.CounterSnapshot, len(s.counters))
+func (s *Sharded) CounterSnapshots() []metrics.ShardSnapshot {
+	out := make([]metrics.ShardSnapshot, len(s.counters))
 	for i, c := range s.counters {
 		out[i] = c.Snapshot()
 	}

@@ -51,7 +51,7 @@ func TestShardedByteIdenticalOnSeedDatasets(t *testing.T) {
 	}{
 		{"scan", nil}, // nil → DefaultFactory
 		{"trie", TrieFactory(true)},
-		{"bktree", BKTreeFactory()},
+		{"cascade", CascadeFactory()},
 	}
 	for _, w := range workloads {
 		single := DefaultFactory(w.data)

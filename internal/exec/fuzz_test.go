@@ -9,10 +9,12 @@ import (
 )
 
 // FuzzDifferential is the cross-engine differential harness: for an arbitrary
-// dataset and query, the optimized scan, the trie index, the BK-tree, and the
-// sharded executor (over two different factories and shard counts) must all
-// return exactly the match set of the unoptimized reference scan. Seeds come
-// from the paper's two corpora: city names and ACGNT genome reads.
+// dataset and query, the optimized scan, the trie index, and the sharded
+// executor (over two different factories and shard counts) must all return
+// exactly the match set of the unoptimized reference scan. The trie is the
+// family here without ContextSearcher, the one served through core's
+// interruptible fallback. Seeds come from the paper's two corpora: city names
+// and ACGNT genome reads.
 //
 // Run continuously with: go test -fuzz=FuzzDifferential ./internal/exec
 // (the seed corpus also runs as a plain test in every `go test`).
@@ -44,10 +46,8 @@ func FuzzDifferential(f *testing.F) {
 		engines := []core.Searcher{
 			DefaultFactory(data),
 			core.NewTrie(data, true),
-			core.NewBKTree(data),
 			New(data, Options{Shards: 3, Factory: TrieFactory(true)}),
 			New(data, Options{Shards: 5}),
-			New(data, Options{Shards: 2, Factory: BKTreeFactory()}),
 		}
 		for _, eng := range engines {
 			if got := eng.Search(q); !core.Equal(got, want) {

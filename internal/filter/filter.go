@@ -281,8 +281,8 @@ func (c Chain) Name() string {
 // clamped at zero: a zero bound means the count filter cannot prune (every
 // candidate trivially shares at least zero q-grams), which is the honest
 // answer both when k is large and when a string is shorter than q and has no
-// q-grams at all. Callers treat bound <= 0 as pass-through. Used by the
-// q-gram baseline (internal/ngram) and cascade stage 2 (internal/cascade).
+// q-grams at all. Callers treat bound <= 0 as pass-through. No engine calls
+// it since the q-gram index was deleted.
 func QGramCountBound(lenA, lenB, q, k int) int {
 	l := lenA
 	if lenB > l {

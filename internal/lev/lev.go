@@ -1,9 +1,10 @@
 // Package lev implements a Levenshtein automaton: a deterministic automaton
 // that accepts exactly the strings within edit distance k of a fixed query.
-// Mature search engines use this construction for fuzzy term matching; the
-// reproduction includes it as the "what the field actually ships" baseline
-// for the paper's problem (the calibration note: edit-distance search lives
-// in many mature OSS libraries).
+// Mature search engines use this construction for fuzzy term matching. No
+// engine, paper table or benchmark workload runs it any more: the scan it
+// once drove lost to the words sweep on every Table XI cell (EXPERIMENTS.md),
+// and the package stands alone, checked against the DP by its own tests,
+// until it is deleted.
 //
 // The implementation is the lazy-DFA form: the nondeterministic automaton's
 // state — the set of (position, errors) pairs, which after subsumption is

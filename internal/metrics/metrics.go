@@ -69,7 +69,7 @@ var DefLatencyBuckets = []time.Duration{
 // Histogram is a fixed-bucket latency histogram: one atomic counter per
 // bucket plus an atomic sum and count. Observe is lock-free; Snapshot reads
 // the buckets individually (consistent enough for reporting, exactly like
-// stats.Counter.Snapshot).
+// ShardCounter.Snapshot).
 type Histogram struct {
 	bounds []time.Duration // sorted upper bounds; +Inf bucket is counts[len(bounds)]
 	counts []atomic.Uint64
@@ -134,7 +134,7 @@ func (s HistogramSnapshot) Mean() time.Duration {
 }
 
 // Quantile approximates the q-quantile (0 < q <= 1) from the buckets: the
-// target rank is located with the same nearest-rank rule stats.Summarize
+// target rank is located with the same nearest-rank rule Summarize
 // uses, then interpolated linearly inside its bucket. Observations in the
 // +Inf bucket report the largest finite bound (the histogram cannot know
 // more).
@@ -173,7 +173,7 @@ func (s HistogramSnapshot) Quantile(q float64) time.Duration {
 	return s.Bounds[len(s.Bounds)-1]
 }
 
-// String renders a one-line summary in the style of stats.Summary.String.
+// String renders a one-line summary in the style of Summary.String.
 func (s HistogramSnapshot) String() string {
 	if s.Count == 0 {
 		return "no samples"

@@ -1,4 +1,4 @@
-package stats
+package metrics
 
 import (
 	"sync"
@@ -7,7 +7,7 @@ import (
 )
 
 func TestCounterObserveSnapshot(t *testing.T) {
-	var c Counter
+	var c ShardCounter
 	c.Observe(3, 2*time.Millisecond)
 	c.Observe(0, time.Millisecond)
 	s := c.Snapshot()
@@ -27,16 +27,16 @@ func TestCounterObserveSnapshot(t *testing.T) {
 }
 
 func TestCounterZeroValues(t *testing.T) {
-	var s CounterSnapshot
+	var s ShardSnapshot
 	if s.Throughput() != 0 || s.MeanLatency() != 0 {
 		t.Error("zero snapshot must report zero rates")
 	}
 }
 
 func TestCounterHistogram(t *testing.T) {
-	c := NewCounter()
+	c := NewShardCounter()
 	if c.Latency() == nil {
-		t.Fatal("NewCounter has no latency histogram")
+		t.Fatal("NewShardCounter has no latency histogram")
 	}
 	c.Observe(1, 200*time.Microsecond)
 	c.Observe(2, 30*time.Millisecond)
@@ -59,7 +59,7 @@ func TestCounterHistogram(t *testing.T) {
 }
 
 func TestCounterConcurrent(t *testing.T) {
-	var c Counter
+	var c ShardCounter
 	var wg sync.WaitGroup
 	for w := 0; w < 8; w++ {
 		wg.Add(1)

@@ -1,9 +1,4 @@
-// Package stats provides the small numeric summaries the benchmark harness
-// reports beyond the paper's plain totals: percentiles, mean and standard
-// deviation of per-query latencies. The paper reports only batch totals;
-// per-query distributions expose effects totals hide (e.g. the k=16 DNA
-// queries dominating a mixed batch).
-package stats
+package metrics
 
 import (
 	"fmt"
@@ -12,7 +7,11 @@ import (
 	"time"
 )
 
-// Summary describes a sample of durations.
+// Summary describes a sample of durations: the offline counterpart of a
+// Histogram, with exact percentiles, mean and standard deviation of recorded
+// per-query latencies. The benchmark harness reports it beyond the paper's
+// plain totals, which hide effects such as the k=16 DNA queries dominating a
+// mixed batch.
 type Summary struct {
 	Count         int
 	Min, Max      time.Duration

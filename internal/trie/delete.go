@@ -7,7 +7,8 @@ package trie
 // nodes would otherwise need re-merging, and search correctness does not
 // depend on pruning). The minLen/maxLen and frequency pruning bounds are
 // left conservative (they may over-approximate after deletions, which keeps
-// search sound but may prune slightly less).
+// search sound but may prune slightly less). No serving path deletes from a
+// trie: the mutable index is the lsm store behind NewLive.
 func (t *Tree) Delete(s string, id int32) bool {
 	// Walk down recording the path.
 	type step struct {

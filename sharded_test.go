@@ -19,7 +19,7 @@ func TestNewShardedMatchesSingleEngine(t *testing.T) {
 	for i, s := range texts {
 		qs[i] = simsearch.Query{Text: s, K: i % 4}
 	}
-	for _, alg := range []simsearch.Algorithm{simsearch.Scan, simsearch.Trie, simsearch.BKTree} {
+	for _, alg := range []simsearch.Algorithm{simsearch.Scan, simsearch.Trie, simsearch.Cascade} {
 		opts := simsearch.Options{Algorithm: alg}
 		single := simsearch.New(data, opts)
 		ex := simsearch.NewSharded(data, 4, opts)

@@ -18,10 +18,9 @@
 //     both engines above at every threshold the paper asks on both corpora,
 //     so no serving path builds the index unless asked for it by name.
 //
-// Three baseline engines (BK-tree, q-gram index, suffix-array partitioning)
-// are available through New with an explicit Algorithm. All engines return
-// identical, exhaustive result sets — only their running time differs — and
-// each can be checked against the reference implementation with Verify.
+// All engines return identical, exhaustive result sets — only their running
+// time differs — and each can be checked against the reference
+// implementation with Verify.
 //
 // A minimal session:
 //
@@ -65,18 +64,6 @@ const (
 	Scan Algorithm = iota
 	// Trie is the paper's prefix-tree index (§4).
 	Trie
-	// BKTree is the metric-tree baseline.
-	BKTree
-	// QGram is the q-gram inverted-index baseline.
-	QGram
-	// SuffixArray is the suffix-array partitioning baseline.
-	SuffixArray
-	// Automaton is a sequential scan driven by a lazy-DFA Levenshtein
-	// automaton compiled per query (the construction mature search engines
-	// use for fuzzy term matching).
-	Automaton
-	// VPTree is the vantage-point metric-tree baseline.
-	VPTree
 	// BitParallel is the production scan rung beyond the paper's ladder:
 	// each query is compiled once into a Myers bit-vector pattern, the
 	// dataset is packed into a length-bucketed byte arena, and Workers > 1
@@ -117,8 +104,6 @@ type Options struct {
 	// FrequencyAlphabet, when non-empty, attaches frequency-vector pruning
 	// over these symbols to the Trie engine (paper §6 future work).
 	FrequencyAlphabet string
-	// GramSize is the q of the QGram engine (default 2).
-	GramSize int
 	// SortByLength enables the Scan engine's length-window optimization
 	// (paper §6 "Sorting").
 	SortByLength bool
@@ -162,20 +147,6 @@ func newEngine(data []string, opts Options) Searcher {
 				filter.NewFrequency("custom", opts.FrequencyAlphabet)))
 		}
 		return core.NewTrie(data, !opts.Uncompressed, topts...)
-	case BKTree:
-		return core.NewBKTree(data)
-	case QGram:
-		q := opts.GramSize
-		if q < 1 {
-			q = 2
-		}
-		return core.NewQGram(q, data)
-	case SuffixArray:
-		return core.NewSuffixArray(data)
-	case Automaton:
-		return core.NewAutomatonScan(data)
-	case VPTree:
-		return core.NewVPTree(data)
 	case BitParallel:
 		sopts := []scan.Option{scan.WithStrategy(scan.BitParallel)}
 		if opts.Workers > 1 {
@@ -246,13 +217,6 @@ func NewCascade(data []string) Searcher {
 // Deprecated: use NewAuto or NewCascade.
 func NewRouter(data []string) Searcher {
 	return New(data, Options{Algorithm: Router})
-}
-
-// NewAutomaton returns the Levenshtein-automaton scan: each query compiles
-// a lazy-DFA automaton that is then run over every dataset string — the
-// construction mature search engines use for fuzzy term matching.
-func NewAutomaton(data []string) Searcher {
-	return New(data, Options{Algorithm: Automaton})
 }
 
 // SearchBatch answers all queries with eng. Engines with their own batch

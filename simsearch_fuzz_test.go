@@ -8,9 +8,10 @@ import (
 )
 
 // FuzzEnginesAgree drives the public API with fuzz-generated datasets and
-// queries: the scan, the trie index, the BK-tree, and the sharded executor
-// (several shard counts, wrapping different engine families) must all return
-// exactly the match set of a naive oracle built from simsearch.Distance.
+// queries: the scan, the trie index, the filtered sweep, and the sharded
+// executor (several shard counts, wrapping different engine families) must
+// all return exactly the match set of a naive oracle built from
+// simsearch.Distance.
 //
 // The dataset arrives as one newline-joined string so the fuzzer can splice
 // real corpus lines; k is reduced mod 6 to the thresholds the paper uses.
@@ -49,10 +50,10 @@ func FuzzEnginesAgree(f *testing.F) {
 		engines := []simsearch.Searcher{
 			simsearch.NewScan(data),
 			simsearch.NewIndex(data),
-			simsearch.New(data, simsearch.Options{Algorithm: simsearch.BKTree}),
+			simsearch.NewCascade(data),
 			simsearch.NewSharded(data, 1, simsearch.Options{}),
 			simsearch.NewSharded(data, 3, simsearch.Options{Algorithm: simsearch.Trie}),
-			simsearch.NewSharded(data, 5, simsearch.Options{Algorithm: simsearch.BKTree}),
+			simsearch.NewSharded(data, 5, simsearch.Options{Algorithm: simsearch.Cascade}),
 		}
 		for _, eng := range engines {
 			got := eng.Search(query)

@@ -32,12 +32,8 @@ func TestAllAlgorithmsAgree(t *testing.T) {
 	engines := []simsearch.Searcher{
 		simsearch.NewIndex(cities),
 		simsearch.NewParallelScan(cities, 2),
-		simsearch.New(cities, simsearch.Options{Algorithm: simsearch.BKTree}),
-		simsearch.New(cities, simsearch.Options{Algorithm: simsearch.QGram}),
-		simsearch.New(cities, simsearch.Options{Algorithm: simsearch.QGram, GramSize: 3}),
-		simsearch.New(cities, simsearch.Options{Algorithm: simsearch.SuffixArray}),
-		simsearch.New(cities, simsearch.Options{Algorithm: simsearch.Automaton}),
-		simsearch.New(cities, simsearch.Options{Algorithm: simsearch.VPTree}),
+		simsearch.NewBitParallel(cities, 2),
+		simsearch.NewCascade(cities),
 		simsearch.New(cities, simsearch.Options{Algorithm: simsearch.Trie, Uncompressed: true}),
 		simsearch.New(cities, simsearch.Options{Algorithm: simsearch.Trie, FrequencyAlphabet: "aeiou"}),
 		simsearch.New(cities, simsearch.Options{SortByLength: true}),
