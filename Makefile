@@ -59,8 +59,6 @@ fuzz-smoke:
 	$(GO) test -run=NONE -fuzz='^FuzzCachedIdentical$$' -fuzztime=$(FUZZ_SMOKE_TIME) ./internal/cache
 	$(GO) test -run=NONE -fuzz='^FuzzKernelsAgree$$' -fuzztime=$(FUZZ_SMOKE_TIME) ./internal/edit
 	$(GO) test -run=NONE -fuzz='^FuzzOpsRoundTrip$$' -fuzztime=$(FUZZ_SMOKE_TIME) ./internal/edit
-	$(GO) test -run=NONE -fuzz='^FuzzAutomatonAgreesWithDP$$' -fuzztime=$(FUZZ_SMOKE_TIME) ./internal/lev
-	$(GO) test -run=NONE -fuzz='^FuzzReadNeverPanics$$' -fuzztime=$(FUZZ_SMOKE_TIME) ./internal/trie
 	$(GO) test -run=NONE -fuzz='^FuzzLiveIdentical$$' -fuzztime=$(FUZZ_SMOKE_TIME) ./internal/lsm
 	$(GO) test -run=NONE -fuzz='^FuzzCoordMerge$$' -fuzztime=$(FUZZ_SMOKE_TIME) ./internal/distrib
 

@@ -384,37 +384,6 @@ func BenchmarkAblationNearestK(b *testing.B) {
 	})
 }
 
-// BenchmarkAblationExternalTrie compares the PETER-style external-suffix
-// tree against the full in-memory tree on the DNA workload (long strings,
-// where suffix externalization matters).
-func BenchmarkAblationExternalTrie(b *testing.B) {
-	_, dna := workloads()
-	full := trie.Build(dna.Data, trie.WithModernPruning())
-	full.Compress()
-	ext, err := trie.BuildExternal(dna.Data, 12, nil)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.Run("in-memory", func(b *testing.B) {
-		b.ReportMetric(float64(full.Stats().LabelBytes), "resident-bytes")
-		for i := 0; i < b.N; i++ {
-			for _, q := range dna.Queries {
-				full.Search(q.Text, q.K)
-			}
-		}
-	})
-	b.Run("external-suffixes", func(b *testing.B) {
-		b.ReportMetric(float64(ext.ResidentLabelBytes()), "resident-bytes")
-		for i := 0; i < b.N; i++ {
-			for _, q := range dna.Queries {
-				if _, err := ext.Search(q.Text, q.K); err != nil {
-					b.Fatal(err)
-				}
-			}
-		}
-	})
-}
-
 // BenchmarkAblationAdaptivePool compares the three §3.6 strategies on a
 // uniform workload.
 func BenchmarkAblationAdaptivePool(b *testing.B) {

@@ -8,6 +8,7 @@ import (
 	"os"
 	"path/filepath"
 	"regexp"
+	"sort"
 	"strings"
 	"testing"
 )
@@ -44,19 +45,7 @@ func TestCILists(t *testing.T) {
 	fuzzFunc := regexp.MustCompile(`(?m)^func (Fuzz\w+)\(`)
 	hasTests, startsGoroutines := map[string]bool{}, map[string]bool{}
 	fset := token.NewFileSet()
-	err = filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
-		if err != nil {
-			return err
-		}
-		if d.IsDir() {
-			if name := d.Name(); path != "." && (name == "benchmark" || name == "testdata" || strings.HasPrefix(name, ".")) {
-				return filepath.SkipDir
-			}
-			return nil
-		}
-		if !strings.HasSuffix(path, ".go") {
-			return nil
-		}
+	walkGoFiles(t, func(path string) error {
 		dir := filepath.Dir(path)
 		if strings.HasSuffix(path, "_test.go") {
 			hasTests[dir] = true
@@ -87,9 +76,6 @@ func TestCILists(t *testing.T) {
 		})
 		return nil
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 	for dir := range startsGoroutines {
 		if hasTests[dir] && !racePkgs[dir] {
 			t.Errorf("./%s starts goroutines and has tests but is missing from the Makefile's RACE_PKGS", filepath.ToSlash(dir))
@@ -99,5 +85,70 @@ func TestCILists(t *testing.T) {
 		if !hasTests[p] {
 			t.Errorf("RACE_PKGS lists %s, which has no tests", p)
 		}
+	}
+}
+
+// TestNoOrphanPackages keeps ROADMAP's deletion rule from eroding: every
+// package under internal/ must be imported by a non-test file of another
+// package in the module (the root, cmd/, examples/ or internal/). A package
+// that only its own tests reach serves no paper table, serving path or
+// benchmark workload, and is deleted rather than kept.
+func TestNoOrphanPackages(t *testing.T) {
+	const module = "simsearch/"
+	internal, imported := map[string]bool{}, map[string]bool{}
+	fset := token.NewFileSet()
+	walkGoFiles(t, func(path string) error {
+		if strings.HasSuffix(path, "_test.go") {
+			return nil
+		}
+		dir := filepath.ToSlash(filepath.Dir(path))
+		if strings.HasPrefix(dir, "internal/") {
+			internal[dir] = true
+		}
+		f, err := parser.ParseFile(fset, path, nil, parser.ImportsOnly)
+		if err != nil {
+			return err
+		}
+		for _, imp := range f.Imports {
+			if p, ok := strings.CutPrefix(strings.Trim(imp.Path.Value, `"`), module); ok && p != dir {
+				imported[p] = true
+			}
+		}
+		return nil
+	})
+	var orphans []string
+	for dir := range internal {
+		if !imported[dir] {
+			orphans = append(orphans, dir)
+		}
+	}
+	sort.Strings(orphans)
+	for _, dir := range orphans {
+		t.Errorf("%s is imported by no non-test file of another package: delete it or give it a caller", dir)
+	}
+}
+
+// walkGoFiles calls fn on every .go file of the module. The fixed benchmark
+// (a module of its own with its own tests), testdata fixtures and dot
+// directories are not walked.
+func walkGoFiles(t *testing.T, fn func(path string) error) {
+	t.Helper()
+	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			if name := d.Name(); path != "." && (name == "benchmark" || name == "testdata" || strings.HasPrefix(name, ".")) {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if !strings.HasSuffix(path, ".go") {
+			return nil
+		}
+		return fn(path)
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -78,13 +79,16 @@ func TestRunList(t *testing.T) {
 	if code := run([]string{"-list"}, &out, &errb); code != 0 {
 		t.Fatalf("exit = %d, want 0", code)
 	}
-	for _, name := range []string{
-		"atomicfield", "blockunderlock", "copyonread", "ctxpoll", "goleak",
+	var got []string
+	for _, line := range strings.Split(strings.TrimSpace(out.String()), "\n") {
+		got = append(got, strings.Fields(line)[0])
+	}
+	want := []string{
+		"blockunderlock", "copyonread", "ctxpoll", "goleak",
 		"hotalloc", "lockorder", "nosleeptest", "unlockpath",
-	} {
-		if !strings.Contains(out.String(), name) {
-			t.Errorf("-list output missing %s:\n%s", name, out.String())
-		}
+	}
+	if !slices.Equal(got, want) {
+		t.Errorf("-list names %v, want %v:\n%s", got, want, out.String())
 	}
 }
 

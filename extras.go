@@ -1,9 +1,6 @@
 package simsearch
 
 import (
-	"io"
-	"os"
-
 	"simsearch/internal/core"
 	"simsearch/internal/dataset"
 	"simsearch/internal/edit"
@@ -164,55 +161,10 @@ func ContainsApprox(pattern, text string, k int) bool {
 	return edit.ContainsApprox(pattern, text, k)
 }
 
-// --- Index persistence ------------------------------------------------------------
-
-// SaveIndex serializes a Trie engine (from NewIndex or New with Algorithm
-// Trie) to w. Other engine kinds are rejected.
-func SaveIndex(w io.Writer, eng Searcher) error {
-	t, ok := eng.(*core.Trie)
-	if !ok {
-		return errNotTrie{eng.Name()}
-	}
-	_, err := t.WriteTo(w)
-	return err
-}
-
-// LoadIndex deserializes an index written by SaveIndex.
-func LoadIndex(r io.Reader) (Searcher, error) {
-	return core.ReadTrie(r)
-}
-
-// SaveIndexFile and LoadIndexFile are the file-path conveniences.
-func SaveIndexFile(path string, eng Searcher) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := SaveIndex(f, eng); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
-}
+// --- Dataset loading ------------------------------------------------------------
 
 // LoadSequences reads DNA reads from FASTA (.fasta/.fa), FASTQ (.fastq/.fq)
 // or one-per-line text files, dispatching on the extension.
 func LoadSequences(path string) ([]string, error) {
 	return dataset.LoadSequences(path)
-}
-
-// LoadIndexFile loads an index saved with SaveIndexFile.
-func LoadIndexFile(path string) (Searcher, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	return LoadIndex(f)
-}
-
-type errNotTrie struct{ name string }
-
-func (e errNotTrie) Error() string {
-	return "simsearch: engine " + e.name + " is not a serializable trie index"
 }

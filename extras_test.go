@@ -1,11 +1,9 @@
 package simsearch_test
 
 import (
-	"bytes"
 	"os"
 	"path/filepath"
 	"reflect"
-	"strings"
 	"testing"
 
 	"simsearch"
@@ -173,49 +171,5 @@ func TestSubstringFacade(t *testing.T) {
 	occ := simsearch.FindApprox("abc", "abcabc", 0)
 	if len(occ) != 2 || occ[0].End != 3 || occ[1].End != 6 {
 		t.Errorf("FindApprox = %v", occ)
-	}
-}
-
-func TestIndexPersistence(t *testing.T) {
-	eng := simsearch.NewIndex(cities)
-	var buf bytes.Buffer
-	if err := simsearch.SaveIndex(&buf, eng); err != nil {
-		t.Fatal(err)
-	}
-	loaded, err := simsearch.LoadIndex(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	q := simsearch.Query{Text: "berlni", K: 2}
-	if !reflect.DeepEqual(loaded.Search(q), eng.Search(q)) {
-		t.Error("loaded index diverges")
-	}
-
-	// File round trip.
-	path := filepath.Join(t.TempDir(), "idx.bin")
-	if err := simsearch.SaveIndexFile(path, eng); err != nil {
-		t.Fatal(err)
-	}
-	loaded2, err := simsearch.LoadIndexFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(loaded2.Search(q), eng.Search(q)) {
-		t.Error("file-loaded index diverges")
-	}
-
-	// Non-trie engines are rejected, with a descriptive message.
-	err = simsearch.SaveIndex(&bytes.Buffer{}, simsearch.NewScan(cities))
-	if err == nil || !strings.Contains(err.Error(), "not a serializable trie") {
-		t.Errorf("SaveIndex scan engine: %v", err)
-	}
-	if err := simsearch.SaveIndexFile("/nonexistent-dir/idx.bin", eng); err == nil {
-		t.Error("SaveIndexFile to unwritable path accepted")
-	}
-	if err := simsearch.SaveIndexFile(filepath.Join(t.TempDir(), "x.bin"), simsearch.NewScan(cities)); err == nil {
-		t.Error("SaveIndexFile of scan engine accepted")
-	}
-	if _, err := simsearch.LoadIndexFile("/nonexistent/x.bin"); err == nil {
-		t.Error("LoadIndexFile accepted a missing file")
 	}
 }

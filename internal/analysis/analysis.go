@@ -3,10 +3,9 @@
 // PR since — rests on low-level invariants that nothing in the type system
 // enforces: kernel loops must poll cancellation at a bounded stride, cached
 // result slices must never leave the cache without being copied, tests must
-// not synchronize with time.Sleep, hot kernel loops must not allocate or
-// box, and 64-bit atomic fields must stay 64-bit aligned. Each analyzer in
-// this package machine-checks one of those invariants over the whole module,
-// so a future perf PR cannot silently erode them.
+// not synchronize with time.Sleep, and hot kernel loops must not allocate or
+// box. Each analyzer in this package machine-checks one of those invariants
+// over the whole module, so a future perf PR cannot silently erode them.
 //
 // The suite is built only on the standard library (go/ast, go/parser,
 // go/token, go/types), matching the repo's no-external-modules rule.
@@ -40,7 +39,6 @@ type Analyzer struct {
 // All returns the full analyzer suite in stable order.
 func All() []*Analyzer {
 	return []*Analyzer{
-		AtomicField,
 		BlockUnderLock,
 		CopyOnRead,
 		CtxPoll,

@@ -130,10 +130,6 @@ func TestGoLeakFixture(t *testing.T) {
 	runFixture(t, "goleak", "simsearch/internal/exec", []*Analyzer{GoLeak})
 }
 
-func TestAtomicFieldFixture(t *testing.T) {
-	runFixture(t, "atomicfield", "simsearch/fixture/atomicfield", []*Analyzer{AtomicField})
-}
-
 func TestCopyOnReadFixture(t *testing.T) {
 	runFixture(t, "copyonread", "simsearch/fixture/copyonread", []*Analyzer{CopyOnRead})
 }

@@ -7,7 +7,6 @@ package core
 import (
 	"context"
 	"fmt"
-	"io"
 	"sort"
 
 	"simsearch/internal/pool"
@@ -216,25 +215,6 @@ func (t *Trie) SearchHammingContext(ctx context.Context, text string, k int) ([]
 		return nil, err
 	}
 	return interruptible(ctx, func() []Match { return t.SearchHamming(text, k) })
-}
-
-// WriteTo serializes the built index (see trie.Tree.WriteTo).
-func (t *Trie) WriteTo(w io.Writer) (int64, error) { return t.tree.WriteTo(w) }
-
-// ReadTrie deserializes an index written with Trie.WriteTo.
-func ReadTrie(r io.Reader) (*Trie, error) {
-	tree, err := trie.Read(r)
-	if err != nil {
-		return nil, err
-	}
-	name := "trie/plain"
-	if tree.Compressed() {
-		name = "trie/compressed"
-	}
-	if tree.Modern() {
-		name += "+modern"
-	}
-	return &Trie{tree: tree, name: name}, nil
 }
 
 // --- Batch execution ----------------------------------------------------------

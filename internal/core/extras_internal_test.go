@@ -1,47 +1,18 @@
 package core
 
 import (
-	"bytes"
 	"testing"
 
 	"simsearch/internal/trie"
 )
 
-func TestTrieAccessorsAndPersistence(t *testing.T) {
+func TestTrieAccessors(t *testing.T) {
 	tr := NewTrie(testData, true)
 	if tr.Tree() == nil || tr.Tree().Len() != len(testData) {
 		t.Error("Tree() accessor broken")
 	}
-	var buf bytes.Buffer
-	if _, err := tr.WriteTo(&buf); err != nil {
-		t.Fatal(err)
-	}
-	got, err := ReadTrie(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Name() != tr.Name() {
-		t.Errorf("name %q != %q", got.Name(), tr.Name())
-	}
-	q := Query{Text: "berlin", K: 2}
-	if !Equal(got.Search(q), tr.Search(q)) {
-		t.Error("round-tripped trie diverges")
-	}
-	if _, err := ReadTrie(bytes.NewReader([]byte("junk"))); err == nil {
-		t.Error("garbage accepted")
-	}
-	// Modern trie name propagates through persistence.
-	modern := NewTrie(testData, true, trie.WithModernPruning())
-	buf.Reset()
-	if _, err := modern.WriteTo(&buf); err != nil {
-		t.Fatal(err)
-	}
-	got, err = ReadTrie(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Name() != "trie/compressed+modern" {
-		t.Errorf("modern name lost: %q", got.Name())
+	if got := NewTrie(testData, true, trie.WithModernPruning()).Name(); got != "trie/compressed+modern" {
+		t.Errorf("modern name: %q", got)
 	}
 }
 

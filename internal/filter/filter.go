@@ -273,24 +273,3 @@ func (c Chain) Name() string {
 	}
 	return name + ")"
 }
-
-// QGramCountBound returns the minimum number of q-grams two strings must
-// share to possibly be within edit distance k: a string of length l has
-// l-q+1 q-grams and one edit destroys at most q of them, so matches need at
-// least max(len(a), len(b)) - q + 1 - k*q common q-grams. The result is
-// clamped at zero: a zero bound means the count filter cannot prune (every
-// candidate trivially shares at least zero q-grams), which is the honest
-// answer both when k is large and when a string is shorter than q and has no
-// q-grams at all. Callers treat bound <= 0 as pass-through. No engine calls
-// it since the q-gram index was deleted.
-func QGramCountBound(lenA, lenB, q, k int) int {
-	l := lenA
-	if lenB > l {
-		l = lenB
-	}
-	b := l - q + 1 - k*q
-	if b < 0 {
-		return 0
-	}
-	return b
-}

@@ -102,47 +102,6 @@ func TestHistogramAndFrequencyNames(t *testing.T) {
 	}
 }
 
-func TestQGramCountBound(t *testing.T) {
-	// len 10, q=2: 9 grams; k=1 destroys at most 2 -> need >= 7.
-	if got := QGramCountBound(10, 10, 2, 1); got != 7 {
-		t.Errorf("bound = %d, want 7", got)
-	}
-	if got, want := QGramCountBound(4, 10, 3, 2), 10-3+1-6; got != want {
-		t.Errorf("bound = %d, want %d", got, want)
-	}
-}
-
-func TestQGramCountBoundClamped(t *testing.T) {
-	cases := []struct {
-		lenA, lenB, q, k int
-		want             int
-	}{
-		// Both strings shorter than q: no q-grams exist, raw formula would
-		// go negative; clamped to 0 = cannot prune.
-		{1, 1, 3, 0, 0},
-		{2, 2, 3, 1, 0},
-		{0, 0, 2, 0, 0},
-		// Empty vs non-empty, still shorter than q.
-		{0, 1, 2, 0, 0},
-		// Large k destroys more grams than exist.
-		{5, 5, 2, 10, 0},
-		// Exactly at the boundary: len == q gives one gram at k=0.
-		{3, 3, 3, 0, 1},
-		// One edit at len == q destroys the only gram: clamp to 0.
-		{3, 3, 3, 1, 0},
-	}
-	for _, c := range cases {
-		if got := QGramCountBound(c.lenA, c.lenB, c.q, c.k); got != c.want {
-			t.Errorf("QGramCountBound(%d,%d,%d,%d) = %d, want %d",
-				c.lenA, c.lenB, c.q, c.k, got, c.want)
-		}
-		if got := QGramCountBound(c.lenA, c.lenB, c.q, c.k); got < 0 {
-			t.Errorf("QGramCountBound(%d,%d,%d,%d) = %d, negative bound escaped the clamp",
-				c.lenA, c.lenB, c.q, c.k, got)
-		}
-	}
-}
-
 // Compiled query-side forms must agree exactly with the one-shot Keep, and
 // the internal scratch state must be cleanly restored between candidates
 // (exercised by reusing one compiled query across many candidates).

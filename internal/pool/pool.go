@@ -93,14 +93,14 @@ func (f Fixed) Run(n int, task func(i int)) {
 		Serial{}.Run(n, task)
 		return
 	}
-	var next int64
+	var next atomic.Int64
 	var wg sync.WaitGroup
 	wg.Add(w)
 	for j := 0; j < w; j++ {
 		go func() {
 			defer wg.Done()
 			for {
-				i := int(atomic.AddInt64(&next, 1)) - 1
+				i := int(next.Add(1)) - 1
 				if i >= n {
 					return
 				}
@@ -131,7 +131,7 @@ type Adaptive struct {
 	// Interval is the master's sampling period (default 500µs).
 	Interval time.Duration
 
-	peak int64 // highest observed worker count (metrics)
+	peak atomic.Int64 // highest observed worker count (metrics)
 }
 
 // Run implements Runner.
@@ -163,16 +163,16 @@ func (a *Adaptive) Run(n int, task func(i int)) {
 	}
 
 	var (
-		next     int64 // next task index
-		finished int64 // tasks completed
-		busy     int64 // workers currently inside task()
-		workers  int64 // current worker count
-		retire   int64 // pending retire requests from the master
+		next     atomic.Int64 // next task index
+		finished atomic.Int64 // tasks completed
+		busy     atomic.Int64 // workers currently inside task()
+		workers  atomic.Int64 // current worker count
+		retire   atomic.Int64 // pending retire requests from the master
 		wg       sync.WaitGroup
 		doneOnce sync.Once
 	)
 	allDone := make(chan struct{})
-	atomic.StoreInt64(&a.peak, 0)
+	a.peak.Store(0)
 
 	worker := func() {
 		defer wg.Done()
@@ -180,34 +180,34 @@ func (a *Adaptive) Run(n int, task func(i int)) {
 			// Honor a retire request, but never let retirement drop the
 			// pool below the minimum: reserve the slot first, undo if it
 			// would violate the floor.
-			if atomic.LoadInt64(&retire) > 0 {
-				if w := atomic.AddInt64(&workers, -1); w >= int64(minW) {
-					if atomic.AddInt64(&retire, -1) >= 0 {
+			if retire.Load() > 0 {
+				if w := workers.Add(-1); w >= int64(minW) {
+					if retire.Add(-1) >= 0 {
 						return
 					}
 					// Someone else consumed the request; stay alive.
-					atomic.AddInt64(&retire, 1)
+					retire.Add(1)
 				}
-				atomic.AddInt64(&workers, 1)
+				workers.Add(1)
 			}
-			i := atomic.AddInt64(&next, 1) - 1
+			i := next.Add(1) - 1
 			if i >= int64(n) {
-				atomic.AddInt64(&workers, -1)
+				workers.Add(-1)
 				return
 			}
-			atomic.AddInt64(&busy, 1)
+			busy.Add(1)
 			task(int(i))
-			atomic.AddInt64(&busy, -1)
-			if atomic.AddInt64(&finished, 1) == int64(n) {
+			busy.Add(-1)
+			if finished.Add(1) == int64(n) {
 				doneOnce.Do(func() { close(allDone) })
 			}
 		}
 	}
 	spawn := func() {
-		w := atomic.AddInt64(&workers, 1)
+		w := workers.Add(1)
 		for {
-			p := atomic.LoadInt64(&a.peak)
-			if w <= p || atomic.CompareAndSwapInt64(&a.peak, p, w) {
+			p := a.peak.Load()
+			if w <= p || a.peak.CompareAndSwap(p, w) {
 				break
 			}
 		}
@@ -236,16 +236,16 @@ func (a *Adaptive) Run(n int, task func(i int)) {
 				return
 			case <-ticker.C:
 			}
-			w := atomic.LoadInt64(&workers)
+			w := workers.Load()
 			if w == 0 {
 				continue
 			}
-			util := float64(atomic.LoadInt64(&busy)) / float64(w)
+			util := float64(busy.Load()) / float64(w)
 			switch {
-			case util > open && int(w) < maxW && atomic.LoadInt64(&next) < int64(n):
+			case util > open && int(w) < maxW && next.Load() < int64(n):
 				spawn()
 			case util < clos && int(w) > minW:
-				atomic.AddInt64(&retire, 1)
+				retire.Add(1)
 			}
 		}
 	}()
@@ -257,7 +257,7 @@ func (a *Adaptive) Run(n int, task func(i int)) {
 }
 
 // Peak returns the highest worker count observed during the last Run.
-func (a *Adaptive) Peak() int { return int(atomic.LoadInt64(&a.peak)) }
+func (a *Adaptive) Peak() int { return int(a.peak.Load()) }
 
 // Name implements Runner.
 func (a *Adaptive) Name() string { return "adaptive" }

@@ -204,9 +204,6 @@ func (t *Tree) Compress() {
 	t.compressed = true
 }
 
-// Compressed reports whether Compress has been applied.
-func (t *Tree) Compressed() bool { return t.compressed }
-
 // Modern reports whether WithModernPruning was selected.
 func (t *Tree) Modern() bool { return t.modern }
 

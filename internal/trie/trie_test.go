@@ -55,8 +55,8 @@ func TestPaperFigure4Compression(t *testing.T) {
 	if got := tr.NodeCount(); got != 5 {
 		t.Errorf("compressed NodeCount = %d, want 5", got)
 	}
-	if !tr.Compressed() {
-		t.Error("Compressed() = false after Compress")
+	if !tr.Stats().Compressed {
+		t.Error("Stats().Compressed = false after Compress")
 	}
 	// Same results before/after compression.
 	for _, q := range []string{"Bern", "Berlin", "Ulm", "Barn", "Hamburg"} {
