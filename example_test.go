@@ -23,17 +23,6 @@ func ExampleDistance() {
 	// Output: 2
 }
 
-func ExampleEditScript() {
-	for _, op := range simsearch.EditScript("Bern", "Bonn") {
-		if op.Kind.String() != "match" {
-			fmt.Println(op)
-		}
-	}
-	// Output:
-	// replace 'e'@1 -> 'o'
-	// replace 'r'@2 -> 'n'
-}
-
 func ExampleSelfJoin() {
 	data := []string{"Berlin", "Berlim", "Tokyo"}
 	for _, p := range simsearch.SelfJoin(data, 1, simsearch.JoinPass, 1) {

@@ -106,59 +106,10 @@ func HammingScan(data []string, q string, k int) []Match {
 // Hamming alongside the edit distance.)
 func HammingDistance(a, b string) int { return edit.HammingDistance(a, b) }
 
-// DamerauDistance returns the optimal-string-alignment distance, which
-// counts a transposition of adjacent characters as a single operation.
-func DamerauDistance(a, b string) int { return edit.DamerauDistance(a, b) }
-
-// EditScript returns a minimal edit script transforming a into b; its
-// non-match operations number exactly Distance(a, b).
-func EditScript(a, b string) []edit.Op { return edit.Ops(a, b) }
-
-// Similarity returns the normalized similarity 1 - ed/max(len) in [0, 1].
-func Similarity(a, b string) float64 { return edit.Similarity(a, b) }
-
-// SimilarAtLeast reports whether Similarity(a, b) >= minSim with early exit
-// for dissimilar pairs.
-func SimilarAtLeast(a, b string, minSim float64) bool {
-	return edit.SimilarAtLeast(a, b, minSim)
-}
-
-// WeightedCosts weights the three edit operations for WeightedDistance.
-type WeightedCosts = edit.Costs
-
-// WeightedDistance returns the minimal total transformation cost under the
-// given operation costs; with all costs 1 it equals Distance.
-func WeightedDistance(a, b string, c WeightedCosts) int {
-	return edit.WeightedDistance(a, b, c)
-}
-
 // GenerateZipfQueries draws n Zipf-skewed near-match queries from data
 // (exponent s > 1; larger = more head-heavy), modelling real query logs.
 func GenerateZipfQueries(data []string, n, maxEdits int, s float64, seed int64) []string {
 	return dataset.QueriesZipf(data, n, maxEdits, s, seed)
-}
-
-// --- Approximate substring search (semi-global alignment) ---------------------------
-
-// Occurrence is one approximate in-text match of a pattern.
-type Occurrence = edit.Occurrence
-
-// SubstringDistance returns the best edit distance between pattern and any
-// substring of text (the read-mapping flavour of the DNA use case).
-func SubstringDistance(pattern, text string) int {
-	return edit.SubstringDistance(pattern, text)
-}
-
-// FindApprox returns every end position in text where some substring is
-// within k edits of pattern, with the best distance per position.
-func FindApprox(pattern, text string, k int) []Occurrence {
-	return edit.FindApprox(pattern, text, k)
-}
-
-// ContainsApprox reports whether text contains a substring within k edits of
-// pattern.
-func ContainsApprox(pattern, text string, k int) bool {
-	return edit.ContainsApprox(pattern, text, k)
 }
 
 // --- Dataset loading ------------------------------------------------------------

@@ -79,19 +79,6 @@ func TestDistanceVariantsFacade(t *testing.T) {
 	if simsearch.HammingDistance("a", "ab") != -1 {
 		t.Error("Hamming length check broken")
 	}
-	if simsearch.DamerauDistance("ab", "ba") != 1 {
-		t.Error("Damerau broken")
-	}
-	script := simsearch.EditScript("AGGCGT", "AGAGT")
-	nonMatch := 0
-	for _, op := range script {
-		if op.Kind.String() != "match" {
-			nonMatch++
-		}
-	}
-	if nonMatch != 2 {
-		t.Errorf("EditScript cost = %d, want 2", nonMatch)
-	}
 }
 
 func TestHammingFacade(t *testing.T) {
@@ -107,26 +94,6 @@ func TestHammingFacade(t *testing.T) {
 	scan := simsearch.HammingScan(data, "ACGT", 1)
 	if !reflect.DeepEqual(scan, ms) {
 		t.Errorf("HammingScan %v != HammingSearch %v", scan, ms)
-	}
-}
-
-func TestSimilarityFacade(t *testing.T) {
-	if simsearch.Similarity("abcd", "abcd") != 1 {
-		t.Error("identical similarity != 1")
-	}
-	if !simsearch.SimilarAtLeast("abcd", "abcx", 0.75) {
-		t.Error("SimilarAtLeast broken")
-	}
-}
-
-func TestWeightedDistanceFacade(t *testing.T) {
-	c := simsearch.WeightedCosts{Insert: 1, Delete: 1, Substitute: 1}
-	if simsearch.WeightedDistance("AGGCGT", "AGAGT", c) != 2 {
-		t.Error("unit weighted distance broken")
-	}
-	c = simsearch.WeightedCosts{Insert: 1, Delete: 5, Substitute: 5}
-	if simsearch.WeightedDistance("ab", "abc", c) != 1 {
-		t.Error("asymmetric weighted distance broken")
 	}
 }
 
@@ -158,18 +125,5 @@ func TestLoadSequencesFacade(t *testing.T) {
 	got, err := simsearch.LoadSequences(path)
 	if err != nil || len(got) != 1 || got[0] != "ACGT" {
 		t.Errorf("LoadSequences = %v, %v", got, err)
-	}
-}
-
-func TestSubstringFacade(t *testing.T) {
-	if simsearch.SubstringDistance("ACGT", "TTACGTT") != 0 {
-		t.Error("exact substring missed")
-	}
-	if !simsearch.ContainsApprox("ACGT", "TTACTT", 1) {
-		t.Error("1-edit substring missed")
-	}
-	occ := simsearch.FindApprox("abc", "abcabc", 0)
-	if len(occ) != 2 || occ[0].End != 3 || occ[1].End != 6 {
-		t.Errorf("FindApprox = %v", occ)
 	}
 }

@@ -5,9 +5,9 @@ import (
 	"go/types"
 )
 
-// CtxPoll enforces the serving-path cancellation invariant introduced in
-// PR 1: inside internal/scan, internal/exec, internal/trie, internal/lsm,
-// internal/cascade, and internal/distrib, a function
+// CtxPoll enforces the serving-path cancellation invariant: inside
+// internal/scan, internal/exec, internal/trie, internal/lsm and
+// internal/distrib, a function
 // that has a cancellation signal in scope (a context.Context or a
 // chan struct{} cancel channel) must actually poll it in every loop that
 // performs per-element comparison work. A compliant loop either
@@ -33,7 +33,7 @@ var CtxPoll = &Analyzer{
 
 func runCtxPoll(pass *Pass) {
 	if !pathHasSuffix(pass.Path, "internal/scan", "internal/exec", "internal/trie", "internal/lsm",
-		"internal/cascade", "internal/distrib") {
+		"internal/distrib") {
 		return
 	}
 	for _, f := range pass.Files {

@@ -7,7 +7,7 @@ import (
 
 // HotAlloc machine-checks the paper's §3.3–3.4 discipline on the kernel
 // packages: the innermost loops of internal/edit, internal/scan (the word
-// sweep included), internal/trie, internal/cascade and internal/lsm (the
+// sweep included), internal/trie and internal/lsm (the
 // delta scan) — the code that runs once per compared pair, per trie edge or
 // per filtered candidate — must not copy strings through string([]byte)/[]byte(string)
 // conversions and must not allocate closures. In loops that invoke a
@@ -22,12 +22,12 @@ import (
 // only kernel loops are checked at all.
 var HotAlloc = &Analyzer{
 	Name: "hotalloc",
-	Doc:  "no string<->[]byte conversions, closures, fmt calls, or per-element make/new — direct or one call deep — in the innermost kernel loops of internal/edit, internal/scan, internal/trie, internal/cascade, internal/lsm",
+	Doc:  "no string<->[]byte conversions, closures, fmt calls, or per-element make/new — direct or one call deep — in the innermost kernel loops of internal/edit, internal/scan, internal/trie, internal/lsm",
 	Run:  runHotAlloc,
 }
 
 func runHotAlloc(pass *Pass) {
-	if !pathHasSuffix(pass.Path, "internal/edit", "internal/scan", "internal/trie", "internal/cascade", "internal/lsm") {
+	if !pathHasSuffix(pass.Path, "internal/edit", "internal/scan", "internal/trie", "internal/lsm") {
 		return
 	}
 	for _, f := range pass.Files {

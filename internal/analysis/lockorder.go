@@ -29,7 +29,7 @@ var LockOrder = &Analyzer{
 // cover: everything with locks or goroutines on (or under) the serving path.
 func servingScope(path string) bool {
 	return pathHasSuffix(path, "internal/lsm", "internal/distrib", "internal/cache",
-		"internal/exec", "internal/cascade", "internal/pool")
+		"internal/exec", "internal/pool")
 }
 
 // loEdge is one acquired-before observation: `from` was held when `to` was

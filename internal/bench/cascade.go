@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"time"
 
-	"simsearch/internal/cascade"
 	"simsearch/internal/core"
 	"simsearch/internal/dataset"
 	"simsearch/internal/metrics"
@@ -46,11 +45,11 @@ func cascadeRungs() []cascadeRung {
 		}
 		return core.NewSequential(data, opts...)
 	}
-	cascadeRungWith := func(opts ...cascade.Option) func([]string, *metrics.Counter) core.Searcher {
+	cascadeRungWith := func(opts ...core.CascadeOption) func([]string, *metrics.Counter) core.Searcher {
 		return func(data []string, comps *metrics.Counter) core.Searcher {
-			all := append([]cascade.Option{}, opts...)
+			all := append([]core.CascadeOption{}, opts...)
 			if comps != nil {
-				all = append(all, cascade.WithComparisonCounter(comps))
+				all = append(all, core.WithComparisonCounter(comps))
 			}
 			return core.NewCascade(data, all...)
 		}
@@ -58,7 +57,7 @@ func cascadeRungs() []cascadeRung {
 	return []cascadeRung{
 		{"bit-parallel", "1) bit-parallel scan (best prior rung)", scanRung},
 		{"cascade", "2) cascade (length+signature+verify)", cascadeRungWith()},
-		{"cascade-nofreq", "3) cascade without the signature word", cascadeRungWith(cascade.WithoutFrequency())},
+		{"cascade-nofreq", "3) cascade without the signature word", cascadeRungWith(core.WithoutFrequency())},
 	}
 }
 
@@ -99,9 +98,9 @@ func CascadeRecords(w Workload) []Record {
 			if len(sub) == 0 {
 				continue
 			}
-			var before cascade.Stats
+			var before core.CascadeStats
 			if cc != nil {
-				before = cc.CascadeEngine().Stats()
+				before = cc.Stats()
 			}
 			compsBefore := comps.Value()
 			start := time.Now()
@@ -119,7 +118,7 @@ func CascadeRecords(w Workload) []Record {
 				Comparisons: comps.Value() - compsBefore,
 			}
 			if cc != nil {
-				after := cc.CascadeEngine().Stats()
+				after := cc.Stats()
 				rec.Stages = &StageCounts{
 					Candidates: after.Candidates - before.Candidates,
 					Swept:      after.Swept - before.Swept,
@@ -151,9 +150,9 @@ func CascadeRecords(w Workload) []Record {
 // the sweep less than half of the window.
 func CascadeCheck() error {
 	cities := dataset.Cities(20000, 20130322)
-	eng := cascade.New(cities)
+	eng := core.NewCascade(cities)
 	for _, q := range dataset.Queries(cities, 100, 1, 20130325) {
-		eng.Search(q, 1)
+		eng.Search(core.Query{Text: q, K: 1})
 	}
 	if st := eng.Stats(); st.Swept == 0 || 2*st.Swept >= st.Candidates {
 		return fmt.Errorf("cascade check blocks: the summaries let the sweep into %d of %d window slots at k=1, want fewer than half",
@@ -170,13 +169,13 @@ func CascadeCheck() error {
 		qs := dataset.Queries(tc.data, 30, 3, 20130324)
 		oracle := core.NewSequential(tc.data)
 		var comps metrics.Counter
-		eng := core.NewCascade(tc.data, cascade.WithComparisonCounter(&comps))
-		bare := cascade.New(tc.data, cascade.WithoutFrequency())
+		eng := core.NewCascade(tc.data, core.WithComparisonCounter(&comps))
+		bare := core.NewCascade(tc.data, core.WithoutFrequency())
 		for i, text := range qs {
 			q := core.Query{Text: text, K: CascadeKs[i%len(CascadeKs)]}
 			want := oracle.Search(q)
 			got := eng.Search(q)
-			bare.Search(q.Text, q.K)
+			bare.Search(q)
 			if len(got) != len(want) {
 				return fmt.Errorf("cascade check %s: %d results, oracle %d (q=%q k=%d)",
 					tc.name, len(got), len(want), q.Text, q.K)
@@ -188,7 +187,7 @@ func CascadeCheck() error {
 				}
 			}
 		}
-		st := eng.CascadeEngine().Stats()
+		st := eng.Stats()
 		if st.Candidates == 0 {
 			return fmt.Errorf("cascade check %s: length bucket admitted no candidates", tc.name)
 		}

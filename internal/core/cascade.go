@@ -2,52 +2,192 @@ package core
 
 import (
 	"context"
+	"math"
+	"sync/atomic"
 
-	"simsearch/internal/cascade"
 	"simsearch/internal/metrics"
+	"simsearch/internal/scan"
 )
 
-// Cascade wraps the filter-cascade engine (paper §6 future work assembled
-// into one serving path): length bucket, block summaries, one signature word
-// per string and the band kernel over a byte arena ordered by those words —
-// the word holds the five symbol counts on DNA datasets and occurrence bits
-// on everything else.
+// Cascade is the paper's §6 future-work list as one serving engine: a filter
+// cascade in which every stage is cheaper per candidate than the next and
+// only survivors pay for the edit-distance kernel. It has one layout on
+// every corpus,
+//
+//	length bucket -> block summary -> one signature word (-> a second, on reads) -> band kernel
+//
+// over a scan.Arena of its own; beside the corpus bytes the engine costs 9
+// bytes per string: the arena's slots give the length window and the bytes,
+// the engine adds one precomputed uint64 per slot and, per block of sixteen
+// slots, two summary words that let a query skip the block unread — which
+// pays because the engine packs the arena itself, every length bucket
+// ordered by its words. What the word holds is chosen once, at build time,
+// from the arena's bytes: when every one of them is A, C, G, N or T it packs
+// the five symbol counts (the frequency-vector filter of PETER, Rheinländer
+// et al., cited in PAPER §6, read from 8 bytes), otherwise counted
+// occurrence bits of the byte values folded into 32 buckets. An all-DNA
+// arena gets a second word per slot, sixteen dinucleotide counts, read only
+// for the slots the first word lets through (8 more bytes per string). The
+// words and the sweep over them are scan.Words (internal/scan/words.go),
+// which the live store's segments run too; Cascade adds the stage counters,
+// the ablation switch and the engine surface. See DESIGN §13 for the 3-bit
+// packed arena, q-gram stage and banded verify this layout replaced, and
+// why.
+//
+// All query-side state — the query's word and its compiled pattern — is
+// built once per query; every per-candidate step allocates nothing. All the
+// words are sound filters — they never reject a string within distance k —
+// so the cascade returns exactly the matches a full scan would; the
+// differential fuzz targets and the ablation identity test enforce this.
+//
+// A Cascade is safe for concurrent Search/SearchContext calls: all
+// per-query state lives on the query's stack, and the stage counters are
+// atomic.
 type Cascade struct {
-	eng *cascade.Engine
+	words *scan.Words
+	name  string
+
+	noFreq bool
+	comps  scan.CompCounter
+
+	// Per-stage survivor counters, cumulative across queries. With the
+	// signature stage disabled every candidate passes both words, so each
+	// survivor count equals its input count and the prune rates read as zero.
+	queries    atomic.Uint64
+	candidates atomic.Uint64 // length-bucket survivors (slots of the windows)
+	swept      atomic.Uint64 // slots in blocks the summaries let the sweep into
+	passed     atomic.Uint64 // survivors of the first word
+	survivors  atomic.Uint64 // survivors of every word == verify-kernel invocations
+	matches    atomic.Uint64
 }
 
-// NewCascade builds a cascade searcher over data. Options select the
-// ablation variant (cascade.WithoutFrequency) and counters.
-func NewCascade(data []string, opts ...cascade.Option) *Cascade {
-	return &Cascade{eng: cascade.New(data, opts...)}
+// CascadeOption configures a Cascade.
+type CascadeOption func(*Cascade)
+
+// WithoutFrequency disables the signature stage, both words of it (ablation
+// mode): every slot of the length window goes to the kernel.
+func WithoutFrequency() CascadeOption { return func(c *Cascade) { c.noFreq = true } }
+
+// WithComparisonCounter adds a counter receiving the number of verify-kernel
+// invocations (the comparisons the cascade could not prune).
+func WithComparisonCounter(cc scan.CompCounter) CascadeOption {
+	return func(c *Cascade) { c.comps = cc }
+}
+
+// NewCascade builds a cascade searcher over data, packed into an arena of
+// its own: length-bucketed, each bucket ordered by its words
+// (scan.NewWords).
+func NewCascade(data []string, opts ...CascadeOption) *Cascade {
+	c := &Cascade{words: scan.NewWords(data), name: "cascade/bytes"}
+	if c.words.Counts() {
+		c.name = "cascade/dna"
+	}
+	for _, o := range opts {
+		o(c)
+	}
+	// The ablation answers identically but must never share a cache key with
+	// the full cascade.
+	if c.noFreq {
+		c.name += "-nofreq"
+	}
+	return c
 }
 
 // Search implements Searcher.
 func (c *Cascade) Search(q Query) []Match {
-	return convertScan(c.eng.Search(q.Text, q.K))
+	ms, _ := c.SearchContext(context.Background(), q)
+	return ms
 }
 
-// SearchContext implements ContextSearcher: the slot sweep polls ctx at a
-// bounded stride and abandons the query promptly after cancellation.
+// SearchContext implements ContextSearcher: the slot sweep polls ctx once
+// per block of candidates and returns ctx.Err() with partial results
+// dropped. Stage counters are flushed on every exit path.
 func (c *Cascade) SearchContext(ctx context.Context, q Query) ([]Match, error) {
-	ms, err := c.eng.SearchContext(ctx, q.Text, q.K)
+	if q.K < 0 {
+		return nil, nil
+	}
+	c.queries.Add(1)
+	slack := q.K // what the two words may differ by on either side
+	if c.noFreq {
+		slack = math.MaxInt
+	}
+	pr := scan.NewProbe(q.Text, q.K)
+	ms, err := c.words.Sweep(ctx, &pr, slack, make([]Match, 0, 16))
+	c.candidates.Add(pr.Visited)
+	c.swept.Add(pr.Swept)
+	c.passed.Add(pr.Passed)
+	c.survivors.Add(pr.Kept)
+	if c.comps != nil {
+		c.comps.Add(pr.Kept)
+	}
 	if err != nil {
 		return nil, err
 	}
-	return convertScan(ms), nil
+	if len(ms) == 0 {
+		return nil, nil // no match is nil, as from every other engine
+	}
+	c.matches.Add(uint64(len(ms)))
+	return scan.MergeRuns(ms), nil
 }
 
-// Name implements Searcher; it carries the signature kind ("cascade/dna" or
-// "cascade/bytes") and any ablation suffix.
-func (c *Cascade) Name() string { return c.eng.Name() }
+// Name implements Searcher; it carries the signature kind ("cascade/dna"
+// for symbol counts, "cascade/bytes" for occurrence bits) and any ablation
+// suffix.
+func (c *Cascade) Name() string { return c.name }
 
 // Len implements Searcher.
-func (c *Cascade) Len() int { return c.eng.Len() }
+func (c *Cascade) Len() int { return c.words.Arena().Len() }
 
-// CascadeEngine exposes the underlying engine for observability surfaces
-// (per-stage survivor counts, arena layout).
-func (c *Cascade) CascadeEngine() *cascade.Engine { return c.eng }
+// CascadeStats is a point-in-time snapshot of a cascade's layout and
+// cumulative per-stage survivor counters.
+type CascadeStats struct {
+	Strings    int
+	ArenaBytes int // the arena's payload
+	Buckets    int // non-empty length buckets
 
-// RegisterMetrics exposes the cascade's per-stage survivor counters on reg
-// (picked up by the httpapi decorator-chain walk).
-func (c *Cascade) RegisterMetrics(reg *metrics.Registry) { c.eng.RegisterMetrics(reg) }
+	Queries    uint64
+	Candidates uint64 // survivors of the length bucket (slots of the windows)
+	Swept      uint64 // of those, the slots in blocks the summaries let the sweep into
+	Passed     uint64 // survivors of the first word; the second, where there is one, takes Survivors below it
+	Survivors  uint64 // survivors of the signature stage = verify calls
+	Matches    uint64
+}
+
+// Stats returns the current snapshot.
+func (c *Cascade) Stats() CascadeStats {
+	ar := c.words.Arena()
+	return CascadeStats{
+		Strings:    ar.Len(),
+		ArenaBytes: ar.Bytes(),
+		Buckets:    ar.Buckets(),
+		Queries:    c.queries.Load(),
+		Candidates: c.candidates.Load(),
+		Swept:      c.swept.Load(),
+		Passed:     c.passed.Load(),
+		Survivors:  c.survivors.Load(),
+		Matches:    c.matches.Load(),
+	}
+}
+
+// RegisterMetrics exposes the cascade's cumulative counters on reg (picked
+// up by the httpapi decorator-chain walk). The per-stage survivor counts
+// make the cascade observable in production: a stage whose survivors track
+// its input has stopped pruning.
+func (c *Cascade) RegisterMetrics(reg *metrics.Registry) {
+	reg.CounterFunc("simsearch_cascade_queries_total",
+		"queries answered by the cascade engine",
+		func() float64 { return float64(c.queries.Load()) })
+	stage := func(name string, n *atomic.Uint64) {
+		reg.CounterFunc("simsearch_cascade_stage_survivors_total",
+			"candidates surviving each cascade stage, cumulative across queries",
+			func() float64 { return float64(n.Load()) }, metrics.L("stage", name))
+	}
+	// "block" is what the block summaries leave of the length window;
+	// "frequency" is the first word on either kind of corpus; "qgram" is the
+	// dinucleotide word behind it on reads and reads the same elsewhere.
+	stage("length", &c.candidates)
+	stage("block", &c.swept)
+	stage("frequency", &c.passed)
+	stage("qgram", &c.survivors)
+	stage("verify", &c.matches)
+}

@@ -1,4 +1,4 @@
-package cascade
+package core
 
 import (
 	"fmt"
@@ -31,15 +31,15 @@ func TestKindSelection(t *testing.T) {
 		{"stray byte in the last read", stray(len(reads)-1, 0xc3), "cascade/bytes"},
 		{"lower-case read", []string{"ACGT", "acgt"}, "cascade/bytes"},
 	} {
-		e := New(tc.data)
+		e := NewCascade(tc.data)
 		if e.Name() != tc.want || e.words.Counts() != (tc.want == "cascade/dna") {
 			t.Errorf("%s: %s (counts=%v), want %s", tc.name, e.Name(), e.words.Counts(), tc.want)
 		}
 	}
-	if got := New(nil, WithoutFrequency()).Name(); got != "cascade/dna-nofreq" {
+	if got := NewCascade(nil, WithoutFrequency()).Name(); got != "cascade/dna-nofreq" {
 		t.Errorf("ablation name = %q", got)
 	}
-	if got := New([]string{"x"}, WithoutFrequency()).Name(); got != "cascade/bytes-nofreq" {
+	if got := NewCascade([]string{"x"}, WithoutFrequency()).Name(); got != "cascade/bytes-nofreq" {
 		t.Errorf("ablation name = %q", got)
 	}
 }
@@ -56,12 +56,12 @@ func TestByteStatsFunnel(t *testing.T) {
 	for name, data := range map[string][]string{
 		"city": dataset.Cities(3000, 7), "reads": dataset.DNAReads(1500, 7),
 	} {
-		e, bare := New(data), New(data, WithoutFrequency())
+		e, bare := NewCascade(data), NewCascade(data, WithoutFrequency())
 		var windows uint64 // the slots of the queries' length windows, counted from the data
 		for i, q := range dataset.Queries(data, 40, 3, 8) {
 			k := i % 4
-			e.Search(q, k)
-			bare.Search(q, k)
+			e.Search(Query{Text: q, K: k})
+			bare.Search(Query{Text: q, K: k})
 			for _, s := range data {
 				if len(s) >= len(q)-k && len(s) <= len(q)+k {
 					windows++
@@ -91,9 +91,9 @@ func TestByteStatsFunnel(t *testing.T) {
 // summaries are deterministic, so the counts repeat exactly.
 func TestBlockSummaryStrength(t *testing.T) {
 	data := dataset.Cities(20000, 7)
-	e := New(data)
+	e := NewCascade(data)
 	for _, q := range dataset.Queries(data, 200, 1, 8) {
-		e.Search(q, 1)
+		e.Search(Query{Text: q, K: 1})
 	}
 	st := e.Stats()
 	t.Logf("%d window slots, %d swept (1/%.2f), %d past the word", st.Candidates, st.Swept, float64(st.Candidates)/float64(st.Swept), st.Passed)
@@ -104,32 +104,38 @@ func TestBlockSummaryStrength(t *testing.T) {
 
 // TestByteQueryAllocations: a cascade query allocates its result slice and,
 // at k > 0, its compiled pattern with the kernel's scratch header; nothing
-// per candidate, on either kind of word.
+// per candidate, on either kind of word. A hit costs no more than a miss:
+// the matches leave in the slice the sweep appended them to, uncopied.
 func TestByteQueryAllocations(t *testing.T) {
 	for name, data := range map[string][]string{
 		"city": dataset.Cities(5000, 9), "reads": dataset.DNAReads(2000, 9),
 	} {
-		e := New(data)
+		e := NewCascade(data)
 		hit := data[0]
 		miss := strings.Repeat("\x7f", len(hit)) // a full length window, no survivor
 		for k := 0; k <= 3; k++ {
-			if len(e.Search(hit, k)) == 0 || len(e.Search(miss, k)) != 0 {
+			if len(e.Search(Query{Text: hit, K: k})) == 0 || len(e.Search(Query{Text: miss, K: k})) != 0 {
 				t.Fatalf("%s k=%d: %q must match itself and %q nothing", name, k, hit, miss)
 			}
-			for _, q := range []string{hit, miss} {
+			var allocs [2]float64 // hit, miss
+			for i, q := range []string{hit, miss} {
 				want := 1.0
 				if k > 0 {
 					want += 1 + testing.AllocsPerRun(100, func() { edit.CompileMyers(q) })
 				}
-				if m := len(e.Search(q, k)); m > 1 {
+				if m := len(e.Search(Query{Text: q, K: k})); m > 1 {
 					// Few matches, in word order inside a bucket, are sorted in
 					// place; long ID-ascending runs would be merged through
 					// one buffer and one slice of run starts.
 					want += 2
 				}
-				if got := testing.AllocsPerRun(100, func() { e.Search(q, k) }); got > want {
-					t.Errorf("%s: Search(%q,%d): %.0f allocations, want at most %.0f", name, q, k, got, want)
+				allocs[i] = testing.AllocsPerRun(100, func() { e.Search(Query{Text: q, K: k}) })
+				if allocs[i] > want {
+					t.Errorf("%s: Search(%q,%d): %.0f allocations, want at most %.0f", name, q, k, allocs[i], want)
 				}
+			}
+			if allocs[0] > allocs[1] {
+				t.Errorf("%s k=%d: a hit costs %.0f allocations, a miss %.0f", name, k, allocs[0], allocs[1])
 			}
 		}
 	}
@@ -150,7 +156,7 @@ func BenchmarkCascadeBytes(b *testing.B) {
 		{"city", dataset.Cities(100000, 20130322), []int{0, 1, 2, 3}},
 		{"reads", dataset.DNAReads(10000, 20130322), []int{0, 4, 8}},
 	} {
-		e := New(c.data)
+		e := NewCascade(c.data)
 		for _, k := range c.ks {
 			qs := dataset.Queries(c.data, 300, k, 20130322+int64(k))
 			b.Run(fmt.Sprintf("%s/k%d", c.name, k), func(b *testing.B) {
@@ -158,7 +164,7 @@ func BenchmarkCascadeBytes(b *testing.B) {
 				matches := 0
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
-					matches += len(e.Search(qs[i%len(qs)], k))
+					matches += len(e.Search(Query{Text: qs[i%len(qs)], K: k}))
 				}
 				st := e.Stats()
 				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(st.Candidates-before.Candidates), "ns/slot")

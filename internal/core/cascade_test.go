@@ -1,4 +1,4 @@
-package cascade
+package core
 
 import (
 	"context"
@@ -22,27 +22,6 @@ func oracle(data []string, q string, k int) []Match {
 	return out
 }
 
-func equal(a, b []Match) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
-func randomString(r *rand.Rand, alpha string, maxLen int) string {
-	n := r.Intn(maxLen + 1)
-	var sb strings.Builder
-	for i := 0; i < n; i++ {
-		sb.WriteByte(alpha[r.Intn(len(alpha))])
-	}
-	return sb.String()
-}
-
 func TestSearchMatchesOracle(t *testing.T) {
 	alphabets := []string{"ACGNT", "abcdefgh Z-"}
 	fn := func(seed int64) bool {
@@ -52,15 +31,15 @@ func TestSearchMatchesOracle(t *testing.T) {
 		for i := range data {
 			data[i] = randomString(r, alpha, 24)
 		}
-		e := New(data)
+		e := NewCascade(data)
 		for i := 0; i < 6; i++ {
 			// Queries from either alphabet: a byte query against count words
 			// holds bytes no field counts.
 			q := randomString(r, alphabets[r.Intn(len(alphabets))], 24)
 			k := r.Intn(8)
-			got := e.Search(q, k)
+			got := e.Search(Query{Text: q, K: k})
 			want := oracle(data, q, k)
-			if !equal(got, want) {
+			if !Equal(got, want) {
 				t.Errorf("seed %d %s: Search(%q,%d) = %v, want %v", seed, e.Name(), q, k, got, want)
 				return false
 			}
@@ -76,7 +55,7 @@ func TestSearchMatchesOracle(t *testing.T) {
 // (the stage off) is exhaustive ground truth over the same length windows,
 // and the full cascade must return exactly that, on both kinds of word.
 func TestStagesNeverRejectTrueMatch(t *testing.T) {
-	combos := [][]Option{nil, {WithoutFrequency()}}
+	combos := [][]CascadeOption{nil, {WithoutFrequency()}}
 	alphabets := []string{"ACGNT", "city name alphabet"}
 	fn := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
@@ -85,16 +64,16 @@ func TestStagesNeverRejectTrueMatch(t *testing.T) {
 		for i := range data {
 			data[i] = randomString(r, alpha, 20)
 		}
-		engines := make([]*Engine, len(combos))
+		engines := make([]*Cascade, len(combos))
 		for i, c := range combos {
-			engines[i] = New(data, c...)
+			engines[i] = NewCascade(data, c...)
 		}
 		for i := 0; i < 4; i++ {
 			q := randomString(r, alpha, 20)
 			k := r.Intn(6)
-			want := engines[len(engines)-1].Search(q, k) // verify-only: no signature stage
+			want := engines[len(engines)-1].Search(Query{Text: q, K: k}) // verify-only: no signature stage
 			for _, e := range engines[:len(engines)-1] {
-				if got := e.Search(q, k); !equal(got, want) {
+				if got := e.Search(Query{Text: q, K: k}); !Equal(got, want) {
 					t.Errorf("seed %d: %s diverges from verify-only on (%q,%d): got %v, want %v",
 						seed, e.Name(), q, k, got, want)
 					return false
@@ -113,15 +92,15 @@ func TestShortStringsAndZeroK(t *testing.T) {
 	// whose words are equal — on both kinds of word.
 	dna := []string{"", "A", "AC", "CA", "ACG", "GCA", "ACGT"}
 	for _, data := range [][]string{dna, append([]string{"x", "xy", "yx"}, dna...)} {
-		e := New(data)
+		e := NewCascade(data)
 		for _, q := range []string{"", "A", "AC", "CA", "B", "xy", "ACGT", "TGCA"} {
 			for k := 0; k < 4; k++ {
-				if got, want := e.Search(q, k), oracle(data, q, k); !equal(got, want) {
+				if got, want := e.Search(Query{Text: q, K: k}), oracle(data, q, k); !Equal(got, want) {
 					t.Errorf("%s: Search(%q,%d) = %v, want %v", e.Name(), q, k, got, want)
 				}
 			}
 		}
-		if ms := e.Search("ACG", -1); ms != nil {
+		if ms := e.Search(Query{Text: "ACG", K: -1}); ms != nil {
 			t.Errorf("negative k must return nil, got %v", ms)
 		}
 	}
@@ -133,13 +112,13 @@ func TestSearchContextCancellation(t *testing.T) {
 		data[i] = strings.Repeat("ACGT", 6)
 	}
 	q := strings.Repeat("ACGT", 6)
-	for _, e := range []*Engine{New(data), New(append(data, "not dna"))} {
+	for _, e := range []*Cascade{NewCascade(data), NewCascade(append(data, "not dna"))} {
 		ctx, cancel := context.WithCancel(context.Background())
 		cancel()
-		if _, err := e.SearchContext(ctx, q, 2); err == nil {
+		if _, err := e.SearchContext(ctx, Query{Text: q, K: 2}); err == nil {
 			t.Errorf("%s: pre-cancelled context must abort the sweep", e.Name())
 		}
-		if ms, err := e.SearchContext(context.Background(), q, 0); err != nil || len(ms) < 3000 {
+		if ms, err := e.SearchContext(context.Background(), Query{Text: q, K: 0}); err != nil || len(ms) < 3000 {
 			t.Errorf("%s: uncancelled exact search: %d matches, err %v", e.Name(), len(ms), err)
 		}
 	}
@@ -151,9 +130,9 @@ func TestStatsSurvivorFunnel(t *testing.T) {
 	for i := range data {
 		data[i] = randomString(r, "ACGNT", 30)
 	}
-	e := New(data)
+	e := NewCascade(data)
 	for i := 0; i < 20; i++ {
-		e.Search(randomString(r, "ACGNT", 30), 1+r.Intn(3))
+		e.Search(Query{Text: randomString(r, "ACGNT", 30), K: 1 + r.Intn(3)})
 	}
 	st := e.Stats()
 	if st.Queries != 20 {
@@ -181,9 +160,9 @@ func TestComparisonCounterCountsVerifyCalls(t *testing.T) {
 	for i := range data {
 		data[i] = randomString(r, "ACGNT", 25)
 	}
-	e := New(data, WithComparisonCounter(add))
+	e := NewCascade(data, WithComparisonCounter(add))
 	for i := 0; i < 10; i++ {
-		e.Search(randomString(r, "ACGNT", 25), 2)
+		e.Search(Query{Text: randomString(r, "ACGNT", 25), K: 2})
 	}
 	mu.Lock()
 	got := total
@@ -207,9 +186,9 @@ func TestConcurrentSearches(t *testing.T) {
 	for i := range city {
 		city[i] = randomString(r, "abcdefgh ", 24)
 	}
-	for _, e := range []*Engine{New(dna), New(city)} {
+	for _, e := range []*Cascade{NewCascade(dna), NewCascade(city)} {
 		e := e
-		want := e.Search("ACGNTACG", 3)
+		want := e.Search(Query{Text: "ACGNTACG", K: 3})
 		var wg sync.WaitGroup
 		for g := 0; g < 8; g++ {
 			wg.Add(1)
@@ -217,11 +196,11 @@ func TestConcurrentSearches(t *testing.T) {
 				defer wg.Done()
 				rr := rand.New(rand.NewSource(seed))
 				for i := 0; i < 40; i++ {
-					if got := e.Search("ACGNTACG", 3); !equal(got, want) {
+					if got := e.Search(Query{Text: "ACGNTACG", K: 3}); !Equal(got, want) {
 						t.Errorf("%s: concurrent result diverged", e.Name())
 						return
 					}
-					e.Search(randomString(rr, "abcACGNT", 20), rr.Intn(5))
+					e.Search(Query{Text: randomString(rr, "abcACGNT", 20), K: rr.Intn(5)})
 					e.Stats()
 				}
 			}(int64(g))

@@ -16,21 +16,16 @@ import (
 
 // Query is one string-similarity-search request: find every data string x
 // with ed(Text, x) <= K (paper eq. 1).
-type Query struct {
-	Text string
-	K    int
-}
+type Query = scan.Query
 
 // Match is one result: the data string's ID (its index in the dataset) and
-// its exact edit distance to the query.
-type Match struct {
-	ID   int32
-	Dist int
-}
+// its exact edit distance to the query. It is scan.Match, whose doc carries
+// the result-order contract every engine keeps.
+type Match = scan.Match
 
 // Searcher answers string similarity queries over a fixed dataset. All
-// implementations return matches sorted by ID, and all are safe for
-// concurrent Search calls after construction.
+// implementations return matches sorted by ID, in a slice the caller owns,
+// and all are safe for concurrent Search calls after construction.
 type Searcher interface {
 	// Search returns every dataset string within Q.K edits of Q.Text.
 	Search(q Query) []Match
@@ -104,33 +99,16 @@ func NewSequential(data []string, opts ...scan.Option) *Sequential {
 }
 
 // Search implements Searcher.
-func (s *Sequential) Search(q Query) []Match {
-	return convertScan(s.eng.Search(scan.Query{Text: q.Text, K: q.K}))
-}
+func (s *Sequential) Search(q Query) []Match { return s.eng.Search(q) }
 
 // SearchBatch answers all queries using the engine's own across-queries
 // scheduler (serial for ladder rungs 1–4, parallel for rungs 5–6).
-func (s *Sequential) SearchBatch(qs []Query) [][]Match {
-	sq := make([]scan.Query, len(qs))
-	for i, q := range qs {
-		sq[i] = scan.Query{Text: q.Text, K: q.K}
-	}
-	raw := s.eng.SearchBatch(sq)
-	out := make([][]Match, len(raw))
-	for i, ms := range raw {
-		out[i] = convertScan(ms)
-	}
-	return out
-}
+func (s *Sequential) SearchBatch(qs []Query) [][]Match { return s.eng.SearchBatch(qs) }
 
 // SearchContext implements ContextSearcher: the scan checks ctx periodically
 // and abandons the query promptly after cancellation.
 func (s *Sequential) SearchContext(ctx context.Context, q Query) ([]Match, error) {
-	ms, err := s.eng.SearchContext(ctx, scan.Query{Text: q.Text, K: q.K})
-	if err != nil {
-		return nil, err
-	}
-	return convertScan(ms), nil
+	return s.eng.SearchContext(ctx, q)
 }
 
 // Name implements Searcher.
@@ -142,14 +120,6 @@ func (s *Sequential) Len() int { return s.eng.Len() }
 // ScanEngine exposes the underlying scan engine for observability surfaces
 // (ladder rung, pool size, BitParallel arena layout).
 func (s *Sequential) ScanEngine() *scan.Engine { return s.eng }
-
-func convertScan(ms []scan.Match) []Match {
-	out := make([]Match, len(ms))
-	for i, m := range ms {
-		out[i] = Match{ID: m.ID, Dist: m.Dist}
-	}
-	return out // scan already emits in ID order
-}
 
 // --- Trie engine ------------------------------------------------------------
 
@@ -175,14 +145,7 @@ func NewTrie(data []string, compress bool, opts ...trie.Option) *Trie {
 }
 
 // Search implements Searcher.
-func (t *Trie) Search(q Query) []Match {
-	ms := t.tree.Search(q.Text, q.K)
-	out := make([]Match, len(ms))
-	for i, m := range ms {
-		out[i] = Match{ID: m.ID, Dist: m.Dist}
-	}
-	return sortMatches(out)
-}
+func (t *Trie) Search(q Query) []Match { return sortMatches(t.tree.Search(q.Text, q.K)) }
 
 // Name implements Searcher.
 func (t *Trie) Name() string { return t.name }
@@ -196,12 +159,7 @@ func (t *Trie) Tree() *trie.Tree { return t.tree }
 // SearchHamming answers a Hamming-distance query over the same tree: all
 // stored strings of exactly len(text) bytes with at most k mismatches.
 func (t *Trie) SearchHamming(text string, k int) []Match {
-	ms := t.tree.SearchHamming(text, k)
-	out := make([]Match, len(ms))
-	for i, m := range ms {
-		out[i] = Match{ID: m.ID, Dist: m.Dist}
-	}
-	return sortMatches(out)
+	return sortMatches(t.tree.SearchHamming(text, k))
 }
 
 // SearchHammingContext is SearchHamming under a context: cancellation or

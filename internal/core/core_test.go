@@ -30,8 +30,8 @@ func allEngines(data []string) []Searcher {
 
 func testQueries() []Query {
 	return []Query{
-		{"berlin", 0}, {"berlin", 1}, {"berlin", 2}, {"berlin", 3},
-		{"Bern", 1}, {"", 0}, {"", 2}, {"zzzzzz", 1}, {"ulm", 0},
+		{Text: "berlin", K: 0}, {Text: "berlin", K: 1}, {Text: "berlin", K: 2}, {Text: "berlin", K: 3},
+		{Text: "Bern", K: 1}, {Text: "", K: 0}, {Text: "", K: 2}, {Text: "zzzzzz", K: 1}, {Text: "ulm", K: 0},
 	}
 }
 
@@ -61,7 +61,8 @@ func TestEngineNamesAndLens(t *testing.T) {
 	if NewTrie(testData, true).Name() != "trie/compressed" {
 		t.Error("compressed trie name wrong")
 	}
-	if NewCascade(testData).Name() != "cascade/bytes" {
+	// The result cache keys on these names.
+	if NewCascade(testData).Name() != "cascade/bytes" || NewCascade([]string{"ACGT"}, WithoutFrequency()).Name() != "cascade/dna-nofreq" {
 		t.Error("cascade name wrong")
 	}
 }
@@ -97,7 +98,7 @@ func TestSearchBatchUsesEngineScheduler(t *testing.T) {
 func TestVerifyReportsDivergence(t *testing.T) {
 	good := Reference(testData)
 	bad := brokenSearcher{}
-	err := Verify(bad, good, []Query{{"berlin", 1}})
+	err := Verify(bad, good, []Query{{Text: "berlin", K: 1}})
 	if err == nil {
 		t.Fatal("Verify accepted a broken engine")
 	}
@@ -120,14 +121,14 @@ func (brokenSearcher) Name() string           { return "broken" }
 func (brokenSearcher) Len() int               { return 0 }
 
 func TestEqual(t *testing.T) {
-	a := []Match{{1, 0}, {2, 1}}
-	if !Equal(a, []Match{{1, 0}, {2, 1}}) {
+	a := []Match{{ID: 1, Dist: 0}, {ID: 2, Dist: 1}}
+	if !Equal(a, []Match{{ID: 1, Dist: 0}, {ID: 2, Dist: 1}}) {
 		t.Error("equal sets reported unequal")
 	}
-	if Equal(a, []Match{{1, 0}}) {
+	if Equal(a, []Match{{ID: 1, Dist: 0}}) {
 		t.Error("different lengths reported equal")
 	}
-	if Equal(a, []Match{{1, 0}, {2, 2}}) {
+	if Equal(a, []Match{{ID: 1, Dist: 0}, {ID: 2, Dist: 2}}) {
 		t.Error("different dist reported equal")
 	}
 	if !Equal(nil, nil) {
@@ -143,7 +144,7 @@ func TestIntegrationCityWorkload(t *testing.T) {
 	var qs []Query
 	for _, s := range queryStrs {
 		for _, k := range []int{0, 1, 2, 3} {
-			qs = append(qs, Query{s, k})
+			qs = append(qs, Query{Text: s, K: k})
 		}
 	}
 	ref := Reference(data)
@@ -160,7 +161,7 @@ func TestIntegrationDNAWorkload(t *testing.T) {
 	var qs []Query
 	for _, s := range queryStrs {
 		for _, k := range []int{0, 4, 8, 16} {
-			qs = append(qs, Query{s, k})
+			qs = append(qs, Query{Text: s, K: k})
 		}
 	}
 	ref := Reference(data)
@@ -193,7 +194,7 @@ func TestQuickAllEnginesAgree(t *testing.T) {
 		for i := range data {
 			data[i] = randomString(r, "abAB", 8)
 		}
-		q := Query{randomString(r, "abAB", 8), r.Intn(4)}
+		q := Query{Text: randomString(r, "abAB", 8), K: r.Intn(4)}
 		want := Reference(data).Search(q)
 		for _, eng := range []Searcher{
 			NewTrie(data, true),

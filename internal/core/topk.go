@@ -20,12 +20,7 @@ func TopK(s Searcher, text string, k, maxDist int) []Match {
 		// Trie engines support best-first search directly: subtrees are
 		// explored in lower-bound order and the search stops as soon as the
 		// k-th best distance beats every remaining bound.
-		ms := t.tree.NearestK(text, k, maxDist)
-		out := make([]Match, len(ms))
-		for i, m := range ms {
-			out[i] = Match{ID: m.ID, Dist: m.Dist}
-		}
-		return out
+		return t.tree.NearestK(text, k, maxDist)
 	}
 	for dist := 0; ; dist++ {
 		// Grow the radius geometrically after the first misses so a far

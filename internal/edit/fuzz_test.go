@@ -77,20 +77,3 @@ func FuzzKernelsAgree(f *testing.F) {
 		}
 	})
 }
-
-func FuzzOpsRoundTrip(f *testing.F) {
-	f.Add("AGGCGT", "AGAGT")
-	f.Add("", "abc")
-	f.Fuzz(func(t *testing.T, a, b string) {
-		if len(a) > 128 || len(b) > 128 {
-			return
-		}
-		ops := Ops(a, b)
-		if got := Apply(a, ops); got != b {
-			t.Fatalf("Apply(%q, Ops) = %q, want %q", a, got, b)
-		}
-		if Cost(ops) != Distance(a, b) {
-			t.Fatalf("Cost %d != Distance %d", Cost(ops), Distance(a, b))
-		}
-	})
-}

@@ -1,10 +1,8 @@
 package edit
 
-// Distance variants beyond the unweighted Levenshtein distance the paper
-// uses. Rheinländer et al.'s PETER index (the paper's §2.3 related work)
-// supports both edit and Hamming distance, and transposition-aware
-// (Damerau) distance is the conventional extension for typing errors, so
-// the reproduction ships all three.
+// The Hamming distance beside the edit distance the paper uses:
+// Rheinländer et al.'s PETER index (the paper's §2.3 related work) supports
+// both, and the trie and the facade's HammingScan answer it.
 
 // HammingDistance returns the number of positions at which a and b differ,
 // or -1 if the lengths differ (the Hamming distance is undefined then).
@@ -37,67 +35,4 @@ func HammingWithinK(a, b string, k int) bool {
 		}
 	}
 	return true
-}
-
-// DamerauDistance returns the optimal-string-alignment distance: the
-// minimal number of insertions, deletions, substitutions and transpositions
-// of adjacent characters, with the restriction that no substring is edited
-// twice. For typing-error workloads ("Berlni" for "Berlin") it counts a
-// transposition as one operation where the Levenshtein distance counts two.
-func DamerauDistance(a, b string) int {
-	la, lb := len(a), len(b)
-	if la == 0 {
-		return lb
-	}
-	if lb == 0 {
-		return la
-	}
-	// Three rolling rows: i-2, i-1, i.
-	prev2 := make([]int, lb+1)
-	prev := make([]int, lb+1)
-	curr := make([]int, lb+1)
-	for j := 0; j <= lb; j++ {
-		prev[j] = j
-	}
-	for i := 1; i <= la; i++ {
-		curr[0] = i
-		for j := 1; j <= lb; j++ {
-			cost := 1
-			if a[i-1] == b[j-1] {
-				cost = 0
-			}
-			v := prev[j-1] + cost
-			if d := prev[j] + 1; d < v {
-				v = d
-			}
-			if d := curr[j-1] + 1; d < v {
-				v = d
-			}
-			if i > 1 && j > 1 && a[i-1] == b[j-2] && a[i-2] == b[j-1] {
-				if d := prev2[j-2] + 1; d < v {
-					v = d
-				}
-			}
-			curr[j] = v
-		}
-		prev2, prev, curr = prev, curr, prev2
-	}
-	return prev[lb]
-}
-
-// DamerauWithinK reports whether DamerauDistance(a, b) <= k, applying the
-// length filter first (each operation still changes the length by at most
-// one).
-func DamerauWithinK(a, b string, k int) bool {
-	if k < 0 {
-		return false
-	}
-	d := len(a) - len(b)
-	if d < 0 {
-		d = -d
-	}
-	if d > k {
-		return false
-	}
-	return DamerauDistance(a, b) <= k
 }

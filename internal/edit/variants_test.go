@@ -60,63 +60,3 @@ func TestQuickHammingUpperBoundsEdit(t *testing.T) {
 		t.Error(err)
 	}
 }
-
-func TestDamerauDistance(t *testing.T) {
-	cases := []struct {
-		a, b string
-		want int
-	}{
-		{"", "", 0},
-		{"", "ab", 2},
-		{"ab", "", 2},
-		{"ab", "ba", 1}, // one transposition (Levenshtein: 2)
-		{"Berlin", "Berlni", 1},
-		{"abc", "abc", 0},
-		{"ca", "abc", 3}, // OSA classic: no double-editing a substring
-		{"kitten", "sitting", 3},
-	}
-	for _, c := range cases {
-		if got := DamerauDistance(c.a, c.b); got != c.want {
-			t.Errorf("DamerauDistance(%q, %q) = %d, want %d", c.a, c.b, got, c.want)
-		}
-	}
-}
-
-func TestDamerauWithinK(t *testing.T) {
-	if !DamerauWithinK("Berlin", "Berlni", 1) {
-		t.Error("transposition not counted as one")
-	}
-	if DamerauWithinK("abcdef", "ab", 3) {
-		t.Error("length filter failed")
-	}
-	if DamerauWithinK("a", "a", -1) {
-		t.Error("negative k accepted")
-	}
-}
-
-func TestQuickDamerauNeverExceedsLevenshtein(t *testing.T) {
-	fn := func(seed int64) bool {
-		r := rand.New(rand.NewSource(seed))
-		a := randomString(r, "abcd", 14)
-		b := randomString(r, "abcd", 14)
-		dd := DamerauDistance(a, b)
-		ld := Distance(a, b)
-		// Transpositions can only help, and by at most halving.
-		return dd <= ld && ld <= 2*dd || (dd == 0 && ld == 0)
-	}
-	if err := quick.Check(fn, &quick.Config{MaxCount: 400}); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestQuickDamerauSymmetry(t *testing.T) {
-	fn := func(seed int64) bool {
-		r := rand.New(rand.NewSource(seed))
-		a := randomString(r, "abc", 12)
-		b := randomString(r, "abc", 12)
-		return DamerauDistance(a, b) == DamerauDistance(b, a)
-	}
-	if err := quick.Check(fn, &quick.Config{MaxCount: 300}); err != nil {
-		t.Error(err)
-	}
-}

@@ -22,7 +22,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"simsearch/internal/cascade"
 	"simsearch/internal/core"
 	"simsearch/internal/metrics"
 	"simsearch/internal/pool"
@@ -61,12 +60,9 @@ func BitParallelFactory() Factory {
 // CascadeFactory builds filter-cascade shards (length bucket, one signature
 // word per string, bounded Myers verify; the word holds symbol counts when
 // the shard is pure DNA). Shard engines stay serial like BitParallelFactory's —
-// the executor's shard fan-out already supplies the parallelism. Options
-// select ablation variants.
-func CascadeFactory(opts ...cascade.Option) Factory {
-	return func(data []string) core.Searcher {
-		return core.NewCascade(data, opts...)
-	}
+// the executor's shard fan-out already supplies the parallelism.
+func CascadeFactory() Factory {
+	return func(data []string) core.Searcher { return core.NewCascade(data) }
 }
 
 // TrieFactory builds prefix-tree shards (compress selects the §4.2 variant).

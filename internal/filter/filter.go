@@ -158,12 +158,6 @@ func (f *Frequency) Name() string { return f.name }
 // NumSymbols returns the number of tracked symbols (the VectorOf length).
 func (f *Frequency) NumSymbols() int { return f.n }
 
-// Index returns the 0-based tracked index of symbol b, or -1 when b is
-// untracked. Engines that precompute per-string vectors into flat arrays
-// (internal/cascade) use it to count symbols without allocating a Vector per
-// string.
-func (f *Frequency) Index(b byte) int { return f.symbols[b] - 1 }
-
 // Symbols returns the tracked alphabet in tracking order. Rebuilding a
 // Frequency from Name() and Symbols() yields an equivalent filter, which
 // index serialization relies on.

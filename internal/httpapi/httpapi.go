@@ -183,7 +183,7 @@ func cascades(eng core.Searcher) []*core.Cascade {
 // cascadeTotals sums the layouts and the funnels of cs.
 func cascadeTotals(cs []*core.Cascade) (sum CascadeStatsJSON) {
 	for _, c := range cs {
-		st := c.CascadeEngine().Stats()
+		st := c.Stats()
 		sum.ArenaBytes += st.ArenaBytes
 		sum.Buckets += st.Buckets
 		sum.Queries += st.Queries
@@ -197,7 +197,7 @@ func cascadeTotals(cs []*core.Cascade) (sum CascadeStatsJSON) {
 }
 
 // registerCascades exports the summed counters of cs under the series names
-// and stage labels one cascade registers for itself (cascade.RegisterMetrics).
+// and stage labels one cascade registers for itself (core.Cascade.RegisterMetrics).
 func registerCascades(reg *metrics.Registry, cs []*core.Cascade) {
 	if len(cs) == 0 {
 		return

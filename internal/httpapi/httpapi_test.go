@@ -221,6 +221,11 @@ func TestStatsCascadeSection(t *testing.T) {
 				t.Errorf("%s: metrics output missing %q", tc.name, want)
 			}
 		}
+		// The benchmark reads these series by name and stage label: exactly
+		// the five above, no other stage.
+		if n := strings.Count(body, "\nsimsearch_cascade_stage_survivors_total{"); n != 5 {
+			t.Errorf("%s: %d stage series, want 5", tc.name, n)
+		}
 	}
 }
 

@@ -583,11 +583,7 @@ func (st *Store) SearchContext(ctx context.Context, q core.Query) ([]core.Match,
 	if len(all) == 0 {
 		return nil, nil
 	}
-	out := make([]core.Match, len(all))
-	for i, m := range scan.MergeRuns(all) {
-		out[i] = core.Match(m)
-	}
-	return out, nil
+	return scan.MergeRuns(all), nil
 }
 
 // snapshotScan captures, under one read lock, everything SearchContext needs

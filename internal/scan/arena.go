@@ -17,7 +17,7 @@ import (
 
 // Arena is the packed, length-bucketed dataset layout: immutable once built.
 // The frozen BitParallel rung sweeps it bare (scanArenaSlots); the cascade
-// (internal/cascade) and the live store's segments (internal/lsm) sweep it
+// (core.Cascade) and the live store's segments (internal/lsm) sweep it
 // through one signature word per slot (Words). Match IDs are indices into
 // the input it was packed from.
 //

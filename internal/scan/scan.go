@@ -83,7 +83,10 @@ func Strategies() []Strategy {
 	return []Strategy{Base, FastED, References, SimpleTypes, ParallelNaive, ParallelManaged}
 }
 
-// Match is one search result.
+// Match is one search result: a dataset string's ID (its index in the
+// dataset) and its exact edit distance to the query. It is the result type
+// of every engine in the module, and every engine returns a query's matches
+// in ascending ID order; a query with no match may return nil.
 type Match struct {
 	ID   int32
 	Dist int

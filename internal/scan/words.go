@@ -3,9 +3,8 @@
 // first lets through — read before any candidate byte is, and in front of
 // them two summary words per block of sixteen slots, which a length bucket
 // ordered by its words turns into whole blocks skipped unread. The cascade
-// engine (internal/cascade) and the live store's segments (internal/lsm)
-// both run this sweep; the bare BitParallel rung builds no words and reads
-// none.
+// engine (core.Cascade) and the live store's segments (internal/lsm) both
+// run this sweep; the bare BitParallel rung builds no words and reads none.
 package scan
 
 import (

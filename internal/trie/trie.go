@@ -17,14 +17,12 @@ import (
 
 	"simsearch/internal/edit"
 	"simsearch/internal/filter"
+	"simsearch/internal/scan"
 )
 
 // Match is one search result: the ID the string was inserted with and its
 // exact edit distance to the query.
-type Match struct {
-	ID   int32
-	Dist int
-}
+type Match = scan.Match
 
 // node is a prefix-tree node. In the uncompressed tree every node's label is
 // a single byte; after Compress, chains of single-child non-terminal nodes

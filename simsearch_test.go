@@ -109,3 +109,53 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 		t.Errorf("round trip %v", got)
 	}
 }
+
+// TestCallersOwnResults: every engine hands each query a result slice of its
+// own, so a caller may overwrite what it got back without changing the next
+// answer — on the cascade, the bit-parallel scan, the trie index and the live
+// store, whose delta and seed segment both hold matches here.
+func TestCallersOwnResults(t *testing.T) {
+	data := simsearch.GenerateCities(300, 3)
+	live := simsearch.NewLive(data, 1, simsearch.Options{})
+	defer live.Close()
+	all := append([]string(nil), data...)
+	for _, s := range []string{data[0] + "x", data[1][1:]} {
+		if id, _, err := live.Insert(s); err != nil || int(id) != len(all) {
+			t.Fatalf("Insert(%q) = %d, %v; want id %d", s, id, err, len(all))
+		}
+		all = append(all, s)
+	}
+	oracle := func(corpus []string, q simsearch.Query) (out []simsearch.Match) {
+		for i, s := range corpus {
+			if d := simsearch.Distance(q.Text, s); d <= q.K {
+				out = append(out, simsearch.Match{ID: int32(i), Dist: d})
+			}
+		}
+		return out
+	}
+	for _, tc := range []struct {
+		eng    simsearch.Searcher
+		corpus []string
+	}{
+		{simsearch.NewCascade(data), data},
+		{simsearch.NewBitParallel(data, 1), data},
+		{simsearch.NewIndex(data), data},
+		{live, all},
+	} {
+		for k := 0; k <= 2; k++ {
+			for _, text := range []string{data[0], data[1], data[2]} {
+				q := simsearch.Query{Text: text, K: k}
+				want := oracle(tc.corpus, q)
+				for pass := 0; pass < 2; pass++ {
+					got := tc.eng.Search(q)
+					if !matchesEqual(got, want) {
+						t.Fatalf("%s pass %d: Search(%+v) = %v, want %v", tc.eng.Name(), pass, q, got, want)
+					}
+					for i := range got {
+						got[i] = simsearch.Match{ID: -1, Dist: -1}
+					}
+				}
+			}
+		}
+	}
+}
