@@ -3,16 +3,16 @@ GO ?= go
 # Packages with nontrivial concurrency: the worker pools, the sharded
 # executor, the result cache and its coalescer, the HTTP server, the parallel
 # scan engine, the lock-free metrics primitives, the bench harness's
-# concurrent drivers, the trie (shared frontier rows under NearestK), the
-# LSM store (searches racing writes, flushes, and background compaction),
-# the scatter-gather coordinator (hedged RPCs, breakers, admission control),
-# the analysis framework (its fixture loader shares a package cache that
-# the dual test units exercise), the engine facade (interruptible search runs
-# an engine on a goroutine of its own), the engine wrappers (the cascade's
-# shared counters under concurrent queries) and the parallel join.
+# concurrent clients, the LSM store (searches racing writes, flushes, and
+# background compaction), the scatter-gather coordinator (hedged RPCs,
+# breakers, admission control), the analysis framework (its fixture loader
+# shares a package cache that the dual test units exercise), the engine
+# facade (interruptible search runs an engine on a goroutine of its own), the
+# engine wrappers (the cascade's shared counters under concurrent queries)
+# and the parallel join.
 # TestCILists (ci_test.go) fails when a package whose own code starts
 # goroutines is missing here, or a fuzz target from fuzz-smoke below.
-RACE_PKGS = ./internal/pool ./internal/exec ./internal/cache ./internal/httpapi ./internal/scan ./internal/metrics ./internal/bench ./internal/trie ./internal/lsm ./internal/distrib ./internal/analysis ./internal/core ./internal/join
+RACE_PKGS = ./internal/pool ./internal/exec ./internal/cache ./internal/httpapi ./internal/scan ./internal/metrics ./internal/bench ./internal/lsm ./internal/distrib ./internal/analysis ./internal/core ./internal/join
 
 FUZZ_SMOKE_TIME ?= 5s
 

@@ -16,7 +16,6 @@ import (
 	"simsearch/internal/core"
 	"simsearch/internal/dataset"
 	"simsearch/internal/edit"
-	"simsearch/internal/filter"
 	"simsearch/internal/join"
 	"simsearch/internal/pool"
 	"simsearch/internal/scan"
@@ -236,28 +235,6 @@ func BenchmarkAblationEditDistance(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationFilters measures the pre-filters' per-pair cost.
-func BenchmarkAblationFilters(b *testing.B) {
-	_, dna := workloads()
-	q, x := dna.Data[0], dna.Data[1]
-	freq := filter.DNAFrequency()
-	filters := []filter.Filter{filter.Length{}, freq, filter.Histogram{}}
-	for _, f := range filters {
-		b.Run(f.Name(), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				f.Keep(q, x, 8)
-			}
-		})
-	}
-	b.Run("freq-precomputed", func(b *testing.B) {
-		vq, vx := freq.VectorOf(q), freq.VectorOf(x)
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			freq.Bound(vq, vx)
-		}
-	})
-}
-
 // BenchmarkAblationTrieCompression quantifies the §4.2 claim: compression
 // reduces nodes and speeds up search, in both pruning modes.
 func BenchmarkAblationTrieCompression(b *testing.B) {
@@ -358,30 +335,6 @@ func BenchmarkJoin(b *testing.B) {
 			}
 		})
 	}
-}
-
-// BenchmarkAblationNearestK compares best-first trie search against
-// iterative-deepening TopK over the same trie.
-func BenchmarkAblationNearestK(b *testing.B) {
-	city, _ := workloads()
-	eng := core.NewTrie(city.Data, true, trie.WithModernPruning())
-	queries := city.Queries
-	b.Run("best-first", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			for _, q := range queries {
-				eng.Tree().NearestK(q.Text, 5, 3)
-			}
-		}
-	})
-	// Force the generic iterative-deepening path with a wrapper type.
-	wrapped := struct{ core.Searcher }{eng}
-	b.Run("iterative-deepening", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			for _, q := range queries {
-				core.TopK(wrapped, q.Text, 5, 3)
-			}
-		}
-	})
 }
 
 // BenchmarkAblationAdaptivePool compares the three §3.6 strategies on a

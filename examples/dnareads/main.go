@@ -2,10 +2,6 @@
 // similar to a probe sequence, the regime where the prefix-tree index beats
 // the sequential scan (the paper's Figure 7).
 //
-// The example also exercises the paper's §6 future-work items on the DNA
-// data: 3-bit dictionary compression of the read corpus and frequency-vector
-// filtering in the trie.
-//
 // Run with:
 //
 //	go run ./examples/dnareads [-n 75000] [-queries 20]
@@ -37,10 +33,7 @@ func main() {
 		qs = append(qs, simsearch.Query{Text: p, K: 16})
 	}
 
-	index := simsearch.New(reads, simsearch.Options{
-		Algorithm:         simsearch.Trie,
-		FrequencyAlphabet: "ACGNT", // §6 frequency vectors
-	})
+	index := simsearch.NewIndex(reads)
 	scanEng := simsearch.NewParallelScan(reads, 8)
 
 	start := time.Now()

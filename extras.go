@@ -1,6 +1,8 @@
 package simsearch
 
 import (
+	"context"
+
 	"simsearch/internal/core"
 	"simsearch/internal/dataset"
 	"simsearch/internal/edit"
@@ -65,9 +67,10 @@ func NewAuto(data []string, expectedK int) Searcher {
 // --- Nearest-neighbour convenience ---------------------------------------------
 
 // TopK returns up to k of the closest dataset strings to text (ordered by
-// distance, then ID), considering candidates within maxDist edits. It uses
-// iterative deepening over the threshold, so close matches are found without
-// paying for a permissive search.
+// distance, then ID), considering candidates within maxDist edits, on any
+// engine. It searches at radii 0, 1, 2, 4, … up to maxDist and stops at the
+// first that holds k matches, so close matches are found without paying for
+// a permissive search.
 func TopK(eng Searcher, text string, k, maxDist int) []Match {
 	return core.TopK(eng, text, k, maxDist)
 }
@@ -78,25 +81,13 @@ func Nearest(eng Searcher, text string, maxDist int) (Match, bool) {
 }
 
 // HammingSearch returns all strings of exactly len(q) bytes within k
-// mismatching positions, sorted by ID. Trie engines answer it from the
-// index; for any other engine pass the data slice to HammingScan.
-func HammingSearch(eng Searcher, q string, k int) ([]Match, bool) {
-	t, ok := eng.(*core.Trie)
-	if !ok {
-		return nil, false
-	}
-	return t.SearchHamming(q, k), true
-}
-
-// HammingScan answers a Hamming query by scanning data directly.
-func HammingScan(data []string, q string, k int) []Match {
-	var out []Match
-	for i, s := range data {
-		if edit.HammingWithinK(q, s, k) {
-			out = append(out, Match{ID: int32(i), Dist: edit.HammingDistance(q, s)})
-		}
-	}
-	return out
+// mismatching positions, sorted by ID, with Dist the Hamming distance. eng
+// may be any engine; data is the slice it was built over, which resolves
+// the matches of eng's edit search at threshold k.
+func HammingSearch(eng Searcher, data []string, q string, k int) []Match {
+	// The only errors are the context's, and Background is never cancelled.
+	ms, _ := core.Hamming(context.Background(), eng, func(id int32) string { return data[id] }, q, k)
+	return ms
 }
 
 // --- Additional distances --------------------------------------------------------

@@ -82,18 +82,14 @@ func TestDistanceVariantsFacade(t *testing.T) {
 }
 
 func TestHammingFacade(t *testing.T) {
-	data := []string{"ACGT", "ACGA", "ACG"}
-	eng := simsearch.NewIndex(data)
-	ms, ok := simsearch.HammingSearch(eng, "ACGT", 1)
-	if !ok || len(ms) != 2 || ms[0].ID != 0 || ms[1].ID != 1 {
-		t.Errorf("HammingSearch = %v, %v", ms, ok)
-	}
-	if _, ok := simsearch.HammingSearch(simsearch.NewScan(data), "ACGT", 1); ok {
-		t.Error("scan engine claimed Hamming support")
-	}
-	scan := simsearch.HammingScan(data, "ACGT", 1)
-	if !reflect.DeepEqual(scan, ms) {
-		t.Errorf("HammingScan %v != HammingSearch %v", scan, ms)
+	data := []string{"ACGT", "ACGA", "ACG", "AGGA"}
+	want := []simsearch.Match{{ID: 0, Dist: 0}, {ID: 1, Dist: 1}}
+	for _, eng := range []simsearch.Searcher{
+		simsearch.NewIndex(data), simsearch.NewScan(data), simsearch.NewCascade(data),
+	} {
+		if ms := simsearch.HammingSearch(eng, data, "ACGT", 1); !reflect.DeepEqual(ms, want) {
+			t.Errorf("%s: HammingSearch = %v, want %v", eng.Name(), ms, want)
+		}
 	}
 }
 

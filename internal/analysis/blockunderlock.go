@@ -9,7 +9,7 @@ import (
 // BlockUnderLock forbids blocking operations while holding a mutex that the
 // serving path can contend on. A lock key is serving-reachable when any
 // Search-family entry point (Search, SearchContext, SearchBatch,
-// SearchBatchContext, SearchHamming, NearestK, ServeHTTP) in the unit or its
+// SearchBatchContext, ServeHTTP) in the unit or its
 // module-internal dependencies may acquire it; blocking under such a lock
 // stalls every concurrent search, which is precisely the latency cliff the
 // paper's serving argument (§2) must avoid. Blocking means: a channel send
@@ -54,8 +54,7 @@ func servingLockKeys(g *callGraph) map[lockKey]bool {
 	keys := map[lockKey]bool{}
 	for fn := range g.nodes {
 		switch fn.Name() {
-		case "Search", "SearchContext", "SearchBatch", "SearchBatchContext",
-			"SearchHamming", "NearestK", "ServeHTTP":
+		case "Search", "SearchContext", "SearchBatch", "SearchBatchContext", "ServeHTTP":
 			for k := range g.mayAcquire(fn) {
 				keys[k] = true
 			}

@@ -211,7 +211,7 @@ func loopDoesComparisonWork(pass *Pass, body *ast.BlockStmt) bool {
 			}
 		case *types.Func:
 			switch obj.Name() {
-			case "Search", "SearchContext", "SearchBatch", "SearchHamming", "NearestK":
+			case "Search", "SearchContext", "SearchBatch":
 				if obj.Type().(*types.Signature).Recv() != nil {
 					found = true
 					return false

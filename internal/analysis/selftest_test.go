@@ -36,8 +36,10 @@ func TestRepoClean(t *testing.T) {
 // TestScopePackagesExist keeps the analyzers' scopes in step with the tree:
 // every literal "internal/..." suffix passed to pathHasSuffix in this
 // package's non-test code must name a directory of the module that holds a
-// non-test .go file. A scope naming a deleted package checks nothing and
-// says otherwise.
+// non-test .go file, and every method name that ctxpoll and blockunderlock
+// switch on as a serving entry point must be declared by some non-test
+// method in the module. A scope naming a deleted package or method checks
+// nothing and says otherwise.
 func TestScopePackagesExist(t *testing.T) {
 	root, err := findModuleRoot(".")
 	if err != nil {
@@ -82,6 +84,91 @@ func TestScopePackagesExist(t *testing.T) {
 	if scopes == 0 {
 		t.Fatal("found no pathHasSuffix scope literals")
 	}
+
+	methods, err := moduleMethodNames(root)
+	if err != nil {
+		t.Fatal(err)
+	}
+	entries := 0
+	for _, pkg := range pkgs {
+		for path, f := range pkg.Files {
+			if base := filepath.Base(path); base != "ctxpoll.go" && base != "blockunderlock.go" {
+				continue
+			}
+			ast.Inspect(f, func(n ast.Node) bool {
+				sw, ok := n.(*ast.SwitchStmt)
+				if !ok || !isNameCall(sw.Tag) {
+					return true
+				}
+				for _, stmt := range sw.Body.List {
+					for _, e := range stmt.(*ast.CaseClause).List {
+						lit, ok := e.(*ast.BasicLit)
+						if !ok || lit.Kind != token.STRING {
+							continue
+						}
+						name, _ := strconv.Unquote(lit.Value)
+						entries++
+						if !methods[name] {
+							t.Errorf("%s: entry point %q is declared by no non-test method in the module", fset.Position(lit.Pos()), name)
+						}
+					}
+				}
+				return true
+			})
+		}
+	}
+	if entries == 0 {
+		t.Fatal("found no entry-point names in ctxpoll.go or blockunderlock.go")
+	}
+}
+
+// isNameCall reports whether e is a call x.Name() — the tag of the switches
+// that list entry-point method names.
+func isNameCall(e ast.Expr) bool {
+	call, ok := e.(*ast.CallExpr)
+	if !ok || len(call.Args) != 0 {
+		return false
+	}
+	sel, ok := call.Fun.(*ast.SelectorExpr)
+	return ok && sel.Sel.Name == "Name"
+}
+
+// moduleMethodNames returns the names of every method declared in the
+// module's non-test Go files, skipping testdata and nested modules.
+func moduleMethodNames(root string) (map[string]bool, error) {
+	names := map[string]bool{}
+	fset := token.NewFileSet()
+	err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			if path == root {
+				return nil
+			}
+			if strings.HasPrefix(d.Name(), ".") || d.Name() == "testdata" {
+				return filepath.SkipDir
+			}
+			if _, err := os.Stat(filepath.Join(path, "go.mod")); err == nil {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
+			return nil
+		}
+		f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
+		if err != nil {
+			return err
+		}
+		for _, decl := range f.Decls {
+			if fd, ok := decl.(*ast.FuncDecl); ok && fd.Recv != nil {
+				names[fd.Name.Name] = true
+			}
+		}
+		return nil
+	})
+	return names, err
 }
 
 func hasNonTestGo(dir string) bool {

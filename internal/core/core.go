@@ -9,6 +9,7 @@ import (
 	"fmt"
 	"sort"
 
+	"simsearch/internal/edit"
 	"simsearch/internal/pool"
 	"simsearch/internal/scan"
 	"simsearch/internal/trie"
@@ -60,6 +61,25 @@ func SearchContext(ctx context.Context, s Searcher, q Query) ([]Match, error) {
 		return nil, err
 	}
 	return interruptible(ctx, func() []Match { return s.Search(q) })
+}
+
+// Hamming returns every dataset string of exactly len(q) bytes with at most k
+// mismatching positions, sorted by ID, with Dist the Hamming distance. It is
+// an edit search at threshold k filtered by str, which resolves a match ID to
+// its string: k substitutions are k edits, so the edit result holds every
+// Hamming match, and any engine that answers Search answers Hamming.
+func Hamming(ctx context.Context, s Searcher, str func(int32) string, q string, k int) ([]Match, error) {
+	ms, err := SearchContext(ctx, s, Query{Text: q, K: k})
+	if err != nil {
+		return nil, err
+	}
+	out := ms[:0]
+	for _, m := range ms {
+		if d := edit.HammingDistance(q, str(m.ID)); d >= 0 && d <= k {
+			out = append(out, Match{ID: m.ID, Dist: d})
+		}
+	}
+	return out, nil
 }
 
 // interruptible runs fn on a helper goroutine and returns its result, or
@@ -155,25 +175,6 @@ func (t *Trie) Len() int { return t.tree.Len() }
 
 // Tree exposes the underlying trie for structural reports (node counts).
 func (t *Trie) Tree() *trie.Tree { return t.tree }
-
-// SearchHamming answers a Hamming-distance query over the same tree: all
-// stored strings of exactly len(text) bytes with at most k mismatches.
-func (t *Trie) SearchHamming(text string, k int) []Match {
-	return sortMatches(t.tree.SearchHamming(text, k))
-}
-
-// SearchHammingContext is SearchHamming under a context: cancellation or
-// deadline expiry returns ctx.Err() promptly while the abandoned traversal
-// finishes on a helper goroutine (the trie walk has no preemption points).
-func (t *Trie) SearchHammingContext(ctx context.Context, text string, k int) ([]Match, error) {
-	if ctx == nil || ctx.Done() == nil {
-		return t.SearchHamming(text, k), nil
-	}
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	return interruptible(ctx, func() []Match { return t.SearchHamming(text, k) })
-}
 
 // --- Batch execution ----------------------------------------------------------
 

@@ -7,7 +7,6 @@ import (
 	"testing/quick"
 
 	"simsearch/internal/dataset"
-	"simsearch/internal/filter"
 	"simsearch/internal/pool"
 	"simsearch/internal/scan"
 	"simsearch/internal/trie"
@@ -22,7 +21,7 @@ func allEngines(data []string) []Searcher {
 		NewSequential(data, scan.WithSortByLength()),
 		NewTrie(data, false),
 		NewTrie(data, true),
-		NewTrie(data, true, trie.WithFrequency(filter.VowelFrequency())),
+		NewTrie(data, true, trie.WithModernPruning()),
 		NewCascade(data),
 	)
 	return out
@@ -167,7 +166,7 @@ func TestIntegrationDNAWorkload(t *testing.T) {
 	ref := Reference(data)
 	engines := []Searcher{
 		NewSequential(data, scan.WithStrategy(scan.SimpleTypes)),
-		NewTrie(data, true, trie.WithFrequency(filter.DNAFrequency())),
+		NewTrie(data, true, trie.WithModernPruning()),
 		NewCascade(data),
 	}
 	for _, eng := range engines {

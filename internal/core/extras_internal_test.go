@@ -16,18 +16,8 @@ func TestTrieAccessors(t *testing.T) {
 	}
 }
 
-func TestTrieSearchHamming(t *testing.T) {
-	data := []string{"ACGT", "ACGA", "AC"}
-	tr := NewTrie(data, true)
-	ms := tr.SearchHamming("ACGT", 1)
-	if len(ms) != 2 || ms[0].ID != 0 || ms[0].Dist != 0 || ms[1].ID != 1 || ms[1].Dist != 1 {
-		t.Errorf("SearchHamming = %v", ms)
-	}
-}
-
 func TestTopKGenericEngines(t *testing.T) {
-	// Exercise the iterative-deepening path (non-trie engine) including the
-	// geometric radius growth for distant neighbours.
+	// Exercise the geometric radius growth for distant neighbours.
 	data := []string{"aaaaaaaaaa", "aaaaaaaabb", "zzzzzzzzzz"}
 	eng := NewCascade(data)
 	ms := TopK(eng, "aaaaaaaaaa", 2, 8)

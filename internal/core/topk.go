@@ -13,61 +13,26 @@ import (
 // cost grows with the threshold — all of the engines in this module — make
 // this strictly cheaper than a single maxDist search when matches are near.
 func TopK(s Searcher, text string, k, maxDist int) []Match {
-	if k <= 0 || maxDist < 0 {
-		return nil
-	}
-	if t, ok := s.(*Trie); ok {
-		// Trie engines support best-first search directly: subtrees are
-		// explored in lower-bound order and the search stops as soon as the
-		// k-th best distance beats every remaining bound.
-		return t.tree.NearestK(text, k, maxDist)
-	}
-	for dist := 0; ; dist++ {
-		// Grow the radius geometrically after the first misses so a far
-		// nearest neighbour doesn't cost maxDist searches.
-		radius := dist
-		if dist > 2 {
-			radius = 2 << (dist - 2)
-		}
-		if radius > maxDist {
-			radius = maxDist
-		}
-		ms := s.Search(Query{Text: text, K: radius})
-		if len(ms) >= k || radius == maxDist {
-			sort.Slice(ms, func(i, j int) bool {
-				if ms[i].Dist != ms[j].Dist {
-					return ms[i].Dist < ms[j].Dist
-				}
-				return ms[i].ID < ms[j].ID
-			})
-			if len(ms) > k {
-				ms = ms[:k]
-			}
-			return ms
-		}
-	}
+	ms, _ := TopKContext(context.Background(), s, text, k, maxDist) // never cancelled, so never an error
+	return ms
 }
 
 // TopKContext is TopK under a context: cancellation or deadline expiry makes
-// it return promptly with ctx.Err(). The iterative-deepening path checks the
-// context between (and, for context-aware engines, inside) every radius
-// search; the trie best-first path has no internal preemption points, so it
-// runs interruptibly on a helper goroutine like SearchContext does for plain
-// engines.
+// it return promptly with ctx.Err(). The context is checked before the first
+// radius search and, through SearchContext, in every one.
 func TopKContext(ctx context.Context, s Searcher, text string, k, maxDist int) ([]Match, error) {
 	if k <= 0 || maxDist < 0 {
 		return nil, nil
 	}
-	if ctx == nil || ctx.Done() == nil {
-		return TopK(s, text, k, maxDist), nil
+	if ctx == nil {
+		ctx = context.Background()
 	}
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	if _, ok := s.(*Trie); ok {
-		return interruptible(ctx, func() []Match { return TopK(s, text, k, maxDist) })
-	}
 	for dist := 0; ; dist++ {
+		// Grow the radius geometrically after the first misses so a far
+		// nearest neighbour doesn't cost maxDist searches.
 		radius := dist
 		if dist > 2 {
 			radius = 2 << (dist - 2)

@@ -13,16 +13,39 @@ import (
 
 func TestTopKBasic(t *testing.T) {
 	data := []string{"berlin", "bern", "bonn", "ulm", "berlik"}
-	eng := NewTrie(data, true)
-	ms := TopK(eng, "berlin", 3, 3)
-	if len(ms) != 3 {
-		t.Fatalf("got %d matches: %v", len(ms), ms)
+	for _, eng := range []Searcher{NewTrie(data, true), NewCascade(data)} {
+		ms := TopK(eng, "berlin", 3, 3)
+		if len(ms) != 3 {
+			t.Fatalf("%s: got %d matches: %v", eng.Name(), len(ms), ms)
+		}
+		if ms[0].ID != 0 || ms[0].Dist != 0 {
+			t.Errorf("%s: best = %v, want berlin@0", eng.Name(), ms[0])
+		}
+		if ms[1].Dist > ms[2].Dist {
+			t.Errorf("%s: not sorted by distance: %v", eng.Name(), ms)
+		}
 	}
-	if ms[0].ID != 0 || ms[0].Dist != 0 {
-		t.Errorf("best = %v, want berlin@0", ms[0])
+}
+
+// TestTopKDuplicates: duplicates tie on distance and leave in ID order.
+func TestTopKDuplicates(t *testing.T) {
+	data := []string{"ulm", "ulm", "ulm", "ulx"}
+	want := []Match{{ID: 0, Dist: 0}, {ID: 1, Dist: 0}}
+	for _, eng := range []Searcher{NewTrie(data, true), NewCascade(data)} {
+		if got := TopK(eng, "ulm", 2, 1); !Equal(got, want) {
+			t.Errorf("%s: got %v, want %v", eng.Name(), got, want)
+		}
 	}
-	if ms[1].Dist > ms[2].Dist {
-		t.Errorf("not sorted by distance: %v", ms)
+}
+
+// TestTopKEmptyStringInData: the empty string is a candidate like any other.
+func TestTopKEmptyStringInData(t *testing.T) {
+	data := []string{"", "a", "ab"}
+	want := []Match{{ID: 1, Dist: 0}, {ID: 0, Dist: 1}}
+	for _, eng := range []Searcher{NewTrie(data, true), NewCascade(data)} {
+		if got := TopK(eng, "a", 2, 1); !Equal(got, want) {
+			t.Errorf("%s: got %v, want %v", eng.Name(), got, want)
+		}
 	}
 }
 
@@ -85,17 +108,12 @@ func TestQuickTopKMatchesReference(t *testing.T) {
 		for i := range data {
 			data[i] = randomString(r, "abAB", 8)
 		}
-		eng := NewTrie(data, true)
 		text := randomString(r, "abAB", 8)
 		k := 1 + r.Intn(5)
 		maxDist := r.Intn(6)
-		got := TopK(eng, text, k, maxDist)
 		want := refTopK(data, text, k, maxDist)
-		if len(got) != len(want) {
-			return false
-		}
-		for i := range got {
-			if got[i] != want[i] {
+		for _, eng := range []Searcher{NewTrie(data, r.Intn(2) == 0), NewCascade(data)} {
+			if !Equal(TopK(eng, text, k, maxDist), want) {
 				return false
 			}
 		}
@@ -145,20 +163,5 @@ func TestTopKContextCancelled(t *testing.T) {
 	// Degenerate arguments still short-circuit without touching ctx.
 	if ms, err := TopKContext(ctx, NewTrie(data, true), "x", 0, 2); ms != nil || err != nil {
 		t.Errorf("k=0: got (%v, %v)", ms, err)
-	}
-}
-
-func TestSearchHammingContext(t *testing.T) {
-	data := []string{"berlin", "merlin", "ulm"}
-	tr := NewTrie(data, true)
-	want := tr.SearchHamming("berlin", 1)
-	got, err := tr.SearchHammingContext(context.Background(), "berlin", 1)
-	if err != nil || !Equal(got, want) {
-		t.Fatalf("got (%v, %v), want (%v, nil)", got, err, want)
-	}
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	if ms, err := tr.SearchHammingContext(ctx, "berlin", 1); !errors.Is(err, context.Canceled) || ms != nil {
-		t.Fatalf("cancelled: got (%v, %v)", ms, err)
 	}
 }

@@ -17,26 +17,13 @@ func TestHammingDistance(t *testing.T) {
 		{"abc", "xyz", 3},
 		{"abc", "ab", -1},
 		{"ACGT", "AGGT", 1},
+		{"ACGT", "AGGA", 2},
+		{"ab", "abc", -1},
 	}
 	for _, c := range cases {
 		if got := HammingDistance(c.a, c.b); got != c.want {
 			t.Errorf("HammingDistance(%q, %q) = %d, want %d", c.a, c.b, got, c.want)
 		}
-	}
-}
-
-func TestHammingWithinK(t *testing.T) {
-	if !HammingWithinK("ACGT", "AGGT", 1) {
-		t.Error("within 1 rejected")
-	}
-	if HammingWithinK("ACGT", "AGGA", 1) {
-		t.Error("distance 2 accepted at k=1")
-	}
-	if HammingWithinK("ab", "abc", 5) {
-		t.Error("length mismatch accepted")
-	}
-	if HammingWithinK("ab", "ab", -1) {
-		t.Error("negative k accepted")
 	}
 }
 

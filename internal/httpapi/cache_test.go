@@ -187,7 +187,7 @@ func TestStatsAndMetricsCache(t *testing.T) {
 		}
 	}
 
-	// A cache-wrapped trie still serves /hamming (decorator transparency).
+	// A cache-wrapped trie serves /hamming from the cached edit search.
 	cachedTrie := httptest.NewServer(New(cache.New(core.NewTrie(data, true), cache.Options{}), data))
 	defer cachedTrie.Close()
 	var hr SearchResponse

@@ -7,7 +7,7 @@
 //
 //	GET  /search?q=TEXT&k=N        all matches within N edits
 //	GET  /topk?q=TEXT&n=N&maxk=M   the N closest matches within M edits
-//	GET  /hamming?q=TEXT&k=N       Hamming matches (trie engines only)
+//	GET  /hamming?q=TEXT&k=N       matches within N substitutions (same length)
 //	POST /search/batch             JSON batch of queries, answered together
 //	POST /insert                   add a string (live engines only)
 //	POST /delete                   tombstone a string (live engines only)
@@ -412,16 +412,20 @@ func (s *Server) queryLenOK(w http.ResponseWriter, q string) bool {
 	return true
 }
 
+// stringAt resolves a match ID to its string: through the live engine's
+// resolver when there is one, else from the data the server was built with.
+func (s *Server) stringAt(id int32) string {
+	if s.strAt != nil {
+		str, _ := s.strAt.StringAt(id)
+		return str
+	}
+	return s.data[id]
+}
+
 func (s *Server) convert(ms []core.Match) []MatchJSON {
 	out := make([]MatchJSON, len(ms))
 	for i, m := range ms {
-		mj := MatchJSON{ID: m.ID, Dist: m.Dist}
-		if s.strAt != nil {
-			mj.String, _ = s.strAt.StringAt(m.ID)
-		} else {
-			mj.String = s.data[m.ID]
-		}
-		out[i] = mj
+		out[i] = MatchJSON{ID: m.ID, Dist: m.Dist, String: s.stringAt(m.ID)}
 	}
 	return out
 }
@@ -653,13 +657,6 @@ func (s *Server) handleHamming(w http.ResponseWriter, r *http.Request) {
 		s.fail(w, http.StatusMethodNotAllowed, "GET only")
 		return
 	}
-	// Walk the decorator chain: a cache-wrapped trie still serves Hamming
-	// (straight from the trie — the cache keys edit-distance results only).
-	t, ok := engineAs[*core.Trie](s.eng)
-	if !ok {
-		s.fail(w, http.StatusNotImplemented, "hamming search requires a trie engine")
-		return
-	}
 	q := r.URL.Query().Get("q")
 	if q == "" {
 		s.fail(w, http.StatusBadRequest, "missing q parameter")
@@ -676,7 +673,7 @@ func (s *Server) handleHamming(w http.ResponseWriter, r *http.Request) {
 	ctx, cancel := s.queryCtx(r)
 	defer cancel()
 	start := time.Now()
-	ms, err := t.SearchHammingContext(ctx, q, k)
+	ms, err := core.Hamming(ctx, s.eng, s.stringAt, q, k)
 	if err != nil {
 		s.failCtx(w, err)
 		return

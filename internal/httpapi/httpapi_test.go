@@ -7,12 +7,14 @@ import (
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
 
 	"simsearch/internal/cache"
 	"simsearch/internal/core"
+	"simsearch/internal/edit"
 	"simsearch/internal/exec"
 )
 
@@ -135,12 +137,35 @@ func TestHammingEndpoint(t *testing.T) {
 	if r.StatusCode != http.StatusBadRequest {
 		t.Errorf("huge k: %d", r.StatusCode)
 	}
-	// Non-trie engine: 501.
-	scanSrv := httptest.NewServer(New(core.NewSequential(data), data))
-	defer scanSrv.Close()
-	r = getJSON(t, scanSrv.URL+"/hamming?q=x&k=1", &e)
-	if r.StatusCode != http.StatusNotImplemented {
-		t.Errorf("non-trie engine: %d", r.StatusCode)
+
+	// Every engine answers /hamming, and with the oracle's answer.
+	live, _ := liveServer(t, data)
+	servers := map[string]http.Handler{
+		"scan":    New(core.NewSequential(data), data),
+		"cascade": New(core.NewCascade(data), data),
+		"sharded": New(exec.New(data, exec.Options{Shards: 2, Factory: exec.CascadeFactory()}), data),
+		"cached":  New(cache.New(core.NewCascade(data), cache.Options{}), data),
+		"live":    live,
+	}
+	for name, h := range servers {
+		srv := httptest.NewServer(h)
+		for _, c := range []struct {
+			q string
+			k int
+		}{{"bern", 1}, {"berlin", 2}, {"bonm", 1}, {"ulm", 3}, {"munich", 0}} {
+			want := []MatchJSON{}
+			for i, s := range data {
+				if d := edit.HammingDistance(c.q, s); d >= 0 && d <= c.k {
+					want = append(want, MatchJSON{ID: int32(i), Dist: d, String: s})
+				}
+			}
+			var got SearchResponse
+			r := getJSON(t, fmt.Sprintf("%s/hamming?q=%s&k=%d", srv.URL, c.q, c.k), &got)
+			if r.StatusCode != http.StatusOK || !reflect.DeepEqual(got.Matches, want) {
+				t.Errorf("%s /hamming?q=%s&k=%d: status %d, %v; want %v", name, c.q, c.k, r.StatusCode, got.Matches, want)
+			}
+		}
+		srv.Close()
 	}
 }
 

@@ -141,9 +141,8 @@ func TestTopKTimeout(t *testing.T) {
 	}
 }
 
-// TestTopKHammingExpiredTimeout: with an already-expired deadline, both the
-// trie fast paths (best-first top-k, hamming traversal) report 504 instead
-// of running to completion.
+// TestTopKHammingExpiredTimeout: with an already-expired deadline, /topk and
+// /hamming over a trie report 504 instead of running to completion.
 func TestTopKHammingExpiredTimeout(t *testing.T) {
 	srv := New(core.NewTrie(data, true), data)
 	srv.Timeout = time.Nanosecond // expired before the handler checks it

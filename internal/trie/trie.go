@@ -8,15 +8,13 @@
 // adopted in §4.1: a branch whose length window cannot intersect
 // [len(q)-k, len(q)+k] is skipped (this realizes the paper's d_m tolerance,
 // eq. 9–10). In addition the DP-row minimum prunes branches whose prefix
-// already guarantees a distance above k, and optional per-node frequency
-// vector bounds (§6 "Frequency vectors") prune on symbol counts.
+// already guarantees a distance above k.
 package trie
 
 import (
 	"sort"
 
 	"simsearch/internal/edit"
-	"simsearch/internal/filter"
 	"simsearch/internal/scan"
 )
 
@@ -33,9 +31,6 @@ type node struct {
 	ids      []int32 // string IDs terminating here (duplicates share a node)
 	minLen   int32   // minimal length of any string below (inclusive of this node)
 	maxLen   int32   // maximal length
-	// freqLo/freqHi bound the tracked-symbol counts of every string below.
-	freqLo []int16
-	freqHi []int16
 }
 
 // Tree is a prefix-tree index over a set of strings.
@@ -45,17 +40,10 @@ type Tree struct {
 	strCount   int
 	compressed bool
 	modern     bool
-	freq       *filter.Frequency
 }
 
 // Option configures tree construction.
 type Option func(*Tree)
-
-// WithFrequency attaches per-node frequency-vector bounds using the given
-// tracked alphabet, enabling the §6 frequency-vector pruning during search.
-func WithFrequency(f *filter.Frequency) Option {
-	return func(t *Tree) { t.freq = f }
-}
 
 // WithModernPruning replaces the paper's §4.1 pruning rule (full DP rows
 // with the diagonal-plus-d_m test, eq. 9–10) by banded rows with row-minimum
@@ -91,12 +79,8 @@ func (t *Tree) Insert(s string, id int32) {
 	if t.compressed {
 		panic("trie: Insert after Compress")
 	}
-	var vec filter.Vector
-	if t.freq != nil {
-		vec = t.freq.VectorOf(s)
-	}
 	n := t.root
-	t.absorb(n, len(s), vec)
+	absorb(n, len(s))
 	for i := 0; i < len(s); i++ {
 		c := s[i]
 		child := findChild(n, c)
@@ -106,40 +90,19 @@ func (t *Tree) Insert(s string, id int32) {
 			t.nodeCount++
 		}
 		n = child
-		t.absorb(n, len(s), vec)
+		absorb(n, len(s))
 	}
 	n.ids = append(n.ids, id)
 	t.strCount++
 }
 
-// absorb folds one string's length and frequency vector into a node's
-// pruning bounds.
-func (t *Tree) absorb(n *node, slen int, vec filter.Vector) {
+// absorb folds one string's length into a node's length window.
+func absorb(n *node, slen int) {
 	if int32(slen) < n.minLen {
 		n.minLen = int32(slen)
 	}
 	if int32(slen) > n.maxLen {
 		n.maxLen = int32(slen)
-	}
-	if t.freq == nil {
-		return
-	}
-	if n.freqLo == nil {
-		n.freqLo = make([]int16, len(vec))
-		n.freqHi = make([]int16, len(vec))
-		for i, v := range vec {
-			n.freqLo[i] = int16(v)
-			n.freqHi[i] = int16(v)
-		}
-		return
-	}
-	for i, v := range vec {
-		if int16(v) < n.freqLo[i] {
-			n.freqLo[i] = int16(v)
-		}
-		if int16(v) > n.freqHi[i] {
-			n.freqHi[i] = int16(v)
-		}
 	}
 }
 
@@ -188,8 +151,6 @@ func (t *Tree) Compress() {
 					ids:      only.ids,
 					minLen:   only.minLen,
 					maxLen:   only.maxLen,
-					freqLo:   only.freqLo,
-					freqHi:   only.freqHi,
 				}
 				n.children[i] = merged
 				c = merged
@@ -255,11 +216,7 @@ func (t *Tree) SearchFunc(q string, k int, fn func(id int32, dist int)) {
 	if k < 0 {
 		return
 	}
-	var vq filter.Vector
-	if t.freq != nil {
-		vq = t.freq.VectorOf(q)
-	}
-	s := searcher{t: t, q: q, k: k, fn: fn, vq: vq}
+	s := searcher{q: q, k: k, fn: fn}
 	// The root may itself be terminal for the empty string.
 	if len(t.root.ids) > 0 && len(q) <= k {
 		for _, id := range t.root.ids {
@@ -280,43 +237,19 @@ func (t *Tree) SearchFunc(q string, k int, fn func(id int32, dist int)) {
 }
 
 type searcher struct {
-	t    *Tree
 	q    string
 	k    int
 	fn   func(id int32, dist int)
-	vq   filter.Vector
 	rows [][]int // row buffer per byte depth, lazily grown
 }
 
 // prune reports whether the subtree below n can be skipped outright based on
-// the stored length window and frequency bounds.
+// the stored length window.
 func (s *searcher) prune(n *node) bool {
 	// Length-window pruning (the paper's d_m tolerance, eq. 9–10): every
 	// string below n has length in [minLen, maxLen]; it can only match if
 	// that window intersects [len(q)-k, len(q)+k].
-	if int(n.minLen) > len(s.q)+s.k || int(n.maxLen) < len(s.q)-s.k {
-		return true
-	}
-	if s.vq != nil && n.freqLo != nil {
-		// Frequency bounds: the one-sided surpluses against the best case.
-		var over, under int
-		for i, qv := range s.vq {
-			if d := qv - int(n.freqHi[i]); d > 0 {
-				over += d
-			}
-			if d := int(n.freqLo[i]) - qv; d > 0 {
-				under += d
-			}
-		}
-		m := over
-		if under > m {
-			m = under
-		}
-		if m > s.k {
-			return true
-		}
-	}
-	return false
+	return int(n.minLen) > len(s.q)+s.k || int(n.maxLen) < len(s.q)-s.k
 }
 
 // rowAt returns the reusable row buffer for a byte depth.

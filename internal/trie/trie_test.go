@@ -8,7 +8,6 @@ import (
 	"testing/quick"
 
 	"simsearch/internal/edit"
-	"simsearch/internal/filter"
 )
 
 func sortedMatches(ms []Match) []Match {
@@ -158,34 +157,29 @@ func randomString(r *rand.Rand, alphabet string, maxLen int) string {
 
 func TestQuickTrieAgreesWithScan(t *testing.T) {
 	for _, compress := range []bool{false, true} {
-		for _, withFreq := range []bool{false, true} {
-			for _, modern := range []bool{false, true} {
-				compress, withFreq, modern := compress, withFreq, modern
-				fn := func(seed int64) bool {
-					r := rand.New(rand.NewSource(seed))
-					n := 1 + r.Intn(60)
-					data := make([]string, n)
-					for i := range data {
-						data[i] = randomString(r, "ACGNT", 12)
-					}
-					var opts []Option
-					if withFreq {
-						opts = append(opts, WithFrequency(filter.DNAFrequency()))
-					}
-					if modern {
-						opts = append(opts, WithModernPruning())
-					}
-					tr := Build(data, opts...)
-					if compress {
-						tr.Compress()
-					}
-					q := randomString(r, "ACGNT", 12)
-					k := r.Intn(5)
-					return equalMatches(tr.Search(q, k), scanRef(data, q, k))
+		for _, modern := range []bool{false, true} {
+			compress, modern := compress, modern
+			fn := func(seed int64) bool {
+				r := rand.New(rand.NewSource(seed))
+				n := 1 + r.Intn(60)
+				data := make([]string, n)
+				for i := range data {
+					data[i] = randomString(r, "ACGNT", 12)
 				}
-				if err := quick.Check(fn, &quick.Config{MaxCount: 100}); err != nil {
-					t.Errorf("compress=%v freq=%v modern=%v: %v", compress, withFreq, modern, err)
+				var opts []Option
+				if modern {
+					opts = append(opts, WithModernPruning())
 				}
+				tr := Build(data, opts...)
+				if compress {
+					tr.Compress()
+				}
+				q := randomString(r, "ACGNT", 12)
+				k := r.Intn(5)
+				return equalMatches(tr.Search(q, k), scanRef(data, q, k))
+			}
+			if err := quick.Check(fn, &quick.Config{MaxCount: 100}); err != nil {
+				t.Errorf("compress=%v modern=%v: %v", compress, modern, err)
 			}
 		}
 	}

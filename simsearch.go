@@ -39,7 +39,6 @@ import (
 	"simsearch/internal/dataset"
 	"simsearch/internal/edit"
 	"simsearch/internal/exec"
-	"simsearch/internal/filter"
 	"simsearch/internal/pool"
 	"simsearch/internal/scan"
 	"simsearch/internal/trie"
@@ -101,9 +100,6 @@ type Options struct {
 	// Uncompressed keeps the Trie engine's tree uncompressed (the paper's
 	// §4.1 base index). Ignored by other algorithms.
 	Uncompressed bool
-	// FrequencyAlphabet, when non-empty, attaches frequency-vector pruning
-	// over these symbols to the Trie engine (paper §6 future work).
-	FrequencyAlphabet string
 	// SortByLength enables the Scan engine's length-window optimization
 	// (paper §6 "Sorting").
 	SortByLength bool
@@ -141,10 +137,6 @@ func newEngine(data []string, opts Options) Searcher {
 		var topts []trie.Option
 		if !opts.PaperFaithful {
 			topts = append(topts, trie.WithModernPruning())
-		}
-		if opts.FrequencyAlphabet != "" {
-			topts = append(topts, trie.WithFrequency(
-				filter.NewFrequency("custom", opts.FrequencyAlphabet)))
 		}
 		return core.NewTrie(data, !opts.Uncompressed, topts...)
 	case BitParallel:

@@ -1,6 +1,7 @@
 package simsearch_test
 
 import (
+	"sort"
 	"strings"
 	"testing"
 
@@ -11,7 +12,9 @@ import (
 // queries: the scan, the trie index, the filtered sweep, and the sharded
 // executor (several shard counts, wrapping different engine families) must
 // all return exactly the match set of a naive oracle built from
-// simsearch.Distance.
+// simsearch.Distance, and on every engine simsearch.TopK and
+// simsearch.HammingSearch must equal oracles built from simsearch.Distance
+// and simsearch.HammingDistance.
 //
 // The dataset arrives as one newline-joined string so the fuzzer can splice
 // real corpus lines; k is reduced mod 6 to the thresholds the paper uses.
@@ -24,6 +27,10 @@ func FuzzEnginesAgree(f *testing.F) {
 	f.Add("dup\ndup\ndup", "dup", 0)
 	f.Add("", "anything", 3)
 	f.Add("café\nnaive\nnaïve", "cafe", 1)
+	f.Add("listen\nsilent\nenlist\ntinsel", "listen", 5)           // equal-length anagrams
+	f.Add("\x80\xff\xfe\n\xff\xff\xff\nab\x80", "\xff\x80\xfe", 2) // bytes >= 0x80
+	f.Add("ulm\nbonn\nbern", "frankfurt am main", 3)               // longer than every string
+	f.Add("ab\nba\nxy\na\nabc", "ab", 4)                           // k >= len(q)
 
 	f.Fuzz(func(t *testing.T, blob, q string, k int) {
 		if len(blob) > 2048 || len(q) > 48 {
@@ -55,16 +62,32 @@ func FuzzEnginesAgree(f *testing.F) {
 			simsearch.NewSharded(data, 3, simsearch.Options{Algorithm: simsearch.Trie}),
 			simsearch.NewSharded(data, 5, simsearch.Options{Algorithm: simsearch.Cascade}),
 		}
-		for _, eng := range engines {
-			got := eng.Search(query)
-			if len(got) != len(want) {
-				t.Fatalf("%s: got %v, want %v (q=%q k=%d data=%q)",
-					eng.Name(), got, want, q, k, data)
+		// Top-n oracle: the edit matches in (distance, ID) order, first n.
+		n := 1 + len(blob)%5
+		wantTop := append([]simsearch.Match(nil), want...)
+		sort.SliceStable(wantTop, func(i, j int) bool { return wantTop[i].Dist < wantTop[j].Dist })
+		if len(wantTop) > n {
+			wantTop = wantTop[:n]
+		}
+		var wantHam []simsearch.Match
+		for i, s := range data {
+			if d := simsearch.HammingDistance(q, s); d >= 0 && d <= k {
+				wantHam = append(wantHam, simsearch.Match{ID: int32(i), Dist: d})
 			}
-			for i := range want {
-				if got[i] != want[i] {
-					t.Fatalf("%s: got %v, want %v (q=%q k=%d data=%q)",
-						eng.Name(), got, want, q, k, data)
+		}
+
+		for _, eng := range engines {
+			for _, c := range []struct {
+				what      string
+				got, want []simsearch.Match
+			}{
+				{"Search", eng.Search(query), want},
+				{"TopK", simsearch.TopK(eng, q, n, k), wantTop},
+				{"HammingSearch", simsearch.HammingSearch(eng, data, q, k), wantHam},
+			} {
+				if !matchesEqual(c.got, c.want) {
+					t.Fatalf("%s %s: got %v, want %v (q=%q k=%d n=%d data=%q)",
+						eng.Name(), c.what, c.got, c.want, q, k, n, data)
 				}
 			}
 		}

@@ -35,7 +35,7 @@ func TestAllAlgorithmsAgree(t *testing.T) {
 		simsearch.NewBitParallel(cities, 2),
 		simsearch.NewCascade(cities),
 		simsearch.New(cities, simsearch.Options{Algorithm: simsearch.Trie, Uncompressed: true}),
-		simsearch.New(cities, simsearch.Options{Algorithm: simsearch.Trie, FrequencyAlphabet: "aeiou"}),
+		simsearch.New(cities, simsearch.Options{Algorithm: simsearch.Trie, PaperFaithful: true}),
 		simsearch.New(cities, simsearch.Options{SortByLength: true}),
 		simsearch.New(cities, simsearch.Options{Workers: 4}),
 	}
