@@ -253,6 +253,8 @@ func BenchmarkAblationTrieCompression(b *testing.B) {
 		tr := trie.Build(city.Data, c.opts...)
 		if c.compress {
 			tr.Compress()
+		} else {
+			tr.Pack()
 		}
 		b.Run(c.name, func(b *testing.B) {
 			b.ReportMetric(float64(tr.NodeCount()), "nodes")

@@ -53,12 +53,16 @@ func Clusters(data []string, k int, workers int) [][]int32 {
 // carries its own K — and stays in the signature for compatibility.
 //
 // Of the cells sized before the router went (EXPERIMENTS.md, "The cells the
-// prior protected") two are lost to the bare scan (NewBitParallel), both
-// past the thresholds the paper asks on names: 100,000 city names at k = 12
+// prior protected") two were lost to the bare scan, both past the
+// thresholds the paper asks on names: 100,000 city names at k = 12
 // (+14–31%) and at k = 16 (+50–75%: nearly every string matches, so the
 // words reject nothing and the matches leave in word order to be sorted).
-// A third, 10,000 reads at k = 16, was sized as a +13% loss and re-measured
-// as a tie. A workload that lives there should build NewBitParallel by name.
+// NewBitParallel now runs the same sweep and the bare scan is gone, so no
+// engine in the library is faster there: re-measured ("The cells the bare
+// scan held"), NewBitParallel went 4.7–5.8 → 6.8 ms a query at k = 12 and
+// 6.5–8.3 → 11.8 ms at k = 16, while k = 1 went 235–244 → 6–7 µs. A third
+// cell, 10,000 reads at k = 16, was sized as a +13% loss and re-measured as
+// a tie.
 func NewAuto(data []string, expectedK int) Searcher {
 	_ = expectedK
 	return NewCascade(data)

@@ -9,34 +9,61 @@ import (
 	"simsearch/internal/scan"
 )
 
-// bitParallelRung is one row of the bit-parallel ablation: a short stable
-// slug for JSON records, a table label, and the scan options that build it.
-type bitParallelRung struct {
+// rung is one row of an ablation table: a short stable slug for JSON
+// records, a table label, the intra-query workers it runs with, and how to
+// build it with (or, given nil, without) a kernel-call counter.
+type rung struct {
 	slug    string
 	label   string
 	workers int
-	opts    []scan.Option
+	build   func(data []string, comps *metrics.Counter) core.Searcher
+}
+
+// scanRung builds a scan.Engine rung from its options.
+func scanRung(opts ...scan.Option) func([]string, *metrics.Counter) core.Searcher {
+	return func(data []string, comps *metrics.Counter) core.Searcher {
+		all := append([]scan.Option{}, opts...)
+		if comps != nil {
+			all = append(all, scan.WithComparisonCounter(comps))
+		}
+		return core.NewSequential(data, all...)
+	}
+}
+
+// cascadeRung builds a core.Cascade rung from its options.
+func cascadeRung(opts ...core.CascadeOption) func([]string, *metrics.Counter) core.Searcher {
+	return func(data []string, comps *metrics.Counter) core.Searcher {
+		all := append([]core.CascadeOption{}, opts...)
+		if comps != nil {
+			all = append(all, core.WithComparisonCounter(comps))
+		}
+		return core.NewCascade(data, all...)
+	}
 }
 
 // bitParallelRungs builds the ablation ladder: the paper's best serial rung,
-// the banded variant this library defaults to, the query-compiled
-// bit-parallel scan, and the same scan with intra-query chunking across
-// workers goroutines (forced to at least 2 so the chunk-merge path is always
+// the banded variant this library defaults to, the query-compiled kernel
+// over the length window with no words in front of it (the cascade with its
+// words off), and the BitParallel rung, whose words decide which slots reach
+// that kernel, serial and with intra-query chunking across workers
+// goroutines (forced to at least 2 so the chunk-merge path is always
 // exercised and its cost on few-core machines is recorded honestly).
-func bitParallelRungs(workers int) []bitParallelRung {
+func bitParallelRungs(workers int) []rung {
 	if workers < 2 {
 		workers = 2
 	}
-	return []bitParallelRung{
+	return []rung{
 		{"simple-types", "1) simple-types (paper §3.4 kernel)", 0,
-			[]scan.Option{scan.WithStrategy(scan.SimpleTypes)}},
+			scanRung(scan.WithStrategy(scan.SimpleTypes))},
 		{"simple-types+banded", "2) simple-types + banded kernel", 0,
-			[]scan.Option{scan.WithStrategy(scan.SimpleTypes), scan.WithBandedKernel()}},
-		{"bit-parallel", "3) bit-parallel (query-compiled, serial)", 0,
-			[]scan.Option{scan.WithStrategy(scan.BitParallel)}},
+			scanRung(scan.WithStrategy(scan.SimpleTypes), scan.WithBandedKernel())},
+		{"cascade-nofreq", "3) query-compiled kernel, no words", 0,
+			cascadeRung(core.WithoutFrequency())},
+		{"bit-parallel", "4) bit-parallel (+ words, serial)", 0,
+			scanRung(scan.WithStrategy(scan.BitParallel))},
 		{fmt.Sprintf("bit-parallel-%dw", workers),
-			fmt.Sprintf("4) bit-parallel (%d workers, intra-query)", workers), workers,
-			[]scan.Option{scan.WithStrategy(scan.BitParallel), scan.WithWorkers(workers)}},
+			fmt.Sprintf("5) bit-parallel (+ words, %d workers, intra-query)", workers), workers,
+			scanRung(scan.WithStrategy(scan.BitParallel), scan.WithWorkers(workers))},
 	}
 }
 
@@ -44,14 +71,7 @@ func bitParallelRungs(workers int) []bitParallelRung {
 // the query-compiled scan pushes the sequential solution. Layout matches the
 // other appendix tables (batch-size columns, one engine per row).
 func TableXV(w Workload, workers int) *Table {
-	t := NewTable(fmt.Sprintf("Table XV. Bit-parallel scan ablation on the %s data set", w.Name), w.Counts)
-	for _, r := range bitParallelRungs(workers) {
-		eng := core.NewSequential(w.Data, r.opts...)
-		t.AddRow(r.label, series(w, func(qs []core.Query) time.Duration {
-			return MeasureBatch(eng, qs, nil)
-		}))
-	}
-	return t
+	return ablationTable(fmt.Sprintf("Table XV. Bit-parallel scan ablation on the %s data set", w.Name), w, bitParallelRungs(workers))
 }
 
 // BitParallelRecords measures every ablation rung per threshold k and returns
@@ -59,12 +79,31 @@ func TableXV(w Workload, workers int) *Table {
 // report. Speedup is relative to the first rung (the paper's §3.4 kernel) at
 // the same k.
 func BitParallelRecords(w Workload, workers int) []Record {
+	return ablationRecords("bitparallel-ablation", w, bitParallelRungs(workers), "simple-types")
+}
+
+// ablationTable times every rung over w's batch sizes, one row each.
+func ablationTable(title string, w Workload, rungs []rung) *Table {
+	t := NewTable(title, w.Counts)
+	for _, r := range rungs {
+		eng := r.build(w.Data, nil)
+		t.AddRow(r.label, series(w, func(qs []core.Query) time.Duration {
+			return MeasureBatch(eng, qs, nil)
+		}))
+	}
+	return t
+}
+
+// ablationRecords measures every rung per threshold of w and returns one
+// record per (rung, k): ns per query, kernel calls, and on a cascade the
+// per-stage survivor funnel, so prune rates are diffable across PRs. Speedup
+// is relative to the rung with slug baseline at the same k.
+func ablationRecords(experiment string, w Workload, rungs []rung, baseline string) []Record {
 	var recs []Record
-	baseline := map[int]int64{} // k -> ns/query of the first rung
-	for ri, r := range bitParallelRungs(workers) {
+	for _, r := range rungs {
 		var comps metrics.Counter
-		opts := append(append([]scan.Option{}, r.opts...), scan.WithComparisonCounter(&comps))
-		eng := core.NewSequential(w.Data, opts...)
+		eng := r.build(w.Data, &comps)
+		cc, _ := eng.(*core.Cascade)
 		for _, k := range w.Ks {
 			var sub []core.Query
 			for _, q := range w.Queries {
@@ -75,28 +114,48 @@ func BitParallelRecords(w Workload, workers int) []Record {
 			if len(sub) == 0 {
 				continue
 			}
-			before := comps.Value()
+			var before core.CascadeStats
+			if cc != nil {
+				before = cc.Stats()
+			}
+			compsBefore := comps.Value()
 			start := time.Now()
 			for _, q := range sub {
 				eng.Search(q)
 			}
 			elapsed := time.Since(start)
 			rec := Record{
-				Experiment:  "bitparallel-ablation",
+				Experiment:  experiment,
 				Engine:      r.slug,
 				Dataset:     w.Name,
 				K:           k,
 				Queries:     len(sub),
 				NsPerQuery:  elapsed.Nanoseconds() / int64(len(sub)),
-				Comparisons: comps.Value() - before,
+				Comparisons: comps.Value() - compsBefore,
 				Workers:     r.workers,
 			}
-			if ri == 0 {
-				baseline[k] = rec.NsPerQuery
-			} else if base := baseline[k]; base > 0 && rec.NsPerQuery > 0 {
-				rec.Speedup = float64(base) / float64(rec.NsPerQuery)
+			if cc != nil {
+				after := cc.Stats()
+				rec.Stages = &StageCounts{
+					Candidates: after.Candidates - before.Candidates,
+					Swept:      after.Swept - before.Swept,
+					Passed:     after.Passed - before.Passed,
+					Survivors:  after.Survivors - before.Survivors,
+					Matches:    after.Matches - before.Matches,
+				}
 			}
 			recs = append(recs, rec)
+		}
+	}
+	base := map[int]int64{} // k -> ns/query of the baseline rung
+	for _, rec := range recs {
+		if rec.Engine == baseline {
+			base[rec.K] = rec.NsPerQuery
+		}
+	}
+	for i, rec := range recs {
+		if b := base[rec.K]; rec.Engine != baseline && b > 0 && rec.NsPerQuery > 0 {
+			recs[i].Speedup = float64(b) / float64(rec.NsPerQuery)
 		}
 	}
 	return recs

@@ -2,12 +2,10 @@ package bench
 
 import (
 	"fmt"
-	"time"
 
 	"simsearch/internal/core"
 	"simsearch/internal/dataset"
 	"simsearch/internal/metrics"
-	"simsearch/internal/scan"
 )
 
 // CascadeKs are the thresholds for the cascade ablation. The filters earn
@@ -29,113 +27,31 @@ func cascadeWorkload(w Workload) Workload {
 	return out
 }
 
-// cascadeRung is one row of the cascade ablation: the best prior scan rung
-// as the baseline, the full cascade, and the cascade without its filter word.
-type cascadeRung struct {
-	slug  string
-	label string
-	build func(data []string, comps *metrics.Counter) core.Searcher
-}
-
-func cascadeRungs() []cascadeRung {
-	scanRung := func(data []string, comps *metrics.Counter) core.Searcher {
-		opts := []scan.Option{scan.WithStrategy(scan.BitParallel)}
-		if comps != nil {
-			opts = append(opts, scan.WithComparisonCounter(comps))
-		}
-		return core.NewSequential(data, opts...)
-	}
-	cascadeRungWith := func(opts ...core.CascadeOption) func([]string, *metrics.Counter) core.Searcher {
-		return func(data []string, comps *metrics.Counter) core.Searcher {
-			all := append([]core.CascadeOption{}, opts...)
-			if comps != nil {
-				all = append(all, core.WithComparisonCounter(comps))
-			}
-			return core.NewCascade(data, all...)
-		}
-	}
-	return []cascadeRung{
-		{"bit-parallel", "1) bit-parallel scan (best prior rung)", scanRung},
-		{"cascade", "2) cascade (length+signature+verify)", cascadeRungWith()},
-		{"cascade-nofreq", "3) cascade without the signature word", cascadeRungWith(core.WithoutFrequency())},
+// cascadeRungs are the cascade ablation's rows: the full cascade and the
+// cascade with its words off, which is the query-compiled kernel over the
+// length window and the baseline the speedups are read against. The
+// BitParallel rung is not a row: it runs the same sweep as the first.
+func cascadeRungs() []rung {
+	return []rung{
+		{"cascade", "1) cascade (length+signature+verify)", 0, cascadeRung()},
+		{"cascade-nofreq", "2) cascade without the signature word", 0, cascadeRung(core.WithoutFrequency())},
 	}
 }
 
 // TableXVI is the filter-cascade ablation: the §6 future-work cascade
-// against the best prior scan rung, plus the cascade with its signature word
-// switched off, at the small thresholds where an index traditionally wins.
+// against the same sweep with its signature words switched off, at the
+// small thresholds where an index traditionally wins.
 func TableXVI(w Workload) *Table {
 	cw := cascadeWorkload(w)
-	t := NewTable(fmt.Sprintf("Table XVI. Filter cascade on the %s data set (k = 1..3)", w.Name), cw.Counts)
-	for _, r := range cascadeRungs() {
-		eng := r.build(cw.Data, nil)
-		t.AddRow(r.label, series(cw, func(qs []core.Query) time.Duration {
-			return MeasureBatch(eng, qs, nil)
-		}))
-	}
-	return t
+	return ablationTable(fmt.Sprintf("Table XVI. Filter cascade on the %s data set (k = 1..3)", w.Name), cw, cascadeRungs())
 }
 
 // CascadeRecords measures every ablation rung per threshold and returns
 // machine-readable records for the JSON report. Speedup is relative to the
-// bit-parallel scan rung at the same k; cascade rows carry the per-stage
+// cascade without its words at the same k; cascade rows carry the per-stage
 // survivor funnel so prune rates are diffable across PRs.
 func CascadeRecords(w Workload) []Record {
-	cw := cascadeWorkload(w)
-	var recs []Record
-	baseline := map[int]int64{} // k -> ns/query of the scan rung
-	for ri, r := range cascadeRungs() {
-		var comps metrics.Counter
-		eng := r.build(cw.Data, &comps)
-		cc, _ := eng.(*core.Cascade)
-		for _, k := range cw.Ks {
-			var sub []core.Query
-			for _, q := range cw.Queries {
-				if q.K == k {
-					sub = append(sub, q)
-				}
-			}
-			if len(sub) == 0 {
-				continue
-			}
-			var before core.CascadeStats
-			if cc != nil {
-				before = cc.Stats()
-			}
-			compsBefore := comps.Value()
-			start := time.Now()
-			for _, q := range sub {
-				eng.Search(q)
-			}
-			elapsed := time.Since(start)
-			rec := Record{
-				Experiment:  "cascade-ablation",
-				Engine:      r.slug,
-				Dataset:     w.Name,
-				K:           k,
-				Queries:     len(sub),
-				NsPerQuery:  elapsed.Nanoseconds() / int64(len(sub)),
-				Comparisons: comps.Value() - compsBefore,
-			}
-			if cc != nil {
-				after := cc.Stats()
-				rec.Stages = &StageCounts{
-					Candidates: after.Candidates - before.Candidates,
-					Swept:      after.Swept - before.Swept,
-					Passed:     after.Passed - before.Passed,
-					Survivors:  after.Survivors - before.Survivors,
-					Matches:    after.Matches - before.Matches,
-				}
-			}
-			if ri == 0 {
-				baseline[k] = rec.NsPerQuery
-			} else if base := baseline[k]; base > 0 && rec.NsPerQuery > 0 {
-				rec.Speedup = float64(base) / float64(rec.NsPerQuery)
-			}
-			recs = append(recs, rec)
-		}
-	}
-	return recs
+	return ablationRecords("cascade-ablation", cascadeWorkload(w), cascadeRungs(), "cascade-nofreq")
 }
 
 // CascadeCheck is the CI smoke gate: on a tiny dataset of each alphabet —

@@ -48,9 +48,11 @@ func ScanFactory(opts ...scan.Option) Factory {
 }
 
 // BitParallelFactory builds bit-parallel scan shards: query-compiled Myers
-// kernel over a length-bucketed byte arena. Shard engines stay serial — the
-// executor's shard fan-out already supplies the parallelism, so intra-query
-// chunking inside a shard would only oversubscribe the pool.
+// kernel over a length-bucketed byte arena, reached only by the slots the
+// signature words let through (the words sweep CascadeFactory's shards run
+// too). Shard engines stay serial — the executor's shard fan-out already
+// supplies the parallelism, so intra-query chunking inside a shard would
+// only oversubscribe the pool.
 func BitParallelFactory() Factory {
 	return func(data []string) core.Searcher {
 		return core.NewSequential(data, scan.WithStrategy(scan.BitParallel))

@@ -1,5 +1,5 @@
-// Arena data layout and run merge: what the BitParallel rung sweeps bare and
-// what the signature words of words.go are computed over.
+// Arena data layout and run merge: what the signature words of words.go are
+// computed over and the one sweep reads.
 //
 // All dataset strings are packed into one contiguous byte buffer, bucketed by
 // length with original IDs preserved inside each bucket. The paper's length
@@ -16,21 +16,20 @@ import (
 )
 
 // Arena is the packed, length-bucketed dataset layout: immutable once built.
-// The frozen BitParallel rung sweeps it bare (scanArenaSlots); the cascade
-// (core.Cascade) and the live store's segments (internal/lsm) sweep it
-// through one signature word per slot (Words). Match IDs are indices into
-// the input it was packed from.
+// NewWords packs it, and the BitParallel rung, the cascade (core.Cascade)
+// and the live store's segments (internal/lsm) sweep it through one
+// signature word per slot (Words). Match IDs are indices into the input it
+// was packed from.
 //
 // Slots are ordered by length first: a counting sort places every length
 // bucket in one slot range, and inside a bucket every slot has the same
 // stride, so no per-slot offset is stored: slot s of length l holds
-// buf[lenOff[l]+(s-lenStart[l])*l:][:l]. Inside a bucket the order is the
-// packer's, fixed when the arena is built and never changed after: NewArena
-// keeps ascending ID, so every bucket emits ID-sorted matches by
-// construction; NewWords orders a bucket by a key of the slot's word, so
-// that slots a query's word rules out sit together and are skipped a block
-// at a time. Every consumer reads a match's ID off ids and restores ID order
-// with mergeRuns, so the order inside a bucket decides speed alone.
+// buf[lenOff[l]+(s-lenStart[l])*l:][:l]. Inside a bucket the order is
+// NewWords', fixed when the arena is built and never changed after: by a key
+// of the slot's word, so that slots a query's word rules out sit together
+// and are skipped a block at a time. Every consumer reads a match's ID off
+// ids and restores ID order with mergeRuns, so the order inside a bucket
+// decides speed alone.
 type Arena struct {
 	buf []byte
 	ids []int32 // slot -> original dataset ID
@@ -93,19 +92,6 @@ func (a *Arena) place(sl, id int32, s string) {
 	copy(a.buf[a.lenOff[len(s)]+(sl-a.lenStart[len(s)])*int32(len(s)):], s)
 }
 
-// NewArena packs data in (length, ID) order: the stable placement pass over
-// the ID-ordered input puts equal-length strings in ascending ID order. It
-// computes no words; the BitParallel rung sweeps it bare.
-func NewArena(data []string) *Arena {
-	a := newLayout(data)
-	next := a.bucketCursors()
-	for i, s := range data {
-		a.place(next[len(s)], int32(i), s)
-		next[len(s)]++
-	}
-	return a
-}
-
 // Len returns the number of packed strings.
 func (a *Arena) Len() int { return len(a.ids) }
 
@@ -148,9 +134,8 @@ func (a *Arena) slotLen(s int32) int {
 
 // SlotBytes returns the packed bytes of slot s without copying. The result
 // aliases the arena buffer and must not be mutated. It costs a binary search
-// over the length buckets, so the sweeps do not come through here: the bare
-// one walks the buckets (scanArenaSlots) and the word sweep carries the
-// bucket from survivor to survivor (slotBytesFrom).
+// over the length buckets, so the sweep does not come through here: it
+// carries the bucket from survivor to survivor (slotBytesFrom).
 func (a *Arena) SlotBytes(s int32) []byte {
 	xb, _ := a.slotBytesFrom(s, a.slotLen(s))
 	return xb
@@ -195,9 +180,9 @@ func cmpMatchID(a, b Match) int { return cmp.Compare(a.ID, b.ID) }
 // mergeRuns sorts a match slice that is a concatenation of ID-ascending runs
 // by ID. Run boundaries are exactly the ID descents: IDs are unique and each
 // run is strictly ascending. What the runs look like depends on who packed
-// the arena. A bare (length, ID) arena yields one long run per length bucket
-// (possibly split by chunk boundaries), and those are merged bottom-up,
-// O(n log r) for r runs, through one buffer. A word-ordered arena yields
+// the slots. The §6 Sorting rung's (length, ID) order yields one long run per
+// length bucket, and those are merged bottom-up, O(n log r) for r runs,
+// through one buffer. A word-ordered arena yields
 // matches in word order inside a bucket — a run per match, all but, with
 // duplicates of one string the exception (equal words, ID tie-break) — and
 // there are few of them: where runs average under shortRun matches the slice

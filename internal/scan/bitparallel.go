@@ -1,12 +1,13 @@
-// The BitParallel rung: query compiled once, arena streamed through it,
-// optionally chunked across workers for intra-query parallelism.
+// The BitParallel rung: the arena packed with its signature words
+// (words.go), every query compiled once into a Probe and answered by the
+// words sweep, and with Workers > 1 one query's window chunked across a
+// pool for intra-query parallelism.
 package scan
 
 import (
-	"bytes"
 	"context"
+	"sync/atomic"
 
-	"simsearch/internal/edit"
 	"simsearch/internal/pool"
 )
 
@@ -19,41 +20,43 @@ var bitParallelMinSlots = 4096
 // draws short strings does not leave the others idle at the barrier.
 const bitParallelChunksPerWorker = 4
 
-// searchBitParallel answers one query on the BitParallel rung. The pattern is
-// compiled once, the arena's length-filtered slot range is selected in O(1),
-// and with Workers > 1 the range is chunked across a fixed pool. Results are
-// ID-ordered by construction: slots are ordered (length, ID), so every scan
-// emits a concatenation of ID-ascending runs that mergeRuns folds together.
+// searchBitParallel answers one query on the BitParallel rung: a Probe, the
+// words sweep over the query's length window at slack k, and mergeRuns to
+// put the slot-ordered matches in ID order. With Workers > 1 and a window of
+// at least bitParallelMinSlots, the window is cut into chunks of whole
+// sweep groups (ctxStride slots, one uint64 of block masks, counted from the
+// window's first block), and each chunk is swept on the pool with a probe of
+// its own. The comparison counter receives the slots whose bytes were read.
 func (e *Engine) searchBitParallel(ctx context.Context, q Query) ([]Match, error) {
-	var cancel <-chan struct{}
-	if ctx != nil {
-		cancel = ctx.Done()
+	if ctx == nil {
+		ctx = context.Background()
 	}
-	p := edit.CompileMyers(q.Text)
-	lo, hi := e.arena.SlotRange(len(q.Text)-q.K, len(q.Text)+q.K)
-	n := int(hi - lo)
-	if n == 0 {
-		return nil, nil
-	}
-	if e.workers <= 1 || n < bitParallelMinSlots {
-		ms, ok := e.scanSlots(p, q.K, lo, hi, cancel)
-		if !ok {
-			return nil, ctx.Err()
+	pr := NewProbe(q.Text, q.K)
+	lo, hi := e.words.ar.SlotRange(pr.Lengths())
+	if e.workers <= 1 || int(hi-lo) < bitParallelMinSlots {
+		ms, err := e.words.Sweep(ctx, &pr, q.K, nil)
+		e.count(pr.Kept)
+		if err != nil {
+			return nil, err
 		}
 		return mergeRuns(ms), nil
 	}
-	nc := e.workers * bitParallelChunksPerWorker
-	if nc > n {
-		nc = n
-	}
+	base := lo &^ (blockSlots - 1)
+	groups := int(hi-base+ctxStride-1) / ctxStride
+	nc := min(e.workers*bitParallelChunksPerWorker, groups)
 	per := make([][]Match, nc)
+	var kept atomic.Uint64
 	err := pool.RunContext(ctx, pool.Fixed{Workers: e.workers}, nc, func(ci int) {
-		clo := lo + int32(ci*n/nc)
-		chi := lo + int32((ci+1)*n/nc)
+		clo := max(base+int32(ci*groups/nc)*ctxStride, lo)
+		chi := min(base+int32((ci+1)*groups/nc)*ctxStride, hi)
+		cp := pr.fork()
 		// A cancelled chunk leaves per[ci] partial; RunContext then returns
 		// an error and the buffers are never read.
-		per[ci], _ = e.scanSlots(p, q.K, clo, chi, cancel)
+		per[ci], _ = e.words.sweep(ctx, &cp, q.K, clo, chi, nil)
+		kept.Add(cp.Kept)
 	})
+	// On cancellation this counts the chunks that got that far.
+	e.count(kept.Load())
 	if err != nil {
 		return nil, err
 	}
@@ -65,64 +68,16 @@ func (e *Engine) searchBitParallel(ctx context.Context, q Query) ([]Match, error
 	for _, ms := range per {
 		out = append(out, ms...)
 	}
-	// Chunks cover the slot range in order, so the concatenation is still a
-	// concatenation of ID-ascending runs (a bucket split by a chunk boundary
-	// does not even introduce a descent).
+	// Chunks cover the window in slot order, so the concatenation is what
+	// one sweep of the whole window returns.
 	return mergeRuns(out), nil
 }
 
-// scanSlots streams the engine's arena slots [lo, hi) through the compiled
-// pattern; see scanArenaSlots.
-func (e *Engine) scanSlots(p *edit.MyersPattern, k int, lo, hi int32, cancel <-chan struct{}) ([]Match, bool) {
-	return scanArenaSlots(e.arena, e.comps, p, k, lo, hi, cancel)
-}
-
-// scanArenaSlots streams arena slots [lo, hi) through the compiled pattern,
-// polling cancel every ctxStride comparisons. It reports ok=false when
-// cancelled mid-scan. Each call owns its scratch, so concurrent chunk scans
-// never share kernel state; the comparison count is flushed once per call.
-// This is the bare sweep, the BitParallel rung's alone: it builds no
-// signature words and reads none (see words.go for the sweep that does, and
-// DESIGN §12 for why this rung keeps going without).
-func scanArenaSlots(a *Arena, comps CompCounter, p *edit.MyersPattern, k int, lo, hi int32, cancel <-chan struct{}) ([]Match, bool) {
-	var ms []Match
-	var pairs uint64
-	if comps != nil {
-		defer func() { comps.Add(pairs) }()
+// count adds n kernel calls to the comparison counter, if there is one.
+func (e *Engine) count(n uint64) {
+	if e.comps != nil {
+		e.comps.Add(n)
 	}
-	var scratch edit.MyersScratch
-	var exact []byte // the query's bytes when k = 0: distance 0 is byte equality, no kernel to enter
-	if k == 0 {
-		exact = []byte(p.Text())
-	}
-	// Bucket by bucket: inside one every slot has the same stride, so the
-	// candidate's bytes are found by addition, with no per-slot offset load.
-	for s, l := lo, a.slotLen(lo); s < hi; l++ {
-		end := min(a.lenStart[l+1], hi)
-		off := int(a.lenOff[l]) + int(s-a.lenStart[l])*l
-		for ; s < end; s++ {
-			if cancel != nil && pairs%ctxStride == ctxStride-1 {
-				select {
-				case <-cancel:
-					return ms, false
-				default:
-				}
-			}
-			pairs++
-			cand := a.buf[off : off+l]
-			off += l
-			if k == 0 {
-				if bytes.Equal(cand, exact) {
-					ms = append(ms, Match{ID: a.ids[s]})
-				}
-				continue
-			}
-			if d, ok := p.BoundedDistanceBytes(cand, k, &scratch); ok {
-				ms = append(ms, Match{ID: a.ids[s], Dist: d})
-			}
-		}
-	}
-	return ms, true
 }
 
 // ArenaStats describes the BitParallel packed layout for observability
@@ -136,13 +91,14 @@ type ArenaStats struct {
 // ArenaStats returns the packed-layout statistics, or ok=false when the
 // engine is not on the BitParallel rung.
 func (e *Engine) ArenaStats() (ArenaStats, bool) {
-	if e.arena == nil {
+	if e.words == nil {
 		return ArenaStats{}, false
 	}
+	ar := e.words.Arena()
 	return ArenaStats{
-		Strings: e.arena.Len(),
-		Bytes:   e.arena.Bytes(),
-		Buckets: e.arena.Buckets(),
+		Strings: ar.Len(),
+		Bytes:   ar.Bytes(),
+		Buckets: ar.Buckets(),
 	}, true
 }
 

@@ -4,13 +4,12 @@ import (
 	"context"
 	"math/rand"
 	"reflect"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
 	"testing"
 	"testing/quick"
-
-	"simsearch/internal/edit"
 )
 
 func TestBitParallelMatchesReference(t *testing.T) {
@@ -103,7 +102,8 @@ func TestBitParallelBatch(t *testing.T) {
 
 // TestBitParallelChunkMergeRace hammers the intra-query chunked path from
 // many goroutines at once; run under -race in CI it proves the per-chunk
-// buffers and the deferred comparison-count flushes do not share state.
+// buffers, probes (kernel scratch and counters) and the comparison-count
+// flush do not share state.
 func TestBitParallelChunkMergeRace(t *testing.T) {
 	defer func(v int) { bitParallelMinSlots = v }(bitParallelMinSlots)
 	bitParallelMinSlots = 1
@@ -115,7 +115,9 @@ func TestBitParallelChunkMergeRace(t *testing.T) {
 	}
 	var comps compCounter
 	e := New(data, WithStrategy(BitParallel), WithWorkers(4), WithComparisonCounter(&comps))
-	queries := []Query{{"abcde", 1}, {"fedcba", 2}, {"", 2}, {"abc", 0}}
+	// k = 33 admits every string and runs the blocked kernel, whose
+	// MyersScratch each chunk's probe must own.
+	queries := []Query{{"abcde", 1}, {"fedcba", 2}, {"", 2}, {"abc", 0}, {"abcdef", 33}}
 	want := make([][]Match, len(queries))
 	for i, q := range queries {
 		want[i] = refSearch(data, q)
@@ -192,22 +194,25 @@ func TestBitParallelCancellation(t *testing.T) {
 
 func TestArenaLayout(t *testing.T) {
 	data := []string{"bbb", "a", "cc", "", "dd", "eee", "f"}
-	a := NewArena(data)
+	a := NewWords(data).Arena()
 	if a.Len() != len(data) || a.Bytes() != 12 || a.MaxLen() != 3 {
 		t.Fatalf("arena shape: %d slots, %d bytes, max length %d", a.Len(), a.Bytes(), a.MaxLen())
 	}
-	// Slots must be (length, ID)-ordered and hold the right bytes, with no
-	// per-slot offset stored: a slot's bytes come from its bucket's stride.
+	// Slots must be length-ordered, hold every ID once and the right bytes,
+	// with no per-slot offset stored: a slot's bytes come from its bucket's
+	// stride.
+	seen := map[int32]bool{}
 	for s := int32(0); s < int32(a.Len()); s++ {
 		str := string(a.SlotBytes(s))
 		if str != data[a.SlotID(s)] {
 			t.Errorf("slot %d holds %q, want %q", s, str, data[a.SlotID(s)])
 		}
-		if s > 0 {
-			prev, cur := data[a.SlotID(s-1)], str
-			if len(prev) > len(cur) || (len(prev) == len(cur) && a.SlotID(s-1) >= a.SlotID(s)) {
-				t.Errorf("slot %d breaks (length, ID) order", s)
-			}
+		if seen[a.SlotID(s)] {
+			t.Errorf("slot %d repeats ID %d", s, a.SlotID(s))
+		}
+		seen[a.SlotID(s)] = true
+		if s > 0 && len(a.SlotBytes(s-1)) > len(str) {
+			t.Errorf("slot %d breaks length order", s)
 		}
 	}
 	// SlotRange must select exactly the strings in the length window.
@@ -232,29 +237,76 @@ func TestArenaLayout(t *testing.T) {
 }
 
 // TestArenaSlotBytesGaps covers the binary search over buckets when lengths
-// are missing in between, and a chunked scan that starts mid-bucket.
+// are missing in between, and sweeps that start and end anywhere in a
+// window: for every split of a query's window into [lo, mid) and [mid, hi),
+// the two pieces' sweeps, each with a probe of its own, return in slot order
+// exactly what one Sweep returns and count what it counts. The large arena's
+// windows span several groups, so splits fall on, beside and between group
+// and block boundaries.
 func TestArenaSlotBytesGaps(t *testing.T) {
-	data := []string{"aaaaaaa", "", "bb", "ccccccc", "", "dd", "eeeeeeeeeeee", "ff"}
-	a := NewArena(data)
-	for s := int32(0); s < int32(a.Len()); s++ {
-		if got, want := string(a.SlotBytes(s)), data[a.SlotID(s)]; got != want {
+	gaps := []string{"aaaaaaa", "", "bb", "ccccccc", "", "dd", "eeeeeeeeeeee", "ff"}
+	w := NewWords(gaps)
+	for s := int32(0); s < int32(w.ar.Len()); s++ {
+		if got, want := string(w.ar.SlotBytes(s)), gaps[w.ar.SlotID(s)]; got != want {
 			t.Errorf("slot %d holds %q, want %q", s, got, want)
 		}
 	}
-	p := edit.CompileMyers("bb")
-	for lo := int32(0); lo < int32(a.Len()); lo++ {
-		for hi := lo + 1; hi <= int32(a.Len()); hi++ {
-			ms, _ := scanArenaSlots(a, nil, p, 12, lo, hi, nil)
-			if len(ms) != int(hi-lo) {
-				t.Fatalf("slots [%d,%d): %d matches at a threshold that admits all", lo, hi, len(ms))
-			}
-			for i, m := range ms {
-				if want := edit.Distance("bb", data[a.SlotID(lo+int32(i))]); m.ID != a.SlotID(lo+int32(i)) || m.Dist != want {
-					t.Fatalf("slots [%d,%d): match %d = %+v, want id %d dist %d", lo, hi, i, m, a.SlotID(lo+int32(i)), want)
-				}
-			}
+	for _, q := range []Query{{"bb", 12}, {"bb", 0}, {"cccccc", 1}, {"", 2}, {"eeeeeeeeeeeee", 5}} {
+		checkSplits(t, w, q, 1)
+	}
+	r := rand.New(rand.NewSource(34))
+	many := make([]string, 2*ctxStride+300)
+	for i := range many {
+		many[i] = randomString(r, "abcd", 8)
+	}
+	w = NewWords(many)
+	for _, q := range []Query{{"abcd", 0}, {"abcd", 2}, {"abcdabc", 9}, {"abcdabcd", 33}} {
+		checkSplits(t, w, q, 7)
+	}
+}
+
+// checkSplits holds every step-th split of q's window (and every split on a
+// block boundary) against one Sweep of the whole of it.
+func checkSplits(t *testing.T, w *Words, q Query, step int32) {
+	t.Helper()
+	ctx := context.Background()
+	whole := NewProbe(q.Text, q.K)
+	want, err := w.Sweep(ctx, &whole, q.K, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lo, hi := w.ar.SlotRange(whole.Lengths())
+	for mid := lo; mid <= hi; mid++ {
+		if (mid-lo)%step != 0 && mid%blockSlots != 0 && mid != hi {
+			continue
+		}
+		a, b := whole.fork(), whole.fork()
+		got, err := w.sweep(ctx, &a, q.K, lo, mid, nil)
+		if err == nil {
+			got, err = w.sweep(ctx, &b, q.K, mid, hi, got)
+		}
+		if err != nil || !slices.Equal(got, want) {
+			t.Fatalf("%+v: slots [%d,%d) + [%d,%d) = %v, %v; one sweep %v", q, lo, mid, mid, hi, got, err, want)
+		}
+		if a.Visited+b.Visited != whole.Visited || a.Swept+b.Swept != whole.Swept ||
+			a.Passed+b.Passed != whole.Passed || a.Kept+b.Kept != whole.Kept {
+			t.Fatalf("%+v split at %d: counters %d+%d, %d+%d, %d+%d, %d+%d; one sweep %d, %d, %d, %d", q, mid,
+				a.Visited, b.Visited, a.Swept, b.Swept, a.Passed, b.Passed, a.Kept, b.Kept,
+				whole.Visited, whole.Swept, whole.Passed, whole.Kept)
 		}
 	}
+	if !matchesEqual(mergeRuns(want), refSearch(wordsData(w), q)) {
+		t.Fatalf("%+v: the sweep disagrees with the oracle", q)
+	}
+}
+
+// wordsData recovers the input a Words was packed from, in ID order.
+func wordsData(w *Words) []string {
+	data := make([]string, w.ar.Len())
+	for s := int32(0); s < int32(len(data)); s++ {
+		data[w.ar.SlotID(s)] = string(w.ar.SlotBytes(s))
+	}
+	return data
 }
 
 func TestArenaStats(t *testing.T) {
@@ -308,7 +360,8 @@ func TestBitParallelComparisonCounter(t *testing.T) {
 	var c compCounter
 	e := New(data, WithStrategy(BitParallel), WithComparisonCounter(&c))
 	e.Search(Query{Text: "ab", K: 1})
-	// The arena's bucket range admits only the strings with length in [1,3].
+	// The arena's bucket range admits only the strings with length in [1,3],
+	// and the word of each lets it through: both have their bytes read.
 	if got := c.n.Load(); got != 2 {
 		t.Fatalf("comparisons = %d, want 2", got)
 	}

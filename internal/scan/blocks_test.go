@@ -269,19 +269,36 @@ func TestEqualWordsPastOneGroup(t *testing.T) {
 	}
 }
 
-// TestWordOrderIsThePackers: NewArena keeps (length, ID) and NewWords orders
-// a bucket by its words, over the same data; the word-ordered arena differs
-// from the flat one exactly in the order inside buckets.
+// TestWordOrderIsThePackers: NewWords lays the arena out by length, as
+// the length histogram of the data says, and orders a bucket by its words,
+// not by ID; every slot holds the bytes of the ID it reports.
 func TestWordOrderIsThePackers(t *testing.T) {
 	data := dataset.Cities(2000, 26)
-	flat, w := NewArena(data), NewWords(data)
+	w := NewWords(data)
 	ordered := w.Arena()
-	if flat.Len() != ordered.Len() || flat.Bytes() != ordered.Bytes() || flat.Buckets() != ordered.Buckets() ||
-		!slices.Equal(flat.lenStart, ordered.lenStart) || !slices.Equal(flat.lenOff, ordered.lenOff) {
-		t.Fatalf("the two arenas differ in more than the order inside buckets")
+	bytes, maxLen := 0, 0
+	for _, s := range data {
+		bytes, maxLen = bytes+len(s), max(maxLen, len(s))
 	}
-	if !slices.IsSorted(flat.ids[flat.lenStart[9]:flat.lenStart[10]]) || slices.IsSorted(ordered.ids[ordered.lenStart[9]:ordered.lenStart[10]]) {
-		t.Fatalf("NewArena must keep a bucket in ID order and NewWords must not")
+	if ordered.Len() != len(data) || ordered.Bytes() != bytes || ordered.MaxLen() != maxLen {
+		t.Fatalf("arena shape: %d slots, %d bytes, max length %d", ordered.Len(), ordered.Bytes(), ordered.MaxLen())
+	}
+	for l := 0; l <= maxLen; l++ {
+		n := 0
+		for _, s := range data {
+			if len(s) == l {
+				n++
+			}
+		}
+		if got := ordered.lenStart[l+1] - ordered.lenStart[l]; int(got) != n {
+			t.Fatalf("the bucket of length %d has %d slots, the data %d strings", l, got, n)
+		}
+	}
+	if slices.IsSorted(ordered.ids[ordered.lenStart[9]:ordered.lenStart[10]]) {
+		t.Fatalf("NewWords must order a bucket by its words, not by ID")
+	}
+	if err := w.Verify(); err != nil {
+		t.Fatal(err)
 	}
 	for s := int32(0); s < int32(ordered.Len()); s++ {
 		if got := string(ordered.SlotBytes(s)); got != data[ordered.SlotID(s)] {
@@ -290,9 +307,10 @@ func TestWordOrderIsThePackers(t *testing.T) {
 	}
 }
 
-// TestMergeRunsShapes: the inputs the two kinds of arena produce. Word order
-// gives descents nearly everywhere (sorted in place, no allocation); the
-// bare rung gives a few long runs (merged through one buffer).
+// TestMergeRunsShapes: the inputs the two orders produce. Word order gives
+// descents nearly everywhere (sorted in place, no allocation); the §6
+// Sorting rung's (length, ID) order gives a few long runs (merged through
+// one buffer).
 func TestMergeRunsShapes(t *testing.T) {
 	ids := func(ms []Match) (out []int32) {
 		for _, m := range ms {

@@ -43,14 +43,16 @@ const (
 	ParallelNaive
 	// ParallelManaged adds §3.6: a fixed pool of Workers goroutines.
 	ParallelManaged
-	// BitParallel is the production rung beyond the paper's ladder: the
-	// query is compiled once into a Myers bit-vector pattern (peq table
-	// built per query, not per pair), the dataset is packed into a
-	// length-bucketed byte arena so the length filter becomes a bucket-range
-	// selection over a contiguous buffer, and with Workers > 1 a single
-	// query's slot range is chunked across a pool so one query's latency
-	// drops on multi-core (the paper's parallel rungs only parallelize
-	// across queries). Results are byte-identical to every other rung.
+	// BitParallel is the production rung beyond the paper's ladder, with
+	// the paper's §6 future work in it: the query is compiled once into a
+	// Myers bit-vector pattern (peq table built per query, not per pair),
+	// the dataset is packed into a length-bucketed byte arena so the length
+	// filter becomes a bucket-range selection over a contiguous buffer, and
+	// one signature word per string (Words) decides which slots of that
+	// range reach the kernel. With Workers > 1 a single query's slot range
+	// is chunked across a pool so one query's latency drops on multi-core
+	// (the paper's parallel rungs only parallelize across queries). Results
+	// are byte-identical to every other rung.
 	BitParallel
 )
 
@@ -115,8 +117,8 @@ type Engine struct {
 	byLen   []int32 // permutation of IDs ordered by (length, ID)
 	lenPref []int32 // lenPref[l] = first index in byLen with length >= l
 
-	// Packed dataset layout for the BitParallel rung.
-	arena *Arena
+	// Packed dataset layout and its signature words for the BitParallel rung.
+	words *Words
 }
 
 // CompCounter receives per-query comparison counts. metrics.Counter
@@ -179,7 +181,7 @@ func New(data []string, opts ...Option) *Engine {
 		o(e)
 	}
 	if e.strategy == BitParallel {
-		e.arena = NewArena(e.data)
+		e.words = NewWords(e.data)
 	}
 	if e.sorted {
 		e.buildLengthIndex()

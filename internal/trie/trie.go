@@ -9,6 +9,14 @@
 // [len(q)-k, len(q)+k] is skipped (this realizes the paper's d_m tolerance,
 // eq. 9–10). In addition the DP-row minimum prunes branches whose prefix
 // already guarantees a distance above k.
+//
+// A node is 64 bytes: its label and child slices, the one ID of the string
+// ending there (the few strings stored more than once keep their IDs in a
+// side table, Tree.dups) and the length window. A finished tree is packed
+// (Pack; Compress ends with it): copied once, depth first, into one slab of
+// nodes, one of child pointers and one of label bytes, each exactly sized,
+// so a descent walks memory in the order it was laid down and the tree holds
+// no per-node allocation and no slice capacity left over from its growth.
 package trie
 
 import (
@@ -28,17 +36,25 @@ type Match = scan.Match
 type node struct {
 	label    []byte
 	children []*node
-	ids      []int32 // string IDs terminating here (duplicates share a node)
-	minLen   int32   // minimal length of any string below (inclusive of this node)
-	maxLen   int32   // maximal length
+	// id is noID when no string ends here, the ID of the one string that
+	// does, or -2-i when several do (duplicates share a node): their IDs are
+	// Tree.dups[i].
+	id     int32
+	minLen int32 // minimal length of any string below (inclusive of this node)
+	maxLen int32 // maximal length
 }
+
+// noID marks a node no string ends at.
+const noID = -1
 
 // Tree is a prefix-tree index over a set of strings.
 type Tree struct {
 	root       *node
+	dups       [][]int32 // the IDs of each string inserted more than once, in insertion order
 	nodeCount  int
 	strCount   int
 	compressed bool
+	packed     bool
 	modern     bool
 }
 
@@ -56,7 +72,7 @@ func WithModernPruning() Option {
 
 // New returns an empty tree.
 func New(opts ...Option) *Tree {
-	t := &Tree{root: &node{minLen: 1<<31 - 1}}
+	t := &Tree{root: &node{id: noID, minLen: 1<<31 - 1}}
 	t.nodeCount = 1
 	for _, o := range opts {
 		o(t)
@@ -73,11 +89,15 @@ func Build(data []string, opts ...Option) *Tree {
 	return t
 }
 
-// Insert adds s with the given ID. Inserting into a compressed tree is not
-// supported and panics; build fully, then compress.
+// Insert adds s with the given ID, which must not be negative. Inserting into
+// a compressed or packed tree is not supported and panics; build fully, then
+// compress or pack.
 func (t *Tree) Insert(s string, id int32) {
-	if t.compressed {
-		panic("trie: Insert after Compress")
+	if t.compressed || t.packed {
+		panic("trie: Insert after Compress or Pack")
+	}
+	if id < 0 {
+		panic("trie: negative ID")
 	}
 	n := t.root
 	absorb(n, len(s))
@@ -85,14 +105,22 @@ func (t *Tree) Insert(s string, id int32) {
 		c := s[i]
 		child := findChild(n, c)
 		if child == nil {
-			child = &node{label: []byte{c}, minLen: 1<<31 - 1}
+			child = &node{label: []byte{c}, id: noID, minLen: 1<<31 - 1}
 			insertChild(n, child)
 			t.nodeCount++
 		}
 		n = child
 		absorb(n, len(s))
 	}
-	n.ids = append(n.ids, id)
+	switch {
+	case n.id == noID:
+		n.id = id
+	case n.id >= 0:
+		t.dups = append(t.dups, []int32{n.id, id})
+		n.id = -2 - int32(len(t.dups)-1)
+	default:
+		t.dups[-2-n.id] = append(t.dups[-2-n.id], id)
+	}
 	t.strCount++
 }
 
@@ -134,8 +162,9 @@ func insertChild(n *node, child *node) {
 }
 
 // Compress merges every chain of single-child, non-terminal nodes into one
-// node with a multi-byte label (paper §4.2, Figure 4). It reduces the node
-// count and the number of per-node bookkeeping steps during search.
+// node with a multi-byte label (paper §4.2, Figure 4), then packs the tree.
+// It reduces the node count and the number of per-node bookkeeping steps
+// during search.
 func (t *Tree) Compress() {
 	if t.compressed {
 		return
@@ -143,12 +172,12 @@ func (t *Tree) Compress() {
 	var walk func(n *node)
 	walk = func(n *node) {
 		for i, c := range n.children {
-			for len(c.children) == 1 && len(c.ids) == 0 {
+			for len(c.children) == 1 && c.id == noID {
 				only := c.children[0]
 				merged := &node{
 					label:    append(append([]byte(nil), c.label...), only.label...),
 					children: only.children,
-					ids:      only.ids,
+					id:       only.id,
 					minLen:   only.minLen,
 					maxLen:   only.maxLen,
 				}
@@ -161,6 +190,52 @@ func (t *Tree) Compress() {
 	}
 	walk(t.root)
 	t.compressed = true
+	t.Pack()
+}
+
+// Pack copies the finished tree, in preorder, into three exactly sized
+// slabs — its nodes, their child pointers and their label bytes — and lets
+// the nodes it was grown from go. Each node's children are a contiguous run
+// of the pointer slab and its label a run of the byte slab, so the search
+// follows the same pointers through memory laid out in the order it visits
+// it. The tree takes no Insert after it; Compress may still run, and packs
+// again.
+func (t *Tree) Pack() {
+	st := t.Stats() // every node but the root is one child pointer and a label
+	p := packer{
+		nodes:  make([]node, 0, st.Nodes),
+		kids:   make([]*node, 0, st.Nodes-1),
+		labels: make([]byte, 0, st.LabelBytes),
+	}
+	t.root = p.copy(t.root)
+	t.packed = true
+}
+
+// packer holds the three slabs while Pack fills them. They are allocated at
+// their final size, so appending never moves them and a pointer into one
+// stays valid.
+type packer struct {
+	nodes  []node
+	kids   []*node
+	labels []byte
+}
+
+// copy appends n and, after it, its subtree to the slabs and returns n's
+// copy. The copy's child pointers are reserved before the first child's
+// subtree is copied, so siblings' pointers sit side by side.
+func (p *packer) copy(n *node) *node {
+	p.nodes = append(p.nodes, *n)
+	m := &p.nodes[len(p.nodes)-1]
+	at := len(p.labels)
+	p.labels = append(p.labels, n.label...)
+	m.label = p.labels[at:len(p.labels):len(p.labels)]
+	at = len(p.kids)
+	p.kids = append(p.kids, n.children...)
+	m.children = p.kids[at:len(p.kids):len(p.kids)]
+	for i, c := range n.children {
+		m.children[i] = p.copy(c)
+	}
+	return m
 }
 
 // Modern reports whether WithModernPruning was selected.
@@ -216,12 +291,10 @@ func (t *Tree) SearchFunc(q string, k int, fn func(id int32, dist int)) {
 	if k < 0 {
 		return
 	}
-	s := searcher{q: q, k: k, fn: fn}
+	s := searcher{q: q, k: k, fn: fn, dups: t.dups}
 	// The root may itself be terminal for the empty string.
-	if len(t.root.ids) > 0 && len(q) <= k {
-		for _, id := range t.root.ids {
-			fn(id, len(q))
-		}
+	if t.root.id != noID && len(q) <= k {
+		s.emit(t.root.id, len(q))
 	}
 	if t.modern {
 		row := edit.InitialBandRow(q, k, nil)
@@ -240,7 +313,19 @@ type searcher struct {
 	q    string
 	k    int
 	fn   func(id int32, dist int)
-	rows [][]int // row buffer per byte depth, lazily grown
+	dups [][]int32 // the tree's duplicate IDs (see node.id)
+	rows [][]int   // row buffer per byte depth, lazily grown
+}
+
+// emit hands fn every ID of a terminal node's id field at distance dist.
+func (s *searcher) emit(id int32, dist int) {
+	if id >= 0 {
+		s.fn(id, dist)
+		return
+	}
+	for _, d := range s.dups[-2-id] {
+		s.fn(d, dist)
+	}
 }
 
 // prune reports whether the subtree below n can be skipped outright based on
@@ -278,11 +363,9 @@ func (s *searcher) descend(n *node, parentRow []int, depth int) {
 			return
 		}
 	}
-	if len(n.ids) > 0 {
+	if n.id != noID {
 		if dist, ok := edit.BandRowDistance(row, d, len(s.q), s.k); ok {
-			for _, id := range n.ids {
-				s.fn(id, dist)
-			}
+			s.emit(n.id, dist)
 		}
 	}
 	for _, c := range n.children {
@@ -330,11 +413,9 @@ func (s *searcher) descendPaper(n *node, parentRow []int, depth int) {
 			return
 		}
 	}
-	if len(n.ids) > 0 {
+	if n.id != noID {
 		if dist := edit.RowDistance(row); dist <= s.k {
-			for _, id := range n.ids {
-				s.fn(id, dist)
-			}
+			s.emit(n.id, dist)
 		}
 	}
 	for _, c := range n.children {

@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 	"testing/quick"
+	"unsafe"
 
 	"simsearch/internal/edit"
 )
@@ -261,4 +262,88 @@ func TestLongDNAStrings(t *testing.T) {
 			t.Errorf("k=%d: got %d matches, want %d", k, len(got), len(want))
 		}
 	}
+}
+
+// TestNodeIs64Bytes pins the node layout: one ID in place of a slice of them
+// took a node from 80 bytes to 64, one cache line.
+func TestNodeIs64Bytes(t *testing.T) {
+	if got := unsafe.Sizeof(node{}); got != 64 {
+		t.Fatalf("a node is %d bytes, want 64", got)
+	}
+}
+
+// TestDuplicatesAndPacking runs duplicate IDs through both descents on the
+// plain and the compressed tree, packed and not: one string inserted three
+// times, one twice, and the empty string — which ends at the root — twice.
+// Packing must leave the structure Stats reports, and every answer, as it
+// was.
+func TestDuplicatesAndPacking(t *testing.T) {
+	data := []string{"ulm", "bonn", "", "ulm", "ulmen", "bonn", "", "ulm", "u"}
+	queries := []struct {
+		text string
+		k    int
+	}{{"ulm", 0}, {"ulm", 1}, {"ulm", 2}, {"bonn", 1}, {"", 0}, {"", 1}, {"ulmen", 3}}
+	for _, compress := range []bool{false, true} {
+		for _, modern := range []bool{false, true} {
+			var opts []Option
+			if modern {
+				opts = append(opts, WithModernPruning())
+			}
+			tr := Build(data, opts...)
+			if compress {
+				tr.Compress() // packs
+			}
+			before := tr.Stats()
+			check := func(stage string) {
+				for _, q := range queries {
+					if got, want := tr.Search(q.text, q.k), scanRef(data, q.text, q.k); !equalMatches(got, want) {
+						t.Errorf("compress=%v modern=%v %s: Search(%q, %d) = %v, want %v", compress, modern, stage, q.text, q.k, got, want)
+					}
+				}
+			}
+			check("before packing")
+			tr.Pack()
+			if after := tr.Stats(); after != before {
+				t.Errorf("compress=%v modern=%v: Stats %+v before packing, %+v after", compress, modern, before, after)
+			}
+			check("after packing")
+			if tr.root.id >= 0 || len(tr.dups) != 3 {
+				t.Errorf("compress=%v modern=%v: root id %d, %d duplicate lists; want the root's in one of 3", compress, modern, tr.root.id, len(tr.dups))
+			}
+		}
+	}
+}
+
+// TestPackedSlabs: a packed tree's nodes, child pointers and labels are
+// three slabs, exactly sized, laid out in preorder.
+func TestPackedSlabs(t *testing.T) {
+	tr := Build([]string{"Berlin", "Bern", "Ulm", "Bonn", "Berlin"})
+	tr.Pack()
+	st := tr.Stats()
+	var order []*node
+	var walk func(n *node)
+	walk = func(n *node) {
+		order = append(order, n)
+		for _, c := range n.children {
+			walk(c)
+		}
+	}
+	walk(tr.root)
+	if len(order) != st.Nodes {
+		t.Fatalf("%d nodes reached, Stats says %d", len(order), st.Nodes)
+	}
+	for i := 1; i < len(order); i++ {
+		if uintptr(unsafe.Pointer(order[i])) != uintptr(unsafe.Pointer(order[i-1]))+unsafe.Sizeof(node{}) {
+			t.Fatalf("node %d of the preorder is not next to node %d in memory", i, i-1)
+		}
+		if l := order[i].label; cap(l) != len(l) {
+			t.Fatalf("node %d's label has %d bytes of capacity past its end", i, cap(l)-len(l))
+		}
+	}
+	defer func() {
+		if recover() == nil {
+			t.Error("Insert after Pack did not panic")
+		}
+	}()
+	tr.Insert("Ulm", 9)
 }

@@ -65,8 +65,9 @@ const (
 	Trie
 	// BitParallel is the production scan rung beyond the paper's ladder:
 	// each query is compiled once into a Myers bit-vector pattern, the
-	// dataset is packed into a length-bucketed byte arena, and Workers > 1
-	// chunks a single query's candidate range across a fixed pool
+	// dataset is packed into a length-bucketed byte arena with one signature
+	// word per string in front of it (the sweep Cascade runs), and Workers >
+	// 1 chunks a single query's candidate range across a fixed pool
 	// (intra-query parallelism — the paper's parallel rungs only
 	// parallelize across queries). Results are identical to Scan.
 	BitParallel
@@ -187,9 +188,11 @@ func NewIndex(data []string) Searcher {
 }
 
 // NewBitParallel returns the production bit-parallel scan: query-compiled
-// Myers kernel over a length-bucketed byte arena. workers > 1 additionally
-// chunks each query's candidate range across a fixed pool (intra-query
-// parallelism); workers <= 1 scans serially.
+// Myers kernel over a length-bucketed byte arena, with the signature words
+// deciding which strings of a query's length window reach it — the same
+// sweep NewCascade serves with. workers > 1 additionally chunks each query's
+// candidate range across a fixed pool (intra-query parallelism); workers <=
+// 1 scans serially.
 func NewBitParallel(data []string, workers int) Searcher {
 	return New(data, Options{Algorithm: BitParallel, Workers: workers})
 }
