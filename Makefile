@@ -83,12 +83,16 @@ bench:
 # calls per query (the last two differ on reads: the gram word sits between);
 # and the live store (seed segment + three flushed segments + 500-entry
 # delta, cities and reads): ns and allocations per query, strings a query's
-# signature word leaves for the kernel, and ns per insert.
+# signature word leaves for the kernel, and ns per insert. Last, a 2-store
+# live executor's single queries from a few µs a store to a few hundred:
+# ns/op under the split-or-inline rule and pinned to each branch, and the
+# share of queries the rule fanned out (split/query).
 bench-smoke:
 	$(GO) test -run='^$$' -bench=. -benchtime=1x ./... > /dev/null
 	$(GO) test -run='^$$' -bench='^BenchmarkBoundedKernels$$' -benchtime=200x ./internal/edit
 	$(GO) test -run='^$$' -bench='^BenchmarkCascadeBytes$$' -benchtime=300x ./internal/core
 	$(GO) test -run='^$$' -bench='^BenchmarkLive(Search|Insert)$$' -benchtime=2000x ./internal/lsm
+	$(GO) test -run='^$$' -bench='^BenchmarkSplitOrInline$$' -benchtime=200x ./internal/exec
 	$(GO) run ./cmd/paperbench -cascadecheck
 
 # The fixed benchmark (benchmark/, a Go module of its own that `go test ./...`

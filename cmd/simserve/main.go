@@ -29,7 +29,8 @@
 // mutations land. -livedir DIR adds persistence: segment files plus a
 // write-ahead log under DIR make acknowledged writes durable, and restarting
 // with the same DIR recovers them. -shards and -workers keep their meaning
-// (store count and search fan-out pool); -engine is ignored while live.
+// (store count, and the pool a search long enough to split fans out on);
+// -engine is ignored while live.
 //
 // Observability: GET /metrics serves Prometheus text format (request and
 // error counters, latency histograms, per-shard counters). -slowquery DUR

@@ -160,7 +160,7 @@ func DistribSweep(progress io.Writer, cfg DistribConfig) ([]DistribCell, error) 
 	queries := dataset.QueriesZipf(data, 512, cfg.MaxEdits, cfg.Skew, cfg.Seed+1)
 	bodies := make([][]byte, len(queries))
 	for i, q := range queries {
-		b, err := json.Marshal(httpapi.BatchRequest{Queries: []httpapi.BatchQuery{{Q: q, K: &cfg.K}}})
+		b, err := json.Marshal(httpapi.BatchRequest{Queries: []httpapi.BatchQuery{httpapi.ExactQuery(q, cfg.K)}})
 		if err != nil {
 			return nil, err
 		}

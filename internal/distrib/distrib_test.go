@@ -261,6 +261,9 @@ func TestErrorLadder(t *testing.T) {
 		{"batch empty q", http.MethodPost, "/search/batch", `{"queries":[{"q":""}]}`, http.StatusBadRequest},
 		{"batch bad k", http.MethodPost, "/search/batch", `{"queries":[{"q":"x","k":-1}]}`, http.StatusBadRequest},
 		{"batch k over max", http.MethodPost, "/search/batch", `{"queries":[{"q":"x","k":99}]}`, http.StatusBadRequest},
+		{"batch not UTF-8", http.MethodPost, "/search/batch", "{\"queries\":[{\"q\":\"M\xfcnchen\"}]}", http.StatusBadRequest},
+		{"batch q and q_b64", http.MethodPost, "/search/batch", `{"queries":[{"q":"x","q_b64":"eA=="}]}`, http.StatusBadRequest},
+		{"batch bad q_b64", http.MethodPost, "/search/batch", `{"queries":[{"q_b64":"e@=="}]}`, http.StatusBadRequest},
 		{"batch too many", http.MethodPost, "/search/batch",
 			`{"queries":[{"q":"a"},{"q":"b"},{"q":"c"}]}`, http.StatusRequestEntityTooLarge},
 		{"body too big", http.MethodPost, "/search/batch",
@@ -288,6 +291,34 @@ func TestErrorLadder(t *testing.T) {
 		if err != nil || e.Error == "" {
 			t.Errorf("%s: missing error payload (%v)", tc.name, err)
 		}
+	}
+
+	// A valid batch just under MaxBody, of ASCII queries, is forwarded at
+	// about the client's size, so shard servers whose MaxBody is the
+	// coordinator's answer it (base64 would make it 4/3 as long: 413 from
+	// every shard, 502 here).
+	const maxBody = 4096
+	mirror := startFleet(t, data, 2, Options{MaxBody: maxBody},
+		func(_, _ int, h http.Handler) http.Handler {
+			h.(*httpapi.Server).MaxBody = maxBody
+			return h
+		})
+	var req httpapi.BatchRequest
+	k := 1
+	for {
+		body, err := json.Marshal(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(body) > maxBody-300 {
+			resp, br := postBatch(t, mirror.ts.URL, string(body))
+			if resp.StatusCode != http.StatusOK || len(br.Results) != len(req.Queries) {
+				t.Errorf("%d-byte ASCII batch of %d queries: status %d, %d results; want 200",
+					len(body), len(req.Queries), resp.StatusCode, len(br.Results))
+			}
+			break
+		}
+		req.Queries = append(req.Queries, httpapi.BatchQuery{Q: strings.Repeat("ab", 100), K: &k})
 	}
 }
 
@@ -564,5 +595,65 @@ func TestSearchEndpoint(t *testing.T) {
 		if string(db) != string(sb) {
 			t.Errorf("q=%s: coordinator /search diverges: %s vs %s", q, db, sb)
 		}
+	}
+}
+
+// TestQueryBytesSurviveCoordinator: a query that is not valid UTF-8 — a
+// Latin-1 name, or a UTF-8 one cut mid-sequence — is the question the shards
+// answer, on GET /search and in a q_b64 batch alike, so the coordinator's
+// answer equals one server's over the whole dataset. Re-encoding the query
+// as a JSON string would have asked for U+FFFD in its place.
+func TestQueryBytesSurviveCoordinator(t *testing.T) {
+	data := append(dataset.Cities(60, 29), "M\xfcnchen", "Z\xc3\xbcrich", "K\xf6ln", "caf\xc3")
+	f := startFleet(t, data, 3, Options{}, nil)
+	single := httptest.NewServer(httpapi.New(exec.New(data, exec.Options{Shards: 3}), data))
+	defer single.Close()
+
+	queries := []string{"M\xfcnchen", "K\xf6ln", "caf\xc3", "Z\xc3\xbcric\xc3"}
+	for _, q := range queries {
+		var dr, sr httpapi.SearchResponse
+		for _, tgt := range []struct {
+			url string
+			out *httpapi.SearchResponse
+		}{{f.ts.URL, &dr}, {single.URL, &sr}} {
+			resp, err := http.Get(tgt.url + "/search?k=0&q=" + url.QueryEscape(q))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := json.NewDecoder(resp.Body).Decode(tgt.out); err != nil {
+				t.Fatal(err)
+			}
+			resp.Body.Close()
+		}
+		db, _ := json.Marshal(dr.Matches)
+		sb, _ := json.Marshal(sr.Matches)
+		if len(sr.Matches) != 1 && q != "Z\xc3\xbcric\xc3" {
+			t.Fatalf("q=%q: the single server found %s, want the one exact match", q, sb)
+		}
+		if string(db) != string(sb) {
+			t.Errorf("q=%q: coordinator /search %s, single server %s", q, db, sb)
+		}
+	}
+
+	req := httpapi.BatchRequest{}
+	for _, q := range queries {
+		req.Queries = append(req.Queries, httpapi.ExactQuery(q, 1))
+	}
+	body, err := json.Marshal(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rd, dr := postBatch(t, f.ts.URL, string(body))
+	rs, sr := postBatch(t, single.URL, string(body))
+	if rd.StatusCode != http.StatusOK || rs.StatusCode != http.StatusOK {
+		t.Fatalf("q_b64 batch: status coordinator=%d single=%d", rd.StatusCode, rs.StatusCode)
+	}
+	db, _ := json.Marshal(dr.Results)
+	sb, _ := json.Marshal(sr.Results)
+	if string(db) != string(sb) {
+		t.Errorf("q_b64 batch diverges:\n coordinator: %s\n single:      %s", db, sb)
+	}
+	if len(sr.Results[3].Matches) == 0 {
+		t.Errorf("q_b64 batch: %q at k=1 found nothing, want Z\\xc3\\xbcrich", queries[3])
 	}
 }

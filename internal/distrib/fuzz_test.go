@@ -1,6 +1,8 @@
 package distrib
 
 import (
+	"bytes"
+	"encoding/json"
 	"fmt"
 	"sort"
 	"testing"
@@ -13,12 +15,29 @@ import (
 // ID-sorted runs (unique IDs across runs, as shard base-offsetting
 // guarantees) and checks it against two oracles: a plain stable sort of the
 // concatenation, and scan.MergeRuns on the same runs — the single-process
-// merge the distributed tier claims byte-compatibility with.
+// merge the distributed tier claims byte-compatibility with. The same bytes,
+// taken as a query, must reach a shard through the coordinator's wire form
+// unchanged, whether or not they are UTF-8.
 func FuzzCoordMerge(f *testing.F) {
 	f.Add([]byte{3, 1, 4, 1, 5, 9, 2, 6}, uint8(3))
 	f.Add([]byte{}, uint8(1))
 	f.Add([]byte{255, 0, 255, 0}, uint8(7))
+	f.Add([]byte("M\xfcnchen"), uint8(2))               // Latin-1 ü: not UTF-8
+	f.Add([]byte("Z\xc3\xbcrich\xc3"), uint8(4))        // UTF-8 ü, then a cut sequence
+	f.Add([]byte("\xef\xbf\xbd\xed\xa0\x80"), uint8(1)) // U+FFFD itself, then a surrogate
 	f.Fuzz(func(t *testing.T, raw []byte, nrunsRaw uint8) {
+		body, err := json.Marshal(httpapi.BatchRequest{Queries: []httpapi.BatchQuery{httpapi.ExactQuery(string(raw), 1)}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		req, err := httpapi.DecodeBatch(bytes.NewReader(body))
+		if err != nil {
+			t.Fatalf("the shard rejects the coordinator's body %s: %v", body, err)
+		}
+		if text, err := req.Queries[0].Text(); err != nil || text != string(raw) {
+			t.Fatalf("query bytes %q arrive as %q (err %v)", raw, text, err)
+		}
+
 		nruns := int(nrunsRaw)%8 + 1
 
 		// Derive a set of unique IDs with per-ID dists and strings from the

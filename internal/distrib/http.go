@@ -199,8 +199,9 @@ func (c *Coordinator) validateQuery(w http.ResponseWriter, q string, k *int) (in
 	return kk, true
 }
 
-// runBatch validates, admits, scatters, and gathers one batch. The queries
-// must already carry explicit K values.
+// runBatch admits, scatters, and gathers one batch. The queries must be
+// validated ExactQuery values: their bytes reach every shard unchanged
+// whatever their encoding, and their K is explicit.
 func (c *Coordinator) runBatch(w http.ResponseWriter, r *http.Request, qs []httpapi.BatchQuery) ([]httpapi.BatchResult, bool) {
 	release, ok := c.admit(w)
 	if !ok {
@@ -242,7 +243,7 @@ func (c *Coordinator) handleSearch(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	start := time.Now()
-	results, ok := c.runBatch(w, r, []httpapi.BatchQuery{{Q: q, K: &k}})
+	results, ok := c.runBatch(w, r, []httpapi.BatchQuery{httpapi.ExactQuery(q, k)})
 	if !ok {
 		return
 	}
@@ -271,9 +272,8 @@ func (c *Coordinator) handleBatch(w http.ResponseWriter, r *http.Request) {
 		c.fail(w, http.StatusMethodNotAllowed, "POST only")
 		return
 	}
-	body := http.MaxBytesReader(w, r.Body, c.opts.MaxBody)
-	var req httpapi.BatchRequest
-	if err := json.NewDecoder(body).Decode(&req); err != nil {
+	req, err := httpapi.DecodeBatch(http.MaxBytesReader(w, r.Body, c.opts.MaxBody))
+	if err != nil {
 		var tooBig *http.MaxBytesError
 		if errors.As(err, &tooBig) {
 			c.fail(w, http.StatusRequestEntityTooLarge,
@@ -281,7 +281,7 @@ func (c *Coordinator) handleBatch(w http.ResponseWriter, r *http.Request) {
 					strconv.FormatInt(tooBig.Limit, 10)+" bytes")
 			return
 		}
-		c.fail(w, http.StatusBadRequest, "invalid JSON: "+err.Error())
+		c.fail(w, http.StatusBadRequest, err.Error())
 		return
 	}
 	if len(req.Queries) == 0 {
@@ -294,11 +294,16 @@ func (c *Coordinator) handleBatch(w http.ResponseWriter, r *http.Request) {
 	}
 	qs := make([]httpapi.BatchQuery, len(req.Queries))
 	for i, bq := range req.Queries {
-		k, ok := c.validateQuery(w, bq.Q, bq.K)
+		text, err := bq.Text()
+		if err != nil {
+			c.fail(w, http.StatusBadRequest, err.Error())
+			return
+		}
+		k, ok := c.validateQuery(w, text, bq.K)
 		if !ok {
 			return
 		}
-		qs[i] = httpapi.BatchQuery{Q: bq.Q, K: &k}
+		qs[i] = httpapi.ExactQuery(text, k)
 	}
 	start := time.Now()
 	results, ok := c.runBatch(w, r, qs)

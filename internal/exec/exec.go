@@ -6,6 +6,15 @@
 // batch", with the partition-then-merge layer a production service needs:
 // sharding, batching, context cancellation, and per-query deadlines.
 //
+// A single query is different: the paper's ladder step 5, one thread per
+// query, cost more than the scan it parallelised, and a shard's share of a
+// query is often a few microseconds — less than handing it to another
+// goroutine. So a single query runs its shards one after another on the
+// caller's goroutine, and fans them out to the runner only once the
+// executor has measured that a shard's share at that threshold is long
+// enough for the hand-off to pay (splitRule; the paper's §6 load-adaptive
+// thread management, per query).
+//
 // Determinism guarantee: shards cover contiguous ID ranges in dataset order
 // and every engine returns matches sorted by ID, so concatenating the
 // per-shard results in shard order (after adding each shard's base offset)
@@ -50,9 +59,10 @@ func ScanFactory(opts ...scan.Option) Factory {
 // BitParallelFactory builds bit-parallel scan shards: query-compiled Myers
 // kernel over a length-bucketed byte arena, reached only by the slots the
 // signature words let through (the words sweep CascadeFactory's shards run
-// too). Shard engines stay serial — the executor's shard fan-out already
-// supplies the parallelism, so intra-query chunking inside a shard would
-// only oversubscribe the pool.
+// too). Shard engines stay serial: the executor runs a batch's shard×query
+// grid and a long query's shards on its runner, so chunking inside a shard
+// would only oversubscribe the pool, and a short query is faster on one
+// goroutine than split at all.
 func BitParallelFactory() Factory {
 	return func(data []string) core.Searcher {
 		return core.NewSequential(data, scan.WithStrategy(scan.BitParallel))
@@ -61,8 +71,8 @@ func BitParallelFactory() Factory {
 
 // CascadeFactory builds filter-cascade shards (length bucket, one signature
 // word per string, bounded Myers verify; the word holds symbol counts when
-// the shard is pure DNA). Shard engines stay serial like BitParallelFactory's —
-// the executor's shard fan-out already supplies the parallelism.
+// the shard is pure DNA). Shard engines stay serial, for BitParallelFactory's
+// reasons.
 func CascadeFactory() Factory {
 	return func(data []string) core.Searcher { return core.NewCascade(data) }
 }
@@ -82,8 +92,9 @@ type Options struct {
 	Shards int
 	// Factory builds each shard's engine (default DefaultFactory).
 	Factory Factory
-	// Runner schedules the shard×query task grid (default
-	// pool.Fixed{Workers: GOMAXPROCS}). Any of the paper's strategies works.
+	// Runner schedules a batch's shard×query task grid, and the shards of
+	// a single query long enough to split (default pool.Fixed{Workers:
+	// GOMAXPROCS}). Any of the paper's strategies works.
 	Runner pool.Runner
 	// QueryTimeout, when positive, gives every query in a
 	// SearchBatchContext call its own deadline, measured from batch
@@ -114,6 +125,54 @@ type Sharded struct {
 	counters     []*metrics.ShardCounter
 	slow         *metrics.SlowLog
 	name         string
+	rule         splitRule
+}
+
+// splitNs is the mean time of one shard's share of a single query, in ns,
+// from which the executors fan that query's shards out to their runner.
+// Below it the caller runs them in order: handing a share to another
+// goroutine and waking it costs ~9 µs on a 2-core box, and a share pays for
+// that only well past it (BenchmarkSplitOrInline; EXPERIMENTS.md "Inline or
+// split").
+const splitNs = 50_000
+
+// Values of splitRule.pin.
+const (
+	pinInline = 1
+	pinSplit  = 2
+)
+
+// splitRule chooses, per single query, between running an executor's
+// shards inline and fanning them out. It holds one running mean per
+// threshold k of one shard's time on single queries: the cost of a query
+// is set by its k far more than by its text, and the first query at a k
+// finds 0, runs inline and is measured.
+type splitRule struct {
+	// cost[k] is the mean in ns (k ≥ 15 share the last entry). Updates
+	// from concurrent callers may overwrite each other; that only delays
+	// the mean, which steers a choice and never changes an answer.
+	cost [16]atomic.Int64
+	// pin, when nonzero, forces pinInline or pinSplit (tests only; set
+	// before the executor is shared).
+	pin int
+}
+
+func costSlot(k int) int { return min(max(k, 0), 15) }
+
+// split reports whether a single query at threshold k fans out.
+func (r *splitRule) split(k int) bool {
+	if r.pin != 0 {
+		return r.pin == pinSplit
+	}
+	return r.cost[costSlot(k)].Load() >= splitNs
+}
+
+// observe folds one query's shard time, busy summed over its p shards, into
+// the mean at k: est += (busy/p − est) / 8.
+func (r *splitRule) observe(k int, busy time.Duration, p int) {
+	c := &r.cost[costSlot(k)]
+	est := c.Load()
+	c.Store(est + (int64(busy)/int64(p)-est)>>3)
 }
 
 // New partitions data into opts.Shards contiguous shards and builds one
@@ -232,9 +291,10 @@ func (s *Sharded) RegisterMetrics(reg *metrics.Registry) {
 	}
 }
 
-// searchShard answers q on shard i, remaps local IDs to global IDs, and
-// records the shard's counters. A nil ctx runs the uninterruptible fast path.
-func (s *Sharded) searchShard(ctx context.Context, i int, q core.Query) ([]core.Match, error) {
+// searchShard answers q on shard i, remaps local IDs to global IDs, records
+// the shard's counters, and returns the time it took. A nil ctx runs the
+// uninterruptible fast path.
+func (s *Sharded) searchShard(ctx context.Context, i int, q core.Query) ([]core.Match, time.Duration, error) {
 	sh := s.shards[i]
 	start := time.Now()
 	var ms []core.Match
@@ -245,7 +305,7 @@ func (s *Sharded) searchShard(ctx context.Context, i int, q core.Query) ([]core.
 		ms, err = core.SearchContext(ctx, sh.eng, q)
 	}
 	if err != nil {
-		return nil, err
+		return nil, 0, err
 	}
 	for j := range ms {
 		ms[j].ID += sh.base
@@ -253,7 +313,7 @@ func (s *Sharded) searchShard(ctx context.Context, i int, q core.Query) ([]core.
 	took := time.Since(start)
 	s.counters[i].Observe(len(ms), took)
 	s.slow.Observe("", sh.eng.Name(), i, q.Text, q.K, took)
-	return ms, nil
+	return ms, took, nil
 }
 
 // merge concatenates per-shard results in shard order. Contiguous shards +
@@ -273,36 +333,65 @@ func merge(per [][]core.Match) []core.Match {
 	return out
 }
 
-// Search implements core.Searcher: one query, all shards in parallel.
+// Search implements core.Searcher: one query over every shard, inline or
+// fanned out as the executor's splitRule decides.
 func (s *Sharded) Search(q core.Query) []core.Match {
-	per := make([][]core.Match, len(s.shards))
-	s.runner.Run(len(s.shards), func(i int) {
-		per[i], _ = s.searchShard(nil, i, q)
-	})
-	return merge(per)
+	ms, _ := s.SearchContext(nil, q)
+	return ms
 }
 
-// SearchContext implements core.ContextSearcher. It returns promptly with
-// ctx.Err() once ctx is done: unstarted shard tasks are skipped, context-aware
-// shard engines abandon their in-flight work, and only plain engines run
-// their current task to completion on an abandoned pool worker.
+// SearchContext implements core.ContextSearcher. It returns ctx.Err() once
+// ctx is done: unstarted shards are skipped and context-aware shard engines
+// abandon their in-flight work. A plain engine cannot stop mid-query. Fanned
+// out, or as the only shard, it runs on core.SearchContext's helper
+// goroutine and the call returns at once; inline among several shards it
+// runs on the caller, which finishes that one share (under splitNs on
+// average) before it sees the cancel — a helper goroutine per share would
+// be the hand-off the inline branch exists to skip.
 func (s *Sharded) SearchContext(ctx context.Context, q core.Query) ([]core.Match, error) {
-	if ctx == nil || ctx.Done() == nil {
-		return s.Search(q), nil
+	if ctx != nil && ctx.Done() == nil {
+		ctx = nil // nothing can cancel it: the uninterruptible fast path
 	}
-	per := make([][]core.Match, len(s.shards))
-	errs := make([]error, len(s.shards))
-	err := pool.RunContext(ctx, s.runner, len(s.shards), func(i int) {
-		per[i], errs[i] = s.searchShard(ctx, i, q)
+	p := len(s.shards)
+	per := make([][]core.Match, p)
+	if p == 1 || !s.rule.split(q.K) {
+		var busy time.Duration
+		for i, sh := range s.shards {
+			c := ctx
+			if c != nil {
+				if err := c.Err(); err != nil {
+					return nil, err
+				}
+				if _, aware := sh.eng.(core.ContextSearcher); !aware && p > 1 {
+					c = nil
+				}
+			}
+			ms, took, err := s.searchShard(c, i, q)
+			if err != nil {
+				return nil, err
+			}
+			per[i] = ms
+			busy += took
+		}
+		s.rule.observe(q.K, busy, p)
+		return merge(per), nil
+	}
+	took := make([]time.Duration, p)
+	errs := make([]error, p)
+	err := pool.RunContext(ctx, s.runner, p, func(i int) {
+		per[i], took[i], errs[i] = s.searchShard(ctx, i, q)
 	})
 	if err != nil {
 		return nil, err
 	}
-	for _, e := range errs {
+	var busy time.Duration
+	for i, e := range errs {
 		if e != nil {
 			return nil, e
 		}
+		busy += took[i]
 	}
+	s.rule.observe(q.K, busy, p)
 	return merge(per), nil
 }
 
@@ -312,7 +401,7 @@ func (s *Sharded) SearchBatch(qs []core.Query) [][]core.Match {
 	p := len(s.shards)
 	per := make([][]core.Match, len(qs)*p)
 	s.runner.Run(len(qs)*p, func(t int) {
-		per[t], _ = s.searchShard(nil, t%p, qs[t/p])
+		per[t], _, _ = s.searchShard(nil, t%p, qs[t/p])
 	})
 	out := make([][]core.Match, len(qs))
 	for qi := range out {
@@ -390,7 +479,7 @@ func (s *Sharded) SearchBatchContext(ctx context.Context, qs []core.Query) ([]Qu
 			errs[t] = e
 			return
 		}
-		per[t], errs[t] = s.searchShard(c, t%p, qs[qi])
+		per[t], _, errs[t] = s.searchShard(c, t%p, qs[qi])
 	})
 	if err != nil {
 		return nil, err

@@ -1,6 +1,7 @@
 package exec
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -70,17 +71,29 @@ func TestShardedByteIdenticalOnSeedDatasets(t *testing.T) {
 }
 
 // TestShardCountInvariance is the first metamorphic property: the shard
-// count P never changes results.
+// count P never changes results — batched, or one query at a time on either
+// branch, with or without a context that can cancel.
 func TestShardCountInvariance(t *testing.T) {
 	data := dataset.Cities(900, 3)
 	qs := queriesFor(data, 25, []int{0, 1, 2, 3}, 7)
 	want := New(data, Options{Shards: 1}).SearchBatch(qs)
-	for _, p := range []int{2, 7, 16} {
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	for _, p := range []int{1, 2, 3, 4, 7, 16} {
 		ex := New(data, Options{Shards: p})
 		if ex.NumShards() != p {
 			t.Fatalf("NumShards = %d, want %d", ex.NumShards(), p)
 		}
 		mustEqualBatches(t, ex.Name(), ex.SearchBatch(qs), want)
+		for _, br := range branches {
+			ex.rule.pin = br.pin
+			for i, q := range qs {
+				got, err := ex.SearchContext(ctx, q)
+				if err != nil || !core.Equal(got, want[i]) || !core.Equal(ex.Search(q), want[i]) {
+					t.Fatalf("%s %s: query %+v diverges from P=1 (err %v)", ex.Name(), br.name, q, err)
+				}
+			}
+		}
 	}
 }
 

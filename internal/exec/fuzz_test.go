@@ -1,6 +1,7 @@
 package exec
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -10,7 +11,8 @@ import (
 
 // FuzzDifferential is the cross-engine differential harness: for an arbitrary
 // dataset and query, the optimized scan, the trie index, and the sharded
-// executor (over two different factories and shard counts) must all return
+// executor (over two factories, 1..5 shards, each single query pinned inline
+// and split, with and without a context that can cancel) must all return
 // exactly the match set of the unoptimized reference scan. The trie is the
 // family here without ContextSearcher, the one served through core's
 // interruptible fallback. Seeds come from the paper's two corpora: city names
@@ -43,16 +45,27 @@ func FuzzDifferential(f *testing.F) {
 		q := core.Query{Text: qtext, K: int(k % 6)}
 		want := core.Reference(data).Search(q)
 
-		engines := []core.Searcher{
-			DefaultFactory(data),
-			core.NewTrie(data, true),
-			New(data, Options{Shards: 3, Factory: TrieFactory(true)}),
-			New(data, Options{Shards: 5}),
-		}
-		for _, eng := range engines {
+		for _, eng := range []core.Searcher{DefaultFactory(data), core.NewTrie(data, true)} {
 			if got := eng.Search(q); !core.Equal(got, want) {
 				t.Fatalf("%s diverges on %+v over %d strings:\ngot  %v\nwant %v",
 					eng.Name(), q, len(data), got, want)
+			}
+		}
+		ctx, cancel := context.WithCancel(context.Background())
+		defer cancel()
+		executors := []*Sharded{New(data, Options{Shards: 3, Factory: TrieFactory(true)})}
+		for p := 1; p <= 5; p++ {
+			executors = append(executors, New(data, Options{Shards: p}))
+		}
+		for _, ex := range executors {
+			for _, br := range branches {
+				ex.rule.pin = br.pin
+				got := ex.Search(q)
+				timed, err := ex.SearchContext(ctx, q)
+				if err != nil || !core.Equal(got, want) || !core.Equal(timed, want) {
+					t.Fatalf("%s %s diverges on %+v over %d strings:\ngot  %v\nctx  %v (err %v)\nwant %v",
+						ex.Name(), br.name, q, len(data), got, timed, err, want)
+				}
 			}
 		}
 	})

@@ -1,10 +1,11 @@
 // Live executor: the mutable counterpart of Sharded. P lsm.Stores share one
 // id allocator; writes are routed by a hash of the string (lookup-by-string
-// must find the shard that owns the binding), searches fan out across every
-// shard and k-way merge by global id. Unlike the frozen executor's
-// contiguous-range partition, live shards interleave ids, so the merge is a
-// real merge rather than a concatenation — but each shard emits ID-sorted
-// results, so it stays linear.
+// must find the shard that owns the binding), a search asks every shard —
+// in order on the caller's goroutine, or fanned out when splitRule says a
+// store's share is long enough — and k-way merges by global id. Unlike the
+// frozen executor's contiguous-range partition, live shards interleave ids,
+// so the merge is a real merge rather than a concatenation — but each shard
+// emits ID-sorted results, so it stays linear.
 package exec
 
 import (
@@ -15,8 +16,8 @@ import (
 	"path/filepath"
 	"runtime"
 	"strconv"
-	"sync"
 	"sync/atomic"
+	"time"
 
 	"simsearch/internal/core"
 	"simsearch/internal/lsm"
@@ -39,8 +40,8 @@ type LiveOptions struct {
 	// FlushLimit and MaxSegments tune each store (see lsm.Options).
 	FlushLimit  int
 	MaxSegments int
-	// Runner schedules the search fan-out (default pool.Fixed over
-	// GOMAXPROCS workers).
+	// Runner runs the stores of a search long enough to split (default
+	// pool.Fixed over GOMAXPROCS workers); shorter searches never reach it.
 	Runner pool.Runner
 	// CompactHook is passed through to every store (test-only).
 	CompactHook func(stage string) bool
@@ -56,6 +57,7 @@ type LiveSharded struct {
 	version atomic.Uint64 // effective mutations, folded into VersionString
 	inserts atomic.Uint64
 	deletes atomic.Uint64
+	rule    splitRule
 }
 
 // NewLive opens (or recovers) P stores behind one id allocator.
@@ -204,43 +206,53 @@ func (x *LiveSharded) VersionString() string {
 	return "live-g" + strconv.FormatUint(x.version.Load(), 10)
 }
 
-// Search implements core.Searcher: all shards in parallel, merged by id.
+// Search implements core.Searcher: every shard, merged by id.
 func (x *LiveSharded) Search(q core.Query) []core.Match {
 	ms, _ := x.SearchContext(nil, q)
 	return ms
 }
 
-// SearchContext implements core.ContextSearcher. Cancellation propagates
-// into each store's stride-polled scan loops.
+// SearchContext implements core.ContextSearcher: the stores one after
+// another on the caller's goroutine, or fanned out when the executor's
+// splitRule says a store's share at q.K is long enough. Cancellation
+// propagates into each store, which checks ctx before it starts and polls
+// it in its scan loops.
 func (x *LiveSharded) SearchContext(ctx context.Context, q core.Query) ([]core.Match, error) {
 	p := len(x.stores)
 	if p == 1 {
 		return x.stores[0].SearchContext(ctx, q)
 	}
 	per := make([][]core.Match, p)
+	if !x.rule.split(q.K) {
+		start := time.Now() // one pair around the loop: the sum of the stores' times
+		for i, st := range x.stores {
+			ms, err := st.SearchContext(ctx, q)
+			if err != nil {
+				return nil, err
+			}
+			per[i] = ms
+		}
+		x.rule.observe(q.K, time.Since(start), p)
+		return mergeByID(per), nil
+	}
+	took := make([]time.Duration, p)
 	errs := make([]error, p)
-	search := func(i int) { per[i], errs[i] = x.stores[i].SearchContext(ctx, q) }
-	if ctx == nil || ctx.Done() == nil {
-		// Nothing can cancel the wait, so the caller does a share of the
-		// work instead of parking: a store's query is a few microseconds,
-		// less than waking a goroutine to run it. (RunContext's drainer is
-		// already the extra goroutine on the other path.)
-		var wg sync.WaitGroup
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			x.runner.Run(p-1, func(i int) { search(i + 1) })
-		}()
-		search(0)
-		wg.Wait()
-	} else if err := pool.RunContext(ctx, x.runner, p, search); err != nil {
+	search := func(i int) {
+		start := time.Now()
+		per[i], errs[i] = x.stores[i].SearchContext(ctx, q)
+		took[i] = time.Since(start)
+	}
+	if err := pool.RunContext(ctx, x.runner, p, search); err != nil {
 		return nil, err
 	}
-	for _, e := range errs {
+	var busy time.Duration
+	for i, e := range errs {
 		if e != nil {
 			return nil, e
 		}
+		busy += took[i]
 	}
+	x.rule.observe(q.K, busy, p)
 	return mergeByID(per), nil
 }
 

@@ -22,20 +22,9 @@ func liveSeed(n int) []string {
 
 // TestLiveShardCountInvariant: results must not depend on P — a single-store
 // executor and a many-store executor answer every query identically after
-// the same mutations.
+// the same mutations, inline or split.
 func TestLiveShardCountInvariant(t *testing.T) {
 	seed := liveSeed(120)
-	one, err := NewLive(LiveOptions{Shards: 1, Seed: seed, FlushLimit: 16})
-	if err != nil {
-		t.Fatalf("NewLive(1): %v", err)
-	}
-	defer one.Close()
-	four, err := NewLive(LiveOptions{Shards: 4, Seed: seed, FlushLimit: 16})
-	if err != nil {
-		t.Fatalf("NewLive(4): %v", err)
-	}
-	defer four.Close()
-
 	mutate := func(x *LiveSharded) {
 		for i := 0; i < 40; i++ {
 			x.Insert(fmt.Sprintf("live-extra-%03d", i))
@@ -47,25 +36,39 @@ func TestLiveShardCountInvariant(t *testing.T) {
 		x.Flush()
 		x.Compact()
 	}
-	mutate(one)
-	mutate(four)
-
-	if one.Len() != four.Len() {
-		t.Fatalf("Len: P=1 %d vs P=4 %d", one.Len(), four.Len())
-	}
-	for i := 0; i < 120; i += 7 {
-		q := core.Query{Text: seed[i], K: 2}
-		a := one.Search(q)
-		b := four.Search(q)
-		if !core.Equal(a, b) {
-			t.Fatalf("query %+v: P=1 %v vs P=4 %v", q, a, b)
-		}
-		c, err := four.SearchContext(context.Background(), q)
+	open := func(p int) *LiveSharded {
+		x, err := NewLive(LiveOptions{Shards: p, Seed: seed, FlushLimit: 16})
 		if err != nil {
-			t.Fatalf("SearchContext: %v", err)
+			t.Fatalf("NewLive(%d): %v", p, err)
 		}
-		if !core.Equal(a, c) {
-			t.Fatalf("query %+v: Search %v vs SearchContext %v", q, a, c)
+		t.Cleanup(func() { x.Close() })
+		mutate(x)
+		return x
+	}
+	one := open(1)
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	for p := 2; p <= 4; p++ {
+		many := open(p)
+		if one.Len() != many.Len() {
+			t.Fatalf("Len: P=1 %d vs P=%d %d", one.Len(), p, many.Len())
+		}
+		for _, br := range branches {
+			many.rule.pin = br.pin
+			for i := 0; i < 120; i += 7 {
+				q := core.Query{Text: seed[i], K: 2}
+				a := one.Search(q)
+				if b := many.Search(q); !core.Equal(a, b) {
+					t.Fatalf("%s, query %+v: P=1 %v vs P=%d %v", br.name, q, a, p, b)
+				}
+				c, err := many.SearchContext(ctx, q)
+				if err != nil {
+					t.Fatalf("SearchContext: %v", err)
+				}
+				if !core.Equal(a, c) {
+					t.Fatalf("%s, query %+v: Search %v vs SearchContext %v", br.name, q, a, c)
+				}
+			}
 		}
 	}
 }
@@ -128,19 +131,25 @@ func TestLiveVersionString(t *testing.T) {
 }
 
 // TestLiveMatchesFrozenSharded: a live executor seeded with a dataset and
-// never mutated answers byte-identically to the frozen sharded executor.
+// never mutated answers byte-identically to the frozen sharded executor, for
+// 1..4 shards on either branch.
 func TestLiveMatchesFrozenSharded(t *testing.T) {
 	seed := liveSeed(200)
-	live, err := NewLive(LiveOptions{Shards: 4, Seed: seed})
-	if err != nil {
-		t.Fatalf("NewLive: %v", err)
-	}
-	defer live.Close()
-	frozen := New(seed, Options{Shards: 4})
-	for i := 0; i < 200; i += 11 {
-		q := core.Query{Text: seed[i], K: 2}
-		if got, want := live.Search(q), frozen.Search(q); !core.Equal(got, want) {
-			t.Fatalf("query %+v: live %v vs frozen %v", q, got, want)
+	for p := 1; p <= 4; p++ {
+		live, err := NewLive(LiveOptions{Shards: p, Seed: seed})
+		if err != nil {
+			t.Fatalf("NewLive: %v", err)
+		}
+		defer live.Close()
+		frozen := New(seed, Options{Shards: p})
+		for _, br := range branches {
+			live.rule.pin, frozen.rule.pin = br.pin, br.pin
+			for i := 0; i < 200; i += 11 {
+				q := core.Query{Text: seed[i], K: 2}
+				if got, want := live.Search(q), frozen.Search(q); !core.Equal(got, want) {
+					t.Fatalf("P=%d %s, query %+v: live %v vs frozen %v", p, br.name, q, got, want)
+				}
+			}
 		}
 	}
 }
@@ -156,52 +165,65 @@ func (r *countingRunner) Run(n int, task func(i int)) {
 	r.Fixed.Run(n, task)
 }
 
-// TestLiveCallerSearchesOneStore: a search nothing can cancel hands the
-// runner P-1 stores and takes the last itself; one with a deadline hands it
-// all P; both answer alike — from several callers at once, for -race.
+// TestLiveCallerSearchesOneStore: inline, the caller searches every store
+// itself and hands the runner none; split, it hands the runner all P. Either
+// way, deadline or not, and every case answers alike — from several callers
+// at once, for -race.
 func TestLiveCallerSearchesOneStore(t *testing.T) {
 	seed := liveSeed(300)
-	runner := &countingRunner{Fixed: pool.Fixed{Workers: 2}}
-	live, err := NewLive(LiveOptions{Shards: 3, Seed: seed, FlushLimit: 16, Runner: runner})
-	if err != nil {
-		t.Fatalf("NewLive: %v", err)
-	}
-	defer live.Close()
-	for i := 0; i < 40; i++ {
-		live.Insert(fmt.Sprintf("delta-%04d", i))
-	}
 	frozen := New(seed, Options{Shards: 1})
 	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
 	defer cancel()
-
-	var wg sync.WaitGroup
-	for g := 0; g < 4; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			for i := g; i < 300; i += 13 {
-				q := core.Query{Text: seed[i], K: 1}
-				want := frozen.Search(q) // the inserts are far from every seed
-				timed, err := live.SearchContext(ctx, q)
-				if got := live.Search(q); err != nil || !core.Equal(got, want) || !core.Equal(timed, want) {
-					t.Errorf("query %+v: no deadline %v, deadline %v (err %v), want %v", q, got, timed, err, want)
-					return
-				}
+	for _, c := range []struct {
+		name   string
+		pin    int
+		handed int64 // stores handed to the runner per search
+	}{
+		{"inline", pinInline, 0},
+		{"split", pinSplit, 3},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			runner := &countingRunner{Fixed: pool.Fixed{Workers: 2}}
+			live, err := NewLive(LiveOptions{Shards: 3, Seed: seed, FlushLimit: 16, Runner: runner})
+			if err != nil {
+				t.Fatalf("NewLive: %v", err)
 			}
-		}(g)
-	}
-	wg.Wait()
+			defer live.Close()
+			live.rule.pin = c.pin
+			for i := 0; i < 40; i++ {
+				live.Insert(fmt.Sprintf("delta-%04d", i))
+			}
 
-	runner.tasks.Store(0)
-	live.Search(core.Query{Text: seed[0], K: 1})
-	if n := runner.tasks.Swap(0); n != 2 {
-		t.Errorf("no deadline: the runner was handed %d of 3 stores, want 2", n)
-	}
-	if _, err := live.SearchContext(ctx, core.Query{Text: seed[0], K: 1}); err != nil {
-		t.Fatal(err)
-	}
-	if n := runner.tasks.Load(); n != 3 {
-		t.Errorf("deadline: the runner was handed %d of 3 stores, want 3", n)
+			var wg sync.WaitGroup
+			for g := 0; g < 4; g++ {
+				wg.Add(1)
+				go func(g int) {
+					defer wg.Done()
+					for i := g; i < 300; i += 13 {
+						q := core.Query{Text: seed[i], K: 1}
+						want := frozen.Search(q) // the inserts are far from every seed
+						timed, err := live.SearchContext(ctx, q)
+						if got := live.Search(q); err != nil || !core.Equal(got, want) || !core.Equal(timed, want) {
+							t.Errorf("query %+v: no deadline %v, deadline %v (err %v), want %v", q, got, timed, err, want)
+							return
+						}
+					}
+				}(g)
+			}
+			wg.Wait()
+
+			runner.tasks.Store(0)
+			live.Search(core.Query{Text: seed[0], K: 1})
+			if n := runner.tasks.Swap(0); n != c.handed {
+				t.Errorf("no deadline: the runner was handed %d of 3 stores, want %d", n, c.handed)
+			}
+			if _, err := live.SearchContext(ctx, core.Query{Text: seed[0], K: 1}); err != nil {
+				t.Fatal(err)
+			}
+			if n := runner.tasks.Load(); n != c.handed {
+				t.Errorf("deadline: the runner was handed %d of 3 stores, want %d", n, c.handed)
+			}
+		})
 	}
 }
 

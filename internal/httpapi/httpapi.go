@@ -19,9 +19,12 @@
 // Timeout: a client disconnect or an expired deadline abandons the query
 // (promptly, for context-aware engines such as the sharded executor) and
 // reports 504. Query texts over MaxQueryLen get 400, /search/batch bodies
-// over MaxBody get 413, and a failing query inside a batch reports its own
-// per-result error instead of failing the whole batch — on the sharded and
-// the serial path alike. Serve/ListenAndServe add graceful shutdown.
+// over MaxBody get 413 and bodies that are not valid UTF-8 get 400 (query
+// bytes that are not UTF-8 travel base64-encoded in a query's q_b64, as the
+// coordinator forwards them), and a failing query inside a batch
+// reports its own per-result error instead of failing the whole batch — on
+// the sharded and the serial path alike. Serve/ListenAndServe add graceful
+// shutdown.
 //
 // When the engine is the live mutable dictionary (see internal/lsm and the
 // facade's NewLive), /insert and /delete accept JSON writes; each effective
@@ -44,13 +47,16 @@ package httpapi
 
 import (
 	"context"
+	"encoding/base64"
 	"encoding/json"
 	"errors"
+	"io"
 	"net"
 	"net/http"
 	"net/http/pprof"
 	"strconv"
 	"time"
+	"unicode/utf8"
 
 	"simsearch/internal/cache"
 	"simsearch/internal/core"
@@ -93,7 +99,7 @@ type Server struct {
 	// Defaults to 1024.
 	MaxQueryLen int
 	// MaxBody caps the /search/batch request body in bytes, enforced by
-	// http.MaxBytesReader while the JSON decoder streams — the MaxBatch
+	// http.MaxBytesReader while the body is read — the MaxBatch
 	// check alone would run only after an arbitrarily large body had been
 	// read. Oversize bodies get 413. Defaults to 1 MiB.
 	MaxBody int64
@@ -475,10 +481,65 @@ type BatchRequest struct {
 	Queries []BatchQuery `json:"queries"`
 }
 
-// BatchQuery is one query in a batch request.
+// BatchQuery is one query in a batch request. A JSON string holds only
+// valid UTF-8, so Q suits text; QB64 carries any bytes exactly, in standard
+// padded base64 (ExactQuery). Set one of the two.
 type BatchQuery struct {
-	Q string `json:"q"`
-	K *int   `json:"k,omitempty"` // nil → default 2
+	Q    string `json:"q,omitempty"`
+	QB64 string `json:"q_b64,omitempty"`
+	K    *int   `json:"k,omitempty"` // nil → default 2
+}
+
+// The 400s a batch body earns for how it spells its query bytes, before any
+// other check.
+var (
+	ErrBodyNotUTF8    = errors.New("request body is not valid UTF-8: send query bytes that are not UTF-8 in q_b64")
+	ErrBothQueryForms = errors.New("a query sets both q and q_b64")
+	ErrBadQB64        = errors.New("q_b64 is not standard padded base64")
+)
+
+// ExactQuery returns the BatchQuery that carries text byte for byte: in Q
+// when text is valid UTF-8, so a forwarded body stays about the size of the
+// client's, and base64-encoded in QB64 only when it is not.
+func ExactQuery(text string, k int) BatchQuery {
+	if utf8.ValidString(text) {
+		return BatchQuery{Q: text, K: &k}
+	}
+	return BatchQuery{QB64: base64.StdEncoding.EncodeToString([]byte(text)), K: &k}
+}
+
+// Text returns the query's bytes: QB64 decoded when it is set, else Q.
+func (bq BatchQuery) Text() (string, error) {
+	if bq.QB64 == "" {
+		return bq.Q, nil
+	}
+	if bq.Q != "" {
+		return "", ErrBothQueryForms
+	}
+	b, err := base64.StdEncoding.DecodeString(bq.QB64)
+	if err != nil {
+		return "", ErrBadQB64
+	}
+	return string(b), nil
+}
+
+// DecodeBatch reads a /search/batch body. It must be valid UTF-8: decoding
+// JSON turns each invalid byte inside a string into U+FFFD, which would
+// answer a different query than the one sent. A body over a
+// http.MaxBytesReader's limit fails with its *http.MaxBytesError.
+func DecodeBatch(body io.Reader) (BatchRequest, error) {
+	var req BatchRequest
+	raw, err := io.ReadAll(body)
+	if err != nil {
+		return req, err
+	}
+	if !utf8.Valid(raw) {
+		return req, ErrBodyNotUTF8
+	}
+	if err := json.Unmarshal(raw, &req); err != nil {
+		return req, errors.New("invalid JSON: " + err.Error())
+	}
+	return req, nil
 }
 
 // BatchResponse is the /search/batch payload.
@@ -503,13 +564,13 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	}
 	body := r.Body
 	if s.MaxBody > 0 {
-		// Cap the body while the decoder streams: without this, the
+		// Cap the body while it is read: without this, the
 		// MaxBatch check would run only after an arbitrarily large body
 		// had already been read into memory.
 		body = http.MaxBytesReader(w, r.Body, s.MaxBody)
 	}
-	var req BatchRequest
-	if err := json.NewDecoder(body).Decode(&req); err != nil {
+	req, err := DecodeBatch(body)
+	if err != nil {
 		var tooBig *http.MaxBytesError
 		if errors.As(err, &tooBig) {
 			s.fail(w, http.StatusRequestEntityTooLarge,
@@ -517,7 +578,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 					strconv.FormatInt(tooBig.Limit, 10)+" bytes")
 			return
 		}
-		s.fail(w, http.StatusBadRequest, "invalid JSON: "+err.Error())
+		s.fail(w, http.StatusBadRequest, err.Error())
 		return
 	}
 	if len(req.Queries) == 0 {
@@ -530,11 +591,16 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	}
 	qs := make([]core.Query, len(req.Queries))
 	for i, bq := range req.Queries {
-		if bq.Q == "" {
+		text, err := bq.Text()
+		if err != nil {
+			s.fail(w, http.StatusBadRequest, err.Error())
+			return
+		}
+		if text == "" {
 			s.fail(w, http.StatusBadRequest, "empty q in batch")
 			return
 		}
-		if !s.queryLenOK(w, bq.Q) {
+		if !s.queryLenOK(w, text) {
 			return
 		}
 		k := 2
@@ -545,7 +611,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 			s.fail(w, http.StatusBadRequest, "k out of range in batch")
 			return
 		}
-		qs[i] = core.Query{Text: bq.Q, K: k}
+		qs[i] = core.Query{Text: text, K: k}
 	}
 
 	ctx, cancel := s.queryCtx(r)

@@ -325,20 +325,35 @@ func TestBatchEndpointErrors(t *testing.T) {
 	cases := []struct {
 		body string
 		code int
+		err  error // the typed error's text, where there is one
 	}{
-		{`{"queries":[]}`, http.StatusBadRequest},
-		{`not json`, http.StatusBadRequest},
-		{`{"queries":[{"q":""}]}`, http.StatusBadRequest},
-		{`{"queries":[{"q":"x","k":-1}]}`, http.StatusBadRequest},
-		{`{"queries":[{"q":"x","k":99}]}`, http.StatusBadRequest},
-		{`{"queries":[{"q":"a"},{"q":"b"},{"q":"c"}]}`, http.StatusRequestEntityTooLarge},
+		{`{"queries":[]}`, http.StatusBadRequest, nil},
+		{`not json`, http.StatusBadRequest, nil},
+		{`{"queries":[{"q":""}]}`, http.StatusBadRequest, nil},
+		{`{"queries":[{"q":"x","k":-1}]}`, http.StatusBadRequest, nil},
+		{`{"queries":[{"q":"x","k":99}]}`, http.StatusBadRequest, nil},
+		{`{"queries":[{"q":"a"},{"q":"b"},{"q":"c"}]}`, http.StatusRequestEntityTooLarge, nil},
+		{"{\"queries\":[{\"q\":\"b\xe9rn\"}]}", http.StatusBadRequest, ErrBodyNotUTF8},
+		{`{"queries":[{"q":"bern","q_b64":"YmVybg=="}]}`, http.StatusBadRequest, ErrBothQueryForms},
+		{`{"queries":[{"q_b64":"YmVybg"}]}`, http.StatusBadRequest, ErrBadQB64},
 	}
 	for _, c := range cases {
 		var e ErrorResponse
 		r := postJSON(t, ts.URL+"/search/batch", c.body, &e)
 		if r.StatusCode != c.code {
-			t.Errorf("%s: status %d, want %d", c.body, r.StatusCode, c.code)
+			t.Errorf("%q: status %d, want %d", c.body, r.StatusCode, c.code)
 		}
+		if c.err != nil && e.Error != c.err.Error() {
+			t.Errorf("%q: error %q, want %q", c.body, e.Error, c.err)
+		}
+	}
+	// q_b64 carries any bytes: here bytes that are UTF-8, which must answer
+	// as q does.
+	var br BatchResponse
+	postJSON(t, ts.URL+"/search/batch", `{"queries":[{"q_b64":"YmVybg==","k":0},{"q":"bern","k":0}]}`, &br)
+	if len(br.Results) != 2 || len(br.Results[0].Matches) != 1 ||
+		!reflect.DeepEqual(br.Results[0], br.Results[1]) {
+		t.Errorf("q_b64 and q answer differently: %+v", br.Results)
 	}
 	// GET is rejected.
 	resp, err := http.Get(ts.URL + "/search/batch")

@@ -37,8 +37,11 @@ type Live struct {
 
 // NewLive builds a memory-only live engine seeded with data (duplicates
 // dropped, first occurrence wins, string i gets id i). shards <= 0 selects
-// one store per CPU. opts contributes Workers (search fan-out pool),
-// CacheSize (query-result cache above the fan-out), FlushLimit and
+// one store per CPU. A search asks the stores one after another on the
+// caller's goroutine, and fans them out only once the engine has measured
+// that a store's share at that threshold is long enough to pay for the
+// hand-off. opts contributes Workers (the pool those searches fan out on),
+// CacheSize (query-result cache above the stores), FlushLimit and
 // MaxSegments via their defaults; other engine options do not apply to the
 // live store.
 func NewLive(data []string, shards int, opts Options) *Live {

@@ -222,7 +222,7 @@ func SearchBatch(eng Searcher, qs []Query) [][]Match {
 }
 
 // Sharded is the partition-then-merge batch executor: the dataset is split
-// into contiguous shards, each shard runs its own engine, and queries fan
+// into contiguous shards, each shard runs its own engine, and batches fan
 // across shards on a worker pool. Results are always identical to the
 // single-engine path; see NewSharded.
 type Sharded = exec.Sharded
@@ -234,9 +234,12 @@ type QueryResult = exec.QueryResult
 // NewSharded partitions data into shards contiguous partitions, builds one
 // engine per shard according to opts (exactly as New does, except shard
 // engines are kept serial — parallelism comes from the executor), and
-// answers queries shard-parallel on a fixed pool of opts.Workers goroutines
-// (GOMAXPROCS when <= 0). opts.QueryTimeout, when set, bounds each query in
-// SearchBatchContext individually.
+// answers batches shard-parallel on a fixed pool of opts.Workers goroutines
+// (GOMAXPROCS when <= 0). A single query runs its shards one after another
+// on the caller's goroutine, and fans them out on that pool only once the
+// executor has measured that a shard's share at that threshold is long
+// enough to pay for the hand-off. opts.QueryTimeout, when set, bounds each
+// query in SearchBatchContext individually.
 //
 // The executor returns byte-for-byte the same matches in the same order as
 // the corresponding single engine, for every shard count; sharding changes
