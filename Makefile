@@ -53,7 +53,6 @@ fuzz:
 # Every fuzz target for FUZZ_SMOKE_TIME each; part of `make check`.
 fuzz-smoke:
 	$(GO) test -run=NONE -fuzz='^FuzzEnginesAgree$$' -fuzztime=$(FUZZ_SMOKE_TIME) .
-	$(GO) test -run=NONE -fuzz='^FuzzBitParallelIdentical$$' -fuzztime=$(FUZZ_SMOKE_TIME) .
 	$(GO) test -run=NONE -fuzz='^FuzzCascadeIdentical$$' -fuzztime=$(FUZZ_SMOKE_TIME) .
 	$(GO) test -run=NONE -fuzz='^FuzzDifferential$$' -fuzztime=$(FUZZ_SMOKE_TIME) ./internal/exec
 	$(GO) test -run=NONE -fuzz='^FuzzCachedIdentical$$' -fuzztime=$(FUZZ_SMOKE_TIME) ./internal/cache

@@ -7,10 +7,11 @@ import (
 	"simsearch/internal/core"
 )
 
-// TestNewRouterFacade: NewAuto and the two deprecated router names build the
-// filtered sweep and nothing else, per shard too, and answer as the DP scan
-// does on the inputs the router's prior used to keep off the sweep — corpora
-// too small to amortize a build, and a threshold permissive for the strings.
+// TestNewRouterFacade: NewAuto and the deprecated router and bit-parallel
+// names build the filtered sweep and nothing else, per shard too, and answer
+// as the DP scan does on the inputs the router's prior used to keep off the
+// sweep — corpora too small to amortize a build, and a threshold permissive
+// for the strings.
 func TestNewRouterFacade(t *testing.T) {
 	names := simsearch.GenerateCities(17, 11)
 	reads := simsearch.GenerateDNAReads(17, 11)
@@ -29,20 +30,27 @@ func TestNewRouterFacade(t *testing.T) {
 	}
 	for _, tc := range cases {
 		want := simsearch.NewScan(tc.data).Search(tc.q)
-		sharded := simsearch.NewSharded(tc.data, 2, simsearch.Options{Algorithm: simsearch.Router})
-		for i, se := range sharded.ShardEngines() {
-			if _, ok := se.(*core.Cascade); !ok {
-				t.Errorf("%s: shard %d holds a %T, want *core.Cascade", tc.name, i, se)
+		for _, alg := range []simsearch.Algorithm{simsearch.Router, simsearch.BitParallel} {
+			sharded := simsearch.NewSharded(tc.data, 2, simsearch.Options{Algorithm: alg})
+			for i, se := range sharded.ShardEngines() {
+				if _, ok := se.(*core.Cascade); !ok {
+					t.Errorf("%s: algorithm %d's shard %d holds a %T, want *core.Cascade", tc.name, alg, i, se)
+				}
+			}
+			if got := sharded.Search(tc.q); !matchesEqual(got, want) {
+				t.Errorf("%s: algorithm %d sharded answers %v, the scan %v", tc.name, alg, got, want)
 			}
 		}
-		if got := sharded.Search(tc.q); !matchesEqual(got, want) {
-			t.Errorf("%s: sharded answers %v, the scan %v", tc.name, got, want)
-		}
 		for ctor, eng := range map[string]simsearch.Searcher{
-			"NewAuto":   simsearch.NewAuto(tc.data, tc.q.K),
-			"NewRouter": simsearch.NewRouter(tc.data),
-			"New":       simsearch.New(tc.data, simsearch.Options{Algorithm: simsearch.Router}),
+			"NewAuto":          simsearch.NewAuto(tc.data, tc.q.K),
+			"NewRouter":        simsearch.NewRouter(tc.data),
+			"New(Router)":      simsearch.New(tc.data, simsearch.Options{Algorithm: simsearch.Router}),
+			"NewBitParallel":   simsearch.NewBitParallel(tc.data, 4),
+			"New(BitParallel)": simsearch.New(tc.data, simsearch.Options{Algorithm: simsearch.BitParallel, Workers: 4}),
 		} {
+			if _, ok := eng.(*core.Cascade); !ok {
+				t.Errorf("%s: %s is a %T, want *core.Cascade", tc.name, ctor, eng)
+			}
 			if eng.Name() != tc.want || eng.Len() != len(tc.data) {
 				t.Errorf("%s: %s is %q over %d strings, want %q over %d",
 					tc.name, ctor, eng.Name(), eng.Len(), tc.want, len(tc.data))

@@ -193,9 +193,10 @@ func BenchmarkFigure7_DNA(b *testing.B) {
 
 // --- Ablations (DESIGN.md §5) --------------------------------------------------
 
-// BenchmarkAblationEditDistance compares the kernel ladder on both alphabets:
-// full matrix, two-row, the paper's §3.2 kernel, the banded kernel and the
-// Myers bit-parallel kernel.
+// BenchmarkAblationEditDistance compares the DP kernel ladder on both
+// alphabets: full matrix, two-row, the paper's §3.2 kernel and the banded
+// kernel. The compiled Myers kernels have their own benchmark
+// (internal/edit's BenchmarkBoundedKernels).
 func BenchmarkAblationEditDistance(b *testing.B) {
 	city, dna := workloads()
 	pairs := map[string][2]string{
@@ -225,11 +226,6 @@ func BenchmarkAblationEditDistance(b *testing.B) {
 			var s edit.Scratch
 			for i := 0; i < b.N; i++ {
 				s.BoundedDistance(p[0], p[1], k)
-			}
-		})
-		b.Run(name+"/myers", func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				edit.MyersDistance(p[0], p[1])
 			}
 		})
 	}
@@ -282,26 +278,23 @@ func BenchmarkAblationSorting(b *testing.B) {
 	})
 }
 
-// BenchmarkAblationBitParallel races the production BitParallel rung against
-// the paper's best serial kernel (SimpleTypes) and its banded variant, on
-// both alphabets, serial and with intra-query chunking (Table XV in
-// paperbench).
+// BenchmarkAblationBitParallel races the cascade's query-compiled kernel
+// and words against the paper's best serial kernel (SimpleTypes) and its
+// banded variant, on both alphabets (Table XV in paperbench).
 func BenchmarkAblationBitParallel(b *testing.B) {
 	city, dna := workloads()
 	for _, wl := range []bench.Workload{city, dna} {
-		configs := []struct {
+		engines := []struct {
 			name string
-			opts []scan.Option
+			eng  core.Searcher
 		}{
-			{"simple-types", []scan.Option{scan.WithStrategy(scan.SimpleTypes)}},
-			{"simple-types-banded", []scan.Option{scan.WithStrategy(scan.SimpleTypes), scan.WithBandedKernel()}},
-			{"bit-parallel", []scan.Option{scan.WithStrategy(scan.BitParallel)}},
-			{"bit-parallel-4w", []scan.Option{scan.WithStrategy(scan.BitParallel), scan.WithWorkers(4)}},
+			{"simple-types", core.NewSequential(wl.Data, scan.WithStrategy(scan.SimpleTypes))},
+			{"simple-types-banded", core.NewSequential(wl.Data, scan.WithStrategy(scan.SimpleTypes), scan.WithBandedKernel())},
+			{"cascade", core.NewCascade(wl.Data)},
 		}
-		for _, c := range configs {
-			eng := core.NewSequential(wl.Data, c.opts...)
-			b.Run(wl.Name+"/"+c.name, func(b *testing.B) {
-				benchBatch(b, eng, wl.Queries, nil)
+		for _, e := range engines {
+			b.Run(wl.Name+"/"+e.name, func(b *testing.B) {
+				benchBatch(b, e.eng, wl.Queries, nil)
 			})
 		}
 	}

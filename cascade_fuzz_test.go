@@ -86,8 +86,7 @@ func FuzzCascadeIdentical(f *testing.F) {
 		want := simsearch.NewScan(data).Search(query)
 
 		engines := []simsearch.Searcher{
-			simsearch.NewCascade(data),        // direct
-			simsearch.NewBitParallel(data, 0), // cross-check rung
+			simsearch.NewCascade(data), // direct
 			simsearch.NewSharded(data, 3, simsearch.Options{Algorithm: simsearch.Cascade}),     // sharded
 			simsearch.New(data, simsearch.Options{Algorithm: simsearch.Cascade, CacheSize: 8}), // cached
 		}

@@ -45,7 +45,7 @@ func main() {
 		extra    = flag.Bool("extra", false, "also run the extension experiments (join race, engine matrix)")
 		shards   = flag.Bool("shards", false, "also run the sharded-executor sweep (Table XIV), the serving-path analogue of the paper's worker sweep")
 		workers  = flag.Int("workers", 0, "pool workers for the shard sweep (default GOMAXPROCS)")
-		bitp     = flag.Bool("bitparallel", false, "also run the bit-parallel scan ablation (Table XV: paper kernel vs banded vs the query-compiled kernel without and with the signature words, serial and intra-query parallel)")
+		bitp     = flag.Bool("bitparallel", false, "also run the bit-parallel scan ablation (Table XV: paper kernel vs banded vs the query-compiled kernel without and with the signature words)")
 		casc     = flag.Bool("cascade", false, "also run the filter-cascade ablation (Table XVI: the cascade at k=1..3, with and without its signature word)")
 		cascChk  = flag.Bool("cascadecheck", false, "run only the cascade CI gate: tiny-dataset correctness vs the DP oracle plus the prune check on each signature kind")
 		jsonPath = flag.String("json", "", "write machine-readable measurements (engine, dataset, k, ns/query, comparisons) to this file; implies -bitparallel unless -cascade is given")
@@ -212,13 +212,13 @@ func main() {
 				continue
 			}
 			start := time.Now()
-			tab := bench.TableXV(w.wl, *workers)
+			tab := bench.TableXV(w.wl)
 			tab.Render(os.Stdout)
 			fmt.Printf("[tableXV %s completed in %v; best row: %s]\n\n",
 				w.wl.Name, time.Since(start).Round(time.Millisecond), tab.Best())
 			if *jsonPath != "" {
 				report.Strings = len(w.wl.Data)
-				report.Add(bench.BitParallelRecords(w.wl, *workers)...)
+				report.Add(bench.BitParallelRecords(w.wl)...)
 			}
 		}
 	}

@@ -58,7 +58,7 @@ func main() {
 		dataPath = flag.String("data", "", "dataset file, one string per line")
 		gen      = flag.String("gen", "", "generate a synthetic dataset instead: city or dna")
 		n        = flag.Int("n", 40000, "synthetic dataset size")
-		engine   = flag.String("engine", "cascade", "engine: cascade, bitparallel, scan, trie")
+		engine   = flag.String("engine", "cascade", "engine: cascade, scan, trie")
 		workers  = flag.Int("workers", 0, "scan engine workers (unsharded) or executor pool workers (sharded)")
 		shards   = flag.Int("shards", 0, "partition the dataset across this many shards (0 = single engine)")
 		addr     = flag.String("addr", ":8080", "listen address")
@@ -97,8 +97,6 @@ func main() {
 	switch *engine {
 	case "scan":
 		opts.Algorithm = simsearch.Scan
-	case "bitparallel":
-		opts.Algorithm = simsearch.BitParallel
 	case "cascade":
 		opts.Algorithm = simsearch.Cascade
 	case "trie":

@@ -77,7 +77,6 @@ func main() {
 		build(func() simsearch.Searcher {
 			return simsearch.New(data, simsearch.Options{Algorithm: simsearch.Trie, PaperFaithful: true})
 		}),
-		build(func() simsearch.Searcher { return simsearch.NewBitParallel(data, 0) }),
 		build(func() simsearch.Searcher { return simsearch.NewCascade(data) }),
 	}
 

@@ -57,9 +57,9 @@ func Clusters(data []string, k int, workers int) [][]int32 {
 // thresholds the paper asks on names: 100,000 city names at k = 12
 // (+14–31%) and at k = 16 (+50–75%: nearly every string matches, so the
 // words reject nothing and the matches leave in word order to be sorted).
-// NewBitParallel now runs the same sweep and the bare scan is gone, so no
+// The bare scan is gone and every scan left is the cascade's sweep, so no
 // engine in the library is faster there: re-measured ("The cells the bare
-// scan held"), NewBitParallel went 4.7–5.8 → 6.8 ms a query at k = 12 and
+// scan held"), the sweep went 4.7–5.8 → 6.8 ms a query at k = 12 and
 // 6.5–8.3 → 11.8 ms at k = 16, while k = 1 went 235–244 → 6–7 µs. A third
 // cell, 10,000 reads at k = 16, was sized as a +13% loss and re-measured as
 // a tie.

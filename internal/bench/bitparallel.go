@@ -10,13 +10,12 @@ import (
 )
 
 // rung is one row of an ablation table: a short stable slug for JSON
-// records, a table label, the intra-query workers it runs with, and how to
-// build it with (or, given nil, without) a kernel-call counter.
+// records, a table label, and how to build it with (or, given nil, without)
+// a kernel-call counter.
 type rung struct {
-	slug    string
-	label   string
-	workers int
-	build   func(data []string, comps *metrics.Counter) core.Searcher
+	slug  string
+	label string
+	build func(data []string, comps *metrics.Counter) core.Searcher
 }
 
 // scanRung builds a scan.Engine rung from its options.
@@ -44,42 +43,34 @@ func cascadeRung(opts ...core.CascadeOption) func([]string, *metrics.Counter) co
 // bitParallelRungs builds the ablation ladder: the paper's best serial rung,
 // the banded variant this library defaults to, the query-compiled kernel
 // over the length window with no words in front of it (the cascade with its
-// words off), and the BitParallel rung, whose words decide which slots reach
-// that kernel, serial and with intra-query chunking across workers
-// goroutines (forced to at least 2 so the chunk-merge path is always
-// exercised and its cost on few-core machines is recorded honestly).
-func bitParallelRungs(workers int) []rung {
-	if workers < 2 {
-		workers = 2
-	}
+// words off), and the cascade, whose words decide which slots reach that
+// kernel.
+func bitParallelRungs() []rung {
 	return []rung{
-		{"simple-types", "1) simple-types (paper §3.4 kernel)", 0,
+		{"simple-types", "1) simple-types (paper §3.4 kernel)",
 			scanRung(scan.WithStrategy(scan.SimpleTypes))},
-		{"simple-types+banded", "2) simple-types + banded kernel", 0,
+		{"simple-types+banded", "2) simple-types + banded kernel",
 			scanRung(scan.WithStrategy(scan.SimpleTypes), scan.WithBandedKernel())},
-		{"cascade-nofreq", "3) query-compiled kernel, no words", 0,
+		{"cascade-nofreq", "3) query-compiled kernel, no words",
 			cascadeRung(core.WithoutFrequency())},
-		{"bit-parallel", "4) bit-parallel (+ words, serial)", 0,
-			scanRung(scan.WithStrategy(scan.BitParallel))},
-		{fmt.Sprintf("bit-parallel-%dw", workers),
-			fmt.Sprintf("5) bit-parallel (+ words, %d workers, intra-query)", workers), workers,
-			scanRung(scan.WithStrategy(scan.BitParallel), scan.WithWorkers(workers))},
+		{"cascade", "4) cascade (+ words)", cascadeRung()},
 	}
 }
 
 // TableXV is the bit-parallel ablation: how far past the paper's §3.4 ladder
-// the query-compiled scan pushes the sequential solution. Layout matches the
-// other appendix tables (batch-size columns, one engine per row).
-func TableXV(w Workload, workers int) *Table {
-	return ablationTable(fmt.Sprintf("Table XV. Bit-parallel scan ablation on the %s data set", w.Name), w, bitParallelRungs(workers))
+// the query-compiled kernel, and the words in front of it, push the
+// sequential solution. Layout matches the other appendix tables (batch-size
+// columns, one engine per row).
+func TableXV(w Workload) *Table {
+	return ablationTable(fmt.Sprintf("Table XV. Bit-parallel scan ablation on the %s data set", w.Name), w, bitParallelRungs())
 }
 
 // BitParallelRecords measures every ablation rung per threshold k and returns
 // machine-readable records (ns/query and kernel comparisons) for the JSON
 // report. Speedup is relative to the first rung (the paper's §3.4 kernel) at
 // the same k.
-func BitParallelRecords(w Workload, workers int) []Record {
-	return ablationRecords("bitparallel-ablation", w, bitParallelRungs(workers), "simple-types")
+func BitParallelRecords(w Workload) []Record {
+	return ablationRecords("bitparallel-ablation", w, bitParallelRungs(), "simple-types")
 }
 
 // ablationTable times every rung over w's batch sizes, one row each.
@@ -132,7 +123,6 @@ func ablationRecords(experiment string, w Workload, rungs []rung, baseline strin
 				Queries:     len(sub),
 				NsPerQuery:  elapsed.Nanoseconds() / int64(len(sub)),
 				Comparisons: comps.Value() - compsBefore,
-				Workers:     r.workers,
 			}
 			if cc != nil {
 				after := cc.Stats()

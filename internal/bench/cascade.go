@@ -29,12 +29,11 @@ func cascadeWorkload(w Workload) Workload {
 
 // cascadeRungs are the cascade ablation's rows: the full cascade and the
 // cascade with its words off, which is the query-compiled kernel over the
-// length window and the baseline the speedups are read against. The
-// BitParallel rung is not a row: it runs the same sweep as the first.
+// length window and the baseline the speedups are read against.
 func cascadeRungs() []rung {
 	return []rung{
-		{"cascade", "1) cascade (length+signature+verify)", 0, cascadeRung()},
-		{"cascade-nofreq", "2) cascade without the signature word", 0, cascadeRung(core.WithoutFrequency())},
+		{"cascade", "1) cascade (length+signature+verify)", cascadeRung()},
+		{"cascade-nofreq", "2) cascade without the signature word", cascadeRung(core.WithoutFrequency())},
 	}
 }
 

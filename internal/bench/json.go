@@ -18,7 +18,6 @@ type Record struct {
 	Queries     int     `json:"queries"`
 	NsPerQuery  int64   `json:"ns_per_query"`
 	Comparisons uint64  `json:"comparisons"`
-	Workers     int     `json:"workers,omitempty"`
 	Speedup     float64 `json:"speedup_vs_baseline,omitempty"`
 
 	// Distributed-serving fields (only set by the -distrib sweep). Latency

@@ -138,7 +138,7 @@ func (s *Sequential) Name() string { return s.name }
 func (s *Sequential) Len() int { return s.eng.Len() }
 
 // ScanEngine exposes the underlying scan engine for observability surfaces
-// (ladder rung, pool size, BitParallel arena layout).
+// (ladder rung, pool size).
 func (s *Sequential) ScanEngine() *scan.Engine { return s.eng }
 
 // --- Trie engine ------------------------------------------------------------

@@ -45,16 +45,6 @@ func TestStepRowZeroAllocWithBuffer(t *testing.T) {
 	}
 }
 
-func TestMyers64ZeroAlloc(t *testing.T) {
-	a := "berlin"
-	b := "bern"
-	if n := testing.AllocsPerRun(200, func() {
-		myers64(a, b)
-	}); n != 0 {
-		t.Errorf("myers64 allocates %.1f per call, want 0", n)
-	}
-}
-
 // The compiled kernels sit inside every scan's candidate loop: on a read-sized
 // pattern neither the band kernel (k <= 31) nor the blocked kernel with a
 // warmed scratch (k = 32) may allocate.

@@ -6,7 +6,7 @@
 // single-character insertions, deletions and replacements transforming one
 // string into another. This package provides the full ladder of
 // edit-distance algorithms the paper's sequential engine steps through, plus
-// faster algorithms (bit-parallel Myers) used by the ablation benchmarks:
+// the bit-parallel Myers kernels the cascade verifies with:
 //
 //   - Distance / distanceFullMatrix: the textbook (lx+1)×(ly+1) dynamic
 //     programming matrix of paper §2.2, Figure 1.
@@ -15,8 +15,9 @@
 //     length filter (eq. 5), banded computation restricted to the diagonals
 //     that can still stay within k, and the main-diagonal early abort
 //     (eq. 6–8).
-//   - Myers bit-parallel distance for patterns up to 64 symbols and a
-//     blocked variant for longer patterns.
+//   - CompileMyers: the query compiled once into a Myers bit-parallel
+//     pattern, with a diagonal-band kernel for k <= 31 and a blocked column
+//     kernel above.
 //
 // All algorithms operate on byte strings. The paper's datasets are byte
 // oriented (the city names use "ca. 255 symbols", i.e. raw bytes; DNA uses

@@ -48,9 +48,6 @@ func TestDistancePaperExample(t *testing.T) {
 	if got := DistanceFullMatrix("AGGCGT", "AGAGT"); got != 2 {
 		t.Errorf("DistanceFullMatrix = %d, want 2", got)
 	}
-	if got := MyersDistance("AGGCGT", "AGAGT"); got != 2 {
-		t.Errorf("MyersDistance = %d, want 2", got)
-	}
 	if d, ok := BoundedDistance("AGGCGT", "AGAGT", 2); !ok || d != 2 {
 		t.Errorf("BoundedDistance(k=2) = %d,%v, want 2,true", d, ok)
 	}
@@ -85,9 +82,6 @@ func TestDistanceBasicCases(t *testing.T) {
 		}
 		if got := DistanceFullMatrix(c.a, c.b); got != c.want {
 			t.Errorf("DistanceFullMatrix(%q, %q) = %d, want %d", c.a, c.b, got, c.want)
-		}
-		if got := MyersDistance(c.a, c.b); got != c.want {
-			t.Errorf("MyersDistance(%q, %q) = %d, want %d", c.a, c.b, got, c.want)
 		}
 		if d, ok := BoundedDistance(c.a, c.b, c.want); !ok || d != c.want {
 			t.Errorf("BoundedDistance(%q, %q, k=%d) = %d,%v; want exact", c.a, c.b, c.want, d, ok)
@@ -169,9 +163,6 @@ func TestAlgorithmsAgreeRandom(t *testing.T) {
 			if got := DistanceFullMatrix(a, b); got != want {
 				t.Fatalf("DistanceFullMatrix(%q, %q) = %d, want %d", a, b, got, want)
 			}
-			if got := MyersDistance(a, b); got != want {
-				t.Fatalf("MyersDistance(%q, %q) = %d, want %d", a, b, got, want)
-			}
 			for k := 0; k <= want+2; k++ {
 				d, ok := BoundedDistance(a, b, k)
 				if k < want && ok {
@@ -186,9 +177,10 @@ func TestAlgorithmsAgreeRandom(t *testing.T) {
 }
 
 func TestMyersBlockLongStrings(t *testing.T) {
-	// Force the blocked kernel: both strings longer than 64 bytes
-	// (the DNA regime, length ~100).
+	// The compiled kernel over a pattern longer than 64 bytes, one word of
+	// the pattern bitset per 64 symbols (the DNA regime, length ~100).
 	r := rand.New(rand.NewSource(7))
+	var scratch MyersScratch
 	for i := 0; i < 120; i++ {
 		a := randomString(r, "ACGNT", 140)
 		for len(a) <= 64 {
@@ -199,8 +191,8 @@ func TestMyersBlockLongStrings(t *testing.T) {
 			b = randomString(r, "ACGNT", 140)
 		}
 		want := Distance(a, b)
-		if got := MyersDistance(a, b); got != want {
-			t.Fatalf("MyersDistance(len %d, len %d) = %d, want %d", len(a), len(b), got, want)
+		if got := CompileMyers(a).Distance(b, &scratch); got != want {
+			t.Fatalf("CompileMyers(len %d).Distance(len %d) = %d, want %d", len(a), len(b), got, want)
 		}
 	}
 }

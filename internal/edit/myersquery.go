@@ -1,10 +1,12 @@
 package edit
 
-// Query-compiled Myers kernel: the match table is built once per query and
-// then streamed over every candidate, instead of being rebuilt for every pair
-// as MyersDistance does. This is the amortization that makes the bit-parallel
-// kernel viable on the serving path — on the city-name workload the table
-// build costs as much as scanning a whole candidate.
+// Query-compiled Myers kernel (Gene Myers, "A fast bit-vector algorithm for
+// approximate string matching based on dynamic programming", JACM 1999; the
+// paper under reproduction stops at the banded DP): the match table is built
+// once per query and then streamed over every candidate, instead of being
+// rebuilt for every pair. This is the amortization that makes the
+// bit-parallel kernel viable on the serving path — on the city-name workload
+// the table build costs as much as scanning a whole candidate.
 //
 // Two bounded kernels read that one table. For k <= maxBandK the diagonal-band
 // kernel (myersband.go) slides a single 64-bit window down the DP matrix and

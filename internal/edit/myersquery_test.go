@@ -100,9 +100,9 @@ func (e *compileRaceErr) Error() string {
 	return "shared pattern diverged on " + e.s
 }
 
-func BenchmarkPerPairVsCompiled(b *testing.B) {
-	// The amortization the BitParallel rung is built on: MyersDistance
-	// rebuilds the peq table per pair, the compiled pattern builds it once.
+// BenchmarkCompiledMyers times the compiled pattern's exact and bounded
+// kernels over names: the table is built once, outside the loop.
+func BenchmarkCompiledMyers(b *testing.B) {
 	texts := make([]string, 1024)
 	r := rand.New(rand.NewSource(11))
 	for i := range texts {
@@ -114,11 +114,6 @@ func BenchmarkPerPairVsCompiled(b *testing.B) {
 		texts[i] = sb.String()
 	}
 	const q = "heidelberg"
-	b.Run("per-pair", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			MyersDistance(q, texts[i%len(texts)])
-		}
-	})
 	b.Run("compiled", func(b *testing.B) {
 		p := CompileMyers(q)
 		for i := 0; i < b.N; i++ {

@@ -56,27 +56,6 @@ func ScanFactory(opts ...scan.Option) Factory {
 	}
 }
 
-// BitParallelFactory builds bit-parallel scan shards: query-compiled Myers
-// kernel over a length-bucketed byte arena, reached only by the slots the
-// signature words let through (the words sweep CascadeFactory's shards run
-// too). Shard engines stay serial: the executor runs a batch's shard×query
-// grid and a long query's shards on its runner, so chunking inside a shard
-// would only oversubscribe the pool, and a short query is faster on one
-// goroutine than split at all.
-func BitParallelFactory() Factory {
-	return func(data []string) core.Searcher {
-		return core.NewSequential(data, scan.WithStrategy(scan.BitParallel))
-	}
-}
-
-// CascadeFactory builds filter-cascade shards (length bucket, one signature
-// word per string, bounded Myers verify; the word holds symbol counts when
-// the shard is pure DNA). Shard engines stay serial, for BitParallelFactory's
-// reasons.
-func CascadeFactory() Factory {
-	return func(data []string) core.Searcher { return core.NewCascade(data) }
-}
-
 // TrieFactory builds prefix-tree shards (compress selects the §4.2 variant).
 func TrieFactory(compress bool, opts ...trie.Option) Factory {
 	return func(data []string) core.Searcher {

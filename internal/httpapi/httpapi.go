@@ -21,7 +21,8 @@
 // reports 504. Query texts over MaxQueryLen get 400, /search/batch bodies
 // over MaxBody get 413 and bodies that are not valid UTF-8 get 400 (query
 // bytes that are not UTF-8 travel base64-encoded in a query's q_b64, as the
-// coordinator forwards them), and a failing query inside a batch
+// coordinator forwards them; /insert and /delete take UTF-8 strings only),
+// and a failing query inside a batch
 // reports its own per-result error instead of failing the whole batch — on
 // the sharded and the serial path alike. Serve/ListenAndServe add graceful
 // shutdown.
@@ -491,9 +492,10 @@ type BatchQuery struct {
 }
 
 // The 400s a batch body earns for how it spells its query bytes, before any
-// other check.
+// other check; an /insert or /delete body that is not valid UTF-8 earns the
+// first.
 var (
-	ErrBodyNotUTF8    = errors.New("request body is not valid UTF-8: send query bytes that are not UTF-8 in q_b64")
+	ErrBodyNotUTF8    = errors.New("request body is not valid UTF-8: send query bytes that are not UTF-8 in a batch's q_b64")
 	ErrBothQueryForms = errors.New("a query sets both q and q_b64")
 	ErrBadQB64        = errors.New("q_b64 is not standard padded base64")
 )
@@ -523,23 +525,30 @@ func (bq BatchQuery) Text() (string, error) {
 	return string(b), nil
 }
 
-// DecodeBatch reads a /search/batch body. It must be valid UTF-8: decoding
-// JSON turns each invalid byte inside a string into U+FFFD, which would
-// answer a different query than the one sent. A body over a
-// http.MaxBytesReader's limit fails with its *http.MaxBytesError.
+// DecodeBatch reads a /search/batch body; see decodeUTF8.
 func DecodeBatch(body io.Reader) (BatchRequest, error) {
 	var req BatchRequest
+	err := decodeUTF8(body, &req)
+	return req, err
+}
+
+// decodeUTF8 reads a JSON body into v. The body must be valid UTF-8:
+// decoding JSON turns each invalid byte inside a string into U+FFFD, which
+// would answer a different query, or store a different string, than the one
+// sent. A body over a http.MaxBytesReader's limit fails with its
+// *http.MaxBytesError.
+func decodeUTF8(body io.Reader, v any) error {
 	raw, err := io.ReadAll(body)
 	if err != nil {
-		return req, err
+		return err
 	}
 	if !utf8.Valid(raw) {
-		return req, ErrBodyNotUTF8
+		return ErrBodyNotUTF8
 	}
-	if err := json.Unmarshal(raw, &req); err != nil {
-		return req, errors.New("invalid JSON: " + err.Error())
+	if err := json.Unmarshal(raw, v); err != nil {
+		return errors.New("invalid JSON: " + err.Error())
 	}
-	return req, nil
+	return nil
 }
 
 // BatchResponse is the /search/batch payload.
@@ -782,15 +791,11 @@ type CacheStatsJSON struct {
 }
 
 // ScanStatsJSON is the sequential-scan section of the /stats payload: the
-// ladder rung, the pool size, and — on the BitParallel rung — the packed
-// arena layout (how many strings and bytes the contiguous buffer holds, and
-// how many length buckets the O(1) length filter selects over).
+// ladder rung and the pool size. The packed arena is the cascade's, and its
+// layout is in the cascade section.
 type ScanStatsJSON struct {
-	Strategy     string `json:"strategy"`
-	Workers      int    `json:"workers,omitempty"`
-	ArenaStrings int    `json:"arena_strings,omitempty"`
-	ArenaBytes   int    `json:"arena_bytes,omitempty"`
-	ArenaBuckets int    `json:"arena_buckets,omitempty"`
+	Strategy string `json:"strategy"`
+	Workers  int    `json:"workers,omitempty"`
 }
 
 // CascadeStatsJSON is the filter-cascade section of the /stats payload: the
@@ -842,13 +847,7 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	}
 	if seq, ok := engineAs[*core.Sequential](s.eng); ok {
 		eng := seq.ScanEngine()
-		sj := &ScanStatsJSON{Strategy: eng.Strategy().String(), Workers: eng.Workers()}
-		if as, ok := eng.ArenaStats(); ok {
-			sj.ArenaStrings = as.Strings
-			sj.ArenaBytes = as.Bytes
-			sj.ArenaBuckets = as.Buckets
-		}
-		resp.Scan = sj
+		resp.Scan = &ScanStatsJSON{Strategy: eng.Strategy().String(), Workers: eng.Workers()}
 	}
 	if cs := cascades(s.eng); len(cs) > 0 {
 		st := cascadeTotals(cs)

@@ -143,7 +143,7 @@ func TestHammingEndpoint(t *testing.T) {
 	servers := map[string]http.Handler{
 		"scan":    New(core.NewSequential(data), data),
 		"cascade": New(core.NewCascade(data), data),
-		"sharded": New(exec.New(data, exec.Options{Shards: 2, Factory: exec.CascadeFactory()}), data),
+		"sharded": New(exec.New(data, exec.Options{Shards: 2, Factory: cascadeShards}), data),
 		"cached":  New(cache.New(core.NewCascade(data), cache.Options{}), data),
 		"live":    live,
 	}
@@ -202,7 +202,7 @@ func TestStatsCascadeSection(t *testing.T) {
 		swept   uint64
 	}{
 		{"direct", core.NewCascade(dna), "cascade/dna", 1, 16},
-		{"two shards, cached", cache.New(exec.New(dna, exec.Options{Shards: 2, Factory: exec.CascadeFactory()}), cache.Options{}),
+		{"two shards, cached", cache.New(exec.New(dna, exec.Options{Shards: 2, Factory: cascadeShards}), cache.Options{}),
 			"sharded-2/cascade/dna", 2, 15},
 	} {
 		srv := New(tc.eng, dna)
@@ -472,3 +472,6 @@ func TestGracefulShutdown(t *testing.T) {
 		t.Error("server still accepting after shutdown")
 	}
 }
+
+// cascadeShards builds the serving engine's shards.
+func cascadeShards(d []string) core.Searcher { return core.NewCascade(d) }

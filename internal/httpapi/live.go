@@ -60,8 +60,8 @@ type MutateResponse struct {
 	TookµS  int64  `json:"took_us"`
 }
 
-// decodeMutation enforces method, content type, body size, and string
-// bounds, returning ok=false after writing the error response.
+// decodeMutation enforces method, content type, body size, valid UTF-8, and
+// string bounds, returning ok=false after writing the error response.
 func (s *Server) decodeMutation(w http.ResponseWriter, r *http.Request) (string, bool) {
 	if r.Method != http.MethodPost {
 		s.fail(w, http.StatusMethodNotAllowed, "POST only")
@@ -81,7 +81,7 @@ func (s *Server) decodeMutation(w http.ResponseWriter, r *http.Request) (string,
 		body = http.MaxBytesReader(w, r.Body, s.MaxBody)
 	}
 	var req MutateRequest
-	if err := json.NewDecoder(body).Decode(&req); err != nil {
+	if err := decodeUTF8(body, &req); err != nil {
 		var tooBig *http.MaxBytesError
 		if errors.As(err, &tooBig) {
 			s.fail(w, http.StatusRequestEntityTooLarge,
@@ -89,7 +89,7 @@ func (s *Server) decodeMutation(w http.ResponseWriter, r *http.Request) (string,
 					strconv.FormatInt(tooBig.Limit, 10)+" bytes")
 			return "", false
 		}
-		s.fail(w, http.StatusBadRequest, "invalid JSON: "+err.Error())
+		s.fail(w, http.StatusBadRequest, err.Error())
 		return "", false
 	}
 	if req.S == "" {

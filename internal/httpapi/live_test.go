@@ -129,7 +129,7 @@ func TestLiveCacheInvalidationVisible(t *testing.T) {
 }
 
 func TestLiveMutationRejections(t *testing.T) {
-	s, _ := liveServer(t, []string{"one", "two"})
+	s, ex := liveServer(t, []string{"one", "two"})
 
 	for _, path := range []string{"/insert", "/delete"} {
 		// Wrong method.
@@ -167,6 +167,18 @@ func TestLiveMutationRejections(t *testing.T) {
 		long := `{"s":"` + strings.Repeat("a", s.MaxQueryLen+1) + `"}`
 		if w := postMutate(s, path, long); w.Code != http.StatusBadRequest {
 			t.Errorf("POST %s oversize s: code %d, want 400", path, w.Code)
+		}
+
+		// Not UTF-8: JSON decoding would turn the raw \xe9 into U+FFFD and
+		// store "caf\uFFFD", a string nobody sent.
+		w = postMutate(s, path, "{\"s\":\"caf\xe9\"}")
+		var e ErrorResponse
+		json.Unmarshal(w.Body.Bytes(), &e)
+		if w.Code != http.StatusBadRequest || e.Error != ErrBodyNotUTF8.Error() {
+			t.Errorf("POST %s not UTF-8: %d %q, want 400 %q", path, w.Code, e.Error, ErrBodyNotUTF8)
+		}
+		if live := ex.LiveStats().Live; live != 2 {
+			t.Errorf("POST %s: %d live strings after rejected mutations, want 2", path, live)
 		}
 	}
 }

@@ -4,45 +4,52 @@ import (
 	"net/http/httptest"
 	"testing"
 
+	"simsearch"
 	"simsearch/internal/cache"
 	"simsearch/internal/core"
 	"simsearch/internal/scan"
 )
 
-// TestStatsScanSection checks that /stats reports the scan engine's rung and
-// — on the BitParallel rung — the arena layout, including through the cache
-// decorator.
+// TestStatsScanSection checks that /stats reports a scan engine's rung and
+// pool size through the cache decorator, and that the facade's deprecated
+// BitParallel, which builds the cascade, reports the cascade's section over
+// its arena and no scan section.
 func TestStatsScanSection(t *testing.T) {
-	eng := core.NewSequential(data, scan.WithStrategy(scan.BitParallel), scan.WithWorkers(4))
+	eng := core.NewSequential(data, scan.WithStrategy(scan.ParallelManaged), scan.WithWorkers(4))
 	ts := httptest.NewServer(New(cache.New(eng, cache.Options{Capacity: 8}), data))
 	defer ts.Close()
-
 	var resp StatsResponse
 	getJSON(t, ts.URL+"/stats", &resp)
-	if resp.Scan == nil {
-		t.Fatal("no scan section in /stats")
-	}
-	if resp.Scan.Strategy != "bit-parallel" || resp.Scan.Workers != 4 {
+	if resp.Scan == nil || resp.Scan.Strategy != "parallel-managed" || resp.Scan.Workers != 4 {
 		t.Errorf("scan section = %+v", resp.Scan)
+	}
+
+	bp := simsearch.New(data, simsearch.Options{Algorithm: simsearch.BitParallel, Workers: 4, CacheSize: 8})
+	tb := httptest.NewServer(New(bp, data))
+	defer tb.Close()
+	var bresp StatsResponse
+	getJSON(t, tb.URL+"/stats", &bresp)
+	if bresp.Scan != nil {
+		t.Errorf("BitParallel server reports scan section %+v", bresp.Scan)
 	}
 	wantBytes := 0
 	for _, s := range data {
 		wantBytes += len(s)
 	}
-	if resp.Scan.ArenaStrings != len(data) || resp.Scan.ArenaBytes != wantBytes || resp.Scan.ArenaBuckets == 0 {
-		t.Errorf("arena stats = %+v", resp.Scan)
+	if c := bresp.Cascade; c == nil || c.ArenaBytes != wantBytes || c.Buckets == 0 {
+		t.Errorf("BitParallel server's cascade section = %+v, want %d arena bytes", c, wantBytes)
 	}
 }
 
-// TestStatsScanSectionNonBitParallel checks that non-arena scan engines still
-// report their rung with no arena fields, and non-scan engines omit the
-// section entirely.
+// TestStatsScanSectionNonBitParallel checks that the default scan rung
+// reports its rung with no pool size, and non-scan engines omit the section
+// entirely.
 func TestStatsScanSectionNonBitParallel(t *testing.T) {
 	ts := httptest.NewServer(New(core.NewSequential(data), data))
 	defer ts.Close()
 	var resp StatsResponse
 	getJSON(t, ts.URL+"/stats", &resp)
-	if resp.Scan == nil || resp.Scan.Strategy != "simple-types" || resp.Scan.ArenaStrings != 0 {
+	if resp.Scan == nil || resp.Scan.Strategy != "simple-types" || resp.Scan.Workers != 0 {
 		t.Errorf("scan section = %+v", resp.Scan)
 	}
 

@@ -16,8 +16,8 @@ import (
 )
 
 // Arena is the packed, length-bucketed dataset layout: immutable once built.
-// NewWords packs it, and the BitParallel rung, the cascade (core.Cascade)
-// and the live store's segments (internal/lsm) sweep it through one
+// NewWords packs it, and the cascade (core.Cascade) and the live store's
+// segments (internal/lsm) sweep it through one
 // signature word per slot (Words). Match IDs are indices into the input it
 // was packed from.
 //

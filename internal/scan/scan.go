@@ -15,6 +15,11 @@
 // Additionally SortByLength enables the §6 "Sorting" future-work item: the
 // data is kept sorted by length so a query with threshold k only scans the
 // strings whose length lies in [len(q)-k, len(q)+k].
+//
+// Beside the ladder the package holds the packed, length-bucketed arena
+// (arena.go) and the signature words and their sweep (words.go): no rung
+// runs them; the cascade engine (core.Cascade) and the live store's
+// segments (internal/lsm) do.
 package scan
 
 import (
@@ -43,17 +48,6 @@ const (
 	ParallelNaive
 	// ParallelManaged adds §3.6: a fixed pool of Workers goroutines.
 	ParallelManaged
-	// BitParallel is the production rung beyond the paper's ladder, with
-	// the paper's §6 future work in it: the query is compiled once into a
-	// Myers bit-vector pattern (peq table built per query, not per pair),
-	// the dataset is packed into a length-bucketed byte arena so the length
-	// filter becomes a bucket-range selection over a contiguous buffer, and
-	// one signature word per string (Words) decides which slots of that
-	// range reach the kernel. With Workers > 1 a single query's slot range
-	// is chunked across a pool so one query's latency drops on multi-core
-	// (the paper's parallel rungs only parallelize across queries). Results
-	// are byte-identical to every other rung.
-	BitParallel
 )
 
 // String returns the ladder label used in the experiment tables.
@@ -71,16 +65,12 @@ func (s Strategy) String() string {
 		return "parallel-naive"
 	case ParallelManaged:
 		return "parallel-managed"
-	case BitParallel:
-		return "bit-parallel"
 	default:
 		return fmt.Sprintf("Strategy(%d)", int(s))
 	}
 }
 
-// Strategies lists the paper's §3 ladder in paper order. BitParallel is not
-// part of it — it is the production rung beyond the paper, benchmarked in its
-// own ablation table.
+// Strategies lists the paper's §3 ladder in paper order.
 func Strategies() []Strategy {
 	return []Strategy{Base, FastED, References, SimpleTypes, ParallelNaive, ParallelManaged}
 }
@@ -116,9 +106,6 @@ type Engine struct {
 	sorted  bool
 	byLen   []int32 // permutation of IDs ordered by (length, ID)
 	lenPref []int32 // lenPref[l] = first index in byLen with length >= l
-
-	// Packed dataset layout and its signature words for the BitParallel rung.
-	words *Words
 }
 
 // CompCounter receives per-query comparison counts. metrics.Counter
@@ -180,9 +167,6 @@ func New(data []string, opts ...Option) *Engine {
 	for _, o := range opts {
 		o(e)
 	}
-	if e.strategy == BitParallel {
-		e.words = NewWords(e.data)
-	}
 	if e.sorted {
 		e.buildLengthIndex()
 	}
@@ -226,6 +210,9 @@ func (e *Engine) Len() int { return len(e.data) }
 // Strategy returns the configured ladder rung.
 func (e *Engine) Strategy() Strategy { return e.strategy }
 
+// Workers returns the configured pool size (0 means unset).
+func (e *Engine) Workers() int { return e.workers }
+
 // Search returns all strings within edit distance q.K of q.Text, ordered by
 // ID. The scan itself is single-threaded; parallel strategies parallelize
 // across queries in SearchBatch, matching the paper's design.
@@ -250,9 +237,6 @@ const ctxStride = 1024
 func (e *Engine) searchCtx(ctx context.Context, q Query, scratch *edit.Scratch) ([]Match, error) {
 	if q.K < 0 {
 		return nil, nil
-	}
-	if e.strategy == BitParallel {
-		return e.searchBitParallel(ctx, q)
 	}
 	var cancel <-chan struct{}
 	if ctx != nil {

@@ -3,8 +3,8 @@
 // first lets through — read before any candidate byte is, and in front of
 // them two summary words per block of sixteen slots, which a length bucket
 // ordered by its words turns into whole blocks skipped unread. This is the
-// tree's one sweep: the BitParallel rung (bitparallel.go), the cascade engine
-// (core.Cascade) and the live store's segments (internal/lsm) all run it.
+// tree's one sweep: the cascade engine (core.Cascade) and the live store's
+// segments (internal/lsm) both run it.
 package scan
 
 import (
@@ -241,17 +241,6 @@ func NewProbe(q string, k int) Probe {
 		pr.p, pr.scratch = edit.CompileMyers(q), new(edit.MyersScratch)
 	}
 	return pr
-}
-
-// fork returns a probe for another goroutine sweeping another piece of the
-// same window: it shares the compiled pattern, which the kernels only read,
-// and has its own kernel scratch and zeroed counters.
-func (pr *Probe) fork() Probe {
-	f := Probe{text: pr.text, k: pr.k, p: pr.p, sig: pr.sig, cnt: pr.cnt, gram: pr.gram}
-	if pr.scratch != nil {
-		f.scratch = new(edit.MyersScratch)
-	}
-	return f
 }
 
 // Lengths returns the length window [lo, hi] outside which no string is
@@ -630,30 +619,21 @@ func (w *Words) gramWords(base int32, gq uint64, bound int, surv *[ctxStride]int
 // dropped unread: the probe's k, or math.MaxInt to send every slot to the
 // kernel (the cascade's ablation; no summary and no word rejects at it).
 //
-// The length window is a slot range, which Sweep hands to sweep whole.
+// The length window is a slot range, walked in groups of groupBlocks blocks,
+// polling ctx once per group. Sweep first holds the query's word against the
+// group's block summaries (blockMask) and goes on to the next group if none
+// is kept; otherwise it reads the words of the kept blocks (maskedWords,
+// firstWord), collects the group's survivors and only then looks up their
+// bytes and hands them to the kernel (byte equality at k = 0). Where there
+// are gram words and their bound of 2*slack can reject anything, a second
+// pass compacts the group's survivors through them before any byte is read
+// (gramWords). Survivors come in slot order, so the length bucket is carried
+// along instead of searched for per survivor, from the window's shortest
+// length on. The probe's counters are flushed on every exit path.
 func (w *Words) Sweep(ctx context.Context, pr *Probe, slack int, dst []Match) ([]Match, error) {
-	lo, hi := w.ar.SlotRange(pr.Lengths())
-	return w.sweep(ctx, pr, slack, lo, hi, dst)
-}
-
-// sweep is Sweep over the slots [lo, hi), a piece of the probe's length
-// window: a caller may cut the window into pieces and sweep them apart, one
-// probe per piece (see fork), and the pieces' matches, concatenated in slot
-// order, are what one Sweep returns. It walks the range in groups of
-// groupBlocks blocks, polling ctx once per group. It first holds the query's
-// word against the group's block summaries (blockMask) and goes on to the
-// next group if none is kept; otherwise it reads the words of the kept
-// blocks (maskedWords, firstWord), collects the group's survivors and only
-// then looks up their bytes and hands them to the kernel (byte equality at
-// k = 0). Where there are gram words and their bound of 2*slack can reject
-// anything, a second pass compacts the group's survivors through them
-// before any byte is read (gramWords). Survivors come in slot order, so the
-// length bucket is carried along instead of searched for per survivor: it
-// starts at the window's shortest length, which no slot of a piece is
-// shorter than. The probe's counters are flushed on every exit path.
-func (w *Words) sweep(ctx context.Context, pr *Probe, slack int, lo, hi int32, dst []Match) ([]Match, error) {
 	k := pr.k
 	ar := w.ar
+	lo, hi := ar.SlotRange(pr.Lengths())
 	l, _ := pr.Lengths() // the length bucket of the slot being verified
 	if lo == hi {
 		return dst, nil

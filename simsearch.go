@@ -63,13 +63,13 @@ const (
 	Scan Algorithm = iota
 	// Trie is the paper's prefix-tree index (§4).
 	Trie
-	// BitParallel is the production scan rung beyond the paper's ladder:
-	// each query is compiled once into a Myers bit-vector pattern, the
-	// dataset is packed into a length-bucketed byte arena with one signature
-	// word per string in front of it (the sweep Cascade runs), and Workers >
-	// 1 chunks a single query's candidate range across a fixed pool
-	// (intra-query parallelism — the paper's parallel rungs only
-	// parallelize across queries). Results are identical to Scan.
+	// BitParallel selects the same engine as Cascade and ignores Workers. It
+	// named a scan rung that ran the cascade's sweep without its counters
+	// and, with Workers > 1, cut one query's window across that many
+	// goroutines, a path no benchmark workload or serving path ran
+	// (EXPERIMENTS.md, History).
+	//
+	// Deprecated: use Cascade.
 	BitParallel
 	// Cascade is the paper's §6 future-work list assembled into one engine:
 	// a filter cascade with all query-side state compiled once per query:
@@ -92,11 +92,10 @@ const (
 type Options struct {
 	// Algorithm selects the engine family (default Scan).
 	Algorithm Algorithm
-	// Workers > 1 enables parallel execution in the scan engines. For
-	// Scan it selects the paper's managed across-queries parallelism
-	// (a fixed pool answering whole queries); for BitParallel it chunks
-	// each single query's candidate range across the pool, cutting that
-	// query's latency instead of batch throughput.
+	// Workers > 1 selects the Scan engine's managed across-queries
+	// parallelism (the paper's §3.6 rung: a fixed pool answering whole
+	// queries). Other engines answer each query on one goroutine; NewSharded
+	// sizes its pool with it.
 	Workers int
 	// Uncompressed keeps the Trie engine's tree uncompressed (the paper's
 	// §4.1 base index). Ignored by other algorithms.
@@ -140,13 +139,7 @@ func newEngine(data []string, opts Options) Searcher {
 			topts = append(topts, trie.WithModernPruning())
 		}
 		return core.NewTrie(data, !opts.Uncompressed, topts...)
-	case BitParallel:
-		sopts := []scan.Option{scan.WithStrategy(scan.BitParallel)}
-		if opts.Workers > 1 {
-			sopts = append(sopts, scan.WithWorkers(opts.Workers))
-		}
-		return core.NewSequential(data, sopts...)
-	case Cascade, Router:
+	case Cascade, BitParallel, Router:
 		// The cascade engine answers each query serially; parallelism comes
 		// from sharding (NewSharded) like the other serial engines.
 		return core.NewCascade(data)
@@ -187,12 +180,10 @@ func NewIndex(data []string) Searcher {
 	return New(data, Options{Algorithm: Trie})
 }
 
-// NewBitParallel returns the production bit-parallel scan: query-compiled
-// Myers kernel over a length-bucketed byte arena, with the signature words
-// deciding which strings of a query's length window reach it — the same
-// sweep NewCascade serves with. workers > 1 additionally chunks each query's
-// candidate range across a fixed pool (intra-query parallelism); workers <=
-// 1 scans serially.
+// NewBitParallel returns the same engine as NewCascade and ignores workers;
+// see BitParallel.
+//
+// Deprecated: use NewCascade.
 func NewBitParallel(data []string, workers int) Searcher {
 	return New(data, Options{Algorithm: BitParallel, Workers: workers})
 }
@@ -233,7 +224,8 @@ type QueryResult = exec.QueryResult
 
 // NewSharded partitions data into shards contiguous partitions, builds one
 // engine per shard according to opts (exactly as New does, except shard
-// engines are kept serial — parallelism comes from the executor), and
+// engines are kept serial: opts.Workers sizes the executor's pool, not a
+// Scan engine's), and
 // answers batches shard-parallel on a fixed pool of opts.Workers goroutines
 // (GOMAXPROCS when <= 0). A single query runs its shards one after another
 // on the caller's goroutine, and fans them out on that pool only once the

@@ -32,7 +32,6 @@ func TestAllAlgorithmsAgree(t *testing.T) {
 	engines := []simsearch.Searcher{
 		simsearch.NewIndex(cities),
 		simsearch.NewParallelScan(cities, 2),
-		simsearch.NewBitParallel(cities, 2),
 		simsearch.NewCascade(cities),
 		simsearch.New(cities, simsearch.Options{Algorithm: simsearch.Trie, Uncompressed: true}),
 		simsearch.New(cities, simsearch.Options{Algorithm: simsearch.Trie, PaperFaithful: true}),
@@ -138,7 +137,6 @@ func TestCallersOwnResults(t *testing.T) {
 		corpus []string
 	}{
 		{simsearch.NewCascade(data), data},
-		{simsearch.NewBitParallel(data, 1), data},
 		{simsearch.NewIndex(data), data},
 		{live, all},
 	} {
