@@ -30,12 +30,12 @@ fmt:
 vet:
 	$(GO) vet ./...
 
-# The repo's own invariant analyzers (internal/analysis), including the
-# interprocedural concurrency suite (lockorder, unlockpath, blockunderlock,
-# goleak). Findings fail the build — and so do malformed or stale
-# //lint:ignore directives, which are findings themselves. lint.json is the
-# machine-readable CI artifact; `-why <analyzer>` prints each finding's
-# call-graph/lockset evidence.
+# The repo's own invariant analyzers (internal/analysis: ctxpoll,
+# copyonread, hotalloc, nosleeptest). Findings fail the build — and so do
+# malformed or stale //lint:ignore directives, which are findings
+# themselves. lint.json is the machine-readable CI artifact. Lock order,
+# lock release and goroutine exit are checked by tests in the race suite
+# (DESIGN.md §16), not here.
 lint:
 	$(GO) run ./cmd/simlint -report lint.json ./...
 

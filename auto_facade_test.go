@@ -7,7 +7,7 @@ import (
 	"simsearch/internal/core"
 )
 
-// TestNewRouterFacade: NewAuto and the deprecated router and bit-parallel
+// TestNewRouterFacade: NewCascade and the deprecated router and bit-parallel
 // names build the filtered sweep and nothing else, per shard too, and answer
 // as the DP scan does on the inputs the router's prior used to keep off the
 // sweep — corpora too small to amortize a build, and a threshold permissive
@@ -42,7 +42,7 @@ func TestNewRouterFacade(t *testing.T) {
 			}
 		}
 		for ctor, eng := range map[string]simsearch.Searcher{
-			"NewAuto":          simsearch.NewAuto(tc.data, tc.q.K),
+			"NewCascade":       simsearch.NewCascade(tc.data),
 			"NewRouter":        simsearch.NewRouter(tc.data),
 			"New(Router)":      simsearch.New(tc.data, simsearch.Options{Algorithm: simsearch.Router}),
 			"NewBitParallel":   simsearch.NewBitParallel(tc.data, 4),

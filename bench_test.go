@@ -68,8 +68,20 @@ func BenchmarkTableI_DatasetStats(b *testing.B) {
 
 // --- Tables II and VI: sequential thread sweeps -------------------------------
 
+// threadCounts is the paper's §5.3.6 sweep, and the constants below the best
+// thread count of each engine on each corpus: the settings paperbench's
+// Tables II–X use (internal/bench).
+var threadCounts = []int{4, 8, 16, 32}
+
+const (
+	bestSeqCityThreads   = 8
+	bestIndexCityThreads = 32
+	bestSeqDNAThreads    = 16
+	bestIndexDNAThreads  = 16
+)
+
 func benchSeqThreads(b *testing.B, w bench.Workload) {
-	for _, n := range bench.ThreadCounts {
+	for _, n := range threadCounts {
 		eng := core.NewSequential(w.Data,
 			scan.WithStrategy(scan.ParallelManaged), scan.WithWorkers(n))
 		b.Run(eng.Name()+"-"+itoa(n), func(b *testing.B) {
@@ -91,7 +103,7 @@ func BenchmarkTableVI_SeqDNAThreads(b *testing.B) {
 // --- Tables III and VII: sequential optimization ladders ----------------------
 
 func benchSeqLadder(b *testing.B, w bench.Workload, skipBase bool) {
-	for _, s := range scan.Strategies() {
+	for s := scan.Base; s <= scan.ParallelManaged; s++ {
 		if skipBase && s == scan.Base {
 			// The DNA base rung is the paper's "≈ half day" cell; even at
 			// bench scale it dominates the suite. One query stands in.
@@ -123,7 +135,7 @@ func BenchmarkTableVII_SeqDNALadder(b *testing.B) {
 
 func benchIndexThreads(b *testing.B, w bench.Workload) {
 	eng := core.NewTrie(w.Data, true)
-	for _, n := range bench.ThreadCounts {
+	for _, n := range threadCounts {
 		runner := pool.Fixed{Workers: n}
 		b.Run(runner.Name(), func(b *testing.B) {
 			benchBatch(b, eng, w.Queries, runner)
@@ -159,12 +171,12 @@ func benchIndexLadder(b *testing.B, w bench.Workload, threads int) {
 
 func BenchmarkTableV_IndexCityLadder(b *testing.B) {
 	city, _ := workloads()
-	benchIndexLadder(b, city, bench.BestIndexCityThreads)
+	benchIndexLadder(b, city, bestIndexCityThreads)
 }
 
 func BenchmarkTableIX_IndexDNALadder(b *testing.B) {
 	_, dna := workloads()
-	benchIndexLadder(b, dna, bench.BestIndexDNAThreads)
+	benchIndexLadder(b, dna, bestIndexDNAThreads)
 }
 
 // --- Figures 6 and 7: best engine head-to-head --------------------------------
@@ -183,12 +195,12 @@ func benchFigure(b *testing.B, w bench.Workload, seqThreads, idxThreads int) {
 
 func BenchmarkFigure6_City(b *testing.B) {
 	city, _ := workloads()
-	benchFigure(b, city, bench.BestSeqCityThreads, bench.BestIndexCityThreads)
+	benchFigure(b, city, bestSeqCityThreads, bestIndexCityThreads)
 }
 
 func BenchmarkFigure7_DNA(b *testing.B) {
 	_, dna := workloads()
-	benchFigure(b, dna, bench.BestSeqDNAThreads, bench.BestIndexDNAThreads)
+	benchFigure(b, dna, bestSeqDNAThreads, bestIndexDNAThreads)
 }
 
 // --- Ablations (DESIGN.md §5) --------------------------------------------------

@@ -45,7 +45,7 @@ func TestCILists(t *testing.T) {
 	fuzzFunc := regexp.MustCompile(`(?m)^func (Fuzz\w+)\(`)
 	hasTests, startsGoroutines := map[string]bool{}, map[string]bool{}
 	fset := token.NewFileSet()
-	walkGoFiles(t, func(path string) error {
+	walkGoFiles(t, ".", func(path string) error {
 		dir := filepath.Dir(path)
 		if strings.HasSuffix(path, "_test.go") {
 			hasTests[dir] = true
@@ -97,7 +97,7 @@ func TestNoOrphanPackages(t *testing.T) {
 	const module = "simsearch/"
 	internal, imported := map[string]bool{}, map[string]bool{}
 	fset := token.NewFileSet()
-	walkGoFiles(t, func(path string) error {
+	walkGoFiles(t, ".", func(path string) error {
 		if strings.HasSuffix(path, "_test.go") {
 			return nil
 		}
@@ -128,17 +128,215 @@ func TestNoOrphanPackages(t *testing.T) {
 	}
 }
 
-// walkGoFiles calls fn on every .go file of the module. The fixed benchmark
-// (a module of its own with its own tests), testdata fixtures and dot
-// directories are not walked.
-func walkGoFiles(t *testing.T, fn func(path string) error) {
+// orphanExceptions lists the exported identifiers TestNoOrphanExports lets
+// stand without a caller, keyed by import path and name, each with its
+// reason. An entry whose identifier is gone or has gained a caller fails the
+// test, so the table cannot outlive what it excuses.
+var orphanExceptions = map[string]string{
+	"simsearch/internal/scan.WithAdaptive": "the paper's §3.6 strategy 3 (pool.Adaptive) on the scan ladder's managed rung; only tests and " +
+		"BenchmarkAblationAdaptivePool run it, and its deletion, with six tests, is left to a change of its own (ROADMAP item 3)",
+}
+
+// TestNoOrphanExports takes TestNoOrphanPackages down to identifiers. An
+// exported package-level func, var, const or type of an internal/ package
+// must be referenced from a non-test file of another package; one of the
+// facade (the root package) from cmd/, examples/, the fixed benchmark or an
+// Example function. The benchmark's non-test files count as callers for both
+// rules. A type that appears in the signature or fields of a referenced
+// identifier, or of an exported method of a referenced type, counts as
+// referenced. What only its own package calls is unexported; what nothing
+// but tests calls is deleted. Names are resolved through each file's
+// imports with go/ast alone.
+func TestNoOrphanExports(t *testing.T) {
+	const module = "simsearch"
+	type decl struct {
+		node    ast.Node          // what the closure over types walks
+		imports map[string]string // the declaring file's imports
+		isType  bool
+	}
+	decls := map[string]*decl{}        // "importpath.Name" of every candidate
+	methods := map[string][]ast.Node{} // "importpath.Type" → exported method signatures
+	referenced := map[string]bool{}
+	fset := token.NewFileSet()
+	visit := func(path string) error {
+		dir := filepath.ToSlash(filepath.Dir(path))
+		isTest := strings.HasSuffix(path, "_test.go")
+		f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
+		if err != nil {
+			return err
+		}
+		imports := map[string]string{}
+		for _, imp := range f.Imports {
+			p := strings.Trim(imp.Path.Value, `"`)
+			if p != module && !strings.HasPrefix(p, module+"/internal/") {
+				continue
+			}
+			name := p[strings.LastIndex(p, "/")+1:]
+			if imp.Name != nil {
+				name = imp.Name.Name
+			}
+			imports[name] = p
+		}
+		// A facade name counts only from outside the root and internal/,
+		// or from an Example.
+		facadeCaller := dir != "." && !strings.HasPrefix(dir, "internal/")
+		caller := func(from ast.Node) {
+			ast.Inspect(from, func(n ast.Node) bool {
+				if sel, ok := n.(*ast.SelectorExpr); ok {
+					if x, ok := sel.X.(*ast.Ident); ok && imports[x.Name] != "" {
+						if imports[x.Name] != module || facadeCaller {
+							referenced[imports[x.Name]+"."+sel.Sel.Name] = true
+						}
+					}
+				}
+				return true
+			})
+		}
+		if isTest {
+			for name, p := range imports {
+				if p != module {
+					delete(imports, name)
+				}
+			}
+			facadeCaller = true
+			for _, d := range f.Decls {
+				if fd, ok := d.(*ast.FuncDecl); ok && fd.Recv == nil && strings.HasPrefix(fd.Name.Name, "Example") {
+					caller(fd)
+				}
+			}
+			return nil
+		}
+		caller(f)
+		if dir != "." && !strings.HasPrefix(dir, "internal/") {
+			return nil
+		}
+		pkg := module
+		if dir != "." {
+			pkg += "/" + dir
+		}
+		add := func(name *ast.Ident, node ast.Node, isType bool) {
+			if name.IsExported() {
+				decls[pkg+"."+name.Name] = &decl{node: node, imports: imports, isType: isType}
+			}
+		}
+		for _, d := range f.Decls {
+			switch d := d.(type) {
+			case *ast.FuncDecl:
+				if d.Recv == nil {
+					add(d.Name, d.Type, false)
+				} else if d.Name.IsExported() {
+					recv := d.Recv.List[0].Type
+					if star, ok := recv.(*ast.StarExpr); ok {
+						recv = star.X
+					}
+					if idx, ok := recv.(*ast.IndexExpr); ok {
+						recv = idx.X
+					}
+					if id, ok := recv.(*ast.Ident); ok {
+						methods[pkg+"."+id.Name] = append(methods[pkg+"."+id.Name], d.Type)
+					}
+				}
+			case *ast.GenDecl:
+				for _, s := range d.Specs {
+					switch s := s.(type) {
+					case *ast.TypeSpec:
+						add(s.Name, s, true)
+					case *ast.ValueSpec:
+						for _, name := range s.Names {
+							add(name, s, false)
+						}
+					}
+				}
+			}
+		}
+		return nil
+	}
+	walkGoFiles(t, ".", visit)
+	walkGoFiles(t, "benchmark", func(path string) error {
+		if strings.HasSuffix(path, "_test.go") {
+			return nil
+		}
+		return visit(path)
+	})
+
+	// Close over types: whatever a referenced identifier's signature,
+	// fields or exported methods name is referenced too.
+	var work []string
+	for key := range referenced {
+		work = append(work, key)
+	}
+	for len(work) > 0 {
+		key := work[len(work)-1]
+		work = work[:len(work)-1]
+		d := decls[key]
+		if d == nil {
+			continue
+		}
+		pkg := key[:strings.LastIndex(key, ".")]
+		for _, node := range append([]ast.Node{d.node}, methods[key]...) {
+			typeRefs(node, pkg, d.imports, func(ref string) {
+				if rd := decls[ref]; rd != nil && rd.isType && !referenced[ref] {
+					referenced[ref] = true
+					work = append(work, ref)
+				}
+			})
+		}
+	}
+
+	var orphans []string
+	for key := range decls {
+		if !referenced[key] && orphanExceptions[key] == "" {
+			orphans = append(orphans, key)
+		}
+	}
+	sort.Strings(orphans)
+	for _, key := range orphans {
+		t.Errorf("%s has no caller outside its own package and tests: delete it, unexport it, or give it a caller", key)
+	}
+	for key, reason := range orphanExceptions {
+		if decls[key] == nil || referenced[key] {
+			t.Errorf("stale orphanExceptions entry %s (%s): the identifier is gone or now has a caller", key, reason)
+		}
+	}
+}
+
+// typeRefs calls fn with "importpath.Name" for every identifier node names
+// as a type or value: bare identifiers resolve to pkg, qualified ones through
+// imports. Struct field names and composite-literal keys are skipped.
+func typeRefs(node ast.Node, pkg string, imports map[string]string, fn func(string)) {
+	ast.Inspect(node, func(n ast.Node) bool {
+		switch n := n.(type) {
+		case *ast.SelectorExpr:
+			if x, ok := n.X.(*ast.Ident); ok && imports[x.Name] != "" {
+				fn(imports[x.Name] + "." + n.Sel.Name)
+				return false
+			}
+			typeRefs(n.X, pkg, imports, fn)
+			return false
+		case *ast.Field:
+			typeRefs(n.Type, pkg, imports, fn)
+			return false
+		case *ast.KeyValueExpr:
+			typeRefs(n.Value, pkg, imports, fn)
+			return false
+		case *ast.Ident:
+			fn(pkg + "." + n.Name)
+		}
+		return true
+	})
+}
+
+// walkGoFiles calls fn on every .go file under root. The fixed benchmark (a
+// module of its own with its own tests), testdata fixtures and dot
+// directories below root are not walked.
+func walkGoFiles(t *testing.T, root string, fn func(path string) error) {
 	t.Helper()
-	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+	err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
 		if err != nil {
 			return err
 		}
 		if d.IsDir() {
-			if name := d.Name(); path != "." && (name == "benchmark" || name == "testdata" || strings.HasPrefix(name, ".")) {
+			if name := d.Name(); path != root && (name == "benchmark" || name == "testdata" || strings.HasPrefix(name, ".")) {
 				return filepath.SkipDir
 			}
 			return nil

@@ -3,21 +3,16 @@
 //
 // Usage:
 //
-//	simlint [-json] [-list] [-why analyzer] [-report file] [packages...]
+//	simlint [-json] [-list] [-report file] [packages...]
 //
 // Packages default to ./... (the whole module). Exit status: 0 when clean,
 // 1 when any finding survives suppression, 2 on usage or load errors.
 //
 // Machine consumption: -json emits a JSON array of findings
-// ({"analyzer","file","line","col","message"[,"why"]}) on stdout — an empty
+// ({"analyzer","file","line","col","message"}) on stdout — an empty
 // array when clean — which is what CI tooling should parse instead of the
 // human format. -report <file> writes the same JSON array to a file while
 // stdout keeps the human format (the CI lint artifact).
-//
-// -why <analyzer> runs that analyzer alone and prints, under each finding,
-// the evidence that produced it: the call-graph path to the blocking or
-// acquiring operation, the lock-order cycle's edges, or the exit path that
-// leaks a lock.
 //
 // Suppression: a finding is silenced by
 //
@@ -40,12 +35,11 @@ import (
 
 // jsonDiag is the machine-readable finding shape.
 type jsonDiag struct {
-	Analyzer string   `json:"analyzer"`
-	File     string   `json:"file"`
-	Line     int      `json:"line"`
-	Col      int      `json:"col"`
-	Message  string   `json:"message"`
-	Why      []string `json:"why,omitempty"`
+	Analyzer string `json:"analyzer"`
+	File     string `json:"file"`
+	Line     int    `json:"line"`
+	Col      int    `json:"col"`
+	Message  string `json:"message"`
 }
 
 func main() {
@@ -59,10 +53,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs.SetOutput(stderr)
 	jsonOut := fs.Bool("json", false, "emit findings as a JSON array on stdout")
 	list := fs.Bool("list", false, "list the analyzers and exit")
-	why := fs.String("why", "", "run one `analyzer` and print each finding's call-graph/lockset evidence")
 	report := fs.String("report", "", "additionally write the JSON findings array to `file`")
 	fs.Usage = func() {
-		fmt.Fprintf(stderr, "usage: simlint [-json] [-list] [-why analyzer] [-report file] [packages...]\n\nAnalyzers:\n")
+		fmt.Fprintf(stderr, "usage: simlint [-json] [-list] [-report file] [packages...]\n\nAnalyzers:\n")
 		for _, a := range analysis.All() {
 			fmt.Fprintf(stderr, "  %-14s %s\n", a.Name, a.Doc)
 		}
@@ -76,16 +69,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 			fmt.Fprintf(stdout, "%-14s %s\n", a.Name, a.Doc)
 		}
 		return 0
-	}
-
-	analyzers := analysis.All()
-	if *why != "" {
-		a := analysis.ByName(*why)
-		if a == nil {
-			fmt.Fprintf(stderr, "simlint: -why %s: no such analyzer (see -list)\n", *why)
-			return 2
-		}
-		analyzers = []*analysis.Analyzer{a}
 	}
 
 	patterns := fs.Args()
@@ -104,7 +87,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 2
 	}
 
-	diags := analysis.Run(pkgs, analyzers)
+	diags := analysis.Run(pkgs, analysis.All())
 
 	if *report != "" {
 		if err := writeJSON(*report, diags); err != nil {
@@ -122,11 +105,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	} else {
 		for _, d := range diags {
 			fmt.Fprintln(stdout, d)
-			if *why != "" {
-				for _, step := range d.Witness {
-					fmt.Fprintf(stdout, "\t%s\n", step)
-				}
-			}
 		}
 	}
 	if len(diags) > 0 {
@@ -144,7 +122,6 @@ func toJSON(diags []analysis.Diagnostic) []jsonDiag {
 			Line:     d.Position.Line,
 			Col:      d.Position.Column,
 			Message:  d.Message,
-			Why:      d.Witness,
 		})
 	}
 	return out

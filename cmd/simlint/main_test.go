@@ -83,39 +83,9 @@ func TestRunList(t *testing.T) {
 	for _, line := range strings.Split(strings.TrimSpace(out.String()), "\n") {
 		got = append(got, strings.Fields(line)[0])
 	}
-	want := []string{
-		"blockunderlock", "copyonread", "ctxpoll", "goleak",
-		"hotalloc", "lockorder", "nosleeptest", "unlockpath",
-	}
+	want := []string{"copyonread", "ctxpoll", "hotalloc", "nosleeptest"}
 	if !slices.Equal(got, want) {
 		t.Errorf("-list names %v, want %v:\n%s", got, want, out.String())
-	}
-}
-
-func TestRunWhySelectsOneAnalyzer(t *testing.T) {
-	// -why nosleeptest over the fixture still finds the sleeps...
-	var out, errb bytes.Buffer
-	if code := run([]string{"-why", "nosleeptest", fixture}, &out, &errb); code != 1 {
-		t.Fatalf("exit = %d, want 1\nstderr: %s", code, errb.String())
-	}
-	if !strings.Contains(out.String(), "time.Sleep in test") {
-		t.Errorf("-why output missing the finding:\n%s", out.String())
-	}
-	// ...while -why for a different analyzer runs it alone and comes up clean.
-	out.Reset()
-	errb.Reset()
-	if code := run([]string{"-why", "ctxpoll", fixture}, &out, &errb); code != 0 {
-		t.Fatalf("exit = %d, want 0\nstderr: %s\nstdout: %s", code, errb.String(), out.String())
-	}
-}
-
-func TestRunWhyUnknownAnalyzer(t *testing.T) {
-	var out, errb bytes.Buffer
-	if code := run([]string{"-why", "nosuchanalyzer"}, &out, &errb); code != 2 {
-		t.Fatalf("exit = %d, want 2", code)
-	}
-	if !strings.Contains(errb.String(), "no such analyzer") {
-		t.Errorf("stderr missing diagnosis:\n%s", errb.String())
 	}
 }
 

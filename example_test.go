@@ -65,3 +65,35 @@ func ExampleVerify() {
 	fmt.Println(err)
 	// Output: <nil>
 }
+
+func ExampleNearest() {
+	cities := []string{"Berlin", "Bern", "Bremen", "Bonn"}
+	eng := simsearch.NewCascade(cities)
+	if m, ok := simsearch.Nearest(eng, "Bremne", 2); ok {
+		fmt.Println(cities[m.ID], m.Dist)
+	}
+	// Output: Bremen 2
+}
+
+func ExampleHammingSearch() {
+	reads := []string{"ACGT", "ACGA", "ACG", "AGGA"}
+	eng := simsearch.NewCascade(reads)
+	for _, m := range simsearch.HammingSearch(eng, reads, "ACGT", 1) {
+		fmt.Println(reads[m.ID], m.Dist)
+	}
+	// Output:
+	// ACGT 0
+	// ACGA 1
+}
+
+func ExampleHammingDistance() {
+	fmt.Println(simsearch.HammingDistance("ACGT", "AGGT"), simsearch.HammingDistance("ACG", "ACGT"))
+	// Output: 1 -1
+}
+
+func ExampleGenerateZipfQueries() {
+	cities := simsearch.GenerateCities(1000, 1)
+	queries := simsearch.GenerateZipfQueries(cities, 5, 1, 1.4, 2)
+	fmt.Println(len(queries))
+	// Output: 5
+}

@@ -45,29 +45,6 @@ func Clusters(data []string, k int, workers int) [][]int32 {
 	return join.Clusters(data, k, join.Options{Algorithm: join.TrieJoin, Workers: workers})
 }
 
-// NewAuto returns the filtered sweep, the engine NewCascade builds. It used
-// to return a router that learned, per query regime, which of the scan, the
-// trie and the cascade to take; the cascade then won every regime the router
-// was measured on (EXPERIMENTS.md Table XVII), so the choice is made here,
-// once, and no trie is built beside it. expectedK is ignored — each query
-// carries its own K — and stays in the signature for compatibility.
-//
-// Of the cells sized before the router went (EXPERIMENTS.md, "The cells the
-// prior protected") two were lost to the bare scan, both past the
-// thresholds the paper asks on names: 100,000 city names at k = 12
-// (+14–31%) and at k = 16 (+50–75%: nearly every string matches, so the
-// words reject nothing and the matches leave in word order to be sorted).
-// The bare scan is gone and every scan left is the cascade's sweep, so no
-// engine in the library is faster there: re-measured ("The cells the bare
-// scan held"), the sweep went 4.7–5.8 → 6.8 ms a query at k = 12 and
-// 6.5–8.3 → 11.8 ms at k = 16, while k = 1 went 235–244 → 6–7 µs. A third
-// cell, 10,000 reads at k = 16, was sized as a +13% loss and re-measured as
-// a tie.
-func NewAuto(data []string, expectedK int) Searcher {
-	_ = expectedK
-	return NewCascade(data)
-}
-
 // --- Nearest-neighbour convenience ---------------------------------------------
 
 // TopK returns up to k of the closest dataset strings to text (ordered by

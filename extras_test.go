@@ -40,23 +40,6 @@ func TestClustersFacade(t *testing.T) {
 	}
 }
 
-func TestNewAuto(t *testing.T) {
-	small := simsearch.NewAuto(cities, 2)
-	if got := small.Search(simsearch.Query{Text: "berlin", K: 1}); len(got) != 1 {
-		t.Errorf("auto small: %v", got)
-	}
-	big := simsearch.GenerateCities(5000, 3)
-	eng := simsearch.NewAuto(big, 2)
-	if err := simsearch.Verify(eng, big, []simsearch.Query{{Text: big[0], K: 2}}); err != nil {
-		t.Errorf("auto big: %v", err)
-	}
-	// Permissive threshold on short strings must still be exact.
-	loose := simsearch.NewAuto(big[:100], 30)
-	if err := simsearch.Verify(loose, big[:100], []simsearch.Query{{Text: "x", K: 30}}); err != nil {
-		t.Errorf("auto loose: %v", err)
-	}
-}
-
 func TestTopKFacade(t *testing.T) {
 	eng := simsearch.NewIndex(cities)
 	ms := simsearch.TopK(eng, "berlni", 2, 3)

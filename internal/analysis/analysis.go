@@ -39,19 +39,15 @@ type Analyzer struct {
 // All returns the full analyzer suite in stable order.
 func All() []*Analyzer {
 	return []*Analyzer{
-		BlockUnderLock,
-		CopyOnRead,
-		CtxPoll,
-		GoLeak,
-		HotAlloc,
-		LockOrder,
-		NoSleepTest,
-		UnlockPath,
+		copyOnRead,
+		ctxPoll,
+		hotAlloc,
+		noSleepTest,
 	}
 }
 
-// ByName resolves an analyzer by its name (nil when unknown).
-func ByName(name string) *Analyzer {
+// byName resolves an analyzer by its name (nil when unknown).
+func byName(name string) *Analyzer {
 	for _, a := range All() {
 		if a.Name == name {
 			return a
@@ -84,23 +80,6 @@ func (p *Pass) Reportf(pos token.Pos, format string, args ...interface{}) {
 	})
 }
 
-// ReportWitness records a finding together with the call-graph path / lockset
-// evidence that produced it (rendered by `simlint -why <analyzer>`).
-func (p *Pass) ReportWitness(pos token.Pos, witness []string, format string, args ...interface{}) {
-	*p.diags = append(*p.diags, Diagnostic{
-		Analyzer: p.Analyzer.Name,
-		Position: p.Fset.Position(pos),
-		Message:  fmt.Sprintf(format, args...),
-		Witness:  witness,
-	})
-}
-
-// Graph returns the unit's call graph (built lazily, shared across the
-// analyzers running on this package).
-func (p *Pass) Graph() *callGraph {
-	return p.pkg.callGraph()
-}
-
 // InTestFile reports whether pos lies in a _test.go file.
 func (p *Pass) InTestFile(pos token.Pos) bool {
 	return strings.HasSuffix(p.Fset.Position(pos).Filename, "_test.go")
@@ -111,10 +90,6 @@ type Diagnostic struct {
 	Analyzer string         `json:"analyzer"`
 	Position token.Position `json:"-"`
 	Message  string         `json:"message"`
-	// Witness, when present, is the evidence chain behind the finding: the
-	// call-graph path to the blocking/acquiring operation, or the lock-order
-	// cycle's edges. Printed by `simlint -why`.
-	Witness []string `json:"why,omitempty"`
 }
 
 // String renders the conventional file:line:col form.
@@ -170,11 +145,31 @@ func Run(pkgs []*Package, analyzers []*Analyzer) []Diagnostic {
 	return diags
 }
 
-// pathHasSuffix reports whether the package import path is pkg or ends with
-// "/pkg" for one of the given suffixes (so fixtures and the real module
-// layout both match).
-func pathHasSuffix(path string, suffixes ...string) bool {
-	for _, s := range suffixes {
+// scopes is the one table of the package paths the analyzers key on, by
+// role. A path matches an entry that equals it or ends in "/" + the entry, so
+// fixtures loaded under the real import path match too.
+// TestScopePackagesExist fails on an entry that names no package, and on a
+// path literal written anywhere else in the analyzers.
+var scopes = map[string][]string{
+	// ctxpoll: the serving packages whose loops can hold a ctx or cancel
+	// channel.
+	"ctxpoll": {"internal/scan", "internal/exec", "internal/trie", "internal/lsm", "internal/distrib"},
+	// hotalloc: the packages whose innermost loops run once per compared
+	// pair, trie edge or filtered candidate.
+	"hotalloc": {"internal/edit", "internal/scan", "internal/trie", "internal/lsm"},
+	// hotalloc checks only the kernel loops of these: their other innermost
+	// loops read and write segment files and the log.
+	"hotalloc-kernel-loops-only": {"internal/lsm"},
+	// A call into any function of these packages enters a distance kernel.
+	"kernel": {"internal/edit"},
+	// A call to a Probe method of these packages enters a distance kernel.
+	"kernel-probe": {"internal/scan"},
+}
+
+// inScope reports whether the package import path matches an entry of
+// scopes[role].
+func inScope(path, role string) bool {
+	for _, s := range scopes[role] {
 		if path == s || strings.HasSuffix(path, "/"+s) {
 			return true
 		}
@@ -206,8 +201,8 @@ func isKernelCall(info *types.Info, call *ast.CallExpr) bool {
 	if !ok || fn.Pkg() == nil {
 		return false
 	}
-	return pathHasSuffix(fn.Pkg().Path(), "internal/edit") ||
-		pathHasSuffix(fn.Pkg().Path(), "internal/scan") && recvTypeName(fn) == "Probe"
+	return inScope(fn.Pkg().Path(), "kernel") ||
+		inScope(fn.Pkg().Path(), "kernel-probe") && recvTypeName(fn) == "Probe"
 }
 
 // isContextType reports whether t is context.Context.

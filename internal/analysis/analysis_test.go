@@ -97,41 +97,25 @@ func runFixture(t *testing.T, dir, importPath string, analyzers []*Analyzer) {
 }
 
 func TestCtxPollFixture(t *testing.T) {
-	runFixture(t, "ctxpoll", "simsearch/internal/scan", []*Analyzer{CtxPoll})
+	runFixture(t, "ctxpoll", "simsearch/internal/scan", []*Analyzer{ctxPoll})
 }
 
 func TestHotAllocFixture(t *testing.T) {
-	runFixture(t, "hotalloc", "simsearch/internal/edit", []*Analyzer{HotAlloc})
+	runFixture(t, "hotalloc", "simsearch/internal/edit", []*Analyzer{hotAlloc})
 }
 
 // TestHotAllocLSMFixture: under internal/lsm only loops that call a kernel —
 // here a scan.Probe method — are checked.
 func TestHotAllocLSMFixture(t *testing.T) {
-	runFixture(t, "hotalloclsm", "simsearch/internal/lsm", []*Analyzer{HotAlloc})
+	runFixture(t, "hotalloclsm", "simsearch/internal/lsm", []*Analyzer{hotAlloc})
 }
 
 func TestNoSleepTestFixture(t *testing.T) {
-	runFixture(t, "nosleeptest", "simsearch/fixture/nosleeptest", []*Analyzer{NoSleepTest})
-}
-
-func TestLockOrderFixture(t *testing.T) {
-	runFixture(t, "lockorder", "simsearch/internal/lsm", []*Analyzer{LockOrder})
-}
-
-func TestUnlockPathFixture(t *testing.T) {
-	runFixture(t, "unlockpath", "simsearch/internal/cache", []*Analyzer{UnlockPath})
-}
-
-func TestBlockUnderLockFixture(t *testing.T) {
-	runFixture(t, "blockunderlock", "simsearch/internal/distrib", []*Analyzer{BlockUnderLock})
-}
-
-func TestGoLeakFixture(t *testing.T) {
-	runFixture(t, "goleak", "simsearch/internal/exec", []*Analyzer{GoLeak})
+	runFixture(t, "nosleeptest", "simsearch/fixture/nosleeptest", []*Analyzer{noSleepTest})
 }
 
 func TestCopyOnReadFixture(t *testing.T) {
-	runFixture(t, "copyonread", "simsearch/fixture/copyonread", []*Analyzer{CopyOnRead})
+	runFixture(t, "copyonread", "simsearch/fixture/copyonread", []*Analyzer{copyOnRead})
 }
 
 // TestIgnoreDirectives checks directive hygiene by hand (the expectations

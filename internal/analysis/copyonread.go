@@ -6,7 +6,7 @@ import (
 	"go/types"
 )
 
-// CopyOnRead enforces the result cache's aliasing contract (PR 3): a cached
+// copyOnRead enforces the result cache's aliasing contract (PR 3): a cached
 // match slice is owned by the cache, and the only way its contents may reach
 // a caller is through a designated copy helper. Without this, one caller's
 // in-place top-k sort or shard ID remap silently corrupts the entry every
@@ -26,7 +26,7 @@ import (
 // Everything else — returning it, appending to it through an alias, passing
 // it to any other function, element assignment, sub-slicing, taking element
 // addresses — is a finding.
-var CopyOnRead = &Analyzer{
+var copyOnRead = &Analyzer{
 	Name: "copyonread",
 	Doc:  "cache-owned result slices (fields marked lint:cacheowned) may only leave through lint:copyhelper functions and must never be mutated in place",
 	Run:  runCopyOnRead,

@@ -5,12 +5,12 @@ import (
 	"go/types"
 )
 
-// CtxPoll enforces the serving-path cancellation invariant: inside
-// internal/scan, internal/exec, internal/trie, internal/lsm and
-// internal/distrib, a function
-// that has a cancellation signal in scope (a context.Context or a
-// chan struct{} cancel channel) must actually poll it in every loop that
-// performs per-element comparison work. A compliant loop either
+// ctxPoll enforces the serving-path cancellation invariant: inside
+// scopes["ctxpoll"] (internal/scan, internal/exec, internal/trie,
+// internal/lsm and internal/distrib), a function that has a cancellation
+// signal in scope (a context.Context or a chan struct{} cancel channel) must
+// actually poll it in every loop that performs per-element comparison work. A
+// compliant loop either
 //
 //   - selects on the cancel channel / ctx.Done(),
 //   - checks ctx.Err(),
@@ -25,15 +25,14 @@ import (
 // Dataset-scale loops with no cancellation signal in scope (plain Search
 // paths) are out of scope: those engines are cancelled by abandonment at the
 // core layer, not cooperatively.
-var CtxPoll = &Analyzer{
+var ctxPoll = &Analyzer{
 	Name: "ctxpoll",
 	Doc:  "comparison loops in functions holding a ctx/cancel signal must poll it at a bounded stride (select on Done, ctx.Err(), or delegation)",
 	Run:  runCtxPoll,
 }
 
 func runCtxPoll(pass *Pass) {
-	if !pathHasSuffix(pass.Path, "internal/scan", "internal/exec", "internal/trie", "internal/lsm",
-		"internal/distrib") {
+	if !inScope(pass.Path, "ctxpoll") {
 		return
 	}
 	for _, f := range pass.Files {

@@ -5,29 +5,29 @@ import (
 	"go/types"
 )
 
-// HotAlloc machine-checks the paper's §3.3–3.4 discipline on the kernel
-// packages: the innermost loops of internal/edit, internal/scan (the word
-// sweep included), internal/trie and internal/lsm (the
-// delta scan) — the code that runs once per compared pair, per trie edge or
-// per filtered candidate — must not copy strings through string([]byte)/[]byte(string)
-// conversions and must not allocate closures. In loops that invoke a
-// comparison kernel (a call into internal/edit or a scan.Probe method), fmt calls and the
-// allocation builtins make/new are additionally flagged — "allocate a
-// scratch buffer per element" is the classic regression — and, since the
-// call-graph upgrade, so are calls to module-internal functions whose own
-// body allocates at a guard-free position: hiding the make one call deep no
-// longer gets past the gate. Construction and serialization loops are exempt
-// from the latter checks because they never call a kernel; in internal/lsm,
-// whose other innermost loops read and write segment files and the log,
-// only kernel loops are checked at all.
-var HotAlloc = &Analyzer{
+// hotAlloc machine-checks the paper's §3.3–3.4 discipline on the kernel
+// packages (scopes["hotalloc"]): the innermost loops of internal/edit,
+// internal/scan (the word sweep included), internal/trie and internal/lsm
+// (the delta scan) — the code that runs once per compared pair, per trie
+// edge or per filtered candidate — must not copy strings through
+// string([]byte)/[]byte(string) conversions and must not allocate closures.
+// In loops that invoke a comparison kernel (a call into internal/edit or a
+// scan.Probe method), fmt calls and the allocation builtins make/new are
+// additionally flagged — "allocate a scratch buffer per element" is the
+// classic regression — and so are calls to module-internal functions whose
+// own body allocates at a guard-free position: hiding the make one call deep
+// does not get past the gate. Construction and serialization loops are
+// exempt from the latter checks because they never call a kernel; in
+// internal/lsm, whose other innermost loops read and write segment files and
+// the log, only kernel loops are checked at all.
+var hotAlloc = &Analyzer{
 	Name: "hotalloc",
 	Doc:  "no string<->[]byte conversions, closures, fmt calls, or per-element make/new — direct or one call deep — in the innermost kernel loops of internal/edit, internal/scan, internal/trie, internal/lsm",
 	Run:  runHotAlloc,
 }
 
 func runHotAlloc(pass *Pass) {
-	if !pathHasSuffix(pass.Path, "internal/edit", "internal/scan", "internal/trie", "internal/lsm") {
+	if !inScope(pass.Path, "hotalloc") {
 		return
 	}
 	for _, f := range pass.Files {
@@ -39,7 +39,7 @@ func runHotAlloc(pass *Pass) {
 			if body == nil || !isInnermost(body) {
 				return true
 			}
-			checkHotLoop(pass, body, pathHasSuffix(pass.Path, "internal/lsm"))
+			checkHotLoop(pass, body, inScope(pass.Path, "hotalloc-kernel-loops-only"))
 			return true
 		})
 	}
@@ -125,13 +125,13 @@ func checkHotLoop(pass *Pass, body *ast.BlockStmt, kernelOnly bool) {
 
 // checkHiddenAlloc flags calls from a kernel loop to module-internal
 // functions whose direct body allocates at a guard-free position — the
-// allocation hidden one call deep (call-graph summary allocatesDirect).
+// allocation hidden one call deep (allocatesDirect).
 func checkHiddenAlloc(pass *Pass, call *ast.CallExpr) {
 	fn, ok := calleeObject(pass.Info, call).(*types.Func)
 	if !ok || fn.Pkg() == nil {
 		return
 	}
-	g := pass.Graph()
+	g := pass.pkg.bodies()
 	if !g.internalPath(fn.Pkg().Path()) || g.nodeFor(fn) == nil {
 		return
 	}
@@ -139,10 +139,7 @@ func checkHiddenAlloc(pass *Pass, call *ast.CallExpr) {
 	if ai == nil {
 		return
 	}
-	pass.ReportWitness(call.Pos(), []string{
-		withPos(g, call.Pos(), "kernel loop calls "+funcLabel(fn)),
-		withPos(g, ai.pos, funcLabel(fn)+" "+ai.desc+" on every call"),
-	}, "call to %s inside an innermost kernel loop hides an allocation one call deep (%s at %s): hoist it or pass scratch in (§3.4 simple types)",
+	pass.Reportf(call.Pos(), "call to %s inside an innermost kernel loop hides an allocation one call deep (%s at %s): hoist it or pass scratch in (§3.4 simple types)",
 		funcLabel(fn), ai.desc, g.posStr(ai.pos))
 }
 

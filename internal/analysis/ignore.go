@@ -58,7 +58,7 @@ func collectIgnores(pkg *Package, analyzers []*Analyzer, diags *[]Diagnostic) *i
 				names := strings.Split(fields[0], ",")
 				ok := true
 				for _, n := range names {
-					if ByName(n) == nil {
+					if byName(n) == nil {
 						report(c, "//lint:ignore names unknown analyzer "+n)
 						ok = false
 					}

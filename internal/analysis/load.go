@@ -25,13 +25,13 @@ type Package struct {
 	Types  *types.Package
 	Info   *types.Info
 
-	// loader links back to the Loader that produced the unit, giving the
-	// interprocedural layer access to the syntax and type info of the
+	// loader links back to the Loader that produced the unit, giving
+	// hotalloc's one-call-deep rule the syntax and type info of the
 	// module-internal packages this unit imports (Loader.pureUnits).
 	loader *Loader
-	// cg caches the unit's call graph (built lazily by the first analyzer
-	// that asks; see callgraph.go).
-	cg *callGraph
+	// idx caches the unit's function-body index (built lazily on first use;
+	// see bodies.go).
+	idx *bodyIndex
 }
 
 // Loader parses and type-checks module packages with the standard library
@@ -48,9 +48,9 @@ type Loader struct {
 	// what a dependant is allowed to see (this is what breaks the apparent
 	// cycle between a package's test files and packages importing it).
 	pure map[string]*pureEntry
-	// pureUnits keeps the syntax and type info of each pure package so the
-	// interprocedural layer (callgraph.go) can summarize function bodies of
-	// module-internal dependencies. Keyed by import path; populated by
+	// pureUnits keeps the syntax and type info of each pure package so
+	// hotalloc (bodies.go) can read the function bodies of module-internal
+	// dependencies. Keyed by import path; populated by
 	// importPure alongside l.pure.
 	pureUnits map[string]*Package
 }
@@ -335,7 +335,7 @@ func (l *Loader) importPure(path string) (*types.Package, error) {
 	}
 	l.pure[path] = &pureEntry{pkg: pkg, err: err}
 	if err == nil {
-		// Keep the checked bodies: the call graph summarizes functions of
+		// Keep the checked bodies: hotalloc reads functions of
 		// module-internal dependencies through this cache. Object identity
 		// lines up with dependants because their imports resolve to this
 		// same *types.Package.

@@ -5,7 +5,7 @@ import (
 	"go/types"
 )
 
-// NoSleepTest flags time-based synchronization in _test.go files. PR 1
+// noSleepTest flags time-based synchronization in _test.go files. PR 1
 // de-flaked the concurrency tests by replacing fixed sleeps with channel
 // synchronization; this analyzer keeps them that way:
 //
@@ -19,7 +19,7 @@ import (
 //
 // Deadline-bounded poll loops that genuinely need a sleep between probes
 // carry an explained //lint:ignore.
-var NoSleepTest = &Analyzer{
+var noSleepTest = &Analyzer{
 	Name: "nosleeptest",
 	Doc:  "no time.Sleep, time.Tick, time.NewTicker, or bare <-time.After in _test.go files — synchronize with channels, or poll against a deadline with an explained //lint:ignore",
 	Run:  runNoSleepTest,

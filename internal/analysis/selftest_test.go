@@ -34,14 +34,29 @@ func TestRepoClean(t *testing.T) {
 }
 
 // TestScopePackagesExist keeps the analyzers' scopes in step with the tree:
-// every literal "internal/..." suffix passed to pathHasSuffix in this
-// package's non-test code must name a directory of the module that holds a
-// non-test .go file, and every method name that ctxpoll and blockunderlock
-// switch on as a serving entry point must be declared by some non-test
-// method in the module. A scope naming a deleted package or method checks
-// nothing and says otherwise.
+// every entry of the scopes table must name a directory of the module that
+// holds a non-test .go file, no "internal/..." path literal may appear in
+// this package's non-test code outside that table, and every method name
+// ctxpoll switches on as a serving entry point must be declared by some
+// non-test method in the module. A scope naming a deleted package or method
+// checks nothing and says otherwise.
 func TestScopePackagesExist(t *testing.T) {
 	root, err := findModuleRoot(".")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(scopes) == 0 {
+		t.Fatal("the scopes table is empty")
+	}
+	for role, dirs := range scopes {
+		for _, dir := range dirs {
+			if !hasNonTestGo(filepath.Join(root, filepath.FromSlash(dir))) {
+				t.Errorf("scopes[%q]: %q names no package with non-test Go files", role, dir)
+			}
+		}
+	}
+
+	methods, err := moduleMethodNames(root)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -52,64 +67,34 @@ func TestScopePackagesExist(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	scopes := 0
-	for _, pkg := range pkgs {
-		for _, f := range pkg.Files {
-			ast.Inspect(f, func(n ast.Node) bool {
-				call, ok := n.(*ast.CallExpr)
-				if !ok {
-					return true
-				}
-				if id, ok := call.Fun.(*ast.Ident); !ok || id.Name != "pathHasSuffix" {
-					return true
-				}
-				for _, arg := range call.Args {
-					lit, ok := arg.(*ast.BasicLit)
-					if !ok || lit.Kind != token.STRING {
-						continue
-					}
-					dir, err := strconv.Unquote(lit.Value)
-					if err != nil || !strings.HasPrefix(dir, "internal/") {
-						continue
-					}
-					scopes++
-					if !hasNonTestGo(filepath.Join(root, filepath.FromSlash(dir))) {
-						t.Errorf("%s: scope %q names no package with non-test Go files", fset.Position(lit.Pos()), dir)
-					}
-				}
-				return true
-			})
-		}
-	}
-	if scopes == 0 {
-		t.Fatal("found no pathHasSuffix scope literals")
-	}
-
-	methods, err := moduleMethodNames(root)
-	if err != nil {
-		t.Fatal(err)
-	}
 	entries := 0
 	for _, pkg := range pkgs {
 		for path, f := range pkg.Files {
-			if base := filepath.Base(path); base != "ctxpoll.go" && base != "blockunderlock.go" {
-				continue
-			}
 			ast.Inspect(f, func(n ast.Node) bool {
-				sw, ok := n.(*ast.SwitchStmt)
-				if !ok || !isNameCall(sw.Tag) {
-					return true
-				}
-				for _, stmt := range sw.Body.List {
-					for _, e := range stmt.(*ast.CaseClause).List {
-						lit, ok := e.(*ast.BasicLit)
-						if !ok || lit.Kind != token.STRING {
-							continue
-						}
-						name, _ := strconv.Unquote(lit.Value)
-						entries++
-						if !methods[name] {
-							t.Errorf("%s: entry point %q is declared by no non-test method in the module", fset.Position(lit.Pos()), name)
+				switch n := n.(type) {
+				case *ast.ValueSpec:
+					if len(n.Names) == 1 && n.Names[0].Name == "scopes" {
+						return false
+					}
+				case *ast.BasicLit:
+					if v, err := strconv.Unquote(n.Value); n.Kind == token.STRING && err == nil && strings.HasPrefix(v, "internal/") {
+						t.Errorf("%s: path literal %q outside the scopes table", fset.Position(n.Pos()), v)
+					}
+				case *ast.SwitchStmt:
+					if filepath.Base(path) != "ctxpoll.go" || !isNameCall(n.Tag) {
+						return true
+					}
+					for _, stmt := range n.Body.List {
+						for _, e := range stmt.(*ast.CaseClause).List {
+							lit, ok := e.(*ast.BasicLit)
+							if !ok || lit.Kind != token.STRING {
+								continue
+							}
+							name, _ := strconv.Unquote(lit.Value)
+							entries++
+							if !methods[name] {
+								t.Errorf("%s: entry point %q is declared by no non-test method in the module", fset.Position(lit.Pos()), name)
+							}
 						}
 					}
 				}
@@ -118,7 +103,7 @@ func TestScopePackagesExist(t *testing.T) {
 		}
 	}
 	if entries == 0 {
-		t.Fatal("found no entry-point names in ctxpoll.go or blockunderlock.go")
+		t.Fatal("found no entry-point names in ctxpoll.go")
 	}
 }
 

@@ -19,21 +19,21 @@ import (
 
 // Paper-scale constants (Table I).
 const (
-	PaperCityCount = 400000
-	PaperDNACount  = 750000
+	paperCityCount = 400000
+	paperDNACount  = 750000
 )
 
-// PaperQueryCounts are the §5.2 batch sizes.
-var PaperQueryCounts = []int{100, 500, 1000}
+// paperQueryCounts are the §5.2 batch sizes.
+var paperQueryCounts = []int{100, 500, 1000}
 
-// CityKs and DNAKs are the Table I thresholds.
+// cityKs and dnaKs are the Table I thresholds.
 var (
-	CityKs = []int{0, 1, 2, 3}
-	DNAKs  = []int{0, 4, 8, 16}
+	cityKs = []int{0, 1, 2, 3}
+	dnaKs  = []int{0, 4, 8, 16}
 )
 
-// ThreadCounts is the §5.3.6 sweep.
-var ThreadCounts = []int{4, 8, 16, 32}
+// threadCounts is the §5.3.6 sweep.
+var threadCounts = []int{4, 8, 16, 32}
 
 // Config scales the experiments. Scale 1.0 reproduces the paper's sizes
 // (400k/750k strings, 100/500/1000 queries); the default 0.1 keeps the whole
@@ -68,8 +68,8 @@ func (c Config) scaled(n int) int {
 
 // QueryCounts returns the scaled §5.2 batch sizes.
 func (c Config) QueryCounts() []int {
-	out := make([]int, len(PaperQueryCounts))
-	for i, n := range PaperQueryCounts {
+	out := make([]int, len(paperQueryCounts))
+	for i, n := range paperQueryCounts {
 		out[i] = c.scaled(n)
 	}
 	return out
@@ -105,36 +105,36 @@ func buildQueries(data []string, n int, ks []int, maxEdits int, seed int64) []co
 
 // CityWorkload builds the scaled city-names workload.
 func CityWorkload(cfg Config) Workload {
-	data := dataset.Cities(cfg.scaled(PaperCityCount), cfg.CitySeed)
+	data := dataset.Cities(cfg.scaled(paperCityCount), cfg.CitySeed)
 	counts := cfg.QueryCounts()
 	maxQ := counts[len(counts)-1]
 	return Workload{
 		Name:    "city",
 		Data:    data,
-		Queries: buildQueries(data, maxQ, CityKs, 3, cfg.QuerySeed),
+		Queries: buildQueries(data, maxQ, cityKs, 3, cfg.QuerySeed),
 		Counts:  counts,
-		Ks:      CityKs,
+		Ks:      cityKs,
 	}
 }
 
 // DNAWorkload builds the scaled DNA-reads workload.
 func DNAWorkload(cfg Config) Workload {
-	data := dataset.DNAReads(cfg.scaled(PaperDNACount), cfg.DNASeed)
+	data := dataset.DNAReads(cfg.scaled(paperDNACount), cfg.DNASeed)
 	counts := cfg.QueryCounts()
 	maxQ := counts[len(counts)-1]
 	return Workload{
 		Name:    "dna",
 		Data:    data,
-		Queries: buildQueries(data, maxQ, DNAKs, 8, cfg.QuerySeed+1),
+		Queries: buildQueries(data, maxQ, dnaKs, 8, cfg.QuerySeed+1),
 		Counts:  counts,
-		Ks:      DNAKs,
+		Ks:      dnaKs,
 	}
 }
 
-// MeasureBatch times answering qs with s (optionally scheduled by runner),
+// measureBatch times answering qs with s (optionally scheduled by runner),
 // returning the wall-clock duration. This is the paper's §5.2 measurement:
 // actual execution time of the calculation phase only.
-func MeasureBatch(s core.Searcher, qs []core.Query, runner pool.Runner) time.Duration {
+func measureBatch(s core.Searcher, qs []core.Query, runner pool.Runner) time.Duration {
 	start := time.Now()
 	core.SearchBatch(s, qs, runner)
 	return time.Since(start)
@@ -181,8 +181,8 @@ type Table struct {
 	Rows    []Row
 }
 
-// NewTable prepares a table with "N queries" column heads.
-func NewTable(title string, counts []int) *Table {
+// newTable prepares a table with "N queries" column heads.
+func newTable(title string, counts []int) *Table {
 	t := &Table{Title: title}
 	for _, n := range counts {
 		t.Columns = append(t.Columns, fmt.Sprintf("%d queries", n))

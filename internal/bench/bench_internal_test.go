@@ -94,7 +94,7 @@ func TestCellString(t *testing.T) {
 }
 
 func TestTableRenderAndBest(t *testing.T) {
-	tab := NewTable("Table X. Demo", []int{100, 500})
+	tab := newTable("Table X. Demo", []int{100, 500})
 	tab.AddRow("slow", []Cell{{Elapsed: 2 * time.Second}, {Elapsed: 10 * time.Second}})
 	tab.AddRow("fast", []Cell{{Elapsed: 1 * time.Second}, {Elapsed: 3 * time.Second}})
 	s := tab.String()
@@ -112,7 +112,7 @@ func TestMeasureBatchPositive(t *testing.T) {
 	cfg := tinyConfig()
 	w := CityWorkload(cfg)
 	eng := core.NewTrie(w.Data, true)
-	if d := MeasureBatch(eng, w.Batch(1), nil); d <= 0 {
+	if d := measureBatch(eng, w.Batch(1), nil); d <= 0 {
 		t.Errorf("elapsed %v", d)
 	}
 }

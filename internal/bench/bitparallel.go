@@ -75,11 +75,11 @@ func BitParallelRecords(w Workload) []Record {
 
 // ablationTable times every rung over w's batch sizes, one row each.
 func ablationTable(title string, w Workload, rungs []rung) *Table {
-	t := NewTable(title, w.Counts)
+	t := newTable(title, w.Counts)
 	for _, r := range rungs {
 		eng := r.build(w.Data, nil)
 		t.AddRow(r.label, series(w, func(qs []core.Query) time.Duration {
-			return MeasureBatch(eng, qs, nil)
+			return measureBatch(eng, qs, nil)
 		}))
 	}
 	return t

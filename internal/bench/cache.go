@@ -10,9 +10,9 @@ import (
 	"simsearch/internal/dataset"
 )
 
-// CacheReplayResult is one cache-replay measurement: the same Zipf-skewed
+// cacheReplayResult is one cache-replay measurement: the same Zipf-skewed
 // query stream answered by the bare engine and by its cached decorator.
-type CacheReplayResult struct {
+type cacheReplayResult struct {
 	Engine   string
 	Queries  int
 	Capacity int
@@ -24,21 +24,21 @@ type CacheReplayResult struct {
 }
 
 // Speedup returns the uncached/cached total-time ratio.
-func (r CacheReplayResult) Speedup() float64 {
+func (r cacheReplayResult) Speedup() float64 {
 	if r.Cached == 0 {
 		return 0
 	}
 	return float64(r.Uncached) / float64(r.Cached)
 }
 
-// CacheReplay replays queries serially against eng twice — bare, then behind
+// cacheReplay replays queries serially against eng twice — bare, then behind
 // a capacity-entry result cache — timing each query. Hit-path and miss-path
 // latencies are separated by watching the cache's hit counter move, so the
 // report shows directly how far a cache hit is below a full engine search.
 // The replay asserts byte-identical results between the two passes and
 // panics on divergence (the §3.1 protocol, applied to the cache).
-func CacheReplay(eng core.Searcher, queries []core.Query, capacity int) CacheReplayResult {
-	r := CacheReplayResult{Engine: eng.Name(), Queries: len(queries), Capacity: capacity}
+func cacheReplay(eng core.Searcher, queries []core.Query, capacity int) cacheReplayResult {
+	r := cacheReplayResult{Engine: eng.Name(), Queries: len(queries), Capacity: capacity}
 
 	uncached := make([][]core.Match, len(queries))
 	start := time.Now()
@@ -101,7 +101,7 @@ func zipfQueries(wl Workload, n int, s float64, seed int64) []core.Query {
 // hit-path vs miss-path latency, and end-to-end speedup.
 func CacheReport(w io.Writer, wl Workload, eng core.Searcher, n, capacity int, s float64) {
 	qs := zipfQueries(wl, n, s, 20130325)
-	res := CacheReplay(eng, qs, capacity)
+	res := cacheReplay(eng, qs, capacity)
 	fmt.Fprintf(w, "cache replay (%s): engine=%s queries=%d zipf_s=%.2f capacity=%d\n",
 		wl.Name, res.Engine, res.Queries, s, capacity)
 	fmt.Fprintf(w, "  uncached: total=%v mean=%v\n",

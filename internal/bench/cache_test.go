@@ -16,7 +16,7 @@ func TestCacheReplay(t *testing.T) {
 		t.Fatalf("stream length %d", len(qs))
 	}
 
-	res := CacheReplay(core.NewTrie(data, true), qs, 64)
+	res := cacheReplay(core.NewTrie(data, true), qs, 64)
 	if res.Queries != 200 || res.Capacity != 64 {
 		t.Errorf("result header = %+v", res)
 	}

@@ -8,22 +8,22 @@ import (
 	"simsearch/internal/metrics"
 )
 
-// CascadeKs are the thresholds for the cascade ablation. The filters earn
+// cascadeKs are the thresholds for the cascade ablation. The filters earn
 // their keep at small k — exactly the regime where the paper's index wins
 // (§5.4) — so the cascade is measured at k = 1..3 rather than the DNA
 // workload's 0/4/8/16 ladder.
-var CascadeKs = []int{1, 2, 3}
+var cascadeKs = []int{1, 2, 3}
 
-// cascadeWorkload re-thresholds w's queries to CascadeKs, cycling like
+// cascadeWorkload re-thresholds w's queries to cascadeKs, cycling like
 // buildQueries does, so every batch prefix exercises every threshold.
 func cascadeWorkload(w Workload) Workload {
 	qs := make([]core.Query, len(w.Queries))
 	for i, q := range w.Queries {
-		qs[i] = core.Query{Text: q.Text, K: CascadeKs[i%len(CascadeKs)]}
+		qs[i] = core.Query{Text: q.Text, K: cascadeKs[i%len(cascadeKs)]}
 	}
 	out := w
 	out.Queries = qs
-	out.Ks = CascadeKs
+	out.Ks = cascadeKs
 	return out
 }
 
@@ -87,7 +87,7 @@ func CascadeCheck() error {
 		eng := core.NewCascade(tc.data, core.WithComparisonCounter(&comps))
 		bare := core.NewCascade(tc.data, core.WithoutFrequency())
 		for i, text := range qs {
-			q := core.Query{Text: text, K: CascadeKs[i%len(CascadeKs)]}
+			q := core.Query{Text: text, K: cascadeKs[i%len(cascadeKs)]}
 			want := oracle.Search(q)
 			got := eng.Search(q)
 			bare.Search(q)

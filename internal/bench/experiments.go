@@ -14,10 +14,10 @@ import (
 
 // Paper-optimal thread counts (§5.3.6, §5.4.3, §5.6, §5.7).
 const (
-	BestSeqCityThreads   = 8
-	BestIndexCityThreads = 32
-	BestSeqDNAThreads    = 16
-	BestIndexDNAThreads  = 16
+	bestSeqCityThreads   = 8
+	bestIndexCityThreads = 32
+	bestSeqDNAThreads    = 16
+	bestIndexDNAThreads  = 16
 )
 
 // timeLimit bounds how long a single cell may be measured directly; beyond
@@ -79,12 +79,12 @@ func TableI(city, dna Workload) *Table {
 // seqThreadSweep builds the Table II/VI layout: the managed-parallelism
 // sequential engine at each thread count.
 func seqThreadSweep(title string, w Workload) *Table {
-	t := NewTable(title, w.Counts)
-	for _, n := range ThreadCounts {
+	t := newTable(title, w.Counts)
+	for _, n := range threadCounts {
 		eng := core.NewSequential(w.Data,
 			scan.WithStrategy(scan.ParallelManaged), scan.WithWorkers(n))
 		cells := series(w, func(qs []core.Query) time.Duration {
-			return MeasureBatch(eng, qs, nil)
+			return measureBatch(eng, qs, nil)
 		})
 		t.AddRow(fmt.Sprintf("%d threads", n), cells)
 	}
@@ -103,7 +103,7 @@ func TableVI(w Workload) *Table {
 
 // seqLadder builds the Table III/VII layout: all six §3 rungs.
 func seqLadder(title string, w Workload, managedThreads int) *Table {
-	t := NewTable(title, w.Counts)
+	t := newTable(title, w.Counts)
 	rungs := []struct {
 		label string
 		opts  []scan.Option
@@ -119,7 +119,7 @@ func seqLadder(title string, w Workload, managedThreads int) *Table {
 	for _, rung := range rungs {
 		eng := core.NewSequential(w.Data, rung.opts...)
 		cells := series(w, func(qs []core.Query) time.Duration {
-			return MeasureBatch(eng, qs, nil)
+			return measureBatch(eng, qs, nil)
 		})
 		t.AddRow(rung.label, cells)
 	}
@@ -128,23 +128,23 @@ func seqLadder(title string, w Workload, managedThreads int) *Table {
 
 // TableIII is the sequential optimization ladder on city names.
 func TableIII(w Workload) *Table {
-	return seqLadder("Table III. Evaluation of the sequential solution on the city name data set", w, BestSeqCityThreads)
+	return seqLadder("Table III. Evaluation of the sequential solution on the city name data set", w, bestSeqCityThreads)
 }
 
 // TableVII is the sequential optimization ladder on DNA.
 func TableVII(w Workload) *Table {
-	return seqLadder("Table VII. Evaluation of the sequential solution on the DNA data set", w, BestSeqDNAThreads)
+	return seqLadder("Table VII. Evaluation of the sequential solution on the DNA data set", w, bestSeqDNAThreads)
 }
 
 // indexThreadSweep builds the Table IV/VIII layout: the compressed trie with
 // queries scheduled over fixed pools.
 func indexThreadSweep(title string, w Workload) *Table {
-	t := NewTable(title, w.Counts)
+	t := newTable(title, w.Counts)
 	eng := core.NewTrie(w.Data, true)
-	for _, n := range ThreadCounts {
+	for _, n := range threadCounts {
 		runner := pool.Fixed{Workers: n}
 		cells := series(w, func(qs []core.Query) time.Duration {
-			return MeasureBatch(eng, qs, runner)
+			return measureBatch(eng, qs, runner)
 		})
 		t.AddRow(fmt.Sprintf("%d threads", n), cells)
 	}
@@ -164,48 +164,48 @@ func TableVIII(w Workload) *Table {
 // indexLadder builds the Table V/IX layout: base trie, compression, managed
 // parallelism.
 func indexLadder(title string, w Workload, threads int) *Table {
-	t := NewTable(title, w.Counts)
+	t := newTable(title, w.Counts)
 
 	plain := core.NewTrie(w.Data, false)
 	t.AddRow("1) Base implementation", series(w, func(qs []core.Query) time.Duration {
-		return MeasureBatch(plain, qs, nil)
+		return measureBatch(plain, qs, nil)
 	}))
 
 	compressed := core.NewTrie(w.Data, true)
 	t.AddRow("2) Compression", series(w, func(qs []core.Query) time.Duration {
-		return MeasureBatch(compressed, qs, nil)
+		return measureBatch(compressed, qs, nil)
 	}))
 
 	runner := pool.Fixed{Workers: threads}
 	t.AddRow("3) Management of parallelism", series(w, func(qs []core.Query) time.Duration {
-		return MeasureBatch(compressed, qs, runner)
+		return measureBatch(compressed, qs, runner)
 	}))
 	return t
 }
 
 // TableV is the index ladder on city names.
 func TableV(w Workload) *Table {
-	return indexLadder("Table V. Evaluation of the index-based solution on the city name data set", w, BestIndexCityThreads)
+	return indexLadder("Table V. Evaluation of the index-based solution on the city name data set", w, bestIndexCityThreads)
 }
 
 // TableIX is the index ladder on DNA.
 func TableIX(w Workload) *Table {
-	return indexLadder("Table IX. Evaluation of the index-based solution on the DNA data set", w, BestIndexDNAThreads)
+	return indexLadder("Table IX. Evaluation of the index-based solution on the DNA data set", w, bestIndexDNAThreads)
 }
 
 // figure builds the Figure 6/7 layout: the best sequential configuration
 // against the best index configuration.
 func figure(title string, w Workload, seqThreads, idxThreads int) *Table {
-	t := NewTable(title, w.Counts)
+	t := newTable(title, w.Counts)
 	seq := core.NewSequential(w.Data,
 		scan.WithStrategy(scan.ParallelManaged), scan.WithWorkers(seqThreads))
 	t.AddRow("best sequential", series(w, func(qs []core.Query) time.Duration {
-		return MeasureBatch(seq, qs, nil)
+		return measureBatch(seq, qs, nil)
 	}))
 	idx := core.NewTrie(w.Data, true)
 	runner := pool.Fixed{Workers: idxThreads}
 	t.AddRow("best index-based", series(w, func(qs []core.Query) time.Duration {
-		return MeasureBatch(idx, qs, runner)
+		return measureBatch(idx, qs, runner)
 	}))
 	return t
 }
@@ -214,11 +214,11 @@ func figure(title string, w Workload, seqThreads, idxThreads int) *Table {
 // the sequential scan wins).
 func Figure6(w Workload) *Table {
 	return figure("Figure 6. Best sequential vs. best index-based solution (city names)", w,
-		BestSeqCityThreads, BestIndexCityThreads)
+		bestSeqCityThreads, bestIndexCityThreads)
 }
 
 // Figure7 compares the best engines on DNA (hypothesis 1: the index wins).
 func Figure7(w Workload) *Table {
 	return figure("Figure 7. Best sequential vs. best index-based solution (DNA)", w,
-		BestSeqDNAThreads, BestIndexDNAThreads)
+		bestSeqDNAThreads, bestIndexDNAThreads)
 }

@@ -90,7 +90,7 @@ func TableXII(w Workload) *Table {
 // TableXI races the paper's two engines, paper-faithful and modern, and the
 // filtered sweep the library serves with on the workload's full query batch.
 func TableXI(w Workload) *Table {
-	t := NewTable(fmt.Sprintf("Table XI (extension). Engine matrix on the %s workload", w.Name), w.Counts)
+	t := newTable(fmt.Sprintf("Table XI (extension). Engine matrix on the %s workload", w.Name), w.Counts)
 	engines := []core.Searcher{
 		core.NewSequential(w.Data, scan.WithStrategy(scan.SimpleTypes)),
 		core.NewSequential(w.Data, scan.WithStrategy(scan.SimpleTypes), scan.WithBandedKernel()),
@@ -110,7 +110,7 @@ func TableXI(w Workload) *Table {
 	for i, eng := range engines {
 		eng := eng
 		cells := series(w, func(qs []core.Query) time.Duration {
-			return MeasureBatch(eng, qs, nil)
+			return measureBatch(eng, qs, nil)
 		})
 		t.AddRow(names[i], cells)
 	}
@@ -154,9 +154,9 @@ func TableXIII(w Workload, queries int) *Table {
 	return t
 }
 
-// ShardCounts is the shard sweep, the serving-path analogue of the paper's
+// shardCounts is the shard sweep, the serving-path analogue of the paper's
 // Tables II/IV worker sweep.
-var ShardCounts = []int{1, 2, 4, 8, 16}
+var shardCounts = []int{1, 2, 4, 8, 16}
 
 // TableXIV sweeps the sharded executor's shard count over the workload's
 // query batches, with the paper's best parallel configuration (one engine,
@@ -168,7 +168,7 @@ func TableXIV(w Workload, workers int) *Table {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	t := NewTable(fmt.Sprintf(
+	t := newTable(fmt.Sprintf(
 		"Table XIV (extension). Sharded-executor sweep on the %s workload (%d pool workers)",
 		w.Name, workers), w.Counts)
 
@@ -176,17 +176,17 @@ func TableXIV(w Workload, workers int) *Table {
 		scan.WithStrategy(scan.ParallelManaged), scan.WithWorkers(workers),
 		scan.WithBandedKernel())
 	cells := series(w, func(qs []core.Query) time.Duration {
-		return MeasureBatch(baseline, qs, nil)
+		return measureBatch(baseline, qs, nil)
 	})
 	t.AddRow("parallel scan (paper §3.6)", cells)
 
-	for _, p := range ShardCounts {
+	for _, p := range shardCounts {
 		ex := exec.New(w.Data, exec.Options{
 			Shards: p,
 			Runner: pool.Fixed{Workers: workers},
 		})
 		cells := series(w, func(qs []core.Query) time.Duration {
-			return MeasureBatch(ex, qs, nil)
+			return measureBatch(ex, qs, nil)
 		})
 		t.AddRow(fmt.Sprintf("sharded scan, P=%d", p), cells)
 	}

@@ -10,11 +10,11 @@ import (
 	"simsearch/internal/scan"
 )
 
-// MeasureLatencies answers every query serially, recording each query's
+// measureLatencies answers every query serially, recording each query's
 // wall-clock latency, and returns the distribution summary. The paper only
 // reports batch totals; the distribution shows what they hide — on the mixed
 // DNA workload the k=16 queries dominate (p99 ≫ p50).
-func MeasureLatencies(s core.Searcher, qs []core.Query) metrics.Summary {
+func measureLatencies(s core.Searcher, qs []core.Query) metrics.Summary {
 	samples := make([]time.Duration, len(qs))
 	for i, q := range qs {
 		start := time.Now()
@@ -32,7 +32,7 @@ func LatencyReport(w io.Writer, wl Workload, engines []core.Searcher) {
 		wl.Name, len(wl.Data))
 	for _, eng := range engines {
 		fmt.Fprintf(w, "  %s\n", eng.Name())
-		fmt.Fprintf(w, "    all queries: %s\n", MeasureLatencies(eng, wl.Queries))
+		fmt.Fprintf(w, "    all queries: %s\n", measureLatencies(eng, wl.Queries))
 		for _, k := range wl.Ks {
 			var sub []core.Query
 			for _, q := range wl.Queries {
@@ -43,7 +43,7 @@ func LatencyReport(w io.Writer, wl Workload, engines []core.Searcher) {
 			if len(sub) == 0 {
 				continue
 			}
-			fmt.Fprintf(w, "    k=%-2d       : %s\n", k, MeasureLatencies(eng, sub))
+			fmt.Fprintf(w, "    k=%-2d       : %s\n", k, measureLatencies(eng, sub))
 		}
 	}
 }

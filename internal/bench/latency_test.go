@@ -11,7 +11,7 @@ func TestMeasureLatencies(t *testing.T) {
 	cfg := tinyConfig()
 	w := CityWorkload(cfg)
 	eng := core.NewTrie(w.Data, true)
-	s := MeasureLatencies(eng, w.Queries)
+	s := measureLatencies(eng, w.Queries)
 	if s.Count != len(w.Queries) {
 		t.Errorf("Count = %d, want %d", s.Count, len(w.Queries))
 	}

@@ -78,9 +78,9 @@ type flight struct {
 }
 
 // Cache decorates a core.Searcher with a query-result cache. It implements
-// core.Searcher, core.ContextSearcher, core.Batcher, and core.ContextBatcher,
-// so it drops in anywhere the wrapped engine does — including above the
-// sharded executor's fan-out, where one hit saves a whole shard×query task
+// core.Searcher, core.ContextSearcher and core.ContextBatcher, and answers
+// core.SearchBatch's whole batches, so it drops in anywhere the wrapped
+// engine does — including above the sharded executor's fan-out, where one hit saves a whole shard×query task
 // row. All methods are safe for concurrent use.
 type Cache struct {
 	inner   core.Searcher
@@ -385,7 +385,7 @@ func (c *Cache) wait(ctx context.Context, f *flight) ([]core.Match, error) {
 	}
 }
 
-// SearchBatch implements core.Batcher.
+// SearchBatch answers a batch, as core.SearchBatch asks.
 func (c *Cache) SearchBatch(qs []core.Query) [][]core.Match {
 	res, _ := c.SearchBatchContext(context.Background(), qs)
 	out := make([][]core.Match, len(qs))

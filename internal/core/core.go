@@ -181,8 +181,8 @@ func (t *Trie) Tree() *trie.Tree { return t.tree }
 
 // --- Batch execution ----------------------------------------------------------
 
-// Batcher is implemented by engines with their own batch scheduler.
-type Batcher interface {
+// batcher is implemented by engines with their own batch scheduler.
+type batcher interface {
 	SearchBatch(qs []Query) [][]Match
 }
 
@@ -210,7 +210,7 @@ type ContextBatcher interface {
 // thread sweeps over the trie engine).
 func SearchBatch(s Searcher, qs []Query, runner pool.Runner) [][]Match {
 	if runner == nil {
-		if b, ok := s.(Batcher); ok {
+		if b, ok := s.(batcher); ok {
 			return b.SearchBatch(qs)
 		}
 		runner = pool.Serial{}
@@ -230,8 +230,8 @@ func Reference(data []string) Searcher {
 	return NewSequential(data, scan.WithStrategy(scan.Base))
 }
 
-// VerifyError reports the first divergence found by Verify.
-type VerifyError struct {
+// verifyError reports the first divergence found by Verify.
+type verifyError struct {
 	Engine string
 	Query  Query
 	Got    []Match
@@ -239,7 +239,7 @@ type VerifyError struct {
 }
 
 // Error implements error.
-func (e *VerifyError) Error() string {
+func (e *verifyError) Error() string {
 	return fmt.Sprintf("engine %s diverges from reference on query %+v: got %v, want %v",
 		e.Engine, e.Query, e.Got, e.Want)
 }
@@ -252,7 +252,7 @@ func Verify(s, ref Searcher, qs []Query) error {
 		got := s.Search(q)
 		want := ref.Search(q)
 		if !Equal(got, want) {
-			return &VerifyError{Engine: s.Name(), Query: q, Got: got, Want: want}
+			return &verifyError{Engine: s.Name(), Query: q, Got: got, Want: want}
 		}
 	}
 	return nil

@@ -14,7 +14,7 @@ import (
 
 func allEngines(data []string) []Searcher {
 	var out []Searcher
-	for _, s := range scan.Strategies() {
+	for s := scan.Base; s <= scan.ParallelManaged; s++ {
 		out = append(out, NewSequential(data, scan.WithStrategy(s), scan.WithWorkers(4)))
 	}
 	out = append(out,
@@ -101,12 +101,12 @@ func TestVerifyReportsDivergence(t *testing.T) {
 	if err == nil {
 		t.Fatal("Verify accepted a broken engine")
 	}
-	ve, ok := err.(*VerifyError)
+	ve, ok := err.(*verifyError)
 	if !ok {
 		t.Fatalf("error type %T", err)
 	}
 	if ve.Engine != "broken" || ve.Query.Text != "berlin" {
-		t.Errorf("VerifyError = %+v", ve)
+		t.Errorf("verifyError = %+v", ve)
 	}
 	if !strings.Contains(ve.Error(), "broken") {
 		t.Errorf("message %q", ve.Error())

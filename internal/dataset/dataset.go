@@ -28,14 +28,14 @@ import (
 	"strings"
 )
 
-// MaxCityLen is the paper's Table I length cap for city names.
-const MaxCityLen = 64
+// maxCityLen is the paper's Table I length cap for city names.
+const maxCityLen = 64
 
-// ReadLen is the paper's Table I genome read length ("ca. 100").
-const ReadLen = 100
+// readLen is the paper's Table I genome read length ("ca. 100").
+const readLen = 100
 
-// DNAAlphabet is the 5-symbol read alphabet of Table I.
-const DNAAlphabet = "ACGNT"
+// dnaAlphabet is the 5-symbol read alphabet of Table I.
+const dnaAlphabet = "ACGNT"
 
 // City-name morpheme inventories. The mixture is tuned so that the byte
 // alphabet of a generated dataset approaches the paper's "ca. 255 symbols":
@@ -161,8 +161,8 @@ func Cities(n int, seed int64) []string {
 			}
 		}
 		name := sb.String()
-		if len(name) > MaxCityLen {
-			name = truncateUTF8(name, MaxCityLen)
+		if len(name) > maxCityLen {
+			name = truncateUTF8(name, maxCityLen)
 		}
 		if name == "" {
 			name = "X"
@@ -225,10 +225,10 @@ func truncateUTF8(s string, max int) string {
 	return s[:cut]
 }
 
-// Genome synthesizes a random reference genome of the given length using an
+// newGenome synthesizes a random reference genome of the given length using an
 // order-1 Markov chain over ACGT with a mild GC bias and rare N runs
 // (no-call regions), deterministically from seed.
-func Genome(length int, seed int64) string {
+func newGenome(length int, seed int64) string {
 	r := rand.New(rand.NewSource(seed))
 	const bases = "ACGT"
 	// Transition matrix with weak structure (repeats are what give real
@@ -269,24 +269,24 @@ func Genome(length int, seed int64) string {
 	return string(out)
 }
 
-// DNAReads samples n reads of length ReadLen from a synthetic genome and
+// DNAReads samples n reads of length readLen from a synthetic genome and
 // applies a sequencing-error channel: ~0.5% substitutions, ~0.05% indels and
 // ~0.1% N no-calls per base. The genome length scales with n so coverage
 // stays around 20×, which yields the heavy read overlap of real resequencing
 // data.
 func DNAReads(n int, seed int64) []string {
 	r := rand.New(rand.NewSource(seed))
-	genomeLen := n * ReadLen / 20
-	if genomeLen < 10*ReadLen {
-		genomeLen = 10 * ReadLen
+	genomeLen := n * readLen / 20
+	if genomeLen < 10*readLen {
+		genomeLen = 10 * readLen
 	}
-	genome := Genome(genomeLen, seed^0x5E3779B97F4A7C15)
+	genome := newGenome(genomeLen, seed^0x5E3779B97F4A7C15)
 	out := make([]string, n)
-	buf := make([]byte, 0, ReadLen+8)
+	buf := make([]byte, 0, readLen+8)
 	for i := range out {
-		start := r.Intn(len(genome) - ReadLen)
+		start := r.Intn(len(genome) - readLen)
 		buf = buf[:0]
-		buf = append(buf, genome[start:start+ReadLen]...)
+		buf = append(buf, genome[start:start+readLen]...)
 		// Error channel.
 		for p := 0; p < len(buf); p++ {
 			switch x := r.Float64(); {
@@ -315,7 +315,7 @@ func Queries(data []string, n, maxEdits int, seed int64) []string {
 	out := make([]string, n)
 	for i := range out {
 		s := data[r.Intn(len(data))]
-		out[i] = Mutate(r, s, r.Intn(maxEdits+1), alpha)
+		out[i] = mutate(r, s, r.Intn(maxEdits+1), alpha)
 	}
 	return out
 }
@@ -334,15 +334,15 @@ func QueriesZipf(data []string, n, maxEdits int, s float64, seed int64) []string
 	out := make([]string, n)
 	for i := range out {
 		base := data[int(z.Uint64())]
-		out[i] = Mutate(r, base, r.Intn(maxEdits+1), alpha)
+		out[i] = mutate(r, base, r.Intn(maxEdits+1), alpha)
 	}
 	return out
 }
 
-// Mutate applies exactly edits random single-character operations
+// mutate applies exactly edits random single-character operations
 // (substitution, insertion, deletion in equal parts) to s, drawing new
 // characters from alphabet. The result is within edit distance edits of s.
-func Mutate(r *rand.Rand, s string, edits int, alphabet string) string {
+func mutate(r *rand.Rand, s string, edits int, alphabet string) string {
 	if alphabet == "" {
 		alphabet = "a"
 	}

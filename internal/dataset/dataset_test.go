@@ -30,8 +30,8 @@ func TestCitiesProfileMatchesTableI(t *testing.T) {
 	if info.Count != 20000 {
 		t.Errorf("Count = %d", info.Count)
 	}
-	if info.MaxLen > MaxCityLen {
-		t.Errorf("MaxLen = %d exceeds cap %d", info.MaxLen, MaxCityLen)
+	if info.MaxLen > maxCityLen {
+		t.Errorf("MaxLen = %d exceeds cap %d", info.MaxLen, maxCityLen)
 	}
 	if info.MinLen < 1 {
 		t.Errorf("MinLen = %d, want >= 1", info.MinLen)
@@ -91,7 +91,7 @@ func TestTruncateUTF8(t *testing.T) {
 }
 
 func TestGenomeProperties(t *testing.T) {
-	g := Genome(50000, 9)
+	g := newGenome(50000, 9)
 	if len(g) != 50000 {
 		t.Fatalf("len = %d", len(g))
 	}
@@ -126,10 +126,10 @@ func TestDNAReadsProfileMatchesTableI(t *testing.T) {
 		t.Errorf("Symbols = %d, want <= 5 (ACGNT)", info.Symbols)
 	}
 	// "ca. 100": indels jitter the length slightly.
-	if info.MinLen < ReadLen-8 || info.MaxLen > ReadLen+8 {
-		t.Errorf("length range [%d, %d] too far from %d", info.MinLen, info.MaxLen, ReadLen)
+	if info.MinLen < readLen-8 || info.MaxLen > readLen+8 {
+		t.Errorf("length range [%d, %d] too far from %d", info.MinLen, info.MaxLen, readLen)
 	}
-	if info.AvgLen < ReadLen-2 || info.AvgLen > ReadLen+2 {
+	if info.AvgLen < readLen-2 || info.AvgLen > readLen+2 {
 		t.Errorf("AvgLen = %f", info.AvgLen)
 	}
 }
@@ -205,14 +205,14 @@ func TestMutateExactEdits(t *testing.T) {
 		rr := rand.New(rand.NewSource(seed))
 		s := Cities(1, seed&0x7fffffff)[0]
 		n := rr.Intn(4)
-		m := Mutate(rr, s, n, "abcXYZ")
+		m := mutate(rr, s, n, "abcXYZ")
 		return edit.Distance(s, m) <= n
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200, Rand: r}); err != nil {
 		t.Error(err)
 	}
 	// Empty alphabet falls back safely.
-	if got := Mutate(r, "abc", 1, ""); got == "" && len("abc") > 1 {
+	if got := mutate(r, "abc", 1, ""); got == "" && len("abc") > 1 {
 		t.Log("mutation emptied the string; acceptable for delete ops")
 	}
 }

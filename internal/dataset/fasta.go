@@ -9,13 +9,14 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"path/filepath"
 	"strings"
 )
 
-// ReadFASTA parses FASTA records: a '>' header line followed by one or more
+// readFASTA parses FASTA records: a '>' header line followed by one or more
 // sequence lines (which are concatenated). Sequences are upper-cased;
 // blank lines are ignored. Returns the sequences in file order.
-func ReadFASTA(r io.Reader) ([]string, error) {
+func readFASTA(r io.Reader) ([]string, error) {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 64*1024), 16*1024*1024)
 	var out []string
@@ -53,11 +54,11 @@ func ReadFASTA(r io.Reader) ([]string, error) {
 	return out, nil
 }
 
-// ReadFASTQ parses FASTQ records: four lines per read ('@' header, sequence,
+// readFASTQ parses FASTQ records: four lines per read ('@' header, sequence,
 // '+' separator, quality). Quality strings are validated for length and
 // discarded. Multi-line sequences are not supported (per the de-facto
 // standard for short reads).
-func ReadFASTQ(r io.Reader) ([]string, error) {
+func readFASTQ(r io.Reader) ([]string, error) {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 64*1024), 16*1024*1024)
 	var out []string
@@ -105,49 +106,20 @@ func ReadFASTQ(r io.Reader) ([]string, error) {
 	return out, nil
 }
 
-// LoadSequences reads a file of DNA reads, dispatching on extension:
-// .fasta/.fa, .fastq/.fq, else one sequence per line.
+// LoadSequences reads a file of DNA reads, dispatching on the extension in
+// any case: .fasta/.fa, .fastq/.fq, else one sequence per line.
 func LoadSequences(path string) ([]string, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, err
 	}
 	defer f.Close()
-	switch {
-	case strings.HasSuffix(path, ".fasta"), strings.HasSuffix(path, ".fa"):
-		return ReadFASTA(f)
-	case strings.HasSuffix(path, ".fastq"), strings.HasSuffix(path, ".fq"):
-		return ReadFASTQ(f)
+	switch strings.ToLower(filepath.Ext(path)) {
+	case ".fasta", ".fa":
+		return readFASTA(f)
+	case ".fastq", ".fq":
+		return readFASTQ(f)
 	default:
 		return Load(path)
 	}
-}
-
-// WriteFASTA writes sequences as FASTA with synthetic headers and 70-column
-// wrapping.
-func WriteFASTA(w io.Writer, sequences []string) error {
-	bw := bufio.NewWriter(w)
-	for i, s := range sequences {
-		if _, err := fmt.Fprintf(bw, ">seq%d\n", i); err != nil {
-			return err
-		}
-		for off := 0; off < len(s); off += 70 {
-			end := off + 70
-			if end > len(s) {
-				end = len(s)
-			}
-			if _, err := bw.WriteString(s[off:end]); err != nil {
-				return err
-			}
-			if err := bw.WriteByte('\n'); err != nil {
-				return err
-			}
-		}
-		if len(s) == 0 {
-			if err := bw.WriteByte('\n'); err != nil {
-				return err
-			}
-		}
-	}
-	return bw.Flush()
 }

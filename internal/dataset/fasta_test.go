@@ -1,7 +1,6 @@
 package dataset
 
 import (
-	"bytes"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -10,29 +9,38 @@ import (
 )
 
 func TestReadFASTA(t *testing.T) {
-	in := `>read1 description here
+	wrapped := strings.Repeat("ACGT", 40) // 160 bases, written as 70 + 70 + 20
+	cases := []struct {
+		name, in string
+		want     []string
+	}{
+		{"headers, comments, blank lines, lower case", `>read1 description here
 ACGT
 ACGT
 ; a legacy comment
 >read2
 
 ttnn
-`
-	got, err := ReadFASTA(strings.NewReader(in))
-	if err != nil {
-		t.Fatal(err)
+`, []string{"ACGTACGT", "TTNN"}},
+		{"70-column records and an empty one", ">seq0\n" + wrapped[:70] + "\n" + wrapped[70:140] + "\n" + wrapped[140:] +
+			"\n>seq1\nTT\n>seq2\n\n", []string{wrapped, "TT", ""}},
 	}
-	want := []string{"ACGTACGT", "TTNN"}
-	if !reflect.DeepEqual(got, want) {
-		t.Errorf("got %q, want %q", got, want)
+	for _, c := range cases {
+		got, err := readFASTA(strings.NewReader(c.in))
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		if !reflect.DeepEqual(got, c.want) {
+			t.Errorf("%s: got %q, want %q", c.name, got, c.want)
+		}
 	}
 }
 
 func TestReadFASTAErrors(t *testing.T) {
-	if _, err := ReadFASTA(strings.NewReader("ACGT\n")); err == nil {
+	if _, err := readFASTA(strings.NewReader("ACGT\n")); err == nil {
 		t.Error("sequence before header accepted")
 	}
-	got, err := ReadFASTA(strings.NewReader(""))
+	got, err := readFASTA(strings.NewReader(""))
 	if err != nil || len(got) != 0 {
 		t.Errorf("empty input: %v, %v", got, err)
 	}
@@ -48,7 +56,7 @@ ttgg
 +read2
 !!!!
 `
-	got, err := ReadFASTQ(strings.NewReader(in))
+	got, err := readFASTQ(strings.NewReader(in))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -66,61 +74,36 @@ func TestReadFASTQErrors(t *testing.T) {
 		"@r\nACGT\n+\nIII\n",    // quality length mismatch
 	}
 	for _, c := range cases {
-		if _, err := ReadFASTQ(strings.NewReader(c)); err == nil {
+		if _, err := readFASTQ(strings.NewReader(c)); err == nil {
 			t.Errorf("accepted malformed input %q", c)
 		}
 	}
 }
 
-func TestWriteFASTARoundTrip(t *testing.T) {
-	seqs := []string{
-		strings.Repeat("ACGT", 40), // 160 chars -> wrapped
-		"TT",
-		"",
-	}
-	var buf bytes.Buffer
-	if err := WriteFASTA(&buf, seqs); err != nil {
-		t.Fatal(err)
-	}
-	got, err := ReadFASTA(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(got, seqs) {
-		t.Errorf("round trip: %q != %q", got, seqs)
-	}
-}
-
 func TestLoadSequencesDispatch(t *testing.T) {
 	dir := t.TempDir()
-
-	fa := filepath.Join(dir, "reads.fasta")
-	if err := os.WriteFile(fa, []byte(">a\nACGT\n>b\nTT\n"), 0o644); err != nil {
-		t.Fatal(err)
+	cases := []struct {
+		file, body string
+		want       []string
+	}{
+		{"reads.fasta", ">a\nACGT\n>b\nTT\n", []string{"ACGT", "TT"}},
+		{"reads.fq", "@a\nACGT\n+\nIIII\n", []string{"ACGT"}},
+		{"reads.txt", "ACGT\nTT\n", []string{"ACGT", "TT"}},
+		// The extension matches in any case: an upper-case one read one
+		// string per line would return headers and qualities as reads.
+		{"reads.FASTQ", "@a\nACGT\n+\nIIII\n", []string{"ACGT"}},
+		{"reads.FA", ">a\nAC\nGT\n", []string{"ACGT"}},
 	}
-	got, err := LoadSequences(fa)
-	if err != nil || !reflect.DeepEqual(got, []string{"ACGT", "TT"}) {
-		t.Errorf("fasta: %q, %v", got, err)
+	for _, c := range cases {
+		path := filepath.Join(dir, c.file)
+		if err := os.WriteFile(path, []byte(c.body), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		got, err := LoadSequences(path)
+		if err != nil || !reflect.DeepEqual(got, c.want) {
+			t.Errorf("%s: %q, %v; want %q", c.file, got, err, c.want)
+		}
 	}
-
-	fq := filepath.Join(dir, "reads.fq")
-	if err := os.WriteFile(fq, []byte("@a\nACGT\n+\nIIII\n"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	got, err = LoadSequences(fq)
-	if err != nil || !reflect.DeepEqual(got, []string{"ACGT"}) {
-		t.Errorf("fastq: %q, %v", got, err)
-	}
-
-	txt := filepath.Join(dir, "reads.txt")
-	if err := os.WriteFile(txt, []byte("ACGT\nTT\n"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	got, err = LoadSequences(txt)
-	if err != nil || !reflect.DeepEqual(got, []string{"ACGT", "TT"}) {
-		t.Errorf("plain: %q, %v", got, err)
-	}
-
 	if _, err := LoadSequences(filepath.Join(dir, "missing.fa")); err == nil {
 		t.Error("missing file accepted")
 	}

@@ -7,6 +7,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"net/url"
+	"runtime"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -214,7 +215,7 @@ func TestDifferentialMidBatchShardDeath(t *testing.T) {
 	}
 
 	// The dead replica's failures must be on the books.
-	var st StatsResponse
+	var st statsResponse
 	resp, err := http.Get(f.ts.URL + "/stats")
 	if err != nil {
 		t.Fatal(err)
@@ -412,7 +413,7 @@ func TestAdmissionControl503(t *testing.T) {
 		t.Fatalf("admitted request failed: %v", err)
 	}
 
-	var st StatsResponse
+	var st statsResponse
 	r2, err := http.Get(f.ts.URL + "/stats")
 	if err != nil {
 		t.Fatal(err)
@@ -454,7 +455,7 @@ func TestHedgingRescuesStuckReplica(t *testing.T) {
 		t.Fatalf("hedged result = %+v", br.Results)
 	}
 
-	var st StatsResponse
+	var st statsResponse
 	r2, err := http.Get(f.ts.URL + "/stats")
 	if err != nil {
 		t.Fatal(err)
@@ -493,7 +494,7 @@ func TestProberMarksDeadReplicaDown(t *testing.T) {
 	defer cancel()
 	f.coord.ProbeOnce(ctx)
 
-	var st StatsResponse
+	var st statsResponse
 	r, err := http.Get(f.ts.URL + "/stats")
 	if err != nil {
 		t.Fatal(err)
@@ -533,6 +534,57 @@ func TestProberMarksDeadReplicaDown(t *testing.T) {
 	if reps := st.Shards[0].Replicas; !reps[0].Up {
 		t.Errorf("replica not marked up after healing probe: %+v", reps)
 	}
+}
+
+// roundTripFunc answers the coordinator's requests in process.
+type roundTripFunc func(*http.Request) (*http.Response, error)
+
+func (f roundTripFunc) RoundTrip(r *http.Request) (*http.Response, error) { return f(r) }
+
+// TestProberStopsWithItsContext starts the health prober at a 1 ms interval
+// over a transport that answers in process, lets it sweep a few times and
+// cancels its context: the prober's goroutine must exit. A prober loop that
+// ignored ctx would outlive it.
+func TestProberStopsWithItsContext(t *testing.T) {
+	var probes atomic.Int64
+	healthy := roundTripFunc(func(r *http.Request) (*http.Response, error) {
+		probes.Add(1)
+		return &http.Response{StatusCode: http.StatusOK, Body: io.NopCloser(strings.NewReader("ok")), Request: r}, nil
+	})
+	c, err := New([]ShardSpec{{Replicas: []string{"http://shard"}, Count: 1}}, Options{Transport: healthy})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	c.StartProber(ctx, time.Millisecond)
+	// No channel reports a sweep or a goroutine's exit, so both waits poll
+	// against a deadline, yielding between looks.
+	deadline := time.Now().Add(5 * time.Second)
+	for ; probes.Load() < 3; runtime.Gosched() {
+		if time.Now().After(deadline) {
+			cancel()
+			t.Fatalf("%d probe sweeps in 5s at a 1ms interval", probes.Load())
+		}
+	}
+	cancel()
+	for ; proberGoroutines() > 0; runtime.Gosched() {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d prober goroutines after its context was cancelled, want 0", proberGoroutines())
+		}
+	}
+}
+
+// proberGoroutines counts the goroutines StartProber launched that are still
+// running.
+func proberGoroutines() int {
+	buf := make([]byte, 1<<20)
+	n := 0
+	for _, g := range strings.Split(string(buf[:runtime.Stack(buf, true)]), "\n\n") {
+		if strings.Contains(g, "(*Coordinator).StartProber.func") {
+			n++
+		}
+	}
+	return n
 }
 
 // TestCoordinatorMetricsExposed asserts the simsearch_coord_* families are

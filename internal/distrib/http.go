@@ -315,15 +315,15 @@ func (c *Coordinator) handleBatch(w http.ResponseWriter, r *http.Request) {
 	json.NewEncoder(w).Encode(resp)
 }
 
-// ReplicaStatsJSON is one replica's health in the coordinator /stats payload.
-type ReplicaStatsJSON struct {
+// replicaStatsJSON is one replica's health in the coordinator /stats payload.
+type replicaStatsJSON struct {
 	URL string `json:"url"`
 	Up  bool   `json:"up"`
 }
 
-// ShardStatsJSON is one shard's fan-out state in the coordinator /stats
+// shardStatsJSON is one shard's fan-out state in the coordinator /stats
 // payload. HedgeDelayµS is the delay the next hedge timer would use.
-type ShardStatsJSON struct {
+type shardStatsJSON struct {
 	Base         int32              `json:"base"`
 	Count        int                `json:"count"`
 	RPCs         uint64             `json:"rpcs"`
@@ -333,12 +333,12 @@ type ShardStatsJSON struct {
 	P50µS        int64              `json:"rpc_p50_us"`
 	P99µS        int64              `json:"rpc_p99_us"`
 	HedgeDelayµS int64              `json:"hedge_delay_us,omitempty"`
-	Replicas     []ReplicaStatsJSON `json:"replicas"`
+	Replicas     []replicaStatsJSON `json:"replicas"`
 }
 
-// StatsResponse is the coordinator /stats payload.
-type StatsResponse struct {
-	Shards        []ShardStatsJSON `json:"shards"`
+// statsResponse is the coordinator /stats payload.
+type statsResponse struct {
+	Shards        []shardStatsJSON `json:"shards"`
 	Strings       int              `json:"strings"`
 	InFlight      int64            `json:"in_flight"`
 	MaxInFlight   int              `json:"max_in_flight"`
@@ -351,7 +351,7 @@ func (c *Coordinator) handleStats(w http.ResponseWriter, r *http.Request) {
 		c.fail(w, http.StatusMethodNotAllowed, "GET only")
 		return
 	}
-	resp := StatsResponse{
+	resp := statsResponse{
 		Strings:       c.Strings(),
 		InFlight:      c.inflight.Load(),
 		MaxInFlight:   c.opts.MaxInFlight,
@@ -361,7 +361,7 @@ func (c *Coordinator) handleStats(w http.ResponseWriter, r *http.Request) {
 	now := time.Now().UnixNano()
 	for _, sh := range c.shards {
 		snap := sh.lat.Snapshot()
-		sj := ShardStatsJSON{
+		sj := shardStatsJSON{
 			Base: sh.base, Count: sh.count,
 			RPCs: sh.rpcs.Value(), Errors: sh.errs.Value(),
 			Hedges: sh.hedges.Value(), HedgeWins: sh.hedgeWins.Value(),
@@ -372,7 +372,7 @@ func (c *Coordinator) handleStats(w http.ResponseWriter, r *http.Request) {
 			sj.HedgeDelayµS = sh.hedgeDelay(q, c.opts.HedgeMin).Microseconds()
 		}
 		for _, rep := range sh.replicas {
-			sj.Replicas = append(sj.Replicas, ReplicaStatsJSON{URL: rep.url, Up: rep.up(now)})
+			sj.Replicas = append(sj.Replicas, replicaStatsJSON{URL: rep.url, Up: rep.up(now)})
 		}
 		resp.Shards = append(resp.Shards, sj)
 	}

@@ -34,17 +34,17 @@ func Distance(a, b string) int {
 // DistanceFullMatrix computes the edit distance with the full
 // (len(a)+1)×(len(b)+1) matrix exactly as written in the paper's §2.2. It is
 // deliberately unoptimized: it is the paper's §3.1 base implementation and
-// the reference the ladder is verified against. The returned matrix is not
-// retained; use Matrix to obtain it.
+// the reference the ladder is verified against. The matrix itself (matrix,
+// below) is not retained.
 func DistanceFullMatrix(a, b string) int {
-	m := Matrix(a, b)
+	m := matrix(a, b)
 	return m[len(a)][len(b)]
 }
 
-// Matrix returns the full dynamic-programming matrix M with
+// matrix returns the full dynamic-programming matrix M with
 // M[i][j] = ed(a[:i], b[:j]) (paper eq. 2–4). Row 0 and column 0 hold the
 // boundary values M[i][0] = i and M[0][j] = j.
-func Matrix(a, b string) [][]int {
+func matrix(a, b string) [][]int {
 	la, lb := len(a), len(b)
 	m := make([][]int, la+1)
 	backing := make([]int, (la+1)*(lb+1))

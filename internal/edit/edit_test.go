@@ -90,7 +90,7 @@ func TestDistanceBasicCases(t *testing.T) {
 }
 
 func TestMatrixBoundaries(t *testing.T) {
-	m := Matrix("AGGCGT", "AGAGT")
+	m := matrix("AGGCGT", "AGAGT")
 	for i := 0; i <= 6; i++ {
 		if m[i][0] != i {
 			t.Errorf("M[%d][0] = %d, want %d", i, m[i][0], i)

@@ -43,18 +43,6 @@ func StepRow(query string, prev []int, c byte, dst []int) []int {
 	return dst
 }
 
-// RowMin returns the minimum entry of a DP row. It lower-bounds the edit
-// distance between the query and every string extending the row's prefix.
-func RowMin(row []int) int {
-	m := row[0]
-	for _, v := range row[1:] {
-		if v < m {
-			m = v
-		}
-	}
-	return m
-}
-
 // RowDistance returns the edit distance encoded in a complete row, i.e. the
 // distance between the row's prefix (used as a full string) and the query.
 func RowDistance(row []int) int {

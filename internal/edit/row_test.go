@@ -2,6 +2,7 @@ package edit
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -21,7 +22,7 @@ func TestInitialRow(t *testing.T) {
 func TestStepRowMatchesMatrix(t *testing.T) {
 	q := "AGAGT"
 	data := "AGGCGT"
-	m := Matrix(data, q)
+	m := matrix(data, q)
 	row := InitialRow(q)
 	for i := 0; i < len(data); i++ {
 		row = StepRow(q, row, data[i], nil)
@@ -52,8 +53,8 @@ func TestStepRowSiblingIndependence(t *testing.T) {
 }
 
 func TestRowMinIsLowerBound(t *testing.T) {
-	// RowMin of a prefix row lower-bounds the distance from the query to any
-	// extension of the prefix.
+	// The minimum of a prefix row lower-bounds the distance from the query to
+	// any extension of the prefix: the bound the trie's descent prunes on.
 	r := rand.New(rand.NewSource(3))
 	for i := 0; i < 200; i++ {
 		q := randomString(r, "abcAB", 12)
@@ -63,10 +64,10 @@ func TestRowMinIsLowerBound(t *testing.T) {
 		for j := 0; j < len(prefix); j++ {
 			row = StepRow(q, row, prefix[j], nil)
 		}
-		lb := RowMin(row)
+		lb := slices.Min(row)
 		full := Distance(prefix+suffix, q)
 		if lb > full {
-			t.Fatalf("RowMin %d > Distance(%q, %q) = %d", lb, prefix+suffix, q, full)
+			t.Fatalf("row minimum %d > Distance(%q, %q) = %d", lb, prefix+suffix, q, full)
 		}
 	}
 }

@@ -264,7 +264,7 @@ func TestSearchBatchContextCompletes(t *testing.T) {
 // (non-stub) engines returns exactly what Search returns when not cancelled.
 func TestSearchContextPlainEnginesComplete(t *testing.T) {
 	data := dataset.Cities(400, 10)
-	ex := New(data, Options{Shards: 4, Factory: TrieFactory(true)})
+	ex := New(data, Options{Shards: 4, Factory: trieFactory})
 	for _, q := range queriesFor(data, 8, []int{0, 1, 2}, 29) {
 		want := ex.Search(q)
 		got, err := ex.SearchContext(context.Background(), q)

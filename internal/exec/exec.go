@@ -35,7 +35,6 @@ import (
 	"simsearch/internal/metrics"
 	"simsearch/internal/pool"
 	"simsearch/internal/scan"
-	"simsearch/internal/trie"
 )
 
 // Factory builds one shard engine over that shard's slice of the dataset.
@@ -47,20 +46,6 @@ type Factory func(data []string) core.Searcher
 func DefaultFactory(data []string) core.Searcher {
 	return core.NewSequential(data,
 		scan.WithStrategy(scan.SimpleTypes), scan.WithBandedKernel())
-}
-
-// ScanFactory builds sequential-scan shards with the given options.
-func ScanFactory(opts ...scan.Option) Factory {
-	return func(data []string) core.Searcher {
-		return core.NewSequential(data, opts...)
-	}
-}
-
-// TrieFactory builds prefix-tree shards (compress selects the §4.2 variant).
-func TrieFactory(compress bool, opts ...trie.Option) Factory {
-	return func(data []string) core.Searcher {
-		return core.NewTrie(data, compress, opts...)
-	}
 }
 
 // Options configures New. The zero value gives one shard per CPU, the default
@@ -93,9 +78,10 @@ type shard struct {
 	base int32
 }
 
-// Sharded is the partition-then-merge executor. It implements core.Searcher,
-// core.Batcher, and core.ContextSearcher, so it drops in anywhere a single
-// engine does while answering batches shard-parallel.
+// Sharded is the partition-then-merge executor. It implements core.Searcher
+// and core.ContextSearcher, and core.SearchBatch hands it whole batches, so
+// it drops in anywhere a single engine does while answering batches
+// shard-parallel.
 type Sharded struct {
 	data         []string
 	shards       []shard
@@ -230,13 +216,6 @@ func (s *Sharded) CounterSnapshots() []metrics.ShardSnapshot {
 		out[i] = c.Snapshot()
 	}
 	return out
-}
-
-// ResetCounters zeroes every shard counter.
-func (s *Sharded) ResetCounters() {
-	for _, c := range s.counters {
-		c.Reset()
-	}
 }
 
 // SetSlowLog installs (or, with nil, removes) the shard-level slow-query
@@ -374,8 +353,9 @@ func (s *Sharded) SearchContext(ctx context.Context, q core.Query) ([]core.Match
 	return merge(per), nil
 }
 
-// SearchBatch implements core.Batcher: the len(qs)×P task grid is fanned
-// across the runner and per-query results are returned in input order.
+// SearchBatch answers a batch, as core.SearchBatch asks: the len(qs)×P task
+// grid is fanned across the runner and per-query results are returned in
+// input order.
 func (s *Sharded) SearchBatch(qs []core.Query) [][]core.Match {
 	p := len(s.shards)
 	per := make([][]core.Match, len(qs)*p)

@@ -53,7 +53,7 @@ func FuzzDifferential(f *testing.F) {
 		}
 		ctx, cancel := context.WithCancel(context.Background())
 		defer cancel()
-		executors := []*Sharded{New(data, Options{Shards: 3, Factory: TrieFactory(true)})}
+		executors := []*Sharded{New(data, Options{Shards: 3, Factory: trieFactory})}
 		for p := 1; p <= 5; p++ {
 			executors = append(executors, New(data, Options{Shards: p}))
 		}

@@ -154,7 +154,7 @@ func TestStatsAndMetricsCache(t *testing.T) {
 	getJSON(t, ts.URL+"/search?q=bern&k=1", &sr) // miss
 	getJSON(t, ts.URL+"/search?q=bern&k=1", &sr) // hit
 
-	var stats StatsResponse
+	var stats statsResponse
 	getJSON(t, ts.URL+"/stats", &stats)
 	if stats.Cache == nil {
 		t.Fatal("/stats has no cache section for a cached engine")
@@ -200,7 +200,7 @@ func TestStatsAndMetricsCache(t *testing.T) {
 	// An uncached engine reports no cache section.
 	plain := httptest.NewServer(New(core.NewTrie(data, true), data))
 	defer plain.Close()
-	var plainStats StatsResponse
+	var plainStats statsResponse
 	getJSON(t, plain.URL+"/stats", &plainStats)
 	if plainStats.Cache != nil {
 		t.Errorf("uncached engine reports cache stats: %+v", plainStats.Cache)

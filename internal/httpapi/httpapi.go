@@ -24,7 +24,7 @@
 // coordinator forwards them; /insert and /delete take UTF-8 strings only),
 // and a failing query inside a batch
 // reports its own per-result error instead of failing the whole batch — on
-// the sharded and the serial path alike. Serve/ListenAndServe add graceful
+// the sharded and the serial path alike. serve/ListenAndServe add graceful
 // shutdown.
 //
 // When the engine is the live mutable dictionary (see internal/lsm and the
@@ -188,7 +188,7 @@ func cascades(eng core.Searcher) []*core.Cascade {
 }
 
 // cascadeTotals sums the layouts and the funnels of cs.
-func cascadeTotals(cs []*core.Cascade) (sum CascadeStatsJSON) {
+func cascadeTotals(cs []*core.Cascade) (sum cascadeStatsJSON) {
 	for _, c := range cs {
 		st := c.Stats()
 		sum.ArenaBytes += st.ArenaBytes
@@ -209,20 +209,20 @@ func registerCascades(reg *metrics.Registry, cs []*core.Cascade) {
 	if len(cs) == 0 {
 		return
 	}
-	counter := func(name, help string, field func(CascadeStatsJSON) uint64, labels ...metrics.Label) {
+	counter := func(name, help string, field func(cascadeStatsJSON) uint64, labels ...metrics.Label) {
 		reg.CounterFunc(name, help, func() float64 { return float64(field(cascadeTotals(cs))) }, labels...)
 	}
 	counter("simsearch_cascade_queries_total", "queries answered by the shard cascades, summed over shards",
-		func(st CascadeStatsJSON) uint64 { return st.Queries })
+		func(st cascadeStatsJSON) uint64 { return st.Queries })
 	for _, stage := range []struct {
 		name  string
-		field func(CascadeStatsJSON) uint64
+		field func(cascadeStatsJSON) uint64
 	}{
-		{"length", func(st CascadeStatsJSON) uint64 { return st.Candidates }},
-		{"block", func(st CascadeStatsJSON) uint64 { return st.Swept }},
-		{"frequency", func(st CascadeStatsJSON) uint64 { return st.Passed }},
-		{"qgram", func(st CascadeStatsJSON) uint64 { return st.Survivors }},
-		{"verify", func(st CascadeStatsJSON) uint64 { return st.Matches }},
+		{"length", func(st cascadeStatsJSON) uint64 { return st.Candidates }},
+		{"block", func(st cascadeStatsJSON) uint64 { return st.Swept }},
+		{"frequency", func(st cascadeStatsJSON) uint64 { return st.Passed }},
+		{"qgram", func(st cascadeStatsJSON) uint64 { return st.Survivors }},
+		{"verify", func(st cascadeStatsJSON) uint64 { return st.Matches }},
 	} {
 		counter("simsearch_cascade_stage_survivors_total",
 			"candidates surviving each cascade stage, cumulative across queries and shards",
@@ -495,9 +495,9 @@ type BatchQuery struct {
 // other check; an /insert or /delete body that is not valid UTF-8 earns the
 // first.
 var (
-	ErrBodyNotUTF8    = errors.New("request body is not valid UTF-8: send query bytes that are not UTF-8 in a batch's q_b64")
-	ErrBothQueryForms = errors.New("a query sets both q and q_b64")
-	ErrBadQB64        = errors.New("q_b64 is not standard padded base64")
+	errBodyNotUTF8    = errors.New("request body is not valid UTF-8: send query bytes that are not UTF-8 in a batch's q_b64")
+	errBothQueryForms = errors.New("a query sets both q and q_b64")
+	errBadQB64        = errors.New("q_b64 is not standard padded base64")
 )
 
 // ExactQuery returns the BatchQuery that carries text byte for byte: in Q
@@ -516,11 +516,11 @@ func (bq BatchQuery) Text() (string, error) {
 		return bq.Q, nil
 	}
 	if bq.Q != "" {
-		return "", ErrBothQueryForms
+		return "", errBothQueryForms
 	}
 	b, err := base64.StdEncoding.DecodeString(bq.QB64)
 	if err != nil {
-		return "", ErrBadQB64
+		return "", errBadQB64
 	}
 	return string(b), nil
 }
@@ -543,7 +543,7 @@ func decodeUTF8(body io.Reader, v any) error {
 		return err
 	}
 	if !utf8.Valid(raw) {
-		return ErrBodyNotUTF8
+		return errBodyNotUTF8
 	}
 	if err := json.Unmarshal(raw, v); err != nil {
 		return errors.New("invalid JSON: " + err.Error())
@@ -762,9 +762,9 @@ func (s *Server) handleHamming(w http.ResponseWriter, r *http.Request) {
 	json.NewEncoder(w).Encode(resp)
 }
 
-// ShardStatsJSON is one shard's serving counters in the /stats payload.
+// shardStatsJSON is one shard's serving counters in the /stats payload.
 // P50µS/P99µS are bucket-interpolated from the shard's latency histogram.
-type ShardStatsJSON struct {
+type shardStatsJSON struct {
 	Strings    int     `json:"strings"`
 	Queries    uint64  `json:"queries"`
 	Matches    uint64  `json:"matches"`
@@ -775,8 +775,8 @@ type ShardStatsJSON struct {
 	Throughput float64 `json:"throughput_qps"`
 }
 
-// CacheStatsJSON is the result-cache section of the /stats payload.
-type CacheStatsJSON struct {
+// cacheStatsJSON is the result-cache section of the /stats payload.
+type cacheStatsJSON struct {
 	Hits      uint64  `json:"hits"`
 	Misses    uint64  `json:"misses"`
 	Coalesced uint64  `json:"coalesced"`
@@ -790,20 +790,20 @@ type CacheStatsJSON struct {
 	Version string `json:"version,omitempty"`
 }
 
-// ScanStatsJSON is the sequential-scan section of the /stats payload: the
+// scanStatsJSON is the sequential-scan section of the /stats payload: the
 // ladder rung and the pool size. The packed arena is the cascade's, and its
 // layout is in the cascade section.
-type ScanStatsJSON struct {
+type scanStatsJSON struct {
 	Strategy string `json:"strategy"`
 	Workers  int    `json:"workers,omitempty"`
 }
 
-// CascadeStatsJSON is the filter-cascade section of the /stats payload: the
+// cascadeStatsJSON is the filter-cascade section of the /stats payload: the
 // arena layout plus the cumulative per-stage survivor funnel, which makes
 // the cascade's pruning observable (a stage whose survivors equal its input
 // has stopped pruning). The signature kind is in the engine's name. Under the
 // sharded executor the section sums the shards' cascades.
-type CascadeStatsJSON struct {
+type cascadeStatsJSON struct {
 	ArenaBytes int    `json:"arena_bytes"`
 	Buckets    int    `json:"buckets"`
 	Queries    uint64 `json:"queries"`
@@ -820,19 +820,19 @@ type CascadeStatsJSON struct {
 	Matches    uint64 `json:"matches"`
 }
 
-// StatsResponse is the /stats payload.
-type StatsResponse struct {
+// statsResponse is the /stats payload.
+type statsResponse struct {
 	Engine  string            `json:"engine"`
 	Count   int               `json:"count"`
 	Symbols int               `json:"symbols"`
 	MinLen  int               `json:"min_len"`
 	AvgLen  float64           `json:"avg_len"`
 	MaxLen  int               `json:"max_len"`
-	Scan    *ScanStatsJSON    `json:"scan,omitempty"`
-	Cascade *CascadeStatsJSON `json:"cascade,omitempty"`
-	Cache   *CacheStatsJSON   `json:"cache,omitempty"`
-	Live    *LiveStatsJSON    `json:"live,omitempty"`
-	Shards  []ShardStatsJSON  `json:"shards,omitempty"`
+	Scan    *scanStatsJSON    `json:"scan,omitempty"`
+	Cascade *cascadeStatsJSON `json:"cascade,omitempty"`
+	Cache   *cacheStatsJSON   `json:"cache,omitempty"`
+	Live    *liveStatsJSON    `json:"live,omitempty"`
+	Shards  []shardStatsJSON  `json:"shards,omitempty"`
 }
 
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
@@ -841,13 +841,13 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	info := s.info
-	resp := StatsResponse{
+	resp := statsResponse{
 		Engine: s.eng.Name(), Count: info.Count, Symbols: info.Symbols,
 		MinLen: info.MinLen, AvgLen: info.AvgLen, MaxLen: info.MaxLen,
 	}
 	if seq, ok := engineAs[*core.Sequential](s.eng); ok {
 		eng := seq.ScanEngine()
-		resp.Scan = &ScanStatsJSON{Strategy: eng.Strategy().String(), Workers: eng.Workers()}
+		resp.Scan = &scanStatsJSON{Strategy: eng.Strategy().String(), Workers: eng.Workers()}
 	}
 	if cs := cascades(s.eng); len(cs) > 0 {
 		st := cascadeTotals(cs)
@@ -855,7 +855,7 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	}
 	if c, ok := engineAs[*cache.Cache](s.eng); ok {
 		cs := c.Stats()
-		resp.Cache = &CacheStatsJSON{
+		resp.Cache = &cacheStatsJSON{
 			Hits: cs.Hits, Misses: cs.Misses, Coalesced: cs.Coalesced,
 			Evictions: cs.Evictions, Entries: cs.Entries, Capacity: cs.Capacity,
 			HitRate: cs.HitRate(), Version: c.Version(),
@@ -866,7 +866,7 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		// The static dataset stats describe only the seed; the live count is
 		// the current dictionary size.
 		resp.Count = st.Live
-		resp.Live = &LiveStatsJSON{
+		resp.Live = &liveStatsJSON{
 			Shards: st.Shards, LiveStrings: st.Live, KnownStrings: st.Known,
 			Tombstones: st.Tombstones, DeltaEntries: st.DeltaEntries,
 			Segments: st.Segments, SegmentStrings: st.SegmentStrings,
@@ -879,7 +879,7 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	if ex, ok := engineAs[*exec.Sharded](s.eng); ok {
 		sizes := ex.ShardSizes()
 		for i, snap := range ex.CounterSnapshots() {
-			resp.Shards = append(resp.Shards, ShardStatsJSON{
+			resp.Shards = append(resp.Shards, shardStatsJSON{
 				Strings:    sizes[i],
 				Queries:    snap.Queries,
 				Matches:    snap.Matches,
@@ -905,10 +905,10 @@ func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 	w.Write([]byte("ok\n"))
 }
 
-// Serve runs s on l until ctx is cancelled, then shuts down gracefully:
+// serve runs s on l until ctx is cancelled, then shuts down gracefully:
 // listeners close, in-flight requests get up to grace to finish, and the
 // remainder are forcibly closed. It returns nil after a clean shutdown.
-func Serve(ctx context.Context, l net.Listener, s *Server, grace time.Duration) error {
+func serve(ctx context.Context, l net.Listener, s *Server, grace time.Duration) error {
 	hs := &http.Server{
 		Handler:           s,
 		ReadHeaderTimeout: 5 * time.Second,
@@ -927,15 +927,15 @@ func Serve(ctx context.Context, l net.Listener, s *Server, grace time.Duration) 
 	}
 	defer cancel()
 	err := hs.Shutdown(sctx)
-	<-errc // Serve has returned http.ErrServerClosed
+	<-errc // hs.Serve has returned http.ErrServerClosed
 	return err
 }
 
-// ListenAndServe is Serve over a fresh TCP listener on addr.
+// ListenAndServe is serve over a fresh TCP listener on addr.
 func ListenAndServe(ctx context.Context, addr string, s *Server, grace time.Duration) error {
 	l, err := net.Listen("tcp", addr)
 	if err != nil {
 		return err
 	}
-	return Serve(ctx, l, s, grace)
+	return serve(ctx, l, s, grace)
 }

@@ -172,7 +172,7 @@ func TestHammingEndpoint(t *testing.T) {
 func TestStatsEndpoint(t *testing.T) {
 	ts := newTestServer()
 	defer ts.Close()
-	var resp StatsResponse
+	var resp statsResponse
 	getJSON(t, ts.URL+"/stats", &resp)
 	if resp.Count != len(data) || resp.Engine == "" || resp.MaxLen != 6 {
 		t.Errorf("stats = %+v", resp)
@@ -215,7 +215,7 @@ func TestStatsCascadeSection(t *testing.T) {
 			t.Fatalf("%s: cascade search matches = %v", tc.name, sr.Matches)
 		}
 
-		var resp StatsResponse
+		var resp statsResponse
 		getJSON(t, ts.URL+"/stats", &resp)
 		if resp.Cascade == nil {
 			t.Fatalf("%s: stats payload missing cascade section", tc.name)
@@ -333,9 +333,9 @@ func TestBatchEndpointErrors(t *testing.T) {
 		{`{"queries":[{"q":"x","k":-1}]}`, http.StatusBadRequest, nil},
 		{`{"queries":[{"q":"x","k":99}]}`, http.StatusBadRequest, nil},
 		{`{"queries":[{"q":"a"},{"q":"b"},{"q":"c"}]}`, http.StatusRequestEntityTooLarge, nil},
-		{"{\"queries\":[{\"q\":\"b\xe9rn\"}]}", http.StatusBadRequest, ErrBodyNotUTF8},
-		{`{"queries":[{"q":"bern","q_b64":"YmVybg=="}]}`, http.StatusBadRequest, ErrBothQueryForms},
-		{`{"queries":[{"q_b64":"YmVybg"}]}`, http.StatusBadRequest, ErrBadQB64},
+		{"{\"queries\":[{\"q\":\"b\xe9rn\"}]}", http.StatusBadRequest, errBodyNotUTF8},
+		{`{"queries":[{"q":"bern","q_b64":"YmVybg=="}]}`, http.StatusBadRequest, errBothQueryForms},
+		{`{"queries":[{"q_b64":"YmVybg"}]}`, http.StatusBadRequest, errBadQB64},
 	}
 	for _, c := range cases {
 		var e ErrorResponse
@@ -427,7 +427,7 @@ func TestStatsShards(t *testing.T) {
 	// Answer one query so the counters move.
 	var sr SearchResponse
 	getJSON(t, ts.URL+"/search?q=bern&k=1", &sr)
-	var resp StatsResponse
+	var resp statsResponse
 	getJSON(t, ts.URL+"/stats", &resp)
 	if len(resp.Shards) != 2 {
 		t.Fatalf("shards = %+v", resp.Shards)
@@ -450,7 +450,7 @@ func TestGracefulShutdown(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	srvDone := make(chan error, 1)
 	go func() {
-		srvDone <- Serve(ctx, l, New(core.NewTrie(data, true), data), time.Second)
+		srvDone <- serve(ctx, l, New(core.NewTrie(data, true), data), time.Second)
 	}()
 	// The server is accepting: a request must succeed.
 	var resp SearchResponse

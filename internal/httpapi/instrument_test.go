@@ -22,7 +22,7 @@ func TestStatsComputedOnce(t *testing.T) {
 
 	ts := httptest.NewServer(s)
 	defer ts.Close()
-	var resp StatsResponse
+	var resp statsResponse
 	getJSON(t, ts.URL+"/stats", &resp)
 	if resp.Count != 3 || resp.MinLen != 4 || resp.MaxLen != 6 {
 		t.Errorf("stats not precomputed in New: %+v", resp)

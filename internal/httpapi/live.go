@@ -42,16 +42,16 @@ type stringResolver interface {
 	StringAt(id int32) (string, bool)
 }
 
-// MutateRequest is the /insert and /delete payload.
-type MutateRequest struct {
+// mutateRequest is the /insert and /delete payload.
+type mutateRequest struct {
 	S string `json:"s"`
 }
 
-// MutateResponse reports one mutation's outcome. Changed is false for
+// mutateResponse reports one mutation's outcome. Changed is false for
 // no-ops (inserting a live string, deleting an absent one); ID is the
 // string's permanent binding (insert only); Live is the post-mutation live
 // string count.
-type MutateResponse struct {
+type mutateResponse struct {
 	S       string `json:"s"`
 	ID      int32  `json:"id,omitempty"`
 	Changed bool   `json:"changed"`
@@ -80,7 +80,7 @@ func (s *Server) decodeMutation(w http.ResponseWriter, r *http.Request) (string,
 	if s.MaxBody > 0 {
 		body = http.MaxBytesReader(w, r.Body, s.MaxBody)
 	}
-	var req MutateRequest
+	var req mutateRequest
 	if err := decodeUTF8(body, &req); err != nil {
 		var tooBig *http.MaxBytesError
 		if errors.As(err, &tooBig) {
@@ -137,7 +137,7 @@ func (s *Server) handleInsert(w http.ResponseWriter, r *http.Request) {
 	if changed {
 		s.bumpCacheVersion()
 	}
-	resp := MutateResponse{
+	resp := mutateResponse{
 		S: str, ID: id, Changed: changed, Live: s.eng.Len(),
 		Version: s.live.VersionString(),
 		TookµS:  time.Since(start).Microseconds(),
@@ -170,7 +170,7 @@ func (s *Server) handleDelete(w http.ResponseWriter, r *http.Request) {
 	if changed {
 		s.bumpCacheVersion()
 	}
-	resp := MutateResponse{
+	resp := mutateResponse{
 		S: str, Changed: changed, Live: s.eng.Len(),
 		Version: s.live.VersionString(),
 		TookµS:  time.Since(start).Microseconds(),
@@ -179,10 +179,10 @@ func (s *Server) handleDelete(w http.ResponseWriter, r *http.Request) {
 	json.NewEncoder(w).Encode(resp)
 }
 
-// LiveStatsJSON is the live-engine section of the /stats payload: delta and
+// liveStatsJSON is the live-engine section of the /stats payload: delta and
 // segment gauges plus the write counters and the generation the cache keys
 // carry.
-type LiveStatsJSON struct {
+type liveStatsJSON struct {
 	Shards         int    `json:"shards"`
 	LiveStrings    int    `json:"live_strings"`
 	KnownStrings   int    `json:"known_strings"`

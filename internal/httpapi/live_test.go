@@ -35,9 +35,9 @@ func postMutate(s *Server, path, body string) *httptest.ResponseRecorder {
 	return w
 }
 
-func decodeMutateResp(t *testing.T, w *httptest.ResponseRecorder) MutateResponse {
+func decodeMutateResp(t *testing.T, w *httptest.ResponseRecorder) mutateResponse {
 	t.Helper()
-	var resp MutateResponse
+	var resp mutateResponse
 	if err := json.Unmarshal(w.Body.Bytes(), &resp); err != nil {
 		t.Fatalf("decode %q: %v", w.Body.String(), err)
 	}
@@ -174,8 +174,8 @@ func TestLiveMutationRejections(t *testing.T) {
 		w = postMutate(s, path, "{\"s\":\"caf\xe9\"}")
 		var e ErrorResponse
 		json.Unmarshal(w.Body.Bytes(), &e)
-		if w.Code != http.StatusBadRequest || e.Error != ErrBodyNotUTF8.Error() {
-			t.Errorf("POST %s not UTF-8: %d %q, want 400 %q", path, w.Code, e.Error, ErrBodyNotUTF8)
+		if w.Code != http.StatusBadRequest || e.Error != errBodyNotUTF8.Error() {
+			t.Errorf("POST %s not UTF-8: %d %q, want 400 %q", path, w.Code, e.Error, errBodyNotUTF8)
 		}
 		if live := ex.LiveStats().Live; live != 2 {
 			t.Errorf("POST %s: %d live strings after rejected mutations, want 2", path, live)
@@ -218,11 +218,11 @@ func TestLiveStatsSection(t *testing.T) {
 	seed := []string{"one", "two", "three"}
 	s, ex := liveServer(t, seed)
 
-	stats := func() StatsResponse {
+	stats := func() statsResponse {
 		req := httptest.NewRequest(http.MethodGet, "/stats", nil)
 		w := httptest.NewRecorder()
 		s.ServeHTTP(w, req)
-		var resp StatsResponse
+		var resp statsResponse
 		if err := json.Unmarshal(w.Body.Bytes(), &resp); err != nil {
 			t.Fatalf("decode stats: %v", err)
 		}

@@ -18,7 +18,7 @@ func TestStatsScanSection(t *testing.T) {
 	eng := core.NewSequential(data, scan.WithStrategy(scan.ParallelManaged), scan.WithWorkers(4))
 	ts := httptest.NewServer(New(cache.New(eng, cache.Options{Capacity: 8}), data))
 	defer ts.Close()
-	var resp StatsResponse
+	var resp statsResponse
 	getJSON(t, ts.URL+"/stats", &resp)
 	if resp.Scan == nil || resp.Scan.Strategy != "parallel-managed" || resp.Scan.Workers != 4 {
 		t.Errorf("scan section = %+v", resp.Scan)
@@ -27,7 +27,7 @@ func TestStatsScanSection(t *testing.T) {
 	bp := simsearch.New(data, simsearch.Options{Algorithm: simsearch.BitParallel, Workers: 4, CacheSize: 8})
 	tb := httptest.NewServer(New(bp, data))
 	defer tb.Close()
-	var bresp StatsResponse
+	var bresp statsResponse
 	getJSON(t, tb.URL+"/stats", &bresp)
 	if bresp.Scan != nil {
 		t.Errorf("BitParallel server reports scan section %+v", bresp.Scan)
@@ -47,7 +47,7 @@ func TestStatsScanSection(t *testing.T) {
 func TestStatsScanSectionNonBitParallel(t *testing.T) {
 	ts := httptest.NewServer(New(core.NewSequential(data), data))
 	defer ts.Close()
-	var resp StatsResponse
+	var resp statsResponse
 	getJSON(t, ts.URL+"/stats", &resp)
 	if resp.Scan == nil || resp.Scan.Strategy != "simple-types" || resp.Scan.Workers != 0 {
 		t.Errorf("scan section = %+v", resp.Scan)
@@ -55,7 +55,7 @@ func TestStatsScanSectionNonBitParallel(t *testing.T) {
 
 	tt := httptest.NewServer(New(core.NewTrie(data, true), data))
 	defer tt.Close()
-	var tresp StatsResponse
+	var tresp statsResponse
 	getJSON(t, tt.URL+"/stats", &tresp)
 	if tresp.Scan != nil {
 		t.Errorf("trie engine reports scan section %+v", tresp.Scan)

@@ -31,7 +31,7 @@ func Clusters(data []string, k int, opts Options) [][]int32 {
 		}
 		parent[rb] = ra
 	}
-	Join(data, data, k, opts, func(p Pair) {
+	join(data, data, k, opts, func(p Pair) {
 		if p.R < p.S {
 			union(p.R, p.S)
 		}

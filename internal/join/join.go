@@ -38,9 +38,9 @@ type Pair struct {
 	Dist int
 }
 
-// Emit receives one qualifying pair. Implementations must be safe for the
-// algorithm's concurrency (Join serializes calls unless stated otherwise).
-type Emit func(p Pair)
+// emitFunc receives one qualifying pair. Implementations must be safe for the
+// algorithm's concurrency (join serializes calls unless stated otherwise).
+type emitFunc func(p Pair)
 
 // Algorithm selects a join strategy.
 type Algorithm int
@@ -80,10 +80,10 @@ type Options struct {
 	Workers int
 }
 
-// Join finds all pairs (i, j) with ed(r[i], s[j]) <= k and calls emit for
+// join finds all pairs (i, j) with ed(r[i], s[j]) <= k and calls emit for
 // each. Self-joins: pass the same slice twice and filter i < j in emit, or
 // use SelfJoin.
-func Join(r, s []string, k int, opts Options, emit Emit) {
+func join(r, s []string, k int, opts Options, emit emitFunc) {
 	if k < 0 || len(r) == 0 || len(s) == 0 {
 		return
 	}
@@ -99,10 +99,10 @@ func Join(r, s []string, k int, opts Options, emit Emit) {
 	}
 }
 
-// Pairs runs Join and returns the pairs sorted by (R, S).
+// Pairs runs join and returns the pairs sorted by (R, S).
 func Pairs(r, s []string, k int, opts Options) []Pair {
 	var out []Pair
-	Join(r, s, k, opts, func(p Pair) { out = append(out, p) })
+	join(r, s, k, opts, func(p Pair) { out = append(out, p) })
 	sort.Slice(out, func(i, j int) bool {
 		if out[i].R != out[j].R {
 			return out[i].R < out[j].R
@@ -115,7 +115,7 @@ func Pairs(r, s []string, k int, opts Options) []Pair {
 // SelfJoin finds all unordered pairs i < j within data at distance <= k.
 func SelfJoin(data []string, k int, opts Options) []Pair {
 	var out []Pair
-	Join(data, data, k, opts, func(p Pair) {
+	join(data, data, k, opts, func(p Pair) {
 		if p.R < p.S {
 			out = append(out, p)
 		}
@@ -139,7 +139,7 @@ func runner(workers int) pool.Runner {
 
 // collect funnels concurrent emissions through a channel so emit itself
 // never needs to be thread-safe.
-func collect(run func(emitSafe Emit), emit Emit) {
+func collect(run func(emitSafe emitFunc), emit emitFunc) {
 	ch := make(chan Pair, 256)
 	done := make(chan struct{})
 	go func() {
@@ -153,8 +153,8 @@ func collect(run func(emitSafe Emit), emit Emit) {
 	<-done
 }
 
-func nestedLoop(r, s []string, k, workers int, emit Emit) {
-	collect(func(out Emit) {
+func nestedLoop(r, s []string, k, workers int, emit emitFunc) {
+	collect(func(out emitFunc) {
 		runner(workers).Run(len(r), func(i int) {
 			var scratch edit.Scratch
 			for j, sj := range s {
@@ -166,7 +166,7 @@ func nestedLoop(r, s []string, k, workers int, emit Emit) {
 	}, emit)
 }
 
-func lengthSorted(r, s []string, k, workers int, emit Emit) {
+func lengthSorted(r, s []string, k, workers int, emit emitFunc) {
 	// Sort the s side by length once; for each r string only the window of
 	// s strings with |len difference| <= k is verified.
 	order := make([]int32, len(s))
@@ -180,7 +180,7 @@ func lengthSorted(r, s []string, k, workers int, emit Emit) {
 	for i, id := range order {
 		lens[i] = len(s[id])
 	}
-	collect(func(out Emit) {
+	collect(func(out emitFunc) {
 		runner(workers).Run(len(r), func(i int) {
 			var scratch edit.Scratch
 			lo := sort.SearchInts(lens, len(r[i])-k)
@@ -194,7 +194,7 @@ func lengthSorted(r, s []string, k, workers int, emit Emit) {
 	}, emit)
 }
 
-func trieJoin(r, s []string, k, workers int, emit Emit) {
+func trieJoin(r, s []string, k, workers int, emit emitFunc) {
 	// Index the smaller side; probe with the larger. Swapping sides only
 	// swaps pair roles, which we undo on emission.
 	swapped := len(r) < len(s)
@@ -204,7 +204,7 @@ func trieJoin(r, s []string, k, workers int, emit Emit) {
 	}
 	tr := trie.Build(build, trie.WithModernPruning())
 	tr.Compress()
-	collect(func(out Emit) {
+	collect(func(out emitFunc) {
 		runner(workers).Run(len(probe), func(i int) {
 			tr.SearchFunc(probe[i], k, func(id int32, d int) {
 				if swapped {
@@ -217,9 +217,9 @@ func trieJoin(r, s []string, k, workers int, emit Emit) {
 	}, emit)
 }
 
-func passJoin(r, s []string, k, workers int, emit Emit) {
+func passJoin(r, s []string, k, workers int, emit emitFunc) {
 	idx := passjoin.New(s, k)
-	collect(func(out Emit) {
+	collect(func(out emitFunc) {
 		runner(workers).Run(len(r), func(i int) {
 			for _, p := range idx.Probe(r[i]) {
 				out(Pair{R: int32(i), S: p.S, Dist: p.Dist})

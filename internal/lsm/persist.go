@@ -21,8 +21,8 @@ import (
 // segMagic identifies the segment format; the trailing digit is the version.
 var segMagic = []byte("SIMSEG1\n")
 
-// ErrBadSegment reports a file that is not a segment of the supported version.
-var ErrBadSegment = errors.New("lsm: bad segment format")
+// errBadSegment reports a file that is not a segment of the supported version.
+var errBadSegment = errors.New("lsm: bad segment format")
 
 const walName = "wal.log"
 
@@ -117,15 +117,15 @@ func readSegmentFile(path string) (gen, maxSeq uint64, recs []record, err error)
 	br := bufio.NewReaderSize(f, 1<<16)
 	head := make([]byte, len(segMagic))
 	if _, err := io.ReadFull(br, head); err != nil {
-		return 0, 0, nil, fmt.Errorf("%w: %v", ErrBadSegment, err)
+		return 0, 0, nil, fmt.Errorf("%w: %v", errBadSegment, err)
 	}
 	if string(head) != string(segMagic) {
-		return 0, 0, nil, fmt.Errorf("%w: magic mismatch", ErrBadSegment)
+		return 0, 0, nil, fmt.Errorf("%w: magic mismatch", errBadSegment)
 	}
 	get := func() (uint64, error) {
 		v, err := binary.ReadUvarint(br)
 		if err != nil {
-			return 0, fmt.Errorf("%w: %v", ErrBadSegment, err)
+			return 0, fmt.Errorf("%w: %v", errBadSegment, err)
 		}
 		return v, nil
 	}
@@ -140,28 +140,28 @@ func readSegmentFile(path string) (gen, maxSeq uint64, recs []record, err error)
 		return 0, 0, nil, err
 	}
 	if count > 1<<31 {
-		return 0, 0, nil, fmt.Errorf("%w: absurd record count %d", ErrBadSegment, count)
+		return 0, 0, nil, fmt.Errorf("%w: absurd record count %d", errBadSegment, count)
 	}
 	recs = make([]record, 0, count)
 	prev := int32(-1)
 	for i := uint64(0); i < count; i++ {
 		flag, err := br.ReadByte()
 		if err != nil {
-			return 0, 0, nil, fmt.Errorf("%w: %v", ErrBadSegment, err)
+			return 0, 0, nil, fmt.Errorf("%w: %v", errBadSegment, err)
 		}
 		if flag > 1 {
-			return 0, 0, nil, fmt.Errorf("%w: bad record flag %d", ErrBadSegment, flag)
+			return 0, 0, nil, fmt.Errorf("%w: bad record flag %d", errBadSegment, flag)
 		}
 		idv, err := get()
 		if err != nil {
 			return 0, 0, nil, err
 		}
 		if idv > 1<<31 {
-			return 0, 0, nil, fmt.Errorf("%w: absurd id %d", ErrBadSegment, idv)
+			return 0, 0, nil, fmt.Errorf("%w: absurd id %d", errBadSegment, idv)
 		}
 		id := int32(uint32(idv))
 		if id <= prev {
-			return 0, 0, nil, fmt.Errorf("%w: records out of id order", ErrBadSegment)
+			return 0, 0, nil, fmt.Errorf("%w: records out of id order", errBadSegment)
 		}
 		prev = id
 		n, err := get()
@@ -169,11 +169,11 @@ func readSegmentFile(path string) (gen, maxSeq uint64, recs []record, err error)
 			return 0, 0, nil, err
 		}
 		if n > 1<<20 {
-			return 0, 0, nil, fmt.Errorf("%w: absurd string length %d", ErrBadSegment, n)
+			return 0, 0, nil, fmt.Errorf("%w: absurd string length %d", errBadSegment, n)
 		}
 		buf := make([]byte, n)
 		if _, err := io.ReadFull(br, buf); err != nil {
-			return 0, 0, nil, fmt.Errorf("%w: %v", ErrBadSegment, err)
+			return 0, 0, nil, fmt.Errorf("%w: %v", errBadSegment, err)
 		}
 		recs = append(recs, record{id: id, s: string(buf), live: flag == 1})
 	}

@@ -25,8 +25,8 @@ import (
 	"simsearch/internal/scan"
 )
 
-// ErrClosed reports an operation on a closed store.
-var ErrClosed = errors.New("lsm: store is closed")
+// errClosed reports an operation on a closed store.
+var errClosed = errors.New("lsm: store is closed")
 
 // Default tuning; see Options.
 const (
@@ -339,7 +339,7 @@ func (st *Store) Insert(s string) (int32, bool, error) {
 	st.mu.Lock()
 	defer st.mu.Unlock()
 	if st.closed {
-		return 0, false, ErrClosed
+		return 0, false, errClosed
 	}
 	id, known := st.index[s]
 	if known && st.isLiveLocked(id) {
@@ -352,7 +352,9 @@ func (st *Store) Insert(s string) (int32, bool, error) {
 	}
 	st.seq++
 	if st.wal != nil {
-		//lint:ignore blockunderlock WAL-before-apply durability: the write lock must cover the append so no reader observes unlogged state; cost is one buffered-record write, bounded by walFlushEvery
+		// WAL before apply, under the write lock, so no reader observes
+		// unlogged state; one buffered record write, bounded by walFlushEvery
+		// (TestWritesUnderMuReachReadersAndDisk).
 		if err := st.wal.append(walRec{seq: st.seq, id: id, s: s, live: true}); err != nil {
 			st.seq--
 			return 0, false, err
@@ -362,7 +364,9 @@ func (st *Store) Insert(s string) (int32, bool, error) {
 	st.live++
 	st.version.Add(1)
 	if st.delta.size() >= st.flushLimit {
-		//lint:ignore blockunderlock the segment file must be written before the WAL is reset and before any reader sees the rotated delta, so the flush stays under the write lock; amortized to every FlushLimit-th write
+		// The segment file is written before the WAL is reset and before any
+		// reader sees the rotated delta, so the flush stays under the write
+		// lock; it is paid by every FlushLimit-th write.
 		if err := st.flushLocked(); err != nil {
 			return id, true, err
 		}
@@ -376,7 +380,7 @@ func (st *Store) Delete(s string) (bool, error) {
 	st.mu.Lock()
 	defer st.mu.Unlock()
 	if st.closed {
-		return false, ErrClosed
+		return false, errClosed
 	}
 	id, known := st.index[s]
 	if !known || !st.isLiveLocked(id) {
@@ -384,7 +388,9 @@ func (st *Store) Delete(s string) (bool, error) {
 	}
 	st.seq++
 	if st.wal != nil {
-		//lint:ignore blockunderlock WAL-before-apply durability: the write lock must cover the append so no reader observes unlogged state; cost is one buffered-record write, bounded by walFlushEvery
+		// WAL before apply, under the write lock, so no reader observes
+		// unlogged state; one buffered record write, bounded by walFlushEvery
+		// (TestWritesUnderMuReachReadersAndDisk).
 		if err := st.wal.append(walRec{seq: st.seq, id: id, s: s, live: false}); err != nil {
 			st.seq--
 			return false, err
@@ -394,7 +400,9 @@ func (st *Store) Delete(s string) (bool, error) {
 	st.live--
 	st.version.Add(1)
 	if st.delta.size() >= st.flushLimit {
-		//lint:ignore blockunderlock the segment file must be written before the WAL is reset and before any reader sees the rotated delta, so the flush stays under the write lock; amortized to every FlushLimit-th write
+		// The segment file is written before the WAL is reset and before any
+		// reader sees the rotated delta, so the flush stays under the write
+		// lock; it is paid by every FlushLimit-th write.
 		if err := st.flushLocked(); err != nil {
 			return true, err
 		}
@@ -421,9 +429,10 @@ func (st *Store) Flush() error {
 	st.mu.Lock()
 	defer st.mu.Unlock()
 	if st.closed {
-		return ErrClosed
+		return errClosed
 	}
-	//lint:ignore blockunderlock an explicit Flush trades one segment write under the lock for the freeze being atomic with respect to concurrent searches; same contract as the size-triggered flush in Insert/Delete
+	// One segment write under the lock buys a freeze that is atomic with
+	// respect to concurrent searches, as in Insert and Delete.
 	return st.flushLocked()
 }
 
@@ -481,7 +490,7 @@ func (st *Store) Compact() error {
 	st.mu.Lock()
 	if st.closed {
 		st.mu.Unlock()
-		return ErrClosed
+		return errClosed
 	}
 	inputs := st.segs
 	if len(inputs) < 2 {
@@ -521,7 +530,7 @@ func (st *Store) Compact() error {
 	st.mu.Lock()
 	defer st.mu.Unlock()
 	if st.closed {
-		return ErrClosed
+		return errClosed
 	}
 	// Only flushes touched st.segs since the snapshot, and flushes only
 	// prepend: the snapshot is still the suffix. Replace it.

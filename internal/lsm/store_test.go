@@ -171,17 +171,17 @@ func TestClosedStoreErrors(t *testing.T) {
 	if err := st.Close(); err != nil {
 		t.Fatalf("second Close: %v", err)
 	}
-	if _, _, err := st.Insert("beta"); err != ErrClosed {
-		t.Fatalf("Insert after Close: %v, want ErrClosed", err)
+	if _, _, err := st.Insert("beta"); err != errClosed {
+		t.Fatalf("Insert after Close: %v, want errClosed", err)
 	}
-	if _, err := st.Delete("alpha"); err != ErrClosed {
-		t.Fatalf("Delete after Close: %v, want ErrClosed", err)
+	if _, err := st.Delete("alpha"); err != errClosed {
+		t.Fatalf("Delete after Close: %v, want errClosed", err)
 	}
-	if err := st.Flush(); err != ErrClosed {
-		t.Fatalf("Flush after Close: %v, want ErrClosed", err)
+	if err := st.Flush(); err != errClosed {
+		t.Fatalf("Flush after Close: %v, want errClosed", err)
 	}
-	if err := st.Compact(); err != ErrClosed {
-		t.Fatalf("Compact after Close: %v, want ErrClosed", err)
+	if err := st.Compact(); err != errClosed {
+		t.Fatalf("Compact after Close: %v, want errClosed", err)
 	}
 }
 

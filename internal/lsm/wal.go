@@ -25,8 +25,8 @@ const (
 	walOpDelete byte = 2
 )
 
-// ErrBadWAL reports a log file that is not a WAL of the supported version.
-var ErrBadWAL = errors.New("lsm: bad WAL format")
+// errBadWAL reports a log file that is not a WAL of the supported version.
+var errBadWAL = errors.New("lsm: bad WAL format")
 
 // walRec is one logged mutation.
 type walRec struct {
@@ -117,10 +117,10 @@ func readWAL(path string) ([]walRec, error) {
 		if err == io.EOF {
 			return nil, nil // zero-length file: treated as empty
 		}
-		return nil, fmt.Errorf("%w: %v", ErrBadWAL, err)
+		return nil, fmt.Errorf("%w: %v", errBadWAL, err)
 	}
 	if string(head) != string(walMagic) {
-		return nil, fmt.Errorf("%w: magic mismatch", ErrBadWAL)
+		return nil, fmt.Errorf("%w: magic mismatch", errBadWAL)
 	}
 	var recs []walRec
 	for {
@@ -133,21 +133,21 @@ func readWAL(path string) ([]walRec, error) {
 			break
 		}
 		if op != walOpInsert && op != walOpDelete {
-			return nil, fmt.Errorf("%w: unknown op %d", ErrBadWAL, op)
+			return nil, fmt.Errorf("%w: unknown op %d", errBadWAL, op)
 		}
 		id, err := binary.ReadUvarint(br)
 		if err != nil {
 			break
 		}
 		if id > 1<<31 {
-			return nil, fmt.Errorf("%w: absurd id %d", ErrBadWAL, id)
+			return nil, fmt.Errorf("%w: absurd id %d", errBadWAL, id)
 		}
 		n, err := binary.ReadUvarint(br)
 		if err != nil {
 			break
 		}
 		if n > 1<<20 {
-			return nil, fmt.Errorf("%w: absurd string length %d", ErrBadWAL, n)
+			return nil, fmt.Errorf("%w: absurd string length %d", errBadWAL, n)
 		}
 		buf := make([]byte, n)
 		if _, err := io.ReadFull(br, buf); err != nil {

@@ -187,7 +187,7 @@ func TestSlowLog(t *testing.T) {
 	var sb strings.Builder
 	l := NewSlowLog(&sb, 10*time.Millisecond)
 	l.Observe("topk", "trie/compressed", -1, "berlin", 2, time.Millisecond) // fast: dropped
-	if sb.Len() != 0 || l.Logged() != 0 {
+	if sb.Len() != 0 || l.logged.Value() != 0 {
 		t.Fatalf("fast query logged: %q", sb.String())
 	}
 	long := strings.Repeat("x", 200)
@@ -195,17 +195,17 @@ func TestSlowLog(t *testing.T) {
 	line := sb.String()
 	for _, want := range []string{
 		"slowquery", "took=50ms", "endpoint=topk", "engine=trie/compressed",
-		"shard=3", "k=2", `q="` + strings.Repeat("x", DefMaxQueryLen) + `"…`,
+		"shard=3", "k=2", `q="` + strings.Repeat("x", defMaxQueryLen) + `"…`,
 	} {
 		if !strings.Contains(line, want) {
 			t.Errorf("slow line missing %q: %q", want, line)
 		}
 	}
-	if strings.Contains(line, strings.Repeat("x", DefMaxQueryLen+1)) {
+	if strings.Contains(line, strings.Repeat("x", defMaxQueryLen+1)) {
 		t.Error("query text not truncated")
 	}
-	if l.Logged() != 1 {
-		t.Errorf("logged = %d, want 1", l.Logged())
+	if n := l.logged.Value(); n != 1 {
+		t.Errorf("logged = %d, want 1", n)
 	}
 	// shard < 0 omits the shard field; endpoint "" omits endpoint.
 	sb.Reset()
@@ -220,9 +220,6 @@ func TestSlowLog(t *testing.T) {
 	}
 	var nilLog *SlowLog
 	nilLog.Observe("e", "x", 0, "q", 1, time.Hour)
-	if nilLog.Logged() != 0 || nilLog.Threshold() != 0 {
-		t.Error("nil log misbehaved")
-	}
 }
 
 func TestSlowLogRegister(t *testing.T) {

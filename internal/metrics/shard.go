@@ -55,14 +55,6 @@ func (c *ShardCounter) Snapshot() ShardSnapshot {
 	return s
 }
 
-// Reset zeroes the totals. The latency histogram is monotone scrape state
-// (Prometheus counters must never go backwards) and is left untouched.
-func (c *ShardCounter) Reset() {
-	c.queries.Store(0)
-	c.matches.Store(0)
-	c.busy.Store(0)
-}
-
 // ShardSnapshot is a point-in-time copy of a ShardCounter. Latency is the
 // histogram snapshot (zero Count when the counter has no histogram).
 type ShardSnapshot struct {

@@ -20,10 +20,6 @@ func TestCounterObserveSnapshot(t *testing.T) {
 	if tp := s.Throughput(); tp < 600 || tp > 700 { // 2 queries / 3ms ≈ 666.7 qps
 		t.Errorf("Throughput = %v", tp)
 	}
-	c.Reset()
-	if s := c.Snapshot(); s.Queries != 0 || s.Matches != 0 || s.Busy != 0 {
-		t.Errorf("after reset: %+v", s)
-	}
 }
 
 func TestCounterZeroValues(t *testing.T) {
@@ -49,12 +45,6 @@ func TestCounterHistogram(t *testing.T) {
 	}
 	if p99 := s.Latency.Quantile(0.99); p99 < time.Millisecond {
 		t.Errorf("p99 = %v, want in the tens of milliseconds", p99)
-	}
-	// Reset keeps the histogram monotone for scrapers but zeroes the totals.
-	c.Reset()
-	s = c.Snapshot()
-	if s.Queries != 0 || s.Latency.Count != 2 {
-		t.Errorf("after reset: %+v", s)
 	}
 }
 

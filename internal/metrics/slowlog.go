@@ -7,8 +7,8 @@ import (
 	"time"
 )
 
-// DefMaxQueryLen is how many bytes of the query text a slow-query line keeps.
-const DefMaxQueryLen = 64
+// defMaxQueryLen is how many bytes of the query text a slow-query line keeps.
+const defMaxQueryLen = 64
 
 // SlowLog writes one text line per query whose latency exceeds a threshold,
 // the operational complement of the histograms: the histogram says *that*
@@ -35,29 +35,13 @@ func NewSlowLog(w io.Writer, threshold time.Duration) *SlowLog {
 	if threshold <= 0 || w == nil {
 		return nil
 	}
-	return &SlowLog{threshold: threshold, maxQuery: DefMaxQueryLen, w: w}
-}
-
-// Threshold returns the configured threshold (0 for a nil log).
-func (l *SlowLog) Threshold() time.Duration {
-	if l == nil {
-		return 0
-	}
-	return l.threshold
-}
-
-// Logged returns how many lines have been written (0 for a nil log).
-func (l *SlowLog) Logged() uint64 {
-	if l == nil {
-		return 0
-	}
-	return l.logged.Value()
+	return &SlowLog{threshold: threshold, maxQuery: defMaxQueryLen, w: w}
 }
 
 // Observe logs the query if d exceeds the threshold. endpoint names the
 // serving endpoint ("" for shard-level observations), shard is the shard
 // index (negative for whole-request observations), and query is truncated
-// to DefMaxQueryLen bytes. Safe for concurrent use and for nil receivers.
+// to defMaxQueryLen bytes. Safe for concurrent use and for nil receivers.
 func (l *SlowLog) Observe(endpoint, engine string, shard int, query string, k int, d time.Duration) {
 	if l == nil || d < l.threshold {
 		return

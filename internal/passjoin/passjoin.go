@@ -174,36 +174,3 @@ func (idx *Index) Probe(r string) []Pair {
 	sort.Slice(out, func(i, j int) bool { return out[i].S < out[j].S })
 	return out
 }
-
-// Join returns all pairs (i, j) with ed(r[i], s[j]) <= k, sorted by (R, S),
-// by indexing s and probing with every r.
-func Join(r, s []string, k int) []Pair {
-	if k < 0 || len(r) == 0 || len(s) == 0 {
-		return nil
-	}
-	idx := New(s, k)
-	var out []Pair
-	for i, ri := range r {
-		for _, p := range idx.Probe(ri) {
-			out = append(out, Pair{R: int32(i), S: p.S, Dist: p.Dist})
-		}
-	}
-	return out
-}
-
-// SelfJoin returns all unordered pairs i < j within data at distance <= k.
-func SelfJoin(data []string, k int) []Pair {
-	if k < 0 || len(data) == 0 {
-		return nil
-	}
-	idx := New(data, k)
-	var out []Pair
-	for i := range data {
-		for _, p := range idx.Probe(data[i]) {
-			if int32(i) < p.S {
-				out = append(out, Pair{R: int32(i), S: p.S, Dist: p.Dist})
-			}
-		}
-	}
-	return out
-}

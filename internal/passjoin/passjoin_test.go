@@ -22,6 +22,22 @@ func refJoin(r, s []string, k int) []Pair {
 	return out
 }
 
+// probeAll joins by probing an index over s with every string of r, keeping
+// only pairs with R < S when self is set: the way the join package's
+// PassJoin algorithm drives the index.
+func probeAll(r, s []string, k int, self bool) []Pair {
+	idx := New(s, k)
+	var out []Pair
+	for i, ri := range r {
+		for _, p := range idx.Probe(ri) {
+			if !self || int32(i) < p.S {
+				out = append(out, Pair{R: int32(i), S: p.S, Dist: p.Dist})
+			}
+		}
+	}
+	return out
+}
+
 func TestSegBounds(t *testing.T) {
 	// l=10, k=2 -> 3 segments: 4,3,3 starting at 0,4,7.
 	wantStart := []int{0, 4, 7}
@@ -65,7 +81,7 @@ func TestJoinAgainstReference(t *testing.T) {
 	r := []string{"berlin", "ulm", "", "x"}
 	s := []string{"berlim", "ulm", "paris", "", "xy"}
 	for k := 0; k <= 3; k++ {
-		got := Join(r, s, k)
+		got := probeAll(r, s, k, false)
 		want := refJoin(r, s, k)
 		if !reflect.DeepEqual(got, want) {
 			t.Errorf("k=%d: got %v, want %v", k, got, want)
@@ -74,22 +90,22 @@ func TestJoinAgainstReference(t *testing.T) {
 }
 
 func TestJoinEdgeCases(t *testing.T) {
-	if got := Join(nil, []string{"a"}, 1); got != nil {
-		t.Errorf("nil left: %v", got)
+	if got := New(nil, 1).Probe("a"); len(got) != 0 {
+		t.Errorf("empty index: %v", got)
 	}
-	if got := Join([]string{"a"}, nil, 1); got != nil {
-		t.Errorf("nil right: %v", got)
+	if got := New([]string{"a"}, 1).Probe(""); !reflect.DeepEqual(got, []Pair{{S: 0, Dist: 1}}) {
+		t.Errorf("empty probe: %v", got)
 	}
-	if got := Join([]string{"a"}, []string{"a"}, -1); got != nil {
-		t.Errorf("k=-1: %v", got)
+	if got := New([]string{"", "b"}, 0).Probe(""); !reflect.DeepEqual(got, []Pair{{S: 0, Dist: 0}}) {
+		t.Errorf("empty string indexed: %v", got)
 	}
 }
 
 func TestSelfJoin(t *testing.T) {
 	data := []string{"aaa", "aab", "abb", "zzz", "aaa"}
-	got := SelfJoin(data, 1)
+	got := probeAll(data, data, 1, true)
 	want := []Pair{{0, 1, 1}, {0, 4, 0}, {1, 2, 1}, {1, 4, 1}}
-	// SelfJoin emits in probe order (R ascending), same as want.
+	// Pairs come in probe order (R ascending), same as want.
 	if !reflect.DeepEqual(got, want) {
 		t.Errorf("got %v, want %v", got, want)
 	}
@@ -99,7 +115,7 @@ func TestShortStringsBelowK(t *testing.T) {
 	// Strings shorter than k+1 exercise the empty-segment fallback.
 	data := []string{"", "a", "ab", "abc", "abcd"}
 	for k := 0; k <= 4; k++ {
-		got := Join(data, data, k)
+		got := probeAll(data, data, k, false)
 		want := refJoin(data, data, k)
 		if !reflect.DeepEqual(got, want) {
 			t.Errorf("k=%d: got %v, want %v", k, got, want)
@@ -126,7 +142,7 @@ func TestQuickJoinAgreesWithReference(t *testing.T) {
 		a := randomStrings(r, 1+r.Intn(25), "abC", 10)
 		b := randomStrings(r, 1+r.Intn(25), "abC", 10)
 		k := r.Intn(4)
-		return reflect.DeepEqual(Join(a, b, k), refJoin(a, b, k))
+		return reflect.DeepEqual(probeAll(a, b, k, false), refJoin(a, b, k))
 	}
 	if err := quick.Check(fn, &quick.Config{MaxCount: 120}); err != nil {
 		t.Error(err)
@@ -138,7 +154,7 @@ func TestQuickSelfJoinCanonical(t *testing.T) {
 		r := rand.New(rand.NewSource(seed))
 		data := randomStrings(r, 1+r.Intn(30), "ab", 8)
 		k := r.Intn(3)
-		pairs := SelfJoin(data, k)
+		pairs := probeAll(data, data, k, true)
 		seen := map[[2]int32]bool{}
 		for _, p := range pairs {
 			if p.R >= p.S {
@@ -179,7 +195,7 @@ func TestDNARegimeHighK(t *testing.T) {
 		data = append(data, genome[i:i+100])
 	}
 	for _, k := range []int{4, 8, 16} {
-		got := SelfJoin(data, k)
+		got := probeAll(data, data, k, true)
 		var want []Pair
 		for i := range data {
 			for j := i + 1; j < len(data); j++ {

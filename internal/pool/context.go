@@ -25,7 +25,9 @@ func RunContext(ctx context.Context, r Runner, n int, task func(i int)) error {
 	}
 	var cancelled atomic.Bool
 	done := make(chan struct{})
-	//lint:ignore goleak abandonment by contract (doc above): on cancel this goroutine outlives RunContext until the runner drains, but the wrapped task observes `cancelled` so every not-yet-started task is skipped and the drain is bounded by the in-flight tasks
+	// On cancel this goroutine outlives RunContext until the runner drains;
+	// every task not yet started sees cancelled and returns at once, so the
+	// drain is bounded by the tasks in flight (TestRunContextDrainerExits).
 	go func() {
 		defer close(done)
 		r.Run(n, func(i int) {

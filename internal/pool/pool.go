@@ -12,6 +12,13 @@
 //     average utilization exceeds an upper bound (paper example: 70%) and
 //     retires one when it falls below a lower bound (30%).
 //
+// Serial runs every task on the calling goroutine. Adaptive runs in no
+// paper table and no serving path, only in tests and the root's pool
+// ablation benchmark (scan.WithAdaptive is its one caller): the thread policy
+// that serves is the executors' split-or-inline rule (internal/exec), which
+// hands one query's shards to a Fixed pool only when a shard's measured
+// share is long enough to pay for the hand-off.
+//
 // The paper uses Boost threads; Go's goroutines are far cheaper than OS
 // threads, which would hide the strategy-1 regression the paper measured.
 // PerTask therefore pins each task to a dedicated OS thread

@@ -117,35 +117,12 @@ func (a *Arena) SlotRange(minLen, maxLen int) (int32, int32) {
 	return a.lenStart[minLen], a.lenStart[maxLen+1]
 }
 
-// slotLen returns the string length of slot s: the bucket l with
-// lenStart[l] <= s < lenStart[l+1], by binary search.
-func (a *Arena) slotLen(s int32) int {
-	lo, hi := 0, a.maxLen
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if a.lenStart[mid+1] > s {
-			hi = mid
-		} else {
-			lo = mid + 1
-		}
-	}
-	return lo
-}
-
-// SlotBytes returns the packed bytes of slot s without copying. The result
-// aliases the arena buffer and must not be mutated. It costs a binary search
-// over the length buckets, so the sweep does not come through here: it
-// carries the bucket from survivor to survivor (slotBytesFrom).
-func (a *Arena) SlotBytes(s int32) []byte {
-	xb, _ := a.slotBytesFrom(s, a.slotLen(s))
-	return xb
-}
-
-// slotBytesFrom is SlotBytes for a caller that asks for slots in ascending
-// order, as the word sweep does: l is the length bucket of the slot it asked
-// for last (any bucket not past s's will do), advanced here to s's own and
-// returned with the bytes, so the buckets are walked once per sweep instead
-// of searched once per slot.
+// slotBytesFrom returns the packed bytes of slot s without copying; they
+// alias the arena buffer and must not be mutated. The caller asks for slots
+// in ascending order, as the word sweep does: l is the length bucket of the
+// slot it asked for last (any bucket not past s's will do), advanced here to
+// s's own and returned with the bytes, so the buckets are walked once per
+// sweep instead of searched once per slot.
 func (a *Arena) slotBytesFrom(s int32, l int) ([]byte, int) {
 	for s >= a.lenStart[l+1] {
 		l++
@@ -153,9 +130,6 @@ func (a *Arena) slotBytesFrom(s int32, l int) ([]byte, int) {
 	off := int(a.lenOff[l]) + int(s-a.lenStart[l])*l
 	return a.buf[off : off+l], l
 }
-
-// SlotID returns the original dataset index of slot s.
-func (a *Arena) SlotID(s int32) int32 { return a.ids[s] }
 
 // Buckets returns the number of distinct, non-empty length buckets.
 func (a *Arena) Buckets() int {

@@ -29,15 +29,15 @@ func TestArenaLayout(t *testing.T) {
 	// stride.
 	seen := map[int32]bool{}
 	for s := int32(0); s < int32(a.Len()); s++ {
-		str := string(a.SlotBytes(s))
-		if str != data[a.SlotID(s)] {
-			t.Errorf("slot %d holds %q, want %q", s, str, data[a.SlotID(s)])
+		str := string(slotBytes(a, s))
+		if str != data[a.ids[s]] {
+			t.Errorf("slot %d holds %q, want %q", s, str, data[a.ids[s]])
 		}
-		if seen[a.SlotID(s)] {
-			t.Errorf("slot %d repeats ID %d", s, a.SlotID(s))
+		if seen[a.ids[s]] {
+			t.Errorf("slot %d repeats ID %d", s, a.ids[s])
 		}
-		seen[a.SlotID(s)] = true
-		if s > 0 && len(a.SlotBytes(s-1)) > len(str) {
+		seen[a.ids[s]] = true
+		if s > 0 && len(slotBytes(a, s-1)) > len(str) {
 			t.Errorf("slot %d breaks length order", s)
 		}
 	}
@@ -62,15 +62,22 @@ func TestArenaLayout(t *testing.T) {
 	}
 }
 
-// TestArenaSlotBytesGaps covers the binary search over buckets when lengths
-// are missing in between, and sweeps over windows that start and end on,
+// slotBytes returns slot s's bytes, walking the length buckets from the
+// first.
+func slotBytes(a *Arena, s int32) []byte {
+	xb, _ := a.slotBytesFrom(s, 0)
+	return xb
+}
+
+// TestArenaSlotBytesGaps covers the walk over buckets when lengths are
+// missing in between, and sweeps over windows that start and end on,
 // beside and between block and group boundaries: the large arena's windows
 // span several groups.
 func TestArenaSlotBytesGaps(t *testing.T) {
 	gaps := []string{"aaaaaaa", "", "bb", "ccccccc", "", "dd", "eeeeeeeeeeee", "ff"}
 	w := NewWords(gaps)
 	for s := int32(0); s < int32(w.ar.Len()); s++ {
-		if got, want := string(w.ar.SlotBytes(s)), gaps[w.ar.SlotID(s)]; got != want {
+		if got, want := string(slotBytes(w.ar, s)), gaps[w.ar.ids[s]]; got != want {
 			t.Errorf("slot %d holds %q, want %q", s, got, want)
 		}
 	}
@@ -111,7 +118,7 @@ func checkSweep(t *testing.T, w *Words, q Query) {
 func wordsData(w *Words) []string {
 	data := make([]string, w.ar.Len())
 	for s := int32(0); s < int32(len(data)); s++ {
-		data[w.ar.SlotID(s)] = string(w.ar.SlotBytes(s))
+		data[w.ar.ids[s]] = string(slotBytes(w.ar, s))
 	}
 	return data
 }

@@ -33,16 +33,16 @@ func checkBlocks(t *testing.T, w *Words, q string, ks ...int) {
 		for s := lo; s < hi; s++ {
 			d, ok := dist[s]
 			if !ok {
-				d = edit.Distance(q, string(w.ar.SlotBytes(s)))
+				d = edit.Distance(q, string(slotBytes(w.ar, s)))
 				dist[s] = d
 			}
 			if d > k {
 				continue
 			}
-			want = append(want, Match{ID: w.ar.SlotID(s), Dist: d})
+			want = append(want, Match{ID: w.ar.ids[s], Dist: d})
 			if w.blockMask(s/blockSlots, 1, sq, k) != 1 {
 				t.Fatalf("slot %d (%.40q) is within %d of %.40q (distance %d) but its block's summary %#x, %#x rejects the query's word %#x",
-					s, w.ar.SlotBytes(s), k, q, d, w.sums[2*(s/blockSlots)], w.sums[2*(s/blockSlots)+1], sq)
+					s, slotBytes(w.ar, s), k, q, d, w.sums[2*(s/blockSlots)], w.sums[2*(s/blockSlots)+1], sq)
 			}
 		}
 		got, err := w.Sweep(context.Background(), &pr, k, nil)
@@ -301,8 +301,8 @@ func TestWordOrderIsThePackers(t *testing.T) {
 		t.Fatal(err)
 	}
 	for s := int32(0); s < int32(ordered.Len()); s++ {
-		if got := string(ordered.SlotBytes(s)); got != data[ordered.SlotID(s)] {
-			t.Fatalf("slot %d holds %q under ID %d, which is %q", s, got, ordered.SlotID(s), data[ordered.SlotID(s)])
+		if got := string(slotBytes(ordered, s)); got != data[ordered.ids[s]] {
+			t.Fatalf("slot %d holds %q under ID %d, which is %q", s, got, ordered.ids[s], data[ordered.ids[s]])
 		}
 	}
 }

@@ -70,11 +70,6 @@ func (s Strategy) String() string {
 	}
 }
 
-// Strategies lists the paper's §3 ladder in paper order.
-func Strategies() []Strategy {
-	return []Strategy{Base, FastED, References, SimpleTypes, ParallelNaive, ParallelManaged}
-}
-
 // Match is one search result: a dataset string's ID (its index in the
 // dataset) and its exact edit distance to the query. It is the result type
 // of every engine in the module, and every engine returns a query's matches

@@ -42,9 +42,18 @@ func TestStrategyString(t *testing.T) {
 	if Strategy(99).String() != "Strategy(99)" {
 		t.Errorf("unknown strategy renders %q", Strategy(99).String())
 	}
-	if len(Strategies()) != 6 {
-		t.Errorf("Strategies() has %d entries, want 6", len(Strategies()))
+	if got := ladder(); len(got) != len(want) {
+		t.Errorf("the ladder has %d rungs, want %d", len(got), len(want))
 	}
+}
+
+// ladder lists the paper's §3 rungs in paper order.
+func ladder() []Strategy {
+	var out []Strategy
+	for s := Base; s <= ParallelManaged; s++ {
+		out = append(out, s)
+	}
+	return out
 }
 
 func TestAllStrategiesAgreeWithReference(t *testing.T) {
@@ -52,7 +61,7 @@ func TestAllStrategiesAgreeWithReference(t *testing.T) {
 		{"berlin", 0}, {"berlin", 1}, {"berlin", 2}, {"berlin", 3},
 		{"bxrlin", 1}, {"", 0}, {"", 3}, {"zzz", 0}, {"magdeburg", 2},
 	}
-	for _, s := range Strategies() {
+	for _, s := range ladder() {
 		e := New(cities, WithStrategy(s), WithWorkers(4))
 		for _, q := range queries {
 			got := e.Search(q)
@@ -66,7 +75,7 @@ func TestAllStrategiesAgreeWithReference(t *testing.T) {
 
 func TestSearchBatchMatchesSearch(t *testing.T) {
 	queries := []Query{{"berlin", 2}, {"ulm", 1}, {"köln", 0}, {"", 1}}
-	for _, s := range Strategies() {
+	for _, s := range ladder() {
 		e := New(cities, WithStrategy(s), WithWorkers(3))
 		batch := e.SearchBatch(queries)
 		if len(batch) != len(queries) {

@@ -329,8 +329,8 @@ func TestSweepCarriesLengthBucket(t *testing.T) {
 			}
 			var want []Match
 			for s := int32(0); s < int32(w.ar.Len()); s++ {
-				if d := edit.Distance(q, string(w.ar.SlotBytes(s))); d <= k {
-					want = append(want, Match{ID: w.ar.SlotID(s), Dist: d})
+				if d := edit.Distance(q, string(slotBytes(w.ar, s))); d <= k {
+					want = append(want, Match{ID: w.ar.ids[s], Dist: d})
 				}
 			}
 			if !slices.Equal(got, want) {

@@ -70,8 +70,8 @@ func WithModernPruning() Option {
 	return func(t *Tree) { t.modern = true }
 }
 
-// New returns an empty tree.
-func New(opts ...Option) *Tree {
+// newTree returns an empty tree.
+func newTree(opts ...Option) *Tree {
 	t := &Tree{root: &node{id: noID, minLen: 1<<31 - 1}}
 	t.nodeCount = 1
 	for _, o := range opts {
@@ -82,7 +82,7 @@ func New(opts ...Option) *Tree {
 
 // Build constructs a tree over data; string i is inserted with ID i.
 func Build(data []string, opts ...Option) *Tree {
-	t := New(opts...)
+	t := newTree(opts...)
 	for i, s := range data {
 		t.Insert(s, int32(i))
 	}

@@ -12,7 +12,7 @@
 // A third, the paper's §6 future work built out, is what this library serves
 // with:
 //
-//   - the filtered sweep (NewCascade, and NewAuto, which returns it): a scan
+//   - the filtered sweep (NewCascade): a scan
 //     over length buckets with one or two precomputed words per string
 //     deciding which candidates reach the bit-parallel kernel. It is ahead of
 //     both engines above at every threshold the paper asks on both corpora,
@@ -200,7 +200,7 @@ func NewCascade(data []string) Searcher {
 
 // NewRouter returns the same engine as NewCascade; see Router.
 //
-// Deprecated: use NewAuto or NewCascade.
+// Deprecated: use NewCascade.
 func NewRouter(data []string) Searcher {
 	return New(data, Options{Algorithm: Router})
 }
@@ -254,10 +254,6 @@ func NewSharded(data []string, shards int, opts Options) *Sharded {
 // (query text, k, engine name, dataset version) with request coalescing.
 // See NewCached.
 type Cached = cache.Cache
-
-// CacheStats is a point-in-time snapshot of a Cached engine's counters
-// (hits, misses, coalesced lookups, evictions, occupancy).
-type CacheStats = cache.Stats
 
 // NewCached wraps eng in a query-result cache holding up to capacity results
 // (capacity <= 0 selects the default 4096). Hits are answered from a sharded
@@ -344,9 +340,4 @@ func GenerateQueries(data []string, n, maxEdits int, seed int64) []string {
 // LoadStrings reads a one-string-per-line dataset file.
 func LoadStrings(path string) ([]string, error) {
 	return dataset.Load(path)
-}
-
-// SaveStrings writes a one-string-per-line dataset file.
-func SaveStrings(path string, data []string) error {
-	return dataset.Save(path, data)
 }

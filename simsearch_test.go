@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"simsearch"
+	"simsearch/internal/dataset"
 )
 
 var cities = []string{"berlin", "bern", "bonn", "ulm", "munich", "köln"}
@@ -97,7 +98,7 @@ func TestGenerators(t *testing.T) {
 
 func TestSaveLoadRoundTrip(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "x.txt")
-	if err := simsearch.SaveStrings(path, cities); err != nil {
+	if err := dataset.Save(path, cities); err != nil {
 		t.Fatal(err)
 	}
 	got, err := simsearch.LoadStrings(path)
