@@ -14,7 +14,7 @@ func TestReadFASTA(t *testing.T) {
 		name, in string
 		want     []string
 	}{
-		{"headers, comments, blank lines, lower case", `>read1 description here
+		{"headers_comments_blank_lines_lower_case", `>read1 description here
 ACGT
 ACGT
 ; a legacy comment
@@ -22,17 +22,19 @@ ACGT
 
 ttnn
 `, []string{"ACGTACGT", "TTNN"}},
-		{"70-column records and an empty one", ">seq0\n" + wrapped[:70] + "\n" + wrapped[70:140] + "\n" + wrapped[140:] +
+		{"wrapped_70_columns_and_empty", ">seq0\n" + wrapped[:70] + "\n" + wrapped[70:140] + "\n" + wrapped[140:] +
 			"\n>seq1\nTT\n>seq2\n\n", []string{wrapped, "TT", ""}},
 	}
 	for _, c := range cases {
-		got, err := readFASTA(strings.NewReader(c.in))
-		if err != nil {
-			t.Fatalf("%s: %v", c.name, err)
-		}
-		if !reflect.DeepEqual(got, c.want) {
-			t.Errorf("%s: got %q, want %q", c.name, got, c.want)
-		}
+		t.Run(c.name, func(t *testing.T) {
+			got, err := readFASTA(strings.NewReader(c.in))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(got, c.want) {
+				t.Errorf("got %q, want %q", got, c.want)
+			}
+		})
 	}
 }
 
