@@ -344,16 +344,16 @@ func BenchmarkJoin(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationAdaptivePool compares the three §3.6 strategies on a
-// uniform workload.
-func BenchmarkAblationAdaptivePool(b *testing.B) {
+// BenchmarkAblationPool compares the serial baseline with the §3.6
+// strategies 1 and 2 (a thread per query, a fixed pool) on a uniform
+// workload.
+func BenchmarkAblationPool(b *testing.B) {
 	city, _ := workloads()
 	eng := core.NewSequential(city.Data, scan.WithStrategy(scan.SimpleTypes), scan.WithBandedKernel())
 	runners := []pool.Runner{
 		pool.Serial{},
 		pool.PerTask{},
 		pool.Fixed{Workers: 8},
-		&pool.Adaptive{Min: 1, Max: 16},
 	}
 	for _, r := range runners {
 		b.Run(r.Name(), func(b *testing.B) {

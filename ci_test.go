@@ -128,13 +128,49 @@ func TestNoOrphanPackages(t *testing.T) {
 	}
 }
 
-// orphanExceptions lists the exported identifiers TestNoOrphanExports lets
-// stand without a caller, keyed by import path and name, each with its
-// reason. An entry whose identifier is gone or has gained a caller fails the
-// test, so the table cannot outlive what it excuses.
-var orphanExceptions = map[string]string{
-	"simsearch/internal/scan.WithAdaptive": "the paper's §3.6 strategy 3 (pool.Adaptive) on the scan ladder's managed rung; only tests and " +
-		"BenchmarkAblationAdaptivePool run it, and its deletion, with six tests, is left to a change of its own (ROADMAP item 3)",
+// TestHTTPAPIImportsNoEngine keeps the serving layer's layering: a non-test
+// file of internal/httpapi may import no concrete engine or layer package
+// and name none of core's concrete engines. The server finds what it serves
+// by method sets on the decorator chain (Unwrap, Describe, RegisterMetrics),
+// so an engine change never edits the HTTP layer.
+func TestHTTPAPIImportsNoEngine(t *testing.T) {
+	banned := map[string]bool{}
+	for _, p := range []string{"cache", "exec", "lsm", "scan", "trie", "pool"} {
+		banned["simsearch/internal/"+p] = true
+	}
+	engines := map[string]bool{"Cascade": true, "Sequential": true, "Trie": true}
+	fset := token.NewFileSet()
+	walkGoFiles(t, "internal/httpapi", func(path string) error {
+		if strings.HasSuffix(path, "_test.go") {
+			return nil
+		}
+		f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
+		if err != nil {
+			return err
+		}
+		core := ""
+		for _, imp := range f.Imports {
+			p := strings.Trim(imp.Path.Value, `"`)
+			if banned[p] {
+				t.Errorf("%s: imports %s; reach the layer through core's interfaces or a method set", fset.Position(imp.Pos()), p)
+			}
+			if p == "simsearch/internal/core" {
+				core = "core"
+				if imp.Name != nil {
+					core = imp.Name.Name
+				}
+			}
+		}
+		ast.Inspect(f, func(n ast.Node) bool {
+			if sel, ok := n.(*ast.SelectorExpr); ok {
+				if x, ok := sel.X.(*ast.Ident); ok && core != "" && x.Name == core && engines[sel.Sel.Name] {
+					t.Errorf("%s: names %s.%s; the server serves engines through core.Searcher", fset.Position(sel.Pos()), x.Name, sel.Sel.Name)
+				}
+			}
+			return true
+		})
+		return nil
+	})
 }
 
 // TestNoOrphanExports takes TestNoOrphanPackages down to identifiers. An
@@ -285,18 +321,13 @@ func TestNoOrphanExports(t *testing.T) {
 
 	var orphans []string
 	for key := range decls {
-		if !referenced[key] && orphanExceptions[key] == "" {
+		if !referenced[key] {
 			orphans = append(orphans, key)
 		}
 	}
 	sort.Strings(orphans)
 	for _, key := range orphans {
 		t.Errorf("%s has no caller outside its own package and tests: delete it, unexport it, or give it a caller", key)
-	}
-	for key, reason := range orphanExceptions {
-		if decls[key] == nil || referenced[key] {
-			t.Errorf("stale orphanExceptions entry %s (%s): the identifier is gone or now has a caller", key, reason)
-		}
 	}
 }
 

@@ -10,13 +10,21 @@
 //	curl 'localhost:8080/topk?q=Hambrug&n=3&maxk=3'
 //	curl -d '{"queries":[{"q":"Berlni","k":2},{"q":"Mnchen","k":2}]}' localhost:8080/search/batch
 //	curl 'localhost:8080/stats'
+//	curl -s 'localhost:8080/stats' | jq '.shards[].cascade.survivors'
+//
+// /stats carries the dataset summary and one section per layer of the
+// serving stack, each reported by the layer itself: "cascade" (the survivor
+// funnel), "scan", "cache", "live" and "shards".
 //
 // With -shards > 0 the dataset is partitioned across a sharded executor
 // (per-shard engines selected by -engine) and batches are answered
-// shard-parallel; /stats then reports per-shard counters. The server honors
-// per-request deadlines (-timeout), per-query deadlines in batches
-// (-querytimeout, on the sharded and the serial path alike), and shuts down
-// gracefully on SIGINT/SIGTERM, draining in-flight requests for up to -grace.
+// shard-parallel; /stats then reports per-shard counters, each shard with
+// its engine's own section (the cascade's funnel is per shard, not summed),
+// and /metrics labels each shard engine's series with shard="i". The server
+// honors per-request deadlines (-timeout), per-query deadlines in batches
+// (-querytimeout, on the sharded and the serial path alike, with or without
+// -cache), and shuts down gracefully on SIGINT/SIGTERM, draining in-flight
+// requests for up to -grace.
 //
 // -cache puts a query-result cache with request coalescing in front of the
 // engine (capacity -cachesize entries): repeated queries skip the engine

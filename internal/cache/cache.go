@@ -78,8 +78,8 @@ type flight struct {
 }
 
 // Cache decorates a core.Searcher with a query-result cache. It implements
-// core.Searcher, core.ContextSearcher and core.ContextBatcher, and answers
-// core.SearchBatch's whole batches, so it drops in anywhere the wrapped
+// core.Searcher and core.ContextSearcher, and answers core.SearchBatch's and
+// core.SearchBatchContext's whole batches, so it drops in anywhere the wrapped
 // engine does — including above the sharded executor's fan-out, where one hit saves a whole shard×query task
 // row. All methods are safe for concurrent use.
 type Cache struct {
@@ -395,11 +395,12 @@ func (c *Cache) SearchBatch(qs []core.Query) [][]core.Match {
 	return out
 }
 
-// SearchBatchContext implements core.ContextBatcher: hits are answered from
-// the cache, duplicate misses within the batch are deduplicated (counted as
-// coalesced), and the remaining unique misses are forwarded to the wrapped
-// engine as one sub-batch — shard-parallel when the engine is the sharded
-// executor, serial with per-query outcomes otherwise.
+// SearchBatchContext answers a batch under ctx with per-query outcomes, as
+// core.SearchBatchContext asks: hits are answered from the cache, duplicate
+// misses within the batch are deduplicated (counted as coalesced), and the
+// remaining unique misses are forwarded to the wrapped engine as one
+// sub-batch through core.SearchBatchContext — shard-parallel when the engine
+// is the sharded executor, serial under ctx's per-query budget otherwise.
 func (c *Cache) SearchBatchContext(ctx context.Context, qs []core.Query) ([]core.QueryResult, error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -439,29 +440,9 @@ func (c *Cache) SearchBatchContext(ctx context.Context, qs []core.Query) ([]core
 	for j, key := range order {
 		sub[j] = groups[key].q
 	}
-	var res []core.QueryResult
-	if cb, ok := c.inner.(core.ContextBatcher); ok {
-		var err error
-		res, err = cb.SearchBatchContext(ctx, sub)
-		if err != nil {
-			return nil, err
-		}
-	} else {
-		res = make([]core.QueryResult, len(sub))
-		for j, q := range sub {
-			if err := ctx.Err(); err != nil {
-				return nil, err
-			}
-			ms, err := core.SearchContext(ctx, c.inner, q)
-			if err != nil {
-				if ctx.Err() != nil {
-					return nil, ctx.Err()
-				}
-				res[j] = core.QueryResult{Err: err}
-				continue
-			}
-			res[j] = core.QueryResult{Matches: ms}
-		}
+	res, err := core.SearchBatchContext(ctx, c.inner, sub)
+	if err != nil {
+		return nil, err
 	}
 
 	for j, key := range order {
@@ -482,12 +463,12 @@ func (c *Cache) SearchBatchContext(ctx context.Context, qs []core.Query) ([]core
 
 // Stats is a point-in-time snapshot of the cache counters.
 type Stats struct {
-	Hits      uint64 // lookups served from the table
-	Misses    uint64 // lookups that started an engine search
-	Coalesced uint64 // lookups that joined an in-flight or in-batch duplicate
-	Evictions uint64 // entries dropped by LRU pressure
-	Entries   int    // entries currently cached
-	Capacity  int    // total entry budget
+	Hits      uint64 `json:"hits"`      // lookups served from the table
+	Misses    uint64 `json:"misses"`    // lookups that started an engine search
+	Coalesced uint64 `json:"coalesced"` // lookups that joined an in-flight or in-batch duplicate
+	Evictions uint64 `json:"evictions"` // entries dropped by LRU pressure
+	Entries   int    `json:"entries"`   // entries currently cached
+	Capacity  int    `json:"capacity"`  // total entry budget
 }
 
 // HitRate returns hits / (hits + misses + coalesced), the fraction of
@@ -515,6 +496,18 @@ func (c *Cache) Stats() Stats {
 		sh.mu.Unlock()
 	}
 	return s
+}
+
+// Describe reports Stats, the hit rate and the dataset version as the /stats
+// "cache" section; for a live engine the version advances on each effective
+// mutation, which makes invalidation observable there.
+func (c *Cache) Describe() (string, any) {
+	st := c.Stats()
+	return "cache", struct {
+		Stats
+		HitRate float64 `json:"hit_rate"`
+		Version string  `json:"version,omitempty"`
+	}{st, st.HitRate(), c.Version()}
 }
 
 // RegisterMetrics exposes the cache counters on reg under simsearch_cache_*

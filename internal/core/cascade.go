@@ -139,18 +139,20 @@ func (c *Cascade) Name() string { return c.name }
 func (c *Cascade) Len() int { return c.words.Arena().Len() }
 
 // CascadeStats is a point-in-time snapshot of a cascade's layout and
-// cumulative per-stage survivor counters.
+// cumulative per-stage survivor counters; it is the /stats "cascade"
+// section, where a stage whose survivors equal its input has stopped
+// pruning.
 type CascadeStats struct {
-	Strings    int
-	ArenaBytes int // the arena's payload
-	Buckets    int // non-empty length buckets
+	Strings    int `json:"-"`
+	ArenaBytes int `json:"arena_bytes"` // the arena's payload
+	Buckets    int `json:"buckets"`     // non-empty length buckets
 
-	Queries    uint64
-	Candidates uint64 // survivors of the length bucket (slots of the windows)
-	Swept      uint64 // of those, the slots in blocks the summaries let the sweep into
-	Passed     uint64 // survivors of the first word; the second, where there is one, takes Survivors below it
-	Survivors  uint64 // survivors of the signature stage = verify calls
-	Matches    uint64
+	Queries    uint64 `json:"queries"`
+	Candidates uint64 `json:"candidates"` // survivors of the length bucket (slots of the windows)
+	Swept      uint64 `json:"swept"`      // of those, the slots in blocks the summaries let the sweep into
+	Passed     uint64 `json:"passed"`     // survivors of the first word; the second, where there is one, takes Survivors below it
+	Survivors  uint64 `json:"survivors"`  // survivors of the signature stage = verify calls
+	Matches    uint64 `json:"matches"`
 }
 
 // Stats returns the current snapshot.
@@ -169,8 +171,12 @@ func (c *Cascade) Stats() CascadeStats {
 	}
 }
 
+// Describe reports Stats as the /stats "cascade" section.
+func (c *Cascade) Describe() (string, any) { return "cascade", c.Stats() }
+
 // RegisterMetrics exposes the cascade's cumulative counters on reg (picked
-// up by the httpapi decorator-chain walk). The per-stage survivor counts
+// up by the httpapi decorator-chain walk, or, under the sharded executor,
+// registered per shard under a shard label). The per-stage survivor counts
 // make the cascade observable in production: a stage whose survivors track
 // its input has stopped pruning.
 func (c *Cascade) RegisterMetrics(reg *metrics.Registry) {

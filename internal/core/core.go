@@ -8,6 +8,7 @@ import (
 	"context"
 	"fmt"
 	"sort"
+	"time"
 
 	"simsearch/internal/edit"
 	"simsearch/internal/pool"
@@ -137,9 +138,14 @@ func (s *Sequential) Name() string { return s.name }
 // Len implements Searcher.
 func (s *Sequential) Len() int { return s.eng.Len() }
 
-// ScanEngine exposes the underlying scan engine for observability surfaces
-// (ladder rung, pool size).
-func (s *Sequential) ScanEngine() *scan.Engine { return s.eng }
+// Describe reports the scan's ladder rung and pool size as the /stats
+// "scan" section.
+func (s *Sequential) Describe() (string, any) {
+	return "scan", struct {
+		Strategy string `json:"strategy"`
+		Workers  int    `json:"workers,omitempty"`
+	}{s.eng.Strategy().String(), s.eng.Workers()}
+}
 
 // --- Trie engine ------------------------------------------------------------
 
@@ -194,14 +200,60 @@ type QueryResult struct {
 	Err     error
 }
 
-// ContextBatcher is implemented by engines that answer whole batches under a
+// contextBatcher is implemented by engines that answer whole batches under a
 // context with per-query outcomes: the sharded executor (shard-parallel, with
 // per-query deadlines) and the result cache (hits answered locally, misses
 // forwarded as one sub-batch). Cancelling ctx abandons the batch and returns
 // ctx.Err(); per-query failures are reported in the QueryResult instead.
-type ContextBatcher interface {
-	Searcher
+type contextBatcher interface {
 	SearchBatchContext(ctx context.Context, qs []Query) ([]QueryResult, error)
+}
+
+// queryTimeoutKey carries WithQueryTimeout's budget on a context.
+type queryTimeoutKey struct{}
+
+// WithQueryTimeout returns ctx carrying a per-query budget d for
+// SearchBatchContext's serial loop: each query the loop answers runs under
+// its own deadline d from its start, so one slow query reports its own
+// error instead of starving the rest of the batch. The budget rides the
+// context through the layers above the loop (the result cache forwards its
+// misses to the same loop); batching engines with a scheduler of their own
+// ignore it.
+func WithQueryTimeout(ctx context.Context, d time.Duration) context.Context {
+	return context.WithValue(ctx, queryTimeoutKey{}, d)
+}
+
+// SearchBatchContext answers qs with s under ctx. An engine with its own
+// context batch scheduler runs it; any other engine answers the queries one
+// after another, each under WithQueryTimeout's budget when ctx carries one.
+// Either way a failing query reports its error in its QueryResult and the
+// rest of the batch completes; only ctx itself going dead (deadline or
+// cancellation) abandons the batch and returns ctx.Err().
+func SearchBatchContext(ctx context.Context, s Searcher, qs []Query) ([]QueryResult, error) {
+	if ctx == nil {
+		ctx = context.Background()
+	}
+	if cb, ok := s.(contextBatcher); ok {
+		return cb.SearchBatchContext(ctx, qs)
+	}
+	budget, _ := ctx.Value(queryTimeoutKey{}).(time.Duration)
+	out := make([]QueryResult, len(qs))
+	for i, q := range qs {
+		if err := ctx.Err(); err != nil {
+			return nil, err
+		}
+		qctx, cancel := ctx, func() {}
+		if budget > 0 {
+			qctx, cancel = context.WithTimeout(ctx, budget)
+		}
+		ms, err := SearchContext(qctx, s, q)
+		cancel()
+		if err != nil && ctx.Err() != nil {
+			return nil, ctx.Err()
+		}
+		out[i] = QueryResult{Matches: ms, Err: err}
+	}
+	return out, nil
 }
 
 // SearchBatch answers every query with s. If runner is nil, the engine's own

@@ -197,9 +197,8 @@ func (s *Sharded) ShardSizes() []int {
 	return out
 }
 
-// ShardEngines returns each shard's engine in shard order, for observability
-// surfaces that aggregate engine-specific state across the partition (the
-// httpapi /stats cascade section). Callers must not mutate engine state.
+// ShardEngines returns each shard's engine in shard order (callers that
+// prime or inspect the shards; they must not mutate engine state).
 func (s *Sharded) ShardEngines() []core.Searcher {
 	out := make([]core.Searcher, len(s.shards))
 	for i, sh := range s.shards {
@@ -208,14 +207,30 @@ func (s *Sharded) ShardEngines() []core.Searcher {
 	return out
 }
 
-// CounterSnapshots returns a point-in-time copy of every shard's serving
-// counters (queries answered, matches produced, cumulative busy time).
-func (s *Sharded) CounterSnapshots() []metrics.ShardSnapshot {
-	out := make([]metrics.ShardSnapshot, len(s.counters))
-	for i, c := range s.counters {
-		out[i] = c.Snapshot()
+// Describe reports the /stats "shards" section: per shard, in shard order,
+// its size and serving counters (P50/P99 bucket-interpolated from its
+// latency histogram) and, under the engine's own section name, whatever the
+// shard engine describes of itself.
+func (s *Sharded) Describe() (string, any) {
+	out := make([]map[string]any, len(s.shards))
+	for i, sh := range s.shards {
+		snap := s.counters[i].Snapshot()
+		out[i] = map[string]any{
+			"strings":        sh.eng.Len(),
+			"queries":        snap.Queries,
+			"matches":        snap.Matches,
+			"busy_us":        snap.Busy.Microseconds(),
+			"mean_us":        snap.MeanLatency().Microseconds(),
+			"p50_us":         snap.Latency.Quantile(0.50).Microseconds(),
+			"p99_us":         snap.Latency.Quantile(0.99).Microseconds(),
+			"throughput_qps": snap.Throughput(),
+		}
+		if d, ok := sh.eng.(interface{ Describe() (string, any) }); ok {
+			name, st := d.Describe()
+			out[i][name] = st
+		}
 	}
-	return out
+	return "shards", out
 }
 
 // SetSlowLog installs (or, with nil, removes) the shard-level slow-query
@@ -224,7 +239,9 @@ func (s *Sharded) CounterSnapshots() []metrics.ShardSnapshot {
 func (s *Sharded) SetSlowLog(l *metrics.SlowLog) { s.slow = l }
 
 // RegisterMetrics exposes every shard's serving counters and latency
-// histogram on reg under simsearch_shard_* names with a shard label. The
+// histogram on reg under simsearch_shard_* names with a shard label, and
+// registers each shard engine's own metrics (the cascade's
+// simsearch_cascade_*) through a view of reg that adds the same label. The
 // registered funcs read the live counters, so one registration covers the
 // executor's whole lifetime.
 func (s *Sharded) RegisterMetrics(reg *metrics.Registry) {
@@ -246,6 +263,9 @@ func (s *Sharded) RegisterMetrics(reg *metrics.Registry) {
 		reg.GaugeFunc("simsearch_shard_strings",
 			"Strings held, by shard.",
 			func() float64 { return size }, lbl)
+		if rm, ok := s.shards[i].eng.(interface{ RegisterMetrics(*metrics.Registry) }); ok {
+			rm.RegisterMetrics(reg.With(lbl))
+		}
 	}
 }
 

@@ -162,7 +162,6 @@ func TestRunnerStrategiesInterchangeable(t *testing.T) {
 	runners := []pool.Runner{
 		pool.PerTask{},
 		pool.Fixed{Workers: 3},
-		&pool.Adaptive{Min: 1, Max: 6},
 	}
 	for _, r := range runners {
 		ex := New(data, Options{Shards: 4, Runner: r})
@@ -204,11 +203,11 @@ func TestCountersAccumulate(t *testing.T) {
 	ex := New(data, Options{Shards: 4})
 	qs := queriesFor(data, 10, []int{1, 2}, 17)
 	res := ex.SearchBatch(qs)
-	snaps := ex.CounterSnapshots()
+	_, shards := ex.Describe()
 	var queries, matches uint64
-	for _, s := range snaps {
-		queries += s.Queries
-		matches += s.Matches
+	for _, s := range shards.([]map[string]any) {
+		queries += s["queries"].(uint64)
+		matches += s["matches"].(uint64)
 	}
 	if want := uint64(len(qs) * ex.NumShards()); queries != want {
 		t.Errorf("counter queries = %d, want %d", queries, want)

@@ -297,22 +297,24 @@ func mergeByID(per [][]core.Match) []core.Match {
 	return lists[0]
 }
 
-// LiveStats aggregates every shard's store statistics.
+// LiveStats aggregates every shard's store statistics; it is the /stats
+// "live" section: delta and segment gauges plus the write counters and the
+// generation the cache keys carry.
 type LiveStats struct {
-	Shards         int
-	Live           int
-	Known          int
-	Tombstones     int
-	DeltaEntries   int
-	Segments       int
-	SegmentStrings int
-	ArenaBytes     int
-	Flushes        uint64
-	Compactions    uint64
-	Inserts        uint64
-	Deletes        uint64
-	Generation     uint64
-	Persistent     bool
+	Shards         int    `json:"shards"`
+	Live           int    `json:"live_strings"`
+	Known          int    `json:"known_strings"`
+	Tombstones     int    `json:"tombstones"`
+	DeltaEntries   int    `json:"delta_entries"`
+	Segments       int    `json:"segments"`
+	SegmentStrings int    `json:"segment_strings"`
+	ArenaBytes     int    `json:"arena_bytes"`
+	Flushes        uint64 `json:"flushes"`
+	Compactions    uint64 `json:"compactions"`
+	Inserts        uint64 `json:"inserts"`
+	Deletes        uint64 `json:"deletes"`
+	Generation     uint64 `json:"generation"`
+	Persistent     bool   `json:"persistent"`
 }
 
 // LiveStats returns the aggregated snapshot.
@@ -338,6 +340,9 @@ func (x *LiveSharded) LiveStats() LiveStats {
 	}
 	return out
 }
+
+// Describe reports LiveStats as the /stats "live" section.
+func (x *LiveSharded) Describe() (string, any) { return "live", x.LiveStats() }
 
 // RegisterMetrics exposes the write counters and store gauges on reg under
 // simsearch_live_* names. The registered funcs read live state, so one

@@ -36,8 +36,9 @@ func (s slowOnSearcher) Len() int     { return 1 }
 // TestBatchPerQueryErrorParity is the regression test for the whole-batch-504
 // bug: one slow query inside a batch must report its own per-result error —
 // and the rest of the batch must succeed — identically on the sharded path
-// (executor scheduler, exec QueryTimeout) and on the serial fallback path
-// (plain engine, Server.QueryTimeout).
+// (executor scheduler, exec QueryTimeout), on the serial fallback path
+// (plain engine, Server.QueryTimeout) and on that path under the result
+// cache.
 func TestBatchPerQueryErrorParity(t *testing.T) {
 	shardData := []string{"a", "b", "c", "d"}
 	sharded := New(exec.New(shardData, exec.Options{
@@ -52,10 +53,17 @@ func TestBatchPerQueryErrorParity(t *testing.T) {
 	serial := New(slowOnSearcher{slow: "stall"}, []string{"a"})
 	serial.QueryTimeout = 15 * time.Millisecond
 
+	// The cache forwards its misses to the same serial loop, which must
+	// still see the per-query budget. Timeout bounds the whole request, so
+	// a budget lost on the way fails fast as a 504 instead of hanging.
+	cachedSerial := New(cache.New(slowOnSearcher{slow: "stall"}, cache.Options{}), []string{"a"})
+	cachedSerial.QueryTimeout = 15 * time.Millisecond
+	cachedSerial.Timeout = 2 * time.Second
+
 	for _, tc := range []struct {
 		path string
 		srv  *Server
-	}{{"sharded", sharded}, {"serial", serial}} {
+	}{{"sharded", sharded}, {"serial", serial}, {"cached-serial", cachedSerial}} {
 		t.Run(tc.path, func(t *testing.T) {
 			ts := httptest.NewServer(tc.srv)
 			defer ts.Close()

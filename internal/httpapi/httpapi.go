@@ -11,7 +11,7 @@
 //	POST /search/batch             JSON batch of queries, answered together
 //	POST /insert                   add a string (live engines only)
 //	POST /delete                   tombstone a string (live engines only)
-//	GET  /stats                    engine, dataset, and per-shard counters
+//	GET  /stats                    engine, dataset, and each layer's own section
 //	GET  /metrics                  Prometheus text-format scrape endpoint
 //	GET  /healthz                  liveness probe
 //
@@ -35,15 +35,18 @@
 // echoed through the engine's own id resolver instead of the static data
 // slice, because the dictionary outgrows its seed.
 //
-// When the engine is wrapped in a result cache (internal/cache), hits are
-// served before any executor work, and /stats and /metrics expose the
-// cache's hit/miss/eviction/coalesced counters alongside the per-shard
-// counters of a cached sharded engine.
+// The server knows the engine only through core's interfaces and the method
+// sets it finds on the layers of the decorator chain (Unwrap): every layer
+// with state reports it itself, Describe as a named /stats section and
+// RegisterMetrics as /metrics series. So a result cache's hit/miss counters,
+// a sharded executor's per-shard counters (each shard engine's own section
+// and series inside, the latter under a shard label), a cascade's survivor
+// funnel or a live store's gauges show up without this package naming any
+// of them.
 //
 // Every endpoint is wrapped in per-endpoint instrumentation: request and
 // error counters, a latency histogram, and an optional slow-query log, all
-// exposed on /metrics (plus per-shard counters when the engine is the
-// sharded executor).
+// exposed on /metrics.
 package httpapi
 
 import (
@@ -59,10 +62,8 @@ import (
 	"time"
 	"unicode/utf8"
 
-	"simsearch/internal/cache"
 	"simsearch/internal/core"
 	"simsearch/internal/dataset"
-	"simsearch/internal/exec"
 	"simsearch/internal/metrics"
 )
 
@@ -75,8 +76,8 @@ type Server struct {
 	inflight *metrics.Gauge
 	// info is the dataset summary served by /stats, computed once at wiring
 	// time: dataset.Stats is a full pass over every corpus byte, far too
-	// expensive to rerun on every scrape. Live engines override the count
-	// from their own LiveStats, so the frozen summary stays correct.
+	// expensive to rerun on every scrape. The count /stats serves is the
+	// engine's Len, which for a live engine is the current dictionary size.
 	info dataset.Info
 	// live is the write surface, discovered from the engine chain at wiring
 	// time; nil for frozen engines (writes then get 501).
@@ -109,7 +110,8 @@ type Server struct {
 	// request context still cancels on client disconnect.
 	Timeout time.Duration
 	// QueryTimeout, when positive, gives every query in a /search/batch
-	// request its own deadline on the serial (non-sharded) path, so one
+	// request its own deadline on the serial path — a plain engine, or the
+	// misses a result cache forwards to one (core.WithQueryTimeout) — so one
 	// slow query reports its own error instead of starving the rest of the
 	// batch. The sharded executor applies its own exec.Options.QueryTimeout
 	// instead.
@@ -148,100 +150,37 @@ func New(eng core.Searcher, data []string) *Server {
 	s.mux.Handle("/healthz", s.instrument("healthz", s.handleHealth))
 	// Register engine-owned metrics for every layer of the decorator chain
 	// (the result cache exports simsearch_cache_*, the sharded executor
-	// simsearch_shard_*; a cached sharded engine exports both).
-	for e := eng; e != nil; {
+	// simsearch_shard_* and its shard engines' own series; a cached sharded
+	// engine exports both).
+	for _, e := range chain(eng) {
 		if rm, ok := e.(interface{ RegisterMetrics(*metrics.Registry) }); ok {
 			rm.RegisterMetrics(s.reg)
 		}
-		u, ok := e.(interface{ Unwrap() core.Searcher })
-		if !ok {
-			break
-		}
-		e = u.Unwrap()
-	}
-	// Shard engines sit a layer deeper than the decorator walk reaches;
-	// register the shard cascades' summed funnel so the sharded path exports
-	// simsearch_cascade_* like the direct path does.
-	if _, direct := engineAs[*core.Cascade](eng); !direct {
-		registerCascades(s.reg, cascades(eng))
 	}
 	return s
 }
 
-// cascades returns every filter cascade in the serving chain: a directly
-// served (possibly cached) one, or those the sharded executor's shards hold.
-func cascades(eng core.Searcher) []*core.Cascade {
-	if c, ok := engineAs[*core.Cascade](eng); ok {
-		return []*core.Cascade{c}
-	}
-	ex, ok := engineAs[*exec.Sharded](eng)
-	if !ok {
-		return nil
-	}
-	var out []*core.Cascade
-	for _, se := range ex.ShardEngines() {
-		if c, ok := se.(*core.Cascade); ok {
-			out = append(out, c)
-		}
-	}
-	return out
-}
-
-// cascadeTotals sums the layouts and the funnels of cs.
-func cascadeTotals(cs []*core.Cascade) (sum cascadeStatsJSON) {
-	for _, c := range cs {
-		st := c.Stats()
-		sum.ArenaBytes += st.ArenaBytes
-		sum.Buckets += st.Buckets
-		sum.Queries += st.Queries
-		sum.Candidates += st.Candidates
-		sum.Swept += st.Swept
-		sum.Passed += st.Passed
-		sum.Survivors += st.Survivors
-		sum.Matches += st.Matches
-	}
-	return sum
-}
-
-// registerCascades exports the summed counters of cs under the series names
-// and stage labels one cascade registers for itself (core.Cascade.RegisterMetrics).
-func registerCascades(reg *metrics.Registry, cs []*core.Cascade) {
-	if len(cs) == 0 {
-		return
-	}
-	counter := func(name, help string, field func(cascadeStatsJSON) uint64, labels ...metrics.Label) {
-		reg.CounterFunc(name, help, func() float64 { return float64(field(cascadeTotals(cs))) }, labels...)
-	}
-	counter("simsearch_cascade_queries_total", "queries answered by the shard cascades, summed over shards",
-		func(st cascadeStatsJSON) uint64 { return st.Queries })
-	for _, stage := range []struct {
-		name  string
-		field func(cascadeStatsJSON) uint64
-	}{
-		{"length", func(st cascadeStatsJSON) uint64 { return st.Candidates }},
-		{"block", func(st cascadeStatsJSON) uint64 { return st.Swept }},
-		{"frequency", func(st cascadeStatsJSON) uint64 { return st.Passed }},
-		{"qgram", func(st cascadeStatsJSON) uint64 { return st.Survivors }},
-		{"verify", func(st cascadeStatsJSON) uint64 { return st.Matches }},
-	} {
-		counter("simsearch_cascade_stage_survivors_total",
-			"candidates surviving each cascade stage, cumulative across queries and shards",
-			stage.field, metrics.L("stage", stage.name))
-	}
-}
-
-// engineAs walks the engine decorator chain (via Unwrap) looking for a layer
-// of type T, e.g. the sharded executor underneath the result cache.
-func engineAs[T any](eng core.Searcher) (T, bool) {
+// chain returns the engine decorator chain, outermost layer first, e.g. the
+// result cache and then the sharded executor it wraps.
+func chain(eng core.Searcher) []core.Searcher {
+	var out []core.Searcher
 	for e := eng; e != nil; {
-		if t, ok := e.(T); ok {
-			return t, true
-		}
+		out = append(out, e)
 		u, ok := e.(interface{ Unwrap() core.Searcher })
 		if !ok {
 			break
 		}
 		e = u.Unwrap()
+	}
+	return out
+}
+
+// engineAs returns the outermost layer of the decorator chain that is a T.
+func engineAs[T any](eng core.Searcher) (T, bool) {
+	for _, e := range chain(eng) {
+		if t, ok := e.(T); ok {
+			return t, true
+		}
 	}
 	var zero T
 	return zero, false
@@ -626,7 +565,11 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	ctx, cancel := s.queryCtx(r)
 	defer cancel()
 	start := time.Now()
-	results, err := s.searchBatch(ctx, qs)
+	// Context-batching engines (the sharded executor, the result cache) run
+	// their own scheduler; the serial loop under them reads QueryTimeout
+	// from the context. Either way a failing query reports its own error,
+	// and only the batch context going dead aborts the request.
+	results, err := core.SearchBatchContext(core.WithQueryTimeout(ctx, s.QueryTimeout), s.eng, qs)
 	if err != nil {
 		s.failCtx(w, err)
 		return
@@ -643,42 +586,6 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	}
 	w.Header().Set("Content-Type", "application/json")
 	json.NewEncoder(w).Encode(resp)
-}
-
-// searchBatch answers qs under ctx. Context-batching engines (the sharded
-// executor, the result cache) run their own scheduler with per-query
-// outcomes; any other engine answers serially. Both paths report per-query
-// errors in the results — a failing query never fails the whole batch. Only
-// the batch context itself going dead (deadline or disconnect) aborts the
-// request, exactly as the executor's pool does.
-func (s *Server) searchBatch(ctx context.Context, qs []core.Query) ([]core.QueryResult, error) {
-	if cb, ok := s.eng.(core.ContextBatcher); ok {
-		return cb.SearchBatchContext(ctx, qs)
-	}
-	out := make([]core.QueryResult, len(qs))
-	for i, q := range qs {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		qctx := ctx
-		var cancel context.CancelFunc
-		if s.QueryTimeout > 0 {
-			qctx, cancel = context.WithTimeout(ctx, s.QueryTimeout)
-		}
-		ms, err := core.SearchContext(qctx, s.eng, q)
-		if cancel != nil {
-			cancel()
-		}
-		if err != nil {
-			if ctx.Err() != nil {
-				return nil, ctx.Err()
-			}
-			out[i] = core.QueryResult{Err: err}
-			continue
-		}
-		out[i] = core.QueryResult{Matches: ms}
-	}
-	return out, nil
 }
 
 func (s *Server) handleTopK(w http.ResponseWriter, r *http.Request) {
@@ -762,133 +669,23 @@ func (s *Server) handleHamming(w http.ResponseWriter, r *http.Request) {
 	json.NewEncoder(w).Encode(resp)
 }
 
-// shardStatsJSON is one shard's serving counters in the /stats payload.
-// P50µS/P99µS are bucket-interpolated from the shard's latency histogram.
-type shardStatsJSON struct {
-	Strings    int     `json:"strings"`
-	Queries    uint64  `json:"queries"`
-	Matches    uint64  `json:"matches"`
-	BusyµS     int64   `json:"busy_us"`
-	MeanµS     int64   `json:"mean_us"`
-	P50µS      int64   `json:"p50_us"`
-	P99µS      int64   `json:"p99_us"`
-	Throughput float64 `json:"throughput_qps"`
-}
-
-// cacheStatsJSON is the result-cache section of the /stats payload.
-type cacheStatsJSON struct {
-	Hits      uint64  `json:"hits"`
-	Misses    uint64  `json:"misses"`
-	Coalesced uint64  `json:"coalesced"`
-	Evictions uint64  `json:"evictions"`
-	Entries   int     `json:"entries"`
-	Capacity  int     `json:"capacity"`
-	HitRate   float64 `json:"hit_rate"`
-	// Version is the engine generation baked into every cache key; for live
-	// engines it advances on each effective mutation, making invalidation
-	// observable here.
-	Version string `json:"version,omitempty"`
-}
-
-// scanStatsJSON is the sequential-scan section of the /stats payload: the
-// ladder rung and the pool size. The packed arena is the cascade's, and its
-// layout is in the cascade section.
-type scanStatsJSON struct {
-	Strategy string `json:"strategy"`
-	Workers  int    `json:"workers,omitempty"`
-}
-
-// cascadeStatsJSON is the filter-cascade section of the /stats payload: the
-// arena layout plus the cumulative per-stage survivor funnel, which makes
-// the cascade's pruning observable (a stage whose survivors equal its input
-// has stopped pruning). The signature kind is in the engine's name. Under the
-// sharded executor the section sums the shards' cascades.
-type cascadeStatsJSON struct {
-	ArenaBytes int    `json:"arena_bytes"`
-	Buckets    int    `json:"buckets"`
-	Queries    uint64 `json:"queries"`
-	// The survivor funnel, in stage order; each stage's input is the
-	// previous stage's survivors. Candidates counts the slots of the length
-	// windows; Swept, those in blocks whose summary words let the sweep in;
-	// Passed, the first signature word's survivors; Survivors, those of the
-	// second word too where the corpus has one, equals the verify-kernel
-	// invocations.
-	Candidates uint64 `json:"candidates"`
-	Swept      uint64 `json:"swept"`
-	Passed     uint64 `json:"passed"`
-	Survivors  uint64 `json:"survivors"`
-	Matches    uint64 `json:"matches"`
-}
-
-// statsResponse is the /stats payload.
-type statsResponse struct {
-	Engine  string            `json:"engine"`
-	Count   int               `json:"count"`
-	Symbols int               `json:"symbols"`
-	MinLen  int               `json:"min_len"`
-	AvgLen  float64           `json:"avg_len"`
-	MaxLen  int               `json:"max_len"`
-	Scan    *scanStatsJSON    `json:"scan,omitempty"`
-	Cascade *cascadeStatsJSON `json:"cascade,omitempty"`
-	Cache   *cacheStatsJSON   `json:"cache,omitempty"`
-	Live    *liveStatsJSON    `json:"live,omitempty"`
-	Shards  []shardStatsJSON  `json:"shards,omitempty"`
-}
-
+// handleStats serves the dataset summary, the engine's name and size, and
+// the section every layer of the decorator chain describes of itself, under
+// the section's name.
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
 		s.fail(w, http.StatusMethodNotAllowed, "GET only")
 		return
 	}
 	info := s.info
-	resp := statsResponse{
-		Engine: s.eng.Name(), Count: info.Count, Symbols: info.Symbols,
-		MinLen: info.MinLen, AvgLen: info.AvgLen, MaxLen: info.MaxLen,
+	resp := map[string]any{
+		"engine": s.eng.Name(), "count": s.eng.Len(), "symbols": info.Symbols,
+		"min_len": info.MinLen, "avg_len": info.AvgLen, "max_len": info.MaxLen,
 	}
-	if seq, ok := engineAs[*core.Sequential](s.eng); ok {
-		eng := seq.ScanEngine()
-		resp.Scan = &scanStatsJSON{Strategy: eng.Strategy().String(), Workers: eng.Workers()}
-	}
-	if cs := cascades(s.eng); len(cs) > 0 {
-		st := cascadeTotals(cs)
-		resp.Cascade = &st
-	}
-	if c, ok := engineAs[*cache.Cache](s.eng); ok {
-		cs := c.Stats()
-		resp.Cache = &cacheStatsJSON{
-			Hits: cs.Hits, Misses: cs.Misses, Coalesced: cs.Coalesced,
-			Evictions: cs.Evictions, Entries: cs.Entries, Capacity: cs.Capacity,
-			HitRate: cs.HitRate(), Version: c.Version(),
-		}
-	}
-	if ls, ok := engineAs[liveStatser](s.eng); ok {
-		st := ls.LiveStats()
-		// The static dataset stats describe only the seed; the live count is
-		// the current dictionary size.
-		resp.Count = st.Live
-		resp.Live = &liveStatsJSON{
-			Shards: st.Shards, LiveStrings: st.Live, KnownStrings: st.Known,
-			Tombstones: st.Tombstones, DeltaEntries: st.DeltaEntries,
-			Segments: st.Segments, SegmentStrings: st.SegmentStrings,
-			ArenaBytes: st.ArenaBytes, Flushes: st.Flushes,
-			Compactions: st.Compactions, Inserts: st.Inserts,
-			Deletes: st.Deletes, Generation: st.Generation,
-			Persistent: st.Persistent,
-		}
-	}
-	if ex, ok := engineAs[*exec.Sharded](s.eng); ok {
-		sizes := ex.ShardSizes()
-		for i, snap := range ex.CounterSnapshots() {
-			resp.Shards = append(resp.Shards, shardStatsJSON{
-				Strings:    sizes[i],
-				Queries:    snap.Queries,
-				Matches:    snap.Matches,
-				BusyµS:     snap.Busy.Microseconds(),
-				MeanµS:     snap.MeanLatency().Microseconds(),
-				P50µS:      snap.Latency.Quantile(0.50).Microseconds(),
-				P99µS:      snap.Latency.Quantile(0.99).Microseconds(),
-				Throughput: snap.Throughput(),
-			})
+	for _, e := range chain(s.eng) {
+		if d, ok := e.(interface{ Describe() (string, any) }); ok {
+			name, section := d.Describe()
+			resp[name] = section
 		}
 	}
 	w.Header().Set("Content-Type", "application/json")

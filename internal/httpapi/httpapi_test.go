@@ -8,6 +8,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -169,6 +170,36 @@ func TestHammingEndpoint(t *testing.T) {
 	}
 }
 
+// statsResponse decodes the /stats payload: the dataset summary and the
+// sections of the layers these tests serve, each decoded into the type its
+// layer describes itself with.
+type statsResponse struct {
+	Engine  string  `json:"engine"`
+	Count   int     `json:"count"`
+	Symbols int     `json:"symbols"`
+	MinLen  int     `json:"min_len"`
+	AvgLen  float64 `json:"avg_len"`
+	MaxLen  int     `json:"max_len"`
+	Scan    *struct {
+		Strategy string `json:"strategy"`
+		Workers  int    `json:"workers"`
+	} `json:"scan"`
+	Cascade *core.CascadeStats `json:"cascade"`
+	Cache   *struct {
+		cache.Stats
+		HitRate float64 `json:"hit_rate"`
+		Version string  `json:"version"`
+	} `json:"cache"`
+	Live   *exec.LiveStats `json:"live"`
+	Shards []struct {
+		Strings int                `json:"strings"`
+		Queries uint64             `json:"queries"`
+		Matches uint64             `json:"matches"`
+		P99µS   int64              `json:"p99_us"`
+		Cascade *core.CascadeStats `json:"cascade"`
+	} `json:"shards"`
+}
+
 func TestStatsEndpoint(t *testing.T) {
 	ts := newTestServer()
 	defer ts.Close()
@@ -190,20 +221,22 @@ func TestStatsCascadeSection(t *testing.T) {
 		dna = append(dna, "TTTT")
 	}
 	// Served directly and, as simserve -shards 2 -cache serves it, one
-	// cascade per shard under the executor and the cache: the section and
-	// the series are the same, summed over shards. The second shard holds
-	// seventeen TTTT, so its two blocks both fall unread, and the first
-	// shard's window is the fifteen other strings of the direct case.
+	// cascade per shard under the executor and the cache: there each shard
+	// reports its own section and series (under a shard label), and their
+	// sums are the direct case's funnel. The second shard holds seventeen
+	// TTTT, so its two blocks both fall unread, and the first shard's window
+	// is the fifteen other strings of the direct case.
 	for _, tc := range []struct {
 		name    string
 		eng     core.Searcher
 		engine  string
+		shards  int
 		queries uint64
 		swept   uint64
 	}{
-		{"direct", core.NewCascade(dna), "cascade/dna", 1, 16},
+		{"direct", core.NewCascade(dna), "cascade/dna", 0, 1, 16},
 		{"two shards, cached", cache.New(exec.New(dna, exec.Options{Shards: 2, Factory: cascadeShards}), cache.Options{}),
-			"sharded-2/cascade/dna", 2, 15},
+			"sharded-2/cascade/dna", 2, 2, 15},
 	} {
 		srv := New(tc.eng, dna)
 		ts := httptest.NewServer(srv)
@@ -217,10 +250,30 @@ func TestStatsCascadeSection(t *testing.T) {
 
 		var resp statsResponse
 		getJSON(t, ts.URL+"/stats", &resp)
-		if resp.Cascade == nil {
-			t.Fatalf("%s: stats payload missing cascade section", tc.name)
+		sections := []*core.CascadeStats{resp.Cascade}
+		if tc.shards > 0 {
+			if resp.Cascade != nil || len(resp.Shards) != tc.shards {
+				t.Fatalf("%s: top-level cascade %+v, %d shard sections", tc.name, resp.Cascade, len(resp.Shards))
+			}
+			sections = sections[:0]
+			for _, sh := range resp.Shards {
+				sections = append(sections, sh.Cascade)
+			}
 		}
-		cs := resp.Cascade
+		var cs core.CascadeStats
+		for _, sec := range sections {
+			if sec == nil {
+				t.Fatalf("%s: stats payload missing cascade section", tc.name)
+			}
+			cs.ArenaBytes += sec.ArenaBytes
+			cs.Buckets += sec.Buckets
+			cs.Queries += sec.Queries
+			cs.Candidates += sec.Candidates
+			cs.Swept += sec.Swept
+			cs.Passed += sec.Passed
+			cs.Survivors += sec.Survivors
+			cs.Matches += sec.Matches
+		}
 		if !strings.HasSuffix(resp.Engine, tc.engine) || cs.Queries != tc.queries || cs.ArenaBytes != 4*32+8 || cs.Buckets < 2 {
 			t.Errorf("%s: engine %q, cascade stats = %+v", tc.name, resp.Engine, cs)
 		}
@@ -228,28 +281,49 @@ func TestStatsCascadeSection(t *testing.T) {
 			t.Errorf("%s: cascade survivor funnel = %+v, want 32 > %d > 3 > 2 = 2", tc.name, cs, tc.swept)
 		}
 
-		// The per-stage survivors must also be scrapeable on /metrics.
+		// The per-stage survivors must also be scrapeable on /metrics, per
+		// shard when sharded; summed, they are the funnel above.
 		var sb strings.Builder
 		if _, err := srv.Registry().WriteTo(&sb); err != nil {
 			t.Fatal(err)
 		}
-		body := sb.String()
-		for _, want := range []string{
-			fmt.Sprintf("simsearch_cascade_queries_total %d", tc.queries),
-			`simsearch_cascade_stage_survivors_total{stage="length"} 32`,
-			fmt.Sprintf(`simsearch_cascade_stage_survivors_total{stage="block"} %d`, tc.swept),
-			`simsearch_cascade_stage_survivors_total{stage="frequency"} 3`,
-			`simsearch_cascade_stage_survivors_total{stage="qgram"} 2`,
-			`simsearch_cascade_stage_survivors_total{stage="verify"} 2`,
+		sum := map[string]float64{}
+		stageSeries := 0
+		for _, line := range strings.Split(sb.String(), "\n") {
+			name, v, ok := strings.Cut(line, " ")
+			if !strings.HasPrefix(name, "simsearch_cascade_") || !ok {
+				continue
+			}
+			if tc.shards > 0 && !strings.Contains(name, `shard="`) {
+				t.Errorf("%s: unlabelled series under the executor: %s", tc.name, line)
+			}
+			base, labels, _ := strings.Cut(name, "{")
+			if _, stage, ok := strings.Cut(labels, `stage="`); ok {
+				base += "/" + stage[:strings.IndexByte(stage, '"')]
+				stageSeries++
+			}
+			f, err := strconv.ParseFloat(v, 64)
+			if err != nil {
+				t.Fatalf("%s: %q: %v", tc.name, line, err)
+			}
+			sum[base] += f
+		}
+		for series, want := range map[string]uint64{
+			"simsearch_cascade_queries_total":                   tc.queries,
+			"simsearch_cascade_stage_survivors_total/length":    32,
+			"simsearch_cascade_stage_survivors_total/block":     tc.swept,
+			"simsearch_cascade_stage_survivors_total/frequency": 3,
+			"simsearch_cascade_stage_survivors_total/qgram":     2,
+			"simsearch_cascade_stage_survivors_total/verify":    2,
 		} {
-			if !strings.Contains(body, want) {
-				t.Errorf("%s: metrics output missing %q", tc.name, want)
+			if sum[series] != float64(want) {
+				t.Errorf("%s: %s sums to %v, want %d", tc.name, series, sum[series], want)
 			}
 		}
 		// The benchmark reads these series by name and stage label: exactly
-		// the five above, no other stage.
-		if n := strings.Count(body, "\nsimsearch_cascade_stage_survivors_total{"); n != 5 {
-			t.Errorf("%s: %d stage series, want 5", tc.name, n)
+		// the five above, no other stage, once per cascade.
+		if want := 5 * len(sections); stageSeries != want {
+			t.Errorf("%s: %d stage series, want %d", tc.name, stageSeries, want)
 		}
 	}
 }

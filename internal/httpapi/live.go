@@ -17,9 +17,6 @@ import (
 	"net/http"
 	"strconv"
 	"time"
-
-	"simsearch/internal/cache"
-	"simsearch/internal/exec"
 )
 
 // liveMutator is the write surface the handlers need; the facade's Live and
@@ -29,11 +26,6 @@ type liveMutator interface {
 	Insert(s string) (int32, bool, error)
 	Delete(s string) (bool, error)
 	VersionString() string
-}
-
-// liveStatser supplies the /stats live section.
-type liveStatser interface {
-	LiveStats() exec.LiveStats
 }
 
 // stringResolver resolves match ids to strings when the dataset is mutable
@@ -108,7 +100,7 @@ func (s *Server) decodeMutation(w http.ResponseWriter, r *http.Request) (string,
 // cache after an effective mutation. Idempotent with the facade's own bump:
 // SetVersion with the current tag is a no-op.
 func (s *Server) bumpCacheVersion() {
-	if c, ok := engineAs[*cache.Cache](s.eng); ok {
+	if c, ok := engineAs[interface{ SetVersion(string) }](s.eng); ok {
 		c.SetVersion(s.live.VersionString())
 	}
 }
@@ -177,24 +169,4 @@ func (s *Server) handleDelete(w http.ResponseWriter, r *http.Request) {
 	}
 	w.Header().Set("Content-Type", "application/json")
 	json.NewEncoder(w).Encode(resp)
-}
-
-// liveStatsJSON is the live-engine section of the /stats payload: delta and
-// segment gauges plus the write counters and the generation the cache keys
-// carry.
-type liveStatsJSON struct {
-	Shards         int    `json:"shards"`
-	LiveStrings    int    `json:"live_strings"`
-	KnownStrings   int    `json:"known_strings"`
-	Tombstones     int    `json:"tombstones"`
-	DeltaEntries   int    `json:"delta_entries"`
-	Segments       int    `json:"segments"`
-	SegmentStrings int    `json:"segment_strings"`
-	ArenaBytes     int    `json:"arena_bytes"`
-	Flushes        uint64 `json:"flushes"`
-	Compactions    uint64 `json:"compactions"`
-	Inserts        uint64 `json:"inserts"`
-	Deletes        uint64 `json:"deletes"`
-	Generation     uint64 `json:"generation"`
-	Persistent     bool   `json:"persistent"`
 }

@@ -5,10 +5,12 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
 
+	"simsearch"
 	"simsearch/internal/cache"
 	"simsearch/internal/exec"
 )
@@ -233,7 +235,7 @@ func TestLiveStatsSection(t *testing.T) {
 	if st.Live == nil {
 		t.Fatal("stats missing live section")
 	}
-	if st.Live.LiveStrings != 3 || st.Count != 3 || st.Live.Shards != 2 {
+	if st.Live.Live != 3 || st.Count != 3 || st.Live.Shards != 2 {
 		t.Fatalf("live section: %+v count %d", st.Live, st.Count)
 	}
 	if st.Cache == nil || st.Cache.Version != ex.VersionString() {
@@ -244,7 +246,7 @@ func TestLiveStatsSection(t *testing.T) {
 	postMutate(s, "/insert", `{"s":"four"}`)
 	postMutate(s, "/delete", `{"s":"one"}`)
 	st = stats()
-	if st.Live.Inserts != 1 || st.Live.Deletes != 1 || st.Live.LiveStrings != 3 {
+	if st.Live.Inserts != 1 || st.Live.Deletes != 1 || st.Live.Live != 3 {
 		t.Fatalf("live counters after writes: %+v", st.Live)
 	}
 	if st.Count != 3 {
@@ -254,8 +256,35 @@ func TestLiveStatsSection(t *testing.T) {
 		t.Fatalf("cache version not bumped: %q -> %q (engine %q)",
 			v0, st.Cache.Version, ex.VersionString())
 	}
-	if st.Live.Tombstones != 1 || st.Live.KnownStrings != 4 {
+	if st.Live.Tombstones != 1 || st.Live.Known != 4 {
 		t.Fatalf("tombstone accounting: %+v", st.Live)
+	}
+}
+
+// TestFacadeLiveStats: behind the facade's cache-wrapped Live, /stats
+// reaches the live and cache sections through Live's Unwrap, count is the
+// engine's Len after writes, and the cache carries the live generation.
+func TestFacadeLiveStats(t *testing.T) {
+	lv := simsearch.NewLive([]string{"one", "two", "three"}, 2, simsearch.Options{CacheSize: 64})
+	defer lv.Close()
+	s := New(lv, []string{"one", "two", "three"})
+	postMutate(s, "/insert", `{"s":"four"}`)
+	postMutate(s, "/delete", `{"s":"one"}`)
+
+	w := httptest.NewRecorder()
+	s.ServeHTTP(w, httptest.NewRequest(http.MethodGet, "/stats", nil))
+	var st statsResponse
+	if err := json.Unmarshal(w.Body.Bytes(), &st); err != nil {
+		t.Fatalf("decode stats: %v", err)
+	}
+	if st.Count != lv.Len() || st.Count != 3 {
+		t.Errorf("count = %d, want Len() = %d", st.Count, lv.Len())
+	}
+	if st.Live == nil || st.Cache == nil {
+		t.Fatalf("live section %+v, cache section %+v", st.Live, st.Cache)
+	}
+	if gen := "live-g" + strconv.FormatUint(st.Live.Generation, 10); st.Live.Generation != 2 || st.Cache.Version != gen {
+		t.Errorf("cache version %q, live generation %d", st.Cache.Version, st.Live.Generation)
 	}
 }
 

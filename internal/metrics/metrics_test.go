@@ -172,6 +172,35 @@ func TestRegistryIdempotentAndKindMismatch(t *testing.T) {
 	reg.Gauge("x_total", "")
 }
 
+// TestRegistryWith: a labelled view registers into the same families with
+// its labels added, so two shards' engines registering one series name
+// export one family with a series per shard.
+func TestRegistryWith(t *testing.T) {
+	reg := NewRegistry()
+	for _, shard := range []string{"0", "1"} {
+		v := reg.With(L("shard", shard))
+		v.Counter("q_total", "queries").Add(2)
+		v.CounterFunc("stage_total", "", func() float64 { return 3 }, L("stage", "len"))
+		v.With(L("z", "x")).Gauge("g", "").Set(1)
+	}
+	reg.Counter("q_total", "").Inc()
+	var sb strings.Builder
+	reg.WriteTo(&sb)
+	for _, want := range []string{
+		"q_total{shard=\"0\"} 2\nq_total{shard=\"1\"} 2\nq_total 1\n",
+		`stage_total{shard="0",stage="len"} 3`,
+		`stage_total{shard="1",stage="len"} 3`,
+		`g{shard="1",z="x"} 1`,
+	} {
+		if !strings.Contains(sb.String(), want) {
+			t.Errorf("exposition missing %q:\n%s", want, sb.String())
+		}
+	}
+	if n := strings.Count(sb.String(), "# TYPE q_total"); n != 1 {
+		t.Errorf("q_total declared %d times, want one family", n)
+	}
+}
+
 func TestLabelEscaping(t *testing.T) {
 	reg := NewRegistry()
 	reg.Counter("esc_total", "", L("q", "a\"b\\c\nd")).Inc()

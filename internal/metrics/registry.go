@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -16,10 +17,19 @@ import (
 // the existing instance, so wiring code can re-run safely. Registering the
 // same name with a different metric kind panics — that is a programming
 // error, not a runtime condition.
+//
+// A Registry is a view: With returns one that shares the same families and
+// adds its labels to every series registered through it.
 type Registry struct {
-	mu       sync.Mutex
-	families map[string]*family
-	order    []*family
+	*families
+	labels []Label
+}
+
+// families is the state every view of one registry shares.
+type families struct {
+	mu     sync.Mutex
+	byName map[string]*family
+	order  []*family
 }
 
 // family is all series sharing one metric name.
@@ -41,22 +51,30 @@ type series struct {
 
 // NewRegistry builds an empty registry.
 func NewRegistry() *Registry {
-	return &Registry{families: make(map[string]*family)}
+	return &Registry{families: &families{byName: make(map[string]*family)}}
 }
 
-// lookup returns the family for name, creating it with the given kind, and
-// the existing series under key (nil if absent).
-func (r *Registry) lookup(name, help, kind, key string) (*family, *series) {
-	f, ok := r.families[name]
+// With returns a view of r that adds labels to every series registered
+// through it, e.g. one shard's engine registering under shard="i".
+func (r *Registry) With(labels ...Label) *Registry {
+	return &Registry{families: r.families, labels: append(slices.Clip(r.labels), labels...)}
+}
+
+// lookup returns the family for name, creating it with the given kind, the
+// canonical key of labels plus the view's own, and the existing series under
+// that key (nil if absent).
+func (r *Registry) lookup(name, help, kind string, labels []Label) (*family, string, *series) {
+	f, ok := r.byName[name]
 	if !ok {
 		f = &family{name: name, help: help, kind: kind, series: make(map[string]*series)}
-		r.families[name] = f
+		r.byName[name] = f
 		r.order = append(r.order, f)
 	}
 	if f.kind != kind {
 		panic(fmt.Sprintf("metrics: %s registered as %s, requested as %s", name, f.kind, kind))
 	}
-	return f, f.series[key]
+	key := labelKey(append(slices.Clip(r.labels), labels...))
+	return f, key, f.series[key]
 }
 
 func (f *family) add(s *series) {
@@ -68,12 +86,12 @@ func (f *family) add(s *series) {
 func (r *Registry) Counter(name, help string, labels ...Label) *Counter {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	f, s := r.lookup(name, help, "counter", labelKey(labels))
+	f, key, s := r.lookup(name, help, "counter", labels)
 	if s != nil {
 		return s.ctr
 	}
 	c := &Counter{}
-	f.add(&series{key: labelKey(labels), ctr: c})
+	f.add(&series{key: key, ctr: c})
 	return c
 }
 
@@ -81,12 +99,12 @@ func (r *Registry) Counter(name, help string, labels ...Label) *Counter {
 func (r *Registry) Gauge(name, help string, labels ...Label) *Gauge {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	f, s := r.lookup(name, help, "gauge", labelKey(labels))
+	f, key, s := r.lookup(name, help, "gauge", labels)
 	if s != nil {
 		return s.gauge
 	}
 	g := &Gauge{}
-	f.add(&series{key: labelKey(labels), gauge: g})
+	f.add(&series{key: key, gauge: g})
 	return g
 }
 
@@ -95,12 +113,12 @@ func (r *Registry) Gauge(name, help string, labels ...Label) *Gauge {
 func (r *Registry) Histogram(name, help string, bounds []time.Duration, labels ...Label) *Histogram {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	f, s := r.lookup(name, help, "histogram", labelKey(labels))
+	f, key, s := r.lookup(name, help, "histogram", labels)
 	if s != nil {
 		return s.hist
 	}
 	h := NewHistogram(bounds)
-	f.add(&series{key: labelKey(labels), hist: h})
+	f.add(&series{key: key, hist: h})
 	return h
 }
 
@@ -110,11 +128,11 @@ func (r *Registry) Histogram(name, help string, bounds []time.Duration, labels .
 func (r *Registry) RegisterHistogram(name, help string, h *Histogram, labels ...Label) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	f, s := r.lookup(name, help, "histogram", labelKey(labels))
+	f, key, s := r.lookup(name, help, "histogram", labels)
 	if s != nil {
 		return
 	}
-	f.add(&series{key: labelKey(labels), hist: h})
+	f.add(&series{key: key, hist: h})
 }
 
 // CounterFunc exposes a counter whose value is read from fn at scrape time
@@ -122,22 +140,22 @@ func (r *Registry) RegisterHistogram(name, help string, h *Histogram, labels ...
 func (r *Registry) CounterFunc(name, help string, fn func() float64, labels ...Label) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	f, s := r.lookup(name, help, "counter", labelKey(labels))
+	f, key, s := r.lookup(name, help, "counter", labels)
 	if s != nil {
 		return
 	}
-	f.add(&series{key: labelKey(labels), fn: fn})
+	f.add(&series{key: key, fn: fn})
 }
 
 // GaugeFunc exposes a gauge whose value is read from fn at scrape time.
 func (r *Registry) GaugeFunc(name, help string, fn func() float64, labels ...Label) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	f, s := r.lookup(name, help, "gauge", labelKey(labels))
+	f, key, s := r.lookup(name, help, "gauge", labels)
 	if s != nil {
 		return
 	}
-	f.add(&series{key: labelKey(labels), fn: fn})
+	f.add(&series{key: key, fn: fn})
 }
 
 // WriteTo renders every registered family in the Prometheus text format.

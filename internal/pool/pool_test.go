@@ -131,75 +131,6 @@ func TestFixedName(t *testing.T) {
 	}
 }
 
-func TestAdaptiveRunsAll(t *testing.T) {
-	a := &Adaptive{Min: 1, Max: 8, Interval: 200 * time.Microsecond}
-	checkRunsAll(t, a, 500)
-	checkRunsAll(t, a, 1)
-	checkRunsAll(t, a, 0)
-}
-
-func TestAdaptiveScalesUpUnderLoad(t *testing.T) {
-	// Tasks block until two run concurrently, which pins utilization at
-	// 100% and forces the master to open a second worker; the test then
-	// drains without ever sleeping for a guessed duration.
-	a := &Adaptive{Min: 1, Max: 8, Interval: 100 * time.Microsecond}
-	var cur int64
-	grown := make(chan struct{})
-	var once sync.Once
-	runOrFail(t, "adaptive-grow", func() {
-		a.Run(64, func(i int) {
-			if atomic.AddInt64(&cur, 1) >= 2 {
-				once.Do(func() { close(grown) })
-			}
-			<-grown
-			atomic.AddInt64(&cur, -1)
-		})
-	})
-	if a.Peak() < 2 {
-		t.Errorf("Peak = %d, want >= 2 under sustained load", a.Peak())
-	}
-	if a.Peak() > 8 {
-		t.Errorf("Peak = %d exceeds Max 8", a.Peak())
-	}
-}
-
-func TestAdaptiveRespectsMax(t *testing.T) {
-	// Tasks rendezvous at the Max worker count: utilization stays at 100%
-	// until the pool is full, tempting the master to over-spawn; the peak
-	// must still be capped at Max.
-	a := &Adaptive{Min: 2, Max: 3, Interval: 50 * time.Microsecond}
-	var cur, peak int64
-	full := make(chan struct{})
-	var once sync.Once
-	runOrFail(t, "adaptive-max", func() {
-		a.Run(100, func(i int) {
-			c := atomic.AddInt64(&cur, 1)
-			updatePeak(&peak, c)
-			if c >= 3 {
-				once.Do(func() { close(full) })
-			}
-			<-full
-			atomic.AddInt64(&cur, -1)
-		})
-	})
-	if peak > 3 {
-		t.Errorf("observed concurrency %d exceeds Max 3", peak)
-	}
-}
-
-func TestAdaptiveDefaultThresholds(t *testing.T) {
-	// Zero-valued config must still complete (defaults applied).
-	a := &Adaptive{}
-	checkRunsAll(t, a, 64)
-}
-
-func TestAdaptiveReusable(t *testing.T) {
-	a := &Adaptive{Min: 1, Max: 4, Interval: 100 * time.Microsecond}
-	for round := 0; round < 3; round++ {
-		checkRunsAll(t, a, 100)
-	}
-}
-
 func TestRunnersWithPanicSafety(t *testing.T) {
 	// A panicking task must not deadlock the Fixed pool's sibling workers;
 	// we only check that non-panicking indices all run when no panic occurs.
@@ -210,9 +141,6 @@ func TestRunnersWithPanicSafety(t *testing.T) {
 func TestRunnerNames(t *testing.T) {
 	if (Serial{}).Name() != "serial" || (PerTask{}).Name() != "per-task" {
 		t.Error("runner names wrong")
-	}
-	if (&Adaptive{}).Name() != "adaptive" {
-		t.Error("adaptive name wrong")
 	}
 }
 

@@ -90,7 +90,6 @@ type Engine struct {
 	data     []string
 	strategy Strategy
 	workers  int
-	adaptive *pool.Adaptive
 	comps    CompCounter // nil unless WithComparisonCounter
 
 	// banded selects the modern banded kernel instead of the paper's
@@ -131,12 +130,6 @@ func WithStrategy(s Strategy) Option {
 // WithWorkers sets the pool size for ParallelManaged (default GOMAXPROCS).
 func WithWorkers(n int) Option {
 	return func(e *Engine) { e.workers = n }
-}
-
-// WithAdaptive replaces the fixed pool of ParallelManaged by the §3.6
-// "intelligent management" master/slave pool.
-func WithAdaptive(a *pool.Adaptive) Option {
-	return func(e *Engine) { e.adaptive = a }
 }
 
 // WithSortByLength enables the §6 Sorting optimization: only strings whose
@@ -366,9 +359,6 @@ func (e *Engine) runner() pool.Runner {
 	case ParallelNaive:
 		return pool.PerTask{}
 	case ParallelManaged:
-		if e.adaptive != nil {
-			return e.adaptive
-		}
 		return pool.Fixed{Workers: e.workers}
 	default:
 		return pool.Serial{}

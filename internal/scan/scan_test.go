@@ -9,7 +9,6 @@ import (
 	"testing/quick"
 
 	"simsearch/internal/edit"
-	"simsearch/internal/pool"
 )
 
 var cities = []string{
@@ -118,21 +117,6 @@ func TestSortByLengthSkipsOutOfWindow(t *testing.T) {
 	// Window clamped beyond max length.
 	if got := e.Search(Query{strings.Repeat("a", 50), 2}); len(got) != 0 {
 		t.Errorf("got %v", got)
-	}
-}
-
-func TestAdaptiveRunnerIntegration(t *testing.T) {
-	a := &pool.Adaptive{Min: 1, Max: 4}
-	e := New(cities, WithStrategy(ParallelManaged), WithAdaptive(a))
-	queries := make([]Query, 50)
-	for i := range queries {
-		queries[i] = Query{"berlin", i % 4}
-	}
-	batch := e.SearchBatch(queries)
-	for i, q := range queries {
-		if !reflect.DeepEqual(batch[i], refSearch(cities, q)) {
-			t.Fatalf("adaptive query %d mismatch", i)
-		}
 	}
 }
 

@@ -282,21 +282,10 @@ func SearchContext(ctx context.Context, eng Searcher, q Query) ([]Match, error) 
 // SearchBatchContext answers the whole batch under ctx, returning per-query
 // outcomes in input order. Context-batching engines (the Sharded executor —
 // shard-parallel with per-query deadlines — and Cached engines, which answer
-// hits locally) run their own scheduler; any other engine answers serially,
-// stopping at the first cancellation.
+// hits locally) run their own scheduler; any other engine answers serially.
+// A failing query reports its own error; cancelling ctx abandons the batch.
 func SearchBatchContext(ctx context.Context, eng Searcher, qs []Query) ([]QueryResult, error) {
-	if s, ok := eng.(core.ContextBatcher); ok {
-		return s.SearchBatchContext(ctx, qs)
-	}
-	out := make([]QueryResult, len(qs))
-	for i, q := range qs {
-		ms, err := core.SearchContext(ctx, eng, q)
-		if err != nil {
-			return nil, err
-		}
-		out[i] = QueryResult{Matches: ms}
-	}
-	return out, nil
+	return core.SearchBatchContext(ctx, eng, qs)
 }
 
 // Verify checks eng against the paper's reference implementation (the
