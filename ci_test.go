@@ -183,6 +183,13 @@ func TestHTTPAPIImportsNoEngine(t *testing.T) {
 // referenced. What only its own package calls is unexported; what nothing
 // but tests calls is deleted. Names are resolved through each file's
 // imports with go/ast alone.
+//
+// The same rule holds for settings: an exported field of an exported
+// *Options or Limits struct, or of httpapi.Server, must be written by those
+// same callers, as a composite-literal key or on the left of an assignment.
+// go/ast gives no types, so an assignment x.F = … writes field F of every
+// such struct of the packages the file imports. A setting only tests set is
+// unexported; one nothing sets is a constant.
 func TestNoOrphanExports(t *testing.T) {
 	const module = "simsearch"
 	type decl struct {
@@ -193,6 +200,8 @@ func TestNoOrphanExports(t *testing.T) {
 	decls := map[string]*decl{}        // "importpath.Name" of every candidate
 	methods := map[string][]ast.Node{} // "importpath.Type" → exported method signatures
 	referenced := map[string]bool{}
+	fields := map[string]token.Position{} // "importpath.Type.Field" of every setting
+	written := map[string]bool{}          // "importpath.Type.Field" and "importpath.*.Field"
 	fset := token.NewFileSet()
 	visit := func(path string) error {
 		dir := filepath.ToSlash(filepath.Dir(path))
@@ -216,12 +225,34 @@ func TestNoOrphanExports(t *testing.T) {
 		// A facade name counts only from outside the root and internal/,
 		// or from an Example.
 		facadeCaller := dir != "." && !strings.HasPrefix(dir, "internal/")
+		counts := func(p string) bool { return p != "" && (p != module || facadeCaller) }
 		caller := func(from ast.Node) {
 			ast.Inspect(from, func(n ast.Node) bool {
-				if sel, ok := n.(*ast.SelectorExpr); ok {
-					if x, ok := sel.X.(*ast.Ident); ok && imports[x.Name] != "" {
-						if imports[x.Name] != module || facadeCaller {
-							referenced[imports[x.Name]+"."+sel.Sel.Name] = true
+				switch n := n.(type) {
+				case *ast.SelectorExpr:
+					if x, ok := n.X.(*ast.Ident); ok && counts(imports[x.Name]) {
+						referenced[imports[x.Name]+"."+n.Sel.Name] = true
+					}
+				case *ast.CompositeLit:
+					if sel, ok := n.Type.(*ast.SelectorExpr); ok {
+						if x, ok := sel.X.(*ast.Ident); ok && counts(imports[x.Name]) {
+							for _, el := range n.Elts {
+								if kv, ok := el.(*ast.KeyValueExpr); ok {
+									if key, ok := kv.Key.(*ast.Ident); ok {
+										written[imports[x.Name]+"."+sel.Sel.Name+"."+key.Name] = true
+									}
+								}
+							}
+						}
+					}
+				case *ast.AssignStmt:
+					for _, lhs := range n.Lhs {
+						if sel, ok := lhs.(*ast.SelectorExpr); ok {
+							for _, p := range imports {
+								if counts(p) {
+									written[p+".*."+sel.Sel.Name] = true
+								}
+							}
 						}
 					}
 				}
@@ -277,6 +308,17 @@ func TestNoOrphanExports(t *testing.T) {
 					switch s := s.(type) {
 					case *ast.TypeSpec:
 						add(s.Name, s, true)
+						st, ok := s.Type.(*ast.StructType)
+						if ok && s.Name.IsExported() && (strings.HasSuffix(s.Name.Name, "Options") ||
+							s.Name.Name == "Limits" || pkg+"."+s.Name.Name == module+"/internal/httpapi.Server") {
+							for _, f := range st.Fields.List {
+								for _, name := range f.Names {
+									if name.IsExported() {
+										fields[pkg+"."+s.Name.Name+"."+name.Name] = fset.Position(name.Pos())
+									}
+								}
+							}
+						}
 					case *ast.ValueSpec:
 						for _, name := range s.Names {
 							add(name, s, false)
@@ -328,6 +370,19 @@ func TestNoOrphanExports(t *testing.T) {
 	sort.Strings(orphans)
 	for _, key := range orphans {
 		t.Errorf("%s has no caller outside its own package and tests: delete it, unexport it, or give it a caller", key)
+	}
+
+	var unset []string
+	for key := range fields {
+		typ := key[:strings.LastIndex(key, ".")]
+		pkg, field := typ[:strings.LastIndex(typ, ".")], key[strings.LastIndex(key, ".")+1:]
+		if !written[key] && !written[pkg+".*."+field] {
+			unset = append(unset, key)
+		}
+	}
+	sort.Strings(unset)
+	for _, key := range unset {
+		t.Errorf("%s: setting %s is set by nothing outside its own package and tests: delete it, unexport it, or make it a constant", fields[key], key)
 	}
 }
 

@@ -47,6 +47,7 @@ import (
 	"time"
 
 	"simsearch/internal/distrib"
+	"simsearch/internal/httpapi"
 )
 
 // shardFlags collects repeated -shard values.
@@ -66,8 +67,8 @@ func main() {
 		inflight = flag.Int("inflight", 1024, "admission cap on concurrent query requests (<0 = unlimited)")
 		probe    = flag.Duration("probe", time.Second, "health-probe interval for replica /healthz sweeps (0 = off)")
 		cooldown = flag.Duration("cooldown", time.Second, "circuit-breaker open duration after repeated replica failures")
-		maxK     = flag.Int("maxk", 16, "largest accepted edit threshold")
-		maxBatch = flag.Int("maxbatch", 1024, "largest accepted /search/batch size")
+		maxK     = flag.Int("maxk", httpapi.DefaultLimits().MaxK, "largest accepted edit threshold (give the shards the same)")
+		maxBatch = flag.Int("maxbatch", httpapi.DefaultLimits().MaxBatch, "largest accepted /search/batch size (give the shards the same)")
 		grace    = flag.Duration("grace", 5*time.Second, "shutdown drain budget for in-flight requests")
 	)
 	flag.Parse()
@@ -90,8 +91,7 @@ func main() {
 		MaxInFlight:     *inflight,
 		Timeout:         *timeout,
 		BreakerCooldown: *cooldown,
-		MaxK:            *maxK,
-		MaxBatch:        *maxBatch,
+		Limits:          httpapi.Limits{MaxK: *maxK, MaxBatch: *maxBatch},
 	})
 	if err != nil {
 		log.Fatal(err)

@@ -70,8 +70,8 @@ func main() {
 		workers  = flag.Int("workers", 0, "scan engine workers (unsharded) or executor pool workers (sharded)")
 		shards   = flag.Int("shards", 0, "partition the dataset across this many shards (0 = single engine)")
 		addr     = flag.String("addr", ":8080", "listen address")
-		maxK     = flag.Int("maxk", 16, "largest accepted edit threshold")
-		maxBatch = flag.Int("maxbatch", 1024, "largest accepted /search/batch size")
+		maxK     = flag.Int("maxk", httpapi.DefaultLimits().MaxK, "largest accepted edit threshold")
+		maxBatch = flag.Int("maxbatch", httpapi.DefaultLimits().MaxBatch, "largest accepted /search/batch size")
 		timeout  = flag.Duration("timeout", 0, "per-request engine deadline (0 = none)")
 		qTimeout = flag.Duration("querytimeout", 0, "per-query deadline inside batches (0 = none)")
 		cacheOn  = flag.Bool("cache", false, "serve repeated queries from a result cache with request coalescing")
@@ -101,7 +101,7 @@ func main() {
 		os.Exit(2)
 	}
 
-	opts := simsearch.Options{Workers: *workers, QueryTimeout: *qTimeout}
+	opts := simsearch.Options{Workers: *workers}
 	switch *engine {
 	case "scan":
 		opts.Algorithm = simsearch.Scan
@@ -151,8 +151,7 @@ func main() {
 	log.Printf("engine %s over %d strings built in %v", eng.Name(), len(data), time.Since(start))
 
 	srv := httpapi.New(eng, data)
-	srv.MaxK = *maxK
-	srv.MaxBatch = *maxBatch
+	srv.Limits = httpapi.Limits{MaxK: *maxK, MaxBatch: *maxBatch}
 	srv.Timeout = *timeout
 	srv.QueryTimeout = *qTimeout
 	if *slowQ > 0 {

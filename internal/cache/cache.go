@@ -39,13 +39,14 @@ import (
 // shards with an empty dataset version.
 type Options struct {
 	// Capacity is the total entry budget across all shards (default 4096).
-	// Each shard holds Capacity/Shards entries (rounded up, minimum 1), so
+	// Each shard holds Capacity/shards entries (rounded up, minimum 1), so
 	// the effective capacity is at least the requested one. Capacity counts
 	// entries, not bytes.
 	Capacity int
-	// Shards is the lock-striping factor, rounded up to a power of two
-	// (default 8). More shards reduce mutex contention on the hit path.
-	Shards int
+	// shards is the lock-striping factor, rounded up to a power of two
+	// (default 8; tests set others). More shards reduce mutex contention on
+	// the hit path.
+	shards int
 	// Version is the initial dataset version (see SetVersion).
 	Version string
 }
@@ -103,7 +104,7 @@ func New(eng core.Searcher, opts Options) *Cache {
 	if capacity <= 0 {
 		capacity = 4096
 	}
-	n := opts.Shards
+	n := opts.shards
 	if n <= 0 {
 		n = 8
 	}

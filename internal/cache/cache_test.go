@@ -117,7 +117,7 @@ func TestHitReturnsPrivateCopy(t *testing.T) {
 
 func TestLRUEviction(t *testing.T) {
 	eng := &countingSearcher{inner: core.NewTrie(testData, true)}
-	c := New(eng, Options{Capacity: 2, Shards: 1})
+	c := New(eng, Options{Capacity: 2, shards: 1})
 	qa := core.Query{Text: "berlin", K: 1}
 	qb := core.Query{Text: "bonn", K: 1}
 	qc := core.Query{Text: "ulm", K: 1}
@@ -305,7 +305,7 @@ func TestConcurrentMixedLoad(t *testing.T) {
 		want[c0key(qs[i])] = ref.Search(qs[i])
 	}
 
-	c := New(core.NewTrie(data, true), Options{Capacity: 8, Shards: 2})
+	c := New(core.NewTrie(data, true), Options{Capacity: 8, shards: 2})
 	var wg sync.WaitGroup
 	for w := 0; w < 8; w++ {
 		wg.Add(1)
@@ -411,8 +411,7 @@ func TestBatchPerQueryErrorsNotCached(t *testing.T) {
 	// Blocking shards plus a per-query deadline: every miss reports its own
 	// deadline error, and no error is ever cached.
 	ex := exec.New(make([]string, 4), exec.Options{
-		Shards:       2,
-		QueryTimeout: 10 * time.Millisecond,
+		Shards: 2,
 		Factory: func(d []string) core.Searcher {
 			g := &gateSearcher{gate: make(chan struct{})} // never opened
 			return g
@@ -421,7 +420,8 @@ func TestBatchPerQueryErrorsNotCached(t *testing.T) {
 	c := New(ex, Options{})
 	qs := []core.Query{{Text: "x", K: 1}, {Text: "y", K: 1}}
 
-	res, err := c.SearchBatchContext(context.Background(), qs)
+	ctx := core.WithQueryTimeout(context.Background(), 10*time.Millisecond)
+	res, err := c.SearchBatchContext(ctx, qs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -434,7 +434,7 @@ func TestBatchPerQueryErrorsNotCached(t *testing.T) {
 		t.Errorf("failed queries were cached: %+v", st)
 	}
 	// A retry reaches the engine again (no negative caching).
-	res, _ = c.SearchBatchContext(context.Background(), qs[:1])
+	res, _ = c.SearchBatchContext(ctx, qs[:1])
 	if res[0].Err == nil {
 		t.Error("retry after failure served from cache")
 	}

@@ -50,7 +50,7 @@ func FuzzCachedIdentical(f *testing.F) {
 			exec.New(data, exec.Options{Shards: 3}),
 		}
 		for _, eng := range engines {
-			c := New(eng, Options{Capacity: 1, Shards: 1})
+			c := New(eng, Options{Capacity: 1, shards: 1})
 			check := func(stage string, q core.Query, want []core.Match) []core.Match {
 				got := c.Search(q)
 				if !core.Equal(got, want) {

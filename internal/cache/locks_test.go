@@ -39,7 +39,7 @@ func finishes(t *testing.T, d time.Duration, what string, fn func()) {
 // the same lock, so a dropped Unlock shows as a deadlock.
 func TestEveryPathReleasesItsLock(t *testing.T) {
 	g := newGateSearcher()
-	c := New(g, Options{Shards: 1})
+	c := New(g, Options{shards: 1})
 	q := core.Query{Text: "x", K: 1}
 	finishes(t, 10*time.Second, "operations after each hand-unlocked path", func() {
 		c.Flush()

@@ -212,15 +212,22 @@ type contextBatcher interface {
 // queryTimeoutKey carries WithQueryTimeout's budget on a context.
 type queryTimeoutKey struct{}
 
-// WithQueryTimeout returns ctx carrying a per-query budget d for
-// SearchBatchContext's serial loop: each query the loop answers runs under
-// its own deadline d from its start, so one slow query reports its own
-// error instead of starving the rest of the batch. The budget rides the
-// context through the layers above the loop (the result cache forwards its
-// misses to the same loop); batching engines with a scheduler of their own
-// ignore it.
+// WithQueryTimeout returns ctx carrying a per-query budget d for a batch:
+// each query gets its own deadline d, so one slow query reports its own
+// error instead of starving the rest of the batch. SearchBatchContext's
+// serial loop starts a query's deadline when the query starts; the sharded
+// executor, whose scheduler interleaves the queries, starts them all at
+// batch submission. The budget rides the context through the layers above
+// (the result cache forwards its misses under the same context).
 func WithQueryTimeout(ctx context.Context, d time.Duration) context.Context {
 	return context.WithValue(ctx, queryTimeoutKey{}, d)
+}
+
+// QueryTimeout returns the per-query budget WithQueryTimeout put on ctx, or
+// zero.
+func QueryTimeout(ctx context.Context) time.Duration {
+	d, _ := ctx.Value(queryTimeoutKey{}).(time.Duration)
+	return d
 }
 
 // SearchBatchContext answers qs with s under ctx. An engine with its own
@@ -236,7 +243,7 @@ func SearchBatchContext(ctx context.Context, s Searcher, qs []Query) ([]QueryRes
 	if cb, ok := s.(contextBatcher); ok {
 		return cb.SearchBatchContext(ctx, qs)
 	}
-	budget, _ := ctx.Value(queryTimeoutKey{}).(time.Duration)
+	budget := QueryTimeout(ctx)
 	out := make([]QueryResult, len(qs))
 	for i, q := range qs {
 		if err := ctx.Err(); err != nil {

@@ -21,7 +21,7 @@
 //     The first answer wins and the loser is cancelled, cutting tail latency
 //     when one replica hits a GC pause, a queue, or a slow disk.
 //   - Health and circuit breaking: replicas accumulate consecutive-failure
-//     counts; past FailThreshold the replica's breaker opens for
+//     counts; at failThreshold the replica's breaker opens for
 //     BreakerCooldown and traffic fails over to the next replica. A
 //     background prober (StartProber) additionally walks every replica's
 //     /healthz so dead backends are discovered before a request has to.
@@ -30,8 +30,10 @@
 //     503 + Retry-After instead of queueing without bound.
 //
 // Everything is pure stdlib (net/http), keeping the repo's zero-dependency
-// stance. Observability mirrors the shard servers: simsearch_coord_* metrics
-// on GET /metrics and a coordinator section on GET /stats.
+// stance. The request contract — limits, the query check, the batch-body
+// reader and the per-endpoint instrumentation — is the shard servers' own
+// (httpapi.Limits, httpapi.Front): simsearch_coord_* metrics on GET /metrics
+// and a coordinator section on GET /stats.
 package distrib
 
 import (
@@ -62,10 +64,9 @@ type ShardSpec struct {
 	Count    int
 }
 
-// Options configures New. The zero value mirrors the shard servers' limits
-// (MaxK 16, MaxBatch 1024, MaxQueryLen 1024, MaxBody 1 MiB), admits 1024
-// concurrent requests, opens a replica breaker after 3 consecutive failures
-// for 1 s, and disables hedging.
+// Options configures New. The zero value takes the shard servers' default
+// limits, admits 1024 concurrent requests, opens a replica breaker after
+// failThreshold consecutive failures for 1 s, and disables hedging.
 type Options struct {
 	// HedgeQuantile, when in (0,1), arms a hedge timer per shard RPC at that
 	// quantile of the shard's successful-RPC latency histogram: if the
@@ -84,23 +85,21 @@ type Options struct {
 	// 504. Zero disables the server-side deadline (the request context still
 	// cancels on client disconnect).
 	Timeout time.Duration
-	// FailThreshold is the consecutive-failure count that opens a replica's
-	// circuit breaker. Default 3.
-	FailThreshold int
 	// BreakerCooldown is how long an opened breaker rejects a replica before
 	// letting a half-open probe through. Also the down-time applied by a
 	// failed health probe. Default 1s.
 	BreakerCooldown time.Duration
-	// MaxK, MaxBatch, MaxQueryLen, MaxBody mirror the shard servers'
-	// request-validation limits so the coordinator rejects what its shards
-	// would reject, without a round trip.
-	MaxK        int
-	MaxBatch    int
-	MaxQueryLen int
-	MaxBody     int64
-	// Transport overrides the HTTP transport (tests, custom dialing).
-	Transport http.RoundTripper
+	// Limits are the request limits, checked exactly as a shard server
+	// checks them, so the coordinator rejects what its shards would reject,
+	// without a round trip. Give the shard servers the same limits.
+	Limits httpapi.Limits
+	// transport overrides the HTTP transport (tests only).
+	transport http.RoundTripper
 }
+
+// failThreshold is the consecutive-failure count that opens a replica's
+// circuit breaker.
+const failThreshold = 3
 
 func (o *Options) withDefaults() {
 	if o.HedgeMin <= 0 {
@@ -109,23 +108,8 @@ func (o *Options) withDefaults() {
 	if o.MaxInFlight == 0 {
 		o.MaxInFlight = 1024
 	}
-	if o.FailThreshold <= 0 {
-		o.FailThreshold = 3
-	}
 	if o.BreakerCooldown <= 0 {
 		o.BreakerCooldown = time.Second
-	}
-	if o.MaxK <= 0 {
-		o.MaxK = 16
-	}
-	if o.MaxBatch <= 0 {
-		o.MaxBatch = 1024
-	}
-	if o.MaxQueryLen <= 0 {
-		o.MaxQueryLen = 1024
-	}
-	if o.MaxBody == 0 {
-		o.MaxBody = 1 << 20
 	}
 }
 
@@ -146,8 +130,8 @@ func (r *replica) onSuccess() {
 	r.downUntil.Store(0)
 }
 
-func (r *replica) onFailure(threshold int, cooldown time.Duration) {
-	if int(r.fails.Add(1)) >= threshold {
+func (r *replica) onFailure(cooldown time.Duration) {
+	if r.fails.Add(1) >= failThreshold {
 		r.trip(cooldown)
 	}
 }
@@ -224,8 +208,7 @@ type Coordinator struct {
 	shards []*shardState
 	opts   Options
 	client *http.Client
-	mux    *http.ServeMux
-	reg    *metrics.Registry
+	front  *httpapi.Front
 
 	inflight atomic.Int64
 	shed     metrics.Counter
@@ -240,11 +223,10 @@ func New(specs []ShardSpec, opts Options) (*Coordinator, error) {
 	}
 	opts.withDefaults()
 	c := &Coordinator{
-		opts: opts,
-		mux:  http.NewServeMux(),
-		reg:  metrics.NewRegistry(),
+		opts:  opts,
+		front: httpapi.NewFront("simsearch_coord"),
 	}
-	tr := opts.Transport
+	tr := opts.transport
 	if tr == nil {
 		tr = &http.Transport{
 			DialContext:         (&net.Dialer{Timeout: 2 * time.Second}).DialContext,
@@ -301,7 +283,7 @@ func (c *Coordinator) Strings() int {
 func (c *Coordinator) NumShards() int { return len(c.shards) }
 
 // Registry returns the coordinator's metric registry.
-func (c *Coordinator) Registry() *metrics.Registry { return c.reg }
+func (c *Coordinator) Registry() *metrics.Registry { return c.front.Registry() }
 
 // Discover asks each shard's /stats for its string count and recomputes the
 // global ID bases. It must run before traffic when specs carried no counts;
@@ -477,7 +459,7 @@ func (c *Coordinator) callShard(ctx context.Context, sh *shardState, body []byte
 			}
 			if actx.Err() == nil {
 				// A real failure, not our own cancellation of the loser.
-				out.rep.onFailure(c.opts.FailThreshold, c.opts.BreakerCooldown)
+				out.rep.onFailure(c.opts.BreakerCooldown)
 				sh.errs.Inc()
 			}
 			if firstErr == nil {
@@ -572,15 +554,16 @@ func (c *Coordinator) scatter(ctx context.Context, body []byte, nq int) ([]*http
 	return per, nil
 }
 
-// gather assembles the per-query fan-in: shard-local IDs are remapped by each
-// shard's base offset and the per-shard ID-ascending runs are k-way merged —
-// the exec/scan.MergeRuns contract lifted over the network. A shard-reported
-// per-query error (deadline, cancellation) is propagated in shard order,
-// exactly as exec.Sharded reports the first failing shard task.
-func (c *Coordinator) gather(qs []httpapi.BatchQuery, per []*httpapi.BatchResponse) []httpapi.BatchResult {
-	results := make([]httpapi.BatchResult, len(qs))
+// gather assembles the per-query fan-in of nq queries: shard-local IDs are
+// remapped by each shard's base offset and the per-shard ID-ascending runs
+// are k-way merged — the exec/scan.MergeRuns contract lifted over the
+// network. A shard-reported per-query error (deadline, cancellation) is
+// propagated in shard order, exactly as exec.Sharded reports the first
+// failing shard task.
+func (c *Coordinator) gather(nq int, per []*httpapi.BatchResponse) []httpapi.BatchResult {
+	results := make([]httpapi.BatchResult, nq)
 	runs := make([][]httpapi.MatchJSON, 0, len(c.shards))
-	for qi := range qs {
+	for qi := range results {
 		br := httpapi.BatchResult{Query: per[0].Results[qi].Query, K: per[0].Results[qi].K}
 		runs = runs[:0]
 		for _, resp := range per {

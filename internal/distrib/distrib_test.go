@@ -2,6 +2,7 @@ package distrib
 
 import (
 	"context"
+	"encoding/base64"
 	"encoding/json"
 	"io"
 	"net/http"
@@ -232,95 +233,130 @@ func TestDifferentialMidBatchShardDeath(t *testing.T) {
 	}
 }
 
-// TestErrorLadder mirrors the shard servers' ladder on the coordinator's own
-// endpoints: 405, 400, 413 — the statuses a request earns before any shard
-// is contacted. (503 shedding and 504 deadlines have dedicated tests below.)
+// TestErrorLadder is the rejection ladder of both HTTP tiers, from one
+// table: every case runs against a shard server and against a coordinator
+// in front of it, configured with the same limits. Each must earn the
+// status it lists and the same message from both tiers, and the
+// coordinator must reject it without a shard RPC. (503 shedding and 504
+// deadlines have tests of their own below.)
 func TestErrorLadder(t *testing.T) {
 	data := dataset.Cities(40, 3)
-	f := startFleet(t, data, 2, Options{MaxBatch: 2, MaxBody: 256, MaxQueryLen: 16}, nil)
-
-	long := strings.Repeat("x", 17)
-	cases := []struct {
-		name   string
-		method string
-		path   string
-		body   string
-		code   int
-	}{
-		{"batch method", http.MethodGet, "/search/batch", "", http.StatusMethodNotAllowed},
-		{"search method", http.MethodPost, "/search?q=x", "", http.StatusMethodNotAllowed},
-		{"stats method", http.MethodPost, "/stats", "", http.StatusMethodNotAllowed},
-		{"healthz method", http.MethodPost, "/healthz", "", http.StatusMethodNotAllowed},
-		{"metrics method", http.MethodPost, "/metrics", "", http.StatusMethodNotAllowed},
-		{"search no q", http.MethodGet, "/search", "", http.StatusBadRequest},
-		{"search bad k", http.MethodGet, "/search?q=x&k=abc", "", http.StatusBadRequest},
-		{"search negative k", http.MethodGet, "/search?q=x&k=-1", "", http.StatusBadRequest},
-		{"search k over max", http.MethodGet, "/search?q=x&k=99", "", http.StatusBadRequest},
-		{"search q too long", http.MethodGet, "/search?q=" + long, "", http.StatusBadRequest},
-		{"batch bad json", http.MethodPost, "/search/batch", "not json", http.StatusBadRequest},
-		{"batch empty", http.MethodPost, "/search/batch", `{"queries":[]}`, http.StatusBadRequest},
-		{"batch empty q", http.MethodPost, "/search/batch", `{"queries":[{"q":""}]}`, http.StatusBadRequest},
-		{"batch bad k", http.MethodPost, "/search/batch", `{"queries":[{"q":"x","k":-1}]}`, http.StatusBadRequest},
-		{"batch k over max", http.MethodPost, "/search/batch", `{"queries":[{"q":"x","k":99}]}`, http.StatusBadRequest},
-		{"batch not UTF-8", http.MethodPost, "/search/batch", "{\"queries\":[{\"q\":\"M\xfcnchen\"}]}", http.StatusBadRequest},
-		{"batch q and q_b64", http.MethodPost, "/search/batch", `{"queries":[{"q":"x","q_b64":"eA=="}]}`, http.StatusBadRequest},
-		{"batch bad q_b64", http.MethodPost, "/search/batch", `{"queries":[{"q_b64":"e@=="}]}`, http.StatusBadRequest},
-		{"batch too many", http.MethodPost, "/search/batch",
-			`{"queries":[{"q":"a"},{"q":"b"},{"q":"c"}]}`, http.StatusRequestEntityTooLarge},
-		{"body too big", http.MethodPost, "/search/batch",
-			`{"queries":[{"q":"` + strings.Repeat("ab", 200) + `"}]}`, http.StatusRequestEntityTooLarge},
-	}
-	for _, tc := range cases {
-		req, err := http.NewRequest(tc.method, f.ts.URL+tc.path, strings.NewReader(tc.body))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if tc.body != "" {
-			req.Header.Set("Content-Type", "application/json")
-		}
-		resp, err := http.DefaultClient.Do(req)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var e httpapi.ErrorResponse
-		err = json.NewDecoder(resp.Body).Decode(&e)
-		resp.Body.Close()
-		if resp.StatusCode != tc.code {
-			t.Errorf("%s: status %d, want %d", tc.name, resp.StatusCode, tc.code)
-			continue
-		}
-		if err != nil || e.Error == "" {
-			t.Errorf("%s: missing error payload (%v)", tc.name, err)
-		}
-	}
-
-	// A valid batch just under MaxBody, of ASCII queries, is forwarded at
-	// about the client's size, so shard servers whose MaxBody is the
-	// coordinator's answer it (base64 would make it 4/3 as long: 413 from
-	// every shard, 502 here).
-	const maxBody = 4096
-	mirror := startFleet(t, data, 2, Options{MaxBody: maxBody},
+	lim := httpapi.Limits{MaxK: 3, MaxBatch: 2}
+	f := startFleet(t, data, 1, Options{Limits: lim},
 		func(_, _ int, h http.Handler) http.Handler {
-			h.(*httpapi.Server).MaxBody = maxBody
+			h.(*httpapi.Server).Limits = lim
 			return h
 		})
-	var req httpapi.BatchRequest
-	k := 1
-	for {
-		body, err := json.Marshal(req)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(body) > maxBody-300 {
-			resp, br := postBatch(t, mirror.ts.URL, string(body))
-			if resp.StatusCode != http.StatusOK || len(br.Results) != len(req.Queries) {
-				t.Errorf("%d-byte ASCII batch of %d queries: status %d, %d results; want 200",
-					len(body), len(req.Queries), resp.StatusCode, len(br.Results))
-			}
-			break
-		}
-		req.Queries = append(req.Queries, httpapi.BatchQuery{Q: strings.Repeat("ab", 100), K: &k})
+	const maxQueryLen, maxBody = 1024, 1 << 20 // the contract's fixed caps
+	long := strings.Repeat("x", maxQueryLen+1)
+	batch := func(queries string) string { return `{"queries":[` + queries + `]}` }
+	cases := []struct {
+		name, method, path, body string
+		code                     int
+		msg                      string // a part of the message
+	}{
+		{"batch method", http.MethodGet, "/search/batch", "", http.StatusMethodNotAllowed, "POST only"},
+		{"search method", http.MethodPost, "/search?q=x", "", http.StatusMethodNotAllowed, "GET only"},
+		{"stats method", http.MethodPost, "/stats", "", http.StatusMethodNotAllowed, "GET only"},
+		{"healthz method", http.MethodPost, "/healthz", "", http.StatusMethodNotAllowed, "GET only"},
+		{"metrics method", http.MethodPost, "/metrics", "", http.StatusMethodNotAllowed, "GET only"},
+		{"search no q", http.MethodGet, "/search", "", http.StatusBadRequest, "missing q"},
+		{"search empty q", http.MethodGet, "/search?q=&k=1", "", http.StatusBadRequest, "missing q"},
+		{"search bad k", http.MethodGet, "/search?q=x&k=abc", "", http.StatusBadRequest, "from 0 to 3"},
+		{"search negative k", http.MethodGet, "/search?q=x&k=-1", "", http.StatusBadRequest, "from 0 to 3"},
+		{"search k over max", http.MethodGet, "/search?q=x&k=4", "", http.StatusBadRequest, "from 0 to 3"},
+		{"search q too long", http.MethodGet, "/search?q=" + long, "", http.StatusBadRequest, "1024 bytes"},
+		{"search q too long, bad k", http.MethodGet, "/search?k=x&q=" + long, "", http.StatusBadRequest, "1024 bytes"},
+		{"batch bad json", http.MethodPost, "/search/batch", "not json", http.StatusBadRequest, "invalid JSON"},
+		{"batch k not a number", http.MethodPost, "/search/batch", batch(`{"q":"x","k":"1"}`), http.StatusBadRequest, "invalid JSON"},
+		{"batch empty", http.MethodPost, "/search/batch", batch(""), http.StatusBadRequest, "empty batch"},
+		{"batch empty q", http.MethodPost, "/search/batch", batch(`{"q":""}`), http.StatusBadRequest, "missing q"},
+		{"batch bad k", http.MethodPost, "/search/batch", batch(`{"q":"x","k":-1}`), http.StatusBadRequest, "from 0 to 3"},
+		{"batch k over max", http.MethodPost, "/search/batch", batch(`{"q":"x","k":4}`), http.StatusBadRequest, "from 0 to 3"},
+		{"batch q too long", http.MethodPost, "/search/batch", batch(`{"q":"x"},{"q":"` + long + `"}`), http.StatusBadRequest, "1024 bytes"},
+		{"batch q_b64 too long", http.MethodPost, "/search/batch",
+			batch(`{"q_b64":"` + base64.StdEncoding.EncodeToString([]byte(long)) + `"}`), http.StatusBadRequest, "1024 bytes"},
+		{"batch not UTF-8", http.MethodPost, "/search/batch", batch("{\"q\":\"M\xfcnchen\"}"), http.StatusBadRequest, "not valid UTF-8"},
+		{"batch q and q_b64", http.MethodPost, "/search/batch", batch(`{"q":"x","q_b64":"eA=="}`), http.StatusBadRequest, "both q and q_b64"},
+		{"batch bad q_b64", http.MethodPost, "/search/batch", batch(`{"q_b64":"e@=="}`), http.StatusBadRequest, "base64"},
+		{"batch too many", http.MethodPost, "/search/batch", batch(`{"q":"a"},{"q":"b"},{"q":"c"}`),
+			http.StatusRequestEntityTooLarge, "maximum of 2 queries"},
+		{"body too big", http.MethodPost, "/search/batch", batch(`{"q":"` + strings.Repeat("ab", maxBody/2) + `"}`),
+			http.StatusRequestEntityTooLarge, "maximum of 1048576 bytes"},
 	}
+	shard := f.servers[0].URL
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			rpcs := f.coord.shards[0].rpcs.Value()
+			codeS, msgS := do(t, tc.method, shard+tc.path, tc.body)
+			codeC, msgC := do(t, tc.method, f.ts.URL+tc.path, tc.body)
+			if codeS != tc.code || !strings.Contains(msgS, tc.msg) {
+				t.Errorf("shard server: %d %q, want %d and a message with %q", codeS, msgS, tc.code, tc.msg)
+			}
+			if codeC != codeS || msgC != msgS {
+				t.Errorf("coordinator: %d %q, shard server: %d %q", codeC, msgC, codeS, msgS)
+			}
+			if n := f.coord.shards[0].rpcs.Value() - rpcs; n != 0 {
+				t.Errorf("the coordinator sent %d shard RPCs for a request it rejects", n)
+			}
+		})
+	}
+}
+
+// TestForwardedBatchFitsTheShards: a valid batch just under the body cap,
+// of ASCII queries that leave k at its default and spell <, > and &, is
+// forwarded at about the client's size. A forward that spelled each of
+// those in six bytes, or added every default k, would be over the cap the
+// shards share with the coordinator: 413 from every shard, 502 here.
+func TestForwardedBatchFitsTheShards(t *testing.T) {
+	const maxBody = 1 << 20
+	f := startFleet(t, dataset.Cities(40, 3), 2, Options{}, nil)
+	// 1,024 queries (the default MaxBatch) of 1,014 or 1,015 bytes: the
+	// body is a few bytes under maxBody, each query under the 1,024-byte cap.
+	var body strings.Builder
+	body.WriteString(`{"queries":[`)
+	text := strings.Repeat("a<b>&", 203)
+	for i := 0; i < 1024; i++ {
+		n := len(text)
+		if i > 0 {
+			body.WriteByte(',')
+			n -= i / 1000
+		}
+		body.WriteString(`{"q":"` + text[:n] + `"}`)
+	}
+	body.WriteString(`]}`)
+	if n := body.Len(); n > maxBody || n < maxBody-64 {
+		t.Fatalf("the test body is %d bytes, want just under %d", n, maxBody)
+	}
+	for _, url := range []string{f.servers[0].URL, f.ts.URL} {
+		resp, br := postBatch(t, url, body.String())
+		if resp.StatusCode != http.StatusOK || len(br.Results) != 1024 {
+			t.Errorf("%s: %d-byte batch: status %d, %d results; want 200 and 1024",
+				url, body.Len(), resp.StatusCode, len(br.Results))
+		}
+	}
+}
+
+// do sends one request and returns its status and error message.
+func do(t *testing.T, method, url, body string) (int, string) {
+	t.Helper()
+	req, err := http.NewRequest(method, url, strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if body != "" {
+		req.Header.Set("Content-Type", "application/json")
+	}
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var e struct{ Error string }
+	if err := json.NewDecoder(resp.Body).Decode(&e); err != nil {
+		t.Fatalf("%s %s: status %d without an error payload: %v", method, url, resp.StatusCode, err)
+	}
+	return resp.StatusCode, e.Error
 }
 
 // blockUntilCancel answers /search/batch only after the request context dies,
@@ -398,8 +434,6 @@ func TestAdmissionControl503(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var e httpapi.ErrorResponse
-	json.NewDecoder(resp.Body).Decode(&e)
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusServiceUnavailable {
 		t.Fatalf("status %d, want 503", resp.StatusCode)
@@ -551,7 +585,7 @@ func TestProberStopsWithItsContext(t *testing.T) {
 		probes.Add(1)
 		return &http.Response{StatusCode: http.StatusOK, Body: io.NopCloser(strings.NewReader("ok")), Request: r}, nil
 	})
-	c, err := New([]ShardSpec{{Replicas: []string{"http://shard"}, Count: 1}}, Options{Transport: healthy})
+	c, err := New([]ShardSpec{{Replicas: []string{"http://shard"}, Count: 1}}, Options{transport: healthy})
 	if err != nil {
 		t.Fatal(err)
 	}

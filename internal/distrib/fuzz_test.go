@@ -4,9 +4,12 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"net/http"
+	"net/http/httptest"
 	"sort"
 	"testing"
 
+	"simsearch/internal/core"
 	"simsearch/internal/httpapi"
 	"simsearch/internal/scan"
 )
@@ -16,8 +19,8 @@ import (
 // guarantees) and checks it against two oracles: a plain stable sort of the
 // concatenation, and scan.MergeRuns on the same runs — the single-process
 // merge the distributed tier claims byte-compatibility with. The same bytes,
-// taken as a query, must reach a shard through the coordinator's wire form
-// unchanged, whether or not they are UTF-8.
+// taken as a query the coordinator accepts, must reach a shard through the
+// coordinator's wire form unchanged, whether or not they are UTF-8.
 func FuzzCoordMerge(f *testing.F) {
 	f.Add([]byte{3, 1, 4, 1, 5, 9, 2, 6}, uint8(3))
 	f.Add([]byte{}, uint8(1))
@@ -26,16 +29,26 @@ func FuzzCoordMerge(f *testing.F) {
 	f.Add([]byte("Z\xc3\xbcrich\xc3"), uint8(4))        // UTF-8 ü, then a cut sequence
 	f.Add([]byte("\xef\xbf\xbd\xed\xa0\x80"), uint8(1)) // U+FFFD itself, then a surrogate
 	f.Fuzz(func(t *testing.T, raw []byte, nrunsRaw uint8) {
-		body, err := json.Marshal(httpapi.BatchRequest{Queries: []httpapi.BatchQuery{httpapi.ExactQuery(string(raw), 1)}})
+		// The client sends the bytes as ExactQuery spells them; whatever
+		// the coordinator accepts (it rejects an empty or oversize text), it
+		// forwards in a body the shard reads back to the same query.
+		read := func(body []byte) ([]core.Query, error) {
+			return httpapi.Limits{}.ReadBatch(httptest.NewRecorder(),
+				httptest.NewRequest(http.MethodPost, "/search/batch", bytes.NewReader(body)))
+		}
+		q := core.Query{Text: string(raw), K: 1}
+		client, err := json.Marshal(httpapi.BatchRequest{Queries: []httpapi.BatchQuery{httpapi.ExactQuery(q.Text, q.K)}})
 		if err != nil {
 			t.Fatal(err)
 		}
-		req, err := httpapi.DecodeBatch(bytes.NewReader(body))
-		if err != nil {
-			t.Fatalf("the shard rejects the coordinator's body %s: %v", body, err)
-		}
-		if text, err := req.Queries[0].Text(); err != nil || text != string(raw) {
-			t.Fatalf("query bytes %q arrive as %q (err %v)", raw, text, err)
+		if _, err := read(client); err == nil {
+			body, err := forwardBody([]core.Query{q})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if qs, err := read(body); err != nil || qs[0] != q {
+				t.Fatalf("query %+v arrives at the shard as %+v (err %v)", q, qs, err)
+			}
 		}
 
 		nruns := int(nrunsRaw)%8 + 1

@@ -198,7 +198,7 @@ func TestSearchBatchContextCancelMidBatch(t *testing.T) {
 	waitForGoroutines(t, before)
 }
 
-// TestPerQueryDeadline: with a QueryTimeout configured and shards that block
+// TestPerQueryDeadline: with a per-query budget on the context and shards that block
 // until their context expires, every query reports DeadlineExceeded while the
 // batch call itself succeeds.
 func TestPerQueryDeadline(t *testing.T) {
@@ -206,14 +206,14 @@ func TestPerQueryDeadline(t *testing.T) {
 	release := make(chan struct{})
 	defer close(release)
 	ex := New(make([]string, 8), Options{
-		Shards:       2,
-		QueryTimeout: 20 * time.Millisecond,
-		Runner:       pool.Fixed{Workers: 4},
+		Shards: 2,
+		Runner: pool.Fixed{Workers: 4},
 		Factory: func(data []string) core.Searcher {
 			return &slowSearcher{n: len(data), started: started, release: release}
 		},
 	})
-	res, err := ex.SearchBatchContext(context.Background(), make([]core.Query, 3))
+	ctx := core.WithQueryTimeout(context.Background(), 20*time.Millisecond)
+	res, err := ex.SearchBatchContext(ctx, make([]core.Query, 3))
 	if err != nil {
 		t.Fatalf("batch err = %v", err)
 	}

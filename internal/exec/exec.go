@@ -60,15 +60,6 @@ type Options struct {
 	// a single query long enough to split (default pool.Fixed{Workers:
 	// GOMAXPROCS}). Any of the paper's strategies works.
 	Runner pool.Runner
-	// QueryTimeout, when positive, gives every query in a
-	// SearchBatchContext call its own deadline, measured from batch
-	// submission (a client-style deadline, not an execution budget). Expired
-	// queries report context.DeadlineExceeded in their QueryResult.
-	QueryTimeout time.Duration
-	// SlowLog, when non-nil, receives one line per shard task slower than
-	// its threshold (shard-level slow queries, complementing the HTTP
-	// layer's request-level slow log).
-	SlowLog *metrics.SlowLog
 }
 
 // shard is one partition: an engine over a contiguous slice of the dataset
@@ -83,14 +74,13 @@ type shard struct {
 // it drops in anywhere a single engine does while answering batches
 // shard-parallel.
 type Sharded struct {
-	data         []string
-	shards       []shard
-	runner       pool.Runner
-	queryTimeout time.Duration
-	counters     []*metrics.ShardCounter
-	slow         *metrics.SlowLog
-	name         string
-	rule         splitRule
+	data     []string
+	shards   []shard
+	runner   pool.Runner
+	counters []*metrics.ShardCounter
+	slow     *metrics.SlowLog
+	name     string
+	rule     splitRule
 }
 
 // splitNs is the mean time of one shard's share of a single query, in ns,
@@ -162,12 +152,10 @@ func New(data []string, opts Options) *Sharded {
 		runner = pool.Fixed{Workers: runtime.GOMAXPROCS(0)}
 	}
 	s := &Sharded{
-		data:         data,
-		shards:       make([]shard, p),
-		runner:       runner,
-		queryTimeout: opts.QueryTimeout,
-		counters:     make([]*metrics.ShardCounter, p),
-		slow:         opts.SlowLog,
+		data:     data,
+		shards:   make([]shard, p),
+		runner:   runner,
+		counters: make([]*metrics.ShardCounter, p),
 	}
 	n := len(data)
 	for i := 0; i < p; i++ {
@@ -394,9 +382,11 @@ func (s *Sharded) SearchBatch(qs []core.Query) [][]core.Match {
 type QueryResult = core.QueryResult
 
 // SearchBatchContext answers the batch under ctx. Cancelling ctx abandons the
-// whole batch and returns ctx.Err(); a configured QueryTimeout instead expires
-// individual queries, which report DeadlineExceeded in their QueryResult while
-// the rest of the batch completes. Results are in input order.
+// whole batch and returns ctx.Err(); a per-query budget on ctx
+// (core.WithQueryTimeout) instead expires individual queries, measured from
+// batch submission (a client-style deadline, not an execution budget); they
+// report DeadlineExceeded in their QueryResult while the rest of the batch
+// completes. Results are in input order.
 func (s *Sharded) SearchBatchContext(ctx context.Context, qs []core.Query) ([]QueryResult, error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -419,11 +409,11 @@ func (s *Sharded) SearchBatchContext(ctx context.Context, qs []core.Query) ([]Qu
 	// queries per batch that is real memory and timer-heap pressure.)
 	var remaining []atomic.Int32
 	var cancels []context.CancelFunc
-	if s.queryTimeout > 0 {
+	if budget := core.QueryTimeout(ctx); budget > 0 {
 		remaining = make([]atomic.Int32, n)
 		cancels = make([]context.CancelFunc, n)
 		for i := range qctx {
-			c, cancel := context.WithTimeout(ctx, s.queryTimeout)
+			c, cancel := context.WithTimeout(ctx, budget)
 			qctx[i] = c
 			cancels[i] = cancel
 			remaining[i].Store(int32(p))

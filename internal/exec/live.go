@@ -37,14 +37,11 @@ type LiveOptions struct {
 	Seed []string
 	// Dir, when set, persists each store under Dir/shard-<i>.
 	Dir string
-	// FlushLimit and MaxSegments tune each store (see lsm.Options).
-	FlushLimit  int
-	MaxSegments int
 	// Runner runs the stores of a search long enough to split (default
 	// pool.Fixed over GOMAXPROCS workers); shorter searches never reach it.
 	Runner pool.Runner
-	// CompactHook is passed through to every store (test-only).
-	CompactHook func(stage string) bool
+	// flushLimit tunes each store (see lsm.Options; tests only).
+	flushLimit int
 }
 
 // LiveSharded is the mutable executor. It implements core.Searcher and
@@ -94,12 +91,10 @@ func NewLive(o LiveOptions) (*LiveSharded, error) {
 			dir = filepath.Join(o.Dir, fmt.Sprintf("shard-%d", i))
 		}
 		st, err := lsm.Open(lsm.Options{
-			Dir:         dir,
-			Seed:        seeds[i],
-			FlushLimit:  o.FlushLimit,
-			MaxSegments: o.MaxSegments,
-			Alloc:       alloc,
-			CompactHook: o.CompactHook,
+			Dir:        dir,
+			Seed:       seeds[i],
+			FlushLimit: o.flushLimit,
+			Alloc:      alloc,
 		})
 		if err != nil {
 			for _, prev := range x.stores[:i] {

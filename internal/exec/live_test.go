@@ -37,7 +37,7 @@ func TestLiveShardCountInvariant(t *testing.T) {
 		x.Compact()
 	}
 	open := func(p int) *LiveSharded {
-		x, err := NewLive(LiveOptions{Shards: p, Seed: seed, FlushLimit: 16})
+		x, err := NewLive(LiveOptions{Shards: p, Seed: seed, flushLimit: 16})
 		if err != nil {
 			t.Fatalf("NewLive(%d): %v", p, err)
 		}
@@ -184,7 +184,7 @@ func TestLiveCallerSearchesOneStore(t *testing.T) {
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			runner := &countingRunner{Fixed: pool.Fixed{Workers: 2}}
-			live, err := NewLive(LiveOptions{Shards: 3, Seed: seed, FlushLimit: 16, Runner: runner})
+			live, err := NewLive(LiveOptions{Shards: 3, Seed: seed, flushLimit: 16, Runner: runner})
 			if err != nil {
 				t.Fatalf("NewLive: %v", err)
 			}

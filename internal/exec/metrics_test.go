@@ -124,15 +124,16 @@ func TestBatchReleasesQueryTimersEarly(t *testing.T) {
 		release:     make(chan struct{}),
 	}
 	ex := New(make([]string, 1), Options{
-		Shards:       1,
-		QueryTimeout: time.Minute, // far beyond the test; only cancel can fire it
-		Runner:       pool.Fixed{Workers: 2},
-		Factory:      func([]string) core.Searcher { return rec },
+		Shards:  1,
+		Runner:  pool.Fixed{Workers: 2},
+		Factory: func([]string) core.Searcher { return rec },
 	})
 
 	done := make(chan []QueryResult, 1)
 	go func() {
-		res, err := ex.SearchBatchContext(context.Background(),
+		// A budget far beyond the test: only cancel can fire it.
+		ctx := core.WithQueryTimeout(context.Background(), time.Minute)
+		res, err := ex.SearchBatchContext(ctx,
 			[]core.Query{{Text: "fast"}, {Text: "slow"}})
 		if err != nil {
 			t.Error(err)

@@ -36,19 +36,18 @@ func (s slowOnSearcher) Len() int     { return 1 }
 // TestBatchPerQueryErrorParity is the regression test for the whole-batch-504
 // bug: one slow query inside a batch must report its own per-result error —
 // and the rest of the batch must succeed — identically on the sharded path
-// (executor scheduler, exec QueryTimeout), on the serial fallback path
-// (plain engine, Server.QueryTimeout) and on that path under the result
-// cache.
+// (executor scheduler), on the serial fallback path (plain engine) and on
+// that path under the result cache — all from the one Server.QueryTimeout.
 func TestBatchPerQueryErrorParity(t *testing.T) {
 	shardData := []string{"a", "b", "c", "d"}
 	sharded := New(exec.New(shardData, exec.Options{
-		Shards:       2,
-		QueryTimeout: 15 * time.Millisecond,
-		Factory:      func(d []string) core.Searcher { return slowOnSearcher{slow: "stall"} },
+		Shards:  2,
+		Factory: func(d []string) core.Searcher { return slowOnSearcher{slow: "stall"} },
 		// Wide enough that no fast task queues behind a stalled one even on
 		// a single-core runner (per-query timers start at batch submission).
 		Runner: pool.Fixed{Workers: 8},
 	}), shardData)
+	sharded.QueryTimeout = 15 * time.Millisecond
 
 	serial := New(slowOnSearcher{slow: "stall"}, []string{"a"})
 	serial.QueryTimeout = 15 * time.Millisecond
@@ -88,64 +87,54 @@ func TestBatchPerQueryErrorParity(t *testing.T) {
 	}
 }
 
+// TestBatchBodyLimit pins the body cap's edge on a shard server: a batch
+// body of exactly maxBody bytes is read and answered, one byte more earns
+// 413. (The rejection itself, and its message, is a case of the ladder both
+// tiers share: distrib's TestErrorLadder.)
 func TestBatchBodyLimit(t *testing.T) {
-	srv := New(core.NewTrie(data, true), data)
-	srv.MaxBody = 64
-	ts := httptest.NewServer(srv)
+	ts := httptest.NewServer(New(core.NewTrie(data, true), data))
 	defer ts.Close()
-
-	// Under the cap: served normally.
-	var ok BatchResponse
-	r := postJSON(t, ts.URL+"/search/batch", `{"queries":[{"q":"bern"}]}`, &ok)
-	if r.StatusCode != http.StatusOK {
-		t.Fatalf("small body status %d", r.StatusCode)
-	}
-
-	// Over the cap: 413 with the limit in the message, body never decoded.
-	big := `{"queries":[{"q":"` + strings.Repeat("a", 256) + `"}]}`
-	var e ErrorResponse
-	r = postJSON(t, ts.URL+"/search/batch", big, &e)
-	if r.StatusCode != http.StatusRequestEntityTooLarge {
-		t.Fatalf("oversize body status %d, want 413", r.StatusCode)
-	}
-	if !strings.Contains(e.Error, "64") {
-		t.Errorf("413 message %q does not name the limit", e.Error)
+	for _, size := range []int{maxBody, maxBody + 1} {
+		// The padding is JSON whitespace, so the body is valid at any size.
+		q := `{"queries":[{"q":"bern"}]}`
+		body := q[:len(q)-1] + strings.Repeat(" ", size-len(q)) + "}"
+		var resp BatchResponse
+		r := postJSON(t, ts.URL+"/search/batch", body, &resp)
+		if want := map[bool]int{true: http.StatusOK, false: http.StatusRequestEntityTooLarge}[size <= maxBody]; r.StatusCode != want {
+			t.Errorf("%d-byte body: status %d, want %d", size, r.StatusCode, want)
+		}
 	}
 }
 
+// TestQueryLengthLimit pins the length cap on the endpoints only a shard
+// server has, /topk and /hamming, and its edge on every query endpoint: a
+// text of maxQueryLen bytes is answered. (/search and batch rejections are
+// cases of distrib's TestErrorLadder.)
 func TestQueryLengthLimit(t *testing.T) {
-	srv := New(core.NewTrie(data, true), data)
-	srv.MaxQueryLen = 8
-	ts := httptest.NewServer(srv)
+	ts := httptest.NewServer(New(core.NewTrie(data, true), data))
 	defer ts.Close()
 
-	long := strings.Repeat("q", 9)
-	for _, url := range []string{
-		"/search?q=" + long + "&k=1",
-		"/topk?q=" + long + "&n=2&maxk=2",
-		"/hamming?q=" + long + "&k=1",
-	} {
-		var e ErrorResponse
-		r := getJSON(t, ts.URL+url, &e)
-		if r.StatusCode != http.StatusBadRequest {
-			t.Errorf("%s: status %d, want 400", url, r.StatusCode)
-		}
-		if !strings.Contains(e.Error, "8") {
-			t.Errorf("%s: message %q does not name the limit", url, e.Error)
+	for _, n := range []int{maxQueryLen, maxQueryLen + 1} {
+		q := strings.Repeat("q", n)
+		for _, url := range []string{
+			"/search?q=" + q + "&k=1",
+			"/topk?q=" + q + "&n=2&maxk=2",
+			"/hamming?q=" + q + "&k=1",
+		} {
+			var e errorResponse
+			r := getJSON(t, ts.URL+url, &e)
+			if n <= maxQueryLen && r.StatusCode != http.StatusOK {
+				t.Errorf("%d-byte query on %s: status %d, want 200", n, url[:strings.Index(url, "?")], r.StatusCode)
+			}
+			if n > maxQueryLen && (r.StatusCode != http.StatusBadRequest || !strings.Contains(e.Error, "1024")) {
+				t.Errorf("%d-byte query on %s: %d %q, want 400 naming the limit", n, url[:strings.Index(url, "?")], r.StatusCode, e.Error)
+			}
 		}
 	}
-	var e ErrorResponse
-	r := postJSON(t, ts.URL+"/search/batch",
-		`{"queries":[{"q":"ok"},{"q":"`+long+`"}]}`, &e)
-	if r.StatusCode != http.StatusBadRequest {
-		t.Errorf("batch: status %d, want 400", r.StatusCode)
-	}
-
-	// At the cap: accepted.
-	var sr SearchResponse
-	r = getJSON(t, ts.URL+"/search?q="+strings.Repeat("q", 8)+"&k=1", &sr)
+	var resp BatchResponse
+	r := postJSON(t, ts.URL+"/search/batch", `{"queries":[{"q":"`+strings.Repeat("q", maxQueryLen)+`"}]}`, &resp)
 	if r.StatusCode != http.StatusOK {
-		t.Errorf("at-limit query rejected: %d", r.StatusCode)
+		t.Errorf("batch of a %d-byte query: status %d, want 200", maxQueryLen, r.StatusCode)
 	}
 }
 

@@ -68,6 +68,9 @@ func TestSearchDefaults(t *testing.T) {
 	}
 }
 
+// TestSearchErrors covers the rejections of the endpoints only a shard
+// server has, /topk and /hamming; those of /search and /search/batch are
+// cases of the ladder both tiers share (distrib's TestErrorLadder).
 func TestSearchErrors(t *testing.T) {
 	ts := newTestServer()
 	defer ts.Close()
@@ -75,16 +78,16 @@ func TestSearchErrors(t *testing.T) {
 		url  string
 		code int
 	}{
-		{"/search", http.StatusBadRequest},            // no q
-		{"/search?q=x&k=abc", http.StatusBadRequest},  // bad k
-		{"/search?q=x&k=-1", http.StatusBadRequest},   // negative k
-		{"/search?q=x&k=99", http.StatusBadRequest},   // k over MaxK
 		{"/topk?q=x&n=0", http.StatusBadRequest},      // n < 1
+		{"/topk?q=x&n=x", http.StatusBadRequest},      // n not an integer
 		{"/topk?q=x&maxk=200", http.StatusBadRequest}, // maxk over cap
 		{"/topk", http.StatusBadRequest},              // no q
+		{"/hamming?q=x&k=-1", http.StatusBadRequest},  // negative k
+		{"/hamming?k=1", http.StatusBadRequest},       // no q
+		{"/insert", http.StatusMethodNotAllowed},      // GET on a POST endpoint
 	}
 	for _, c := range cases {
-		var e ErrorResponse
+		var e errorResponse
 		r := getJSON(t, ts.URL+c.url, &e)
 		if r.StatusCode != c.code {
 			t.Errorf("%s: status %d, want %d", c.url, r.StatusCode, c.code)
@@ -129,7 +132,7 @@ func TestHammingEndpoint(t *testing.T) {
 	if len(resp.Matches) != 1 || resp.Matches[0].String != "bern" {
 		t.Errorf("matches = %v", resp.Matches)
 	}
-	var e ErrorResponse
+	var e errorResponse
 	r := getJSON(t, ts.URL+"/hamming", &e)
 	if r.StatusCode != http.StatusBadRequest {
 		t.Errorf("missing q: %d", r.StatusCode)
@@ -389,54 +392,14 @@ func TestBatchEndpoint(t *testing.T) {
 	if len(resp2.Results) != 1 || len(resp2.Results[0].Matches) != 1 {
 		t.Errorf("plain batch = %+v", resp2.Results)
 	}
-}
 
-func TestBatchEndpointErrors(t *testing.T) {
-	srv := New(core.NewTrie(data, true), data)
-	srv.MaxBatch = 2
-	ts := httptest.NewServer(srv)
-	defer ts.Close()
-	cases := []struct {
-		body string
-		code int
-		err  error // the typed error's text, where there is one
-	}{
-		{`{"queries":[]}`, http.StatusBadRequest, nil},
-		{`not json`, http.StatusBadRequest, nil},
-		{`{"queries":[{"q":""}]}`, http.StatusBadRequest, nil},
-		{`{"queries":[{"q":"x","k":-1}]}`, http.StatusBadRequest, nil},
-		{`{"queries":[{"q":"x","k":99}]}`, http.StatusBadRequest, nil},
-		{`{"queries":[{"q":"a"},{"q":"b"},{"q":"c"}]}`, http.StatusRequestEntityTooLarge, nil},
-		{"{\"queries\":[{\"q\":\"b\xe9rn\"}]}", http.StatusBadRequest, errBodyNotUTF8},
-		{`{"queries":[{"q":"bern","q_b64":"YmVybg=="}]}`, http.StatusBadRequest, errBothQueryForms},
-		{`{"queries":[{"q_b64":"YmVybg"}]}`, http.StatusBadRequest, errBadQB64},
-	}
-	for _, c := range cases {
-		var e ErrorResponse
-		r := postJSON(t, ts.URL+"/search/batch", c.body, &e)
-		if r.StatusCode != c.code {
-			t.Errorf("%q: status %d, want %d", c.body, r.StatusCode, c.code)
-		}
-		if c.err != nil && e.Error != c.err.Error() {
-			t.Errorf("%q: error %q, want %q", c.body, e.Error, c.err)
-		}
-	}
 	// q_b64 carries any bytes: here bytes that are UTF-8, which must answer
 	// as q does.
 	var br BatchResponse
-	postJSON(t, ts.URL+"/search/batch", `{"queries":[{"q_b64":"YmVybg==","k":0},{"q":"bern","k":0}]}`, &br)
+	postJSON(t, plain.URL+"/search/batch", `{"queries":[{"q_b64":"YmVybg==","k":0},{"q":"bern","k":0}]}`, &br)
 	if len(br.Results) != 2 || len(br.Results[0].Matches) != 1 ||
 		!reflect.DeepEqual(br.Results[0], br.Results[1]) {
 		t.Errorf("q_b64 and q answer differently: %+v", br.Results)
-	}
-	// GET is rejected.
-	resp, err := http.Get(ts.URL + "/search/batch")
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusMethodNotAllowed {
-		t.Errorf("GET status %d", resp.StatusCode)
 	}
 }
 
@@ -457,7 +420,7 @@ func TestRequestTimeout(t *testing.T) {
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
 
-	var e ErrorResponse
+	var e errorResponse
 	r := getJSON(t, ts.URL+"/search?q=x&k=1", &e)
 	if r.StatusCode != http.StatusGatewayTimeout {
 		t.Errorf("search status = %d, want 504", r.StatusCode)
@@ -475,11 +438,11 @@ func TestBatchPerQueryDeadline(t *testing.T) {
 	// A sharded executor over blocking shards with a per-query timeout:
 	// the request succeeds and each query reports its own deadline error.
 	ex := exec.New(make([]string, 4), exec.Options{
-		Shards:       2,
-		QueryTimeout: 10 * time.Millisecond,
-		Factory:      func(d []string) core.Searcher { return blockingSearcher{} },
+		Shards:  2,
+		Factory: func(d []string) core.Searcher { return blockingSearcher{} },
 	})
 	srv := New(ex, nil)
+	srv.QueryTimeout = 10 * time.Millisecond
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
 	var resp BatchResponse

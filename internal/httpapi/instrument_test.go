@@ -29,17 +29,17 @@ func TestStatsComputedOnce(t *testing.T) {
 	}
 }
 
-// TestInstrumentPanicAccounted pins the instrument fix: a panicking handler
+// TestInstrumentPanicAccounted pins the instrumentation fix: a panicking handler
 // must still be visible to the request counter, the 5xx counter, and the
 // latency histogram, and the client must get a 500 instead of an empty reply.
 func TestInstrumentPanicAccounted(t *testing.T) {
 	s := New(core.NewTrie(data, true), data)
-	h := s.instrument("boom", func(w http.ResponseWriter, r *http.Request) {
+	s.front.Handle(http.MethodGet, "/boom", "boom", func(w http.ResponseWriter, r *http.Request) error {
 		panic("kaboom")
 	})
 
 	rec := httptest.NewRecorder()
-	h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/boom", nil))
+	s.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/boom", nil))
 	if rec.Code != http.StatusInternalServerError {
 		t.Errorf("panicking handler answered %d, want 500", rec.Code)
 	}
@@ -61,11 +61,11 @@ func TestInstrumentPanicAccounted(t *testing.T) {
 
 	// A handler that panics after committing a 200 cannot change the wire
 	// status, but the accounting must still count it as a 5xx.
-	h2 := s.instrument("lateboom", func(w http.ResponseWriter, r *http.Request) {
+	s.front.Handle(http.MethodGet, "/lateboom", "lateboom", func(w http.ResponseWriter, r *http.Request) error {
 		w.WriteHeader(http.StatusOK)
 		panic("late kaboom")
 	})
-	h2.ServeHTTP(httptest.NewRecorder(), httptest.NewRequest(http.MethodGet, "/lateboom", nil))
+	s.ServeHTTP(httptest.NewRecorder(), httptest.NewRequest(http.MethodGet, "/lateboom", nil))
 	sb.Reset()
 	if _, err := s.Registry().WriteTo(&sb); err != nil {
 		t.Fatal(err)
@@ -80,17 +80,18 @@ func TestInstrumentPanicAccounted(t *testing.T) {
 // writer, so streaming endpoints (/metrics, pprof trace) can flush.
 func TestStatusWriterPreservesFlusher(t *testing.T) {
 	s := New(core.NewTrie(data, true), data)
-	h := s.instrument("flush", func(w http.ResponseWriter, r *http.Request) {
+	s.front.Handle(http.MethodGet, "/flush", "flush", func(w http.ResponseWriter, r *http.Request) error {
 		f, ok := w.(http.Flusher)
 		if !ok {
 			t.Error("instrumented writer dropped http.Flusher")
-			return
+			return nil
 		}
 		w.Write([]byte("chunk"))
 		f.Flush()
+		return nil
 	})
 	rec := httptest.NewRecorder()
-	h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/flush", nil))
+	s.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/flush", nil))
 	if !rec.Flushed {
 		t.Error("Flush did not reach the underlying ResponseWriter")
 	}

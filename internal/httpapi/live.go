@@ -5,14 +5,13 @@ package httpapi
 //	POST /insert  {"s": "..."}  add a string (idempotent; echoes its id)
 //	POST /delete  {"s": "..."}  tombstone a string
 //
-// Both require Content-Type: application/json, enforce MaxBody and
-// MaxQueryLen, honor the configured Timeout (504 on expiry), and bump the
-// result cache's version-in-key generation after every effective mutation,
-// so no later search can be served a pre-mutation cached result.
+// Both require Content-Type: application/json, enforce the body and length
+// caps of the request contract, honor the configured Timeout (504 on
+// expiry), and bump the result cache's version-in-key generation after every
+// effective mutation, so no later search can be served a pre-mutation cached
+// result.
 
 import (
-	"encoding/json"
-	"errors"
 	"mime"
 	"net/http"
 	"strconv"
@@ -52,48 +51,23 @@ type mutateResponse struct {
 	TookµS  int64  `json:"took_us"`
 }
 
-// decodeMutation enforces method, content type, body size, valid UTF-8, and
-// string bounds, returning ok=false after writing the error response.
-func (s *Server) decodeMutation(w http.ResponseWriter, r *http.Request) (string, bool) {
-	if r.Method != http.MethodPost {
-		s.fail(w, http.StatusMethodNotAllowed, "POST only")
-		return "", false
-	}
-	if ct := r.Header.Get("Content-Type"); ct != "" {
-		if mt, _, err := mime.ParseMediaType(ct); err != nil || mt != "application/json" {
-			s.fail(w, http.StatusUnsupportedMediaType, "Content-Type must be application/json")
-			return "", false
-		}
-	} else {
-		s.fail(w, http.StatusUnsupportedMediaType, "Content-Type must be application/json")
-		return "", false
-	}
-	body := r.Body
-	if s.MaxBody > 0 {
-		body = http.MaxBytesReader(w, r.Body, s.MaxBody)
+// readMutation enforces content type, body size, valid UTF-8, and string
+// bounds.
+func readMutation(w http.ResponseWriter, r *http.Request) (string, error) {
+	if mt, _, err := mime.ParseMediaType(r.Header.Get("Content-Type")); err != nil || mt != "application/json" {
+		return "", &Error{Status: http.StatusUnsupportedMediaType, Msg: "Content-Type must be application/json"}
 	}
 	var req mutateRequest
-	if err := decodeUTF8(body, &req); err != nil {
-		var tooBig *http.MaxBytesError
-		if errors.As(err, &tooBig) {
-			s.fail(w, http.StatusRequestEntityTooLarge,
-				"request body exceeds the configured maximum of "+
-					strconv.FormatInt(tooBig.Limit, 10)+" bytes")
-			return "", false
-		}
-		s.fail(w, http.StatusBadRequest, err.Error())
-		return "", false
+	if err := readJSON(w, r, &req); err != nil {
+		return "", err
 	}
-	if req.S == "" {
-		s.fail(w, http.StatusBadRequest, "missing s field")
-		return "", false
+	switch {
+	case req.S == "":
+		return "", badRequest("missing s field")
+	case len(req.S) > maxQueryLen:
+		return "", badRequest("string exceeds the maximum of " + strconv.Itoa(maxQueryLen) + " bytes")
 	}
-	if s.MaxQueryLen > 0 && len(req.S) > s.MaxQueryLen {
-		s.fail(w, http.StatusBadRequest,
-			"string exceeds the configured maximum of "+strconv.Itoa(s.MaxQueryLen)+" bytes")
-		return "", false
-	}
-	return req.S, true
+	return req.S, nil
 }
 
 // bumpCacheVersion pushes the live engine's generation into the result
@@ -105,68 +79,42 @@ func (s *Server) bumpCacheVersion() {
 	}
 }
 
-func (s *Server) handleInsert(w http.ResponseWriter, r *http.Request) {
-	if s.live == nil {
-		s.fail(w, http.StatusNotImplemented, "insert requires a live engine")
-		return
+// handleMutation serves /insert, or /delete when insert is false.
+func (s *Server) handleMutation(insert bool) Endpoint {
+	op := "delete"
+	if insert {
+		op = "insert"
 	}
-	str, ok := s.decodeMutation(w, r)
-	if !ok {
-		return
+	return func(w http.ResponseWriter, r *http.Request) error {
+		if s.live == nil {
+			return &Error{Status: http.StatusNotImplemented, Msg: op + " requires a live engine"}
+		}
+		str, err := readMutation(w, r)
+		if err != nil {
+			return err
+		}
+		ctx, cancel := s.queryCtx(r)
+		defer cancel()
+		if err := ctx.Err(); err != nil {
+			return err
+		}
+		start := time.Now()
+		resp := mutateResponse{S: str}
+		if insert {
+			resp.ID, resp.Changed, err = s.live.Insert(str)
+		} else {
+			resp.Changed, err = s.live.Delete(str)
+		}
+		if err != nil {
+			return &Error{Status: http.StatusInternalServerError, Msg: err.Error()}
+		}
+		if resp.Changed {
+			s.bumpCacheVersion()
+		}
+		resp.Live = s.eng.Len()
+		resp.Version = s.live.VersionString()
+		resp.TookµS = time.Since(start).Microseconds()
+		WriteJSON(w, resp)
+		return nil
 	}
-	ctx, cancel := s.queryCtx(r)
-	defer cancel()
-	if err := ctx.Err(); err != nil {
-		s.failCtx(w, err)
-		return
-	}
-	start := time.Now()
-	id, changed, err := s.live.Insert(str)
-	if err != nil {
-		s.fail(w, http.StatusInternalServerError, err.Error())
-		return
-	}
-	if changed {
-		s.bumpCacheVersion()
-	}
-	resp := mutateResponse{
-		S: str, ID: id, Changed: changed, Live: s.eng.Len(),
-		Version: s.live.VersionString(),
-		TookµS:  time.Since(start).Microseconds(),
-	}
-	w.Header().Set("Content-Type", "application/json")
-	json.NewEncoder(w).Encode(resp)
-}
-
-func (s *Server) handleDelete(w http.ResponseWriter, r *http.Request) {
-	if s.live == nil {
-		s.fail(w, http.StatusNotImplemented, "delete requires a live engine")
-		return
-	}
-	str, ok := s.decodeMutation(w, r)
-	if !ok {
-		return
-	}
-	ctx, cancel := s.queryCtx(r)
-	defer cancel()
-	if err := ctx.Err(); err != nil {
-		s.failCtx(w, err)
-		return
-	}
-	start := time.Now()
-	changed, err := s.live.Delete(str)
-	if err != nil {
-		s.fail(w, http.StatusInternalServerError, err.Error())
-		return
-	}
-	if changed {
-		s.bumpCacheVersion()
-	}
-	resp := mutateResponse{
-		S: str, Changed: changed, Live: s.eng.Len(),
-		Version: s.live.VersionString(),
-		TookµS:  time.Since(start).Microseconds(),
-	}
-	w.Header().Set("Content-Type", "application/json")
-	json.NewEncoder(w).Encode(resp)
 }

@@ -165,8 +165,8 @@ func TestLiveMutationRejections(t *testing.T) {
 			t.Errorf("POST %s empty s: code %d, want 400", path, w.Code)
 		}
 
-		// Over MaxQueryLen.
-		long := `{"s":"` + strings.Repeat("a", s.MaxQueryLen+1) + `"}`
+		// Over maxQueryLen.
+		long := `{"s":"` + strings.Repeat("a", maxQueryLen+1) + `"}`
 		if w := postMutate(s, path, long); w.Code != http.StatusBadRequest {
 			t.Errorf("POST %s oversize s: code %d, want 400", path, w.Code)
 		}
@@ -174,7 +174,7 @@ func TestLiveMutationRejections(t *testing.T) {
 		// Not UTF-8: JSON decoding would turn the raw \xe9 into U+FFFD and
 		// store "caf\uFFFD", a string nobody sent.
 		w = postMutate(s, path, "{\"s\":\"caf\xe9\"}")
-		var e ErrorResponse
+		var e errorResponse
 		json.Unmarshal(w.Body.Bytes(), &e)
 		if w.Code != http.StatusBadRequest || e.Error != errBodyNotUTF8.Error() {
 			t.Errorf("POST %s not UTF-8: %d %q, want 400 %q", path, w.Code, e.Error, errBodyNotUTF8)
@@ -187,8 +187,7 @@ func TestLiveMutationRejections(t *testing.T) {
 
 func TestLiveMutationBodyLimit(t *testing.T) {
 	s, _ := liveServer(t, []string{"one"})
-	s.MaxBody = 64
-	body := `{"s":"` + strings.Repeat("a", 256) + `"}`
+	body := `{"s":"` + strings.Repeat("a", maxBody) + `"}`
 	if w := postMutate(s, "/insert", body); w.Code != http.StatusRequestEntityTooLarge {
 		t.Fatalf("oversize body: code %d, want 413", w.Code)
 	}

@@ -2,6 +2,7 @@ package httpapi
 
 import (
 	"bufio"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"strconv"
@@ -134,7 +135,7 @@ func TestTopKTimeout(t *testing.T) {
 	srv.Timeout = 20 * time.Millisecond
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
-	var e ErrorResponse
+	var e errorResponse
 	r := getJSON(t, ts.URL+"/topk?q=x&n=2&maxk=2", &e)
 	if r.StatusCode != http.StatusGatewayTimeout {
 		t.Errorf("topk status = %d, want 504", r.StatusCode)
@@ -149,7 +150,7 @@ func TestTopKHammingExpiredTimeout(t *testing.T) {
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
 	for _, u := range []string{"/topk?q=berlni&n=2&maxk=2", "/hamming?q=bern&k=1"} {
-		var e ErrorResponse
+		var e errorResponse
 		r := getJSON(t, ts.URL+u, &e)
 		if r.StatusCode != http.StatusGatewayTimeout {
 			t.Errorf("%s status = %d, want 504", u, r.StatusCode)
@@ -182,20 +183,22 @@ func TestStatsHealthMethods(t *testing.T) {
 	}
 }
 
-// TestTopKClamp: n beyond MaxTopK is clamped, not an error and not an
+// TestTopKClamp: n beyond maxTopK is clamped, not an error and not an
 // unbounded allocation.
 func TestTopKClamp(t *testing.T) {
-	srv := New(core.NewTrie(data, true), data)
-	srv.MaxTopK = 2
-	ts := httptest.NewServer(srv)
+	var many []string
+	for i := 0; len(many) < 2*maxTopK; i++ {
+		many = append(many, fmt.Sprintf("c%03d", i))
+	}
+	ts := httptest.NewServer(New(core.NewTrie(many, true), many))
 	defer ts.Close()
 	var resp SearchResponse
-	r := getJSON(t, ts.URL+"/topk?q=bern&n=1000000&maxk=3", &resp)
+	r := getJSON(t, ts.URL+"/topk?q=c000&n=1000000&maxk=3", &resp)
 	if r.StatusCode != http.StatusOK {
 		t.Fatalf("status %d", r.StatusCode)
 	}
-	if len(resp.Matches) > 2 {
-		t.Errorf("clamp failed: %d matches", len(resp.Matches))
+	if len(resp.Matches) != maxTopK {
+		t.Errorf("clamp: %d matches of %d within reach, want %d", len(resp.Matches), len(many), maxTopK)
 	}
 }
 

@@ -13,7 +13,7 @@ import (
 // BenchmarkLiveInsert measures the write path: WAL-less insert into the
 // delta with periodic flushes at the default limit.
 func BenchmarkLiveInsert(b *testing.B) {
-	st, err := Open(Options{MaxSegments: 1 << 30})
+	st, err := Open(Options{maxSegments: 1 << 30})
 	if err != nil {
 		b.Fatalf("Open: %v", err)
 	}
@@ -45,7 +45,7 @@ func BenchmarkLiveSearch(b *testing.B) {
 		{"reads", dedupe(dataset.DNAReads(9000, 22)), 5000, [2]int{2, 4}},
 	} {
 		b.Run(c.name, func(b *testing.B) {
-			st, err := Open(Options{Seed: seedEntries(c.data[:c.seed]), FlushLimit: 1 << 20, MaxSegments: 100})
+			st, err := Open(Options{Seed: seedEntries(c.data[:c.seed]), FlushLimit: 1 << 20, maxSegments: 100})
 			if err != nil {
 				b.Fatalf("Open: %v", err)
 			}

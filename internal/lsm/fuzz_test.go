@@ -81,7 +81,7 @@ func FuzzLiveIdentical(f *testing.F) {
 		if persist {
 			dir = t.TempDir()
 		}
-		opts := Options{Dir: dir, FlushLimit: 6, MaxSegments: 3}
+		opts := Options{Dir: dir, FlushLimit: 6, maxSegments: 3}
 		st, err := Open(opts)
 		if err != nil {
 			t.Fatalf("Open: %v", err)

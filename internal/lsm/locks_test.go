@@ -40,7 +40,7 @@ func finishes(t *testing.T, d time.Duration, what string, fn func()) {
 // would then wait for mu at its swap.
 func TestCompactionsOverlapWithoutDeadlock(t *testing.T) {
 	universe := take(t, dedupe(cityUniverse(800)), 300)
-	st, err := Open(Options{Seed: seedEntries(universe[:150]), FlushLimit: 4, MaxSegments: 2})
+	st, err := Open(Options{Seed: seedEntries(universe[:150]), FlushLimit: 4, maxSegments: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -119,7 +119,7 @@ func TestEarlyReturnsReleaseMu(t *testing.T) {
 func TestWritesUnderMuReachReadersAndDisk(t *testing.T) {
 	dir := t.TempDir()
 	universe := take(t, dedupe(cityUniverse(400)), 120)
-	st, err := Open(Options{Dir: dir, FlushLimit: 8, MaxSegments: 100})
+	st, err := Open(Options{Dir: dir, FlushLimit: 8, maxSegments: 100})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -59,7 +59,7 @@ func TestInsertDeleteReinsertIsIdentity(t *testing.T) {
 	}
 
 	// The untouched twin: seeded, never disturbed.
-	calm := mustOpen(t, Options{Seed: seedEntries(seed), FlushLimit: 1 << 20, MaxSegments: 100})
+	calm := mustOpen(t, Options{Seed: seedEntries(seed), FlushLimit: 1 << 20, maxSegments: 100})
 	calmTop := make([][]core.Match, len(queries))
 	for qi, q := range queries {
 		calmTop[qi] = core.TopK(calm, q.Text, 3, q.K)
@@ -69,7 +69,7 @@ func TestInsertDeleteReinsertIsIdentity(t *testing.T) {
 		for b1 := nothing; b1 <= flushCompact; b1++ {
 			for b2 := nothing; b2 <= flushCompact; b2++ {
 				for b3 := nothing; b3 <= flushCompact; b3++ {
-					st := mustOpen(t, Options{Seed: seedEntries(seed), FlushLimit: 1 << 20, MaxSegments: 100})
+					st := mustOpen(t, Options{Seed: seedEntries(seed), FlushLimit: 1 << 20, maxSegments: 100})
 					if _, _, err := st.Insert(target); err != nil {
 						t.Fatalf("insert: %v", err)
 					}

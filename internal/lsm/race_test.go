@@ -48,7 +48,7 @@ func TestConcurrentSearchWriteCompact(t *testing.T) {
 	st := mustOpen(t, Options{
 		Seed:        seedEntries(universe[:100]),
 		FlushLimit:  16,
-		MaxSegments: 2,
+		maxSegments: 2,
 	})
 
 	const (
@@ -108,7 +108,7 @@ func TestConcurrentSearchWriteCompact(t *testing.T) {
 
 func TestCancelledSearchNeverBlocksCompactor(t *testing.T) {
 	universe := take(t, dedupe(cityUniverse(300)), 150)
-	st := mustOpen(t, Options{Seed: seedEntries(universe), FlushLimit: 8, MaxSegments: 2})
+	st := mustOpen(t, Options{Seed: seedEntries(universe), FlushLimit: 8, maxSegments: 2})
 
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel() // cancelled before the searches even start
@@ -146,7 +146,7 @@ func TestCancelledSearchNeverBlocksCompactor(t *testing.T) {
 
 func TestConcurrentSearchersDuringCompaction(t *testing.T) {
 	universe := take(t, dedupe(cityUniverse(400)), 150)
-	st := mustOpen(t, Options{FlushLimit: 1 << 20, MaxSegments: 100})
+	st := mustOpen(t, Options{FlushLimit: 1 << 20, maxSegments: 100})
 	// Build many segments by hand so every Compact has real work.
 	for i, s := range universe {
 		st.Insert(s)

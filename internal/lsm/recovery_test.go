@@ -57,8 +57,8 @@ func TestCrashMidCompactionRecovers(t *testing.T) {
 			st, err := Open(Options{
 				Dir:         dir,
 				FlushLimit:  1 << 20,
-				MaxSegments: 100, // no background interference: the crash is scripted
-				CompactHook: func(s string) bool {
+				maxSegments: 100, // no background interference: the crash is scripted
+				compactHook: func(s string) bool {
 					return !(arm.Load() && s == stage)
 				},
 			})
@@ -206,7 +206,7 @@ func TestTornWALTailRecovers(t *testing.T) {
 func TestRecoveryCheckpointsToSingleSegment(t *testing.T) {
 	universe := take(t, dedupe(cityUniverse(80)), 50)
 	dir := t.TempDir()
-	st, err := Open(Options{Dir: dir, FlushLimit: 5, MaxSegments: 100})
+	st, err := Open(Options{Dir: dir, FlushLimit: 5, maxSegments: 100})
 	if err != nil {
 		t.Fatalf("Open: %v", err)
 	}

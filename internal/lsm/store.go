@@ -77,17 +77,17 @@ type Options struct {
 	// FlushLimit is the delta size that triggers an automatic flush
 	// (default 1024).
 	FlushLimit int
-	// MaxSegments is the segment count above which a flush schedules a
-	// background compaction (default 4).
-	MaxSegments int
+	// maxSegments is the segment count above which a flush schedules a
+	// background compaction (default 4; tests set others).
+	maxSegments int
 	// Alloc is the id allocator; nil gets a private one. Shared across
 	// stores when several shards must draw from one id space.
 	Alloc *IDAlloc
-	// CompactHook, when set, is called at named stages of a compaction;
+	// compactHook, when set, is called at named stages of a compaction;
 	// returning false abandons the compaction at that point, leaving disk
 	// state mid-transition. Test-only: this is how the crash-recovery
 	// suite simulates dying mid-compaction.
-	CompactHook func(stage string) bool
+	compactHook func(stage string) bool
 }
 
 // Store is the live mutable dictionary engine. It implements core.Searcher
@@ -133,8 +133,8 @@ func Open(o Options) (*Store, error) {
 		alloc:       o.Alloc,
 		dir:         o.Dir,
 		flushLimit:  o.FlushLimit,
-		maxSegments: o.MaxSegments,
-		hook:        o.CompactHook,
+		maxSegments: o.maxSegments,
+		hook:        o.compactHook,
 		compactCh:   make(chan struct{}, 1),
 		quit:        make(chan struct{}),
 	}

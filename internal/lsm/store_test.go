@@ -19,7 +19,7 @@ func mustOpen(t *testing.T, o Options) *Store {
 func TestInsertDeleteSearch(t *testing.T) {
 	universe := take(t, dedupe(cityUniverse(200)), 60)
 	seed := universe[:20]
-	st := mustOpen(t, Options{Seed: seedEntries(seed), FlushLimit: 8, MaxSegments: 100})
+	st := mustOpen(t, Options{Seed: seedEntries(seed), FlushLimit: 8, maxSegments: 100})
 	m := newModel(seed)
 
 	checkAll(t, st, m, universe, 2)
@@ -63,7 +63,7 @@ func TestInsertDeleteSearch(t *testing.T) {
 }
 
 func TestReinsertRevivesID(t *testing.T) {
-	st := mustOpen(t, Options{FlushLimit: 2, MaxSegments: 100})
+	st := mustOpen(t, Options{FlushLimit: 2, maxSegments: 100})
 	id1, _, _ := st.Insert("alpha")
 	st.Insert("beta")
 	st.Insert("gamma") // forces a flush at limit 2
@@ -82,7 +82,7 @@ func TestReinsertRevivesID(t *testing.T) {
 
 func TestFlushAndCompactPreserveResults(t *testing.T) {
 	universe := dedupe(append(cityUniverse(40), dnaUniverse(20, 12)...))
-	st := mustOpen(t, Options{FlushLimit: 1 << 20, MaxSegments: 100})
+	st := mustOpen(t, Options{FlushLimit: 1 << 20, maxSegments: 100})
 	m := newModel(nil)
 	for i, s := range universe {
 		st.Insert(s)
@@ -119,7 +119,7 @@ func TestFlushAndCompactPreserveResults(t *testing.T) {
 }
 
 func TestTombstonesSurviveCompaction(t *testing.T) {
-	st := mustOpen(t, Options{FlushLimit: 1 << 20, MaxSegments: 100})
+	st := mustOpen(t, Options{FlushLimit: 1 << 20, maxSegments: 100})
 	st.Insert("alpha")
 	st.Insert("beta")
 	st.Flush()

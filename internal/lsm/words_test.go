@@ -93,7 +93,7 @@ func TestWordPlacements(t *testing.T) {
 		},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			st := mustOpen(t, Options{FlushLimit: 1 << 20, MaxSegments: 100})
+			st := mustOpen(t, Options{FlushLimit: 1 << 20, maxSegments: 100})
 			m := newModel(nil)
 			apply(t, st, m, tc.ops...)
 			if tc.check != nil {
@@ -160,7 +160,7 @@ func manyMatches(t *testing.T) (*Store, *model) {
 	for i := 1; i <= 512; i++ {
 		ops = append(ops, "-"+ops[5*i][1:], "+"+ops[5*i][1:]+"x")
 	}
-	st := mustOpen(t, Options{FlushLimit: 1 << 20, MaxSegments: 100})
+	st := mustOpen(t, Options{FlushLimit: 1 << 20, maxSegments: 100})
 	m := newModel(nil)
 	apply(t, st, m, ops...)
 	if n := len(st.delta.owned); n != 1024 || len(st.segs) != 1 {
@@ -197,7 +197,7 @@ func TestOwnedSetLazyBranch(t *testing.T) {
 // grows with the delta (a set of its ids alone is four more).
 func TestSearchAllocatesNoMap(t *testing.T) {
 	universe := take(t, dedupe(dataset.Cities(1500, 22)), 1112)
-	st := mustOpen(t, Options{FlushLimit: 1 << 20, MaxSegments: 100})
+	st := mustOpen(t, Options{FlushLimit: 1 << 20, maxSegments: 100})
 	m := newModel(nil)
 	apply(t, st, m, append(plus(universe[:600]), "F")...)
 	apply(t, st, m, plus(universe[600:1112])...)
@@ -218,7 +218,7 @@ func TestSearchAllocatesNoMap(t *testing.T) {
 // backing array and flushes the delta it belonged to.
 func TestOwnedSnapshotSurvivesWrites(t *testing.T) {
 	universe := dedupe(dataset.Cities(1500, 23))
-	st := mustOpen(t, Options{FlushLimit: 64, MaxSegments: 100})
+	st := mustOpen(t, Options{FlushLimit: 64, maxSegments: 100})
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
@@ -270,7 +270,7 @@ func TestGramSlabFollowsSegmentBytes(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			dir := t.TempDir()
-			st, err := Open(Options{Dir: dir, FlushLimit: 1 << 20, MaxSegments: 100})
+			st, err := Open(Options{Dir: dir, FlushLimit: 1 << 20, maxSegments: 100})
 			if err != nil {
 				t.Fatalf("Open: %v", err)
 			}
@@ -329,7 +329,7 @@ func TestWordOrderIsDerivedData(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			dir := t.TempDir()
-			st, err := Open(Options{Dir: dir, FlushLimit: 1 << 20, MaxSegments: 100})
+			st, err := Open(Options{Dir: dir, FlushLimit: 1 << 20, maxSegments: 100})
 			if err != nil {
 				t.Fatalf("Open: %v", err)
 			}

@@ -41,9 +41,8 @@ type Live struct {
 // caller's goroutine, and fans them out only once the engine has measured
 // that a store's share at that threshold is long enough to pay for the
 // hand-off. opts contributes Workers (the pool those searches fan out on),
-// CacheSize (query-result cache above the stores), FlushLimit and
-// MaxSegments via their defaults; other engine options do not apply to the
-// live store.
+// CacheSize (query-result cache above the stores); other engine options do
+// not apply to the live store.
 func NewLive(data []string, shards int, opts Options) *Live {
 	lv, err := OpenLive("", data, shards, opts)
 	if err != nil {

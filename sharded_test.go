@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"simsearch"
+	"simsearch/internal/core"
 )
 
 // TestNewShardedMatchesSingleEngine: the public sharded constructor returns
@@ -98,8 +99,8 @@ func TestPublicSearchBatchContext(t *testing.T) {
 func TestShardedQueryTimeoutOption(t *testing.T) {
 	// A generous per-query deadline changes nothing on a fast dataset.
 	data := simsearch.GenerateCities(200, 9)
-	ex := simsearch.NewSharded(data, 2, simsearch.Options{QueryTimeout: time.Minute})
-	res, err := ex.SearchBatchContext(context.Background(),
+	ex := simsearch.NewSharded(data, 2, simsearch.Options{})
+	res, err := ex.SearchBatchContext(core.WithQueryTimeout(context.Background(), time.Minute),
 		[]simsearch.Query{{Text: data[0], K: 0}})
 	if err != nil || res[0].Err != nil || len(res[0].Matches) == 0 {
 		t.Fatalf("res = %+v, err = %v", res, err)

@@ -32,7 +32,6 @@ package simsearch
 
 import (
 	"context"
-	"time"
 
 	"simsearch/internal/cache"
 	"simsearch/internal/core"
@@ -97,21 +96,12 @@ type Options struct {
 	// queries). Other engines answer each query on one goroutine; NewSharded
 	// sizes its pool with it.
 	Workers int
-	// Uncompressed keeps the Trie engine's tree uncompressed (the paper's
-	// §4.1 base index). Ignored by other algorithms.
-	Uncompressed bool
-	// SortByLength enables the Scan engine's length-window optimization
-	// (paper §6 "Sorting").
-	SortByLength bool
 	// PaperFaithful selects the engines exactly as the paper describes them
 	// (§3.2 unbanded kernel for Scan, §4.1 d_m-diagonal pruning for Trie)
 	// instead of the faster modern variants this library defaults to.
 	// Results are identical either way; only speed differs. The benchmark
 	// harness uses the faithful variants to reproduce the paper's tables.
 	PaperFaithful bool
-	// QueryTimeout gives every query in a Sharded batch its own deadline
-	// (see NewSharded); plain engines ignore it.
-	QueryTimeout time.Duration
 	// CacheSize > 0 wraps the engine in a query-result cache with this
 	// many entries (see NewCached): repeated queries are answered from a
 	// sharded LRU and concurrent identical queries are coalesced into one
@@ -138,7 +128,7 @@ func newEngine(data []string, opts Options) Searcher {
 		if !opts.PaperFaithful {
 			topts = append(topts, trie.WithModernPruning())
 		}
-		return core.NewTrie(data, !opts.Uncompressed, topts...)
+		return core.NewTrie(data, true, topts...)
 	case Cascade, BitParallel, Router:
 		// The cascade engine answers each query serially; parallelism comes
 		// from sharding (NewSharded) like the other serial engines.
@@ -153,9 +143,6 @@ func newEngine(data []string, opts Options) Searcher {
 		}
 		if !opts.PaperFaithful {
 			sopts = append(sopts, scan.WithBandedKernel())
-		}
-		if opts.SortByLength {
-			sopts = append(sopts, scan.WithSortByLength())
 		}
 		return core.NewSequential(data, sopts...)
 	}
@@ -230,8 +217,7 @@ type QueryResult = exec.QueryResult
 // (GOMAXPROCS when <= 0). A single query runs its shards one after another
 // on the caller's goroutine, and fans them out on that pool only once the
 // executor has measured that a shard's share at that threshold is long
-// enough to pay for the hand-off. opts.QueryTimeout, when set, bounds each
-// query in SearchBatchContext individually.
+// enough to pay for the hand-off.
 //
 // The executor returns byte-for-byte the same matches in the same order as
 // the corresponding single engine, for every shard count; sharding changes
@@ -243,10 +229,9 @@ func NewSharded(data []string, shards int, opts Options) *Sharded {
 	// (wrap the returned executor with NewCached); shard engines stay bare.
 	inner.CacheSize = 0
 	return exec.New(data, exec.Options{
-		Shards:       shards,
-		Factory:      func(d []string) core.Searcher { return New(d, inner) },
-		Runner:       pool.Fixed{Workers: opts.Workers},
-		QueryTimeout: opts.QueryTimeout,
+		Shards:  shards,
+		Factory: func(d []string) core.Searcher { return New(d, inner) },
+		Runner:  pool.Fixed{Workers: opts.Workers},
 	})
 }
 

@@ -6,7 +6,9 @@ import (
 	"testing"
 
 	"simsearch"
+	"simsearch/internal/core"
 	"simsearch/internal/dataset"
+	"simsearch/internal/scan"
 )
 
 var cities = []string{"berlin", "bern", "bonn", "ulm", "munich", "köln"}
@@ -34,9 +36,9 @@ func TestAllAlgorithmsAgree(t *testing.T) {
 		simsearch.NewIndex(cities),
 		simsearch.NewParallelScan(cities, 2),
 		simsearch.NewCascade(cities),
-		simsearch.New(cities, simsearch.Options{Algorithm: simsearch.Trie, Uncompressed: true}),
+		core.NewTrie(cities, false),
 		simsearch.New(cities, simsearch.Options{Algorithm: simsearch.Trie, PaperFaithful: true}),
-		simsearch.New(cities, simsearch.Options{SortByLength: true}),
+		core.NewSequential(cities, scan.WithStrategy(scan.SimpleTypes), scan.WithBandedKernel(), scan.WithSortByLength()),
 		simsearch.New(cities, simsearch.Options{Workers: 4}),
 	}
 	for _, eng := range engines {
