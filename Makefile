@@ -2,14 +2,14 @@ GO ?= go
 
 # Packages with nontrivial concurrency: the worker pools, the sharded
 # executor, the result cache and its coalescer, the HTTP server, the parallel
-# scan engine, the lock-free metrics primitives, the bench harness's
-# concurrent clients, the LSM store (searches racing writes, flushes, and
-# background compaction), the scatter-gather coordinator (hedged RPCs,
-# breakers, admission control), the analysis framework (its fixture loader
-# shares a package cache that the dual test units exercise), the engine
-# facade (interruptible search runs an engine on a goroutine of its own), the
-# engine wrappers (the cascade's shared counters under concurrent queries)
-# and the parallel join.
+# scan engine, the lock-free metrics primitives, the paper harness (its
+# thread sweeps drive the parallel engines), the LSM store (searches racing
+# writes, flushes, and background compaction), the scatter-gather
+# coordinator (hedged RPCs, breakers, admission control), the analysis
+# framework (its fixture loader shares a package cache that the dual test
+# units exercise), the engine facade (interruptible search runs an engine on
+# a goroutine of its own), the engine wrappers (the cascade's shared counters
+# under concurrent queries) and the parallel join.
 # TestCILists (ci_test.go) fails when a package whose own code starts
 # goroutines is missing here, or a fuzz target from fuzz-smoke below.
 RACE_PKGS = ./internal/pool ./internal/exec ./internal/cache ./internal/httpapi ./internal/scan ./internal/metrics ./internal/bench ./internal/lsm ./internal/distrib ./internal/analysis ./internal/core ./internal/join
@@ -60,15 +60,16 @@ fuzz-smoke:
 	$(GO) test -run=NONE -fuzz='^FuzzLiveIdentical$$' -fuzztime=$(FUZZ_SMOKE_TIME) ./internal/lsm
 	$(GO) test -run=NONE -fuzz='^FuzzCoordMerge$$' -fuzztime=$(FUZZ_SMOKE_TIME) ./internal/distrib
 
-# Micro-benchmarks (go test -bench) plus the bit-parallel ablation
-# (BENCH_4.json), the cascade stage ablation over the DNA workload
-# (BENCH_7.json) and the distributed serving sweep (BENCH_8.json) for
-# cross-PR perf tracking.
+# Micro-benchmarks (go test -bench) plus the paper harness's two ablations
+# with machine-readable records: the bit-parallel ablation (BENCH_4.json) and
+# the cascade stage ablation over the DNA workload (BENCH_7.json). The
+# serving stack is measured by the fixed benchmark (benchmark/), not here.
+# TestCILists (ci_test.go) fails when a root BENCH_*.json has no -json line
+# here, or a -json line names a file that is not committed.
 bench:
 	$(GO) test -bench . -benchmem -run=NONE .
 	$(GO) run ./cmd/paperbench -workload city -bitparallel -json BENCH_4.json
 	$(GO) run ./cmd/paperbench -workload dna -cascade -json BENCH_7.json
-	$(GO) run ./cmd/paperbench -distrib -json BENCH_8.json
 
 # One iteration of every benchmark; part of CI so bench code cannot rot.
 # The cascade smoke additionally fails if any enabled filter stage stops

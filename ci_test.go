@@ -34,8 +34,28 @@ func TestCILists(t *testing.T) {
 	if len(racePkgs) == 0 {
 		t.Fatal("no RACE_PKGS line in the Makefile")
 	}
-	smoke := makefile[strings.Index(makefile, "\nfuzz-smoke:"):]
-	smoke = smoke[:strings.Index(smoke, "\n\n")]
+	target := func(name string) string {
+		body := makefile[strings.Index(makefile, "\n"+name+":"):]
+		return body[:strings.Index(body, "\n\n")]
+	}
+	smoke := target("fuzz-smoke")
+
+	written := map[string]bool{}
+	for _, m := range regexp.MustCompile(`-json\s+(\S+)`).FindAllStringSubmatch(target("bench"), -1) {
+		written[m[1]] = true
+		if _, err := os.Stat(m[1]); err != nil {
+			t.Errorf("make bench writes %s, which is not in the tree: commit it or drop its line", m[1])
+		}
+	}
+	committed, err := filepath.Glob("BENCH_*.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, f := range committed {
+		if !written[f] {
+			t.Errorf("%s is in the tree but no -json argument of make bench writes it: delete it or give it a line", f)
+		}
+	}
 
 	if ci, err := os.ReadFile("scripts/ci.sh"); err != nil || !strings.Contains(string(ci), "make check") ||
 		strings.Contains(string(ci), "-fuzz=") || strings.Contains(string(ci), "-race") {

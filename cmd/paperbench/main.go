@@ -9,12 +9,10 @@
 //	paperbench -table 3        # only Table III
 //	paperbench -figure 6       # only Figure 6
 //	paperbench -workload city  # only city-name experiments
-//	paperbench -cache          # + Zipf-skewed replay through the result cache
 //	paperbench -bitparallel    # + the bit-parallel scan ablation (Table XV)
 //	paperbench -cascade        # + the filter-cascade ablation (Table XVI)
 //	paperbench -cascadecheck   # CI gate: cascade correctness + block-summary and signature-stage pruning on small datasets
-//	paperbench -distrib        # distributed serving sweep: local shard fleet, hedging on/off, slow-shard fault
-//	paperbench -json OUT.json  # + machine-readable records (implies -bitparallel unless -cascade/-distrib)
+//	paperbench -json OUT.json  # + machine-readable records (implies -bitparallel unless -cascade)
 //
 // Per §5.2, only the result-calculation time is reported; dataset generation
 // and index construction are excluded from every cell. Cells whose direct
@@ -30,8 +28,6 @@ import (
 	"time"
 
 	"simsearch/internal/bench"
-	"simsearch/internal/core"
-	"simsearch/internal/scan"
 )
 
 func main() {
@@ -40,8 +36,6 @@ func main() {
 		table    = flag.Int("table", 0, "run only this table number (1-9)")
 		figure   = flag.Int("figure", 0, "run only this figure number (6 or 7)")
 		workload = flag.String("workload", "", "restrict to one workload: city or dna")
-		latency  = flag.Bool("latency", false, "also print per-query latency distributions (beyond the paper's totals)")
-		hist     = flag.Bool("hist", false, "dump /metrics-style latency histograms and comparison counts after each table")
 		extra    = flag.Bool("extra", false, "also run the extension experiments (join race, engine matrix)")
 		shards   = flag.Bool("shards", false, "also run the sharded-executor sweep (Table XIV), the serving-path analogue of the paper's worker sweep")
 		workers  = flag.Int("workers", 0, "pool workers for the shard sweep (default GOMAXPROCS)")
@@ -49,13 +43,6 @@ func main() {
 		casc     = flag.Bool("cascade", false, "also run the filter-cascade ablation (Table XVI: the cascade at k=1..3, with and without its signature word)")
 		cascChk  = flag.Bool("cascadecheck", false, "run only the cascade CI gate: tiny-dataset correctness vs the DP oracle plus the prune check on each signature kind")
 		jsonPath = flag.String("json", "", "write machine-readable measurements (engine, dataset, k, ns/query, comparisons) to this file; implies -bitparallel unless -cascade is given")
-		cacheRun = flag.Bool("cache", false, "also replay a Zipf-skewed query stream through the result cache (hit rate vs speedup)")
-		cacheN   = flag.Int("cachequeries", 2000, "stream length for the -cache replay")
-		cacheSz  = flag.Int("cachesize", 512, "cache capacity for the -cache replay")
-		cacheS   = flag.Float64("cacheskew", 1.4, "Zipf exponent for the -cache replay (larger = more head-heavy)")
-		distribF = flag.Bool("distrib", false, "run only the distributed serving sweep: a local shard fleet behind the scatter-gather coordinator, hedging on/off, one-slow-shard fault injection")
-		dRate    = flag.Float64("distribrate", 0, "offered open-loop load in qps for -distrib (default 300)")
-		dDur     = flag.Duration("distribdur", 0, "measured window per -distrib cell (default 2s)")
 	)
 	flag.Parse()
 
@@ -67,37 +54,6 @@ func main() {
 			os.Exit(1)
 		}
 		fmt.Println("cascade check ok: results identical to the DP scan, the block summaries and the signature stage pruned, on both alphabets")
-		return
-	}
-
-	if *distribF {
-		// Standalone like -cascadecheck: the serving sweep builds its own
-		// dataset, so the paper workloads are never constructed.
-		dcfg := bench.DefaultDistribConfig()
-		if *dRate > 0 {
-			dcfg.Rate = *dRate
-		}
-		if *dDur > 0 {
-			dcfg.Duration = *dDur
-		}
-		fmt.Println("distributed serving sweep (open-loop Zipf load through the coordinator):")
-		cells, err := bench.DistribSweep(os.Stdout, dcfg)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "paperbench: distrib sweep: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Println()
-		bench.DistribReport(os.Stdout, dcfg, cells)
-		if *jsonPath != "" {
-			report := bench.NewReport(1)
-			report.Strings = dcfg.Strings
-			report.Add(bench.DistribRecords(dcfg, cells)...)
-			if err := report.WriteFile(*jsonPath); err != nil {
-				fmt.Fprintf(os.Stderr, "paperbench: writing %s: %v\n", *jsonPath, err)
-				os.Exit(1)
-			}
-			fmt.Printf("wrote %d records to %s (GOMAXPROCS=%d)\n", len(report.Records), *jsonPath, report.GOMAXPROCS)
-		}
 		return
 	}
 
@@ -141,23 +97,6 @@ func main() {
 		id   string
 		want bool
 		run  func() *bench.Table
-		wls  []*bench.Workload // workloads the experiment measured, for -hist
-	}
-	// histDump replays a table's workload through the serving-path histogram
-	// report. The serial replay is capped at histQueries queries so the DNA
-	// workload (where a single k=16 scan query is seconds) stays in budget.
-	const histQueries = 200
-	histDump := func(wls []*bench.Workload) {
-		for _, wl := range wls {
-			sub := *wl
-			if len(sub.Queries) > histQueries {
-				sub.Queries = sub.Queries[:histQueries]
-			}
-			if wl.Name == "dna" && len(sub.Queries) > 20 {
-				sub.Queries = sub.Queries[:20]
-			}
-			bench.HistogramReport(os.Stdout, sub)
-		}
 	}
 	only := func(t, f int) bool {
 		if *table == 0 && *figure == 0 {
@@ -166,17 +105,17 @@ func main() {
 		return (*table != 0 && *table == t) || (*figure != 0 && *figure == f)
 	}
 	experiments := []experiment{
-		{"table1", only(1, 0) && needCity && needDNA, func() *bench.Table { return bench.TableI(city, dna) }, []*bench.Workload{&city, &dna}},
-		{"table2", only(2, 0) && needCity, func() *bench.Table { return bench.TableII(city) }, []*bench.Workload{&city}},
-		{"table3", only(3, 0) && needCity, func() *bench.Table { return bench.TableIII(city) }, []*bench.Workload{&city}},
-		{"table4", only(4, 0) && needCity, func() *bench.Table { return bench.TableIV(city) }, []*bench.Workload{&city}},
-		{"table5", only(5, 0) && needCity, func() *bench.Table { return bench.TableV(city) }, []*bench.Workload{&city}},
-		{"table6", only(6, 0) && needDNA, func() *bench.Table { return bench.TableVI(dna) }, []*bench.Workload{&dna}},
-		{"table7", only(7, 0) && needDNA, func() *bench.Table { return bench.TableVII(dna) }, []*bench.Workload{&dna}},
-		{"table8", only(8, 0) && needDNA, func() *bench.Table { return bench.TableVIII(dna) }, []*bench.Workload{&dna}},
-		{"table9", only(9, 0) && needDNA, func() *bench.Table { return bench.TableIX(dna) }, []*bench.Workload{&dna}},
-		{"figure6", only(0, 6) && needCity, func() *bench.Table { return bench.Figure6(city) }, []*bench.Workload{&city}},
-		{"figure7", only(0, 7) && needDNA, func() *bench.Table { return bench.Figure7(dna) }, []*bench.Workload{&dna}},
+		{"table1", only(1, 0) && needCity && needDNA, func() *bench.Table { return bench.TableI(city, dna) }},
+		{"table2", only(2, 0) && needCity, func() *bench.Table { return bench.TableII(city) }},
+		{"table3", only(3, 0) && needCity, func() *bench.Table { return bench.TableIII(city) }},
+		{"table4", only(4, 0) && needCity, func() *bench.Table { return bench.TableIV(city) }},
+		{"table5", only(5, 0) && needCity, func() *bench.Table { return bench.TableV(city) }},
+		{"table6", only(6, 0) && needDNA, func() *bench.Table { return bench.TableVI(dna) }},
+		{"table7", only(7, 0) && needDNA, func() *bench.Table { return bench.TableVII(dna) }},
+		{"table8", only(8, 0) && needDNA, func() *bench.Table { return bench.TableVIII(dna) }},
+		{"table9", only(9, 0) && needDNA, func() *bench.Table { return bench.TableIX(dna) }},
+		{"figure6", only(0, 6) && needCity, func() *bench.Table { return bench.Figure6(city) }},
+		{"figure7", only(0, 7) && needDNA, func() *bench.Table { return bench.Figure7(dna) }},
 	}
 
 	if *jsonPath != "" && !*casc {
@@ -192,12 +131,9 @@ func main() {
 		tab := e.run()
 		tab.Render(os.Stdout)
 		fmt.Printf("[%s completed in %v; best row: %s]\n\n", e.id, time.Since(start).Round(time.Millisecond), tab.Best())
-		if *hist {
-			histDump(e.wls)
-		}
 		ran++
 	}
-	if ran == 0 && !*extra && !*shards && !*cacheRun && !*bitp && !*casc {
+	if ran == 0 && !*extra && !*shards && !*bitp && !*casc {
 		fmt.Fprintln(os.Stderr, "paperbench: no experiment selected (check -table/-figure/-workload)")
 		os.Exit(1)
 	}
@@ -297,43 +233,6 @@ func main() {
 			tab.Render(os.Stdout)
 			fmt.Printf("[tableXIV %s completed in %v; best row: %s]\n\n",
 				w.wl.Name, time.Since(start).Round(time.Millisecond), tab.Best())
-		}
-	}
-
-	if *cacheRun {
-		// Zipf-skewed stream replayed through the result cache: the serving
-		// scenario the paper's offline tables cannot show. The engine is each
-		// workload's winner (best scan for city, compressed trie for DNA).
-		if needCity {
-			eng := core.NewSequential(city.Data, scan.WithStrategy(scan.SimpleTypes), scan.WithBandedKernel())
-			bench.CacheReport(os.Stdout, city, eng, *cacheN, *cacheSz, *cacheS)
-		}
-		if needDNA {
-			n := *cacheN
-			if n > 400 {
-				n = 400 // DNA misses are orders slower; keep the replay in budget
-			}
-			bench.CacheReport(os.Stdout, dna, core.NewTrie(dna.Data, true), n, *cacheSz, *cacheS)
-		}
-	}
-
-	if *latency {
-		if needCity {
-			bench.LatencyReport(os.Stdout, city, []core.Searcher{
-				core.NewSequential(city.Data, scan.WithStrategy(scan.SimpleTypes)),
-				core.NewTrie(city.Data, true),
-			})
-		}
-		if needDNA {
-			// Subsample the DNA queries so the serial latency sweep stays
-			// in budget.
-			sub := dna
-			if len(sub.Queries) > 20 {
-				sub.Queries = sub.Queries[:20]
-			}
-			bench.LatencyReport(os.Stdout, sub, []core.Searcher{
-				core.NewTrie(dna.Data, true),
-			})
 		}
 	}
 }

@@ -20,17 +20,6 @@ type Record struct {
 	Comparisons uint64  `json:"comparisons"`
 	Speedup     float64 `json:"speedup_vs_baseline,omitempty"`
 
-	// Distributed-serving fields (only set by the -distrib sweep). Latency
-	// percentiles are measured open-loop from the scheduled arrival time, so
-	// queueing delay behind a slow shard is charged to the serving tier.
-	Shards        int     `json:"shards,omitempty"`
-	Hedged        bool    `json:"hedged,omitempty"`
-	SlowShard     bool    `json:"slow_shard,omitempty"`
-	OfferedQPS    float64 `json:"offered_qps,omitempty"`
-	ThroughputQPS float64 `json:"throughput_qps,omitempty"`
-	P50µS         int64   `json:"p50_us,omitempty"`
-	P99µS         int64   `json:"p99_us,omitempty"`
-
 	// Stages is the cascade's per-stage survivor funnel for this cell (only
 	// set by the cascade ablation). Each count is the number of candidates
 	// alive after that stage; the prune rate of a stage is one minus the

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"math/rand"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -76,7 +77,7 @@ func TestHitServedWithoutEngine(t *testing.T) {
 
 	first := c.Search(q)
 	second := c.Search(q)
-	if !core.Equal(first, want) || !core.Equal(second, want) {
+	if !slices.Equal(first, want) || !slices.Equal(second, want) {
 		t.Fatalf("cached results diverge: first=%v second=%v want=%v", first, second, want)
 	}
 	if n := eng.calls.Load(); n != 1 {
@@ -110,7 +111,7 @@ func TestHitReturnsPrivateCopy(t *testing.T) {
 	for i := range got {
 		got[i].ID, got[i].Dist = -1, -1 // downstream in-place mutation
 	}
-	if again := c.Search(q); !core.Equal(again, want) {
+	if again := c.Search(q); !slices.Equal(again, want) {
 		t.Fatalf("cached entry corrupted by caller mutation: %v, want %v", again, want)
 	}
 }
@@ -192,7 +193,7 @@ func TestCoalesceConcurrentIdentical(t *testing.T) {
 
 	want := []core.Match{{ID: 7, Dist: 1}}
 	for i := 0; i < callers; i++ {
-		if errs[i] != nil || !core.Equal(results[i], want) {
+		if errs[i] != nil || !slices.Equal(results[i], want) {
 			t.Errorf("caller %d: ms=%v err=%v", i, results[i], errs[i])
 		}
 	}
@@ -241,7 +242,7 @@ func TestCancelledLeaderDoesNotPoisonWaiters(t *testing.T) {
 
 	want := []core.Match{{ID: 7, Dist: 1}}
 	for i := 0; i < waiters; i++ {
-		if errs[i] != nil || !core.Equal(results[i], want) {
+		if errs[i] != nil || !slices.Equal(results[i], want) {
 			t.Errorf("waiter %d poisoned by leader cancellation: ms=%v err=%v",
 				i, results[i], errs[i])
 		}
@@ -282,7 +283,7 @@ func TestAbandonedFlightAborts(t *testing.T) {
 	// A fresh caller gets a fresh flight — not the stale context error.
 	close(g.gate)
 	ms, err := c.SearchContext(context.Background(), q)
-	if err != nil || !core.Equal(ms, []core.Match{{ID: 7, Dist: 1}}) {
+	if err != nil || !slices.Equal(ms, []core.Match{{ID: 7, Dist: 1}}) {
 		t.Fatalf("post-abort search: ms=%v err=%v", ms, err)
 	}
 	if n := g.calls.Load(); n != 2 {
@@ -319,7 +320,7 @@ func TestConcurrentMixedLoad(t *testing.T) {
 					continue
 				}
 				got := c.Search(q)
-				if !core.Equal(got, want[c0key(q)]) {
+				if !slices.Equal(got, want[c0key(q)]) {
 					t.Errorf("concurrent search diverges on %+v", q)
 					return
 				}
@@ -350,7 +351,7 @@ func TestBatchDedupAndHits(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i, q := range []core.Query{qa, qb, qa, qa} {
-		if res[i].Err != nil || !core.Equal(res[i].Matches, ref.Search(q)) {
+		if res[i].Err != nil || !slices.Equal(res[i].Matches, ref.Search(q)) {
 			t.Errorf("batch[%d] = %+v", i, res[i])
 		}
 	}
@@ -398,7 +399,7 @@ func TestBatchOverShardedInner(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i, q := range qs {
-		if res[i].Err != nil || !core.Equal(res[i].Matches, ref.Search(q)) {
+		if res[i].Err != nil || !slices.Equal(res[i].Matches, ref.Search(q)) {
 			t.Errorf("sharded batch[%d] diverges on %+v", i, q)
 		}
 	}
@@ -469,7 +470,7 @@ func TestDecoratorSurface(t *testing.T) {
 	}
 	// SearchBatch (the plain Batcher face) matches the context face.
 	out := c.SearchBatch([]core.Query{{Text: "bern", K: 1}})
-	if len(out) != 1 || !core.Equal(out[0], inner.Search(core.Query{Text: "bern", K: 1})) {
+	if len(out) != 1 || !slices.Equal(out[0], inner.Search(core.Query{Text: "bern", K: 1})) {
 		t.Errorf("SearchBatch = %v", out)
 	}
 }

@@ -1,12 +1,14 @@
 package cache
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
 	"simsearch/internal/core"
 	"simsearch/internal/dataset"
 	"simsearch/internal/exec"
+	"simsearch/internal/scan"
 )
 
 // FuzzCachedIdentical is the cache's differential harness: for an arbitrary
@@ -45,7 +47,7 @@ func FuzzCachedIdentical(f *testing.F) {
 		wantEvictor := core.Reference(data).Search(evictor)
 
 		engines := []core.Searcher{
-			exec.DefaultFactory(data),
+			core.NewSequential(data, scan.WithStrategy(scan.SimpleTypes), scan.WithBandedKernel()),
 			core.NewTrie(data, true),
 			exec.New(data, exec.Options{Shards: 3}),
 		}
@@ -53,7 +55,7 @@ func FuzzCachedIdentical(f *testing.F) {
 			c := New(eng, Options{Capacity: 1, shards: 1})
 			check := func(stage string, q core.Query, want []core.Match) []core.Match {
 				got := c.Search(q)
-				if !core.Equal(got, want) {
+				if !slices.Equal(got, want) {
 					t.Fatalf("%s diverges from uncached %s on %+v over %d strings:\ngot  %v\nwant %v",
 						stage, eng.Name(), q, len(data), got, want)
 				}

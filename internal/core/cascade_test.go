@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"math/rand"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -39,7 +40,7 @@ func TestSearchMatchesOracle(t *testing.T) {
 			k := r.Intn(8)
 			got := e.Search(Query{Text: q, K: k})
 			want := oracle(data, q, k)
-			if !Equal(got, want) {
+			if !slices.Equal(got, want) {
 				t.Errorf("seed %d %s: Search(%q,%d) = %v, want %v", seed, e.Name(), q, k, got, want)
 				return false
 			}
@@ -73,7 +74,7 @@ func TestStagesNeverRejectTrueMatch(t *testing.T) {
 			k := r.Intn(6)
 			want := engines[len(engines)-1].Search(Query{Text: q, K: k}) // verify-only: no signature stage
 			for _, e := range engines[:len(engines)-1] {
-				if got := e.Search(Query{Text: q, K: k}); !Equal(got, want) {
+				if got := e.Search(Query{Text: q, K: k}); !slices.Equal(got, want) {
 					t.Errorf("seed %d: %s diverges from verify-only on (%q,%d): got %v, want %v",
 						seed, e.Name(), q, k, got, want)
 					return false
@@ -95,7 +96,7 @@ func TestShortStringsAndZeroK(t *testing.T) {
 		e := NewCascade(data)
 		for _, q := range []string{"", "A", "AC", "CA", "B", "xy", "ACGT", "TGCA"} {
 			for k := 0; k < 4; k++ {
-				if got, want := e.Search(Query{Text: q, K: k}), oracle(data, q, k); !Equal(got, want) {
+				if got, want := e.Search(Query{Text: q, K: k}), oracle(data, q, k); !slices.Equal(got, want) {
 					t.Errorf("%s: Search(%q,%d) = %v, want %v", e.Name(), q, k, got, want)
 				}
 			}
@@ -196,7 +197,7 @@ func TestConcurrentSearches(t *testing.T) {
 				defer wg.Done()
 				rr := rand.New(rand.NewSource(seed))
 				for i := 0; i < 40; i++ {
-					if got := e.Search(Query{Text: "ACGNTACG", K: 3}); !Equal(got, want) {
+					if got := e.Search(Query{Text: "ACGNTACG", K: 3}); !slices.Equal(got, want) {
 						t.Errorf("%s: concurrent result diverged", e.Name())
 						return
 					}

@@ -7,6 +7,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sort"
 	"time"
 
@@ -310,22 +311,9 @@ func Verify(s, ref Searcher, qs []Query) error {
 	for _, q := range qs {
 		got := s.Search(q)
 		want := ref.Search(q)
-		if !Equal(got, want) {
+		if !slices.Equal(got, want) {
 			return &verifyError{Engine: s.Name(), Query: q, Got: got, Want: want}
 		}
 	}
 	return nil
-}
-
-// Equal reports whether two ID-sorted result sets are identical.
-func Equal(a, b []Match) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }

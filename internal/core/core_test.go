@@ -2,6 +2,7 @@ package core
 
 import (
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -75,7 +76,7 @@ func TestSearchBatchWithRunner(t *testing.T) {
 			t.Fatalf("batch size %d", len(batch))
 		}
 		for i, q := range qs {
-			if !Equal(batch[i], eng.Search(q)) {
+			if !slices.Equal(batch[i], eng.Search(q)) {
 				t.Errorf("runner %v query %d diverges", runner, i)
 			}
 		}
@@ -88,7 +89,7 @@ func TestSearchBatchUsesEngineScheduler(t *testing.T) {
 	batch := SearchBatch(eng, qs, nil)
 	ref := Reference(testData)
 	for i, q := range qs {
-		if !Equal(batch[i], ref.Search(q)) {
+		if !slices.Equal(batch[i], ref.Search(q)) {
 			t.Errorf("query %d diverges", i)
 		}
 	}
@@ -118,22 +119,6 @@ type brokenSearcher struct{}
 func (brokenSearcher) Search(q Query) []Match { return nil }
 func (brokenSearcher) Name() string           { return "broken" }
 func (brokenSearcher) Len() int               { return 0 }
-
-func TestEqual(t *testing.T) {
-	a := []Match{{ID: 1, Dist: 0}, {ID: 2, Dist: 1}}
-	if !Equal(a, []Match{{ID: 1, Dist: 0}, {ID: 2, Dist: 1}}) {
-		t.Error("equal sets reported unequal")
-	}
-	if Equal(a, []Match{{ID: 1, Dist: 0}}) {
-		t.Error("different lengths reported equal")
-	}
-	if Equal(a, []Match{{ID: 1, Dist: 0}, {ID: 2, Dist: 2}}) {
-		t.Error("different dist reported equal")
-	}
-	if !Equal(nil, nil) {
-		t.Error("nil sets unequal")
-	}
-}
 
 // Integration: every engine agrees with the reference on synthetic city and
 // DNA workloads, the reproduction's end-to-end correctness gate.
@@ -200,7 +185,7 @@ func TestQuickAllEnginesAgree(t *testing.T) {
 			NewCascade(data),
 			NewSequential(data, scan.WithSortByLength()),
 		} {
-			if !Equal(eng.Search(q), want) {
+			if !slices.Equal(eng.Search(q), want) {
 				return false
 			}
 		}

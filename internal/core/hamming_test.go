@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -29,7 +30,7 @@ func TestHamming(t *testing.T) {
 	str := func(id int32) string { return data[id] }
 	want := []Match{{ID: 0, Dist: 0}, {ID: 1, Dist: 1}}
 	for _, eng := range allEngines(data) {
-		if got, err := Hamming(context.Background(), eng, str, "ACGT", 1); err != nil || !Equal(got, want) {
+		if got, err := Hamming(context.Background(), eng, str, "ACGT", 1); err != nil || !slices.Equal(got, want) {
 			t.Errorf("%s Hamming = %v, %v; want %v", eng.Name(), got, err, want)
 		}
 	}
@@ -42,7 +43,7 @@ func TestHammingBasic(t *testing.T) {
 		for _, q := range []string{"ACGT", "ACGA", "", "TTTT", "ACG"} {
 			for k := 0; k <= 4; k++ {
 				got, err := Hamming(context.Background(), eng, str, q, k)
-				if want := refHamming(data, q, k); err != nil || !Equal(got, want) {
+				if want := refHamming(data, q, k); err != nil || !slices.Equal(got, want) {
 					t.Errorf("%s Hamming(%q, %d) = %v, %v; want %v", eng.Name(), q, k, got, err, want)
 				}
 			}
@@ -65,7 +66,7 @@ func TestHammingLengthExactness(t *testing.T) {
 	data := []string{"abc", "abcd", "ab"}
 	want := []Match{{ID: 0, Dist: 0}}
 	for _, eng := range allEngines(data) {
-		if got, err := Hamming(context.Background(), eng, func(id int32) string { return data[id] }, "abc", 3); err != nil || !Equal(got, want) {
+		if got, err := Hamming(context.Background(), eng, func(id int32) string { return data[id] }, "abc", 3); err != nil || !slices.Equal(got, want) {
 			t.Errorf("%s: got %v, %v; want %v", eng.Name(), got, err, want)
 		}
 	}
@@ -83,7 +84,7 @@ func TestQuickHammingMatchesOracle(t *testing.T) {
 		want := refHamming(data, q, k)
 		for _, eng := range allEngines(data) {
 			got, err := Hamming(context.Background(), eng, func(id int32) string { return data[id] }, q, k)
-			if err != nil || !Equal(got, want) {
+			if err != nil || !slices.Equal(got, want) {
 				return false
 			}
 		}

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -32,7 +33,7 @@ func TestTopKDuplicates(t *testing.T) {
 	data := []string{"ulm", "ulm", "ulm", "ulx"}
 	want := []Match{{ID: 0, Dist: 0}, {ID: 1, Dist: 0}}
 	for _, eng := range []Searcher{NewTrie(data, true), NewCascade(data)} {
-		if got := TopK(eng, "ulm", 2, 1); !Equal(got, want) {
+		if got := TopK(eng, "ulm", 2, 1); !slices.Equal(got, want) {
 			t.Errorf("%s: got %v, want %v", eng.Name(), got, want)
 		}
 	}
@@ -43,7 +44,7 @@ func TestTopKEmptyStringInData(t *testing.T) {
 	data := []string{"", "a", "ab"}
 	want := []Match{{ID: 1, Dist: 0}, {ID: 0, Dist: 1}}
 	for _, eng := range []Searcher{NewTrie(data, true), NewCascade(data)} {
-		if got := TopK(eng, "a", 2, 1); !Equal(got, want) {
+		if got := TopK(eng, "a", 2, 1); !slices.Equal(got, want) {
 			t.Errorf("%s: got %v, want %v", eng.Name(), got, want)
 		}
 	}
@@ -113,7 +114,7 @@ func TestQuickTopKMatchesReference(t *testing.T) {
 		maxDist := r.Intn(6)
 		want := refTopK(data, text, k, maxDist)
 		for _, eng := range []Searcher{NewTrie(data, r.Intn(2) == 0), NewCascade(data)} {
-			if !Equal(TopK(eng, text, k, maxDist), want) {
+			if !slices.Equal(TopK(eng, text, k, maxDist), want) {
 				return false
 			}
 		}
@@ -139,7 +140,7 @@ func TestTopKContextMatchesTopK(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s %q: %v", eng.Name(), q, err)
 			}
-			if !Equal(got, want) {
+			if !slices.Equal(got, want) {
 				t.Errorf("%s %q: TopKContext = %v, TopK = %v", eng.Name(), q, got, want)
 			}
 		}

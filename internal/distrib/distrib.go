@@ -5,11 +5,11 @@
 // engine would have produced.
 //
 // The load-bearing contract is the one internal/exec already proves in
-// process (and scan.MergeRuns formalizes for bucket runs): every shard
-// returns matches sorted by ID, shards cover contiguous ID ranges in dataset
-// order, so the per-query fan-in is a k-way merge of ID-ascending runs —
-// after remapping each shard's local IDs by its base offset, the merged
-// stream is byte-identical to a single exec.Sharded run over the same data.
+// process: every shard returns matches sorted by ID and shards cover
+// contiguous ID ranges in dataset order, so the per-query fan-in is a
+// concatenation in shard order — after remapping each shard's local IDs by
+// its base offset, the result is byte-identical to a single exec.Sharded run
+// over the same data.
 // Which engine each shard runs is invisible to the coordinator; per-partition
 // selectivity can pick scan, trie, or cascade independently.
 //
@@ -93,8 +93,29 @@ type Options struct {
 	// checks them, so the coordinator rejects what its shards would reject,
 	// without a round trip. Give the shard servers the same limits.
 	Limits httpapi.Limits
-	// transport overrides the HTTP transport (tests only).
+	// transport overrides the HTTP transport, and clock the wall clock
+	// (tests only).
 	transport http.RoundTripper
+	clock     clock
+}
+
+// clock is where the coordinator reads wall time: breaker cooldowns, hedge
+// timers, probe intervals and RPC durations. Timeout's deadline stays on the
+// context, in real time.
+type clock interface {
+	Now() time.Time
+	// NewTimer returns a channel that receives once d has passed, and the
+	// timer's Stop.
+	NewTimer(d time.Duration) (<-chan time.Time, func() bool)
+}
+
+type wallClock struct{}
+
+func (wallClock) Now() time.Time { return time.Now() }
+
+func (wallClock) NewTimer(d time.Duration) (<-chan time.Time, func() bool) {
+	t := time.NewTimer(d)
+	return t.C, t.Stop
 }
 
 // failThreshold is the consecutive-failure count that opens a replica's
@@ -110,6 +131,9 @@ func (o *Options) withDefaults() {
 	}
 	if o.BreakerCooldown <= 0 {
 		o.BreakerCooldown = time.Second
+	}
+	if o.clock == nil {
+		o.clock = wallClock{}
 	}
 }
 
@@ -130,17 +154,17 @@ func (r *replica) onSuccess() {
 	r.downUntil.Store(0)
 }
 
-func (r *replica) onFailure(cooldown time.Duration) {
+func (r *replica) onFailure(now time.Time, cooldown time.Duration) {
 	if r.fails.Add(1) >= failThreshold {
-		r.trip(cooldown)
+		r.trip(now, cooldown)
 	}
 }
 
-// trip opens the breaker for cooldown (used by both the failure threshold and
-// a failed health probe).
-func (r *replica) trip(cooldown time.Duration) {
+// trip opens the breaker for cooldown from now (used by both the failure
+// threshold and a failed health probe).
+func (r *replica) trip(now time.Time, cooldown time.Duration) {
 	r.fails.Store(0)
-	r.downUntil.Store(time.Now().Add(cooldown).UnixNano())
+	r.downUntil.Store(now.Add(cooldown).UnixNano())
 }
 
 // shardState is one partition's runtime state: replicas, the global ID base,
@@ -160,15 +184,14 @@ type shardState struct {
 	hedgeWins metrics.Counter
 }
 
-// pick returns the replica to try next: round-robin over healthy replicas,
-// skipping exclude. When every candidate's breaker is open it returns the one
-// whose breaker expires soonest (a half-open last resort — availability wins
-// over breaker purity when there is nothing else to route to). Returns nil
-// only when exclude is the lone replica.
-func (sh *shardState) pick(exclude *replica) *replica {
+// pick returns the replica to try next: round-robin over replicas up at
+// now, skipping exclude. When every candidate's breaker is open it returns
+// the one whose breaker expires soonest (a half-open last resort —
+// availability wins over breaker purity when there is nothing else to route
+// to). Returns nil only when exclude is the lone replica.
+func (sh *shardState) pick(exclude *replica, now int64) *replica {
 	n := len(sh.replicas)
 	start := int(sh.rr.Add(1))
-	now := time.Now().UnixNano()
 	var fallback *replica
 	for i := 0; i < n; i++ {
 		rep := sh.replicas[(start+i)%n]
@@ -347,13 +370,13 @@ func (c *Coordinator) StartProber(ctx context.Context, interval time.Duration) {
 		interval = time.Second
 	}
 	go func() {
-		t := time.NewTicker(interval)
-		defer t.Stop()
 		for {
+			tick, stop := c.opts.clock.NewTimer(interval)
 			select {
 			case <-ctx.Done():
+				stop()
 				return
-			case <-t.C:
+			case <-tick:
 			}
 			c.ProbeOnce(ctx)
 		}
@@ -371,7 +394,7 @@ func (c *Coordinator) ProbeOnce(ctx context.Context) {
 			if ok {
 				rep.onSuccess()
 			} else {
-				rep.trip(c.opts.BreakerCooldown)
+				rep.trip(c.opts.clock.Now(), c.opts.BreakerCooldown)
 			}
 		}
 	}
@@ -403,32 +426,43 @@ type rpcOutcome struct {
 // callShard runs the batch against one shard with hedging and replica
 // failover: the primary attempt goes to the round-robin healthy replica; a
 // hedge fires after the shard's latency-quantile delay; a failed attempt
-// fails over to an untried replica. First successful answer wins and the
-// losers are cancelled via the shared attempt context. The fan-in loop
-// selects on ctx so a dead request never pins the coordinator.
+// fails over to an untried replica. The first successful answer wins: the
+// losers are cancelled through the shared attempt context and waited for,
+// so each is on the books before the call returns. The fan-in loop selects
+// on ctx so a dead request never pins the coordinator.
 func (c *Coordinator) callShard(ctx context.Context, sh *shardState, body []byte) (*httpapi.BatchResponse, error) {
+	clk := c.opts.clock
 	actx, cancel := context.WithCancel(ctx)
 	defer cancel()
 	outc := make(chan rpcOutcome, len(sh.replicas)+1)
 	tried := make(map[*replica]bool, len(sh.replicas))
+	outstanding := 0
 	launch := func(rep *replica, hedge bool) {
 		tried[rep] = true
+		outstanding++
 		sh.rpcs.Inc()
 		go func() {
-			start := time.Now()
+			start := clk.Now()
 			resp, err := c.post(actx, rep, body)
-			outc <- rpcOutcome{resp: resp, err: err, rep: rep, took: time.Since(start), hedge: hedge}
+			outc <- rpcOutcome{resp: resp, err: err, rep: rep, took: clk.Now().Sub(start), hedge: hedge}
 		}()
 	}
-	primary := sh.pick(nil)
+	// fail books a failed attempt, unless it failed because this call
+	// cancelled it: a loser is not its replica's fault.
+	fail := func(out rpcOutcome) {
+		if actx.Err() == nil {
+			out.rep.onFailure(clk.Now(), c.opts.BreakerCooldown)
+			sh.errs.Inc()
+		}
+	}
+	primary := sh.pick(nil, clk.Now().UnixNano())
 	launch(primary, false)
-	outstanding := 1
 
 	var hedgeC <-chan time.Time
 	if q := c.opts.HedgeQuantile; q > 0 && q < 1 {
-		t := time.NewTimer(sh.hedgeDelay(q, c.opts.HedgeMin))
-		defer t.Stop()
-		hedgeC = t.C
+		tc, stop := clk.NewTimer(sh.hedgeDelay(q, c.opts.HedgeMin))
+		defer stop()
+		hedgeC = tc
 	}
 
 	var firstErr error
@@ -438,7 +472,7 @@ func (c *Coordinator) callShard(ctx context.Context, sh *shardState, body []byte
 			return nil, ctx.Err()
 		case <-hedgeC:
 			hedgeC = nil
-			rep := sh.pick(primary)
+			rep := sh.pick(primary, clk.Now().UnixNano())
 			if rep == nil {
 				// Single-replica shard: hedge against the same backend —
 				// still worth it when the tail is queueing, not the server.
@@ -446,7 +480,6 @@ func (c *Coordinator) callShard(ctx context.Context, sh *shardState, body []byte
 			}
 			sh.hedges.Inc()
 			launch(rep, true)
-			outstanding++
 		case out := <-outc:
 			outstanding--
 			if out.err == nil {
@@ -455,19 +488,21 @@ func (c *Coordinator) callShard(ctx context.Context, sh *shardState, body []byte
 				if out.hedge {
 					sh.hedgeWins.Inc()
 				}
+				cancel()
+				for ; outstanding > 0; outstanding-- {
+					if lost := <-outc; lost.err != nil {
+						fail(lost)
+					}
+				}
 				return out.resp, nil
 			}
-			if actx.Err() == nil {
-				// A real failure, not our own cancellation of the loser.
-				out.rep.onFailure(c.opts.BreakerCooldown)
-				sh.errs.Inc()
-			}
+			fail(out)
 			if firstErr == nil {
 				firstErr = out.err
 			}
 			// Failover: try a replica this call has not touched yet.
 			var next *replica
-			now := time.Now().UnixNano()
+			now := clk.Now().UnixNano()
 			for _, rep := range sh.replicas {
 				if !tried[rep] && rep.up(now) {
 					next = rep
@@ -484,7 +519,6 @@ func (c *Coordinator) callShard(ctx context.Context, sh *shardState, body []byte
 			}
 			if next != nil {
 				launch(next, false)
-				outstanding++
 			} else if outstanding == 0 {
 				return nil, firstErr
 			}
@@ -554,87 +588,30 @@ func (c *Coordinator) scatter(ctx context.Context, body []byte, nq int) ([]*http
 	return per, nil
 }
 
-// gather assembles the per-query fan-in of nq queries: shard-local IDs are
-// remapped by each shard's base offset and the per-shard ID-ascending runs
-// are k-way merged — the exec/scan.MergeRuns contract lifted over the
-// network. A shard-reported per-query error (deadline, cancellation) is
+// gather assembles the per-query fan-in of nq queries as exec's merge
+// does: rebase gives the shards contiguous prefix-sum bases in spec order, so
+// each shard's ID-ascending run, remapped by its base, is appended in shard
+// order. A shard-reported per-query error (deadline, cancellation) is
 // propagated in shard order, exactly as exec.Sharded reports the first
 // failing shard task.
 func (c *Coordinator) gather(nq int, per []*httpapi.BatchResponse) []httpapi.BatchResult {
 	results := make([]httpapi.BatchResult, nq)
-	runs := make([][]httpapi.MatchJSON, 0, len(c.shards))
 	for qi := range results {
 		br := httpapi.BatchResult{Query: per[0].Results[qi].Query, K: per[0].Results[qi].K}
-		runs = runs[:0]
-		for _, resp := range per {
-			if e := resp.Results[qi].Error; e != "" {
-				br.Error = e
+		for si, resp := range per {
+			r := resp.Results[qi]
+			if r.Error != "" {
+				br.Error, br.Matches = r.Error, nil
 				break
 			}
-		}
-		if br.Error == "" {
-			for si, resp := range per {
-				ms := resp.Results[qi].Matches
-				if len(ms) == 0 {
-					continue
-				}
-				run := make([]httpapi.MatchJSON, len(ms))
-				for j, m := range ms {
-					m.ID += c.shards[si].base
-					run[j] = m
-				}
-				runs = append(runs, run)
+			for _, m := range r.Matches {
+				m.ID += c.shards[si].base
+				br.Matches = append(br.Matches, m)
 			}
-			br.Matches = mergeRuns(runs)
 		}
 		results[qi] = br
 	}
 	return results
-}
-
-// mergeRuns merges ID-ascending runs into one ID-ascending slice by pairwise
-// bottom-up merging, O(n log r) for r runs — the same shape as
-// scan.MergeRuns, over wire matches that carry their echoed strings. With
-// contiguous shards in dataset order the merge degenerates to concatenation;
-// the general merge keeps the fan-in correct for any base assignment.
-func mergeRuns(runs [][]httpapi.MatchJSON) []httpapi.MatchJSON {
-	for len(runs) > 1 {
-		merged := runs[:0]
-		for i := 0; i < len(runs); i += 2 {
-			if i+1 == len(runs) {
-				merged = append(merged, runs[i])
-			} else {
-				merged = append(merged, mergeTwo(runs[i], runs[i+1]))
-			}
-		}
-		runs = merged
-	}
-	if len(runs) == 0 || len(runs[0]) == 0 {
-		return nil
-	}
-	return runs[0]
-}
-
-func mergeTwo(a, b []httpapi.MatchJSON) []httpapi.MatchJSON {
-	if len(a) == 0 {
-		return b
-	}
-	if len(b) == 0 {
-		return a
-	}
-	out := make([]httpapi.MatchJSON, 0, len(a)+len(b))
-	i, j := 0, 0
-	for i < len(a) && j < len(b) {
-		if a[i].ID <= b[j].ID {
-			out = append(out, a[i])
-			i++
-		} else {
-			out = append(out, b[j])
-			j++
-		}
-	}
-	out = append(out, a[i:]...)
-	return append(out, b[j:]...)
 }
 
 // Partition returns the contiguous [lo,hi) ranges a p-shard exec.Sharded

@@ -8,7 +8,6 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"net/url"
-	"runtime"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -18,6 +17,7 @@ import (
 	"simsearch/internal/dataset"
 	"simsearch/internal/exec"
 	"simsearch/internal/httpapi"
+	"simsearch/internal/scan"
 )
 
 // fleet is a set of in-process shard servers over contiguous partitions of
@@ -30,7 +30,7 @@ type fleet struct {
 }
 
 // startFleet stands up p shard servers over Partition(len(data), p) — each an
-// httpapi.Server over the default executor factory's engine — and a
+// httpapi.Server over the banded SimpleTypes scan — and a
 // discovered coordinator. wrap, when non-nil, decorates shard i replica 0's
 // handler (fault injection); extraReplica lists shard indices that get a
 // second, undecorated replica.
@@ -46,7 +46,7 @@ func startFleet(t *testing.T, data []string, p int, opts Options,
 	for i, r := range Partition(len(data), p) {
 		part := data[r[0]:r[1]]
 		mkRep := func(rep int) *httptest.Server {
-			var h http.Handler = httpapi.New(exec.DefaultFactory(part), part)
+			var h http.Handler = httpapi.New(core.NewSequential(part, scan.WithStrategy(scan.SimpleTypes), scan.WithBandedKernel()), part)
 			if wrap != nil {
 				h = wrap(i, rep, h)
 			}
@@ -303,36 +303,48 @@ func TestErrorLadder(t *testing.T) {
 	}
 }
 
-// TestForwardedBatchFitsTheShards: a valid batch just under the body cap,
-// of ASCII queries that leave k at its default and spell <, > and &, is
-// forwarded at about the client's size. A forward that spelled each of
-// those in six bytes, or added every default k, would be over the cap the
-// shards share with the coordinator: 413 from every shard, 502 here.
+// TestForwardedBatchFitsTheShards: a valid batch under the body cap is
+// forwarded at about the client's size. One input is ASCII queries that
+// leave k at its default and spell <, > and &; the other puts U+2028 between
+// two letters, raw as the client sent it. A forward that spelled any of
+// those characters in six bytes, or added every default k, would be over
+// the cap the shards share with the coordinator: 413 from every shard, 502
+// here.
 func TestForwardedBatchFitsTheShards(t *testing.T) {
 	const maxBody = 1 << 20
 	f := startFleet(t, dataset.Cities(40, 3), 2, Options{}, nil)
-	// 1,024 queries (the default MaxBatch) of 1,014 or 1,015 bytes: the
-	// body is a few bytes under maxBody, each query under the 1,024-byte cap.
-	var body strings.Builder
-	body.WriteString(`{"queries":[`)
-	text := strings.Repeat("a<b>&", 203)
-	for i := 0; i < 1024; i++ {
-		n := len(text)
-		if i > 0 {
-			body.WriteByte(',')
-			n -= i / 1000
+	// 1,024 queries (the default MaxBatch), each under the 1,024-byte cap.
+	for _, tc := range []struct {
+		name string
+		text func(i int) string
+	}{
+		// 1,014 or 1,015 bytes: the body is a few bytes under maxBody.
+		{"html", func(i int) string { return strings.Repeat("a<b>&", 203)[:1015-i/1000] }},
+		// 1,013 bytes: a 1,046,541-byte body.
+		{"line separators", func(int) string { return "a" + strings.Repeat("\u2028", 337) + "b" }},
+	} {
+		var body strings.Builder
+		req := httpapi.BatchRequest{}
+		body.WriteString(`{"queries":[`)
+		for i := 0; i < 1024; i++ {
+			if i > 0 {
+				body.WriteByte(',')
+			}
+			body.WriteString(`{"q":"` + tc.text(i) + `"}`)
+			req.Queries = append(req.Queries, httpapi.BatchQuery{Q: tc.text(i)})
 		}
-		body.WriteString(`{"q":"` + text[:n] + `"}`)
-	}
-	body.WriteString(`]}`)
-	if n := body.Len(); n > maxBody || n < maxBody-64 {
-		t.Fatalf("the test body is %d bytes, want just under %d", n, maxBody)
-	}
-	for _, url := range []string{f.servers[0].URL, f.ts.URL} {
-		resp, br := postBatch(t, url, body.String())
-		if resp.StatusCode != http.StatusOK || len(br.Results) != 1024 {
-			t.Errorf("%s: %d-byte batch: status %d, %d results; want 200 and 1024",
-				url, body.Len(), resp.StatusCode, len(br.Results))
+		body.WriteString(`]}`)
+		escaped, err := json.Marshal(req)
+		if n := body.Len(); n > maxBody || len(escaped) <= maxBody || err != nil {
+			t.Fatalf("%s: the test body is %d bytes and %d escaped (%v), want one under %d and one over",
+				tc.name, n, len(escaped), err, maxBody)
+		}
+		for _, url := range []string{f.servers[0].URL, f.ts.URL} {
+			resp, br := postBatch(t, url, body.String())
+			if resp.StatusCode != http.StatusOK || len(br.Results) != 1024 {
+				t.Errorf("%s: %s: %d-byte batch: status %d, %d results; want 200 and 1024",
+					tc.name, url, body.Len(), resp.StatusCode, len(br.Results))
+			}
 		}
 	}
 }
@@ -459,49 +471,6 @@ func TestAdmissionControl503(t *testing.T) {
 	}
 }
 
-// TestHedgingRescuesStuckReplica: the first batch RPC a shard replica
-// receives blocks until cancelled; the hedge timer must fire, the hedge
-// attempt (on the second replica) must answer, and the request succeeds with
-// the hedge counters on the books — no sleeps, the block is context-driven.
-func TestHedgingRescuesStuckReplica(t *testing.T) {
-	data := dataset.Cities(60, 13)
-	var gate atomic.Int32 // shared across replicas: whichever is primary gets stuck
-	f := startFleet(t, data, 1,
-		Options{HedgeQuantile: 0.95, HedgeMin: 5 * time.Millisecond},
-		func(shard, rep int, h http.Handler) http.Handler {
-			return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-				if r.URL.Path == "/search/batch" && gate.Add(1) == 1 {
-					// Drain the body so the server notices the hang-up, then
-					// stay stuck until the coordinator cancels the loser.
-					io.Copy(io.Discard, r.Body)
-					<-r.Context().Done()
-					return
-				}
-				h.ServeHTTP(w, r)
-			})
-		}, 0)
-
-	resp, br := postBatch(t, f.ts.URL, `{"queries":[{"q":"`+data[0]+`","k":0}]}`)
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("status %d", resp.StatusCode)
-	}
-	if len(br.Results) != 1 || br.Results[0].Error != "" || len(br.Results[0].Matches) == 0 {
-		t.Fatalf("hedged result = %+v", br.Results)
-	}
-
-	var st statsResponse
-	r2, err := http.Get(f.ts.URL + "/stats")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer r2.Body.Close()
-	json.NewDecoder(r2.Body).Decode(&st)
-	sh := st.Shards[0]
-	if sh.Hedges == 0 || sh.HedgeWins == 0 {
-		t.Errorf("hedge counters = %+v, want hedge launched and won", sh)
-	}
-}
-
 // TestProberMarksDeadReplicaDown: a replica failing /healthz goes
 // breaker-open after one probe sweep, /stats reports it down, the
 // coordinator's own /healthz stays green (the shard still has a live
@@ -568,57 +537,6 @@ func TestProberMarksDeadReplicaDown(t *testing.T) {
 	if reps := st.Shards[0].Replicas; !reps[0].Up {
 		t.Errorf("replica not marked up after healing probe: %+v", reps)
 	}
-}
-
-// roundTripFunc answers the coordinator's requests in process.
-type roundTripFunc func(*http.Request) (*http.Response, error)
-
-func (f roundTripFunc) RoundTrip(r *http.Request) (*http.Response, error) { return f(r) }
-
-// TestProberStopsWithItsContext starts the health prober at a 1 ms interval
-// over a transport that answers in process, lets it sweep a few times and
-// cancels its context: the prober's goroutine must exit. A prober loop that
-// ignored ctx would outlive it.
-func TestProberStopsWithItsContext(t *testing.T) {
-	var probes atomic.Int64
-	healthy := roundTripFunc(func(r *http.Request) (*http.Response, error) {
-		probes.Add(1)
-		return &http.Response{StatusCode: http.StatusOK, Body: io.NopCloser(strings.NewReader("ok")), Request: r}, nil
-	})
-	c, err := New([]ShardSpec{{Replicas: []string{"http://shard"}, Count: 1}}, Options{transport: healthy})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctx, cancel := context.WithCancel(context.Background())
-	c.StartProber(ctx, time.Millisecond)
-	// No channel reports a sweep or a goroutine's exit, so both waits poll
-	// against a deadline, yielding between looks.
-	deadline := time.Now().Add(5 * time.Second)
-	for ; probes.Load() < 3; runtime.Gosched() {
-		if time.Now().After(deadline) {
-			cancel()
-			t.Fatalf("%d probe sweeps in 5s at a 1ms interval", probes.Load())
-		}
-	}
-	cancel()
-	for ; proberGoroutines() > 0; runtime.Gosched() {
-		if time.Now().After(deadline) {
-			t.Fatalf("%d prober goroutines after its context was cancelled, want 0", proberGoroutines())
-		}
-	}
-}
-
-// proberGoroutines counts the goroutines StartProber launched that are still
-// running.
-func proberGoroutines() int {
-	buf := make([]byte, 1<<20)
-	n := 0
-	for _, g := range strings.Split(string(buf[:runtime.Stack(buf, true)]), "\n\n") {
-		if strings.Contains(g, "(*Coordinator).StartProber.func") {
-			n++
-		}
-	}
-	return n
 }
 
 // TestCoordinatorMetricsExposed asserts the simsearch_coord_* families are

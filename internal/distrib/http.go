@@ -7,7 +7,6 @@ import (
 	"errors"
 	"net/http"
 	"strconv"
-	"time"
 
 	"simsearch/internal/core"
 	"simsearch/internal/httpapi"
@@ -63,7 +62,7 @@ func (c *Coordinator) registerMetrics() {
 			reg.GaugeFunc("simsearch_coord_replica_up",
 				"1 when the replica's circuit breaker is closed, by shard and replica.",
 				func() float64 {
-					if rep.up(time.Now().UnixNano()) {
+					if rep.up(c.opts.clock.Now().UnixNano()) {
 						return 1
 					}
 					return 0
@@ -108,10 +107,11 @@ func scatterError(err error) error {
 }
 
 // forwardBody is the batch a shard receives for qs: each query's bytes
-// unchanged whatever their encoding (httpapi.ExactQuery), and no HTML
-// escaping, which would spell each of <, > and & in six bytes. So the body
-// is about the size of the client's, and under the body cap the shards
-// share with the coordinator.
+// unchanged whatever their encoding (httpapi.ExactQuery), no HTML escaping,
+// which would spell each of <, > and & in six bytes, and U+2028 and U+2029
+// raw, which encoding/json always spells in six bytes too. So the body is
+// about the size of the client's, and under the body cap the shards share
+// with the coordinator.
 func forwardBody(qs []core.Query) ([]byte, error) {
 	req := httpapi.BatchRequest{Queries: make([]httpapi.BatchQuery, len(qs))}
 	for i, q := range qs {
@@ -121,7 +121,30 @@ func forwardBody(qs []core.Query) ([]byte, error) {
 	enc := json.NewEncoder(&buf)
 	enc.SetEscapeHTML(false)
 	err := enc.Encode(req)
-	return buf.Bytes(), err
+	return unescapeLineSeparators(buf.Bytes()), err
+}
+
+// unescapeLineSeparators rewrites encoding/json's \u2028 and \u2029 as the
+// three-byte characters, in place. Every other escape, an escaped backslash
+// before "u2028" among them, is copied as it stands.
+func unescapeLineSeparators(b []byte) []byte {
+	if !bytes.Contains(b, []byte(`\u202`)) {
+		return b
+	}
+	out := b[:0]
+	for i := 0; i < len(b); i++ {
+		switch {
+		case b[i] != '\\':
+			out = append(out, b[i])
+		case bytes.HasPrefix(b[i:], []byte(`\u2028`)), bytes.HasPrefix(b[i:], []byte(`\u2029`)):
+			out = append(out, 0xe2, 0x80, 0xa8+b[i+5]-'8')
+			i += 5
+		default:
+			out = append(out, b[i], b[i+1])
+			i++
+		}
+	}
+	return out
 }
 
 // runBatch admits, scatters, and gathers one batch of checked queries.
@@ -149,7 +172,7 @@ func (c *Coordinator) handleSearch(w http.ResponseWriter, r *http.Request) error
 	if err != nil {
 		return err
 	}
-	start := time.Now()
+	start := c.opts.clock.Now()
 	results, err := c.runBatch(w, r, []core.Query{q})
 	if err != nil {
 		return err
@@ -163,7 +186,7 @@ func (c *Coordinator) handleSearch(w http.ResponseWriter, r *http.Request) error
 	resp := httpapi.SearchResponse{
 		Query: q.Text, K: q.K,
 		Matches: results[0].Matches,
-		TookµS:  time.Since(start).Microseconds(),
+		TookµS:  c.opts.clock.Now().Sub(start).Microseconds(),
 	}
 	if resp.Matches == nil {
 		resp.Matches = []httpapi.MatchJSON{}
@@ -177,12 +200,12 @@ func (c *Coordinator) handleBatch(w http.ResponseWriter, r *http.Request) error 
 	if err != nil {
 		return err
 	}
-	start := time.Now()
+	start := c.opts.clock.Now()
 	results, err := c.runBatch(w, r, qs)
 	if err != nil {
 		return err
 	}
-	httpapi.WriteJSON(w, httpapi.BatchResponse{Results: results, TookµS: time.Since(start).Microseconds()})
+	httpapi.WriteJSON(w, httpapi.BatchResponse{Results: results, TookµS: c.opts.clock.Now().Sub(start).Microseconds()})
 	return nil
 }
 
@@ -225,7 +248,7 @@ func (c *Coordinator) handleStats(w http.ResponseWriter, r *http.Request) error 
 		Shed:          c.shed.Value(),
 		HedgeQuantile: c.opts.HedgeQuantile,
 	}
-	now := time.Now().UnixNano()
+	now := c.opts.clock.Now().UnixNano()
 	for _, sh := range c.shards {
 		snap := sh.lat.Snapshot()
 		sj := shardStatsJSON{
@@ -252,7 +275,7 @@ func (c *Coordinator) handleStats(w http.ResponseWriter, r *http.Request) error 
 // a load balancer in front of several coordinators can then drain one whose
 // view of the fleet has gone dark.
 func (c *Coordinator) handleHealth(w http.ResponseWriter, r *http.Request) error {
-	now := time.Now().UnixNano()
+	now := c.opts.clock.Now().UnixNano()
 	for i, sh := range c.shards {
 		ok := false
 		for _, rep := range sh.replicas {

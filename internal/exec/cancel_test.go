@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"runtime"
+	"slices"
 	"testing"
 	"time"
 
@@ -245,7 +246,7 @@ func TestSearchBatchContextCompletes(t *testing.T) {
 		if r.Err != nil {
 			t.Fatalf("query %d: unexpected err %v", i, r.Err)
 		}
-		if !core.Equal(r.Matches, want[i]) {
+		if !slices.Equal(r.Matches, want[i]) {
 			t.Fatalf("query %d: context batch diverges from plain batch", i)
 		}
 	}
@@ -271,7 +272,7 @@ func TestSearchContextPlainEnginesComplete(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !core.Equal(got, want) {
+		if !slices.Equal(got, want) {
 			t.Fatalf("SearchContext(%+v) diverges from Search", q)
 		}
 	}

@@ -41,9 +41,9 @@ import (
 // Match IDs local to the slice are remapped to global IDs by the executor.
 type Factory func(data []string) core.Searcher
 
-// DefaultFactory builds the library's best serial scan (banded SimpleTypes),
+// defaultFactory builds the library's best serial scan (banded SimpleTypes),
 // the engine the paper found fastest on short natural-language strings.
-func DefaultFactory(data []string) core.Searcher {
+func defaultFactory(data []string) core.Searcher {
 	return core.NewSequential(data,
 		scan.WithStrategy(scan.SimpleTypes), scan.WithBandedKernel())
 }
@@ -54,7 +54,7 @@ type Options struct {
 	// Shards is the partition count P (default GOMAXPROCS, clamped to the
 	// dataset size so no shard is empty).
 	Shards int
-	// Factory builds each shard's engine (default DefaultFactory).
+	// Factory builds each shard's engine (default defaultFactory).
 	Factory Factory
 	// Runner schedules a batch's shard×query task grid, and the shards of
 	// a single query long enough to split (default pool.Fixed{Workers:
@@ -145,7 +145,7 @@ func New(data []string, opts Options) *Sharded {
 	}
 	factory := opts.Factory
 	if factory == nil {
-		factory = DefaultFactory
+		factory = defaultFactory
 	}
 	runner := opts.Runner
 	if runner == nil {

@@ -3,6 +3,7 @@ package exec
 import (
 	"context"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"simsearch/internal/core"
@@ -28,7 +29,7 @@ func mustEqualBatches(t *testing.T, label string, got, want [][]core.Match) {
 		t.Fatalf("%s: %d result sets, want %d", label, len(got), len(want))
 	}
 	for i := range want {
-		if !core.Equal(got[i], want[i]) {
+		if !slices.Equal(got[i], want[i]) {
 			t.Fatalf("%s: query %d diverges: got %v, want %v", label, i, got[i], want[i])
 		}
 	}
@@ -50,19 +51,19 @@ func TestShardedByteIdenticalOnSeedDatasets(t *testing.T) {
 		name string
 		f    Factory
 	}{
-		{"scan", nil}, // nil → DefaultFactory
+		{"scan", nil}, // nil → defaultFactory
 		{"trie", trieFactory},
 		{"cascade", cascadeFactory},
 	}
 	for _, w := range workloads {
-		single := DefaultFactory(w.data)
+		single := defaultFactory(w.data)
 		qs := queriesFor(w.data, 30, w.ks, 42)
 		want := core.SearchBatch(single, qs, nil)
 		for _, fa := range factories {
 			ex := New(w.data, Options{Shards: 4, Factory: fa.f})
 			mustEqualBatches(t, w.name+"/"+fa.name+"/batch", ex.SearchBatch(qs), want)
 			for i, q := range qs[:10] {
-				if got := ex.Search(q); !core.Equal(got, want[i]) {
+				if got := ex.Search(q); !slices.Equal(got, want[i]) {
 					t.Fatalf("%s/%s: Search(%+v) = %v, want %v", w.name, fa.name, q, got, want[i])
 				}
 			}
@@ -89,7 +90,7 @@ func TestShardCountInvariance(t *testing.T) {
 			ex.rule.pin = br.pin
 			for i, q := range qs {
 				got, err := ex.SearchContext(ctx, q)
-				if err != nil || !core.Equal(got, want[i]) || !core.Equal(ex.Search(q), want[i]) {
+				if err != nil || !slices.Equal(got, want[i]) || !slices.Equal(ex.Search(q), want[i]) {
 					t.Fatalf("%s %s: query %+v diverges from P=1 (err %v)", ex.Name(), br.name, q, err)
 				}
 			}
@@ -147,7 +148,7 @@ func TestK0IsExactLookup(t *testing.T) {
 				want = append(want, core.Match{ID: int32(i), Dist: 0})
 			}
 		}
-		if !core.Equal(got, want) {
+		if !slices.Equal(got, want) {
 			t.Errorf("k=0 lookup %q: got %v, want %v", q, got, want)
 		}
 	}

@@ -2,6 +2,7 @@ package exec
 
 import (
 	"context"
+	"slices"
 	"strings"
 	"testing"
 
@@ -45,8 +46,8 @@ func FuzzDifferential(f *testing.F) {
 		q := core.Query{Text: qtext, K: int(k % 6)}
 		want := core.Reference(data).Search(q)
 
-		for _, eng := range []core.Searcher{DefaultFactory(data), core.NewTrie(data, true)} {
-			if got := eng.Search(q); !core.Equal(got, want) {
+		for _, eng := range []core.Searcher{defaultFactory(data), core.NewTrie(data, true)} {
+			if got := eng.Search(q); !slices.Equal(got, want) {
 				t.Fatalf("%s diverges on %+v over %d strings:\ngot  %v\nwant %v",
 					eng.Name(), q, len(data), got, want)
 			}
@@ -62,7 +63,7 @@ func FuzzDifferential(f *testing.F) {
 				ex.rule.pin = br.pin
 				got := ex.Search(q)
 				timed, err := ex.SearchContext(ctx, q)
-				if err != nil || !core.Equal(got, want) || !core.Equal(timed, want) {
+				if err != nil || !slices.Equal(got, want) || !slices.Equal(timed, want) {
 					t.Fatalf("%s %s diverges on %+v over %d strings:\ngot  %v\nctx  %v (err %v)\nwant %v",
 						ex.Name(), br.name, q, len(data), got, timed, err, want)
 				}

@@ -3,6 +3,7 @@ package exec
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -58,14 +59,14 @@ func TestLiveShardCountInvariant(t *testing.T) {
 			for i := 0; i < 120; i += 7 {
 				q := core.Query{Text: seed[i], K: 2}
 				a := one.Search(q)
-				if b := many.Search(q); !core.Equal(a, b) {
+				if b := many.Search(q); !slices.Equal(a, b) {
 					t.Fatalf("%s, query %+v: P=1 %v vs P=%d %v", br.name, q, a, p, b)
 				}
 				c, err := many.SearchContext(ctx, q)
 				if err != nil {
 					t.Fatalf("SearchContext: %v", err)
 				}
-				if !core.Equal(a, c) {
+				if !slices.Equal(a, c) {
 					t.Fatalf("%s, query %+v: Search %v vs SearchContext %v", br.name, q, a, c)
 				}
 			}
@@ -146,7 +147,7 @@ func TestLiveMatchesFrozenSharded(t *testing.T) {
 			live.rule.pin, frozen.rule.pin = br.pin, br.pin
 			for i := 0; i < 200; i += 11 {
 				q := core.Query{Text: seed[i], K: 2}
-				if got, want := live.Search(q), frozen.Search(q); !core.Equal(got, want) {
+				if got, want := live.Search(q), frozen.Search(q); !slices.Equal(got, want) {
 					t.Fatalf("P=%d %s, query %+v: live %v vs frozen %v", p, br.name, q, got, want)
 				}
 			}
@@ -203,7 +204,7 @@ func TestLiveCallerSearchesOneStore(t *testing.T) {
 						q := core.Query{Text: seed[i], K: 1}
 						want := frozen.Search(q) // the inserts are far from every seed
 						timed, err := live.SearchContext(ctx, q)
-						if got := live.Search(q); err != nil || !core.Equal(got, want) || !core.Equal(timed, want) {
+						if got := live.Search(q); err != nil || !slices.Equal(got, want) || !slices.Equal(timed, want) {
 							t.Errorf("query %+v: no deadline %v, deadline %v (err %v), want %v", q, got, timed, err, want)
 							return
 						}
@@ -236,7 +237,7 @@ func TestMergeByID(t *testing.T) {
 	}
 	got := mergeByID(per)
 	want := []core.Match{{ID: 0, Dist: 1}, {ID: 1, Dist: 0}, {ID: 2, Dist: 2}, {ID: 3, Dist: 1}, {ID: 5, Dist: 0}, {ID: 9, Dist: 2}}
-	if !core.Equal(got, want) {
+	if !slices.Equal(got, want) {
 		t.Fatalf("mergeByID: got %v, want %v", got, want)
 	}
 	if mergeByID(nil) != nil {

@@ -8,6 +8,7 @@ package lsm
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 
@@ -103,7 +104,7 @@ func checkSearch(t *testing.T, st *Store, m *model, q core.Query) {
 	t.Helper()
 	got := st.Search(q)
 	want := m.expect(q)
-	if !core.Equal(got, want) {
+	if !slices.Equal(got, want) {
 		t.Fatalf("query %+v: got %v, want %v", q, got, want)
 	}
 }

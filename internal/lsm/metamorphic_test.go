@@ -6,6 +6,7 @@ package lsm
 // string — same ids, same distances, same top-k, byte for byte.
 
 import (
+	"slices"
 	"testing"
 
 	"simsearch/internal/core"
@@ -91,12 +92,12 @@ func TestInsertDeleteReinsertIsIdentity(t *testing.T) {
 						// Store must now be indistinguishable from calm.
 						for qi, q := range queries {
 							got, want := st.Search(q), calm.Search(q)
-							if !core.Equal(got, want) {
+							if !slices.Equal(got, want) {
 								t.Fatalf("target %q barriers (%d,%d,%d) query %+v: got %v, want %v",
 									target, b1, b2, b3, q, got, want)
 							}
 							gotTop := core.TopK(st, q.Text, 3, q.K)
-							if !core.Equal(gotTop, calmTop[qi]) {
+							if !slices.Equal(gotTop, calmTop[qi]) {
 								t.Fatalf("target %q barriers (%d,%d,%d) top-k %+v: got %v, want %v",
 									target, b1, b2, b3, q, gotTop, calmTop[qi])
 							}
@@ -106,7 +107,7 @@ func TestInsertDeleteReinsertIsIdentity(t *testing.T) {
 						// must match calm too (the tombstone hides it).
 						for _, q := range queries {
 							got, want := st.Search(q), calm.Search(q)
-							if !core.Equal(got, want) {
+							if !slices.Equal(got, want) {
 								t.Fatalf("target %q barriers (%d,%d,%d) query %+v: got %v, want %v",
 									target, b1, b2, b3, q, got, want)
 							}

@@ -1,6 +1,7 @@
 package lsm
 
 import (
+	"slices"
 	"testing"
 
 	"simsearch/internal/core"
@@ -144,7 +145,7 @@ func TestLengthWindow(t *testing.T) {
 	}
 	got := st.Search(core.Query{Text: "abc", K: 1})
 	want := []core.Match{{ID: 1, Dist: 1}, {ID: 2, Dist: 0}, {ID: 3, Dist: 1}}
-	if !core.Equal(got, want) {
+	if !slices.Equal(got, want) {
 		t.Fatalf("length-window query: got %v, want %v", got, want)
 	}
 }
@@ -229,7 +230,7 @@ func TestSeedMatchesFrozenByteForByte(t *testing.T) {
 	frozen := core.Reference(seed)
 	for _, s := range seed {
 		q := core.Query{Text: mutate(s, 1), K: 2}
-		if got, want := st.Search(q), frozen.Search(q); !core.Equal(got, want) {
+		if got, want := st.Search(q), frozen.Search(q); !slices.Equal(got, want) {
 			t.Fatalf("seeded store diverges from frozen engine on %+v: got %v, want %v", q, got, want)
 		}
 	}

@@ -134,8 +134,8 @@ func (s HistogramSnapshot) Mean() time.Duration {
 }
 
 // Quantile approximates the q-quantile (0 < q <= 1) from the buckets: the
-// target rank is located with the same nearest-rank rule Summarize
-// uses, then interpolated linearly inside its bucket. Observations in the
+// target rank is located by the nearest-rank rule (rank ⌈q·n⌉), then
+// interpolated linearly inside its bucket. Observations in the
 // +Inf bucket report the largest finite bound (the histogram cannot know
 // more).
 func (s HistogramSnapshot) Quantile(q float64) time.Duration {
@@ -171,17 +171,6 @@ func (s HistogramSnapshot) Quantile(q float64) time.Duration {
 		return lo + time.Duration(frac*float64(hi-lo))
 	}
 	return s.Bounds[len(s.Bounds)-1]
-}
-
-// String renders a one-line summary in the style of Summary.String.
-func (s HistogramSnapshot) String() string {
-	if s.Count == 0 {
-		return "no samples"
-	}
-	return fmt.Sprintf("n=%d total=%v mean=%v p50≈%v p90≈%v p99≈%v",
-		s.Count, s.Sum.Round(time.Microsecond), s.Mean().Round(time.Microsecond),
-		s.Quantile(0.50).Round(time.Microsecond), s.Quantile(0.90).Round(time.Microsecond),
-		s.Quantile(0.99).Round(time.Microsecond))
 }
 
 // Label is one name="value" pair attached to a metric.
