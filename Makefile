@@ -8,11 +8,11 @@ GO ?= go
 # coordinator (hedged RPCs, breakers, admission control), the analysis
 # framework (its fixture loader shares a package cache that the dual test
 # units exercise), the engine facade (interruptible search runs an engine on
-# a goroutine of its own), the engine wrappers (the cascade's shared counters
-# under concurrent queries) and the parallel join.
+# a goroutine of its own) and the engine wrappers (the cascade's shared
+# counters under concurrent queries, and the join's probes on a fixed pool).
 # TestCILists (ci_test.go) fails when a package whose own code starts
 # goroutines is missing here, or a fuzz target from fuzz-smoke below.
-RACE_PKGS = ./internal/pool ./internal/exec ./internal/cache ./internal/httpapi ./internal/scan ./internal/metrics ./internal/bench ./internal/lsm ./internal/distrib ./internal/analysis ./internal/core ./internal/join
+RACE_PKGS = ./internal/pool ./internal/exec ./internal/cache ./internal/httpapi ./internal/scan ./internal/metrics ./internal/bench ./internal/lsm ./internal/distrib ./internal/analysis ./internal/core
 
 FUZZ_SMOKE_TIME ?= 5s
 
@@ -59,6 +59,7 @@ fuzz-smoke:
 	$(GO) test -run=NONE -fuzz='^FuzzKernelsAgree$$' -fuzztime=$(FUZZ_SMOKE_TIME) ./internal/edit
 	$(GO) test -run=NONE -fuzz='^FuzzLiveIdentical$$' -fuzztime=$(FUZZ_SMOKE_TIME) ./internal/lsm
 	$(GO) test -run=NONE -fuzz='^FuzzCoordMerge$$' -fuzztime=$(FUZZ_SMOKE_TIME) ./internal/distrib
+	$(GO) test -run=NONE -fuzz='^FuzzSelfJoin$$' -fuzztime=$(FUZZ_SMOKE_TIME) ./internal/core
 
 # Micro-benchmarks (go test -bench) plus the paper harness's two ablations
 # with machine-readable records: the bit-parallel ablation (BENCH_4.json) and

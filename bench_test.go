@@ -16,7 +16,6 @@ import (
 	"simsearch/internal/core"
 	"simsearch/internal/dataset"
 	"simsearch/internal/edit"
-	"simsearch/internal/join"
 	"simsearch/internal/pool"
 	"simsearch/internal/scan"
 	"simsearch/internal/trie"
@@ -330,15 +329,19 @@ func BenchmarkBaselines(b *testing.B) {
 	}
 }
 
-// BenchmarkJoin races the three join algorithms on a city self-join.
+// BenchmarkJoin times the self-join as one search per string over the
+// cascade (core.SelfJoin on a fixed pool of 4 workers) on the 8,000 names at
+// k=1 and the 4,000 reads at k=8; the engine is built outside the timer.
 func BenchmarkJoin(b *testing.B) {
-	city, _ := workloads()
-	data := city.Data[:2000]
-	for _, alg := range []join.Algorithm{join.NestedLoop, join.LengthSorted, join.TrieJoin, join.PassJoin} {
-		alg := alg
-		b.Run(alg.String(), func(b *testing.B) {
+	city, dna := workloads()
+	for _, c := range []struct {
+		wl bench.Workload
+		k  int
+	}{{city, 1}, {dna, 8}} {
+		eng := core.NewCascade(c.wl.Data)
+		b.Run(c.wl.Name+"/"+eng.Name(), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				join.SelfJoin(data, 1, join.Options{Algorithm: alg, Workers: 4})
+				core.SelfJoin(eng, c.wl.Data, c.k, pool.Fixed{Workers: 4})
 			}
 		})
 	}

@@ -36,7 +36,7 @@ func main() {
 		table    = flag.Int("table", 0, "run only this table number (1-9)")
 		figure   = flag.Int("figure", 0, "run only this figure number (6 or 7)")
 		workload = flag.String("workload", "", "restrict to one workload: city or dna")
-		extra    = flag.Bool("extra", false, "also run the extension experiments (join race, engine matrix)")
+		extra    = flag.Bool("extra", false, "also run the extension experiments (join over each engine, engine matrix)")
 		shards   = flag.Bool("shards", false, "also run the sharded-executor sweep (Table XIV), the serving-path analogue of the paper's worker sweep")
 		workers  = flag.Int("workers", 0, "pool workers for the shard sweep (default GOMAXPROCS)")
 		bitp     = flag.Bool("bitparallel", false, "also run the bit-parallel scan ablation (Table XV: paper kernel vs banded vs the query-compiled kernel without and with the signature words)")

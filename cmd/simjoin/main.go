@@ -1,13 +1,15 @@
 // Command simjoin computes string similarity joins between two dataset
 // files (or a self-join of one file) — the second problem of the EDBT/ICDT
-// 2013 competition the paper was written for.
+// 2013 competition the paper was written for. The join is one search per
+// left string against the cascade engine built over the right file (over the
+// left file for -self).
 //
 // Usage:
 //
 //	simjoin -left a.txt -right b.txt -k 2            # R ⋈ S
 //	simjoin -left a.txt -k 1 -self                   # self-join
 //	simjoin -left a.txt -k 1 -self -cluster          # near-duplicate groups
-//	simjoin -left a.txt -right b.txt -k 2 -algo trie -workers 8
+//	simjoin -left a.txt -right b.txt -k 2 -workers 8
 package main
 
 import (
@@ -27,7 +29,6 @@ func main() {
 		self    = flag.Bool("self", false, "self-join the left dataset")
 		cluster = flag.Bool("cluster", false, "with -self: print near-duplicate clusters instead of pairs")
 		k       = flag.Int("k", 1, "edit-distance threshold")
-		algo    = flag.String("algo", "length", "join algorithm: nested, length, trie, passjoin")
 		workers = flag.Int("workers", 4, "parallel workers")
 		quiet   = flag.Bool("quiet", false, "print only counts and timing")
 	)
@@ -37,21 +38,6 @@ func main() {
 		fmt.Fprintln(os.Stderr, "simjoin: need -left FILE and either -right FILE or -self")
 		os.Exit(2)
 	}
-	var alg simsearch.JoinAlgorithm
-	switch *algo {
-	case "nested":
-		alg = simsearch.JoinNestedLoop
-	case "length":
-		alg = simsearch.JoinLengthSorted
-	case "trie":
-		alg = simsearch.JoinTrie
-	case "passjoin":
-		alg = simsearch.JoinPass
-	default:
-		fmt.Fprintf(os.Stderr, "simjoin: unknown -algo %q\n", *algo)
-		os.Exit(2)
-	}
-
 	l, err := simsearch.LoadStrings(*left)
 	if err != nil {
 		fatal(err)
@@ -61,8 +47,9 @@ func main() {
 
 	if *self {
 		start := time.Now()
+		eng := simsearch.NewCascade(l)
 		if *cluster {
-			groups := simsearch.Clusters(l, *k, *workers)
+			groups := simsearch.Clusters(eng, l, *k, *workers)
 			dups := 0
 			for _, g := range groups {
 				if len(g) > 1 {
@@ -82,7 +69,7 @@ func main() {
 				len(l), len(groups), dups, time.Since(start))
 			return
 		}
-		pairs := simsearch.SelfJoin(l, *k, alg, *workers)
+		pairs := simsearch.SelfJoin(eng, l, *k, *workers)
 		if !*quiet {
 			for _, p := range pairs {
 				fmt.Fprintf(out, "%d\t%d\t%d\t%s\t%s\n", p.R, p.S, p.Dist, l[p.R], l[p.S])
@@ -98,7 +85,7 @@ func main() {
 		fatal(err)
 	}
 	start := time.Now()
-	pairs := simsearch.Join(l, r, *k, alg, *workers)
+	pairs := simsearch.Join(simsearch.NewCascade(r), l, *k, *workers)
 	if !*quiet {
 		for _, p := range pairs {
 			fmt.Fprintf(out, "%d\t%d\t%d\t%s\t%s\n", p.R, p.S, p.Dist, l[p.R], r[p.S])

@@ -25,7 +25,7 @@ func ExampleDistance() {
 
 func ExampleSelfJoin() {
 	data := []string{"Berlin", "Berlim", "Tokyo"}
-	for _, p := range simsearch.SelfJoin(data, 1, simsearch.JoinPass, 1) {
+	for _, p := range simsearch.SelfJoin(simsearch.NewCascade(data), data, 1, 1) {
 		fmt.Printf("%s ~ %s (%d)\n", data[p.R], data[p.S], p.Dist)
 	}
 	// Output: Berlin ~ Berlim (1)
@@ -44,7 +44,7 @@ func ExampleTopK() {
 
 func ExampleClusters() {
 	data := []string{"Ulm", "Ulmm", "Köln"}
-	for _, g := range simsearch.Clusters(data, 1, 1) {
+	for _, g := range simsearch.Clusters(simsearch.NewCascade(data), data, 1, 1) {
 		for i, id := range g {
 			if i > 0 {
 				fmt.Print(" ")

@@ -37,7 +37,7 @@ func main() {
 		len(data), injected, *k)
 
 	start := time.Now()
-	groups := simsearch.Clusters(data, *k, 4)
+	groups := simsearch.Clusters(simsearch.NewCascade(data), data, *k, 4)
 	elapsed := time.Since(start)
 
 	dupGroups := 0

@@ -6,43 +6,42 @@ import (
 	"simsearch/internal/core"
 	"simsearch/internal/dataset"
 	"simsearch/internal/edit"
-	"simsearch/internal/join"
+	"simsearch/internal/pool"
 )
 
 // --- Similarity joins (the competition's second problem) ----------------------
 
-// Pair is one join result: indexes into the two joined slices and the exact
-// edit distance between the strings.
-type Pair = join.Pair
+// Pair is one join result: the index of the probe string (R), the ID of the
+// engine's string (S) and the exact edit distance between them.
+type Pair = core.Pair
 
-// JoinAlgorithm selects a join strategy.
-type JoinAlgorithm = join.Algorithm
-
-// Join algorithm values.
-const (
-	JoinNestedLoop   = join.NestedLoop
-	JoinLengthSorted = join.LengthSorted
-	JoinTrie         = join.TrieJoin
-	JoinPass         = join.PassJoin
-)
-
-// Join returns all pairs (i, j) with ed(r[i], s[j]) <= k, sorted by (R, S).
-// workers > 1 parallelizes the probe side.
-func Join(r, s []string, k int, alg JoinAlgorithm, workers int) []Pair {
-	return join.Pairs(r, s, k, join.Options{Algorithm: alg, Workers: workers})
+// Join returns all pairs (i, j) with ed(probes[i], s_j) <= k, sorted by
+// (R, S), where s is the dataset eng was built over: one search of eng per
+// probe. workers > 1 probes on a fixed pool of that many workers; otherwise
+// the engine's own batch scheduler runs them.
+func Join(eng Searcher, probes []string, k, workers int) []Pair {
+	return core.Join(eng, probes, k, probeRunner(workers))
 }
 
 // SelfJoin returns all unordered pairs i < j within data at edit distance
-// <= k, sorted by (R, S).
-func SelfJoin(data []string, k int, alg JoinAlgorithm, workers int) []Pair {
-	return join.SelfJoin(data, k, join.Options{Algorithm: alg, Workers: workers})
+// <= k, sorted by (R, S). eng must be built over data.
+func SelfJoin(eng Searcher, data []string, k, workers int) []Pair {
+	return core.SelfJoin(eng, data, k, probeRunner(workers))
 }
 
 // Clusters groups data indices into connected components of the similarity
 // graph (pairs within k edits are connected) — the standard near-duplicate
-// grouping built on a self-join.
-func Clusters(data []string, k int, workers int) [][]int32 {
-	return join.Clusters(data, k, join.Options{Algorithm: join.TrieJoin, Workers: workers})
+// grouping built on SelfJoin. eng must be built over data.
+func Clusters(eng Searcher, data []string, k, workers int) [][]int32 {
+	return core.Clusters(eng, data, k, probeRunner(workers))
+}
+
+// probeRunner schedules a join's probes.
+func probeRunner(workers int) pool.Runner {
+	if workers > 1 {
+		return pool.Fixed{Workers: workers}
+	}
+	return nil
 }
 
 // --- Nearest-neighbour convenience ---------------------------------------------

@@ -12,20 +12,21 @@ import (
 func TestJoinFacade(t *testing.T) {
 	r := []string{"berlin", "ulm"}
 	s := []string{"berlim", "ulm", "paris"}
-	for _, alg := range []simsearch.JoinAlgorithm{
-		simsearch.JoinNestedLoop, simsearch.JoinLengthSorted, simsearch.JoinTrie, simsearch.JoinPass,
+	want := []simsearch.Pair{{R: 0, S: 0, Dist: 1}, {R: 1, S: 1, Dist: 0}}
+	for _, eng := range []simsearch.Searcher{
+		simsearch.NewIndex(s), simsearch.NewScan(s), simsearch.NewCascade(s),
 	} {
-		pairs := simsearch.Join(r, s, 1, alg, 2)
-		want := []simsearch.Pair{{R: 0, S: 0, Dist: 1}, {R: 1, S: 1, Dist: 0}}
-		if !reflect.DeepEqual(pairs, want) {
-			t.Errorf("%v: got %v, want %v", alg, pairs, want)
+		for _, workers := range []int{1, 2} {
+			if pairs := simsearch.Join(eng, r, 1, workers); !reflect.DeepEqual(pairs, want) {
+				t.Errorf("%s workers=%d: got %v, want %v", eng.Name(), workers, pairs, want)
+			}
 		}
 	}
 }
 
 func TestSelfJoinFacade(t *testing.T) {
 	data := []string{"aaa", "aab", "zzz"}
-	pairs := simsearch.SelfJoin(data, 1, simsearch.JoinTrie, 1)
+	pairs := simsearch.SelfJoin(simsearch.NewCascade(data), data, 1, 1)
 	want := []simsearch.Pair{{R: 0, S: 1, Dist: 1}}
 	if !reflect.DeepEqual(pairs, want) {
 		t.Errorf("got %v", pairs)
@@ -34,8 +35,8 @@ func TestSelfJoinFacade(t *testing.T) {
 
 func TestClustersFacade(t *testing.T) {
 	data := []string{"berlin", "berlim", "tokyo"}
-	groups := simsearch.Clusters(data, 1, 1)
-	if len(groups) != 2 || len(groups[0]) != 2 || groups[1][0] != 2 {
+	groups := simsearch.Clusters(simsearch.NewIndex(data), data, 1, 2)
+	if !reflect.DeepEqual(groups, [][]int32{{0, 1}, {2}}) {
 		t.Errorf("groups = %v", groups)
 	}
 }

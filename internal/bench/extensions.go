@@ -7,22 +7,23 @@ import (
 
 	"simsearch/internal/core"
 	"simsearch/internal/exec"
-	"simsearch/internal/join"
 	"simsearch/internal/pool"
 	"simsearch/internal/scan"
 	"simsearch/internal/trie"
 )
 
 // Extension experiments beyond the paper's tables. They carry invented
-// numbers (X, XI) and are clearly labelled as additions: the join race
-// covers the competition's second problem the paper skipped, and the engine
-// matrix races both of the paper's engines — including their modern
+// numbers (X, XI) and are clearly labelled as additions: the join over each
+// engine covers the competition's second problem the paper skipped, and the
+// engine matrix races both of the paper's engines — including their modern
 // variants — and the filtered sweep on both workloads, quantifying how
 // implementation-dependent the paper's conclusion is.
 
-// TableX races the four join algorithms on a self-join of a subset of the
-// workload (join cost grows quadratically in the worst case, so the subset
-// size is capped).
+// TableX times a self-join of a subset of the workload as one search per
+// string (core.SelfJoin) over three of Table XI's engines, each built over
+// the subset inside the timed region, with the probes on a fixed pool of 8
+// workers. Join cost grows quadratically in the worst case, so the subset
+// size is capped.
 func TableX(w Workload, k, maxN int) *Table {
 	n := len(w.Data)
 	if maxN <= 0 {
@@ -36,12 +37,21 @@ func TableX(w Workload, k, maxN int) *Table {
 		Title:   fmt.Sprintf("Table X (extension). Similarity self-join on %d %s strings, k=%d", n, w.Name, k),
 		Columns: []string{"time"},
 	}
-	for _, alg := range []join.Algorithm{join.NestedLoop, join.LengthSorted, join.TrieJoin, join.PassJoin} {
+	engines := []struct {
+		name  string
+		build func() core.Searcher
+	}{
+		{"scan (banded+sorted)", func() core.Searcher {
+			return core.NewSequential(data, scan.WithStrategy(scan.SimpleTypes), scan.WithBandedKernel(), scan.WithSortByLength())
+		}},
+		{"trie (modern pruning)", func() core.Searcher { return core.NewTrie(data, true, trie.WithModernPruning()) }},
+		{"cascade (words sweep)", func() core.Searcher { return core.NewCascade(data) }},
+	}
+	for _, e := range engines {
 		start := time.Now()
-		pairs := join.SelfJoin(data, k, join.Options{Algorithm: alg, Workers: 8})
+		pairs := core.SelfJoin(e.build(), data, k, pool.Fixed{Workers: 8})
 		elapsed := time.Since(start)
-		t.AddRow(fmt.Sprintf("%-14s (%d pairs)", alg.String(), len(pairs)),
-			[]Cell{{Elapsed: elapsed}})
+		t.AddRow(fmt.Sprintf("%-21s (%d pairs)", e.name, len(pairs)), []Cell{{Elapsed: elapsed}})
 	}
 	return t
 }

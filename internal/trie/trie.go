@@ -275,23 +275,15 @@ func (t *Tree) Stats() Stats {
 }
 
 // Search returns every inserted string within edit distance k of q, with its
-// exact distance. Results are in no particular order; callers sort.
+// exact distance. Results are in no particular order; callers sort. It
+// allocates one DP row per depth level on first use and reuses them across
+// the whole traversal, so a search costs O(activeNodes × len(q)) time with
+// O(maxDepth × len(q)) memory.
 func (t *Tree) Search(q string, k int) []Match {
-	var out []Match
-	t.SearchFunc(q, k, func(id int32, dist int) {
-		out = append(out, Match{ID: id, Dist: dist})
-	})
-	return out
-}
-
-// SearchFunc streams every match to fn. It allocates one DP row per depth
-// level on first use and reuses them across the whole traversal, so a search
-// costs O(activeNodes × len(q)) time with O(maxDepth × len(q)) memory.
-func (t *Tree) SearchFunc(q string, k int, fn func(id int32, dist int)) {
 	if k < 0 {
-		return
+		return nil
 	}
-	s := searcher{q: q, k: k, fn: fn, dups: t.dups}
+	s := searcher{q: q, k: k, dups: t.dups}
 	// The root may itself be terminal for the empty string.
 	if t.root.id != noID && len(q) <= k {
 		s.emit(t.root.id, len(q))
@@ -301,30 +293,31 @@ func (t *Tree) SearchFunc(q string, k int, fn func(id int32, dist int)) {
 		for _, c := range t.root.children {
 			s.descend(c, row, 0)
 		}
-		return
+		return s.out
 	}
 	row := edit.InitialRow(q)
 	for _, c := range t.root.children {
 		s.descendPaper(c, row, 0)
 	}
+	return s.out
 }
 
 type searcher struct {
 	q    string
 	k    int
-	fn   func(id int32, dist int)
+	out  []Match
 	dups [][]int32 // the tree's duplicate IDs (see node.id)
 	rows [][]int   // row buffer per byte depth, lazily grown
 }
 
-// emit hands fn every ID of a terminal node's id field at distance dist.
+// emit appends every ID of a terminal node's id field at distance dist.
 func (s *searcher) emit(id int32, dist int) {
 	if id >= 0 {
-		s.fn(id, dist)
+		s.out = append(s.out, Match{ID: id, Dist: dist})
 		return
 	}
 	for _, d := range s.dups[-2-id] {
-		s.fn(d, dist)
+		s.out = append(s.out, Match{ID: d, Dist: dist})
 	}
 }
 
