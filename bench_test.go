@@ -9,9 +9,11 @@
 package simsearch_test
 
 import (
+	"fmt"
 	"sync"
 	"testing"
 
+	"simsearch"
 	"simsearch/internal/bench"
 	"simsearch/internal/core"
 	"simsearch/internal/dataset"
@@ -271,6 +273,34 @@ func BenchmarkAblationTrieCompression(b *testing.B) {
 				}
 			}
 		})
+	}
+}
+
+// BenchmarkTrieDescent times NewIndex — the compressed trie with the modern
+// descent — on the fixed benchmark's corpora and query generator at seed 7:
+// 100,000 names at k = 2 and 3, 10,000 reads at k = 4 and 8, 200 queries a
+// threshold. It reports the mean µs per query over the b.N passes.
+func BenchmarkTrieDescent(b *testing.B) {
+	for _, c := range []struct {
+		name string
+		data []string
+		ks   []int
+	}{
+		{"names", simsearch.GenerateCities(100000, 7), []int{2, 3}},
+		{"reads", simsearch.GenerateDNAReads(10000, 7), []int{4, 8}},
+	} {
+		idx := simsearch.NewIndex(c.data)
+		for _, k := range c.ks {
+			qs := simsearch.GenerateQueries(c.data, 200, k, 7+int64(k))
+			b.Run(fmt.Sprintf("%s/k%d", c.name, k), func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					for _, q := range qs {
+						idx.Search(simsearch.Query{Text: q, K: k})
+					}
+				}
+				b.ReportMetric(float64(b.Elapsed().Microseconds())/float64(b.N*len(qs)), "us/query")
+			})
+		}
 	}
 }
 

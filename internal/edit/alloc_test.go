@@ -36,13 +36,6 @@ func TestStepRowZeroAllocWithBuffer(t *testing.T) {
 	}); n != 0 {
 		t.Errorf("StepRow with buffer allocates %.1f per call, want 0", n)
 	}
-	band := InitialBandRow(q, 2, nil)
-	buf2 := make([]int, len(q)+1)
-	if n := testing.AllocsPerRun(200, func() {
-		StepBandRow(q, band, 'x', 1, 2, buf2)
-	}); n != 0 {
-		t.Errorf("StepBandRow with buffer allocates %.1f per call, want 0", n)
-	}
 }
 
 // The compiled kernels sit inside every scan's candidate loop: on a read-sized

@@ -1,5 +1,7 @@
 package edit
 
+import "math/bits"
+
 // Diagonal-band form of the bit-vector algorithm (Hyyrö, "A bit-vector
 // algorithm for computing Levenshtein and Damerau edit distances", 2003).
 //
@@ -36,10 +38,19 @@ package edit
 //     about 2k+4 columns for an unrelated candidate. (The loop counts k minus
 //     the score down to below zero, which keeps k out of its registers.)
 
-// maxBandK is the largest threshold whose band (2k+1 rows) fits the window.
-const maxBandK = 31
+// MaxBandK is the largest threshold whose band (2k+1 rows) fits the window.
+const MaxBandK = 31
 
-// boundedBand is the band kernel. Preconditions: 0 <= k <= maxBandK,
+// window cuts the match word of the 64 pattern rows from bit at on out of
+// the bits row that starts at word row: the funnel shift both band loops
+// read their match words with.
+func window(bits []uint64, row, at int) uint64 {
+	w := row + at>>6
+	sh := uint(at & 63)
+	return bits[w]>>sh | bits[w+1]<<1<<(63-sh)
+}
+
+// boundedBand is the band kernel. Preconditions: 0 <= k <= MaxBandK,
 // |m-n| <= k.
 func boundedBand[T ~string | ~[]byte](p *MyersPattern, b T, k int) (int, bool) {
 	n := len(b)
@@ -54,10 +65,7 @@ func boundedBand[T ~string | ~[]byte](p *MyersPattern, b T, k int) (int, bool) {
 	}
 	base := 64 - k // bit of the window's row 0 in a bits row, for column 1
 	for j := 0; j < n; j++ {
-		at := base + j
-		w := int(p.class[b[j]])*stride + at>>6
-		sh := uint(at & 63)
-		eq := bits[w]>>sh | bits[w+1]<<1<<(63-sh)
+		eq := window(bits, int(p.class[b[j]])*stride, base+j)
 		d0 := (((eq & pv) + pv) ^ pv) | (eq | mv)
 		ph := mv | ^(d0 | pv)
 		mh := pv & d0
@@ -72,4 +80,93 @@ func boundedBand[T ~string | ~[]byte](p *MyersPattern, b T, k int) (int, bool) {
 		mv = ph & d0
 	}
 	return k - left, true
+}
+
+// Prefix-tree descent with the band kernel. A trie walks the text one byte
+// per tree level and must be able to resume any prefix's column for each of
+// its children, so the column state is a value, Band: the two vertical-delta
+// words of the prefix's last column in the alignment of the next one (bit b
+// holds the step from window bit b to bit b+1) and the value of the window's
+// top cell, diagonal -k, which grows by 1-d0 per column like any diagonal.
+// Every other window cell is that value plus a popcount of the deltas above
+// it (cell). The recurrence and the match window are boundedBand's.
+//
+// Pruning watches only the target diagonals: a string of length L ends in
+// D[m][L], on diagonal m-L, window bit m-L+k. Below a tree node the lengths
+// are [minLen, maxLen], so only the bits of [minLen, maxLen] ∩ [m-k, m+k]
+// can still end within k, and since values never decrease along a diagonal
+// the subtree is dead once all of them exceed k. A target whose current cell
+// lies above row 0 holds the virtual value L-m <= k, kept exactly, so it is
+// alive, as it must be: the string can still reach D[m][L] along it.
+
+// Band is the band kernel's column state after a text prefix (see above).
+// The zero value is not a state; start from StartBand.
+type Band struct {
+	pv, mv uint64
+	top    int
+}
+
+// StartBand returns the state for the empty prefix at threshold k <=
+// MaxBandK: column 0, whose top cell is the virtual D[-k][0] = k.
+func StartBand(k int) Band {
+	pv := ^uint64(0) << uint(k)
+	return Band{pv: pv, mv: ^pv, top: k}
+}
+
+// cell returns the value of window bit b, diagonal b-k, in s's column.
+func (s Band) cell(b int) int {
+	above := uint64(1)<<uint(b) - 1
+	return s.top + bits.OnesCount64(s.pv&above) - bits.OnesCount64(s.mv&above)
+}
+
+// StepBand extends s, the state after depth text bytes, by label. It reports
+// false as soon as no string whose length is in [minLen, maxLen] and that
+// extends the prefix can be within k: every target diagonal of that window
+// (see above) exceeds k. Preconditions: k <= MaxBandK, minLen >= depth +
+// len(label).
+func (p *MyersPattern) StepBand(s Band, label []byte, depth, k, minLen, maxLen int) (Band, bool) {
+	lo := p.m + k - min(maxLen, p.m+k) // the longest target's bit
+	hi := p.m + k - max(minLen, p.m-k) // the shortest's
+	if lo > hi {
+		return s, false
+	}
+	words, stride := p.bits, p.stride
+	pv, mv, top := s.pv, s.mv, s.top
+	at := 64 - k + depth // bit of the window's top row in a bits row, for column depth+1
+	for _, c := range label {
+		eq := window(words, int(p.class[c])*stride, at)
+		at++
+		d0 := (((eq & pv) + pv) ^ pv) | (eq | mv)
+		ph := mv | ^(d0 | pv)
+		mh := pv & d0
+		top += 1 - int(d0&1)
+		d0 >>= 1
+		pv = mh | ^(d0 | ph)
+		mv = ph & d0
+		// Find the first live target from lo on. Neighbouring cells differ
+		// by at most one, so a cell of value v > k is v-k bits short of any
+		// cell within k; and a dead diagonal stays dead, so the search
+		// resumes there on the next byte.
+		for {
+			v := Band{pv, mv, top}.cell(lo)
+			if v <= k {
+				break
+			}
+			if lo += v - k; lo > hi {
+				return Band{pv, mv, top}, false
+			}
+		}
+	}
+	return Band{pv, mv, top}, true
+}
+
+// BandDistance returns the distance between the pattern and the prefix of
+// length depth that s is the state of, when it is at most k.
+func (p *MyersPattern) BandDistance(s Band, depth, k int) (int, bool) {
+	b := p.m - depth + k
+	if b < 0 || b > 2*k {
+		return 0, false
+	}
+	v := s.cell(b)
+	return v, v <= k
 }

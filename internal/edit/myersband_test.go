@@ -104,3 +104,68 @@ func TestBandKernelExhaustive(t *testing.T) {
 		}
 	}
 }
+
+// TestBandStateMatchesFullDP steps the band state one text byte at a time
+// and compares every column with the full DP row (StepRow): an in-band cell
+// whose value is at most k reads exactly that value and one above k reads
+// above k; the same holds for the band's row minimum and for D[m][d]; and
+// StepBand calls the column dead exactly when the row minimum exceeds k, and
+// stops stepping once the column is past m+k. Then the whole text goes
+// through as one label aimed at its own length, which must survive exactly
+// when the text is within k. Patterns reach 200 bytes (one, two and four
+// words of the match table) and k runs over the whole band, 0..31.
+func TestBandStateMatchesFullDP(t *testing.T) {
+	r := rand.New(rand.NewSource(43))
+	for trial := 0; trial < 800; trial++ {
+		k := trial % (MaxBandK + 1)
+		alpha := "ACGT"[:1+r.Intn(4)]
+		q := randomString(r, alpha, 200)
+		text := mutate(r, q, r.Intn(k+4))
+		if r.Intn(4) == 0 {
+			text = randomString(r, alpha, 200)
+		}
+		p := CompileMyers(q)
+		m := len(q)
+		full := InitialRow(q)
+		band := StartBand(k)
+		for d := 1; d <= len(text); d++ {
+			full = StepRow(q, full, text[d-1], nil)
+			var alive bool
+			band, alive = p.StepBand(band, []byte{text[d-1]}, d-1, k, d, 1<<30)
+			if d > m+k {
+				if alive {
+					t.Fatalf("column %d of m=%d k=%d is past the band but alive", d, m, k)
+				}
+				break
+			}
+			trueMin, bandMin := 1<<30, 1<<30
+			for _, v := range full {
+				trueMin = min(trueMin, v)
+			}
+			for i := max(0, d-k); i <= min(m, d+k); i++ {
+				got := band.cell(i - d + k)
+				if (full[i] <= k && got != full[i]) || (full[i] > k && got <= k) {
+					t.Fatalf("q=%q text=%q k=%d: D[%d][%d] reads %d, DP %d", q, text, k, i, d, got, full[i])
+				}
+				bandMin = min(bandMin, got)
+			}
+			if (trueMin <= k && bandMin != trueMin) || (trueMin > k && bandMin <= k) {
+				t.Fatalf("q=%q text=%q k=%d column %d: band minimum %d, row minimum %d", q, text, k, d, bandMin, trueMin)
+			}
+			if alive != (trueMin <= k) {
+				t.Fatalf("q=%q text=%q k=%d column %d: alive=%v, row minimum %d", q, text, k, d, alive, trueMin)
+			}
+			if got, ok := p.BandDistance(band, d, k); ok != (full[m] <= k) || (ok && got != full[m]) {
+				t.Fatalf("q=%q text=%q k=%d: BandDistance at %d = (%d,%v), D[m][d] %d", q, text, k, d, got, ok, full[m])
+			}
+		}
+		want := Distance(q, text)
+		end, ok := p.StepBand(StartBand(k), []byte(text), 0, k, len(text), len(text))
+		if ok != (want <= k) {
+			t.Fatalf("q=%q text=%q k=%d: the label aimed at its own length survives=%v, distance %d", q, text, k, ok, want)
+		}
+		if got, dok := p.BandDistance(end, len(text), k); ok && (!dok || got != want) {
+			t.Fatalf("q=%q text=%q k=%d: BandDistance = (%d,%v), distance %d", q, text, k, got, dok, want)
+		}
+	}
+}

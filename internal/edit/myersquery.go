@@ -8,7 +8,7 @@ package edit
 // bit-parallel kernel viable on the serving path — on the city-name workload
 // the table build costs as much as scanning a whole candidate.
 //
-// Two bounded kernels read that one table. For k <= maxBandK the diagonal-band
+// Two bounded kernels read that one table. For k <= MaxBandK the diagonal-band
 // kernel (myersband.go) slides a single 64-bit window down the DP matrix and
 // drops a candidate the first column its target diagonal exceeds k. Larger
 // thresholds keep the blocked column kernel below, whose abandon watches the
@@ -22,7 +22,7 @@ package edit
 // MyersPattern is a query compiled for repeated bit-parallel distance
 // computations against many candidate strings. The compiled table is
 // read-only after CompileMyers, so one pattern may be shared by any number of
-// goroutines; only the blocked kernel (k > maxBandK) needs a per-goroutine
+// goroutines; only the blocked kernel (k > MaxBandK) needs a per-goroutine
 // MyersScratch.
 type MyersPattern struct {
 	text string
@@ -118,7 +118,7 @@ func boundedMyers[T ~string | ~[]byte](p *MyersPattern, b T, k int, s *MyersScra
 		return len(b), true // len(b) = d <= k
 	case len(b) == 0:
 		return p.m, true
-	case k <= maxBandK:
+	case k <= MaxBandK:
 		return boundedBand(p, b, k)
 	default:
 		return boundedBlock(p, b, k, s)

@@ -7,8 +7,10 @@
 // below it, following Rheinländer et al.'s PETER index as cited in §2.3 and
 // adopted in §4.1: a branch whose length window cannot intersect
 // [len(q)-k, len(q)+k] is skipped (this realizes the paper's d_m tolerance,
-// eq. 9–10). In addition the DP-row minimum prunes branches whose prefix
-// already guarantees a distance above k.
+// eq. 9–10). The paper's descent steps a full DP row per label byte and
+// prunes on the diagonal test of eq. 9–10; the modern one (WithModernPruning)
+// steps the scan's 64-bit band kernel instead and prunes a subtree once every
+// diagonal that ends at one of its lengths exceeds k.
 //
 // A node is 64 bytes: its label and child slices, the one ID of the string
 // ending there (the few strings stored more than once keep their IDs in a
@@ -61,11 +63,13 @@ type Tree struct {
 // Option configures tree construction.
 type Option func(*Tree)
 
-// WithModernPruning replaces the paper's §4.1 pruning rule (full DP rows
-// with the diagonal-plus-d_m test, eq. 9–10) by banded rows with row-minimum
-// pruning — the technique modern trie-based similarity indexes use. Results
-// are identical; only the amount of work pruned differs. The reproduction's
-// ablation benchmarks quantify the gap.
+// WithModernPruning replaces the paper's §4.1 descent (full DP rows with the
+// diagonal-plus-d_m test, eq. 9–10) by the scan's kernel: the query is
+// compiled once (edit.CompileMyers), each label byte steps the 64-bit
+// diagonal band (edit.StepBand), and a subtree is pruned once every diagonal
+// ending at a length in its [minLen, maxLen] ∩ [len(q)-k, len(q)+k] exceeds
+// k. Above edit.MaxBandK, where the band outgrows the word, it descends with
+// the paper's rows. Results are identical; only the work differs.
 func WithModernPruning() Option {
 	return func(t *Tree) { t.modern = true }
 }
@@ -275,10 +279,13 @@ func (t *Tree) Stats() Stats {
 }
 
 // Search returns every inserted string within edit distance k of q, with its
-// exact distance. Results are in no particular order; callers sort. It
-// allocates one DP row per depth level on first use and reuses them across
-// the whole traversal, so a search costs O(activeNodes × len(q)) time with
-// O(maxDepth × len(q)) memory.
+// exact distance. Results are in no particular order; callers sort. The
+// modern descent carries the band kernel's three-word state on the stack, so
+// at k <= edit.MaxBandK a query allocates its compiled pattern and its
+// results and nothing per node. The paper's descent, which also serves the
+// modern tree above that, allocates one DP row per depth level on first use
+// and reuses them across the whole traversal: O(activeNodes × len(q)) time
+// with O(maxDepth × len(q)) memory.
 func (t *Tree) Search(q string, k int) []Match {
 	if k < 0 {
 		return nil
@@ -288,10 +295,11 @@ func (t *Tree) Search(q string, k int) []Match {
 	if t.root.id != noID && len(q) <= k {
 		s.emit(t.root.id, len(q))
 	}
-	if t.modern {
-		row := edit.InitialBandRow(q, k, nil)
+	if t.modern && k <= edit.MaxBandK {
+		s.pat = edit.CompileMyers(q)
+		band := edit.StartBand(k)
 		for _, c := range t.root.children {
-			s.descend(c, row, 0)
+			s.descend(c, band, 0)
 		}
 		return s.out
 	}
@@ -306,8 +314,9 @@ type searcher struct {
 	q    string
 	k    int
 	out  []Match
-	dups [][]int32 // the tree's duplicate IDs (see node.id)
-	rows [][]int   // row buffer per byte depth, lazily grown
+	dups [][]int32          // the tree's duplicate IDs (see node.id)
+	pat  *edit.MyersPattern // q, compiled for the modern descent
+	rows [][]int            // the paper descent's row buffer per byte depth, lazily grown
 }
 
 // emit appends every ID of a terminal node's id field at distance dist.
@@ -338,31 +347,23 @@ func (s *searcher) rowAt(depth int) []int {
 	return s.rows[depth]
 }
 
-// descend processes node n whose parent prefix produced parentRow at byte
-// depth depth (banded row for the prefix of length depth).
-func (s *searcher) descend(n *node, parentRow []int, depth int) {
-	if s.prune(n) {
+// descend is the modern descent: it steps the band state parent, of the
+// prefix of length depth, over n's label and stops the first byte after
+// which no length in n's window can still end within k (edit.StepBand; an
+// empty intersection with [len(q)-k, len(q)+k] stops it before the first).
+func (s *searcher) descend(n *node, parent edit.Band, depth int) {
+	band, ok := s.pat.StepBand(parent, n.label, depth, s.k, int(n.minLen), int(n.maxLen))
+	if !ok {
 		return
 	}
-	row := parentRow
-	d := depth
-	for _, c := range n.label {
-		next, minV := edit.StepBandRow(s.q, row, c, d+1, s.k, s.rowAt(d+1))
-		row = next
-		d++
-		if minV > s.k {
-			// No extension of this prefix can come back within k
-			// (row minima never decrease when extending the prefix).
-			return
-		}
-	}
+	depth += len(n.label)
 	if n.id != noID {
-		if dist, ok := edit.BandRowDistance(row, d, len(s.q), s.k); ok {
+		if dist, ok := s.pat.BandDistance(band, depth, s.k); ok {
 			s.emit(n.id, dist)
 		}
 	}
 	for _, c := range n.children {
-		s.descend(c, row, d)
+		s.descend(c, band, depth)
 	}
 }
 

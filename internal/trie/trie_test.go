@@ -347,3 +347,31 @@ func TestPackedSlabs(t *testing.T) {
 	}()
 	tr.Insert("Ulm", 9)
 }
+
+// TestModernSearchAllocs pins what a modern-descent query allocates: its
+// compiled pattern and its results, not a DP row per depth. The int rows the
+// band word replaced took 50 allocations here at k = 0 and 111 at k = 8.
+func TestModernSearchAllocs(t *testing.T) {
+	r := rand.New(rand.NewSource(5))
+	genome := make([]byte, 20000)
+	for i := range genome {
+		genome[i] = "ACGT"[r.Intn(4)]
+	}
+	var data []string
+	for i := 0; i+100 <= len(genome); i += 13 {
+		data = append(data, string(genome[i:i+100]))
+	}
+	tr := Build(data, WithModernPruning())
+	tr.Compress()
+	read := []byte(data[len(data)/2])
+	read[40], read[70] = 'N', 'N'
+	q := string(read)
+	for _, k := range []int{0, 8} {
+		if got, want := tr.Search(q, k), scanRef(data, q, k); !equalMatches(got, want) || (k > 0 && len(want) == 0) {
+			t.Fatalf("k=%d: Search = %v, want %v", k, got, want)
+		}
+		if n := testing.AllocsPerRun(50, func() { tr.Search(q, k) }); n > 8 {
+			t.Errorf("k=%d: a query allocates %.0f times, want at most 8", k, n)
+		}
+	}
+}
