@@ -58,6 +58,7 @@ fuzz-smoke:
 	$(GO) test -run=NONE -fuzz='^FuzzCachedIdentical$$' -fuzztime=$(FUZZ_SMOKE_TIME) ./internal/cache
 	$(GO) test -run=NONE -fuzz='^FuzzKernelsAgree$$' -fuzztime=$(FUZZ_SMOKE_TIME) ./internal/edit
 	$(GO) test -run=NONE -fuzz='^FuzzTrieAgrees$$' -fuzztime=$(FUZZ_SMOKE_TIME) ./internal/trie
+	$(GO) test -run=NONE -fuzz='^FuzzTrieShape$$' -fuzztime=$(FUZZ_SMOKE_TIME) ./internal/trie
 	$(GO) test -run=NONE -fuzz='^FuzzLiveIdentical$$' -fuzztime=$(FUZZ_SMOKE_TIME) ./internal/lsm
 	$(GO) test -run=NONE -fuzz='^FuzzCoordMerge$$' -fuzztime=$(FUZZ_SMOKE_TIME) ./internal/distrib
 	$(GO) test -run=NONE -fuzz='^FuzzSelfJoin$$' -fuzztime=$(FUZZ_SMOKE_TIME) ./internal/core
@@ -83,6 +84,8 @@ bench:
 # (k = 0, 4, 8): ns per slot of the length window, block summaries tested,
 # words read in the blocks they kept, slots past the first word and kernel
 # calls per query (the last two differ on reads: the gram word sits between);
+# the index's build on 100,000 and 50,000 names and 10,000 reads: ns per
+# string and allocations per build (a few, and one per duplicated string);
 # and the live store (seed segment + three flushed segments + 500-entry
 # delta, cities and reads): ns and allocations per query, strings a query's
 # signature word leaves for the kernel, and ns per insert. Last, a 2-store
@@ -93,6 +96,7 @@ bench-smoke:
 	$(GO) test -run='^$$' -bench=. -benchtime=1x ./... > /dev/null
 	$(GO) test -run='^$$' -bench='^BenchmarkBoundedKernels$$' -benchtime=200x ./internal/edit
 	$(GO) test -run='^$$' -bench='^BenchmarkCascadeBytes$$' -benchtime=300x ./internal/core
+	$(GO) test -run='^$$' -bench='^BenchmarkTrieBuild$$' -benchtime=3x .
 	$(GO) test -run='^$$' -bench='^BenchmarkLive(Search|Insert)$$' -benchtime=2000x ./internal/lsm
 	$(GO) test -run='^$$' -bench='^BenchmarkSplitOrInline$$' -benchtime=200x ./internal/exec
 	$(GO) run ./cmd/paperbench -cascadecheck

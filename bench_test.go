@@ -259,12 +259,7 @@ func BenchmarkAblationTrieCompression(b *testing.B) {
 		{"modern-compressed", true, []trie.Option{trie.WithModernPruning()}},
 	}
 	for _, c := range configs {
-		tr := trie.Build(city.Data, c.opts...)
-		if c.compress {
-			tr.Compress()
-		} else {
-			tr.Pack()
-		}
+		tr := trie.Build(city.Data, c.compress, c.opts...)
 		b.Run(c.name, func(b *testing.B) {
 			b.ReportMetric(float64(tr.NodeCount()), "nodes")
 			for i := 0; i < b.N; i++ {
@@ -301,6 +296,29 @@ func BenchmarkTrieDescent(b *testing.B) {
 				b.ReportMetric(float64(b.Elapsed().Microseconds())/float64(b.N*len(qs)), "us/query")
 			})
 		}
+	}
+}
+
+// BenchmarkTrieBuild times NewIndex's build — one sort, one recursion,
+// straight into the packed slabs — on the fixed benchmark's generators at
+// seed 7: 100,000 names, 50,000 names (city-live's seed corpus) and 10,000
+// reads. It reports ns per string and allocations per build.
+func BenchmarkTrieBuild(b *testing.B) {
+	for _, c := range []struct {
+		name string
+		data []string
+	}{
+		{"names100k", simsearch.GenerateCities(100000, 7)},
+		{"names50k", simsearch.GenerateCities(50000, 7)},
+		{"reads10k", simsearch.GenerateDNAReads(10000, 7)},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				simsearch.NewIndex(c.data)
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(c.data)), "ns/string")
+		})
 	}
 }
 

@@ -157,16 +157,13 @@ type Trie struct {
 }
 
 // NewTrie builds a prefix-tree searcher. compress selects the §4.2
-// path-compressed variant. Either tree is packed once built (Compress packs
-// the tree it compresses), so the two compare on compression alone.
+// path-compressed variant. Either tree is built straight into its packed
+// slabs, so the two compare on compression alone.
 func NewTrie(data []string, compress bool, opts ...trie.Option) *Trie {
-	tr := trie.Build(data, opts...)
+	tr := trie.Build(data, compress, opts...)
 	name := "trie/plain"
 	if compress {
-		tr.Compress()
 		name = "trie/compressed"
-	} else {
-		tr.Pack()
 	}
 	if tr.Modern() {
 		name += "+modern"

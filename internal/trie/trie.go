@@ -12,32 +12,40 @@
 // steps the scan's 64-bit band kernel instead and prunes a subtree once every
 // diagonal that ends at one of its lengths exceeds k.
 //
-// A node is 64 bytes: its label and child slices, the one ID of the string
-// ending there (the few strings stored more than once keep their IDs in a
-// side table, Tree.dups) and the length window. A finished tree is packed
-// (Pack; Compress ends with it): copied once, depth first, into one slab of
-// nodes, one of child pointers and one of label bytes, each exactly sized,
-// so a descent walks memory in the order it was laid down and the tree holds
-// no per-node allocation and no slice capacity left over from its growth.
+// A tree is built from one sort, by one recursion, straight into its packed
+// slabs. Build sorts the IDs once by (string, ID) and records each string's
+// common prefix with its sorted predecessor; one pass over those prefix
+// lengths sizes three slabs exactly — the nodes, their child pointers and
+// their label bytes — and one recursion over ranges of the sorted order lays
+// the tree into them in preorder: a range's strings that end at its depth
+// are the node's, the rest split into children where their byte at that
+// depth changes, and a compressed child's label runs to the common prefix of
+// its range. A node is 64 bytes: its label and child slices into the slabs,
+// the one ID of the string ending there (the few strings stored more than
+// once keep their IDs in a side table, Tree.dups) and the length window. A
+// descent walks memory in the order it was laid down, and the tree holds no
+// per-node allocation.
 package trie
 
 import (
-	"sort"
+	"cmp"
+	"slices"
+	"strings"
 
 	"simsearch/internal/edit"
 	"simsearch/internal/scan"
 )
 
-// Match is one search result: the ID the string was inserted with and its
-// exact edit distance to the query.
+// Match is one search result: the ID the string was built with and its exact
+// edit distance to the query.
 type Match = scan.Match
 
-// node is a prefix-tree node. In the uncompressed tree every node's label is
-// a single byte; after Compress, chains of single-child non-terminal nodes
-// are merged and labels grow to multi-byte edge fragments.
+// node is a prefix-tree node. In the plain tree every node but the root has
+// a one-byte label; in the compressed tree a chain of single-child nodes no
+// string ends at is one node with a multi-byte label.
 type node struct {
 	label    []byte
-	children []*node
+	children []*node // sorted by first label byte
 	// id is noID when no string ends here, the ID of the one string that
 	// does, or -2-i when several do (duplicates share a node): their IDs are
 	// Tree.dups[i].
@@ -51,13 +59,10 @@ const noID = -1
 
 // Tree is a prefix-tree index over a set of strings.
 type Tree struct {
-	root       *node
-	dups       [][]int32 // the IDs of each string inserted more than once, in insertion order
-	nodeCount  int
-	strCount   int
-	compressed bool
-	packed     bool
-	modern     bool
+	root   *node
+	dups   [][]int32 // the IDs of each string stored more than once, in ID order, numbered in preorder
+	stats  Stats
+	modern bool
 }
 
 // Option configures tree construction.
@@ -74,172 +79,163 @@ func WithModernPruning() Option {
 	return func(t *Tree) { t.modern = true }
 }
 
-// newTree returns an empty tree.
-func newTree(opts ...Option) *Tree {
-	t := &Tree{root: &node{id: noID, minLen: 1<<31 - 1}}
-	t.nodeCount = 1
+// Build constructs the tree over data; string i gets ID i. compress selects
+// the §4.2 path-compressed tree; otherwise every label is one byte, Figure
+// 4's plain tree.
+func Build(data []string, compress bool, opts ...Option) *Tree {
+	t := &Tree{stats: Stats{Strings: len(data), Compressed: compress}}
 	for _, o := range opts {
 		o(t)
 	}
-	return t
-}
-
-// Build constructs a tree over data; string i is inserted with ID i.
-func Build(data []string, opts ...Option) *Tree {
-	t := newTree(opts...)
+	ids := make([]int32, len(data))
 	for i, s := range data {
-		t.Insert(s, int32(i))
+		ids[i] = int32(i)
+		t.stats.MaxDepth = max(t.stats.MaxDepth, len(s))
 	}
+	slices.SortFunc(ids, func(a, b int32) int {
+		if c := strings.Compare(data[a], data[b]); c != 0 {
+			return c
+		}
+		return cmp.Compare(a, b)
+	})
+
+	// One pass over the sorted order measures the tree. Every distinct
+	// non-empty prefix is one label byte of either tree and one node of the
+	// plain one. The compressed tree has the root, a node per distinct
+	// non-empty string, and a node per prefix where neighbours part with
+	// neither ending there, counted once: open holds the depths on the
+	// previous string's path at which a later string may still part from it.
+	b := builder{data: data, ids: ids, lcp: make([]int32, len(ids)), plain: !compress}
+	var nonEmpty, splits, groups int
+	if len(ids) > 0 && data[ids[0]] != "" {
+		nonEmpty, t.stats.LabelBytes = 1, len(data[ids[0]])
+	}
+	open := make([]int32, 1, t.stats.MaxDepth+1)
+	for i, inGroup := 1, false; i < len(ids); i++ {
+		prev, s := data[ids[i-1]], data[ids[i]]
+		l := commonPrefix(prev, s)
+		b.lcp[i] = int32(l)
+		if l == len(s) { // s == prev: it sorts after prev and is a prefix of it
+			if !inGroup {
+				groups++
+			}
+			inGroup = true
+			continue
+		}
+		inGroup = false
+		nonEmpty++
+		t.stats.LabelBytes += len(s) - l
+		for open[len(open)-1] > int32(l) {
+			open = open[:len(open)-1]
+		}
+		if open[len(open)-1] < int32(l) {
+			open = append(open, int32(l))
+			if l < len(prev) {
+				splits++
+			}
+		}
+	}
+	t.stats.Nodes = 1 + t.stats.LabelBytes
+	if compress {
+		t.stats.Nodes = 1 + nonEmpty + splits
+	}
+
+	b.nodes = make([]node, t.stats.Nodes)
+	b.kids = make([]*node, t.stats.Nodes-1)
+	b.labels = make([]byte, t.stats.LabelBytes)
+	b.dups = make([][]int32, 0, groups)
+	t.root = b.lay(0, len(ids), 0, 0)
+	t.dups = b.dups
 	return t
 }
 
-// Insert adds s with the given ID, which must not be negative. Inserting into
-// a compressed or packed tree is not supported and panics; build fully, then
-// compress or pack.
-func (t *Tree) Insert(s string, id int32) {
-	if t.compressed || t.packed {
-		panic("trie: Insert after Compress or Pack")
+// builder lays a tree into its slabs. They are allocated at their final
+// size, so a pointer into one stays valid; n, k and l are the next free slot
+// of each.
+type builder struct {
+	data    []string
+	ids     []int32 // sorted by (string, ID)
+	lcp     []int32 // lcp[i]: the common prefix length of the strings at ids[i-1] and ids[i]
+	plain   bool
+	nodes   []node
+	kids    []*node
+	labels  []byte
+	dups    [][]int32
+	n, k, l int
+}
+
+// lay writes, in preorder, the node of the strings ids[lo:hi] — which share
+// their first to bytes, and whose label is the first string's bytes [from,
+// to) — and its subtree, and returns the node. On the plain tree a label of
+// several bytes is a one-byte node whose only child holds the rest.
+func (b *builder) lay(lo, hi, from, to int) *node {
+	m := &b.nodes[b.n]
+	b.n++
+	end := to
+	if b.plain && to-from > 1 {
+		end = from + 1
 	}
-	if id < 0 {
-		panic("trie: negative ID")
+	if end > from {
+		m.label = b.labels[b.l : b.l+end-from : b.l+end-from]
+		b.l += copy(m.label, b.data[b.ids[lo]][from:end])
 	}
-	n := t.root
-	absorb(n, len(s))
-	for i := 0; i < len(s); i++ {
-		c := s[i]
-		child := findChild(n, c)
-		if child == nil {
-			child = &node{label: []byte{c}, id: noID, minLen: 1<<31 - 1}
-			insertChild(n, child)
-			t.nodeCount++
-		}
-		n = child
-		absorb(n, len(s))
+	m.id, m.minLen = noID, 1<<31-1
+	if end < to {
+		m.children = b.kids[b.k : b.k+1 : b.k+1]
+		b.k++
+		m.children[0] = b.lay(lo, hi, end, to)
+		m.minLen, m.maxLen = m.children[0].minLen, m.children[0].maxLen
+		return m
+	}
+
+	// The strings that end here sort first, duplicates in ID order.
+	t := lo
+	for t < hi && len(b.data[b.ids[t]]) == to {
+		t++
 	}
 	switch {
-	case n.id == noID:
-		n.id = id
-	case n.id >= 0:
-		t.dups = append(t.dups, []int32{n.id, id})
-		n.id = -2 - int32(len(t.dups)-1)
-	default:
-		t.dups[-2-n.id] = append(t.dups[-2-n.id], id)
+	case t-lo == 1:
+		m.id = b.ids[lo]
+	case t-lo > 1:
+		m.id = -2 - int32(len(b.dups))
+		b.dups = append(b.dups, slices.Clone(b.ids[lo:t]))
 	}
-	t.strCount++
-}
+	if t > lo {
+		m.minLen, m.maxLen = int32(to), int32(to)
+	}
 
-// absorb folds one string's length into a node's length window.
-func absorb(n *node, slen int) {
-	if int32(slen) < n.minLen {
-		n.minLen = int32(slen)
-	}
-	if int32(slen) > n.maxLen {
-		n.maxLen = int32(slen)
-	}
-}
-
-func findChild(n *node, c byte) *node {
-	// children are sorted by first label byte.
-	lo, hi := 0, len(n.children)
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if n.children[mid].label[0] < c {
-			lo = mid + 1
-		} else {
-			hi = mid
+	// The rest split into children where their byte at depth to changes; a
+	// child's label runs to the common prefix of its strings.
+	nc := 0
+	for j := t; j < hi; j++ {
+		if j == t || b.lcp[j] == int32(to) {
+			nc++
 		}
 	}
-	if lo < len(n.children) && n.children[lo].label[0] == c {
-		return n.children[lo]
-	}
-	return nil
-}
-
-func insertChild(n *node, child *node) {
-	c := child.label[0]
-	idx := sort.Search(len(n.children), func(i int) bool {
-		return n.children[i].label[0] >= c
-	})
-	n.children = append(n.children, nil)
-	copy(n.children[idx+1:], n.children[idx:])
-	n.children[idx] = child
-}
-
-// Compress merges every chain of single-child, non-terminal nodes into one
-// node with a multi-byte label (paper §4.2, Figure 4), then packs the tree.
-// It reduces the node count and the number of per-node bookkeeping steps
-// during search.
-func (t *Tree) Compress() {
-	if t.compressed {
-		return
-	}
-	var walk func(n *node)
-	walk = func(n *node) {
-		for i, c := range n.children {
-			for len(c.children) == 1 && c.id == noID {
-				only := c.children[0]
-				merged := &node{
-					label:    append(append([]byte(nil), c.label...), only.label...),
-					children: only.children,
-					id:       only.id,
-					minLen:   only.minLen,
-					maxLen:   only.maxLen,
-				}
-				n.children[i] = merged
-				c = merged
-				t.nodeCount--
-			}
-			walk(c)
+	m.children = b.kids[b.k : b.k+nc : b.k+nc]
+	b.k += nc
+	a, c, common := t, 0, int32(1<<31-1)
+	for j := t + 1; j <= hi; j++ {
+		if j < hi && b.lcp[j] != int32(to) {
+			common = min(common, b.lcp[j])
+			continue
 		}
-	}
-	walk(t.root)
-	t.compressed = true
-	t.Pack()
-}
-
-// Pack copies the finished tree, in preorder, into three exactly sized
-// slabs — its nodes, their child pointers and their label bytes — and lets
-// the nodes it was grown from go. Each node's children are a contiguous run
-// of the pointer slab and its label a run of the byte slab, so the search
-// follows the same pointers through memory laid out in the order it visits
-// it. The tree takes no Insert after it; Compress may still run, and packs
-// again.
-func (t *Tree) Pack() {
-	st := t.Stats() // every node but the root is one child pointer and a label
-	p := packer{
-		nodes:  make([]node, 0, st.Nodes),
-		kids:   make([]*node, 0, st.Nodes-1),
-		labels: make([]byte, 0, st.LabelBytes),
-	}
-	t.root = p.copy(t.root)
-	t.packed = true
-}
-
-// packer holds the three slabs while Pack fills them. They are allocated at
-// their final size, so appending never moves them and a pointer into one
-// stays valid.
-type packer struct {
-	nodes  []node
-	kids   []*node
-	labels []byte
-}
-
-// copy appends n and, after it, its subtree to the slabs and returns n's
-// copy. The copy's child pointers are reserved before the first child's
-// subtree is copied, so siblings' pointers sit side by side.
-func (p *packer) copy(n *node) *node {
-	p.nodes = append(p.nodes, *n)
-	m := &p.nodes[len(p.nodes)-1]
-	at := len(p.labels)
-	p.labels = append(p.labels, n.label...)
-	m.label = p.labels[at:len(p.labels):len(p.labels)]
-	at = len(p.kids)
-	p.kids = append(p.kids, n.children...)
-	m.children = p.kids[at:len(p.kids):len(p.kids)]
-	for i, c := range n.children {
-		m.children[i] = p.copy(c)
+		child := b.lay(a, j, to, min(int(common), len(b.data[b.ids[a]])))
+		m.children[c] = child
+		m.minLen, m.maxLen = min(m.minLen, child.minLen), max(m.maxLen, child.maxLen)
+		a, c, common = j, c+1, 1<<31-1
 	}
 	return m
+}
+
+// commonPrefix returns the length of the longest common prefix of a and b.
+func commonPrefix(a, b string) int {
+	n := min(len(a), len(b))
+	i := 0
+	for i < n && a[i] == b[i] {
+		i++
+	}
+	return i
 }
 
 // Modern reports whether WithModernPruning was selected.
@@ -247,38 +243,24 @@ func (t *Tree) Modern() bool { return t.modern }
 
 // NodeCount returns the number of nodes including the root. The paper's
 // Figure 4 compression claim ("half of the nodes") is checked against this.
-func (t *Tree) NodeCount() int { return t.nodeCount }
+func (t *Tree) NodeCount() int { return t.stats.Nodes }
 
-// Len returns the number of inserted strings.
-func (t *Tree) Len() int { return t.strCount }
+// Len returns the number of strings the tree was built over.
+func (t *Tree) Len() int { return t.stats.Strings }
 
 // Stats summarizes structural properties for the experiment reports.
 type Stats struct {
 	Nodes      int
 	Strings    int
 	Compressed bool
-	MaxDepth   int // depth in label bytes
+	MaxDepth   int // depth in label bytes: the longest string's length
 	LabelBytes int // resident label bytes (the tree's dominant memory term)
 }
 
-// Stats computes structural statistics.
-func (t *Tree) Stats() Stats {
-	s := Stats{Nodes: t.nodeCount, Strings: t.strCount, Compressed: t.compressed}
-	var walk func(n *node, depth int)
-	walk = func(n *node, depth int) {
-		if depth > s.MaxDepth {
-			s.MaxDepth = depth
-		}
-		for _, c := range n.children {
-			s.LabelBytes += len(c.label)
-			walk(c, depth+len(c.label))
-		}
-	}
-	walk(t.root, 0)
-	return s
-}
+// Stats returns the tree's structural statistics.
+func (t *Tree) Stats() Stats { return t.stats }
 
-// Search returns every inserted string within edit distance k of q, with its
+// Search returns every string it holds within edit distance k of q, with its
 // exact distance. Results are in no particular order; callers sort. The
 // modern descent carries the band kernel's three-word state on the stack, so
 // at k <= edit.MaxBandK a query allocates its compiled pattern and its

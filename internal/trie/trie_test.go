@@ -8,6 +8,7 @@ import (
 	"testing/quick"
 	"unsafe"
 
+	"simsearch/internal/dataset"
 	"simsearch/internal/edit"
 )
 
@@ -45,26 +46,26 @@ func TestPaperFigure4Compression(t *testing.T) {
 	// Figure 4: "Berlin", "Bern", "Ulm" — the compressed tree has half the
 	// nodes of the plain tree.
 	data := []string{"Berlin", "Bern", "Ulm"}
-	tr := Build(data)
+	plain, tr := Build(data, false), Build(data, true)
 	// Plain: root + B,e,r,l,i,n + n(after Ber->n) + U,l,m = 1+6+1+3 = 11.
-	if got := tr.NodeCount(); got != 11 {
+	if got := plain.NodeCount(); got != 11 {
 		t.Errorf("plain NodeCount = %d, want 11", got)
 	}
-	tr.Compress()
 	// Compressed: root, "Ber", "lin", "n", "Ulm" = 5 nodes.
 	if got := tr.NodeCount(); got != 5 {
 		t.Errorf("compressed NodeCount = %d, want 5", got)
 	}
-	if !tr.Stats().Compressed {
-		t.Error("Stats().Compressed = false after Compress")
+	if !tr.Stats().Compressed || plain.Stats().Compressed {
+		t.Error("Stats().Compressed does not say which tree was built")
 	}
-	// Same results before/after compression.
+	// Same results from both trees.
 	for _, q := range []string{"Bern", "Berlin", "Ulm", "Barn", "Hamburg"} {
 		for k := 0; k <= 3; k++ {
-			got := tr.Search(q, k)
 			want := scanRef(data, q, k)
-			if !equalMatches(got, want) {
-				t.Errorf("Search(%q, %d) = %v, want %v", q, k, got, want)
+			for _, tr := range []*Tree{plain, tr} {
+				if got := tr.Search(q, k); !equalMatches(got, want) {
+					t.Errorf("compressed=%v: Search(%q, %d) = %v, want %v", tr.Stats().Compressed, q, k, got, want)
+				}
 			}
 		}
 	}
@@ -72,7 +73,7 @@ func TestPaperFigure4Compression(t *testing.T) {
 
 func TestSearchExactAndFuzzy(t *testing.T) {
 	data := []string{"berlin", "bern", "bonn", "munich", "ulm", "köln", "erlangen", ""}
-	tr := Build(data)
+	tr := Build(data, false)
 	// Exact (k=0).
 	ms := tr.Search("bonn", 0)
 	if len(ms) != 1 || ms[0].ID != 2 || ms[0].Dist != 0 {
@@ -96,7 +97,7 @@ func TestSearchExactAndFuzzy(t *testing.T) {
 
 func TestDuplicateStringsShareNode(t *testing.T) {
 	data := []string{"ulm", "ulm", "ulm"}
-	tr := Build(data)
+	tr := Build(data, false)
 	ms := tr.Search("ulm", 0)
 	if len(ms) != 3 {
 		t.Fatalf("got %d matches, want 3", len(ms))
@@ -110,19 +111,9 @@ func TestDuplicateStringsShareNode(t *testing.T) {
 	}
 }
 
-func TestInsertAfterCompressPanics(t *testing.T) {
-	tr := Build([]string{"a"})
-	tr.Compress()
-	defer func() {
-		if recover() == nil {
-			t.Error("Insert after Compress did not panic")
-		}
-	}()
-	tr.Insert("b", 1)
-}
-
 func TestStats(t *testing.T) {
-	tr := Build([]string{"abc", "abd", "x"})
+	data := []string{"abc", "abd", "x"}
+	tr := Build(data, false)
 	st := tr.Stats()
 	if st.Strings != 3 || st.Nodes != tr.NodeCount() || st.MaxDepth != 3 {
 		t.Errorf("stats = %+v", st)
@@ -130,20 +121,14 @@ func TestStats(t *testing.T) {
 	if st.LabelBytes != 5 { // nodes a, b, c, d, x — one byte each
 		t.Errorf("LabelBytes = %d, want 5", st.LabelBytes)
 	}
-	tr.Compress()
-	st = tr.Stats()
-	if !st.Compressed || st.MaxDepth != 3 {
+	st = Build(data, true).Stats()
+	if !st.Compressed || st.MaxDepth != 3 || st.Nodes != 5 || st.LabelBytes != 5 { // root, "ab", "c", "d", "x"
 		t.Errorf("compressed stats = %+v", st)
 	}
-}
-
-func TestCompressIdempotent(t *testing.T) {
-	tr := Build([]string{"berlin", "bern"})
-	tr.Compress()
-	n := tr.NodeCount()
-	tr.Compress()
-	if tr.NodeCount() != n {
-		t.Error("second Compress changed node count")
+	for _, compress := range []bool{false, true} {
+		if tr := Build(nil, compress); tr.NodeCount() != 1 || tr.Len() != 0 || tr.Search("", 3) != nil {
+			t.Errorf("compress=%v: the tree over no strings has %d nodes and %d strings", compress, tr.NodeCount(), tr.Len())
+		}
 	}
 }
 
@@ -171,10 +156,7 @@ func TestQuickTrieAgreesWithScan(t *testing.T) {
 				if modern {
 					opts = append(opts, WithModernPruning())
 				}
-				tr := Build(data, opts...)
-				if compress {
-					tr.Compress()
-				}
+				tr := Build(data, compress, opts...)
 				q := randomString(r, "ACGNT", 12)
 				k := r.Intn(5)
 				return equalMatches(tr.Search(q, k), scanRef(data, q, k))
@@ -192,10 +174,8 @@ func TestModernAndPaperModesAgree(t *testing.T) {
 	for i := range data {
 		data[i] = randomString(r, "abcdAB", 14)
 	}
-	paper := Build(data)
-	modern := Build(data, WithModernPruning())
-	paper.Compress()
-	modern.Compress()
+	paper := Build(data, true)
+	modern := Build(data, true, WithModernPruning())
 	if !modern.Modern() || paper.Modern() {
 		t.Fatal("Modern() flags wrong")
 	}
@@ -216,10 +196,8 @@ func TestQuickCompressionNeverLosesStrings(t *testing.T) {
 		for i := range data {
 			data[i] = randomString(r, "ab", 8)
 		}
-		tr := Build(data)
-		before := tr.NodeCount()
-		tr.Compress()
-		if tr.NodeCount() > before {
+		tr := Build(data, true)
+		if tr.NodeCount() > Build(data, false).NodeCount() {
 			return false
 		}
 		// Every inserted string must still be findable exactly.
@@ -252,8 +230,7 @@ func TestLongDNAStrings(t *testing.T) {
 	for i := 0; i+100 <= len(genome) && len(data) < 200; i += 7 {
 		data = append(data, genome[i:i+100])
 	}
-	tr := Build(data)
-	tr.Compress()
+	tr := Build(data, true)
 	for _, k := range []int{0, 4, 8, 16} {
 		q := data[len(data)/2]
 		got := tr.Search(q, k)
@@ -273,10 +250,8 @@ func TestNodeIs64Bytes(t *testing.T) {
 }
 
 // TestDuplicatesAndPacking runs duplicate IDs through both descents on the
-// plain and the compressed tree, packed and not: one string inserted three
-// times, one twice, and the empty string — which ends at the root — twice.
-// Packing must leave the structure Stats reports, and every answer, as it
-// was.
+// plain and the compressed tree: one string stored three times, one twice,
+// and the empty string — which ends at the root — twice.
 func TestDuplicatesAndPacking(t *testing.T) {
 	data := []string{"ulm", "bonn", "", "ulm", "ulmen", "bonn", "", "ulm", "u"}
 	queries := []struct {
@@ -289,37 +264,34 @@ func TestDuplicatesAndPacking(t *testing.T) {
 			if modern {
 				opts = append(opts, WithModernPruning())
 			}
-			tr := Build(data, opts...)
-			if compress {
-				tr.Compress() // packs
-			}
-			before := tr.Stats()
-			check := func(stage string) {
-				for _, q := range queries {
-					if got, want := tr.Search(q.text, q.k), scanRef(data, q.text, q.k); !equalMatches(got, want) {
-						t.Errorf("compress=%v modern=%v %s: Search(%q, %d) = %v, want %v", compress, modern, stage, q.text, q.k, got, want)
-					}
+			tr := Build(data, compress, opts...)
+			for _, q := range queries {
+				if got, want := tr.Search(q.text, q.k), scanRef(data, q.text, q.k); !equalMatches(got, want) {
+					t.Errorf("compress=%v modern=%v: Search(%q, %d) = %v, want %v", compress, modern, q.text, q.k, got, want)
 				}
 			}
-			check("before packing")
-			tr.Pack()
-			if after := tr.Stats(); after != before {
-				t.Errorf("compress=%v modern=%v: Stats %+v before packing, %+v after", compress, modern, before, after)
-			}
-			check("after packing")
 			if tr.root.id >= 0 || len(tr.dups) != 3 {
 				t.Errorf("compress=%v modern=%v: root id %d, %d duplicate lists; want the root's in one of 3", compress, modern, tr.root.id, len(tr.dups))
 			}
+			checkSlabs(t, tr)
 		}
 	}
 }
 
-// TestPackedSlabs: a packed tree's nodes, child pointers and labels are
-// three slabs, exactly sized, laid out in preorder.
+// TestPackedSlabs: a tree's nodes, child pointers and labels are three
+// slabs, exactly sized, laid out in preorder.
 func TestPackedSlabs(t *testing.T) {
-	tr := Build([]string{"Berlin", "Bern", "Ulm", "Bonn", "Berlin"})
-	tr.Pack()
-	st := tr.Stats()
+	for _, compress := range []bool{false, true} {
+		checkSlabs(t, Build([]string{"Berlin", "Bern", "Ulm", "Bonn", "Berlin"}, compress))
+	}
+}
+
+// checkSlabs fails unless the preorder of tr's nodes is their order in one
+// slab, its child pointer runs and its labels follow each other the same way
+// in theirs with no capacity past their ends, and the walk uses every slot
+// Build sized: Stats' node count and label bytes.
+func checkSlabs(t *testing.T, tr *Tree) {
+	t.Helper()
 	var order []*node
 	var walk func(n *node)
 	walk = func(n *node) {
@@ -329,23 +301,43 @@ func TestPackedSlabs(t *testing.T) {
 		}
 	}
 	walk(tr.root)
+	st := tr.Stats()
 	if len(order) != st.Nodes {
 		t.Fatalf("%d nodes reached, Stats says %d", len(order), st.Nodes)
 	}
-	for i := 1; i < len(order); i++ {
-		if uintptr(unsafe.Pointer(order[i])) != uintptr(unsafe.Pointer(order[i-1]))+unsafe.Sizeof(node{}) {
+	var kids []*node // the last child run and label met
+	var label []byte
+	labelBytes := 0
+	for i, n := range order {
+		if i > 0 && !follows(unsafe.Slice(order[i-1], 1), unsafe.Slice(n, 1)) {
 			t.Fatalf("node %d of the preorder is not next to node %d in memory", i, i-1)
 		}
-		if l := order[i].label; cap(l) != len(l) {
-			t.Fatalf("node %d's label has %d bytes of capacity past its end", i, cap(l)-len(l))
+		if cap(n.label) != len(n.label) || cap(n.children) != len(n.children) {
+			t.Fatalf("node %d's label or child run has capacity past its end", i)
+		}
+		if len(n.children) > 0 {
+			if kids != nil && !follows(kids, n.children) {
+				t.Fatalf("node %d's child pointers do not follow the last run", i)
+			}
+			kids = n.children
+		}
+		if len(n.label) > 0 {
+			if label != nil && !follows(label, n.label) {
+				t.Fatalf("node %d's label does not follow the last label", i)
+			}
+			label = n.label
+			labelBytes += len(n.label)
 		}
 	}
-	defer func() {
-		if recover() == nil {
-			t.Error("Insert after Pack did not panic")
-		}
-	}()
-	tr.Insert("Ulm", 9)
+	if labelBytes != st.LabelBytes {
+		t.Fatalf("%d label bytes reached, Stats says %d", labelBytes, st.LabelBytes)
+	}
+}
+
+// follows reports whether run b starts in memory where run a ends.
+func follows[E any](a, b []E) bool {
+	var e E
+	return unsafe.Pointer(unsafe.SliceData(b)) == unsafe.Add(unsafe.Pointer(unsafe.SliceData(a)), uintptr(len(a))*unsafe.Sizeof(e))
 }
 
 // TestModernSearchAllocs pins what a modern-descent query allocates: its
@@ -361,8 +353,7 @@ func TestModernSearchAllocs(t *testing.T) {
 	for i := 0; i+100 <= len(genome); i += 13 {
 		data = append(data, string(genome[i:i+100]))
 	}
-	tr := Build(data, WithModernPruning())
-	tr.Compress()
+	tr := Build(data, true, WithModernPruning())
 	read := []byte(data[len(data)/2])
 	read[40], read[70] = 'N', 'N'
 	q := string(read)
@@ -372,6 +363,31 @@ func TestModernSearchAllocs(t *testing.T) {
 		}
 		if n := testing.AllocsPerRun(50, func() { tr.Search(q, k) }); n > 8 {
 			t.Errorf("k=%d: a query allocates %.0f times, want at most 8", k, n)
+		}
+	}
+}
+
+// TestBuildAllocs pins what a build allocates: the sort's two work arrays,
+// the three slabs and a few headers, and one ID list per string stored more
+// than once — nothing per node. Growing the tree node by node allocated
+// about one object per byte of the data.
+func TestBuildAllocs(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		data []string
+	}{{"10,000 reads", dataset.DNAReads(10000, 7)}, {"20,000 names", dataset.Cities(20000, 7)}} {
+		groups, seen := 0, map[string]int{}
+		for _, s := range c.data {
+			if seen[s]++; seen[s] == 2 {
+				groups++
+			}
+		}
+		for _, compress := range []bool{false, true} {
+			n := testing.AllocsPerRun(3, func() { Build(c.data, compress) })
+			t.Logf("%s compress=%v: %.0f allocations, %d duplicate groups", c.name, compress, n, groups)
+			if n > float64(12+groups) {
+				t.Errorf("%s, compress=%v: a build allocates %.0f times, want at most 12 + %d duplicate groups", c.name, compress, n, groups)
+			}
 		}
 	}
 }
