@@ -119,8 +119,8 @@ func main() {
 	switch {
 	case *live || *liveDir != "":
 		if *cacheOn {
-			// The live facade wires its own cache, so mutations can bump the
-			// version-in-key generation atomically.
+			// The live facade wires its own cache over the stores, keyed on
+			// their generation.
 			opts.CacheSize = *cacheSz
 			log.Printf("result cache enabled: %d entries", *cacheSz)
 		}

@@ -12,10 +12,13 @@
 // downstream in-place mutation (top-k reordering, shard ID remapping) can
 // never corrupt a cached entry.
 //
-// Invalidation: the dataset version participates in the key. Bumping it with
-// SetVersion atomically retires every cached entry — including results of
-// still-in-flight searches keyed under the old version — without touching
-// concurrent readers. Flush additionally releases the memory.
+// Invalidation: the dataset version participates in the key, and the cache
+// reads it from the engine it wraps (VersionString, the live engine's
+// generation) on every lookup, so an effective mutation retires every cached
+// entry the moment it lands — including results of still-in-flight searches
+// keyed under the old version — without touching concurrent readers. A
+// frozen engine has no version and keys on "". Flush additionally releases
+// the memory.
 //
 // Coalescing protocol: the first miss for a key becomes the flight leader;
 // the engine search runs on its own goroutine under a flight-owned context,
@@ -36,7 +39,7 @@ import (
 )
 
 // Options configures New. The zero value gives a 4096-entry cache over 8
-// shards with an empty dataset version.
+// shards.
 type Options struct {
 	// Capacity is the total entry budget across all shards (default 4096).
 	// Each shard holds Capacity/shards entries (rounded up, minimum 1), so
@@ -47,8 +50,6 @@ type Options struct {
 	// (default 8; tests set others). More shards reduce mutex contention on
 	// the hit path.
 	shards int
-	// Version is the initial dataset version (see SetVersion).
-	Version string
 }
 
 // entry is one cached result, threaded on its shard's LRU list.
@@ -88,7 +89,7 @@ type Cache struct {
 	name    string
 	shards  []*shard
 	mask    uint64
-	version atomic.Pointer[string]
+	version func() string // the engine's VersionString; "" for a frozen engine
 
 	fmu     sync.Mutex
 	flights map[string]*flight
@@ -96,9 +97,10 @@ type Cache struct {
 	hits, misses, coalesced, evictions metrics.Counter
 }
 
-// New wraps eng in a result cache configured by opts. The wrapped engine is
-// still reachable through Unwrap (the HTTP layer uses this to surface both
-// cache and shard statistics).
+// New wraps eng in a result cache configured by opts. Lookups are keyed on
+// the VersionString of eng, or of the first layer of its Unwrap chain that
+// has one. The wrapped engine is still reachable through Unwrap (the HTTP
+// layer uses this to surface both cache and shard statistics).
 func New(eng core.Searcher, opts Options) *Cache {
 	capacity := opts.Capacity
 	if capacity <= 0 {
@@ -118,13 +120,23 @@ func New(eng core.Searcher, opts Options) *Cache {
 		name:    "cached/" + eng.Name(),
 		shards:  make([]*shard, pow),
 		mask:    uint64(pow - 1),
+		version: func() string { return "" },
 		flights: make(map[string]*flight),
 	}
 	for i := range c.shards {
 		c.shards[i] = &shard{m: make(map[string]*entry), cap: perShard, evictions: &c.evictions}
 	}
-	v := opts.Version
-	c.version.Store(&v)
+	for e := eng; ; {
+		if v, ok := e.(interface{ VersionString() string }); ok {
+			c.version = v.VersionString
+			break
+		}
+		u, ok := e.(interface{ Unwrap() core.Searcher })
+		if !ok {
+			break
+		}
+		e = u.Unwrap()
+	}
 	return c
 }
 
@@ -137,15 +149,12 @@ func (c *Cache) Len() int { return c.inner.Len() }
 // Unwrap returns the decorated engine.
 func (c *Cache) Unwrap() core.Searcher { return c.inner }
 
-// Version returns the current dataset version.
-func (c *Cache) Version() string { return *c.version.Load() }
-
-// SetVersion atomically switches the dataset version. Every entry cached
-// under the old version becomes unreachable immediately — including results
-// of in-flight searches that started before the switch, which complete and
-// insert under their stale key. Stale entries are reclaimed by Flush or by
-// normal LRU pressure.
-func (c *Cache) SetVersion(v string) { c.version.Store(&v) }
+// Version returns the wrapped engine's current dataset version. When it
+// changes, every entry cached under the old one becomes unreachable —
+// including results of in-flight searches that started before the change,
+// which complete and insert under their stale key. Stale entries are
+// reclaimed by Flush or by normal LRU pressure.
+func (c *Cache) Version() string { return c.version() }
 
 // Flush drops every cached entry (it does not interrupt in-flight searches).
 func (c *Cache) Flush() {
@@ -161,7 +170,7 @@ func (c *Cache) Flush() {
 // \x00 separators keep the fields unambiguous (query text is the only field
 // that could contain them, and it comes last).
 func (c *Cache) key(q core.Query) string {
-	v := *c.version.Load()
+	v := c.Version()
 	var b strings.Builder
 	b.Grow(len(c.name) + len(v) + len(q.Text) + 8)
 	b.WriteString(c.name)

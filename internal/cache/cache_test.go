@@ -5,6 +5,7 @@ import (
 	"errors"
 	"math/rand"
 	"slices"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -141,24 +142,44 @@ func TestLRUEviction(t *testing.T) {
 	}
 }
 
-func TestSetVersionInvalidates(t *testing.T) {
-	eng := &countingSearcher{inner: core.NewTrie(testData, true)}
-	c := New(eng, Options{Version: "v1"})
+// versionedSearcher is countingSearcher with a generation the test advances,
+// as a live engine's advances on every effective mutation.
+type versionedSearcher struct {
+	countingSearcher
+	gen atomic.Int64
+}
+
+func (v *versionedSearcher) VersionString() string { return "g" + strconv.FormatInt(v.gen.Load(), 10) }
+
+// decorator is a layer with no version of its own over the engine it wraps.
+type decorator struct{ core.Searcher }
+
+func (d decorator) Unwrap() core.Searcher { return d.Searcher }
+
+// TestVersionInvalidates: the cache keys on the wrapped engine's
+// VersionString, so advancing it retires the cached entry.
+func TestVersionInvalidates(t *testing.T) {
+	eng := &versionedSearcher{countingSearcher: countingSearcher{inner: core.NewTrie(testData, true)}}
+	c := New(eng, Options{})
 	q := core.Query{Text: "bern", K: 1}
 	c.Search(q)
 	c.Search(q)
 	if n := eng.calls.Load(); n != 1 {
 		t.Fatalf("warm-up: %d engine calls", n)
 	}
-	c.SetVersion("v2")
-	if v := c.Version(); v != "v2" {
+	eng.gen.Add(1)
+	if v := c.Version(); v != "g1" {
 		t.Fatalf("Version() = %q", v)
+	}
+	// Under a layer without a version the cache finds it down the chain.
+	if v := New(decorator{eng}, Options{}).Version(); v != "g1" {
+		t.Fatalf("Version() through Unwrap = %q", v)
 	}
 	c.Search(q)
 	if n := eng.calls.Load(); n != 2 {
-		t.Errorf("stale entry served across a version bump (%d engine calls)", n)
+		t.Errorf("stale entry served across a version advance (%d engine calls)", n)
 	}
-	// The v1 entry is unreachable but still occupies a slot until Flush.
+	// The g0 entry is unreachable but still occupies a slot until Flush.
 	if st := c.Stats(); st.Entries != 2 {
 		t.Errorf("entries = %d, want 2 (stale + fresh)", st.Entries)
 	}

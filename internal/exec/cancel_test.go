@@ -232,32 +232,38 @@ func TestPerQueryDeadline(t *testing.T) {
 }
 
 // TestSearchBatchContextCompletes: the happy path returns complete, correct
-// per-query results with nil errors, identical to the plain batch path.
+// per-query results with nil errors, identical to one Search per query, on
+// the frozen executor and on the live one seeded with the same data.
 func TestSearchBatchContextCompletes(t *testing.T) {
 	data := dataset.Cities(300, 6)
-	ex := New(data, Options{Shards: 3})
-	qs := queriesFor(data, 10, []int{1, 2}, 23)
-	want := ex.SearchBatch(qs)
-	res, err := ex.SearchBatchContext(context.Background(), qs)
+	live, err := NewLive(LiveOptions{Shards: 3, Seed: data})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i, r := range res {
-		if r.Err != nil {
-			t.Fatalf("query %d: unexpected err %v", i, r.Err)
+	defer live.Close()
+	qs := queriesFor(data, 10, []int{1, 2}, 23)
+	for _, ex := range []*Sharded{New(data, Options{Shards: 3}), live.Sharded} {
+		res, err := ex.SearchBatchContext(context.Background(), qs)
+		if err != nil {
+			t.Fatal(err)
 		}
-		if !slices.Equal(r.Matches, want[i]) {
-			t.Fatalf("query %d: context batch diverges from plain batch", i)
+		for i, r := range res {
+			if r.Err != nil {
+				t.Fatalf("%s, query %d: unexpected err %v", ex.Name(), i, r.Err)
+			}
+			if want := ex.Search(qs[i]); !slices.Equal(r.Matches, want) {
+				t.Fatalf("%s, query %d: batch %v, Search %v", ex.Name(), i, r.Matches, want)
+			}
 		}
-	}
-	// An already-cancelled context fails the whole batch up front.
-	cancelled, cancel := context.WithCancel(context.Background())
-	cancel()
-	if _, err := ex.SearchBatchContext(cancelled, qs); !errors.Is(err, context.Canceled) {
-		t.Fatalf("pre-cancelled batch err = %v", err)
-	}
-	if _, err := ex.SearchContext(cancelled, qs[0]); !errors.Is(err, context.Canceled) {
-		t.Fatalf("pre-cancelled search err = %v", err)
+		// An already-cancelled context fails the whole batch up front.
+		cancelled, cancel := context.WithCancel(context.Background())
+		cancel()
+		if _, err := ex.SearchBatchContext(cancelled, qs); !errors.Is(err, context.Canceled) {
+			t.Fatalf("%s: pre-cancelled batch err = %v", ex.Name(), err)
+		}
+		if _, err := ex.SearchContext(cancelled, qs[0]); !errors.Is(err, context.Canceled) {
+			t.Fatalf("%s: pre-cancelled search err = %v", ex.Name(), err)
+		}
 	}
 }
 

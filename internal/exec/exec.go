@@ -1,10 +1,15 @@
-// Package exec is the serving-path executor: it partitions a dataset into P
-// contiguous shards, builds one engine per shard (any core.Searcher — scan,
-// trie, cascade), and fans batches of queries across a pool.Runner so the
-// shard×query task grid saturates the machine. It extends the paper's
-// §3.5–3.6 parallelism ladder, which stops at "one fixed pool per query
-// batch", with the partition-then-merge layer a production service needs:
-// sharding, batching, context cancellation, and per-query deadlines.
+// Package exec is the serving-path executor: one engine per shard (any
+// core.Searcher — scan, trie, cascade, or a live lsm.Store), with batches of
+// queries fanned across a pool.Runner so the shard×query task grid saturates
+// the machine. It extends the paper's §3.5–3.6 parallelism ladder, which
+// stops at "one fixed pool per query batch", with the partition-then-merge
+// layer a production service needs: sharding, batching, context
+// cancellation, and per-query deadlines.
+//
+// There is one executor, Sharded. New builds it over P contiguous slices of
+// a frozen dataset; NewLive builds it over P mutable stores and keeps, in
+// front of it, only what the stores share: write routing, the id allocator
+// and the generation a result cache keys on (live.go).
 //
 // A single query is different: the paper's ladder step 5, one thread per
 // query, cost more than the scan it parallelised, and a shard's share of a
@@ -15,12 +20,13 @@
 // enough for the hand-off to pay (splitRule; the paper's §6 load-adaptive
 // thread management, per query).
 //
-// Determinism guarantee: shards cover contiguous ID ranges in dataset order
-// and every engine returns matches sorted by ID, so concatenating the
-// per-shard results in shard order (after adding each shard's base offset)
-// reproduces exactly the ID-sorted result set the single-engine path emits —
-// for every shard count, every factory, and every runner. Scheduling only
-// changes when a slot is filled, never what ends up in it.
+// Determinism guarantee: every engine returns matches sorted by global ID,
+// so a query's per-shard results are at most P ascending runs, and merging
+// them reproduces exactly the ID-sorted result set the single-engine path
+// emits — for every shard count, every factory, and every runner. On the
+// frozen executor's contiguous ranges the runs arrive in order and the merge
+// is a concatenation. Scheduling only changes when a slot is filled, never
+// what ends up in it.
 package exec
 
 import (
@@ -62,8 +68,8 @@ type Options struct {
 	Runner pool.Runner
 }
 
-// shard is one partition: an engine over a contiguous slice of the dataset
-// plus the global ID of its first string.
+// shard is one partition: an engine plus the offset that turns its local
+// IDs into global ones (0 for a live store, whose IDs are global already).
 type shard struct {
 	eng  core.Searcher
 	base int32
@@ -74,7 +80,6 @@ type shard struct {
 // it drops in anywhere a single engine does while answering batches
 // shard-parallel.
 type Sharded struct {
-	data     []string
 	shards   []shard
 	runner   pool.Runner
 	counters []*metrics.ShardCounter
@@ -131,7 +136,7 @@ func (r *splitRule) observe(k int, busy time.Duration, p int) {
 }
 
 // New partitions data into opts.Shards contiguous shards and builds one
-// engine per shard. The data slice is retained; string i keeps global ID i.
+// engine per shard; string i keeps global ID i.
 func New(data []string, opts Options) *Sharded {
 	p := opts.Shards
 	if p <= 0 {
@@ -147,31 +152,44 @@ func New(data []string, opts Options) *Sharded {
 	if factory == nil {
 		factory = defaultFactory
 	}
-	runner := opts.Runner
+	shards := make([]shard, p)
+	n := len(data)
+	for i := range shards {
+		lo, hi := i*n/p, (i+1)*n/p
+		shards[i] = shard{eng: factory(data[lo:hi]), base: int32(lo)}
+	}
+	return newSharded(fmt.Sprintf("sharded-%d/%s", p, shards[0].eng.Name()), shards, opts.Runner)
+}
+
+// newSharded builds the executor over ready shards. A nil runner is
+// pool.Fixed over GOMAXPROCS workers.
+func newSharded(name string, shards []shard, runner pool.Runner) *Sharded {
 	if runner == nil {
 		runner = pool.Fixed{Workers: runtime.GOMAXPROCS(0)}
 	}
 	s := &Sharded{
-		data:     data,
-		shards:   make([]shard, p),
+		shards:   shards,
 		runner:   runner,
-		counters: make([]*metrics.ShardCounter, p),
+		counters: make([]*metrics.ShardCounter, len(shards)),
+		name:     name,
 	}
-	n := len(data)
-	for i := 0; i < p; i++ {
-		lo, hi := i*n/p, (i+1)*n/p
-		s.shards[i] = shard{eng: factory(data[lo:hi]), base: int32(lo)}
+	for i := range s.counters {
 		s.counters[i] = metrics.NewShardCounter()
 	}
-	s.name = fmt.Sprintf("sharded-%d/%s", p, s.shards[0].eng.Name())
 	return s
 }
 
 // Name implements core.Searcher.
 func (s *Sharded) Name() string { return s.name }
 
-// Len implements core.Searcher.
-func (s *Sharded) Len() int { return len(s.data) }
+// Len implements core.Searcher: the strings the shards hold.
+func (s *Sharded) Len() int {
+	n := 0
+	for _, sh := range s.shards {
+		n += sh.eng.Len()
+	}
+	return n
+}
 
 // NumShards returns the partition count P.
 func (s *Sharded) NumShards() int { return len(s.shards) }
@@ -247,10 +265,10 @@ func (s *Sharded) RegisterMetrics(reg *metrics.Registry) {
 			func() float64 { return c.Snapshot().Busy.Seconds() }, lbl)
 		reg.RegisterHistogram("simsearch_shard_task_seconds",
 			"Latency of individual shard tasks.", c.Latency(), lbl)
-		size := float64(s.shards[i].eng.Len())
+		eng := s.shards[i].eng
 		reg.GaugeFunc("simsearch_shard_strings",
 			"Strings held, by shard.",
-			func() float64 { return size }, lbl)
+			func() float64 { return float64(eng.Len()) }, lbl)
 		if rm, ok := s.shards[i].eng.(interface{ RegisterMetrics(*metrics.Registry) }); ok {
 			rm.RegisterMetrics(reg.With(lbl))
 		}
@@ -273,8 +291,10 @@ func (s *Sharded) searchShard(ctx context.Context, i int, q core.Query) ([]core.
 	if err != nil {
 		return nil, 0, err
 	}
-	for j := range ms {
-		ms[j].ID += sh.base
+	if sh.base != 0 {
+		for j := range ms {
+			ms[j].ID += sh.base
+		}
 	}
 	took := time.Since(start)
 	s.counters[i].Observe(len(ms), took)
@@ -282,8 +302,10 @@ func (s *Sharded) searchShard(ctx context.Context, i int, q core.Query) ([]core.
 	return ms, took, nil
 }
 
-// merge concatenates per-shard results in shard order. Contiguous shards +
-// per-engine ID order make the concatenation globally ID-sorted.
+// merge concatenates per-shard results in shard order and puts the
+// concatenation in ID order. Each shard's list is ID-ascending, so it is at
+// most P runs: on the frozen executor's contiguous ranges one, and only the
+// run count is paid; on the live executor's interleaved IDs up to P, merged.
 func merge(per [][]core.Match) []core.Match {
 	total := 0
 	for _, p := range per {
@@ -296,7 +318,7 @@ func merge(per [][]core.Match) []core.Match {
 	for _, p := range per {
 		out = append(out, p...)
 	}
-	return out
+	return scan.MergeRuns(out)
 }
 
 // Search implements core.Searcher: one query over every shard, inline or
@@ -361,18 +383,13 @@ func (s *Sharded) SearchContext(ctx context.Context, q core.Query) ([]core.Match
 	return merge(per), nil
 }
 
-// SearchBatch answers a batch, as core.SearchBatch asks: the len(qs)×P task
-// grid is fanned across the runner and per-query results are returned in
-// input order.
+// SearchBatch answers a batch, as core.SearchBatch asks: SearchBatchContext
+// with nothing to cancel, so the same len(qs)×P task grid.
 func (s *Sharded) SearchBatch(qs []core.Query) [][]core.Match {
-	p := len(s.shards)
-	per := make([][]core.Match, len(qs)*p)
-	s.runner.Run(len(qs)*p, func(t int) {
-		per[t], _, _ = s.searchShard(nil, t%p, qs[t/p])
-	})
+	res, _ := s.SearchBatchContext(context.Background(), qs)
 	out := make([][]core.Match, len(qs))
-	for qi := range out {
-		out[qi] = merge(per[qi*p : (qi+1)*p])
+	for i, r := range res {
+		out[i] = r.Matches
 	}
 	return out
 }

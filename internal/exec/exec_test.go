@@ -234,9 +234,9 @@ func TestShardedVerifies(t *testing.T) {
 	}
 }
 
-// TestShardOutputIsIDSorted: merge concatenates shard results and mergeByID
-// (like the coordinator's merge) folds them pairwise, and both take each
-// shard's list to be ID-ascending already. The cascade's arena is word-ordered:
+// TestShardOutputIsIDSorted: merge concatenates shard results and merges
+// the runs, and (like the coordinator's merge) takes each shard's list to be
+// ID-ascending already. The cascade's arena is word-ordered:
 // it emits matches in word order inside and restores ID order itself
 // (scan.MergeRuns) before a shard returns; nothing downstream sorts.
 func TestShardOutputIsIDSorted(t *testing.T) {
@@ -263,6 +263,39 @@ func TestShardOutputIsIDSorted(t *testing.T) {
 	}
 	if pairs < 100 {
 		t.Fatalf("only %d adjacent matches compared; the test checks nothing", pairs)
+	}
+}
+
+// TestMerge: whatever the shards' layout, merge gives the ID-sorted
+// concatenation of their lists, and nil when they hold nothing.
+func TestMerge(t *testing.T) {
+	ms := func(ids ...int32) []core.Match {
+		out := make([]core.Match, len(ids))
+		for i, id := range ids {
+			out[i] = core.Match{ID: id, Dist: int(id % 3)}
+		}
+		return out
+	}
+	for _, c := range []struct {
+		name string
+		per  [][]core.Match
+	}{
+		{"contiguous", [][]core.Match{ms(0, 2, 3), ms(4, 7), ms(9)}},
+		{"interleaved", [][]core.Match{ms(0, 5), ms(2), ms(1, 3, 9), ms(4, 6, 7, 8)}},
+		{"interleaved with empty and nil", [][]core.Match{ms(3, 8), nil, ms(), ms(1, 2, 9)}},
+		{"one shard", [][]core.Match{ms(1, 4, 6)}},
+		{"all empty", [][]core.Match{nil, ms(), nil}},
+		{"no shards", nil},
+	} {
+		var want []core.Match
+		for _, p := range c.per {
+			want = append(want, p...)
+		}
+		slices.SortFunc(want, func(a, b core.Match) int { return int(a.ID - b.ID) })
+		got := merge(c.per)
+		if !slices.Equal(got, want) || (len(want) == 0) != (got == nil) {
+			t.Errorf("%s: merge = %v, want %v", c.name, got, want)
+		}
 	}
 }
 

@@ -14,9 +14,11 @@ import (
 // dataset and query, the optimized scan, the trie index, and the sharded
 // executor (over two factories, 1..5 shards, each single query pinned inline
 // and split, with and without a context that can cancel) must all return
-// exactly the match set of the unoptimized reference scan. The trie is the
-// family here without ContextSearcher, the one served through core's
-// interruptible fallback. Seeds come from the paper's two corpora: city names
+// exactly the match set of the unoptimized reference scan. So must the same
+// executor over 1..3 live stores seeded with the dataset, which drop
+// duplicates: its oracle is the reference over the first occurrences. The
+// trie is the family here without ContextSearcher, the one served through
+// core's interruptible fallback. Seeds come from the paper's two corpora: city names
 // and ACGNT genome reads.
 //
 // Run continuously with: go test -fuzz=FuzzDifferential ./internal/exec
@@ -54,11 +56,7 @@ func FuzzDifferential(f *testing.F) {
 		}
 		ctx, cancel := context.WithCancel(context.Background())
 		defer cancel()
-		executors := []*Sharded{New(data, Options{Shards: 3, Factory: trieFactory})}
-		for p := 1; p <= 5; p++ {
-			executors = append(executors, New(data, Options{Shards: p}))
-		}
-		for _, ex := range executors {
+		check := func(ex *Sharded, want []core.Match) {
 			for _, br := range branches {
 				ex.rule.pin = br.pin
 				got := ex.Search(q)
@@ -68,6 +66,25 @@ func FuzzDifferential(f *testing.F) {
 						ex.Name(), br.name, q, len(data), got, timed, err, want)
 				}
 			}
+		}
+		check(New(data, Options{Shards: 3, Factory: trieFactory}), want)
+		for p := 1; p <= 5; p++ {
+			check(New(data, Options{Shards: p}), want)
+		}
+		seed := data[:0:0]
+		for _, s := range data {
+			if !slices.Contains(seed, s) {
+				seed = append(seed, s)
+			}
+		}
+		wantLive := core.Reference(seed).Search(q)
+		for p := 1; p <= 3; p++ {
+			live, err := NewLive(LiveOptions{Shards: p, Seed: seed})
+			if err != nil {
+				t.Fatal(err)
+			}
+			check(live.Sharded, wantLive)
+			live.Close()
 		}
 	})
 }

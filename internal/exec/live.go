@@ -1,15 +1,14 @@
-// Live executor: the mutable counterpart of Sharded. P lsm.Stores share one
-// id allocator; writes are routed by a hash of the string (lookup-by-string
-// must find the shard that owns the binding), a search asks every shard —
-// in order on the caller's goroutine, or fanned out when splitRule says a
-// store's share is long enough — and k-way merges by global id. Unlike the
-// frozen executor's contiguous-range partition, live shards interleave ids,
-// so the merge is a real merge rather than a concatenation — but each shard
-// emits ID-sorted results, so it stays linear.
+// Live executor: the mutable counterpart of New. P lsm.Stores share one id
+// allocator, and the executor over them is the same Sharded a frozen
+// dataset gets — one single-query fan-out, one split rule, one batch grid,
+// one merge, per-store counters. What this file adds in front of it is the
+// write surface: routing by a hash of the string (lookup-by-string must find
+// the store that owns the binding), the generation a result cache keys on,
+// and the stores' own statistics. Live stores interleave ids, so the merge
+// does real work here where the frozen ranges only concatenate.
 package exec
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"hash/fnv"
@@ -17,7 +16,6 @@ import (
 	"runtime"
 	"strconv"
 	"sync/atomic"
-	"time"
 
 	"simsearch/internal/core"
 	"simsearch/internal/lsm"
@@ -37,24 +35,24 @@ type LiveOptions struct {
 	Seed []string
 	// Dir, when set, persists each store under Dir/shard-<i>.
 	Dir string
-	// Runner runs the stores of a search long enough to split (default
-	// pool.Fixed over GOMAXPROCS workers); shorter searches never reach it.
+	// Runner runs a batch's store×query task grid and the stores of a
+	// search long enough to split (default pool.Fixed over GOMAXPROCS
+	// workers); shorter searches never reach it.
 	Runner pool.Runner
 	// flushLimit tunes each store (see lsm.Options; tests only).
 	flushLimit int
 }
 
-// LiveSharded is the mutable executor. It implements core.Searcher and
-// core.ContextSearcher plus the write surface (Insert, Delete, Flush,
-// Compact) and the id resolver the HTTP layer echoes strings from.
+// LiveSharded is the mutable executor: the write surface (Insert, Delete,
+// Flush, Compact), the id resolver the HTTP layer echoes strings from and the
+// generation, in front of the Sharded executor over its stores, which
+// answers every search.
 type LiveSharded struct {
+	*Sharded
 	stores  []*lsm.Store
-	runner  pool.Runner
-	name    string
 	version atomic.Uint64 // effective mutations, folded into VersionString
 	inserts atomic.Uint64
 	deletes atomic.Uint64
-	rule    splitRule
 }
 
 // NewLive opens (or recovers) P stores behind one id allocator.
@@ -63,15 +61,7 @@ func NewLive(o LiveOptions) (*LiveSharded, error) {
 	if p <= 0 {
 		p = runtime.GOMAXPROCS(0)
 	}
-	runner := o.Runner
-	if runner == nil {
-		runner = pool.Fixed{Workers: runtime.GOMAXPROCS(0)}
-	}
-	x := &LiveSharded{
-		stores: make([]*lsm.Store, p),
-		runner: runner,
-		name:   fmt.Sprintf("live-%d/lsm", p),
-	}
+	x := &LiveSharded{stores: make([]*lsm.Store, p)}
 	alloc := &lsm.IDAlloc{}
 	seeds := make([][]lsm.SeedEntry, p)
 	seen := make(map[string]bool, len(o.Seed))
@@ -104,6 +94,11 @@ func NewLive(o LiveOptions) (*LiveSharded, error) {
 		}
 		x.stores[i] = st
 	}
+	shards := make([]shard, p)
+	for i, st := range x.stores {
+		shards[i] = shard{eng: st}
+	}
+	x.Sharded = newSharded(fmt.Sprintf("live-%d/lsm", p), shards, o.Runner)
 	return x, nil
 }
 
@@ -168,20 +163,9 @@ func (x *LiveSharded) Compact() error {
 	return errors.Join(errs...)
 }
 
-// Name implements core.Searcher.
-func (x *LiveSharded) Name() string { return x.name }
-
-// Len implements core.Searcher: total live strings.
-func (x *LiveSharded) Len() int {
-	n := 0
-	for _, st := range x.stores {
-		n += st.Len()
-	}
-	return n
-}
-
-// NumShards returns the store count P.
-func (x *LiveSharded) NumShards() int { return len(x.stores) }
+// Unwrap returns the executor over the stores, so the layers that walk the
+// decorator chain find its per-store counters.
+func (x *LiveSharded) Unwrap() core.Searcher { return x.Sharded }
 
 // StringAt resolves a global id to its bound string by probing each shard
 // (bindings are disjoint across shards, so at most one answers).
@@ -194,102 +178,12 @@ func (x *LiveSharded) StringAt(id int32) (string, bool) {
 	return "", false
 }
 
-// VersionString returns the generation tag callers push into the query
-// cache via cache.SetVersion: it changes exactly when an effective mutation
-// lands, so version-in-key lookups can never serve pre-mutation results.
+// VersionString returns the generation tag a result cache over the
+// executor keys its lookups on: it changes exactly when an effective
+// mutation lands, so version-in-key lookups can never serve pre-mutation
+// results.
 func (x *LiveSharded) VersionString() string {
 	return "live-g" + strconv.FormatUint(x.version.Load(), 10)
-}
-
-// Search implements core.Searcher: every shard, merged by id.
-func (x *LiveSharded) Search(q core.Query) []core.Match {
-	ms, _ := x.SearchContext(nil, q)
-	return ms
-}
-
-// SearchContext implements core.ContextSearcher: the stores one after
-// another on the caller's goroutine, or fanned out when the executor's
-// splitRule says a store's share at q.K is long enough. Cancellation
-// propagates into each store, which checks ctx before it starts and polls
-// it in its scan loops.
-func (x *LiveSharded) SearchContext(ctx context.Context, q core.Query) ([]core.Match, error) {
-	p := len(x.stores)
-	if p == 1 {
-		return x.stores[0].SearchContext(ctx, q)
-	}
-	per := make([][]core.Match, p)
-	if !x.rule.split(q.K) {
-		start := time.Now() // one pair around the loop: the sum of the stores' times
-		for i, st := range x.stores {
-			ms, err := st.SearchContext(ctx, q)
-			if err != nil {
-				return nil, err
-			}
-			per[i] = ms
-		}
-		x.rule.observe(q.K, time.Since(start), p)
-		return mergeByID(per), nil
-	}
-	took := make([]time.Duration, p)
-	errs := make([]error, p)
-	search := func(i int) {
-		start := time.Now()
-		per[i], errs[i] = x.stores[i].SearchContext(ctx, q)
-		took[i] = time.Since(start)
-	}
-	if err := pool.RunContext(ctx, x.runner, p, search); err != nil {
-		return nil, err
-	}
-	var busy time.Duration
-	for i, e := range errs {
-		if e != nil {
-			return nil, e
-		}
-		busy += took[i]
-	}
-	x.rule.observe(q.K, busy, p)
-	return mergeByID(per), nil
-}
-
-// mergeByID folds per-shard ID-sorted result lists into one ID-sorted list
-// by repeated pairwise merging (shard ids interleave, unlike the contiguous
-// frozen partition, so order matters here).
-func mergeByID(per [][]core.Match) []core.Match {
-	lists := make([][]core.Match, 0, len(per))
-	for _, p := range per {
-		if len(p) > 0 {
-			lists = append(lists, p)
-		}
-	}
-	for len(lists) > 1 {
-		next := make([][]core.Match, 0, (len(lists)+1)/2)
-		for i := 0; i < len(lists); i += 2 {
-			if i+1 == len(lists) {
-				next = append(next, lists[i])
-				break
-			}
-			a, b := lists[i], lists[i+1]
-			out := make([]core.Match, 0, len(a)+len(b))
-			ai, bi := 0, 0
-			for ai < len(a) && bi < len(b) {
-				if a[ai].ID < b[bi].ID {
-					out = append(out, a[ai])
-					ai++
-				} else {
-					out = append(out, b[bi])
-					bi++
-				}
-			}
-			out = append(out, a[ai:]...)
-			out = append(out, b[bi:]...)
-			next = append(next, out)
-		}
-		lists = next
-	}
-	if len(lists) == 0 {
-		return nil
-	}
-	return lists[0]
 }
 
 // LiveStats aggregates every shard's store statistics; it is the /stats

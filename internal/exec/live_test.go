@@ -228,19 +228,74 @@ func TestLiveCallerSearchesOneStore(t *testing.T) {
 	}
 }
 
-func TestMergeByID(t *testing.T) {
-	per := [][]core.Match{
-		{{ID: 0, Dist: 1}, {ID: 5, Dist: 0}},
-		nil,
-		{{ID: 2, Dist: 2}},
-		{{ID: 1, Dist: 0}, {ID: 3, Dist: 1}, {ID: 9, Dist: 2}},
+// TestLiveBatchBesideWriter: batches on the live executor, with and without
+// a per-query budget, race a writer that inserts strings one edit from the
+// seed, deletes them again and flushes. The seed part of every answer equals
+// the frozen executor's over the seed.
+func TestLiveBatchBesideWriter(t *testing.T) {
+	seed := liveSeed(300)
+	live, err := NewLive(LiveOptions{Shards: 3, Seed: seed, flushLimit: 16})
+	if err != nil {
+		t.Fatal(err)
 	}
-	got := mergeByID(per)
-	want := []core.Match{{ID: 0, Dist: 1}, {ID: 1, Dist: 0}, {ID: 2, Dist: 2}, {ID: 3, Dist: 1}, {ID: 5, Dist: 0}, {ID: 9, Dist: 2}}
-	if !slices.Equal(got, want) {
-		t.Fatalf("mergeByID: got %v, want %v", got, want)
+	defer live.Close()
+	qs := make([]core.Query, 0, 30)
+	for i := 0; i < 300; i += 10 {
+		qs = append(qs, core.Query{Text: seed[i], K: i % 3})
 	}
-	if mergeByID(nil) != nil {
-		t.Fatal("mergeByID(nil) not nil")
+	want := New(seed, Options{Shards: 2}).SearchBatch(qs)
+	for _, q := range qs {
+		live.Insert(q.Text + "v") // a match outside the seed for every k ≥ 1
+	}
+
+	done := make(chan struct{})
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for i := 0; ; i++ {
+			select {
+			case <-done:
+				return
+			default:
+			}
+			if i%2 == 0 {
+				live.Insert(seed[i%len(seed)] + "w")
+			} else {
+				live.Delete(seed[(i-7+len(seed))%len(seed)] + "w")
+			}
+			if i%25 == 0 {
+				live.Flush()
+			}
+		}
+	}()
+	defer func() { // before the deferred Close, on every path
+		close(done)
+		wg.Wait()
+	}()
+	extra := 0
+	for round := 0; round < 20; round++ {
+		ctx := context.Background()
+		if round%2 == 1 {
+			ctx = core.WithQueryTimeout(ctx, time.Minute)
+		}
+		res, err := live.SearchBatchContext(ctx, qs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, r := range res {
+			if r.Err != nil {
+				t.Fatalf("round %d, query %d: %v", round, i, r.Err)
+			}
+			n := len(r.Matches)
+			got := slices.DeleteFunc(r.Matches, func(m core.Match) bool { return m.ID >= int32(len(seed)) })
+			extra += n - len(got)
+			if !slices.Equal(got, want[i]) {
+				t.Fatalf("round %d, query %+v: seed part %v, frozen %v", round, qs[i], got, want[i])
+			}
+		}
+	}
+	if extra == 0 {
+		t.Fatal("no answer held a string outside the seed; the test checks nothing")
 	}
 }

@@ -30,7 +30,7 @@
 //
 // When the engine is the live mutable dictionary (see internal/lsm and the
 // facade's NewLive), /insert and /delete accept JSON writes; each effective
-// mutation bumps the result cache's version-in-key generation before the
+// mutation advances the generation the result cache keys on before the
 // response is written, so a search issued after the acknowledgement can
 // never be served a pre-mutation cached result. Matched strings are then
 // echoed through the engine's own id resolver instead of the static data

@@ -6,10 +6,10 @@ package httpapi
 //	POST /delete  {"s": "..."}  tombstone a string
 //
 // Both require Content-Type: application/json, enforce the body and length
-// caps of the request contract, honor the configured Timeout (504 on
-// expiry), and bump the result cache's version-in-key generation after every
-// effective mutation, so no later search can be served a pre-mutation cached
-// result.
+// caps of the request contract and honor the configured Timeout (504 on
+// expiry). Every effective mutation advances the engine's generation before
+// the response is written, and a result cache keys on that generation, so
+// no later search can be served a pre-mutation cached result.
 
 import (
 	"mime"
@@ -70,15 +70,6 @@ func readMutation(w http.ResponseWriter, r *http.Request) (string, error) {
 	return req.S, nil
 }
 
-// bumpCacheVersion pushes the live engine's generation into the result
-// cache after an effective mutation. Idempotent with the facade's own bump:
-// SetVersion with the current tag is a no-op.
-func (s *Server) bumpCacheVersion() {
-	if c, ok := engineAs[interface{ SetVersion(string) }](s.eng); ok {
-		c.SetVersion(s.live.VersionString())
-	}
-}
-
 // handleMutation serves /insert, or /delete when insert is false.
 func (s *Server) handleMutation(insert bool) Endpoint {
 	op := "delete"
@@ -107,9 +98,6 @@ func (s *Server) handleMutation(insert bool) Endpoint {
 		}
 		if err != nil {
 			return &Error{Status: http.StatusInternalServerError, Msg: err.Error()}
-		}
-		if resp.Changed {
-			s.bumpCacheVersion()
 		}
 		resp.Live = s.eng.Len()
 		resp.Version = s.live.VersionString()

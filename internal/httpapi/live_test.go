@@ -25,7 +25,7 @@ func liveServer(t *testing.T, seed []string) (*Server, *exec.LiveSharded) {
 		t.Fatalf("NewLive: %v", err)
 	}
 	t.Cleanup(func() { ex.Close() })
-	c := cache.New(ex, cache.Options{Capacity: 64, Version: ex.VersionString()})
+	c := cache.New(ex, cache.Options{Capacity: 64})
 	return New(c, seed), ex
 }
 
@@ -213,8 +213,10 @@ func TestLiveNotImplementedOnFrozen(t *testing.T) {
 	}
 }
 
-// TestLiveStatsSection: /stats carries the live gauges, the live count, and
-// the cache version that proves invalidation happened.
+// TestLiveStatsSection: /stats carries the live gauges, the live count, the
+// cache version that proves invalidation happened, and — the stores being
+// searched by the sharded executor — one shards entry per store, as /metrics
+// has one simsearch_shard_queries_total series per store.
 func TestLiveStatsSection(t *testing.T) {
 	seed := []string{"one", "two", "three"}
 	s, ex := liveServer(t, seed)
@@ -257,6 +259,35 @@ func TestLiveStatsSection(t *testing.T) {
 	}
 	if st.Live.Tombstones != 1 || st.Live.Known != 4 {
 		t.Fatalf("tombstone accounting: %+v", st.Live)
+	}
+
+	const searches = 3 // distinct queries: each misses the cache once
+	for _, q := range []string{"one", "two", "four"} {
+		s.ServeHTTP(httptest.NewRecorder(), httptest.NewRequest(http.MethodGet, "/search?q="+q+"&k=1", nil))
+	}
+	st = stats()
+	if len(st.Shards) != st.Live.Shards {
+		t.Fatalf("shards section: %d entries, want one per store (%d)", len(st.Shards), st.Live.Shards)
+	}
+	var queries uint64
+	strs := 0
+	for _, sh := range st.Shards {
+		queries += sh.Queries
+		strs += sh.Strings
+	}
+	if want := uint64(st.Live.Shards * searches); queries != want {
+		t.Errorf("shards answered %d store searches, want %d (stores × searches)", queries, want)
+	}
+	if strs != st.Live.Live {
+		t.Errorf("shards hold %d strings, live section %d", strs, st.Live.Live)
+	}
+	w := httptest.NewRecorder()
+	s.ServeHTTP(w, httptest.NewRequest(http.MethodGet, "/metrics", nil))
+	for i := range st.Shards {
+		series := `simsearch_shard_queries_total{shard="` + strconv.Itoa(i) + `"} ` + strconv.Itoa(searches)
+		if !strings.Contains(w.Body.String(), series) {
+			t.Errorf("/metrics missing %q", series)
+		}
 	}
 }
 

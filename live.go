@@ -21,9 +21,9 @@ type LiveStats = exec.LiveStats
 
 // Live is the mutable engine: a sharded LSM store behind the standard
 // Searcher interface, optionally fronted by the query-result cache. Every
-// effective mutation bumps a generation that is pushed into the cache's
-// version-in-key scheme, so a search issued after an insert or delete can
-// never observe a pre-mutation cached result.
+// effective mutation bumps a generation the cache reads into every key, so
+// a search issued after an insert or delete can never observe a
+// pre-mutation cached result.
 //
 // Search results are byte-identical to a frozen engine built over the
 // current live strings with the dictionary's ids: each distinct string is
@@ -32,17 +32,17 @@ type LiveStats = exec.LiveStats
 type Live struct {
 	ex  *exec.LiveSharded
 	eng Searcher // ex, or the cache wrapping it
-	c   *cache.Cache
 }
 
 // NewLive builds a memory-only live engine seeded with data (duplicates
 // dropped, first occurrence wins, string i gets id i). shards <= 0 selects
-// one store per CPU. A search asks the stores one after another on the
-// caller's goroutine, and fans them out only once the engine has measured
-// that a store's share at that threshold is long enough to pay for the
-// hand-off. opts contributes Workers (the pool those searches fan out on),
-// CacheSize (query-result cache above the stores); other engine options do
-// not apply to the live store.
+// one store per CPU. The stores are searched by the same executor
+// NewSharded builds: a search asks them one after another on the caller's
+// goroutine, and fans them out only once the engine has measured that a
+// store's share at that threshold is long enough to pay for the hand-off; a
+// batch is one store×query task grid. opts contributes Workers (the pool
+// searches fan out and batches run on) and CacheSize (query-result cache
+// above the stores); other engine options do not apply to the live store.
 func NewLive(data []string, shards int, opts Options) *Live {
 	lv, err := OpenLive("", data, shards, opts)
 	if err != nil {
@@ -72,43 +72,19 @@ func OpenLive(dir string, data []string, shards int, opts Options) (*Live, error
 	}
 	lv := &Live{ex: ex, eng: ex}
 	if opts.CacheSize > 0 {
-		lv.c = cache.New(ex, cache.Options{
-			Capacity: opts.CacheSize,
-			Version:  ex.VersionString(),
-		})
-		lv.eng = lv.c
+		lv.eng = cache.New(ex, cache.Options{Capacity: opts.CacheSize})
 	}
 	return lv, nil
 }
 
 // Insert adds s to the live dictionary, returning its id and whether the
-// engine changed (false when s was already live). The cache generation is
-// bumped on change.
-func (l *Live) Insert(s string) (int32, bool, error) {
-	id, added, err := l.ex.Insert(s)
-	if added {
-		l.bumpCache()
-	}
-	return id, added, err
-}
+// engine changed (false when s was already live). A change advances the
+// generation, which retires every cached result.
+func (l *Live) Insert(s string) (int32, bool, error) { return l.ex.Insert(s) }
 
 // Delete removes s, returning whether the engine changed. The id<->string
 // binding is kept, so re-inserting s later revives the same id.
-func (l *Live) Delete(s string) (bool, error) {
-	changed, err := l.ex.Delete(s)
-	if changed {
-		l.bumpCache()
-	}
-	return changed, err
-}
-
-// bumpCache pushes the current generation into the cache's version-in-key
-// scheme, atomically retiring every pre-mutation entry.
-func (l *Live) bumpCache() {
-	if l.c != nil {
-		l.c.SetVersion(l.ex.VersionString())
-	}
-}
+func (l *Live) Delete(s string) (bool, error) { return l.ex.Delete(s) }
 
 // Flush freezes every shard's delta into an immutable segment.
 func (l *Live) Flush() error { return l.ex.Flush() }
@@ -128,6 +104,13 @@ func (l *Live) SearchContext(ctx context.Context, q Query) ([]Match, error) {
 	return core.SearchContext(ctx, l.eng, q)
 }
 
+// SearchBatchContext answers the batch on the stores' store×query task
+// grid, with per-query deadlines, behind the cache when there is one; see
+// the package-level SearchBatchContext.
+func (l *Live) SearchBatchContext(ctx context.Context, qs []Query) ([]QueryResult, error) {
+	return core.SearchBatchContext(ctx, l.eng, qs)
+}
+
 // Name implements Searcher.
 func (l *Live) Name() string { return l.eng.Name() }
 
@@ -142,7 +125,7 @@ func (l *Live) Unwrap() Searcher { return l.eng }
 // ids captured from a search remain resolvable after concurrent deletes.
 func (l *Live) StringAt(id int32) (string, bool) { return l.ex.StringAt(id) }
 
-// VersionString returns the generation tag used for cache invalidation.
+// VersionString returns the generation tag the cache keys on.
 func (l *Live) VersionString() string { return l.ex.VersionString() }
 
 // Stats returns the aggregated store statistics.

@@ -1,7 +1,9 @@
 package simsearch
 
 import (
+	"context"
 	"path/filepath"
+	"slices"
 	"testing"
 )
 
@@ -102,9 +104,25 @@ func liveMatchesFrozen(t *testing.T, seed, extra []string, ks []int) {
 		}
 	}
 	queries := append(append(seed[:30:30], extra[:10:10]...), GenerateQueries(survivors, 20, 2, 3)...)
+	batch := make([]Query, len(queries))
+	for i, q := range queries {
+		batch[i] = Query{Text: q, K: ks[i%len(ks)]}
+	}
 	for _, stage := range []string{"delta in front", "compacted"} {
-		for i, q := range queries {
-			check(stage, Query{Text: q, K: ks[i%len(ks)]})
+		// The batch runs first, on the stores' task grid, and fills the
+		// cache; the single queries then replay its answers from the cache
+		// and hold them to the frozen engine.
+		res, err := SearchBatchContext(context.Background(), lv, batch)
+		if err != nil {
+			t.Fatalf("%s: batch: %v", stage, err)
+		}
+		for i, r := range res {
+			if want := lv.Search(batch[i]); r.Err != nil || !slices.Equal(r.Matches, want) {
+				t.Fatalf("%s, query %+v: batch %v (err %v), Search %v", stage, batch[i], r.Matches, r.Err, want)
+			}
+		}
+		for _, q := range batch {
+			check(stage, q)
 		}
 		if err := lv.Flush(); err != nil {
 			t.Fatalf("Flush: %v", err)
@@ -115,8 +133,9 @@ func liveMatchesFrozen(t *testing.T, seed, extra []string, ks []int) {
 	}
 }
 
-// TestLiveFacadeCacheInvalidation: the facade bumps its cache on every
-// effective mutation — a pre-mutation cached answer is never replayed.
+// TestLiveFacadeCacheInvalidation: every effective mutation advances the
+// generation the facade's cache keys on — a pre-mutation cached answer is
+// never replayed.
 func TestLiveFacadeCacheInvalidation(t *testing.T) {
 	lv := NewLive([]string{"alpha", "altar"}, 2, Options{CacheSize: 16})
 	defer lv.Close()

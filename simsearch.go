@@ -249,9 +249,11 @@ type Cached = cache.Cache
 // differential fuzz harness enforces this — and every caller receives its
 // own copy of the match slice.
 //
-// Use Cached.SetVersion after mutating the underlying dataset: the version
-// participates in the cache key, so a bump atomically retires every stale
-// entry. Cached.Stats and Cached.Flush complete the management surface.
+// The cache keys every lookup on eng's VersionString when eng (or a layer
+// under it) has one, as a Live engine does: each effective mutation advances
+// it, which retires every stale entry. A frozen engine never changes, and
+// its entries leave only by LRU pressure or Cached.Flush. Cached.Stats
+// completes the management surface.
 func NewCached(eng Searcher, capacity int) *Cached {
 	return cache.New(eng, cache.Options{Capacity: capacity})
 }
@@ -265,9 +267,10 @@ func SearchContext(ctx context.Context, eng Searcher, q Query) ([]Match, error) 
 }
 
 // SearchBatchContext answers the whole batch under ctx, returning per-query
-// outcomes in input order. Context-batching engines (the Sharded executor —
-// shard-parallel with per-query deadlines — and Cached engines, which answer
-// hits locally) run their own scheduler; any other engine answers serially.
+// outcomes in input order. Context-batching engines (the Sharded executor
+// and Live — shard-parallel with per-query deadlines — and Cached engines,
+// which answer hits locally) run their own scheduler; any other engine
+// answers serially.
 // A failing query reports its own error; cancelling ctx abandons the batch.
 func SearchBatchContext(ctx context.Context, eng Searcher, qs []Query) ([]QueryResult, error) {
 	return core.SearchBatchContext(ctx, eng, qs)
