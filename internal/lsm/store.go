@@ -108,6 +108,8 @@ type Store struct {
 	version     atomic.Uint64 // bumped on every effective mutation
 	flushes     atomic.Uint64
 	compactions atomic.Uint64
+	// The segment sweeps' funnel, cumulative over queries (see Stats).
+	visited, swept, passed, kept atomic.Uint64
 
 	dir string
 	wal *wal
@@ -589,6 +591,10 @@ func (st *Store) SearchContext(ctx context.Context, q core.Query) ([]core.Match,
 			}
 		}
 	}
+	st.visited.Add(pr.Visited)
+	st.swept.Add(pr.Swept)
+	st.passed.Add(pr.Passed)
+	st.kept.Add(pr.Kept)
 	if len(all) == 0 {
 		return nil, nil
 	}
@@ -676,6 +682,11 @@ type Stats struct {
 	Flushes        uint64
 	Compactions    uint64
 	Persistent     bool
+	// The segment sweeps' funnel, cumulative over queries and counted as
+	// core.CascadeStats counts it: the slots of the length windows, those in
+	// blocks the summaries let in, the first word's survivors, the kernel
+	// calls.
+	Candidates, Swept, Passed, Survivors uint64
 }
 
 // Stats returns the current snapshot.
@@ -693,6 +704,10 @@ func (st *Store) Stats() Stats {
 		Flushes:      st.flushes.Load(),
 		Compactions:  st.compactions.Load(),
 		Persistent:   st.dir != "",
+		Candidates:   st.visited.Load(),
+		Swept:        st.swept.Load(),
+		Passed:       st.passed.Load(),
+		Survivors:    st.kept.Load(),
 	}
 	for _, seg := range st.segs {
 		s.SegmentStrings += len(seg.ids)
