@@ -62,6 +62,7 @@ fuzz-smoke:
 	$(GO) test -run=NONE -fuzz='^FuzzLiveIdentical$$' -fuzztime=$(FUZZ_SMOKE_TIME) ./internal/lsm
 	$(GO) test -run=NONE -fuzz='^FuzzCoordMerge$$' -fuzztime=$(FUZZ_SMOKE_TIME) ./internal/distrib
 	$(GO) test -run=NONE -fuzz='^FuzzSelfJoin$$' -fuzztime=$(FUZZ_SMOKE_TIME) ./internal/core
+	$(GO) test -run=NONE -fuzz='^FuzzGramSetBound$$' -fuzztime=$(FUZZ_SMOKE_TIME) ./internal/scan
 
 # Micro-benchmarks (go test -bench) plus the paper harness's two ablations
 # with machine-readable records: the bit-parallel ablation (BENCH_4.json) and

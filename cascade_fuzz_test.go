@@ -40,10 +40,10 @@ func FuzzCascadeIdentical(f *testing.F) {
 	f.Add("ACGT\nTGCA\nGATC\nACGT", "TGCA", 0)
 	f.Add(strings.Join(reads, "\n"), "caf\xc3\xa9 \x80\xff"+reads[1][10:], 16)
 	f.Add("ACGTACGT\nACGTA\nACGTACGTACG\nACG", "ACGTACGT", 3)
-	// The gram word behind it: a homopolymer run that saturates AA on both
-	// sides, an anagram only the pair counts tell apart, N and uncounted
-	// query bytes between every pair, strings of length 0 and 1, and reads
-	// past 240 letters with all sixteen fields saturated.
+	// The 4-gram set behind it: a homopolymer run with one gram on both
+	// sides, an anagram only the grams tell apart, N and uncounted query
+	// bytes between every letter, strings shorter than a gram, and reads
+	// past 240 letters built from a cycle of sixteen letters.
 	run, cycle := strings.Repeat("A", 24), strings.Repeat("AACAGATCCGCTGGTT", 16)
 	f.Add(run+"CGT\n"+run[:20]+"CGTAAAA\nCGT"+run, "TTTT"+run[:20]+"CGT", 4)
 	f.Add("AACCGGTT\nACGTACGT\nTTGGCCAA", "ACGTACGT", 1)

@@ -14,10 +14,10 @@ import (
 // only survivors pay for the edit-distance kernel. It has one layout on
 // every corpus,
 //
-//	length bucket -> block summary -> one signature word (-> a second, on reads) -> band kernel
+//	length bucket -> block summary -> one signature word (-> a 4-gram set, on reads) -> band kernel
 //
 // over a scan.Arena of its own; beside the corpus bytes the engine costs 9
-// bytes per string: the arena's slots give the length window and the bytes,
+// bytes per string (41 on reads): the arena's slots give the length window and the bytes,
 // the engine adds one precomputed uint64 per slot and, per block of sixteen
 // slots, two summary words that let a query skip the block unread — which
 // pays because the engine packs the arena itself, every length bucket
@@ -26,9 +26,9 @@ import (
 // the five symbol counts (the frequency-vector filter of PETER, Rheinländer
 // et al., cited in PAPER §6, read from 8 bytes), otherwise counted
 // occurrence bits of the byte values folded into 32 buckets. An all-DNA
-// arena gets a second word per slot, sixteen dinucleotide counts, read only
-// for the slots the first word lets through (8 more bytes per string). The
-// words and the sweep over them are scan.Words (internal/scan/words.go),
+// arena also holds each slot's set of 4-grams over ACGT, 256 bits read only
+// for the slots the word lets through (32 more bytes per string): the
+// q-gram lemma at q = 4. The words and the sweep over them are scan.Words (internal/scan/words.go),
 // which the live store's segments run too; Cascade adds the stage counters,
 // the ablation switch and the engine surface. See DESIGN §13 for the 3-bit
 // packed arena, q-gram stage and banded verify this layout replaced, and
@@ -190,7 +190,8 @@ func (c *Cascade) RegisterMetrics(reg *metrics.Registry) {
 	}
 	// "block" is what the block summaries leave of the length window;
 	// "frequency" is the first word on either kind of corpus; "qgram" is the
-	// dinucleotide word behind it on reads and reads the same elsewhere.
+	// 4-gram set behind it on reads (q = 4) and reads the same elsewhere.
+	// The label is kept because the fixed benchmark reads it.
 	stage("length", &c.candidates)
 	stage("block", &c.swept)
 	stage("frequency", &c.passed)

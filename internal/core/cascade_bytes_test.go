@@ -142,11 +142,12 @@ func TestByteQueryAllocations(t *testing.T) {
 }
 
 // BenchmarkCascadeBytes sweeps 100,000 generated cities at k = 0..3 and
-// 10,000 generated reads at k = 0, 4, 8 and reports what the signature stage
-// costs per slot of the length window, how many block summaries a query is
-// held against (a sixteenth of the window), how many words it then reads
-// (the slots of the blocks it enters), how many candidates its first word
-// lets through and how many it leaves for the kernel.
+// 10,000 generated reads at k = 0, 4, 8 and 12 and reports what the
+// signature stage costs per slot of the length window, how many block
+// summaries a query is held against (a sixteenth of the window), how many
+// words it then reads (the slots of the blocks it enters), how many
+// candidates its word lets through and how many it leaves for the kernel
+// (on reads, what the 4-gram sets leave of those).
 func BenchmarkCascadeBytes(b *testing.B) {
 	for _, c := range []struct {
 		name string
@@ -154,7 +155,7 @@ func BenchmarkCascadeBytes(b *testing.B) {
 		ks   []int
 	}{
 		{"city", dataset.Cities(100000, 20130322), []int{0, 1, 2, 3}},
-		{"reads", dataset.DNAReads(10000, 20130322), []int{0, 4, 8}},
+		{"reads", dataset.DNAReads(10000, 20130322), []int{0, 4, 8, 12}},
 	} {
 		e := NewCascade(c.data)
 		for _, k := range c.ks {

@@ -214,20 +214,21 @@ func TestStatsEndpoint(t *testing.T) {
 }
 
 func TestStatsCascadeSection(t *testing.T) {
-	// Thirty-two strings in the length window of ACGT at k = 1, in two blocks
-	// of sixteen once the bucket is ordered by its count words (T counts
-	// most): the second holds nothing but TTTT and falls to its summary
-	// unread; in the first, TTTT and GGGG fall to the symbol counts, the
-	// anagram TGCA only to the dinucleotide counts.
-	dna := []string{"ACGT", "ACGA", "TTTT", "ACGTACGT", "GGGG", "TGCA"}
+	// Thirty-two strings in the length window of ACGTACGT at k = 1, in two
+	// blocks of sixteen once the bucket is ordered by its count words (T
+	// counts most): the second holds nothing but TTTTTTTT and falls to its
+	// summary unread; in the first, TTTTTTTT and GGGGGGGG fall to the symbol
+	// counts, the anagram AACCGGTT only to the 4-gram sets (none of its five
+	// grams is the query's, past 4k).
+	dna := []string{"ACGTACGT", "ACGTACGA", "TTTTTTTT", "ACGTACGTACGT", "GGGGGGGG", "AACCGGTT"}
 	for len(dna) < 6+27 {
-		dna = append(dna, "TTTT")
+		dna = append(dna, "TTTTTTTT")
 	}
 	// Served directly and, as simserve -shards 2 -cache serves it, one
 	// cascade per shard under the executor and the cache: there each shard
 	// reports its own section and series (under a shard label), and their
 	// sums are the direct case's funnel. The second shard holds seventeen
-	// TTTT, so its two blocks both fall unread, and the first shard's window
+	// TTTTTTTT, so its two blocks both fall unread, and the first shard's window
 	// is the fifteen other strings of the direct case.
 	for _, tc := range []struct {
 		name    string
@@ -246,7 +247,7 @@ func TestStatsCascadeSection(t *testing.T) {
 		defer ts.Close()
 
 		var sr SearchResponse
-		getJSON(t, ts.URL+"/search?q=ACGT&k=1", &sr)
+		getJSON(t, ts.URL+"/search?q=ACGTACGT&k=1", &sr)
 		if len(sr.Matches) != 2 {
 			t.Fatalf("%s: cascade search matches = %v", tc.name, sr.Matches)
 		}
@@ -277,7 +278,7 @@ func TestStatsCascadeSection(t *testing.T) {
 			cs.Survivors += sec.Survivors
 			cs.Matches += sec.Matches
 		}
-		if !strings.HasSuffix(resp.Engine, tc.engine) || cs.Queries != tc.queries || cs.ArenaBytes != 4*32+8 || cs.Buckets < 2 {
+		if !strings.HasSuffix(resp.Engine, tc.engine) || cs.Queries != tc.queries || cs.ArenaBytes != 8*32+12 || cs.Buckets < 2 {
 			t.Errorf("%s: engine %q, cascade stats = %+v", tc.name, resp.Engine, cs)
 		}
 		if cs.Candidates != 32 || cs.Swept != tc.swept || cs.Passed != 3 || cs.Survivors != 2 || cs.Matches != 2 {

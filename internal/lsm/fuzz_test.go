@@ -34,9 +34,9 @@ func FuzzLiveIdentical(f *testing.F) {
 	f.Add([]byte("Bremen\nBern\nBerlin\nBremer"), []byte{0, 0, 0, 1, 3, 0, 0, 2, 3, 0, 1, 0, 0, 3, 3, 0, 2, 0, 1, 1, 2, 1, 5, 0, 4, 0, 2, 0}, uint8(1), false)
 	// The edge of the length window: |len(q) - len(x)| = k in delta and segment.
 	f.Add([]byte("abc\nabcdef\nabcd\nabcde\na\n"), []byte{0, 0, 0, 1, 3, 0, 0, 2, 0, 3, 0, 4, 0, 5, 2, 0, 2, 1, 2, 2, 2, 4, 2, 5}, uint8(3), false)
-	// The gram word of an all-ACGNT segment, through flush, compaction and
-	// reopen: homopolymer runs that saturate AA, an anagram pair only the
-	// dinucleotide counts tell apart, N between every pair, lengths 0 and 1
+	// The 4-gram sets of an all-ACGNT segment, through flush, compaction and
+	// reopen: homopolymer runs with one gram, an anagram pair only the grams
+	// tell apart, N between every letter, strings shorter than a gram
 	// — searched as stored and mutated (op 5 puts a byte outside ACGNT in).
 	f.Add([]byte("AAAAAAAAAAAAAAAAAAAAAAAACGT\nAAAAAAAAAAAAAAAAAAAACGTAAAA\nAACCGGTT\nACGTACGT\nANCNGNTN\n\nA\nAC"),
 		[]byte{0, 0, 0, 1, 0, 2, 0, 3, 3, 0, 0, 4, 0, 5, 0, 6, 0, 7, 3, 0, 2, 3, 5, 3, 2, 0, 5, 1, 4, 0, 2, 3, 5, 2, 2, 5, 2, 6, 5, 7, 1, 2, 2, 3}, uint8(4), true)

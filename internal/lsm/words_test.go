@@ -250,15 +250,14 @@ func TestOwnedSnapshotSurvivesWrites(t *testing.T) {
 	}
 }
 
-// TestGramSlabFollowsSegmentBytes: the second word is derived data like the
-// first. An all-ACGNT segment has it after a flush, after a compaction and
-// after a reopen — told by a sweep in which the count word passes an anagram
-// and the gram word drops it unread — and a segment with one other byte in
-// it has occurrence bits and no second word, so whatever passes is read.
+// TestGramSlabFollowsSegmentBytes: the 4-gram sets are derived data like
+// the words. An all-ACGNT segment has them after a flush, after a compaction
+// and after a reopen — told by a sweep in which the count word passes an
+// anagram and its set drops it unread — and a segment with one other byte in
+// it has occurrence bits and no sets, so whatever passes is read.
 func TestGramSlabFollowsSegmentBytes(t *testing.T) {
-	// Two of each letter in both, and no dinucleotide of the second more
-	// than once in the first: four pair occurrences in surplus, past 2k at
-	// k = 1.
+	// Two of each letter in both, and none of the first's five grams in the
+	// second: past 4k at k = 1.
 	const stored, query = "AACCGGTT", "ACGTACGT"
 	for _, tc := range []struct {
 		name   string

@@ -1,8 +1,8 @@
 // The signature words and the sweep over them: one precomputed uint64 per
-// arena slot — two on an all-DNA arena, the second read only for slots the
-// first lets through — read before any candidate byte is, and in front of
-// them two summary words per block of sixteen slots, which a length bucket
-// ordered by its words turns into whole blocks skipped unread. This is the
+// arena slot — on an all-DNA arena also a 256-bit 4-gram set, read only for
+// the slots the word lets through — read before any candidate byte is, and
+// in front of them two summary words per block of sixteen slots, which a
+// length bucket ordered by its words turns into whole blocks skipped unread. This is the
 // tree's one sweep: the cascade engine (core.Cascade) and the live store's
 // segments (internal/lsm) both run it.
 package scan
@@ -121,26 +121,6 @@ func countReject(a, b uint64, slack int) bool {
 	return surplus(a, b) > slack || surplus(b, a) > slack
 }
 
-// The gram word of an all-DNA string: sixteen fields of gramBits bits, one
-// per ordered pair of letters over A, C, G, T (field 4*first + second), each
-// holding how often the pair occurs at adjacent positions, saturating at
-// gramMax. A pair touching N — or, in a query, any other byte — is not
-// counted.
-const (
-	gramFields = 16
-	gramBits   = 4
-	gramMax    = 1<<gramBits - 1
-	// Even and odd fields are summed apart, each widened to a byte lane
-	// whose top bit guards the subtraction (see gramSurplus).
-	gramLanes  = 0x0f0f0f0f0f0f0f0f
-	gramGuards = 0x8080808080808080
-	gramOnes   = 0x0101010101010101
-	// gramCeiling is the largest surplus two gram words can show: every
-	// field saturated on one side and empty on the other. A bound at or past
-	// it rejects nothing.
-	gramCeiling = gramFields * gramMax
-)
-
 // gramCode maps A, C, G, T to 0..3 and every other byte to 4.
 var gramCode = func() (t [256]uint8) {
 	for b := range t {
@@ -152,51 +132,56 @@ var gramCode = func() (t [256]uint8) {
 	return t
 }()
 
-// gramWord packs the sixteen dinucleotide counts of s.
+// gramSet is the 4-gram set of an all-DNA string: bit g says the 4-gram
+// whose letters, coded A, C, G, T = 0..3, read g as a base-4 number occurs
+// in the string at least once. A gram touching N — or, in a query, any other
+// byte — is left out.
+type gramSet [4]uint64
+
+// gramSetOf collects the 4-grams of s.
 //
-// The filter built on it (gramWords) is the q-gram bound at q = 2: one edit
-// operation destroys at most two of a string's adjacent pairs and creates at
-// most two (a substitution replaces the pair on either side of its position;
-// an insertion splits one pair into two; a deletion joins two into one), so
-// strings within distance k have at most 2k pair occurrences in surplus on
-// either side, summed over the sixteen pairs. As with countWord, saturating
-// a count and leaving a pair uncounted can hide a difference, never invent
-// one.
-func gramWord[T string | []byte](s T) uint64 {
-	var n [gramFields]uint8
-	prev := uint8(4)
+// The filter built on it (gramsLacking) is the q-gram lemma at q = 4 in set
+// form. One edit operation destroys at most four of a string's gram
+// positions and creates at most four (a substitution or a deletion touches
+// the four windows over its position, an insertion splits three into
+// four), and a gram of x that y lacks has had every one of its positions in
+// x destroyed, each at least one. So strings within distance k each have at
+// most 4k grams the other lacks. Leaving a gram out removes it from both
+// sides of that count; it can hide a difference, never invent one.
+func gramSetOf[T string | []byte](s T) (g gramSet) {
+	var code uint8 // the last four letters' codes, two bits each
+	run := 0       // how many letters in a row end here
 	for i := 0; i < len(s); i++ {
 		c := gramCode[s[i]]
-		if f := prev<<2 | c; prev|c < 4 && n[f] < gramMax {
-			n[f]++
+		if c == 4 {
+			run = 0
+			continue
 		}
-		prev = c
+		code = code<<2 | c
+		if run++; run >= 4 {
+			g[code>>6] |= 1 << (code & 63)
+		}
 	}
-	var w uint64
-	for f, c := range n {
-		w |= uint64(c) << (gramBits * f)
-	}
-	return w
+	return g
 }
 
-// gramSurplus is surplus for the gram word: how far a's sixteen counts exceed
-// b's, summed. The even and the odd fields are spread over eight byte lanes
-// each and go through the same guarded subtraction; a lane keeps at most
-// gramMax, so the two halves add without carry and one multiplication sums
-// the eight lanes in the top byte (at most gramCeiling < 256).
-func gramSurplus(a, b uint64) int {
-	de := (a&gramLanes | gramGuards) - b&gramLanes
-	do := (a>>gramBits&gramLanes | gramGuards) - b>>gramBits&gramLanes
-	ge, g := de&gramGuards, do&gramGuards
-	return int((de&(ge-ge>>7) + do&(g-g>>7)) * gramOnes >> 56)
+// gramsLacking counts the grams of a that b lacks.
+func gramsLacking(a, b *gramSet) int {
+	return bits.OnesCount64(a[0]&^b[0]) + bits.OnesCount64(a[1]&^b[1]) +
+		bits.OnesCount64(a[2]&^b[2]) + bits.OnesCount64(a[3]&^b[3])
 }
+
+// gramSetBits is how many grams a set can hold, so the most two sets can
+// differ by on one side. The stage's bound of 4*slack rejects nothing from
+// slack = gramSetBits/4 on.
+const gramSetBits = 256
 
 // keep is 1 when neither one-sided surplus exceeds bound and 0 when either
 // does, read off the sign bits of the two differences. On near-uniform reads
-// a third of a window passes the count word at k = 8 and a third of those the
-// gram word, and no predictor learns which: there the survivor loops over
-// reads (firstWord's dense one, gramWords) store every offset and advance
-// their fill index by keep instead of branching.
+// a third of a window passes the count word at k = 8, and no predictor
+// learns which: there the survivor loops over reads (firstWord's dense one,
+// gramSets) store every offset and advance their fill index by keep instead
+// of branching.
 func keep(ab, ba, bound int) int {
 	return 1 - int(uint((bound-ab)|(bound-ba))>>63)
 }
@@ -213,13 +198,13 @@ func WordOf(s string) (word uint64, counts bool) {
 }
 
 // Probe is one query prepared for the words: its compiled pattern and its
-// own word of every kind, computed once however many Words and loose words
+// own word of every kind and its 4-gram set, computed once however many Words and loose words
 // the query is held against. It serves one goroutine. Visited, Swept, Passed
 // and Kept accumulate, over every Sweep, the slots of the length windows,
 // those of them in blocks whose summary let the sweep in (the words actually
 // read), those whose first word survived, and those the sweep read the bytes
 // of (= kernel calls, or byte compares at k = 0); Passed and Kept differ only
-// where a Words has its second slab. A string outside an arena — an entry of
+// where a Words has its 4-gram sets. A string outside an arena — an entry of
 // the live store's delta — has the one word of WordOf, which Rejects tests
 // and none of the four counts.
 type Probe struct {
@@ -227,16 +212,16 @@ type Probe struct {
 	k       int
 	p       *edit.MyersPattern // nil at k = 0: distance 0 is byte equality, no kernel to enter
 	scratch *edit.MyersScratch
-	sig     uint64 // the query's occurrence bits
-	cnt     uint64 // the query's symbol counts
-	gram    uint64 // the query's dinucleotide counts
+	sig     uint64  // the query's occurrence bits
+	cnt     uint64  // the query's symbol counts
+	grams   gramSet // the query's 4-grams
 
 	Visited, Swept, Passed, Kept uint64
 }
 
 // NewProbe compiles q for threshold k >= 0.
 func NewProbe(q string, k int) Probe {
-	pr := Probe{text: q, k: k, sig: signature(q), cnt: countWord(q), gram: gramWord(q)}
+	pr := Probe{text: q, k: k, sig: signature(q), cnt: countWord(q), grams: gramSetOf(q)}
 	if k > 0 {
 		pr.p, pr.scratch = edit.CompileMyers(q), new(edit.MyersScratch)
 	}
@@ -269,9 +254,9 @@ func (pr *Probe) Within(s string) (int, bool) {
 // Words is one signature word per slot of an arena it packs itself. What the
 // word holds is chosen once, at build time, from the data's bytes: symbol
 // counts when every one of them is A, C, G, N or T, occurrence bits
-// otherwise. Reads are near-uniform in composition, so an all-DNA arena gets
-// a second word per slot, the dinucleotide counts, which tells apart what
-// the symbol counts cannot.
+// otherwise. Reads are near-uniform in composition, so an all-DNA arena
+// also holds each slot's 4-gram set, which tells apart what the symbol
+// counts cannot.
 //
 // The arena's length buckets are ordered by (key of the word, ID), so slots
 // with like words are neighbours, and every block of blockSlots slots —
@@ -287,10 +272,10 @@ func (pr *Probe) Within(s string) (int, bool) {
 // rebuilds them with NewWords.
 type Words struct {
 	ar     *Arena
-	sigs   []uint64 // sigs[s] = word of slot s
-	grams  []uint64 // grams[s] = gram word of slot s; nil unless counts
-	sums   []uint64 // sums[2b], sums[2b+1] = the two summary words of block b
-	counts bool     // the words are symbol counts (all-DNA arena), not occurrence bits
+	sigs   []uint64  // sigs[s] = word of slot s
+	grams  []gramSet // grams[s] = 4-gram set of slot s; nil unless counts
+	sums   []uint64  // sums[2b], sums[2b+1] = the two summary words of block b
+	counts bool      // the words are symbol counts (all-DNA arena), not occurrence bits
 }
 
 const (
@@ -379,7 +364,7 @@ func cmpBitSkew(a, b wordBit) int {
 // the occurrence bits gathered most-balanced-first otherwise — and computes
 // the words and the block summaries over it. The order is fixed here, in the
 // arena's one placement pass, and the arena is immutable from then on like
-// any other. Beside the arena it costs 8 bytes per string, 16 on all-DNA
+// any other. Beside the arena it costs 8 bytes per string, 40 on all-DNA
 // data, and one more for the summaries.
 func NewWords(data []string) *Words {
 	w := &Words{counts: true}
@@ -410,12 +395,12 @@ func NewWords(data []string) *Words {
 	}
 	w.ar, w.sigs = ar, make([]uint64, len(data))
 	if w.counts {
-		w.grams = make([]uint64, len(data))
+		w.grams = make([]gramSet, len(data))
 	}
 	for sl, o := range order {
 		ar.place(int32(sl), o.id, data[o.id])
 		if w.sigs[sl] = words[o.id]; w.counts {
-			w.grams[sl] = gramWord(data[o.id])
+			w.grams[sl] = gramSetOf(data[o.id])
 		}
 	}
 	w.sums = make([]uint64, 2*((len(data)+blockSlots-1)/blockSlots))
@@ -465,8 +450,8 @@ func (w *Words) Verify() error {
 		want := signature(xb)
 		if w.counts {
 			want = countWord(xb)
-			if g := gramWord(xb); w.grams[s] != g {
-				return fmt.Errorf("scan: slot %d (%q) has gram word %#x, its bytes give %#x", s, xb, w.grams[s], g)
+			if g := gramSetOf(xb); w.grams[s] != g {
+				return fmt.Errorf("scan: slot %d (%q) has 4-gram set %x, its bytes give %x", s, xb, w.grams[s], g)
 			}
 		}
 		if w.sigs[s] != want {
@@ -597,15 +582,15 @@ func (w *Words) firstWord(run []uint64, off int32, sq uint64, slack int, dense b
 	return n
 }
 
-// gramWords compacts surv[:n], the first word's survivors in the group at
-// slot base, down to those whose gram word is within bound of gq on both
-// sides, and returns how many are left.
-func (w *Words) gramWords(base int32, gq uint64, bound int, surv *[ctxStride]int32, n int) int {
+// gramSets compacts surv[:n], the first word's survivors in the group at
+// slot base, down to those whose 4-gram set lacks at most bound of gq's
+// grams and has at most bound gq lacks, and returns how many are left.
+func (w *Words) gramSets(base int32, gq *gramSet, bound int, surv *[ctxStride]int32, n int) int {
 	m := 0
 	for _, i := range surv[0:n] {
-		gx := w.grams[base+i]
+		gx := &w.grams[base+i]
 		surv[m] = i
-		m += keep(gramSurplus(gq, gx), gramSurplus(gx, gq), bound)
+		m += keep(gramsLacking(gq, gx), gramsLacking(gx, gq), bound)
 	}
 	return m
 }
@@ -625,9 +610,9 @@ func (w *Words) gramWords(base int32, gq uint64, bound int, surv *[ctxStride]int
 // is kept; otherwise it reads the words of the kept blocks (maskedWords,
 // firstWord), collects the group's survivors and only then looks up their
 // bytes and hands them to the kernel (byte equality at k = 0). Where there
-// are gram words and their bound of 2*slack can reject anything, a second
+// are 4-gram sets and their bound of 4*slack can reject anything, a second
 // pass compacts the group's survivors through them before any byte is read
-// (gramWords). Survivors come in slot order, so the length bucket is carried
+// (gramSets). Survivors come in slot order, so the length bucket is carried
 // along instead of searched for per survivor, from the window's shortest
 // length on. The probe's counters are flushed on every exit path.
 func (w *Words) Sweep(ctx context.Context, pr *Probe, slack int, dst []Match) ([]Match, error) {
@@ -649,8 +634,8 @@ func (w *Words) Sweep(ctx context.Context, pr *Probe, slack int, dst []Match) ([
 	if w.counts {
 		sq = pr.cnt
 	}
-	// 2*slack < gramCeiling, written so the ablation's MaxInt is not doubled.
-	grams := w.grams != nil && slack < gramCeiling/2
+	// 4*slack < gramSetBits, written so the ablation's MaxInt is not scaled.
+	grams := w.grams != nil && slack < gramSetBits/4
 	var exact []byte // the query's bytes at k = 0
 	if k == 0 {
 		exact = []byte(pr.text)
@@ -673,7 +658,7 @@ func (w *Words) Sweep(ctx context.Context, pr *Probe, slack int, dst []Match) ([
 		passed += uint64(n)
 		dense = n > read/8
 		if grams {
-			n = w.gramWords(base, pr.gram, 2*slack, &surv, n)
+			n = w.gramSets(base, &pr.grams, 4*slack, &surv, n)
 		}
 		kept += uint64(n)
 		for _, i := range surv[0:n] {
