@@ -71,9 +71,10 @@ func FuzzTrieShape(f *testing.F) {
 			tr := Build(strs, compress)
 			checkSlabs(t, tr)
 			got, last := map[string]shape{}, ""
-			var walk func(n *node, path string)
-			walk = func(n *node, path string) {
-				path += string(n.label)
+			var walk func(i int32, path string)
+			walk = func(i int32, path string) {
+				n := tr.nodes[i]
+				path += string(tr.labels[n.off:tr.nodes[i+1].off])
 				if len(got) > 0 && path <= last {
 					t.Fatalf("compress=%v: node %q follows %q in preorder", compress, path, last)
 				}
@@ -85,11 +86,11 @@ func FuzzTrieShape(f *testing.F) {
 					sh.ids = tr.dups[-2-n.id]
 				}
 				got[path] = sh
-				for _, c := range n.children {
+				for c := i + 1; c < n.end; c = tr.nodes[c].end {
 					walk(c, path)
 				}
 			}
-			walk(tr.root, "")
+			walk(0, "")
 			if want := shapeOf(strs, compress); !reflect.DeepEqual(got, want) {
 				t.Fatalf("compress=%v: tree %v, want %v", compress, got, want)
 			}

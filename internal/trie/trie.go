@@ -15,14 +15,17 @@
 // A tree is built from one sort, by one recursion, straight into its packed
 // slabs. Build sorts the IDs once by (string, ID) and records each string's
 // common prefix with its sorted predecessor; one pass over those prefix
-// lengths sizes three slabs exactly — the nodes, their child pointers and
-// their label bytes — and one recursion over ranges of the sorted order lays
-// the tree into them in preorder: a range's strings that end at its depth
-// are the node's, the rest split into children where their byte at that
-// depth changes, and a compressed child's label runs to the common prefix of
-// its range. A node is 64 bytes: its label and child slices into the slabs,
-// the one ID of the string ending there (the few strings stored more than
-// once keep their IDs in a side table, Tree.dups) and the length window. A
+// lengths sizes two slabs exactly — the nodes and their label bytes — and
+// one recursion over ranges of the sorted order lays the tree into them in
+// preorder: a range's strings that end at its depth are the node's, the rest
+// split into children where their byte at that depth changes, and a
+// compressed child's label runs to the common prefix of its range. Preorder
+// makes the structure implicit: node i's first child is node i+1, its next
+// sibling is where its subtree ends, and its label runs from its own label
+// offset to the next node's. So a node is 20 bytes — that offset, the end of
+// its subtree, the one ID of the string ending there (the few strings stored
+// more than once keep their IDs in a side table, Tree.dups) and the length
+// window — and one sentinel node past the last closes the last label. A
 // descent walks memory in the order it was laid down, and the tree holds no
 // per-node allocation.
 package trie
@@ -40,12 +43,15 @@ import (
 // edit distance to the query.
 type Match = scan.Match
 
-// node is a prefix-tree node. In the plain tree every node but the root has
-// a one-byte label; in the compressed tree a chain of single-child nodes no
-// string ends at is one node with a multi-byte label.
+// node is a prefix-tree node, one entry of the preorder slab Tree.nodes. In
+// the plain tree every node but the root has a one-byte label; in the
+// compressed tree a chain of single-child nodes no string ends at is one
+// node with a multi-byte label. Node i's label is Tree.labels[off :
+// nodes[i+1].off]; its children, sorted by first label byte, are node i+1
+// (when i+1 < end) and each next one at the end of the one before.
 type node struct {
-	label    []byte
-	children []*node // sorted by first label byte
+	off int32 // where the label starts in Tree.labels
+	end int32 // one past the last node of the subtree
 	// id is noID when no string ends here, the ID of the one string that
 	// does, or -2-i when several do (duplicates share a node): their IDs are
 	// Tree.dups[i].
@@ -59,7 +65,8 @@ const noID = -1
 
 // Tree is a prefix-tree index over a set of strings.
 type Tree struct {
-	root   *node
+	nodes  []node // in preorder, the root first, then one sentinel whose off is len(labels)
+	labels []byte
 	dups   [][]int32 // the IDs of each string stored more than once, in ID order, numbered in preorder
 	stats  Stats
 	modern bool
@@ -140,28 +147,27 @@ func Build(data []string, compress bool, opts ...Option) *Tree {
 		t.stats.Nodes = 1 + nonEmpty + splits
 	}
 
-	b.nodes = make([]node, t.stats.Nodes)
-	b.kids = make([]*node, t.stats.Nodes-1)
+	b.nodes = make([]node, t.stats.Nodes+1)
 	b.labels = make([]byte, t.stats.LabelBytes)
 	b.dups = make([][]int32, 0, groups)
-	t.root = b.lay(0, len(ids), 0, 0)
-	t.dups = b.dups
+	b.lay(0, len(ids), 0, 0)
+	b.nodes[b.n] = node{off: int32(b.l), end: int32(b.n + 1), id: noID}
+	t.nodes, t.labels, t.dups = b.nodes, b.labels, b.dups
 	return t
 }
 
 // builder lays a tree into its slabs. They are allocated at their final
-// size, so a pointer into one stays valid; n, k and l are the next free slot
-// of each.
+// size, so a pointer into one stays valid; n and l are the next free slot of
+// each.
 type builder struct {
-	data    []string
-	ids     []int32 // sorted by (string, ID)
-	lcp     []int32 // lcp[i]: the common prefix length of the strings at ids[i-1] and ids[i]
-	plain   bool
-	nodes   []node
-	kids    []*node
-	labels  []byte
-	dups    [][]int32
-	n, k, l int
+	data   []string
+	ids    []int32 // sorted by (string, ID)
+	lcp    []int32 // lcp[i]: the common prefix length of the strings at ids[i-1] and ids[i]
+	plain  bool
+	nodes  []node
+	labels []byte
+	dups   [][]int32
+	n, l   int
 }
 
 // lay writes, in preorder, the node of the strings ids[lo:hi] — which share
@@ -175,16 +181,14 @@ func (b *builder) lay(lo, hi, from, to int) *node {
 	if b.plain && to-from > 1 {
 		end = from + 1
 	}
+	m.off = int32(b.l)
 	if end > from {
-		m.label = b.labels[b.l : b.l+end-from : b.l+end-from]
-		b.l += copy(m.label, b.data[b.ids[lo]][from:end])
+		b.l += copy(b.labels[b.l:], b.data[b.ids[lo]][from:end])
 	}
 	m.id, m.minLen = noID, 1<<31-1
 	if end < to {
-		m.children = b.kids[b.k : b.k+1 : b.k+1]
-		b.k++
-		m.children[0] = b.lay(lo, hi, end, to)
-		m.minLen, m.maxLen = m.children[0].minLen, m.children[0].maxLen
+		c := b.lay(lo, hi, end, to)
+		m.minLen, m.maxLen, m.end = c.minLen, c.maxLen, int32(b.n)
 		return m
 	}
 
@@ -206,25 +210,17 @@ func (b *builder) lay(lo, hi, from, to int) *node {
 
 	// The rest split into children where their byte at depth to changes; a
 	// child's label runs to the common prefix of its strings.
-	nc := 0
-	for j := t; j < hi; j++ {
-		if j == t || b.lcp[j] == int32(to) {
-			nc++
-		}
-	}
-	m.children = b.kids[b.k : b.k+nc : b.k+nc]
-	b.k += nc
-	a, c, common := t, 0, int32(1<<31-1)
+	a, common := t, int32(1<<31-1)
 	for j := t + 1; j <= hi; j++ {
 		if j < hi && b.lcp[j] != int32(to) {
 			common = min(common, b.lcp[j])
 			continue
 		}
-		child := b.lay(a, j, to, min(int(common), len(b.data[b.ids[a]])))
-		m.children[c] = child
-		m.minLen, m.maxLen = min(m.minLen, child.minLen), max(m.maxLen, child.maxLen)
-		a, c, common = j, c+1, 1<<31-1
+		c := b.lay(a, j, to, min(int(common), len(b.data[b.ids[a]])))
+		m.minLen, m.maxLen = min(m.minLen, c.minLen), max(m.maxLen, c.maxLen)
+		a, common = j, 1<<31-1
 	}
+	m.end = int32(b.n)
 	return m
 }
 
@@ -272,33 +268,36 @@ func (t *Tree) Search(q string, k int) []Match {
 	if k < 0 {
 		return nil
 	}
-	s := searcher{q: q, k: k, dups: t.dups}
+	s := searcher{q: q, k: k, nodes: t.nodes, labels: t.labels, dups: t.dups}
 	// The root may itself be terminal for the empty string.
-	if t.root.id != noID && len(q) <= k {
-		s.emit(t.root.id, len(q))
+	root := &t.nodes[0]
+	if root.id != noID && len(q) <= k {
+		s.emit(root.id, len(q))
 	}
 	if t.modern && k <= edit.MaxBandK {
 		s.pat = edit.CompileMyers(q)
 		band := edit.StartBand(k)
-		for _, c := range t.root.children {
+		for c := int32(1); c < root.end; c = t.nodes[c].end {
 			s.descend(c, band, 0)
 		}
 		return s.out
 	}
 	row := edit.InitialRow(q)
-	for _, c := range t.root.children {
+	for c := int32(1); c < root.end; c = t.nodes[c].end {
 		s.descendPaper(c, row, 0)
 	}
 	return s.out
 }
 
 type searcher struct {
-	q    string
-	k    int
-	out  []Match
-	dups [][]int32          // the tree's duplicate IDs (see node.id)
-	pat  *edit.MyersPattern // q, compiled for the modern descent
-	rows [][]int            // the paper descent's row buffer per byte depth, lazily grown
+	q      string
+	k      int
+	out    []Match
+	nodes  []node             // the tree's preorder slab, sentinel included
+	labels []byte             // the tree's label bytes
+	dups   [][]int32          // the tree's duplicate IDs (see node.id)
+	pat    *edit.MyersPattern // q, compiled for the modern descent
+	rows   [][]int            // the paper descent's row buffer per byte depth, lazily grown
 }
 
 // emit appends every ID of a terminal node's id field at distance dist.
@@ -330,21 +329,24 @@ func (s *searcher) rowAt(depth int) []int {
 }
 
 // descend is the modern descent: it steps the band state parent, of the
-// prefix of length depth, over n's label and stops the first byte after
-// which no length in n's window can still end within k (edit.StepBand; an
+// prefix of length depth, over node i's label and stops the first byte after
+// which no length in its window can still end within k (edit.StepBand; an
 // empty intersection with [len(q)-k, len(q)+k] stops it before the first).
-func (s *searcher) descend(n *node, parent edit.Band, depth int) {
-	band, ok := s.pat.StepBand(parent, n.label, depth, s.k, int(n.minLen), int(n.maxLen))
+func (s *searcher) descend(i int32, parent edit.Band, depth int) {
+	nodes := s.nodes
+	n := &nodes[i]
+	label := s.labels[n.off:nodes[i+1].off]
+	band, ok := s.pat.StepBand(parent, label, depth, s.k, int(n.minLen), int(n.maxLen))
 	if !ok {
 		return
 	}
-	depth += len(n.label)
+	depth += len(label)
 	if n.id != noID {
 		if dist, ok := s.pat.BandDistance(band, depth, s.k); ok {
 			s.emit(n.id, dist)
 		}
 	}
-	for _, c := range n.children {
+	for c, end := i+1, n.end; c < end; c = nodes[c].end {
 		s.descend(c, band, depth)
 	}
 }
@@ -364,7 +366,8 @@ func (s *searcher) descend(n *node, parent edit.Band, depth int) {
 // for every y in the subtree. Pruning when row[i] > k + d_m therefore never
 // loses a match. For depths i beyond len(q) the completion bound applies:
 // ed(q, y) >= ed(q, y[:i]) - (len(y) - i) >= row[len(q)] - (maxLen - i).
-func (s *searcher) descendPaper(n *node, parentRow []int, depth int) {
+func (s *searcher) descendPaper(i int32, parentRow []int, depth int) {
+	n := &s.nodes[i]
 	if s.prune(n) {
 		return
 	}
@@ -378,7 +381,7 @@ func (s *searcher) descendPaper(n *node, parentRow []int, depth int) {
 	}
 	row := parentRow
 	d := depth
-	for _, c := range n.label {
+	for _, c := range s.labels[n.off:s.nodes[i+1].off] {
 		row = edit.StepRow(s.q, row, c, s.rowAt(d+1))
 		d++
 		if d <= lq {
@@ -394,7 +397,7 @@ func (s *searcher) descendPaper(n *node, parentRow []int, depth int) {
 			s.emit(n.id, dist)
 		}
 	}
-	for _, c := range n.children {
+	for c := i + 1; c < n.end; c = s.nodes[c].end {
 		s.descendPaper(c, row, d)
 	}
 }

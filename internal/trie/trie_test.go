@@ -241,11 +241,13 @@ func TestLongDNAStrings(t *testing.T) {
 	}
 }
 
-// TestNodeIs64Bytes pins the node layout: one ID in place of a slice of them
-// took a node from 80 bytes to 64, one cache line.
-func TestNodeIs64Bytes(t *testing.T) {
-	if got := unsafe.Sizeof(node{}); got != 64 {
-		t.Fatalf("a node is %d bytes, want 64", got)
+// TestNodeIs20Bytes pins the node layout: one ID in place of a slice of them
+// took a node from 80 bytes to 64, and the preorder slab's implicit children
+// and labels — first child next, sibling at the subtree's end, label up to
+// the next node's — from 64 bytes and a child pointer to 20.
+func TestNodeIs20Bytes(t *testing.T) {
+	if got := unsafe.Sizeof(node{}); got != 20 {
+		t.Fatalf("a node is %d bytes, want 20", got)
 	}
 }
 
@@ -270,74 +272,80 @@ func TestDuplicatesAndPacking(t *testing.T) {
 					t.Errorf("compress=%v modern=%v: Search(%q, %d) = %v, want %v", compress, modern, q.text, q.k, got, want)
 				}
 			}
-			if tr.root.id >= 0 || len(tr.dups) != 3 {
-				t.Errorf("compress=%v modern=%v: root id %d, %d duplicate lists; want the root's in one of 3", compress, modern, tr.root.id, len(tr.dups))
+			if tr.nodes[0].id >= 0 || len(tr.dups) != 3 {
+				t.Errorf("compress=%v modern=%v: root id %d, %d duplicate lists; want the root's in one of 3", compress, modern, tr.nodes[0].id, len(tr.dups))
 			}
 			checkSlabs(t, tr)
 		}
 	}
 }
 
-// TestPackedSlabs: a tree's nodes, child pointers and labels are three
-// slabs, exactly sized, laid out in preorder.
+// TestPackedSlabs: a tree is two slabs, exactly sized — its nodes in
+// preorder with a sentinel past the last, and its labels in the same order.
 func TestPackedSlabs(t *testing.T) {
 	for _, compress := range []bool{false, true} {
-		checkSlabs(t, Build([]string{"Berlin", "Bern", "Ulm", "Bonn", "Berlin"}, compress))
+		for _, data := range [][]string{nil, {""}, {"Berlin", "Bern", "Ulm", "Bonn", "Berlin"}} {
+			checkSlabs(t, Build(data, compress))
+		}
 	}
 }
 
-// checkSlabs fails unless the preorder of tr's nodes is their order in one
-// slab, its child pointer runs and its labels follow each other the same way
-// in theirs with no capacity past their ends, and the walk uses every slot
-// Build sized: Stats' node count and label bytes.
+// checkSlabs fails unless tr's slabs hold the preorder invariants the
+// descents walk by: the root is node 0 with an empty label, every node's
+// first child is the next node and its children chain through their ends to
+// its own end, children are in ascending order of their first label byte,
+// the label offsets rise to a sentinel at the end of the label slab, every
+// label but the root's is non-empty (one byte in the plain tree), and the
+// walk from the root reaches every node and label byte Build sized — Stats'
+// node count and label bytes — with no capacity past either slab.
 func checkSlabs(t *testing.T, tr *Tree) {
 	t.Helper()
-	var order []*node
-	var walk func(n *node)
-	walk = func(n *node) {
-		order = append(order, n)
-		for _, c := range n.children {
+	st, nodes := tr.Stats(), tr.nodes
+	if len(nodes) != st.Nodes+1 || cap(nodes) != len(nodes) || len(tr.labels) != st.LabelBytes || cap(tr.labels) != len(tr.labels) {
+		t.Fatalf("%d nodes (cap %d) and %d label bytes (cap %d); Stats says %d nodes and a sentinel, %d label bytes",
+			len(nodes), cap(nodes), len(tr.labels), cap(tr.labels), st.Nodes, st.LabelBytes)
+	}
+	if sentinel := nodes[st.Nodes]; int(sentinel.off) != st.LabelBytes {
+		t.Fatalf("the sentinel's label offset is %d, want %d", sentinel.off, st.LabelBytes)
+	}
+	if nodes[0].off != 0 || nodes[1].off != 0 || int(nodes[0].end) != st.Nodes {
+		t.Fatalf("root: label [%d, %d), subtree ends at %d; want an empty label at 0 and all %d nodes", nodes[0].off, nodes[1].off, nodes[0].end, st.Nodes)
+	}
+	reached, labelBytes := 0, 0
+	var walk func(i int32)
+	walk = func(i int32) {
+		reached++
+		n := nodes[i]
+		label := tr.labels[n.off:nodes[i+1].off]
+		labelBytes += len(label)
+		if i > 0 && (len(label) == 0 || (!st.Compressed && len(label) != 1)) {
+			t.Fatalf("node %d has a label of %d bytes", i, len(label))
+		}
+		if n.end <= i || int(n.end) > st.Nodes {
+			t.Fatalf("node %d's subtree ends at %d", i, n.end)
+		}
+		c, prev := i+1, -1
+		for ; c < n.end; c = nodes[c].end {
+			if first := int(tr.labels[nodes[c].off]); first <= prev {
+				t.Fatalf("node %d's children are not in ascending order of their first byte", i)
+			} else {
+				prev = first
+			}
 			walk(c)
 		}
-	}
-	walk(tr.root)
-	st := tr.Stats()
-	if len(order) != st.Nodes {
-		t.Fatalf("%d nodes reached, Stats says %d", len(order), st.Nodes)
-	}
-	var kids []*node // the last child run and label met
-	var label []byte
-	labelBytes := 0
-	for i, n := range order {
-		if i > 0 && !follows(unsafe.Slice(order[i-1], 1), unsafe.Slice(n, 1)) {
-			t.Fatalf("node %d of the preorder is not next to node %d in memory", i, i-1)
-		}
-		if cap(n.label) != len(n.label) || cap(n.children) != len(n.children) {
-			t.Fatalf("node %d's label or child run has capacity past its end", i)
-		}
-		if len(n.children) > 0 {
-			if kids != nil && !follows(kids, n.children) {
-				t.Fatalf("node %d's child pointers do not follow the last run", i)
-			}
-			kids = n.children
-		}
-		if len(n.label) > 0 {
-			if label != nil && !follows(label, n.label) {
-				t.Fatalf("node %d's label does not follow the last label", i)
-			}
-			label = n.label
-			labelBytes += len(n.label)
+		if c != n.end {
+			t.Fatalf("node %d's children chain to %d, past its end %d", i, c, n.end)
 		}
 	}
-	if labelBytes != st.LabelBytes {
-		t.Fatalf("%d label bytes reached, Stats says %d", labelBytes, st.LabelBytes)
+	walk(0)
+	for i := 0; i < st.Nodes; i++ {
+		if nodes[i].off > nodes[i+1].off {
+			t.Fatalf("label offsets fall from node %d to %d: %d, %d", i, i+1, nodes[i].off, nodes[i+1].off)
+		}
 	}
-}
-
-// follows reports whether run b starts in memory where run a ends.
-func follows[E any](a, b []E) bool {
-	var e E
-	return unsafe.Pointer(unsafe.SliceData(b)) == unsafe.Add(unsafe.Pointer(unsafe.SliceData(a)), uintptr(len(a))*unsafe.Sizeof(e))
+	if reached != st.Nodes || labelBytes != st.LabelBytes {
+		t.Fatalf("%d nodes and %d label bytes reached, Stats says %d and %d", reached, labelBytes, st.Nodes, st.LabelBytes)
+	}
 }
 
 // TestModernSearchAllocs pins what a modern-descent query allocates: its
@@ -368,7 +376,7 @@ func TestModernSearchAllocs(t *testing.T) {
 }
 
 // TestBuildAllocs pins what a build allocates: the sort's two work arrays,
-// the three slabs and a few headers, and one ID list per string stored more
+// the two slabs and a few headers, and one ID list per string stored more
 // than once — nothing per node. Growing the tree node by node allocated
 // about one object per byte of the data.
 func TestBuildAllocs(t *testing.T) {
