@@ -108,8 +108,8 @@ type Store struct {
 	version     atomic.Uint64 // bumped on every effective mutation
 	flushes     atomic.Uint64
 	compactions atomic.Uint64
-	// The segment sweeps' funnel, cumulative over queries (see Stats).
-	visited, swept, passed, kept atomic.Uint64
+
+	visited, swept, passed, kept atomic.Uint64 // the segment sweeps' funnel (see Stats)
 
 	dir string
 	wal *wal
@@ -682,10 +682,8 @@ type Stats struct {
 	Flushes        uint64
 	Compactions    uint64
 	Persistent     bool
-	// The segment sweeps' funnel, cumulative over queries and counted as
-	// core.CascadeStats counts it: the slots of the length windows, those in
-	// blocks the summaries let in, the first word's survivors, the kernel
-	// calls.
+	// The segment sweeps' funnel over all queries, counted as
+	// core.CascadeStats counts it.
 	Candidates, Swept, Passed, Survivors uint64
 }
 

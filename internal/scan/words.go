@@ -171,9 +171,8 @@ func gramsLacking(a, b *gramSet) int {
 		bits.OnesCount64(a[2]&^b[2]) + bits.OnesCount64(a[3]&^b[3])
 }
 
-// gramSetBits is how many grams a set can hold, so the most two sets can
-// differ by on one side. The stage's bound of 4*slack rejects nothing from
-// slack = gramSetBits/4 on.
+// gramSetBits is how many grams a set holds, so a bound of 4*slack rejects
+// nothing from slack = gramSetBits/4 on.
 const gramSetBits = 256
 
 // keep is 1 when neither one-sided surplus exceeds bound and 0 when either
@@ -584,13 +583,19 @@ func (w *Words) firstWord(run []uint64, off int32, sq uint64, slack int, dense b
 
 // gramSets compacts surv[:n], the first word's survivors in the group at
 // slot base, down to those whose 4-gram set lacks at most bound of gq's
-// grams and has at most bound gq lacks, and returns how many are left.
+// grams and has at most bound gq lacks, and returns how many are left. Two
+// sets that differ in more than 2*bound grams fail one side or the other,
+// and most survivors of the count word do: that is tested first, on half
+// the popcounts.
 func (w *Words) gramSets(base int32, gq *gramSet, bound int, surv *[ctxStride]int32, n int) int {
 	m := 0
 	for _, i := range surv[0:n] {
 		gx := &w.grams[base+i]
 		surv[m] = i
-		m += keep(gramsLacking(gq, gx), gramsLacking(gx, gq), bound)
+		if bits.OnesCount64(gq[0]^gx[0])+bits.OnesCount64(gq[1]^gx[1])+
+			bits.OnesCount64(gq[2]^gx[2])+bits.OnesCount64(gq[3]^gx[3]) <= 2*bound {
+			m += keep(gramsLacking(gq, gx), gramsLacking(gx, gq), bound)
+		}
 	}
 	return m
 }
