@@ -17,22 +17,22 @@ import (
 //	length bucket -> block summary -> one signature word (-> a 4-gram set, on reads) -> band kernel
 //
 // over a scan.Arena of its own; beside the corpus bytes the engine costs 9
-// bytes per string (41 on reads): the arena's slots give the length window and the bytes,
-// the engine adds one precomputed uint64 per slot and, per block of sixteen
-// slots, two summary words that let a query skip the block unread — which
-// pays because the engine packs the arena itself, every length bucket
-// ordered by its words. What the word holds is chosen once, at build time,
-// from the arena's bytes: when every one of them is A, C, G, N or T it packs
-// the five symbol counts (the frequency-vector filter of PETER, Rheinländer
-// et al., cited in PAPER §6, read from 8 bytes), otherwise counted
-// occurrence bits of the byte values folded into 32 buckets. An all-DNA
-// arena also holds each slot's set of 4-grams over ACGT, 256 bits read only
-// for the slots the word lets through (32 more bytes per string): the
-// q-gram lemma at q = 4. The words and the sweep over them are scan.Words (internal/scan/words.go),
-// which the live store's segments run too; Cascade adds the stage counters,
-// the ablation switch and the engine surface. See DESIGN §13 for the 3-bit
-// packed arena, q-gram stage and banded verify this layout replaced, and
-// why.
+// bytes per string, 41 on reads: the arena's slots give the length window
+// and the bytes, the engine adds one precomputed uint64 per slot and, per
+// block of sixteen slots, two summary words that let a query skip the block
+// unread — which pays because the engine packs the arena itself, every
+// length bucket ordered by its words. What the word holds is chosen once, at
+// build time, from the arena's bytes: when every one of them is A, C, G, N
+// or T it packs the five symbol counts (the frequency-vector filter of
+// PETER, Rheinländer et al., cited in PAPER §6, read from 8 bytes),
+// otherwise counted occurrence bits of the byte values folded into 32
+// buckets. An all-DNA arena also holds each slot's set of 4-grams over ACGT,
+// 256 bits read only for the slots the word lets through (32 more bytes per
+// string): the q-gram lemma at q = 4. The words and the sweep over them are
+// scan.Words (internal/scan/words.go), which the live store's segments run
+// too; Cascade adds the stage counters, the ablation switch and the engine
+// surface. See DESIGN §13 for the 3-bit packed arena, q-gram stage and
+// banded verify this layout replaced, and why.
 //
 // All query-side state — the query's word and its compiled pattern — is
 // built once per query; every per-candidate step allocates nothing. All the

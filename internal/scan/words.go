@@ -2,9 +2,9 @@
 // arena slot — on an all-DNA arena also a 256-bit 4-gram set, read only for
 // the slots the word lets through — read before any candidate byte is, and
 // in front of them two summary words per block of sixteen slots, which a
-// length bucket ordered by its words turns into whole blocks skipped unread. This is the
-// tree's one sweep: the cascade engine (core.Cascade) and the live store's
-// segments (internal/lsm) both run it.
+// length bucket ordered by its words turns into whole blocks skipped
+// unread. This is the tree's one sweep: the cascade engine (core.Cascade)
+// and the live store's segments (internal/lsm) both run it.
 package scan
 
 import (
@@ -152,13 +152,9 @@ func gramSetOf[T string | []byte](s T) (g gramSet) {
 	var code uint8 // the last four letters' codes, two bits each
 	run := 0       // how many letters in a row end here
 	for i := 0; i < len(s); i++ {
-		c := gramCode[s[i]]
-		if c == 4 {
+		if c := gramCode[s[i]]; c == 4 {
 			run = 0
-			continue
-		}
-		code = code<<2 | c
-		if run++; run >= 4 {
+		} else if code, run = code<<2|c, run+1; run >= 4 {
 			g[code>>6] |= 1 << (code & 63)
 		}
 	}
@@ -179,8 +175,8 @@ const gramSetBits = 256
 // does, read off the sign bits of the two differences. On near-uniform reads
 // a third of a window passes the count word at k = 8, and no predictor
 // learns which: there the survivor loops over reads (firstWord's dense one,
-// gramSets) store every offset and advance their fill index by keep instead
-// of branching.
+// gramSets past its first test) store every offset and advance their fill
+// index by keep instead of branching.
 func keep(ab, ba, bound int) int {
 	return 1 - int(uint((bound-ab)|(bound-ba))>>63)
 }
@@ -196,16 +192,16 @@ func WordOf(s string) (word uint64, counts bool) {
 	return signature(s), false
 }
 
-// Probe is one query prepared for the words: its compiled pattern and its
-// own word of every kind and its 4-gram set, computed once however many Words and loose words
-// the query is held against. It serves one goroutine. Visited, Swept, Passed
-// and Kept accumulate, over every Sweep, the slots of the length windows,
-// those of them in blocks whose summary let the sweep in (the words actually
-// read), those whose first word survived, and those the sweep read the bytes
-// of (= kernel calls, or byte compares at k = 0); Passed and Kept differ only
-// where a Words has its 4-gram sets. A string outside an arena — an entry of
-// the live store's delta — has the one word of WordOf, which Rejects tests
-// and none of the four counts.
+// Probe is one query prepared for the words: its compiled pattern, its own
+// word of every kind and its 4-gram set, computed once however many Words
+// and loose words the query is held against. It serves one goroutine.
+// Visited, Swept, Passed and Kept accumulate, over every Sweep, the slots of
+// the length windows, those of them in blocks whose summary let the sweep in
+// (the words actually read), those whose first word survived, and those the
+// sweep read the bytes of (= kernel calls, or byte compares at k = 0); Passed
+// and Kept differ only where a Words has its 4-gram sets. A string outside
+// an arena — an entry of the live store's delta — has the one word of
+// WordOf, which Rejects tests and none of the four counts.
 type Probe struct {
 	text    string
 	k       int
@@ -583,10 +579,8 @@ func (w *Words) firstWord(run []uint64, off int32, sq uint64, slack int, dense b
 
 // gramSets compacts surv[:n], the first word's survivors in the group at
 // slot base, down to those whose 4-gram set lacks at most bound of gq's
-// grams and has at most bound gq lacks, and returns how many are left. Two
-// sets that differ in more than 2*bound grams fail one side or the other,
-// and most survivors of the count word do: that is tested first, on half
-// the popcounts.
+// grams and has at most bound gq lacks, and returns how many are left. Most
+// differ from gq in more than 2*bound grams, which fails a side: that first.
 func (w *Words) gramSets(base int32, gq *gramSet, bound int, surv *[ctxStride]int32, n int) int {
 	m := 0
 	for _, i := range surv[0:n] {

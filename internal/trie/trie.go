@@ -15,19 +15,15 @@
 // A tree is built from one sort, by one recursion, straight into its packed
 // slabs. Build sorts the IDs once by (string, ID) and records each string's
 // common prefix with its sorted predecessor; one pass over those prefix
-// lengths sizes two slabs exactly — the nodes and their label bytes — and
-// one recursion over ranges of the sorted order lays the tree into them in
-// preorder: a range's strings that end at its depth are the node's, the rest
-// split into children where their byte at that depth changes, and a
-// compressed child's label runs to the common prefix of its range. Preorder
-// makes the structure implicit: node i's first child is node i+1, its next
-// sibling is where its subtree ends, and its label runs from its own label
-// offset to the next node's. So a node is 20 bytes — that offset, the end of
-// its subtree, the one ID of the string ending there (the few strings stored
-// more than once keep their IDs in a side table, Tree.dups) and the length
-// window — and one sentinel node past the last closes the last label. A
-// descent walks memory in the order it was laid down, and the tree holds no
-// per-node allocation.
+// lengths sizes the node and the label slab exactly, and one recursion over
+// ranges of the sorted order lays the tree into them in preorder: a range's
+// strings that end at its depth are the node's, the rest split into children
+// where their byte at that depth changes, and a compressed child's label
+// runs to the common prefix of its range. A node is 20 bytes: its label's
+// offset, the end of its subtree, the one ID of the string ending there (the
+// few strings stored more than once keep theirs in a side table, Tree.dups)
+// and the length window. A descent walks memory in the order it was laid
+// down, and the tree holds no per-node allocation.
 package trie
 
 import (
@@ -43,12 +39,12 @@ import (
 // edit distance to the query.
 type Match = scan.Match
 
-// node is a prefix-tree node, one entry of the preorder slab Tree.nodes. In
-// the plain tree every node but the root has a one-byte label; in the
-// compressed tree a chain of single-child nodes no string ends at is one
-// node with a multi-byte label. Node i's label is Tree.labels[off :
-// nodes[i+1].off]; its children, sorted by first label byte, are node i+1
-// (when i+1 < end) and each next one at the end of the one before.
+// node is a prefix-tree node. In the plain tree every node but the root has
+// a one-byte label; in the compressed tree a chain of single-child nodes no
+// string ends at is one node with a multi-byte label. In the preorder slab,
+// node i's label is labels[off : nodes[i+1].off] (a sentinel node closes
+// the last), and its children, sorted by first label byte, are node i+1 when
+// i+1 < end and each next one at the end of the one before.
 type node struct {
 	off int32 // where the label starts in Tree.labels
 	end int32 // one past the last node of the subtree
@@ -151,7 +147,7 @@ func Build(data []string, compress bool, opts ...Option) *Tree {
 	b.labels = make([]byte, t.stats.LabelBytes)
 	b.dups = make([][]int32, 0, groups)
 	b.lay(0, len(ids), 0, 0)
-	b.nodes[b.n] = node{off: int32(b.l), end: int32(b.n + 1), id: noID}
+	b.nodes[b.n].off = int32(b.l) // the sentinel, closing the last label
 	t.nodes, t.labels, t.dups = b.nodes, b.labels, b.dups
 	return t
 }
