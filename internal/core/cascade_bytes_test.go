@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 	"testing"
 
@@ -48,39 +49,42 @@ func TestKindSelection(t *testing.T) {
 // windows' slots (Candidates, which no filter behind the length bucket may
 // shrink: it is what every pass ratio is taken of), the slots in blocks the
 // summaries let the sweep into, the first word's survivors, the kernel calls,
-// the matches. The signature stage prunes — on reads in two steps, the second
-// word taking away from what the first let through; on city names there is
-// one word and the two counts agree — and without it every candidate of the
-// same length windows is swept and passes through to the same matches.
+// the matches. Every stage prunes — the summaries and the first word on both
+// kinds, the 4-gram set behind the word on reads only: on city names there
+// is no second stage and the two counts agree — and every query returns
+// exactly the matches of the paper's banded DP (edit.BoundedDistance).
 func TestByteStatsFunnel(t *testing.T) {
 	for name, data := range map[string][]string{
 		"city": dataset.Cities(3000, 7), "reads": dataset.DNAReads(1500, 7),
 	} {
-		e, bare := NewCascade(data), NewCascade(data, WithoutFrequency())
-		var windows uint64 // the slots of the queries' length windows, counted from the data
+		e := NewCascade(data)
+		var windows, matches uint64 // counted from the data
 		for i, q := range dataset.Queries(data, 40, 3, 8) {
 			k := i % 4
-			e.Search(Query{Text: q, K: k})
-			bare.Search(Query{Text: q, K: k})
-			for _, s := range data {
+			var want []Match // the banded DP of the paper's §3.2, over the window
+			for id, s := range data {
 				if len(s) >= len(q)-k && len(s) <= len(q)+k {
 					windows++
+					if d, ok := edit.BoundedDistance(q, s, k); ok {
+						want = append(want, Match{ID: int32(id), Dist: d})
+					}
 				}
 			}
+			if got := e.Search(Query{Text: q, K: k}); !slices.Equal(got, want) {
+				t.Fatalf("%s: Search(%q,%d) = %v, oracle %v", name, q, k, got, want)
+			}
+			matches += uint64(len(want))
 		}
-		st, bs := e.Stats(), bare.Stats()
+		st := e.Stats()
 		if st.Candidates != windows {
 			t.Errorf("%s: %d candidates, but the length windows hold %d slots", name, st.Candidates, windows)
 		}
 		if st.Swept >= st.Candidates || st.Passed >= st.Swept || st.Survivors > st.Passed ||
-			st.Matches > st.Survivors || st.Matches != bs.Matches {
-			t.Errorf("%s funnel: %+v", name, st)
+			st.Matches > st.Survivors || st.Matches != matches {
+			t.Errorf("%s funnel: %+v; the oracle found %d matches", name, st, matches)
 		}
 		if second := name == "reads"; second != (st.Survivors < st.Passed) {
-			t.Errorf("%s: second word pruned = %v, want %v: %+v", name, !second, second, st)
-		}
-		if bs.Survivors != bs.Candidates || bs.Passed != bs.Candidates || bs.Swept != bs.Candidates || bs.Candidates != st.Candidates {
-			t.Errorf("%s: WithoutFrequency must pass every candidate through: %+v", name, bs)
+			t.Errorf("%s: the 4-gram set pruned = %v, want %v: %+v", name, !second, second, st)
 		}
 	}
 }
