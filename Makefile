@@ -64,35 +64,32 @@ fuzz-smoke:
 	$(GO) test -run=NONE -fuzz='^FuzzSelfJoin$$' -fuzztime=$(FUZZ_SMOKE_TIME) ./internal/core
 	$(GO) test -run=NONE -fuzz='^FuzzGramSetBound$$' -fuzztime=$(FUZZ_SMOKE_TIME) ./internal/scan
 
-# Micro-benchmarks (go test -bench) plus the paper harness's two ablations
-# with machine-readable records: the bit-parallel ablation (BENCH_4.json) and
-# the cascade stage ablation over the DNA workload (BENCH_7.json). The
-# serving stack is measured by the fixed benchmark (benchmark/), not here.
-# TestCILists (ci_test.go) fails when a root BENCH_*.json has no -json line
-# here, or a -json line names a file that is not committed.
+# Micro-benchmarks (go test -bench). The paper's tables are
+# `go run ./cmd/paperbench`; the serving stack is measured by the fixed
+# benchmark (benchmark/), not here. TestCILists (ci_test.go) fails when a
+# root BENCH_*.json has no -json line here, or a -json line names a file
+# that is not committed.
 bench:
 	$(GO) test -bench . -benchmem -run=NONE .
-	$(GO) run ./cmd/paperbench -workload city -bitparallel -json BENCH_4.json
-	$(GO) run ./cmd/paperbench -workload dna -cascade -json BENCH_7.json
 
 # One iteration of every benchmark; part of CI so bench code cannot rot.
-# The cascade smoke additionally fails if any enabled filter stage stops
-# pruning (or diverges from the DP oracle) on a tiny dataset of each
-# alphabet. The bounded-kernel benchmark is run again with its output shown: ns/cmp at
+# The bounded-kernel benchmark is run again with its output shown: ns/cmp at
 # k = 31 (band kernel) against k = 32 (blocked kernel) is the step between the
 # two compiled kernels, and the run fails if either loses the query itself.
 # Beside it, the cascade over 100,000 cities (k = 0..3) and 10,000 reads
-# (k = 0, 4, 8): ns per slot of the length window, block summaries tested,
-# words read in the blocks they kept, slots past the first word and kernel
-# calls per query (the last two differ on reads: the gram word sits between);
-# the index's build on 100,000 and 50,000 names and 10,000 reads: ns per
-# string and allocations per build (a few, and one per duplicated string);
-# and the live store (seed segment + three flushed segments + 500-entry
-# delta, cities and reads): ns and allocations per query, strings a query's
-# signature word leaves for the kernel, and ns per insert. Last, a 2-store
-# live executor's single queries from a few µs a store to a few hundred:
-# ns/op under the split-or-inline rule and pinned to each branch, and the
-# share of queries the rule fanned out (split/query).
+# (k = 0, 4, 8, 12): ns per slot of the length window, block summaries
+# tested, words read in the blocks they kept, slots past the first word and
+# kernel calls per query (the last two differ on reads: the 4-gram set sits
+# between); the index's build on 100,000 and 50,000 names and 10,000 reads:
+# ns per string and allocations per build (a few, and one per duplicated
+# string); and the live store (seed segment + three flushed segments +
+# 500-entry delta, cities and reads): ns and allocations per query, strings
+# a query's signature word leaves for the kernel, and ns per insert. Last, a
+# 2-store live executor's single queries from a few µs a store to a few
+# hundred: ns/op under the split-or-inline rule and pinned to each branch,
+# and the share of queries the rule fanned out (split/query). Whether the
+# cascade stays exact and every stage keeps pruning is tier-1's
+# (TestByteStatsFunnel, TestBlockSummaryStrength, TestWorkGolden).
 bench-smoke:
 	$(GO) test -run='^$$' -bench=. -benchtime=1x ./... > /dev/null
 	$(GO) test -run='^$$' -bench='^BenchmarkBoundedKernels$$' -benchtime=200x ./internal/edit
@@ -100,7 +97,6 @@ bench-smoke:
 	$(GO) test -run='^$$' -bench='^BenchmarkTrieBuild$$' -benchtime=3x .
 	$(GO) test -run='^$$' -bench='^BenchmarkLive(Search|Insert)$$' -benchtime=2000x ./internal/lsm
 	$(GO) test -run='^$$' -bench='^BenchmarkSplitOrInline$$' -benchtime=200x ./internal/exec
-	$(GO) run ./cmd/paperbench -cascadecheck
 
 # The fixed benchmark (benchmark/, a Go module of its own that `go test ./...`
 # at the root does not descend into): its tests, then every workload once at

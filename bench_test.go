@@ -337,28 +337,6 @@ func BenchmarkAblationSorting(b *testing.B) {
 	})
 }
 
-// BenchmarkAblationBitParallel races the cascade's query-compiled kernel
-// and words against the paper's best serial kernel (SimpleTypes) and its
-// banded variant, on both alphabets (Table XV in paperbench).
-func BenchmarkAblationBitParallel(b *testing.B) {
-	city, dna := workloads()
-	for _, wl := range []bench.Workload{city, dna} {
-		engines := []struct {
-			name string
-			eng  core.Searcher
-		}{
-			{"simple-types", core.NewSequential(wl.Data, scan.WithStrategy(scan.SimpleTypes))},
-			{"simple-types-banded", core.NewSequential(wl.Data, scan.WithStrategy(scan.SimpleTypes), scan.WithBandedKernel())},
-			{"cascade", core.NewCascade(wl.Data)},
-		}
-		for _, e := range engines {
-			b.Run(wl.Name+"/"+e.name, func(b *testing.B) {
-				benchBatch(b, e.eng, wl.Queries, nil)
-			})
-		}
-	}
-}
-
 // BenchmarkBaselines races every engine family on both workloads.
 func BenchmarkBaselines(b *testing.B) {
 	city, dna := workloads()

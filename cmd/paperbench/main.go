@@ -9,10 +9,8 @@
 //	paperbench -table 3        # only Table III
 //	paperbench -figure 6       # only Figure 6
 //	paperbench -workload city  # only city-name experiments
-//	paperbench -bitparallel    # + the bit-parallel scan ablation (Table XV)
-//	paperbench -cascade        # + the filter-cascade ablation (Table XVI)
-//	paperbench -cascadecheck   # CI gate: cascade correctness + block-summary and signature-stage pruning on small datasets
-//	paperbench -json OUT.json  # + machine-readable records (implies -bitparallel unless -cascade)
+//	paperbench -extra          # + the extension experiments (Tables X–XIII)
+//	paperbench -shards         # + the sharded-executor sweep (Table XIV)
 //
 // Per §5.2, only the result-calculation time is reported; dataset generation
 // and index construction are excluded from every cell. Cells whose direct
@@ -39,23 +37,8 @@ func main() {
 		extra    = flag.Bool("extra", false, "also run the extension experiments (join over each engine, engine matrix)")
 		shards   = flag.Bool("shards", false, "also run the sharded-executor sweep (Table XIV), the serving-path analogue of the paper's worker sweep")
 		workers  = flag.Int("workers", 0, "pool workers for the shard sweep (default GOMAXPROCS)")
-		bitp     = flag.Bool("bitparallel", false, "also run the bit-parallel scan ablation (Table XV: paper kernel vs banded vs the query-compiled kernel without and with the signature words)")
-		casc     = flag.Bool("cascade", false, "also run the filter-cascade ablation (Table XVI: the cascade at k=1..3, with and without its signature word)")
-		cascChk  = flag.Bool("cascadecheck", false, "run only the cascade CI gate: tiny-dataset correctness vs the DP oracle plus the prune check on each signature kind")
-		jsonPath = flag.String("json", "", "write machine-readable measurements (engine, dataset, k, ns/query, comparisons) to this file; implies -bitparallel unless -cascade is given")
 	)
 	flag.Parse()
-
-	if *cascChk {
-		// CI gate, deliberately independent of the scaled workloads: tiny
-		// fixed datasets keep it under a second.
-		if err := bench.CascadeCheck(); err != nil {
-			fmt.Fprintf(os.Stderr, "paperbench: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Println("cascade check ok: results identical to the DP scan, the block summaries and the signature stage pruned, on both alphabets")
-		return
-	}
 
 	cfg := bench.DefaultConfig()
 	if *scale > 0 {
@@ -118,10 +101,6 @@ func main() {
 		{"figure7", only(0, 7) && needDNA, func() *bench.Table { return bench.Figure7(dna) }},
 	}
 
-	if *jsonPath != "" && !*casc {
-		*bitp = true
-	}
-
 	ran := 0
 	for _, e := range experiments {
 		if !e.want {
@@ -133,58 +112,9 @@ func main() {
 		fmt.Printf("[%s completed in %v; best row: %s]\n\n", e.id, time.Since(start).Round(time.Millisecond), tab.Best())
 		ran++
 	}
-	if ran == 0 && !*extra && !*shards && !*bitp && !*casc {
+	if ran == 0 && !*extra && !*shards {
 		fmt.Fprintln(os.Stderr, "paperbench: no experiment selected (check -table/-figure/-workload)")
 		os.Exit(1)
-	}
-
-	report := bench.NewReport(cfg.Scale)
-	if *bitp {
-		for _, w := range []struct {
-			need bool
-			wl   bench.Workload
-		}{{needCity, city}, {needDNA, dna}} {
-			if !w.need {
-				continue
-			}
-			start := time.Now()
-			tab := bench.TableXV(w.wl)
-			tab.Render(os.Stdout)
-			fmt.Printf("[tableXV %s completed in %v; best row: %s]\n\n",
-				w.wl.Name, time.Since(start).Round(time.Millisecond), tab.Best())
-			if *jsonPath != "" {
-				report.Strings = len(w.wl.Data)
-				report.Add(bench.BitParallelRecords(w.wl)...)
-			}
-		}
-	}
-
-	if *casc {
-		for _, w := range []struct {
-			need bool
-			wl   bench.Workload
-		}{{needCity, city}, {needDNA, dna}} {
-			if !w.need {
-				continue
-			}
-			start := time.Now()
-			tab := bench.TableXVI(w.wl)
-			tab.Render(os.Stdout)
-			fmt.Printf("[tableXVI %s completed in %v; best row: %s]\n\n",
-				w.wl.Name, time.Since(start).Round(time.Millisecond), tab.Best())
-			if *jsonPath != "" {
-				report.Strings = len(w.wl.Data)
-				report.Add(bench.CascadeRecords(w.wl)...)
-			}
-		}
-	}
-
-	if *jsonPath != "" && (*bitp || *casc) {
-		if err := report.WriteFile(*jsonPath); err != nil {
-			fmt.Fprintf(os.Stderr, "paperbench: writing %s: %v\n", *jsonPath, err)
-			os.Exit(1)
-		}
-		fmt.Printf("wrote %d records to %s (GOMAXPROCS=%d)\n\n", len(report.Records), *jsonPath, report.GOMAXPROCS)
 	}
 
 	if *extra {

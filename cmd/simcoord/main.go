@@ -5,9 +5,9 @@
 // Usage:
 //
 //	# three shard servers over contiguous partitions of one dataset…
-//	simserve -data part0.txt -engine bitparallel -addr :9001 &
-//	simserve -data part1.txt -engine bitparallel -addr :9002 &
-//	simserve -data part2.txt -engine bitparallel -addr :9003 &
+//	simserve -data part0.txt -engine cascade -addr :9001 &
+//	simserve -data part1.txt -engine cascade -addr :9002 &
+//	simserve -data part2.txt -engine cascade -addr :9003 &
 //
 //	# …and the coordinator scatter-gathering across them
 //	simcoord -shard http://localhost:9001 \

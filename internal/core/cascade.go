@@ -2,7 +2,6 @@ package core
 
 import (
 	"context"
-	"math"
 	"sync/atomic"
 
 	"simsearch/internal/metrics"
@@ -30,15 +29,15 @@ import (
 // 256 bits read only for the slots the word lets through (32 more bytes per
 // string): the q-gram lemma at q = 4. The words and the sweep over them are
 // scan.Words (internal/scan/words.go), which the live store's segments run
-// too; Cascade adds the stage counters, the ablation switch and the engine
-// surface. See DESIGN §13 for the 3-bit packed arena, q-gram stage and
-// banded verify this layout replaced, and why.
+// too; Cascade adds the stage counters and the engine surface. See DESIGN
+// §13 for the 3-bit packed arena, q-gram stage and banded verify this layout
+// replaced, and why.
 //
 // All query-side state — the query's word and its compiled pattern — is
 // built once per query; every per-candidate step allocates nothing. All the
 // words are sound filters — they never reject a string within distance k —
 // so the cascade returns exactly the matches a full scan would; the
-// differential fuzz targets and the ablation identity test enforce this.
+// differential fuzz targets and the oracle tests enforce this.
 //
 // A Cascade is safe for concurrent Search/SearchContext calls: all
 // per-query state lives on the query's stack, and the stage counters are
@@ -47,12 +46,7 @@ type Cascade struct {
 	words *scan.Words
 	name  string
 
-	noFreq bool
-	comps  scan.CompCounter
-
-	// Per-stage survivor counters, cumulative across queries. With the
-	// signature stage disabled every candidate passes both words, so each
-	// survivor count equals its input count and the prune rates read as zero.
+	// Per-stage survivor counters, cumulative across queries.
 	queries    atomic.Uint64
 	candidates atomic.Uint64 // length-bucket survivors (slots of the windows)
 	swept      atomic.Uint64 // slots in blocks the summaries let the sweep into
@@ -61,34 +55,13 @@ type Cascade struct {
 	matches    atomic.Uint64
 }
 
-// CascadeOption configures a Cascade.
-type CascadeOption func(*Cascade)
-
-// WithoutFrequency disables the signature stage, both words of it (ablation
-// mode): every slot of the length window goes to the kernel.
-func WithoutFrequency() CascadeOption { return func(c *Cascade) { c.noFreq = true } }
-
-// WithComparisonCounter adds a counter receiving the number of verify-kernel
-// invocations (the comparisons the cascade could not prune).
-func WithComparisonCounter(cc scan.CompCounter) CascadeOption {
-	return func(c *Cascade) { c.comps = cc }
-}
-
 // NewCascade builds a cascade searcher over data, packed into an arena of
 // its own: length-bucketed, each bucket ordered by its words
 // (scan.NewWords).
-func NewCascade(data []string, opts ...CascadeOption) *Cascade {
+func NewCascade(data []string) *Cascade {
 	c := &Cascade{words: scan.NewWords(data), name: "cascade/bytes"}
 	if c.words.Counts() {
 		c.name = "cascade/dna"
-	}
-	for _, o := range opts {
-		o(c)
-	}
-	// The ablation answers identically but must never share a cache key with
-	// the full cascade.
-	if c.noFreq {
-		c.name += "-nofreq"
 	}
 	return c
 }
@@ -107,19 +80,12 @@ func (c *Cascade) SearchContext(ctx context.Context, q Query) ([]Match, error) {
 		return nil, nil
 	}
 	c.queries.Add(1)
-	slack := q.K // what the two words may differ by on either side
-	if c.noFreq {
-		slack = math.MaxInt
-	}
 	pr := scan.NewProbe(q.Text, q.K)
-	ms, err := c.words.Sweep(ctx, &pr, slack, make([]Match, 0, 16))
+	ms, err := c.words.Sweep(ctx, &pr, make([]Match, 0, 16))
 	c.candidates.Add(pr.Visited)
 	c.swept.Add(pr.Swept)
 	c.passed.Add(pr.Passed)
 	c.survivors.Add(pr.Kept)
-	if c.comps != nil {
-		c.comps.Add(pr.Kept)
-	}
 	if err != nil {
 		return nil, err
 	}
@@ -131,8 +97,7 @@ func (c *Cascade) SearchContext(ctx context.Context, q Query) ([]Match, error) {
 }
 
 // Name implements Searcher; it carries the signature kind ("cascade/dna"
-// for symbol counts, "cascade/bytes" for occurrence bits) and any ablation
-// suffix.
+// for symbol counts, "cascade/bytes" for occurrence bits).
 func (c *Cascade) Name() string { return c.name }
 
 // Len implements Searcher.

@@ -37,12 +37,6 @@ func TestKindSelection(t *testing.T) {
 			t.Errorf("%s: %s (counts=%v), want %s", tc.name, e.Name(), e.words.Counts(), tc.want)
 		}
 	}
-	if got := NewCascade(nil, WithoutFrequency()).Name(); got != "cascade/dna-nofreq" {
-		t.Errorf("ablation name = %q", got)
-	}
-	if got := NewCascade([]string{"x"}, WithoutFrequency()).Name(); got != "cascade/bytes-nofreq" {
-		t.Errorf("ablation name = %q", got)
-	}
 }
 
 // TestByteStatsFunnel pins the five counts on both kinds of word: the length

@@ -145,31 +145,6 @@ func TestStatsSurvivorFunnel(t *testing.T) {
 	}
 }
 
-func TestComparisonCounterCountsVerifyCalls(t *testing.T) {
-	var total uint64
-	var mu sync.Mutex
-	add := addFunc(func(n uint64) { mu.Lock(); total += n; mu.Unlock() })
-	r := rand.New(rand.NewSource(3))
-	data := make([]string, 200)
-	for i := range data {
-		data[i] = randomString(r, "ACGNT", 25)
-	}
-	e := NewCascade(data, WithComparisonCounter(add))
-	for i := 0; i < 10; i++ {
-		e.Search(Query{Text: randomString(r, "ACGNT", 25), K: 2})
-	}
-	mu.Lock()
-	got := total
-	mu.Unlock()
-	if got != e.Stats().Survivors {
-		t.Errorf("comparison counter = %d, want verify calls %d", got, e.Stats().Survivors)
-	}
-}
-
-type addFunc func(uint64)
-
-func (f addFunc) Add(n uint64) { f(n) }
-
 func TestConcurrentSearches(t *testing.T) {
 	r := rand.New(rand.NewSource(11))
 	dna := make([]string, 800)

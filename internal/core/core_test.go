@@ -62,7 +62,7 @@ func TestEngineNamesAndLens(t *testing.T) {
 		t.Error("compressed trie name wrong")
 	}
 	// The result cache keys on these names.
-	if NewCascade(testData).Name() != "cascade/bytes" || NewCascade([]string{"ACGT"}, WithoutFrequency()).Name() != "cascade/dna-nofreq" {
+	if NewCascade(testData).Name() != "cascade/bytes" || NewCascade([]string{"ACGT"}).Name() != "cascade/dna" {
 		t.Error("cascade name wrong")
 	}
 }

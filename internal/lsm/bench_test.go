@@ -84,7 +84,7 @@ func BenchmarkLiveSearch(b *testing.B) {
 func wordSurvivors(st *Store, q core.Query) uint64 {
 	pr := scan.NewProbe(q.Text, q.K)
 	for _, seg := range st.segs {
-		seg.words.Sweep(context.Background(), &pr, q.K, nil)
+		seg.words.Sweep(context.Background(), &pr, nil)
 	}
 	lo, hi := pr.Lengths()
 	for _, e := range st.delta.byLen {

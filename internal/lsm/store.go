@@ -579,7 +579,7 @@ func (st *Store) SearchContext(ctx context.Context, q core.Query) ([]core.Match,
 	}
 	var ms []scan.Match // one segment's matches, reused by the next
 	for i, seg := range segs {
-		if ms, err = seg.words.Sweep(ctx, &pr, q.K, ms[:0]); err != nil {
+		if ms, err = seg.words.Sweep(ctx, &pr, ms[:0]); err != nil {
 			return nil, err
 		}
 		for _, m := range ms {

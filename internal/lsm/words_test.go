@@ -282,7 +282,7 @@ func TestGramSlabFollowsSegmentBytes(t *testing.T) {
 				}
 				seg := st.segs[len(st.segs)-1] // the oldest: it holds the pair at every stage
 				pr := scan.NewProbe(query, 1)
-				ms, err := seg.words.Sweep(context.Background(), &pr, 1, nil)
+				ms, err := seg.words.Sweep(context.Background(), &pr, nil)
 				if err != nil || len(ms) != 1 || seg.words.Counts() != tc.second {
 					t.Fatalf("%s: sweep = %v, %v over count words = %v", stage, ms, err, seg.words.Counts())
 				}

@@ -101,7 +101,7 @@ func TestArenaSlotBytesGaps(t *testing.T) {
 func checkSweep(t *testing.T, w *Words, q Query) {
 	t.Helper()
 	pr := NewProbe(q.Text, q.K)
-	got, err := w.Sweep(context.Background(), &pr, q.K, nil)
+	got, err := w.Sweep(context.Background(), &pr, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -3,7 +3,6 @@ package scan
 import (
 	"context"
 	"fmt"
-	"math"
 	"math/rand"
 	"slices"
 	"strings"
@@ -16,9 +15,9 @@ import (
 // checkBlocks holds one query against one Words at each threshold of ks:
 // every slot within k of the query sits in a block blockMask keeps (the
 // soundness of the summary test, on the words), Sweep returns exactly the
-// slots within k in slot order (the same through the sweep), the counters
-// narrow from the length window down, and at the ablation's slack nothing is
-// skipped. The DP oracle runs once per slot of the widest window.
+// slots within k in slot order (the same through the sweep), and the
+// counters narrow from the length window down. The DP oracle runs once per
+// slot of the widest window.
 func checkBlocks(t *testing.T, w *Words, q string, ks ...int) {
 	t.Helper()
 	dist := map[int32]int{}
@@ -45,21 +44,13 @@ func checkBlocks(t *testing.T, w *Words, q string, ks ...int) {
 					s, slotBytes(w.ar, s), k, q, d, w.sums[2*(s/blockSlots)], w.sums[2*(s/blockSlots)+1], sq)
 			}
 		}
-		got, err := w.Sweep(context.Background(), &pr, k, nil)
+		got, err := w.Sweep(context.Background(), &pr, nil)
 		if err != nil || !slices.Equal(got, want) {
 			t.Fatalf("Sweep(%.40q, %d) = %v, %v; the slots within k are %v", q, k, got, err, want)
 		}
 		if pr.Visited != uint64(hi-lo) || pr.Swept > pr.Visited || pr.Passed > pr.Swept || pr.Kept > pr.Passed || uint64(len(got)) > pr.Kept {
 			t.Fatalf("Sweep(%.40q, %d): window %d, visited %d, swept %d, passed %d, kept %d, matches %d",
 				q, k, hi-lo, pr.Visited, pr.Swept, pr.Passed, pr.Kept, len(got))
-		}
-		bare := NewProbe(q, k)
-		if got, err = w.Sweep(context.Background(), &bare, math.MaxInt, nil); err != nil || !slices.Equal(got, want) {
-			t.Fatalf("Sweep(%.40q, %d) at the ablation's slack = %v, %v; want %v", q, k, got, err, want)
-		}
-		if bare.Visited != uint64(hi-lo) || bare.Swept != bare.Visited || bare.Kept != bare.Visited {
-			t.Fatalf("Sweep(%.40q, %d) at the ablation's slack: window %d, visited %d, swept %d, kept %d",
-				q, k, hi-lo, bare.Visited, bare.Swept, bare.Kept)
 		}
 	}
 }
@@ -258,7 +249,7 @@ func TestEqualWordsPastOneGroup(t *testing.T) {
 			checkBlocks(t, w, q, 0, 1, 2, 3)
 		}
 		pr := NewProbe(tc.hit, 0)
-		ms, err := w.Sweep(context.Background(), &pr, 0, nil)
+		ms, err := w.Sweep(context.Background(), &pr, nil)
 		if err != nil || len(ms) != ctxStride+50 || pr.Swept < 2*ctxStride+100 {
 			t.Fatalf("%s: %d matches, %d swept, %v; want %d matches out of the whole bucket", tc.name, len(ms), pr.Swept, err, ctxStride+50)
 		}

@@ -90,7 +90,7 @@ type Engine struct {
 	data     []string
 	strategy Strategy
 	workers  int
-	comps    CompCounter // nil unless WithComparisonCounter
+	comps    CompCounter // nil unless withComparisonCounter
 
 	// banded selects the modern banded kernel instead of the paper's
 	// full-width §3.2 kernel for rungs FastED and above.
@@ -112,12 +112,13 @@ type CompCounter interface {
 // Option configures an Engine.
 type Option func(*Engine)
 
-// WithComparisonCounter attaches a comparison counter: after every query the
+// withComparisonCounter attaches a comparison counter: after every query the
 // number of per-pair kernel invocations it performed is added to c (one
 // atomic add per query, nothing on the per-pair hot path). Comparisons are
 // the paper's cost unit — the count shows directly how much work the length
-// window and sorting optimizations save.
-func WithComparisonCounter(c CompCounter) Option {
+// window and sorting optimizations save. Only this package's tests count
+// them so far; a paper table that reports comparisons exports it again.
+func withComparisonCounter(c CompCounter) Option {
 	return func(e *Engine) { e.comps = c }
 }
 

@@ -172,7 +172,7 @@ func (c *compCounter) Add(n uint64) { c.n.Add(n) }
 func TestComparisonCounter(t *testing.T) {
 	data := []string{"aa", "ab", "abcd", "abcdefgh"}
 	var c compCounter
-	e := New(data, WithComparisonCounter(&c))
+	e := New(data, withComparisonCounter(&c))
 	e.Search(Query{Text: "ab", K: 1})
 	// The unsorted scan invokes the kernel once per dataset string.
 	if got := c.n.Load(); got != uint64(len(data)) {
@@ -181,7 +181,7 @@ func TestComparisonCounter(t *testing.T) {
 	// With the length window, only the two strings with len in [1,3] are
 	// compared at all.
 	var cs compCounter
-	es := New(data, WithSortByLength(), WithComparisonCounter(&cs))
+	es := New(data, WithSortByLength(), withComparisonCounter(&cs))
 	es.Search(Query{Text: "ab", K: 1})
 	if got := cs.n.Load(); got != 2 {
 		t.Fatalf("sorted comparisons = %d, want 2", got)

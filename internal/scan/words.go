@@ -167,8 +167,8 @@ func gramsLacking(a, b *gramSet) int {
 		bits.OnesCount64(a[2]&^b[2]) + bits.OnesCount64(a[3]&^b[3])
 }
 
-// gramSetBits is how many grams a set holds, so a bound of 4*slack rejects
-// nothing from slack = gramSetBits/4 on.
+// gramSetBits is how many grams a set holds, so a bound of 4k rejects
+// nothing from k = gramSetBits/4 on.
 const gramSetBits = 256
 
 // keep is 1 when neither one-sided surplus exceeds bound and 0 when either
@@ -599,9 +599,8 @@ func (w *Words) gramSets(base int32, gq *gramSet, bound int, surv *[ctxStride]in
 // is word order, so what comes out is a concatenation of short ID-ascending
 // runs for MergeRuns to put in order. A caller sweeping several arenas for
 // one query reuses dst, so an arena without a match costs no allocation.
-// slack is how far the words may differ on either side before a slot is
-// dropped unread: the probe's k, or math.MaxInt to send every slot to the
-// kernel (the cascade's ablation; no summary and no word rejects at it).
+// The words may differ by the probe's k on either side before a slot is
+// dropped unread.
 //
 // The length window is a slot range, walked in groups of groupBlocks blocks,
 // polling ctx once per group. Sweep first holds the query's word against the
@@ -609,12 +608,12 @@ func (w *Words) gramSets(base int32, gq *gramSet, bound int, surv *[ctxStride]in
 // is kept; otherwise it reads the words of the kept blocks (maskedWords,
 // firstWord), collects the group's survivors and only then looks up their
 // bytes and hands them to the kernel (byte equality at k = 0). Where there
-// are 4-gram sets and their bound of 4*slack can reject anything, a second
+// are 4-gram sets and their bound of 4k can reject anything, a second
 // pass compacts the group's survivors through them before any byte is read
 // (gramSets). Survivors come in slot order, so the length bucket is carried
 // along instead of searched for per survivor, from the window's shortest
 // length on. The probe's counters are flushed on every exit path.
-func (w *Words) Sweep(ctx context.Context, pr *Probe, slack int, dst []Match) ([]Match, error) {
+func (w *Words) Sweep(ctx context.Context, pr *Probe, dst []Match) ([]Match, error) {
 	k := pr.k
 	ar := w.ar
 	lo, hi := ar.SlotRange(pr.Lengths())
@@ -633,8 +632,7 @@ func (w *Words) Sweep(ctx context.Context, pr *Probe, slack int, dst []Match) ([
 	if w.counts {
 		sq = pr.cnt
 	}
-	// 4*slack < gramSetBits, written so the ablation's MaxInt is not scaled.
-	grams := w.grams != nil && slack < gramSetBits/4
+	grams := w.grams != nil && k < gramSetBits/4
 	var exact []byte // the query's bytes at k = 0
 	if k == 0 {
 		exact = []byte(pr.text)
@@ -648,16 +646,16 @@ func (w *Words) Sweep(ctx context.Context, pr *Probe, slack int, dst []Match) ([
 		}
 		base := g * blockSlots
 		visited += uint64(min(base+ctxStride, hi) - max(base, lo))
-		mask := w.blockMask(g, int(min(groupBlocks, blocks-g)), sq, slack)
+		mask := w.blockMask(g, int(min(groupBlocks, blocks-g)), sq, k)
 		if mask == 0 {
 			continue
 		}
-		n, read := w.maskedWords(base, lo, hi, mask, sq, slack, dense, &surv)
+		n, read := w.maskedWords(base, lo, hi, mask, sq, k, dense, &surv)
 		swept += uint64(read)
 		passed += uint64(n)
 		dense = n > read/8
 		if grams {
-			n = w.gramSets(base, &pr.grams, 4*slack, &surv, n)
+			n = w.gramSets(base, &pr.grams, 4*k, &surv, n)
 		}
 		kept += uint64(n)
 		for _, i := range surv[0:n] {

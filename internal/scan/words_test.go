@@ -277,7 +277,7 @@ func TestGramStageNeverRejectsWithinK(t *testing.T) {
 					t.Fatalf("%.40q: an all-DNA arena must have its 4-gram sets", x)
 				}
 				pr := NewProbe(q, k)
-				ms, err := w.Sweep(context.Background(), &pr, k, nil)
+				ms, err := w.Sweep(context.Background(), &pr, nil)
 				if want := edit.Distance(x, q); err != nil || len(ms) != 1 || ms[0].Dist != want {
 					t.Fatalf("sweep of %.40q for %.40q at k=%d = %v, %v; want distance %d", x, q, k, ms, err, want)
 				}
@@ -353,7 +353,7 @@ func TestGramSetBoundIsTight(t *testing.T) {
 			t.Fatalf("k=%d: the pair is %d edits and %d, %d grams apart; want %d and exactly %d, 0", k, d, a, b, k, 4*k)
 		}
 		pr := NewProbe(q, k)
-		ms, err := w.Sweep(context.Background(), &pr, k, nil)
+		ms, err := w.Sweep(context.Background(), &pr, nil)
 		if err != nil || len(ms) != 1 || ms[0].Dist != k || pr.Kept != 1 {
 			t.Fatalf("k=%d: sweep of the read for its %d-substitution copy = %v, %v, %d kernel calls; want distance %d", k, k, ms, err, pr.Kept, k)
 		}
@@ -365,8 +365,8 @@ func TestGramSetBoundIsTight(t *testing.T) {
 // turned into x, and a few x put in between where that ran out — none, so
 // the pair is 256 grams apart: at k = gramSetBits/4 - 1 that is past the
 // bound and the slot is dropped unread, at k = gramSetBits/4 no pair of sets
-// can be and the stage is skipped — as it is at the ablation's slack. The
-// query's x bytes are counted by neither word, so the count word passes.
+// can be and the stage is skipped. The query's x bytes are counted by
+// neither word, so the count word passes.
 func TestGramStageCutOff(t *testing.T) {
 	const cut = gramSetBits / 4
 	x := deBruijn4
@@ -387,21 +387,20 @@ func TestGramStageCutOff(t *testing.T) {
 	}
 	w := NewWords([]string{x})
 	for _, tc := range []struct {
-		k, slack int
-		kept     uint64
+		k    int
+		kept uint64
 	}{
-		{cut - 1, cut - 1, 0},
-		{cut, cut, 1},
-		{cut - 1, math.MaxInt, 1},
+		{cut - 1, 0},
+		{cut, 1},
 	} {
 		pr := NewProbe(string(q), tc.k)
-		ms, err := w.Sweep(context.Background(), &pr, tc.slack, nil)
+		ms, err := w.Sweep(context.Background(), &pr, nil)
 		if d := edit.Distance(x, string(q)); err != nil || len(ms) != 0 || d <= cut {
 			t.Fatalf("k=%d: %v, %v; the pair (distance %d) is farther apart than any k here", tc.k, ms, err, d)
 		}
 		if pr.Visited != 1 || pr.Passed != 1 || pr.Kept != tc.kept {
-			t.Errorf("k=%d slack=%d: visited %d, passed %d, kept %d; want 1, 1, %d",
-				tc.k, tc.slack, pr.Visited, pr.Passed, pr.Kept, tc.kept)
+			t.Errorf("k=%d: visited %d, passed %d, kept %d; want 1, 1, %d",
+				tc.k, pr.Visited, pr.Passed, pr.Kept, tc.kept)
 		}
 	}
 }
@@ -420,7 +419,7 @@ func TestGramStageStrength(t *testing.T) {
 		var visited, passed, kept uint64
 		for _, q := range dataset.Queries(data, 100, 8, seed+8) {
 			pr := NewProbe(q, 8)
-			if _, err := w.Sweep(context.Background(), &pr, 8, nil); err != nil {
+			if _, err := w.Sweep(context.Background(), &pr, nil); err != nil {
 				t.Fatal(err)
 			}
 			visited, passed, kept = visited+pr.Visited, passed+pr.Passed, kept+pr.Kept
@@ -446,7 +445,7 @@ func TestSweepCarriesLengthBucket(t *testing.T) {
 	for _, q := range []string{"", "abc", data[0], data[1], data[2], strings.Repeat("ab", 6), strings.Repeat("z", 88), strings.Repeat("q", 200)} {
 		for _, k := range []int{0, 1, 3, 9, 40} {
 			pr := NewProbe(q, k)
-			got, err := w.Sweep(context.Background(), &pr, k, nil)
+			got, err := w.Sweep(context.Background(), &pr, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -485,7 +484,7 @@ func TestFirstWordLoopsAgree(t *testing.T) {
 				all := uint64(1)<<nb - 1
 				own := w.blockMask(g, nb, pr.cnt, slack)
 				if slack == math.MaxInt && own != all {
-					t.Fatalf("group %d: the summaries rejected blocks at the ablation's slack: %#x of %#x", g, own, all)
+					t.Fatalf("group %d: the summaries rejected blocks at an unbounded slack: %#x of %#x", g, own, all)
 				}
 				for _, mask := range []uint64{own, all, 1, all &^ (all >> 1), 0x5555555555555555 & all, 0xaaaaaaaaaaaaaaaa & all, 0} {
 					base := g * blockSlots
@@ -511,12 +510,12 @@ func TestFirstWordLoopsAgree(t *testing.T) {
 						}
 					}
 					if slack == math.MaxInt && n != read {
-						t.Fatalf("group %d: %d of %d slots pass at the ablation's slack", g, n, read)
+						t.Fatalf("group %d: %d of %d slots pass at an unbounded slack", g, n, read)
 					}
 				}
 			}
 		}
-		if _, err := w.Sweep(context.Background(), &pr, 8, nil); err != nil {
+		if _, err := w.Sweep(context.Background(), &pr, nil); err != nil {
 			t.Fatal(err)
 		}
 		swept, passed = swept+pr.Swept, passed+pr.Passed

@@ -13,8 +13,9 @@
 // with:
 //
 //   - the filtered sweep (NewCascade): a scan
-//     over length buckets with one or two precomputed words per string
-//     deciding which candidates reach the bit-parallel kernel. It is ahead of
+//     over length buckets with a precomputed word per string (and, on
+//     reads, a 4-gram set) deciding which candidates reach the
+//     bit-parallel kernel. It is ahead of
 //     both engines above at every threshold the paper asks on both corpora,
 //     so no serving path builds the index unless asked for it by name.
 //
@@ -72,15 +73,16 @@ const (
 	BitParallel
 	// Cascade is the paper's §6 future-work list assembled into one engine:
 	// a filter cascade with all query-side state compiled once per query:
-	// length bucket → one precomputed signature word per string → bounded
-	// Myers verify over a byte arena. On pure-DNA datasets the word holds
-	// the five symbol counts (the frequency-vector filter), on every other
-	// dataset occurrence bits of the byte values. Results are identical to
-	// Scan; only the pruning differs.
+	// length bucket → block summary → one precomputed signature word per
+	// string (→ a 4-gram set, on reads) → bounded Myers verify over a byte
+	// arena. On pure-DNA datasets the word holds the five symbol counts (the
+	// frequency-vector filter), on every other dataset occurrence bits of
+	// the byte values. Results are identical to Scan; only the pruning
+	// differs.
 	Cascade
 	// Router selects the same engine as Cascade. It named an adaptive
 	// router over the scan, the trie and the cascade until the cascade won
-	// every cell the router was measured on (EXPERIMENTS.md Table XVII).
+	// every cell the router was measured on (EXPERIMENTS.md, History).
 	//
 	// Deprecated: use Cascade.
 	Router
@@ -177,10 +179,13 @@ func NewBitParallel(data []string, workers int) Searcher {
 
 // NewCascade returns the filter-cascade engine: the paper's §6 future work
 // (length bucketing, frequency-vector filtering) assembled into one serving
-// path. One precomputed 64-bit word per string decides which candidates of
-// the length window reach the kernel: the five symbol counts on pure-DNA
-// datasets, an occurrence signature of the byte values on every other.
-// Results are identical to NewScan on every dataset and query.
+// path. Two summary words per block of sixteen strings skip blocks of the
+// length window unread; in the blocks kept, one precomputed 64-bit word per
+// string decides which candidates go on: the five symbol counts on pure-DNA
+// datasets, an occurrence signature of the byte values on every other. On
+// pure-DNA datasets a 256-bit set of each read's 4-grams then decides which
+// of those reach the kernel; elsewhere the word alone does. Results are
+// identical to NewScan on every dataset and query.
 func NewCascade(data []string) Searcher {
 	return New(data, Options{Algorithm: Cascade})
 }
