@@ -236,9 +236,8 @@ func BenchmarkAblationEditDistance(b *testing.B) {
 			}
 		})
 		b.Run(name+"/banded", func(b *testing.B) {
-			var s edit.Scratch
 			for i := 0; i < b.N; i++ {
-				s.BoundedDistance(p[0], p[1], k)
+				edit.BoundedDistance(p[0], p[1], k)
 			}
 		})
 	}
@@ -322,27 +321,12 @@ func BenchmarkTrieBuild(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationSorting measures the §6 "Sorting" idea: length-sorted
-// scanning vs plain scanning.
-func BenchmarkAblationSorting(b *testing.B) {
-	city, _ := workloads()
-	plain := core.NewSequential(city.Data, scan.WithStrategy(scan.SimpleTypes))
-	sorted := core.NewSequential(city.Data,
-		scan.WithStrategy(scan.SimpleTypes), scan.WithSortByLength())
-	b.Run("unsorted", func(b *testing.B) {
-		benchBatch(b, plain, city.Queries, nil)
-	})
-	b.Run("length-sorted", func(b *testing.B) {
-		benchBatch(b, sorted, city.Queries, nil)
-	})
-}
-
 // BenchmarkBaselines races every engine family on both workloads.
 func BenchmarkBaselines(b *testing.B) {
 	city, dna := workloads()
 	for _, wl := range []bench.Workload{city, dna} {
 		engines := []core.Searcher{
-			core.NewSequential(wl.Data, scan.WithStrategy(scan.SimpleTypes), scan.WithBandedKernel()),
+			core.NewSequential(wl.Data, scan.WithStrategy(scan.SimpleTypes)),
 			core.NewTrie(wl.Data, true, trie.WithModernPruning()),
 			core.NewTrie(wl.Data, true),
 			core.NewCascade(wl.Data),
@@ -378,7 +362,7 @@ func BenchmarkJoin(b *testing.B) {
 // workload.
 func BenchmarkAblationPool(b *testing.B) {
 	city, _ := workloads()
-	eng := core.NewSequential(city.Data, scan.WithStrategy(scan.SimpleTypes), scan.WithBandedKernel())
+	eng := core.NewSequential(city.Data, scan.WithStrategy(scan.SimpleTypes))
 	runners := []pool.Runner{
 		pool.Serial{},
 		pool.PerTask{},

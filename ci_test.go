@@ -408,10 +408,18 @@ func TestNoOrphanExports(t *testing.T) {
 
 // typeRefs calls fn with "importpath.Name" for every identifier node names
 // as a type or value: bare identifiers resolve to pkg, qualified ones through
-// imports. Struct field names and composite-literal keys are skipped.
+// imports. Struct field names and composite-literal keys are skipped, and so
+// are the unexported fields and methods of struct and interface types: a
+// caller outside the package cannot reach what only they name.
 func typeRefs(node ast.Node, pkg string, imports map[string]string, fn func(string)) {
 	ast.Inspect(node, func(n ast.Node) bool {
 		switch n := n.(type) {
+		case *ast.StructType:
+			exportedFields(n.Fields, pkg, imports, fn)
+			return false
+		case *ast.InterfaceType:
+			exportedFields(n.Methods, pkg, imports, fn)
+			return false
 		case *ast.SelectorExpr:
 			if x, ok := n.X.(*ast.Ident); ok && imports[x.Name] != "" {
 				fn(imports[x.Name] + "." + n.Sel.Name)
@@ -430,6 +438,33 @@ func typeRefs(node ast.Node, pkg string, imports map[string]string, fn func(stri
 		}
 		return true
 	})
+}
+
+// exportedFields runs typeRefs over the types of the exported entries of a
+// struct's fields or an interface's methods. An embedded entry is exported
+// when its type name is.
+func exportedFields(list *ast.FieldList, pkg string, imports map[string]string, fn func(string)) {
+	for _, f := range list.List {
+		exported := false
+		for _, name := range f.Names {
+			exported = exported || name.IsExported()
+		}
+		if len(f.Names) == 0 {
+			typ := f.Type
+			if star, ok := typ.(*ast.StarExpr); ok {
+				typ = star.X
+			}
+			switch t := typ.(type) {
+			case *ast.Ident:
+				exported = t.IsExported()
+			case *ast.SelectorExpr:
+				exported = t.Sel.IsExported()
+			}
+		}
+		if exported {
+			typeRefs(f.Type, pkg, imports, fn)
+		}
+	}
 }
 
 // walkGoFiles calls fn on every .go file under root. The fixed benchmark (a

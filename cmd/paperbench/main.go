@@ -12,6 +12,11 @@
 //	paperbench -extra          # + the extension experiments (Tables X–XIII)
 //	paperbench -shards         # + the sharded-executor sweep (Table XIV)
 //
+// The scan in every table is the paper's ladder (§3, the §3.2 kernel never
+// banded) or, in the extension tables, the cascade the library serves with;
+// the index is the paper's trie and, in the extension tables, the modern
+// trie beside it.
+//
 // Per §5.2, only the result-calculation time is reported; dataset generation
 // and index construction are excluded from every cell. Cells whose direct
 // measurement would exceed PAPER_BENCH_LIMIT (default 15 s) are extrapolated

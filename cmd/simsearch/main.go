@@ -6,6 +6,7 @@
 //	simsearch -data cities.txt -engine trie -k 2 Berlni Hambrg
 //	simsearch -data cities.txt -engine scan -workers 8 -queries queries.txt -k 2
 //	simsearch -data reads.fastq -engine trie -k 8 ACGT...
+//	simsearch -data cities.txt -engine cascade -k 2 Berlni
 package main
 
 import (
@@ -20,7 +21,7 @@ import (
 func main() {
 	var (
 		dataPath  = flag.String("data", "", "dataset file, one string per line (required)")
-		engine    = flag.String("engine", "trie", "engine: scan, trie")
+		engine    = flag.String("engine", "trie", "engine: scan, trie, cascade")
 		workers   = flag.Int("workers", 0, "scan engine: parallel workers (0 = serial)")
 		k         = flag.Int("k", 2, "edit-distance threshold")
 		queryFile = flag.String("queries", "", "query file, one query per line (else positional args)")
@@ -59,6 +60,8 @@ func main() {
 		opts.Algorithm = simsearch.Scan
 	case "trie":
 		opts.Algorithm = simsearch.Trie
+	case "cascade":
+		opts.Algorithm = simsearch.Cascade
 	default:
 		fatal(fmt.Errorf("unknown engine %q", *engine))
 	}

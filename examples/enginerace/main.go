@@ -74,9 +74,6 @@ func main() {
 		build(func() simsearch.Searcher { return simsearch.NewScan(data) }),
 		build(func() simsearch.Searcher { return simsearch.NewParallelScan(data, 8) }),
 		build(func() simsearch.Searcher { return simsearch.NewIndex(data) }),
-		build(func() simsearch.Searcher {
-			return simsearch.New(data, simsearch.Options{Algorithm: simsearch.Trie, PaperFaithful: true})
-		}),
 		build(func() simsearch.Searcher { return simsearch.NewCascade(data) }),
 	}
 

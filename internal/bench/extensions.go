@@ -15,12 +15,13 @@ import (
 // Extension experiments beyond the paper's tables. They carry invented
 // numbers (X, XI) and are clearly labelled as additions: the join over each
 // engine covers the competition's second problem the paper skipped, and the
-// engine matrix races both of the paper's engines — including their modern
-// variants — and the filtered sweep on both workloads, quantifying how
-// implementation-dependent the paper's conclusion is.
+// engine matrix races both of the paper's engines — the index also with its
+// modern pruning — and the filtered sweep (the modern scan) on both
+// workloads, quantifying how implementation-dependent the paper's conclusion
+// is.
 
 // TableX times a self-join of a subset of the workload as one search per
-// string (core.SelfJoin) over three of Table XI's engines, each built over
+// string (core.SelfJoin) over Table XI's two modern engines, each built over
 // the subset inside the timed region, with the probes on a fixed pool of 8
 // workers. Join cost grows quadratically in the worst case, so the subset
 // size is capped.
@@ -41,9 +42,6 @@ func TableX(w Workload, k, maxN int) *Table {
 		name  string
 		build func() core.Searcher
 	}{
-		{"scan (banded+sorted)", func() core.Searcher {
-			return core.NewSequential(data, scan.WithStrategy(scan.SimpleTypes), scan.WithBandedKernel(), scan.WithSortByLength())
-		}},
 		{"trie (modern pruning)", func() core.Searcher { return core.NewTrie(data, true, trie.WithModernPruning()) }},
 		{"cascade (words sweep)", func() core.Searcher { return core.NewCascade(data) }},
 	}
@@ -97,22 +95,19 @@ func TableXII(w Workload) *Table {
 	return t
 }
 
-// TableXI races the paper's two engines, paper-faithful and modern, and the
-// filtered sweep the library serves with on the workload's full query batch.
+// TableXI races the paper's scan, its index with the paper's and the modern
+// pruning, and the filtered sweep the library serves with (its fast scan) on
+// the workload's full query batch.
 func TableXI(w Workload) *Table {
 	t := newTable(fmt.Sprintf("Table XI (extension). Engine matrix on the %s workload", w.Name), w.Counts)
 	engines := []core.Searcher{
 		core.NewSequential(w.Data, scan.WithStrategy(scan.SimpleTypes)),
-		core.NewSequential(w.Data, scan.WithStrategy(scan.SimpleTypes), scan.WithBandedKernel()),
-		core.NewSequential(w.Data, scan.WithStrategy(scan.SimpleTypes), scan.WithBandedKernel(), scan.WithSortByLength()),
 		core.NewTrie(w.Data, true),
 		core.NewTrie(w.Data, true, trie.WithModernPruning()),
 		core.NewCascade(w.Data),
 	}
 	names := []string{
 		"scan (paper kernel)",
-		"scan (banded kernel)",
-		"scan (banded+sorted)",
 		"trie (paper pruning)",
 		"trie (modern pruning)",
 		"cascade (words sweep)",
@@ -169,11 +164,12 @@ func TableXIII(w Workload, queries int) *Table {
 var shardCounts = []int{1, 2, 4, 8, 16}
 
 // TableXIV sweeps the sharded executor's shard count over the workload's
-// query batches, with the paper's best parallel configuration (one engine,
-// one fixed pool across queries) as the baseline row. Both axes use the
-// same worker pool size, so the table isolates what partitioning the data
-// adds on top of parallelizing across queries: intra-query parallelism and
-// cache-sized per-shard working sets.
+// query batches, with the paper's best parallel configuration (the §3.6
+// rung: one engine, one fixed pool across queries) as the baseline row.
+// Every shard runs the same §3.4 kernel and both axes use the same worker
+// pool size, so the table isolates what partitioning the data adds on top
+// of parallelizing across queries: intra-query parallelism and cache-sized
+// per-shard working sets.
 func TableXIV(w Workload, workers int) *Table {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
@@ -183,8 +179,7 @@ func TableXIV(w Workload, workers int) *Table {
 		w.Name, workers), w.Counts)
 
 	baseline := core.NewSequential(w.Data,
-		scan.WithStrategy(scan.ParallelManaged), scan.WithWorkers(workers),
-		scan.WithBandedKernel())
+		scan.WithStrategy(scan.ParallelManaged), scan.WithWorkers(workers))
 	cells := series(w, func(qs []core.Query) time.Duration {
 		return measureBatch(baseline, qs, nil)
 	})
@@ -192,8 +187,9 @@ func TableXIV(w Workload, workers int) *Table {
 
 	for _, p := range shardCounts {
 		ex := exec.New(w.Data, exec.Options{
-			Shards: p,
-			Runner: pool.Fixed{Workers: workers},
+			Shards:  p,
+			Factory: func(d []string) core.Searcher { return core.NewSequential(d) },
+			Runner:  pool.Fixed{Workers: workers},
 		})
 		cells := series(w, func(qs []core.Query) time.Duration {
 			return measureBatch(ex, qs, nil)

@@ -8,7 +8,6 @@ import (
 	"simsearch/internal/core"
 	"simsearch/internal/dataset"
 	"simsearch/internal/exec"
-	"simsearch/internal/scan"
 )
 
 // FuzzCachedIdentical is the cache's differential harness: for an arbitrary
@@ -47,7 +46,7 @@ func FuzzCachedIdentical(f *testing.F) {
 		wantEvictor := core.Reference(data).Search(evictor)
 
 		engines := []core.Searcher{
-			core.NewSequential(data, scan.WithStrategy(scan.SimpleTypes), scan.WithBandedKernel()),
+			core.NewSequential(data),
 			core.NewTrie(data, true),
 			exec.New(data, exec.Options{Shards: 3}),
 		}

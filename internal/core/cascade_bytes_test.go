@@ -46,7 +46,7 @@ func TestKindSelection(t *testing.T) {
 // the matches. Every stage prunes — the summaries and the first word on both
 // kinds, the 4-gram set behind the word on reads only: on city names there
 // is no second stage and the two counts agree — and every query returns
-// exactly the matches of the paper's banded DP (edit.BoundedDistance).
+// exactly the matches of the banded DP (edit.BoundedDistance).
 func TestByteStatsFunnel(t *testing.T) {
 	for name, data := range map[string][]string{
 		"city": dataset.Cities(3000, 7), "reads": dataset.DNAReads(1500, 7),
@@ -55,7 +55,7 @@ func TestByteStatsFunnel(t *testing.T) {
 		var windows, matches uint64 // counted from the data
 		for i, q := range dataset.Queries(data, 40, 3, 8) {
 			k := i % 4
-			var want []Match // the banded DP of the paper's §3.2, over the window
+			var want []Match // the banded DP (edit.BoundedDistance), over the window
 			for id, s := range data {
 				if len(s) >= len(q)-k && len(s) <= len(q)+k {
 					windows++

@@ -12,7 +12,6 @@ import (
 	"simsearch/internal/edit"
 	"simsearch/internal/exec"
 	"simsearch/internal/pool"
-	"simsearch/internal/scan"
 	"simsearch/internal/trie"
 )
 
@@ -22,7 +21,6 @@ var joinEngines = []struct {
 	build func([]string) core.Searcher
 }{
 	{"scan-paper", func(d []string) core.Searcher { return core.NewSequential(d) }},
-	{"scan-banded", func(d []string) core.Searcher { return core.NewSequential(d, scan.WithBandedKernel()) }},
 	{"trie-paper", func(d []string) core.Searcher { return core.NewTrie(d, true) }},
 	{"trie-modern", func(d []string) core.Searcher { return core.NewTrie(d, true, trie.WithModernPruning()) }},
 	{"cascade", func(d []string) core.Searcher { return core.NewCascade(d) }},

@@ -17,7 +17,6 @@ import (
 	"simsearch/internal/dataset"
 	"simsearch/internal/exec"
 	"simsearch/internal/httpapi"
-	"simsearch/internal/scan"
 )
 
 // fleet is a set of in-process shard servers over contiguous partitions of
@@ -30,7 +29,7 @@ type fleet struct {
 }
 
 // startFleet stands up p shard servers over Partition(len(data), p) — each an
-// httpapi.Server over the banded SimpleTypes scan — and a
+// httpapi.Server over the paper's §3.4 scan — and a
 // discovered coordinator. wrap, when non-nil, decorates shard i replica 0's
 // handler (fault injection); extraReplica lists shard indices that get a
 // second, undecorated replica.
@@ -46,7 +45,7 @@ func startFleet(t *testing.T, data []string, p int, opts Options,
 	for i, r := range Partition(len(data), p) {
 		part := data[r[0]:r[1]]
 		mkRep := func(rep int) *httptest.Server {
-			var h http.Handler = httpapi.New(core.NewSequential(part, scan.WithStrategy(scan.SimpleTypes), scan.WithBandedKernel()), part)
+			var h http.Handler = httpapi.New(core.NewSequential(part), part)
 			if wrap != nil {
 				h = wrap(i, rep, h)
 			}

@@ -15,7 +15,6 @@ import (
 	"simsearch/internal/core"
 	"simsearch/internal/dataset"
 	"simsearch/internal/httpapi"
-	"simsearch/internal/scan"
 )
 
 // fakeClock is a clock that moves only when the test advances it. It
@@ -113,7 +112,7 @@ func (m *memFleet) RoundTrip(r *http.Request) (*http.Response, error) {
 func newMemCoordinator(t *testing.T, data []string, clk *fakeClock, opts Options, urls ...string) (*Coordinator, *memFleet) {
 	t.Helper()
 	fleet := &memFleet{replicas: map[string]http.Handler{}}
-	srv := httpapi.New(core.NewSequential(data, scan.WithStrategy(scan.SimpleTypes), scan.WithBandedKernel()), data)
+	srv := httpapi.New(core.NewSequential(data), data)
 	for _, u := range urls {
 		fleet.replicas[u] = srv
 	}

@@ -13,13 +13,7 @@ func TestScratchKernelsZeroAlloc(t *testing.T) {
 	a := "magdeburgerstrasse"
 	b := "magdeburgstrasse"
 	var s Scratch
-	s.BoundedDistance(a, b, 3) // warm up the buffers
-	if n := testing.AllocsPerRun(200, func() {
-		s.BoundedDistance(a, b, 3)
-	}); n != 0 {
-		t.Errorf("Scratch.BoundedDistance allocates %.1f per call, want 0", n)
-	}
-	s.PaperBoundedDistance(a, b, 3)
+	s.PaperBoundedDistance(a, b, 3) // warm up the buffers
 	if n := testing.AllocsPerRun(200, func() {
 		s.PaperBoundedDistance(a, b, 3)
 	}); n != 0 {

@@ -11,10 +11,11 @@
 //   - Distance / distanceFullMatrix: the textbook (lx+1)×(ly+1) dynamic
 //     programming matrix of paper §2.2, Figure 1.
 //   - distanceTwoRows: the same recurrence with O(min(lx,ly)) memory.
-//   - BoundedDistance: the paper §3.2 "faster edit distance calculation" —
-//     length filter (eq. 5), banded computation restricted to the diagonals
-//     that can still stay within k, and the main-diagonal early abort
-//     (eq. 6–8).
+//   - PaperBoundedDistance: the paper §3.2 "faster edit distance
+//     calculation" — length filter (eq. 5) and the main-diagonal early
+//     abort (eq. 6–8) over full-width rows — which the scan ladder runs.
+//   - BoundedDistance: the same with a band of 2k+1 diagonals, which the
+//     paper never computes: the tests' oracle.
 //   - CompileMyers: the query compiled once into a Myers bit-parallel
 //     pattern, with a diagonal-band kernel for k <= 31 and a blocked column
 //     kernel above.
@@ -97,33 +98,120 @@ func distanceTwoRows(a, b string) int {
 	return prev[len(b)]
 }
 
-// WithinK reports whether ed(a, b) <= k. It is the predicate of the string
-// similarity search problem (paper eq. 1) and uses the bounded computation.
-func WithinK(a, b string, k int) bool {
-	d, ok := BoundedDistance(a, b, k)
-	return ok && d <= k
-}
-
 // BoundedDistance computes ed(a, b) if it is at most k and reports
 // (distance, true); otherwise it reports (_, false) as soon as the bound is
-// provably exceeded. k < 0 yields (_, false).
+// provably exceeded. k < 0 yields (_, false). It is the DP oracle of the
+// tests and the predicate behind simsearch.WithinK.
 //
-// This is the paper's §3.2 improved calculation:
+// It is the paper's §3.2 kernel with a band the paper never computes. The
+// §3.2 kernel as the paper describes it, and the one its scan ladder runs,
+// is PaperBoundedDistance. Both share the paper's two filters:
 //
 //   - Length filter (eq. 5): if |len(a)-len(b)| > k the distance cannot be
 //     within k, no matrix is computed.
-//   - Banded computation: cell (i,j) can only contribute to a result ≤ k if
-//     |i-j| ≤ k, so only a band of 2k+1 diagonals is filled.
 //   - Main-diagonal early abort (eq. 6–8): values never decrease along a
 //     diagonal, and errors on the diagonal that ends in M[la][lb] cannot be
 //     repaired, so once that diagonal exceeds k the computation stops.
 //
-// The early abort here is strictly stronger than the paper's: if every cell
-// in the current band row exceeds k, no later cell can return below k, so we
-// abort as well.
+// Beyond the paper, cell (i,j) can only contribute to a result ≤ k if
+// |i-j| ≤ k, so only a band of 2k+1 diagonals is filled; and if every cell
+// in the current band row exceeds k, no later cell can return below k, so it
+// aborts as well.
 func BoundedDistance(a, b string, k int) (int, bool) {
-	var s Scratch
-	return s.BoundedDistance(a, b, k)
+	if k < 0 {
+		return 0, false
+	}
+	la, lb := len(a), len(b)
+	d := la - lb
+	if d < 0 {
+		d = -d
+	}
+	if d > k {
+		return 0, false
+	}
+	if k == 0 {
+		if a == b {
+			return 0, true
+		}
+		return 0, false
+	}
+	if la == 0 {
+		return lb, true // lb <= k holds: lb = d <= k
+	}
+	if lb == 0 {
+		return la, true
+	}
+	if lb > la {
+		a, b = b, a
+		la, lb = lb, la
+	}
+	prev := make([]int, lb+1)
+	curr := make([]int, lb+1)
+
+	const inf = int(^uint(0) >> 2)
+	for j := 0; j <= lb && j <= k; j++ {
+		prev[j] = j
+	}
+	for j := k + 1; j <= lb; j++ {
+		prev[j] = inf
+	}
+	delta := la - lb
+	for i := 1; i <= la; i++ {
+		lo := i - k
+		if lo < 1 {
+			lo = 1
+		}
+		hi := i + k
+		if hi > lb {
+			hi = lb
+		}
+		if lo > hi {
+			return 0, false
+		}
+		if lo > 1 {
+			curr[lo-1] = inf
+		} else {
+			curr[0] = i
+		}
+		ca := a[i-1]
+		rowMin := inf
+		for j := lo; j <= hi; j++ {
+			var v int
+			if ca == b[j-1] {
+				v = prev[j-1]
+			} else {
+				up := inf
+				if j < i+k {
+					up = prev[j]
+				}
+				left := inf
+				if j > lo {
+					left = curr[j-1]
+				} else if lo == 1 {
+					left = curr[0]
+				}
+				v = 1 + min3(up, left, prev[j-1])
+			}
+			curr[j] = v
+			if v < rowMin {
+				rowMin = v
+			}
+			if j == i-delta && v > k {
+				return 0, false
+			}
+		}
+		if hi < lb {
+			curr[hi+1] = inf
+		}
+		if rowMin > k {
+			return 0, false
+		}
+		prev, curr = curr, prev
+	}
+	if prev[lb] > k {
+		return 0, false
+	}
+	return prev[lb], true
 }
 
 func min3(a, b, c int) int {

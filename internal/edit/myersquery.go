@@ -2,7 +2,7 @@ package edit
 
 // Query-compiled Myers kernel (Gene Myers, "A fast bit-vector algorithm for
 // approximate string matching based on dynamic programming", JACM 1999; the
-// paper under reproduction stops at the banded DP): the match table is built
+// paper under reproduction stops at its §3.2 DP): the match table is built
 // once per query and then streamed over every candidate, instead of being
 // rebuilt for every pair. This is the amortization that makes the
 // bit-parallel kernel viable on the serving path — on the city-name workload

@@ -1,14 +1,23 @@
 package edit
 
+// Scratch holds reusable DP row buffers so repeated bounded-distance calls
+// allocate nothing. This realizes the paper's §3.4 "simple data types and
+// program methods" step: flat integer arrays reused across candidates rather
+// than containers allocated per comparison.
+//
+// A Scratch is not safe for concurrent use; give each worker its own.
+type Scratch struct {
+	prev, curr []int
+}
+
 // PaperBoundedDistance is the §3.2 kernel exactly as the paper describes it:
 // the length filter (eq. 5) and the main-diagonal early abort (eq. 6–8) on
 // an otherwise full-width two-row dynamic program. Unlike BoundedDistance it
 // does NOT restrict computation to the |i-j| <= k band — the paper never
 // bands its matrix — so each row costs O(min(la, lb)) regardless of k.
 //
-// The reproduction uses this kernel for the paper-faithful ladder rungs; the
-// banded BoundedDistance quantifies in the ablation benchmarks how much the
-// paper left on the table.
+// The scan ladder's rungs FastED and above run this kernel; the banded
+// BoundedDistance is the tests' oracle.
 func PaperBoundedDistance(a, b string, k int) (int, bool) {
 	var s Scratch
 	return s.PaperBoundedDistance(a, b, k)

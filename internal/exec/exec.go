@@ -47,11 +47,10 @@ import (
 // Match IDs local to the slice are remapped to global IDs by the executor.
 type Factory func(data []string) core.Searcher
 
-// defaultFactory builds the library's best serial scan (banded SimpleTypes),
-// the engine the paper found fastest on short natural-language strings.
+// defaultFactory builds the paper's best serial scan (the §3.4 rung), the
+// engine the paper found fastest on short natural-language strings.
 func defaultFactory(data []string) core.Searcher {
-	return core.NewSequential(data,
-		scan.WithStrategy(scan.SimpleTypes), scan.WithBandedKernel())
+	return core.NewSequential(data)
 }
 
 // Options configures New. The zero value gives one shard per CPU, the default

@@ -9,7 +9,6 @@ import (
 	"simsearch/internal/core"
 	"simsearch/internal/dataset"
 	"simsearch/internal/pool"
-	"simsearch/internal/scan"
 )
 
 // queriesFor builds a deterministic mixed-k batch over data.
@@ -226,9 +225,7 @@ func TestCountersAccumulate(t *testing.T) {
 // executor as a whole.
 func TestShardedVerifies(t *testing.T) {
 	data := dataset.Cities(500, 8)
-	ex := New(data, Options{Shards: 6, Factory: func(d []string) core.Searcher {
-		return core.NewSequential(d, scan.WithStrategy(scan.SimpleTypes), scan.WithBandedKernel(), scan.WithSortByLength())
-	}})
+	ex := New(data, Options{Shards: 6})
 	if err := core.Verify(ex, core.Reference(data), queriesFor(data, 20, []int{0, 1, 2, 3}, 21)); err != nil {
 		t.Fatal(err)
 	}

@@ -56,7 +56,7 @@ func (g *Gauge) Value() int64 { return g.v.Load() }
 
 // DefLatencyBuckets are the default histogram bounds for query and request
 // latencies: roughly logarithmic from 50µs to 5s, bracketing everything from
-// a single banded comparison batch to the paper's slowest DNA scans. The
+// a single short comparison batch to the paper's slowest DNA scans. The
 // +Inf bucket is implicit.
 var DefLatencyBuckets = []time.Duration{
 	50 * time.Microsecond, 100 * time.Microsecond, 250 * time.Microsecond,

@@ -28,7 +28,7 @@ import (
 // NewWords', fixed when the arena is built and never changed after: by a key
 // of the slot's word, so that slots a query's word rules out sit together
 // and are skipped a block at a time. Every consumer reads a match's ID off
-// ids and restores ID order with mergeRuns, so the order inside a bucket
+// ids and restores ID order with MergeRuns, so the order inside a bucket
 // decides speed alone.
 type Arena struct {
 	buf []byte
@@ -142,28 +142,24 @@ func (a *Arena) Buckets() int {
 	return n
 }
 
-// MergeRuns is mergeRuns for engines outside this package: Words.Sweep
-// returns matches in slot order, and the cascade restores global ID order
-// with it. It consumes the input slice.
-func MergeRuns(ms []Match) []Match { return mergeRuns(ms) }
-
 // cmpMatchID orders matches by ID. IDs are unique within one result, so it
 // is a total order and the sort below needs no stability.
 func cmpMatchID(a, b Match) int { return cmp.Compare(a.ID, b.ID) }
 
-// mergeRuns sorts a match slice that is a concatenation of ID-ascending runs
-// by ID. Run boundaries are exactly the ID descents: IDs are unique and each
-// run is strictly ascending. What the runs look like depends on who packed
-// the slots. The §6 Sorting rung's (length, ID) order yields one long run per
-// length bucket, and those are merged bottom-up, O(n log r) for r runs,
-// through one buffer. A word-ordered arena yields
-// matches in word order inside a bucket — a run per match, all but, with
-// duplicates of one string the exception (equal words, ID tie-break) — and
-// there are few of them: where runs average under shortRun matches the slice
-// is sorted in place, which allocates nothing. The input slice is consumed;
-// the returned slice is ID-sorted and may alias either the input or the
-// merge buffer.
-func mergeRuns(ms []Match) []Match {
+// MergeRuns sorts a match slice that is a concatenation of ID-ascending runs
+// by ID: Words.Sweep returns matches in slot order, and the cascade, the
+// live store and the executors restore ID order with it. Run boundaries are
+// exactly the ID descents: IDs are unique and each run is strictly
+// ascending. What the runs look like depends on who packed the slots. A live
+// executor's concatenation of its stores' results yields one long run per
+// store, and those are merged bottom-up, O(n log r) for r runs, through one
+// buffer. A word-ordered arena yields matches in word order inside a bucket
+// — a run per match, all but, with duplicates of one string the exception
+// (equal words, ID tie-break) — and there are few of them: where runs
+// average under shortRun matches the slice is sorted in place, which
+// allocates nothing. The input slice is consumed; the returned slice is
+// ID-sorted and may alias either the input or the merge buffer.
+func MergeRuns(ms []Match) []Match {
 	runs := 1
 	for i := 1; i < len(ms); i++ {
 		if ms[i].ID <= ms[i-1].ID {
@@ -207,7 +203,7 @@ func mergeRuns(ms []Match) []Match {
 	return src
 }
 
-// shortRun is the mean run length below which mergeRuns sorts in place
+// shortRun is the mean run length below which MergeRuns sorts in place
 // instead of merging.
 const shortRun = 8
 

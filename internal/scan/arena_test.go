@@ -105,7 +105,7 @@ func checkSweep(t *testing.T, w *Words, q Query) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !matchesEqual(mergeRuns(got), refSearch(wordsData(w), q)) {
+	if !matchesEqual(MergeRuns(got), refSearch(wordsData(w), q)) {
 		t.Fatalf("%+v: the sweep disagrees with the oracle", q)
 	}
 	lo, hi := w.ar.SlotRange(pr.Lengths())
@@ -141,12 +141,12 @@ func TestMergeRuns(t *testing.T) {
 		}
 		want := append([]Match(nil), ms...)
 		sort.Slice(want, func(i, j int) bool { return want[i].ID < want[j].ID })
-		return reflect.DeepEqual(mergeRuns(ms), want)
+		return reflect.DeepEqual(MergeRuns(ms), want)
 	}
 	if err := quick.Check(fn, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)
 	}
-	if got := mergeRuns(nil); got != nil {
-		t.Errorf("mergeRuns(nil) = %v", got)
+	if got := MergeRuns(nil); got != nil {
+		t.Errorf("MergeRuns(nil) = %v", got)
 	}
 }

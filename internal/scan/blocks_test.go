@@ -328,9 +328,9 @@ func TestMergeRunsShapes(t *testing.T) {
 		}
 		want := slices.Clone(tc.in)
 		slices.Sort(want)
-		got := mergeRuns(ms)
+		got := MergeRuns(ms)
 		if !slices.Equal(ids(got), want) {
-			t.Errorf("%s: mergeRuns(%v) = %v", tc.name, tc.in, ids(got))
+			t.Errorf("%s: MergeRuns(%v) = %v", tc.name, tc.in, ids(got))
 		}
 		for _, m := range got {
 			if m.Dist != int(m.ID%3) {
@@ -358,7 +358,7 @@ func TestMergeRunsShapes(t *testing.T) {
 			scratch := make([]Match, len(in))
 			allocs := testing.AllocsPerRun(20, func() {
 				copy(scratch, in)
-				got = mergeRuns(scratch)
+				got = MergeRuns(scratch)
 			})
 			if !slices.Equal(got, want) {
 				t.Errorf("%s of %d: not sorted by ID", name, n)

@@ -6,15 +6,11 @@
 // The ladder is cumulative, exactly as in the paper's Figure 3:
 //
 //	Base            §3.1 full DP matrix, per-comparison string copies
-//	FastED          §3.2 + length filter, banded DP, main-diagonal abort
+//	FastED          §3.2 + length filter, main-diagonal abort (no band)
 //	References      §3.3 + no per-comparison copies (reference semantics)
 //	SimpleTypes     §3.4 + flat reusable row buffers, no allocation per pair
 //	ParallelNaive   §3.5 + one freshly created OS thread per query
 //	ParallelManaged §3.6 + fixed worker pool (N swept in Table II/VI)
-//
-// Additionally SortByLength enables the §6 "Sorting" future-work item: the
-// data is kept sorted by length so a query with threshold k only scans the
-// strings whose length lies in [len(q)-k, len(q)+k].
 //
 // Beside the ladder the package holds the packed, length-bucketed arena
 // (arena.go) and the signature words and their sweep (words.go): no rung
@@ -90,22 +86,13 @@ type Engine struct {
 	data     []string
 	strategy Strategy
 	workers  int
-	comps    CompCounter // nil unless withComparisonCounter
-
-	// banded selects the modern banded kernel instead of the paper's
-	// full-width §3.2 kernel for rungs FastED and above.
-	banded bool
-
-	// Length-sorted view for the §6 Sorting ablation.
-	sorted  bool
-	byLen   []int32 // permutation of IDs ordered by (length, ID)
-	lenPref []int32 // lenPref[l] = first index in byLen with length >= l
+	comps    compCounter // nil unless withComparisonCounter
 }
 
-// CompCounter receives per-query comparison counts. metrics.Counter
+// compCounter receives per-query comparison counts. metrics.Counter
 // implements it; the interface keeps this package free of a metrics
 // dependency.
-type CompCounter interface {
+type compCounter interface {
 	Add(n uint64)
 }
 
@@ -115,10 +102,9 @@ type Option func(*Engine)
 // withComparisonCounter attaches a comparison counter: after every query the
 // number of per-pair kernel invocations it performed is added to c (one
 // atomic add per query, nothing on the per-pair hot path). Comparisons are
-// the paper's cost unit — the count shows directly how much work the length
-// window and sorting optimizations save. Only this package's tests count
-// them so far; a paper table that reports comparisons exports it again.
-func withComparisonCounter(c CompCounter) Option {
+// the paper's cost unit. Only this package's tests count them so far; a
+// paper table that reports comparisons exports it again.
+func withComparisonCounter(c compCounter) Option {
 	return func(e *Engine) { e.comps = c }
 }
 
@@ -133,21 +119,6 @@ func WithWorkers(n int) Option {
 	return func(e *Engine) { e.workers = n }
 }
 
-// WithSortByLength enables the §6 Sorting optimization: only strings whose
-// length can possibly satisfy the length filter are visited at all.
-func WithSortByLength() Option {
-	return func(e *Engine) { e.sorted = true }
-}
-
-// WithBandedKernel replaces the paper's §3.2 kernel (length filter +
-// diagonal early abort over full-width rows) by the banded kernel that only
-// computes the |i-j| <= k diagonals. The paper never bands its matrix; this
-// option quantifies, in the ablation benchmarks, how much that leaves on the
-// table. Applies to rungs FastED and above.
-func WithBandedKernel() Option {
-	return func(e *Engine) { e.banded = true }
-}
-
 // New builds an engine over data. String i has ID i. The data slice is
 // retained, not copied (reference semantics; the Base/FastED rungs copy per
 // comparison to model the paper's unoptimized value semantics).
@@ -156,41 +127,7 @@ func New(data []string, opts ...Option) *Engine {
 	for _, o := range opts {
 		o(e)
 	}
-	if e.sorted {
-		e.buildLengthIndex()
-	}
 	return e
-}
-
-// buildLengthIndex orders IDs by (length, ID) with a counting sort: stable by
-// construction, so every equal-length segment of byLen is ID-ascending and a
-// length-window scan emits one sorted run per length — which is what lets
-// searchCtx merge runs instead of sorting every result set.
-func (e *Engine) buildLengthIndex() {
-	maxLen := 0
-	for _, s := range e.data {
-		if len(s) > maxLen {
-			maxLen = len(s)
-		}
-	}
-	counts := make([]int32, maxLen+1)
-	for _, s := range e.data {
-		counts[len(s)]++
-	}
-	e.lenPref = make([]int32, maxLen+2)
-	var idx int32
-	for l := 0; l <= maxLen; l++ {
-		e.lenPref[l] = idx
-		idx += counts[l]
-	}
-	e.lenPref[maxLen+1] = idx
-	next := make([]int32, maxLen+1)
-	copy(next, e.lenPref[:maxLen+1])
-	e.byLen = make([]int32, len(e.data))
-	for i, s := range e.data {
-		e.byLen[next[len(s)]] = int32(i)
-		next[len(s)]++
-	}
 }
 
 // Len returns the dataset size.
@@ -232,7 +169,6 @@ func (e *Engine) searchCtx(ctx context.Context, q Query, scratch *edit.Scratch) 
 		cancel = ctx.Done()
 	}
 	var out []Match
-	emit := func(id int32, d int) { out = append(out, Match{ID: id, Dist: d}) }
 
 	// pairs counts kernel invocations locally; the single atomic add per
 	// query happens at return (including the cancellation returns, so a
@@ -259,38 +195,13 @@ func (e *Engine) searchCtx(ctx context.Context, q Query, scratch *edit.Scratch) 
 			return false
 		}
 	}
-	if e.sorted {
-		lo, hi := len(q.Text)-q.K, len(q.Text)+q.K
-		if lo < 0 {
-			lo = 0
-		}
-		if hi > len(e.lenPref)-2 {
-			hi = len(e.lenPref) - 2
-		}
-		if lo <= hi {
-			start, end := e.lenPref[lo], e.lenPref[hi+1]
-			for _, id := range e.byLen[start:end] {
-				if check() {
-					return nil, ctx.Err()
-				}
-				pairs++
-				if d, ok := kernel(q.Text, e.data[id], q.K); ok {
-					emit(id, d)
-				}
-			}
-		}
-		// byLen is ordered (length, ID), so out is a concatenation of
-		// ID-ascending runs (one per length) — merge them instead of
-		// re-sorting with a fresh closure on every query.
-		return mergeRuns(out), nil
-	}
 	for i, s := range e.data {
 		if check() {
 			return nil, ctx.Err()
 		}
 		pairs++
 		if d, ok := kernel(q.Text, s, q.K); ok {
-			emit(int32(i), d)
+			out = append(out, Match{ID: int32(i), Dist: d})
 		}
 	}
 	return out, nil
@@ -318,13 +229,6 @@ func (e *Engine) kernel(scratch *edit.Scratch) func(q, x string, k int) (int, bo
 			return d, d <= k
 		}
 	case FastED:
-		if e.banded {
-			return func(q, x string, k int) (int, bool) {
-				qc := string(append([]byte(nil), q...))
-				xc := string(append([]byte(nil), x...))
-				return edit.BoundedDistance(qc, xc, k)
-			}
-		}
 		return func(q, x string, k int) (int, bool) {
 			// §3.2: length filter + diagonal abort, still copying operands.
 			qc := string(append([]byte(nil), q...))
@@ -332,25 +236,11 @@ func (e *Engine) kernel(scratch *edit.Scratch) func(q, x string, k int) (int, bo
 			return edit.PaperBoundedDistance(qc, xc, k)
 		}
 	case References:
-		if e.banded {
-			return func(q, x string, k int) (int, bool) {
-				return edit.BoundedDistance(q, x, k)
-			}
-		}
-		return func(q, x string, k int) (int, bool) {
-			// §3.3: no copies; rows still allocated per comparison.
-			return edit.PaperBoundedDistance(q, x, k)
-		}
+		// §3.3: no copies; rows still allocated per comparison.
+		return edit.PaperBoundedDistance
 	default:
 		// SimpleTypes and both parallel rungs: §3.4 zero-allocation kernel.
-		if e.banded {
-			return func(q, x string, k int) (int, bool) {
-				return scratch.BoundedDistance(q, x, k)
-			}
-		}
-		return func(q, x string, k int) (int, bool) {
-			return scratch.PaperBoundedDistance(q, x, k)
-		}
+		return scratch.PaperBoundedDistance
 	}
 }
 

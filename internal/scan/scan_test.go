@@ -95,31 +95,6 @@ func TestNegativeK(t *testing.T) {
 	}
 }
 
-func TestSortByLength(t *testing.T) {
-	e := New(cities, WithSortByLength())
-	for _, q := range []Query{{"berlin", 0}, {"berlin", 2}, {"b", 1}, {"", 0}, {"magdeburg", 3}} {
-		got := e.Search(q)
-		want := refSearch(cities, q)
-		if !reflect.DeepEqual(got, want) {
-			t.Errorf("sorted search %+v: got %v, want %v", q, got, want)
-		}
-	}
-}
-
-func TestSortByLengthSkipsOutOfWindow(t *testing.T) {
-	// All data strings have length 6; a length-2 query with k=1 must visit
-	// nothing (verified indirectly: result empty, and window empty).
-	data := []string{"aaaaaa", "bbbbbb", "cccccc"}
-	e := New(data, WithSortByLength())
-	if got := e.Search(Query{"ab", 1}); len(got) != 0 {
-		t.Errorf("got %v", got)
-	}
-	// Window clamped beyond max length.
-	if got := e.Search(Query{strings.Repeat("a", 50), 2}); len(got) != 0 {
-		t.Errorf("got %v", got)
-	}
-}
-
 func TestEngineAccessors(t *testing.T) {
 	e := New(cities, WithStrategy(FastED))
 	if e.Len() != len(cities) {
@@ -155,40 +130,34 @@ func TestQuickStrategiesEquivalent(t *testing.T) {
 				return false
 			}
 		}
-		es := New(data, WithStrategy(SimpleTypes), WithSortByLength())
-		return reflect.DeepEqual(es.Search(q), want)
+		return true
 	}
 	if err := quick.Check(fn, &quick.Config{MaxCount: 120}); err != nil {
 		t.Error(err)
 	}
 }
 
-// compCounter is a CompCounter stub (atomic, since parallel rungs add from
-// pool workers).
-type compCounter struct{ n atomic.Uint64 }
+// atomicCounter is a compCounter stub (atomic, since parallel rungs add
+// from pool workers).
+type atomicCounter struct{ n atomic.Uint64 }
 
-func (c *compCounter) Add(n uint64) { c.n.Add(n) }
+func (c *atomicCounter) Add(n uint64) { c.n.Add(n) }
 
+// TestComparisonCounter: the scan invokes the kernel once per dataset string
+// on every rung, whatever the length filter then rejects, and a batch adds
+// one query's count per query whichever pool answers it.
 func TestComparisonCounter(t *testing.T) {
 	data := []string{"aa", "ab", "abcd", "abcdefgh"}
-	var c compCounter
-	e := New(data, withComparisonCounter(&c))
-	e.Search(Query{Text: "ab", K: 1})
-	// The unsorted scan invokes the kernel once per dataset string.
-	if got := c.n.Load(); got != uint64(len(data)) {
-		t.Fatalf("comparisons = %d, want %d", got, len(data))
-	}
-	// With the length window, only the two strings with len in [1,3] are
-	// compared at all.
-	var cs compCounter
-	es := New(data, WithSortByLength(), withComparisonCounter(&cs))
-	es.Search(Query{Text: "ab", K: 1})
-	if got := cs.n.Load(); got != 2 {
-		t.Fatalf("sorted comparisons = %d, want 2", got)
-	}
-	// Batches accumulate across queries.
-	e.SearchBatch([]Query{{Text: "ab", K: 1}, {Text: "zz", K: 0}})
-	if got := c.n.Load(); got != uint64(3*len(data)) {
-		t.Fatalf("after batch: comparisons = %d, want %d", got, 3*len(data))
+	for _, s := range []Strategy{Base, FastED, References, SimpleTypes, ParallelNaive, ParallelManaged} {
+		var c atomicCounter
+		e := New(data, WithStrategy(s), WithWorkers(2), withComparisonCounter(&c))
+		e.Search(Query{Text: "ab", K: 1})
+		if got := c.n.Load(); got != uint64(len(data)) {
+			t.Fatalf("%v: comparisons = %d, want %d", s, got, len(data))
+		}
+		e.SearchBatch([]Query{{Text: "ab", K: 1}, {Text: "zz", K: 0}, {Text: "", K: -1}})
+		if got := c.n.Load(); got != uint64(3*len(data)) {
+			t.Fatalf("%v: after batch: comparisons = %d, want %d", s, got, 3*len(data))
+		}
 	}
 }

@@ -4,13 +4,14 @@
 //
 // Two primary engines answer the paper's research question:
 //
-//   - the optimized sequential scan (NewScan / NewParallelScan), which wins
-//     on short natural-language strings such as city names, and
+//   - the paper's optimized sequential scan (NewScan / NewParallelScan, the
+//     §3.4 and §3.6 rungs of its ladder), which wins on short
+//     natural-language strings such as city names, and
 //   - the compressed prefix-tree index (NewIndex), which wins on long
 //     small-alphabet strings such as genome reads.
 //
-// A third, the paper's §6 future work built out, is what this library serves
-// with:
+// A third, the paper's §6 future work built out, is the library's fast scan
+// and what it serves with:
 //
 //   - the filtered sweep (NewCascade): a scan
 //     over length buckets with a precomputed word per string (and, on
@@ -59,9 +60,12 @@ type Searcher = core.Searcher
 type Algorithm int
 
 const (
-	// Scan is the paper's optimized sequential scan (§3).
+	// Scan is the paper's optimized sequential scan: the §3.4 rung of its
+	// ladder, or the §3.6 rung when Workers > 1. The library's fast scan is
+	// Cascade.
 	Scan Algorithm = iota
-	// Trie is the paper's prefix-tree index (§4).
+	// Trie is the paper's compressed prefix-tree index (§4) with the
+	// modern banded pruning.
 	Trie
 	// BitParallel selects the same engine as Cascade and ignores Workers. It
 	// named a scan rung that ran the cascade's sweep without its counters
@@ -88,8 +92,8 @@ const (
 	Router
 )
 
-// Options configures New. The zero value selects the best serial sequential
-// scan.
+// Options configures New. The zero value selects the paper's best serial
+// sequential scan (the §3.4 rung).
 type Options struct {
 	// Algorithm selects the engine family (default Scan).
 	Algorithm Algorithm
@@ -98,12 +102,6 @@ type Options struct {
 	// queries). Other engines answer each query on one goroutine; NewSharded
 	// sizes its pool with it.
 	Workers int
-	// PaperFaithful selects the engines exactly as the paper describes them
-	// (§3.2 unbanded kernel for Scan, §4.1 d_m-diagonal pruning for Trie)
-	// instead of the faster modern variants this library defaults to.
-	// Results are identical either way; only speed differs. The benchmark
-	// harness uses the faithful variants to reproduce the paper's tables.
-	PaperFaithful bool
 	// CacheSize > 0 wraps the engine in a query-result cache with this
 	// many entries (see NewCached): repeated queries are answered from a
 	// sharded LRU and concurrent identical queries are coalesced into one
@@ -126,41 +124,32 @@ func New(data []string, opts Options) Searcher {
 func newEngine(data []string, opts Options) Searcher {
 	switch opts.Algorithm {
 	case Trie:
-		var topts []trie.Option
-		if !opts.PaperFaithful {
-			topts = append(topts, trie.WithModernPruning())
-		}
-		return core.NewTrie(data, true, topts...)
+		return core.NewTrie(data, true, trie.WithModernPruning())
 	case Cascade, BitParallel, Router:
 		// The cascade engine answers each query serially; parallelism comes
 		// from sharding (NewSharded) like the other serial engines.
 		return core.NewCascade(data)
 	default:
-		sopts := []scan.Option{scan.WithStrategy(scan.SimpleTypes)}
 		if opts.Workers > 1 {
-			sopts = []scan.Option{
-				scan.WithStrategy(scan.ParallelManaged),
-				scan.WithWorkers(opts.Workers),
-			}
+			return NewParallelScan(data, opts.Workers)
 		}
-		if !opts.PaperFaithful {
-			sopts = append(sopts, scan.WithBandedKernel())
-		}
-		return core.NewSequential(data, sopts...)
+		return core.NewSequential(data, scan.WithStrategy(scan.SimpleTypes))
 	}
 }
 
-// NewScan returns the paper's best serial sequential scan over data.
+// NewScan returns the paper's best serial sequential scan over data: the
+// §3.4 rung of its ladder, with the §3.2 kernel and no band. NewCascade is
+// the library's fast scan.
 func NewScan(data []string) Searcher {
 	return New(data, Options{})
 }
 
-// NewParallelScan returns the sequential scan with a fixed pool of workers
-// answering queries concurrently (workers <= 0 uses GOMAXPROCS).
+// NewParallelScan returns the paper's §3.6 rung: its best serial scan with
+// a fixed pool of workers answering queries concurrently (workers <= 0 uses
+// GOMAXPROCS).
 func NewParallelScan(data []string, workers int) Searcher {
 	return core.NewSequential(data,
-		scan.WithStrategy(scan.ParallelManaged), scan.WithWorkers(workers),
-		scan.WithBandedKernel())
+		scan.WithStrategy(scan.ParallelManaged), scan.WithWorkers(workers))
 }
 
 // NewIndex returns the library's best index engine: the path-compressed
@@ -296,9 +285,11 @@ func Distance(a, b string) int {
 }
 
 // WithinK reports whether ed(a, b) <= k without always computing the full
-// distance (length filter, banded computation, early abort — paper §3.2).
+// distance: the paper's §3.2 length filter and early abort, over a band of
+// 2k+1 diagonals the paper never computes.
 func WithinK(a, b string, k int) bool {
-	return edit.WithinK(a, b, k)
+	_, ok := edit.BoundedDistance(a, b, k)
+	return ok
 }
 
 // GenerateCities produces n synthetic city names with the statistical

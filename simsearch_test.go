@@ -8,7 +8,6 @@ import (
 	"simsearch"
 	"simsearch/internal/core"
 	"simsearch/internal/dataset"
-	"simsearch/internal/scan"
 )
 
 var cities = []string{"berlin", "bern", "bonn", "ulm", "munich", "köln"}
@@ -37,8 +36,7 @@ func TestAllAlgorithmsAgree(t *testing.T) {
 		simsearch.NewParallelScan(cities, 2),
 		simsearch.NewCascade(cities),
 		core.NewTrie(cities, false),
-		simsearch.New(cities, simsearch.Options{Algorithm: simsearch.Trie, PaperFaithful: true}),
-		core.NewSequential(cities, scan.WithStrategy(scan.SimpleTypes), scan.WithBandedKernel(), scan.WithSortByLength()),
+		core.NewTrie(cities, true),
 		simsearch.New(cities, simsearch.Options{Workers: 4}),
 	}
 	for _, eng := range engines {
