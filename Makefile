@@ -16,9 +16,9 @@ RACE_PKGS = ./internal/pool ./internal/exec ./internal/cache ./internal/httpapi 
 
 FUZZ_SMOKE_TIME ?= 5s
 
-.PHONY: check build fmt vet lint test race fuzz fuzz-smoke bench bench-smoke benchmark-smoke clean
+.PHONY: check build fmt vet lint test portable race fuzz fuzz-smoke bench bench-smoke benchmark-smoke clean
 
-check: fmt vet lint test race bench-smoke benchmark-smoke fuzz-smoke ## everything CI runs
+check: fmt vet lint test portable race bench-smoke benchmark-smoke fuzz-smoke ## everything CI runs
 
 build:
 	$(GO) build ./...
@@ -41,6 +41,15 @@ lint:
 
 test: build
 	$(GO) test ./...
+
+# The portable path: off amd64 the occurrence-word loops run in Go, not in
+# internal/scan's POPCNT kernels. The sweep's packages are tested on 386
+# (which also runs on an amd64 host and has a 32-bit uint), and the non-amd64
+# file set of internal/scan is built and vetted for arm64. Not ./... on 386:
+# simlint's loader type-checks net, which needs cgo there.
+portable:
+	GOARCH=386 $(GO) test ./internal/scan ./internal/core ./internal/lsm .
+	GOARCH=arm64 $(GO) vet ./internal/scan
 
 race:
 	$(GO) test -race $(RACE_PKGS)
@@ -77,7 +86,8 @@ bench:
 # k = 31 (band kernel) against k = 32 (blocked kernel) is the step between the
 # two compiled kernels, and the run fails if either loses the query itself.
 # Beside it, the cascade over 100,000 cities (k = 0..3) and 10,000 reads
-# (k = 0, 4, 8, 12): ns per slot of the length window, block summaries
+# (k = 0, 4, 8, 12): ns per slot of the length window, ns per word read (the
+# number the occurrence-word kernels move on cities), block summaries
 # tested, words read in the blocks they kept, slots past the first word and
 # kernel calls per query (the last two differ on reads: the 4-gram set sits
 # between); the index's build on 100,000 and 50,000 names and 10,000 reads:

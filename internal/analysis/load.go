@@ -3,6 +3,7 @@ package analysis
 import (
 	"fmt"
 	"go/ast"
+	"go/build"
 	"go/importer"
 	"go/parser"
 	"go/token"
@@ -209,8 +210,10 @@ func (l *Loader) dirFor(path string) string {
 	return filepath.Join(l.ModuleRoot, filepath.FromSlash(rel))
 }
 
-// parseDir parses every .go file of dir into three groups: non-test files,
-// in-package test files, and external (_test package) test files.
+// parseDir parses every .go file of dir that the go command would build for
+// this GOOS and GOARCH (file name suffixes and //go:build lines, as
+// build.Default reads them) into three groups: non-test files, in-package
+// test files, and external (_test package) test files.
 func (l *Loader) parseDir(dir string) (src, tests, xtests []*ast.File, err error) {
 	entries, err := os.ReadDir(dir)
 	if err != nil {
@@ -219,6 +222,11 @@ func (l *Loader) parseDir(dir string) (src, tests, xtests []*ast.File, err error
 	for _, e := range entries {
 		name := e.Name()
 		if e.IsDir() || !strings.HasSuffix(name, ".go") || strings.HasPrefix(name, ".") {
+			continue
+		}
+		if ok, err := build.Default.MatchFile(dir, name); err != nil {
+			return nil, nil, nil, err
+		} else if !ok {
 			continue
 		}
 		f, err := parser.ParseFile(l.fset, filepath.Join(dir, name), nil, parser.ParseComments)

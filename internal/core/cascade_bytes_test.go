@@ -141,11 +141,12 @@ func TestByteQueryAllocations(t *testing.T) {
 
 // BenchmarkCascadeBytes sweeps 100,000 generated cities at k = 0..3 and
 // 10,000 generated reads at k = 0, 4, 8 and 12 and reports what the
-// signature stage costs per slot of the length window, how many block
-// summaries a query is held against (a sixteenth of the window), how many
-// words it then reads (the slots of the blocks it enters), how many
-// candidates its word lets through and how many it leaves for the kernel
-// (on reads, what the 4-gram sets leave of those).
+// signature stage costs per slot of the length window and per word it reads
+// (the elapsed time over the words read: what the occurrence-word kernels
+// move), how many block summaries a query is held against (a sixteenth of
+// the window), how many words it then reads (the slots of the blocks it
+// enters), how many candidates its word lets through and how many it leaves
+// for the kernel (on reads, what the 4-gram sets leave of those).
 func BenchmarkCascadeBytes(b *testing.B) {
 	for _, c := range []struct {
 		name string
@@ -167,6 +168,7 @@ func BenchmarkCascadeBytes(b *testing.B) {
 				}
 				st := e.Stats()
 				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(st.Candidates-before.Candidates), "ns/slot")
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(st.Swept-before.Swept), "ns/word")
 				b.ReportMetric(float64(st.Candidates-before.Candidates)/16/float64(b.N), "blocks/query")
 				b.ReportMetric(float64(st.Swept-before.Swept)/float64(b.N), "swept/query")
 				b.ReportMetric(float64(st.Passed-before.Passed)/float64(b.N), "first_stage/query")

@@ -178,7 +178,7 @@ const gramSetBits = 256
 // gramSets past its first test) store every offset and advance their fill
 // index by keep instead of branching.
 func keep(ab, ba, bound int) int {
-	return 1 - int(uint((bound-ab)|(bound-ba))>>63)
+	return 1 - int(uint((bound-ab)|(bound-ba))>>(bits.UintSize-1))
 }
 
 // WordOf returns the word of a string that sits in no arena (an entry of the
@@ -491,19 +491,35 @@ func (w *Words) Counts() bool { return w.counts }
 // block's minimum and maximum, so its surplus under sq is at least the
 // maximum's and its surplus over sq at least the minimum's. A summary also
 // covers the block's slots outside the query's length window, which can
-// only keep a block, never drop one. The loop is branch-free: sixty-four
-// tests fold into one word, and the sweep branches once on that.
+// only keep a block, never drop one. The loops are branch-free: sixty-four
+// tests fold into one word, and the sweep branches once on that. The
+// occurrence-word loop runs in assembly where the CPU has POPCNT
+// (popcnt_amd64.s), and in occMask everywhere else.
 func (w *Words) blockMask(g int32, n int, sq uint64, slack int) uint64 {
-	var mask uint64
 	sums := w.sums[2*g : 2*(int(g)+n)]
 	if w.counts {
+		var mask uint64
 		for j := 0; j < n; j++ {
 			hi, lo := sums[2*j], sums[2*j+1]
 			mask |= uint64(keep(surplus(sq, hi), surplus(lo, sq), slack)) << j
 		}
 		return mask
 	}
-	for j := 0; j < n; j++ {
+	if popcntKernels {
+		if n > groupBlocks { // a mask holds 64 blocks; the kernel checks nothing and would drop the rest
+			panic(fmt.Sprintf("scan: blockMask over %d blocks", n))
+		}
+		return occMaskPOPCNT(sums, sq, slack)
+	}
+	return occMask(sums, sq, slack)
+}
+
+// occMask is blockMask over occurrence words: sums holds the OR and the AND
+// of each block in turn, and bit j of the mask is set when neither side of
+// pair j is past slack.
+func occMask(sums []uint64, sq uint64, slack int) uint64 {
+	var mask uint64
+	for j := 0; j < len(sums)/2; j++ {
 		hi, lo := sums[2*j], sums[2*j+1]
 		mask |= uint64(keep(bits.OnesCount64(sq&^hi), bits.OnesCount64(lo&^sq), slack)) << j
 	}
@@ -542,7 +558,10 @@ func (w *Words) maskedWords(base, lo, hi int32, mask, sq uint64, slack int, dens
 // it, so that what the callers keep live around them cannot cost them a
 // register: inside Sweep the occurrence-bit loop reloaded a CPU feature flag
 // per slot and the live store's city reads slowed by a tenth, and inside
-// the walk over a mask's runs every loop ran at half speed.
+// the walk over a mask's runs every loop ran at half speed. The
+// occurrence-bit loop runs in assembly where the CPU has POPCNT
+// (popcnt_amd64.s), and in occSurvivors everywhere else; both are handed
+// surv[n:n+len(run)], whose slicing is the bound the assembly does not check.
 //
 //go:noinline
 func (w *Words) firstWord(run []uint64, off int32, sq uint64, slack int, dense bool, surv *[ctxStride]int32, n int) int {
@@ -566,12 +585,22 @@ func (w *Words) firstWord(run []uint64, off int32, sq uint64, slack int, dense b
 				n++
 			}
 		}
+	case popcntKernels:
+		n += occSurvivorsPOPCNT(run, surv[n:n+len(run)], off, sq, slack)
 	default:
-		for i, sx := range run {
-			if !sigReject(sq, sx, slack) {
-				surv[n] = off + int32(i)
-				n++
-			}
+		n += occSurvivors(run, surv[n:n+len(run)], off, sq, slack)
+	}
+	return n
+}
+
+// occSurvivors is firstWord over occurrence words: it stores off+i in surv
+// for every run[i] sigReject lets through and returns how many it stored.
+func occSurvivors(run []uint64, surv []int32, off int32, sq uint64, slack int) int {
+	n := 0
+	for i, sx := range run {
+		if !sigReject(sq, sx, slack) {
+			surv[n] = off + int32(i)
+			n++
 		}
 	}
 	return n
