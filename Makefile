@@ -43,9 +43,10 @@ test: build
 	$(GO) test ./...
 
 # The portable path: off amd64 the occurrence-word loops run in Go, not in
-# internal/scan's POPCNT kernels. The sweep's packages are tested on 386
-# (which also runs on an amd64 host and has a 32-bit uint), and the non-amd64
-# file set of internal/scan is built and vetted for arm64. Not ./... on 386:
+# internal/scan's POPCNT kernels (scalar, with an AVX-512 VPOPCNTQ head
+# where the CPU has one). The sweep's packages are tested on 386 (which also
+# runs on an amd64 host and has a 32-bit uint), and the non-amd64 file set
+# of internal/scan is built and vetted for arm64. Not ./... on 386:
 # simlint's loader type-checks net, which needs cgo there.
 portable:
 	GOARCH=386 $(GO) test ./internal/scan ./internal/core ./internal/lsm .
@@ -72,6 +73,7 @@ fuzz-smoke:
 	$(GO) test -run=NONE -fuzz='^FuzzCoordMerge$$' -fuzztime=$(FUZZ_SMOKE_TIME) ./internal/distrib
 	$(GO) test -run=NONE -fuzz='^FuzzSelfJoin$$' -fuzztime=$(FUZZ_SMOKE_TIME) ./internal/core
 	$(GO) test -run=NONE -fuzz='^FuzzGramSetBound$$' -fuzztime=$(FUZZ_SMOKE_TIME) ./internal/scan
+	$(GO) test -run=NONE -fuzz='^FuzzOccurrenceKernels$$' -fuzztime=$(FUZZ_SMOKE_TIME) ./internal/scan
 
 # Micro-benchmarks (go test -bench). The paper's tables are
 # `go run ./cmd/paperbench`; the serving stack is measured by the fixed
@@ -90,13 +92,16 @@ bench:
 # number the occurrence-word kernels move on cities), block summaries
 # tested, words read in the blocks they kept, slots past the first word and
 # kernel calls per query (the last two differ on reads: the 4-gram set sits
-# between); the index's build on 100,000 and 50,000 names and 10,000 reads:
-# ns per string and allocations per build (a few, and one per duplicated
-# string); and the live store (seed segment + three flushed segments +
-# 500-entry delta, cities and reads): ns and allocations per query, strings
-# a query's signature word leaves for the kernel, and ns per insert. Last, a
-# 2-store live executor's single queries from a few µs a store to a few
-# hundred: ns/op under the split-or-inline rule and pinned to each branch,
+# between); the occurrence-word loops themselves, ns per word for the Go
+# loop, the scalar POPCNT kernel and its AVX-512 head over runs of 16, 64
+# and 1,024 words, and ns per block over one 64-block mask; the index's
+# build on 100,000 and 50,000 names and 10,000 reads: ns per string and
+# allocations per build (a few, and one per duplicated string); and the
+# live store (seed segment + three flushed segments + 500-entry delta,
+# cities and reads): ns and allocations per query, strings a query's
+# signature word leaves for the kernel, and ns per insert. Last, a 2-store
+# live executor's single queries from a few µs a store to a few hundred:
+# ns/op under the split-or-inline rule and pinned to each branch,
 # and the share of queries the rule fanned out (split/query). Whether the
 # cascade stays exact and every stage keeps pruning is tier-1's
 # (TestByteStatsFunnel, TestBlockSummaryStrength, TestWorkGolden).
@@ -104,6 +109,7 @@ bench-smoke:
 	$(GO) test -run='^$$' -bench=. -benchtime=1x ./... > /dev/null
 	$(GO) test -run='^$$' -bench='^BenchmarkBoundedKernels$$' -benchtime=200x ./internal/edit
 	$(GO) test -run='^$$' -bench='^BenchmarkCascadeBytes$$' -benchtime=300x ./internal/core
+	$(GO) test -run='^$$' -bench='^BenchmarkOccurrenceKernels$$' -benchtime=20000x ./internal/scan
 	$(GO) test -run='^$$' -bench='^BenchmarkTrieBuild$$' -benchtime=3x .
 	$(GO) test -run='^$$' -bench='^BenchmarkLive(Search|Insert)$$' -benchtime=2000x ./internal/lsm
 	$(GO) test -run='^$$' -bench='^BenchmarkSplitOrInline$$' -benchtime=200x ./internal/exec

@@ -524,72 +524,3 @@ func TestFirstWordLoopsAgree(t *testing.T) {
 		t.Fatalf("%d of %d words read passed at k = 8: too sparse for a sweep to reach the dense loop", passed, swept)
 	}
 }
-
-// TestOccurrenceKernelsAgree: the POPCNT kernels return exactly what the Go
-// loops they stand in for return — blockMask's occurrence case (occMask)
-// over 1 to 64 blocks, so that bit 63 is set and read, and firstWord's
-// (occSurvivors) over runs of 0 to ctxStride words, each ending exactly
-// where its slice of surv ends — on random, all-ones, zero and one-bit words
-// and on words a few bits from the query, at slacks from 1 to unbounded (at
-// slack 0 firstWord compares words for equality and never calls either). A
-// kernel stores nothing outside its slice, and where it stores, what the Go
-// loop stores.
-func TestOccurrenceKernelsAgree(t *testing.T) {
-	if !popcntKernels {
-		t.Skip("no POPCNT kernels on this GOARCH or CPU: the Go loops are the only path")
-	}
-	r := rand.New(rand.NewSource(49))
-	near := func(sq uint64) uint64 { // one of the word kinds, or sq with up to four bits flipped
-		switch r.Intn(6) {
-		case 0:
-			return 0
-		case 1:
-			return math.MaxUint64
-		case 2:
-			return 1 << r.Intn(64)
-		case 3:
-			return r.Uint64()
-		}
-		for i := r.Intn(5); i > 0; i-- {
-			sq ^= 1 << r.Intn(64)
-		}
-		return sq
-	}
-	slacks := []int{1, 2, 3, 8, 63, 64, math.MaxInt}
-	const guard = 16
-	var goSurv, asmSurv [ctxStride + guard]int32
-	var words [ctxStride]uint64
-	for _, sq := range []uint64{0, math.MaxUint64, 1 << 63, r.Uint64()} {
-		for _, slack := range slacks {
-			for nb := 1; nb <= groupBlocks; nb++ {
-				sums := make([]uint64, 2*nb)
-				for j := 0; j < nb; j++ {
-					hi := near(sq)
-					sums[2*j], sums[2*j+1] = hi, hi&near(sq) // an AND lies inside its OR
-					if r.Intn(4) == 0 {
-						sums[2*j+1] = near(sq) // and the kernel holds without it
-					}
-				}
-				if got, want := occMaskPOPCNT(sums, sq, slack), occMask(sums, sq, slack); got != want {
-					t.Fatalf("sq %#x slack %d, %d blocks: kernel mask %#x, Go loop %#x", sq, slack, nb, got, want)
-				}
-			}
-			for i := range words {
-				words[i] = near(sq)
-			}
-			for size := 0; size <= ctxStride; size++ {
-				run := words[r.Intn(ctxStride-size+1):][:size]
-				for i := range goSurv {
-					goSurv[i], asmSurv[i] = -1, -1
-				}
-				n, off := ctxStride-size, int32(r.Intn(ctxStride))
-				want := occSurvivors(run, goSurv[n:n+size], off, sq, slack)
-				got := occSurvivorsPOPCNT(run, asmSurv[n:n+size], off, sq, slack)
-				if got != want || asmSurv != goSurv {
-					t.Fatalf("sq %#x slack %d, %d words: the kernel kept %d, the Go loop %d, or stored elsewhere",
-						sq, slack, size, got, want)
-				}
-			}
-		}
-	}
-}
