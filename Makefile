@@ -92,9 +92,11 @@ bench:
 # number the occurrence-word kernels move on cities), block summaries
 # tested, words read in the blocks they kept, slots past the first word and
 # kernel calls per query (the last two differ on reads: the 4-gram set sits
-# between); the occurrence-word loops themselves, ns per word for the Go
-# loop, the scalar POPCNT kernel and its AVX-512 head over runs of 16, 64
-# and 1,024 words, and ns per block over one 64-block mask; the index's
+# between); the occurrence-word kernels themselves, ns per kept block and
+# ns per word for the Go loop, the scalar POPCNT body and the AVX-512 body
+# over one 1,024-word group with a quarter, 57% (names at k = 3) and all of
+# its blocks kept and over a window clamped at both ends, and ns per block
+# over one 64-block mask; the index's
 # build on 100,000 and 50,000 names and 10,000 reads: ns per string and
 # allocations per build (a few, and one per duplicated string); and the
 # live store (seed segment + three flushed segments + 500-entry delta,

@@ -15,9 +15,10 @@ import (
 // checkBlocks holds one query against one Words at each threshold of ks:
 // every slot within k of the query sits in a block blockMask keeps (the
 // soundness of the summary test, on the words), Sweep returns exactly the
-// slots within k in slot order (the same through the sweep), and the
-// counters narrow from the length window down. The DP oracle runs once per
-// slot of the widest window.
+// slots within k in slot order (the same through the sweep), Swept is
+// exactly the window's slots in the blocks blockMask keeps, tested one
+// block at a time, and the counters narrow from the length window down. The
+// DP oracle runs once per slot of the widest window.
 func checkBlocks(t *testing.T, w *Words, q string, ks ...int) {
 	t.Helper()
 	dist := map[int32]int{}
@@ -47,6 +48,15 @@ func checkBlocks(t *testing.T, w *Words, q string, ks ...int) {
 		got, err := w.Sweep(context.Background(), &pr, nil)
 		if err != nil || !slices.Equal(got, want) {
 			t.Fatalf("Sweep(%.40q, %d) = %v, %v; the slots within k are %v", q, k, got, err, want)
+		}
+		swept := 0
+		for b := lo / blockSlots; b*blockSlots < hi; b++ {
+			if w.blockMask(b, 1, sq, k) == 1 {
+				swept += int(min((b+1)*blockSlots, hi) - max(b*blockSlots, lo))
+			}
+		}
+		if pr.Swept != uint64(swept) {
+			t.Fatalf("Sweep(%.40q, %d): swept %d, the kept blocks hold %d slots of the window [%d, %d)", q, k, pr.Swept, swept, lo, hi)
 		}
 		if pr.Visited != uint64(hi-lo) || pr.Swept > pr.Visited || pr.Passed > pr.Swept || pr.Kept > pr.Passed || uint64(len(got)) > pr.Kept {
 			t.Fatalf("Sweep(%.40q, %d): window %d, visited %d, swept %d, passed %d, kept %d, matches %d",

@@ -7,14 +7,13 @@ package scan
 // popcounts, so they run in assembly with a bare POPCNT instead (DESIGN
 // §13). A CPU without it runs the Go loops.
 //
-// vpopcntKernels is whether those kernels run their AVX-512 heads, which
-// test eight words per VPOPCNTQ and leave the scalar loop the remainder.
-// The assembly reads it, so that neither Go loop nor kernel signature knows
-// of it; where it is false the scalar loops take the whole input.
+// vpopcntKernels is whether those kernels run on AVX-512, eight words per
+// VPOPCNTQ, instead of their scalar loops. The assembly reads it, so that
+// neither Go loop nor kernel signature knows of it.
 var popcntKernels, vpopcntKernels = cpuFeatures()
 
 // cpuFeatures reads the two flags from CPUID: POPCNT is leaf 1 ECX bit 23;
-// the AVX-512 heads need AVX512F (leaf 7 EBX bit 16) and AVX512_VPOPCNTDQ
+// the AVX-512 paths need AVX512F (leaf 7 EBX bit 16) and AVX512_VPOPCNTDQ
 // (leaf 7 ECX bit 14) from the CPU, and from the OS the saving of the SSE,
 // AVX and AVX-512 state (XCR0 bits 1, 2 and 5–7), which XGETBV reads only
 // once leaf 1 ECX bit 27 (OSXSAVE) says the instruction exists.
@@ -43,8 +42,8 @@ func xgetbv0() uint32
 //go:noescape
 func occMaskPOPCNT(sums []uint64, sq uint64, slack int) uint64
 
-// occSurvivorsPOPCNT is occSurvivors with a bare POPCNT. It stores at most
-// len(run) offsets and checks no bounds: surv must hold len(run).
+// occGroupPOPCNT is occGroup with a bare POPCNT. It checks no bounds;
+// maskedWords does, before the call.
 //
 //go:noescape
-func occSurvivorsPOPCNT(run []uint64, surv []int32, off int32, sq uint64, slack int) int
+func occGroupPOPCNT(words []uint64, mask uint64, from int, surv []int32, sq uint64, slack int) int

@@ -130,96 +130,149 @@ maskdone:
 	MOVQ AX, ret+40(FP)
 	RET
 
-// func occSurvivorsPOPCNT(run []uint64, surv []int32, off int32, sq uint64, slack int) int
+// func occGroupPOPCNT(words []uint64, mask uint64, from int, surv []int32, sq uint64, slack int) int
 //
-// Stores off+i for every word run[i] within slack of sq on both sides and
-// returns how many it stored. The branches are firstWord's: on occurrence
-// words few slots pass, and the predictor learns it.
+// Walks the set bits of mask from the lowest up — block j is words[16j:16j+16],
+// clamped to [from, len(words)) — stores the index of every word within slack
+// of sq on both sides and returns how many it stored. The first block's
+// clamp is from, the last one's len(words); no word outside them is read.
 //
-// With vpopcntKernels the AVX-512 head first tests the whole groups of eight
-// words: one load, both one-sided differences, their popcounts, the larger
-// one compared (signed, as sigReject compares) with slack into K1, and one
-// branch on the eight bits, taken only for a group with a survivor; its
-// survivors are stored in order by a BSF walk. The scalar loop takes the
-// words past the last whole group.
-TEXT ·occSurvivorsPOPCNT(SB), NOSPLIT, $0-80
-	MOVQ run_base+0(FP), SI
-	MOVQ run_len+8(FP), CX
-	MOVQ surv_base+24(FP), DI
-	MOVL off+48(FP), BX
-	MOVQ sq+56(FP), DX
-	MOVQ slack+64(FP), R8
-	MOVQ DX, R9
-	NOTQ R9                 // ^sq
-	MOVQ DI, R12            // surv[0], to count the stores by
-	CMPB ·vpopcntKernels(SB), $0
-	JEQ  survtail
-	MOVQ CX, R13
-	SHRQ $3, R13            // the groups of eight
-	JZ   survtail
-	ANDQ $7, CX
+// With vpopcntKernels a block is one step of the AVX-512 body: its lane mask
+// (all sixteen, or an edge block's clamp, picked by CMOV) in K2 and K3, two
+// zero-masking loads of eight words each, both one-sided differences, their
+// popcounts, the larger one compared (signed, as sigReject compares) with
+// slack under the lane mask, and one branch on the sixteen bits, taken only
+// for a block with a survivor; its survivors are stored in order by a BSF
+// walk. Otherwise the scalar body tests the block's words one by one, with
+// occGroup's branches: on occurrence words few slots pass, and the predictor
+// learns it.
+TEXT ·occGroupPOPCNT(SB), NOSPLIT, $0-88
+	MOVQ words_base+0(FP), SI
+	MOVQ words_len+8(FP), R13
+	MOVQ mask+24(FP), BX
+	MOVQ from+32(FP), CX
+	MOVQ surv_base+40(FP), DI
+	MOVQ sq+64(FP), DX
+	MOVQ slack+72(FP), R8
+	TESTQ BX, BX
+	JZ    groupdone
+	CMPB  ·vpopcntKernels(SB), $0
+	JEQ   groupscalar
 	VPBROADCASTQ DX, Z0     // sq
 	VPBROADCASTQ R8, Z1     // slack
+	MOVL $0xffff, R9
+	SHLL CX, R9             // the first block's lanes: from from on
+	LEAQ -1(R13), R8
+	SHRQ $4, R8             // the last block
+	MOVQ R8, CX
+	SHLQ $4, CX
+	NEGQ CX
+	ADDQ R13, CX            // its lanes, 1 to 16
+	MOVL $1, DX
+	SHLL CX, DX
+	DECL DX                 // the last block's lanes: below that
+	TESTQ R8, R8
+	JNZ   groupvec
+	ANDL  R9, DX            // one block: both clamps on it
+	MOVL  DX, R9
+	JMP   groupvec
 	PCALIGN $64
 
-survvec:
-	VMOVDQU64 0(SI), Z2
-	VPANDNQ   Z0, Z2, Z3    // sq &^ x
+groupvec:
+	BSFQ BX, AX             // block j
+	LEAQ -1(BX), R10
+	ANDQ R10, BX            // block j done
+	MOVL $0xffff, R10
+	TESTQ AX, AX
+	CMOVQEQ R9, R10
+	CMPQ AX, R8
+	CMOVQEQ DX, R10         // the block's lanes
+	KMOVW R10, K2
+	KSHIFTRW $8, K2, K3
+	MOVQ AX, R11
+	SHLQ $7, R11            // the block's first word, in bytes
+	VMOVDQU64.Z 0(SI)(R11*1), K2, Z2  // lanes 0-7
+	VMOVDQU64.Z 64(SI)(R11*1), K3, Z3 // lanes 8-15
+	VPANDNQ   Z0, Z2, Z4    // sq &^ x
 	VPANDNQ   Z2, Z0, Z2    // x &^ sq
-	VPOPCNTQ  Z3, Z3
+	VPANDNQ   Z0, Z3, Z5
+	VPANDNQ   Z3, Z0, Z3
+	VPOPCNTQ  Z4, Z4
 	VPOPCNTQ  Z2, Z2
-	VPMAXUQ   Z2, Z3, Z2
-	VPCMPQ    $2, Z1, Z2, K1 // kept: the larger side <= slack
-	KMOVW     K1, R10
-	TESTL     R10, R10
-	JNZ       survlanes
+	VPOPCNTQ  Z5, Z5
+	VPOPCNTQ  Z3, Z3
+	VPMAXUQ   Z2, Z4, Z2
+	VPMAXUQ   Z3, Z5, Z3
+	VPCMPQ    $2, Z1, Z2, K2, K4 // kept: a lane of the block, the larger side <= slack
+	VPCMPQ    $2, Z1, Z3, K3, K5
+	KMOVW     K4, R10
+	KMOVW     K5, R11
+	SHLL      $8, R11
+	ORL       R11, R10
+	JNZ       grouplanes
 
-survvecnext:
-	ADDL $8, BX
-	ADDQ $64, SI
-	DECQ R13
-	JNZ  survvec
+groupvecnext:
+	TESTQ BX, BX
+	JNZ   groupvec
 	VZEROUPPER
-	JMP  survtail
+	JMP   groupdone
 
-survlanes:
+grouplanes:
+	SHLL $4, AX             // the block's first index
+
+grouplane:
 	BSFL R10, R11
-	ADDL BX, R11
+	ADDL AX, R11
 	MOVL R11, 0(DI)
 	ADDQ $4, DI
 	LEAL -1(R10), R11
 	ANDL R11, R10           // the lowest lane done
-	JNZ  survlanes
-	JMP  survvecnext
+	JNZ  grouplane
+	JMP  groupvecnext
 
-survtail:
-	TESTQ CX, CX
-	JZ    survdone
+groupscalar:
+	MOVQ DX, R9
+	NOTQ R9                 // ^sq
+	JMP  groupblock
 	PCALIGN $64
 
-survloop:
-	MOVQ 0(SI), R10
-	MOVQ R10, R11
-	NOTQ R10
-	ANDQ DX, R10
-	POPCNTQ R10, R10        // bits of sq the word lacks
-	ANDQ R9, R11
-	POPCNTQ R11, R11        // bits of the word that sq lacks
-	CMPQ R10, R8
-	JGT  survnext
+groupblock:
+	BSFQ BX, AX
+	LEAQ -1(BX), R10
+	ANDQ R10, BX            // block j done
+	SHLQ $4, AX             // its first index
+	LEAQ 16(AX), R10
+	CMPQ R10, R13
+	CMOVQGT R13, R10        // its end, clamped to len(words)
+	CMPQ AX, CX
+	CMOVQLT CX, AX          // and its start to from
+	JMP  groupword
+	PCALIGN $64
+
+groupword:
+	MOVQ 0(SI)(AX*8), R11
+	MOVQ R11, R12
+	NOTQ R11
+	ANDQ DX, R11
+	POPCNTQ R11, R11        // bits of sq the word lacks
+	ANDQ R9, R12
+	POPCNTQ R12, R12        // bits of the word that sq lacks
 	CMPQ R11, R8
-	JGT  survnext
-	MOVL BX, 0(DI)
+	JGT  groupnext
+	CMPQ R12, R8
+	JGT  groupnext
+	MOVL AX, 0(DI)
 	ADDQ $4, DI
 
-survnext:
-	INCL BX
-	ADDQ $8, SI
-	DECQ CX
-	JNZ  survloop
+groupnext:
+	INCQ AX
+	CMPQ AX, R10
+	JLT  groupword
+	TESTQ BX, BX
+	JNZ  groupblock
 
-survdone:
-	SUBQ R12, DI
+groupdone:
+	SUBQ surv_base+40(FP), DI
 	SHRQ $2, DI
-	MOVQ DI, ret+72(FP)
+	MOVQ DI, ret+80(FP)
 	RET

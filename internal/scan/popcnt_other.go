@@ -2,7 +2,7 @@
 
 package scan
 
-// Off amd64 there are no occurrence-word kernels: blockMask and firstWord
+// Off amd64 there are no occurrence-word kernels: blockMask and maskedWords
 // run their Go loops, and these two are never called.
 const popcntKernels = false
 
@@ -10,6 +10,6 @@ func occMaskPOPCNT(sums []uint64, sq uint64, slack int) uint64 {
 	return occMask(sums, sq, slack)
 }
 
-func occSurvivorsPOPCNT(run []uint64, surv []int32, off int32, sq uint64, slack int) int {
-	return occSurvivors(run, surv, off, sq, slack)
+func occGroupPOPCNT(words []uint64, mask uint64, from int, surv []int32, sq uint64, slack int) int {
+	return occGroup(words, mask, from, surv, sq, slack)
 }

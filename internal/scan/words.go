@@ -526,81 +526,80 @@ func occMask(sums []uint64, sq uint64, slack int) uint64 {
 	return mask
 }
 
-// maskedWords walks the runs of set bits of mask — the blocks of the group
-// at slot base that blockMask kept — clamped to the window [lo, hi), hands
-// each run's words to firstWord, and returns how many slots it left in surv
-// and how many words were read.
-func (w *Words) maskedWords(base, lo, hi int32, mask, sq uint64, slack int, dense bool, surv *[ctxStride]int32) (n, read int) {
-	for mask != 0 {
-		first := bits.TrailingZeros64(mask)
-		run := bits.TrailingZeros64(^(mask >> first)) // 64 when the mask is all ones
-		mask &^= (1<<run - 1) << first
-		from := max(base+int32(first)*blockSlots, lo)
-		to := min(base+int32(first+run)*blockSlots, hi)
-		read += int(to - from)
-		n = w.firstWord(w.sigs[from:to], from-base, sq, slack, dense, surv, n)
-	}
-	return n, read
-}
-
-// firstWord appends to surv[n:] the offsets, counted from off, of the words
-// of one run that sq does not rule out, and returns the new fill. Which loop
-// runs is decided once per group, not per slot: the occurrence-bit loop is a
-// nanosecond per slot and a branch in it shows. At slack 0 both words reject
-// exactly when they differ, so both kinds share that loop. Count words have
-// two: where few slots pass, a branch on the reject is predicted and skips
-// the second surplus; where many do — dense, which Sweep says of a group when
-// more than an eighth of what it read in the one before passed — it is
-// mispredicted as often as not, and storing every offset and advancing by
-// keep is cheaper.
-//
-// The loops live in a function of their own, with nothing but the run in
-// it, so that what the callers keep live around them cannot cost them a
-// register: inside Sweep the occurrence-bit loop reloaded a CPU feature flag
-// per slot and the live store's city reads slowed by a tenth, and inside
-// the walk over a mask's runs every loop ran at half speed. The
-// occurrence-bit loop runs in assembly where the CPU has POPCNT
-// (popcnt_amd64.s), and in occSurvivors everywhere else; both are handed
-// surv[n:n+len(run)], whose slicing is the bound the assembly does not check.
+// firstWord appends to surv[n:] the offsets, counted from off, of the count
+// words of one run that sq does not rule out, and returns the new fill. There
+// are two loops: where few slots pass, a branch on the reject is predicted
+// and skips the second surplus; where many do — dense, which Sweep says of a
+// group when more than an eighth of what it read in the one before passed —
+// it is mispredicted as often as not, and storing every offset and advancing
+// by keep is cheaper. The loops live in a function of their own, with
+// nothing but the run in it, so that what the callers keep live around them
+// cannot cost them a register: inside the walk over a mask's runs both ran
+// at half speed.
 //
 //go:noinline
-func (w *Words) firstWord(run []uint64, off int32, sq uint64, slack int, dense bool, surv *[ctxStride]int32, n int) int {
-	switch {
-	case slack == 0:
-		for i, sx := range run {
-			if sx == sq {
-				surv[n] = off + int32(i)
-				n++
-			}
-		}
-	case w.counts && dense:
+func firstWord(run []uint64, off int32, sq uint64, slack int, dense bool, surv *[ctxStride]int32, n int) int {
+	if dense {
 		for i, sx := range run {
 			surv[n] = off + int32(i)
 			n += keep(surplus(sq, sx), surplus(sx, sq), slack)
 		}
-	case w.counts:
-		for i, sx := range run {
-			if !countReject(sq, sx, slack) {
-				surv[n] = off + int32(i)
-				n++
-			}
+		return n
+	}
+	for i, sx := range run {
+		if !countReject(sq, sx, slack) {
+			surv[n] = off + int32(i)
+			n++
 		}
-	case popcntKernels:
-		n += occSurvivorsPOPCNT(run, surv[n:n+len(run)], off, sq, slack)
-	default:
-		n += occSurvivors(run, surv[n:n+len(run)], off, sq, slack)
 	}
 	return n
 }
 
-// occSurvivors is firstWord over occurrence words: it stores off+i in surv
-// for every run[i] sigReject lets through and returns how many it stored.
-func occSurvivors(run []uint64, surv []int32, off int32, sq uint64, slack int) int {
+// maskedWords reads the words of the blocks blockMask kept in the group at
+// slot base — bit j of mask is block j — clamped to the window [lo, hi),
+// leaves in surv the offsets from base of those sq does not rule out, and
+// returns how many it left and how many words were read, which follows from
+// the mask and the two clamps. Occurrence words take one kernel call per
+// group, which skips the cleared blocks itself; count words are handed to
+// firstWord one run of set bits at a time.
+func (w *Words) maskedWords(base, lo, hi int32, mask, sq uint64, slack int, dense bool, surv *[ctxStride]int32) (n, read int) {
+	words := w.sigs[base:min(base+ctxStride, hi)]
+	from := int(max(lo-base, 0))
+	nb := (len(words) + blockSlots - 1) / blockSlots
+	if len(words) > ctxStride || mask>>nb != 0 || from >= min(blockSlots, len(words)) {
+		panic(fmt.Sprintf("scan: a group of %d words from %d with mask %#x", len(words), from, mask))
+	}
+	read = blockSlots*bits.OnesCount64(mask) - from*int(mask&1) - (nb*blockSlots-len(words))*int(mask>>(nb-1)&1)
+	if !w.counts {
+		if popcntKernels {
+			return occGroupPOPCNT(words, mask, from, surv[:], sq, slack), read
+		}
+		return occGroup(words, mask, from, surv[:], sq, slack), read
+	}
+	for mask != 0 {
+		first := bits.TrailingZeros64(mask)
+		run := bits.TrailingZeros64(^(mask >> first)) // 64 when the mask is all ones
+		mask &^= (1<<run - 1) << first
+		i, j := max(first*blockSlots, from), min((first+run)*blockSlots, len(words))
+		n = firstWord(words[i:j], int32(i), sq, slack, dense, surv, n)
+	}
+	return n, read
+}
+
+// occGroup is maskedWords over occurrence words: for every block j set in
+// mask it tests words[16j:16j+16], clamped to [from, len(words)), and stores
+// in surv the index of each word sigReject lets through, in order. At slack 0
+// that is equality: no popcount but 0 is at most 0. It runs in assembly where
+// the CPU has POPCNT (popcnt_amd64.s), and here everywhere else.
+func occGroup(words []uint64, mask uint64, from int, surv []int32, sq uint64, slack int) int {
 	n := 0
-	for i, sx := range run {
-		if !sigReject(sq, sx, slack) {
-			surv[n] = off + int32(i)
-			n++
+	for ; mask != 0; mask &= mask - 1 {
+		j := bits.TrailingZeros64(mask) * blockSlots
+		for i := max(j, from); i < min(j+blockSlots, len(words)); i++ {
+			if !sigReject(sq, words[i], slack) {
+				surv[n] = int32(i)
+				n++
+			}
 		}
 	}
 	return n

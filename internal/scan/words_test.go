@@ -494,13 +494,7 @@ func TestFirstWordLoopsAgree(t *testing.T) {
 						t.Fatalf("slack %d group %d mask %#x: %d survivors of %d with the branch, %d of %d without",
 							slack, g, mask, n, read, m, readDense)
 					}
-					want := 0 // the slots of the mask's blocks inside the window
-					for j := 0; j < nb; j++ {
-						if mask>>j&1 == 1 {
-							want += int(min(base+int32(j+1)*blockSlots, hi) - max(base+int32(j)*blockSlots, lo))
-						}
-					}
-					if read != want {
+					if want := groupRead(int(min(base+ctxStride, hi)-base), mask, int(max(lo-base, 0))); read != want {
 						t.Fatalf("slack %d group %d mask %#x: read %d slots, the mask holds %d", slack, g, mask, read, want)
 					}
 					for i, off := range sparse[:n] {
@@ -522,5 +516,50 @@ func TestFirstWordLoopsAgree(t *testing.T) {
 	}
 	if passed*8 <= swept {
 		t.Fatalf("%d of %d words read passed at k = 8: too sparse for a sweep to reach the dense loop", passed, swept)
+	}
+}
+
+// groupRead is how many words maskedWords reads of a group: the slots of
+// the blocks mask keeps, clamped to [from, size), counted one block at a time.
+func groupRead(size int, mask uint64, from int) int {
+	n := 0
+	for j := 0; j < groupBlocks; j++ {
+		if mask>>j&1 == 1 {
+			n += max(min((j+1)*blockSlots, size)-max(j*blockSlots, from), 0)
+		}
+	}
+	return n
+}
+
+// TestMaskedWordsGuard: the occurrence kernel checks no bounds, so
+// maskedWords panics in Go, before the call, on a group the kernel would
+// read past: a mask naming a block past the group's words (40 words are
+// three blocks), or a window starting past the group's first block. A group
+// inside the bounds goes through.
+func TestMaskedWordsGuard(t *testing.T) {
+	w := NewWords(dataset.Cities(40, 51))
+	if w.counts {
+		t.Fatal("city names got count words")
+	}
+	var surv [ctxStride]int32
+	for _, tc := range []struct {
+		lo     int32
+		mask   uint64
+		panics bool
+	}{
+		{0, 1 << 3, true},
+		{0, 1<<63 | 1, true},
+		{20, 2, true},
+		{15, 7, false},
+	} {
+		func() {
+			defer func() {
+				msg, _ := recover().(string)
+				if got := strings.HasPrefix(msg, "scan: a group of 40 words"); got != tc.panics {
+					t.Errorf("window from %d, mask %#x: guard panicked %v (%q), want %v", tc.lo, tc.mask, got, msg, tc.panics)
+				}
+			}()
+			w.maskedWords(0, tc.lo, 40, tc.mask, 0, 3, false, &surv)
+		}()
 	}
 }
