@@ -42,9 +42,10 @@ lint:
 test: build
 	$(GO) test ./...
 
-# The portable path: off amd64 the occurrence-word loops run in Go, not in
-# internal/scan's POPCNT kernels (scalar, with an AVX-512 VPOPCNTQ head
-# where the CPU has one). The sweep's packages are tested on 386 (which also
+# The portable path: off amd64 the occurrence-word and count-word loops run
+# in Go, not in internal/scan's kernels (POPCNT for occurrence words, scalar
+# with an AVX-512 VPOPCNTQ body where the CPU has one; AVX-512 only for
+# count words and their 4-gram sets). The sweep's packages are tested on 386 (which also
 # runs on an amd64 host and has a 32-bit uint), and the non-amd64 file set
 # of internal/scan is built and vetted for arm64. Not ./... on 386:
 # simlint's loader type-checks net, which needs cgo there.
@@ -74,6 +75,7 @@ fuzz-smoke:
 	$(GO) test -run=NONE -fuzz='^FuzzSelfJoin$$' -fuzztime=$(FUZZ_SMOKE_TIME) ./internal/core
 	$(GO) test -run=NONE -fuzz='^FuzzGramSetBound$$' -fuzztime=$(FUZZ_SMOKE_TIME) ./internal/scan
 	$(GO) test -run=NONE -fuzz='^FuzzOccurrenceKernels$$' -fuzztime=$(FUZZ_SMOKE_TIME) ./internal/scan
+	$(GO) test -run=NONE -fuzz='^FuzzCountKernels$$' -fuzztime=$(FUZZ_SMOKE_TIME) ./internal/scan
 
 # Micro-benchmarks (go test -bench). The paper's tables are
 # `go run ./cmd/paperbench`; the serving stack is measured by the fixed
@@ -96,7 +98,10 @@ bench:
 # ns per word for the Go loop, the scalar POPCNT body and the AVX-512 body
 # over one 1,024-word group with a quarter, 57% (names at k = 3) and all of
 # its blocks kept and over a window clamped at both ends, and ns per block
-# over one 64-block mask; the index's
+# over one 64-block mask; the count-word kernels, ns per kept block for the
+# Go loop and the AVX-512 body over one 1,024-slot group of which 28% and
+# 54% of the words pass (reads at k = 4 and 8) with a 4-gram set behind
+# each, and ns per block over one 64-block mask; the index's
 # build on 100,000 and 50,000 names and 10,000 reads: ns per string and
 # allocations per build (a few, and one per duplicated string); and the
 # live store (seed segment + three flushed segments + 500-entry delta,

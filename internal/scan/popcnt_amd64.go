@@ -9,7 +9,8 @@ package scan
 //
 // vpopcntKernels is whether those kernels run on AVX-512, eight words per
 // VPOPCNTQ, instead of their scalar loops. The assembly reads it, so that
-// neither Go loop nor kernel signature knows of it.
+// neither Go loop nor kernel signature knows of it. The count-word kernels
+// have no scalar body: without AVX-512 the Go loops run.
 var popcntKernels, vpopcntKernels = cpuFeatures()
 
 // cpuFeatures reads the two flags from CPUID: POPCNT is leaf 1 ECX bit 23;
@@ -47,3 +48,13 @@ func occMaskPOPCNT(sums []uint64, sq uint64, slack int) uint64
 //
 //go:noescape
 func occGroupPOPCNT(words []uint64, mask uint64, from int, surv []int32, sq uint64, slack int) int
+
+// cntMaskAVX512 is cntMask on AVX-512, over len(sums)/16 whole groups of
+// eight pairs; cntGroupAVX512 is cntGroup, a block at once. Neither checks
+// bounds: blockMask and maskedWords do.
+//
+//go:noescape
+func cntMaskAVX512(sums []uint64, sq uint64, slack int) uint64
+
+//go:noescape
+func cntGroupAVX512(words, grams []uint64, mask uint64, from int, surv []int32, sq uint64, gq *gramSet, slack, bound int) (n, passed int)

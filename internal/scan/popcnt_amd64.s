@@ -276,3 +276,234 @@ groupdone:
 	SHRQ $2, DI
 	MOVQ DI, ret+80(FP)
 	RET
+
+// SURPLUS(d, t, u) turns d, a difference (a | guards) - b of count words, into
+// surplus(a, b), using t and u as scratch: the guards the subtraction left
+// standing mark the fields where a's count is at least b's, those fields keep
+// their difference and the others are cleared, and three shifted adds sum the
+// five fields into the low one (the sum of five fields of at most fieldMax
+// fits in it), which the mask of one field in Z4 cuts out. The guards are in
+// Z3.
+#define SURPLUS(d, t, u) \
+	VPANDQ Z3, d, t \
+	VPSRLQ $11, t, u \
+	VPSUBQ u, t, t \
+	VPANDQ t, d, d \
+	VPSRLQ $12, d, t \
+	VPADDQ t, d, t \
+	VPSRLQ $24, t, u \
+	VPADDQ u, t, t \
+	VPSRLQ $48, d, u \
+	VPADDQ u, t, d \
+	VPANDQ Z4, d, d
+
+// COUNTCONSTS broadcasts what both count-word kernels hold a word against:
+// sq (from DX) in Z0, sq with its guards set in Z2, the guards in Z3 and the
+// mask of one field in Z4. It uses R10 and changes DX.
+#define COUNTCONSTS \
+	VPBROADCASTQ DX, Z0 \
+	MOVQ $0x0800800800800800, R10 \
+	VPBROADCASTQ R10, Z3 \
+	ORQ R10, DX \
+	VPBROADCASTQ DX, Z2 \
+	MOVL $0xfff, R10 \
+	VPBROADCASTQ R10, Z4
+
+// func cntMaskAVX512(sums []uint64, sq uint64, slack int) uint64
+//
+// Walks the whole groups of eight pairs from the last down, shifting the mask
+// up by eight per group, as occMaskPOPCNT's head does: two loads, two
+// VPERMT2Q to split them into eight maxima and eight minima, the surplus of
+// sq over each maximum and of each minimum over sq, and their larger one
+// compared (signed, as keep compares) with slack into eight bits of K1.
+TEXT ·cntMaskAVX512(SB), NOSPLIT, $0-48
+	MOVQ sums_base+0(FP), SI
+	MOVQ sums_len+8(FP), BX
+	MOVQ sq+24(FP), DX
+	XORL AX, AX             // the mask
+	SHRQ $4, BX             // the groups of eight pairs
+	JZ   cntmaskdone
+	MOVQ BX, R10
+	SHLQ $7, R10
+	LEAQ -128(SI)(R10*1), SI // the last group's first pair
+	COUNTCONSTS
+	VPBROADCASTQ slack+32(FP), Z1
+	VMOVDQU64 pairsEven<>(SB), Z5
+	VMOVDQU64 pairsOdd<>(SB), Z6
+	PCALIGN $64
+
+cntmaskvec:
+	VMOVDQU64 0(SI), Z10    // pairs 0-3 of the group
+	VMOVDQU64 64(SI), Z11   // pairs 4-7
+	VMOVDQA64 Z10, Z12
+	VPERMT2Q  Z11, Z5, Z10  // the eight maxima
+	VPERMT2Q  Z11, Z6, Z12  // the eight minima
+	VPSUBQ    Z10, Z2, Z10  // sq over the maximum
+	VPORQ     Z3, Z12, Z12
+	VPSUBQ    Z0, Z12, Z12  // the minimum over sq
+	SURPLUS(Z10, Z14, Z15)
+	SURPLUS(Z12, Z16, Z17)
+	VPMAXUQ   Z12, Z10, Z10
+	VPCMPQ    $2, Z1, Z10, K1 // keep: the larger surplus <= slack
+	KMOVW     K1, R10
+	SHLQ      $8, AX
+	ORQ       R10, AX
+	SUBQ      $128, SI
+	DECQ      BX
+	JNZ       cntmaskvec
+	VZEROUPPER
+
+cntmaskdone:
+	MOVQ AX, ret+40(FP)
+	RET
+
+// GRAMS(off, off8, gq) adds, for the sixteen lanes of a block, the grams of
+// gq (one word of the query's set, broadcast) that the slot's word at byte
+// off of the block lacks, and the grams the slot's word has that gq lacks:
+// to Z22 and Z23 for lanes 0-7 (off), to Z24 and Z25 for lanes 8-15 (off8 =
+// off + 64). The block's 4-gram words start at R12 + R11.
+#define GRAMS(off, off8, gq) \
+	VMOVDQU64 off(R12)(R11*1), Z10 \
+	VMOVDQU64 off8(R12)(R11*1), Z11 \
+	VPANDNQ gq, Z10, Z12 \
+	VPANDNQ Z10, gq, Z10 \
+	VPANDNQ gq, Z11, Z13 \
+	VPANDNQ Z11, gq, Z11 \
+	VPOPCNTQ Z12, Z12 \
+	VPOPCNTQ Z10, Z10 \
+	VPOPCNTQ Z13, Z13 \
+	VPOPCNTQ Z11, Z11 \
+	VPADDQ Z12, Z22, Z22 \
+	VPADDQ Z10, Z23, Z23 \
+	VPADDQ Z13, Z24, Z24 \
+	VPADDQ Z11, Z25, Z25
+
+// func cntGroupAVX512(words, grams []uint64, mask uint64, from int, surv []int32, sq uint64, gq *gramSet, slack, bound int) (n, passed int)
+//
+// Walks the set bits of mask from the lowest up, as occGroupPOPCNT does —
+// block j is words[16j:16j+16], clamped to [from, len(words)), and its 4-gram
+// sets are grams[64j:64j+64], word i of lane l at 16i+l — and per block: the
+// lane mask (all sixteen, or an edge block's clamp, picked by CMOV) in K2 and
+// K3, two zero-masking loads of eight count words each, both surpluses,
+// their larger one compared (signed) with slack under the lane mask into K4
+// and K5, and the popcount of those sixteen bits added to passed. A block
+// with a lane left tests all sixteen sets: per word of the four, two loads,
+// both one-sided differences against gq's word and their popcounts, summed
+// per side; the larger side is compared with bound under K4 and K5, and the
+// lanes left are stored in order by a BSF walk. Nothing outside the clamps
+// of words is read; every block's four runs of grams are.
+TEXT ·cntGroupAVX512(SB), NOSPLIT, $0-136
+	MOVQ words_base+0(FP), SI
+	MOVQ words_len+8(FP), R13
+	MOVQ grams_base+24(FP), R12
+	MOVQ mask+48(FP), BX
+	MOVQ surv_base+64(FP), DI
+	XORL CX, CX             // passed
+	TESTQ BX, BX
+	JZ    cntgroupdone
+	MOVQ sq+88(FP), DX
+	COUNTCONSTS
+	VPBROADCASTQ slack+104(FP), Z1
+	VPBROADCASTQ bound+112(FP), Z5
+	MOVQ gq+96(FP), R8
+	VPBROADCASTQ 0(R8), Z6  // the query's four 4-gram words
+	VPBROADCASTQ 8(R8), Z7
+	VPBROADCASTQ 16(R8), Z8
+	VPBROADCASTQ 24(R8), Z9
+	MOVQ from+56(FP), CX
+	MOVL $0xffff, R9
+	SHLL CX, R9             // the first block's lanes: from from on
+	LEAQ -1(R13), R8
+	SHRQ $4, R8             // the last block
+	MOVQ R8, CX
+	SHLQ $4, CX
+	NEGQ CX
+	ADDQ R13, CX            // its lanes, 1 to 16
+	MOVL $1, DX
+	SHLL CX, DX
+	DECL DX                 // the last block's lanes: below that
+	XORL CX, CX             // passed
+	TESTQ R8, R8
+	JNZ   cntgroupvec
+	ANDL  R9, DX            // one block: both clamps on it
+	MOVL  DX, R9
+	JMP   cntgroupvec
+	PCALIGN $64
+
+cntgroupvec:
+	BSFQ BX, AX             // block j
+	LEAQ -1(BX), R10
+	ANDQ R10, BX            // block j done
+	MOVL $0xffff, R10
+	TESTQ AX, AX
+	CMOVQEQ R9, R10
+	CMPQ AX, R8
+	CMOVQEQ DX, R10         // the block's lanes
+	KMOVW R10, K2
+	KSHIFTRW $8, K2, K3
+	MOVQ AX, R11
+	SHLQ $7, R11            // the block's first word, in bytes
+	VMOVDQU64.Z 0(SI)(R11*1), K2, Z10  // x, lanes 0-7
+	VMOVDQU64.Z 64(SI)(R11*1), K3, Z11 // lanes 8-15
+	VPSUBQ  Z10, Z2, Z12    // sq over x
+	VPSUBQ  Z11, Z2, Z13
+	VPORQ   Z3, Z10, Z10
+	VPORQ   Z3, Z11, Z11
+	VPSUBQ  Z0, Z10, Z10    // x over sq
+	VPSUBQ  Z0, Z11, Z11
+	SURPLUS(Z12, Z14, Z15)
+	SURPLUS(Z13, Z16, Z17)
+	SURPLUS(Z10, Z18, Z19)
+	SURPLUS(Z11, Z20, Z21)
+	VPMAXUQ Z10, Z12, Z12
+	VPMAXUQ Z11, Z13, Z13
+	VPCMPQ  $2, Z1, Z12, K2, K4 // passed: a lane of the block, the larger surplus <= slack
+	VPCMPQ  $2, Z1, Z13, K3, K5
+	KMOVW   K4, R10
+	KMOVW   K5, R11
+	SHLL    $8, R11
+	ORL     R11, R10
+	JZ      cntgroupnext
+	POPCNTL R10, R11
+	ADDQ    R11, CX
+	MOVQ    AX, R11
+	SHLQ    $9, R11         // the block's 4-gram words, in bytes
+	VPXORQ  Z22, Z22, Z22
+	VPXORQ  Z23, Z23, Z23
+	VPXORQ  Z24, Z24, Z24
+	VPXORQ  Z25, Z25, Z25
+	GRAMS(0, 64, Z6)
+	GRAMS(128, 192, Z7)
+	GRAMS(256, 320, Z8)
+	GRAMS(384, 448, Z9)
+	VPMAXUQ Z23, Z22, Z22
+	VPMAXUQ Z25, Z24, Z24
+	VPCMPQ  $2, Z5, Z22, K4, K6 // kept: passed, the larger side <= bound
+	VPCMPQ  $2, Z5, Z24, K5, K7
+	KMOVW   K6, R10
+	KMOVW   K7, R11
+	SHLL    $8, R11
+	ORL     R11, R10
+	JZ      cntgroupnext
+	SHLL    $4, AX          // the block's first index
+
+cntgrouplane:
+	BSFL R10, R11
+	ADDL AX, R11
+	MOVL R11, 0(DI)
+	ADDQ $4, DI
+	LEAL -1(R10), R11
+	ANDL R11, R10           // the lowest lane done
+	JNZ  cntgrouplane
+
+cntgroupnext:
+	TESTQ BX, BX
+	JNZ   cntgroupvec
+	VZEROUPPER
+
+cntgroupdone:
+	SUBQ surv_base+64(FP), DI
+	SHRQ $2, DI
+	MOVQ DI, n+120(FP)
+	MOVQ CX, passed+128(FP)
+	RET

@@ -9,6 +9,8 @@ import (
 	"slices"
 	"strings"
 	"testing"
+
+	"simsearch/internal/dataset"
 )
 
 // eachHead runs f once on the scalar kernels and once with their AVX-512
@@ -208,6 +210,277 @@ func FuzzOccurrenceKernels(f *testing.F) {
 	})
 }
 
+// countField returns field f of a count word, setField sets it.
+func countField(x uint64, f int) int { return int(x >> (fieldBits * f) & (1<<fieldBits - 1)) }
+
+func setField(x uint64, f, v int) uint64 {
+	return x&^((1<<fieldBits-1)<<(fieldBits*f)) | uint64(v)<<(fieldBits*f)
+}
+
+// nearCount draws a count word — every field at most fieldMax, as countWord
+// leaves them and the kernels rely on — that is zero, saturated, random, or
+// sq with up to three fields moved by up to d each: one field moved is a
+// surplus on one side only.
+func nearCount(r *rand.Rand, sq uint64, d int) uint64 {
+	switch r.Intn(6) {
+	case 0:
+		return 0
+	case 1:
+		return fieldMax * fieldOnes
+	case 2:
+		var x uint64
+		for f := 0; f < dnaFields; f++ {
+			x = setField(x, f, r.Intn(fieldMax+1))
+		}
+		return x
+	}
+	for i := r.Intn(3); i >= 0; i-- {
+		f := r.Intn(dnaFields)
+		sq = setField(sq, f, min(max(countField(sq, f)+r.Intn(2*d+1)-d, 0), fieldMax))
+	}
+	return sq
+}
+
+// flipGrams flips n of the bits of g that read on (fewer where g has fewer),
+// picked at random: n grams taken away from g, or n added.
+func flipGrams(r *rand.Rand, g gramSet, on bool, n int) gramSet {
+	for _, b := range r.Perm(gramSetBits) {
+		if n == 0 {
+			break
+		}
+		if g[b/64]>>(b%64)&1 == 1 == on {
+			g[b/64] ^= 1 << (b % 64)
+			n--
+		}
+	}
+	return g
+}
+
+// nearGrams draws a 4-gram set against gq and bound: gq itself, none, all,
+// random, or gq with exactly bound or bound+1 of its grams taken away or
+// added — the last admitted and the first rejected on that side — or both.
+func nearGrams(r *rand.Rand, gq gramSet, bound int) gramSet {
+	switch r.Intn(8) {
+	case 0:
+		return gq
+	case 1:
+		return gramSet{}
+	case 2:
+		return gramSet{1<<64 - 1, 1<<64 - 1, 1<<64 - 1, 1<<64 - 1}
+	case 3:
+		return gramSet{r.Uint64(), r.Uint64(), r.Uint64(), r.Uint64()}
+	case 4:
+		return flipGrams(r, gq, true, bound+r.Intn(2))
+	case 5:
+		return flipGrams(r, gq, false, bound+r.Intn(2))
+	}
+	return flipGrams(r, flipGrams(r, gq, true, r.Intn(bound+2)), false, r.Intn(bound+2))
+}
+
+// countGroupOf draws a group of size count words and 4-gram sets against sq
+// and gq at slack, the sets in Words' layout with the last block's padding
+// filled with noise, which no lane outside the group may let through.
+func countGroupOf(r *rand.Rand, size int, sq uint64, gq gramSet, slack int) (words, grams []uint64, sets []gramSet) {
+	d, bound := min(slack, fieldMax)+1, 4*min(slack, gramSetBits/4)
+	words, sets = make([]uint64, size), make([]gramSet, size)
+	grams = make([]uint64, 4*blockSlots*((size+blockSlots-1)/blockSlots))
+	for i := range grams {
+		grams[i] = r.Uint64()
+	}
+	for i := range words {
+		words[i], sets[i] = nearCount(r, sq, d), nearGrams(r, gq, bound)
+		for j, x := range sets[i] {
+			grams[gramAt(i)+j*blockSlots] = x
+		}
+	}
+	return words, grams, sets
+}
+
+// checkCount holds maskedWords on count words — cntGroupAVX512 with the
+// AVX-512 bodies on, cntGroup without — and cntGroup itself to the
+// definition, slot by slot: the kept blocks' slots inside [from,
+// len(words)) that neither surplus puts past slack, and of those, the ones
+// whose set is within 4·slack grams of gq's on both sides (the bound capped
+// at gramSetBits). Both store exactly the survivors, in order, in a room of
+// as many slots as the mask lets be read, and nothing in the guard region
+// after it; passed is held exactly.
+func checkCount(t *testing.T, words, grams []uint64, sets []gramSet, mask uint64, from int, sq uint64, gq gramSet, slack int) {
+	t.Helper()
+	bound := 4 * min(slack, gramSetBits/4)
+	var want []int32
+	wantPassed := 0
+	for i := from; i < len(words); i++ {
+		if mask>>(i/blockSlots)&1 == 1 && !countReject(sq, words[i], slack) {
+			wantPassed++
+			if keep(gramsLacking(&gq, &sets[i]), gramsLacking(&sets[i], &gq), bound) == 1 {
+				want = append(want, int32(i))
+			}
+		}
+	}
+	const guard = 16
+	read := groupRead(len(words), mask, from)
+	w := &Words{sigs: words, grams: grams, counts: true}
+	for _, path := range []string{"maskedWords", "cntGroup"} {
+		var surv [ctxStride + guard]int32
+		for i := range surv {
+			surv[i] = -1
+		}
+		room := surv[ctxStride-read : ctxStride]
+		var n, passed int
+		if path == "maskedWords" {
+			n, passed, _ = w.maskedWords(0, int32(from), int32(len(words)), mask, sq, slack, &gq, room)
+		} else {
+			n, passed = cntGroup(words, grams, mask, from, room, sq, &gq, slack, bound)
+		}
+		if passed != wantPassed || !slices.Equal(room[:n], want) || slices.ContainsFunc(surv[ctxStride:], func(v int32) bool { return v != -1 }) {
+			t.Fatalf("%s: sq %#x slack %d, %d words from %d, mask %#x: kept %d of %d passed, want %d of %d, or stored past its room",
+				path, sq, slack, len(words), from, mask, n, passed, len(want), wantPassed)
+		}
+	}
+}
+
+// checkCountMask holds blockMask on count words — the AVX-512 head over the
+// whole groups of eight pairs and cntMask on the rest, or cntMask alone — to
+// cntMask over all the pairs.
+func checkCountMask(t *testing.T, sums []uint64, sq uint64, slack int) {
+	t.Helper()
+	w := &Words{sums: sums, counts: true}
+	if got, want := w.blockMask(0, len(sums)/2, sq, slack), cntMask(sums, sq, slack); got != want {
+		t.Fatalf("sq %#x slack %d, %d blocks: mask %#x, Go loop %#x", sq, slack, len(sums)/2, got, want)
+	}
+}
+
+// countSumsOf fills sums with nb maximum/minimum pairs of count words near
+// sq, each minimum under its maximum but one in four not.
+func countSumsOf(r *rand.Rand, sums []uint64, sq uint64, d int) {
+	for j := 0; j < len(sums)/2; j++ {
+		a, b := nearCount(r, sq, d), nearCount(r, sq, d)
+		hi, lo := a, a
+		for f := 0; f < dnaFields; f++ {
+			hi = setField(hi, f, max(countField(a, f), countField(b, f)))
+			lo = setField(lo, f, min(countField(a, f), countField(b, f)))
+		}
+		if r.Intn(4) == 0 {
+			hi, lo = lo, hi
+		}
+		sums[2*j], sums[2*j+1] = hi, lo
+	}
+}
+
+// TestCountKernelsAgree: the count-word kernels, with the AVX-512 bodies on
+// and off, return exactly what their Go loops return — blockMask's count
+// case over 1 to 64 blocks, so that every remainder mod 8 follows the
+// head's groups and bit 63 is set and read, and maskedWords' over groups of
+// 1 to ctxStride words, so that every length mod 16 clamps the last block,
+// under the masks of groupMasks and with the window starting at every lane
+// of the first block — at slacks from 0 to unbounded (from 64 on the 4-gram
+// bound rejects nothing), against a query word that is empty, saturated or
+// a read's, with words that are saturated or one-sided and sets exactly at
+// the bound and one past it; and on groups whose survivors are placed, one
+// and two at every lane of the first, a middle and the last block, rejected
+// around them by the count word or by the 4-gram set.
+func TestCountKernelsAgree(t *testing.T) {
+	eachHead(t, func(t *testing.T) {
+		r := rand.New(rand.NewSource(52))
+		read := dataset.DNAReads(1, 52)[0]
+		gqs := []gramSet{gramSetOf(read), {}, {1<<64 - 1, 1<<64 - 1, 1<<64 - 1, 1<<64 - 1}}
+		for si, sq := range []uint64{0, fieldMax * fieldOnes, countWord(read)} {
+			gq := gqs[si]
+			for _, slack := range []int{0, 1, 2, 4, 8, 12, 63, 64, 100, math.MaxInt} {
+				for nb := 1; nb <= groupBlocks; nb++ {
+					sums := make([]uint64, 2*nb)
+					countSumsOf(r, sums, sq, min(slack, fieldMax)+1)
+					checkCountMask(t, sums, sq, slack)
+				}
+				words, grams, sets := countGroupOf(r, ctxStride, sq, gq, slack)
+				for size := 1; size <= ctxStride; size += 1 + size/64 {
+					nb := (size + blockSlots - 1) / blockSlots
+					masks := groupMasks(r, nb)
+					if size > 3*blockSlots { // one mask and one clamp each past three blocks
+						checkCount(t, words[:size], grams[:4*blockSlots*nb], sets, masks[size%len(masks)], size/blockSlots%blockSlots, sq, gq, slack)
+						continue
+					}
+					for from := 0; from < min(blockSlots, size); from++ {
+						for _, mask := range masks {
+							checkCount(t, words[:size], grams[:4*blockSlots*nb], sets, mask, from, sq, gq, slack)
+						}
+					}
+				}
+			}
+		}
+
+		// Survivors placed, as for the occurrence words; the other slots
+		// fail the count word (one field two past slack) or, passing it, the
+		// 4-gram set (one gram past the bound).
+		const size = 2*blockSlots + 5
+		sq, gq := countWord(read), gramSetOf(read)
+		for _, slack := range []int{0, 2} {
+			bound := 4 * slack
+			reject := []struct {
+				word uint64
+				set  gramSet
+			}{
+				{setField(sq, 1, countField(sq, 1)+slack+2), gq},
+				{sq, flipGrams(r, gq, true, bound+1)},
+			}
+			for _, from := range []int{0, 3} {
+				for _, mask := range []uint64{7, 5} {
+					for _, rej := range reject {
+						for a := -1; a < size; a++ {
+							for b := a; b < size; b++ {
+								words := make([]uint64, size)
+								sets := make([]gramSet, size)
+								grams := make([]uint64, 4*blockSlots*3)
+								for i := range words {
+									words[i], sets[i] = rej.word, rej.set
+									if i == a || i == b {
+										words[i], sets[i] = setField(sq, 2, countField(sq, 2)+slack), flipGrams(r, gq, false, bound)
+									}
+									for j, x := range sets[i] {
+										grams[gramAt(i)+j*blockSlots] = x
+									}
+								}
+								checkCount(t, words, grams, sets, mask, from, sq, gq, slack)
+							}
+						}
+					}
+				}
+			}
+		}
+	})
+}
+
+// FuzzCountKernels: for any seed, slack, group length, mask, window start
+// and summary count, both count-word kernels, with the AVX-512 bodies on
+// and off, equal the Go loops and the definition. Groups are 1 to ctxStride
+// words and masks keep only their blocks; summaries are 1 to 64 blocks; the
+// slack is 0 to 255 (from 64 on the 4-gram set passes everything).
+func FuzzCountKernels(f *testing.F) {
+	f.Add(int64(1), uint8(8), uint16(1024), ^uint64(0), uint8(0), uint8(64))
+	f.Add(int64(2), uint8(0), uint16(15), uint64(1), uint8(9), uint8(9))
+	f.Add(int64(3), uint8(64), uint16(1023), uint64(0x8000000000000001), uint8(15), uint8(1))
+	_, vpopcnt := cpuFeatures()
+	f.Fuzz(func(t *testing.T, seed int64, slack uint8, size uint16, mask uint64, from, blocks uint8) {
+		r := rand.New(rand.NewSource(seed))
+		read := dataset.DNAReads(1, seed)[0]
+		sq, gq := countWord(read), gramSetOf(read)
+		if seed%3 == 0 {
+			sq, gq = nearCount(r, sq, 4), nearGrams(r, gq, 16)
+		}
+		n, nb := 1+int(size)%ctxStride, 1+int(blocks)%groupBlocks
+		words, grams, sets := countGroupOf(r, n, sq, gq, int(slack))
+		mask &= ^uint64(0) >> (64 - (n+blockSlots-1)/blockSlots)
+		sums := make([]uint64, 2*nb)
+		countSumsOf(r, sums, sq, int(slack)+1)
+		defer func(v bool) { vpopcntKernels = v }(vpopcntKernels)
+		for _, head := range []bool{false, vpopcnt} {
+			vpopcntKernels = head
+			checkCountMask(t, sums, sq, int(slack))
+			checkCount(t, words, grams, sets, mask, int(from)%min(blockSlots, n), sq, gq, int(slack))
+		}
+	})
+}
+
 // TestCPUFeatures holds the flags read from CPUID and XGETBV to the flags
 // the kernel reports in /proc/cpuinfo, which it clears where the OS does
 // not save a feature's state: a wrong bit would either leave the AVX-512
@@ -251,7 +524,12 @@ var occSink int
 // quarter of its blocks kept, 57% (what the summaries keep of a city name's
 // window at k = 3), all of them, and all of a window clamped at both ends
 // (from lane 5 to 1,000 words); and ns per block for blockMask's occurrence
-// case over one 64-block mask.
+// case over one 64-block mask. For the count words — the Go loop and the
+// AVX-512 body — it reports ns per kept block over one group of 1,024 count
+// words, every block kept, of which 28% pass at slack 4 and 54% at slack 8
+// (the share of the words read that pass on reads at k = 4 and k = 8), at
+// random, each with a read's 4-gram set behind it; and ns per block over one
+// 64-block mask.
 func BenchmarkOccurrenceKernels(b *testing.B) {
 	if !popcntKernels {
 		b.Skip("no POPCNT kernels on this CPU")
@@ -322,6 +600,71 @@ func BenchmarkOccurrenceKernels(b *testing.B) {
 			vpopcntKernels = k.head
 			for i := 0; i < b.N; i++ {
 				occSink += int(k.mask(words[:2*groupBlocks]))
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*groupBlocks), "ns/block")
+		})
+	}
+
+	reads := dataset.DNAReads(ctxStride+1, 52)
+	cq, gq := countWord(reads[0]), gramSetOf(reads[0])
+	counts := []struct {
+		name  string
+		group func([]uint64, []uint64, int) (int, int)
+		mask  func([]uint64) uint64
+	}{
+		{"go",
+			func(w, g []uint64, slack int) (int, int) {
+				return cntGroup(w, g, ^uint64(0), 0, surv[:], cq, &gq, slack, 4*slack)
+			},
+			func(sums []uint64) uint64 { return cntMask(sums, cq, 4) }},
+		{"avx512",
+			func(w, g []uint64, slack int) (int, int) {
+				return cntGroupAVX512(w, g, ^uint64(0), 0, surv[:], cq, &gq, slack, 4*slack)
+			},
+			func(sums []uint64) uint64 { return cntMaskAVX512(sums, cq, 4) }},
+	}
+	for _, c := range []struct {
+		name  string
+		slack int
+		share float64
+	}{{"count/reads-k4", 4, 0.28}, {"count/reads-k8", 8, 0.54}} {
+		cw, grams := make([]uint64, ctxStride), make([]uint64, 4*ctxStride)
+		for i := range cw {
+			move := c.slack + 1 + r.Intn(4) // x over cq: past slack
+			if r.Float64() < c.share {
+				move = r.Intn(c.slack + 1)
+			}
+			f := r.Intn(dnaFields)
+			cw[i] = setField(cq, f, countField(cq, f)+move)
+			for j, x := range gramSetOf(reads[1+i]) {
+				grams[gramAt(i)+j*blockSlots] = x
+			}
+		}
+		for _, k := range counts {
+			b.Run(c.name+"/"+k.name, func(b *testing.B) {
+				if k.name == "avx512" && !vpopcnt {
+					b.Skip("no AVX-512 bodies on this CPU")
+				}
+				passed := 0
+				for i := 0; i < b.N; i++ {
+					var n int
+					n, passed = k.group(cw, grams, c.slack)
+					occSink += n
+				}
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*groupBlocks), "ns/block")
+				b.ReportMetric(float64(passed)/ctxStride, "passed/word")
+			})
+		}
+	}
+	sums := make([]uint64, 2*groupBlocks)
+	countSumsOf(r, sums, cq, 5)
+	for _, k := range counts {
+		b.Run("count/mask64/"+k.name, func(b *testing.B) {
+			if k.name == "avx512" && !vpopcnt {
+				b.Skip("no AVX-512 heads on this CPU")
+			}
+			for i := 0; i < b.N; i++ {
+				occSink += int(k.mask(sums))
 			}
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*groupBlocks), "ns/block")
 		})

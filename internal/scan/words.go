@@ -140,7 +140,7 @@ type gramSet [4]uint64
 
 // gramSetOf collects the 4-grams of s.
 //
-// The filter built on it (gramsLacking) is the q-gram lemma at q = 4 in set
+// The filter built on it (cntGroup) is the q-gram lemma at q = 4 in set
 // form. One edit operation destroys at most four of a string's gram
 // positions and creates at most four (a substitution or a deletion touches
 // the four windows over its position, an insertion splits three into
@@ -161,22 +161,14 @@ func gramSetOf[T string | []byte](s T) (g gramSet) {
 	return g
 }
 
-// gramsLacking counts the grams of a that b lacks.
-func gramsLacking(a, b *gramSet) int {
-	return bits.OnesCount64(a[0]&^b[0]) + bits.OnesCount64(a[1]&^b[1]) +
-		bits.OnesCount64(a[2]&^b[2]) + bits.OnesCount64(a[3]&^b[3])
-}
-
 // gramSetBits is how many grams a set holds, so a bound of 4k rejects
 // nothing from k = gramSetBits/4 on.
 const gramSetBits = 256
 
 // keep is 1 when neither one-sided surplus exceeds bound and 0 when either
-// does, read off the sign bits of the two differences. On near-uniform reads
-// a third of a window passes the count word at k = 8, and no predictor
-// learns which: there the survivor loops over reads (firstWord's dense one,
-// gramSets past its first test) store every offset and advance their fill
-// index by keep instead of branching.
+// does, read off the sign bits of the two differences. Half of a window of
+// reads passes the count word at k = 8, and no predictor learns which: the
+// loops store every offset and advance their fill index by keep instead.
 func keep(ab, ba, bound int) int {
 	return 1 - int(uint((bound-ab)|(bound-ba))>>(bits.UintSize-1))
 }
@@ -265,12 +257,14 @@ func (pr *Probe) Within(s string) (int, bool) {
 //
 // Order, words and summaries are derived data: whoever persists the strings
 // rebuilds them with NewWords.
+// The 4-gram sets are laid out a block at a time, word by word (gramAt), so
+// that a block's word j is one run of sixteen, two vectors for AVX-512.
 type Words struct {
 	ar     *Arena
-	sigs   []uint64  // sigs[s] = word of slot s
-	grams  []gramSet // grams[s] = 4-gram set of slot s; nil unless counts
-	sums   []uint64  // sums[2b], sums[2b+1] = the two summary words of block b
-	counts bool      // the words are symbol counts (all-DNA arena), not occurrence bits
+	sigs   []uint64 // sigs[s] = word of slot s
+	grams  []uint64 // the 4-gram sets, one block of four runs after another (gramAt); nil unless counts
+	sums   []uint64 // sums[2b], sums[2b+1] = the two summary words of block b
+	counts bool     // the words are symbol counts (all-DNA arena), not occurrence bits
 }
 
 const (
@@ -284,6 +278,12 @@ const (
 )
 
 var _ [64 - groupBlocks]struct{} // a group's mask is one uint64
+
+// gramAt is where word 0 of slot s's 4-gram set is in Words.grams, word j
+// j*blockSlots on: grams[64b+16j+i] for slot 16b+i. The last block is padded.
+func gramAt(s int) int {
+	return int(uint(s)/blockSlots*4*blockSlots + uint(s)%blockSlots)
+}
 
 // slotKey is one string on its way into a word-ordered arena.
 type slotKey struct {
@@ -360,7 +360,7 @@ func cmpBitSkew(a, b wordBit) int {
 // the words and the block summaries over it. The order is fixed here, in the
 // arena's one placement pass, and the arena is immutable from then on like
 // any other. Beside the arena it costs 8 bytes per string, 40 on all-DNA
-// data, and one more for the summaries.
+// data (and the last block's padding), and one more for the summaries.
 func NewWords(data []string) *Words {
 	w := &Words{counts: true}
 	for _, s := range data {
@@ -388,17 +388,20 @@ func NewWords(data []string) *Words {
 	for l := 0; l <= ar.maxLen; l++ {
 		slices.SortFunc(order[ar.lenStart[l]:ar.lenStart[l+1]], cmpSlotKey)
 	}
+	nb := (len(data) + blockSlots - 1) / blockSlots
 	w.ar, w.sigs = ar, make([]uint64, len(data))
 	if w.counts {
-		w.grams = make([]gramSet, len(data))
+		w.grams = make([]uint64, 4*blockSlots*nb)
 	}
 	for sl, o := range order {
 		ar.place(int32(sl), o.id, data[o.id])
 		if w.sigs[sl] = words[o.id]; w.counts {
-			w.grams[sl] = gramSetOf(data[o.id])
+			for j, x := range gramSetOf(data[o.id]) {
+				w.grams[gramAt(sl)+j*blockSlots] = x
+			}
 		}
 	}
-	w.sums = make([]uint64, 2*((len(data)+blockSlots-1)/blockSlots))
+	w.sums = make([]uint64, 2*nb)
 	for b := 0; 2*b < len(w.sums); b++ {
 		w.sums[2*b], w.sums[2*b+1] = w.summarize(b)
 	}
@@ -438,6 +441,9 @@ func (w *Words) summarize(b int) (hi, lo uint64) {
 func (w *Words) Verify() error {
 	ar := w.ar
 	order := make([]slotKey, ar.Len())
+	if want := 4 * blockSlots * ((len(order) + blockSlots - 1) / blockSlots); w.counts && len(w.grams) != want {
+		return fmt.Errorf("scan: %d 4-gram words over %d slots, want %d", len(w.grams), len(order), want)
+	}
 	var xb []byte
 	l := 0
 	for s := range order {
@@ -445,8 +451,10 @@ func (w *Words) Verify() error {
 		want := signature(xb)
 		if w.counts {
 			want = countWord(xb)
-			if g := gramSetOf(xb); w.grams[s] != g {
-				return fmt.Errorf("scan: slot %d (%q) has 4-gram set %x, its bytes give %x", s, xb, w.grams[s], g)
+			for j, g := range gramSetOf(xb) {
+				if got := w.grams[gramAt(s)+j*blockSlots]; got != g {
+					return fmt.Errorf("scan: slot %d (%q) has 4-gram word %d %#x, its bytes give %#x", s, xb, j, got, g)
+				}
 			}
 		}
 		if w.sigs[s] != want {
@@ -494,16 +502,18 @@ func (w *Words) Counts() bool { return w.counts }
 // only keep a block, never drop one. The loops are branch-free: sixty-four
 // tests fold into one word, and the sweep branches once on that. The
 // occurrence-word loop runs in assembly where the CPU has POPCNT
-// (popcnt_amd64.s), and in occMask everywhere else.
+// (popcnt_amd64.s), and in occMask everywhere else; cntMask takes the
+// count-word pairs, or what an AVX-512 head over groups of eight leaves.
 func (w *Words) blockMask(g int32, n int, sq uint64, slack int) uint64 {
 	sums := w.sums[2*g : 2*(int(g)+n)]
 	if w.counts {
 		var mask uint64
-		for j := 0; j < n; j++ {
-			hi, lo := sums[2*j], sums[2*j+1]
-			mask |= uint64(keep(surplus(sq, hi), surplus(lo, sq), slack)) << j
+		j := 0
+		if vpopcntKernels {
+			j = n &^ 7
+			mask = cntMaskAVX512(sums[:2*j], sq, slack)
 		}
-		return mask
+		return mask | cntMask(sums[2*j:], sq, slack)<<j
 	}
 	if popcntKernels {
 		if n > groupBlocks { // a mask holds 64 blocks; the kernel checks nothing and would drop the rest
@@ -526,43 +536,26 @@ func occMask(sums []uint64, sq uint64, slack int) uint64 {
 	return mask
 }
 
-// firstWord appends to surv[n:] the offsets, counted from off, of the count
-// words of one run that sq does not rule out, and returns the new fill. There
-// are two loops: where few slots pass, a branch on the reject is predicted
-// and skips the second surplus; where many do — dense, which Sweep says of a
-// group when more than an eighth of what it read in the one before passed —
-// it is mispredicted as often as not, and storing every offset and advancing
-// by keep is cheaper. The loops live in a function of their own, with
-// nothing but the run in it, so that what the callers keep live around them
-// cannot cost them a register: inside the walk over a mask's runs both ran
-// at half speed.
-//
-//go:noinline
-func firstWord(run []uint64, off int32, sq uint64, slack int, dense bool, surv *[ctxStride]int32, n int) int {
-	if dense {
-		for i, sx := range run {
-			surv[n] = off + int32(i)
-			n += keep(surplus(sq, sx), surplus(sx, sq), slack)
-		}
-		return n
+// cntMask is blockMask over count words: sums holds the maximum and the
+// minimum of each block in turn, and bit j of the mask is set when neither
+// surplus of pair j is past slack.
+func cntMask(sums []uint64, sq uint64, slack int) uint64 {
+	var mask uint64
+	for j := 0; j < len(sums)/2; j++ {
+		hi, lo := sums[2*j], sums[2*j+1]
+		mask |= uint64(keep(surplus(sq, hi), surplus(lo, sq), slack)) << j
 	}
-	for i, sx := range run {
-		if !countReject(sq, sx, slack) {
-			surv[n] = off + int32(i)
-			n++
-		}
-	}
-	return n
+	return mask
 }
 
 // maskedWords reads the words of the blocks blockMask kept in the group at
 // slot base — bit j of mask is block j — clamped to the window [lo, hi),
-// leaves in surv the offsets from base of those sq does not rule out, and
-// returns how many it left and how many words were read, which follows from
-// the mask and the two clamps. Occurrence words take one kernel call per
-// group, which skips the cleared blocks itself; count words are handed to
-// firstWord one run of set bits at a time.
-func (w *Words) maskedWords(base, lo, hi int32, mask, sq uint64, slack int, dense bool, surv *[ctxStride]int32) (n, read int) {
+// leaves in surv the offsets from base of those sq does not rule out — on
+// count words, of those whose 4-gram set is also within 4·slack (at most
+// gramSetBits) of gq's — and returns how many it left, how many passed the
+// first word and how many words were read, which follows from the mask and
+// the clamps. Each kind of word takes one kernel call per group.
+func (w *Words) maskedWords(base, lo, hi int32, mask, sq uint64, slack int, gq *gramSet, surv []int32) (n, passed, read int) {
 	words := w.sigs[base:min(base+ctxStride, hi)]
 	from := int(max(lo-base, 0))
 	nb := (len(words) + blockSlots - 1) / blockSlots
@@ -572,18 +565,23 @@ func (w *Words) maskedWords(base, lo, hi int32, mask, sq uint64, slack int, dens
 	read = blockSlots*bits.OnesCount64(mask) - from*int(mask&1) - (nb*blockSlots-len(words))*int(mask>>(nb-1)&1)
 	if !w.counts {
 		if popcntKernels {
-			return occGroupPOPCNT(words, mask, from, surv[:], sq, slack), read
+			n = occGroupPOPCNT(words, mask, from, surv, sq, slack)
+		} else {
+			n = occGroup(words, mask, from, surv, sq, slack)
 		}
-		return occGroup(words, mask, from, surv[:], sq, slack), read
+		return n, n, read
 	}
-	for mask != 0 {
-		first := bits.TrailingZeros64(mask)
-		run := bits.TrailingZeros64(^(mask >> first)) // 64 when the mask is all ones
-		mask &^= (1<<run - 1) << first
-		i, j := max(first*blockSlots, from), min((first+run)*blockSlots, len(words))
-		n = firstWord(words[i:j], int32(i), sq, slack, dense, surv, n)
+	grams := w.grams[min(4*int(base), len(w.grams)):]
+	if len(grams) < 4*blockSlots*nb {
+		panic(fmt.Sprintf("scan: a group of %d words with %d 4-gram words", len(words), len(grams)))
 	}
-	return n, read
+	bound := 4 * min(slack, gramSetBits/4)
+	if vpopcntKernels {
+		n, passed = cntGroupAVX512(words, grams, mask, from, surv, sq, gq, slack, bound)
+	} else {
+		n, passed = cntGroup(words, grams, mask, from, surv, sq, gq, slack, bound)
+	}
+	return n, passed, read
 }
 
 // occGroup is maskedWords over occurrence words: for every block j set in
@@ -605,21 +603,46 @@ func occGroup(words []uint64, mask uint64, from int, surv []int32, sq uint64, sl
 	return n
 }
 
-// gramSets compacts surv[:n], the first word's survivors in the group at
-// slot base, down to those whose 4-gram set lacks at most bound of gq's
-// grams and has at most bound gq lacks, and returns how many are left. Most
-// differ from gq in more than 2*bound grams, which fails a side: that first.
-func (w *Words) gramSets(base int32, gq *gramSet, bound int, surv *[ctxStride]int32, n int) int {
-	m := 0
-	for _, i := range surv[0:n] {
-		gx := &w.grams[base+i]
-		surv[m] = i
-		if bits.OnesCount64(gq[0]^gx[0])+bits.OnesCount64(gq[1]^gx[1])+
-			bits.OnesCount64(gq[2]^gx[2])+bits.OnesCount64(gq[3]^gx[3]) <= 2*bound {
-			m += keep(gramsLacking(gq, gx), gramsLacking(gx, gq), bound)
+// cntGroup is maskedWords over count words: it tests the words of the blocks
+// set in mask, clamped to [from, len(words)), against sq (countReject), the
+// 4-gram sets of those that pass (grams, laid out as in Words) against gq's,
+// and stores in surv, in order, the index of each slot whose set lacks at
+// most bound of gq's grams and has at most bound gq lacks. It returns how
+// many it stored and how many passed the count word. Most sets differ from
+// gq's in more than 2*bound grams, which fails a side: that is tested first.
+// It runs on AVX-512 where the CPU has it (popcnt_amd64.s), here elsewhere.
+func cntGroup(words, grams []uint64, mask uint64, from int, surv []int32, sq uint64, gq *gramSet, slack, bound int) (n, passed int) {
+	for mask != 0 {
+		first := bits.TrailingZeros64(mask)
+		run := bits.TrailingZeros64(^(mask >> first)) // 64 when the mask is all ones
+		mask &^= (1<<run - 1) << first
+		passed = cntRun(words, max(first*blockSlots, from), min((first+run)*blockSlots, len(words)), sq, slack, surv, passed)
+	}
+	for _, i := range surv[:passed] {
+		x := (*[3*blockSlots + 1]uint64)(grams[gramAt(int(i)):])
+		surv[n] = i
+		if bits.OnesCount64(gq[0]^x[0])+bits.OnesCount64(gq[1]^x[blockSlots])+
+			bits.OnesCount64(gq[2]^x[2*blockSlots])+bits.OnesCount64(gq[3]^x[3*blockSlots]) <= 2*bound {
+			n += keep(bits.OnesCount64(gq[0]&^x[0])+bits.OnesCount64(gq[1]&^x[blockSlots])+
+				bits.OnesCount64(gq[2]&^x[2*blockSlots])+bits.OnesCount64(gq[3]&^x[3*blockSlots]),
+				bits.OnesCount64(x[0]&^gq[0])+bits.OnesCount64(x[blockSlots]&^gq[1])+
+					bits.OnesCount64(x[2*blockSlots]&^gq[2])+bits.OnesCount64(x[3*blockSlots]&^gq[3]), bound)
 		}
 	}
-	return m
+	return n, passed
+}
+
+// cntRun is cntGroup's count-word loop over words[lo:hi]. Inlined in
+// cntGroup it spilled its index and reloaded five values per slot, and reads
+// at k = 8 ran 10% slower.
+//
+//go:noinline
+func cntRun(words []uint64, lo, hi int, sq uint64, slack int, surv []int32, n int) int {
+	for i, x := range words[lo:hi] {
+		surv[n] = int32(lo + i)
+		n += keep(surplus(sq, x), surplus(x, sq), slack)
+	}
+	return n
 }
 
 // Sweep appends to dst every slot within the probe's k of its query, as
@@ -633,14 +656,13 @@ func (w *Words) gramSets(base int32, gq *gramSet, bound int, surv *[ctxStride]in
 // The length window is a slot range, walked in groups of groupBlocks blocks,
 // polling ctx once per group. Sweep first holds the query's word against the
 // group's block summaries (blockMask) and goes on to the next group if none
-// is kept; otherwise it reads the words of the kept blocks (maskedWords,
-// firstWord), collects the group's survivors and only then looks up their
-// bytes and hands them to the kernel (byte equality at k = 0). Where there
-// are 4-gram sets and their bound of 4k can reject anything, a second
-// pass compacts the group's survivors through them before any byte is read
-// (gramSets). Survivors come in slot order, so the length bucket is carried
-// along instead of searched for per survivor, from the window's shortest
-// length on. The probe's counters are flushed on every exit path.
+// is kept; otherwise it reads the words of the kept blocks (maskedWords) —
+// and where there are 4-gram sets, the sets of the slots the word lets
+// through — collects the group's survivors and only then looks up their
+// bytes and hands them to the kernel (byte equality at k = 0). Survivors
+// come in slot order, so the length bucket is carried along instead of
+// searched for per survivor, from the window's shortest length on. The
+// probe's counters are flushed on every exit path.
 func (w *Words) Sweep(ctx context.Context, pr *Probe, dst []Match) ([]Match, error) {
 	k := pr.k
 	ar := w.ar
@@ -660,13 +682,11 @@ func (w *Words) Sweep(ctx context.Context, pr *Probe, dst []Match) ([]Match, err
 	if w.counts {
 		sq = pr.cnt
 	}
-	grams := w.grams != nil && k < gramSetBits/4
 	var exact []byte // the query's bytes at k = 0
 	if k == 0 {
 		exact = []byte(pr.text)
 	}
 	var surv [ctxStride]int32 // one group's survivors, as offsets from its first slot
-	dense := false            // more than an eighth of the last group's words passed
 	blocks := (hi + blockSlots - 1) / blockSlots
 	for g := lo / blockSlots; g < blocks; g += groupBlocks {
 		if err := ctx.Err(); err != nil {
@@ -678,13 +698,9 @@ func (w *Words) Sweep(ctx context.Context, pr *Probe, dst []Match) ([]Match, err
 		if mask == 0 {
 			continue
 		}
-		n, read := w.maskedWords(base, lo, hi, mask, sq, k, dense, &surv)
+		n, pass, read := w.maskedWords(base, lo, hi, mask, sq, k, &pr.grams, surv[:])
 		swept += uint64(read)
-		passed += uint64(n)
-		dense = n > read/8
-		if grams {
-			n = w.gramSets(base, &pr.grams, 4*k, &surv, n)
-		}
+		passed += uint64(pass)
 		kept += uint64(n)
 		for _, i := range surv[0:n] {
 			s := base + i

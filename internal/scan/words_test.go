@@ -3,6 +3,7 @@ package scan
 import (
 	"context"
 	"math"
+	"math/bits"
 	"math/rand"
 	"slices"
 	"strings"
@@ -462,23 +463,23 @@ func TestSweepCarriesLengthBucket(t *testing.T) {
 	}
 }
 
-// TestFirstWordLoopsAgree: the two count-word loops — the branch on the
-// reject and the branch-free store Sweep switches to in dense groups — pick
-// the same survivors under every mask: the one blockMask computes, all ones,
-// single blocks, alternating blocks (runs of one) and none, from the sparsest
-// group to one in which every slot passes; every survivor lies in a block the
-// mask holds and inside the window; and the switch happens: sweeps of
-// generated reads at k = 8 pass more than an eighth of the words they read.
-func TestFirstWordLoopsAgree(t *testing.T) {
+// TestCountWordSurvivors: on count words maskedWords leaves, under every
+// mask — the one blockMask computes, all ones, single blocks, alternating
+// blocks and none — exactly the slots of the kept blocks inside the window
+// that the count word and the 4-gram set both let through, in slot order;
+// reads the words the mask holds; counts as passed those the count word
+// lets through; and keeps every slot of the window at an unbounded slack,
+// where the summaries drop no block either.
+func TestCountWordSurvivors(t *testing.T) {
 	data := dataset.DNAReads(3000, 24)
 	w := NewWords(data)
-	var sparse, dense [ctxStride]int32
-	var swept, passed uint64
+	var surv [ctxStride]int32
 	for _, q := range dataset.Queries(data, 20, 8, 24) {
 		pr := NewProbe(q, 8)
 		lo, hi := w.ar.SlotRange(pr.Lengths())
 		blocks := (hi + blockSlots - 1) / blockSlots
 		for _, slack := range []int{0, 1, 4, 8, 16, 100, math.MaxInt} {
+			bound := 4 * min(slack, gramSetBits/4)
 			for g := lo / blockSlots; g < blocks; g += groupBlocks {
 				nb := int(min(groupBlocks, blocks-g))
 				all := uint64(1)<<nb - 1
@@ -488,34 +489,35 @@ func TestFirstWordLoopsAgree(t *testing.T) {
 				}
 				for _, mask := range []uint64{own, all, 1, all &^ (all >> 1), 0x5555555555555555 & all, 0xaaaaaaaaaaaaaaaa & all, 0} {
 					base := g * blockSlots
-					n, read := w.maskedWords(base, lo, hi, mask, pr.cnt, slack, false, &sparse)
-					m, readDense := w.maskedWords(base, lo, hi, mask, pr.cnt, slack, true, &dense)
-					if n != m || read != readDense || !slices.Equal(sparse[:n], dense[:m]) {
-						t.Fatalf("slack %d group %d mask %#x: %d survivors of %d with the branch, %d of %d without",
-							slack, g, mask, n, read, m, readDense)
-					}
+					n, passed, read := w.maskedWords(base, lo, hi, mask, pr.cnt, slack, &pr.grams, surv[:])
 					if want := groupRead(int(min(base+ctxStride, hi)-base), mask, int(max(lo-base, 0))); read != want {
 						t.Fatalf("slack %d group %d mask %#x: read %d slots, the mask holds %d", slack, g, mask, read, want)
 					}
-					for i, off := range sparse[:n] {
-						if s := base + off; mask>>(off/blockSlots)&1 == 0 || s < lo || s >= hi || (i > 0 && off <= sparse[i-1]) {
-							t.Fatalf("slack %d group %d mask %#x: survivor %d (slot %d) outside the mask or the window [%d, %d), or out of order",
-								slack, g, mask, off, s, lo, hi)
+					var want []int32
+					wantPassed := 0
+					for s := max(base, lo); s < min(base+ctxStride, hi); s++ {
+						if mask>>((s-base)/blockSlots)&1 == 0 || countReject(pr.cnt, w.sigs[s], slack) {
+							continue
+						}
+						wantPassed++
+						var gx gramSet
+						for j := range gx {
+							gx[j] = w.grams[gramAt(int(s))+j*blockSlots]
+						}
+						if keep(gramsLacking(&pr.grams, &gx), gramsLacking(&gx, &pr.grams), bound) == 1 {
+							want = append(want, s-base)
 						}
 					}
-					if slack == math.MaxInt && n != read {
-						t.Fatalf("group %d: %d of %d slots pass at an unbounded slack", g, n, read)
+					if passed != wantPassed || !slices.Equal(surv[:n], want) {
+						t.Fatalf("slack %d group %d mask %#x: %d survivors of %d passed, want %d of %d",
+							slack, g, mask, n, passed, len(want), wantPassed)
+					}
+					if slack == math.MaxInt && (n != read || passed != read) {
+						t.Fatalf("group %d: %d (%d passed) of %d slots kept at an unbounded slack", g, n, passed, read)
 					}
 				}
 			}
 		}
-		if _, err := w.Sweep(context.Background(), &pr, nil); err != nil {
-			t.Fatal(err)
-		}
-		swept, passed = swept+pr.Swept, passed+pr.Passed
-	}
-	if passed*8 <= swept {
-		t.Fatalf("%d of %d words read passed at k = 8: too sparse for a sweep to reach the dense loop", passed, swept)
 	}
 }
 
@@ -559,7 +561,47 @@ func TestMaskedWordsGuard(t *testing.T) {
 					t.Errorf("window from %d, mask %#x: guard panicked %v (%q), want %v", tc.lo, tc.mask, got, msg, tc.panics)
 				}
 			}()
-			w.maskedWords(0, tc.lo, 40, tc.mask, 0, 3, false, &surv)
+			w.maskedWords(0, tc.lo, 40, tc.mask, 0, 3, nil, surv[:])
 		}()
 	}
+}
+
+// TestCountGroupGuard: the count-word kernel reads every 4-gram word of the
+// blocks it is handed and checks no bounds either, so maskedWords panics in
+// Go, before the call, when the group's 4-gram words end before its last
+// block's do — and on a mask past the group's words, as on occurrence words.
+// Whole 4-gram words go through.
+func TestCountGroupGuard(t *testing.T) {
+	w := NewWords(dataset.DNAReads(40, 52))
+	if !w.counts || len(w.grams) != 3*4*blockSlots {
+		t.Fatalf("40 reads: counts %v, %d 4-gram words; want count words and three padded blocks", w.counts, len(w.grams))
+	}
+	var surv [ctxStride]int32
+	var gq gramSet
+	for _, tc := range []struct {
+		grams  int // how many of the 4-gram words the group keeps
+		mask   uint64
+		panics string
+	}{
+		{len(w.grams), 7, ""},
+		{len(w.grams) - 1, 7, "scan: a group of 40 words with 191 4-gram words"},
+		{len(w.grams) - 4*blockSlots, 1, "scan: a group of 40 words with 128 4-gram words"},
+		{len(w.grams), 1 << 3, "scan: a group of 40 words from 0 with mask 0x8"},
+	} {
+		func() {
+			defer func() {
+				if msg, _ := recover().(string); msg != tc.panics {
+					t.Errorf("%d 4-gram words, mask %#x: guard panicked %q, want %q", tc.grams, tc.mask, msg, tc.panics)
+				}
+			}()
+			cut := &Words{sigs: w.sigs, grams: w.grams[:tc.grams], counts: true}
+			cut.maskedWords(0, 0, 40, tc.mask, 0, math.MaxInt, &gq, surv[:])
+		}()
+	}
+}
+
+// gramsLacking counts the grams of a that b lacks.
+func gramsLacking(a, b *gramSet) int {
+	return bits.OnesCount64(a[0]&^b[0]) + bits.OnesCount64(a[1]&^b[1]) +
+		bits.OnesCount64(a[2]&^b[2]) + bits.OnesCount64(a[3]&^b[3])
 }
