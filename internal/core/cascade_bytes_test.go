@@ -101,8 +101,8 @@ func TestBlockSummaryStrength(t *testing.T) {
 }
 
 // TestByteQueryAllocations: a cascade query allocates its result slice and,
-// at k > 0, its compiled pattern with the kernel's scratch header; nothing
-// per candidate, on either kind of word. A hit costs no more than a miss:
+// at k > 0, its compiled pattern; nothing per candidate, on either kind of
+// word. A hit costs no more than a miss:
 // the matches leave in the slice the sweep appended them to, uncopied.
 func TestByteQueryAllocations(t *testing.T) {
 	for name, data := range map[string][]string{
@@ -119,7 +119,7 @@ func TestByteQueryAllocations(t *testing.T) {
 			for i, q := range []string{hit, miss} {
 				want := 1.0
 				if k > 0 {
-					want += 1 + testing.AllocsPerRun(100, func() { edit.CompileMyers(q) })
+					want += testing.AllocsPerRun(100, func() { edit.CompileMyers(q) })
 				}
 				if m := len(e.Search(Query{Text: q, K: k})); m > 1 {
 					// Few matches, in word order inside a bucket, are sorted in
@@ -139,14 +139,32 @@ func TestByteQueryAllocations(t *testing.T) {
 	}
 }
 
+// TestCascadeSearchAllocs pins what a query on reads allocates: its result
+// slice at k = 0, and at k = 2 and 8 also the compiled pattern's two
+// allocations. The kernel's scratch is not among them: only the blocked
+// kernel (k > edit.MaxBandK) reads one.
+func TestCascadeSearchAllocs(t *testing.T) {
+	data := dataset.DNAReads(2000, 9)
+	e := NewCascade(data)
+	for _, c := range []struct {
+		k    int
+		want float64
+	}{{0, 1}, {2, 3}, {8, 3}} {
+		if got := testing.AllocsPerRun(100, func() { e.Search(Query{Text: data[0], K: c.k}) }); got != c.want {
+			t.Errorf("Search(k=%d): %.0f allocations, want %.0f", c.k, got, c.want)
+		}
+	}
+}
+
 // BenchmarkCascadeBytes sweeps 100,000 generated cities at k = 0..3 and
-// 10,000 generated reads at k = 0, 4, 8 and 12 and reports what the
+// 10,000 generated reads at k = 0, 4, 8, 12 and 16 and reports what the
 // signature stage costs per slot of the length window and per word it reads
 // (the elapsed time over the words read: what the occurrence-word kernels
-// move), how many block summaries a query is held against (a sixteenth of
-// the window), how many words it then reads (the slots of the blocks it
-// enters), how many candidates its word lets through and how many it leaves
-// for the kernel (on reads, what the 4-gram sets leave of those).
+// move), how many blocks the length window spans (a sixteenth of it; the
+// block summaries are tested for each), how many words a query then reads
+// (the slots of the blocks it enters), how many candidates its word lets
+// through and how many it leaves for the kernel (on reads, what the 4-gram
+// sets leave of those).
 func BenchmarkCascadeBytes(b *testing.B) {
 	for _, c := range []struct {
 		name string
@@ -154,7 +172,7 @@ func BenchmarkCascadeBytes(b *testing.B) {
 		ks   []int
 	}{
 		{"city", dataset.Cities(100000, 20130322), []int{0, 1, 2, 3}},
-		{"reads", dataset.DNAReads(10000, 20130322), []int{0, 4, 8, 12}},
+		{"reads", dataset.DNAReads(10000, 20130322), []int{0, 4, 8, 12, 16}},
 	} {
 		e := NewCascade(c.data)
 		for _, k := range c.ks {
@@ -169,7 +187,7 @@ func BenchmarkCascadeBytes(b *testing.B) {
 				st := e.Stats()
 				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(st.Candidates-before.Candidates), "ns/slot")
 				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(st.Swept-before.Swept), "ns/word")
-				b.ReportMetric(float64(st.Candidates-before.Candidates)/16/float64(b.N), "blocks/query")
+				b.ReportMetric(float64(st.Candidates-before.Candidates)/16/float64(b.N), "window_blocks/query")
 				b.ReportMetric(float64(st.Swept-before.Swept)/float64(b.N), "swept/query")
 				b.ReportMetric(float64(st.Passed-before.Passed)/float64(b.N), "first_stage/query")
 				b.ReportMetric(float64(st.Survivors-before.Survivors)/float64(b.N), "survivors/query")

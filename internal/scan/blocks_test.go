@@ -42,7 +42,7 @@ func checkBlocks(t *testing.T, w *Words, q string, ks ...int) {
 			want = append(want, Match{ID: w.ar.ids[s], Dist: d})
 			if w.blockMask(s/blockSlots, 1, sq, k) != 1 {
 				t.Fatalf("slot %d (%.40q) is within %d of %.40q (distance %d) but its block's summary %#x, %#x rejects the query's word %#x",
-					s, slotBytes(w.ar, s), k, q, d, w.sums[2*(s/blockSlots)], w.sums[2*(s/blockSlots)+1], sq)
+					s, slotBytes(w.ar, s), k, q, d, w.sums[s/blockSlots], w.sums[len(w.sums)/2+int(s/blockSlots)], sq)
 			}
 		}
 		got, err := w.Sweep(context.Background(), &pr, nil)

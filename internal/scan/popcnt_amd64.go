@@ -37,24 +37,23 @@ func cpuid(leaf, sub uint32) (eax, ebx, ecx, edx uint32)
 // Only call it where CPUID leaf 1 reports OSXSAVE.
 func xgetbv0() uint32
 
-// occMaskPOPCNT is occMask with a bare POPCNT. It reads len(sums)/2 pairs
-// and checks no bounds; blockMask passes at most groupBlocks whole pairs.
+// occMaskPOPCNT is occMask with a bare POPCNT, or on AVX-512 eight blocks
+// a step; cntMaskAVX512 is cntMask on AVX-512, eight blocks a step. Both
+// test len(hi) <= 64 blocks, the last group of eight under a lane mask, and
+// check no bounds: blockMask does.
 //
 //go:noescape
-func occMaskPOPCNT(sums []uint64, sq uint64, slack int) uint64
+func occMaskPOPCNT(hi, lo []uint64, sq uint64, slack int) uint64
 
-// occGroupPOPCNT is occGroup with a bare POPCNT. It checks no bounds;
-// maskedWords does, before the call.
+//go:noescape
+func cntMaskAVX512(hi, lo []uint64, sq uint64, slack int) uint64
+
+// occGroupPOPCNT is occGroup with a bare POPCNT, or on AVX-512 a block a
+// step; cntGroupAVX512 is cntGroup on AVX-512, a block a step. Neither
+// checks bounds: maskedWords does.
 //
 //go:noescape
 func occGroupPOPCNT(words []uint64, mask uint64, from int, surv []int32, sq uint64, slack int) int
-
-// cntMaskAVX512 is cntMask on AVX-512, over len(sums)/16 whole groups of
-// eight pairs; cntGroupAVX512 is cntGroup, a block at once. Neither checks
-// bounds: blockMask and maskedWords do.
-//
-//go:noescape
-func cntMaskAVX512(sums []uint64, sq uint64, slack int) uint64
 
 //go:noescape
 func cntGroupAVX512(words, grams []uint64, mask uint64, from int, surv []int32, sq uint64, gq *gramSet, slack, bound int) (n, passed int)

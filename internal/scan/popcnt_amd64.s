@@ -18,70 +18,63 @@ TEXT ·xgetbv0(SB), NOSPLIT, $0-4
 	MOVL AX, ret+0(FP)
 	RET
 
-// The qword indexes VPERMT2Q takes to pull the ORs (even) and the ANDs (odd)
-// out of eight interleaved pairs held in two registers.
-DATA pairsEven<>+0(SB)/8, $0
-DATA pairsEven<>+8(SB)/8, $2
-DATA pairsEven<>+16(SB)/8, $4
-DATA pairsEven<>+24(SB)/8, $6
-DATA pairsEven<>+32(SB)/8, $8
-DATA pairsEven<>+40(SB)/8, $10
-DATA pairsEven<>+48(SB)/8, $12
-DATA pairsEven<>+56(SB)/8, $14
-GLOBL pairsEven<>(SB), RODATA|NOPTR, $64
+// MASKGROUPS starts a mask kernel's AVX-512 walk over its n = CX > 0 blocks
+// in groups of eight, from the last group down: it leaves that group's byte
+// offset in BX and its lanes, 1 to 8, in K2. It uses CX and R10.
+#define MASKGROUPS \
+	LEAQ -1(CX), BX \
+	ANDQ $-8, BX \
+	SHLQ $3, BX \
+	NEGL CX \
+	ANDL $7, CX \
+	MOVL $0xff, R10 \
+	SHRL CX, R10 \
+	KMOVW R10, K2
 
-DATA pairsOdd<>+0(SB)/8, $1
-DATA pairsOdd<>+8(SB)/8, $3
-DATA pairsOdd<>+16(SB)/8, $5
-DATA pairsOdd<>+24(SB)/8, $7
-DATA pairsOdd<>+32(SB)/8, $9
-DATA pairsOdd<>+40(SB)/8, $11
-DATA pairsOdd<>+48(SB)/8, $13
-DATA pairsOdd<>+56(SB)/8, $15
-GLOBL pairsOdd<>(SB), RODATA|NOPTR, $64
+// MASKNEXT ends one group of eight blocks: its keep bits in K1 go below the
+// mask in AX, shifted up by eight, and the walk goes on to the group before
+// (every one of them whole) while one is left. It uses R10.
+#define MASKNEXT \
+	KMOVW K1, R10 \
+	SHLQ $8, AX \
+	ORQ R10, AX \
+	KXNORW K2, K2, K2 \
+	SUBQ $64, BX \
+	JGE maskvec \
+	VZEROUPPER
 
-// func occMaskPOPCNT(sums []uint64, sq uint64, slack int) uint64
+// func occMaskPOPCNT(hi, lo []uint64, sq uint64, slack int) uint64
 //
-// The pairs are walked from the last down, and the mask is shifted up by one
-// bit per pair, so pair j ends at bit j. Each bit is keep's: the sign bits of
-// slack minus each side's popcount, ORed, say whether either is past slack.
+// The blocks are walked from the last down, and the mask is shifted up by
+// one bit per block, so block j ends at bit j. Each bit is keep's: the sign
+// bits of slack minus each side's popcount, ORed, say whether either is past
+// slack.
 //
-// With vpopcntKernels the scalar loop takes only the pairs past the last
-// whole group of eight, and the AVX-512 head then walks the groups from the
-// last down, shifting the mask up by eight per group. A group is sixteen
-// words: two loads, two VPERMT2Q to split them into eight ORs and eight
-// ANDs, and both sides' popcounts, their larger one compared (signed, as
-// keep compares) with slack into eight bits of K1.
-TEXT ·occMaskPOPCNT(SB), NOSPLIT, $0-48
-	MOVQ sums_base+0(FP), SI
-	MOVQ sums_len+8(FP), CX
-	MOVQ sq+24(FP), DX
-	MOVQ slack+32(FP), R8
+// With vpopcntKernels the AVX-512 body takes every block instead, eight a
+// step (MASKGROUPS): eight ORs and eight ANDs loaded, the last group under
+// its lane mask, both sides' popcounts, and their larger one compared
+// (signed, as keep compares) with slack into eight bits of K1.
+TEXT ·occMaskPOPCNT(SB), NOSPLIT, $0-72
+	MOVQ hi_base+0(FP), SI
+	MOVQ hi_len+8(FP), CX
+	MOVQ lo_base+24(FP), DI
+	MOVQ sq+48(FP), DX
+	MOVQ slack+56(FP), R8
+	XORL AX, AX             // the mask
+	TESTQ CX, CX
+	JZ    maskdone
+	CMPB  ·vpopcntKernels(SB), $0
+	JNE   maskavx
 	MOVQ DX, R9
 	NOTQ R9                 // ^sq
-	XORL AX, AX             // the mask
-	SHRQ $1, CX             // the pairs
-	MOVQ CX, R10
-	SHLQ $4, R10
-	LEAQ -16(SI)(R10*1), SI // the last pair
-	XORL BX, BX             // the groups of eight the head takes
-	CMPB ·vpopcntKernels(SB), $0
-	JEQ  masktail
-	MOVQ CX, BX
-	SHRQ $3, BX
-	ANDQ $7, CX
-
-masktail:
-	TESTQ CX, CX
-	JZ    maskhead
 	PCALIGN $64
 
 maskloop:
-	MOVQ 0(SI), R10
+	MOVQ -8(SI)(CX*8), R10
 	NOTQ R10
 	ANDQ DX, R10
 	POPCNTQ R10, R10        // bits of sq the block's OR lacks
-	MOVQ 8(SI), R11
+	MOVQ -8(DI)(CX*8), R11
 	ANDQ R9, R11
 	POPCNTQ R11, R11        // bits of the block's AND that sq lacks
 	MOVQ R8, R12
@@ -92,43 +85,96 @@ maskloop:
 	NOTQ R12
 	SHRQ $63, R12           // keep
 	LEAQ (R12)(AX*2), AX
-	SUBQ $16, SI
 	DECQ CX
 	JNZ  maskloop
+	JMP  maskdone
 
-maskhead:
-	TESTQ BX, BX
-	JZ    maskdone
-	SUBQ  $112, SI          // the last group's first pair
+maskavx:
 	VPBROADCASTQ DX, Z0     // sq
 	VPBROADCASTQ R8, Z1     // slack
-	VMOVDQU64 pairsEven<>(SB), Z2
-	VMOVDQU64 pairsOdd<>(SB), Z3
+	MASKGROUPS
 	PCALIGN $64
 
 maskvec:
-	VMOVDQU64 0(SI), Z4     // pairs 0-3 of the group
-	VMOVDQU64 64(SI), Z5    // pairs 4-7
-	VMOVDQA64 Z4, Z6
-	VPERMT2Q  Z5, Z2, Z4    // the eight ORs
-	VPERMT2Q  Z5, Z3, Z6    // the eight ANDs
+	VMOVDQU64.Z (SI)(BX*1), K2, Z4 // the eight ORs
+	VMOVDQU64.Z (DI)(BX*1), K2, Z6 // the eight ANDs
 	VPANDNQ   Z0, Z4, Z4    // sq &^ OR
 	VPANDNQ   Z6, Z0, Z6    // AND &^ sq
 	VPOPCNTQ  Z4, Z4
 	VPOPCNTQ  Z6, Z6
 	VPMAXUQ   Z4, Z6, Z4
-	VPCMPQ    $2, Z1, Z4, K1 // keep: the larger side <= slack
-	KMOVW     K1, R10
-	SHLQ      $8, AX
-	ORQ       R10, AX
-	SUBQ      $128, SI
-	DECQ      BX
-	JNZ       maskvec
-	VZEROUPPER
+	VPCMPQ    $2, Z1, Z4, K2, K1 // keep: a lane of the group, the larger side <= slack
+	MASKNEXT
 
 maskdone:
-	MOVQ AX, ret+40(FP)
+	MOVQ AX, ret+64(FP)
 	RET
+
+// The two group kernels walk the set bits of the block mask in BX from the
+// lowest up, one block of sixteen words a step, with the same three pieces:
+// GROUPCLAMP before the walk, GROUPBLOCK at the head of each step and
+// GROUPNEXT after it. Only the test between differs, which leaves in R10 the
+// block's survivors, one bit a lane, and goes to blocklanes when there are
+// any, to blocknext (the next line) when not. words are at SI, len(words) in
+// R13, from in CX and surv at DI.
+
+// GROUPCLAMP computes the edge blocks' lanes — the first block's, lane from
+// and up, in R9; the last block's, below len(words), in DX; both clamps in
+// both where the group is one block — and the last block's number in R8,
+// then jumps to the walk. It uses CX.
+#define GROUPCLAMP \
+	MOVL $0xffff, R9 \
+	SHLL CX, R9 \
+	LEAQ -1(R13), R8 \
+	SHRQ $4, R8 \
+	MOVL R13, CX \
+	NEGL CX \
+	ANDL $15, CX \
+	MOVL $0xffff, DX \
+	SHRL CX, DX \
+	TESTQ R8, R8 \
+	JNZ   blockvec \
+	ANDL  R9, DX \
+	MOVL  DX, R9 \
+	JMP   blockvec
+
+// GROUPBLOCK takes block j, the lowest left in BX, out of it: j in AX, its
+// lanes in K2 (0-7) and K3 (8-15) — all sixteen, or an edge block's clamp,
+// picked by CMOV — and its first word's byte offset in R11. It uses R10.
+#define GROUPBLOCK \
+	BSFQ BX, AX \
+	LEAQ -1(BX), R10 \
+	ANDQ R10, BX \
+	MOVL $0xffff, R10 \
+	TESTQ AX, AX \
+	CMOVQEQ R9, R10 \
+	CMPQ AX, R8 \
+	CMOVQEQ DX, R10 \
+	KMOVW R10, K2 \
+	KSHIFTRW $8, K2, K3 \
+	MOVQ AX, R11 \
+	SHLQ $7, R11
+
+// GROUPNEXT goes on to the next block while one is left in BX, and holds
+// out of line the store of a block's survivors, the lanes set in R10, as
+// indexes in order: a BSF walk. It uses R11.
+#define GROUPNEXT \
+blocknext: \
+	TESTQ BX, BX \
+	JNZ   blockvec \
+	VZEROUPPER \
+	JMP   groupdone \
+blocklanes: \
+	SHLL $4, AX \
+blocklane: \
+	BSFL R10, R11 \
+	ADDL AX, R11 \
+	MOVL R11, 0(DI) \
+	ADDQ $4, DI \
+	LEAL -1(R10), R11 \
+	ANDL R11, R10 \
+	JNZ  blocklane \
+	JMP  blocknext
 
 // func occGroupPOPCNT(words []uint64, mask uint64, from int, surv []int32, sq uint64, slack int) int
 //
@@ -137,15 +183,13 @@ maskdone:
 // of sq on both sides and returns how many it stored. The first block's
 // clamp is from, the last one's len(words); no word outside them is read.
 //
-// With vpopcntKernels a block is one step of the AVX-512 body: its lane mask
-// (all sixteen, or an edge block's clamp, picked by CMOV) in K2 and K3, two
-// zero-masking loads of eight words each, both one-sided differences, their
-// popcounts, the larger one compared (signed, as sigReject compares) with
-// slack under the lane mask, and one branch on the sixteen bits, taken only
-// for a block with a survivor; its survivors are stored in order by a BSF
-// walk. Otherwise the scalar body tests the block's words one by one, with
-// occGroup's branches: on occurrence words few slots pass, and the predictor
-// learns it.
+// With vpopcntKernels a block is one step of the AVX-512 walk: two
+// zero-masking loads of eight words each under the block's lanes, both
+// one-sided differences, their popcounts, the larger one compared (signed,
+// as sigReject compares) with slack under the lanes, and one branch on the
+// sixteen bits, taken only for a block with a survivor. Otherwise the scalar
+// body tests the block's words one by one, with occGroup's branches: on
+// occurrence words few slots pass, and the predictor learns it.
 TEXT ·occGroupPOPCNT(SB), NOSPLIT, $0-88
 	MOVQ words_base+0(FP), SI
 	MOVQ words_len+8(FP), R13
@@ -160,37 +204,11 @@ TEXT ·occGroupPOPCNT(SB), NOSPLIT, $0-88
 	JEQ   groupscalar
 	VPBROADCASTQ DX, Z0     // sq
 	VPBROADCASTQ R8, Z1     // slack
-	MOVL $0xffff, R9
-	SHLL CX, R9             // the first block's lanes: from from on
-	LEAQ -1(R13), R8
-	SHRQ $4, R8             // the last block
-	MOVQ R8, CX
-	SHLQ $4, CX
-	NEGQ CX
-	ADDQ R13, CX            // its lanes, 1 to 16
-	MOVL $1, DX
-	SHLL CX, DX
-	DECL DX                 // the last block's lanes: below that
-	TESTQ R8, R8
-	JNZ   groupvec
-	ANDL  R9, DX            // one block: both clamps on it
-	MOVL  DX, R9
-	JMP   groupvec
+	GROUPCLAMP
 	PCALIGN $64
 
-groupvec:
-	BSFQ BX, AX             // block j
-	LEAQ -1(BX), R10
-	ANDQ R10, BX            // block j done
-	MOVL $0xffff, R10
-	TESTQ AX, AX
-	CMOVQEQ R9, R10
-	CMPQ AX, R8
-	CMOVQEQ DX, R10         // the block's lanes
-	KMOVW R10, K2
-	KSHIFTRW $8, K2, K3
-	MOVQ AX, R11
-	SHLQ $7, R11            // the block's first word, in bytes
+blockvec:
+	GROUPBLOCK
 	VMOVDQU64.Z 0(SI)(R11*1), K2, Z2  // lanes 0-7
 	VMOVDQU64.Z 64(SI)(R11*1), K3, Z3 // lanes 8-15
 	VPANDNQ   Z0, Z2, Z4    // sq &^ x
@@ -209,26 +227,8 @@ groupvec:
 	KMOVW     K5, R11
 	SHLL      $8, R11
 	ORL       R11, R10
-	JNZ       grouplanes
-
-groupvecnext:
-	TESTQ BX, BX
-	JNZ   groupvec
-	VZEROUPPER
-	JMP   groupdone
-
-grouplanes:
-	SHLL $4, AX             // the block's first index
-
-grouplane:
-	BSFL R10, R11
-	ADDL AX, R11
-	MOVL R11, 0(DI)
-	ADDQ $4, DI
-	LEAL -1(R10), R11
-	ANDL R11, R10           // the lowest lane done
-	JNZ  grouplane
-	JMP  groupvecnext
+	JNZ       blocklanes
+	GROUPNEXT
 
 groupscalar:
 	MOVQ DX, R9
@@ -309,52 +309,39 @@ groupdone:
 	MOVL $0xfff, R10 \
 	VPBROADCASTQ R10, Z4
 
-// func cntMaskAVX512(sums []uint64, sq uint64, slack int) uint64
+// func cntMaskAVX512(hi, lo []uint64, sq uint64, slack int) uint64
 //
-// Walks the whole groups of eight pairs from the last down, shifting the mask
-// up by eight per group, as occMaskPOPCNT's head does: two loads, two
-// VPERMT2Q to split them into eight maxima and eight minima, the surplus of
-// sq over each maximum and of each minimum over sq, and their larger one
-// compared (signed, as keep compares) with slack into eight bits of K1.
-TEXT ·cntMaskAVX512(SB), NOSPLIT, $0-48
-	MOVQ sums_base+0(FP), SI
-	MOVQ sums_len+8(FP), BX
-	MOVQ sq+24(FP), DX
+// occMaskPOPCNT's AVX-512 body on count words: per group of eight blocks,
+// eight maxima and eight minima loaded, the surplus of sq over each maximum
+// and of each minimum over sq, and their larger one compared (signed, as
+// keep compares) with slack under the group's lanes into eight bits of K1.
+TEXT ·cntMaskAVX512(SB), NOSPLIT, $0-72
+	MOVQ hi_base+0(FP), SI
+	MOVQ hi_len+8(FP), CX
+	MOVQ lo_base+24(FP), DI
+	MOVQ sq+48(FP), DX
 	XORL AX, AX             // the mask
-	SHRQ $4, BX             // the groups of eight pairs
-	JZ   cntmaskdone
-	MOVQ BX, R10
-	SHLQ $7, R10
-	LEAQ -128(SI)(R10*1), SI // the last group's first pair
+	TESTQ CX, CX
+	JZ    maskdone
 	COUNTCONSTS
-	VPBROADCASTQ slack+32(FP), Z1
-	VMOVDQU64 pairsEven<>(SB), Z5
-	VMOVDQU64 pairsOdd<>(SB), Z6
+	VPBROADCASTQ slack+56(FP), Z1
+	MASKGROUPS
 	PCALIGN $64
 
-cntmaskvec:
-	VMOVDQU64 0(SI), Z10    // pairs 0-3 of the group
-	VMOVDQU64 64(SI), Z11   // pairs 4-7
-	VMOVDQA64 Z10, Z12
-	VPERMT2Q  Z11, Z5, Z10  // the eight maxima
-	VPERMT2Q  Z11, Z6, Z12  // the eight minima
+maskvec:
+	VMOVDQU64.Z (SI)(BX*1), K2, Z10 // the eight maxima
+	VMOVDQU64.Z (DI)(BX*1), K2, Z12 // the eight minima
 	VPSUBQ    Z10, Z2, Z10  // sq over the maximum
 	VPORQ     Z3, Z12, Z12
 	VPSUBQ    Z0, Z12, Z12  // the minimum over sq
 	SURPLUS(Z10, Z14, Z15)
 	SURPLUS(Z12, Z16, Z17)
 	VPMAXUQ   Z12, Z10, Z10
-	VPCMPQ    $2, Z1, Z10, K1 // keep: the larger surplus <= slack
-	KMOVW     K1, R10
-	SHLQ      $8, AX
-	ORQ       R10, AX
-	SUBQ      $128, SI
-	DECQ      BX
-	JNZ       cntmaskvec
-	VZEROUPPER
+	VPCMPQ    $2, Z1, Z10, K2, K1 // keep: a lane of the group, the larger surplus <= slack
+	MASKNEXT
 
-cntmaskdone:
-	MOVQ AX, ret+40(FP)
+maskdone:
+	MOVQ AX, ret+64(FP)
 	RET
 
 // GRAMS(off, off8, gq) adds, for the sixteen lanes of a block, the grams of
@@ -380,27 +367,27 @@ cntmaskdone:
 
 // func cntGroupAVX512(words, grams []uint64, mask uint64, from int, surv []int32, sq uint64, gq *gramSet, slack, bound int) (n, passed int)
 //
-// Walks the set bits of mask from the lowest up, as occGroupPOPCNT does —
-// block j is words[16j:16j+16], clamped to [from, len(words)), and its 4-gram
-// sets are grams[64j:64j+64], word i of lane l at 16i+l — and per block: the
-// lane mask (all sixteen, or an edge block's clamp, picked by CMOV) in K2 and
-// K3, two zero-masking loads of eight count words each, both surpluses,
-// their larger one compared (signed) with slack under the lane mask into K4
-// and K5, and the popcount of those sixteen bits added to passed. A block
-// with a lane left tests all sixteen sets: per word of the four, two loads,
-// both one-sided differences against gq's word and their popcounts, summed
-// per side; the larger side is compared with bound under K4 and K5, and the
-// lanes left are stored in order by a BSF walk. Nothing outside the clamps
-// of words is read; every block's four runs of grams are.
+// Walks the set bits of mask as occGroupPOPCNT's AVX-512 body does — block j
+// is words[16j:16j+16], clamped to [from, len(words)), and its 4-gram sets
+// are grams[64j:64j+64], word i of lane l at 16i+l — and per block: two
+// zero-masking loads of eight count words each under the block's lanes,
+// both surpluses, their larger one compared (signed) with slack under the
+// lanes into K4 and K5, and the popcount of those sixteen bits added to
+// passed. A block with a lane left tests all sixteen sets: per word of the
+// four, two loads, both one-sided differences against gq's word and their
+// popcounts, summed per side; the larger side is compared with bound under
+// K4 and K5. Nothing outside the clamps of words is read; every block's four
+// runs of grams are.
 TEXT ·cntGroupAVX512(SB), NOSPLIT, $0-136
 	MOVQ words_base+0(FP), SI
 	MOVQ words_len+8(FP), R13
 	MOVQ grams_base+24(FP), R12
 	MOVQ mask+48(FP), BX
+	MOVQ from+56(FP), CX
 	MOVQ surv_base+64(FP), DI
-	XORL CX, CX             // passed
+	XORL R14, R14           // passed
 	TESTQ BX, BX
-	JZ    cntgroupdone
+	JZ    groupdone
 	MOVQ sq+88(FP), DX
 	COUNTCONSTS
 	VPBROADCASTQ slack+104(FP), Z1
@@ -410,39 +397,11 @@ TEXT ·cntGroupAVX512(SB), NOSPLIT, $0-136
 	VPBROADCASTQ 8(R8), Z7
 	VPBROADCASTQ 16(R8), Z8
 	VPBROADCASTQ 24(R8), Z9
-	MOVQ from+56(FP), CX
-	MOVL $0xffff, R9
-	SHLL CX, R9             // the first block's lanes: from from on
-	LEAQ -1(R13), R8
-	SHRQ $4, R8             // the last block
-	MOVQ R8, CX
-	SHLQ $4, CX
-	NEGQ CX
-	ADDQ R13, CX            // its lanes, 1 to 16
-	MOVL $1, DX
-	SHLL CX, DX
-	DECL DX                 // the last block's lanes: below that
-	XORL CX, CX             // passed
-	TESTQ R8, R8
-	JNZ   cntgroupvec
-	ANDL  R9, DX            // one block: both clamps on it
-	MOVL  DX, R9
-	JMP   cntgroupvec
+	GROUPCLAMP
 	PCALIGN $64
 
-cntgroupvec:
-	BSFQ BX, AX             // block j
-	LEAQ -1(BX), R10
-	ANDQ R10, BX            // block j done
-	MOVL $0xffff, R10
-	TESTQ AX, AX
-	CMOVQEQ R9, R10
-	CMPQ AX, R8
-	CMOVQEQ DX, R10         // the block's lanes
-	KMOVW R10, K2
-	KSHIFTRW $8, K2, K3
-	MOVQ AX, R11
-	SHLQ $7, R11            // the block's first word, in bytes
+blockvec:
+	GROUPBLOCK
 	VMOVDQU64.Z 0(SI)(R11*1), K2, Z10  // x, lanes 0-7
 	VMOVDQU64.Z 64(SI)(R11*1), K3, Z11 // lanes 8-15
 	VPSUBQ  Z10, Z2, Z12    // sq over x
@@ -463,9 +422,9 @@ cntgroupvec:
 	KMOVW   K5, R11
 	SHLL    $8, R11
 	ORL     R11, R10
-	JZ      cntgroupnext
+	JZ      blocknext
 	POPCNTL R10, R11
-	ADDQ    R11, CX
+	ADDQ    R11, R14
 	MOVQ    AX, R11
 	SHLQ    $9, R11         // the block's 4-gram words, in bytes
 	VPXORQ  Z22, Z22, Z22
@@ -484,26 +443,12 @@ cntgroupvec:
 	KMOVW   K7, R11
 	SHLL    $8, R11
 	ORL     R11, R10
-	JZ      cntgroupnext
-	SHLL    $4, AX          // the block's first index
+	JNZ     blocklanes
+	GROUPNEXT
 
-cntgrouplane:
-	BSFL R10, R11
-	ADDL AX, R11
-	MOVL R11, 0(DI)
-	ADDQ $4, DI
-	LEAL -1(R10), R11
-	ANDL R11, R10           // the lowest lane done
-	JNZ  cntgrouplane
-
-cntgroupnext:
-	TESTQ BX, BX
-	JNZ   cntgroupvec
-	VZEROUPPER
-
-cntgroupdone:
+groupdone:
 	SUBQ surv_base+64(FP), DI
 	SHRQ $2, DI
 	MOVQ DI, n+120(FP)
-	MOVQ CX, passed+128(FP)
+	MOVQ R14, passed+128(FP)
 	RET

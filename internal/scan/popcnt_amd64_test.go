@@ -56,16 +56,19 @@ func nearWord(r *rand.Rand, sq uint64, sparse bool) uint64 {
 	return sq
 }
 
-// sumsOf fills sums with nb OR/AND pairs of words near sq, each AND inside
-// its OR but one in four not, which the kernels must not rely on either.
-func sumsOf(r *rand.Rand, sums []uint64, sq uint64, sparse bool) {
-	for j := 0; j < len(sums)/2; j++ {
-		hi := nearWord(r, sq, sparse)
-		sums[2*j], sums[2*j+1] = hi, hi&nearWord(r, sq, sparse)
+// sumsOf draws the ORs and ANDs of nb blocks, words near sq, each AND
+// inside its OR but one in four not, which the kernels must not rely on
+// either.
+func sumsOf(r *rand.Rand, nb int, sq uint64, sparse bool) (hi, lo []uint64) {
+	hi, lo = make([]uint64, nb), make([]uint64, nb)
+	for j := range hi {
+		hi[j] = nearWord(r, sq, sparse)
+		lo[j] = hi[j] & nearWord(r, sq, sparse)
 		if r.Intn(4) == 0 {
-			sums[2*j+1] = nearWord(r, sq, sparse)
+			lo[j] = nearWord(r, sq, sparse)
 		}
 	}
+	return hi, lo
 }
 
 // checkGroup holds occGroupPOPCNT to occGroup on one group, with room for
@@ -98,15 +101,16 @@ func groupMasks(r *rand.Rand, nb int) []uint64 {
 
 // TestOccurrenceKernelsAgree: the POPCNT kernels, scalar and with their
 // AVX-512 bodies, return exactly what the Go loops they stand in for return
-// — blockMask's occurrence case (occMask) over 1 to 64 blocks, so that every
-// remainder mod 8 follows the head's groups and bit 63 is set and read, and
-// maskedWords' (occGroup) over groups of 1 to ctxStride words, so that every
-// length mod 16 clamps the last block, under the masks of groupMasks and
-// with the window starting at every lane of the first block, on dense and
-// on sparse words — at slacks from 0 (equality) to unbounded; and on groups
-// whose survivors are placed, one and two at every lane of the first, a
-// middle and the last block, so that a body which loses a lane, reads one
-// past a clamp or walks them out of order fails on every seed.
+// — blockMask's occurrence case (occMask) over 1 to 64 blocks, so that the
+// last group of eight is cut at every lane and bit 63 is set and read, from
+// block 0 and from a block past it (a plane read off by a block shows only
+// there), and maskedWords' (occGroup) over groups of 1 to ctxStride words,
+// so that every length mod 16 clamps the last block, under the masks of
+// groupMasks and with the window starting at every lane of the first block,
+// on dense and on sparse words — at slacks from 0 (equality) to unbounded;
+// and on groups whose survivors are placed, one and two at every lane of the
+// first, a middle and the last block, so that a body which loses a lane,
+// reads one past a clamp or walks them out of order fails on every seed.
 func TestOccurrenceKernelsAgree(t *testing.T) {
 	eachHead(t, func(t *testing.T) {
 		r := rand.New(rand.NewSource(51))
@@ -116,10 +120,9 @@ func TestOccurrenceKernelsAgree(t *testing.T) {
 			for _, slack := range slacks {
 				for _, sparse := range []bool{false, true} {
 					for nb := 1; nb <= groupBlocks; nb++ {
-						sums := make([]uint64, 2*nb)
-						sumsOf(r, sums, sq, sparse)
-						if got, want := occMaskPOPCNT(sums, sq, slack), occMask(sums, sq, slack); got != want {
-							t.Fatalf("sq %#x slack %d, %d blocks: kernel mask %#x, Go loop %#x", sq, slack, nb, got, want)
+						hi, lo := sumsOf(r, nb, sq, sparse)
+						for _, g := range []int{0, 1 + r.Intn(2*groupBlocks)} {
+							checkBlockMask(t, r, false, g, g+nb+r.Intn(3), hi, lo, sq, slack)
 						}
 					}
 					for i := range words {
@@ -177,8 +180,9 @@ func TestOccurrenceKernelsAgree(t *testing.T) {
 // FuzzOccurrenceKernels: for any query word, slack, seed, group length,
 // mask, window start and summary count, both kernels, scalar and with their
 // AVX-512 bodies, equal the Go loops. Groups are 1 to ctxStride words and
-// masks keep only their blocks; summaries are 1 to 64 blocks; the slack is
-// 0 to 255 (from 64 on everything passes).
+// masks keep only their blocks; summaries are 1 to 64 blocks, read through
+// blockMask from block from on; the slack is 0 to 255 (from 64 on
+// everything passes).
 func FuzzOccurrenceKernels(f *testing.F) {
 	f.Add(uint64(0x00ff00ff00ff00ff), uint8(3), int64(1), uint16(1024), ^uint64(0), uint8(0), uint8(64), false)
 	f.Add(uint64(0), uint8(1), int64(2), uint16(15), uint64(1), uint8(9), uint8(9), true)
@@ -197,14 +201,11 @@ func FuzzOccurrenceKernels(f *testing.F) {
 			}
 		}
 		mask &= ^uint64(0) >> (64 - (n+blockSlots-1)/blockSlots)
-		sums := make([]uint64, 2*nb)
-		sumsOf(r, sums, sq, sparse)
+		hi, lo := sumsOf(r, nb, sq, sparse)
 		defer func(v bool) { vpopcntKernels = v }(vpopcntKernels)
 		for _, head := range []bool{false, vpopcnt} {
 			vpopcntKernels = head
-			if got, want := occMaskPOPCNT(sums, sq, int(slack)), occMask(sums, sq, int(slack)); got != want {
-				t.Fatalf("head %v, sq %#x slack %d, %d blocks: kernel mask %#x, Go loop %#x", head, sq, slack, nb, got, want)
-			}
+			checkBlockMask(t, r, false, int(from), int(from)+nb+int(blocks)%3, hi, lo, sq, int(slack))
 			checkGroup(t, group, mask, int(from)%min(blockSlots, n), sq, int(slack))
 		}
 	})
@@ -339,46 +340,60 @@ func checkCount(t *testing.T, words, grams []uint64, sets []gramSet, mask uint64
 	}
 }
 
-// checkCountMask holds blockMask on count words — the AVX-512 head over the
-// whole groups of eight pairs and cntMask on the rest, or cntMask alone — to
-// cntMask over all the pairs.
-func checkCountMask(t *testing.T, sums []uint64, sq uint64, slack int) {
+// checkBlockMask holds blockMask over blocks g to g+len(hi) of summaries
+// laid out as Words lays them out, two planes of nb >= g+len(hi) blocks with
+// hi and lo in them at block g, to the Go loop of the kind over hi and lo
+// themselves: on count words cntMaskAVX512 or cntMask, on occurrence words
+// occMaskPOPCNT (scalar or AVX-512) or occMask. The blocks around them are
+// noise.
+func checkBlockMask(t *testing.T, r *rand.Rand, counts bool, g, nb int, hi, lo []uint64, sq uint64, slack int) {
 	t.Helper()
-	w := &Words{sums: sums, counts: true}
-	if got, want := w.blockMask(0, len(sums)/2, sq, slack), cntMask(sums, sq, slack); got != want {
-		t.Fatalf("sq %#x slack %d, %d blocks: mask %#x, Go loop %#x", sq, slack, len(sums)/2, got, want)
+	w := &Words{sums: make([]uint64, 2*nb), counts: counts}
+	for i := range w.sums {
+		w.sums[i] = r.Uint64()
+	}
+	copy(w.sums[g:], hi)
+	copy(w.sums[nb+g:], lo)
+	want := occMask(hi, lo, sq, slack)
+	if counts {
+		want = cntMask(hi, lo, sq, slack)
+	}
+	if got := w.blockMask(int32(g), len(hi), sq, slack); got != want {
+		t.Fatalf("counts %v, sq %#x slack %d, blocks %d to %d of %d: mask %#x, Go loop %#x", counts, sq, slack, g, g+len(hi), nb, got, want)
 	}
 }
 
-// countSumsOf fills sums with nb maximum/minimum pairs of count words near
-// sq, each minimum under its maximum but one in four not.
-func countSumsOf(r *rand.Rand, sums []uint64, sq uint64, d int) {
-	for j := 0; j < len(sums)/2; j++ {
+// countSumsOf draws the maxima and minima of nb blocks, count words near sq,
+// each minimum under its maximum but one in four not.
+func countSumsOf(r *rand.Rand, nb int, sq uint64, d int) (hi, lo []uint64) {
+	hi, lo = make([]uint64, nb), make([]uint64, nb)
+	for j := range hi {
 		a, b := nearCount(r, sq, d), nearCount(r, sq, d)
-		hi, lo := a, a
+		hi[j], lo[j] = a, a
 		for f := 0; f < dnaFields; f++ {
-			hi = setField(hi, f, max(countField(a, f), countField(b, f)))
-			lo = setField(lo, f, min(countField(a, f), countField(b, f)))
+			hi[j] = setField(hi[j], f, max(countField(a, f), countField(b, f)))
+			lo[j] = setField(lo[j], f, min(countField(a, f), countField(b, f)))
 		}
 		if r.Intn(4) == 0 {
-			hi, lo = lo, hi
+			hi[j], lo[j] = lo[j], hi[j]
 		}
-		sums[2*j], sums[2*j+1] = hi, lo
 	}
+	return hi, lo
 }
 
 // TestCountKernelsAgree: the count-word kernels, with the AVX-512 bodies on
 // and off, return exactly what their Go loops return — blockMask's count
-// case over 1 to 64 blocks, so that every remainder mod 8 follows the
-// head's groups and bit 63 is set and read, and maskedWords' over groups of
-// 1 to ctxStride words, so that every length mod 16 clamps the last block,
-// under the masks of groupMasks and with the window starting at every lane
-// of the first block — at slacks from 0 to unbounded (from 64 on the 4-gram
-// bound rejects nothing), against a query word that is empty, saturated or
-// a read's, with words that are saturated or one-sided and sets exactly at
-// the bound and one past it; and on groups whose survivors are placed, one
-// and two at every lane of the first, a middle and the last block, rejected
-// around them by the count word or by the 4-gram set.
+// case over 1 to 64 blocks, so that the last group of eight is cut at every
+// lane and bit 63 is set and read, from block 0 and from a block past it,
+// and maskedWords' over groups of 1 to ctxStride words, so that every length
+// mod 16 clamps the last block, under the masks of groupMasks and with the
+// window starting at every lane of the first block — at slacks from 0 to
+// unbounded (from 64 on the 4-gram bound rejects nothing), against a query
+// word that is empty, saturated or a read's, with words that are saturated
+// or one-sided and sets exactly at the bound and one past it; and on groups
+// whose survivors are placed, one and two at every lane of the first, a
+// middle and the last block, rejected around them by the count word or by
+// the 4-gram set.
 func TestCountKernelsAgree(t *testing.T) {
 	eachHead(t, func(t *testing.T) {
 		r := rand.New(rand.NewSource(52))
@@ -388,9 +403,10 @@ func TestCountKernelsAgree(t *testing.T) {
 			gq := gqs[si]
 			for _, slack := range []int{0, 1, 2, 4, 8, 12, 63, 64, 100, math.MaxInt} {
 				for nb := 1; nb <= groupBlocks; nb++ {
-					sums := make([]uint64, 2*nb)
-					countSumsOf(r, sums, sq, min(slack, fieldMax)+1)
-					checkCountMask(t, sums, sq, slack)
+					hi, lo := countSumsOf(r, nb, sq, min(slack, fieldMax)+1)
+					for _, g := range []int{0, 1 + r.Intn(2*groupBlocks)} {
+						checkBlockMask(t, r, true, g, g+nb+r.Intn(3), hi, lo, sq, slack)
+					}
 				}
 				words, grams, sets := countGroupOf(r, ctxStride, sq, gq, slack)
 				for size := 1; size <= ctxStride; size += 1 + size/64 {
@@ -453,8 +469,9 @@ func TestCountKernelsAgree(t *testing.T) {
 // FuzzCountKernels: for any seed, slack, group length, mask, window start
 // and summary count, both count-word kernels, with the AVX-512 bodies on
 // and off, equal the Go loops and the definition. Groups are 1 to ctxStride
-// words and masks keep only their blocks; summaries are 1 to 64 blocks; the
-// slack is 0 to 255 (from 64 on the 4-gram set passes everything).
+// words and masks keep only their blocks; summaries are 1 to 64 blocks, read
+// through blockMask from block from on; the slack is 0 to 255 (from 64 on
+// the 4-gram set passes everything).
 func FuzzCountKernels(f *testing.F) {
 	f.Add(int64(1), uint8(8), uint16(1024), ^uint64(0), uint8(0), uint8(64))
 	f.Add(int64(2), uint8(0), uint16(15), uint64(1), uint8(9), uint8(9))
@@ -470,12 +487,11 @@ func FuzzCountKernels(f *testing.F) {
 		n, nb := 1+int(size)%ctxStride, 1+int(blocks)%groupBlocks
 		words, grams, sets := countGroupOf(r, n, sq, gq, int(slack))
 		mask &= ^uint64(0) >> (64 - (n+blockSlots-1)/blockSlots)
-		sums := make([]uint64, 2*nb)
-		countSumsOf(r, sums, sq, int(slack)+1)
+		hi, lo := countSumsOf(r, nb, sq, int(slack)+1)
 		defer func(v bool) { vpopcntKernels = v }(vpopcntKernels)
 		for _, head := range []bool{false, vpopcnt} {
 			vpopcntKernels = head
-			checkCountMask(t, sums, sq, int(slack))
+			checkBlockMask(t, r, true, int(from), int(from)+nb+int(blocks)%3, hi, lo, sq, int(slack))
 			checkCount(t, words, grams, sets, mask, int(from)%min(blockSlots, n), sq, gq, int(slack))
 		}
 	})
@@ -547,17 +563,17 @@ func BenchmarkOccurrenceKernels(b *testing.B) {
 		name  string
 		head  bool
 		group func([]uint64, uint64, int) int
-		mask  func([]uint64) uint64
+		mask  func(hi, lo []uint64) uint64
 	}{
 		{"go", false,
 			func(w []uint64, m uint64, from int) int { return occGroup(w, m, from, surv[:], sq, 3) },
-			func(sums []uint64) uint64 { return occMask(sums, sq, 3) }},
+			func(hi, lo []uint64) uint64 { return occMask(hi, lo, sq, 3) }},
 		{"scalar", false,
 			func(w []uint64, m uint64, from int) int { return occGroupPOPCNT(w, m, from, surv[:], sq, 3) },
-			func(sums []uint64) uint64 { return occMaskPOPCNT(sums, sq, 3) }},
+			func(hi, lo []uint64) uint64 { return occMaskPOPCNT(hi, lo, sq, 3) }},
 		{"avx512", true,
 			func(w []uint64, m uint64, from int) int { return occGroupPOPCNT(w, m, from, surv[:], sq, 3) },
-			func(sums []uint64) uint64 { return occMaskPOPCNT(sums, sq, 3) }},
+			func(hi, lo []uint64) uint64 { return occMaskPOPCNT(hi, lo, sq, 3) }},
 	}
 	kept := func(n int) (m uint64) {
 		for _, j := range r.Perm(groupBlocks)[:n] {
@@ -599,7 +615,7 @@ func BenchmarkOccurrenceKernels(b *testing.B) {
 			}
 			vpopcntKernels = k.head
 			for i := 0; i < b.N; i++ {
-				occSink += int(k.mask(words[:2*groupBlocks]))
+				occSink += int(k.mask(words[:groupBlocks], words[groupBlocks:2*groupBlocks]))
 			}
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*groupBlocks), "ns/block")
 		})
@@ -610,18 +626,18 @@ func BenchmarkOccurrenceKernels(b *testing.B) {
 	counts := []struct {
 		name  string
 		group func([]uint64, []uint64, int) (int, int)
-		mask  func([]uint64) uint64
+		mask  func(hi, lo []uint64) uint64
 	}{
 		{"go",
 			func(w, g []uint64, slack int) (int, int) {
 				return cntGroup(w, g, ^uint64(0), 0, surv[:], cq, &gq, slack, 4*slack)
 			},
-			func(sums []uint64) uint64 { return cntMask(sums, cq, 4) }},
+			func(hi, lo []uint64) uint64 { return cntMask(hi, lo, cq, 4) }},
 		{"avx512",
 			func(w, g []uint64, slack int) (int, int) {
 				return cntGroupAVX512(w, g, ^uint64(0), 0, surv[:], cq, &gq, slack, 4*slack)
 			},
-			func(sums []uint64) uint64 { return cntMaskAVX512(sums, cq, 4) }},
+			func(hi, lo []uint64) uint64 { return cntMaskAVX512(hi, lo, cq, 4) }},
 	}
 	for _, c := range []struct {
 		name  string
@@ -656,15 +672,14 @@ func BenchmarkOccurrenceKernels(b *testing.B) {
 			})
 		}
 	}
-	sums := make([]uint64, 2*groupBlocks)
-	countSumsOf(r, sums, cq, 5)
+	hi, lo := countSumsOf(r, groupBlocks, cq, 5)
 	for _, k := range counts {
 		b.Run("count/mask64/"+k.name, func(b *testing.B) {
 			if k.name == "avx512" && !vpopcnt {
 				b.Skip("no AVX-512 heads on this CPU")
 			}
 			for i := 0; i < b.N; i++ {
-				occSink += int(k.mask(sums))
+				occSink += int(k.mask(hi, lo))
 			}
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*groupBlocks), "ns/block")
 		})

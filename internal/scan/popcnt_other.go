@@ -6,16 +6,16 @@ package scan
 // loops, and these four are never called.
 const popcntKernels, vpopcntKernels = false, false
 
-func occMaskPOPCNT(sums []uint64, sq uint64, slack int) uint64 {
-	return occMask(sums, sq, slack)
+func occMaskPOPCNT(hi, lo []uint64, sq uint64, slack int) uint64 {
+	return occMask(hi, lo, sq, slack)
 }
 
 func occGroupPOPCNT(words []uint64, mask uint64, from int, surv []int32, sq uint64, slack int) int {
 	return occGroup(words, mask, from, surv, sq, slack)
 }
 
-func cntMaskAVX512(sums []uint64, sq uint64, slack int) uint64 {
-	return cntMask(sums, sq, slack)
+func cntMaskAVX512(hi, lo []uint64, sq uint64, slack int) uint64 {
+	return cntMask(hi, lo, sq, slack)
 }
 
 func cntGroupAVX512(words, grams []uint64, mask uint64, from int, surv []int32, sq uint64, gq *gramSet, slack, bound int) (n, passed int) {

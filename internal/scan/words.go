@@ -210,7 +210,10 @@ type Probe struct {
 func NewProbe(q string, k int) Probe {
 	pr := Probe{text: q, k: k, sig: signature(q), cnt: countWord(q), grams: gramSetOf(q)}
 	if k > 0 {
-		pr.p, pr.scratch = edit.CompileMyers(q), new(edit.MyersScratch)
+		pr.p = edit.CompileMyers(q)
+	}
+	if k > edit.MaxBandK { // only the blocked kernel reads a scratch
+		pr.scratch = new(edit.MyersScratch)
 	}
 	return pr
 }
@@ -255,15 +258,19 @@ func (pr *Probe) Within(s string) (int, bool) {
 // correct, because a summary is computed from exactly the slots of its
 // block; the key decides only how many blocks a query enters.
 //
+// The summaries are stored as two planes, every block's OR or maximum and
+// then every block's AND or minimum, so that one side of eight neighbouring
+// blocks is one AVX-512 vector. The 4-gram sets are laid out a block at a
+// time, word by word (gramAt), so that a block's word j is one run of
+// sixteen, two vectors.
+//
 // Order, words and summaries are derived data: whoever persists the strings
 // rebuilds them with NewWords.
-// The 4-gram sets are laid out a block at a time, word by word (gramAt), so
-// that a block's word j is one run of sixteen, two vectors for AVX-512.
 type Words struct {
 	ar     *Arena
 	sigs   []uint64 // sigs[s] = word of slot s
 	grams  []uint64 // the 4-gram sets, one block of four runs after another (gramAt); nil unless counts
-	sums   []uint64 // sums[2b], sums[2b+1] = the two summary words of block b
+	sums   []uint64 // two planes: sums[b] = block b's OR (maximum), sums[nb+b] its AND (minimum), over nb blocks
 	counts bool     // the words are symbol counts (all-DNA arena), not occurrence bits
 }
 
@@ -402,8 +409,8 @@ func NewWords(data []string) *Words {
 		}
 	}
 	w.sums = make([]uint64, 2*nb)
-	for b := 0; 2*b < len(w.sums); b++ {
-		w.sums[2*b], w.sums[2*b+1] = w.summarize(b)
+	for b := 0; b < nb; b++ {
+		w.sums[b], w.sums[nb+b] = w.summarize(b)
 	}
 	return w
 }
@@ -470,13 +477,14 @@ func (w *Words) Verify() error {
 			return fmt.Errorf("scan: the bucket of length %d is not in (key of the word, ID) order", l)
 		}
 	}
-	if want := 2 * ((len(order) + blockSlots - 1) / blockSlots); len(w.sums) != want {
-		return fmt.Errorf("scan: %d summary words over %d slots, want %d", len(w.sums), len(order), want)
+	nb := (len(order) + blockSlots - 1) / blockSlots
+	if len(w.sums) != 2*nb {
+		return fmt.Errorf("scan: %d summary words over %d slots, want %d", len(w.sums), len(order), 2*nb)
 	}
-	for b := 0; 2*b < len(w.sums); b++ {
+	for b := 0; b < nb; b++ {
 		hi, lo := w.summarize(b)
-		if w.sums[2*b] != hi || w.sums[2*b+1] != lo {
-			return fmt.Errorf("scan: block %d has summary %#x, %#x, its slots give %#x, %#x", b, w.sums[2*b], w.sums[2*b+1], hi, lo)
+		if w.sums[b] != hi || w.sums[nb+b] != lo {
+			return fmt.Errorf("scan: block %d has summary %#x, %#x, its slots give %#x, %#x", b, w.sums[b], w.sums[nb+b], hi, lo)
 		}
 	}
 	return nil
@@ -489,9 +497,9 @@ func (w *Words) Arena() *Arena { return w.ar }
 // bits.
 func (w *Words) Counts() bool { return w.counts }
 
-// blockMask tests the query's word sq against the summaries of the n blocks
-// from block g on and returns a mask with bit j set when block g+j may hold
-// a slot within slack of it. The test is the slot test held against the
+// blockMask tests the query's word sq against the summaries of the n <= 64
+// blocks from block g on and returns a mask with bit j set when block g+j may
+// hold a slot within slack of it. The test is the slot test held against the
 // block's extremes, and sound for the same reason: every occurrence word x
 // of the block has U ⊇ x ⊇ N for its OR U and AND N, so sq &^ x ⊇ sq &^ U
 // and x &^ sq ⊇ N &^ sq — if either side of the summary is past slack, that
@@ -500,50 +508,44 @@ func (w *Words) Counts() bool { return w.counts }
 // maximum's and its surplus over sq at least the minimum's. A summary also
 // covers the block's slots outside the query's length window, which can
 // only keep a block, never drop one. The loops are branch-free: sixty-four
-// tests fold into one word, and the sweep branches once on that. The
-// occurrence-word loop runs in assembly where the CPU has POPCNT
-// (popcnt_amd64.s), and in occMask everywhere else; cntMask takes the
-// count-word pairs, or what an AVX-512 head over groups of eight leaves.
+// tests fold into one word, and the sweep branches once on that. Each kind
+// of word takes one kernel call (popcnt_amd64.s) where the CPU has the
+// kernel — POPCNT for occurrence words, AVX-512 for count words — and its
+// Go loop everywhere else.
 func (w *Words) blockMask(g int32, n int, sq uint64, slack int) uint64 {
-	sums := w.sums[2*g : 2*(int(g)+n)]
-	if w.counts {
-		var mask uint64
-		j := 0
-		if vpopcntKernels {
-			j = n &^ 7
-			mask = cntMaskAVX512(sums[:2*j], sq, slack)
-		}
-		return mask | cntMask(sums[2*j:], sq, slack)<<j
+	if n > groupBlocks { // a mask holds 64 blocks; the kernels check nothing and would drop the rest
+		panic(fmt.Sprintf("scan: blockMask over %d blocks", n))
 	}
-	if popcntKernels {
-		if n > groupBlocks { // a mask holds 64 blocks; the kernel checks nothing and would drop the rest
-			panic(fmt.Sprintf("scan: blockMask over %d blocks", n))
-		}
-		return occMaskPOPCNT(sums, sq, slack)
+	nb := len(w.sums) / 2
+	hi, lo := w.sums[g:int(g)+n], w.sums[nb+int(g):nb+int(g)+n]
+	switch {
+	case w.counts && vpopcntKernels:
+		return cntMaskAVX512(hi, lo, sq, slack)
+	case w.counts:
+		return cntMask(hi, lo, sq, slack)
+	case popcntKernels:
+		return occMaskPOPCNT(hi, lo, sq, slack)
 	}
-	return occMask(sums, sq, slack)
+	return occMask(hi, lo, sq, slack)
 }
 
-// occMask is blockMask over occurrence words: sums holds the OR and the AND
-// of each block in turn, and bit j of the mask is set when neither side of
-// pair j is past slack.
-func occMask(sums []uint64, sq uint64, slack int) uint64 {
+// occMask is blockMask over occurrence words: bit j of the mask is set when
+// neither sq &^ hi[j] nor lo[j] &^ sq has more than slack bits.
+func occMask(hi, lo []uint64, sq uint64, slack int) uint64 {
 	var mask uint64
-	for j := 0; j < len(sums)/2; j++ {
-		hi, lo := sums[2*j], sums[2*j+1]
-		mask |= uint64(keep(bits.OnesCount64(sq&^hi), bits.OnesCount64(lo&^sq), slack)) << j
+	for j := range hi {
+		mask |= uint64(keep(bits.OnesCount64(sq&^hi[j]), bits.OnesCount64(lo[j]&^sq), slack)) << j
 	}
 	return mask
 }
 
-// cntMask is blockMask over count words: sums holds the maximum and the
-// minimum of each block in turn, and bit j of the mask is set when neither
-// surplus of pair j is past slack.
-func cntMask(sums []uint64, sq uint64, slack int) uint64 {
+// cntMask is blockMask over count words: bit j of the mask is set when
+// neither the surplus of sq over hi[j] nor that of lo[j] over sq is past
+// slack.
+func cntMask(hi, lo []uint64, sq uint64, slack int) uint64 {
 	var mask uint64
-	for j := 0; j < len(sums)/2; j++ {
-		hi, lo := sums[2*j], sums[2*j+1]
-		mask |= uint64(keep(surplus(sq, hi), surplus(lo, sq), slack)) << j
+	for j := range hi {
+		mask |= uint64(keep(surplus(sq, hi[j]), surplus(lo[j], sq), slack)) << j
 	}
 	return mask
 }
