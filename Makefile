@@ -45,13 +45,15 @@ test: build
 # The portable path: off amd64 the occurrence-word and count-word loops run
 # in Go, not in internal/scan's kernels (POPCNT for occurrence words, scalar
 # with an AVX-512 VPOPCNTQ body where the CPU has one; AVX-512 only for
-# count words and their 4-gram sets). The sweep's packages are tested on 386 (which also
-# runs on an amd64 host and has a 32-bit uint), and the non-amd64 file set
-# of internal/scan is built and vetted for arm64. Not ./... on 386:
-# simlint's loader type-checks net, which needs cgo there.
+# count words and their 4-gram sets), and BoundedLanes runs the band kernel
+# lane by lane, not internal/edit's AVX-512 lane kernel. The sweep's
+# packages and the kernels' are tested on 386 (which also runs on an amd64
+# host and has a 32-bit uint), and the non-amd64 file sets of internal/scan,
+# internal/edit and internal/cpu are built and vetted for arm64. Not ./...
+# on 386: simlint's loader type-checks net, which needs cgo there.
 portable:
-	GOARCH=386 $(GO) test ./internal/scan ./internal/core ./internal/lsm .
-	GOARCH=arm64 $(GO) vet ./internal/scan
+	GOARCH=386 $(GO) test ./internal/edit ./internal/scan ./internal/core ./internal/lsm .
+	GOARCH=arm64 $(GO) vet ./internal/cpu ./internal/edit ./internal/scan
 
 race:
 	$(GO) test -race $(RACE_PKGS)
@@ -68,6 +70,7 @@ fuzz-smoke:
 	$(GO) test -run=NONE -fuzz='^FuzzDifferential$$' -fuzztime=$(FUZZ_SMOKE_TIME) ./internal/exec
 	$(GO) test -run=NONE -fuzz='^FuzzCachedIdentical$$' -fuzztime=$(FUZZ_SMOKE_TIME) ./internal/cache
 	$(GO) test -run=NONE -fuzz='^FuzzKernelsAgree$$' -fuzztime=$(FUZZ_SMOKE_TIME) ./internal/edit
+	$(GO) test -run=NONE -fuzz='^FuzzBandLanes$$' -fuzztime=$(FUZZ_SMOKE_TIME) ./internal/edit
 	$(GO) test -run=NONE -fuzz='^FuzzTrieAgrees$$' -fuzztime=$(FUZZ_SMOKE_TIME) ./internal/trie
 	$(GO) test -run=NONE -fuzz='^FuzzTrieShape$$' -fuzztime=$(FUZZ_SMOKE_TIME) ./internal/trie
 	$(GO) test -run=NONE -fuzz='^FuzzLiveIdentical$$' -fuzztime=$(FUZZ_SMOKE_TIME) ./internal/lsm
@@ -88,14 +91,16 @@ bench:
 # One iteration of every benchmark; part of CI so bench code cannot rot.
 # The bounded-kernel benchmark is run again with its output shown: ns/cmp at
 # k = 31 (band kernel) against k = 32 (blocked kernel) is the step between the
-# two compiled kernels, and the run fails if either loses the query itself.
-# Beside it, the cascade over 100,000 cities (k = 0..3) and 10,000 reads
-# (k = 0, 4, 8, 12): ns per slot of the length window, ns per word read (the
-# number the occurrence-word kernels move on cities), block summaries
-# tested, words read in the blocks they kept, slots past the first word and
-# kernel calls per query (the last two differ on reads: the 4-gram set sits
-# between); the occurrence-word kernels themselves, ns per kept block and
-# ns per word for the Go loop, the scalar POPCNT body and the AVX-512 body
+# two compiled kernels, the -lanes cells (names at k = 3, reads at k = 8 and
+# 16) the band kernel's candidates eight at a time through BoundedLanes
+# against one at a time, and the run fails if any cell loses the query
+# itself. Beside it, the cascade over 100,000 cities (k = 0..3) and 10,000
+# reads (k = 0, 4, 8, 12, 16): ns per slot of the length window, ns per word
+# read (the number the occurrence-word kernels move on cities), block
+# summaries tested, words read in the blocks they kept, slots past the first
+# word and candidates verified per query (the last two differ on reads:
+# the 4-gram set sits between); the occurrence-word kernels themselves, ns
+# per kept block and ns per word for the Go loop, the scalar POPCNT body and the AVX-512 body
 # over one 1,024-word group with a quarter, 57% (names at k = 3) and all of
 # its blocks kept and over a window clamped at both ends, and ns per block
 # over one 64-block mask; the count-word kernels, ns per kept block for the

@@ -140,16 +140,17 @@ func TestByteQueryAllocations(t *testing.T) {
 }
 
 // TestCascadeSearchAllocs pins what a query on reads allocates: its result
-// slice at k = 0, and at k = 2 and 8 also the compiled pattern's two
-// allocations. The kernel's scratch is not among them: only the blocked
-// kernel (k > edit.MaxBandK) reads one.
+// slice at k = 0, and at k = 2 and 8 also the compiled pattern, one
+// allocation with its table inline. The kernel's scratch is not among them:
+// only the blocked kernel (k > edit.MaxBandK) reads one; nor is the batch
+// queue, which lives in the sweep's frame.
 func TestCascadeSearchAllocs(t *testing.T) {
 	data := dataset.DNAReads(2000, 9)
 	e := NewCascade(data)
 	for _, c := range []struct {
 		k    int
 		want float64
-	}{{0, 1}, {2, 3}, {8, 3}} {
+	}{{0, 1}, {2, 2}, {8, 2}} {
 		if got := testing.AllocsPerRun(100, func() { e.Search(Query{Text: data[0], K: c.k}) }); got != c.want {
 			t.Errorf("Search(k=%d): %.0f allocations, want %.0f", c.k, got, c.want)
 		}

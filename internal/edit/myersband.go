@@ -10,9 +10,9 @@ import "math/bits"
 // one DP row down per text column: at column j (1-based) bit p of the window
 // is row j-k+p. The band occupies bits 0..2k, which is why k stops at 31.
 //
-//   - Match word. Row i of the pattern is bit 63+i of its class's row in
+//   - Match word. Row i of the pattern is bit 63+i of its class's words in
 //     MyersPattern.bits, so the window for column j starts at bit 63+j-k and is
-//     cut out of two adjacent words with a funnel shift. The zero padding
+//     cut out of two consecutive words with a funnel shift. The zero padding
 //     word on each side makes rows <= 0 and rows > m read as mismatches.
 //   - Virtual rows. For the first k columns the window hangs over the top of
 //     the matrix. Rows i <= 0 are given D[i][j] = j-i: vertical delta -1,
@@ -42,12 +42,12 @@ import "math/bits"
 const MaxBandK = 31
 
 // window cuts the match word of the 64 pattern rows from bit at on out of
-// the bits row that starts at word row: the funnel shift both band loops
-// read their match words with.
-func window(bits []uint64, row, at int) uint64 {
-	w := row + at>>6
+// the words of class c, which lie stride apart in bits: the funnel shift both
+// band loops read their match words with.
+func window(bits []uint64, c, stride, at int) uint64 {
+	w := at>>6*stride + c
 	sh := uint(at & 63)
-	return bits[w]>>sh | bits[w+1]<<1<<(63-sh)
+	return bits[w]>>sh | bits[w+stride]<<1<<(63-sh)
 }
 
 // boundedBand is the band kernel. Preconditions: 0 <= k <= MaxBandK,
@@ -63,9 +63,9 @@ func boundedBand[T ~string | ~[]byte](p *MyersPattern, b T, k int) (int, bool) {
 	if diag < 0 {
 		left = k + diag
 	}
-	base := 64 - k // bit of the window's row 0 in a bits row, for column 1
+	base := 64 - k // bit of the window's row 0 in a class's words, for column 1
 	for j := 0; j < n; j++ {
-		eq := window(bits, int(p.class[b[j]])*stride, base+j)
+		eq := window(bits, int(p.class[b[j]]), stride, base+j)
 		d0 := (((eq & pv) + pv) ^ pv) | (eq | mv)
 		ph := mv | ^(d0 | pv)
 		mh := pv & d0
@@ -132,9 +132,9 @@ func (p *MyersPattern) StepBand(s Band, label []byte, depth, k, minLen, maxLen i
 	}
 	words, stride := p.bits, p.stride
 	pv, mv, top := s.pv, s.mv, s.top
-	at := 64 - k + depth // bit of the window's top row in a bits row, for column depth+1
+	at := 64 - k + depth // bit of the window's top row in a class's words, for column depth+1
 	for _, c := range label {
-		eq := window(words, int(p.class[c])*stride, at)
+		eq := window(words, int(p.class[c]), stride, at)
 		at++
 		d0 := (((eq & pv) + pv) ^ pv) | (eq | mv)
 		ph := mv | ^(d0 | pv)

@@ -25,22 +25,35 @@ package edit
 // goroutines; only the blocked kernel (k > MaxBandK) needs a per-goroutine
 // MyersScratch.
 type MyersPattern struct {
-	text string
-	m    int
 	// class maps a text byte to its row of bits. Bytes that do not occur in
 	// the pattern share row 0, which stays all zero, so the table is sized by
-	// the pattern's alphabet and not by 256.
-	class [256]uint16
-	// bits holds one row of stride = words+2 words per class: bit 64+i of a
-	// row is set iff pattern[i] belongs to the class. The zero word on each
-	// side lets the band kernel cut a 64-bit window that hangs over either
-	// end of the pattern with no edge case; the blocked kernel reads words
-	// 1..words.
+	// the pattern's alphabet and not by 256. A pattern of all 256 byte
+	// values leaves no byte for row 0, and its last new byte takes it: so a
+	// row fits a byte, and the lane kernel holds the whole table in four
+	// vector registers.
+	class [256]uint8
+	text  string
+	m     int
+	// bits holds the table word-major: word w of every class, then word
+	// w+1, stride = the number of classes apart, words+2 of them; bit i of
+	// word 1+i>>6 of a class is set iff pattern[i] belongs to it. The zero
+	// word on each side lets the band kernel cut a 64-bit window that hangs
+	// over either end of the pattern with no edge case; the blocked kernel
+	// reads words 1..words. Word-major, the words the band window of one
+	// column reads are adjacent for every class, which the lane kernel loads
+	// whole. It is inline when it fits, so that compiling a name or a read
+	// is one allocation.
 	bits   []uint64
 	stride int
 	// last is the bit of the pattern's final symbol within its word.
-	last uint64
+	last   uint64
+	inline [inlineBits]uint64
 }
+
+// inlineBits is how many words of the table a pattern holds inline: every
+// row of a name of up to 64 bytes with up to 20 distinct ones, or of a read
+// (A, C, G, N, T) of up to 512 bases.
+const inlineBits = 64
 
 // MyersScratch holds the per-goroutine vertical-delta words the blocked
 // kernel needs. The zero value is ready to use; the band kernel never touches
@@ -53,17 +66,23 @@ type MyersScratch struct {
 // pattern is immutable and safe for concurrent use.
 func CompileMyers(pattern string) *MyersPattern {
 	p := &MyersPattern{text: pattern, m: len(pattern)}
-	p.stride = (p.m+63)/64 + 2
 	rows := 1
 	for i := 0; i < p.m; i++ {
-		if c := pattern[i]; p.class[c] == 0 {
-			p.class[c] = uint16(rows)
+		// Up to the 255th new byte, row 0 marks a byte not seen yet; the
+		// 256th is the last byte left on row 0 and stays there.
+		if c := pattern[i]; rows <= 256 && p.class[c] == 0 {
+			p.class[c] = uint8(rows)
 			rows++
 		}
 	}
-	p.bits = make([]uint64, rows*p.stride)
+	p.stride = min(rows, 256)
+	if n := p.stride * ((p.m+63)/64 + 2); n <= inlineBits {
+		p.bits = p.inline[:n]
+	} else {
+		p.bits = make([]uint64, n)
+	}
 	for i := 0; i < p.m; i++ {
-		p.bits[int(p.class[pattern[i]])*p.stride+1+i>>6] |= 1 << uint(i&63)
+		p.bits[(1+i>>6)*p.stride+int(p.class[pattern[i]])] |= 1 << uint(i&63)
 	}
 	if p.m > 0 {
 		p.last = 1 << uint((p.m-1)&63)
@@ -133,7 +152,7 @@ func boundedBlock[T ~string | ~[]byte](p *MyersPattern, b T, k int, s *MyersScra
 	if s == nil {
 		s = &MyersScratch{}
 	}
-	w := p.stride - 2
+	w := len(p.bits)/p.stride - 2
 	if cap(s.pv) < w {
 		s.pv = make([]uint64, w)
 		s.mv = make([]uint64, w)
@@ -147,9 +166,10 @@ func boundedBlock[T ~string | ~[]byte](p *MyersPattern, b T, k int, s *MyersScra
 	score := p.m
 	n := len(b)
 	for i := 0; i < n; i++ {
-		at := int(p.class[b[i]])*p.stride + 1
+		at := p.stride + int(p.class[b[i]]) // word 1 of the byte's class
 		hin := 1
-		for bl, eq := range p.bits[at : at+w] {
+		for bl := range pv {
+			eq := p.bits[at+bl*p.stride]
 			pvb, mvb := pv[bl], mv[bl]
 			xv := eq | mvb
 			if hin < 0 {

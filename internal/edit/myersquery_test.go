@@ -1,6 +1,7 @@
 package edit
 
 import (
+	"math/bits"
 	"math/rand"
 	"strings"
 	"testing"
@@ -130,9 +131,12 @@ func BenchmarkCompiledMyers(b *testing.B) {
 
 // BenchmarkBoundedKernels times both bounded kernels behind
 // BoundedDistanceBytes over candidates no more related to the query than
-// two reads of one genome are: 100-letter reads at k = 0, 8, 31 (band) and
-// k = 32 (blocked), and 10-letter names at k = 2. The threshold alone picks
-// the kernel.
+// two reads of one genome are: 100-letter reads at k = 0, 8, 16, 31 (band)
+// and k = 32 (blocked), and 10-letter names at k = 2 and 3. The threshold
+// alone picks the kernel. The -lanes cells hand the same candidates to
+// BoundedLanes eight at a time, packed in one buffer as an arena packs
+// them: the lane kernel where the CPU has AVX-512, the band kernel lane by
+// lane elsewhere. Every cell reports ns per candidate.
 func BenchmarkBoundedKernels(b *testing.B) {
 	r := rand.New(rand.NewSource(14))
 	random := func(n, length int, alphabet string) [][]byte {
@@ -152,23 +156,45 @@ func BenchmarkBoundedKernels(b *testing.B) {
 		name  string
 		cands [][]byte
 		k     int
+		lanes bool
 	}{
-		{"reads100/k0-band", reads, 0},
-		{"reads100/k8-band", reads, 8},
-		{"reads100/k31-band", reads, 31},
-		{"reads100/k32-blocked", reads, 32},
-		{"names10/k2-band", names, 2},
+		{"reads100/k0-band", reads, 0, false},
+		{"reads100/k8-band", reads, 8, false},
+		{"reads100/k8-lanes", reads, 8, true},
+		{"reads100/k16-band", reads, 16, false},
+		{"reads100/k16-lanes", reads, 16, true},
+		{"reads100/k31-band", reads, 31, false},
+		{"reads100/k32-blocked", reads, 32, false},
+		{"names10/k2-band", names, 2, false},
+		{"names10/k3-band", names, 3, false},
+		{"names10/k3-lanes", names, 3, true},
 	} {
 		b.Run(c.name, func(b *testing.B) {
 			p := CompileMyers(string(c.cands[0]))
 			var scratch MyersScratch
+			var buf []byte // the candidates packed, for the -lanes cells
+			for _, s := range c.cands {
+				buf = append(buf, s...)
+			}
+			buf = append(buf, make([]byte, LanePad)...)
+			var batch Lanes
 			matches := 0
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				for _, s := range c.cands {
-					if _, ok := p.BoundedDistanceBytes(s, c.k, &scratch); ok {
-						matches++
+				if !c.lanes {
+					for _, s := range c.cands {
+						if _, ok := p.BoundedDistanceBytes(s, c.k, &scratch); ok {
+							matches++
+						}
 					}
+					continue
+				}
+				for at := 0; at < len(c.cands); at += LaneCount {
+					n := min(LaneCount, len(c.cands)-at)
+					for j := 0; j < n; j++ {
+						batch.Off[j], batch.Len[j] = (at+j)*len(c.cands[0]), len(c.cands[0])
+					}
+					matches += bits.OnesCount8(p.BoundedLanes(buf, &batch, n, c.k, &scratch))
 				}
 			}
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(c.cands)), "ns/cmp")

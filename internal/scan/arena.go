@@ -13,6 +13,8 @@ import (
 	"fmt"
 	"math"
 	"slices"
+
+	"simsearch/internal/edit"
 )
 
 // Arena is the packed, length-bucketed dataset layout: immutable once built.
@@ -60,7 +62,7 @@ func newLayout(data []string) *Arena {
 		panic(fmt.Sprintf("scan: arena layout supports at most %d string bytes, got %d", math.MaxInt32, total))
 	}
 	a := &Arena{
-		buf:      make([]byte, total),
+		buf:      make([]byte, total, total+edit.LanePad),
 		ids:      make([]int32, len(data)),
 		lenStart: make([]int32, maxLen+2),
 		lenOff:   make([]int32, maxLen+1),
@@ -124,12 +126,23 @@ func (a *Arena) SlotRange(minLen, maxLen int) (int32, int32) {
 // s's own and returned with the bytes, so the buckets are walked once per
 // sweep instead of searched once per slot.
 func (a *Arena) slotBytesFrom(s int32, l int) ([]byte, int) {
+	off, l := a.slotFrom(s, l)
+	return a.buf[off : off+l], l
+}
+
+// slotFrom is slotBytesFrom's lookup: the offset in the buffer of slot s's
+// bytes and their length, s's bucket.
+func (a *Arena) slotFrom(s int32, l int) (off, length int) {
 	for s >= a.lenStart[l+1] {
 		l++
 	}
-	off := int(a.lenOff[l]) + int(s-a.lenStart[l])*l
-	return a.buf[off : off+l], l
+	return int(a.lenOff[l]) + int(s-a.lenStart[l])*l, l
 }
+
+// padded returns the buffer with the edit.LanePad bytes of capacity past its
+// end that newLayout leaves zero, which the lane kernel may read past the
+// last slot.
+func (a *Arena) padded() []byte { return a.buf[:len(a.buf)+edit.LanePad] }
 
 // Buckets returns the number of distinct, non-empty length buckets.
 func (a *Arena) Buckets() int {

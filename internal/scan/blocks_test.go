@@ -24,10 +24,7 @@ func checkBlocks(t *testing.T, w *Words, q string, ks ...int) {
 	dist := map[int32]int{}
 	for _, k := range ks {
 		pr := NewProbe(q, k)
-		sq := pr.sig
-		if w.counts {
-			sq = pr.cnt
-		}
+		sq := pr.word(w.counts)
 		lo, hi := w.ar.SlotRange(pr.Lengths())
 		var want []Match
 		for s := lo; s < hi; s++ {

@@ -1,23 +1,5 @@
 #include "textflag.h"
 
-// func cpuid(leaf, sub uint32) (eax, ebx, ecx, edx uint32)
-TEXT ·cpuid(SB), NOSPLIT, $0-24
-	MOVL leaf+0(FP), AX
-	MOVL sub+4(FP), CX
-	CPUID
-	MOVL AX, eax+8(FP)
-	MOVL BX, ebx+12(FP)
-	MOVL CX, ecx+16(FP)
-	MOVL DX, edx+20(FP)
-	RET
-
-// func xgetbv0() uint32
-TEXT ·xgetbv0(SB), NOSPLIT, $0-4
-	XORL CX, CX
-	XGETBV
-	MOVL AX, ret+0(FP)
-	RET
-
 // MASKGROUPS starts a mask kernel's AVX-512 walk over its n = CX > 0 blocks
 // in groups of eight, from the last group down: it leaves that group's byte
 // offset in BX and its lanes, 1 to 8, in K2. It uses CX and R10.

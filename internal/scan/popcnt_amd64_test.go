@@ -10,6 +10,7 @@ import (
 	"strings"
 	"testing"
 
+	"simsearch/internal/cpu"
 	"simsearch/internal/dataset"
 )
 
@@ -20,7 +21,7 @@ func eachHead(t *testing.T, f func(t *testing.T)) {
 	if !popcntKernels {
 		t.Skip("no POPCNT kernels on this CPU: the Go loops are the only path")
 	}
-	_, vpopcnt := cpuFeatures()
+	vpopcnt := cpu.X86.POPCNT && cpu.X86.VPOPCNTDQ
 	for _, head := range []bool{false, true} {
 		t.Run(map[bool]string{false: "scalar", true: "avx512"}[head], func(t *testing.T) {
 			if head && !vpopcnt {
@@ -187,7 +188,7 @@ func FuzzOccurrenceKernels(f *testing.F) {
 	f.Add(uint64(0x00ff00ff00ff00ff), uint8(3), int64(1), uint16(1024), ^uint64(0), uint8(0), uint8(64), false)
 	f.Add(uint64(0), uint8(1), int64(2), uint16(15), uint64(1), uint8(9), uint8(9), true)
 	f.Add(uint64(math.MaxUint64), uint8(0), int64(3), uint16(1023), uint64(0x8000000000000001), uint8(15), uint8(1), false)
-	_, vpopcnt := cpuFeatures()
+	vpopcnt := cpu.X86.POPCNT && cpu.X86.VPOPCNTDQ
 	f.Fuzz(func(t *testing.T, sq uint64, slack uint8, seed int64, size uint16, mask uint64, from, blocks uint8, sparse bool) {
 		if !popcntKernels {
 			t.Skip("no POPCNT kernels on this CPU")
@@ -476,7 +477,7 @@ func FuzzCountKernels(f *testing.F) {
 	f.Add(int64(1), uint8(8), uint16(1024), ^uint64(0), uint8(0), uint8(64))
 	f.Add(int64(2), uint8(0), uint16(15), uint64(1), uint8(9), uint8(9))
 	f.Add(int64(3), uint8(64), uint16(1023), uint64(0x8000000000000001), uint8(15), uint8(1))
-	_, vpopcnt := cpuFeatures()
+	vpopcnt := cpu.X86.POPCNT && cpu.X86.VPOPCNTDQ
 	f.Fuzz(func(t *testing.T, seed int64, slack uint8, size uint16, mask uint64, from, blocks uint8) {
 		r := rand.New(rand.NewSource(seed))
 		read := dataset.DNAReads(1, seed)[0]
@@ -519,15 +520,21 @@ func TestCPUFeatures(t *testing.T) {
 		t.Skip("/proc/cpuinfo has no flags line")
 	}
 	has := func(flag string) bool { return slices.Contains(flags, flag) }
-	popcnt, vpopcnt := cpuFeatures()
-	if popcnt != has("popcnt") {
-		t.Errorf("CPUID says POPCNT %v, /proc/cpuinfo %v", popcnt, has("popcnt"))
+	x := cpu.X86
+	if x.POPCNT != has("popcnt") {
+		t.Errorf("CPUID says POPCNT %v, /proc/cpuinfo %v", x.POPCNT, has("popcnt"))
 	}
-	if want := has("popcnt") && has("avx512f") && has("avx512_vpopcntdq"); vpopcnt != want {
-		t.Errorf("CPUID and XGETBV say the AVX-512 heads may run: %v; /proc/cpuinfo: %v", vpopcnt, want)
+	if x.AVX512F != has("avx512f") {
+		t.Errorf("CPUID and XGETBV say AVX512F may run: %v; /proc/cpuinfo: %v", x.AVX512F, has("avx512f"))
 	}
-	if popcnt != popcntKernels || vpopcnt != vpopcntKernels {
-		t.Errorf("the flags read at init (%v, %v) are not what CPUID says now (%v, %v)", popcntKernels, vpopcntKernels, popcnt, vpopcnt)
+	if want := has("avx512f") && has("avx512_vpopcntdq"); x.VPOPCNTDQ != want {
+		t.Errorf("CPUID and XGETBV say AVX512_VPOPCNTDQ may run: %v; /proc/cpuinfo: %v", x.VPOPCNTDQ, want)
+	}
+	if want := has("avx512f") && has("avx512bw") && has("avx512vbmi") && has("avx512_vbmi2"); x.AVX512VBMI != want {
+		t.Errorf("CPUID and XGETBV say AVX512BW, AVX512_VBMI and AVX512_VBMI2 may run: %v; /proc/cpuinfo: %v", x.AVX512VBMI, want)
+	}
+	if popcntKernels != x.POPCNT || vpopcntKernels != (x.POPCNT && x.VPOPCNTDQ) {
+		t.Errorf("the kernel flags (%v, %v) are not what the probe read (%+v)", popcntKernels, vpopcntKernels, x)
 	}
 }
 
@@ -557,7 +564,7 @@ func BenchmarkOccurrenceKernels(b *testing.B) {
 		words[i] = r.Uint64()
 	}
 	var surv [ctxStride]int32
-	_, vpopcnt := cpuFeatures()
+	vpopcnt := cpu.X86.POPCNT && cpu.X86.VPOPCNTDQ
 	defer func(v bool) { vpopcntKernels = v }(vpopcntKernels)
 	kernels := []struct {
 		name  string

@@ -184,21 +184,24 @@ func WordOf(s string) (word uint64, counts bool) {
 	return signature(s), false
 }
 
-// Probe is one query prepared for the words: its compiled pattern, its own
-// word of every kind and its 4-gram set, computed once however many Words
-// and loose words the query is held against. It serves one goroutine.
+// Probe is one query prepared for the words: its compiled pattern and its
+// own word of each kind — occurrence bits, symbol counts, 4-gram set —
+// computed on first use and kept however many Words and loose words the
+// query is held against: a query of a live store may meet both kinds, one
+// of a cascade meets one. It serves one goroutine.
 // Visited, Swept, Passed and Kept accumulate, over every Sweep, the slots of
 // the length windows, those of them in blocks whose summary let the sweep in
 // (the words actually read), those whose first word survived, and those the
-// sweep read the bytes of (= kernel calls, or byte compares at k = 0); Passed
-// and Kept differ only where a Words has its 4-gram sets. A string outside
-// an arena — an entry of the live store's delta — has the one word of
-// WordOf, which Rejects tests and none of the four counts.
+// sweep read the bytes of (= candidates verified, or byte compares at k =
+// 0); Passed and Kept differ only where a Words has its 4-gram sets. A
+// string outside an arena — an entry of the live store's delta — has the
+// one word of WordOf, which Rejects tests and none of the four counts.
 type Probe struct {
 	text    string
 	k       int
 	p       *edit.MyersPattern // nil at k = 0: distance 0 is byte equality, no kernel to enter
 	scratch *edit.MyersScratch
+	have    uint8   // which of the three below are computed: haveOcc, haveCount, haveGrams
 	sig     uint64  // the query's occurrence bits
 	cnt     uint64  // the query's symbol counts
 	grams   gramSet // the query's 4-grams
@@ -206,9 +209,16 @@ type Probe struct {
 	Visited, Swept, Passed, Kept uint64
 }
 
+// The bits of Probe.have.
+const (
+	haveOcc = 1 << iota
+	haveCount
+	haveGrams
+)
+
 // NewProbe compiles q for threshold k >= 0.
 func NewProbe(q string, k int) Probe {
-	pr := Probe{text: q, k: k, sig: signature(q), cnt: countWord(q), grams: gramSetOf(q)}
+	pr := Probe{text: q, k: k}
 	if k > 0 {
 		pr.p = edit.CompileMyers(q)
 	}
@@ -216,6 +226,29 @@ func NewProbe(q string, k int) Probe {
 		pr.scratch = new(edit.MyersScratch)
 	}
 	return pr
+}
+
+// word returns the query's word of the kind counts says, computing it on
+// first use.
+func (pr *Probe) word(counts bool) uint64 {
+	switch {
+	case counts && pr.have&haveCount == 0:
+		pr.cnt, pr.have = countWord(pr.text), pr.have|haveCount
+	case !counts && pr.have&haveOcc == 0:
+		pr.sig, pr.have = signature(pr.text), pr.have|haveOcc
+	}
+	if counts {
+		return pr.cnt
+	}
+	return pr.sig
+}
+
+// fourGrams returns the query's 4-gram set, computing it on first use.
+func (pr *Probe) fourGrams() *gramSet {
+	if pr.have&haveGrams == 0 {
+		pr.grams, pr.have = gramSetOf(pr.text), pr.have|haveGrams
+	}
+	return &pr.grams
 }
 
 // Lengths returns the length window [lo, hi] outside which no string is
@@ -228,9 +261,9 @@ func (pr *Probe) Lengths() (lo, hi int) {
 // farther than k from the query.
 func (pr *Probe) Rejects(word uint64, counts bool) bool {
 	if counts {
-		return countReject(pr.cnt, word, pr.k)
+		return countReject(pr.word(true), word, pr.k)
 	}
-	return sigReject(pr.sig, word, pr.k)
+	return sigReject(pr.word(false), word, pr.k)
 }
 
 // Within returns the query's distance to s when it is at most k.
@@ -660,11 +693,15 @@ func cntRun(words []uint64, lo, hi int, sq uint64, slack int, surv []int32, n in
 // group's block summaries (blockMask) and goes on to the next group if none
 // is kept; otherwise it reads the words of the kept blocks (maskedWords) —
 // and where there are 4-gram sets, the sets of the slots the word lets
-// through — collects the group's survivors and only then looks up their
-// bytes and hands them to the kernel (byte equality at k = 0). Survivors
-// come in slot order, so the length bucket is carried along instead of
-// searched for per survivor, from the window's shortest length on. The
-// probe's counters are flushed on every exit path.
+// through — and collects the group's survivors. At k = 0 it compares each
+// survivor's bytes with the query's; otherwise it queues them, as offsets
+// and lengths into the arena's buffer, and hands the kernel a batch of
+// edit.LaneCount at a time (verify) — the queue carries what is left of a
+// group into the next one, and what is left at the window's end goes as one
+// last, shorter batch. Survivors come in slot order and a batch reports in
+// lane order, so the matches stay in slot order; the length bucket is
+// carried along instead of searched for per survivor, from the window's
+// shortest length on. The probe's counters are flushed on every exit path.
 func (w *Words) Sweep(ctx context.Context, pr *Probe, dst []Match) ([]Match, error) {
 	k := pr.k
 	ar := w.ar
@@ -680,15 +717,17 @@ func (w *Words) Sweep(ctx context.Context, pr *Probe, dst []Match) ([]Match, err
 		pr.Passed += passed
 		pr.Kept += kept
 	}()
-	sq := pr.sig
+	sq := pr.word(w.counts)
+	var gq *gramSet
 	if w.counts {
-		sq = pr.cnt
+		gq = pr.fourGrams()
 	}
 	var exact []byte // the query's bytes at k = 0
 	if k == 0 {
 		exact = []byte(pr.text)
 	}
 	var surv [ctxStride]int32 // one group's survivors, as offsets from its first slot
+	var q batch               // the survivors waiting for the kernel
 	blocks := (hi + blockSlots - 1) / blockSlots
 	for g := lo / blockSlots; g < blocks; g += groupBlocks {
 		if err := ctx.Err(); err != nil {
@@ -700,24 +739,47 @@ func (w *Words) Sweep(ctx context.Context, pr *Probe, dst []Match) ([]Match, err
 		if mask == 0 {
 			continue
 		}
-		n, pass, read := w.maskedWords(base, lo, hi, mask, sq, k, &pr.grams, surv[:])
+		n, pass, read := w.maskedWords(base, lo, hi, mask, sq, k, gq, surv[:])
 		swept += uint64(read)
 		passed += uint64(pass)
 		kept += uint64(n)
 		for _, i := range surv[0:n] {
 			s := base + i
-			var xb []byte
-			xb, l = ar.slotBytesFrom(s, l)
+			var off int
+			off, l = ar.slotFrom(s, l)
 			if k == 0 {
-				if bytes.Equal(xb, exact) {
+				if bytes.Equal(ar.buf[off:off+l], exact) {
 					dst = append(dst, Match{ID: ar.ids[s]})
 				}
 				continue
 			}
-			if d, ok := pr.p.BoundedDistanceBytes(xb, k, pr.scratch); ok {
-				dst = append(dst, Match{ID: ar.ids[s], Dist: d})
+			q.lanes.Off[q.n], q.lanes.Len[q.n], q.slots[q.n] = off, l, s
+			if q.n++; q.n == edit.LaneCount {
+				dst = w.verify(pr, &q, dst)
 			}
 		}
 	}
+	if q.n > 0 {
+		dst = w.verify(pr, &q, dst)
+	}
 	return dst, nil
+}
+
+// batch is Sweep's queue of survivors for the kernel: lane i is slot
+// slots[i], its bytes named in lanes.
+type batch struct {
+	lanes edit.Lanes
+	slots [edit.LaneCount]int32
+	n     int
+}
+
+// verify hands the queued survivors to the kernel in one call, appends a
+// match for each within k, in lane order, and empties the queue.
+func (w *Words) verify(pr *Probe, q *batch, dst []Match) []Match {
+	for ok := pr.p.BoundedLanes(w.ar.padded(), &q.lanes, q.n, pr.k, pr.scratch); ok != 0; ok &= ok - 1 {
+		i := bits.TrailingZeros8(ok)
+		dst = append(dst, Match{ID: w.ar.ids[q.slots[i]], Dist: q.lanes.Dist[i]})
+	}
+	q.n = 0
+	return dst
 }

@@ -463,6 +463,71 @@ func TestSweepCarriesLengthBucket(t *testing.T) {
 	}
 }
 
+// TestProbeSharedAcrossKinds holds one probe against a Words of each kind —
+// names, whose words are occurrence bits, and reads, whose are symbol
+// counts with 4-gram sets — and against loose words of each kind, in both
+// orders, and checks that every answer and counter is what a fresh probe
+// gives: a probe computes each kind of query word on first use, and the
+// first kind it meets must not stand in for the other. A probe that meets
+// one kind computes nothing of the others.
+func TestProbeSharedAcrossKinds(t *testing.T) {
+	names, reads := dataset.Cities(3000, 3), dataset.DNAReads(600, 3)
+	ws := []*Words{NewWords(names), NewWords(reads)}
+	if ws[0].counts || !ws[1].counts {
+		t.Fatal("the names' words must be occurrence bits and the reads' counts")
+	}
+	loose := append(append([]string(nil), names[:200]...), reads[:100]...)
+	queries := append(dataset.Queries(names, 6, 2, 4), dataset.Queries(reads, 6, 8, 4)...)
+	type answer struct {
+		ms                           []Match
+		visited, swept, passed, kept uint64
+	}
+	sweep := func(w *Words, pr *Probe) answer {
+		before := *pr
+		ms, err := w.Sweep(context.Background(), pr, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return answer{ms, pr.Visited - before.Visited, pr.Swept - before.Swept, pr.Passed - before.Passed, pr.Kept - before.Kept}
+	}
+	rejects := func(pr *Probe) (out []bool) {
+		for _, s := range loose {
+			out = append(out, pr.Rejects(WordOf(s)))
+		}
+		return out
+	}
+	for _, q := range queries {
+		for _, k := range []int{0, 1, 3, 8} {
+			var want []answer
+			for _, w := range ws {
+				pr := NewProbe(q, k)
+				want = append(want, sweep(w, &pr))
+				own := uint8(haveOcc)
+				if w.counts {
+					own = haveCount | haveGrams
+				}
+				if pr.have&^own != 0 {
+					t.Fatalf("Sweep(%q, %d) over counts=%v computed query words %03b", q, k, w.counts, pr.have)
+				}
+			}
+			fresh := NewProbe(q, k)
+			wantRejects := rejects(&fresh)
+			for _, order := range [][]int{{0, 1}, {1, 0}} {
+				pr := NewProbe(q, k)
+				for _, i := range order {
+					if got := sweep(ws[i], &pr); !slices.Equal(got.ms, want[i].ms) || got.visited != want[i].visited ||
+						got.swept != want[i].swept || got.passed != want[i].passed || got.kept != want[i].kept {
+						t.Fatalf("Sweep(%q, %d) over words %d after %v: %+v, a fresh probe %+v", q, k, i, order, got, want[i])
+					}
+				}
+				if got := rejects(&pr); !slices.Equal(got, wantRejects) {
+					t.Fatalf("Rejects(%q, %d) after sweeping %v differs from a fresh probe's", q, k, order)
+				}
+			}
+		}
+	}
+}
+
 // TestCountWordSurvivors: on count words maskedWords leaves, under every
 // mask — the one blockMask computes, all ones, single blocks, alternating
 // blocks and none — exactly the slots of the kept blocks inside the window
@@ -476,6 +541,7 @@ func TestCountWordSurvivors(t *testing.T) {
 	var surv [ctxStride]int32
 	for _, q := range dataset.Queries(data, 20, 8, 24) {
 		pr := NewProbe(q, 8)
+		sq, gq := pr.word(true), pr.fourGrams()
 		lo, hi := w.ar.SlotRange(pr.Lengths())
 		blocks := (hi + blockSlots - 1) / blockSlots
 		for _, slack := range []int{0, 1, 4, 8, 16, 100, math.MaxInt} {
@@ -483,20 +549,20 @@ func TestCountWordSurvivors(t *testing.T) {
 			for g := lo / blockSlots; g < blocks; g += groupBlocks {
 				nb := int(min(groupBlocks, blocks-g))
 				all := uint64(1)<<nb - 1
-				own := w.blockMask(g, nb, pr.cnt, slack)
+				own := w.blockMask(g, nb, sq, slack)
 				if slack == math.MaxInt && own != all {
 					t.Fatalf("group %d: the summaries rejected blocks at an unbounded slack: %#x of %#x", g, own, all)
 				}
 				for _, mask := range []uint64{own, all, 1, all &^ (all >> 1), 0x5555555555555555 & all, 0xaaaaaaaaaaaaaaaa & all, 0} {
 					base := g * blockSlots
-					n, passed, read := w.maskedWords(base, lo, hi, mask, pr.cnt, slack, &pr.grams, surv[:])
+					n, passed, read := w.maskedWords(base, lo, hi, mask, sq, slack, gq, surv[:])
 					if want := groupRead(int(min(base+ctxStride, hi)-base), mask, int(max(lo-base, 0))); read != want {
 						t.Fatalf("slack %d group %d mask %#x: read %d slots, the mask holds %d", slack, g, mask, read, want)
 					}
 					var want []int32
 					wantPassed := 0
 					for s := max(base, lo); s < min(base+ctxStride, hi); s++ {
-						if mask>>((s-base)/blockSlots)&1 == 0 || countReject(pr.cnt, w.sigs[s], slack) {
+						if mask>>((s-base)/blockSlots)&1 == 0 || countReject(sq, w.sigs[s], slack) {
 							continue
 						}
 						wantPassed++
@@ -504,7 +570,7 @@ func TestCountWordSurvivors(t *testing.T) {
 						for j := range gx {
 							gx[j] = w.grams[gramAt(int(s))+j*blockSlots]
 						}
-						if keep(gramsLacking(&pr.grams, &gx), gramsLacking(&gx, &pr.grams), bound) == 1 {
+						if keep(gramsLacking(gq, &gx), gramsLacking(&gx, gq), bound) == 1 {
 							want = append(want, s-base)
 						}
 					}
