@@ -111,10 +111,7 @@ bench:
 # allocations per build (a few, and one per duplicated string); and the
 # live store (seed segment + three flushed segments + 500-entry delta,
 # cities and reads): ns and allocations per query, strings a query's
-# signature word leaves for the kernel, and ns per insert. Last, a 2-store
-# live executor's single queries from a few µs a store to a few hundred:
-# ns/op under the split-or-inline rule and pinned to each branch,
-# and the share of queries the rule fanned out (split/query). Whether the
+# signature word leaves for the kernel, and ns per insert. Whether the
 # cascade stays exact and every stage keeps pruning is tier-1's
 # (TestByteStatsFunnel, TestBlockSummaryStrength, TestWorkGolden).
 bench-smoke:
@@ -124,7 +121,6 @@ bench-smoke:
 	$(GO) test -run='^$$' -bench='^BenchmarkOccurrenceKernels$$' -benchtime=20000x ./internal/scan
 	$(GO) test -run='^$$' -bench='^BenchmarkTrieBuild$$' -benchtime=3x .
 	$(GO) test -run='^$$' -bench='^BenchmarkLive(Search|Insert)$$' -benchtime=2000x ./internal/lsm
-	$(GO) test -run='^$$' -bench='^BenchmarkSplitOrInline$$' -benchtime=200x ./internal/exec
 
 # The fixed benchmark (benchmark/, a Go module of its own that `go test ./...`
 # at the root does not descend into): its tests, then every workload once at

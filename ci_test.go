@@ -16,9 +16,11 @@ import (
 // TestCILists keeps the two hand-written lists of `make check` complete. The
 // Makefile is the one place they live (scripts/ci.sh only calls `make
 // check`): every `func Fuzz*` in the tree must have its line in fuzz-smoke,
-// and every package with tests whose own code starts a goroutine must be in
-// RACE_PKGS. The fixed benchmark is a module of its own with its own tests
-// and is not walked.
+// every package with tests whose own code starts a goroutine must be in
+// RACE_PKGS, and every benchmark bench-smoke names must exist — `go test
+// -bench` exits 0 when nothing matches, so a stale line would pass unseen.
+// The fixed benchmark is a module of its own with its own tests and is not
+// walked.
 func TestCILists(t *testing.T) {
 	mk, err := os.ReadFile("Makefile")
 	if err != nil {
@@ -63,7 +65,9 @@ func TestCILists(t *testing.T) {
 	}
 
 	fuzzFunc := regexp.MustCompile(`(?m)^func (Fuzz\w+)\(`)
+	benchFunc := regexp.MustCompile(`(?m)^func (Benchmark\w+)\(b \*testing\.B\)`)
 	hasTests, startsGoroutines := map[string]bool{}, map[string]bool{}
+	benchmarks := map[string]bool{} // "./pkg BenchmarkName"
 	fset := token.NewFileSet()
 	walkGoFiles(t, ".", func(path string) error {
 		dir := filepath.Dir(path)
@@ -73,11 +77,14 @@ func TestCILists(t *testing.T) {
 			if err != nil {
 				return err
 			}
+			pkg := "./" + filepath.ToSlash(dir)
+			if dir == "." {
+				pkg = "."
+			}
+			for _, m := range benchFunc.FindAllStringSubmatch(string(src), -1) {
+				benchmarks[pkg+" "+m[1]] = true
+			}
 			for _, m := range fuzzFunc.FindAllStringSubmatch(string(src), -1) {
-				pkg := "./" + filepath.ToSlash(dir)
-				if dir == "." {
-					pkg = "."
-				}
 				if want := "-fuzz='^" + m[1] + "$$' -fuzztime=$(FUZZ_SMOKE_TIME) " + pkg + "\n"; !strings.Contains(smoke+"\n", want) {
 					t.Errorf("%s: %s is missing from the Makefile's fuzz-smoke (want a line ending %q)", path, m[1], strings.TrimSpace(want))
 				}
@@ -104,6 +111,29 @@ func TestCILists(t *testing.T) {
 	for p := range racePkgs {
 		if !hasTests[p] {
 			t.Errorf("RACE_PKGS lists %s, which has no tests", p)
+		}
+	}
+
+	// A bench-smoke line names its benchmarks as -bench='^Name$$' or
+	// -bench='^Prefix(A|B)$$', and its package last.
+	benchLine := regexp.MustCompile(`-bench='\^(\w+)(?:\(([\w|]+)\))?\$\$'.*\s(\S+)$`)
+	for _, line := range strings.Split(target("bench-smoke"), "\n") {
+		if !strings.Contains(line, "-bench='") {
+			continue
+		}
+		m := benchLine.FindStringSubmatch(line)
+		if m == nil {
+			t.Errorf("bench-smoke line %q does not name its benchmarks as -bench='^Name$$' … ./pkg", strings.TrimSpace(line))
+			continue
+		}
+		suffixes := []string{""}
+		if m[2] != "" {
+			suffixes = strings.Split(m[2], "|")
+		}
+		for _, suf := range suffixes {
+			if name := m[1] + suf; !benchmarks[m[3]+" "+name] {
+				t.Errorf("bench-smoke runs %s in %s, which has no func %s(b *testing.B): drop the line or restore the benchmark", name, m[3], name)
+			}
 		}
 	}
 }

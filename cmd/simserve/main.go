@@ -37,7 +37,7 @@
 // mutations land. -livedir DIR adds persistence: segment files plus a
 // write-ahead log under DIR make acknowledged writes durable, and restarting
 // with the same DIR recovers them. -shards and -workers keep their meaning
-// (store count, and the pool a search long enough to split fans out on);
+// (store count, and the pool a batch's store×query grid runs on);
 // -engine is ignored while live.
 //
 // Observability: GET /metrics serves Prometheus text format (request and

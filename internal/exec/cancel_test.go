@@ -54,59 +54,51 @@ func newSlowExecutor(started, release chan struct{}) *Sharded {
 
 // TestSearchContextCancelsPromptly: with every shard blocked, cancelling the
 // context must return ctx.Err() without waiting for the shards, and all
-// goroutines the call spawned must drain. Split, all four shard tasks are in
-// flight when the cancel lands; inline, shard 0 is, and the rest never start.
+// goroutines the call spawned must drain. Shard 0 is in flight when the
+// cancel lands, and the rest never start.
 func TestSearchContextCancelsPromptly(t *testing.T) {
-	for _, c := range []struct {
-		pin     int
-		started int
-	}{{pinSplit, 4}, {pinInline, 1}} {
-		before := runtime.NumGoroutine()
+	before := runtime.NumGoroutine()
 
-		started := make(chan struct{}, 16)
-		release := make(chan struct{})
-		ex := newSlowExecutor(started, release)
-		ex.rule.pin = c.pin
+	started := make(chan struct{}, 16)
+	release := make(chan struct{})
+	ex := newSlowExecutor(started, release)
 
-		ctx, cancel := context.WithCancel(context.Background())
-		type result struct {
-			ms  []core.Match
-			err error
-		}
-		done := make(chan result, 1)
-		go func() {
-			ms, err := ex.SearchContext(ctx, core.Query{Text: "x", K: 1})
-			done <- result{ms, err}
-		}()
-
-		// The shard tasks are in flight, so the call is genuinely blocked
-		// before we cancel.
-		for i := 0; i < c.started; i++ {
-			select {
-			case <-started:
-			case <-time.After(5 * time.Second):
-				t.Fatalf("pin %d: shard task %d never started", c.pin, i)
-			}
-		}
-		cancel()
-
-		select {
-		case r := <-done:
-			if !errors.Is(r.err, context.Canceled) {
-				t.Fatalf("pin %d: err = %v, want context.Canceled", c.pin, r.err)
-			}
-			if r.ms != nil {
-				t.Fatalf("pin %d: matches = %v, want nil on cancellation", c.pin, r.ms)
-			}
-		case <-time.After(5 * time.Second):
-			t.Fatalf("pin %d: SearchContext did not return after cancel", c.pin)
-		}
-		if n := len(started); n != 0 {
-			t.Errorf("pin %d: %d more shard tasks started after the cancel", c.pin, n)
-		}
-		close(release)
-		waitForGoroutines(t, before)
+	ctx, cancel := context.WithCancel(context.Background())
+	type result struct {
+		ms  []core.Match
+		err error
 	}
+	done := make(chan result, 1)
+	go func() {
+		ms, err := ex.SearchContext(ctx, core.Query{Text: "x", K: 1})
+		done <- result{ms, err}
+	}()
+
+	// Shard 0 is in flight, so the call is genuinely blocked before we
+	// cancel.
+	select {
+	case <-started:
+	case <-time.After(5 * time.Second):
+		t.Fatal("shard 0 never started")
+	}
+	cancel()
+
+	select {
+	case r := <-done:
+		if !errors.Is(r.err, context.Canceled) {
+			t.Fatalf("err = %v, want context.Canceled", r.err)
+		}
+		if r.ms != nil {
+			t.Fatalf("matches = %v, want nil on cancellation", r.ms)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("SearchContext did not return after cancel")
+	}
+	if n := len(started); n != 0 {
+		t.Errorf("%d more shards started after the cancel", n)
+	}
+	close(release)
+	waitForGoroutines(t, before)
 }
 
 // plainSlowSearcher is slowSearcher without SearchContext: an engine that
@@ -117,10 +109,10 @@ func (p plainSlowSearcher) Search(q core.Query) []core.Match { return p.s.Search
 func (p plainSlowSearcher) Name() string                     { return p.s.Name() }
 func (p plainSlowSearcher) Len() int                         { return p.s.Len() }
 
-// TestInlinePlainEngineStopsBetweenShards: inline among several shards, a
-// plain engine runs on the caller, with no helper goroutine, so a cancel
-// that lands during shard 0 is returned once shard 0 finishes, and no later
-// shard starts.
+// TestInlinePlainEngineStopsBetweenShards: among several shards, a plain
+// engine runs on the caller, with no helper goroutine, so a cancel that
+// lands during shard 0 is returned once shard 0 finishes, and no later shard
+// starts.
 func TestInlinePlainEngineStopsBetweenShards(t *testing.T) {
 	started := make(chan struct{}, 16)
 	release := make(chan struct{})
@@ -130,7 +122,6 @@ func TestInlinePlainEngineStopsBetweenShards(t *testing.T) {
 			return plainSlowSearcher{&slowSearcher{n: len(data), started: started, release: release}}
 		},
 	})
-	ex.rule.pin = pinInline
 
 	ctx, cancel := context.WithCancel(context.Background())
 	before := runtime.NumGoroutine()
@@ -145,7 +136,7 @@ func TestInlinePlainEngineStopsBetweenShards(t *testing.T) {
 		t.Fatal("shard 0 never started")
 	}
 	if n := runtime.NumGoroutine(); n > before+1 {
-		t.Errorf("%d goroutines while shard 0 runs, want at most %d: the inline branch handed it off", n, before+1)
+		t.Errorf("%d goroutines while shard 0 runs, want at most %d: the caller handed it off", n, before+1)
 	}
 	cancel()
 	close(release)

@@ -13,12 +13,9 @@
 //
 // A single query is different: the paper's ladder step 5, one thread per
 // query, cost more than the scan it parallelised, and a shard's share of a
-// query is often a few microseconds — less than handing it to another
-// goroutine. So a single query runs its shards one after another on the
-// caller's goroutine, and fans them out to the runner only once the
-// executor has measured that a shard's share at that threshold is long
-// enough for the hand-off to pay (splitRule; the paper's §6 load-adaptive
-// thread management, per query).
+// query is a few microseconds — less than handing it to another goroutine.
+// So a single query runs its shards one after another on the caller's
+// goroutine.
 //
 // Determinism guarantee: every engine returns matches sorted by global ID,
 // so a query's per-shard results are at most P ascending runs, and merging
@@ -61,9 +58,9 @@ type Options struct {
 	Shards int
 	// Factory builds each shard's engine (default defaultFactory).
 	Factory Factory
-	// Runner schedules a batch's shard×query task grid, and the shards of
-	// a single query long enough to split (default pool.Fixed{Workers:
-	// GOMAXPROCS}). Any of the paper's strategies works.
+	// Runner schedules a batch's shard×query task grid (default
+	// pool.Fixed{Workers: GOMAXPROCS}). Any of the paper's strategies
+	// works.
 	Runner pool.Runner
 }
 
@@ -84,54 +81,6 @@ type Sharded struct {
 	counters []*metrics.ShardCounter
 	slow     *metrics.SlowLog
 	name     string
-	rule     splitRule
-}
-
-// splitNs is the mean time of one shard's share of a single query, in ns,
-// from which the executors fan that query's shards out to their runner.
-// Below it the caller runs them in order: handing a share to another
-// goroutine and waking it costs ~9 µs on a 2-core box, and a share pays for
-// that only well past it (BenchmarkSplitOrInline; EXPERIMENTS.md "Inline or
-// split").
-const splitNs = 50_000
-
-// Values of splitRule.pin.
-const (
-	pinInline = 1
-	pinSplit  = 2
-)
-
-// splitRule chooses, per single query, between running an executor's
-// shards inline and fanning them out. It holds one running mean per
-// threshold k of one shard's time on single queries: the cost of a query
-// is set by its k far more than by its text, and the first query at a k
-// finds 0, runs inline and is measured.
-type splitRule struct {
-	// cost[k] is the mean in ns (k ≥ 15 share the last entry). Updates
-	// from concurrent callers may overwrite each other; that only delays
-	// the mean, which steers a choice and never changes an answer.
-	cost [16]atomic.Int64
-	// pin, when nonzero, forces pinInline or pinSplit (tests only; set
-	// before the executor is shared).
-	pin int
-}
-
-func costSlot(k int) int { return min(max(k, 0), 15) }
-
-// split reports whether a single query at threshold k fans out.
-func (r *splitRule) split(k int) bool {
-	if r.pin != 0 {
-		return r.pin == pinSplit
-	}
-	return r.cost[costSlot(k)].Load() >= splitNs
-}
-
-// observe folds one query's shard time, busy summed over its p shards, into
-// the mean at k: est += (busy/p − est) / 8.
-func (r *splitRule) observe(k int, busy time.Duration, p int) {
-	c := &r.cost[costSlot(k)]
-	est := c.Load()
-	c.Store(est + (int64(busy)/int64(p)-est)>>3)
 }
 
 // New partitions data into opts.Shards contiguous shards and builds one
@@ -274,10 +223,9 @@ func (s *Sharded) RegisterMetrics(reg *metrics.Registry) {
 	}
 }
 
-// searchShard answers q on shard i, remaps local IDs to global IDs, records
-// the shard's counters, and returns the time it took. A nil ctx runs the
-// uninterruptible fast path.
-func (s *Sharded) searchShard(ctx context.Context, i int, q core.Query) ([]core.Match, time.Duration, error) {
+// searchShard answers q on shard i, remaps local IDs to global IDs, and
+// records the shard's counters. A nil ctx runs the uninterruptible fast path.
+func (s *Sharded) searchShard(ctx context.Context, i int, q core.Query) ([]core.Match, error) {
 	sh := s.shards[i]
 	start := time.Now()
 	var ms []core.Match
@@ -288,7 +236,7 @@ func (s *Sharded) searchShard(ctx context.Context, i int, q core.Query) ([]core.
 		ms, err = core.SearchContext(ctx, sh.eng, q)
 	}
 	if err != nil {
-		return nil, 0, err
+		return nil, err
 	}
 	if sh.base != 0 {
 		for j := range ms {
@@ -298,7 +246,7 @@ func (s *Sharded) searchShard(ctx context.Context, i int, q core.Query) ([]core.
 	took := time.Since(start)
 	s.counters[i].Observe(len(ms), took)
 	s.slow.Observe("", sh.eng.Name(), i, q.Text, q.K, took)
-	return ms, took, nil
+	return ms, nil
 }
 
 // merge concatenates per-shard results in shard order and puts the
@@ -320,65 +268,43 @@ func merge(per [][]core.Match) []core.Match {
 	return scan.MergeRuns(out)
 }
 
-// Search implements core.Searcher: one query over every shard, inline or
-// fanned out as the executor's splitRule decides.
+// Search implements core.Searcher: one query over every shard, in shard
+// order on the caller's goroutine.
 func (s *Sharded) Search(q core.Query) []core.Match {
 	ms, _ := s.SearchContext(nil, q)
 	return ms
 }
 
 // SearchContext implements core.ContextSearcher. It returns ctx.Err() once
-// ctx is done: unstarted shards are skipped and context-aware shard engines
-// abandon their in-flight work. A plain engine cannot stop mid-query. Fanned
-// out, or as the only shard, it runs on core.SearchContext's helper
-// goroutine and the call returns at once; inline among several shards it
-// runs on the caller, which finishes that one share (under splitNs on
-// average) before it sees the cancel — a helper goroutine per share would
-// be the hand-off the inline branch exists to skip.
+// ctx is done: ctx is checked before each shard, so unstarted shards are
+// skipped, and context-aware shard engines abandon their in-flight work. A
+// plain engine cannot stop mid-query. As the only shard it runs on
+// core.SearchContext's helper goroutine and the call returns at once; among
+// several shards it runs on the caller, which finishes that one share
+// before it sees the cancel — a helper goroutine per share would be the
+// hand-off running inline exists to skip.
 func (s *Sharded) SearchContext(ctx context.Context, q core.Query) ([]core.Match, error) {
 	if ctx != nil && ctx.Done() == nil {
 		ctx = nil // nothing can cancel it: the uninterruptible fast path
 	}
 	p := len(s.shards)
 	per := make([][]core.Match, p)
-	if p == 1 || !s.rule.split(q.K) {
-		var busy time.Duration
-		for i, sh := range s.shards {
-			c := ctx
-			if c != nil {
-				if err := c.Err(); err != nil {
-					return nil, err
-				}
-				if _, aware := sh.eng.(core.ContextSearcher); !aware && p > 1 {
-					c = nil
-				}
-			}
-			ms, took, err := s.searchShard(c, i, q)
-			if err != nil {
+	for i, sh := range s.shards {
+		c := ctx
+		if c != nil {
+			if err := c.Err(); err != nil {
 				return nil, err
 			}
-			per[i] = ms
-			busy += took
+			if _, aware := sh.eng.(core.ContextSearcher); !aware && p > 1 {
+				c = nil
+			}
 		}
-		s.rule.observe(q.K, busy, p)
-		return merge(per), nil
-	}
-	took := make([]time.Duration, p)
-	errs := make([]error, p)
-	err := pool.RunContext(ctx, s.runner, p, func(i int) {
-		per[i], took[i], errs[i] = s.searchShard(ctx, i, q)
-	})
-	if err != nil {
-		return nil, err
-	}
-	var busy time.Duration
-	for i, e := range errs {
-		if e != nil {
-			return nil, e
+		ms, err := s.searchShard(c, i, q)
+		if err != nil {
+			return nil, err
 		}
-		busy += took[i]
+		per[i] = ms
 	}
-	s.rule.observe(q.K, busy, p)
 	return merge(per), nil
 }
 
@@ -464,7 +390,7 @@ func (s *Sharded) SearchBatchContext(ctx context.Context, qs []core.Query) ([]Qu
 			errs[t] = e
 			return
 		}
-		per[t], _, errs[t] = s.searchShard(c, t%p, qs[qi])
+		per[t], errs[t] = s.searchShard(c, t%p, qs[qi])
 	})
 	if err != nil {
 		return nil, err

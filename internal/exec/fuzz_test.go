@@ -12,9 +12,9 @@ import (
 
 // FuzzDifferential is the cross-engine differential harness: for an arbitrary
 // dataset and query, the optimized scan, the trie index, and the sharded
-// executor (over two factories, 1..5 shards, each single query pinned inline
-// and split, with and without a context that can cancel) must all return
-// exactly the match set of the unoptimized reference scan. So must the same
+// executor (over two factories, 1..5 shards, each single query with and
+// without a context that can cancel) must all return exactly the match set
+// of the unoptimized reference scan. So must the same
 // executor over 1..3 live stores seeded with the dataset, which drop
 // duplicates: its oracle is the reference over the first occurrences. The
 // trie is the family here without ContextSearcher, the one served through
@@ -57,14 +57,11 @@ func FuzzDifferential(f *testing.F) {
 		ctx, cancel := context.WithCancel(context.Background())
 		defer cancel()
 		check := func(ex *Sharded, want []core.Match) {
-			for _, br := range branches {
-				ex.rule.pin = br.pin
-				got := ex.Search(q)
-				timed, err := ex.SearchContext(ctx, q)
-				if err != nil || !slices.Equal(got, want) || !slices.Equal(timed, want) {
-					t.Fatalf("%s %s diverges on %+v over %d strings:\ngot  %v\nctx  %v (err %v)\nwant %v",
-						ex.Name(), br.name, q, len(data), got, timed, err, want)
-				}
+			got := ex.Search(q)
+			timed, err := ex.SearchContext(ctx, q)
+			if err != nil || !slices.Equal(got, want) || !slices.Equal(timed, want) {
+				t.Fatalf("%s diverges on %+v over %d strings:\ngot  %v\nctx  %v (err %v)\nwant %v",
+					ex.Name(), q, len(data), got, timed, err, want)
 			}
 		}
 		check(New(data, Options{Shards: 3, Factory: trieFactory}), want)

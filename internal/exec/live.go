@@ -1,10 +1,10 @@
 // Live executor: the mutable counterpart of New. P lsm.Stores share one id
 // allocator, and the executor over them is the same Sharded a frozen
-// dataset gets — one single-query fan-out, one split rule, one batch grid,
-// one merge, per-store counters. What this file adds in front of it is the
-// write surface: routing by a hash of the string (lookup-by-string must find
-// the store that owns the binding), the generation a result cache keys on,
-// and the stores' own statistics. Live stores interleave ids, so the merge
+// dataset gets — one single-query path, one batch grid, one merge,
+// per-store counters. What this file adds in front of it is the write
+// surface: routing by a hash of the string (lookup-by-string must find the
+// store that owns the binding), the generation a result cache keys on, and
+// the stores' own statistics. Live stores interleave ids, so the merge
 // does real work here where the frozen ranges only concatenate.
 package exec
 
@@ -35,9 +35,8 @@ type LiveOptions struct {
 	Seed []string
 	// Dir, when set, persists each store under Dir/shard-<i>.
 	Dir string
-	// Runner runs a batch's store×query task grid and the stores of a
-	// search long enough to split (default pool.Fixed over GOMAXPROCS
-	// workers); shorter searches never reach it.
+	// Runner runs a batch's store×query task grid (default pool.Fixed
+	// over GOMAXPROCS workers); single searches never reach it.
 	Runner pool.Runner
 	// flushLimit tunes each store (see lsm.Options; tests only).
 	flushLimit int

@@ -23,7 +23,7 @@ func liveSeed(n int) []string {
 
 // TestLiveShardCountInvariant: results must not depend on P — a single-store
 // executor and a many-store executor answer every query identically after
-// the same mutations, inline or split.
+// the same mutations.
 func TestLiveShardCountInvariant(t *testing.T) {
 	seed := liveSeed(120)
 	mutate := func(x *LiveSharded) {
@@ -54,21 +54,18 @@ func TestLiveShardCountInvariant(t *testing.T) {
 		if one.Len() != many.Len() {
 			t.Fatalf("Len: P=1 %d vs P=%d %d", one.Len(), p, many.Len())
 		}
-		for _, br := range branches {
-			many.rule.pin = br.pin
-			for i := 0; i < 120; i += 7 {
-				q := core.Query{Text: seed[i], K: 2}
-				a := one.Search(q)
-				if b := many.Search(q); !slices.Equal(a, b) {
-					t.Fatalf("%s, query %+v: P=1 %v vs P=%d %v", br.name, q, a, p, b)
-				}
-				c, err := many.SearchContext(ctx, q)
-				if err != nil {
-					t.Fatalf("SearchContext: %v", err)
-				}
-				if !slices.Equal(a, c) {
-					t.Fatalf("%s, query %+v: Search %v vs SearchContext %v", br.name, q, a, c)
-				}
+		for i := 0; i < 120; i += 7 {
+			q := core.Query{Text: seed[i], K: 2}
+			a := one.Search(q)
+			if b := many.Search(q); !slices.Equal(a, b) {
+				t.Fatalf("query %+v: P=1 %v vs P=%d %v", q, a, p, b)
+			}
+			c, err := many.SearchContext(ctx, q)
+			if err != nil {
+				t.Fatalf("SearchContext: %v", err)
+			}
+			if !slices.Equal(a, c) {
+				t.Fatalf("query %+v: Search %v vs SearchContext %v", q, a, c)
 			}
 		}
 	}
@@ -133,7 +130,7 @@ func TestLiveVersionString(t *testing.T) {
 
 // TestLiveMatchesFrozenSharded: a live executor seeded with a dataset and
 // never mutated answers byte-identically to the frozen sharded executor, for
-// 1..4 shards on either branch.
+// 1..4 shards.
 func TestLiveMatchesFrozenSharded(t *testing.T) {
 	seed := liveSeed(200)
 	for p := 1; p <= 4; p++ {
@@ -143,13 +140,10 @@ func TestLiveMatchesFrozenSharded(t *testing.T) {
 		}
 		defer live.Close()
 		frozen := New(seed, Options{Shards: p})
-		for _, br := range branches {
-			live.rule.pin, frozen.rule.pin = br.pin, br.pin
-			for i := 0; i < 200; i += 11 {
-				q := core.Query{Text: seed[i], K: 2}
-				if got, want := live.Search(q), frozen.Search(q); !slices.Equal(got, want) {
-					t.Fatalf("P=%d %s, query %+v: live %v vs frozen %v", p, br.name, q, got, want)
-				}
+		for i := 0; i < 200; i += 11 {
+			q := core.Query{Text: seed[i], K: 2}
+			if got, want := live.Search(q), frozen.Search(q); !slices.Equal(got, want) {
+				t.Fatalf("P=%d, query %+v: live %v vs frozen %v", p, q, got, want)
 			}
 		}
 	}
@@ -166,65 +160,43 @@ func (r *countingRunner) Run(n int, task func(i int)) {
 	r.Fixed.Run(n, task)
 }
 
-// TestLiveCallerSearchesOneStore: inline, the caller searches every store
-// itself and hands the runner none; split, it hands the runner all P. Either
-// way, deadline or not, and every case answers alike — from several callers
-// at once, for -race.
+// TestLiveCallerSearchesOneStore: the caller searches every store itself
+// and hands the runner none, deadline or not, and both answer alike — from
+// several callers at once, for -race.
 func TestLiveCallerSearchesOneStore(t *testing.T) {
 	seed := liveSeed(300)
 	frozen := New(seed, Options{Shards: 1})
 	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
 	defer cancel()
-	for _, c := range []struct {
-		name   string
-		pin    int
-		handed int64 // stores handed to the runner per search
-	}{
-		{"inline", pinInline, 0},
-		{"split", pinSplit, 3},
-	} {
-		t.Run(c.name, func(t *testing.T) {
-			runner := &countingRunner{Fixed: pool.Fixed{Workers: 2}}
-			live, err := NewLive(LiveOptions{Shards: 3, Seed: seed, flushLimit: 16, Runner: runner})
-			if err != nil {
-				t.Fatalf("NewLive: %v", err)
-			}
-			defer live.Close()
-			live.rule.pin = c.pin
-			for i := 0; i < 40; i++ {
-				live.Insert(fmt.Sprintf("delta-%04d", i))
-			}
+	runner := &countingRunner{Fixed: pool.Fixed{Workers: 2}}
+	live, err := NewLive(LiveOptions{Shards: 3, Seed: seed, flushLimit: 16, Runner: runner})
+	if err != nil {
+		t.Fatalf("NewLive: %v", err)
+	}
+	defer live.Close()
+	for i := 0; i < 40; i++ {
+		live.Insert(fmt.Sprintf("delta-%04d", i))
+	}
 
-			var wg sync.WaitGroup
-			for g := 0; g < 4; g++ {
-				wg.Add(1)
-				go func(g int) {
-					defer wg.Done()
-					for i := g; i < 300; i += 13 {
-						q := core.Query{Text: seed[i], K: 1}
-						want := frozen.Search(q) // the inserts are far from every seed
-						timed, err := live.SearchContext(ctx, q)
-						if got := live.Search(q); err != nil || !slices.Equal(got, want) || !slices.Equal(timed, want) {
-							t.Errorf("query %+v: no deadline %v, deadline %v (err %v), want %v", q, got, timed, err, want)
-							return
-						}
-					}
-				}(g)
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := g; i < 300; i += 13 {
+				q := core.Query{Text: seed[i], K: 1}
+				want := frozen.Search(q) // the inserts are far from every seed
+				timed, err := live.SearchContext(ctx, q)
+				if got := live.Search(q); err != nil || !slices.Equal(got, want) || !slices.Equal(timed, want) {
+					t.Errorf("query %+v: no deadline %v, deadline %v (err %v), want %v", q, got, timed, err, want)
+					return
+				}
 			}
-			wg.Wait()
-
-			runner.tasks.Store(0)
-			live.Search(core.Query{Text: seed[0], K: 1})
-			if n := runner.tasks.Swap(0); n != c.handed {
-				t.Errorf("no deadline: the runner was handed %d of 3 stores, want %d", n, c.handed)
-			}
-			if _, err := live.SearchContext(ctx, core.Query{Text: seed[0], K: 1}); err != nil {
-				t.Fatal(err)
-			}
-			if n := runner.tasks.Load(); n != c.handed {
-				t.Errorf("deadline: the runner was handed %d of 3 stores, want %d", n, c.handed)
-			}
-		})
+		}(g)
+	}
+	wg.Wait()
+	if n := runner.tasks.Load(); n != 0 {
+		t.Errorf("the runner was handed %d stores, want 0", n)
 	}
 }
 

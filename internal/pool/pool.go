@@ -3,21 +3,19 @@
 // they schedule them onto OS resources.
 //
 //   - Serial runs every task on the calling goroutine: ladder steps 1–4 of
-//     the sequential engine, and every single query the executors do not
-//     split.
+//     the sequential engine, as the executors run every single query.
 //   - PerTask — "open and close as many threads as possible": one thread per
 //     query, created and destroyed around the task. This is the paper's
 //     §5.3.5 approach whose measured cost *exceeds* the sequential solution.
 //   - Fixed — "exactly one thread per CPU core" (generalized to N workers):
 //     a fixed pool consuming a shared work queue. The paper's Tables II, IV,
-//     VI, VIII sweep N over {4, 8, 16, 32}, and the executors fan batches and
-//     long single queries out on one.
+//     VI, VIII sweep N over {4, 8, 16, 32}, and the executors fan batches
+//     out on one.
 //
 // The paper's third strategy, "intelligent management" by a master thread
 // that opens and retires workers by utilization, is §6 future work; the
-// thread policy that serves is the executors' split-or-inline rule
-// (internal/exec), which hands one query's shards to a Fixed pool only when
-// a shard's measured share is long enough to pay for the hand-off.
+// executors (internal/exec) run a single query's shards on the caller and
+// only a batch's shard×query grid on a Fixed pool.
 //
 // The paper uses Boost threads; Go's goroutines are far cheaper than OS
 // threads, which would hide the strategy-1 regression the paper measured.

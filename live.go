@@ -38,11 +38,9 @@ type Live struct {
 // dropped, first occurrence wins, string i gets id i). shards <= 0 selects
 // one store per CPU. The stores are searched by the same executor
 // NewSharded builds: a search asks them one after another on the caller's
-// goroutine, and fans them out only once the engine has measured that a
-// store's share at that threshold is long enough to pay for the hand-off; a
-// batch is one store×query task grid. opts contributes Workers (the pool
-// searches fan out and batches run on) and CacheSize (query-result cache
-// above the stores); other engine options do not apply to the live store.
+// goroutine; a batch is one store×query task grid. opts contributes Workers
+// (the pool batches run on) and CacheSize (query-result cache above the
+// stores); other engine options do not apply to the live store.
 func NewLive(data []string, shards int, opts Options) *Live {
 	lv, err := OpenLive("", data, shards, opts)
 	if err != nil {

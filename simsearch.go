@@ -209,9 +209,7 @@ type QueryResult = exec.QueryResult
 // Scan engine's), and
 // answers batches shard-parallel on a fixed pool of opts.Workers goroutines
 // (GOMAXPROCS when <= 0). A single query runs its shards one after another
-// on the caller's goroutine, and fans them out on that pool only once the
-// executor has measured that a shard's share at that threshold is long
-// enough to pay for the hand-off.
+// on the caller's goroutine.
 //
 // The executor returns byte-for-byte the same matches in the same order as
 // the corresponding single engine, for every shard count; sharding changes
