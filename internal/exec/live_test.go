@@ -160,10 +160,14 @@ func (r *countingRunner) Run(n int, task func(i int)) {
 	r.Fixed.Run(n, task)
 }
 
-// TestLiveCallerSearchesOneStore: the caller searches every store itself
-// and hands the runner none, deadline or not, and both answer alike — from
-// several callers at once, for -race.
+// TestLiveCallerSearchesOneStore: the caller searches every store itself,
+// inline, and hands the runner none, deadline or not, and both answer alike
+// — from several callers at once, for -race.
 func TestLiveCallerSearchesOneStore(t *testing.T) {
+	t.Run("inline", testLiveCallerInline)
+}
+
+func testLiveCallerInline(t *testing.T) {
 	seed := liveSeed(300)
 	frozen := New(seed, Options{Shards: 1})
 	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
