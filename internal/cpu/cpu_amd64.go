@@ -13,7 +13,8 @@ func probe() features {
 	const xcr0AVX512 = 1<<1 | 1<<2 | 1<<5 | 1<<6 | 1<<7 // 0xe6
 	f.AVX512F = ebx7&(1<<16) != 0 && xgetbv0()&xcr0AVX512 == xcr0AVX512
 	f.VPOPCNTDQ = f.AVX512F && ecx7&(1<<14) != 0
-	f.AVX512VBMI = f.AVX512F && ebx7&(1<<30) != 0 && ecx7&(1<<1) != 0 && ecx7&(1<<6) != 0
+	f.AVX512BW = f.AVX512F && ebx7&(1<<30) != 0
+	f.AVX512VBMI = f.AVX512BW && ecx7&(1<<1) != 0 && ecx7&(1<<6) != 0
 	return f
 }
 

@@ -65,8 +65,8 @@ func FuzzKernelsAgree(f *testing.F) {
 			if bd, bok := p.BoundedDistanceBytes([]byte(pair[1]), k, &scratch); bok != cok || bd != cd {
 				t.Fatalf("bytes kernel (%d,%v) != string kernel (%d,%v)", bd, bok, cd, cok)
 			}
-			if got := p.Distance(pair[1], &scratch); got != want {
-				t.Fatalf("compiled Distance %d != %d", got, want)
+			if got, ok := p.BoundedDistance(pair[1], len(pair[0])+len(pair[1]), &scratch); !ok || got != want {
+				t.Fatalf("compiled kernel unbounded: %d, %v != %d", got, ok, want)
 			}
 		}
 	})

@@ -96,14 +96,6 @@ func (p *MyersPattern) Len() int { return p.m }
 // Text returns the compiled pattern string.
 func (p *MyersPattern) Text() string { return p.text }
 
-// Distance computes the exact edit distance between the pattern and b.
-// A nil scratch is valid (the blocked kernel then allocates).
-func (p *MyersPattern) Distance(b string, s *MyersScratch) int {
-	// With k = m+n the bound can never fire and ok is always true.
-	d, _ := boundedMyers(p, b, p.m+len(b), s)
-	return d
-}
-
 // BoundedDistance reports the edit distance between the pattern and b when it
 // is <= k, abandoning the candidate as early as possible: the length filter
 // rejects before any column, and the kernel stops at the first column that

@@ -22,8 +22,8 @@ func TestCompileMyersMatchesDistance(t *testing.T) {
 	for _, c := range cases {
 		want := Distance(c[0], c[1])
 		p := CompileMyers(c[0])
-		if got := p.Distance(c[1], &scratch); got != want {
-			t.Errorf("CompileMyers(%q).Distance(%q) = %d, want %d", c[0], c[1], got, want)
+		if got, ok := p.BoundedDistance(c[1], len(c[0])+len(c[1]), &scratch); !ok || got != want {
+			t.Errorf("CompileMyers(%q).BoundedDistance(%q) at k = m+n: %d, %v, want %d", c[0], c[1], got, ok, want)
 		}
 		for k := 0; k <= want+2; k++ {
 			d, ok := p.BoundedDistance(c[1], k, &scratch)
@@ -76,7 +76,7 @@ func TestCompiledPatternSharedAcrossGoroutines(t *testing.T) {
 			go func() {
 				var scratch MyersScratch
 				for i, s := range texts {
-					if got := p.Distance(s, &scratch); got != want[i] {
+					if got, _ := p.BoundedDistance(s, len(pattern)+len(s), &scratch); got != want[i] {
 						done <- &compileRaceErr{s: s, got: got, want: want[i]}
 						return
 					}
@@ -101,8 +101,9 @@ func (e *compileRaceErr) Error() string {
 	return "shared pattern diverged on " + e.s
 }
 
-// BenchmarkCompiledMyers times the compiled pattern's exact and bounded
-// kernels over names: the table is built once, outside the loop.
+// BenchmarkCompiledMyers times the compiled pattern over names, unbounded
+// (k = m+n, where the bound never fires) and bounded at k = 2: the table is
+// built once, outside the loop.
 func BenchmarkCompiledMyers(b *testing.B) {
 	texts := make([]string, 1024)
 	r := rand.New(rand.NewSource(11))
@@ -118,7 +119,8 @@ func BenchmarkCompiledMyers(b *testing.B) {
 	b.Run("compiled", func(b *testing.B) {
 		p := CompileMyers(q)
 		for i := 0; i < b.N; i++ {
-			p.Distance(texts[i%len(texts)], nil)
+			s := texts[i%len(texts)]
+			p.BoundedDistance(s, len(q)+len(s), nil)
 		}
 	})
 	b.Run("compiled-bounded", func(b *testing.B) {

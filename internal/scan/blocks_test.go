@@ -157,12 +157,12 @@ func TestBlockSummariesAdversarial(t *testing.T) {
 		queries []string
 		ks      []int
 	}{
-		// Count fields at and past their ceiling of 819: a block's maximum
+		// Count fields at and past their ceiling, fieldMax: a block's maximum
 		// saturates, and a query's surplus over it is hidden, never invented.
 		"saturated count fields": {
-			data: []string{rep("A", 900), rep("A", 819), rep("A", 820) + "C", rep("A", 810) + rep("C", 90),
-				rep("C", 900), rep("AC", 450), rep("A", 899) + "N", rep("T", 900), rep("A", 880) + rep("G", 20)},
-			queries: []string{rep("A", 900), rep("A", 860), rep("C", 890) + rep("x", 10), rep("A", 450) + rep("C", 450)},
+			data: []string{rep("A", 900), rep("A", fieldMax), rep("A", fieldMax+1) + "C", rep("A", fieldMax-9) + rep("C", 90),
+				rep("C", 900), rep("AC", 450), rep("A", 899) + "N", rep("T", 900), rep("A", fieldMax+61) + rep("G", 20)},
+			queries: []string{rep("A", 900), rep("A", fieldMax+41), rep("C", 890) + rep("x", 10), rep("A", 450) + rep("C", 450)},
 			ks:      []int{0, 1, 40, 80, 81, 450, 900},
 		},
 		// A block straddling two buckets of which the window holds one, with

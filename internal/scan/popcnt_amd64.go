@@ -12,8 +12,10 @@ import "simsearch/internal/cpu"
 // vpopcntKernels is whether those kernels run on AVX-512, eight words per
 // VPOPCNTQ, instead of their scalar loops. The assembly reads it, so that
 // neither Go loop nor kernel signature knows of it. The count-word kernels
-// have no scalar body: without AVX-512 the Go loops run.
-var popcntKernels, vpopcntKernels = cpu.X86.POPCNT, cpu.X86.POPCNT && cpu.X86.VPOPCNTDQ
+// have no scalar body: without AVX-512 the Go loops run. Their surplus is a
+// byte subtract and a byte sum, which take AVX512BW; every CPU with
+// AVX512_VPOPCNTDQ but Knights Mill has it, so one flag asks for both.
+var popcntKernels, vpopcntKernels = cpu.X86.POPCNT, cpu.X86.POPCNT && cpu.X86.VPOPCNTDQ && cpu.X86.AVX512BW
 
 // occMaskPOPCNT is occMask with a bare POPCNT, or on AVX-512 eight blocks
 // a step; cntMaskAVX512 is cntMask on AVX-512, eight blocks a step. Both

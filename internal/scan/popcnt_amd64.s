@@ -259,37 +259,13 @@ groupdone:
 	MOVQ DI, ret+80(FP)
 	RET
 
-// SURPLUS(d, t, u) turns d, a difference (a | guards) - b of count words, into
-// surplus(a, b), using t and u as scratch: the guards the subtraction left
-// standing mark the fields where a's count is at least b's, those fields keep
-// their difference and the others are cleared, and three shifted adds sum the
-// five fields into the low one (the sum of five fields of at most fieldMax
-// fits in it), which the mask of one field in Z4 cuts out. The guards are in
-// Z3.
-#define SURPLUS(d, t, u) \
-	VPANDQ Z3, d, t \
-	VPSRLQ $11, t, u \
-	VPSUBQ u, t, t \
-	VPANDQ t, d, d \
-	VPSRLQ $12, d, t \
-	VPADDQ t, d, t \
-	VPSRLQ $24, t, u \
-	VPADDQ u, t, t \
-	VPSRLQ $48, d, u \
-	VPADDQ u, t, d \
-	VPANDQ Z4, d, d
-
-// COUNTCONSTS broadcasts what both count-word kernels hold a word against:
-// sq (from DX) in Z0, sq with its guards set in Z2, the guards in Z3 and the
-// mask of one field in Z4. It uses R10 and changes DX.
+// COUNTCONSTS broadcasts sq (from DX) into Z0 and zeroes Z2, what both
+// count-word kernels hold a word against: a count word is five bytes, so a
+// surplus is one VPSUBUSB (each field's max(a - b, 0)) and one VPSADBW
+// against Z2 (the eight bytes of each qword summed into it).
 #define COUNTCONSTS \
 	VPBROADCASTQ DX, Z0 \
-	MOVQ $0x0800800800800800, R10 \
-	VPBROADCASTQ R10, Z3 \
-	ORQ R10, DX \
-	VPBROADCASTQ DX, Z2 \
-	MOVL $0xfff, R10 \
-	VPBROADCASTQ R10, Z4
+	VPXORQ Z2, Z2, Z2
 
 // func cntMaskAVX512(hi, lo []uint64, sq uint64, slack int) uint64
 //
@@ -313,11 +289,10 @@ TEXT ·cntMaskAVX512(SB), NOSPLIT, $0-72
 maskvec:
 	VMOVDQU64.Z (SI)(BX*1), K2, Z10 // the eight maxima
 	VMOVDQU64.Z (DI)(BX*1), K2, Z12 // the eight minima
-	VPSUBQ    Z10, Z2, Z10  // sq over the maximum
-	VPORQ     Z3, Z12, Z12
-	VPSUBQ    Z0, Z12, Z12  // the minimum over sq
-	SURPLUS(Z10, Z14, Z15)
-	SURPLUS(Z12, Z16, Z17)
+	VPSUBUSB  Z10, Z0, Z10  // sq over the maximum
+	VPSUBUSB  Z0, Z12, Z12  // the minimum over sq
+	VPSADBW   Z2, Z10, Z10
+	VPSADBW   Z2, Z12, Z12
 	VPMAXUQ   Z12, Z10, Z10
 	VPCMPQ    $2, Z1, Z10, K2, K1 // keep: a lane of the group, the larger surplus <= slack
 	MASKNEXT
@@ -386,16 +361,14 @@ blockvec:
 	GROUPBLOCK
 	VMOVDQU64.Z 0(SI)(R11*1), K2, Z10  // x, lanes 0-7
 	VMOVDQU64.Z 64(SI)(R11*1), K3, Z11 // lanes 8-15
-	VPSUBQ  Z10, Z2, Z12    // sq over x
-	VPSUBQ  Z11, Z2, Z13
-	VPORQ   Z3, Z10, Z10
-	VPORQ   Z3, Z11, Z11
-	VPSUBQ  Z0, Z10, Z10    // x over sq
-	VPSUBQ  Z0, Z11, Z11
-	SURPLUS(Z12, Z14, Z15)
-	SURPLUS(Z13, Z16, Z17)
-	SURPLUS(Z10, Z18, Z19)
-	SURPLUS(Z11, Z20, Z21)
+	VPSUBUSB Z10, Z0, Z12   // sq over x
+	VPSUBUSB Z11, Z0, Z13
+	VPSUBUSB Z0, Z10, Z10   // x over sq
+	VPSUBUSB Z0, Z11, Z11
+	VPSADBW Z2, Z12, Z12
+	VPSADBW Z2, Z13, Z13
+	VPSADBW Z2, Z10, Z10
+	VPSADBW Z2, Z11, Z11
 	VPMAXUQ Z10, Z12, Z12
 	VPMAXUQ Z11, Z13, Z13
 	VPCMPQ  $2, Z1, Z12, K2, K4 // passed: a lane of the block, the larger surplus <= slack

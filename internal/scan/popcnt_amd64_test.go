@@ -14,6 +14,10 @@ import (
 	"simsearch/internal/dataset"
 )
 
+// vpopcnt is whether the AVX-512 heads can run here: what vpopcntKernels
+// is set to at init, before any test flips it.
+var vpopcnt = cpu.X86.POPCNT && cpu.X86.VPOPCNTDQ && cpu.X86.AVX512BW
+
 // eachHead runs f once on the scalar kernels and once with their AVX-512
 // heads, which it skips where the CPU or the OS lacks them; it restores
 // vpopcntKernels after each.
@@ -21,11 +25,10 @@ func eachHead(t *testing.T, f func(t *testing.T)) {
 	if !popcntKernels {
 		t.Skip("no POPCNT kernels on this CPU: the Go loops are the only path")
 	}
-	vpopcnt := cpu.X86.POPCNT && cpu.X86.VPOPCNTDQ
 	for _, head := range []bool{false, true} {
 		t.Run(map[bool]string{false: "scalar", true: "avx512"}[head], func(t *testing.T) {
 			if head && !vpopcnt {
-				t.Skip("no AVX512F and AVX512_VPOPCNTDQ on this CPU, or the OS does not save their state")
+				t.Skip("no AVX512F, AVX512_VPOPCNTDQ and AVX512BW on this CPU, or the OS does not save their state")
 			}
 			defer func(v bool) { vpopcntKernels = v }(vpopcntKernels)
 			vpopcntKernels = head
@@ -188,7 +191,6 @@ func FuzzOccurrenceKernels(f *testing.F) {
 	f.Add(uint64(0x00ff00ff00ff00ff), uint8(3), int64(1), uint16(1024), ^uint64(0), uint8(0), uint8(64), false)
 	f.Add(uint64(0), uint8(1), int64(2), uint16(15), uint64(1), uint8(9), uint8(9), true)
 	f.Add(uint64(math.MaxUint64), uint8(0), int64(3), uint16(1023), uint64(0x8000000000000001), uint8(15), uint8(1), false)
-	vpopcnt := cpu.X86.POPCNT && cpu.X86.VPOPCNTDQ
 	f.Fuzz(func(t *testing.T, sq uint64, slack uint8, seed int64, size uint16, mask uint64, from, blocks uint8, sparse bool) {
 		if !popcntKernels {
 			t.Skip("no POPCNT kernels on this CPU")
@@ -210,13 +212,6 @@ func FuzzOccurrenceKernels(f *testing.F) {
 			checkGroup(t, group, mask, int(from)%min(blockSlots, n), sq, int(slack))
 		}
 	})
-}
-
-// countField returns field f of a count word, setField sets it.
-func countField(x uint64, f int) int { return int(x >> (fieldBits * f) & (1<<fieldBits - 1)) }
-
-func setField(x uint64, f, v int) uint64 {
-	return x&^((1<<fieldBits-1)<<(fieldBits*f)) | uint64(v)<<(fieldBits*f)
 }
 
 // nearCount draws a count word — every field at most fieldMax, as countWord
@@ -364,6 +359,15 @@ func checkBlockMask(t *testing.T, r *rand.Rand, counts bool, g, nb int, hi, lo [
 	}
 }
 
+// everyOther sets every other entry of each slice, from the first on, to x.
+func everyOther(x uint64, dsts ...[]uint64) {
+	for _, s := range dsts {
+		for i := 0; i < len(s); i += 2 {
+			s[i] = x
+		}
+	}
+}
+
 // countSumsOf draws the maxima and minima of nb blocks, count words near sq,
 // each minimum under its maximum but one in four not.
 func countSumsOf(r *rand.Rand, nb int, sq uint64, d int) (hi, lo []uint64) {
@@ -402,7 +406,7 @@ func TestCountKernelsAgree(t *testing.T) {
 		gqs := []gramSet{gramSetOf(read), {}, {1<<64 - 1, 1<<64 - 1, 1<<64 - 1, 1<<64 - 1}}
 		for si, sq := range []uint64{0, fieldMax * fieldOnes, countWord(read)} {
 			gq := gqs[si]
-			for _, slack := range []int{0, 1, 2, 4, 8, 12, 63, 64, 100, math.MaxInt} {
+			for _, slack := range []int{0, 1, 2, 4, 8, 12, 63, 64, 100, 5*fieldMax - 1, 5 * fieldMax, math.MaxInt} {
 				for nb := 1; nb <= groupBlocks; nb++ {
 					hi, lo := countSumsOf(r, nb, sq, min(slack, fieldMax)+1)
 					for _, g := range []int{0, 1 + r.Intn(2*groupBlocks)} {
@@ -423,6 +427,21 @@ func TestCountKernelsAgree(t *testing.T) {
 						}
 					}
 				}
+			}
+		}
+
+		// Every field at fieldMax on one side and 0 on the other, in every
+		// other word and every other summary: a surplus of 5·fieldMax, past
+		// what one byte holds, at a slack under it, a slack its low byte
+		// would pass, and at it.
+		for _, sq := range []uint64{0, fieldMax * fieldOnes} {
+			far := sq ^ fieldMax*fieldOnes
+			for _, slack := range []int{5*fieldMax - 1, 5 * fieldMax & 0xff, 5 * fieldMax} {
+				words, grams, sets := countGroupOf(r, 3*blockSlots, sq, gqs[0], slack)
+				hi, lo := countSumsOf(r, groupBlocks, sq, slack+1)
+				everyOther(far, words, hi, lo)
+				checkCount(t, words, grams, sets, 7, 0, sq, gqs[0], slack)
+				checkBlockMask(t, r, true, 0, groupBlocks, hi, lo, sq, slack)
 			}
 		}
 
@@ -472,23 +491,33 @@ func TestCountKernelsAgree(t *testing.T) {
 // and off, equal the Go loops and the definition. Groups are 1 to ctxStride
 // words and masks keep only their blocks; summaries are 1 to 64 blocks, read
 // through blockMask from block from on; the slack is 0 to 255 (from 64 on
-// the 4-gram set passes everything).
+// the 4-gram set passes everything). A negative seed puts the query word at
+// an extreme, every field 0 (odd) or at fieldMax (even), and every other
+// word and summary at the other: surpluses of 5·fieldMax, which a sum cut
+// to one byte lets through from slack 5·fieldMax mod 256 on.
 func FuzzCountKernels(f *testing.F) {
 	f.Add(int64(1), uint8(8), uint16(1024), ^uint64(0), uint8(0), uint8(64))
 	f.Add(int64(2), uint8(0), uint16(15), uint64(1), uint8(9), uint8(9))
 	f.Add(int64(3), uint8(64), uint16(1023), uint64(0x8000000000000001), uint8(15), uint8(1))
-	vpopcnt := cpu.X86.POPCNT && cpu.X86.VPOPCNTDQ
+	f.Add(int64(-1), uint8(5*fieldMax&0xff), uint16(100), ^uint64(0), uint8(0), uint8(8))
+	f.Add(int64(-2), uint8(200), uint16(1024), ^uint64(0), uint8(3), uint8(64))
 	f.Fuzz(func(t *testing.T, seed int64, slack uint8, size uint16, mask uint64, from, blocks uint8) {
 		r := rand.New(rand.NewSource(seed))
 		read := dataset.DNAReads(1, seed)[0]
 		sq, gq := countWord(read), gramSetOf(read)
-		if seed%3 == 0 {
+		switch {
+		case seed < 0:
+			sq = fieldMax * fieldOnes * uint64(1-seed&1)
+		case seed%3 == 0:
 			sq, gq = nearCount(r, sq, 4), nearGrams(r, gq, 16)
 		}
 		n, nb := 1+int(size)%ctxStride, 1+int(blocks)%groupBlocks
 		words, grams, sets := countGroupOf(r, n, sq, gq, int(slack))
 		mask &= ^uint64(0) >> (64 - (n+blockSlots-1)/blockSlots)
 		hi, lo := countSumsOf(r, nb, sq, int(slack)+1)
+		if seed < 0 {
+			everyOther(sq^fieldMax*fieldOnes, words, hi, lo)
+		}
 		defer func(v bool) { vpopcntKernels = v }(vpopcntKernels)
 		for _, head := range []bool{false, vpopcnt} {
 			vpopcntKernels = head
@@ -530,11 +559,18 @@ func TestCPUFeatures(t *testing.T) {
 	if want := has("avx512f") && has("avx512_vpopcntdq"); x.VPOPCNTDQ != want {
 		t.Errorf("CPUID and XGETBV say AVX512_VPOPCNTDQ may run: %v; /proc/cpuinfo: %v", x.VPOPCNTDQ, want)
 	}
+	if want := has("avx512f") && has("avx512bw"); x.AVX512BW != want {
+		t.Errorf("CPUID and XGETBV say AVX512BW may run: %v; /proc/cpuinfo: %v", x.AVX512BW, want)
+	}
 	if want := has("avx512f") && has("avx512bw") && has("avx512vbmi") && has("avx512_vbmi2"); x.AVX512VBMI != want {
 		t.Errorf("CPUID and XGETBV say AVX512BW, AVX512_VBMI and AVX512_VBMI2 may run: %v; /proc/cpuinfo: %v", x.AVX512VBMI, want)
 	}
-	if popcntKernels != x.POPCNT || vpopcntKernels != (x.POPCNT && x.VPOPCNTDQ) {
-		t.Errorf("the kernel flags (%v, %v) are not what the probe read (%+v)", popcntKernels, vpopcntKernels, x)
+	// The count-word kernels' surplus is VPSUBUSB and VPSADBW, AVX512BW
+	// instructions: the one flag that lets them run must ask for it too.
+	heads := has("popcnt") && has("avx512f") && has("avx512_vpopcntdq") && has("avx512bw")
+	if popcntKernels != x.POPCNT || vpopcntKernels != (x.POPCNT && x.VPOPCNTDQ && x.AVX512BW) || vpopcntKernels != heads {
+		t.Errorf("the kernel flags (%v, %v) are not what the probe read (%+v) or /proc/cpuinfo lists (AVX-512 heads: %v)",
+			popcntKernels, vpopcntKernels, x, heads)
 	}
 }
 
@@ -564,7 +600,6 @@ func BenchmarkOccurrenceKernels(b *testing.B) {
 		words[i] = r.Uint64()
 	}
 	var surv [ctxStride]int32
-	vpopcnt := cpu.X86.POPCNT && cpu.X86.VPOPCNTDQ
 	defer func(v bool) { vpopcntKernels = v }(vpopcntKernels)
 	kernels := []struct {
 		name  string

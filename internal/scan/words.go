@@ -45,15 +45,15 @@ func sigReject(a, b uint64, slack int) bool {
 }
 
 // The count word of an all-DNA string: five fields of fieldBits bits, one per
-// symbol in the order A, C, G, N, T, each holding how often the symbol
-// occurs, saturating at fieldMax. fieldMax is a fifth of what a field can
-// hold, so five surpluses still sum inside one field (see surplus), and it
-// leaves every field's top bit clear for the subtraction there to borrow
-// from.
+// symbol in the order A, C, G, N, T, in bytes 0 to 4, each holding how often
+// the symbol occurs, saturating at fieldMax; bytes 5 to 7 are zero. fieldMax
+// leaves every field's top bit clear for the subtraction in surplus to
+// borrow from, and makes a field one byte that a byte instruction can take
+// whole (popcnt_amd64.s).
 const (
 	dnaFields   = 5
-	fieldBits   = 12
-	fieldMax    = (1<<fieldBits - 1) / dnaFields
+	fieldBits   = 8
+	fieldMax    = 1<<(fieldBits-1) - 1
 	fieldOnes   = 1 | 1<<fieldBits | 1<<(2*fieldBits) | 1<<(3*fieldBits) | 1<<(4*fieldBits)
 	fieldGuards = fieldOnes << (fieldBits - 1)
 )
@@ -106,13 +106,16 @@ func countWord[T string | []byte](s T) uint64 {
 // surplus sums, over the five fields, how far a's count exceeds b's, all
 // fields at once. Setting a field's guard bit before subtracting keeps the
 // borrow inside the field and leaves the bit set exactly where a's count is
-// at least b's; those fields keep their difference, the others are cleared,
-// and one multiplication adds the five up in the top field (the four bits
-// above it collect partial sums and are dropped).
+// at least b's; those fields keep their difference and the others are
+// cleared. Five differences of up to fieldMax overflow a byte, so the fields
+// are added in pairs into 16-bit lanes first, and one multiplication adds
+// the three lanes up in the third.
 func surplus(a, b uint64) int {
 	d := (a | fieldGuards) - b
 	g := d & fieldGuards
-	return int((d & (g - g>>(fieldBits-1))) * fieldOnes >> (4 * fieldBits) & (1<<fieldBits - 1))
+	d &= g - g>>(fieldBits-1)
+	d = (d + d>>fieldBits) & 0x00ff00ff00ff
+	return int(d * 0x000100010001 >> 32 & 0xffff)
 }
 
 // countReject reports whether either word has more than slack occurrences in

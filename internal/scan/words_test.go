@@ -128,6 +128,68 @@ func TestCountWordNeverRejectsWithinK(t *testing.T) {
 	}
 }
 
+// countField returns field f of a count word, setField sets it.
+func countField(x uint64, f int) int { return int(x >> (fieldBits * f) & (1<<fieldBits - 1)) }
+
+func setField(x uint64, f, v int) uint64 {
+	return x&^((1<<fieldBits-1)<<(fieldBits*f)) | uint64(v)<<(fieldBits*f)
+}
+
+// TestCountWordLayout: whatever countWord is given — bytes outside the
+// alphabet, homopolymers past fieldMax, which saturate — every field holds
+// its symbol's count capped at fieldMax, and bytes 5 to 7 are zero. The
+// AVX-512 surplus sums all eight bytes of a word (VPSADBW) and the Go one
+// the five fields, so a stray high byte would make them disagree silently,
+// and a field past fieldMax would borrow across surplus's guard bit. On
+// every pair of those words, surplus is the per-field sum it stands for,
+// 5·fieldMax — past one byte — included.
+func TestCountWordLayout(t *testing.T) {
+	r := rand.New(rand.NewSource(56))
+	inputs := []string{"", "x", editAlphabet, strings.Repeat("\xff", 300), strings.Repeat("ACGNT", fieldMax+1)}
+	for _, b := range "ACGNT" {
+		for _, n := range []int{fieldMax - 1, fieldMax, fieldMax + 1, 2*fieldMax + 2, 1000} {
+			inputs = append(inputs, strings.Repeat(string(b), n))
+		}
+	}
+	for range 100 {
+		s := make([]byte, r.Intn(3*fieldMax))
+		heavy := "ACGNT"[r.Intn(dnaFields)] // one symbol drawn half the time, to saturate
+		for i := range s {
+			if s[i] = heavy; r.Intn(2) == 0 {
+				s[i] = editAlphabet[r.Intn(len(editAlphabet))]
+			}
+		}
+		inputs = append(inputs, string(s))
+	}
+	words := make([]uint64, len(inputs))
+	for i, s := range inputs {
+		w := countWord(s)
+		if w>>(dnaFields*fieldBits) != 0 {
+			t.Fatalf("count word of %.20q… (%d bytes) is %#x: bytes 5 to 7 are not zero", s, len(s), w)
+		}
+		for f := 0; f < dnaFields; f++ {
+			if got, want := countField(w, f), min(strings.Count(s, "ACGNT"[f:f+1]), fieldMax); got != want {
+				t.Fatalf("count word of %.20q… (%d bytes) holds %d in field %d, want %d", s, len(s), got, f, want)
+			}
+		}
+		words[i] = w
+	}
+	for _, a := range words {
+		for _, b := range words {
+			want := 0
+			for f := 0; f < dnaFields; f++ {
+				want += max(countField(a, f)-countField(b, f), 0)
+			}
+			if got := surplus(a, b); got != want {
+				t.Fatalf("surplus(%#x, %#x) = %d, want %d", a, b, got, want)
+			}
+		}
+	}
+	if got := surplus(fieldMax*fieldOnes, 0); got != 5*fieldMax {
+		t.Errorf("surplus of every field at fieldMax over none = %d, want %d", got, 5*fieldMax)
+	}
+}
+
 // gramReject is the gram stage's decision as the sweep takes it: drop the
 // slot when either side has more than 4k grams the other lacks.
 func gramReject(a, b gramSet, k int) bool {
