@@ -2,8 +2,10 @@ package simsearch_test
 
 import (
 	"go/ast"
+	"go/build"
 	"go/parser"
 	"go/token"
+	"go/types"
 	"io/fs"
 	"os"
 	"path/filepath"
@@ -11,6 +13,8 @@ import (
 	"sort"
 	"strings"
 	"testing"
+
+	"simsearch/internal/analysis"
 )
 
 // TestCILists keeps the two hand-written lists of `make check` complete. The
@@ -221,6 +225,79 @@ func TestHTTPAPIImportsNoEngine(t *testing.T) {
 		})
 		return nil
 	})
+}
+
+// TestOneKernelSeam keeps one way into the Myers kernels per side. Outside
+// internal/edit, the module's non-test Go calls a method of
+// *edit.MyersPattern only where it is the seam: BoundedLanes from
+// internal/scan, at one call site (the probe's queue, which the sweep and the
+// live store's delta both feed), and StepBand and BandDistance from
+// internal/trie (the descent). A second route to the kernel, or a second
+// call site, is a second place for a kernel change to miss. Every package is
+// type-checked from source through internal/analysis's loader. The fixed
+// benchmark is a module of its own and is not walked.
+func TestOneKernelSeam(t *testing.T) {
+	seam := map[string]string{
+		"BoundedLanes": "simsearch/internal/scan",
+		"StepBand":     "simsearch/internal/trie",
+		"BandDistance": "simsearch/internal/trie",
+	}
+	// Only the Go declarations matter here: with cgo off, net type-checks
+	// from its pure-Go files, on GOARCH=386 (make portable) too.
+	defer func(cgo bool) { build.Default.CgoEnabled = cgo }(build.Default.CgoEnabled)
+	build.Default.CgoEnabled = false
+	files := map[string][]string{} // package directory -> its non-test files for this platform
+	walkGoFiles(t, ".", func(path string) error {
+		dir, name := filepath.Split(path)
+		if dir = filepath.Clean(dir); strings.HasSuffix(name, "_test.go") || dir == filepath.Join("internal", "edit") {
+			return nil
+		}
+		if ok, err := build.Default.MatchFile(dir, name); !ok || err != nil {
+			return err
+		}
+		files[dir] = append(files[dir], path)
+		return nil
+	})
+	loader, err := analysis.NewLoader(".")
+	if err != nil {
+		t.Fatal(err)
+	}
+	fset := token.NewFileSet()
+	lanes := 0
+	for dir, paths := range files {
+		var syntax []*ast.File
+		for _, path := range paths {
+			f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
+			if err != nil {
+				t.Fatal(err)
+			}
+			syntax = append(syntax, f)
+		}
+		pkg := "simsearch"
+		if dir != "." {
+			pkg += "/" + filepath.ToSlash(dir)
+		}
+		info := &types.Info{Selections: map[*ast.SelectorExpr]*types.Selection{}}
+		if _, err := (&types.Config{Importer: loader}).Check(pkg, fset, syntax, info); err != nil {
+			t.Fatal(err)
+		}
+		for sel, s := range info.Selections {
+			recv := strings.TrimPrefix(types.TypeString(s.Recv(), nil), "*")
+			if s.Kind() == types.FieldVal || recv != "simsearch/internal/edit.MyersPattern" {
+				continue
+			}
+			name := s.Obj().Name()
+			if seam[name] != pkg {
+				t.Errorf("%s: %s calls MyersPattern.%s; the kernels are reached through the scan probe's queue (BoundedLanes) and the trie's band (StepBand, BandDistance)", fset.Position(sel.Pos()), pkg, name)
+			}
+			if name == "BoundedLanes" {
+				lanes++
+			}
+		}
+	}
+	if lanes != 1 {
+		t.Errorf("BoundedLanes has %d call sites outside internal/edit, want 1", lanes)
+	}
 }
 
 // TestNoOrphanExports takes TestNoOrphanPackages down to identifiers. An

@@ -202,31 +202,32 @@ func searchIgnored(ctx context.Context, data []string, dist kernel) int {
 // comparison work, like a call into internal/edit.
 type Probe struct{ k int }
 
-func (pr *Probe) Within(s string) (int, bool) { return len(s), len(s) <= pr.k }
+func (pr *Probe) Queue(s string, id int32, dst []int32) []int32 {
+	if len(s) <= pr.k {
+		dst = append(dst, id)
+	}
+	return dst
+}
 
 // probeNoPoll is the live store's delta scan with its poll forgotten.
 func probeNoPoll(ctx context.Context, pr *Probe, data []string) int {
-	n := 0
-	for _, s := range data { // want "never polls cancellation"
-		if _, ok := pr.Within(s); ok {
-			n++
-		}
+	var ms []int32
+	for i, s := range data { // want "never polls cancellation"
+		ms = pr.Queue(s, int32(i), ms)
 	}
-	return n
+	return len(ms)
 }
 
 // probeStrided is the delta scan as written: ctx.Err() every 1024 entries.
 func probeStrided(ctx context.Context, pr *Probe, data []string) int {
-	n := 0
+	var ms []int32
 	for i, s := range data {
 		if i%1024 == 1023 && ctx.Err() != nil {
-			return n
+			return len(ms)
 		}
-		if _, ok := pr.Within(s); ok {
-			n++
-		}
+		ms = pr.Queue(s, int32(i), ms)
 	}
-	return n
+	return len(ms)
 }
 
 // searchMaskedGroups is the word sweep over block summaries: the outer loop

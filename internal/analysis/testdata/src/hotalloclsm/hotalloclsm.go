@@ -15,14 +15,12 @@ func decode(rows [][]byte) []string {
 	return out
 }
 
-// scanDelta holds entries against a probe: a kernel loop, so a conversion
-// per entry is a finding.
+// scanDelta queues entries on a probe: a kernel loop, so a conversion per
+// entry is a finding.
 func scanDelta(pr *scan.Probe, rows [][]byte) int {
-	n := 0
-	for _, r := range rows {
-		if _, ok := pr.Within(string(r)); ok { // want "conversion inside an innermost kernel loop"
-			n++
-		}
+	var ms []scan.Match
+	for i, r := range rows {
+		ms = pr.Queue(string(r), int32(i), ms) // want "conversion inside an innermost kernel loop"
 	}
-	return n
+	return len(pr.Flush(ms))
 }

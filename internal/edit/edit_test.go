@@ -198,8 +198,8 @@ func TestMyersBlockLongStrings(t *testing.T) {
 			b = randomString(r, "ACGNT", 140)
 		}
 		want := Distance(a, b)
-		if got, ok := CompileMyers(a).BoundedDistance(b, len(a)+len(b), &scratch); !ok || got != want {
-			t.Fatalf("CompileMyers(len %d).BoundedDistance(len %d) at k = m+n: %d, %v, want %d", len(a), len(b), got, ok, want)
+		if got, ok := CompileMyers(a).BoundedDistanceBytes([]byte(b), len(a)+len(b), &scratch); !ok || got != want {
+			t.Fatalf("CompileMyers(len %d).BoundedDistanceBytes(len %d) at k = m+n: %d, %v, want %d", len(a), len(b), got, ok, want)
 		}
 	}
 }

@@ -55,17 +55,14 @@ func FuzzKernelsAgree(f *testing.F) {
 		var scratch MyersScratch
 		for _, pair := range [2][2]string{{a, b}, {b, a}} {
 			p := CompileMyers(pair[0])
-			cd, cok := p.BoundedDistance(pair[1], k, &scratch)
+			cd, cok := p.BoundedDistanceBytes([]byte(pair[1]), k, &scratch)
 			if cok != (want <= k) {
 				t.Fatalf("compiled ok=%v but distance %d, k %d (%q vs %q)", cok, want, k, pair[0], pair[1])
 			}
 			if cok && cd != want {
 				t.Fatalf("compiled %d != %d (%q vs %q)", cd, want, pair[0], pair[1])
 			}
-			if bd, bok := p.BoundedDistanceBytes([]byte(pair[1]), k, &scratch); bok != cok || bd != cd {
-				t.Fatalf("bytes kernel (%d,%v) != string kernel (%d,%v)", bd, bok, cd, cok)
-			}
-			if got, ok := p.BoundedDistance(pair[1], len(pair[0])+len(pair[1]), &scratch); !ok || got != want {
+			if got, ok := p.BoundedDistanceBytes([]byte(pair[1]), len(pair[0])+len(pair[1]), &scratch); !ok || got != want {
 				t.Fatalf("compiled kernel unbounded: %d, %v != %d", got, ok, want)
 			}
 		}

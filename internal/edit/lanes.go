@@ -37,7 +37,7 @@ type Lanes struct {
 // a mask with bit i set when candidate i is within k of the pattern, leaving
 // its distance in c.Dist[i]; the other Dist entries are unspecified. buf
 // must extend LanePad bytes past every candidate. A scratch is read only for
-// k > MaxBandK, as by BoundedDistance.
+// k > MaxBandK, by the blocked kernel.
 func (p *MyersPattern) BoundedLanes(buf []byte, c *Lanes, n, k int, s *MyersScratch) uint8 {
 	if n > LaneCount {
 		panic(fmt.Sprintf("edit: %d candidates in one batch", n))

@@ -32,7 +32,6 @@ type MyersPattern struct {
 	// row fits a byte, and the lane kernel holds the whole table in four
 	// vector registers.
 	class [256]uint8
-	text  string
 	m     int
 	// bits holds the table word-major: word w of every class, then word
 	// w+1, stride = the number of classes apart, words+2 of them; bit i of
@@ -65,7 +64,7 @@ type MyersScratch struct {
 // CompileMyers builds the match table for pattern once. The returned
 // pattern is immutable and safe for concurrent use.
 func CompileMyers(pattern string) *MyersPattern {
-	p := &MyersPattern{text: pattern, m: len(pattern)}
+	p := &MyersPattern{m: len(pattern)}
 	rows := 1
 	for i := 0; i < p.m; i++ {
 		// Up to the 255th new byte, row 0 marks a byte not seen yet; the
@@ -93,20 +92,11 @@ func CompileMyers(pattern string) *MyersPattern {
 // Len returns the pattern length in bytes.
 func (p *MyersPattern) Len() int { return p.m }
 
-// Text returns the compiled pattern string.
-func (p *MyersPattern) Text() string { return p.text }
-
-// BoundedDistance reports the edit distance between the pattern and b when it
-// is <= k, abandoning the candidate as early as possible: the length filter
-// rejects before any column, and the kernel stops at the first column that
-// proves the distance exceeds k. Safe for concurrent use when k <= 31; larger
-// thresholds need a per-goroutine scratch (nil allocates).
-func (p *MyersPattern) BoundedDistance(b string, k int, s *MyersScratch) (int, bool) {
-	return boundedMyers(p, b, k, s)
-}
-
-// BoundedDistanceBytes is BoundedDistance over a byte slice, for callers that
-// hold candidates in a packed buffer.
+// BoundedDistanceBytes reports the edit distance between the pattern and b
+// when it is <= k, abandoning the candidate as early as possible: the length
+// filter rejects before any column, and the kernel stops at the first column
+// that proves the distance exceeds k. Safe for concurrent use when k <= 31;
+// larger thresholds need a per-goroutine scratch (nil allocates).
 func (p *MyersPattern) BoundedDistanceBytes(b []byte, k int, s *MyersScratch) (int, bool) {
 	return boundedMyers(p, b, k, s)
 }

@@ -22,16 +22,16 @@ func TestCompileMyersMatchesDistance(t *testing.T) {
 	for _, c := range cases {
 		want := Distance(c[0], c[1])
 		p := CompileMyers(c[0])
-		if got, ok := p.BoundedDistance(c[1], len(c[0])+len(c[1]), &scratch); !ok || got != want {
-			t.Errorf("CompileMyers(%q).BoundedDistance(%q) at k = m+n: %d, %v, want %d", c[0], c[1], got, ok, want)
+		if got, ok := p.BoundedDistanceBytes([]byte(c[1]), len(c[0])+len(c[1]), &scratch); !ok || got != want {
+			t.Errorf("CompileMyers(%q).BoundedDistanceBytes(%q) at k = m+n: %d, %v, want %d", c[0], c[1], got, ok, want)
 		}
 		for k := 0; k <= want+2; k++ {
-			d, ok := p.BoundedDistance(c[1], k, &scratch)
+			d, ok := p.BoundedDistanceBytes([]byte(c[1]), k, &scratch)
 			if ok != (want <= k) {
-				t.Errorf("BoundedDistance(%q, %q, %d): ok=%v, distance %d", c[0], c[1], k, ok, want)
+				t.Errorf("BoundedDistanceBytes(%q, %q, %d): ok=%v, distance %d", c[0], c[1], k, ok, want)
 			}
 			if ok && d != want {
-				t.Errorf("BoundedDistance(%q, %q, %d) = %d, want %d", c[0], c[1], k, d, want)
+				t.Errorf("BoundedDistanceBytes(%q, %q, %d) = %d, want %d", c[0], c[1], k, d, want)
 			}
 		}
 	}
@@ -39,15 +39,15 @@ func TestCompileMyersMatchesDistance(t *testing.T) {
 
 func TestBoundedDistanceNegativeK(t *testing.T) {
 	p := CompileMyers("abc")
-	if _, ok := p.BoundedDistance("abc", -1, nil); ok {
+	if _, ok := p.BoundedDistanceBytes([]byte("abc"), -1, nil); ok {
 		t.Error("k=-1 accepted")
 	}
 }
 
 func TestCompileMyersAccessors(t *testing.T) {
 	p := CompileMyers("berlin")
-	if p.Len() != 6 || p.Text() != "berlin" {
-		t.Errorf("Len=%d Text=%q", p.Len(), p.Text())
+	if p.Len() != 6 {
+		t.Errorf("Len=%d", p.Len())
 	}
 }
 
@@ -76,7 +76,7 @@ func TestCompiledPatternSharedAcrossGoroutines(t *testing.T) {
 			go func() {
 				var scratch MyersScratch
 				for i, s := range texts {
-					if got, _ := p.BoundedDistance(s, len(pattern)+len(s), &scratch); got != want[i] {
+					if got, _ := p.BoundedDistanceBytes([]byte(s), len(pattern)+len(s), &scratch); got != want[i] {
 						done <- &compileRaceErr{s: s, got: got, want: want[i]}
 						return
 					}
@@ -105,28 +105,26 @@ func (e *compileRaceErr) Error() string {
 // (k = m+n, where the bound never fires) and bounded at k = 2: the table is
 // built once, outside the loop.
 func BenchmarkCompiledMyers(b *testing.B) {
-	texts := make([]string, 1024)
+	texts := make([][]byte, 1024)
 	r := rand.New(rand.NewSource(11))
 	for i := range texts {
-		n := 4 + r.Intn(12)
-		var sb strings.Builder
-		for j := 0; j < n; j++ {
-			sb.WriteByte(byte('a' + r.Intn(26)))
+		texts[i] = make([]byte, 4+r.Intn(12))
+		for j := range texts[i] {
+			texts[i][j] = byte('a' + r.Intn(26))
 		}
-		texts[i] = sb.String()
 	}
 	const q = "heidelberg"
 	b.Run("compiled", func(b *testing.B) {
 		p := CompileMyers(q)
 		for i := 0; i < b.N; i++ {
 			s := texts[i%len(texts)]
-			p.BoundedDistance(s, len(q)+len(s), nil)
+			p.BoundedDistanceBytes(s, len(q)+len(s), nil)
 		}
 	})
 	b.Run("compiled-bounded", func(b *testing.B) {
 		p := CompileMyers(q)
 		for i := 0; i < b.N; i++ {
-			p.BoundedDistance(texts[i%len(texts)], 2, nil)
+			p.BoundedDistanceBytes(texts[i%len(texts)], 2, nil)
 		}
 	})
 }

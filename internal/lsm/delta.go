@@ -110,7 +110,8 @@ func (o *ownedSet) has(id int32) bool {
 const deltaStride = 1024
 
 // scanDeltaLocked holds the delta's length-window entries against the probe:
-// an entry's word rejects it before its string is looked up. Must be called
+// an entry's word rejects it before its string is looked up, and the probe
+// queues the rest for the kernel, flushed once at the end. Must be called
 // with st.mu held (read or write): it reads the delta view and the
 // dictionary. Returns ID-sorted matches, or ctx's error once it is cancelled.
 func (st *Store) scanDeltaLocked(ctx context.Context, pr *scan.Probe) ([]scan.Match, error) {
@@ -130,11 +131,9 @@ func (st *Store) scanDeltaLocked(ctx context.Context, pr *scan.Probe) ([]scan.Ma
 		if pr.Rejects(e.word, e.counts) {
 			continue
 		}
-		if dist, ok := pr.Within(st.dict[e.id]); ok {
-			ms = append(ms, scan.Match{ID: e.id, Dist: dist})
-		}
+		ms = pr.Queue(st.dict[e.id], e.id, ms)
 	}
-	// byLen order is (length, id): the matches are a concatenation of
-	// ID-ascending runs, one per length bucket.
-	return scan.MergeRuns(ms), nil
+	// byLen order is (length, id), and the matches come in queue order: a
+	// concatenation of ID-ascending runs, one per length bucket.
+	return scan.MergeRuns(pr.Flush(ms)), nil
 }

@@ -13,6 +13,7 @@ import (
 
 	"simsearch/internal/core"
 	"simsearch/internal/dataset"
+	"simsearch/internal/edit"
 	"simsearch/internal/scan"
 )
 
@@ -192,9 +193,10 @@ func TestOwnedSetLazyBranch(t *testing.T) {
 }
 
 // TestSearchAllocatesNoMap pins what a query allocates in front of a
-// 512-entry delta: the probe's pattern (two) and scratch, the buffer the
-// segment sweeps share, the surviving matches, the output — nothing that
-// grows with the delta (a set of its ids alone is four more).
+// 512-entry delta: the probe's pattern (two) and scratch, the buffer its
+// queue copies delta survivors into, the buffer the segment sweeps share,
+// the surviving matches, the output — nothing that grows with the delta (a
+// set of its ids alone is four more).
 func TestSearchAllocatesNoMap(t *testing.T) {
 	universe := take(t, dedupe(dataset.Cities(1500, 22)), 1112)
 	st := mustOpen(t, Options{FlushLimit: 1 << 20, maxSegments: 100})
@@ -208,6 +210,54 @@ func TestSearchAllocatesNoMap(t *testing.T) {
 		checkSearch(t, st, m, q)
 		if got := testing.AllocsPerRun(100, func() { st.Search(q) }); got > 6 {
 			t.Errorf("Search(%+v) in front of a 512-entry delta: %.0f allocations, want at most 6", q, got)
+		}
+	}
+}
+
+// TestDeltaQueuesThroughLanes holds a query with more than edit.LaneCount
+// delta survivors, over several length buckets where k > 0 allows them, to
+// edit.Distance at k = 0, 2 and 33 (past MaxBandK: the scalar kernel and its
+// scratch). The delta's
+// batches are named in the probe's own buffer and the segment's in the
+// arena's, so the delta's last, shorter batch must be flushed before the
+// sweep queues the segment's survivors: a match it held would be lost.
+func TestDeltaQueuesThroughLanes(t *testing.T) {
+	const q = "abcdefgh"
+	var seg, delta []string
+	for i := range q {
+		seg = append(seg, "+"+q[:i]+"y"+q[i+1:])                        // one substitution
+		delta = append(delta, "+"+q[:i]+"x"+q[i+1:], "+"+q[:i]+q[i+1:]) // one substitution, one deletion
+		delta = append(delta, "+"+q[:i]+"zz"+q[i:], "+"+q[i:]+q[:i])    // two insertions, a rotation (by 0: q)
+	}
+	delta = append(delta, "+hgfedcba", "+abcd", "+abcdefghijklmn")
+	st := mustOpen(t, Options{FlushLimit: 1 << 20, maxSegments: 100})
+	m := newModel(nil)
+	apply(t, st, m, append(append(seg, "F"), delta...)...)
+	if len(st.segs) != 1 || len(st.delta.byLen) != len(delta) {
+		t.Fatalf("%d segments and %d delta entries, want 1 and %d", len(st.segs), len(st.delta.byLen), len(delta))
+	}
+	ids, strs := m.liveSet()
+	for _, k := range []int{0, 2, 33} {
+		pr := scan.NewProbe(q, k)
+		lo, hi := pr.Lengths()
+		survivors, lengths := 0, map[int]bool{}
+		for _, e := range st.delta.byLen {
+			if s := st.dict[e.id]; lo <= len(s) && len(s) <= hi && !pr.Rejects(scan.WordOf(s)) {
+				survivors++
+				lengths[len(s)] = true
+			}
+		}
+		if survivors <= edit.LaneCount || len(lengths) < min(k+1, 2) {
+			t.Fatalf("k=%d: %d delta survivors over %d lengths, want more than %d over %d or more", k, survivors, len(lengths), edit.LaneCount, min(k+1, 2))
+		}
+		var want []core.Match
+		for i, s := range strs {
+			if d := edit.Distance(q, s); d <= k {
+				want = append(want, core.Match{ID: ids[i], Dist: d})
+			}
+		}
+		if got := st.Search(core.Query{Text: q, K: k}); !slices.Equal(got, want) {
+			t.Errorf("k=%d: got %v, want %v", k, got, want)
 		}
 	}
 }

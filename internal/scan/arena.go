@@ -139,11 +139,6 @@ func (a *Arena) slotFrom(s int32, l int) (off, length int) {
 	return int(a.lenOff[l]) + int(s-a.lenStart[l])*l, l
 }
 
-// padded returns the buffer with the edit.LanePad bytes of capacity past its
-// end that newLayout leaves zero, which the lane kernel may read past the
-// last slot.
-func (a *Arena) padded() []byte { return a.buf[:len(a.buf)+edit.LanePad] }
-
 // Buckets returns the number of distinct, non-empty length buckets.
 func (a *Arena) Buckets() int {
 	n := 0

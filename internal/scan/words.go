@@ -8,7 +8,6 @@
 package scan
 
 import (
-	"bytes"
 	"cmp"
 	"context"
 	"fmt"
@@ -198,16 +197,24 @@ func WordOf(s string) (word uint64, counts bool) {
 // sweep read the bytes of (= candidates verified, or byte compares at k =
 // 0); Passed and Kept differ only where a Words has its 4-gram sets. A
 // string outside an arena — an entry of the live store's delta — has the
-// one word of WordOf, which Rejects tests and none of the four counts.
+// one word of WordOf, which Rejects tests and none of the four counts. Every
+// candidate, swept or handed to Queue, reaches the kernel through one queue.
 type Probe struct {
 	text    string
 	k       int
 	p       *edit.MyersPattern // nil at k = 0: distance 0 is byte equality, no kernel to enter
 	scratch *edit.MyersScratch
-	have    uint8   // which of the three below are computed: haveOcc, haveCount, haveGrams
-	sig     uint64  // the query's occurrence bits
-	cnt     uint64  // the query's symbol counts
-	grams   gramSet // the query's 4-grams
+	have    uint8            // which of the three below are computed: haveOcc, haveCount, haveGrams
+	sig     uint64           // the query's occurrence bits
+	cnt     uint64           // the query's symbol counts
+	grams   gramSet          // the query's 4-grams
+	surv    [ctxStride]int32 // a swept group's survivors, as offsets from its first slot
+	// The queue: candidate i < queued has ID ids[i] and its bytes named in
+	// lanes within buf — the swept arena's buffer, or own, Queue's copies.
+	lanes    edit.Lanes
+	ids      [edit.LaneCount]int32
+	queued   int
+	buf, own []byte
 
 	Visited, Swept, Passed, Kept uint64
 }
@@ -219,9 +226,10 @@ const (
 	haveGrams
 )
 
-// NewProbe compiles q for threshold k >= 0.
-func NewProbe(q string, k int) Probe {
-	pr := Probe{text: q, k: k}
+// NewProbe compiles q for threshold k >= 0. The probe, a group's survivors
+// and all, is built in the result, not copied into it.
+func NewProbe(q string, k int) (pr Probe) {
+	pr.text, pr.k = q, k
 	if k > 0 {
 		pr.p = edit.CompileMyers(q)
 	}
@@ -269,12 +277,50 @@ func (pr *Probe) Rejects(word uint64, counts bool) bool {
 	return sigReject(pr.word(false), word, pr.k)
 }
 
-// Within returns the query's distance to s when it is at most k.
-func (pr *Probe) Within(s string) (int, bool) {
-	if pr.k == 0 {
-		return 0, s == pr.text
+// add queues the candidate buf[off:off+n] with ID id and reports whether the
+// queue is due for Flush: full, or at k = 0, where it holds one.
+func (pr *Probe) add(off, n int, id int32) bool {
+	pr.lanes.Off[pr.queued], pr.lanes.Len[pr.queued], pr.ids[pr.queued] = off, n, id
+	pr.queued++
+	return pr.queued == edit.LaneCount || pr.k == 0
+}
+
+// Queue holds s, the string with ID id from outside any arena, against the
+// query: it copies s into the probe's own buffer, edit.LanePad zero bytes
+// past its end, and queues it like a swept slot.
+func (pr *Probe) Queue(s string, id int32, dst []Match) []Match {
+	if pr.queued == 0 { // a new batch: its bytes start over, with room for the window's longest
+		pr.own = slices.Grow(pr.own[:0], edit.LaneCount*(len(pr.text)+pr.k)+edit.LanePad)
 	}
-	return pr.p.BoundedDistance(s, pr.k, pr.scratch)
+	off := len(pr.own)
+	pr.own = append(slices.Grow(pr.own, len(s)+edit.LanePad), s...)
+	pr.buf = pr.own[:len(pr.own)+edit.LanePad]
+	clear(pr.buf[len(pr.own):])
+	if pr.add(off, len(s), id) {
+		dst = pr.Flush(dst)
+	}
+	return dst
+}
+
+// Flush hands the queue to the kernel in one call and appends to dst, in lane
+// order, a match for each candidate within k. At k = 0 it compares the one
+// candidate's bytes with the query's instead: distance 0 is byte equality.
+// Sweep flushes its own; a caller of Queue flushes before the next Sweep.
+func (pr *Probe) Flush(dst []Match) []Match {
+	switch {
+	case pr.queued == 0:
+	case pr.k == 0:
+		if string(pr.buf[pr.lanes.Off[0]:][:pr.lanes.Len[0]]) == pr.text {
+			dst = append(dst, Match{ID: pr.ids[0]})
+		}
+	default:
+		for ok := pr.p.BoundedLanes(pr.buf, &pr.lanes, pr.queued, pr.k, pr.scratch); ok != 0; ok &= ok - 1 {
+			i := bits.TrailingZeros8(ok)
+			dst = append(dst, Match{ID: pr.ids[i], Dist: pr.lanes.Dist[i]})
+		}
+	}
+	pr.queued = 0
+	return dst
 }
 
 // Words is one signature word per slot of an arena it packs itself. What the
@@ -696,15 +742,14 @@ func cntRun(words []uint64, lo, hi int, sq uint64, slack int, surv []int32, n in
 // group's block summaries (blockMask) and goes on to the next group if none
 // is kept; otherwise it reads the words of the kept blocks (maskedWords) —
 // and where there are 4-gram sets, the sets of the slots the word lets
-// through — and collects the group's survivors. At k = 0 it compares each
-// survivor's bytes with the query's; otherwise it queues them, as offsets
-// and lengths into the arena's buffer, and hands the kernel a batch of
-// edit.LaneCount at a time (verify) — the queue carries what is left of a
-// group into the next one, and what is left at the window's end goes as one
-// last, shorter batch. Survivors come in slot order and a batch reports in
-// lane order, so the matches stay in slot order; the length bucket is
-// carried along instead of searched for per survivor, from the window's
-// shortest length on. The probe's counters are flushed on every exit path.
+// through — and collects the group's survivors. It hands them to the
+// probe's queue (add), as offsets and lengths into the arena's buffer — the
+// queue carries what is left of a group into the next one, and what is left
+// at the window's end goes as one last, shorter batch. Survivors come in
+// slot order and a batch reports in lane order, so the matches stay in slot
+// order; the length bucket is carried along instead of searched for per
+// survivor, from the window's shortest length on. The probe's counters are
+// flushed on every exit path.
 func (w *Words) Sweep(ctx context.Context, pr *Probe, dst []Match) ([]Match, error) {
 	k := pr.k
 	ar := w.ar
@@ -725,12 +770,7 @@ func (w *Words) Sweep(ctx context.Context, pr *Probe, dst []Match) ([]Match, err
 	if w.counts {
 		gq = pr.fourGrams()
 	}
-	var exact []byte // the query's bytes at k = 0
-	if k == 0 {
-		exact = []byte(pr.text)
-	}
-	var surv [ctxStride]int32 // one group's survivors, as offsets from its first slot
-	var q batch               // the survivors waiting for the kernel
+	pr.buf = ar.buf[:cap(ar.buf)] // newLayout leaves edit.LanePad zero bytes past the last slot
 	blocks := (hi + blockSlots - 1) / blockSlots
 	for g := lo / blockSlots; g < blocks; g += groupBlocks {
 		if err := ctx.Err(); err != nil {
@@ -742,47 +782,18 @@ func (w *Words) Sweep(ctx context.Context, pr *Probe, dst []Match) ([]Match, err
 		if mask == 0 {
 			continue
 		}
-		n, pass, read := w.maskedWords(base, lo, hi, mask, sq, k, gq, surv[:])
+		n, pass, read := w.maskedWords(base, lo, hi, mask, sq, k, gq, pr.surv[:])
 		swept += uint64(read)
 		passed += uint64(pass)
 		kept += uint64(n)
-		for _, i := range surv[0:n] {
+		for _, i := range pr.surv[0:n] {
 			s := base + i
 			var off int
 			off, l = ar.slotFrom(s, l)
-			if k == 0 {
-				if bytes.Equal(ar.buf[off:off+l], exact) {
-					dst = append(dst, Match{ID: ar.ids[s]})
-				}
-				continue
-			}
-			q.lanes.Off[q.n], q.lanes.Len[q.n], q.slots[q.n] = off, l, s
-			if q.n++; q.n == edit.LaneCount {
-				dst = w.verify(pr, &q, dst)
+			if pr.add(off, l, ar.ids[s]) {
+				dst = pr.Flush(dst)
 			}
 		}
 	}
-	if q.n > 0 {
-		dst = w.verify(pr, &q, dst)
-	}
-	return dst, nil
-}
-
-// batch is Sweep's queue of survivors for the kernel: lane i is slot
-// slots[i], its bytes named in lanes.
-type batch struct {
-	lanes edit.Lanes
-	slots [edit.LaneCount]int32
-	n     int
-}
-
-// verify hands the queued survivors to the kernel in one call, appends a
-// match for each within k, in lane order, and empties the queue.
-func (w *Words) verify(pr *Probe, q *batch, dst []Match) []Match {
-	for ok := pr.p.BoundedLanes(w.ar.padded(), &q.lanes, q.n, pr.k, pr.scratch); ok != 0; ok &= ok - 1 {
-		i := bits.TrailingZeros8(ok)
-		dst = append(dst, Match{ID: w.ar.ids[q.slots[i]], Dist: q.lanes.Dist[i]})
-	}
-	q.n = 0
-	return dst
+	return pr.Flush(dst), nil
 }
