@@ -260,7 +260,7 @@ func BenchmarkAblationTrieCompression(b *testing.B) {
 	for _, c := range configs {
 		tr := trie.Build(city.Data, c.compress, c.opts...)
 		b.Run(c.name, func(b *testing.B) {
-			b.ReportMetric(float64(tr.NodeCount()), "nodes")
+			b.ReportMetric(float64(tr.Stats().Nodes), "nodes")
 			for i := 0; i < b.N; i++ {
 				for _, q := range city.Queries {
 					tr.Search(q.Text, q.K)

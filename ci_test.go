@@ -12,6 +12,7 @@ import (
 	"regexp"
 	"sort"
 	"strings"
+	"sync"
 	"testing"
 
 	"simsearch/internal/analysis"
@@ -230,65 +231,31 @@ func TestHTTPAPIImportsNoEngine(t *testing.T) {
 // TestOneKernelSeam keeps one way into the Myers kernels per side. Outside
 // internal/edit, the module's non-test Go calls a method of
 // *edit.MyersPattern only where it is the seam: BoundedLanes from
-// internal/scan, at one call site (the probe's queue, which the sweep and the
-// live store's delta both feed), and StepBand and BandDistance from
-// internal/trie (the descent). A second route to the kernel, or a second
-// call site, is a second place for a kernel change to miss. Every package is
-// type-checked from source through internal/analysis's loader. The fixed
-// benchmark is a module of its own and is not walked.
+// internal/scan, at one call site (the probe's queue, which every sweep
+// feeds), and StepBand and BandDistance from internal/trie (the descent). A
+// second route to the kernel, or a second call site, is a second place for a
+// kernel change to miss. Every package is type-checked from source through
+// internal/analysis's loader (typedTree). The fixed benchmark is a module of
+// its own and is not walked.
 func TestOneKernelSeam(t *testing.T) {
 	seam := map[string]string{
 		"BoundedLanes": "simsearch/internal/scan",
 		"StepBand":     "simsearch/internal/trie",
 		"BandDistance": "simsearch/internal/trie",
 	}
-	// Only the Go declarations matter here: with cgo off, net type-checks
-	// from its pure-Go files, on GOARCH=386 (make portable) too.
-	defer func(cgo bool) { build.Default.CgoEnabled = cgo }(build.Default.CgoEnabled)
-	build.Default.CgoEnabled = false
-	files := map[string][]string{} // package directory -> its non-test files for this platform
-	walkGoFiles(t, ".", func(path string) error {
-		dir, name := filepath.Split(path)
-		if dir = filepath.Clean(dir); strings.HasSuffix(name, "_test.go") || dir == filepath.Join("internal", "edit") {
-			return nil
-		}
-		if ok, err := build.Default.MatchFile(dir, name); !ok || err != nil {
-			return err
-		}
-		files[dir] = append(files[dir], path)
-		return nil
-	})
-	loader, err := analysis.NewLoader(".")
-	if err != nil {
-		t.Fatal(err)
-	}
-	fset := token.NewFileSet()
 	lanes := 0
-	for dir, paths := range files {
-		var syntax []*ast.File
-		for _, path := range paths {
-			f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
-			if err != nil {
-				t.Fatal(err)
-			}
-			syntax = append(syntax, f)
+	for _, p := range typedTree(t) {
+		if p.path == "simsearch/internal/edit" || p.path == "simsearch/benchmark" {
+			continue
 		}
-		pkg := "simsearch"
-		if dir != "." {
-			pkg += "/" + filepath.ToSlash(dir)
-		}
-		info := &types.Info{Selections: map[*ast.SelectorExpr]*types.Selection{}}
-		if _, err := (&types.Config{Importer: loader}).Check(pkg, fset, syntax, info); err != nil {
-			t.Fatal(err)
-		}
-		for sel, s := range info.Selections {
+		for sel, s := range p.info.Selections {
 			recv := strings.TrimPrefix(types.TypeString(s.Recv(), nil), "*")
 			if s.Kind() == types.FieldVal || recv != "simsearch/internal/edit.MyersPattern" {
 				continue
 			}
 			name := s.Obj().Name()
-			if seam[name] != pkg {
-				t.Errorf("%s: %s calls MyersPattern.%s; the kernels are reached through the scan probe's queue (BoundedLanes) and the trie's band (StepBand, BandDistance)", fset.Position(sel.Pos()), pkg, name)
+			if seam[name] != p.path {
+				t.Errorf("%s: %s calls MyersPattern.%s; the kernels are reached through the scan probe's queue (BoundedLanes) and the trie's band (StepBand, BandDistance)", p.fset.Position(sel.Pos()), p.path, name)
 			}
 			if name == "BoundedLanes" {
 				lanes++
@@ -299,6 +266,227 @@ func TestOneKernelSeam(t *testing.T) {
 		t.Errorf("BoundedLanes has %d call sites outside internal/edit, want 1", lanes)
 	}
 }
+
+// TestNoOrphanMethods takes TestNoOrphanExports down to the exported methods
+// of the types of the root package and of internal/, type-checked
+// (typedTree). A method must be called, or taken as a value, by non-test code
+// of the module or of the fixed benchmark, or be how a type of the tree
+// satisfies an interface the tree uses: the type of a value, parameter,
+// result or field a non-test file names, or fmt.Stringer, which fmt reaches
+// with no file naming it. A method on orphanMethodsAllowed stands for the
+// reason it gives. What only tests call is deleted; what only its own
+// package calls may stay, as an exported identifier may not.
+func TestNoOrphanMethods(t *testing.T) {
+	pkgs := typedTree(t)
+	used := map[string]bool{}               // methodKey of every method non-test code reaches
+	ifaces := map[string]*types.Interface{} // the interfaces the tree uses, by type string
+	var collect func(typ types.Type)
+	collect = func(typ types.Type) {
+		switch u := typ.(type) {
+		case *types.Pointer:
+			collect(u.Elem())
+		case *types.Slice:
+			collect(u.Elem())
+		case *types.Array:
+			collect(u.Elem())
+		case *types.Chan:
+			collect(u.Elem())
+		case *types.Map:
+			collect(u.Key())
+			collect(u.Elem())
+		case *types.Signature:
+			for _, tuple := range []*types.Tuple{u.Params(), u.Results()} {
+				for i := 0; i < tuple.Len(); i++ {
+					collect(tuple.At(i).Type())
+				}
+			}
+		default:
+			if iface, ok := typ.Underlying().(*types.Interface); ok && iface.NumMethods() > 0 {
+				ifaces[types.TypeString(typ, nil)] = iface
+			}
+		}
+	}
+	var named []*types.Named // every package-level type of the tree
+	for _, p := range pkgs {
+		for _, s := range p.info.Selections {
+			if fn, ok := s.Obj().(*types.Func); ok {
+				used[methodKey(fn)] = true
+			}
+		}
+		for _, objs := range []map[*ast.Ident]types.Object{p.info.Defs, p.info.Uses} {
+			for _, obj := range objs {
+				if obj != nil {
+					collect(obj.Type())
+				}
+			}
+		}
+		for _, tv := range p.info.Types {
+			collect(tv.Type)
+		}
+		for _, imp := range p.pkg.Imports() {
+			if imp.Path() == "fmt" {
+				collect(imp.Scope().Lookup("Stringer").Type())
+			}
+		}
+		for _, name := range p.pkg.Scope().Names() {
+			if tn, ok := p.pkg.Scope().Lookup(name).(*types.TypeName); ok && !tn.IsAlias() {
+				if n, ok := tn.Type().(*types.Named); ok {
+					named = append(named, n)
+				}
+			}
+		}
+	}
+	// The tree's packages are checked one by one, each against its imports
+	// as the loader checked them apart, so a type and an interface of two
+	// checks are matched by method names and signature strings, not by
+	// types.Implements.
+	for _, n := range named {
+		ms := types.NewMethodSet(types.NewPointer(n))
+		for _, iface := range ifaces {
+			var impl []*types.Func
+			for i := 0; i < iface.NumMethods(); i++ {
+				want := iface.Method(i)
+				sel := ms.Lookup(want.Pkg(), want.Name())
+				if sel == nil || signatureKey(sel.Obj().Type()) != signatureKey(want.Type()) {
+					impl = nil
+					break
+				}
+				impl = append(impl, sel.Obj().(*types.Func))
+			}
+			for _, fn := range impl {
+				used[methodKey(fn)] = true
+			}
+		}
+	}
+	for _, n := range named {
+		if path := n.Obj().Pkg().Path(); path != "simsearch" && !strings.HasPrefix(path, "simsearch/internal/") {
+			continue
+		}
+		for i := 0; i < n.NumMethods(); i++ {
+			m := n.Method(i)
+			key := methodKey(m)
+			if m.Exported() && !used[key] && orphanMethodsAllowed[key] == "" {
+				t.Errorf("%s: %s has no caller outside tests and satisfies no interface the tree uses: delete it, or give it a caller", pkgs[0].fset.Position(m.Pos()), key)
+			}
+		}
+	}
+}
+
+// orphanMethodsAllowed names the exported methods TestNoOrphanMethods lets
+// stand with no caller but tests, each with its reason.
+var orphanMethodsAllowed = map[string]string{
+	"simsearch/internal/trie.Tree.Stats":   "the tree's shape, which the trie's tests and BenchmarkAblationTrieCompression (the §4.2 node counts) read",
+	"simsearch/internal/scan.Words.Verify": "the check of everything NewWords derives, which the live store's tests run on every segment after a flush, a compaction and a reopen",
+}
+
+// methodKey names a method "importpath.Type.Method" after the type that
+// declares it, however it was reached.
+func methodKey(fn *types.Func) string {
+	sig, ok := fn.Type().(*types.Signature)
+	if !ok || sig.Recv() == nil {
+		return ""
+	}
+	recv := sig.Recv().Type()
+	if p, ok := recv.(*types.Pointer); ok {
+		recv = p.Elem()
+	}
+	n, ok := recv.(*types.Named)
+	if !ok || n.Obj().Pkg() == nil {
+		return ""
+	}
+	return n.Obj().Pkg().Path() + "." + n.Obj().Name() + "." + fn.Name()
+}
+
+// signatureKey spells a method signature's parameter and result types out
+// with full package paths and no names, the same in every type check.
+func signatureKey(typ types.Type) string {
+	sig := typ.(*types.Signature)
+	var b strings.Builder
+	for _, tuple := range []*types.Tuple{sig.Params(), sig.Results()} {
+		b.WriteString("(")
+		for i := 0; i < tuple.Len(); i++ {
+			b.WriteString(types.TypeString(tuple.At(i).Type(), nil) + ",")
+		}
+		b.WriteString(")")
+	}
+	if sig.Variadic() {
+		b.WriteString("...")
+	}
+	return b.String()
+}
+
+// typedPackage is one non-test package of the tree, type-checked.
+type typedPackage struct {
+	path string
+	fset *token.FileSet // shared by every package of the tree
+	pkg  *types.Package
+	info *types.Info
+}
+
+// typedTree type-checks from source, once a test binary, the non-test files
+// of every package of the module and of the fixed benchmark (a module of its
+// own, simsearch/benchmark, that imports this one), through
+// internal/analysis's loader. Only the Go declarations matter: with cgo off,
+// net type-checks from its pure-Go files, on GOARCH=386 (make portable) too.
+func typedTree(t *testing.T) []typedPackage {
+	t.Helper()
+	pkgs, err := typedTreeOnce()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return pkgs
+}
+
+var typedTreeOnce = sync.OnceValues(func() (pkgs []typedPackage, err error) {
+	defer func(cgo bool) { build.Default.CgoEnabled = cgo }(build.Default.CgoEnabled)
+	build.Default.CgoEnabled = false
+	files := map[string][]string{} // package directory -> its non-test files for this platform
+	collect := func(path string) error {
+		dir, name := filepath.Split(path)
+		if dir = filepath.Clean(dir); strings.HasSuffix(name, "_test.go") {
+			return nil
+		}
+		if ok, err := build.Default.MatchFile(dir, name); !ok || err != nil {
+			return err
+		}
+		files[dir] = append(files[dir], path)
+		return nil
+	}
+	for _, root := range []string{".", "benchmark"} {
+		if err := filepath.WalkDir(root, goFiles(root, collect)); err != nil {
+			return nil, err
+		}
+	}
+	loader, err := analysis.NewLoader(".")
+	if err != nil {
+		return nil, err
+	}
+	fset := token.NewFileSet()
+	for dir, paths := range files {
+		var syntax []*ast.File
+		for _, path := range paths {
+			f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
+			if err != nil {
+				return nil, err
+			}
+			syntax = append(syntax, f)
+		}
+		p := typedPackage{path: "simsearch", fset: fset, info: &types.Info{
+			Types:      map[ast.Expr]types.TypeAndValue{},
+			Defs:       map[*ast.Ident]types.Object{},
+			Uses:       map[*ast.Ident]types.Object{},
+			Selections: map[*ast.SelectorExpr]*types.Selection{},
+		}}
+		if dir != "." {
+			p.path += "/" + filepath.ToSlash(dir)
+		}
+		if p.pkg, err = (&types.Config{Importer: loader}).Check(p.path, fset, syntax, p.info); err != nil {
+			return nil, err
+		}
+		pkgs = append(pkgs, p)
+	}
+	return pkgs, nil
+})
 
 // TestNoOrphanExports takes TestNoOrphanPackages down to identifiers. An
 // exported package-level func, var, const or type of an internal/ package
@@ -579,7 +767,14 @@ func exportedFields(list *ast.FieldList, pkg string, imports map[string]string, 
 // directories below root are not walked.
 func walkGoFiles(t *testing.T, root string, fn func(path string) error) {
 	t.Helper()
-	err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
+	if err := filepath.WalkDir(root, goFiles(root, fn)); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// goFiles is walkGoFiles's walk over root, for a caller with no test at hand.
+func goFiles(root string, fn func(path string) error) fs.WalkDirFunc {
+	return func(path string, d fs.DirEntry, err error) error {
 		if err != nil {
 			return err
 		}
@@ -593,8 +788,5 @@ func walkGoFiles(t *testing.T, root string, fn func(path string) error) {
 			return nil
 		}
 		return fn(path)
-	})
-	if err != nil {
-		t.Fatal(err)
 	}
 }

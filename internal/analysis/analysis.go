@@ -162,7 +162,8 @@ var scopes = map[string][]string{
 	"hotalloc-kernel-loops-only": {"internal/lsm"},
 	// A call into any function of these packages enters a distance kernel.
 	"kernel": {"internal/edit"},
-	// A call to a Probe method of these packages enters a distance kernel.
+	// A call to a Probe method, or to Loose.Sweep, of these packages enters
+	// a distance kernel.
 	"kernel-probe": {"internal/scan"},
 }
 
@@ -193,16 +194,17 @@ func calleeObject(info *types.Info, call *ast.CallExpr) types.Object {
 }
 
 // isKernelCall reports whether call enters a distance kernel: a function of
-// internal/edit, or a method of internal/scan's Probe — the compiled query
-// an engine outside internal/scan holds candidates against (the live store's
-// delta scan) without touching internal/edit itself.
+// internal/edit, a method of internal/scan's Probe — the compiled query its
+// sweeps hand candidates to — or Loose.Sweep, through which the live store
+// holds its delta against a probe without touching internal/edit itself.
 func isKernelCall(info *types.Info, call *ast.CallExpr) bool {
 	fn, ok := calleeObject(info, call).(*types.Func)
 	if !ok || fn.Pkg() == nil {
 		return false
 	}
+	recv := recvTypeName(fn)
 	return inScope(fn.Pkg().Path(), "kernel") ||
-		inScope(fn.Pkg().Path(), "kernel-probe") && recvTypeName(fn) == "Probe"
+		inScope(fn.Pkg().Path(), "kernel-probe") && (recv == "Probe" || recv == "Loose" && fn.Name() == "Sweep")
 }
 
 // isContextType reports whether t is context.Context.

@@ -36,7 +36,7 @@ var wantRe = regexp.MustCompile(`want "([^"]*)"`)
 func runFixture(t *testing.T, dir, importPath string, analyzers []*Analyzer) {
 	t.Helper()
 	l := fixtureLoader(t)
-	pkgs, err := l.LoadFixture(filepath.Join("testdata", "src", dir), importPath)
+	pkgs, err := l.loadFixture(filepath.Join("testdata", "src", dir), importPath)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -125,7 +125,7 @@ func TestCopyOnReadFixture(t *testing.T) {
 // does not — and such an inert directive is itself reported as stale.
 func TestIgnoreDirectives(t *testing.T) {
 	l := fixtureLoader(t)
-	pkgs, err := l.LoadFixture(filepath.Join("testdata", "src", "ignores"), "simsearch/fixture/ignores")
+	pkgs, err := l.loadFixture(filepath.Join("testdata", "src", "ignores"), "simsearch/fixture/ignores")
 	if err != nil {
 		t.Fatal(err)
 	}

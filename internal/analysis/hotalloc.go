@@ -7,12 +7,12 @@ import (
 
 // hotAlloc machine-checks the paper's §3.3–3.4 discipline on the kernel
 // packages (scopes["hotalloc"]): the innermost loops of internal/edit,
-// internal/scan (the word sweep included), internal/trie and internal/lsm
-// (the delta scan) — the code that runs once per compared pair, per trie
-// edge or per filtered candidate — must not copy strings through
+// internal/scan (both sweeps included), internal/trie and internal/lsm
+// (its loops around a sweep) — the code that runs once per compared pair,
+// per trie edge or per filtered candidate — must not copy strings through
 // string([]byte)/[]byte(string) conversions and must not allocate closures.
-// In loops that invoke a comparison kernel (a call into internal/edit or a
-// scan.Probe method), fmt calls and the allocation builtins make/new are
+// In loops that invoke a comparison kernel (a call into internal/edit, a
+// scan.Probe method or scan.Loose.Sweep), fmt calls and the allocation builtins make/new are
 // additionally flagged — "allocate a scratch buffer per element" is the
 // classic regression — and so are calls to module-internal functions whose
 // own body allocates at a guard-free position: hiding the make one call deep

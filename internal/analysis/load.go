@@ -295,9 +295,9 @@ func (l *Loader) loadDir(dir, path string) ([]*Package, error) {
 	return units, nil
 }
 
-// LoadFixture type-checks a standalone fixture directory under the given
+// loadFixture type-checks a standalone fixture directory under the given
 // import path (so path-scoped analyzers can be exercised from testdata).
-func (l *Loader) LoadFixture(dir, path string) ([]*Package, error) {
+func (l *Loader) loadFixture(dir, path string) ([]*Package, error) {
 	abs, err := filepath.Abs(dir)
 	if err != nil {
 		return nil, err

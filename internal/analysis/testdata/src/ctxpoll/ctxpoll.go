@@ -197,37 +197,43 @@ func searchIgnored(ctx context.Context, data []string, dist kernel) int {
 	return n
 }
 
-// Probe stands in for scan.Probe, the compiled query engines outside this
-// package hold candidates against: a call to one of its methods is
-// comparison work, like a call into internal/edit.
-type Probe struct{ k int }
+// Probe stands in for scan.Probe, the compiled query the sweeps hand their
+// candidates to: a call to one of its methods is comparison work, like a
+// call into internal/edit.
+type Probe struct{ k, queued int }
 
-func (pr *Probe) Queue(s string, id int32, dst []int32) []int32 {
-	if len(s) <= pr.k {
-		dst = append(dst, id)
-	}
-	return dst
+// add stands in for the probe's queue: it takes a candidate's offset, length
+// and ID and reports whether the queue is due for its flush.
+func (pr *Probe) add(off, n int, id int32) bool {
+	pr.queued++
+	return pr.queued == 8 || n <= pr.k
 }
 
-// probeNoPoll is the live store's delta scan with its poll forgotten.
+// probeNoPoll is the loose strings' sweep (scan.Loose.Sweep) with its poll
+// forgotten.
 func probeNoPoll(ctx context.Context, pr *Probe, data []string) int {
-	var ms []int32
+	n := 0
 	for i, s := range data { // want "never polls cancellation"
-		ms = pr.Queue(s, int32(i), ms)
+		if pr.add(0, len(s), int32(i)) {
+			n++
+		}
 	}
-	return len(ms)
+	return n
 }
 
-// probeStrided is the delta scan as written: ctx.Err() every 1024 entries.
+// probeStrided is the loose strings' sweep as written: ctx.Err() every 1024
+// entries.
 func probeStrided(ctx context.Context, pr *Probe, data []string) int {
-	var ms []int32
+	n := 0
 	for i, s := range data {
 		if i%1024 == 1023 && ctx.Err() != nil {
-			return len(ms)
+			return n
 		}
-		ms = pr.Queue(s, int32(i), ms)
+		if pr.add(0, len(s), int32(i)) {
+			n++
+		}
 	}
-	return len(ms)
+	return n
 }
 
 // searchMaskedGroups is the word sweep over block summaries: the outer loop

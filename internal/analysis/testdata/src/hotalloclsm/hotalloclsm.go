@@ -4,7 +4,11 @@
 // to strings because that is their job.
 package lsm
 
-import "simsearch/internal/scan"
+import (
+	"context"
+
+	"simsearch/internal/scan"
+)
 
 // decode is a serialization loop: no kernel call, so out of scope here.
 func decode(rows [][]byte) []string {
@@ -15,12 +19,15 @@ func decode(rows [][]byte) []string {
 	return out
 }
 
-// scanDelta queues entries on a probe: a kernel loop, so a conversion per
-// entry is a finding.
-func scanDelta(pr *scan.Probe, rows [][]byte) int {
-	var ms []scan.Match
+// sweepEach holds every row against the probe on its own, through a sweep of
+// loose strings: a kernel loop, so a conversion per row is a finding.
+func sweepEach(ctx context.Context, pr *scan.Probe, rows [][]byte) int {
+	n := 0
 	for i, r := range rows {
-		ms = pr.Queue(string(r), int32(i), ms) // want "conversion inside an innermost kernel loop"
+		var l scan.Loose
+		l.Add(int32(i), string(r)) // want "conversion inside an innermost kernel loop"
+		ms, _ := l.Sweep(ctx, pr, nil)
+		n += len(ms)
 	}
-	return len(pr.Flush(ms))
+	return n
 }

@@ -180,9 +180,6 @@ func (t *Trie) Name() string { return t.name }
 // Len implements Searcher.
 func (t *Trie) Len() int { return t.tree.Len() }
 
-// Tree exposes the underlying trie for structural reports (node counts).
-func (t *Trie) Tree() *trie.Tree { return t.tree }
-
 // --- Batch execution ----------------------------------------------------------
 
 // batcher is implemented by engines with their own batch scheduler.

@@ -8,8 +8,8 @@ import (
 
 func TestTrieAccessors(t *testing.T) {
 	tr := NewTrie(testData, true)
-	if tr.Tree() == nil || tr.Tree().Len() != len(testData) {
-		t.Error("Tree() accessor broken")
+	if tr.tree == nil || tr.Len() != len(testData) {
+		t.Error("the trie wraps no tree, or the wrong one")
 	}
 	if got := NewTrie(testData, true, trie.WithModernPruning()).Name(); got != "trie/compressed+modern" {
 		t.Errorf("modern name: %q", got)

@@ -80,17 +80,22 @@ func BenchmarkLiveSearch(b *testing.B) {
 }
 
 // wordSurvivors counts the strings of q's length window whose word does not
-// reject them, over every segment and the delta.
+// reject them, over every segment and the delta. The delta's strings are
+// counted through words built over them: where they are all of one kind, as
+// the names and the reads are, what passes the first word is what the
+// delta's own words let through.
 func wordSurvivors(st *Store, q core.Query) uint64 {
 	pr := scan.NewProbe(q.Text, q.K)
 	for _, seg := range st.segs {
 		seg.words.Sweep(context.Background(), &pr, nil)
 	}
-	lo, hi := pr.Lengths()
-	for _, e := range st.delta.byLen {
-		if int(e.n) >= lo && int(e.n) <= hi && !pr.Rejects(e.word, e.counts) {
-			pr.Kept++
+	var delta []string
+	for id, live := range st.delta.ops {
+		if live {
+			delta = append(delta, st.dict[id])
 		}
 	}
-	return pr.Kept
+	dpr := scan.NewProbe(q.Text, q.K)
+	scan.NewWords(delta).Sweep(context.Background(), &dpr, nil)
+	return pr.Kept + dpr.Passed
 }

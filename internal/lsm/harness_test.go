@@ -86,7 +86,7 @@ func (m *model) expect(q core.Query) []core.Match {
 func checkDict(t *testing.T, st *Store, m *model) {
 	t.Helper()
 	wantIDs, wantStrs := m.liveSet()
-	gotIDs, gotStrs := st.LiveStrings()
+	gotIDs, gotStrs := liveStrings(st)
 	if len(gotIDs) != len(wantIDs) {
 		t.Fatalf("live dictionary size: got %d, want %d", len(gotIDs), len(wantIDs))
 	}
@@ -96,6 +96,25 @@ func checkDict(t *testing.T, st *Store, m *model) {
 				i, gotIDs[i], gotStrs[i], wantIDs[i], wantStrs[i])
 		}
 	}
+}
+
+// liveStrings returns the store's live dictionary as (ids, strings), both
+// ascending by id, as the store itself resolves liveness.
+func liveStrings(st *Store) ([]int32, []string) {
+	st.mu.RLock()
+	defer st.mu.RUnlock()
+	var ids []int32
+	for id := range st.dict {
+		if st.isLiveLocked(id) {
+			ids = append(ids, id)
+		}
+	}
+	slices.Sort(ids)
+	strs := make([]string, len(ids))
+	for i, id := range ids {
+		strs[i] = st.dict[id]
+	}
+	return ids, strs
 }
 
 // checkSearch fails the test when the store's answer for q is not

@@ -337,7 +337,6 @@ func (st *Store) Close() error {
 // whether the store changed (false when s was already live). A string seen
 // before — even one currently deleted — keeps its original id.
 func (st *Store) Insert(s string) (int32, bool, error) {
-	word, counts := scan.WordOf(s) // arithmetic over s alone: done before the lock, not under it
 	st.mu.Lock()
 	defer st.mu.Unlock()
 	if st.closed {
@@ -362,7 +361,7 @@ func (st *Store) Insert(s string) (int32, bool, error) {
 			return 0, false, err
 		}
 	}
-	st.delta.setLive(deltaEntry{id: id, n: int32(len(s)), word: word, counts: counts})
+	st.delta.setLive(id, s)
 	st.live++
 	st.version.Add(1)
 	if st.delta.size() >= st.flushLimit {
@@ -398,7 +397,7 @@ func (st *Store) Delete(s string) (bool, error) {
 			return false, err
 		}
 	}
-	st.delta.setDead(id, int32(len(s)))
+	st.delta.setDead(id, len(s))
 	st.live--
 	st.version.Add(1)
 	if st.delta.size() >= st.flushLimit {
@@ -602,16 +601,16 @@ func (st *Store) SearchContext(ctx context.Context, q core.Query) ([]core.Match,
 }
 
 // snapshotScan captures, under one read lock, everything SearchContext needs
-// atomically: the segment list, the ids the delta owns, and the delta scan
-// itself. (A flush moving entries from delta to a new segment between those
-// reads would otherwise drop or double-count ids.) The owned ids are the
-// delta's own append-only list, not a copy. The lock is defer-released so a
-// panicking comparison kernel cannot leak st.mu and wedge every writer
+// atomically: the segment list, the ids the delta owns, and the delta's
+// sweep itself. (A flush moving entries from delta to a new segment between
+// those reads would otherwise drop or double-count ids.) The owned ids are
+// the delta's own append-only list, not a copy. The lock is defer-released
+// so a panicking comparison kernel cannot leak st.mu and wedge every writer
 // behind a dead reader.
 func (st *Store) snapshotScan(ctx context.Context, pr *scan.Probe) (segs []*segment, owned ownedSet, out []scan.Match, err error) {
 	st.mu.RLock()
 	defer st.mu.RUnlock()
-	out, err = st.scanDeltaLocked(ctx, pr)
+	out, err = st.delta.live.Sweep(ctx, pr, nil)
 	return st.segs, ownedSet{ids: st.delta.owned}, out, err
 }
 
@@ -643,29 +642,6 @@ func (st *Store) StringAt(id int32) (string, bool) {
 	defer st.mu.RUnlock()
 	s, ok := st.dict[id]
 	return s, ok
-}
-
-// Version returns the mutation counter: it advances on every effective
-// insert or delete, and is what callers fold into cache version strings.
-func (st *Store) Version() uint64 { return st.version.Load() }
-
-// LiveStrings returns the current live dictionary as (ids, strings), both
-// ascending by id — the frozen-oracle input used by the test harness.
-func (st *Store) LiveStrings() ([]int32, []string) {
-	st.mu.RLock()
-	defer st.mu.RUnlock()
-	ids := make([]int32, 0, st.live)
-	for id := range st.dict {
-		if st.isLiveLocked(id) {
-			ids = append(ids, id)
-		}
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	strs := make([]string, len(ids))
-	for i, id := range ids {
-		strs[i] = st.dict[id]
-	}
-	return ids, strs
 }
 
 // Stats is a point-in-time snapshot of the store's shape.

@@ -188,22 +188,22 @@ func TestClosedStoreErrors(t *testing.T) {
 
 func TestVersionAdvancesOnlyOnChange(t *testing.T) {
 	st := mustOpen(t, Options{})
-	v0 := st.Version()
+	v0 := st.Stats().Generation
 	st.Insert("alpha")
-	v1 := st.Version()
+	v1 := st.Stats().Generation
 	if v1 == v0 {
 		t.Fatal("insert did not advance the version")
 	}
 	st.Insert("alpha") // no-op
-	if st.Version() != v1 {
+	if st.Stats().Generation != v1 {
 		t.Fatal("no-op insert advanced the version")
 	}
 	st.Delete("missing") // no-op
-	if st.Version() != v1 {
+	if st.Stats().Generation != v1 {
 		t.Fatal("no-op delete advanced the version")
 	}
 	st.Delete("alpha")
-	if st.Version() == v1 {
+	if st.Stats().Generation == v1 {
 		t.Fatal("delete did not advance the version")
 	}
 }

@@ -54,16 +54,11 @@ func TestWordPlacements(t *testing.T) {
 	}{
 		{
 			// Equal words, different bytes: at k = 0 the word compare lets
-			// both through and only the bytes tell them apart.
+			// both through and only the bytes tell them apart (scan's
+			// TestLooseSweep checks that the words are equal).
 			name:    "anagrams across delta and segment",
 			ops:     []string{"+listen", "+enlist", "F", "+silent", "+tinsel"},
 			queries: []string{"listen", "silent", "tinsel", "inlets"},
-			check: func(t *testing.T, st *Store) {
-				a, _ := scan.WordOf("listen")
-				if b, _ := scan.WordOf("silent"); a != b {
-					t.Fatalf("anagrams must share a word: %#x vs %#x", a, b)
-				}
-			},
 		},
 		{
 			// Two kinds in one store: the flush segment in front is all
@@ -193,10 +188,9 @@ func TestOwnedSetLazyBranch(t *testing.T) {
 }
 
 // TestSearchAllocatesNoMap pins what a query allocates in front of a
-// 512-entry delta: the probe's pattern (two) and scratch, the buffer its
-// queue copies delta survivors into, the buffer the segment sweeps share,
-// the surviving matches, the output — nothing that grows with the delta (a
-// set of its ids alone is four more).
+// 512-entry delta: the probe's pattern (two) and scratch, the buffer the
+// segment sweeps share, the surviving matches, the output — nothing that
+// grows with the delta (a set of its ids alone is four more).
 func TestSearchAllocatesNoMap(t *testing.T) {
 	universe := take(t, dedupe(dataset.Cities(1500, 22)), 1112)
 	st := mustOpen(t, Options{FlushLimit: 1 << 20, maxSegments: 100})
@@ -217,10 +211,12 @@ func TestSearchAllocatesNoMap(t *testing.T) {
 // TestDeltaQueuesThroughLanes holds a query with more than edit.LaneCount
 // delta survivors, over several length buckets where k > 0 allows them, to
 // edit.Distance at k = 0, 2 and 33 (past MaxBandK: the scalar kernel and its
-// scratch). The delta's
-// batches are named in the probe's own buffer and the segment's in the
-// arena's, so the delta's last, shorter batch must be flushed before the
-// sweep queues the segment's survivors: a match it held would be lost.
+// scratch). The delta's batches are named in its own buffer and the
+// segment's in the arena's, so the delta's last, shorter batch must be
+// flushed before the sweep queues the segment's survivors: a match it held
+// would be lost. Words built over the delta's strings count its survivors;
+// that they span two lengths or more where k > 0 allows it, scan's
+// TestLooseSweep checks on the same strings.
 func TestDeltaQueuesThroughLanes(t *testing.T) {
 	const q = "abcdefgh"
 	var seg, delta []string
@@ -233,22 +229,19 @@ func TestDeltaQueuesThroughLanes(t *testing.T) {
 	st := mustOpen(t, Options{FlushLimit: 1 << 20, maxSegments: 100})
 	m := newModel(nil)
 	apply(t, st, m, append(append(seg, "F"), delta...)...)
-	if len(st.segs) != 1 || len(st.delta.byLen) != len(delta) {
-		t.Fatalf("%d segments and %d delta entries, want 1 and %d", len(st.segs), len(st.delta.byLen), len(delta))
+	if len(st.segs) != 1 || len(st.delta.ops) != len(delta) {
+		t.Fatalf("%d segments and %d delta entries, want 1 and %d", len(st.segs), len(st.delta.ops), len(delta))
+	}
+	var deltaStrs []string
+	for _, op := range delta {
+		deltaStrs = append(deltaStrs, op[1:])
 	}
 	ids, strs := m.liveSet()
 	for _, k := range []int{0, 2, 33} {
 		pr := scan.NewProbe(q, k)
-		lo, hi := pr.Lengths()
-		survivors, lengths := 0, map[int]bool{}
-		for _, e := range st.delta.byLen {
-			if s := st.dict[e.id]; lo <= len(s) && len(s) <= hi && !pr.Rejects(scan.WordOf(s)) {
-				survivors++
-				lengths[len(s)] = true
-			}
-		}
-		if survivors <= edit.LaneCount || len(lengths) < min(k+1, 2) {
-			t.Fatalf("k=%d: %d delta survivors over %d lengths, want more than %d over %d or more", k, survivors, len(lengths), edit.LaneCount, min(k+1, 2))
+		scan.NewWords(deltaStrs).Sweep(context.Background(), &pr, nil)
+		if pr.Passed <= edit.LaneCount {
+			t.Fatalf("k=%d: %d delta survivors, want more than %d", k, pr.Passed, edit.LaneCount)
 		}
 		var want []core.Match
 		for i, s := range strs {

@@ -48,9 +48,6 @@ func (g *Gauge) Inc() { g.v.Add(1) }
 // Dec subtracts one.
 func (g *Gauge) Dec() { g.v.Add(-1) }
 
-// Set replaces the value.
-func (g *Gauge) Set(n int64) { g.v.Store(n) }
-
 // Value returns the current value.
 func (g *Gauge) Value() int64 { return g.v.Load() }
 
@@ -123,14 +120,6 @@ type HistogramSnapshot struct {
 	Counts []uint64
 	Count  uint64
 	Sum    time.Duration
-}
-
-// Mean returns the average observed duration (0 when empty).
-func (s HistogramSnapshot) Mean() time.Duration {
-	if s.Count == 0 {
-		return 0
-	}
-	return s.Sum / time.Duration(s.Count)
 }
 
 // Quantile approximates the q-quantile (0 < q <= 1) from the buckets: the

@@ -21,10 +21,6 @@ func TestCounterGauge(t *testing.T) {
 	if g.Value() != 1 {
 		t.Fatalf("gauge = %d, want 1", g.Value())
 	}
-	g.Set(-7)
-	if g.Value() != -7 {
-		t.Fatalf("gauge = %d, want -7", g.Value())
-	}
 }
 
 func TestHistogramBuckets(t *testing.T) {
@@ -56,9 +52,6 @@ func TestHistogramBuckets(t *testing.T) {
 	}
 	if s.Sum != sum {
 		t.Errorf("sum = %v, want %v", s.Sum, sum)
-	}
-	if s.Mean() != sum/6 {
-		t.Errorf("mean = %v, want %v", s.Mean(), sum/6)
 	}
 }
 
@@ -122,7 +115,8 @@ func TestRegistryExposition(t *testing.T) {
 	c := reg.Counter("app_requests_total", "Requests served.", L("endpoint", "search"))
 	c.Add(3)
 	g := reg.Gauge("app_inflight", "In-flight requests.")
-	g.Set(2)
+	g.Inc()
+	g.Inc()
 	h := reg.Histogram("app_latency_seconds", "Latency.",
 		[]time.Duration{time.Millisecond, time.Second}, L("endpoint", "search"))
 	h.Observe(500 * time.Microsecond)
@@ -181,7 +175,7 @@ func TestRegistryWith(t *testing.T) {
 		v := reg.With(L("shard", shard))
 		v.Counter("q_total", "queries").Add(2)
 		v.CounterFunc("stage_total", "", func() float64 { return 3 }, L("stage", "len"))
-		v.With(L("z", "x")).Gauge("g", "").Set(1)
+		v.With(L("z", "x")).Gauge("g", "").Inc()
 	}
 	reg.Counter("q_total", "").Inc()
 	var sb strings.Builder

@@ -233,15 +233,3 @@ func (r *Registry) Handler() http.Handler {
 		r.WriteTo(w)
 	})
 }
-
-// Names returns the registered family names in registration order (for
-// tests and debug listings).
-func (r *Registry) Names() []string {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	out := make([]string, len(r.order))
-	for i, f := range r.order {
-		out[i] = f.name
-	}
-	return out
-}

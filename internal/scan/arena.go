@@ -100,13 +100,10 @@ func (a *Arena) Len() int { return len(a.ids) }
 // Bytes returns the packed buffer size.
 func (a *Arena) Bytes() int { return len(a.buf) }
 
-// MaxLen returns the length of the longest packed string.
-func (a *Arena) MaxLen() int { return a.maxLen }
-
-// SlotRange returns the half-open slot window [lo, hi) holding strings with
+// slotRange returns the half-open slot window [lo, hi) holding strings with
 // length in [minLen, maxLen], clamped to the dataset's length range: the
 // paper's length filter as an O(1) bucket lookup.
-func (a *Arena) SlotRange(minLen, maxLen int) (int32, int32) {
+func (a *Arena) slotRange(minLen, maxLen int) (int32, int32) {
 	if minLen < 0 {
 		minLen = 0
 	}

@@ -21,8 +21,8 @@ func matchesEqual(a, b []Match) bool {
 func TestArenaLayout(t *testing.T) {
 	data := []string{"bbb", "a", "cc", "", "dd", "eee", "f"}
 	a := NewWords(data).Arena()
-	if a.Len() != len(data) || a.Bytes() != 12 || a.MaxLen() != 3 {
-		t.Fatalf("arena shape: %d slots, %d bytes, max length %d", a.Len(), a.Bytes(), a.MaxLen())
+	if a.Len() != len(data) || a.Bytes() != 12 || a.maxLen != 3 {
+		t.Fatalf("arena shape: %d slots, %d bytes, max length %d", a.Len(), a.Bytes(), a.maxLen)
 	}
 	// Slots must be length-ordered, hold every ID once and the right bytes,
 	// with no per-slot offset stored: a slot's bytes come from its bucket's
@@ -41,10 +41,10 @@ func TestArenaLayout(t *testing.T) {
 			t.Errorf("slot %d breaks length order", s)
 		}
 	}
-	// SlotRange must select exactly the strings in the length window.
+	// slotRange must select exactly the strings in the length window.
 	for lo := -1; lo <= 4; lo++ {
 		for hi := lo; hi <= 5; hi++ {
-			s, e := a.SlotRange(lo, hi)
+			s, e := a.slotRange(lo, hi)
 			count := 0
 			for _, str := range data {
 				if len(str) >= lo && len(str) <= hi {
@@ -52,7 +52,7 @@ func TestArenaLayout(t *testing.T) {
 				}
 			}
 			if int(e-s) != count {
-				t.Errorf("SlotRange(%d,%d) selects %d slots, want %d", lo, hi, e-s, count)
+				t.Errorf("slotRange(%d,%d) selects %d slots, want %d", lo, hi, e-s, count)
 			}
 		}
 	}
@@ -108,7 +108,7 @@ func checkSweep(t *testing.T, w *Words, q Query) {
 	if !matchesEqual(MergeRuns(got), refSearch(wordsData(w), q)) {
 		t.Fatalf("%+v: the sweep disagrees with the oracle", q)
 	}
-	lo, hi := w.ar.SlotRange(pr.Lengths())
+	lo, hi := w.ar.slotRange(pr.lengths())
 	if pr.Visited != uint64(hi-lo) || pr.Swept > pr.Visited || pr.Passed > pr.Swept || pr.Kept > pr.Passed {
 		t.Fatalf("%+v: window of %d slots, counters %d, %d, %d, %d", q, hi-lo, pr.Visited, pr.Swept, pr.Passed, pr.Kept)
 	}

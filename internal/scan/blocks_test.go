@@ -25,7 +25,7 @@ func checkBlocks(t *testing.T, w *Words, q string, ks ...int) {
 	for _, k := range ks {
 		pr := NewProbe(q, k)
 		sq := pr.word(w.counts)
-		lo, hi := w.ar.SlotRange(pr.Lengths())
+		lo, hi := w.ar.slotRange(pr.lengths())
 		var want []Match
 		for s := lo; s < hi; s++ {
 			d, ok := dist[s]
@@ -130,7 +130,7 @@ func TestBlockSummariesRandom(t *testing.T) {
 			}
 			maxK, picks := 9, 4
 			if n <= 33 {
-				maxK, picks = w.ar.MaxLen()+1, 12
+				maxK, picks = w.ar.maxLen+1, 12
 			}
 			queries := []string{"", "N", "\xff"}
 			for i := 0; i < picks && n > 0; i++ {
@@ -278,8 +278,8 @@ func TestWordOrderIsThePackers(t *testing.T) {
 	for _, s := range data {
 		bytes, maxLen = bytes+len(s), max(maxLen, len(s))
 	}
-	if ordered.Len() != len(data) || ordered.Bytes() != bytes || ordered.MaxLen() != maxLen {
-		t.Fatalf("arena shape: %d slots, %d bytes, max length %d", ordered.Len(), ordered.Bytes(), ordered.MaxLen())
+	if ordered.Len() != len(data) || ordered.Bytes() != bytes || ordered.maxLen != maxLen {
+		t.Fatalf("arena shape: %d slots, %d bytes, max length %d", ordered.Len(), ordered.Bytes(), ordered.maxLen)
 	}
 	for l := 0; l <= maxLen; l++ {
 		n := 0

@@ -13,9 +13,10 @@
 //	ParallelManaged §3.6 + fixed worker pool (N swept in Table II/VI)
 //
 // Beside the ladder the package holds the packed, length-bucketed arena
-// (arena.go) and the signature words and their sweep (words.go): no rung
-// runs them; the cascade engine (core.Cascade) and the live store's
-// segments (internal/lsm) do.
+// (arena.go), the signature words and their sweep (words.go) and the
+// strings that sit in no arena (loose.go): no rung runs them; the cascade
+// engine (core.Cascade) and the live store's segments and delta
+// (internal/lsm) do.
 package scan
 
 import (

@@ -3,8 +3,9 @@
 // the slots the word lets through — read before any candidate byte is, and
 // in front of them two summary words per block of sixteen slots, which a
 // length bucket ordered by its words turns into whole blocks skipped
-// unread. This is the tree's one sweep: the cascade engine (core.Cascade)
-// and the live store's segments (internal/lsm) both run it.
+// unread. This is the tree's one sweep of an arena: the cascade engine
+// (core.Cascade) and the live store's segments (internal/lsm) both run it,
+// and the live store's delta goes through the same probe (loose.go).
 package scan
 
 import (
@@ -175,30 +176,19 @@ func keep(ab, ba, bound int) int {
 	return 1 - int(uint((bound-ab)|(bound-ba))>>(bits.UintSize-1))
 }
 
-// WordOf returns the word of a string that sits in no arena (an entry of the
-// live store's delta) and its kind, chosen from the string's own bytes:
-// symbol counts when all of them are A, C, G, N or T, occurrence bits
-// otherwise.
-func WordOf(s string) (word uint64, counts bool) {
-	if allDNA(s) {
-		return countWord(s), true
-	}
-	return signature(s), false
-}
-
 // Probe is one query prepared for the words: its compiled pattern and its
 // own word of each kind — occurrence bits, symbol counts, 4-gram set —
-// computed on first use and kept however many Words and loose words the
+// computed on first use and kept however many Words and Loose sets the
 // query is held against: a query of a live store may meet both kinds, one
 // of a cascade meets one. It serves one goroutine.
-// Visited, Swept, Passed and Kept accumulate, over every Sweep, the slots of
-// the length windows, those of them in blocks whose summary let the sweep in
-// (the words actually read), those whose first word survived, and those the
-// sweep read the bytes of (= candidates verified, or byte compares at k =
-// 0); Passed and Kept differ only where a Words has its 4-gram sets. A
-// string outside an arena — an entry of the live store's delta — has the
-// one word of WordOf, which Rejects tests and none of the four counts. Every
-// candidate, swept or handed to Queue, reaches the kernel through one queue.
+// Visited, Swept, Passed and Kept accumulate, over every Words.Sweep, the
+// slots of the length windows, those of them in blocks whose summary let the
+// sweep in (the words actually read), those whose first word survived, and
+// those the sweep read the bytes of (= candidates verified, or byte compares
+// at k = 0); Passed and Kept differ only where a Words has its 4-gram sets.
+// A Loose.Sweep counts in none of them. Every candidate, from an arena or a
+// Loose, reaches the kernel through one queue, which each Sweep empties
+// before it returns.
 type Probe struct {
 	text    string
 	k       int
@@ -210,11 +200,11 @@ type Probe struct {
 	grams   gramSet          // the query's 4-grams
 	surv    [ctxStride]int32 // a swept group's survivors, as offsets from its first slot
 	// The queue: candidate i < queued has ID ids[i] and its bytes named in
-	// lanes within buf — the swept arena's buffer, or own, Queue's copies.
-	lanes    edit.Lanes
-	ids      [edit.LaneCount]int32
-	queued   int
-	buf, own []byte
+	// lanes within buf — the buffer of the arena or the Loose being swept.
+	lanes  edit.Lanes
+	ids    [edit.LaneCount]int32
+	queued int
+	buf    []byte
 
 	Visited, Swept, Passed, Kept uint64
 }
@@ -262,15 +252,15 @@ func (pr *Probe) fourGrams() *gramSet {
 	return &pr.grams
 }
 
-// Lengths returns the length window [lo, hi] outside which no string is
+// lengths returns the length window [lo, hi] outside which no string is
 // within k of the query.
-func (pr *Probe) Lengths() (lo, hi int) {
+func (pr *Probe) lengths() (lo, hi int) {
 	return max(len(pr.text)-pr.k, 0), len(pr.text) + pr.k
 }
 
-// Rejects reports whether a string with this word (see WordOf) is certainly
-// farther than k from the query.
-func (pr *Probe) Rejects(word uint64, counts bool) bool {
+// rejects reports whether a string with this word, symbol counts or
+// occurrence bits as counts says, is certainly farther than k from the query.
+func (pr *Probe) rejects(word uint64, counts bool) bool {
 	if counts {
 		return countReject(pr.word(true), word, pr.k)
 	}
@@ -278,35 +268,17 @@ func (pr *Probe) Rejects(word uint64, counts bool) bool {
 }
 
 // add queues the candidate buf[off:off+n] with ID id and reports whether the
-// queue is due for Flush: full, or at k = 0, where it holds one.
+// queue is due for flush: full, or at k = 0, where it holds one.
 func (pr *Probe) add(off, n int, id int32) bool {
 	pr.lanes.Off[pr.queued], pr.lanes.Len[pr.queued], pr.ids[pr.queued] = off, n, id
 	pr.queued++
 	return pr.queued == edit.LaneCount || pr.k == 0
 }
 
-// Queue holds s, the string with ID id from outside any arena, against the
-// query: it copies s into the probe's own buffer, edit.LanePad zero bytes
-// past its end, and queues it like a swept slot.
-func (pr *Probe) Queue(s string, id int32, dst []Match) []Match {
-	if pr.queued == 0 { // a new batch: its bytes start over, with room for the window's longest
-		pr.own = slices.Grow(pr.own[:0], edit.LaneCount*(len(pr.text)+pr.k)+edit.LanePad)
-	}
-	off := len(pr.own)
-	pr.own = append(slices.Grow(pr.own, len(s)+edit.LanePad), s...)
-	pr.buf = pr.own[:len(pr.own)+edit.LanePad]
-	clear(pr.buf[len(pr.own):])
-	if pr.add(off, len(s), id) {
-		dst = pr.Flush(dst)
-	}
-	return dst
-}
-
-// Flush hands the queue to the kernel in one call and appends to dst, in lane
+// flush hands the queue to the kernel in one call and appends to dst, in lane
 // order, a match for each candidate within k. At k = 0 it compares the one
 // candidate's bytes with the query's instead: distance 0 is byte equality.
-// Sweep flushes its own; a caller of Queue flushes before the next Sweep.
-func (pr *Probe) Flush(dst []Match) []Match {
+func (pr *Probe) flush(dst []Match) []Match {
 	switch {
 	case pr.queued == 0:
 	case pr.k == 0:
@@ -753,8 +725,8 @@ func cntRun(words []uint64, lo, hi int, sq uint64, slack int, surv []int32, n in
 func (w *Words) Sweep(ctx context.Context, pr *Probe, dst []Match) ([]Match, error) {
 	k := pr.k
 	ar := w.ar
-	lo, hi := ar.SlotRange(pr.Lengths())
-	l, _ := pr.Lengths() // the length bucket of the slot being verified
+	lo, hi := ar.slotRange(pr.lengths())
+	l, _ := pr.lengths() // the length bucket of the slot being verified
 	if lo == hi {
 		return dst, nil
 	}
@@ -791,9 +763,9 @@ func (w *Words) Sweep(ctx context.Context, pr *Probe, dst []Match) ([]Match, err
 			var off int
 			off, l = ar.slotFrom(s, l)
 			if pr.add(off, l, ar.ids[s]) {
-				dst = pr.Flush(dst)
+				dst = pr.flush(dst)
 			}
 		}
 	}
-	return pr.Flush(dst), nil
+	return pr.flush(dst), nil
 }

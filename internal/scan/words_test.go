@@ -527,8 +527,8 @@ func TestSweepCarriesLengthBucket(t *testing.T) {
 
 // TestProbeSharedAcrossKinds holds one probe against a Words of each kind —
 // names, whose words are occurrence bits, and reads, whose are symbol
-// counts with 4-gram sets — and against loose words of each kind, in both
-// orders, and checks that every answer and counter is what a fresh probe
+// counts with 4-gram sets — and against a Loose holding words of each kind,
+// in both orders, and checks that every answer and counter is what a fresh probe
 // gives: a probe computes each kind of query word on first use, and the
 // first kind it meets must not stand in for the other. A probe that meets
 // one kind computes nothing of the others.
@@ -538,7 +538,10 @@ func TestProbeSharedAcrossKinds(t *testing.T) {
 	if ws[0].counts || !ws[1].counts {
 		t.Fatal("the names' words must be occurrence bits and the reads' counts")
 	}
-	loose := append(append([]string(nil), names[:200]...), reads[:100]...)
+	var loose Loose
+	for i, s := range append(append([]string(nil), names[:200]...), reads[:100]...) {
+		loose.Add(int32(i), s)
+	}
 	queries := append(dataset.Queries(names, 6, 2, 4), dataset.Queries(reads, 6, 8, 4)...)
 	type answer struct {
 		ms                           []Match
@@ -553,8 +556,8 @@ func TestProbeSharedAcrossKinds(t *testing.T) {
 		return answer{ms, pr.Visited - before.Visited, pr.Swept - before.Swept, pr.Passed - before.Passed, pr.Kept - before.Kept}
 	}
 	rejects := func(pr *Probe) (out []bool) {
-		for _, s := range loose {
-			out = append(out, pr.Rejects(WordOf(s)))
+		for _, e := range loose.entries {
+			out = append(out, pr.rejects(e.word, e.counts))
 		}
 		return out
 	}
@@ -583,7 +586,7 @@ func TestProbeSharedAcrossKinds(t *testing.T) {
 					}
 				}
 				if got := rejects(&pr); !slices.Equal(got, wantRejects) {
-					t.Fatalf("Rejects(%q, %d) after sweeping %v differs from a fresh probe's", q, k, order)
+					t.Fatalf("rejects(%q, %d) after sweeping %v differs from a fresh probe's", q, k, order)
 				}
 			}
 		}
@@ -604,7 +607,7 @@ func TestCountWordSurvivors(t *testing.T) {
 	for _, q := range dataset.Queries(data, 20, 8, 24) {
 		pr := NewProbe(q, 8)
 		sq, gq := pr.word(true), pr.fourGrams()
-		lo, hi := w.ar.SlotRange(pr.Lengths())
+		lo, hi := w.ar.slotRange(pr.lengths())
 		blocks := (hi + blockSlots - 1) / blockSlots
 		for _, slack := range []int{0, 1, 4, 8, 16, 100, math.MaxInt} {
 			bound := 4 * min(slack, gramSetBits/4)

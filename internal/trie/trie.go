@@ -233,10 +233,6 @@ func commonPrefix(a, b string) int {
 // Modern reports whether WithModernPruning was selected.
 func (t *Tree) Modern() bool { return t.modern }
 
-// NodeCount returns the number of nodes including the root. The paper's
-// Figure 4 compression claim ("half of the nodes") is checked against this.
-func (t *Tree) NodeCount() int { return t.stats.Nodes }
-
 // Len returns the number of strings the tree was built over.
 func (t *Tree) Len() int { return t.stats.Strings }
 

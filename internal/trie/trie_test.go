@@ -48,12 +48,12 @@ func TestPaperFigure4Compression(t *testing.T) {
 	data := []string{"Berlin", "Bern", "Ulm"}
 	plain, tr := Build(data, false), Build(data, true)
 	// Plain: root + B,e,r,l,i,n + n(after Ber->n) + U,l,m = 1+6+1+3 = 11.
-	if got := plain.NodeCount(); got != 11 {
-		t.Errorf("plain NodeCount = %d, want 11", got)
+	if got := plain.Stats().Nodes; got != 11 {
+		t.Errorf("plain tree: %d nodes, want 11", got)
 	}
 	// Compressed: root, "Ber", "lin", "n", "Ulm" = 5 nodes.
-	if got := tr.NodeCount(); got != 5 {
-		t.Errorf("compressed NodeCount = %d, want 5", got)
+	if got := tr.Stats().Nodes; got != 5 {
+		t.Errorf("compressed tree: %d nodes, want 5", got)
 	}
 	if !tr.Stats().Compressed || plain.Stats().Compressed {
 		t.Error("Stats().Compressed does not say which tree was built")
@@ -115,7 +115,7 @@ func TestStats(t *testing.T) {
 	data := []string{"abc", "abd", "x"}
 	tr := Build(data, false)
 	st := tr.Stats()
-	if st.Strings != 3 || st.Nodes != tr.NodeCount() || st.MaxDepth != 3 {
+	if st.Strings != 3 || st.Nodes != 6 || st.MaxDepth != 3 { // root, a, b, c, d, x
 		t.Errorf("stats = %+v", st)
 	}
 	if st.LabelBytes != 5 { // nodes a, b, c, d, x — one byte each
@@ -126,8 +126,8 @@ func TestStats(t *testing.T) {
 		t.Errorf("compressed stats = %+v", st)
 	}
 	for _, compress := range []bool{false, true} {
-		if tr := Build(nil, compress); tr.NodeCount() != 1 || tr.Len() != 0 || tr.Search("", 3) != nil {
-			t.Errorf("compress=%v: the tree over no strings has %d nodes and %d strings", compress, tr.NodeCount(), tr.Len())
+		if tr := Build(nil, compress); tr.Stats().Nodes != 1 || tr.Len() != 0 || tr.Search("", 3) != nil {
+			t.Errorf("compress=%v: the tree over no strings has %d nodes and %d strings", compress, tr.Stats().Nodes, tr.Len())
 		}
 	}
 }
@@ -197,7 +197,7 @@ func TestQuickCompressionNeverLosesStrings(t *testing.T) {
 			data[i] = randomString(r, "ab", 8)
 		}
 		tr := Build(data, true)
-		if tr.NodeCount() > Build(data, false).NodeCount() {
+		if tr.Stats().Nodes > Build(data, false).Stats().Nodes {
 			return false
 		}
 		// Every inserted string must still be findable exactly.
